@@ -76,6 +76,9 @@ fn auto_spin() -> u32 {
 // message on the receive side, plus the stall check and traffic
 // accounting the seed's real paths performed. Kept here (not in
 // converse-net) so the shipped crate carries no dead legacy path.
+// Its `notify_one` per send goes through the same `parking_lot` shim as
+// everything else, so it makes no system call while nobody waits: the
+// loopback rows compare lock ops per message, not kernel entries.
 // ---------------------------------------------------------------------
 
 struct LegacyMailbox {

@@ -22,13 +22,20 @@
 //! lock acquisition and dispatches from there, so the per-message cost
 //! of the drain phase no longer includes a contended lock op (see
 //! `Interconnect::drain_into`). Per-link FIFO order is preserved —
-//! intake drains strictly before the wire. The scheduler-queue phase
-//! stays per-entry on purpose: a handler that enqueues urgent
-//! prioritized work mid-batch still sees it preempt at the very next
-//! dequeue. When both phases come up empty the loop idles with a
-//! spin-then-park policy (`MachineConfig::idle_spin` probes of the
-//! lock-free mailbox depth, then a condvar park), so short-message
-//! latency does not pay a full condvar wakeup.
+//! intake drains strictly before the wire. Dispatch borrows the handler
+//! from the PE's append-only table (no lock, no refcount), the
+//! `get_specific_msg` buffer and the scatter table are skipped on one
+//! relaxed load each while empty, and the loop's own bookkeeping — the
+//! exit flag, the load sample — is plain loads and stores by the PE
+//! that owns them; what is left per message is the uncontended lock
+//! pairs on the mailbox, the intake buffer and the scheduler queue. The
+//! scheduler-queue phase stays per-entry on purpose: a handler that
+//! enqueues urgent prioritized work mid-batch still sees it preempt at
+//! the very next dequeue. When both phases come up empty the loop idles
+//! with a spin-then-park policy (`MachineConfig::idle_spin` probes of
+//! the lock-free mailbox depth, then a condvar park). Only a parked PE
+//! is ever woken through the kernel, once per park: a send to a PE that
+//! is awake makes no system call.
 
 use converse_machine::{Message, Pe};
 use converse_msg::Priority;
@@ -66,12 +73,15 @@ pub fn csd_exit_scheduler(pe: &Pe) {
     pe.sched_exit_flag().store(true, Ordering::Release);
 }
 
-fn take_exit(pe: &Pe) -> bool {
-    pe.sched_exit_flag().swap(false, Ordering::AcqRel)
-}
-
 fn exit_requested(pe: &Pe) -> bool {
     pe.sched_exit_flag().load(Ordering::Acquire)
+}
+
+/// Consume a pending exit request. The flag is almost never set and the
+/// loop asks twice per iteration, so it is read first and the locked
+/// swap is paid only to clear a request that is there.
+fn take_exit(pe: &Pe) -> bool {
+    exit_requested(pe) && pe.sched_exit_flag().swap(false, Ordering::AcqRel)
 }
 
 /// The Converse scheduler (`CsdScheduler`).

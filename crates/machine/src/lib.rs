@@ -28,6 +28,7 @@
 pub mod coll;
 pub mod exo;
 pub mod gptr;
+mod handlers;
 pub mod io;
 pub mod mmi;
 pub mod pe;

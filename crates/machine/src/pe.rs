@@ -9,6 +9,7 @@
 
 use crate::coll::CollState;
 use crate::gptr::GptrState;
+use crate::handlers::HandlerTable;
 use crate::io::Console;
 use crate::mmi::CommHandles;
 use crate::pgrp::PgrpState;
@@ -17,10 +18,10 @@ use converse_msg::{HandlerId, Message};
 use converse_net::{Channel, CmiTransport, Packet};
 use converse_queue::{CsdQueue, FifoQueue, LifoQueue, QueueingMode, SchedulingQueue};
 use converse_trace::{Event, StealPhase, TraceSink};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -169,14 +170,53 @@ pub(crate) struct MachineShared {
     pub steal: Option<StealConfig>,
 }
 
+/// Messages taken off the wire by `get_specific_msg` (or a
+/// machine-internal blocking wait) that were meant for other handlers;
+/// consumed before the network on retrieval.
+///
+/// Only the owning PE's contexts touch it, and it is empty unless an
+/// SPM-style receive has buffered something — but every retrieval path
+/// asks it first. `len` mirrors the queue's length (plain stores under
+/// the lock, single writer) so that question is one relaxed load, not a
+/// lock pair per message.
+#[derive(Default)]
+struct PendingBuf {
+    len: AtomicUsize,
+    q: Mutex<VecDeque<Message>>,
+}
+
+impl PendingBuf {
+    #[inline]
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
+    }
+
+    fn push(&self, m: Message) {
+        let mut q = self.q.lock();
+        q.push_back(m);
+        self.len.store(q.len(), Ordering::Relaxed);
+    }
+
+    /// Remove and return the oldest buffered message satisfying `want`.
+    #[inline]
+    fn take_first(&self, want: impl Fn(&Message) -> bool) -> Option<Message> {
+        if self.len() == 0 {
+            return None;
+        }
+        let mut q = self.q.lock();
+        let idx = q.iter().position(want)?;
+        let m = q.remove(idx);
+        self.len.store(q.len(), Ordering::Relaxed);
+        m
+    }
+}
+
 /// One logical processor of the simulated machine.
 pub struct Pe {
     id: usize,
     net: Arc<dyn CmiTransport>,
-    handlers: RwLock<Vec<Handler>>,
-    /// Messages taken off the wire by `get_specific_msg` that were meant
-    /// for other handlers; consumed before the network on retrieval.
-    pending: Mutex<VecDeque<Message>>,
+    handlers: HandlerTable,
+    pending: PendingBuf,
     /// Local intake batch: packets pulled off the net by a bulk
     /// [`CmiTransport::drain_bounded`] and not yet retrieved. Every
     /// retrieval path pops here before touching the network, so a batch
@@ -226,11 +266,8 @@ impl Pe {
         shared: Arc<MachineShared>,
         trace: Arc<dyn TraceSink>,
     ) -> Arc<Pe> {
-        let mut table: Vec<Handler> = Vec::new();
-        let mut push = |h: Handler| {
-            table.push(h);
-            HandlerId((table.len() - 1) as u32)
-        };
+        let table = HandlerTable::new();
+        let push = |h: Handler| HandlerId(table.push(h) as u32);
         let ids = InternalIds {
             gptr_get_req: push(Arc::new(crate::gptr::handle_get_req)),
             gptr_get_reply: push(Arc::new(crate::gptr::handle_get_reply)),
@@ -249,8 +286,8 @@ impl Pe {
         Arc::new_cyclic(|self_ref| Pe {
             id,
             net,
-            handlers: RwLock::new(table),
-            pending: Mutex::new(VecDeque::new()),
+            handlers: table,
+            pending: PendingBuf::default(),
             intake: Mutex::new(VecDeque::new()),
             last_spin: AtomicU32::new(0),
             sched_batches: AtomicU64::new(0),
@@ -411,36 +448,36 @@ impl Pe {
     /// Register a message handler and return its index
     /// (`CmiRegisterHandler`). **Must be called in the same order on
     /// every PE** so an id denotes the same function machine-wide.
+    /// The table only grows and entries never move, so this is legal
+    /// from inside a running handler.
     pub fn register_handler<F>(&self, f: F) -> HandlerId
     where
         F: Fn(&Pe, Message) + Send + Sync + 'static,
     {
-        let mut t = self.handlers.write();
-        t.push(Arc::new(f));
-        HandlerId((t.len() - 1) as u32)
+        HandlerId(self.handlers.push(Arc::new(f)) as u32)
     }
 
     /// Look up the handler function for a message
-    /// (`CmiGetHandlerFunction`). Panics on an unregistered id — that is
-    /// a registration-order bug, not a runtime condition.
-    pub fn handler_fn(&self, id: HandlerId) -> Handler {
-        let t = self.handlers.read();
-        t.get(id.index())
-            .unwrap_or_else(|| {
-                panic!(
-                    "PE {}: message for unregistered handler {id} (table has {}); \
-                     handlers must be registered in the same order on every PE \
-                     before communication begins",
-                    self.id,
-                    t.len()
-                )
-            })
-            .clone()
+    /// (`CmiGetHandlerFunction`), borrowed from the table: no lock and
+    /// no refcount traffic (clone it to keep it). Panics on an
+    /// unregistered id — that is a registration-order bug, not a
+    /// runtime condition.
+    #[inline]
+    pub fn handler_fn(&self, id: HandlerId) -> &Handler {
+        self.handlers.get(id.index()).unwrap_or_else(|| {
+            panic!(
+                "PE {}: message for unregistered handler {id} (table has {}); \
+                 handlers must be registered in the same order on every PE \
+                 before communication begins",
+                self.id,
+                self.handlers.len()
+            )
+        })
     }
 
     /// Number of registered handlers (internal ones included).
     pub fn num_handlers(&self) -> usize {
-        self.handlers.read().len()
+        self.handlers.len()
     }
 
     /// Invoke `msg`'s handler immediately on this PE, recording trace
@@ -555,32 +592,28 @@ impl Pe {
 
     // ---- pending buffer & abort plumbing ---------------------------------
 
+    #[inline]
     pub(crate) fn pending_pop(&self) -> Option<Message> {
-        self.pending.lock().pop_front()
+        self.pending.take_first(|_| true)
     }
 
     pub(crate) fn pending_push(&self, m: Message) {
-        self.pending.lock().push_back(m);
+        self.pending.push(m);
     }
 
     pub(crate) fn pending_take_matching(&self, h: HandlerId) -> Option<Message> {
-        let mut p = self.pending.lock();
-        let idx = p.iter().position(|m| m.handler() == h)?;
-        p.remove(idx)
+        self.pending.take_first(|m| m.handler() == h)
     }
 
     pub(crate) fn pending_take_internal(&self) -> Option<Message> {
-        let mut p = self.pending.lock();
-        let idx = p
-            .iter()
-            .position(|m| m.handler().index() < self.internal_count)?;
-        p.remove(idx)
+        self.pending
+            .take_first(|m| m.handler().index() < self.internal_count)
     }
 
     /// Number of retrieved-but-unprocessed messages buffered by
     /// `get_specific_msg`.
     pub fn pending_len(&self) -> usize {
-        self.pending.lock().len()
+        self.pending.len()
     }
 
     /// Panic (unwinding this PE) if the machine has been torn down or
@@ -593,7 +626,7 @@ impl Pe {
         if self.net.is_closed()
             && self.net.pending(self.id) == 0
             && self.intake.lock().is_empty()
-            && self.pending.lock().is_empty()
+            && self.pending.len() == 0
         {
             panic!(
                 "PE {}: blocked on a message but the machine has shut down",
@@ -693,7 +726,7 @@ impl Pe {
     /// batch-drained packets sitting in the intake buffer, plus anything
     /// buffered by `get_specific_msg`.
     pub fn inbound_pending(&self) -> usize {
-        self.net.pending(self.id) + self.intake.lock().len() + self.pending.lock().len()
+        self.net.pending(self.id) + self.intake.lock().len() + self.pending.len()
     }
 
     /// The next inbound packet in delivery order, refilling the intake
@@ -772,15 +805,17 @@ impl Pe {
     /// work) into this PE's EMA occupancy, and every
     /// [`LOAD_PUBLISH_PERIOD`]th call publish `(run_queue, occupancy)`
     /// to the transport's load board for peers, balancers, and the CCS
-    /// monitor. Called from the Csd loop; the off-period cost is one
-    /// relaxed load/store pair.
+    /// monitor. Called from the Csd loop by the PE's running context —
+    /// the single writer of both cells — so the off-period cost is two
+    /// relaxed load/store pairs and no locked RMW.
     pub fn publish_load(&self, busy: bool) {
         let prev = self.occupancy_pm.load(Ordering::Relaxed);
         let sample: u32 = if busy { 1000 } else { 0 };
         // EMA with 1/8 gain: prev * 7/8 + sample / 8.
         let ema = prev - prev / 8 + sample / 8;
         self.occupancy_pm.store(ema, Ordering::Relaxed);
-        let t = self.load_ticks.fetch_add(1, Ordering::Relaxed);
+        let t = self.load_ticks.load(Ordering::Relaxed);
+        self.load_ticks.store(t + 1, Ordering::Relaxed);
         if t.is_multiple_of(LOAD_PUBLISH_PERIOD) {
             self.net.publish_load(self.id, self.queue_len(), ema);
         }

@@ -25,7 +25,7 @@ use crate::pe::Pe;
 use converse_msg::{HandlerId, Message};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// One piece of a scatter: copy `len` payload bytes starting at
 /// `src_offset` into the scatter area named by `area`.
@@ -65,6 +65,11 @@ pub struct ScatterHandle(u64);
 
 #[derive(Default)]
 pub(crate) struct ScatterState {
+    /// Mirror of `specs.len()`, stored under the `specs` lock by the
+    /// owning PE. Every received message is offered to the scatter
+    /// table first; with nothing armed (the usual case) that is one
+    /// relaxed load instead of a lock pair.
+    armed: AtomicUsize,
     specs: Mutex<HashMap<u64, ScatterSpec>>,
     areas: Mutex<HashMap<u64, Vec<u8>>>,
     next: AtomicU64,
@@ -75,13 +80,18 @@ impl Pe {
     /// armed (matching any number of messages) until cancelled.
     pub fn scatter_register(&self, spec: ScatterSpec) -> ScatterHandle {
         let id = self.scatter.next.fetch_add(1, Ordering::Relaxed);
-        self.scatter.specs.lock().insert(id, spec);
+        let mut specs = self.scatter.specs.lock();
+        specs.insert(id, spec);
+        self.scatter.armed.store(specs.len(), Ordering::Relaxed);
         ScatterHandle(id)
     }
 
     /// Cancel an advance receive. Returns false if already cancelled.
     pub fn scatter_cancel(&self, h: ScatterHandle) -> bool {
-        self.scatter.specs.lock().remove(&h.0).is_some()
+        let mut specs = self.scatter.specs.lock();
+        let was_armed = specs.remove(&h.0).is_some();
+        self.scatter.armed.store(specs.len(), Ordering::Relaxed);
+        was_armed
     }
 
     /// Take the accumulated contents of a scatter area (clearing it).
@@ -104,6 +114,9 @@ impl Pe {
     /// spec matched (the message is then fully handled here). Called by
     /// the retrieval paths before normal dispatch.
     pub(crate) fn scatter_try(&self, msg: &Message) -> bool {
+        if self.scatter.armed.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
         let matched: Option<ScatterSpec> = {
             let specs = self.scatter.specs.lock();
             specs

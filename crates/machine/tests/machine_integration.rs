@@ -645,3 +645,77 @@ fn handler_payload_roundtrip_with_packer() {
         }
     });
 }
+
+#[test]
+fn register_handler_from_inside_a_running_handler() {
+    run(1, |pe| {
+        let hits = Arc::new(AtomicU64::new(0));
+        let before = pe.num_handlers();
+        let h = hits.clone();
+        let outer = pe.register_handler(move |pe, _| {
+            // The table grows while `outer` itself is being dispatched
+            // out of it.
+            let h = h.clone();
+            let inner = pe.register_handler(move |_, _| {
+                h.fetch_add(1, Ordering::Relaxed);
+            });
+            pe.sync_send_and_free(pe.my_pe(), Message::new(inner, b""));
+        });
+        pe.sync_send_and_free(0, Message::new(outer, b""));
+        pe.deliver_until(|| hits.load(Ordering::Relaxed) == 1);
+        assert_eq!(pe.num_handlers(), before + 2);
+    });
+}
+
+#[test]
+fn a_thousand_registrations_keep_ids_sequential_and_machine_wide() {
+    const N: u32 = 1000;
+    run(3, |pe| {
+        let ran = pe.local(|| parking_lot::Mutex::new(Vec::<u32>::new()));
+        let base = pe.num_handlers() as u32;
+        for k in 0..N {
+            let ran = ran.clone();
+            let id = pe.register_handler(move |_, msg| {
+                // The id a peer computed names the same closure here.
+                assert_eq!(msg.payload(), k.to_le_bytes());
+                ran.lock().push(k);
+            });
+            assert_eq!(id, HandlerId(base + k), "ids are sequential");
+        }
+        assert_eq!(pe.num_handlers() as u32, base + N);
+        pe.barrier();
+        // Table indices on both sides of every segment boundary below
+        // N (segments of 64, 128, 256, 512 slots), plus both ends.
+        let probes: Vec<u32> = [0, 63, 64, 191, 192, 447, 448, 959, 960, base + N - 1]
+            .iter()
+            .map(|index| index.max(&base) - base)
+            .collect();
+        if pe.my_pe() == 0 {
+            for &k in &probes {
+                pe.sync_broadcast(&Message::new(HandlerId(base + k), &k.to_le_bytes()));
+            }
+        } else {
+            pe.deliver_until(|| ran.lock().len() == probes.len());
+            assert_eq!(*ran.lock(), probes);
+        }
+        pe.barrier();
+    });
+}
+
+#[test]
+fn unregistered_handler_id_still_panics_with_the_registration_order_hint() {
+    let result = std::panic::catch_unwind(|| {
+        run(1, |pe| {
+            let bogus = HandlerId(pe.num_handlers() as u32 + 5);
+            pe.sync_send_and_free(0, Message::new(bogus, b""));
+            pe.deliver_msgs(None);
+        });
+    });
+    let err = result.expect_err("dispatch of an unregistered id must panic");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("message for unregistered handler")
+            && msg.contains("handlers must be registered in the same order on every PE"),
+        "unexpected panic: {msg}"
+    );
+}

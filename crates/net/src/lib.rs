@@ -42,7 +42,7 @@ pub use transport::CmiTransport;
 use converse_msg::MsgBlock;
 use converse_trace::{Event, FaultKind, TraceSink};
 use fault::{link_draw, unit, SALT_DELAY, SALT_DELAY_SLOTS, SALT_DROP, SALT_DUP, SALT_REORDER};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -121,15 +121,23 @@ pub enum DeliveryMode {
 /// mirrors, `inbox_len` and `staged_len`, each written with a plain
 /// store while its list's lock is held — **never** a read-modify-write.
 /// Depth reads (`pending`, load snapshots, the idle spin loop) are two
-/// plain atomic loads, and the message hot path carries no atomic RMW
-/// at all beyond the mutexes themselves.
-/// Layout is pinned (`repr(C, align(64))`) so the per-message hot path
-/// — `inbox_len`, `staged_len`, the `inbox` mutex word + its inline
-/// `VecDeque` header, and the condvar — all sit on the mailbox's first
-/// cache line (8+8+40+8 = 64 bytes), matching the one-line footprint of
-/// a single-mutex mailbox; `staged` lives on the second line, touched
-/// only when a drain actually stages. The alignment also keeps
-/// neighbouring PEs' mailboxes from false-sharing a line.
+/// plain atomic loads.
+///
+/// **Doorbell.** A send to a receiver that is awake costs the inbox
+/// lock, one plain store and one plain load — no kernel entry and no
+/// atomic RMW beyond the mutex itself. Only a receiver that is parked
+/// on `cv` is woken, and then by exactly one sender per park: the
+/// sender that flips `parked` back to false owns the wake (one locked
+/// swap plus one futex wake), every other sender of that window sees
+/// `false` and returns.
+///
+/// Layout is pinned (`repr(C, align(64))`) so what a send to an awake
+/// receiver touches — `inbox_len`, the `inbox` mutex word + its inline
+/// `VecDeque` header, and `parked` — sits on the mailbox's first cache
+/// line (8+8+40+1 = 57 bytes on 64-bit Linux); `cv` and `staged` live
+/// on the second line, touched only to park or wake and when a drain
+/// actually stages. The alignment also keeps neighbouring PEs'
+/// mailboxes from false-sharing a line.
 #[repr(C, align(64))]
 struct Mailbox {
     /// Length of `inbox`; written only under the `inbox` lock.
@@ -138,9 +146,34 @@ struct Mailbox {
     /// `staged` lock), read lock-free by the receiver's fast paths.
     staged_len: AtomicUsize,
     inbox: Mutex<VecDeque<Packet>>,
-    /// Paired with the `inbox` mutex: senders signal arrivals here.
+    /// True while the receiver is (about to be) blocked on `cv`.
+    ///
+    /// **Single-receiver contract:** at most one thread at a time waits
+    /// on a mailbox — the owning PE's running context. One flag, one
+    /// `notify_one`: a second concurrent waiter would stay asleep after
+    /// the first claimed wake cleared the flag. (Thread objects on the
+    /// hand-off backend are several OS threads per PE, but exactly one
+    /// runs at any instant.)
+    ///
+    /// The receiver sets it under the `inbox` lock, after finding the
+    /// inbox empty and immediately before `cv.wait_until` releases that
+    /// lock, and clears it when the wait returns. A sender reads it
+    /// only after its own push has taken and released the same lock,
+    /// so the mutex orders the two: either the push came first and the
+    /// receiver's emptiness check sees it, or the receiver's store came
+    /// first and the sender's load sees `true`. The Release/Acquire
+    /// pair on the flag itself is for the claim: of the senders that
+    /// see `true`, the one whose swap returns `true` calls
+    /// `notify_one`. A wake that arrives after the receiver already
+    /// timed out and re-parked is a spurious wakeup, which both wait
+    /// loops tolerate.
+    parked: AtomicBool,
+    /// Paired with the `inbox` mutex: the receiver parks here.
     cv: Condvar,
     staged: Mutex<VecDeque<Packet>>,
+    /// `notify_one` calls made by [`Mailbox::ring`].
+    #[cfg(test)]
+    wakes: AtomicU64,
 }
 
 impl Mailbox {
@@ -149,8 +182,11 @@ impl Mailbox {
             inbox_len: AtomicUsize::new(0),
             staged_len: AtomicUsize::new(0),
             inbox: Mutex::new(VecDeque::new()),
+            parked: AtomicBool::new(false),
             cv: Condvar::new(),
             staged: Mutex::new(VecDeque::new()),
+            #[cfg(test)]
+            wakes: AtomicU64::new(0),
         }
     }
 
@@ -158,6 +194,29 @@ impl Mailbox {
     #[inline]
     fn depth(&self) -> usize {
         self.inbox_len.load(Ordering::Acquire) + self.staged_len.load(Ordering::Acquire)
+    }
+
+    /// Receiver side of the doorbell: block on `cv` until rung, closed
+    /// or `until`; true when the wait timed out. `inbox` is the held
+    /// inbox guard, and the caller has just seen nothing to receive
+    /// under it.
+    fn park(&self, inbox: &mut MutexGuard<'_, VecDeque<Packet>>, until: Instant) -> bool {
+        self.parked.store(true, Ordering::Release);
+        let timed_out = self.cv.wait_until(inbox, until).timed_out();
+        self.parked.store(false, Ordering::Release);
+        timed_out
+    }
+
+    /// Sender side of the doorbell, called after the inbox lock is
+    /// dropped: wake the receiver only if it is parked and no other
+    /// sender has claimed this park's wake yet.
+    #[inline]
+    fn ring(&self) {
+        if self.parked.load(Ordering::Acquire) && self.parked.swap(false, Ordering::AcqRel) {
+            #[cfg(test)]
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            self.cv.notify_one();
+        }
     }
 }
 
@@ -521,8 +580,9 @@ impl Interconnect {
     /// mode and the channel's supersede policy. `arrival` is the
     /// per-link arrival index keying the reorder-mode position draw
     /// (ignored under FIFO). The inbox lock is held only for the push
-    /// itself; the wakeup is signalled after it drops (safe: waiters
-    /// re-check under the lock before parking).
+    /// itself. The doorbell is the caller's: one [`Mailbox::ring`] once
+    /// its insert — or its batch of inserts — is in and the lock has
+    /// dropped.
     #[inline]
     fn mailbox_insert(
         &self,
@@ -578,7 +638,6 @@ impl Interconnect {
             }
             mbox.inbox_len.store(q.len(), Ordering::Release);
         }
-        mbox.cv.notify_one();
     }
 
     /// Pop one packet for `pe` in delivery order, without the stall
@@ -608,9 +667,11 @@ impl Interconnect {
     /// reliable-wire fast path when no plan is installed (seq 0,
     /// except LatestValueWins which always sequences — its supersede
     /// scan keys on `seq`), otherwise sequence + policy-dependent
-    /// buffering + one wire attempt through the fault plane.
+    /// buffering + one wire attempt through the fault plane. `ring` is
+    /// false only for [`Interconnect::send_on_quiet`], whose caller
+    /// rings `dst` itself; the fault plane's deliveries always ring.
     #[inline]
-    fn transmit(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock) {
+    fn transmit(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock, ring: bool) {
         let Some(plan) = &self.plan else {
             let lvw = channel.delivery == Delivery::LatestValueWins;
             match self.mode {
@@ -634,6 +695,9 @@ impl Interconnect {
                     };
                     self.mailbox_insert(src, dst, channel, seq, block, arrival);
                 }
+            }
+            if ring {
+                self.boxes[dst].ring();
             }
             return;
         };
@@ -804,12 +868,16 @@ impl Interconnect {
                 }
             }
         }
+        let deliverable = !ready.is_empty();
         for (s, b) in ready {
             let arrival = link.arrivals;
             link.arrivals += 1;
             // Mailbox lock nests inside the link lock (never reversed),
             // keeping the seq→mailbox order atomic per link.
             self.mailbox_insert(src, dst, channel, s, b, arrival);
+        }
+        if deliverable {
+            self.boxes[dst].ring();
         }
     }
 
@@ -887,11 +955,44 @@ impl Interconnect {
     /// channels of one link may interleave arbitrarily.
     #[inline]
     pub fn send_on(&self, src: usize, dst: usize, block: impl Into<MsgBlock>, channel: Channel) {
-        let block = block.into();
+        self.send_counted(src, dst, block.into(), channel, true);
+    }
+
+    /// Count a native send against `src` and transmit it.
+    #[inline]
+    fn send_counted(&self, src: usize, dst: usize, block: MsgBlock, channel: Channel, ring: bool) {
         let t = &self.traffic[src];
         bump(&t.msgs_sent, 1);
         bump(&t.bytes_sent, block.len() as u64);
-        self.transmit(src, dst, channel, block);
+        self.transmit(src, dst, channel, block, ring);
+    }
+
+    /// [`Interconnect::send_on`] for a caller that delivers a *batch*
+    /// into `dst` and wakes it once: this call may leave `dst`'s
+    /// doorbell unrung, and the caller owes `dst` one
+    /// [`Interconnect::ring_doorbell`] after the last send of its
+    /// batch. Used by the multi-process transports' receive threads,
+    /// which drain a whole sweep of frames off the wire at a time —
+    /// waking a parked PE for the first frame of a sweep only has it
+    /// run, find one message, and park again while the rest is still
+    /// being copied in.
+    #[inline]
+    pub fn send_on_quiet(
+        &self,
+        src: usize,
+        dst: usize,
+        block: impl Into<MsgBlock>,
+        channel: Channel,
+    ) {
+        self.send_counted(src, dst, block.into(), channel, false);
+    }
+
+    /// Wake `dst`'s receiver if it is parked — the second half of
+    /// [`Interconnect::send_on_quiet`]. One plain load when the receiver
+    /// is awake; harmless when nothing was sent.
+    #[inline]
+    pub fn ring_doorbell(&self, dst: usize) {
+        self.boxes[dst].ring();
     }
 
     /// Deliver a block into `dst`'s mailbox from *outside* the machine —
@@ -909,7 +1010,7 @@ impl Interconnect {
         t.msgs_injected.fetch_add(1, Ordering::Relaxed);
         t.bytes_injected
             .fetch_add(block.len() as u64, Ordering::Relaxed);
-        self.transmit(dst, dst, Channel::DEFAULT, block);
+        self.transmit(dst, dst, Channel::DEFAULT, block, true);
     }
 
     /// Broadcast to every PE except `src` (`CmiSyncBroadcast` semantics:
@@ -1083,7 +1184,7 @@ impl Interconnect {
             } else {
                 deadline
             };
-            if mbox.cv.wait_until(&mut q, wake).timed_out() && Instant::now() >= deadline {
+            if mbox.park(&mut q, wake) && Instant::now() >= deadline {
                 return None;
             }
         }
@@ -1119,7 +1220,7 @@ impl Interconnect {
             } else {
                 deadline
             };
-            if mbox.cv.wait_until(&mut q, wake).timed_out() && wake == deadline {
+            if mbox.park(&mut q, wake) && wake == deadline {
                 return;
             }
         }
@@ -1273,6 +1374,7 @@ impl Interconnect {
             self.mailbox_insert(p.src, thief, p.channel, 0, p.block, 0);
         }
         if n > 0 {
+            self.boxes[thief].ring();
             // Mark the splice instant (keeping the oldest pending one)
             // so the thief's scheduler can time splice→first-run.
             let now = self.uptime().as_nanos() as u64;
@@ -1542,6 +1644,93 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         net.send(0, 1, vec![1]);
         assert_eq!(h.join().unwrap(), 1);
+    }
+
+    // ---- doorbell ----------------------------------------------------
+
+    fn wakes(net: &Interconnect, pe: usize) -> u64 {
+        net.boxes[pe].wakes.load(Ordering::Relaxed)
+    }
+
+    /// Spin until `pe`'s receiver has parked. The flag is set under the
+    /// inbox lock that the wait then releases, so a send issued after
+    /// this returns finds the receiver parked.
+    fn await_parked(net: &Interconnect, pe: usize) {
+        while !net.boxes[pe].parked.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn sends_to_an_awake_receiver_never_wake() {
+        let net = Interconnect::new(2);
+        let mut got = Vec::new();
+        for i in 0..10_000u32 {
+            net.send(0, 1, i.to_le_bytes().to_vec());
+            if i % 64 == 63 {
+                net.drain_into(1, &mut got);
+            }
+        }
+        net.drain_into(1, &mut got);
+        assert_eq!(got.len(), 10_000);
+        assert_eq!(wakes(&net, 1), 0, "nobody was parked");
+    }
+
+    #[test]
+    fn a_window_of_sends_to_a_parked_receiver_wakes_it_once() {
+        let net = Interconnect::new(2);
+        let net2 = net.clone();
+        let h = std::thread::spawn(move || net2.wait_nonempty(1, Duration::from_secs(30)));
+        await_parked(&net, 1);
+        for i in 0..64u8 {
+            net.send(0, 1, vec![i]);
+        }
+        h.join().unwrap();
+        assert_eq!(net.pending(1), 64);
+        assert_eq!(wakes(&net, 1), 1, "one wake per park, not per send");
+        // Awake again (nobody is waiting): further sends are free.
+        net.send(0, 1, vec![64]);
+        assert_eq!(wakes(&net, 1), 1);
+    }
+
+    #[test]
+    fn quiet_sends_leave_the_wake_to_one_ring() {
+        let net = Interconnect::new(2);
+        let net2 = net.clone();
+        let h = std::thread::spawn(move || net2.wait_nonempty(1, Duration::from_secs(30)));
+        await_parked(&net, 1);
+        for i in 0..8u8 {
+            net.send_on_quiet(0, 1, vec![i], Channel::DEFAULT);
+        }
+        assert_eq!(net.pending(1), 8);
+        assert_eq!(wakes(&net, 1), 0, "the batch's sender has not rung yet");
+        net.ring_doorbell(1);
+        h.join().unwrap();
+        assert_eq!(wakes(&net, 1), 1);
+    }
+
+    #[test]
+    fn pump_thread_delivery_wakes_a_parked_receiver() {
+        // Every copy is delayed into limbo, so the only thread that ever
+        // inserts into PE 1's mailbox is the fault pump.
+        let plan = fast_plan(11).faults(LinkFaults {
+            drop: 0.0,
+            dup: 0.0,
+            delay: 1.0,
+            max_delay_slots: 50,
+        });
+        let net = chaos_net(plan, 2);
+        let net2 = net.clone();
+        let h = std::thread::spawn(move || net2.recv_timeout(1, Duration::from_secs(30)));
+        await_parked(&net, 1);
+        net.send(0, 1, vec![7]);
+        let p = h
+            .join()
+            .unwrap()
+            .expect("the pump's delivery woke the receiver");
+        assert_eq!(p.bytes(), vec![7]);
+        assert_eq!(wakes(&net, 1), 1);
+        net.close();
     }
 
     // ---- fault plane + reliability sublayer ---------------------------

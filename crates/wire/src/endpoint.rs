@@ -301,10 +301,14 @@ impl WireEndpoint {
                 .name(format!("wire-shm{rank}"))
                 .spawn(move || {
                     let plane = po.shm.as_ref().expect("shm plane");
-                    plane.poll_loop(&po.shutdown, |h, payload| {
-                        po.trace_frame(h.kind, h.src as usize, payload.len(), false);
-                        po.on_frame(h, payload);
-                    });
+                    plane.poll_sweeps(
+                        &po.shutdown,
+                        |h, payload| {
+                            po.trace_frame(h.kind, h.src as usize, payload.len(), false);
+                            po.on_frame(h, payload);
+                        },
+                        || po.inner.ring_doorbell(po.rank),
+                    );
                 })
                 .expect("spawn shm poller");
         }
@@ -559,7 +563,10 @@ impl WireEndpoint {
                             self.fin_cv.notify_all();
                             return;
                         }
-                        _ => self.on_frame(h, payload),
+                        _ => {
+                            self.on_frame(h, payload);
+                            self.inner.ring_doorbell(self.rank);
+                        }
                     }
                 }
                 Ok(None) | Err(_) => {
@@ -577,6 +584,11 @@ impl WireEndpoint {
     /// poller thread — the sublayers above cannot tell which wire
     /// carried the frame. ABORT/FIN are control plane and stay in
     /// `reader_loop`.
+    ///
+    /// Messages for the local PE are queued with
+    /// [`Interconnect::send_on_quiet`]; the calling thread rings the
+    /// PE's doorbell — the hub reader after each frame, the shm poller
+    /// once per sweep of its rings.
     fn on_frame(&self, h: FrameHeader, payload: MsgBlock) {
         match h.kind {
             kind::DATA => self.on_data(h, payload),
@@ -616,7 +628,7 @@ impl WireEndpoint {
                 // unsequenced path. Only default-channel packets are
                 // stealable.
                 self.inner
-                    .send_on(h.src as usize, self.rank, payload, Channel::DEFAULT);
+                    .send_on_quiet(h.src as usize, self.rank, payload, Channel::DEFAULT);
             }
             _ => {}
         }
@@ -637,7 +649,7 @@ impl WireEndpoint {
         let seq = h.seq;
         let channel = Channel::new(h.channel, Delivery::from_u8(h.guarantee));
         if self.plan.is_none() {
-            self.inner.send_on(src, self.rank, block, channel);
+            self.inner.send_on_quiet(src, self.rank, block, channel);
             return;
         }
         let mut link = self.recv_links[src].lock();
@@ -659,7 +671,7 @@ impl WireEndpoint {
                         // the packet enters on the unsequenced fast
                         // path — same as an in-order arrival on a
                         // clean in-process link.
-                        self.inner.send_on(src, self.rank, b, channel);
+                        self.inner.send_on_quiet(src, self.rank, b, channel);
                     }
                 }
                 // Acknowledge even duplicates: the retransmit that
@@ -682,7 +694,7 @@ impl WireEndpoint {
                     self.trace_fault(FaultKind::DedupDrop, src, self.rank, seq);
                 } else {
                     chan.expected = seq + 1;
-                    self.inner.send_on(src, self.rank, block, channel);
+                    self.inner.send_on_quiet(src, self.rank, block, channel);
                 }
             }
             Delivery::LatestValueWins => {
@@ -693,7 +705,7 @@ impl WireEndpoint {
                     self.trace_fault(FaultKind::DedupDrop, src, self.rank, seq);
                 } else {
                     chan.expected = seq + 1;
-                    self.inner.send_on(src, self.rank, block, channel);
+                    self.inner.send_on_quiet(src, self.rank, block, channel);
                 }
                 let cum = chan.expected;
                 // Never block on a full ring here: this may run on the

@@ -27,6 +27,14 @@
 //! increment per record and no syscalls. The flag/counter pair closes
 //! the sleep race: the consumer re-checks the counter after raising
 //! the flag, and the kernel re-checks it once more inside `futex_wait`.
+//!
+//! **Handing records on.** The poller is rarely the records' final
+//! consumer: the endpoint queues them for its PE thread. Waking that
+//! thread is left to a separate `wake` callback, called once per sweep
+//! over the rings rather than once per record
+//! ([`ShmPlane::poll_sweeps`]) — a PE woken for the first 16-byte
+//! record of a sweep runs, finds one message and parks again while the
+//! poller is still copying out the rest.
 
 use crate::region::ShmRegion;
 use converse_msg::{FrameHeader, MsgBlock, FRAME_HEADER_BYTES};
@@ -37,6 +45,14 @@ use std::time::Duration;
 
 /// Per-ring length-prefix bytes (mirrors the socket framing).
 const LEN_PREFIX: usize = 4;
+
+/// Payload bytes [`ShmPlane::poll_sweeps`] hands to `on_frame` before it
+/// calls `wake` without waiting for the sweep to end. Small records are
+/// cheap to copy out and the consumer of a sweep of them is better
+/// woken once, for all of them; a 16 KiB record takes about as long to
+/// copy out as to consume, so its consumer should start on it while
+/// the next one is being copied.
+const WAKE_EVERY_BYTES: usize = 4096;
 
 /// How a ring push ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,12 +234,25 @@ impl ShmPlane {
     }
 
     /// Drain inbound rings until `shutdown`, handing each record to
-    /// `on_frame`. Runs on the endpoint's dedicated poller thread (the
-    /// single consumer of every `* → rank` ring).
-    pub fn poll_loop(
+    /// `on_frame`: [`ShmPlane::poll_sweeps`] for a consumer that needs
+    /// no separate wake-up.
+    pub fn poll_loop(&self, shutdown: &AtomicBool, on_frame: impl FnMut(FrameHeader, MsgBlock)) {
+        self.poll_sweeps(shutdown, on_frame, || {});
+    }
+
+    /// Drain inbound rings until `shutdown`, handing each record to
+    /// `on_frame` and calling `wake` after every batch of them: at the
+    /// end of each sweep over the rings that found records, and inside
+    /// a long sweep every [`WAKE_EVERY_BYTES`] of payload. `on_frame`
+    /// can therefore queue records for another thread without waking
+    /// it and leave the one wake per batch to `wake`. Runs on the
+    /// endpoint's dedicated poller thread (the single consumer of
+    /// every `* → rank` ring).
+    pub fn poll_sweeps(
         &self,
         shutdown: &AtomicBool,
         mut on_frame: impl FnMut(FrameHeader, MsgBlock),
+        mut wake: impl FnMut(),
     ) {
         // After the pure spins run out, cede the core between sweeps
         // for a while before parking: during an active exchange the
@@ -238,14 +267,28 @@ impl ShmPlane {
         let mut yields = 0u32;
         while !shutdown.load(Ordering::Acquire) {
             let mut got = false;
+            // Payload bytes handed over since the last `wake`, and
+            // whether any record was (payloads may be empty).
+            let mut unwoken = 0usize;
+            let mut owed = false;
             for (src, head) in cached.iter_mut().enumerate() {
                 if src == self.rank {
                     continue;
                 }
                 while let Some((h, b)) = self.pop(src, head) {
+                    unwoken += b.len();
                     on_frame(h, b);
                     got = true;
+                    owed = true;
+                    if unwoken >= WAKE_EVERY_BYTES {
+                        wake();
+                        unwoken = 0;
+                        owed = false;
+                    }
                 }
+            }
+            if owed {
+                wake();
             }
             if got {
                 spins = 0;
@@ -279,6 +322,7 @@ impl ShmPlane {
                 }
             }
             if again {
+                wake();
                 continue;
             }
             db.waiters.store(1, Ordering::SeqCst);
@@ -289,5 +333,55 @@ impl ShmPlane {
             }
             db.waiters.store(0, Ordering::SeqCst);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kind;
+
+    /// Push `count` records of `len` bytes from rank 0, then poll them
+    /// at rank 1; returns the order of frame (`F`) and wake (`W`) calls.
+    fn poll_trace(count: usize, len: usize) -> String {
+        let region = Arc::new(ShmRegion::create(2, 1 << 20).expect("shm region"));
+        let tx = ShmPlane::new(region.clone(), 0, 0);
+        let rx = ShmPlane::new(region, 1, 0);
+        let never = AtomicBool::new(false);
+        for i in 0..count as u64 {
+            let h = FrameHeader::new(kind::DATA, 0, 1, i);
+            assert_eq!(
+                tx.push(1, h, &vec![7u8; len], false, &never),
+                PushOutcome::Sent
+            );
+        }
+        let stop = AtomicBool::new(false);
+        let trace = std::cell::RefCell::new(String::new());
+        rx.poll_sweeps(
+            &stop,
+            |_, b| {
+                assert_eq!(b.len(), len);
+                trace.borrow_mut().push('F');
+                if trace.borrow().matches('F').count() == count {
+                    stop.store(true, Ordering::Release);
+                }
+            },
+            || trace.borrow_mut().push('W'),
+        );
+        trace.into_inner()
+    }
+
+    #[test]
+    fn a_sweep_of_small_records_is_one_wake() {
+        assert_eq!(poll_trace(64, 16), "F".repeat(64) + "W");
+        // Empty payloads still owe their wake.
+        assert_eq!(poll_trace(3, 0), "FFFW");
+    }
+
+    #[test]
+    fn large_records_wake_as_they_land() {
+        assert_eq!(poll_trace(4, 16 * 1024), "FWFWFWFW");
+        // 1 KiB records: every fourth crosses the byte budget.
+        assert_eq!(poll_trace(6, 1024), "FFFFWFFW");
     }
 }

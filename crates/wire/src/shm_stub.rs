@@ -80,4 +80,13 @@ impl ShmPlane {
     pub fn poll_loop(&self, _shutdown: &AtomicBool, _on_frame: impl FnMut(FrameHeader, MsgBlock)) {
         unreachable!("{UNSUPPORTED}")
     }
+
+    pub fn poll_sweeps(
+        &self,
+        _shutdown: &AtomicBool,
+        _on_frame: impl FnMut(FrameHeader, MsgBlock),
+        _wake: impl FnMut(),
+    ) {
+        unreachable!("{UNSUPPORTED}")
+    }
 }

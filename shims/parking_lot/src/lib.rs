@@ -10,13 +10,19 @@
 //! * `lock()` / `read()` / `write()` return guards directly, with no
 //!   `Result` to unwrap;
 //! * [`Condvar`] waits take the guard by `&mut` and the timed variants
-//!   return a [`WaitTimeoutResult`] answering `timed_out()`.
+//!   return a [`WaitTimeoutResult`] answering `timed_out()`;
+//! * [`Condvar::notify_one`] / [`Condvar::notify_all`] with no thread
+//!   inside a `wait*` return without entering the kernel, as
+//!   parking_lot's do — `std::sync::Condvar` issues a `FUTEX_WAKE`
+//!   unconditionally, and every notify site in the workspace was written
+//!   against parking_lot's "free when nobody waits" cost.
 //!
-//! Only the surface the workspace actually calls is provided; this is a
-//! shim, not a reimplementation of parking_lot's futex machinery.
+//! Only the surface the workspace actually calls is provided; the locks
+//! and the parking itself are std's, not parking_lot's futex machinery.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A mutual-exclusion primitive (non-poisoning `std::sync::Mutex`).
@@ -169,12 +175,18 @@ impl WaitTimeoutResult {
 /// Unlike `std::sync::Condvar`, the parking_lot API mutates the guard
 /// in place instead of consuming and returning it; this shim does the
 /// same by briefly moving the inner std guard.
+///
+/// `waiters` counts the threads inside a `wait*` call. A waiter bumps it
+/// while it still holds the caller's mutex and drops it after the std
+/// wait has re-acquired that mutex, so a notifier that changed the
+/// waited-for state under the same mutex (the only use a condvar
+/// supports) either sees the count, or ran before the waiter's own
+/// check of that state. `SeqCst` on both sides keeps a notifier that
+/// signals *after* unlocking ordered against the bump as well.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
-    // std::sync::Condvar::wait consumes the guard; to mutate in place we
-    // need a scratch slot pattern instead. See `wait_inner`.
-    _priv: (),
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -182,15 +194,17 @@ impl Condvar {
     pub const fn new() -> Condvar {
         Condvar {
             inner: std::sync::Condvar::new(),
-            _priv: (),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Block until notified.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         replace_guard(guard, |g| {
             self.inner.wait(g).unwrap_or_else(|e| e.into_inner())
         });
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Block until notified or `timeout` elapses.
@@ -200,6 +214,7 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let mut timed_out = false;
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         replace_guard(guard, |g| {
             let (g, r) = self
                 .inner
@@ -208,6 +223,7 @@ impl Condvar {
             timed_out = r.timed_out();
             g
         });
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         WaitTimeoutResult(timed_out)
     }
 
@@ -224,14 +240,24 @@ impl Condvar {
         self.wait_for(guard, deadline - now)
     }
 
-    /// Wake one waiter.
+    /// Wake one waiter; no syscall when no thread is waiting.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wake all waiters.
+    /// Wake all waiters; no syscall when no thread is waiting.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
+    }
+
+    /// Threads currently inside a `wait*` call.
+    #[cfg(test)]
+    fn waiters(&self) -> usize {
+        self.waiters.load(Ordering::SeqCst)
     }
 }
 
@@ -334,5 +360,89 @@ mod tests {
         *pair.0.lock() = 7;
         pair.1.notify_one();
         assert_eq!(h.join().unwrap(), 7);
+    }
+
+    #[test]
+    fn notify_without_waiter_is_a_no_op() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        assert_eq!(cv.waiters(), 0);
+        // A notification is not stored: a later wait still times out,
+        // and the count is back to zero after it.
+        let mut g = m.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+        assert_eq!(cv.waiters(), 0);
+    }
+
+    /// The state change is made under the mutex and the notify is sent
+    /// after unlocking — the shape every workspace call site has. On odd
+    /// rounds the waiter's 50 µs waits keep expiring, so notifies land
+    /// while it is between two waits (count 0, skipped) or entering one;
+    /// on even rounds the wait is long enough that only a notify ends it
+    /// in time, so a skipped wake that was needed fails the test.
+    #[test]
+    fn notify_racing_a_timed_wait_is_never_lost() {
+        const ROUNDS: u64 = 4_000;
+        const LONG: Duration = Duration::from_secs(30);
+        let pair = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let p2 = pair.clone();
+        let waiter = std::thread::spawn(move || {
+            let (m, cv) = &*p2;
+            for want in 1..=ROUNDS {
+                let slice = if want % 2 == 1 {
+                    Duration::from_micros(50)
+                } else {
+                    LONG
+                };
+                let mut g = m.lock();
+                while *g != want {
+                    let r = cv.wait_for(&mut g, slice);
+                    assert!(!(slice == LONG && r.timed_out()), "lost wakeup");
+                }
+                // Hand the turn back: the notifier waits for the ack.
+                *g = want + ROUNDS;
+                drop(g);
+                cv.notify_one();
+            }
+        });
+        let (m, cv) = &*pair;
+        for turn in 1..=ROUNDS {
+            *m.lock() = turn;
+            cv.notify_one();
+            let mut g = m.lock();
+            while *g != turn + ROUNDS {
+                assert!(!cv.wait_for(&mut g, LONG).timed_out(), "lost wakeup");
+            }
+        }
+        waiter.join().unwrap();
+        assert_eq!(cv.waiters(), 0);
+    }
+
+    #[test]
+    fn notify_all_wakes_two_waiters() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let spawn_waiter = || {
+            let p = pair.clone();
+            std::thread::spawn(move || {
+                let (m, cv) = &*p;
+                let mut g = m.lock();
+                while !*g {
+                    cv.wait(&mut g);
+                }
+            })
+        };
+        let (a, b) = (spawn_waiter(), spawn_waiter());
+        // Both are inside `wait` (count bumped under the mutex) before
+        // the one notify_all is sent.
+        while pair.1.waiters() < 2 {
+            std::thread::yield_now();
+        }
+        *pair.0.lock() = true;
+        pair.1.notify_all();
+        a.join().unwrap();
+        b.join().unwrap();
+        assert_eq!(pair.1.waiters(), 0);
     }
 }

@@ -243,3 +243,111 @@ fn rapid_fire_quiescence_cycles() {
         }
     });
 }
+
+/// Lost-wakeup stress for the mailbox doorbell, at the layer where a
+/// lost wake cannot hide behind a short park slice: every receive is a
+/// 30 s `recv_timeout`, so one sender that skipped a needed wake stalls
+/// its peer for 30 s and the receive comes back `None`. Both sides park
+/// on (nearly) every trip — the ping-pong leaves each nothing else to
+/// do — so the "receiver is just parking" / "receiver just timed out"
+/// windows of the claim-the-wake flag are crossed 400 000 times.
+#[test]
+fn mailbox_ping_pong_never_loses_a_wake() {
+    use converse::net::Interconnect;
+    use std::time::Duration;
+    const TRIPS: u64 = 200_000;
+    const PATIENCE: Duration = Duration::from_secs(30);
+    let net = Interconnect::new(2);
+    let echo = {
+        let net = net.clone();
+        std::thread::spawn(move || {
+            for _ in 0..TRIPS {
+                let p = net.recv_timeout(1, PATIENCE).expect("PE 1 lost a wake");
+                net.send(1, 0, p.block);
+            }
+        })
+    };
+    for i in 0..TRIPS {
+        net.send(0, 1, i.to_le_bytes().to_vec());
+        let p = net.recv_timeout(0, PATIENCE).expect("PE 0 lost a wake");
+        assert_eq!(p.bytes(), i.to_le_bytes());
+    }
+    echo.join().unwrap();
+}
+
+/// `close()` racing a receiver that is entering, inside, or leaving its
+/// park: whichever way the race falls, the receiver must come back
+/// (`None`) long before its own 30 s timeout.
+#[test]
+fn close_racing_a_parking_receiver_always_wakes_it() {
+    use converse::net::Interconnect;
+    use std::time::{Duration, Instant};
+    for round in 0..2_000u32 {
+        let net = Interconnect::new(1);
+        let rx = {
+            let net = net.clone();
+            std::thread::spawn(move || net.recv_timeout(0, Duration::from_secs(30)))
+        };
+        // Vary where in the receiver's start-up the close lands.
+        for _ in 0..round % 64 {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        net.close();
+        assert!(rx.join().unwrap().is_none());
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "round {round}: close() did not wake the receiver"
+        );
+    }
+}
+
+/// One PE's side of a 2-PE scheduler-driven ping-pong of `trips` round
+/// trips: every message is handled by the Csd loop, and with
+/// `idle_spin(0)` the PE parks in `idle_wait` between any two of them.
+/// Every trip must arrive, in order, with the block watchdog armed.
+fn scheduler_ping_pong(pe: &Pe, trips: u64) {
+    let seen = Arc::new(AtomicU64::new(0));
+    let s = seen.clone();
+    let h = pe.register_handler(move |pe, msg| {
+        let i = u64::from_le_bytes(msg.payload().try_into().unwrap());
+        assert_eq!(i, s.fetch_add(1, Ordering::Relaxed), "trip out of order");
+        if pe.my_pe() == 1 {
+            pe.sync_send_and_free(0, msg);
+        } else if i + 1 < trips {
+            pe.sync_send_and_free(1, Message::new(msg.handler(), &(i + 1).to_le_bytes()));
+        }
+        if i + 1 == trips {
+            csd_exit_scheduler(pe);
+        }
+    });
+    pe.barrier();
+    if pe.my_pe() == 0 {
+        pe.sync_send_and_free(1, Message::new(h, &0u64.to_le_bytes()));
+    }
+    csd_scheduler(pe, -1);
+    assert_eq!(seen.load(Ordering::Relaxed), trips);
+    pe.barrier();
+}
+
+/// The ping-pong through the whole stack — handlers, Csd scheduler,
+/// `idle_wait` — parking at once when idle.
+#[test]
+fn scheduler_ping_pong_parks_every_trip() {
+    converse::core::run_with(MachineConfig::new(2).idle_spin(0), |pe| {
+        scheduler_ping_pong(pe, 200_000)
+    });
+}
+
+/// And on every transport: the wire transports deliver into the same
+/// mailbox from their reader threads, so the doorbell is rung from
+/// outside the PE threads there. A tenth of the trips: each rank of a
+/// wire run is a re-execution of this binary that first replays the
+/// earlier iterations in-process.
+#[test]
+fn scheduler_ping_pong_parks_every_trip_on_each_transport() {
+    for &t in converse::machine::Transport::each() {
+        let cfg = MachineConfig::new(2).transport(t).idle_spin(0);
+        converse::core::run_with(cfg, |pe| scheduler_ping_pong(pe, 20_000));
+    }
+}
