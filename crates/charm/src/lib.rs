@@ -301,10 +301,23 @@ impl Charm {
     /// Asynchronously invoke entry method `ep` of chare `id` with
     /// `payload` — the caller does not wait (§2.1).
     pub fn send(&self, pe: &Pe, id: ChareId, ep: u32, payload: &[u8], prio: Priority) {
+        self.send_invoke(pe, id, ep, payload, |body| {
+            Message::with_priority(self.invoke_h, &prio, body)
+        });
+    }
+
+    /// Send the invoke message `build` makes around the packed body.
+    fn send_invoke(
+        &self,
+        pe: &Pe,
+        id: ChareId,
+        ep: u32,
+        payload: &[u8],
+        build: impl FnOnce(&[u8]) -> Message,
+    ) {
         self.qd.msg_created(1);
         let body = Packer::new().u64(id.slot).u32(ep).bytes(payload).finish();
-        let msg = Message::with_priority(self.invoke_h, &prio, &body);
-        pe.sync_send_and_free(id.pe, msg);
+        pe.sync_send_and_free(id.pe, build(&body));
     }
 
     /// Publish a readonly global: broadcast `data` under `key` to every
@@ -509,7 +522,10 @@ impl Charm {
         let payload = u.bytes().expect("forward: payload");
         // The held message's QD debt transfers to the forwarded copy.
         self.qd.msg_processed(1);
-        self.send(pe, to, ep, payload, msg.priority());
+        // The priority area is copied message to message, undecoded.
+        self.send_invoke(pe, to, ep, payload, |body| {
+            Message::with_priority_of(self.invoke_h, msg, body)
+        });
     }
 
     fn construct(&self, pe: &Pe, kind: ChareKind, payload: &[u8]) {

@@ -38,7 +38,6 @@
 //! is awake makes no system call.
 
 use converse_machine::{Message, Pe};
-use converse_msg::Priority;
 use converse_queue::QueueingMode;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -59,10 +58,10 @@ pub fn csd_enqueue_general(pe: &Pe, msg: Message, mode: QueueingMode) {
 /// Enqueue a message by priority (FIFO tie-break) — the common
 /// prioritized case. A convenience over [`csd_enqueue_general`].
 pub fn csd_enqueue_prio(pe: &Pe, msg: Message) {
-    let mode = if msg.priority() == Priority::None {
-        QueueingMode::Fifo
-    } else {
+    let mode = if msg.has_priority() {
         QueueingMode::PrioFifo
+    } else {
+        QueueingMode::Fifo
     };
     pe.queue_enqueue(msg, mode);
 }

@@ -150,7 +150,7 @@ impl Ldb {
             let ldb = Ldb::get(pe);
             let mut u = Unpacker::new(msg.payload());
             let hops = u.u32().expect("ldb seed: hops");
-            let inner = u.bytes().expect("ldb seed: inner").to_vec();
+            let inner = u.bytes().expect("ldb seed: inner");
             let inner = Message::from_bytes(inner).expect("ldb seed: inner decodes");
             ldb.arrive(pe, inner, hops);
         });
@@ -176,7 +176,7 @@ impl Ldb {
             let ldb = Ldb::get(pe);
             debug_assert_eq!(pe.my_pe(), 0, "assign handler runs on the manager");
             let mut u = Unpacker::new(msg.payload());
-            let inner = u.bytes().expect("ldb assign: inner").to_vec();
+            let inner = u.bytes().expect("ldb assign: inner");
             let dst = {
                 let mut cl = ldb.central_loads.lock();
                 let (dst, _) = cl

@@ -751,8 +751,12 @@ impl Pe {
     /// (the first included) records its size and the spin count of the
     /// most recent idle wait, so batch shapes and idle-spin behavior are
     /// observable in `trace_profile` without per-batch trace cost.
+    /// Called with the intake lock held, so the counter has one writer
+    /// at a time: a relaxed load/store pair, like `load_ticks`, and no
+    /// locked RMW.
     fn trace_sched_batch(&self, drained: usize) {
-        let count = self.sched_batches.fetch_add(1, Ordering::Relaxed);
+        let count = self.sched_batches.load(Ordering::Relaxed);
+        self.sched_batches.store(count + 1, Ordering::Relaxed);
         if count.is_multiple_of(32) && self.trace.enabled() {
             self.trace.record(
                 self.id,

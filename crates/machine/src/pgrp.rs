@@ -258,7 +258,7 @@ pub(crate) fn handle_fwd(pe: &Pe, msg: Message) {
         pe.sync_send(c, &msg);
     }
     if pe.my_pe() != caller {
-        let inner = Message::from_bytes(inner_bytes.to_vec()).expect("pgrp fwd: inner decodes");
+        let inner = Message::from_bytes(inner_bytes).expect("pgrp fwd: inner decodes");
         pe.call_handler_from(caller, inner);
     }
 }

@@ -37,9 +37,11 @@
 //!
 //! # Ownership & zero-copy
 //!
-//! The block behind a [`Message`] is an `Arc`-backed [`MsgBlock`] whose
-//! storage comes from the per-PE free-list [`pool`] (the
-//! `CmiAlloc`/`CmiFree` analogue). [`Message::share`] (and `clone`,
+//! The block behind a [`Message`] is a refcounted [`MsgBlock`]: one
+//! chunk from the per-PE free-list [`pool`] (the `CmiAlloc`/`CmiFree`
+//! analogue) with its refcount and length in an inline header, so a
+//! message costs no allocator call once the pool is warm.
+//! [`Message::share`] (and `clone`,
 //! which is the same operation) is a refcount bump; the interconnect
 //! moves and shares blocks, so a send transfers ownership without
 //! copying and a broadcast to P destinations is one buffer plus P
@@ -56,12 +58,13 @@ pub mod pack;
 pub mod pool;
 pub mod prio;
 
+use block::BlockWriter;
 pub use block::MsgBlock;
 pub use frame::{
     encode_frame, read_frame, write_frame, FrameHeader, FRAME_HEADER_BYTES, MAX_FRAME_BODY,
 };
 pub use pool::PoolStats;
-pub use prio::{BitVecPrio, Priority};
+pub use prio::{BitVecPrio, BitWords, PrioWords, Priority};
 
 use std::fmt;
 
@@ -121,6 +124,10 @@ pub enum DecodeError {
     BadPriorityKind(u8),
     /// Header claims more priority words than the buffer holds.
     TruncatedPriority { words: usize, len: usize },
+    /// The priority area does not have its kind's shape: no word for
+    /// none, one for an integer, and for a bit vector the bit count
+    /// followed by exactly the words it needs, unused tail bits zero.
+    MalformedPriority { kind: u8, words: usize },
 }
 
 impl fmt::Display for DecodeError {
@@ -137,6 +144,12 @@ impl fmt::Display for DecodeError {
                 write!(
                     f,
                     "header claims {words} priority words but message is {len} bytes"
+                )
+            }
+            DecodeError::MalformedPriority { kind, words } => {
+                write!(
+                    f,
+                    "priority area of {words} words is malformed for kind {kind}"
                 )
             }
         }
@@ -181,47 +194,65 @@ impl Message {
         Self::with_priority(handler, &Priority::None, payload)
     }
 
-    /// Build a message with an explicit scheduling priority.
+    /// Build a message with an explicit scheduling priority. Header,
+    /// priority area and payload are written straight into one pooled
+    /// chunk.
     pub fn with_priority(handler: HandlerId, prio: &Priority, payload: &[u8]) -> Self {
-        let (kind, words): (u8, &[u32]) = match prio {
-            Priority::None => (KIND_NONE, &[]),
-            Priority::Int(v) => (KIND_INT, std::slice::from_ref(bytemuck_i32(v))),
-            Priority::BitVec(bv) => (KIND_BITVEC, bv.words()),
-        };
+        match prio {
+            Priority::None => Self::build(handler, KIND_NONE, &[], payload),
+            Priority::Int(v) => Self::build(handler, KIND_INT, &[*v as u32], payload),
+            // Bit-vector priorities record their exact bit length in the
+            // first priority word; see `prio::BitVecPrio::words`.
+            Priority::BitVec(bv) => Self::build(handler, KIND_BITVEC, bv.words(), payload),
+        }
+    }
+
+    /// Build a message carrying the same priority as `like` — what a
+    /// runtime forwarding a message uses, instead of decoding an owned
+    /// [`Priority`] only to encode it again.
+    pub fn with_priority_of(handler: HandlerId, like: &Message, payload: &[u8]) -> Self {
+        let mut w = Self::begin(handler, like.kind(), like.prio_word_count(), payload.len());
+        w.put(&like.as_bytes()[HEADER_BYTES..like.payload_offset()]);
+        w.put(payload);
+        Message { block: w.finish() }
+    }
+
+    fn build(handler: HandlerId, kind: u8, words: &[u32], payload: &[u8]) -> Self {
+        let mut w = Self::begin(handler, kind, words.len(), payload.len());
+        for word in words {
+            w.put(&word.to_le_bytes());
+        }
+        w.put(payload);
+        Message { block: w.finish() }
+    }
+
+    /// A writer for a message of `prio_words` priority words and
+    /// `payload_len` payload bytes, with the fixed header written.
+    fn begin(handler: HandlerId, kind: u8, prio_words: usize, payload_len: usize) -> BlockWriter {
         assert!(
-            words.len() <= u8::MAX as usize,
-            "priority too long: {} words",
-            words.len()
+            prio_words <= u8::MAX as usize,
+            "priority too long: {prio_words} words"
         );
-        let mut bytes = pool::take(HEADER_BYTES + words.len() * 4 + payload.len());
-        bytes.extend_from_slice(&handler.0.to_le_bytes());
-        bytes.push(kind);
-        bytes.push(words.len() as u8);
-        bytes.extend_from_slice(&0u16.to_le_bytes());
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        // Bit-vector priorities additionally record their exact bit length
-        // in the first priority word; see `prio::BitVecPrio::words`.
-        bytes.extend_from_slice(payload);
-        Message {
-            block: MsgBlock::adopt(bytes),
-        }
+        let mut w = BlockWriter::new(HEADER_BYTES + prio_words * 4 + payload_len);
+        w.put(&handler.0.to_le_bytes());
+        w.put(&[kind, prio_words as u8, 0, 0]);
+        w
     }
 
     /// Allocate a message with an uninitialized (`INVALID`) handler and a
     /// zero-filled payload of `payload_len` bytes. Mirrors the C pattern
     /// of `CmiAlloc` followed by `CmiSetHandler`.
     pub fn alloc(payload_len: usize) -> Self {
-        let mut block = MsgBlock::alloc(HEADER_BYTES + payload_len);
-        block.make_mut()[0..4].copy_from_slice(&HandlerId::INVALID.0.to_le_bytes());
-        Message { block }
+        let mut w = Self::begin(HandlerId::INVALID, KIND_NONE, 0, payload_len);
+        w.put_zeros(payload_len);
+        Message { block: w.finish() }
     }
 
     /// Decode raw bytes received from the interconnect, validating the
-    /// header. The inverse of [`Message::into_bytes`].
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, DecodeError> {
-        Self::from_block(MsgBlock::adopt(bytes))
+    /// header; the bytes are copied once into a pooled chunk. The
+    /// inverse of [`Message::into_bytes`].
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<Self, DecodeError> {
+        Self::from_block(MsgBlock::copy_from(bytes.as_ref()))
     }
 
     /// Validate a received block as a message without copying it. The
@@ -243,11 +274,30 @@ impl Message {
                 len: bytes.len(),
             });
         }
-        Ok(Message { block })
+        let m = Message { block };
+        // The priority area must have the one shape `with_priority`
+        // writes for its kind, so that readers — the scheduler queue
+        // compares these words in place — need not normalize it.
+        let well_formed = match kind {
+            KIND_NONE => words == 0,
+            KIND_INT => words == 1,
+            _ => {
+                words >= 1 && {
+                    let nbits = m.prio_word(0) as usize;
+                    let tail = nbits % 32;
+                    words - 1 == nbits.div_ceil(32)
+                        && (tail == 0 || m.prio_word(words - 1) << tail == 0)
+                }
+            }
+        };
+        if !well_formed {
+            return Err(DecodeError::MalformedPriority { kind, words });
+        }
+        Ok(m)
     }
 
-    /// The wire representation as a plain `Vec`. Free when the message
-    /// is uniquely held; prefer [`Message::into_block`] on hot paths.
+    /// The wire representation as a plain `Vec` (one copy); prefer
+    /// [`Message::into_block`] on hot paths.
     pub fn into_bytes(self) -> Vec<u8> {
         self.block.into_vec()
     }
@@ -325,31 +375,51 @@ impl Message {
     }
 
     #[inline]
-    fn prio_words(&self) -> usize {
+    fn kind(&self) -> u8 {
+        self.as_bytes()[4]
+    }
+
+    #[inline]
+    fn prio_word_count(&self) -> usize {
         self.as_bytes()[5] as usize
     }
 
     #[inline]
     fn payload_offset(&self) -> usize {
-        HEADER_BYTES + self.prio_words() * 4
+        HEADER_BYTES + self.prio_word_count() * 4
     }
 
-    /// Decode the scheduling priority.
+    /// True unless the message is unprioritized ([`Priority::None`]); a
+    /// header peek, no decode.
+    #[inline]
+    pub fn has_priority(&self) -> bool {
+        self.kind() != KIND_NONE
+    }
+
+    /// The priority, borrowed from the message's own priority area —
+    /// the non-allocating counterpart of [`Message::priority`].
+    #[inline]
+    pub fn priority_words(&self) -> PrioWords<'_> {
+        match self.kind() {
+            KIND_NONE => PrioWords::None,
+            KIND_INT => PrioWords::Int(self.prio_word(0) as i32),
+            _ => PrioWords::BitVec {
+                nbits: self.prio_word(0),
+                words: BitWords {
+                    bytes: &self.as_bytes()[HEADER_BYTES + 4..self.payload_offset()],
+                },
+            },
+        }
+    }
+
+    /// Decode the scheduling priority into an owned [`Priority`].
     pub fn priority(&self) -> Priority {
-        match self.as_bytes()[4] {
-            KIND_NONE => Priority::None,
-            KIND_INT => {
-                let w = self.prio_word(0);
-                Priority::Int(w as i32)
+        match self.priority_words() {
+            PrioWords::None => Priority::None,
+            PrioWords::Int(v) => Priority::Int(v),
+            PrioWords::BitVec { nbits, words } => {
+                Priority::BitVec(BitVecPrio::from_raw(nbits, words.collect()))
             }
-            KIND_BITVEC => {
-                let words = self.prio_words();
-                debug_assert!(words >= 1);
-                let nbits = self.prio_word(0);
-                let data: Vec<u32> = (1..words).map(|i| self.prio_word(i)).collect();
-                Priority::BitVec(BitVecPrio::from_raw(nbits, data))
-            }
-            k => unreachable!("validated at construction: kind {k}"),
         }
     }
 
@@ -410,13 +480,6 @@ impl From<Message> for MsgBlock {
 #[inline]
 pub fn peek_stealable(bytes: &[u8]) -> bool {
     bytes.len() >= HEADER_BYTES && u16::from_le_bytes([bytes[6], bytes[7]]) & FLAG_STEALABLE != 0
-}
-
-#[inline]
-fn bytemuck_i32(v: &i32) -> &u32 {
-    // Safety-free reinterpretation: i32 and u32 have identical layout.
-    // Encoded/decoded with `as` casts which are two's-complement exact.
-    unsafe { &*(v as *const i32 as *const u32) }
 }
 
 #[cfg(test)]
@@ -492,6 +555,59 @@ mod tests {
             Message::from_bytes(bytes),
             Err(DecodeError::TruncatedPriority { words: 4, .. })
         ));
+    }
+
+    #[test]
+    fn decode_rejects_malformed_priority() {
+        let with_area = |kind: u8, area: &[u32]| {
+            let mut bytes = vec![0, 0, 0, 0, kind, area.len() as u8, 0, 0];
+            for w in area {
+                bytes.extend_from_slice(&w.to_le_bytes());
+            }
+            Message::from_bytes(bytes)
+        };
+        let malformed = |kind, words| Err(DecodeError::MalformedPriority { kind, words });
+        assert_eq!(with_area(KIND_NONE, &[0]), malformed(KIND_NONE, 1));
+        assert_eq!(with_area(KIND_INT, &[]), malformed(KIND_INT, 0));
+        assert_eq!(with_area(KIND_INT, &[1, 2]), malformed(KIND_INT, 2));
+        // A bit vector needs its bit count, exactly the words that many
+        // bits take, and zeros in the unused tail.
+        assert_eq!(with_area(KIND_BITVEC, &[]), malformed(KIND_BITVEC, 0));
+        assert_eq!(with_area(KIND_BITVEC, &[33, 0]), malformed(KIND_BITVEC, 2));
+        assert_eq!(
+            with_area(KIND_BITVEC, &[3, 0, 0]),
+            malformed(KIND_BITVEC, 3)
+        );
+        assert_eq!(
+            with_area(KIND_BITVEC, &[3, 0xA000_0001]),
+            malformed(KIND_BITVEC, 2)
+        );
+        let ok = with_area(KIND_BITVEC, &[3, 0xA000_0000]).unwrap();
+        assert_eq!(
+            ok.priority(),
+            Priority::BitVec(BitVecPrio::from_bits(&[true, false, true]))
+        );
+        assert!(with_area(KIND_BITVEC, &[0]).is_ok());
+    }
+
+    #[test]
+    fn priority_words_borrow_the_area() {
+        let none = Message::new(HandlerId(1), b"x");
+        assert!(!none.has_priority());
+        assert!(matches!(none.priority_words(), PrioWords::None));
+        let int = Message::with_priority(HandlerId(1), &Priority::Int(-9), b"x");
+        assert!(int.has_priority());
+        assert!(matches!(int.priority_words(), PrioWords::Int(-9)));
+        let bits: Vec<bool> = (0..70).map(|i| i % 5 == 0).collect();
+        let bv = BitVecPrio::from_bits(&bits);
+        let m = Message::with_priority(HandlerId(1), &Priority::BitVec(bv.clone()), b"x");
+        match m.priority_words() {
+            PrioWords::BitVec { nbits, words } => {
+                assert_eq!(nbits, 70);
+                assert_eq!(words.collect::<Vec<u32>>(), bv.words()[1..]);
+            }
+            other => panic!("expected a bit vector, got {other:?}"),
+        }
     }
 
     #[test]

@@ -37,6 +37,45 @@ impl Priority {
     }
 }
 
+/// A message's priority borrowed from its priority area: what
+/// [`crate::Message::priority_words`] returns. The scheduler queue
+/// orders entries by this view, so queueing by priority allocates
+/// nothing.
+#[derive(Clone, Debug)]
+pub enum PrioWords<'a> {
+    /// Unprioritized.
+    None,
+    /// Integer priority; smaller is more urgent.
+    Int(i32),
+    /// Bit-vector priority of `nbits` bits. `words` yields the
+    /// `nbits.div_ceil(32)` bit words, MSB-first and with the unused
+    /// tail bits zero, as [`BitVecPrio`] stores them.
+    BitVec { nbits: u32, words: BitWords<'a> },
+}
+
+/// The bit words of a bit-vector priority, read out of a message.
+#[derive(Clone, Debug)]
+pub struct BitWords<'a> {
+    /// The little-endian words; a whole number of them.
+    pub(crate) bytes: &'a [u8],
+}
+
+impl Iterator for BitWords<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        let (word, rest) = self.bytes.split_first_chunk::<4>()?;
+        self.bytes = rest;
+        Some(u32::from_le_bytes(*word))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.bytes.len() / 4;
+        (n, Some(n))
+    }
+}
+
 /// An arbitrary-length bit-string priority.
 ///
 /// Stored as a length-prefixed little sequence of `u32` words so it can

@@ -29,10 +29,34 @@ proptest! {
     }
 
     /// Decoding arbitrary bytes never panics — it either produces a
-    /// message or a structured error.
+    /// structured error or a message in the one form `with_priority`
+    /// writes, so every accessor is safe on it and readers of the
+    /// priority area need not normalize.
     #[test]
-    fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = Message::from_bytes(bytes);
+    fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128),
+                           kind in 0u8..4, words in 0u8..4) {
+        // Steer a share of the inputs past the first header checks.
+        let mut bytes = bytes;
+        if bytes.len() >= 8 && kind < 3 {
+            bytes[4] = kind;
+            bytes[5] = words;
+        }
+        if let Ok(m) = Message::from_bytes(&bytes) {
+            let mut again = Message::with_priority(m.handler(), &m.priority(), m.payload());
+            again.set_flags(m.flags());
+            prop_assert_eq!(again.as_bytes(), &bytes[..]);
+            prop_assert_eq!(m.has_priority(), m.priority() != Priority::None);
+        }
+    }
+
+    /// `with_priority_of` carries the priority over byte for byte.
+    #[test]
+    fn priority_forwards_undecoded(prio in arb_priority(), payload in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let m = Message::with_priority(HandlerId(1), &prio, b"original");
+        let f = Message::with_priority_of(HandlerId(2), &m, &payload);
+        prop_assert_eq!(f.priority(), prio.clone());
+        prop_assert_eq!(f.payload(), &payload[..]);
+        prop_assert_eq!(f, Message::with_priority(HandlerId(2), &prio, &payload));
     }
 
     /// Bit-vector ordering equals lexicographic ordering of the bit
