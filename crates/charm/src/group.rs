@@ -14,11 +14,10 @@
 
 use crate::Charm;
 use converse_core::csd;
-use converse_machine::{HandlerId, Message, Pe};
-use converse_msg::pack::{Packer, Unpacker};
+use converse_machine::{HandlerId, IdMap, Message, Pe};
+use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -56,10 +55,12 @@ pub struct GroupState {
     invoke_h: HandlerId,
     exec_h: HandlerId,
     ctors: Mutex<Vec<GroupCtor>>,
-    branches: Mutex<HashMap<u64, Option<Box<dyn GroupChare>>>>,
+    /// This PE's branch of every live group (taken out while one of its
+    /// entry methods runs).
+    branches: Mutex<IdMap<Option<Box<dyn GroupChare>>>>,
     /// Invocations that raced ahead of their group's create broadcast
     /// (possible for third-party senders); replayed at construction.
-    early: Mutex<HashMap<u64, Vec<Message>>>,
+    early: Mutex<IdMap<Vec<Message>>>,
     next_seq: AtomicU64,
 }
 
@@ -68,20 +69,21 @@ impl GroupState {
     /// order).
     pub(crate) fn install_handlers(pe: &Pe) -> GroupState {
         let create_h = pe.register_handler(|pe, msg| {
-            let charm = Charm::get(pe);
             let mut u = Unpacker::new(msg.payload());
             let gid = GroupId(u.u64().expect("group create: gid"));
             let kind = u.u32().expect("group create: kind");
             let payload = u.bytes().expect("group create: payload");
-            charm.groups.construct(pe, gid, GroupKind(kind), payload);
+            let charm = Charm::get(pe);
+            charm
+                .groups
+                .construct(pe, charm, gid, GroupKind(kind), payload);
         });
         let exec_h = pe.register_handler(|pe, msg| {
             let charm = Charm::get(pe);
-            charm.groups.execute(pe, &msg);
+            charm.groups.execute(pe, charm, msg);
         });
         let invoke_h = pe.register_handler(|pe, mut msg| {
-            let charm = Charm::get(pe);
-            msg.set_handler(charm.groups.exec_h);
+            msg.set_handler(Charm::get(pe).groups.exec_h);
             csd::csd_enqueue_prio(pe, msg);
         });
         GroupState {
@@ -89,13 +91,13 @@ impl GroupState {
             invoke_h,
             exec_h,
             ctors: Mutex::new(Vec::new()),
-            branches: Mutex::new(HashMap::new()),
-            early: Mutex::new(HashMap::new()),
+            branches: Mutex::new(IdMap::default()),
+            early: Mutex::new(IdMap::default()),
             next_seq: AtomicU64::new(1),
         }
     }
 
-    fn construct(&self, pe: &Pe, gid: GroupId, kind: GroupKind, payload: &[u8]) {
+    fn construct(&self, pe: &Pe, charm: &Charm, gid: GroupId, kind: GroupKind, payload: &[u8]) {
         let ctor = self
             .ctors
             .lock()
@@ -112,7 +114,7 @@ impl GroupState {
             "PE {}: group {gid:?} created twice",
             pe.my_pe()
         );
-        Charm::get(pe).quiescence().msg_processed(1);
+        charm.quiescence().msg_processed(1);
         // Replay any invocations that arrived before the create.
         let early = self.early.lock().remove(&gid.0);
         if let Some(msgs) = early {
@@ -122,30 +124,31 @@ impl GroupState {
         }
     }
 
-    fn execute(&self, pe: &Pe, msg: &Message) {
+    fn execute(&self, pe: &Pe, charm: &Charm, msg: Message) {
         let mut u = Unpacker::new(msg.payload());
         let gid = u.u64().expect("group exec: gid");
         let ep = u.u32().expect("group exec: ep");
         let payload = u.bytes().expect("group exec: payload");
-        let mut branch = {
-            let mut t = self.branches.lock();
-            match t.get_mut(&gid) {
-                Some(b) => b
-                    .take()
-                    .unwrap_or_else(|| panic!("PE {}: reentrant group entry on {gid}", pe.my_pe())),
-                None => {
-                    // A third-party send raced ahead of the create
-                    // broadcast: hold it until the branch exists.
-                    self.early.lock().entry(gid).or_default().push(msg.clone());
-                    return;
-                }
+        // Take the branch out for the duration of the entry method, as
+        // for a chare: the method may send (even to this group) without
+        // holding the table lock.
+        let taken = self.branches.lock().get_mut(&gid).map(|b| b.take());
+        let mut branch = match taken {
+            Some(Some(branch)) => branch,
+            Some(None) => panic!("PE {}: reentrant group entry on {gid}", pe.my_pe()),
+            None => {
+                // A third-party send raced ahead of the create
+                // broadcast: hold it until the branch exists.
+                self.early.lock().entry(gid).or_default().push(msg);
+                return;
             }
         };
         branch.entry(pe, GroupId(gid), ep, payload);
+        // Put it back unless the entry destroyed the group.
         if let Some(b) = self.branches.lock().get_mut(&gid) {
             *b = Some(branch);
         }
-        Charm::get(pe).quiescence().msg_processed(1);
+        charm.quiescence().msg_processed(1);
     }
 
     /// Number of live branches on this PE.
@@ -172,9 +175,36 @@ impl Charm {
         let seq = self.groups.next_seq.fetch_add(1, Ordering::Relaxed);
         let gid = GroupId::new(pe.my_pe(), seq);
         self.quiescence().msg_created(pe.num_pes() as u64);
-        let body = Packer::new().u64(gid.0).u32(kind.0).bytes(payload).finish();
-        pe.sync_broadcast_all(&Message::new(self.groups.create_h, &body));
+        let head = StackPacker::<16>::new()
+            .u64(gid.0)
+            .u32(kind.0)
+            .len_prefix(payload.len());
+        let parts = [head.as_slice(), payload];
+        pe.sync_broadcast_all(&Message::gather(
+            self.groups.create_h,
+            &Priority::None,
+            parts,
+        ));
         gid
+    }
+
+    /// Drop this PE's branch of `gid`, with anything still held for it:
+    /// the group's teardown, called on every PE once no invocation of
+    /// the group is in flight (a finished phase, a barrier). Returns
+    /// whether a branch lived here. An invocation arriving later is held
+    /// like one that raced ahead of a create.
+    pub fn destroy_group(&self, gid: GroupId) -> bool {
+        self.groups.early.lock().remove(&gid.0);
+        self.groups.branches.lock().remove(&gid.0).is_some()
+    }
+
+    /// The invoke message for entry `ep` of group `gid`: the group
+    /// header, then `parts`, gathered straight into the message.
+    fn group_invoke(&self, gid: GroupId, ep: u32, parts: &[&[u8]], prio: &Priority) -> Message {
+        let len = parts.iter().map(|p| p.len()).sum();
+        let head = StackPacker::<16>::new().u64(gid.0).u32(ep).len_prefix(len);
+        let all = std::iter::once(head.as_slice()).chain(parts.iter().copied());
+        Message::gather(self.groups.invoke_h, prio, all)
     }
 
     /// Invoke entry `ep` on the branch of `gid` living on `target_pe`.
@@ -187,18 +217,29 @@ impl Charm {
         payload: &[u8],
         prio: Priority,
     ) {
+        self.send_group_parts(pe, gid, target_pe, ep, &[payload], prio);
+    }
+
+    /// [`Charm::send_group`] with the concatenation of `parts` as the
+    /// payload: a caller with its own header in front of its data hands
+    /// both over and neither is copied before the message is built.
+    pub fn send_group_parts(
+        &self,
+        pe: &Pe,
+        gid: GroupId,
+        target_pe: usize,
+        ep: u32,
+        parts: &[&[u8]],
+        prio: Priority,
+    ) {
         self.quiescence().msg_created(1);
-        let body = Packer::new().u64(gid.0).u32(ep).bytes(payload).finish();
-        let msg = Message::with_priority(self.groups.invoke_h, &prio, &body);
-        pe.sync_send_and_free(target_pe, msg);
+        pe.sync_send_and_free(target_pe, self.group_invoke(gid, ep, parts, &prio));
     }
 
     /// Invoke entry `ep` on **every** branch of `gid` (self included).
     pub fn broadcast_group(&self, pe: &Pe, gid: GroupId, ep: u32, payload: &[u8], prio: Priority) {
         self.quiescence().msg_created(pe.num_pes() as u64);
-        let body = Packer::new().u64(gid.0).u32(ep).bytes(payload).finish();
-        let msg = Message::with_priority(self.groups.invoke_h, &prio, &body);
-        pe.sync_broadcast_all(&msg);
+        pe.sync_broadcast_all(&self.group_invoke(gid, ep, &[payload], &prio));
     }
 
     /// Number of live group branches on this PE.

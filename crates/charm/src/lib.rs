@@ -30,8 +30,8 @@ pub mod rebalance;
 
 use converse_core::{csd, Quiescence};
 use converse_ldb::{Ldb, LdbPolicy};
-use converse_machine::{HandlerId, Message, Pe};
-use converse_msg::pack::{Packer, Unpacker};
+use converse_machine::{HandlerId, IdMap, Message, Pe};
+use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -138,7 +138,7 @@ pub struct Charm {
     ctors: Mutex<Vec<Ctor>>,
     /// Per-kind (unpacker, packer) for migratable kinds.
     pub(crate) migrators: Mutex<HashMap<u32, (MigCtor, Packer2)>>,
-    pub(crate) objects: Mutex<HashMap<u64, Slot>>,
+    pub(crate) objects: Mutex<IdMap<Slot>>,
     /// Byte-concatenation combiner for allgather-style exchanges
     /// (rebalancing load reports).
     pub(crate) concat_combiner: converse_machine::coll::CombinerId,
@@ -155,43 +155,38 @@ pub struct Charm {
     pub entries_run: AtomicU64,
 }
 
-struct CharmSlot(Arc<Charm>);
-
 impl Charm {
     /// Install the Charm runtime on this PE with the given seed
     /// load-balancing policy. Installs [`Quiescence`] and [`Ldb`] first
     /// (in that order), so calling this as the first registration on
     /// every PE yields identical handler tables. Idempotent per PE.
     pub fn install(pe: &Pe, policy: LdbPolicy) -> Arc<Charm> {
-        if let Some(s) = pe.try_local::<CharmSlot>() {
-            return s.0.clone();
-        }
+        pe.local(|| Self::on_pe(pe, policy))
+    }
+
+    /// The runtime for `pe`, with its handlers registered there.
+    fn on_pe(pe: &Pe, policy: LdbPolicy) -> Charm {
         let qd = Quiescence::install(pe);
         Ldb::install(pe, policy);
 
         // First handler for a creation seed: runs where the seed took
         // root (the load balancer enqueued it on the scheduler there).
         let create_h = pe.register_handler(|pe, msg| {
-            let charm = Charm::get(pe);
             let mut u = Unpacker::new(msg.payload());
             let kind = u.u32().expect("charm create: kind");
             let payload = u.bytes().expect("charm create: payload");
-            charm.construct(pe, ChareKind(kind), payload);
+            Charm::get(pe).construct(pe, ChareKind(kind), payload);
         });
         // Second handler for an invocation (already through the queue).
-        let exec_h = pe.register_handler(|pe, msg| {
-            let charm = Charm::get(pe);
-            charm.execute(pe, &msg);
-        });
+        let exec_h = pe.register_handler(|pe, msg| Charm::get(pe).execute(pe, msg));
         // First handler for an invocation arriving from the wire: swap
         // in the second handler and enqueue by priority — the §3.3 idiom.
         let invoke_h = pe.register_handler(|pe, mut msg| {
-            let charm = Charm::get(pe);
-            msg.set_handler(charm.exec_h);
+            msg.set_handler(Charm::get(pe).exec_h);
             csd::csd_enqueue_prio(pe, msg);
         });
         let exit_h = pe.register_handler(|pe, _| csd::csd_exit_scheduler(pe));
-        let group_state = group::GroupState::install_handlers(pe);
+        let groups = group::GroupState::install_handlers(pe);
         // Readonly globals: published once (broadcast), read anywhere —
         // Charm's "readonly" variables.
         let readonly_h = pe.register_handler(|pe, msg| {
@@ -209,14 +204,9 @@ impl Charm {
         });
 
         // Migration protocol: install on the new home, ack to the old.
-        let migrate_install_h = pe.register_handler(|pe, msg| {
-            let charm = Charm::get(pe);
-            charm.migrate_install(pe, &msg);
-        });
-        let migrate_ack_h = pe.register_handler(|pe, msg| {
-            let charm = Charm::get(pe);
-            charm.migrate_ack(pe, &msg);
-        });
+        let migrate_install_h =
+            pe.register_handler(|pe, msg| Charm::get(pe).migrate_install(pe, &msg));
+        let migrate_ack_h = pe.register_handler(|pe, msg| Charm::get(pe).migrate_ack(pe, &msg));
         let concat_combiner = pe.register_combiner(|a, b| {
             let mut out = Vec::with_capacity(a.len() + b.len());
             out.extend_from_slice(a);
@@ -224,40 +214,39 @@ impl Charm {
             out
         });
 
-        let charm = Arc::new(Charm {
+        Charm {
             create_h,
             exec_h,
             invoke_h,
             exit_h,
             ctors: Mutex::new(Vec::new()),
             migrators: Mutex::new(HashMap::new()),
-            objects: Mutex::new(HashMap::new()),
+            objects: Mutex::new(IdMap::default()),
             concat_combiner,
             migrate_install_h,
             migrate_ack_h,
             next_slot: AtomicU64::new(1),
             qd,
-            groups: group_state,
+            groups,
             readonly_h,
             readonlies: Mutex::new(HashMap::new()),
             chares_created: AtomicU64::new(0),
             entries_run: AtomicU64::new(0),
-        });
-        pe.local(|| CharmSlot(charm.clone()));
-        charm
+        }
     }
 
-    /// The runtime previously installed on this PE.
-    pub fn get(pe: &Pe) -> Arc<Charm> {
-        pe.try_local::<CharmSlot>()
+    /// The runtime previously installed on this PE, borrowed from its
+    /// PE-local storage — what a handler resolves once per dispatch.
+    #[inline]
+    pub fn get(pe: &Pe) -> &Charm {
+        pe.local_ref()
             .unwrap_or_else(|| panic!("PE {}: Charm::install was not called", pe.my_pe()))
-            .0
-            .clone()
     }
 
     /// The quiescence detector this runtime feeds.
-    pub fn quiescence(&self) -> Arc<Quiescence> {
-        self.qd.clone()
+    #[inline]
+    pub fn quiescence(&self) -> &Quiescence {
+        &self.qd
     }
 
     /// Register chare type `T` (same order on every PE!).
@@ -293,31 +282,23 @@ impl Charm {
     /// work.
     pub fn create(&self, pe: &Pe, kind: ChareKind, payload: &[u8], prio: Priority) {
         self.qd.msg_created(1);
-        let body = Packer::new().u32(kind.0).bytes(payload).finish();
-        let seed = Message::with_priority(self.create_h, &prio, &body);
+        let head = StackPacker::<8>::new()
+            .u32(kind.0)
+            .len_prefix(payload.len());
+        let seed = Message::gather(self.create_h, &prio, [head.as_slice(), payload]);
         Ldb::get(pe).deposit(pe, seed);
     }
 
     /// Asynchronously invoke entry method `ep` of chare `id` with
     /// `payload` — the caller does not wait (§2.1).
     pub fn send(&self, pe: &Pe, id: ChareId, ep: u32, payload: &[u8], prio: Priority) {
-        self.send_invoke(pe, id, ep, payload, |body| {
-            Message::with_priority(self.invoke_h, &prio, body)
-        });
-    }
-
-    /// Send the invoke message `build` makes around the packed body.
-    fn send_invoke(
-        &self,
-        pe: &Pe,
-        id: ChareId,
-        ep: u32,
-        payload: &[u8],
-        build: impl FnOnce(&[u8]) -> Message,
-    ) {
         self.qd.msg_created(1);
-        let body = Packer::new().u64(id.slot).u32(ep).bytes(payload).finish();
-        pe.sync_send_and_free(id.pe, build(&body));
+        let head = StackPacker::<16>::new()
+            .u64(id.slot)
+            .u32(ep)
+            .len_prefix(payload.len());
+        let msg = Message::gather(self.invoke_h, &prio, [head.as_slice(), payload]);
+        pe.sync_send_and_free(id.pe, msg);
     }
 
     /// Publish a readonly global: broadcast `data` under `key` to every
@@ -327,8 +308,9 @@ impl Charm {
     /// readonly variables.
     pub fn publish_readonly(&self, pe: &Pe, key: u32, data: &[u8]) {
         self.qd.msg_created(pe.num_pes() as u64);
-        let body = Packer::new().u32(key).bytes(data).finish();
-        pe.sync_broadcast_all(&Message::new(self.readonly_h, &body));
+        let head = StackPacker::<8>::new().u32(key).len_prefix(data.len());
+        let parts = [head.as_slice(), data];
+        pe.sync_broadcast_all(&Message::gather(self.readonly_h, &Priority::None, parts));
     }
 
     /// Read this PE's copy of a readonly global, if it has arrived.
@@ -426,13 +408,16 @@ impl Charm {
         let data = packer(obj.as_ref());
         drop(obj);
         self.qd.msg_created(1);
-        let body = Packer::new()
+        let head = StackPacker::<24>::new()
             .u32(kind)
             .usize(id.pe)
             .u64(id.slot)
-            .bytes(&data)
-            .finish();
-        pe.sync_send_and_free(dst, Message::new(self.migrate_install_h, &body));
+            .len_prefix(data.len());
+        let parts = [head.as_slice(), &data[..]];
+        pe.sync_send_and_free(
+            dst,
+            Message::gather(self.migrate_install_h, &Priority::None, parts),
+        );
         pe.trace_event(converse_trace::Event::Migrate {
             obj: id.slot,
             from: id.pe,
@@ -481,11 +466,10 @@ impl Charm {
         self.qd.msg_processed(1);
         // Tell the origin where the object lives now.
         self.qd.msg_created(1);
-        let body = Packer::new()
+        let ack = StackPacker::<24>::new()
             .u64(origin_slot)
-            .raw(&new_id.encode())
-            .finish();
-        pe.sync_send_and_free(origin_pe, Message::new(self.migrate_ack_h, &body));
+            .raw(&new_id.encode());
+        pe.sync_send_and_free(origin_pe, Message::new(self.migrate_ack_h, ack.as_slice()));
     }
 
     fn migrate_ack(&self, pe: &Pe, msg: &Message) {
@@ -510,22 +494,19 @@ impl Charm {
         };
         self.qd.msg_processed(1);
         for m in held {
-            self.forward(pe, new_id, &m);
+            self.forward(pe, new_id, m);
         }
     }
 
-    /// Re-aim a buffered/arriving exec message at the migrated object.
-    fn forward(&self, pe: &Pe, to: ChareId, msg: &Message) {
-        let mut u = Unpacker::new(msg.payload());
-        let _old_slot = u.u64().expect("forward: slot");
-        let ep = u.u32().expect("forward: ep");
-        let payload = u.bytes().expect("forward: payload");
-        // The held message's QD debt transfers to the forwarded copy.
-        self.qd.msg_processed(1);
-        // The priority area is copied message to message, undecoded.
-        self.send_invoke(pe, to, ep, payload, |body| {
-            Message::with_priority_of(self.invoke_h, msg, body)
-        });
+    /// Re-aim a held or arriving exec message at the migrated object:
+    /// the message itself goes back on the wire with the first handler
+    /// and the new slot written over the old ones — priority, entry
+    /// point, payload and quiescence debt travel with it untouched (in
+    /// place when the message is uniquely held, as a received one is).
+    fn forward(&self, pe: &Pe, to: ChareId, mut msg: Message) {
+        msg.set_handler(self.invoke_h);
+        msg.payload_mut()[..8].copy_from_slice(&to.slot.to_le_bytes());
+        pe.sync_send_and_free(to.pe, msg);
     }
 
     fn construct(&self, pe: &Pe, kind: ChareKind, payload: &[u8]) {
@@ -553,7 +534,7 @@ impl Charm {
         self.qd.msg_processed(1);
     }
 
-    fn execute(&self, pe: &Pe, msg: &Message) {
+    fn execute(&self, pe: &Pe, msg: Message) {
         let mut u = Unpacker::new(msg.payload());
         let slot = u.u64().expect("charm exec: slot");
         let ep = u.u32().expect("charm exec: ep");
@@ -569,7 +550,7 @@ impl Charm {
                 }),
                 Some(Slot::Migrating { held }) => {
                     // In flight: hold until the new address is known.
-                    held.push(msg.clone());
+                    held.push(msg);
                     return;
                 }
                 Some(Slot::Forwarded { to }) => {

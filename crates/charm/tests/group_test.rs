@@ -174,3 +174,58 @@ fn quiescence_covers_group_traffic() {
 // NOTE: the quiescence exit on PE0 returns once, then exit_all unblocks
 // the peers; the trailing scheduler call drains the exit message PE0
 // broadcast to itself.
+
+/// A branch that records the payloads it is invoked with.
+struct Recorder;
+
+struct Recorded(parking_lot::Mutex<Vec<Vec<u8>>>);
+
+impl GroupChare for Recorder {
+    fn new(_pe: &Pe, _gid: GroupId, _payload: &[u8]) -> Self {
+        Recorder
+    }
+    fn entry(&mut self, pe: &Pe, _gid: GroupId, _ep: u32, payload: &[u8]) {
+        let seen = pe.local(|| Recorded(Default::default()));
+        seen.0.lock().push(payload.to_vec());
+    }
+}
+
+/// `send_group_parts` delivers the concatenation of its parts — what
+/// `send_group` delivers for the joined bytes — and `destroy_group`
+/// drops the branch on the PE that calls it.
+#[test]
+fn parts_are_gathered_and_a_destroyed_group_leaves_no_branch() {
+    run(2, |pe| {
+        let charm = Charm::install(pe, LdbPolicy::Direct);
+        let kind = charm.register_group::<Recorder>();
+        pe.barrier();
+        let gid_bytes = pe.bcast_bytes(
+            0,
+            (pe.my_pe() == 0).then(|| charm.create_group(pe, kind, b"").0.to_le_bytes().to_vec()),
+        );
+        let gid = GroupId(u64::from_le_bytes(gid_bytes.try_into().unwrap()));
+        if pe.my_pe() == 0 {
+            let prio = Priority::Int(3);
+            charm.send_group_parts(pe, gid, 1, 0, &[b"head", b"", b"-body"], prio.clone());
+            charm.send_group(pe, gid, 1, 0, b"head-body", prio.clone());
+            charm.send_group_parts(pe, gid, 1, 0, &[], prio);
+        }
+        pe.barrier();
+        csd_scheduler_until_idle(pe);
+        pe.barrier();
+        if pe.my_pe() == 1 {
+            let seen = pe
+                .local_ref::<Recorded>()
+                .expect("invoked")
+                .0
+                .lock()
+                .clone();
+            assert_eq!(seen, [&b"head-body"[..], b"head-body", b""]);
+        }
+        assert_eq!(charm.local_group_branches(), 1);
+        assert!(charm.destroy_group(gid));
+        assert_eq!(charm.local_group_branches(), 0);
+        assert!(!charm.destroy_group(gid), "already gone");
+        pe.barrier();
+    });
+}

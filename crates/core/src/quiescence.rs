@@ -17,7 +17,7 @@
 
 use crate::csd;
 use converse_machine::{HandlerId, Message, Pe};
-use converse_msg::pack::{Packer, Unpacker};
+use converse_msg::pack::{StackPacker, Unpacker};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,8 +32,8 @@ struct RootWave {
     callback: Option<Message>,
 }
 
-/// Per-PE quiescence runtime. Obtain with [`Quiescence::install`]; clone
-/// of the `Arc` is cheap and handlers capture it.
+/// Per-PE quiescence runtime, kept in PE-local storage. Install with
+/// [`Quiescence::install`]; handlers resolve it with [`Quiescence::get`].
 pub struct Quiescence {
     created: AtomicU64,
     processed: AtomicU64,
@@ -43,37 +43,31 @@ pub struct Quiescence {
     root: Mutex<RootWave>,
 }
 
-/// Marker type for PE-local storage.
-struct QdSlot(Arc<Quiescence>);
-
 impl Quiescence {
     /// Register the detector's handlers on this PE and return its
     /// runtime. Must be called on **every** PE, in the same registration
     /// position, before any counted messages flow. Idempotent per PE.
     pub fn install(pe: &Pe) -> Arc<Quiescence> {
-        if let Some(slot) = pe.try_local::<QdSlot>() {
-            return slot.0.clone();
-        }
-        // Two-phase: register handlers that look the runtime up through
-        // PE-local storage, then create the runtime with their ids.
+        pe.local(|| Self::register(pe))
+    }
+
+    fn register(pe: &Pe) -> Quiescence {
         let wave_h = pe.register_handler(|pe, msg| {
             let qd = Quiescence::get(pe);
             let mut u = Unpacker::new(msg.payload());
             let wave = u.u64().expect("qd wave: wave");
-            let payload = Packer::new()
+            let reply = StackPacker::<24>::new()
                 .u64(wave)
                 .u64(qd.created.load(Ordering::SeqCst))
-                .u64(qd.processed.load(Ordering::SeqCst))
-                .finish();
-            pe.sync_send_and_free(0, Message::new(qd.reply_h, &payload));
+                .u64(qd.processed.load(Ordering::SeqCst));
+            pe.sync_send_and_free(0, Message::new(qd.reply_h, reply.as_slice()));
         });
         let reply_h = pe.register_handler(|pe, msg| {
-            let qd = Quiescence::get(pe);
             let mut u = Unpacker::new(msg.payload());
             let wave = u.u64().expect("qd reply: wave");
             let created = u.u64().expect("qd reply: created");
             let processed = u.u64().expect("qd reply: processed");
-            qd.on_reply(pe, wave, created, processed);
+            Quiescence::get(pe).on_reply(pe, wave, created, processed);
         });
         // Waves are paced through the scheduler queue at the *least
         // urgent* priority: a completed non-quiet wave enqueues this
@@ -86,7 +80,7 @@ impl Quiescence {
                 qd.send_wave(pe);
             }
         });
-        let qd = Arc::new(Quiescence {
+        Quiescence {
             created: AtomicU64::new(0),
             processed: AtomicU64::new(0),
             wave_h,
@@ -101,17 +95,15 @@ impl Quiescence {
                 prev: None,
                 callback: None,
             }),
-        });
-        pe.local(|| QdSlot(qd.clone()));
-        qd
+        }
     }
 
-    /// The runtime previously installed on this PE; panics otherwise.
-    pub fn get(pe: &Pe) -> Arc<Quiescence> {
-        pe.try_local::<QdSlot>()
+    /// The runtime previously installed on this PE, borrowed from its
+    /// PE-local storage; panics otherwise.
+    #[inline]
+    pub fn get(pe: &Pe) -> &Quiescence {
+        pe.local_ref()
             .unwrap_or_else(|| panic!("PE {}: Quiescence::install was not called", pe.my_pe()))
-            .0
-            .clone()
     }
 
     /// Count `n` messages as created (sent). Call at every counted send.
@@ -161,9 +153,7 @@ impl Quiescence {
 
     fn send_wave(&self, pe: &Pe) {
         let wave = self.root.lock().wave;
-        let payload = Packer::new().u64(wave).finish();
-        let msg = Message::new(self.wave_h, &payload);
-        pe.sync_broadcast_all(&msg);
+        pe.sync_broadcast_all(&Message::new(self.wave_h, &wave.to_le_bytes()));
     }
 
     fn on_reply(&self, pe: &Pe, wave: u64, created: u64, processed: u64) {

@@ -95,8 +95,6 @@ pub struct Dp {
     concat: CombinerId,
 }
 
-struct DpSlot(Arc<Dp>);
-
 fn combine_scalar<T: DpScalar>(op: Op) -> impl Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync {
     move |a, b| {
         let x = T::load(a);
@@ -130,9 +128,10 @@ impl Dp {
     /// set in a fixed order (call at the same registration position on
     /// every PE). Idempotent per PE.
     pub fn install(pe: &Pe) -> Arc<Dp> {
-        if let Some(s) = pe.try_local::<DpSlot>() {
-            return s.0.clone();
-        }
+        pe.local(|| Self::register(pe))
+    }
+
+    fn register(pe: &Pe) -> Dp {
         let mut map = HashMap::new();
         macro_rules! reg {
             ($t:ty, $op:expr) => {
@@ -153,20 +152,18 @@ impl Dp {
             out.extend_from_slice(b);
             out
         });
-        let dp = Arc::new(Dp {
+        Dp {
             combiners: Mutex::new(map),
             concat,
-        });
-        pe.local(|| DpSlot(dp.clone()));
-        dp
+        }
     }
 
-    /// The runtime previously installed on this PE.
-    pub fn get(pe: &Pe) -> Arc<Dp> {
-        pe.try_local::<DpSlot>()
+    /// The runtime previously installed on this PE, borrowed from its
+    /// PE-local storage.
+    #[inline]
+    pub fn get(pe: &Pe) -> &Dp {
+        pe.local_ref()
             .unwrap_or_else(|| panic!("PE {}: Dp::install was not called", pe.my_pe()))
-            .0
-            .clone()
     }
 
     fn combiner<T: DpScalar>(&self, op: Op) -> CombinerId {

@@ -34,7 +34,8 @@
 
 use converse_core::csd;
 use converse_machine::{HandlerId, Message, Pe};
-use converse_msg::pack::{Packer, Unpacker};
+use converse_msg::pack::{StackPacker, Unpacker};
+use converse_msg::Priority;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -127,8 +128,6 @@ pub struct Ldb {
     pub stats: LdbStats,
 }
 
-struct LdbSlot(Arc<Ldb>);
-
 /// How often (in balancer events) a PE publishes its load.
 const LOAD_REPORT_PERIOD: u64 = 4;
 
@@ -137,15 +136,17 @@ impl Ldb {
     /// runtime. Must be called on every PE in the same registration
     /// position, with the same policy. Idempotent per PE.
     pub fn install(pe: &Pe, policy: LdbPolicy) -> Arc<Ldb> {
-        if let Some(s) = pe.try_local::<LdbSlot>() {
-            assert_eq!(
-                s.0.policy,
-                policy,
-                "PE {}: conflicting Ldb policies",
-                pe.my_pe()
-            );
-            return s.0.clone();
-        }
+        let ldb = pe.local(|| Self::register(pe, policy));
+        assert_eq!(
+            ldb.policy,
+            policy,
+            "PE {}: conflicting Ldb policies",
+            pe.my_pe()
+        );
+        ldb
+    }
+
+    fn register(pe: &Pe, policy: LdbPolicy) -> Ldb {
         let seed_h = pe.register_handler(|pe, msg| {
             let ldb = Ldb::get(pe);
             let mut u = Unpacker::new(msg.payload());
@@ -195,7 +196,7 @@ impl Ldb {
                 ldb.send_seed(pe, dst, &inner, 1);
             }
         });
-        let ldb = Arc::new(Ldb {
+        Ldb {
             policy,
             seed_h,
             load_h,
@@ -212,17 +213,15 @@ impl Ldb {
             )),
             events: AtomicU64::new(0),
             stats: LdbStats::default(),
-        });
-        pe.local(|| LdbSlot(ldb.clone()));
-        ldb
+        }
     }
 
-    /// The balancer previously installed on this PE.
-    pub fn get(pe: &Pe) -> Arc<Ldb> {
-        pe.try_local::<LdbSlot>()
+    /// The balancer previously installed on this PE, borrowed from its
+    /// PE-local storage.
+    #[inline]
+    pub fn get(pe: &Pe) -> &Ldb {
+        pe.local_ref()
             .unwrap_or_else(|| panic!("PE {}: Ldb::install was not called", pe.my_pe()))
-            .0
-            .clone()
     }
 
     /// Hand a seed to the balancer (the language runtime's entry point).
@@ -266,9 +265,10 @@ impl Ldb {
                     self.root(pe, seed);
                     return;
                 }
-                let payload = Packer::new().bytes(seed.as_bytes()).finish();
+                let head = StackPacker::<4>::new().len_prefix(seed.len());
                 self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                pe.sync_send_and_free(0, Message::new(self.assign_h, &payload));
+                let parts = [head.as_slice(), seed.as_bytes()];
+                pe.sync_send_and_free(0, Message::gather(self.assign_h, &Priority::None, parts));
             }
             LdbPolicy::Measured => {
                 let dst = self.pick_measured(pe);
@@ -360,8 +360,9 @@ impl Ldb {
     }
 
     fn send_seed(&self, pe: &Pe, dst: usize, seed: &Message, hops: u32) {
-        let payload = Packer::new().u32(hops).bytes(seed.as_bytes()).finish();
-        let mut m = Message::new(self.seed_h, &payload);
+        let head = StackPacker::<8>::new().u32(hops).len_prefix(seed.len());
+        let parts = [head.as_slice(), seed.as_bytes()];
+        let mut m = Message::gather(self.seed_h, &Priority::None, parts);
         // A seed is location-independent by definition (the module's
         // whole job is moving them), so its wrapper is fair game for
         // idle-PE work stealing on machines that enable it.
@@ -381,31 +382,32 @@ impl Ldb {
             return;
         }
         let load = pe.queue_len();
-        let payload = Packer::new().usize(pe.my_pe()).usize(load).finish();
+        let report = StackPacker::<16>::new().usize(pe.my_pe()).usize(load);
+        let payload = report.as_slice();
         match self.policy {
             LdbPolicy::Spray { .. } => {
                 let n = pe.num_pes();
                 if n > 1 {
                     let left = (pe.my_pe() + n - 1) % n;
                     let right = (pe.my_pe() + 1) % n;
-                    pe.sync_send_and_free(left, Message::new(self.load_h, &payload));
+                    pe.sync_send_and_free(left, Message::new(self.load_h, payload));
                     if right != left {
-                        pe.sync_send_and_free(right, Message::new(self.load_h, &payload));
+                        pe.sync_send_and_free(right, Message::new(self.load_h, payload));
                     }
                 }
             }
             LdbPolicy::Central if pe.my_pe() != 0 => {
-                pe.sync_send_and_free(0, Message::new(self.load_h, &payload));
+                pe.sync_send_and_free(0, Message::new(self.load_h, payload));
             }
             LdbPolicy::TwoChoices { .. } => {
                 // Cheap gossip: everyone learns everyone's load now and
                 // then; staleness is part of the strategy's bargain.
-                pe.sync_broadcast(&Message::new(self.load_h, &payload));
+                pe.sync_broadcast(&Message::new(self.load_h, payload));
             }
             // Measured needs gossip only where live snapshots of remote
             // PEs are unavailable (distributed transports).
             LdbPolicy::Measured if !pe.remote_load_visible() => {
-                pe.sync_broadcast(&Message::new(self.load_h, &payload));
+                pe.sync_broadcast(&Message::new(self.load_h, payload));
             }
             _ => {}
         }

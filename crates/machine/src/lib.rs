@@ -25,11 +25,13 @@
 //! retrieval APIs hand the caller an owned [`converse_msg::Message`], so
 //! "grabbing" is the default and cannot be forgotten.
 
+mod append;
 pub mod coll;
 pub mod exo;
 pub mod gptr;
-mod handlers;
+mod idmap;
 pub mod io;
+mod locals;
 pub mod mmi;
 pub mod pe;
 pub mod pgrp;
@@ -43,6 +45,7 @@ pub use converse_net::{
     PeLoad, StallWindow,
 };
 pub use exo::{ExoReply, ExoToken, MachineHandle, MachineService, ReplySink};
+pub use idmap::{IdHasher, IdMap};
 pub use pe::{Handler, Pe};
 pub use run::{
     default_idle_spin, run, run_on_each_transport, run_with, try_run_with, MachineConfig,

@@ -134,15 +134,7 @@ impl Pe {
     /// for gather/scatter ("it is not necessary that a message sent via a
     /// gather is received via a scatter call").
     pub fn vector_send(&self, dst: usize, handler: HandlerId, pieces: &[&[u8]]) -> CommHandle {
-        let total: usize = pieces.iter().map(|p| p.len()).sum();
-        let mut msg = Message::alloc(total);
-        msg.set_handler(handler);
-        let mut off = 0;
-        let payload = msg.payload_mut();
-        for p in pieces {
-            payload[off..off + p.len()].copy_from_slice(p);
-            off += p.len();
-        }
+        let msg = Message::gather(handler, &converse_msg::Priority::None, pieces);
         self.trace_send(dst, &msg);
         self.net().send_block(self.my_pe(), dst, msg.into_block());
         self.comm.create(true)

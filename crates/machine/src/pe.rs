@@ -7,10 +7,11 @@
 //! and shared (via `Arc`) by every execution context — the main context
 //! and any thread objects — that runs on that processor.
 
+use crate::append::AppendTable;
 use crate::coll::CollState;
 use crate::gptr::GptrState;
-use crate::handlers::HandlerTable;
 use crate::io::Console;
+use crate::locals::Locals;
 use crate::mmi::CommHandles;
 use crate::pgrp::PgrpState;
 use crate::scatter::ScatterState;
@@ -19,8 +20,8 @@ use converse_net::{Channel, CmiTransport, Packet};
 use converse_queue::{CsdQueue, FifoQueue, LifoQueue, QueueingMode, SchedulingQueue};
 use converse_trace::{Event, StealPhase, TraceSink};
 use parking_lot::Mutex;
-use std::any::{Any, TypeId};
-use std::collections::{HashMap, VecDeque};
+use std::any::TypeId;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -215,7 +216,7 @@ impl PendingBuf {
 pub struct Pe {
     id: usize,
     net: Arc<dyn CmiTransport>,
-    handlers: HandlerTable,
+    handlers: AppendTable<Handler>,
     pending: PendingBuf,
     /// Local intake batch: packets pulled off the net by a bulk
     /// [`CmiTransport::drain_bounded`] and not yet retrieved. Every
@@ -240,7 +241,7 @@ pub struct Pe {
     steal_rr: AtomicU64,
     queue: Mutex<Box<dyn SchedulingQueue>>,
     sched_exit: AtomicBool,
-    locals: Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>,
+    locals: Locals,
     req_counter: AtomicU64,
     pub(crate) comm: CommHandles,
     pub(crate) gptr: GptrState,
@@ -266,7 +267,7 @@ impl Pe {
         shared: Arc<MachineShared>,
         trace: Arc<dyn TraceSink>,
     ) -> Arc<Pe> {
-        let table = HandlerTable::new();
+        let table = AppendTable::new();
         let push = |h: Handler| HandlerId(table.push(h) as u32);
         let ids = InternalIds {
             gptr_get_req: push(Arc::new(crate::gptr::handle_get_req)),
@@ -296,7 +297,7 @@ impl Pe {
             steal_rr: AtomicU64::new(0),
             queue: Mutex::new(make_queue(queue)),
             sched_exit: AtomicBool::new(false),
-            locals: Mutex::new(HashMap::new()),
+            locals: Locals::new(),
             req_counter: AtomicU64::new(1),
             comm: CommHandles::default(),
             gptr: GptrState::default(),
@@ -565,29 +566,39 @@ impl Pe {
     /// Typed PE-local storage: returns this PE's instance of `T`,
     /// creating it with `init` on first access. The Rust analogue of
     /// Converse's `Cpv` per-processor globals; language runtimes keep
-    /// their per-PE state here keyed by a private type.
+    /// their per-PE state here, one value per type.
+    ///
+    /// `init` runs at most once per PE and outside any lock, so it may
+    /// register handlers and ask for PE-local values of other types (a
+    /// runtime installing the runtimes it builds on) — but not for `T`
+    /// itself.
     pub fn local<T, F>(&self, init: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        let mut l = self.locals.lock();
-        let entry = l
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Arc::new(init()) as Arc<dyn Any + Send + Sync>);
-        entry
+        self.locals
+            .get_or_init(TypeId::of::<T>(), || Arc::new(init()))
             .clone()
             .downcast::<T>()
-            .expect("TypeId-keyed map guarantees the type")
+            .expect("TypeId-keyed registry guarantees the type")
     }
 
     /// The PE-local instance of `T` if already created.
     pub fn try_local<T: Send + Sync + 'static>(&self) -> Option<Arc<T>> {
-        self.locals.lock().get(&TypeId::of::<T>()).map(|a| {
-            a.clone()
+        self.locals.get(TypeId::of::<T>()).map(|v| {
+            v.clone()
                 .downcast::<T>()
-                .expect("TypeId-keyed map guarantees the type")
+                .expect("TypeId-keyed registry guarantees the type")
         })
+    }
+
+    /// The PE-local instance of `T` if already created, borrowed: a
+    /// short scan of the registry with no lock, no hash and no refcount
+    /// traffic — how a handler resolves its runtime on every message.
+    #[inline]
+    pub fn local_ref<T: Send + Sync + 'static>(&self) -> Option<&T> {
+        self.locals.get(TypeId::of::<T>())?.downcast_ref::<T>()
     }
 
     // ---- pending buffer & abort plumbing ---------------------------------

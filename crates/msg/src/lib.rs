@@ -191,51 +191,65 @@ pub struct Message {
 impl Message {
     /// Build a message for `handler` carrying `payload`, no priority.
     pub fn new(handler: HandlerId, payload: &[u8]) -> Self {
-        Self::with_priority(handler, &Priority::None, payload)
+        Self::gather(handler, &Priority::None, [payload])
     }
 
-    /// Build a message with an explicit scheduling priority. Header,
-    /// priority area and payload are written straight into one pooled
-    /// chunk.
+    /// Build a message with an explicit scheduling priority.
     pub fn with_priority(handler: HandlerId, prio: &Priority, payload: &[u8]) -> Self {
-        match prio {
-            Priority::None => Self::build(handler, KIND_NONE, &[], payload),
-            Priority::Int(v) => Self::build(handler, KIND_INT, &[*v as u32], payload),
+        Self::gather(handler, prio, [payload])
+    }
+
+    /// Build a message whose payload is the concatenation of `parts`
+    /// (`CmiVectorSend`'s gather, at construction). Header, priority
+    /// area and every part are written once, straight into one pooled
+    /// chunk — how a runtime puts its own header (built on the stack,
+    /// see [`pack::StackPacker`]) in front of a caller's bytes without
+    /// an intermediate buffer. `parts` is walked twice, for the length
+    /// and for the bytes: pass an array or slice of byte slices, or a
+    /// chain of them.
+    ///
+    /// ```
+    /// use converse_msg::{Message, HandlerId, Priority};
+    ///
+    /// let head = 7u32.to_le_bytes();
+    /// let m = Message::gather(HandlerId(1), &Priority::Int(3), [&head[..], b"body"]);
+    /// assert_eq!(m.payload(), b"\x07\0\0\0body");
+    /// ```
+    pub fn gather<I>(handler: HandlerId, prio: &Priority, parts: I) -> Self
+    where
+        I: IntoIterator + Clone,
+        I::Item: AsRef<[u8]>,
+    {
+        let len = parts.clone().into_iter().map(|p| p.as_ref().len()).sum();
+        let mut w = match prio {
+            Priority::None => Self::begin(handler, KIND_NONE, &[], len),
+            Priority::Int(v) => Self::begin(handler, KIND_INT, &[*v as u32], len),
             // Bit-vector priorities record their exact bit length in the
             // first priority word; see `prio::BitVecPrio::words`.
-            Priority::BitVec(bv) => Self::build(handler, KIND_BITVEC, bv.words(), payload),
+            Priority::BitVec(bv) => Self::begin(handler, KIND_BITVEC, bv.words(), len),
+        };
+        // A `parts` that yields other bytes the second time trips the
+        // writer's overrun or fill check; no byte is exposed unwritten.
+        for part in parts {
+            w.put(part.as_ref());
         }
-    }
-
-    /// Build a message carrying the same priority as `like` — what a
-    /// runtime forwarding a message uses, instead of decoding an owned
-    /// [`Priority`] only to encode it again.
-    pub fn with_priority_of(handler: HandlerId, like: &Message, payload: &[u8]) -> Self {
-        let mut w = Self::begin(handler, like.kind(), like.prio_word_count(), payload.len());
-        w.put(&like.as_bytes()[HEADER_BYTES..like.payload_offset()]);
-        w.put(payload);
         Message { block: w.finish() }
     }
 
-    fn build(handler: HandlerId, kind: u8, words: &[u32], payload: &[u8]) -> Self {
-        let mut w = Self::begin(handler, kind, words.len(), payload.len());
-        for word in words {
+    /// A writer for a message of `payload_len` payload bytes, with the
+    /// fixed header and the priority area written.
+    fn begin(handler: HandlerId, kind: u8, prio: &[u32], payload_len: usize) -> BlockWriter {
+        assert!(
+            prio.len() <= u8::MAX as usize,
+            "priority too long: {} words",
+            prio.len()
+        );
+        let mut w = BlockWriter::new(HEADER_BYTES + prio.len() * 4 + payload_len);
+        w.put(&handler.0.to_le_bytes());
+        w.put(&[kind, prio.len() as u8, 0, 0]);
+        for word in prio {
             w.put(&word.to_le_bytes());
         }
-        w.put(payload);
-        Message { block: w.finish() }
-    }
-
-    /// A writer for a message of `prio_words` priority words and
-    /// `payload_len` payload bytes, with the fixed header written.
-    fn begin(handler: HandlerId, kind: u8, prio_words: usize, payload_len: usize) -> BlockWriter {
-        assert!(
-            prio_words <= u8::MAX as usize,
-            "priority too long: {prio_words} words"
-        );
-        let mut w = BlockWriter::new(HEADER_BYTES + prio_words * 4 + payload_len);
-        w.put(&handler.0.to_le_bytes());
-        w.put(&[kind, prio_words as u8, 0, 0]);
         w
     }
 
@@ -243,7 +257,7 @@ impl Message {
     /// zero-filled payload of `payload_len` bytes. Mirrors the C pattern
     /// of `CmiAlloc` followed by `CmiSetHandler`.
     pub fn alloc(payload_len: usize) -> Self {
-        let mut w = Self::begin(HandlerId::INVALID, KIND_NONE, 0, payload_len);
+        let mut w = Self::begin(HandlerId::INVALID, KIND_NONE, &[], payload_len);
         w.put_zeros(payload_len);
         Message { block: w.finish() }
     }

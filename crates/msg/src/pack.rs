@@ -30,16 +30,25 @@ impl fmt::Display for PackError {
 
 impl std::error::Error for PackError {}
 
-/// Sequential little-endian payload writer.
-#[derive(Default, Debug, Clone)]
+/// Sequential little-endian payload writer into a growable buffer — for
+/// cold paths and variable-shape bodies. A send path whose header has a
+/// fixed size uses a [`StackPacker`] and `Message::gather` instead.
+#[derive(Debug, Clone)]
 pub struct Packer {
     buf: Vec<u8>,
 }
 
+impl Default for Packer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Packer {
-    /// New empty packer.
+    /// New empty packer, with room for a typical small body so that
+    /// packing a few scalars and a short slice allocates once.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_capacity(64)
     }
 
     /// New packer with capacity for `n` bytes.
@@ -121,6 +130,79 @@ impl Packer {
     pub fn raw(mut self, v: &[u8]) -> Self {
         self.buf.extend_from_slice(v);
         self
+    }
+}
+
+/// [`Packer`]'s scalar writers over a fixed array on the stack: the
+/// header a runtime puts in front of a caller's bytes when it gathers
+/// both into one message (`Message::gather`). Writing past `N` bytes
+/// panics — a header's size is known where it is written.
+///
+/// ```
+/// use converse_msg::pack::{Packer, StackPacker};
+///
+/// let body = b"caller's bytes";
+/// let head = StackPacker::<12>::new().u64(9).len_prefix(body.len());
+/// let whole = [head.as_slice(), body].concat();
+/// assert_eq!(whole, Packer::new().u64(9).bytes(body).finish());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct StackPacker<const N: usize> {
+    buf: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> Default for StackPacker<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize> StackPacker<N> {
+    /// New empty header of at most `N` bytes.
+    pub fn new() -> Self {
+        StackPacker {
+            buf: [0; N],
+            len: 0,
+        }
+    }
+
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    /// Append raw bytes.
+    pub fn raw(mut self, v: &[u8]) -> Self {
+        self.buf[self.len..self.len + v.len()].copy_from_slice(v);
+        self.len += v.len();
+        self
+    }
+
+    /// Append a `u32`.
+    pub fn u32(self, v: u32) -> Self {
+        self.raw(&v.to_le_bytes())
+    }
+
+    /// Append an `i32`.
+    pub fn i32(self, v: i32) -> Self {
+        self.raw(&v.to_le_bytes())
+    }
+
+    /// Append a `u64`.
+    pub fn u64(self, v: u64) -> Self {
+        self.raw(&v.to_le_bytes())
+    }
+
+    /// Append a `usize` as `u64`, like [`Packer::usize`].
+    pub fn usize(self, v: usize) -> Self {
+        self.u64(v as u64)
+    }
+
+    /// Append the length prefix [`Packer::bytes`] writes, for `n` bytes
+    /// that follow the header as gather parts of their own.
+    pub fn len_prefix(self, n: usize) -> Self {
+        self.u32(u32::try_from(n).expect("length-prefixed bytes fit a u32"))
     }
 }
 
@@ -274,6 +356,38 @@ mod tests {
         );
         // A failed read consumes nothing.
         assert_eq!(u.u32().unwrap(), 1);
+    }
+
+    #[test]
+    fn stack_packer_writes_what_packer_writes() {
+        let head = StackPacker::<28>::new()
+            .u32(7)
+            .i32(-7)
+            .u64(u64::MAX)
+            .usize(5)
+            .len_prefix(3);
+        let mut whole = head.as_slice().to_vec();
+        whole.extend_from_slice(b"abc");
+        let packed = Packer::new()
+            .u32(7)
+            .i32(-7)
+            .u64(u64::MAX)
+            .usize(5)
+            .bytes(b"abc")
+            .finish();
+        assert_eq!(whole, packed);
+    }
+
+    #[test]
+    #[should_panic]
+    fn stack_packer_overrun_panics() {
+        let _ = StackPacker::<4>::new().u32(1).u32(2);
+    }
+
+    #[test]
+    fn new_packer_does_not_start_empty_handed() {
+        assert!(Packer::new().buf.capacity() >= 32);
+        assert!(Packer::default().buf.capacity() >= 32);
     }
 
     #[test]

@@ -13,6 +13,58 @@ fn arb_priority() -> impl Strategy<Value = Priority> {
     ]
 }
 
+/// `payload` cut at each of `cuts` (taken modulo its length, so cuts
+/// repeat and yield empty parts).
+fn split_at_cuts<'a>(payload: &'a [u8], cuts: &[u16]) -> Vec<&'a [u8]> {
+    let mut at: Vec<usize> = cuts
+        .iter()
+        .map(|&c| c as usize % (payload.len() + 1))
+        .collect();
+    at.sort_unstable();
+    at.push(payload.len());
+    let mut parts = Vec::with_capacity(at.len());
+    let mut from = 0;
+    for to in at {
+        parts.push(&payload[from..to]);
+        from = to;
+    }
+    parts
+}
+
+/// The module docs' layout, assembled by hand.
+fn wire_bytes(handler: u32, prio: &Priority, payload: &[u8]) -> Vec<u8> {
+    let (kind, words): (u8, Vec<u32>) = match prio {
+        Priority::None => (0, vec![]),
+        Priority::Int(v) => (1, vec![*v as u32]),
+        Priority::BitVec(bv) => (2, bv.words().to_vec()),
+    };
+    let mut out = handler.to_le_bytes().to_vec();
+    out.extend_from_slice(&[kind, words.len() as u8, 0, 0]);
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Past the pool's largest size class (64 KiB) a gathered message is an
+/// exact one-off chunk; the bytes are the same.
+#[test]
+fn gather_past_the_largest_pool_class() {
+    let payload: Vec<u8> = (0..70_000u32).map(|i| (i * 31) as u8).collect();
+    let bits: Vec<bool> = (0..40).map(|i| i % 3 == 0).collect();
+    for prio in [
+        Priority::None,
+        Priority::Int(-5),
+        Priority::BitVec(BitVecPrio::from_bits(&bits)),
+    ] {
+        let parts = split_at_cuts(&payload, &[0, 1, 4_096, 65_535, 65_535]);
+        let g = Message::gather(HandlerId(3), &prio, &parts[..]);
+        assert_eq!(g.as_bytes(), &wire_bytes(3, &prio, &payload)[..]);
+        assert_eq!(g, Message::with_priority(HandlerId(3), &prio, &payload));
+    }
+}
+
 proptest! {
     /// Encoding then decoding over the "wire" is the identity, for any
     /// handler, priority, and payload.
@@ -49,14 +101,27 @@ proptest! {
         }
     }
 
-    /// `with_priority_of` carries the priority over byte for byte.
+    /// `gather` over any split of a payload into parts — empty parts
+    /// included — writes the bytes `with_priority` writes for the
+    /// concatenation, which are the documented wire layout.
     #[test]
-    fn priority_forwards_undecoded(prio in arb_priority(), payload in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let m = Message::with_priority(HandlerId(1), &prio, b"original");
-        let f = Message::with_priority_of(HandlerId(2), &m, &payload);
-        prop_assert_eq!(f.priority(), prio.clone());
-        prop_assert_eq!(f.payload(), &payload[..]);
-        prop_assert_eq!(f, Message::with_priority(HandlerId(2), &prio, &payload));
+    fn gather_equals_with_priority_of_the_concatenation(
+        h in any::<u32>(),
+        prio in arb_priority(),
+        payload in proptest::collection::vec(any::<u8>(), 0..600),
+        cuts in proptest::collection::vec(any::<u16>(), 0..6),
+    ) {
+        let parts = split_at_cuts(&payload, &cuts);
+        let g = Message::gather(HandlerId(h), &prio, &parts[..]);
+        prop_assert_eq!(&g, &Message::with_priority(HandlerId(h), &prio, &payload));
+        prop_assert_eq!(g.as_bytes(), &wire_bytes(h, &prio, &payload)[..]);
+        // A chain of parts — how a runtime prepends its own header.
+        let chained = Message::gather(
+            HandlerId(h),
+            &prio,
+            std::iter::once(&b""[..]).chain(parts.iter().copied()),
+        );
+        prop_assert_eq!(chained, g);
     }
 
     /// Bit-vector ordering equals lexicographic ordering of the bit

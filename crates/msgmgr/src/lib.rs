@@ -27,25 +27,68 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// that position.
 pub const WILDCARD: i32 = i32::MIN;
 
+/// The one or two identification marks of a stored message or of a
+/// retrieval pattern, held inline; reads as a `[i32]` slice.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Tags {
+    len: u8,
+    /// The unused second mark of a one-tag tuple stays zero, so the
+    /// derived comparisons see only the marks.
+    marks: [i32; 2],
+}
+
+impl Tags {
+    fn new(tags: &[i32]) -> Tags {
+        assert!(
+            tags.len() == 1 || tags.len() == 2,
+            "Cmm supports one or two tags, got {}",
+            tags.len()
+        );
+        let mut marks = [0; 2];
+        marks[..tags.len()].copy_from_slice(tags);
+        Tags {
+            len: tags.len() as u8,
+            marks,
+        }
+    }
+}
+
+impl std::ops::Deref for Tags {
+    type Target = [i32];
+    fn deref(&self) -> &[i32] {
+        &self.marks[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Tags {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl PartialEq<Vec<i32>> for Tags {
+    fn eq(&self, other: &Vec<i32>) -> bool {
+        **self == other[..]
+    }
+}
+
 /// One stored message: its tags (1 or 2 of them) and payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stored {
     /// The identification marks (length 1 or 2).
-    pub tags: Vec<i32>,
+    pub tags: Tags,
     /// The message bytes.
     pub data: Vec<u8>,
 }
 
-fn check_tags(tags: &[i32]) {
-    assert!(
-        tags.len() == 1 || tags.len() == 2,
-        "Cmm supports one or two tags, got {}",
-        tags.len()
-    );
+/// The tags a message is stored under: one or two, none the wildcard.
+fn stored_tags(tags: &[i32]) -> Tags {
+    let tags = Tags::new(tags);
     assert!(
         !tags.contains(&WILDCARD),
         "stored tags cannot be the wildcard value"
     );
+    tags
 }
 
 fn matches(stored: &[i32], pattern: &[i32]) -> bool {
@@ -63,7 +106,7 @@ pub trait TagMailbox {
 
     /// Size and actual tags of the earliest matching message, without
     /// removing it (`CmmProbe`). `None` if nothing matches.
-    fn probe(&self, pattern: &[i32]) -> Option<(usize, Vec<i32>)>;
+    fn probe(&self, pattern: &[i32]) -> Option<(usize, Tags)>;
 
     /// Remove and return the earliest matching message (`CmmGetPtr`).
     fn get(&mut self, pattern: &[i32]) -> Option<Stored>;
@@ -79,7 +122,7 @@ pub trait TagMailbox {
     /// Copy at most `buf.len()` bytes of the earliest matching message
     /// into `buf` (`CmmGet`), removing it. Returns the message's full
     /// length and its tags.
-    fn get_into(&mut self, pattern: &[i32], buf: &mut [u8]) -> Option<(usize, Vec<i32>)>
+    fn get_into(&mut self, pattern: &[i32], buf: &mut [u8]) -> Option<(usize, Tags)>
     where
         Self: Sized,
     {
@@ -117,18 +160,15 @@ impl MsgManager {
 
 impl TagMailbox for MsgManager {
     fn put(&mut self, tags: &[i32], data: Vec<u8>) {
-        check_tags(tags);
-        self.entries.push_back(Stored {
-            tags: tags.to_vec(),
-            data,
-        });
+        let tags = stored_tags(tags);
+        self.entries.push_back(Stored { tags, data });
     }
 
-    fn probe(&self, pattern: &[i32]) -> Option<(usize, Vec<i32>)> {
+    fn probe(&self, pattern: &[i32]) -> Option<(usize, Tags)> {
         self.entries
             .iter()
             .find(|e| matches(&e.tags, pattern))
-            .map(|e| (e.data.len(), e.tags.clone()))
+            .map(|e| (e.data.len(), e.tags))
     }
 
     fn get(&mut self, pattern: &[i32]) -> Option<Stored> {
@@ -151,7 +191,7 @@ pub struct IndexedMsgManager {
     /// seq → entry, ordered by insertion.
     store: BTreeMap<u64, Stored>,
     /// exact tag tuple → queue of seqs (may contain stale entries).
-    index: HashMap<Vec<i32>, VecDeque<u64>>,
+    index: HashMap<Tags, VecDeque<u64>>,
     next_seq: u64,
 }
 
@@ -167,8 +207,10 @@ impl IndexedMsgManager {
                 .iter()
                 .find(|(_, e)| matches(&e.tags, pattern))
                 .map(|(seq, _)| *seq)
+        } else if !(1..=2).contains(&pattern.len()) {
+            None // no message is stored under such a tuple
         } else {
-            let q = self.index.get(pattern)?;
+            let q = self.index.get(&Tags::new(pattern))?;
             q.iter().find(|seq| self.store.contains_key(seq)).copied()
         }
     }
@@ -176,23 +218,17 @@ impl IndexedMsgManager {
 
 impl TagMailbox for IndexedMsgManager {
     fn put(&mut self, tags: &[i32], data: Vec<u8>) {
-        check_tags(tags);
+        let tags = stored_tags(tags);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.index.entry(tags.to_vec()).or_default().push_back(seq);
-        self.store.insert(
-            seq,
-            Stored {
-                tags: tags.to_vec(),
-                data,
-            },
-        );
+        self.index.entry(tags).or_default().push_back(seq);
+        self.store.insert(seq, Stored { tags, data });
     }
 
-    fn probe(&self, pattern: &[i32]) -> Option<(usize, Vec<i32>)> {
+    fn probe(&self, pattern: &[i32]) -> Option<(usize, Tags)> {
         let seq = self.find_seq(pattern)?;
         let e = &self.store[&seq];
-        Some((e.data.len(), e.tags.clone()))
+        Some((e.data.len(), e.tags))
     }
 
     fn get(&mut self, pattern: &[i32]) -> Option<Stored> {
@@ -253,7 +289,7 @@ mod tests {
         for mut mm in both() {
             mm.put(&[5, 10], b"x".to_vec());
             let (len, tags) = mm.probe(&[WILDCARD, 10]).unwrap();
-            assert_eq!((len, tags), (1, vec![5, 10]));
+            assert_eq!((len, &tags[..]), (1, &[5, 10][..]));
             let s = mm.get(&[5, WILDCARD]).unwrap();
             assert_eq!(s.tags, vec![5, 10]);
         }

@@ -25,7 +25,8 @@
 pub mod mpi;
 
 use converse_machine::{HandlerId, Message, Pe};
-use converse_msg::pack::{Packer, Unpacker};
+use converse_msg::pack::{StackPacker, Unpacker};
+use converse_msg::Priority;
 use converse_msgmgr::{IndexedMsgManager, TagMailbox, WILDCARD};
 use converse_threads::{cth_awaken, cth_self, cth_suspend, CthRuntime, Thread};
 use parking_lot::Mutex;
@@ -59,61 +60,55 @@ pub struct Sm {
     waiters: Mutex<Vec<Waiter>>,
 }
 
-struct SmSlot(Arc<Sm>);
-
 impl Sm {
     /// Install SM on this PE (same registration order machine-wide).
     /// Idempotent per PE.
     pub fn install(pe: &Pe) -> Arc<Sm> {
-        if let Some(s) = pe.try_local::<SmSlot>() {
-            return s.0.clone();
-        }
-        let data_h = pe.register_handler(|pe, msg| {
-            let sm = Sm::get(pe);
-            sm.ingest(pe, &msg);
-        });
-        let sm = Arc::new(Sm {
-            data_h,
+        pe.local(|| Sm {
+            data_h: pe.register_handler(|pe, msg| Sm::get(pe).ingest(pe, &msg)),
             mailbox: Mutex::new(IndexedMsgManager::new()),
             waiters: Mutex::new(Vec::new()),
-        });
-        pe.local(|| SmSlot(sm.clone()));
-        sm
+        })
     }
 
-    /// The SM runtime previously installed on this PE.
-    pub fn get(pe: &Pe) -> Arc<Sm> {
-        pe.try_local::<SmSlot>()
+    /// The SM runtime previously installed on this PE, borrowed from
+    /// its PE-local storage.
+    #[inline]
+    pub fn get(pe: &Pe) -> &Sm {
+        pe.local_ref()
             .unwrap_or_else(|| panic!("PE {}: Sm::install was not called", pe.my_pe()))
-            .0
-            .clone()
     }
 
     /// Send `data` with `tag` to `dst` (`SMSend`). Asynchronous: never
     /// blocks the sender.
     pub fn send(&self, pe: &Pe, dst: usize, tag: i32, data: &[u8]) {
+        self.send_parts(pe, dst, tag, &[data]);
+    }
+
+    /// [`Sm::send`] of the concatenation of `parts`, gathered straight
+    /// into the message: a caller with its own header in front of its
+    /// data needs no buffer to join them.
+    pub fn send_parts(&self, pe: &Pe, dst: usize, tag: i32, parts: &[&[u8]]) {
         assert_ne!(tag, ANY, "cannot send with the wildcard tag");
-        let payload = Packer::new()
+        let len = parts.iter().map(|p| p.len()).sum();
+        let head = StackPacker::<16>::new()
             .i32(tag)
             .usize(pe.my_pe())
-            .bytes(data)
-            .finish();
-        pe.sync_send_and_free(dst, Message::new(self.data_h, &payload));
+            .len_prefix(len);
+        let all = std::iter::once(head.as_slice()).chain(parts.iter().copied());
+        pe.sync_send_and_free(dst, Message::gather(self.data_h, &Priority::None, all));
     }
 
     /// Store an arriving data message and wake the first matching tSM
     /// waiter, if any.
     fn ingest(&self, pe: &Pe, msg: &Message) {
-        let parsed = decode(msg);
-        self.mailbox
-            .lock()
-            .put(&[parsed.tag, parsed.src as i32], parsed.data);
+        let (tag, src, data) = decode(msg);
+        self.mailbox.lock().put(&[tag, src as i32], data.to_vec());
         let woken = {
             let mut ws = self.waiters.lock();
             ws.iter()
                 .position(|w| {
-                    (w.tag == ANY || w.tag == parsed.tag)
-                        && (w.src == ANY || w.src == parsed.src as i32)
+                    (w.tag == ANY || w.tag == tag) && (w.src == ANY || w.src == src as i32)
                 })
                 .map(|i| ws.remove(i).thread)
         };
@@ -142,9 +137,13 @@ impl Sm {
                 return m;
             }
             let msg = pe.get_specific_msg(self.data_h);
-            let parsed = decode(&msg);
-            if (tag == ANY || tag == parsed.tag) && (src == ANY || src == parsed.src as i32) {
-                return parsed;
+            let (got_tag, got_src, data) = decode(&msg);
+            if (tag == ANY || tag == got_tag) && (src == ANY || src == got_src as i32) {
+                return SmMsg {
+                    tag: got_tag,
+                    src: got_src,
+                    data: data.to_vec(),
+                };
             }
             self.ingest(pe, &msg);
         }
@@ -206,12 +205,13 @@ impl Sm {
     }
 }
 
-fn decode(msg: &Message) -> SmMsg {
+/// Tag, source PE and data of an SM data message, the data borrowed:
+/// whoever keeps it makes the one owned copy an [`SmMsg`] hands out.
+fn decode(msg: &Message) -> (i32, usize, &[u8]) {
     let mut u = Unpacker::new(msg.payload());
     let tag = u.i32().expect("sm: tag");
     let src = u.usize().expect("sm: src");
-    let data = u.bytes().expect("sm: data").to_vec();
-    SmMsg { tag, src, data }
+    (tag, src, u.bytes().expect("sm: data"))
 }
 
 /// PVM-flavoured facade: tag-matched sends and receives with `-1`
@@ -272,6 +272,12 @@ pub mod tsm {
     /// Send a tagged message to `dst` (the send half of the language).
     pub fn send(pe: &Pe, dst: usize, tag: i32, data: &[u8]) {
         Sm::get(pe).send(pe, dst, tag, data);
+    }
+
+    /// [`send`] of the concatenation of `parts` (see
+    /// [`Sm::send_parts`](super::Sm::send_parts)).
+    pub fn send_parts(pe: &Pe, dst: usize, tag: i32, parts: &[&[u8]]) {
+        Sm::get(pe).send_parts(pe, dst, tag, parts);
     }
 }
 

@@ -16,7 +16,8 @@
 //! resequencing buffer (need-based cost, §3).
 
 use converse_machine::{HandlerId, Message, Pe};
-use converse_msg::pack::{Packer, Unpacker};
+use converse_msg::pack::{StackPacker, Unpacker};
+use converse_msg::Priority;
 use converse_msgmgr::{IndexedMsgManager, TagMailbox, WILDCARD};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -53,35 +54,25 @@ pub struct Mpi {
     mailbox: Mutex<IndexedMsgManager>,
 }
 
-struct MpiSlot(Arc<Mpi>);
-
 impl Mpi {
     /// Install the MPI layer on this PE (same registration order
     /// machine-wide). Idempotent per PE.
     pub fn install(pe: &Pe) -> Arc<Mpi> {
-        if let Some(s) = pe.try_local::<MpiSlot>() {
-            return s.0.clone();
-        }
-        let data_h = pe.register_handler(|pe, msg| {
-            Mpi::get(pe).ingest(&msg);
-        });
-        let mpi = Arc::new(Mpi {
-            data_h,
+        pe.local(|| Mpi {
+            data_h: pe.register_handler(|pe, msg| Mpi::get(pe).ingest(&msg)),
             send_seq: Mutex::new(HashMap::new()),
             recv_seq: Mutex::new(HashMap::new()),
             held: Mutex::new(HashMap::new()),
             mailbox: Mutex::new(IndexedMsgManager::new()),
-        });
-        pe.local(|| MpiSlot(mpi.clone()));
-        mpi
+        })
     }
 
-    /// The layer previously installed on this PE.
-    pub fn get(pe: &Pe) -> Arc<Mpi> {
-        pe.try_local::<MpiSlot>()
+    /// The layer previously installed on this PE, borrowed from its
+    /// PE-local storage.
+    #[inline]
+    pub fn get(pe: &Pe) -> &Mpi {
+        pe.local_ref()
             .unwrap_or_else(|| panic!("PE {}: Mpi::install was not called", pe.my_pe()))
-            .0
-            .clone()
     }
 
     /// Send `data` with `tag` to rank `dst` (`MPI_Send`-flavoured:
@@ -95,13 +86,13 @@ impl Mpi {
             *e += 1;
             v
         };
-        let payload = Packer::new()
+        let head = StackPacker::<24>::new()
             .usize(pe.my_pe())
             .u64(seq)
             .i32(tag)
-            .bytes(data)
-            .finish();
-        pe.sync_send_and_free(dst, Message::new(self.data_h, &payload));
+            .len_prefix(data.len());
+        let parts = [head.as_slice(), data];
+        pe.sync_send_and_free(dst, Message::gather(self.data_h, &Priority::None, parts));
     }
 
     /// Admit an arrival: in-order messages (and any held successors they

@@ -236,3 +236,24 @@ fn pvm_recv_inside_thread_uses_threaded_path() {
         pe.barrier();
     });
 }
+
+/// `send_parts` delivers the concatenation of its parts, whether the
+/// receive takes the message off the wire or out of the message manager.
+#[test]
+fn parts_arrive_joined() {
+    run(2, |pe| {
+        let sm = Sm::install(pe);
+        pe.barrier();
+        if pe.my_pe() == 0 {
+            sm.send_parts(pe, 1, 5, &[b"he", b"", b"llo"]);
+            sm.send_parts(pe, 1, 6, &[]);
+            converse_sm::tsm::send_parts(pe, 1, 7, &[b"a", b"b"]);
+        } else {
+            // Tag 7 first: 5 and 6 pass through the message manager.
+            assert_eq!(sm.recv(pe, 7, ANY).data, b"ab");
+            assert_eq!(sm.recv(pe, 5, 0).data, b"hello");
+            assert_eq!(sm.recv(pe, 6, ANY).data, b"");
+        }
+        pe.barrier();
+    });
+}

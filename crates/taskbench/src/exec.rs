@@ -1,10 +1,11 @@
 //! Execution engines: run a [`TaskGraph`] over a live machine and prove
 //! the schedule correct.
 //!
-//! Three adapters share one bookkeeping core ([`RunState`]), differing
+//! Three adapters share one bookkeeping core ([`RunState`]: flat
+//! arrays sized from the graph, one payload arena per run), differing
 //! only in which Converse layer carries the dependency edges:
 //!
-//! * [`run_graph_raw`] — one machine handler per run; every edge is one
+//! * [`run_graph_raw`] — one machine handler; every edge is one
 //!   generalized message (self-edges included), optionally on a named
 //!   delivery channel. The floor the layered adapters are compared
 //!   against, and the engine the chaos matrix uses to pin guarantee
@@ -25,18 +26,19 @@
 //! of the workload matrix only reports a number after this passes.
 //!
 //! **Lockstep requirement.** Like every Converse registration API, the
-//! adapters register handlers/combiners/group kinds and must therefore
-//! be called in the same order on every PE of the machine.
+//! adapters register handlers/combiners/group kinds — once per PE, the
+//! first time each is used — and must therefore be called in the same
+//! order on every PE of the machine.
 
-use crate::{expand_payload, finish_output, TaskGraph};
-use converse_charm::{Charm, GroupChare, GroupId};
+use crate::{chain_output, fill_payload, TaskGraph, TaskId};
+use converse_charm::{Charm, GroupChare, GroupId, GroupKind};
 use converse_core::{csd_scheduler_until_idle, schedule_until};
 use converse_ldb::LdbPolicy;
+use converse_machine::coll::CombinerId;
 use converse_machine::{Channel, Message, Pe};
-use converse_msg::pack::{Packer, Unpacker};
+use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::{HandlerId, Priority};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -176,6 +178,10 @@ impl PeSummary {
     }
 }
 
+/// The combiner of [`assert_machine_valid`]'s (count, fold) allreduce,
+/// registered the first time a PE validates.
+struct FoldOp(CombinerId);
+
 /// Machine-wide validation: local per-task validation on every PE plus
 /// an allreduce of (executed count, XOR hash fold) checked against the
 /// generator's oracle — so a task double-executed on the wrong PE (a
@@ -185,19 +191,17 @@ pub fn assert_machine_valid(pe: &Pe, graph: &TaskGraph, summary: &PeSummary, pay
     if let Err(e) = summary.validate(graph, payload_bytes) {
         panic!("PE {}: taskbench validation failed: {e}", pe.my_pe());
     }
-    let op = pe.register_combiner(|a, b| {
-        let (ca, fa) = split_fold(a);
-        let (cb, fb) = split_fold(b);
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&(ca + cb).to_le_bytes());
-        out.extend_from_slice(&(fa ^ fb).to_le_bytes());
-        out
-    });
+    let op = pe
+        .local(|| {
+            FoldOp(pe.register_combiner(|a, b| {
+                let (ca, fa) = split_fold(a);
+                let (cb, fb) = split_fold(b);
+                join_fold(ca + cb, fa ^ fb)
+            }))
+        })
+        .0;
     let (count, fold) = summary.fold();
-    let mut mine = Vec::with_capacity(16);
-    mine.extend_from_slice(&count.to_le_bytes());
-    mine.extend_from_slice(&fold.to_le_bytes());
-    let all = pe.allreduce_bytes(mine, op);
+    let all = pe.allreduce_bytes(join_fold(count, fold), op);
     let (total, folded) = split_fold(&all);
     assert_eq!(
         total,
@@ -211,52 +215,88 @@ pub fn assert_machine_valid(pe: &Pe, graph: &TaskGraph, summary: &PeSummary, pay
     );
 }
 
+fn join_fold(count: u64, fold: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16);
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&fold.to_le_bytes());
+    out
+}
+
 fn split_fold(bytes: &[u8]) -> (u64, u64) {
     let c = u64::from_le_bytes(bytes[..8].try_into().expect("16-byte fold"));
     let f = u64::from_le_bytes(bytes[8..16].try_into().expect("16-byte fold"));
     (c, f)
 }
 
-/// Received dependency payloads of one task: `(src_serial, payload)`.
-type Preds = Vec<(u32, Vec<u8>)>;
+/// The raw engine's handlers, registered once per PE.
+#[derive(Clone, Copy)]
+struct RawHandlers {
+    dep: HandlerId,
+    ready: HandlerId,
+    credit: HandlerId,
+    done: HandlerId,
+    all_done: HandlerId,
+}
 
-/// Edge fan-out function: `(pe, dst_pe, dst_serial, src_serial,
-/// payload)` — how an engine carries one dependency edge.
-type Emit = dyn Fn(&Pe, usize, u32, u32, &[u8]);
+/// What carries a run's dependency edges.
+enum Carrier {
+    /// One generalized message per edge, stamped with the run's `epoch`,
+    /// on `channel` (`None` = the default exactly-once channel).
+    Raw {
+        handlers: RawHandlers,
+        epoch: u32,
+        channel: Option<Channel>,
+    },
+    /// An entry invocation on the run's group.
+    Charm(GroupId),
+    /// A tSM message tagged with the consumer's serial.
+    Tsm,
+}
+
+/// Most dependencies a task may have: arrivals are one bit each.
+const MAX_DEPS: usize = u32::BITS as usize;
+
+/// What a run has seen so far. Indexed by task serial; only this PE's
+/// tasks' entries are used.
+struct Progress {
+    /// Bit `k` is set once the task's `k`-th dependency (in the graph's
+    /// order, which is serial order) arrived.
+    arrived: Vec<u32>,
+    /// Execution count per task.
+    execs: Vec<u32>,
+    /// Output hash per executed task.
+    outputs: Vec<Option<u64>>,
+    /// The run's payload arena: one `payload_bytes` slot per dependency
+    /// of every local task, a task's slots adjacent and in dependency
+    /// order ([`RunState::slot_base`]). An arriving edge is copied into
+    /// its slot; a complete task is hashed straight out of its slots.
+    arena: Vec<u8>,
+    /// The payload of the task being fanned out.
+    scratch: Vec<u8>,
+    /// Runtime protocol violations (validated later, not panicked on —
+    /// the chaos matrix *wants* to observe failures).
+    violations: Vec<String>,
+}
 
 /// Shared bookkeeping for one graph run on one PE.
 struct RunState {
     graph: Arc<TaskGraph>,
+    carrier: Carrier,
     grain_ns: u64,
     payload_bytes: usize,
-    /// Dependency payloads received so far, per local not-yet-ready
-    /// task serial.
-    waiting: Mutex<HashMap<u32, Preds>>,
-    /// Execution count per task serial (only local entries used).
-    execs: Vec<AtomicU32>,
-    /// Output hash per executed local task.
-    outputs: Mutex<HashMap<u32, u64>>,
+    /// Index of each task's first arena slot, by serial, with the total
+    /// one past the end; a task of another PE has no slots.
+    slot_base: Vec<u32>,
+    /// Touched only by this PE's execution contexts, one at a time.
+    progress: Mutex<Progress>,
     /// Local tasks still to execute.
     remaining: AtomicUsize,
-    /// Runtime protocol violations (validated later, not panicked on —
-    /// the chaos matrix *wants* to observe failures).
-    violations: Mutex<Vec<String>>,
-    /// The raw engine's dependency handler (set after registration).
-    dep_h: AtomicU32,
-    /// Delivery channel for raw-engine edges (`Channel` encoded, or
-    /// `u64::MAX` for the default).
-    channel: Mutex<Option<Channel>>,
     /// Relocatable-execution mode (see [`RunOpts::steal`]).
     steal: bool,
     /// READY-to-PE0 skew percentage ([`RunOpts::steal_to0_pct`]).
     steal_to0_pct: u8,
     /// Sleep the grain instead of spinning ([`RunOpts::sleep_grain`]).
     sleep_grain: bool,
-    /// Steal-protocol handlers (set after registration, raw engine).
-    ready_h: AtomicU32,
-    credit_h: AtomicU32,
-    done_h: AtomicU32,
-    all_done_h: AtomicU32,
     /// This PE reported its local completion to PE 0 already.
     done_sent: AtomicBool,
     /// DONE reports seen (meaningful on PE 0 only).
@@ -266,26 +306,42 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(graph: Arc<TaskGraph>, opts: &RunOpts, pe: &Pe) -> Arc<RunState> {
-        let local = graph.local_serials(pe.my_pe(), pe.num_pes());
+    fn new(graph: Arc<TaskGraph>, opts: &RunOpts, pe: &Pe, carrier: Carrier) -> Arc<RunState> {
+        let n = graph.num_tasks();
+        let mut slot_base = Vec::with_capacity(n + 1);
+        let (mut slots, mut local) = (0u32, 0);
+        for serial in 0..n as u32 {
+            slot_base.push(slots);
+            let id = graph.task_of_serial(serial);
+            if graph.owner(id, pe.num_pes()) == pe.my_pe() {
+                let deps = graph.deps(id).len();
+                assert!(
+                    deps <= MAX_DEPS,
+                    "taskbench: a task has {deps} dependencies"
+                );
+                slots += deps as u32;
+                local += 1;
+            }
+        }
+        slot_base.push(slots);
         Arc::new(RunState {
-            execs: (0..graph.num_tasks()).map(|_| AtomicU32::new(0)).collect(),
-            remaining: AtomicUsize::new(local.len()),
+            progress: Mutex::new(Progress {
+                arrived: vec![0; n],
+                execs: vec![0; n],
+                outputs: vec![None; n],
+                arena: vec![0; slots as usize * opts.payload_bytes],
+                scratch: vec![0; opts.payload_bytes],
+                violations: Vec::new(),
+            }),
+            remaining: AtomicUsize::new(local),
             graph,
+            carrier,
             grain_ns: opts.grain_ns,
             payload_bytes: opts.payload_bytes,
-            waiting: Mutex::new(HashMap::new()),
-            outputs: Mutex::new(HashMap::new()),
-            violations: Mutex::new(Vec::new()),
-            dep_h: AtomicU32::new(u32::MAX),
-            channel: Mutex::new(None),
+            slot_base,
             steal: opts.steal,
             steal_to0_pct: opts.steal_to0_pct,
             sleep_grain: opts.sleep_grain,
-            ready_h: AtomicU32::new(u32::MAX),
-            credit_h: AtomicU32::new(u32::MAX),
-            done_h: AtomicU32::new(u32::MAX),
-            all_done_h: AtomicU32::new(u32::MAX),
             done_sent: AtomicBool::new(false),
             dones: AtomicUsize::new(0),
             all_done: AtomicBool::new(false),
@@ -302,94 +358,161 @@ impl RunState {
         }
     }
 
-    /// Record one dependency arrival for local task `dst`; when the
-    /// set completes, execute and fan out through `emit`.
-    fn on_dep(&self, pe: &Pe, dst: u32, src: u32, payload: Vec<u8>, emit: &Emit) {
+    /// The byte range of `serial`'s arena slots.
+    fn slots_of(&self, serial: u32) -> std::ops::Range<usize> {
+        let s = serial as usize;
+        self.slot_base[s] as usize * self.payload_bytes
+            ..self.slot_base[s + 1] as usize * self.payload_bytes
+    }
+
+    /// A task's output hash over its dependencies' payloads, read from
+    /// `slots` — the task's arena slots, or a READY message's copy.
+    fn output_of(&self, id: TaskId, serial: u32, slots: &[u8]) -> u64 {
+        let pb = self.payload_bytes;
+        let preds = self.graph.deps(id).iter().enumerate();
+        chain_output(
+            self.graph.spec.seed,
+            serial,
+            preds.map(|(k, d)| (self.graph.serial(*d), &slots[k * pb..(k + 1) * pb])),
+        )
+    }
+
+    /// Record one dependency arrival for local task `dst`: copy the
+    /// payload into the dependency's slot and, when the set completes,
+    /// execute and fan out.
+    fn on_dep(&self, pe: &Pe, dst: u32, src: u32, payload: &[u8]) {
         let id = self.graph.task_of_serial(dst);
-        if self.execs[dst as usize].load(Ordering::Acquire) > 0 {
-            self.violations.lock().push(format!(
-                "dependency {src}→{dst} arrived after task ({},{}) already executed",
+        let deps = self.graph.deps(id);
+        let mut progress = self.progress.lock();
+        let p = &mut *progress;
+        let mut violation = |what: &str| {
+            p.violations.push(format!(
+                "dependency {src}→{dst} of task ({},{}) {what}",
                 id.step, id.index
-            ));
-            return;
-        }
-        let need = self.graph.deps(id).len();
-        let ready = {
-            let mut w = self.waiting.lock();
-            let entry = w.entry(dst).or_default();
-            entry.push((src, payload));
-            if entry.len() == need {
-                w.remove(&dst)
-            } else {
-                if entry.len() > need {
-                    self.violations.lock().push(format!(
-                        "task ({},{}) has {} of {need} dependencies — duplicates on the wire",
-                        id.step,
-                        id.index,
-                        entry.len()
-                    ));
-                }
-                None
-            }
+            ))
         };
-        if let Some(preds) = ready {
-            if self.steal {
-                self.emit_ready(pe, dst, preds);
+        let slot = deps.iter().position(|d| self.graph.serial(*d) == src);
+        let Some(k) = slot.filter(|_| self.graph.owner(id, pe.num_pes()) == pe.my_pe()) else {
+            return violation("is not an edge into a task of this PE");
+        };
+        if payload.len() != self.payload_bytes {
+            return violation(&format!("carries {} bytes", payload.len()));
+        }
+        // One bit per edge catches both ways an edge arrives twice.
+        if p.arrived[dst as usize] & (1 << k) != 0 {
+            return violation(if p.execs[dst as usize] > 0 {
+                "arrived after the task already executed"
             } else {
-                self.execute(pe, dst, preds, emit);
-            }
+                "arrived twice — duplicates on the wire"
+            });
+        }
+        p.arrived[dst as usize] |= 1 << k;
+        let at = self.slots_of(dst).start + k * self.payload_bytes;
+        p.arena[at..at + self.payload_bytes].copy_from_slice(payload);
+        if p.arrived[dst as usize].count_ones() as usize == deps.len() {
+            self.make_ready(pe, p, dst);
+        }
+    }
+
+    /// `serial`'s dependencies are all here: run it, or in steal mode
+    /// package it for whoever gets to it first.
+    fn make_ready(&self, pe: &Pe, p: &mut Progress, serial: u32) {
+        if self.steal {
+            self.emit_ready(pe, serial, &p.arena[self.slots_of(serial)]);
+        } else {
+            self.execute(pe, p, serial);
         }
     }
 
     /// Run one ready task: grain busy-work, chained output hash,
     /// exactly-once accounting, successor fan-out.
-    fn execute(&self, pe: &Pe, serial: u32, mut preds: Preds, emit: &Emit) {
+    fn execute(&self, pe: &Pe, p: &mut Progress, serial: u32) {
         self.grain_wait();
-        let out = finish_output(self.graph.spec.seed, serial, &mut preds);
-        self.execs[serial as usize].fetch_add(1, Ordering::AcqRel);
-        self.outputs.lock().insert(serial, out);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
         let id = self.graph.task_of_serial(serial);
+        let out = self.output_of(id, serial, &p.arena[self.slots_of(serial)]);
+        p.execs[serial as usize] += 1;
+        p.outputs[serial as usize] = Some(out);
+        self.remaining.fetch_sub(1, Ordering::AcqRel);
+        self.fan_out(pe, &mut p.scratch, id, serial, out);
+    }
+
+    /// Send `serial`'s output to every successor, expanded once into
+    /// `scratch`.
+    fn fan_out(&self, pe: &Pe, scratch: &mut [u8], id: TaskId, serial: u32, out: u64) {
         let succs = self.graph.successors(id);
         if succs.is_empty() {
             return;
         }
-        let payload = expand_payload(out, self.payload_bytes);
+        fill_payload(out, scratch);
         for s in succs {
             let dst_pe = self.graph.owner(*s, pe.num_pes());
-            emit(pe, dst_pe, self.graph.serial(*s), serial, &payload);
+            self.emit(pe, dst_pe, self.graph.serial(*s), serial, scratch);
         }
     }
 
-    /// Execute this PE's dependency-free tasks (the level-0 sources —
-    /// and under `Pattern::Trivial`, everything).
-    fn run_sources(&self, pe: &Pe, emit: &Emit) {
-        for serial in self.graph.local_serials(pe.my_pe(), pe.num_pes()) {
+    /// Carry one dependency edge `src → dst` to `dst`'s owner. Header
+    /// and payload are gathered straight into the message on every
+    /// carrier.
+    fn emit(&self, pe: &Pe, dst_pe: usize, dst: u32, src: u32, payload: &[u8]) {
+        match &self.carrier {
+            Carrier::Raw {
+                handlers,
+                epoch,
+                channel,
+            } => {
+                let head = StackPacker::<16>::new()
+                    .u32(*epoch)
+                    .u32(dst)
+                    .u32(src)
+                    .len_prefix(payload.len());
+                let parts = [head.as_slice(), payload];
+                let msg = Message::gather(handlers.dep, &Priority::None, parts);
+                match *channel {
+                    Some(c) => pe.sync_send_and_free_on(dst_pe, c, msg),
+                    None => pe.sync_send_and_free(dst_pe, msg),
+                }
+            }
+            Carrier::Charm(gid) => {
+                let head = StackPacker::<12>::new()
+                    .u32(dst)
+                    .u32(src)
+                    .len_prefix(payload.len());
+                let parts = [head.as_slice(), payload];
+                Charm::get(pe).send_group_parts(pe, *gid, dst_pe, EP_DEP, &parts, Priority::None);
+            }
+            Carrier::Tsm => {
+                let head = StackPacker::<8>::new().u32(src).len_prefix(payload.len());
+                converse_sm::tsm::send_parts(pe, dst_pe, dst as i32, &[head.as_slice(), payload]);
+            }
+        }
+    }
+
+    /// Start this PE's dependency-free tasks (the level-0 sources — and
+    /// under `Pattern::Trivial`, everything).
+    fn run_sources(&self, pe: &Pe) {
+        let mut p = self.progress.lock();
+        for serial in self.graph.local_tasks(pe.my_pe(), pe.num_pes()) {
             if self
                 .graph
                 .deps(self.graph.task_of_serial(serial))
                 .is_empty()
             {
-                if self.steal {
-                    self.emit_ready(pe, serial, Vec::new());
-                } else {
-                    self.execute(pe, serial, Vec::new(), emit);
-                }
+                self.make_ready(pe, &mut p, serial);
             }
         }
     }
 
-    /// Pump the scheduler until all local tasks ran, or (in bounded
-    /// mode) until the give-up deadline. Returns whether it gave up.
-    fn await_completion(&self, pe: &Pe, give_up: Option<Duration>) -> bool {
+    /// Pump the scheduler until `done`, or (in bounded mode) until the
+    /// give-up deadline. Returns whether it gave up.
+    fn pump_until(&self, pe: &Pe, give_up: Option<Duration>, done: impl Fn() -> bool) -> bool {
         match give_up {
             None => {
-                schedule_until(pe, || self.remaining.load(Ordering::Acquire) == 0);
+                schedule_until(pe, done);
                 false
             }
             Some(d) => {
                 let deadline = Instant::now() + d;
-                while self.remaining.load(Ordering::Acquire) > 0 {
+                while !done() {
                     csd_scheduler_until_idle(pe);
                     if Instant::now() >= deadline {
                         return true;
@@ -401,47 +524,44 @@ impl RunState {
         }
     }
 
+    /// Pump until all local tasks ran.
+    fn await_completion(&self, pe: &Pe, give_up: Option<Duration>) -> bool {
+        self.pump_until(pe, give_up, || self.remaining.load(Ordering::Acquire) == 0)
+    }
+
     fn summarize(&self, pe: &Pe, gave_up: bool) -> PeSummary {
         let local = self.graph.local_serials(pe.my_pe(), pe.num_pes());
-        let outputs = self.outputs.lock();
+        let mut p = self.progress.lock();
         PeSummary {
-            execs: local
-                .iter()
-                .map(|&s| self.execs[s as usize].load(Ordering::Acquire))
-                .collect(),
-            outputs: local.iter().map(|&s| outputs.get(&s).copied()).collect(),
+            execs: local.iter().map(|&s| p.execs[s as usize]).collect(),
+            outputs: local.iter().map(|&s| p.outputs[s as usize]).collect(),
             local,
-            violations: self.violations.lock().clone(),
+            violations: std::mem::take(&mut p.violations),
             gave_up,
         }
     }
 
     // ---- relocatable-execution (steal) protocol, raw engine only ----
 
-    /// One dependency edge as a raw machine message (the body of the
-    /// raw engine's emit function, shared with the stolen-execution
-    /// path, which fans successors out from whatever PE ran the task).
-    fn send_dep(&self, pe: &Pe, dst_pe: usize, dst: u32, src: u32, payload: &[u8]) {
-        let h = HandlerId(self.dep_h.load(Ordering::Acquire));
-        let body = Packer::new().u32(dst).u32(src).bytes(payload).finish();
-        let msg = Message::new(h, &body);
-        match *self.channel.lock() {
-            Some(c) => pe.sync_send_and_free_on(dst_pe, c, msg),
-            None => pe.sync_send_and_free(dst_pe, msg),
-        }
+    /// A raw-engine control message: the run's epoch, then `body`.
+    fn raw_msg(&self, pick: impl Fn(&RawHandlers) -> HandlerId, body: &[&[u8]]) -> Message {
+        let Carrier::Raw {
+            handlers, epoch, ..
+        } = &self.carrier
+        else {
+            unreachable!("the steal protocol runs on the raw engine only")
+        };
+        let epoch = epoch.to_le_bytes();
+        let parts = std::iter::once(&epoch[..]).chain(body.iter().copied());
+        Message::gather(pick(handlers), &Priority::None, parts)
     }
 
     /// Package a ready task as a stealable READY message: serial id
-    /// plus every received dependency payload — everything an arbitrary
-    /// PE needs to execute it. Routed to PE 0 for `steal_to0_pct`% of
+    /// plus its arena slots — with the graph, everything an arbitrary PE
+    /// needs to execute it. Routed to PE 0 for `steal_to0_pct`% of
     /// serials (a deterministic draw), otherwise back to this PE.
-    fn emit_ready(&self, pe: &Pe, serial: u32, preds: Preds) {
-        let mut p = Packer::new().u32(serial).u32(preds.len() as u32);
-        for (src, bytes) in &preds {
-            p = p.u32(*src).bytes(bytes);
-        }
-        let h = HandlerId(self.ready_h.load(Ordering::Acquire));
-        let mut msg = Message::new(h, &p.finish());
+    fn emit_ready(&self, pe: &Pe, serial: u32, slots: &[u8]) {
+        let mut msg = self.raw_msg(|h| h.ready, &[&serial.to_le_bytes(), slots]);
         msg.mark_stealable();
         let skewed = crate::fnv1a(&serial.to_le_bytes()) % 100 < self.steal_to0_pct as u64;
         let dst = if skewed { 0 } else { pe.my_pe() };
@@ -452,43 +572,33 @@ impl RunState {
     /// or thief. Computes the chained hash, fans successor edges out
     /// directly, and returns the result to the owner as a non-stealable
     /// CREDIT; no local accounting happens here.
-    fn on_ready(&self, pe: &Pe, payload: &[u8]) {
-        let mut u = Unpacker::new(payload);
-        let serial = u.u32().expect("taskbench ready: serial");
-        let n = u.u32().expect("taskbench ready: pred count") as usize;
-        let mut preds: Preds = Vec::with_capacity(n);
-        for _ in 0..n {
-            let src = u.u32().expect("taskbench ready: pred serial");
-            preds.push((
-                src,
-                u.bytes().expect("taskbench ready: pred payload").to_vec(),
-            ));
-        }
-        self.grain_wait();
-        let out = finish_output(self.graph.spec.seed, serial, &mut preds);
+    fn on_ready(&self, pe: &Pe, mut body: Unpacker<'_>) {
+        let serial = body.u32().expect("taskbench ready: serial");
+        let slots = body.rest();
         let id = self.graph.task_of_serial(serial);
-        let succs = self.graph.successors(id);
-        if !succs.is_empty() {
-            let payload = expand_payload(out, self.payload_bytes);
-            for s in succs {
-                let dst_pe = self.graph.owner(*s, pe.num_pes());
-                self.send_dep(pe, dst_pe, self.graph.serial(*s), serial, &payload);
-            }
-        }
+        assert_eq!(
+            slots.len(),
+            self.graph.deps(id).len() * self.payload_bytes,
+            "taskbench ready: dependency payloads"
+        );
+        self.grain_wait();
+        let out = self.output_of(id, serial, slots);
+        self.fan_out(pe, &mut self.progress.lock().scratch, id, serial, out);
         let owner = self.graph.owner(id, pe.num_pes());
-        let h = HandlerId(self.credit_h.load(Ordering::Acquire));
-        let body = Packer::new().u32(serial).u64(out).finish();
-        pe.sync_send_and_free(owner, Message::new(h, &body));
+        let credit = self.raw_msg(|h| h.credit, &[&serial.to_le_bytes(), &out.to_le_bytes()]);
+        pe.sync_send_and_free(owner, credit);
     }
 
     /// Owner-side accounting for one executed task. The last credit
     /// reports this PE's completion to PE 0.
-    fn on_credit(&self, pe: &Pe, payload: &[u8]) {
-        let mut u = Unpacker::new(payload);
-        let serial = u.u32().expect("taskbench credit: serial");
-        let out = u.u64().expect("taskbench credit: output");
-        self.execs[serial as usize].fetch_add(1, Ordering::AcqRel);
-        self.outputs.lock().insert(serial, out);
+    fn on_credit(&self, pe: &Pe, mut body: Unpacker<'_>) {
+        let serial = body.u32().expect("taskbench credit: serial");
+        let out = body.u64().expect("taskbench credit: output");
+        {
+            let mut p = self.progress.lock();
+            p.execs[serial as usize] += 1;
+            p.outputs[serial as usize] = Some(out);
+        }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.send_done(pe);
         }
@@ -499,17 +609,15 @@ impl RunState {
         if self.done_sent.swap(true, Ordering::AcqRel) {
             return;
         }
-        let h = HandlerId(self.done_h.load(Ordering::Acquire));
-        pe.sync_send_and_free(0, Message::new(h, &[]));
+        pe.sync_send_and_free(0, self.raw_msg(|h| h.done, &[]));
     }
 
     /// PE 0: count completions; the machine-wide last one releases
     /// every PE from the termination pump.
     fn on_done(&self, pe: &Pe) {
         if self.dones.fetch_add(1, Ordering::AcqRel) + 1 == pe.num_pes() {
-            let h = HandlerId(self.all_done_h.load(Ordering::Acquire));
             for dst in 0..pe.num_pes() {
-                pe.sync_send_and_free(dst, Message::new(h, &[]));
+                pe.sync_send_and_free(dst, self.raw_msg(|h| h.all_done, &[]));
             }
         }
     }
@@ -519,34 +627,59 @@ impl RunState {
     /// zero is not enough, because stolen or skewed READY messages for
     /// *other* PEs' tasks may still land here and must be executed.
     fn await_all_done(&self, pe: &Pe, give_up: Option<Duration>) -> bool {
-        match give_up {
-            None => {
-                schedule_until(pe, || self.all_done.load(Ordering::Acquire));
-                false
-            }
-            Some(d) => {
-                let deadline = Instant::now() + d;
-                while !self.all_done.load(Ordering::Acquire) {
-                    csd_scheduler_until_idle(pe);
-                    if Instant::now() >= deadline {
-                        return true;
-                    }
-                    std::thread::yield_now();
-                }
-                false
-            }
-        }
+        self.pump_until(pe, give_up, || self.all_done.load(Ordering::Acquire))
     }
 }
 
 // ---- raw machine-layer engine -------------------------------------------
 
-/// Emit function of the raw engine: every edge (self-edges included) is
-/// one generalized message to the destination task's owner, on the
-/// configured delivery channel.
-fn raw_emit(state: &Arc<RunState>) -> impl Fn(&Pe, usize, u32, u32, &[u8]) {
-    let state = state.clone();
-    move |pe, dst_pe, dst, src, payload| state.send_dep(pe, dst_pe, dst, src, payload)
+/// The raw engine of one PE: its handlers, registered once, and the run
+/// they currently serve. Every raw message starts with its run's epoch
+/// — the count of [`run_graph_raw`] calls, the same on every PE of a
+/// collective call — so a message left over from a run that gave up is
+/// dropped instead of being taken for the next run's.
+struct RawEngine {
+    handlers: RawHandlers,
+    epoch: AtomicU32,
+    current: Mutex<Option<Arc<RunState>>>,
+}
+
+impl RawEngine {
+    fn on_pe(pe: &Pe) -> RawEngine {
+        /// A handler that gives `serve` the message's run and the body
+        /// behind the epoch.
+        fn handler(pe: &Pe, serve: fn(&RunState, &Pe, Unpacker<'_>)) -> HandlerId {
+            pe.register_handler(move |pe, msg| {
+                let mut body = Unpacker::new(msg.payload());
+                let epoch = body.u32().expect("taskbench raw: epoch");
+                let engine = pe.local_ref::<RawEngine>().expect("registered by it");
+                // Held across the call: sends never dispatch, so nothing
+                // below asks for it again.
+                let current = engine.current.lock();
+                if let Some(run) = current.as_ref() {
+                    if matches!(run.carrier, Carrier::Raw { epoch: e, .. } if e == epoch) {
+                        serve(run, pe, body);
+                    }
+                }
+            })
+        }
+        RawEngine {
+            handlers: RawHandlers {
+                dep: handler(pe, |run, pe, mut body| {
+                    let dst = body.u32().expect("taskbench dep: dst");
+                    let src = body.u32().expect("taskbench dep: src");
+                    let payload = body.bytes().expect("taskbench dep: payload");
+                    run.on_dep(pe, dst, src, payload);
+                }),
+                ready: handler(pe, RunState::on_ready),
+                credit: handler(pe, RunState::on_credit),
+                done: handler(pe, |run, pe, _| run.on_done(pe)),
+                all_done: handler(pe, |run, _, _| run.all_done.store(true, Ordering::Release)),
+            },
+            epoch: AtomicU32::new(0),
+            current: Mutex::new(None),
+        }
+    }
 }
 
 /// Execute `graph` with dependency edges as plain machine-layer
@@ -555,35 +688,19 @@ fn raw_emit(state: &Arc<RunState>) -> impl Fn(&Pe, usize, u32, u32, &[u8]) {
 ///
 /// With [`RunOpts::steal`] set, execution rides relocatable READY
 /// messages (see the option's docs); the steal-protocol handlers are
-/// registered unconditionally so the registration order is identical
-/// whether or not a given run opts in.
+/// registered with the others, on a PE's first call, so the
+/// registration order is identical whether or not a given run opts in.
 pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSummary {
-    let state = RunState::new(graph.clone(), opts, pe);
-    *state.channel.lock() = opts.channel.as_deref().map(|n| pe.channel(n));
-    let st = state.clone();
-    let dep_h = pe.register_handler(move |pe, msg| {
-        let mut u = Unpacker::new(msg.payload());
-        let dst = u.u32().expect("taskbench dep: dst");
-        let src = u.u32().expect("taskbench dep: src");
-        let payload = u.bytes().expect("taskbench dep: payload").to_vec();
-        st.on_dep(pe, dst, src, payload, &raw_emit(&st));
-    });
-    state.dep_h.store(dep_h.0, Ordering::Release);
-    let st = state.clone();
-    let ready_h = pe.register_handler(move |pe, msg| st.on_ready(pe, msg.payload()));
-    state.ready_h.store(ready_h.0, Ordering::Release);
-    let st = state.clone();
-    let credit_h = pe.register_handler(move |pe, msg| st.on_credit(pe, msg.payload()));
-    state.credit_h.store(credit_h.0, Ordering::Release);
-    let st = state.clone();
-    let done_h = pe.register_handler(move |pe, _msg| st.on_done(pe));
-    state.done_h.store(done_h.0, Ordering::Release);
-    let st = state.clone();
-    let all_done_h =
-        pe.register_handler(move |_pe, _msg| st.all_done.store(true, Ordering::Release));
-    state.all_done_h.store(all_done_h.0, Ordering::Release);
+    let engine = pe.local(|| RawEngine::on_pe(pe));
+    let carrier = Carrier::Raw {
+        handlers: engine.handlers,
+        epoch: engine.epoch.fetch_add(1, Ordering::Relaxed),
+        channel: opts.channel.as_deref().map(|n| pe.channel(n)),
+    };
+    let state = RunState::new(graph.clone(), opts, pe, carrier);
+    *engine.current.lock() = Some(state.clone());
     pe.barrier();
-    state.run_sources(pe, &raw_emit(&state));
+    state.run_sources(pe);
     let gave_up = if opts.steal {
         // A PE that owns nothing (or whose credits all landed already)
         // must still report in for global termination.
@@ -595,6 +712,7 @@ pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
         state.await_completion(pe, opts.give_up)
     };
     pe.barrier();
+    *engine.current.lock() = None;
     state.summarize(pe, gave_up)
 }
 
@@ -603,50 +721,44 @@ pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
 /// Group entry points of the Charm adapter's per-PE branch.
 const EP_DEP: u32 = 0;
 
-/// PE-local slot the branch resolves its current run's state through
-/// (group construction happens asynchronously, so the state cannot ride
-/// the constructor payload).
-struct CharmRunSlot(Mutex<Option<(Arc<RunState>, GroupId)>>);
+/// The Charm adapter of one PE: its group kind, registered once, and the
+/// run a branch being constructed belongs to (group construction happens
+/// asynchronously, so the state cannot ride the constructor payload).
+struct CharmEngine {
+    kind: GroupKind,
+    current: Mutex<Option<(GroupId, Arc<RunState>)>>,
+}
 
 /// The per-PE branch: receives dependency invocations and runs ready
-/// tasks; fan-out goes back through [`Charm::send_group`], so every
-/// edge — self-edges included — is a scheduler-queued asynchronous
+/// tasks; fan-out goes back through [`Charm::send_group_parts`], so
+/// every edge — self-edges included — is a scheduler-queued asynchronous
 /// method invocation, exactly the Charm discipline.
 struct TaskBranch {
     state: Arc<RunState>,
 }
 
-fn charm_emit(state: &Arc<RunState>, gid: GroupId) -> impl Fn(&Pe, usize, u32, u32, &[u8]) {
-    let _ = state;
-    move |pe, dst_pe, dst, src, payload| {
-        let body = Packer::new().u32(dst).u32(src).bytes(payload).finish();
-        Charm::get(pe).send_group(pe, gid, dst_pe, EP_DEP, &body, Priority::None);
-    }
-}
-
 impl GroupChare for TaskBranch {
     fn new(pe: &Pe, gid: GroupId, _payload: &[u8]) -> Self {
-        let slot = pe
-            .try_local::<CharmRunSlot>()
-            .expect("taskbench charm run state missing");
-        let state = slot
-            .0
+        let engine = pe
+            .local_ref::<CharmEngine>()
+            .expect("taskbench charm engine missing");
+        let state = engine
+            .current
             .lock()
             .as_ref()
-            .filter(|(_, g)| *g == gid)
-            .map(|(s, _)| s.clone())
+            .filter(|(g, _)| *g == gid)
+            .map(|(_, s)| s.clone())
             .expect("taskbench branch created for a run that is not current");
         TaskBranch { state }
     }
 
-    fn entry(&mut self, pe: &Pe, gid: GroupId, ep: u32, payload: &[u8]) {
+    fn entry(&mut self, pe: &Pe, _gid: GroupId, ep: u32, payload: &[u8]) {
         assert_eq!(ep, EP_DEP, "unknown taskbench group entry {ep}");
         let mut u = Unpacker::new(payload);
         let dst = u.u32().expect("taskbench charm dep: dst");
         let src = u.u32().expect("taskbench charm dep: src");
-        let bytes = u.bytes().expect("taskbench charm dep: payload").to_vec();
-        self.state
-            .on_dep(pe, dst, src, bytes, &charm_emit(&self.state, gid));
+        let bytes = u.bytes().expect("taskbench charm dep: payload");
+        self.state.on_dep(pe, dst, src, bytes);
     }
 }
 
@@ -662,9 +774,10 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
         "relocatable READY execution is a raw-engine option"
     );
     let charm = Charm::install(pe, LdbPolicy::Direct);
-    let kind = charm.register_group::<TaskBranch>();
-    let state = RunState::new(graph.clone(), opts, pe);
-    let slot = pe.local(|| CharmRunSlot(Mutex::new(None)));
+    let engine = pe.local(|| CharmEngine {
+        kind: charm.register_group::<TaskBranch>(),
+        current: Mutex::new(None),
+    });
     pe.barrier();
     // PE 0 creates the group; the id reaches everyone synchronously via
     // the broadcast collective (which only processes machine-internal
@@ -672,19 +785,25 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
     let gid_bytes = pe.bcast_bytes(
         0,
         (pe.my_pe() == 0).then(|| {
-            let gid = charm.create_group(pe, kind, &[]);
+            let gid = charm.create_group(pe, engine.kind, &[]);
             gid.0.to_le_bytes().to_vec()
         }),
     );
     let gid = GroupId(u64::from_le_bytes(
         gid_bytes.as_slice().try_into().expect("8-byte group id"),
     ));
-    *slot.0.lock() = Some((state.clone(), gid));
+    let state = RunState::new(graph.clone(), opts, pe, Carrier::Charm(gid));
+    *engine.current.lock() = Some((gid, state.clone()));
     pe.barrier();
-    state.run_sources(pe, &charm_emit(&state, gid));
+    state.run_sources(pe);
     let gave_up = state.await_completion(pe, opts.give_up);
     pe.barrier();
-    *slot.0.lock() = None;
+    *engine.current.lock() = None;
+    // A run that gave up may still have edges in flight: its branch
+    // stays, so they land in its own state and not in a later run's.
+    if !gave_up {
+        charm.destroy_group(gid);
+    }
     state.summarize(pe, gave_up)
 }
 
@@ -694,8 +813,8 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
 /// each blocking in `tSMReceive` once per dependency (tag = consumer's
 /// serial id), computing, then `tSMSend`-ing to every successor's
 /// owner. The §3.2.2 message-manager + thread + scheduler composition
-/// does all sequencing; the adapter never touches the waiting map.
-/// Collective.
+/// does all sequencing: a thread feeds what it receives to the shared
+/// bookkeeping, and its last dependency runs the task. Collective.
 pub fn run_graph_tsm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSummary {
     assert!(
         opts.channel.is_none(),
@@ -710,34 +829,22 @@ pub fn run_graph_tsm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
         "tSM tags are i32 task serials"
     );
     converse_sm::Sm::install(pe);
-    let state = RunState::new(graph.clone(), opts, pe);
+    let state = RunState::new(graph.clone(), opts, pe, Carrier::Tsm);
     pe.barrier();
-    for serial in state.graph.local_serials(pe.my_pe(), pe.num_pes()) {
+    for serial in graph.local_tasks(pe.my_pe(), pe.num_pes()) {
         let st = state.clone();
         converse_sm::tsm::create(pe, move |pe| {
-            let id = st.graph.task_of_serial(serial);
-            let need = st.graph.deps(id).len();
-            let mut preds: Vec<(u32, Vec<u8>)> = Vec::with_capacity(need);
+            let need = st.graph.deps(st.graph.task_of_serial(serial)).len();
+            if need == 0 {
+                st.execute(pe, &mut st.progress.lock(), serial);
+            }
             for _ in 0..need {
                 let m = converse_sm::tsm::receive(pe, serial as i32);
                 let mut u = Unpacker::new(&m.data);
                 let src = u.u32().expect("taskbench tsm dep: src");
-                preds.push((src, u.bytes().expect("taskbench tsm dep: payload").to_vec()));
+                let payload = u.bytes().expect("taskbench tsm dep: payload");
+                st.on_dep(pe, serial, src, payload);
             }
-            busy_spin(st.grain_ns);
-            let out = finish_output(st.graph.spec.seed, serial, &mut preds);
-            st.execs[serial as usize].fetch_add(1, Ordering::AcqRel);
-            st.outputs.lock().insert(serial, out);
-            let succs = st.graph.successors(id);
-            if !succs.is_empty() {
-                let payload = expand_payload(out, st.payload_bytes);
-                for s in succs {
-                    let dst_pe = st.graph.owner(*s, pe.num_pes());
-                    let body = Packer::new().u32(serial).bytes(&payload).finish();
-                    converse_sm::tsm::send(pe, dst_pe, st.graph.serial(*s) as i32, &body);
-                }
-            }
-            st.remaining.fetch_sub(1, Ordering::AcqRel);
         });
     }
     let gave_up = state.await_completion(pe, opts.give_up);

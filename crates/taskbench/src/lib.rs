@@ -134,12 +134,25 @@ pub struct TaskGraph {
 /// 64-bit FNV-1a, the crate's one hash primitive — both the stateless
 /// structural draws and the output chain use it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv::new();
+    h.write(bytes);
+    h.0
+}
+
+/// An FNV-1a hash in progress.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
 /// Stateless structural draw: a pure function of the inputs, so graph
@@ -159,12 +172,17 @@ fn draw(seed: u64, step: u32, index: u32, k: u32) -> u64 {
 /// hash. This is what makes the message-size axis load-bearing: the
 /// full payload is hashed by every consumer, not just a header.
 pub fn expand_payload(output: u64, n: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(n);
-    let b = output.to_le_bytes();
-    for k in 0..n {
-        out.push(b[k % 8] ^ (k as u8).wrapping_mul(0x9d) ^ (k >> 8) as u8);
-    }
+    let mut out = vec![0; n];
+    fill_payload(output, &mut out);
     out
+}
+
+/// [`expand_payload`] into a buffer the caller already has.
+pub(crate) fn fill_payload(output: u64, out: &mut [u8]) {
+    let b = output.to_le_bytes();
+    for (k, byte) in out.iter_mut().enumerate() {
+        *byte = b[k % 8] ^ (k as u8).wrapping_mul(0x9d) ^ (k >> 8) as u8;
+    }
 }
 
 /// A task's output hash, chained over its predecessors' transmitted
@@ -173,26 +191,29 @@ pub fn expand_payload(output: u64, n: usize) -> Vec<u8> {
 /// matter — dependencies are unordered, schedules are not).
 ///
 /// The generator calls this with payloads it expands itself
-/// ([`TaskGraph::expected_outputs`]); the execution engine calls it
-/// with the bytes that actually came off the wire. Equality of the two
-/// is the exactly-once, dependency-order, payload-integrity check in
-/// one number.
+/// ([`TaskGraph::expected_outputs`]); the execution engine hashes the
+/// bytes that actually came off the wire. Equality of the two is the
+/// exactly-once, dependency-order, payload-integrity check in one
+/// number.
 pub fn finish_output(seed: u64, serial: u32, preds: &mut [(u32, Vec<u8>)]) -> u64 {
     preds.sort_by_key(|(s, _)| *s);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut step = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    step(&seed.to_le_bytes());
-    step(&serial.to_le_bytes());
-    for (s, payload) in preds.iter() {
-        step(&s.to_le_bytes());
-        step(payload);
+    chain_output(seed, serial, preds.iter().map(|(s, p)| (*s, &p[..])))
+}
+
+/// [`finish_output`] over borrowed payloads already in serial order.
+pub(crate) fn chain_output<'a>(
+    seed: u64,
+    serial: u32,
+    preds: impl Iterator<Item = (u32, &'a [u8])>,
+) -> u64 {
+    let mut h = Fnv::new();
+    h.write(&seed.to_le_bytes());
+    h.write(&serial.to_le_bytes());
+    for (s, payload) in preds {
+        h.write(&s.to_le_bytes());
+        h.write(payload);
     }
-    h
+    h.0
 }
 
 impl TaskGraph {
@@ -215,7 +236,14 @@ impl TaskGraph {
             let prev_w = if t == 0 { 0 } else { level_widths[t - 1] };
             let mut level = Vec::with_capacity(w);
             for i in 0..w {
-                level.push(deps_of(spec, t as u32, i as u32, prev_w));
+                let deps = deps_of(spec, t as u32, i as u32, prev_w);
+                // The output chain hashes predecessors in serial order;
+                // the oracle and the engines walk the list as it stands.
+                assert!(
+                    deps.windows(2).all(|w| w[0] < w[1]),
+                    "taskbench: dependency list of ({t},{i}) is not in serial order"
+                );
+                level.push(deps);
             }
             levels.push(level);
         }
@@ -307,19 +335,20 @@ impl TaskGraph {
     /// Serial ids of the tasks `pe` owns, in execution-friendly
     /// (level-major) order.
     pub fn local_serials(&self, pe: usize, num_pes: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (t, level) in self.levels.iter().enumerate() {
-            for i in 0..level.len() {
-                let id = TaskId {
+        self.local_tasks(pe, num_pes).collect()
+    }
+
+    /// [`TaskGraph::local_serials`] without the `Vec`.
+    pub(crate) fn local_tasks(&self, pe: usize, num_pes: usize) -> impl Iterator<Item = u32> + '_ {
+        self.levels.iter().enumerate().flat_map(move |(t, level)| {
+            (0..level.len() as u32)
+                .map(move |index| TaskId {
                     step: t as u32,
-                    index: i as u32,
-                };
-                if self.owner(id, num_pes) == pe {
-                    out.push(self.serial(id));
-                }
-            }
-        }
-        out
+                    index,
+                })
+                .filter(move |id| self.owner(*id, num_pes) == pe)
+                .map(|id| self.serial(id))
+        })
     }
 
     /// Canonical byte encoding of the whole structure. Two graphs are
@@ -349,19 +378,23 @@ impl TaskGraph {
     /// serial id) for a given transmitted-payload size — the oracle the
     /// execution engine is validated against.
     pub fn expected_outputs(&self, payload_bytes: usize) -> Vec<u64> {
-        let n = self.num_tasks();
-        let mut out = vec![0u64; n];
+        let mut out = vec![0u64; self.num_tasks()];
+        // Dependency lists are in serial order, so a task's chain is
+        // hashed as it is walked, one expanded payload at a time.
+        let mut payload = vec![0u8; payload_bytes];
         for (t, level) in self.levels.iter().enumerate() {
             for (i, deps) in level.iter().enumerate() {
                 let serial = self.offsets[t] + i as u32;
-                let mut preds: Vec<(u32, Vec<u8>)> = deps
-                    .iter()
-                    .map(|d| {
-                        let s = self.serial(*d);
-                        (s, expand_payload(out[s as usize], payload_bytes))
-                    })
-                    .collect();
-                out[serial as usize] = finish_output(self.spec.seed, serial, &mut preds);
+                let mut h = Fnv::new();
+                h.write(&self.spec.seed.to_le_bytes());
+                h.write(&serial.to_le_bytes());
+                for d in deps {
+                    let s = self.serial(*d);
+                    fill_payload(out[s as usize], &mut payload);
+                    h.write(&s.to_le_bytes());
+                    h.write(&payload);
+                }
+                out[serial as usize] = h.0;
             }
         }
         out

@@ -1,0 +1,180 @@
+//! What a task costs the allocator above the message layer, and that a
+//! finished run leaves nothing behind.
+//!
+//! This binary installs a counting `#[global_allocator]` and holds one
+//! test, so nothing else in the process allocates while it counts.
+
+use converse_machine::Pe;
+use converse_taskbench::exec::{assert_machine_valid, run_graph_raw, Layer, PeSummary, RunOpts};
+use converse_taskbench::{GraphSpec, Pattern, TaskGraph};
+use converse_threads::{CthBackend, CthRuntime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+struct Counting;
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static FREED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every request is forwarded unchanged to `System`; the counters
+// touch no memory the allocator hands out. `realloc` and `alloc_zeroed`
+// keep their defaults, which go through `alloc` and `dealloc` here.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        FREED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract is `System::dealloc`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Bytes allocated and not yet freed.
+fn live_bytes() -> i64 {
+    ALLOCATED.load(Ordering::Relaxed) as i64 - FREED.load(Ordering::Relaxed) as i64
+}
+
+const PES: usize = 2;
+
+/// Allocator calls (allocations and frees) per task a layer may make,
+/// per-run set-up amortized in. The raw engine and Charm make none per
+/// task; what is left is a run's flat arrays and its collectives (0.3
+/// and 0.35 calls per task on these graphs).
+const RAW_AND_CHARM_CALLS_PER_TASK: f64 = 4.0;
+/// tSM pays per task for a thread object (handle, boxed entry, boxed
+/// strategy), per edge for the owned `SmMsg` and the message manager's
+/// index entry: 18 calls per task measured, 9 allocations and their
+/// frees.
+const TSM_FIBER_CALLS_PER_TASK: f64 = 24.0;
+/// On the hand-off backend every task is an OS thread as well (30
+/// measured).
+const TSM_HANDOFF_CALLS_PER_TASK: f64 = 40.0;
+
+#[derive(Clone, Copy, Debug)]
+enum Engine {
+    Raw,
+    Layer(Layer),
+}
+
+impl Engine {
+    fn run(self, pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSummary {
+        match self {
+            Engine::Raw => run_graph_raw(pe, graph, opts),
+            Engine::Layer(l) => l.run(pe, graph, opts),
+        }
+    }
+}
+
+fn graph(pattern: Pattern, width: usize, steps: usize) -> Arc<TaskGraph> {
+    Arc::new(TaskGraph::generate(GraphSpec {
+        pattern,
+        seed: 1996,
+        width,
+        steps,
+    }))
+}
+
+/// Allocator calls per task over `runs` runs of each of `graphs`, all
+/// PEs' together, after one warm-up run of each. Collective.
+fn calls_per_task(pe: &Pe, engine: Engine, graphs: &[Arc<TaskGraph>], runs: u64) -> f64 {
+    let opts = RunOpts::default();
+    for g in graphs {
+        let summary = engine.run(pe, g, &opts);
+        assert_machine_valid(pe, g, &summary, opts.payload_bytes);
+    }
+    pe.barrier();
+    let before = CALLS.load(Ordering::Relaxed);
+    pe.barrier();
+    for _ in 0..runs {
+        for g in graphs {
+            let summary = engine.run(pe, g, &opts);
+            assert!(summary.violations.is_empty() && !summary.gave_up);
+        }
+    }
+    pe.barrier();
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    pe.barrier();
+    let tasks: usize = graphs.iter().map(|g| g.num_tasks()).sum();
+    calls as f64 / (runs * tasks as u64) as f64
+}
+
+#[test]
+fn a_task_makes_few_allocator_calls_and_a_run_leaves_nothing() {
+    let graphs = [
+        graph(Pattern::Stencil1D, 64, 8),
+        graph(Pattern::Random, 64, 8),
+    ];
+    let small = [
+        graph(Pattern::Stencil1D, 16, 4),
+        graph(Pattern::Random, 16, 4),
+    ];
+    converse_machine::run(PES, move |pe| {
+        let show = |what: &str, calls: f64, bound: f64| {
+            if pe.my_pe() == 0 {
+                println!("{what}: {calls:.2} allocator calls per task (bound {bound})");
+            }
+            assert!(
+                calls <= bound,
+                "{what}: {calls:.2} allocator calls per task, more than {bound}"
+            );
+        };
+        let raw = calls_per_task(pe, Engine::Raw, &graphs, 10);
+        show("raw", raw, RAW_AND_CHARM_CALLS_PER_TASK);
+        let charm = calls_per_task(pe, Engine::Layer(Layer::Charm), &graphs, 10);
+        show("charm", charm, RAW_AND_CHARM_CALLS_PER_TASK);
+        let tsm_bound = match CthRuntime::get(pe).backend() {
+            CthBackend::Fiber => TSM_FIBER_CALLS_PER_TASK,
+            CthBackend::Handoff => TSM_HANDOFF_CALLS_PER_TASK,
+        };
+        let tsm = calls_per_task(pe, Engine::Layer(Layer::Tsm), &small, 4);
+        show("tsm", tsm, tsm_bound);
+
+        // A thousand runs on every engine: the handler table stops
+        // growing after the first, and what is live after run 1 000 is
+        // what was live after run 100 — no handler, group branch,
+        // combiner, run state or exited thread is left behind.
+        let opts = RunOpts::default();
+        let mut at_100 = (0, 0);
+        for run in 1..=1000 {
+            for g in &small {
+                for engine in [
+                    Engine::Raw,
+                    Engine::Layer(Layer::Charm),
+                    Engine::Layer(Layer::Tsm),
+                ] {
+                    let summary = engine.run(pe, g, &opts);
+                    assert_machine_valid(pe, g, &summary, opts.payload_bytes);
+                }
+            }
+            if run == 100 || run == 1000 {
+                pe.barrier();
+                let now = (pe.num_handlers(), live_bytes());
+                pe.barrier();
+                if run == 100 {
+                    at_100 = now;
+                } else {
+                    assert_eq!(now.0, at_100.0, "the handler table grew");
+                    let grown = now.1 - at_100.1;
+                    if pe.my_pe() == 0 {
+                        println!("live bytes after run 1000 − after run 100: {grown}");
+                    }
+                    assert!(
+                        grown.abs() <= 64 * 1024,
+                        "{grown} more bytes live after run 1000 than after run 100"
+                    );
+                }
+            }
+        }
+    });
+}

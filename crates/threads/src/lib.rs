@@ -61,12 +61,12 @@
 //! message format and the Csd queue are backend-independent.
 
 use converse_core::csd;
-use converse_machine::{HandlerId, Message, Pe, ThreadBackend};
+use converse_machine::{HandlerId, IdMap, Message, Pe, ThreadBackend};
 use converse_msg::{pack::Unpacker, Priority};
 use converse_queue::QueueingMode;
 use converse_trace::Event;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -166,25 +166,6 @@ impl Eq for Thread {}
 
 /// Default stack size for thread objects (`STACKSIZE`).
 pub const DEFAULT_STACK_SIZE: usize = 256 * 1024;
-
-/// Identity hasher for runtime-assigned thread ids: they are already
-/// unique sequential u64s, so SipHash buys nothing on the switch path.
-#[derive(Default)]
-struct TidHasher(u64);
-
-impl std::hash::Hasher for TidHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("thread ids hash via write_u64")
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type TidBuild = std::hash::BuildHasherDefault<TidHasher>;
 
 /// How often a [`Event::ThreadSwitch`] record is emitted: one per this
 /// many context switches. A fiber switch is ~20 ns; recording each one
@@ -292,7 +273,7 @@ pub struct CthRuntime {
     /// integration).
     resume_handler: HandlerId,
     /// Threads awaiting their Csd resume message, by id.
-    scheduled: Mutex<HashMap<u64, Thread, TidBuild>>,
+    scheduled: Mutex<IdMap<Thread>>,
     /// A panic raised inside a hand-off thread, carried to the main
     /// context (fiber panics propagate synchronously instead).
     pending_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -307,53 +288,60 @@ pub struct CthRuntime {
     fiber: fb::FiberCell,
 }
 
-struct RtSlot(Arc<CthRuntime>);
-
 impl CthRuntime {
-    /// The thread runtime of this PE, initialized on first call
-    /// (`CthInit`). Registers one handler — call it at the same
-    /// registration position on every PE if threads are used anywhere —
-    /// and installs the teardown hook that poisons still-suspended
-    /// threads when the PE's entry returns.
-    pub fn get(pe: &Pe) -> Arc<CthRuntime> {
-        if let Some(s) = pe.try_local::<RtSlot>() {
-            return s.0.clone();
+    /// The thread runtime of this PE, borrowed from its PE-local
+    /// storage and initialized on first call (`CthInit`). Registers one
+    /// handler — call it at the same registration position on every PE
+    /// if threads are used anywhere — and installs the teardown hook
+    /// that poisons still-suspended threads when the PE's entry returns.
+    #[inline]
+    pub fn get(pe: &Pe) -> &CthRuntime {
+        match pe.local_ref() {
+            Some(rt) => rt,
+            None => Self::init(pe),
         }
-        let resume_handler = pe.register_handler(|pe, msg| {
-            let rt = CthRuntime::get(pe);
-            let mut u = Unpacker::new(msg.payload());
-            let tid = u.u64().expect("cth resume: tid");
-            let t = rt.scheduled.lock().remove(&tid).unwrap_or_else(|| {
-                panic!("PE {}: resume message for unknown thread {tid}", pe.my_pe())
+    }
+
+    #[cold]
+    fn init(pe: &Pe) -> &CthRuntime {
+        pe.local(|| {
+            let resume_handler = pe.register_handler(|pe, msg| {
+                let mut u = Unpacker::new(msg.payload());
+                let tid = u.u64().expect("cth resume: tid");
+                let t = CthRuntime::get(pe)
+                    .scheduled
+                    .lock()
+                    .remove(&tid)
+                    .unwrap_or_else(|| {
+                        panic!("PE {}: resume message for unknown thread {tid}", pe.my_pe())
+                    });
+                cth_resume(pe, &t);
             });
-            cth_resume(pe, &t);
+            pe.on_exit(|pe| CthRuntime::get(pe).teardown(pe));
+            let main = Thread(Arc::new(Inner {
+                id: 0,
+                state: Mutex::new(State::Running),
+                cv: Condvar::new(),
+                strategy: Mutex::new(None),
+                stack_size: 0,
+                handle: AtomicU64::new(0),
+            }));
+            CthRuntime {
+                backend: CthBackend::resolve(pe),
+                current: Mutex::new(main.clone()),
+                main,
+                ready: Mutex::new(VecDeque::new()),
+                live: Mutex::new(Vec::new()),
+                next_id: AtomicU64::new(1),
+                resume_handler,
+                scheduled: Mutex::new(IdMap::default()),
+                pending_panic: Mutex::new(None),
+                switches: AtomicU64::new(0),
+                direct: AtomicU64::new(0),
+                fiber: fb::FiberCell::new(),
+            }
         });
-        let main = Thread(Arc::new(Inner {
-            id: 0,
-            state: Mutex::new(State::Running),
-            cv: Condvar::new(),
-            strategy: Mutex::new(None),
-            stack_size: 0,
-            handle: AtomicU64::new(0),
-        }));
-        let rt = Arc::new(CthRuntime {
-            backend: CthBackend::resolve(pe),
-            current: Mutex::new(main.clone()),
-            main,
-            ready: Mutex::new(VecDeque::new()),
-            live: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(1),
-            resume_handler,
-            scheduled: Mutex::new(HashMap::default()),
-            pending_panic: Mutex::new(None),
-            switches: AtomicU64::new(0),
-            direct: AtomicU64::new(0),
-            fiber: fb::FiberCell::new(),
-        });
-        pe.local(|| RtSlot(rt.clone()));
-        let rt2 = rt.clone();
-        pe.on_exit(move |pe| rt2.teardown(pe));
-        rt
+        pe.local_ref().expect("just installed")
     }
 
     /// The backend this PE's thread objects run on.
@@ -471,31 +459,6 @@ impl CthRuntime {
     }
 }
 
-thread_local! {
-    /// Per-OS-thread cache of the last `(Pe, CthRuntime)` pair resolved,
-    /// keyed by PE identity. `CthRuntime::get` goes through the PE-local
-    /// type map (a mutex + hash lookup); the switch hot path calls `rt`
-    /// several times per yield, so this turns those into a pointer
-    /// compare. Holding the `Arc<Pe>` pins the allocation, so the
-    /// pointer-equality key can never be reused while cached.
-    static RT_CACHE: std::cell::RefCell<Option<(Arc<Pe>, Arc<CthRuntime>)>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-fn rt(pe: &Pe) -> Arc<CthRuntime> {
-    RT_CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        if let Some((cpe, crt)) = c.as_ref() {
-            if std::ptr::eq(Arc::as_ptr(cpe), pe) {
-                return crt.clone();
-            }
-        }
-        let rt = CthRuntime::get(pe);
-        *c = Some((pe.arc(), rt.clone()));
-        rt
-    })
-}
-
 /// Run `entry` once per backend available on this target (see
 /// [`CthBackend::available`]), each time on a fresh machine of
 /// `num_pes` PEs with that backend pinned. The workhorse of the
@@ -528,7 +491,7 @@ pub fn cth_create_of_size<F>(pe: &Pe, f: F, stack_size: usize) -> Thread
 where
     F: FnOnce(&Pe) + Send + 'static,
 {
-    let rt = rt(pe);
+    let rt = CthRuntime::get(pe);
     let id = rt.next_id.fetch_add(1, Ordering::Relaxed);
     let t = Thread(Arc::new(Inner {
         id,
@@ -540,7 +503,25 @@ where
         stack_size,
         handle: AtomicU64::new(0),
     }));
-    rt.live.lock().push((t.clone(), None));
+    {
+        let mut live = rt.live.lock();
+        // Before the list would grow, drop the threads that have exited
+        // (joining a hand-off thread's OS thread, which is past its last
+        // use of the runtime): a PE that creates a thread per task holds
+        // as many entries as it ever had threads alive at once.
+        if live.len() == live.capacity() {
+            live.retain_mut(|(thread, os_thread)| {
+                let exited = thread.is_exited();
+                if exited {
+                    if let Some(h) = os_thread.take() {
+                        let _ = h.join();
+                    }
+                }
+                !exited
+            });
+        }
+        live.push((t.clone(), None));
+    }
     pe.trace_event(Event::ThreadCreate { tid: id });
     t
 }
@@ -562,7 +543,7 @@ pub fn set_csd_strategy(pe: &Pe, t: &Thread, prio: Priority) {
         t,
         Strategy {
             awaken: Box::new(move |pe, t| {
-                let rt = rt(pe);
+                let rt = CthRuntime::get(pe);
                 rt.scheduled.lock().insert(tid, t);
                 // Same wire format as `Packer::u64`, no Vec allocation.
                 let payload = tid.to_le_bytes();
@@ -582,7 +563,7 @@ pub fn set_csd_strategy(pe: &Pe, t: &Thread, prio: Priority) {
 /// The currently executing thread (`CthSelf`); `None` in the PE's main
 /// (scheduler) context.
 pub fn cth_self(pe: &Pe) -> Option<Thread> {
-    let rt = rt(pe);
+    let rt = CthRuntime::get(pe);
     let cur = rt.current.lock().clone();
     if cur.same(&rt.main) {
         None
@@ -595,14 +576,14 @@ pub fn cth_self(pe: &Pe) -> Option<Thread> {
 /// context is parked un-awakened: someone must `cth_resume` or
 /// `cth_awaken` it later, exactly as in the C API.
 pub fn cth_resume(pe: &Pe, t: &Thread) {
-    let rt = rt(pe);
+    let rt = CthRuntime::get(pe);
     let me = rt.current.lock().clone();
     if me.same(t) {
         return;
     }
     match rt.backend {
-        CthBackend::Handoff => transfer(pe, &rt, &me, t, false),
-        CthBackend::Fiber => fb::resume(pe, &rt, &me, t),
+        CthBackend::Handoff => transfer(pe, rt, &me, t, false),
+        CthBackend::Fiber => fb::resume(pe, rt, &me, t),
     }
 }
 
@@ -612,17 +593,17 @@ pub fn cth_resume(pe: &Pe, t: &Thread) {
 /// successor is switched to **directly** — one ~20 ns context switch, no
 /// Csd queue bounce (the direct-handoff fast path).
 pub fn cth_suspend(pe: &Pe) {
-    let rt = rt(pe);
+    let rt = CthRuntime::get(pe);
     let me = rt.current.lock().clone();
     assert!(
         !me.same(&rt.main),
         "PE {}: cth_suspend called from the main context — only thread objects suspend",
         pe.my_pe()
     );
-    suspend_inner(pe, &rt, me);
+    suspend_inner(pe, rt, me);
 }
 
-fn suspend_inner(pe: &Pe, rt: &Arc<CthRuntime>, me: Thread) {
+fn suspend_inner(pe: &Pe, rt: &CthRuntime, me: Thread) {
     let next = {
         let mut strat = me.0.strategy.lock();
         match strat.as_mut() {
@@ -652,7 +633,7 @@ fn suspend_inner(pe: &Pe, rt: &Arc<CthRuntime>, me: Thread) {
 /// future suspend to transfer control to it. Must only be called when
 /// the thread is genuinely ready to continue.
 pub fn cth_awaken(pe: &Pe, t: &Thread) {
-    let rt = rt(pe);
+    let rt = CthRuntime::get(pe);
     {
         let s = t.0.state.lock();
         assert!(
@@ -672,7 +653,7 @@ pub fn cth_awaken(pe: &Pe, t: &Thread) {
 /// Awaken the current thread then suspend (`CthYield`): control will
 /// eventually return here.
 pub fn cth_yield(pe: &Pe) {
-    let rt = rt(pe);
+    let rt = CthRuntime::get(pe);
     let me = rt.current.lock().clone();
     assert!(
         !me.same(&rt.main),
@@ -680,7 +661,7 @@ pub fn cth_yield(pe: &Pe) {
         pe.my_pe()
     );
     cth_awaken(pe, &me);
-    suspend_inner(pe, &rt, me);
+    suspend_inner(pe, rt, me);
 }
 
 /// Terminate the current thread (`CthExit`): control transfers per the
@@ -688,7 +669,7 @@ pub fn cth_yield(pe: &Pe) {
 /// Returning from the thread function calls this implicitly. Unwinds, so
 /// destructors on the thread's stack run.
 pub fn cth_exit(pe: &Pe) -> ! {
-    let rt = rt(pe);
+    let rt = CthRuntime::get(pe);
     let me = rt.current.lock().clone();
     assert!(
         !me.same(&rt.main),
@@ -704,7 +685,7 @@ pub fn cth_exit(pe: &Pe) -> ! {
 
 /// The core hand-off: mark `from` parked, start/wake `to`, wait until
 /// someone hands the token back to `from`.
-fn transfer(pe: &Pe, rt: &Arc<CthRuntime>, from: &Thread, to: &Thread, direct: bool) {
+fn transfer(pe: &Pe, rt: &CthRuntime, from: &Thread, to: &Thread, direct: bool) {
     debug_assert!(!from.same(to));
     *rt.current.lock() = to.clone();
     rt.note_switch(pe, direct && !to.same(&rt.main));
@@ -720,7 +701,7 @@ fn transfer(pe: &Pe, rt: &Arc<CthRuntime>, from: &Thread, to: &Thread, direct: b
     wait_for_token(rt, from);
 }
 
-fn wake(pe: &Pe, rt: &Arc<CthRuntime>, to: &Thread) {
+fn wake(pe: &Pe, rt: &CthRuntime, to: &Thread) {
     let mut s = to.0.state.lock();
     match &mut *s {
         State::NotStarted(entry) => {
@@ -740,7 +721,7 @@ fn wake(pe: &Pe, rt: &Arc<CthRuntime>, to: &Thread) {
     }
 }
 
-fn wait_for_token(rt: &Arc<CthRuntime>, me: &Thread) {
+fn wait_for_token(rt: &CthRuntime, me: &Thread) {
     {
         let mut s = me.0.state.lock();
         loop {
@@ -764,9 +745,8 @@ fn wait_for_token(rt: &Arc<CthRuntime>, me: &Thread) {
     }
 }
 
-fn spawn_os_thread(pe: &Pe, rt: &Arc<CthRuntime>, t: &Thread, entry: Entry) {
+fn spawn_os_thread(pe: &Pe, rt: &CthRuntime, t: &Thread, entry: Entry) {
     let pe_arc = pe.arc();
-    let rt2 = rt.clone();
     let t2 = t.clone();
     let handle = std::thread::Builder::new()
         .name(format!("pe{}-cth{}", pe.my_pe(), t.id()))
@@ -781,7 +761,7 @@ fn spawn_os_thread(pe: &Pe, rt: &Arc<CthRuntime>, t: &Thread, entry: Entry) {
                 Err(p) if p.is::<ExitRequested>() || p.is::<ThreadPoison>() => None,
                 Err(p) => Some(p),
             };
-            finish_thread(&pe, &rt2, &t2, user_panic);
+            finish_thread(&pe, CthRuntime::get(&pe), &t2, user_panic);
         })
         .expect("spawn thread-object OS thread");
     // Record the join handle for teardown.
@@ -797,7 +777,7 @@ fn spawn_os_thread(pe: &Pe, rt: &Arc<CthRuntime>, t: &Thread, entry: Entry) {
 /// token to the next context (per strategy, else ready pool, else main).
 fn finish_thread(
     pe: &Pe,
-    rt: &Arc<CthRuntime>,
+    rt: &CthRuntime,
     me: &Thread,
     user_panic: Option<Box<dyn std::any::Any + Send>>,
 ) {
@@ -926,7 +906,7 @@ mod fb {
     pub(super) struct FiberState {
         /// Parked fibers by thread id; the running fiber (at most one)
         /// is owned by the drive loop's stack frame.
-        fibers: HashMap<u64, Fiber, TidBuild>,
+        fibers: IdMap<Fiber>,
         /// Set by the fiber that is about to yield; consumed by the
         /// drive loop to pick the next context.
         directive: Option<Directive>,
@@ -958,7 +938,7 @@ mod fb {
             FiberCell {
                 home: std::thread::current().id(),
                 state: RefCell::new(FiberState {
-                    fibers: HashMap::default(),
+                    fibers: IdMap::default(),
                     directive: None,
                     poisoning: false,
                     pool: StackPool::new(),
@@ -994,7 +974,7 @@ mod fb {
     /// `cth_resume` on the fiber backend: from the main context, enter
     /// the drive loop; from inside a fiber, hand the drive loop a
     /// transfer directive and park.
-    pub(super) fn resume(pe: &Pe, rt: &Arc<CthRuntime>, me: &Thread, t: &Thread) {
+    pub(super) fn resume(pe: &Pe, rt: &CthRuntime, me: &Thread, t: &Thread) {
         if me.same(&rt.main) {
             drive(pe, rt, t.clone(), false);
         } else {
@@ -1010,7 +990,7 @@ mod fb {
 
     /// `cth_suspend` on the fiber backend: `Some` successor = direct
     /// handoff (the fast path), `None` = back to the scheduler.
-    pub(super) fn suspend(pe: &Pe, rt: &Arc<CthRuntime>, me: &Thread, next: Option<Thread>) {
+    pub(super) fn suspend(pe: &Pe, rt: &CthRuntime, me: &Thread, next: Option<Thread>) {
         let _ = pe;
         rt.fiber.with(|fs| {
             fs.directive = Some(match next {
@@ -1095,7 +1075,7 @@ mod fb {
     /// `Transfer` chains stay inside this loop (one ~20 ns switch per
     /// hop, never touching the Csd queue), `Suspend` returns to the
     /// caller (the Csd scheduler or the PE entry).
-    fn drive(pe: &Pe, rt: &Arc<CthRuntime>, first: Thread, mut direct: bool) {
+    fn drive(pe: &Pe, rt: &CthRuntime, first: Thread, mut direct: bool) {
         debug_assert!(
             rt.current.lock().same(&rt.main),
             "PE {}: fiber drive entered outside the main context",
@@ -1183,9 +1163,6 @@ mod fb {
         rt.fiber.with(|fs| fs.poisoning = true);
         let entries: Vec<(Thread, Option<std::thread::JoinHandle<()>>)> =
             std::mem::take(&mut *rt.live.lock());
-        // `drive` needs an Arc; re-borrow the runtime from PE-local
-        // storage (teardown runs before locals drop).
-        let rt_arc = super::rt(pe);
         for (t, _) in &entries {
             let poisoned = {
                 let mut s = t.0.state.lock();
@@ -1209,7 +1186,7 @@ mod fb {
                 }
             };
             if poisoned {
-                drive(pe, &rt_arc, t.clone(), false);
+                drive(pe, rt, t.clone(), false);
             }
         }
     }
@@ -1233,11 +1210,11 @@ mod fb {
         unreachable!("fiber backend on unsupported target")
     }
 
-    pub(super) fn resume(_pe: &Pe, _rt: &Arc<CthRuntime>, _me: &Thread, _t: &Thread) {
+    pub(super) fn resume(_pe: &Pe, _rt: &CthRuntime, _me: &Thread, _t: &Thread) {
         unreachable!("fiber backend on unsupported target")
     }
 
-    pub(super) fn suspend(_pe: &Pe, _rt: &Arc<CthRuntime>, _me: &Thread, _next: Option<Thread>) {
+    pub(super) fn suspend(_pe: &Pe, _rt: &CthRuntime, _me: &Thread, _next: Option<Thread>) {
         unreachable!("fiber backend on unsupported target")
     }
 

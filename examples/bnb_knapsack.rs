@@ -124,7 +124,6 @@ fn main() {
         let expd = e2.clone();
         let slot = pe.local(|| parking_lot::Mutex::new(None::<(HandlerId, GroupId)>));
         let s2 = slot.clone();
-        let qd2 = qd.clone();
         let best2 = best.clone();
 
         // A node message: [next_item u8, value i64, weight i64].
@@ -137,6 +136,7 @@ fn main() {
             let incumbent = best2.0.load(Ordering::SeqCst);
             let (h, gid) = s2.lock().unwrap();
             let charm = Charm::get(pe);
+            let qd = charm.quiescence();
             // New incumbent?
             if value > incumbent {
                 best2.0.store(value, Ordering::SeqCst);
@@ -159,11 +159,11 @@ fn main() {
                     // Best-first: the more promising the optimistic
                     // bound, the more urgent (negated for min-order).
                     let prio = Priority::Int(-(bound(v, w, next + 1) as i32));
-                    qd2.msg_created(1);
+                    qd.msg_created(1);
                     ldb.deposit(pe, Message::with_priority(h, &prio, &payload));
                 }
             }
-            qd2.msg_processed(1);
+            qd.msg_processed(1);
         });
         let done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
