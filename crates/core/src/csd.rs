@@ -23,12 +23,15 @@
 //! of the drain phase no longer includes a contended lock op (see
 //! `Interconnect::drain_into`). Per-link FIFO order is preserved —
 //! intake drains strictly before the wire. Dispatch borrows the handler
-//! from the PE's append-only table (no lock, no refcount), the
-//! `get_specific_msg` buffer and the scatter table are skipped on one
-//! relaxed load each while empty, and the loop's own bookkeeping — the
-//! exit flag, the load sample — is plain loads and stores by the PE
-//! that owns them; what is left per message is the uncontended lock
-//! pairs on the mailbox, the intake buffer and the scheduler queue. The
+//! from the PE's append-only table (no lock, no refcount). The intake
+//! buffer, the `get_specific_msg` buffer, the scatter table, the
+//! scheduler queue and the load sample are owner-only state of the PE's
+//! running context (`converse_machine::OwnerCell`): each step of the
+//! loop opens it once, with a few plain loads and stores and no lock.
+//! What is left per message is the mailbox — three uncontended lock
+//! pairs (`inbox` on the send and on the drain, `staged` once), the one
+//! structure another thread really shares — and the exit flag, which is
+//! loaded and swapped only when set. The
 //! scheduler-queue phase stays per-entry on purpose: a handler that
 //! enqueues urgent prioritized work mid-batch still sees it preempt at
 //! the very next dequeue. When both phases come up empty the loop idles

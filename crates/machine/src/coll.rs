@@ -16,9 +16,7 @@
 use crate::pe::Pe;
 use converse_msg::pack::{Packer, Unpacker};
 use converse_msg::Message;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A registered reduction combiner: `f(acc, contribution) -> acc`.
@@ -40,11 +38,11 @@ type UpInbox = HashMap<u64, Vec<(usize, Vec<u8>)>>;
 
 /// Per-PE collective-protocol state.
 pub(crate) struct CollState {
-    next_seq: AtomicU64,
-    inbox_up: Mutex<UpInbox>,
+    next_seq: u64,
+    inbox_up: UpInbox,
     /// (seq) → broadcast payload received from the parent.
-    inbox_down: Mutex<HashMap<u64, Vec<u8>>>,
-    combiners: Mutex<Vec<Combiner>>,
+    inbox_down: HashMap<u64, Vec<u8>>,
+    combiners: Vec<Combiner>,
 }
 
 impl Default for CollState {
@@ -53,10 +51,10 @@ impl Default for CollState {
         // whose payloads are empty and meaningless.
         let keep: Combiner = Arc::new(|acc, _| acc.to_vec());
         CollState {
-            next_seq: AtomicU64::new(0),
-            inbox_up: Mutex::new(HashMap::new()),
-            inbox_down: Mutex::new(HashMap::new()),
-            combiners: Mutex::new(vec![keep]),
+            next_seq: 0,
+            inbox_up: HashMap::new(),
+            inbox_down: HashMap::new(),
+            combiners: vec![keep],
         }
     }
 }
@@ -84,26 +82,25 @@ impl Pe {
     where
         F: Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync + 'static,
     {
-        let mut c = self.coll.combiners.lock();
-        c.push(Arc::new(f));
-        CombinerId((c.len() - 1) as u32)
+        self.open(&self.coll, |c| {
+            c.combiners.push(Arc::new(f));
+            CombinerId((c.combiners.len() - 1) as u32)
+        })
     }
 
-    pub(crate) fn combiner_fn_public(&self, id: CombinerId) -> Combiner {
-        self.combiner_fn(id)
-    }
-
-    fn combiner_fn(&self, id: CombinerId) -> Combiner {
-        self.coll
-            .combiners
-            .lock()
-            .get(id.0 as usize)
+    /// The combiner registered as `id`, cloned out so it runs with the
+    /// cell closed.
+    pub(crate) fn combiner_fn(&self, id: CombinerId) -> Combiner {
+        self.open(&self.coll, |c| c.combiners.get(id.0 as usize).cloned())
             .unwrap_or_else(|| panic!("PE {}: unregistered combiner {id:?}", self.my_pe()))
-            .clone()
     }
 
     fn next_coll_seq(&self) -> u64 {
-        self.coll.next_seq.fetch_add(1, Ordering::Relaxed)
+        self.open(&self.coll, |c| {
+            let seq = c.next_seq;
+            c.next_seq += 1;
+            seq
+        })
     }
 
     /// Tree-reduce `contribution` with `op` toward PE 0. Returns
@@ -186,19 +183,10 @@ impl Pe {
             return contribution;
         }
         self.deliver_internal_until(|| {
-            self.coll
-                .inbox_up
-                .lock()
-                .get(&seq)
-                .map(|v| v.len())
-                .unwrap_or(0)
-                == kids.len()
+            self.open(&self.coll, |c| c.inbox_up.get(&seq).map_or(0, Vec::len)) == kids.len()
         });
         let mut got = self
-            .coll
-            .inbox_up
-            .lock()
-            .remove(&seq)
+            .open(&self.coll, |c| c.inbox_up.remove(&seq))
             .expect("children arrived");
         got.sort_by_key(|(pe, _)| *pe);
         let f = self.combiner_fn(op);
@@ -219,11 +207,8 @@ impl Pe {
     }
 
     fn wait_down(&self, seq: u64) -> Vec<u8> {
-        self.deliver_internal_until(|| self.coll.inbox_down.lock().contains_key(&seq));
-        self.coll
-            .inbox_down
-            .lock()
-            .remove(&seq)
+        self.deliver_internal_until(|| self.open(&self.coll, |c| c.inbox_down.contains_key(&seq)));
+        self.open(&self.coll, |c| c.inbox_down.remove(&seq))
             .expect("down arrived")
     }
 }
@@ -236,12 +221,9 @@ pub(crate) fn handle_up(pe: &Pe, msg: Message) {
     let bytes = u.bytes().expect("coll up: bytes").to_vec();
     match kind {
         UP_KIND_REDUCE => {
-            pe.coll
-                .inbox_up
-                .lock()
-                .entry(seq)
-                .or_default()
-                .push((child, bytes));
+            pe.open(&pe.coll, |c| {
+                c.inbox_up.entry(seq).or_default().push((child, bytes))
+            });
         }
         UP_KIND_RELAY => {
             debug_assert_eq!(pe.my_pe(), 0, "relay targets the tree root");
@@ -249,7 +231,7 @@ pub(crate) fn handle_up(pe: &Pe, msg: Message) {
             // (its wait_down will find it) and fan out one shared block.
             let payload = Packer::new().u64(seq).bytes(&bytes).finish();
             let down = Message::new(pe.ids.coll_down, &payload);
-            pe.coll.inbox_down.lock().insert(seq, bytes);
+            pe.open(&pe.coll, |c| c.inbox_down.insert(seq, bytes));
             for c in tree_children(pe.my_pe(), pe.num_pes()) {
                 pe.sync_send(c, &down);
             }
@@ -268,7 +250,7 @@ pub(crate) fn handle_down(pe: &Pe, msg: Message) {
     for c in tree_children(pe.my_pe(), pe.num_pes()) {
         pe.sync_send(c, &msg);
     }
-    pe.coll.inbox_down.lock().insert(seq, bytes);
+    pe.open(&pe.coll, |c| c.inbox_down.insert(seq, bytes));
 }
 
 #[cfg(test)]

@@ -17,9 +17,7 @@
 use crate::pe::Pe;
 use converse_msg::pack::{Packer, Unpacker};
 use converse_msg::Message;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An opaque machine-wide name for a byte region on some PE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,10 +65,10 @@ pub struct PutHandle(u64);
 /// Per-PE global-pointer state: owned regions plus in-flight requests.
 #[derive(Default)]
 pub(crate) struct GptrState {
-    regions: Mutex<HashMap<u64, Vec<u8>>>,
-    get_replies: Mutex<HashMap<u64, Option<Vec<u8>>>>,
-    put_acks: Mutex<HashMap<u64, bool>>,
-    next_key: AtomicU64,
+    regions: HashMap<u64, Vec<u8>>,
+    get_replies: HashMap<u64, Option<Vec<u8>>>,
+    put_acks: HashMap<u64, bool>,
+    next_key: u64,
 }
 
 impl Pe {
@@ -79,9 +77,13 @@ impl Pe {
     /// Register `data` as a remotely accessible region and return its
     /// global pointer (`CmiGptrCreate`).
     pub fn gptr_create(&self, data: Vec<u8>) -> GlobalPtr {
-        let key = self.gptr.next_key.fetch_add(1, Ordering::Relaxed);
         let size = data.len();
-        self.gptr.regions.lock().insert(key, data);
+        let key = self.open(&self.gptr, |g| {
+            let key = g.next_key;
+            g.next_key += 1;
+            g.regions.insert(key, data);
+            key
+        });
         GlobalPtr {
             pe: self.my_pe(),
             key,
@@ -95,7 +97,7 @@ impl Pe {
         if g.pe != self.my_pe() {
             return None;
         }
-        self.gptr.regions.lock().get(&g.key).cloned()
+        self.open(&self.gptr, |s| s.regions.get(&g.key).cloned())
     }
 
     /// Mutate a **local** region in place via the provided closure.
@@ -104,19 +106,14 @@ impl Pe {
         if g.pe != self.my_pe() {
             return false;
         }
-        match self.gptr.regions.lock().get_mut(&g.key) {
-            Some(r) => {
-                f(r);
-                true
-            }
-            None => false,
-        }
+        self.open(&self.gptr, |s| s.regions.get_mut(&g.key).map(|r| f(r)))
+            .is_some()
     }
 
     /// Unregister a local region, freeing its storage. Returns false if
     /// it was not local or already destroyed.
     pub fn gptr_destroy(&self, g: &GlobalPtr) -> bool {
-        g.pe == self.my_pe() && self.gptr.regions.lock().remove(&g.key).is_some()
+        g.pe == self.my_pe() && self.open(&self.gptr, |s| s.regions.remove(&g.key).is_some())
     }
 
     // ---- get ---------------------------------------------------------------
@@ -145,19 +142,19 @@ impl Pe {
         let req_id = self.next_req_id();
         if g.pe == self.my_pe() {
             // Local fast path: resolve immediately.
-            let data = self
-                .gptr
-                .regions
-                .lock()
-                .get(&g.key)
-                .map(|r| r[offset..offset + len].to_vec())
-                .unwrap_or_else(|| {
-                    panic!("PE {}: get on destroyed region {}", self.my_pe(), g.key)
-                });
-            self.gptr.get_replies.lock().insert(req_id, Some(data));
+            self.open(&self.gptr, |s| {
+                let data = s
+                    .regions
+                    .get(&g.key)
+                    .map(|r| r[offset..offset + len].to_vec())
+                    .unwrap_or_else(|| {
+                        panic!("PE {}: get on destroyed region {}", self.my_pe(), g.key)
+                    });
+                s.get_replies.insert(req_id, Some(data));
+            });
             return GetHandle(req_id);
         }
-        self.gptr.get_replies.lock().insert(req_id, None);
+        self.open(&self.gptr, |s| s.get_replies.insert(req_id, None));
         let payload = Packer::new()
             .u64(g.key)
             .usize(offset)
@@ -172,18 +169,15 @@ impl Pe {
 
     /// True once the asynchronous get completed (data arrived).
     pub fn get_done(&self, h: GetHandle) -> bool {
-        matches!(self.gptr.get_replies.lock().get(&h.0), Some(Some(_)))
+        self.open(&self.gptr, |s| {
+            matches!(s.get_replies.get(&h.0), Some(Some(_)))
+        })
     }
 
     /// Block until the get completes and take its data.
     pub fn get_wait(&self, h: GetHandle) -> Vec<u8> {
-        self.deliver_internal_until(|| {
-            matches!(self.gptr.get_replies.lock().get(&h.0), Some(Some(_)))
-        });
-        self.gptr
-            .get_replies
-            .lock()
-            .remove(&h.0)
+        self.deliver_internal_until(|| self.get_done(h));
+        self.open(&self.gptr, |s| s.get_replies.remove(&h.0))
             .flatten()
             .expect("get_wait: reply present by deliver_until postcondition")
     }
@@ -208,15 +202,16 @@ impl Pe {
         );
         let req_id = self.next_req_id();
         if g.pe == self.my_pe() {
-            let mut regions = self.gptr.regions.lock();
-            let r = regions.get_mut(&g.key).unwrap_or_else(|| {
-                panic!("PE {}: put on destroyed region {}", self.my_pe(), g.key)
+            self.open(&self.gptr, |s| {
+                let r = s.regions.get_mut(&g.key).unwrap_or_else(|| {
+                    panic!("PE {}: put on destroyed region {}", self.my_pe(), g.key)
+                });
+                r[offset..offset + data.len()].copy_from_slice(data);
+                s.put_acks.insert(req_id, true);
             });
-            r[offset..offset + data.len()].copy_from_slice(data);
-            self.gptr.put_acks.lock().insert(req_id, true);
             return PutHandle(req_id);
         }
-        self.gptr.put_acks.lock().insert(req_id, false);
+        self.open(&self.gptr, |s| s.put_acks.insert(req_id, false));
         let payload = Packer::new()
             .u64(g.key)
             .usize(offset)
@@ -231,25 +226,14 @@ impl Pe {
 
     /// True once the put was acknowledged by the owner.
     pub fn put_done(&self, h: PutHandle) -> bool {
-        self.gptr
-            .put_acks
-            .lock()
-            .get(&h.0)
-            .copied()
+        self.open(&self.gptr, |s| s.put_acks.get(&h.0).copied())
             .unwrap_or(false)
     }
 
     /// Block until the put is acknowledged.
     pub fn put_wait(&self, h: PutHandle) {
-        self.deliver_internal_until(|| {
-            self.gptr
-                .put_acks
-                .lock()
-                .get(&h.0)
-                .copied()
-                .unwrap_or(false)
-        });
-        self.gptr.put_acks.lock().remove(&h.0);
+        self.deliver_internal_until(|| self.put_done(h));
+        self.open(&self.gptr, |s| s.put_acks.remove(&h.0));
     }
 }
 
@@ -263,11 +247,11 @@ pub(crate) fn handle_get_req(pe: &Pe, msg: Message) {
     let req_id = u.u64().expect("gptr get_req: req_id");
     let reply_pe = u.usize().expect("gptr get_req: reply_pe");
     let data = pe
-        .gptr
-        .regions
-        .lock()
-        .get(&key)
-        .map(|r| r[offset..offset + len].to_vec())
+        .open(&pe.gptr, |s| {
+            s.regions
+                .get(&key)
+                .map(|r| r[offset..offset + len].to_vec())
+        })
         .unwrap_or_else(|| panic!("PE {}: remote get on destroyed region {key}", pe.my_pe()));
     let payload = Packer::new().u64(req_id).bytes(&data).finish();
     pe.sync_send_and_free(reply_pe, Message::new(pe.ids.gptr_get_reply, &payload));
@@ -277,7 +261,7 @@ pub(crate) fn handle_get_reply(pe: &Pe, msg: Message) {
     let mut u = Unpacker::new(msg.payload());
     let req_id = u.u64().expect("gptr get_reply: req_id");
     let data = u.bytes().expect("gptr get_reply: data").to_vec();
-    pe.gptr.get_replies.lock().insert(req_id, Some(data));
+    pe.open(&pe.gptr, |s| s.get_replies.insert(req_id, Some(data)));
 }
 
 pub(crate) fn handle_put_req(pe: &Pe, msg: Message) {
@@ -287,13 +271,13 @@ pub(crate) fn handle_put_req(pe: &Pe, msg: Message) {
     let req_id = u.u64().expect("gptr put_req: req_id");
     let reply_pe = u.usize().expect("gptr put_req: reply_pe");
     let data = u.bytes().expect("gptr put_req: data");
-    {
-        let mut regions = pe.gptr.regions.lock();
-        let r = regions
+    pe.open(&pe.gptr, |s| {
+        let r = s
+            .regions
             .get_mut(&key)
             .unwrap_or_else(|| panic!("PE {}: remote put on destroyed region {key}", pe.my_pe()));
         r[offset..offset + data.len()].copy_from_slice(data);
-    }
+    });
     let payload = Packer::new().u64(req_id).finish();
     pe.sync_send_and_free(reply_pe, Message::new(pe.ids.gptr_put_ack, &payload));
 }
@@ -301,5 +285,5 @@ pub(crate) fn handle_put_req(pe: &Pe, msg: Message) {
 pub(crate) fn handle_put_ack(pe: &Pe, msg: Message) {
     let mut u = Unpacker::new(msg.payload());
     let req_id = u.u64().expect("gptr put_ack: req_id");
-    pe.gptr.put_acks.lock().insert(req_id, true);
+    pe.open(&pe.gptr, |s| s.put_acks.insert(req_id, true));
 }

@@ -20,6 +20,11 @@
 //! for Converse's per-processor global state (`Cpv`): explicit rather
 //! than ambient, so tests can run many machines concurrently.
 //!
+//! One execution context of a PE runs at a time — the holder of its run
+//! token ([`Owner`]). What only that context touches lives in
+//! [`OwnerCell`]s ([`owner`]): lock-free for the owner, a panic for
+//! anyone else. [`Pe`]'s docs say which calls are owner-only.
+//!
 //! What the paper calls `CmiGrabBuffer` — the explicit ownership-transfer
 //! protocol for received buffers — is subsumed by Rust move semantics:
 //! retrieval APIs hand the caller an owned [`converse_msg::Message`], so
@@ -33,6 +38,7 @@ mod idmap;
 pub mod io;
 mod locals;
 pub mod mmi;
+pub mod owner;
 pub mod pe;
 pub mod pgrp;
 mod run;
@@ -46,6 +52,7 @@ pub use converse_net::{
 };
 pub use exo::{ExoReply, ExoToken, MachineHandle, MachineService, ReplySink};
 pub use idmap::{IdHasher, IdMap};
+pub use owner::{Owner, OwnerCell, PinnedCell};
 pub use pe::{Handler, Pe};
 pub use run::{
     default_idle_spin, run, run_on_each_transport, run_with, try_run_with, MachineConfig,

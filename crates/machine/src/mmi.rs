@@ -14,7 +14,6 @@
 use crate::pe::Pe;
 use converse_msg::{HandlerId, Message};
 use converse_trace::Event;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -29,31 +28,22 @@ pub struct CommHandle(u64);
 /// poll, release) is kept faithful so code written against it ports.
 #[derive(Default)]
 pub(crate) struct CommHandles {
-    slots: Mutex<HashMap<u64, bool>>,
-    next: std::sync::atomic::AtomicU64,
-}
-
-impl CommHandles {
-    pub(crate) fn create(&self, done: bool) -> CommHandle {
-        let id = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.slots.lock().insert(id, done);
-        CommHandle(id)
-    }
-
-    fn is_done(&self, h: CommHandle) -> Option<bool> {
-        self.slots.lock().get(&h.0).copied()
-    }
-
-    fn release(&self, h: CommHandle) -> bool {
-        self.slots.lock().remove(&h.0).is_some()
-    }
-
-    pub(crate) fn outstanding(&self) -> usize {
-        self.slots.lock().len()
-    }
+    slots: HashMap<u64, bool>,
+    next: u64,
 }
 
 impl Pe {
+    /// Issue a handle for an operation that is `done` or not.
+    pub(crate) fn comm_create(&self, done: bool) -> CommHandle {
+        self.open(&self.comm, |c| {
+            let id = c.next;
+            c.next += 1;
+            c.slots.insert(id, done);
+            CommHandle(id)
+        })
+    }
+
+    #[inline]
     fn trace_send(&self, dst: usize, msg: &Message) {
         if self.trace_enabled() {
             self.trace_event(Event::MsgSent {
@@ -105,26 +95,25 @@ impl Pe {
     /// complete; poll it with [`Pe::async_msg_sent`].
     pub fn async_send(&self, dst: usize, msg: &Message) -> CommHandle {
         self.sync_send(dst, msg);
-        self.comm.create(true)
+        self.comm_create(true)
     }
 
     /// Status of an asynchronous operation (`CmiAsyncMsgSent`). Panics on
     /// a released or never-issued handle.
     pub fn async_msg_sent(&self, h: CommHandle) -> bool {
-        self.comm
-            .is_done(h)
+        self.open(&self.comm, |c| c.slots.get(&h.0).copied())
             .unwrap_or_else(|| panic!("PE {}: unknown CommHandle {h:?}", self.my_pe()))
     }
 
     /// Recycle an asynchronous handle (`CmiReleaseCommHandle`). Returns
     /// false if the handle was already released.
     pub fn release_comm_handle(&self, h: CommHandle) -> bool {
-        self.comm.release(h)
+        self.open(&self.comm, |c| c.slots.remove(&h.0).is_some())
     }
 
     /// Handles issued but not yet released — a leak check for tests.
     pub fn outstanding_comm_handles(&self) -> usize {
-        self.comm.outstanding()
+        self.open(&self.comm, |c| c.slots.len())
     }
 
     /// Gather `pieces` from scattered memory into one message for
@@ -137,7 +126,7 @@ impl Pe {
         let msg = Message::gather(handler, &converse_msg::Priority::None, pieces);
         self.trace_send(dst, &msg);
         self.net().send_block(self.my_pe(), dst, msg.into_block());
-        self.comm.create(true)
+        self.comm_create(true)
     }
 
     // ---- broadcasts --------------------------------------------------------
@@ -174,13 +163,13 @@ impl Pe {
     /// Asynchronous broadcast excluding self (`CmiAsyncBroadcast`).
     pub fn async_broadcast(&self, msg: &Message) -> CommHandle {
         self.sync_broadcast(msg);
-        self.comm.create(true)
+        self.comm_create(true)
     }
 
     /// Asynchronous broadcast including self (`CmiAsyncBroadcastAll`).
     pub fn async_broadcast_all(&self, msg: &Message) -> CommHandle {
         self.sync_broadcast_all(msg);
-        self.comm.create(true)
+        self.comm_create(true)
     }
 
     // ---- retrieval ---------------------------------------------------------
@@ -189,10 +178,7 @@ impl Pe {
     /// buffered by [`Pe::get_specific_msg`], then the intake buffer /
     /// network.
     pub fn get_msg(&self) -> Option<Message> {
-        if let Some(m) = self.pending_pop() {
-            return Some(m);
-        }
-        self.get_packet(1).map(|(_src, m)| m)
+        self.next_message(1).map(|(_src, m, _armed)| m)
     }
 
     /// Like [`Pe::get_msg`] but bypassing the pending buffer and
@@ -201,11 +187,8 @@ impl Pe {
     /// in batches of up to `budget` — single-message callers pass 1,
     /// bulk callers a large budget, and both observe one delivery order.
     pub(crate) fn get_packet(&self, budget: usize) -> Option<(usize, Message)> {
-        let p = self.next_inbound(budget)?;
-        let src = p.src;
-        let msg = Message::from_block(p.block)
-            .unwrap_or_else(|e| panic!("PE {}: corrupt message from PE {src}: {e}", self.my_pe()));
-        Some((src, msg))
+        self.core(|c| self.pop_inbound(c, budget))
+            .map(|p| self.open_packet(p))
     }
 
     /// Deliver received messages straight to their handlers
@@ -219,32 +202,20 @@ impl Pe {
         let mut n = 0;
         let limit = max.unwrap_or(usize::MAX);
         while n < limit {
-            if let Some(m) = self.pending_pop() {
-                if self.scatter_try(&m) {
-                    n += 1;
-                    continue;
-                }
-                self.call_handler(m);
-                n += 1;
-                continue;
-            }
             // Refill in bounded batches rather than swapping the whole
             // mailbox at once: packets in the PE-private intake are
             // invisible to load probes and to work stealing, so a
             // bounded refill keeps any real backlog observable (and
             // stealable) in the staged list while still amortizing the
             // mailbox lock.
-            match self.get_packet((limit - n).min(crate::pe::INTERNAL_BUDGET)) {
-                Some((src, m)) => {
-                    if self.scatter_try(&m) {
-                        n += 1;
-                        continue;
-                    }
-                    self.call_handler_from(src, m);
-                    n += 1;
-                }
-                None => break,
+            let budget = (limit - n).min(crate::pe::INTERNAL_BUDGET);
+            let Some((src, m, scatter_armed)) = self.next_message(budget) else {
+                break;
+            };
+            if !(scatter_armed && self.scatter_try(&m)) {
+                self.call_handler_from(src, m);
             }
+            n += 1;
         }
         n
     }

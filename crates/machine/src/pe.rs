@@ -6,6 +6,15 @@
 //! the EMI modules. One `Pe` is created per processor by [`crate::run`]
 //! and shared (via `Arc`) by every execution context — the main context
 //! and any thread objects — that runs on that processor.
+//!
+//! Exactly one of those contexts runs at a time: the one holding the
+//! PE's run token ([`Pe::owner`]). The state only that context touches —
+//! intake buffer, scheduler queue, `get_specific_msg` buffer, scatter
+//! table, the EMI tables, the loop's counters — lives in
+//! [`OwnerCell`]s: no lock, and a call from any other thread panics
+//! instead of racing. What other threads may legitimately call goes
+//! through the interconnect or machine-shared state; [`Pe`]'s own docs
+//! list both kinds.
 
 use crate::append::AppendTable;
 use crate::coll::CollState;
@@ -13,16 +22,16 @@ use crate::gptr::GptrState;
 use crate::io::Console;
 use crate::locals::Locals;
 use crate::mmi::CommHandles;
+use crate::owner::{Owner, OwnerCell};
 use crate::pgrp::PgrpState;
 use crate::scatter::ScatterState;
 use converse_msg::{HandlerId, Message};
 use converse_net::{Channel, CmiTransport, Packet};
 use converse_queue::{CsdQueue, FifoQueue, LifoQueue, QueueingMode, SchedulingQueue};
 use converse_trace::{Event, StealPhase, TraceSink};
-use parking_lot::Mutex;
 use std::any::TypeId;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -95,11 +104,48 @@ pub enum QueueKind {
     Lifo,
 }
 
-fn make_queue(kind: QueueKind) -> Box<dyn SchedulingQueue> {
-    match kind {
-        QueueKind::Csd => Box::new(CsdQueue::new()),
-        QueueKind::Fifo => Box::new(FifoQueue::new()),
-        QueueKind::Lifo => Box::new(LifoQueue::new()),
+/// The scheduler's queue: one variant per [`QueueKind`], so the
+/// per-message enqueue and dequeue are direct (inlinable) calls.
+pub(crate) enum SchedQueue {
+    Csd(CsdQueue),
+    Fifo(FifoQueue),
+    Lifo(LifoQueue),
+}
+
+impl SchedQueue {
+    fn new(kind: QueueKind) -> SchedQueue {
+        match kind {
+            QueueKind::Csd => SchedQueue::Csd(CsdQueue::new()),
+            QueueKind::Fifo => SchedQueue::Fifo(FifoQueue::new()),
+            QueueKind::Lifo => SchedQueue::Lifo(LifoQueue::new()),
+        }
+    }
+
+    #[inline]
+    fn enqueue(&mut self, msg: Message, mode: QueueingMode) {
+        match self {
+            SchedQueue::Csd(q) => q.enqueue(msg, mode),
+            SchedQueue::Fifo(q) => q.enqueue(msg, mode),
+            SchedQueue::Lifo(q) => q.enqueue(msg, mode),
+        }
+    }
+
+    #[inline]
+    fn dequeue(&mut self) -> Option<Message> {
+        match self {
+            SchedQueue::Csd(q) => q.dequeue(),
+            SchedQueue::Fifo(q) => q.dequeue(),
+            SchedQueue::Lifo(q) => q.dequeue(),
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            SchedQueue::Csd(q) => q.len(),
+            SchedQueue::Fifo(q) => q.len(),
+            SchedQueue::Lifo(q) => q.len(),
+        }
     }
 }
 
@@ -171,92 +217,87 @@ pub(crate) struct MachineShared {
     pub steal: Option<StealConfig>,
 }
 
-/// Messages taken off the wire by `get_specific_msg` (or a
-/// machine-internal blocking wait) that were meant for other handlers;
-/// consumed before the network on retrieval.
-///
-/// Only the owning PE's contexts touch it, and it is empty unless an
-/// SPM-style receive has buffered something — but every retrieval path
-/// asks it first. `len` mirrors the queue's length (plain stores under
-/// the lock, single writer) so that question is one relaxed load, not a
-/// lock pair per message.
-#[derive(Default)]
-struct PendingBuf {
-    len: AtomicUsize,
-    q: Mutex<VecDeque<Message>>,
-}
-
-impl PendingBuf {
-    #[inline]
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    fn push(&self, m: Message) {
-        let mut q = self.q.lock();
-        q.push_back(m);
-        self.len.store(q.len(), Ordering::Relaxed);
-    }
-
-    /// Remove and return the oldest buffered message satisfying `want`.
-    #[inline]
-    fn take_first(&self, want: impl Fn(&Message) -> bool) -> Option<Message> {
-        if self.len() == 0 {
-            return None;
-        }
-        let mut q = self.q.lock();
-        let idx = q.iter().position(want)?;
-        let m = q.remove(idx);
-        self.len.store(q.len(), Ordering::Relaxed);
-        m
-    }
-}
-
-/// One logical processor of the simulated machine.
-pub struct Pe {
-    id: usize,
-    net: Arc<dyn CmiTransport>,
-    handlers: AppendTable<Handler>,
-    pending: PendingBuf,
+/// What only the PE's running context touches on the message path —
+/// the scheduler core. One [`OwnerCell`] holds all of it, so a
+/// retrieval or a scheduler step opens one cell once.
+pub(crate) struct PeCore {
     /// Local intake batch: packets pulled off the net by a bulk
     /// [`CmiTransport::drain_bounded`] and not yet retrieved. Every
     /// retrieval path pops here before touching the network, so a batch
     /// never lets a later wire arrival overtake an earlier one — the
     /// per-link FIFO contract survives recursive retrieval (a handler
-    /// calling `get_specific_msg` mid-batch included). Only this PE's
-    /// own contexts touch it: the lock is uncontended by construction.
-    intake: Mutex<VecDeque<Packet>>,
+    /// calling `get_specific_msg` mid-batch included).
+    intake: VecDeque<Packet>,
+    /// Messages taken off the wire by `get_specific_msg` (or a
+    /// machine-internal blocking wait) that were meant for other
+    /// handlers; consumed before the network on retrieval. Empty unless
+    /// an SPM-style receive has buffered something.
+    pending: VecDeque<Message>,
+    queue: SchedQueue,
+    /// Advance receives ([`crate::scatter`]): every received message is
+    /// offered to them first.
+    pub(crate) scatter: ScatterState,
     /// Spin iterations consumed by the most recent idle wait.
-    last_spin: AtomicU32,
+    last_spin: u32,
     /// Intake batches drained so far — the sampling key for
     /// `Event::SchedBatch`.
-    sched_batches: AtomicU64,
+    sched_batches: u64,
     /// Calls to [`Pe::publish_load`] so far — its throttle key.
-    load_ticks: AtomicU64,
+    load_ticks: u64,
     /// EMA busy fraction in per-mille, folded on every
     /// [`Pe::publish_load`] call.
-    occupancy_pm: AtomicU32,
+    occupancy_pm: u32,
     /// Round-robin cursor for victim selection when remote loads are
     /// not observable (distributed transports).
-    steal_rr: AtomicU64,
-    queue: Mutex<Box<dyn SchedulingQueue>>,
+    steal_rr: u64,
+    req_counter: u64,
+}
+
+/// Remove and return the oldest buffered message satisfying `want`.
+fn take_first(q: &mut VecDeque<Message>, want: impl Fn(&Message) -> bool) -> Option<Message> {
+    let idx = q.iter().position(want)?;
+    q.remove(idx)
+}
+
+/// One logical processor of the simulated machine.
+///
+/// **Owner-only** (panic when the calling thread does not hold the run
+/// token, [`Pe::owner`]): the scheduler queue (`queue_*`), every
+/// retrieval call (`get_msg`, `deliver_*`, `get_specific_msg`,
+/// `inbound_pending`, `pending_len`), `publish_load`, `try_steal`,
+/// `idle_wait`, `check_abort`, the scatter / global-pointer / collective
+/// / processor-group calls, the `CommHandle` calls and the `async_*`
+/// sends that issue one, and `on_exit`.
+///
+/// **Callable from any thread** holding an `Arc<Pe>`: `abort_machine`,
+/// `stall_pe` / `pe_stalled`, `fault_stats`, the synchronous sends and
+/// broadcasts, ids and timers, the handler table, PE-local storage
+/// (`local*`), `channel`, the load snapshot, `trace_event`.
+pub struct Pe {
+    id: usize,
+    net: Arc<dyn CmiTransport>,
+    handlers: AppendTable<Handler>,
+    /// The run token: which OS thread may open this PE's cells.
+    owner: Owner,
+    core: OwnerCell<PeCore>,
     sched_exit: AtomicBool,
     locals: Locals,
-    req_counter: AtomicU64,
-    pub(crate) comm: CommHandles,
-    pub(crate) gptr: GptrState,
-    pub(crate) coll: CollState,
-    pub(crate) scatter: ScatterState,
-    pub(crate) pgrp: PgrpState,
+    pub(crate) comm: OwnerCell<CommHandles>,
+    pub(crate) gptr: OwnerCell<GptrState>,
+    pub(crate) coll: OwnerCell<CollState>,
+    pub(crate) pgrp: OwnerCell<PgrpState>,
     pub(crate) ids: InternalIds,
     pub(crate) shared: Arc<MachineShared>,
     trace: Arc<dyn TraceSink>,
+    /// `trace.enabled()`, sampled once at boot: the message path asks
+    /// several times per message and both sinks answer a constant.
+    trace_on: bool,
     self_ref: std::sync::Weak<Pe>,
     /// Number of reserved machine-internal handlers (table prefix).
     internal_count: usize,
     /// Finalizers run (in reverse registration order) after the entry
     /// function returns, before machine teardown.
-    exit_hooks: Mutex<Vec<ExitHook>>,
+    exit_hooks: OwnerCell<Vec<ExitHook>>,
 }
 
 impl Pe {
@@ -284,33 +325,63 @@ impl Pe {
         };
         debug_assert_eq!(ids, INTERNAL_LAYOUT, "reserved handler layout drifted");
         let internal_count = table.len();
+        // The calling thread — the PE's own, in both run harnesses —
+        // holds the run token from here on.
+        let owner = Owner::new();
+        let core = PeCore {
+            intake: VecDeque::new(),
+            pending: VecDeque::new(),
+            queue: SchedQueue::new(queue),
+            scatter: ScatterState::default(),
+            last_spin: 0,
+            sched_batches: 0,
+            load_ticks: 0,
+            occupancy_pm: 0,
+            steal_rr: 0,
+            req_counter: 1,
+        };
         Arc::new_cyclic(|self_ref| Pe {
             id,
             net,
             handlers: table,
-            pending: PendingBuf::default(),
-            intake: Mutex::new(VecDeque::new()),
-            last_spin: AtomicU32::new(0),
-            sched_batches: AtomicU64::new(0),
-            load_ticks: AtomicU64::new(0),
-            occupancy_pm: AtomicU32::new(0),
-            steal_rr: AtomicU64::new(0),
-            queue: Mutex::new(make_queue(queue)),
+            core: OwnerCell::new(&owner, core),
             sched_exit: AtomicBool::new(false),
             locals: Locals::new(),
-            req_counter: AtomicU64::new(1),
-            comm: CommHandles::default(),
-            gptr: GptrState::default(),
-            coll: CollState::default(),
-            scatter: ScatterState::default(),
-            pgrp: PgrpState::default(),
+            comm: OwnerCell::new(&owner, CommHandles::default()),
+            gptr: OwnerCell::new(&owner, GptrState::default()),
+            coll: OwnerCell::new(&owner, CollState::default()),
+            pgrp: OwnerCell::new(&owner, PgrpState::default()),
             ids,
             shared,
+            trace_on: trace.enabled(),
             trace,
             self_ref: self_ref.clone(),
             internal_count,
-            exit_hooks: Mutex::new(Vec::new()),
+            exit_hooks: OwnerCell::new(&owner, Vec::new()),
+            owner,
         })
+    }
+
+    /// This PE's run token. Exactly one OS thread holds it at a time —
+    /// the one the PE's current execution context runs on — and only
+    /// that thread passes the check of an [`OwnerCell`] made with it.
+    /// Runtime layers keep their own PE-local, single-context state in
+    /// cells of this owner.
+    #[inline]
+    pub fn owner(&self) -> &Owner {
+        &self.owner
+    }
+
+    /// Open one of this PE's cells with its run token.
+    #[inline(always)]
+    pub(crate) fn open<T, R>(&self, cell: &OwnerCell<T>, f: impl FnOnce(&mut T) -> R) -> R {
+        cell.with(&self.owner, f)
+    }
+
+    /// Open the scheduler core. `f` must not call back into the PE.
+    #[inline(always)]
+    pub(crate) fn core<R>(&self, f: impl FnOnce(&mut PeCore) -> R) -> R {
+        self.core.with(&self.owner, f)
     }
 
     /// A counted reference to this PE. Execution contexts that outlive
@@ -326,16 +397,14 @@ impl Pe {
     /// tear down resources — e.g. poisoning still-suspended threads —
     /// before the machine closes.
     pub fn on_exit<F: FnOnce(&Pe) + Send + 'static>(&self, f: F) {
-        self.exit_hooks.lock().push(Box::new(f));
+        self.open(&self.exit_hooks, |hooks| hooks.push(Box::new(f)));
     }
 
     pub(crate) fn run_exit_hooks(&self) {
-        loop {
-            let hook = self.exit_hooks.lock().pop();
-            match hook {
-                Some(f) => f(self),
-                None => break,
-            }
+        // Each hook is popped first and run with the cell closed: it
+        // may register another.
+        while let Some(hook) = self.open(&self.exit_hooks, Vec::pop) {
+            hook(self);
         }
     }
 
@@ -349,6 +418,7 @@ impl Pe {
     /// Mark the whole machine as failed and wake every blocked context.
     /// Used when a non-main execution context (a thread object)
     /// panics, so the failure propagates instead of deadlocking.
+    /// Callable from any thread.
     pub fn abort_machine(&self) {
         self.shared.panicked.store(true, Ordering::Release);
         self.net.close();
@@ -441,7 +511,11 @@ impl Pe {
 
     /// Fresh machine-unique-enough request id for internal protocols.
     pub(crate) fn next_req_id(&self) -> u64 {
-        self.req_counter.fetch_add(1, Ordering::Relaxed)
+        self.core(|c| {
+            let id = c.req_counter;
+            c.req_counter += 1;
+            id
+        })
     }
 
     // ---- handler table --------------------------------------------------
@@ -487,7 +561,7 @@ impl Pe {
     pub fn call_handler_from(&self, src: usize, msg: Message) {
         let id = msg.handler();
         let f = self.handler_fn(id);
-        if self.trace.enabled() {
+        if self.trace_on {
             // Splice→first-run steal latency: the transport stamps the
             // moment stolen work was spliced into this PE's stream; the
             // next handler dispatch here closes the interval.
@@ -532,7 +606,7 @@ impl Pe {
     /// (`CsdEnqueueGeneral`). The scheduler (in `converse-core`) will
     /// deliver it to its handler later.
     pub fn queue_enqueue(&self, msg: Message, mode: QueueingMode) {
-        if self.trace.enabled() {
+        if self.trace_on {
             self.trace.record(
                 self.id,
                 self.now_ns(),
@@ -541,18 +615,18 @@ impl Pe {
                 },
             );
         }
-        self.queue.lock().enqueue(msg, mode);
+        self.core(|c| c.queue.enqueue(msg, mode));
     }
 
     /// Take the next message off the scheduler's queue.
     pub fn queue_dequeue(&self) -> Option<Message> {
-        self.queue.lock().dequeue()
+        self.core(|c| c.queue.dequeue())
     }
 
     /// Scheduler-queue occupancy — also the load metric the load
     /// balancer monitors.
     pub fn queue_len(&self) -> usize {
-        self.queue.lock().len()
+        self.core(|c| c.queue.len())
     }
 
     /// Scheduler exit flag (`CsdExitScheduler` sets it; the scheduler
@@ -603,28 +677,23 @@ impl Pe {
 
     // ---- pending buffer & abort plumbing ---------------------------------
 
-    #[inline]
-    pub(crate) fn pending_pop(&self) -> Option<Message> {
-        self.pending.take_first(|_| true)
-    }
-
     pub(crate) fn pending_push(&self, m: Message) {
-        self.pending.push(m);
+        self.core(|c| c.pending.push_back(m));
     }
 
     pub(crate) fn pending_take_matching(&self, h: HandlerId) -> Option<Message> {
-        self.pending.take_first(|m| m.handler() == h)
+        self.core(|c| take_first(&mut c.pending, |m| m.handler() == h))
     }
 
     pub(crate) fn pending_take_internal(&self) -> Option<Message> {
-        self.pending
-            .take_first(|m| m.handler().index() < self.internal_count)
+        let internal = self.internal_count;
+        self.core(|c| take_first(&mut c.pending, |m| m.handler().index() < internal))
     }
 
     /// Number of retrieved-but-unprocessed messages buffered by
     /// `get_specific_msg`.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.core(|c| c.pending.len())
     }
 
     /// Panic (unwinding this PE) if the machine has been torn down or
@@ -636,8 +705,7 @@ impl Pe {
         }
         if self.net.is_closed()
             && self.net.pending(self.id) == 0
-            && self.intake.lock().is_empty()
-            && self.pending.len() == 0
+            && self.core(|c| c.intake.is_empty() && c.pending.is_empty())
         {
             panic!(
                 "PE {}: blocked on a message but the machine has shut down",
@@ -737,7 +805,7 @@ impl Pe {
     /// batch-drained packets sitting in the intake buffer, plus anything
     /// buffered by `get_specific_msg`.
     pub fn inbound_pending(&self) -> usize {
-        self.net.pending(self.id) + self.intake.lock().len() + self.pending.len()
+        self.net.pending(self.id) + self.core(|c| c.intake.len() + c.pending.len())
     }
 
     /// The next inbound packet in delivery order, refilling the intake
@@ -746,38 +814,65 @@ impl Pe {
     /// retrieval path: intake drains strictly before the net, so batched
     /// and single-message retrieval interleave without reordering.
     /// Returns `None` when nothing is queued (or this PE is stalled).
-    pub(crate) fn next_inbound(&self, budget: usize) -> Option<Packet> {
-        let mut intake = self.intake.lock();
-        if let Some(p) = intake.pop_front() {
+    /// Runs on the open scheduler core; the transport and the trace sink
+    /// are the only things called with it open, and neither knows the PE.
+    #[inline]
+    pub(crate) fn pop_inbound(&self, c: &mut PeCore, budget: usize) -> Option<Packet> {
+        if let Some(p) = c.intake.pop_front() {
             return Some(p);
         }
-        let n = self.net.drain_bounded(self.id, &mut intake, budget.max(1));
+        let n = self
+            .net
+            .drain_bounded(self.id, &mut c.intake, budget.max(1));
         if n > 0 {
-            self.trace_sched_batch(n);
+            // Sampled `Event::SchedBatch`: every 32nd intake batch (the
+            // first included) records its size and the spin count of
+            // the most recent idle wait, so batch shapes and idle-spin
+            // behavior are observable in `trace_profile` without
+            // per-batch trace cost.
+            let count = c.sched_batches;
+            c.sched_batches += 1;
+            if self.trace_on && count.is_multiple_of(32) {
+                self.trace.record(
+                    self.id,
+                    self.now_ns(),
+                    Event::SchedBatch {
+                        drained: n,
+                        spin_iters: c.last_spin,
+                    },
+                );
+            }
         }
-        intake.pop_front()
+        c.intake.pop_front()
     }
 
-    /// Sampled [`Event::SchedBatch`] emission: every 32nd intake batch
-    /// (the first included) records its size and the spin count of the
-    /// most recent idle wait, so batch shapes and idle-spin behavior are
-    /// observable in `trace_profile` without per-batch trace cost.
-    /// Called with the intake lock held, so the counter has one writer
-    /// at a time: a relaxed load/store pair, like `load_ticks`, and no
-    /// locked RMW.
-    fn trace_sched_batch(&self, drained: usize) {
-        let count = self.sched_batches.load(Ordering::Relaxed);
-        self.sched_batches.store(count + 1, Ordering::Relaxed);
-        if count.is_multiple_of(32) && self.trace.enabled() {
-            self.trace.record(
-                self.id,
-                self.now_ns(),
-                Event::SchedBatch {
-                    drained,
-                    spin_iters: self.last_spin.load(Ordering::Relaxed),
-                },
-            );
-        }
+    /// Turn a wire packet into the message it carries, with its sender.
+    #[inline]
+    pub(crate) fn open_packet(&self, p: Packet) -> (usize, Message) {
+        let src = p.src;
+        let msg = Message::from_block(p.block)
+            .unwrap_or_else(|e| panic!("PE {}: corrupt message from PE {src}: {e}", self.id));
+        (src, msg)
+    }
+
+    /// The next message in retrieval order — anything buffered by
+    /// `get_specific_msg` first, then the intake buffer / network — with
+    /// its sender (self for a buffered one) and whether any advance
+    /// receive is armed, all from one visit to the scheduler core.
+    #[inline]
+    pub(crate) fn next_message(&self, budget: usize) -> Option<(usize, Message, bool)> {
+        let (got, armed) = self.core(|c| {
+            let got = match c.pending.pop_front() {
+                Some(m) => Ok(m),
+                None => Err(self.pop_inbound(c, budget)?),
+            };
+            Some((got, c.scatter.armed()))
+        })?;
+        let (src, msg) = match got {
+            Ok(buffered) => (self.id, buffered),
+            Err(packet) => self.open_packet(packet),
+        };
+        Some((src, msg, armed))
     }
 
     /// Spin-then-park until a message arrives, the machine closes, or
@@ -790,7 +885,7 @@ impl Pe {
         let spun = self
             .net
             .wait_nonempty_spin(self.id, timeout, self.shared.idle_spin);
-        self.last_spin.store(spun, Ordering::Relaxed);
+        self.core(|c| c.last_spin = spun);
         spun
     }
 
@@ -820,19 +915,19 @@ impl Pe {
     /// work) into this PE's EMA occupancy, and every
     /// [`LOAD_PUBLISH_PERIOD`]th call publish `(run_queue, occupancy)`
     /// to the transport's load board for peers, balancers, and the CCS
-    /// monitor. Called from the Csd loop by the PE's running context —
-    /// the single writer of both cells — so the off-period cost is two
-    /// relaxed load/store pairs and no locked RMW.
+    /// monitor. Called from the Csd loop by the PE's running context.
     pub fn publish_load(&self, busy: bool) {
-        let prev = self.occupancy_pm.load(Ordering::Relaxed);
-        let sample: u32 = if busy { 1000 } else { 0 };
-        // EMA with 1/8 gain: prev * 7/8 + sample / 8.
-        let ema = prev - prev / 8 + sample / 8;
-        self.occupancy_pm.store(ema, Ordering::Relaxed);
-        let t = self.load_ticks.load(Ordering::Relaxed);
-        self.load_ticks.store(t + 1, Ordering::Relaxed);
-        if t.is_multiple_of(LOAD_PUBLISH_PERIOD) {
-            self.net.publish_load(self.id, self.queue_len(), ema);
+        let publish = self.core(|c| {
+            let sample: u32 = if busy { 1000 } else { 0 };
+            // EMA with 1/8 gain: prev * 7/8 + sample / 8.
+            c.occupancy_pm = c.occupancy_pm - c.occupancy_pm / 8 + sample / 8;
+            let t = c.load_ticks;
+            c.load_ticks += 1;
+            t.is_multiple_of(LOAD_PUBLISH_PERIOD)
+                .then(|| (c.queue.len(), c.occupancy_pm))
+        });
+        if let Some((run_queue, ema)) = publish {
+            self.net.publish_load(self.id, run_queue, ema);
         }
     }
 
@@ -867,7 +962,7 @@ impl Pe {
             };
             let t0 = self.now_ns();
             let n = self.net.steal_from(victim, self.id, cfg.batch);
-            if n > 0 && self.trace.enabled() {
+            if n > 0 && self.trace_on {
                 let now = self.now_ns();
                 // Synchronous steal: the request→donate leg is simply
                 // the duration of the call itself.
@@ -893,7 +988,11 @@ impl Pe {
         } else {
             // One asynchronous request per idle pass, rotating victims;
             // the idle park between passes bounds the request rate.
-            let k = self.steal_rr.fetch_add(1, Ordering::Relaxed) as usize;
+            let k = self.core(|c| {
+                let k = c.steal_rr;
+                c.steal_rr += 1;
+                k
+            }) as usize;
             let victim = (self.id + 1 + k % (n_pes - 1)) % n_pes;
             self.net.steal_from(victim, self.id, cfg.batch)
         }
@@ -901,15 +1000,16 @@ impl Pe {
 
     /// Record a trace event from runtime layers above the machine.
     pub fn trace_event(&self, event: Event) {
-        if self.trace.enabled() {
+        if self.trace_on {
             self.trace.record(self.id, self.now_ns(), event);
         }
     }
 
     /// True when the configured sink records events; callers may skip
     /// building expensive payloads otherwise.
+    #[inline]
     pub fn trace_enabled(&self) -> bool {
-        self.trace.enabled()
+        self.trace_on
     }
 
     /// This PE's message-buffer pool counters (the CmiAlloc/CmiFree
@@ -924,7 +1024,7 @@ impl Pe {
     /// counters into the trace. Called at PE teardown by the runner;
     /// user code may also call it mid-run to bracket a phase.
     pub fn trace_msg_pool(&self) {
-        if self.trace.enabled() {
+        if self.trace_on {
             let s = self.msg_pool_stats();
             self.trace_event(Event::MsgPool {
                 hits: s.hits,

@@ -15,7 +15,6 @@ use crate::mmi::CommHandle;
 use crate::pe::Pe;
 use converse_msg::pack::{PackError, Packer, Unpacker};
 use converse_msg::Message;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// A processor group: a spanning tree over member PEs.
@@ -156,7 +155,7 @@ type GroupInbox = HashMap<u64, Vec<(usize, Vec<u8>)>>;
 
 #[derive(Default)]
 pub(crate) struct PgrpState {
-    inbox: Mutex<GroupInbox>,
+    inbox: GroupInbox,
 }
 
 impl Pe {
@@ -186,22 +185,13 @@ impl Pe {
             contribution
         } else {
             self.deliver_internal_until(|| {
-                self.pgrp
-                    .inbox
-                    .lock()
-                    .get(&tag)
-                    .map(|v| v.len())
-                    .unwrap_or(0)
-                    == kids.len()
+                self.open(&self.pgrp, |g| g.inbox.get(&tag).map_or(0, Vec::len)) == kids.len()
             });
             let mut got = self
-                .pgrp
-                .inbox
-                .lock()
-                .remove(&tag)
+                .open(&self.pgrp, |g| g.inbox.remove(&tag))
                 .expect("children arrived");
             got.sort_by_key(|(pe, _)| *pe);
-            let f = self.combiner_fn_public(op);
+            let f = self.combiner_fn(op);
             let mut acc = contribution;
             for (_, bytes) in got {
                 acc = f(&acc, &bytes);
@@ -229,7 +219,7 @@ impl Pe {
             .finish();
         let fwd = Message::new(self.ids.pgrp_fwd, &payload);
         self.sync_send_and_free(group.root(), fwd);
-        self.comm.create(true)
+        self.comm_create(true)
     }
 }
 
@@ -238,12 +228,9 @@ pub(crate) fn handle_up(pe: &Pe, msg: Message) {
     let tag = u.u64().expect("pgrp up: tag");
     let child = u.usize().expect("pgrp up: child");
     let bytes = u.bytes().expect("pgrp up: bytes").to_vec();
-    pe.pgrp
-        .inbox
-        .lock()
-        .entry(tag)
-        .or_default()
-        .push((child, bytes));
+    pe.open(&pe.pgrp, |g| {
+        g.inbox.entry(tag).or_default().push((child, bytes))
+    });
 }
 
 pub(crate) fn handle_fwd(pe: &Pe, msg: Message) {

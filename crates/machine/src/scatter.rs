@@ -23,9 +23,7 @@
 
 use crate::pe::Pe;
 use converse_msg::{HandlerId, Message};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// One piece of a scatter: copy `len` payload bytes starting at
 /// `src_offset` into the scatter area named by `area`.
@@ -59,87 +57,81 @@ pub struct ScatterSpec {
     pub notify: Option<HandlerId>,
 }
 
+impl ScatterSpec {
+    fn matches(&self, msg: &Message) -> bool {
+        self.handler == msg.handler() && {
+            let p = msg.payload();
+            p.len() >= self.match_offset + 4
+                && u32::from_le_bytes(
+                    p[self.match_offset..self.match_offset + 4]
+                        .try_into()
+                        .expect("4 bytes"),
+                ) == self.match_value
+        }
+    }
+}
+
 /// Handle identifying a registered scatter (to cancel or re-arm).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScatterHandle(u64);
 
+/// The advance receives of one PE; part of its owner-only scheduler
+/// core, because every received message is offered to them first.
 #[derive(Default)]
 pub(crate) struct ScatterState {
-    /// Mirror of `specs.len()`, stored under the `specs` lock by the
-    /// owning PE. Every received message is offered to the scatter
-    /// table first; with nothing armed (the usual case) that is one
-    /// relaxed load instead of a lock pair.
-    armed: AtomicUsize,
-    specs: Mutex<HashMap<u64, ScatterSpec>>,
-    areas: Mutex<HashMap<u64, Vec<u8>>>,
-    next: AtomicU64,
+    specs: HashMap<u64, ScatterSpec>,
+    areas: HashMap<u64, Vec<u8>>,
+    next: u64,
+}
+
+impl ScatterState {
+    /// True when any advance receive is registered — with none (the
+    /// usual case) a retrieval skips the matching altogether.
+    #[inline]
+    pub(crate) fn armed(&self) -> bool {
+        !self.specs.is_empty()
+    }
 }
 
 impl Pe {
     /// Register an advance receive. Returns a handle; the scatter stays
     /// armed (matching any number of messages) until cancelled.
     pub fn scatter_register(&self, spec: ScatterSpec) -> ScatterHandle {
-        let id = self.scatter.next.fetch_add(1, Ordering::Relaxed);
-        let mut specs = self.scatter.specs.lock();
-        specs.insert(id, spec);
-        self.scatter.armed.store(specs.len(), Ordering::Relaxed);
-        ScatterHandle(id)
+        self.core(|c| {
+            let id = c.scatter.next;
+            c.scatter.next += 1;
+            c.scatter.specs.insert(id, spec);
+            ScatterHandle(id)
+        })
     }
 
     /// Cancel an advance receive. Returns false if already cancelled.
     pub fn scatter_cancel(&self, h: ScatterHandle) -> bool {
-        let mut specs = self.scatter.specs.lock();
-        let was_armed = specs.remove(&h.0).is_some();
-        self.scatter.armed.store(specs.len(), Ordering::Relaxed);
-        was_armed
+        self.core(|c| c.scatter.specs.remove(&h.0).is_some())
     }
 
     /// Take the accumulated contents of a scatter area (clearing it).
     /// Empty if nothing matched yet.
     pub fn scatter_take(&self, area: u64) -> Vec<u8> {
-        self.scatter.areas.lock().remove(&area).unwrap_or_default()
+        self.core(|c| c.scatter.areas.remove(&area))
+            .unwrap_or_default()
     }
 
     /// Peek at a scatter area without clearing.
     pub fn scatter_peek(&self, area: u64) -> Vec<u8> {
-        self.scatter
-            .areas
-            .lock()
-            .get(&area)
-            .cloned()
+        self.core(|c| c.scatter.areas.get(&area).cloned())
             .unwrap_or_default()
     }
 
     /// Try to consume `msg` by a registered scatter. Returns true when a
     /// spec matched (the message is then fully handled here). Called by
-    /// the retrieval paths before normal dispatch.
+    /// the retrieval paths before normal dispatch, and only while a
+    /// scatter is armed.
     pub(crate) fn scatter_try(&self, msg: &Message) -> bool {
-        if self.scatter.armed.load(Ordering::Relaxed) == 0 {
-            return false;
-        }
-        let matched: Option<ScatterSpec> = {
-            let specs = self.scatter.specs.lock();
-            specs
-                .values()
-                .find(|s| {
-                    s.handler == msg.handler() && {
-                        let p = msg.payload();
-                        p.len() >= s.match_offset + 4
-                            && u32::from_le_bytes(
-                                p[s.match_offset..s.match_offset + 4]
-                                    .try_into()
-                                    .expect("4 bytes"),
-                            ) == s.match_value
-                    }
-                })
-                .cloned()
-        };
-        let Some(spec) = matched else {
-            return false;
-        };
-        let p = msg.payload();
-        {
-            let mut areas = self.scatter.areas.lock();
+        let matched: Option<Option<HandlerId>> = self.core(|c| {
+            let ScatterState { specs, areas, .. } = &mut c.scatter;
+            let spec = specs.values().find(|s| s.matches(msg))?;
+            let p = msg.payload();
             for piece in &spec.pieces {
                 let end = (piece.src_offset + piece.len).min(p.len());
                 if piece.src_offset < end {
@@ -149,10 +141,11 @@ impl Pe {
                         .extend_from_slice(&p[piece.src_offset..end]);
                 }
             }
-        }
-        if let Some(h) = spec.notify {
+            Some(spec.notify)
+        });
+        if let Some(Some(h)) = matched {
             self.queue_enqueue(Message::new(h, b""), converse_queue::QueueingMode::Fifo);
         }
-        true
+        matched.is_some()
     }
 }

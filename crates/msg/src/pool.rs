@@ -27,6 +27,24 @@
 //! global allocator by the free lists' destructor; a chunk freed after
 //! that destructor ran is deallocated on the spot.
 //!
+//! **Retention is bounded by bytes, with a floor in chunks.** A class
+//! keeps up to `CLASS_BYTES_CAP` (64 KiB) of message bytes and never
+//! fewer than `MIN_PER_CLASS` (64) chunks: 1 024 chunks of the 64-byte
+//! class, 512 / 256 / 128 of the next three, and 64 of every class from
+//! 1 KiB up — where 64 chunks already exceed 64 KiB. A count alone fits
+//! no traffic shape: a windowed exchange of 64 small messages has two
+//! windows in flight, so each turn frees 128 chunks into one list, and a
+//! cap of 64 sent every other message back to the allocator for the
+//! sake of 8 KiB. The bound is deliberately not larger: a chunk joins
+//! the *freeing* thread's list, so a one-way flow (a transport's reader
+//! thread allocates, the PE frees) fills the PE's classes to the brim
+//! and keeps them there — with 1 MiB per class the 2-process shm-ring
+//! exchange held 3.4 MB (18 %) more resident for nothing. The worst
+//! case a thread can retain, every class full, is **≈ 8.2 MiB** (it was
+//! ≈ 8.0 MiB with 64 chunks per class; the four classes below 1 KiB
+//! account for the 222 KiB). A thread retains only what it has itself
+//! freed.
+//!
 //! Every take is counted as a **hit** (served from a free list) or a
 //! **miss** (touched the global allocator); `hits + misses` is therefore
 //! the number of message buffers this thread materialized, which is what
@@ -44,8 +62,10 @@ pub const MIN_CLASS: usize = 64;
 /// Largest pooled capacity class in bytes; bigger chunks bypass the
 /// pool entirely.
 pub const MAX_CLASS: usize = 64 * 1024;
-/// Free chunks retained per class before further frees are dropped.
-const PER_CLASS_CAP: usize = 64;
+/// Message bytes a class retains before further frees are dropped.
+const CLASS_BYTES_CAP: usize = 64 * 1024;
+/// Chunks every class may retain, however large they are.
+const MIN_PER_CLASS: usize = 64;
 /// Number of power-of-two classes between `MIN_CLASS` and `MAX_CLASS`.
 const NUM_CLASSES: usize = (MAX_CLASS / MIN_CLASS).ilog2() as usize + 1;
 /// `ChunkHeader::class` of a chunk too large for any class.
@@ -120,6 +140,12 @@ thread_local! {
 #[inline]
 fn class_size(i: usize) -> usize {
     MIN_CLASS << i
+}
+
+/// Free chunks class `i` retains before further frees are dropped.
+#[inline]
+fn class_cap(i: usize) -> usize {
+    (CLASS_BYTES_CAP / class_size(i)).max(MIN_PER_CLASS)
 }
 
 /// Smallest class that can hold `len` bytes, if one exists.
@@ -205,7 +231,7 @@ pub(crate) unsafe fn give(chunk: NonNull<ChunkHeader>) {
         && FREE
             .try_with(|f| {
                 let list = &mut f.borrow_mut().0[class as usize];
-                let room = list.len() < PER_CLASS_CAP;
+                let room = list.len() < class_cap(class as usize);
                 if room {
                     list.push(chunk);
                 }
@@ -282,7 +308,8 @@ mod tests {
 
     #[test]
     fn a_full_class_discards() {
-        let chunks: Vec<_> = (0..PER_CLASS_CAP + 3).map(|_| take(2048)).collect();
+        let cap = class_cap(class_for_len(2048).unwrap());
+        let chunks: Vec<_> = (0..cap + 3).map(|_| take(2048)).collect();
         let before = stats();
         for c in chunks {
             // SAFETY: each chunk is ours alone and given exactly once.
@@ -291,8 +318,53 @@ mod tests {
         let after = stats();
         assert_eq!(
             (after.recycled - before.recycled) + (after.discarded - before.discarded),
-            PER_CLASS_CAP as u64 + 3
+            cap as u64 + 3
         );
         assert!(after.discarded - before.discarded >= 3);
+    }
+
+    #[test]
+    fn retention_is_bounded_by_bytes_with_a_floor_of_64_chunks() {
+        for class in 0..NUM_CLASSES {
+            let cap = class_cap(class);
+            assert!(
+                cap >= MIN_PER_CLASS,
+                "class {class} retains less than before"
+            );
+            assert!(
+                cap == MIN_PER_CLASS || cap * class_size(class) <= CLASS_BYTES_CAP,
+                "class {class} retains more than the byte bound"
+            );
+        }
+        // Two 64-message windows of 80-byte messages fit their class.
+        assert!(class_cap(class_for_len(80).unwrap()) >= 128);
+        // The worst case the module docs state.
+        let worst: usize = (0..NUM_CLASSES)
+            .map(|c| class_cap(c) * (class_size(c) + CHUNK_HEADER_BYTES))
+            .sum();
+        let before: usize = (0..NUM_CLASSES)
+            .map(|c| MIN_PER_CLASS * (class_size(c) + CHUNK_HEADER_BYTES))
+            .sum();
+        assert_eq!(worst - before, 222 * 1024);
+    }
+
+    #[test]
+    fn two_windows_in_flight_are_all_recycled() {
+        // The exchange shape: 128 chunks of one small class freed in a
+        // burst, then taken again.
+        let chunks: Vec<_> = (0..128).map(|_| take(80)).collect();
+        let before = stats();
+        for c in chunks {
+            // SAFETY: each chunk is ours alone and given exactly once.
+            unsafe { give(c) };
+        }
+        let again: Vec<_> = (0..128).map(|_| take(80)).collect();
+        let after = stats();
+        assert_eq!(after.discarded, before.discarded);
+        assert_eq!(after.hits - before.hits, 128);
+        for c in again {
+            // SAFETY: as above.
+            unsafe { give(c) };
+        }
     }
 }

@@ -5,9 +5,10 @@
 //! test, so nothing else in the process allocates while it counts.
 
 use converse_machine::Pe;
+use converse_msg::{pool, MsgBlock};
 use converse_taskbench::exec::{assert_machine_valid, run_graph_raw, Layer, PeSummary, RunOpts};
 use converse_taskbench::{GraphSpec, Pattern, TaskGraph};
-use converse_threads::{CthBackend, CthRuntime};
+use converse_threads::{cth_create, cth_resume, cth_suspend, CthBackend, CthRuntime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,6 +44,35 @@ static GLOBAL: Counting = Counting;
 /// Bytes allocated and not yet freed.
 fn live_bytes() -> i64 {
     ALLOCATED.load(Ordering::Relaxed) as i64 - FREED.load(Ordering::Relaxed) as i64
+}
+
+/// Fill this PE's message pool and stack pool to their caps. A free
+/// chunk joins the list of whichever PE freed it, and the stack pool
+/// holds as many stacks as its PE ever had threads alive at once: both
+/// are bounded, but where they stand after a run depends on the
+/// schedule, and between them that is megabytes. Holding as much as a
+/// pool can retain and letting it all go leaves the pool exactly full,
+/// so two samples of `live_bytes` taken after this differ by what the
+/// runs in between left behind — growth *inside* a pool, past its
+/// documented cap, included.
+fn fill_pools(pe: &Pe, threads: usize) {
+    // A class retains 64 KiB of messages, or 64 chunks if that is more
+    // (`converse_msg::pool`).
+    let mut size = pool::MIN_CLASS;
+    while size <= pool::MAX_CLASS {
+        let chunks = (64 * 1024 / size).max(64);
+        let held: Vec<_> = (0..chunks).map(|_| MsgBlock::alloc(size)).collect();
+        drop(held);
+        size *= 2;
+    }
+    // Every thread takes its stack at its first resume and gives it
+    // back when it returns at its second.
+    let parked: Vec<_> = (0..threads).map(|_| cth_create(pe, cth_suspend)).collect();
+    for _ in 0..2 {
+        for t in &parked {
+            cth_resume(pe, t);
+        }
+    }
 }
 
 const PES: usize = 2;
@@ -145,6 +175,8 @@ fn a_task_makes_few_allocator_calls_and_a_run_leaves_nothing() {
         // what was live after run 100 — no handler, group branch,
         // combiner, run state or exited thread is left behind.
         let opts = RunOpts::default();
+        // tSM runs a thread per task: no run has more alive at once.
+        let most_threads = small.iter().map(|g| g.num_tasks()).max().unwrap();
         let mut at_100 = (0, 0);
         for run in 1..=1000 {
             for g in &small {
@@ -158,6 +190,7 @@ fn a_task_makes_few_allocator_calls_and_a_run_leaves_nothing() {
                 }
             }
             if run == 100 || run == 1000 {
+                fill_pools(pe, most_threads);
                 pe.barrier();
                 let now = (pe.num_handlers(), live_bytes());
                 pe.barrier();

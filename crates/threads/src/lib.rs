@@ -59,16 +59,31 @@
 //! rests on (§3.1.1: a generalized message can be "a scheduler entry for
 //! a ready thread"). This holds on both backends: the generalized
 //! message format and the Csd queue are backend-independent.
+//!
+//! # Single ownership, checked
+//!
+//! Thread objects are PE-local: exactly one context of a PE runs at a
+//! time, the one holding the PE's run token ([`Pe::owner`]). Everything
+//! the switch path touches — who is running, the ready pool, the
+//! Csd-scheduled threads, each thread's strategy, the fiber table and
+//! stack pool — lives in [`OwnerCell`]s of that token (the fiber state
+//! in a [`PinnedCell`]: fibers stay on their OS thread): no lock, and a
+//! thread API call from an OS thread that does not hold the token
+//! panics instead of racing. On the fiber backend the token never
+//! leaves the PE's thread. On the hand-off backend it follows control:
+//! the context giving up control releases it before waking its
+//! successor, which adopts it once woken (`wake` / `wait_for_token`;
+//! the state mutex and condvar of the woken thread order the two).
 
 use converse_core::csd;
-use converse_machine::{HandlerId, IdMap, Message, Pe, ThreadBackend};
+use converse_machine::{HandlerId, IdMap, Message, OwnerCell, Pe, PinnedCell, ThreadBackend};
 use converse_msg::{pack::Unpacker, Priority};
 use converse_queue::QueueingMode;
 use converse_trace::Event;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Payload used to unwind a poisoned (machine-teardown) thread without
 /// tripping the global panic hook.
@@ -108,7 +123,7 @@ struct Inner {
     cv: Condvar,
     /// `None` = the default ready-pool strategy (the common case pays no
     /// boxed-closure indirection on the switch path).
-    strategy: Mutex<Option<Strategy>>,
+    strategy: OwnerCell<Option<Strategy>>,
     stack_size: usize,
     /// Fiber backend only: the running fiber's yield handle
     /// (`*const FiberHandle` as usize; 0 while not on a fiber stack).
@@ -130,11 +145,41 @@ pub struct Strategy {
 
 /// A handle to a Converse thread object (`THREAD *`). Clone freely; all
 /// clones denote the same thread. Thread objects are PE-local: create,
-/// awaken and resume them only on their home PE.
+/// awaken and resume them only from a context of their home PE — any
+/// other OS thread that tries panics (the handle itself may be stored
+/// and dropped anywhere).
 #[derive(Clone)]
 pub struct Thread(Arc<Inner>);
 
 impl Thread {
+    fn new(pe: &Pe, id: u64, state: State, stack_size: usize) -> Thread {
+        Thread(Arc::new(Inner {
+            id,
+            state: Mutex::new(state),
+            cv: Condvar::new(),
+            // None = the default ready-pool strategy: awaken appends to
+            // the PE's ready pool, suspend pops its oldest entry.
+            strategy: OwnerCell::new(pe.owner(), None),
+            stack_size,
+            handle: AtomicU64::new(0),
+        }))
+    }
+
+    /// Take this thread's strategy out of its cell, so it is called
+    /// with the cell closed: a strategy may call back into the thread
+    /// API, this thread's included. Pair with
+    /// [`Thread::restore_strategy`].
+    fn take_strategy(&self, pe: &Pe) -> Option<Strategy> {
+        self.0.strategy.with(pe.owner(), Option::take)
+    }
+
+    /// Put a taken strategy back — unless the call installed another.
+    fn restore_strategy(&self, pe: &Pe, taken: Strategy) {
+        self.0.strategy.with(pe.owner(), |slot| {
+            slot.get_or_insert(taken);
+        });
+    }
+
     /// Runtime-unique thread id (0 names the PE's main context).
     pub fn id(&self) -> u64 {
         self.0.id
@@ -255,37 +300,60 @@ pub struct StackPoolStats {
     pub discarded: u64,
 }
 
+/// What the switch path reads and writes; one cell, opened briefly and
+/// never across a call into user code.
+struct Sched {
+    /// The thread object holding the run token; `None` in the PE's main
+    /// (scheduler) context. The running thread's handle is *moved* in
+    /// and out by the fiber drive loop — no refcount traffic per switch.
+    current: Option<Thread>,
+    /// Default ready pool used by the default suspend/awaken strategy.
+    ready: VecDeque<Thread>,
+    /// Threads awaiting their Csd resume message, by id.
+    scheduled: IdMap<Thread>,
+    next_id: u64,
+    /// Context switches performed (both backends) — the sampling key for
+    /// [`Event::ThreadSwitch`].
+    switches: u64,
+    /// Switches that took the direct-handoff fast path: suspend went
+    /// straight to the next ready thread, no Csd queue bounce.
+    direct: u64,
+}
+
+/// The thread registry — off the switch path.
+#[derive(Default)]
+struct Registry {
+    /// Every thread created on this PE, with its OS join handle once
+    /// started (hand-off backend); consumed at teardown.
+    live: Vec<(Thread, Option<std::thread::JoinHandle<()>>)>,
+    /// A panic raised inside a hand-off thread, carried to the main
+    /// context (fiber panics propagate synchronously instead).
+    pending_panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
 /// Per-PE thread runtime (`CthInit` creates it implicitly on first use).
 pub struct CthRuntime {
     /// Which mechanism backs this PE's thread objects.
     backend: CthBackend,
-    /// The context currently holding the run token.
-    current: Mutex<Thread>,
+    /// The PE this runtime lives on. Only the diagnostic readers use it
+    /// (`ready_len`, `live_len`, `switches`, `direct_handoffs`,
+    /// `stack_pool_stats`): their `&self` signatures predate the cells
+    /// and are kept for their callers, so they find the token here.
+    /// Everything on a switch's path is handed `pe`.
+    home: Weak<Pe>,
     /// The PE's original context: the scheduler/entry stack.
     main: Thread,
-    /// Default ready pool used by the default suspend/awaken strategy.
-    ready: Mutex<VecDeque<Thread>>,
-    /// Every thread created on this PE, with its OS join handle once
-    /// started (hand-off backend); consumed at teardown.
-    live: Mutex<Vec<(Thread, Option<std::thread::JoinHandle<()>>)>>,
-    next_id: AtomicU64,
     /// Handler resuming a thread from a generalized message (the Csd
     /// integration).
     resume_handler: HandlerId,
-    /// Threads awaiting their Csd resume message, by id.
-    scheduled: Mutex<IdMap<Thread>>,
-    /// A panic raised inside a hand-off thread, carried to the main
-    /// context (fiber panics propagate synchronously instead).
-    pending_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Context switches performed (both backends) — the sampling key for
-    /// [`Event::ThreadSwitch`].
-    switches: AtomicU64,
-    /// Switches that took the direct-handoff fast path: suspend went
-    /// straight to the next ready thread, no Csd queue bounce.
-    direct: AtomicU64,
+    sched: OwnerCell<Sched>,
+    registry: OwnerCell<Registry>,
     /// Fiber-backend state (parked fibers, pending directive, stack
-    /// pool); inert in hand-off mode.
-    fiber: fb::FiberCell,
+    /// pool); inert in hand-off mode. Fibers are not `Send`, so the
+    /// cell is pinned to the PE's own OS thread, where the runtime is
+    /// always created (the first `cth_*` call comes from the main
+    /// context).
+    fiber: PinnedCell<fb::FiberState>,
 }
 
 impl CthRuntime {
@@ -308,40 +376,77 @@ impl CthRuntime {
             let resume_handler = pe.register_handler(|pe, msg| {
                 let mut u = Unpacker::new(msg.payload());
                 let tid = u.u64().expect("cth resume: tid");
-                let t = CthRuntime::get(pe)
-                    .scheduled
-                    .lock()
-                    .remove(&tid)
+                let rt = CthRuntime::get(pe);
+                let t = rt
+                    .sched(pe, |s| s.scheduled.remove(&tid))
                     .unwrap_or_else(|| {
                         panic!("PE {}: resume message for unknown thread {tid}", pe.my_pe())
                     });
-                cth_resume(pe, &t);
+                resume(pe, rt, t);
             });
             pe.on_exit(|pe| CthRuntime::get(pe).teardown(pe));
-            let main = Thread(Arc::new(Inner {
-                id: 0,
-                state: Mutex::new(State::Running),
-                cv: Condvar::new(),
-                strategy: Mutex::new(None),
-                stack_size: 0,
-                handle: AtomicU64::new(0),
-            }));
             CthRuntime {
                 backend: CthBackend::resolve(pe),
-                current: Mutex::new(main.clone()),
-                main,
-                ready: Mutex::new(VecDeque::new()),
-                live: Mutex::new(Vec::new()),
-                next_id: AtomicU64::new(1),
+                home: Arc::downgrade(&pe.arc()),
+                main: Thread::new(pe, 0, State::Running, 0),
                 resume_handler,
-                scheduled: Mutex::new(IdMap::default()),
-                pending_panic: Mutex::new(None),
-                switches: AtomicU64::new(0),
-                direct: AtomicU64::new(0),
-                fiber: fb::FiberCell::new(),
+                sched: OwnerCell::new(
+                    pe.owner(),
+                    Sched {
+                        current: None,
+                        ready: VecDeque::new(),
+                        scheduled: IdMap::default(),
+                        next_id: 1,
+                        switches: 0,
+                        direct: 0,
+                    },
+                ),
+                registry: OwnerCell::new(pe.owner(), Registry::default()),
+                fiber: PinnedCell::new(pe.owner(), fb::FiberState::new()),
             }
         });
         pe.local_ref().expect("just installed")
+    }
+
+    /// Open the switch-path state. `f` must not call user code.
+    #[inline(always)]
+    fn sched<R>(&self, pe: &Pe, f: impl FnOnce(&mut Sched) -> R) -> R {
+        self.sched.with(pe.owner(), f)
+    }
+
+    /// Borrow the running thread object for a short look (its id, its
+    /// strategy cell, its yield handle): no handle is cloned. Panics in
+    /// the main context, which `what` names.
+    #[inline]
+    fn with_current<R>(&self, pe: &Pe, what: &str, f: impl FnOnce(&Thread) -> R) -> R {
+        self.sched(pe, |s| match &s.current {
+            Some(me) => f(me),
+            None => panic!(
+                "PE {}: {what} called from the main context — only thread objects suspend",
+                pe.my_pe()
+            ),
+        })
+    }
+
+    /// A handle to the running context (the main context's included).
+    fn current_thread(&self, pe: &Pe) -> Thread {
+        self.sched(pe, |s| s.current.clone())
+            .unwrap_or_else(|| self.main.clone())
+    }
+
+    /// `t`, or `None` when it is the main context — the form
+    /// `Sched::current` keeps.
+    fn as_current(&self, t: &Thread) -> Option<Thread> {
+        (!t.same(&self.main)).then(|| t.clone())
+    }
+
+    /// The PE this runtime belongs to, for the readers that are not
+    /// handed one. They are owner-only like the state they read: off the
+    /// PE's contexts the cell they open panics.
+    fn home(&self) -> Arc<Pe> {
+        self.home
+            .upgrade()
+            .expect("the thread runtime lives in its PE's local storage")
     }
 
     /// The backend this PE's thread objects run on.
@@ -373,47 +478,49 @@ impl CthRuntime {
 
     /// Number of threads in the default ready pool.
     pub fn ready_len(&self) -> usize {
-        self.ready.lock().len()
+        self.sched(&self.home(), |s| s.ready.len())
     }
 
     /// Number of live (created, not yet exited) threads.
     pub fn live_len(&self) -> usize {
-        self.live
-            .lock()
-            .iter()
-            .filter(|(t, _)| !t.is_exited())
-            .count()
+        self.registry.with(self.home().owner(), |r| {
+            r.live.iter().filter(|(t, _)| !t.is_exited()).count()
+        })
     }
 
     /// Context switches performed so far on this PE (both backends).
     pub fn switches(&self) -> u64 {
-        self.switches.load(Ordering::Relaxed)
+        self.sched(&self.home(), |s| s.switches)
     }
 
     /// Switches that took the direct-handoff fast path (suspend handed
     /// control straight to the next ready thread).
     pub fn direct_handoffs(&self) -> u64 {
-        self.direct.load(Ordering::Relaxed)
+        self.sched(&self.home(), |s| s.direct)
     }
 
     /// Snapshot of the fiber backend's stack-pool counters (all zero on
     /// the hand-off backend, which uses OS thread stacks).
     pub fn stack_pool_stats(&self) -> StackPoolStats {
         if self.backend == CthBackend::Fiber {
-            fb::pool_stats(self)
+            fb::pool_stats(&self.home(), self)
         } else {
             StackPoolStats::default()
         }
     }
 
-    /// Count a control transfer and emit the sampled
+    /// Make `next` (`None` = the main context) the running context,
+    /// count the control transfer and emit the sampled
     /// [`Event::ThreadSwitch`] record.
-    fn note_switch(&self, pe: &Pe, direct: bool) {
-        if direct {
-            self.direct.fetch_add(1, Ordering::Relaxed);
-        }
-        let n = self.switches.fetch_add(1, Ordering::Relaxed);
-        if n.is_multiple_of(SWITCH_SAMPLE) && pe.trace_enabled() {
+    fn switch_to(&self, pe: &Pe, next: Option<Thread>, direct: bool) {
+        let sampled = self.sched(pe, |s| {
+            s.current = next;
+            s.direct += direct as u64;
+            let n = s.switches;
+            s.switches += 1;
+            n.is_multiple_of(SWITCH_SAMPLE)
+        });
+        if sampled && pe.trace_enabled() {
             pe.trace_event(Event::ThreadSwitch {
                 backend: self.backend.label(),
                 direct_handoff: direct,
@@ -423,35 +530,48 @@ impl CthRuntime {
 
     /// Poison every still-suspended thread: fibers are driven through a
     /// poison unwind on the spot (stacks reclaimed into the pool);
-    /// hand-off OS threads are woken poisoned and joined.
+    /// hand-off OS threads are woken poisoned and joined, one at a time,
+    /// each holding the run token while its stack unwinds (destructors
+    /// on it may use the PE).
     fn teardown(&self, pe: &Pe) {
+        let entries = self
+            .registry
+            .with(pe.owner(), |r| std::mem::take(&mut r.live));
         match self.backend {
-            CthBackend::Fiber => fb::teardown(pe, self),
+            CthBackend::Fiber => fb::teardown(pe, self, entries),
             CthBackend::Handoff => {
-                let entries: Vec<(Thread, Option<std::thread::JoinHandle<()>>)> =
-                    std::mem::take(&mut *self.live.lock());
-                for (t, _) in &entries {
-                    let mut s = t.0.state.lock();
-                    match &mut *s {
-                        State::NotStarted(entry) => {
-                            entry.take();
-                            *s = State::Exited;
+                for (t, handle) in entries {
+                    let poisoned = {
+                        let mut s = t.0.state.lock();
+                        match &mut *s {
+                            State::NotStarted(entry) => {
+                                entry.take();
+                                *s = State::Exited;
+                                false
+                            }
+                            State::Parked => {
+                                pe.owner().release();
+                                *s = State::Poisoned;
+                                t.0.cv.notify_all();
+                                true
+                            }
+                            State::Running => unreachable!(
+                                "PE {}: teardown while thread {} runs — the main context holds the token",
+                                pe.my_pe(),
+                                t.id()
+                            ),
+                            State::Exited | State::Poisoned => false,
                         }
-                        State::Parked => {
-                            *s = State::Poisoned;
-                            t.0.cv.notify_all();
-                        }
-                        State::Running => unreachable!(
-                            "PE {}: teardown while thread {} runs — the main context holds the token",
-                            pe.my_pe(),
-                            t.id()
-                        ),
-                        State::Exited | State::Poisoned => {}
-                    }
-                }
-                for (_, handle) in entries {
+                    };
                     if let Some(h) = handle {
                         let _ = h.join();
+                    }
+                    if poisoned {
+                        // SAFETY: the token was released to `t` alone,
+                        // which releases it in `finish_thread` before
+                        // its OS thread ends; the join above orders that
+                        // before this call.
+                        unsafe { pe.owner().adopt() };
                     }
                 }
             }
@@ -492,25 +612,19 @@ where
     F: FnOnce(&Pe) + Send + 'static,
 {
     let rt = CthRuntime::get(pe);
-    let id = rt.next_id.fetch_add(1, Ordering::Relaxed);
-    let t = Thread(Arc::new(Inner {
-        id,
-        state: Mutex::new(State::NotStarted(Some(Box::new(f)))),
-        cv: Condvar::new(),
-        // None = the default ready-pool strategy: awaken appends to the
-        // PE's ready pool, suspend pops its oldest entry.
-        strategy: Mutex::new(None),
-        stack_size,
-        handle: AtomicU64::new(0),
-    }));
-    {
-        let mut live = rt.live.lock();
+    let id = rt.sched(pe, |s| {
+        let id = s.next_id;
+        s.next_id += 1;
+        id
+    });
+    let t = Thread::new(pe, id, State::NotStarted(Some(Box::new(f))), stack_size);
+    rt.registry.with(pe.owner(), |r| {
         // Before the list would grow, drop the threads that have exited
         // (joining a hand-off thread's OS thread, which is past its last
         // use of the runtime): a PE that creates a thread per task holds
         // as many entries as it ever had threads alive at once.
-        if live.len() == live.capacity() {
-            live.retain_mut(|(thread, os_thread)| {
+        if r.live.len() == r.live.capacity() {
+            r.live.retain_mut(|(thread, os_thread)| {
                 let exited = thread.is_exited();
                 if exited {
                     if let Some(h) = os_thread.take() {
@@ -520,8 +634,8 @@ where
                 !exited
             });
         }
-        live.push((t.clone(), None));
-    }
+        r.live.push((t.clone(), None));
+    });
     pe.trace_event(Event::ThreadCreate { tid: id });
     t
 }
@@ -529,8 +643,8 @@ where
 /// Install a per-thread scheduling strategy (`CthSetStrategy`): how
 /// [`cth_awaken`] stores the thread, and which thread [`cth_suspend`]
 /// picks when *this* thread gives up control.
-pub fn cth_set_strategy(_pe: &Pe, t: &Thread, s: Strategy) {
-    *t.0.strategy.lock() = Some(s);
+pub fn cth_set_strategy(pe: &Pe, t: &Thread, s: Strategy) {
+    t.0.strategy.with(pe.owner(), |slot| *slot = Some(s));
 }
 
 /// Give `t` the Csd strategy: awakening enqueues a generalized message
@@ -544,7 +658,7 @@ pub fn set_csd_strategy(pe: &Pe, t: &Thread, prio: Priority) {
         Strategy {
             awaken: Box::new(move |pe, t| {
                 let rt = CthRuntime::get(pe);
-                rt.scheduled.lock().insert(tid, t);
+                rt.sched(pe, |s| s.scheduled.insert(tid, t));
                 // Same wire format as `Packer::u64`, no Vec allocation.
                 let payload = tid.to_le_bytes();
                 let msg = Message::with_priority(rt.resume_handler, &prio, &payload);
@@ -563,27 +677,27 @@ pub fn set_csd_strategy(pe: &Pe, t: &Thread, prio: Priority) {
 /// The currently executing thread (`CthSelf`); `None` in the PE's main
 /// (scheduler) context.
 pub fn cth_self(pe: &Pe) -> Option<Thread> {
-    let rt = CthRuntime::get(pe);
-    let cur = rt.current.lock().clone();
-    if cur.same(&rt.main) {
-        None
-    } else {
-        Some(cur)
-    }
+    CthRuntime::get(pe).sched(pe, |s| s.current.clone())
 }
 
 /// Transfer control to `t` immediately (`CthResume`). The calling
 /// context is parked un-awakened: someone must `cth_resume` or
 /// `cth_awaken` it later, exactly as in the C API.
 pub fn cth_resume(pe: &Pe, t: &Thread) {
-    let rt = CthRuntime::get(pe);
-    let me = rt.current.lock().clone();
-    if me.same(t) {
+    resume(pe, CthRuntime::get(pe), t.clone());
+}
+
+/// [`cth_resume`] of a handle the caller gives away (the Csd resume
+/// handler's case: no refcount traffic on the fiber backend).
+fn resume(pe: &Pe, rt: &CthRuntime, t: Thread) {
+    // Thread ids are per PE (0 = the main context), as threads are.
+    let me = rt.sched(pe, |s| s.current.as_ref().map_or(0, Thread::id));
+    if me == t.id() {
         return;
     }
     match rt.backend {
-        CthBackend::Handoff => transfer(pe, rt, &me, t, false),
-        CthBackend::Fiber => fb::resume(pe, rt, &me, t),
+        CthBackend::Handoff => transfer(pe, rt, &rt.current_thread(pe), &t, false),
+        CthBackend::Fiber => fb::resume(pe, rt, me == 0, t),
     }
 }
 
@@ -593,39 +707,48 @@ pub fn cth_resume(pe: &Pe, t: &Thread) {
 /// successor is switched to **directly** — one ~20 ns context switch, no
 /// Csd queue bounce (the direct-handoff fast path).
 pub fn cth_suspend(pe: &Pe) {
-    let rt = CthRuntime::get(pe);
-    let me = rt.current.lock().clone();
-    assert!(
-        !me.same(&rt.main),
-        "PE {}: cth_suspend called from the main context — only thread objects suspend",
-        pe.my_pe()
-    );
-    suspend_inner(pe, rt, me);
+    suspend_current(pe, CthRuntime::get(pe), "cth_suspend");
 }
 
-fn suspend_inner(pe: &Pe, rt: &CthRuntime, me: Thread) {
-    let next = {
-        let mut strat = me.0.strategy.lock();
-        match strat.as_mut() {
-            Some(s) => (s.suspend)(pe),
-            None => rt.ready.lock().pop_front(),
-        }
-    };
+/// Who runs next by `strategy` (`None` = the PE's main context).
+fn pick_successor(pe: &Pe, rt: &CthRuntime, strategy: Option<&mut Strategy>) -> Option<Thread> {
+    match strategy {
+        Some(s) => (s.suspend)(pe),
+        None => rt.sched(pe, |s| s.ready.pop_front()),
+    }
+}
+
+/// Who runs next when `t` gives up control for good (exit).
+fn successor_of(pe: &Pe, rt: &CthRuntime, t: &Thread) -> Option<Thread> {
+    let mut strategy = t.take_strategy(pe);
+    let next = pick_successor(pe, rt, strategy.as_mut());
+    if let Some(s) = strategy {
+        t.restore_strategy(pe, s);
+    }
+    next
+}
+
+fn suspend_current(pe: &Pe, rt: &CthRuntime, what: &str) {
+    // The running thread is reached by borrow; its strategy runs with
+    // every cell closed.
+    let (me, mut strategy) = rt.with_current(pe, what, |me| (me.id(), me.take_strategy(pe)));
+    let next = pick_successor(pe, rt, strategy.as_mut());
+    if let Some(s) = strategy {
+        rt.with_current(pe, what, |me| me.restore_strategy(pe, s));
+    }
     // A strategy may hand back the suspending thread itself (a solo
     // thread yielding); control simply stays put.
-    if let Some(n) = &next {
-        if n.same(&me) {
-            return;
-        }
+    if next.as_ref().is_some_and(|n| n.id() == me) {
+        return;
     }
-    pe.trace_event(Event::ThreadSuspend { tid: me.id() });
+    pe.trace_event(Event::ThreadSuspend { tid: me });
     match rt.backend {
         CthBackend::Handoff => {
             let direct = next.is_some();
             let target = next.unwrap_or_else(|| rt.main.clone());
-            transfer(pe, rt, &me, &target, direct);
+            transfer(pe, rt, &rt.current_thread(pe), &target, direct);
         }
-        CthBackend::Fiber => fb::suspend(pe, rt, &me, next),
+        CthBackend::Fiber => fb::suspend(pe, rt, next),
     }
 }
 
@@ -633,20 +756,19 @@ fn suspend_inner(pe: &Pe, rt: &CthRuntime, me: Thread) {
 /// future suspend to transfer control to it. Must only be called when
 /// the thread is genuinely ready to continue.
 pub fn cth_awaken(pe: &Pe, t: &Thread) {
-    let rt = CthRuntime::get(pe);
-    {
-        let s = t.0.state.lock();
-        assert!(
-            !matches!(*s, State::Exited | State::Poisoned),
-            "PE {}: awaken of exited thread {}",
-            pe.my_pe(),
-            t.id()
-        );
-    }
-    let mut strat = t.0.strategy.lock();
-    match strat.as_mut() {
+    assert!(
+        !matches!(*t.0.state.lock(), State::Exited | State::Poisoned),
+        "PE {}: awaken of exited thread {}",
+        pe.my_pe(),
+        t.id()
+    );
+    let mut strategy = t.take_strategy(pe);
+    match &mut strategy {
         Some(s) => (s.awaken)(pe, t.clone()),
-        None => rt.ready.lock().push_back(t.clone()),
+        None => CthRuntime::get(pe).sched(pe, |s| s.ready.push_back(t.clone())),
+    }
+    if let Some(s) = strategy {
+        t.restore_strategy(pe, s);
     }
 }
 
@@ -654,14 +776,9 @@ pub fn cth_awaken(pe: &Pe, t: &Thread) {
 /// eventually return here.
 pub fn cth_yield(pe: &Pe) {
     let rt = CthRuntime::get(pe);
-    let me = rt.current.lock().clone();
-    assert!(
-        !me.same(&rt.main),
-        "PE {}: cth_yield from the main context",
-        pe.my_pe()
-    );
+    let me = rt.with_current(pe, "cth_yield", Thread::clone);
     cth_awaken(pe, &me);
-    suspend_inner(pe, rt, me);
+    suspend_current(pe, rt, "cth_yield");
 }
 
 /// Terminate the current thread (`CthExit`): control transfers per the
@@ -669,13 +786,7 @@ pub fn cth_yield(pe: &Pe) {
 /// Returning from the thread function calls this implicitly. Unwinds, so
 /// destructors on the thread's stack run.
 pub fn cth_exit(pe: &Pe) -> ! {
-    let rt = CthRuntime::get(pe);
-    let me = rt.current.lock().clone();
-    assert!(
-        !me.same(&rt.main),
-        "PE {}: cth_exit from the main context",
-        pe.my_pe()
-    );
+    CthRuntime::get(pe).with_current(pe, "cth_exit", |_| ());
     std::panic::resume_unwind(Box::new(ExitRequested));
 }
 
@@ -683,12 +794,11 @@ pub fn cth_exit(pe: &Pe) -> ! {
 // Hand-off backend: one OS thread per thread object, gated by a token.
 // ---------------------------------------------------------------------
 
-/// The core hand-off: mark `from` parked, start/wake `to`, wait until
-/// someone hands the token back to `from`.
+/// The core hand-off: mark `from` parked, start/wake `to` (passing it
+/// the run token), wait until someone hands the token back to `from`.
 fn transfer(pe: &Pe, rt: &CthRuntime, from: &Thread, to: &Thread, direct: bool) {
     debug_assert!(!from.same(to));
-    *rt.current.lock() = to.clone();
-    rt.note_switch(pe, direct && !to.same(&rt.main));
+    rt.switch_to(pe, rt.as_current(to), direct && !to.same(&rt.main));
     pe.trace_event(Event::ThreadResume { tid: to.id() });
     // Park self BEFORE waking the target so the target can immediately
     // re-resume us without a lost wakeup.
@@ -698,53 +808,71 @@ fn transfer(pe: &Pe, rt: &CthRuntime, from: &Thread, to: &Thread, direct: bool) 
         *s = State::Parked;
     }
     wake(pe, rt, to);
-    wait_for_token(rt, from);
+    wait_for_token(pe, rt, from);
 }
 
+/// Hand the run token to `to` and let it run. The caller holds the
+/// token on entry and has given it up on return.
 fn wake(pe: &Pe, rt: &CthRuntime, to: &Thread) {
     let mut s = to.0.state.lock();
-    match &mut *s {
-        State::NotStarted(entry) => {
-            let entry = entry.take().expect("entry present before first start");
-            *s = State::Running;
-            drop(s);
-            spawn_os_thread(pe, rt, to, entry);
-        }
+    if let State::NotStarted(entry) = &mut *s {
+        // First start: give the thread its OS thread, parked like any
+        // other until the token is passed below.
+        let entry = entry.take().expect("entry present before first start");
+        *s = State::Parked;
+        drop(s);
+        spawn_os_thread(pe, rt, to, entry);
+        s = to.0.state.lock();
+    }
+    match *s {
         State::Parked => {
+            // Released under `to`'s state lock, which `to` takes to see
+            // `Running`: the release happens-before its adopt.
+            pe.owner().release();
             *s = State::Running;
             to.0.cv.notify_all();
         }
         State::Running => panic!("PE {}: resume of running thread {}", pe.my_pe(), to.id()),
+        State::NotStarted(_) => unreachable!("started above"),
         State::Exited | State::Poisoned => {
             panic!("PE {}: resume of exited thread {}", pe.my_pe(), to.id())
         }
     }
 }
 
-fn wait_for_token(rt: &CthRuntime, me: &Thread) {
-    {
+/// Park the calling context until it is handed the run token (or
+/// poisoned by teardown, which hands it the token to unwind with).
+fn wait_for_token(pe: &Pe, rt: &CthRuntime, me: &Thread) {
+    let poisoned = {
         let mut s = me.0.state.lock();
         loop {
             match *s {
                 State::Parked => me.0.cv.wait(&mut s),
-                State::Running => break,
-                State::Poisoned => {
-                    drop(s);
-                    std::panic::resume_unwind(Box::new(ThreadPoison));
-                }
+                State::Running => break false,
+                State::Poisoned => break true,
                 _ => unreachable!("parked context can only become Running or Poisoned"),
             }
         }
+    };
+    // SAFETY: whoever set this context `Running` (`wake`) or `Poisoned`
+    // (`teardown`) released the token first, under this thread's state
+    // lock, and named no other successor; taking that lock above orders
+    // this call after the release.
+    unsafe { pe.owner().adopt() };
+    if poisoned {
+        std::panic::resume_unwind(Box::new(ThreadPoison));
     }
     // Back in control. If a thread carried a panic to the main context,
     // re-raise it here so it propagates out of the PE entry.
     if me.same(&rt.main) {
-        if let Some(p) = rt.pending_panic.lock().take() {
+        if let Some(p) = rt.registry.with(pe.owner(), |r| r.pending_panic.take()) {
             std::panic::resume_unwind(p);
         }
     }
 }
 
+/// Give `t` an OS thread that waits for the run token, then runs
+/// `entry`. Called by the token holder, which records the join handle.
 fn spawn_os_thread(pe: &Pe, rt: &CthRuntime, t: &Thread, entry: Entry) {
     let pe_arc = pe.arc();
     let t2 = t.clone();
@@ -753,7 +881,9 @@ fn spawn_os_thread(pe: &Pe, rt: &CthRuntime, t: &Thread, entry: Entry) {
         .stack_size(t.0.stack_size.max(16 * 1024))
         .spawn(move || {
             let pe = pe_arc;
+            let rt = CthRuntime::get(&pe);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                wait_for_token(&pe, rt, &t2);
                 entry(&pe);
             }));
             let user_panic = match result {
@@ -761,16 +891,17 @@ fn spawn_os_thread(pe: &Pe, rt: &CthRuntime, t: &Thread, entry: Entry) {
                 Err(p) if p.is::<ExitRequested>() || p.is::<ThreadPoison>() => None,
                 Err(p) => Some(p),
             };
-            finish_thread(&pe, CthRuntime::get(&pe), &t2, user_panic);
+            finish_thread(&pe, rt, &t2, user_panic);
         })
         .expect("spawn thread-object OS thread");
     // Record the join handle for teardown.
-    let mut live = rt.live.lock();
-    if let Some(slot) = live.iter_mut().find(|(lt, _)| lt.same(t)) {
-        slot.1 = Some(handle);
-    } else {
-        live.push((t.clone(), Some(handle)));
-    }
+    rt.registry.with(pe.owner(), |r| {
+        if let Some(slot) = r.live.iter_mut().find(|(lt, _)| lt.same(t)) {
+            slot.1 = Some(handle);
+        } else {
+            r.live.push((t.clone(), Some(handle)));
+        }
+    });
 }
 
 /// Common tail of a hand-off thread's life: mark exited and hand the
@@ -782,36 +913,30 @@ fn finish_thread(
     user_panic: Option<Box<dyn std::any::Any + Send>>,
 ) {
     if matches!(*me.0.state.lock(), State::Poisoned) {
-        // Teardown owns the machine; just mark exited and leave.
+        // Teardown owns the machine and is joining this thread: mark
+        // exited and give the token back.
         *me.0.state.lock() = State::Exited;
+        pe.owner().release();
         return;
     }
     if let Some(p) = user_panic {
         // Carry the panic to the main context and abort the machine so
         // other PEs unblock instead of deadlocking.
-        *rt.pending_panic.lock() = Some(p);
+        rt.registry.with(pe.owner(), |r| r.pending_panic = Some(p));
         pe.abort_machine();
         *me.0.state.lock() = State::Exited;
-        let main = rt.main.clone();
-        *rt.current.lock() = main.clone();
-        let mut s = main.0.state.lock();
+        rt.sched(pe, |s| s.current = None);
+        let mut s = rt.main.0.state.lock();
         if matches!(*s, State::Parked) {
+            pe.owner().release();
             *s = State::Running;
-            main.0.cv.notify_all();
+            rt.main.0.cv.notify_all();
         }
         return;
     }
-    let next = {
-        let mut strat = me.0.strategy.lock();
-        match strat.as_mut() {
-            Some(s) => (s.suspend)(pe),
-            None => rt.ready.lock().pop_front(),
-        }
-    };
-    let target = next.unwrap_or_else(|| rt.main.clone());
+    let target = successor_of(pe, rt, me).unwrap_or_else(|| rt.main.clone());
     *me.0.state.lock() = State::Exited;
-    *rt.current.lock() = target.clone();
-    rt.note_switch(pe, false);
+    rt.switch_to(pe, rt.as_current(&target), false);
     pe.trace_event(Event::ThreadResume { tid: target.id() });
     wake(pe, rt, &target);
 }
@@ -825,7 +950,6 @@ fn finish_thread(
 mod fb {
     use super::*;
     use converse_fiber::{Fiber, FiberHandle};
-    use std::cell::RefCell;
 
     /// What the fiber that just yielded wants the drive loop to do.
     pub(super) enum Directive {
@@ -916,44 +1040,21 @@ mod fb {
         pool: StackPool,
     }
 
-    /// Thread-affinity wrapper: all fiber state lives on the PE's own OS
-    /// thread (fibers share that thread's stack-switching); the runtime
-    /// is `Sync` only because every access asserts it happens there.
-    pub(super) struct FiberCell {
-        home: std::thread::ThreadId,
-        state: RefCell<FiberState>,
-    }
-
-    // SAFETY: every path reaching `with` runs on the PE's own OS thread
-    // (the drive loop and the directives set by fibers it hosts), so the
-    // `RefCell` (and the `!Send` fibers inside) are never touched
-    // concurrently. Debug builds verify the affinity on each access;
-    // release builds rely on the PE-local discipline (thread objects are
-    // documented PE-local) to keep the check off the ~20 ns switch path.
-    unsafe impl Send for FiberCell {}
-    unsafe impl Sync for FiberCell {}
-
-    impl FiberCell {
-        pub fn new() -> FiberCell {
-            FiberCell {
-                home: std::thread::current().id(),
-                state: RefCell::new(FiberState {
-                    fibers: IdMap::default(),
-                    directive: None,
-                    poisoning: false,
-                    pool: StackPool::new(),
-                }),
+    impl FiberState {
+        pub fn new() -> FiberState {
+            FiberState {
+                fibers: IdMap::default(),
+                directive: None,
+                poisoning: false,
+                pool: StackPool::new(),
             }
         }
+    }
 
-        fn with<R>(&self, f: impl FnOnce(&mut FiberState) -> R) -> R {
-            debug_assert_eq!(
-                std::thread::current().id(),
-                self.home,
-                "fiber-backend state touched off its home PE thread"
-            );
-            f(&mut self.state.borrow_mut())
-        }
+    /// Open the fiber state: on the PE's own OS thread, with its token.
+    #[inline(always)]
+    fn fibers<R>(pe: &Pe, rt: &CthRuntime, f: impl FnOnce(&mut FiberState) -> R) -> R {
+        rt.fiber.with(pe.owner(), f)
     }
 
     /// Drop guard clearing the thread's yield-handle pointer
@@ -967,44 +1068,45 @@ mod fb {
         }
     }
 
-    pub(super) fn pool_stats(rt: &CthRuntime) -> StackPoolStats {
-        rt.fiber.with(|fs| fs.pool.stats)
+    pub(super) fn pool_stats(pe: &Pe, rt: &CthRuntime) -> StackPoolStats {
+        fibers(pe, rt, |fs| fs.pool.stats)
     }
 
     /// `cth_resume` on the fiber backend: from the main context, enter
     /// the drive loop; from inside a fiber, hand the drive loop a
     /// transfer directive and park.
-    pub(super) fn resume(pe: &Pe, rt: &CthRuntime, me: &Thread, t: &Thread) {
-        if me.same(&rt.main) {
-            drive(pe, rt, t.clone(), false);
+    pub(super) fn resume(pe: &Pe, rt: &CthRuntime, from_main: bool, t: Thread) {
+        if from_main {
+            drive(pe, rt, t, false);
         } else {
-            rt.fiber.with(|fs| {
+            fibers(pe, rt, |fs| {
                 fs.directive = Some(Directive::Transfer {
-                    to: t.clone(),
+                    to: t,
                     direct: false,
                 })
             });
-            yield_to_main(me);
+            yield_to_main(pe, rt);
         }
     }
 
     /// `cth_suspend` on the fiber backend: `Some` successor = direct
     /// handoff (the fast path), `None` = back to the scheduler.
-    pub(super) fn suspend(pe: &Pe, rt: &CthRuntime, me: &Thread, next: Option<Thread>) {
-        let _ = pe;
-        rt.fiber.with(|fs| {
+    pub(super) fn suspend(pe: &Pe, rt: &CthRuntime, next: Option<Thread>) {
+        fibers(pe, rt, |fs| {
             fs.directive = Some(match next {
                 Some(to) => Directive::Transfer { to, direct: true },
                 None => Directive::Suspend,
             })
         });
-        yield_to_main(me);
+        yield_to_main(pe, rt);
     }
 
-    /// Suspend the current fiber, returning control to the drive loop.
+    /// Suspend the running fiber, returning control to the drive loop.
     /// On wakeup, re-raise teardown poison so the stack unwinds.
-    fn yield_to_main(me: &Thread) {
-        let h = me.0.handle.load(Ordering::Relaxed) as *const FiberHandle;
+    fn yield_to_main(pe: &Pe, rt: &CthRuntime) {
+        let h = rt.with_current(pe, "a fiber switch", |me| {
+            me.0.handle.load(Ordering::Relaxed)
+        }) as *const FiberHandle;
         debug_assert!(
             !h.is_null(),
             "suspending fiber has a registered yield handle"
@@ -1013,7 +1115,13 @@ mod fb {
         // stack (we are the fiber suspending; `fiber_entry` stored it),
         // live until completion.
         unsafe { (*h).yield_now() };
-        if matches!(*me.0.state.lock(), State::Poisoned) {
+        // Resumed: the drive loop made this thread current again. Only
+        // teardown poisons, so the thread's state is asked only then.
+        let poisoned = fibers(pe, rt, |fs| fs.poisoning)
+            && rt.with_current(pe, "a fiber switch", |me| {
+                matches!(*me.0.state.lock(), State::Poisoned)
+            });
+        if poisoned {
             std::panic::resume_unwind(Box::new(ThreadPoison));
         }
     }
@@ -1029,7 +1137,7 @@ mod fb {
                 let entry = entry.take().expect("entry present before first start");
                 *s = State::Running;
                 drop(s);
-                let stack = rt.fiber.with(|fs| fs.pool.take(t.0.stack_size));
+                let stack = fibers(pe, rt, |fs| fs.pool.take(t.0.stack_size));
                 let pe_arc = pe.arc();
                 let t2 = t.clone();
                 Fiber::with_stack(stack, move |h| fiber_entry(&pe_arc, &t2, entry, h))
@@ -1041,11 +1149,9 @@ mod fb {
                     *s = State::Running;
                 }
                 drop(s);
-                rt.fiber
-                    .with(|fs| fs.fibers.remove(&t.0.id))
-                    .unwrap_or_else(|| {
-                        panic!("PE {}: parked thread {} has no fiber", pe.my_pe(), t.id())
-                    })
+                fibers(pe, rt, |fs| fs.fibers.remove(&t.0.id)).unwrap_or_else(|| {
+                    panic!("PE {}: parked thread {} has no fiber", pe.my_pe(), t.id())
+                })
             }
             State::Running => panic!("PE {}: resume of running thread {}", pe.my_pe(), t.id()),
             State::Exited => {
@@ -1077,18 +1183,22 @@ mod fb {
     /// caller (the Csd scheduler or the PE entry).
     fn drive(pe: &Pe, rt: &CthRuntime, first: Thread, mut direct: bool) {
         debug_assert!(
-            rt.current.lock().same(&rt.main),
+            rt.sched(pe, |s| s.current.is_none()),
             "PE {}: fiber drive entered outside the main context",
             pe.my_pe()
         );
         let mut t = first;
         loop {
             let mut fiber = take_fiber(pe, rt, &t);
-            *rt.current.lock() = t.clone();
-            rt.note_switch(pe, direct);
-            pe.trace_event(Event::ThreadResume { tid: t.id() });
+            let tid = t.id();
+            // The handle moves into `current` while the fiber runs and
+            // back out when it yields: no refcount traffic per switch.
+            rt.switch_to(pe, Some(t), direct);
+            pe.trace_event(Event::ThreadResume { tid });
             let resumed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fiber.resume()));
-            *rt.current.lock() = rt.main.clone();
+            t = rt
+                .sched(pe, |s| s.current.take())
+                .expect("the fiber that yielded is the running thread");
             let alive = match resumed {
                 Ok(alive) => alive,
                 Err(p) => {
@@ -1097,7 +1207,7 @@ mod fb {
                     // boundary); restore bookkeeping, then let the
                     // panic propagate out of the PE entry.
                     *t.0.state.lock() = State::Exited;
-                    rt.fiber.with(|fs| {
+                    fibers(pe, rt, |fs| {
                         fs.directive = None;
                         if let Some(stack) = fiber.take_stack() {
                             fs.pool.give(stack);
@@ -1112,17 +1222,20 @@ mod fb {
                 if matches!(*s, State::Running) {
                     *s = State::Parked;
                 }
-                drop(s);
-                rt.fiber.with(|fs| fs.fibers.insert(t.id(), fiber));
             } else {
                 *t.0.state.lock() = State::Exited;
-                rt.fiber.with(|fs| {
-                    if let Some(stack) = fiber.take_stack() {
-                        fs.pool.give(stack);
-                    }
-                });
             }
-            match rt.fiber.with(|fs| fs.directive.take()) {
+            // Park the fiber (or reclaim its stack) and read what it
+            // asked for, in one visit.
+            let (directive, poisoning) = fibers(pe, rt, |fs| {
+                if alive {
+                    fs.fibers.insert(tid, fiber);
+                } else if let Some(stack) = fiber.take_stack() {
+                    fs.pool.give(stack);
+                }
+                (fs.directive.take(), fs.poisoning)
+            });
+            match directive {
                 Some(Directive::Transfer { to, direct: d }) => {
                     t = to;
                     direct = d;
@@ -1133,17 +1246,10 @@ mod fb {
                     // choosing: consult its suspend strategy, exactly
                     // like the hand-off backend's finish path.
                     debug_assert!(!alive);
-                    if rt.fiber.with(|fs| fs.poisoning) {
+                    if poisoning {
                         return;
                     }
-                    let next = {
-                        let mut strat = t.0.strategy.lock();
-                        match strat.as_mut() {
-                            Some(s) => (s.suspend)(pe),
-                            None => rt.ready.lock().pop_front(),
-                        }
-                    };
-                    match next {
+                    match successor_of(pe, rt, &t) {
                         Some(n) if !n.same(&t) => {
                             t = n;
                             direct = false;
@@ -1159,11 +1265,13 @@ mod fb {
     /// is poisoned and driven through its unwind on the spot, so
     /// destructors run and its stack returns to the pool — no fiber is
     /// ever dropped suspended (which would leak; see `converse-fiber`).
-    pub(super) fn teardown(pe: &Pe, rt: &CthRuntime) {
-        rt.fiber.with(|fs| fs.poisoning = true);
-        let entries: Vec<(Thread, Option<std::thread::JoinHandle<()>>)> =
-            std::mem::take(&mut *rt.live.lock());
-        for (t, _) in &entries {
+    pub(super) fn teardown(
+        pe: &Pe,
+        rt: &CthRuntime,
+        entries: Vec<(Thread, Option<std::thread::JoinHandle<()>>)>,
+    ) {
+        fibers(pe, rt, |fs| fs.poisoning = true);
+        for (t, _) in entries {
             let poisoned = {
                 let mut s = t.0.state.lock();
                 match &mut *s {
@@ -1186,7 +1294,7 @@ mod fb {
                 }
             };
             if poisoned {
-                drive(pe, rt, t.clone(), false);
+                drive(pe, rt, t, false);
             }
         }
     }
@@ -1198,27 +1306,31 @@ mod fb {
     //! never selects the fiber backend there, so none of these run.
     use super::*;
 
-    pub(super) struct FiberCell;
+    pub(super) struct FiberState;
 
-    impl FiberCell {
-        pub fn new() -> FiberCell {
-            FiberCell
+    impl FiberState {
+        pub fn new() -> FiberState {
+            FiberState
         }
     }
 
-    pub(super) fn pool_stats(_rt: &CthRuntime) -> StackPoolStats {
+    pub(super) fn pool_stats(_pe: &Pe, _rt: &CthRuntime) -> StackPoolStats {
         unreachable!("fiber backend on unsupported target")
     }
 
-    pub(super) fn resume(_pe: &Pe, _rt: &CthRuntime, _me: &Thread, _t: &Thread) {
+    pub(super) fn resume(_pe: &Pe, _rt: &CthRuntime, _from_main: bool, _t: Thread) {
         unreachable!("fiber backend on unsupported target")
     }
 
-    pub(super) fn suspend(_pe: &Pe, _rt: &CthRuntime, _me: &Thread, _next: Option<Thread>) {
+    pub(super) fn suspend(_pe: &Pe, _rt: &CthRuntime, _next: Option<Thread>) {
         unreachable!("fiber backend on unsupported target")
     }
 
-    pub(super) fn teardown(_pe: &Pe, _rt: &CthRuntime) {
+    pub(super) fn teardown(
+        _pe: &Pe,
+        _rt: &CthRuntime,
+        _entries: Vec<(Thread, Option<std::thread::JoinHandle<()>>)>,
+    ) {
         unreachable!("fiber backend on unsupported target")
     }
 }

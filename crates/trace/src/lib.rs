@@ -273,6 +273,13 @@ pub trait TraceSink: Send + Sync {
     fn record(&self, pe: usize, t_ns: u64, event: Event);
     /// True if this sink actually stores anything; lets callers skip
     /// building event payloads entirely when tracing is off.
+    ///
+    /// **Sampled at boot**: a PE reads this once, when it is created,
+    /// and keeps the answer for its whole life (the message path would
+    /// otherwise make this virtual call several times per message). It
+    /// must therefore be a constant of the sink, as it is for
+    /// every sink in this crate; a sink that wants to start or
+    /// stop recording mid-run answers `true` and filters in `record`.
     fn enabled(&self) -> bool {
         true
     }

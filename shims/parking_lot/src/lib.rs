@@ -19,11 +19,38 @@
 //!
 //! Only the surface the workspace actually calls is provided; the locks
 //! and the parking itself are std's, not parking_lot's futex machinery.
+//!
+//! One addition parking_lot does not have: in builds with
+//! `debug_assertions`, every [`Mutex`] / [`RwLock`] acquisition is
+//! counted in a thread-local, read with [`lock_census`]. Tests pin the
+//! number of lock pairs a message costs with it, the way a counting
+//! allocator pins allocations. Release builds contain none of it.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Count one acquisition by the calling thread (debug builds only).
+#[inline(always)]
+fn note_acquisition() {
+    #[cfg(debug_assertions)]
+    ACQUISITIONS.with(|c| c.set(c.get() + 1));
+}
+
+/// Lock acquisitions ([`Mutex::lock`], a successful
+/// [`Mutex::try_lock`], [`RwLock::read`], [`RwLock::write`]) the calling
+/// thread has made so far. Exists in builds with `debug_assertions`
+/// only.
+#[cfg(debug_assertions)]
+pub fn lock_census() -> u64 {
+    ACQUISITIONS.with(|c| c.get())
+}
 
 /// A mutual-exclusion primitive (non-poisoning `std::sync::Mutex`).
 #[derive(Default)]
@@ -54,6 +81,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available. Panics in other
     /// threads do not poison the lock.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        note_acquisition();
         MutexGuard {
             inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
         }
@@ -61,13 +89,13 @@ impl<T: ?Sized> Mutex<T> {
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                inner: e.into_inner(),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        let inner = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        note_acquisition();
+        Some(MutexGuard { inner })
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -126,6 +154,7 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read lock.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        note_acquisition();
         RwLockReadGuard {
             inner: self.inner.read().unwrap_or_else(|e| e.into_inner()),
         }
@@ -133,6 +162,7 @@ impl<T: ?Sized> RwLock<T> {
 
     /// Acquire an exclusive write lock.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        note_acquisition();
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(|e| e.into_inner()),
         }
@@ -289,6 +319,29 @@ fn replace_guard<'a, T: ?Sized>(
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn census_counts_this_threads_acquisitions() {
+        let m = Mutex::new(0);
+        let l = RwLock::new(0);
+        let before = lock_census();
+        *m.lock() += 1;
+        let held = m.lock();
+        assert!(m.try_lock().is_none(), "contended try_lock is not counted");
+        drop(held);
+        assert!(m.try_lock().is_some());
+        let _ = *l.read();
+        *l.write() += 1;
+        std::thread::scope(|s| {
+            s.spawn(|| *m.lock() += 1);
+        });
+        assert_eq!(
+            lock_census() - before,
+            5,
+            "another thread's lock is its own"
+        );
+    }
 
     #[test]
     fn mutex_basic() {
