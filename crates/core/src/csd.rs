@@ -189,6 +189,11 @@ pub fn csd_scheduler_until_idle(pe: &Pe) -> u64 {
 /// Run the scheduler until `pred()` holds (checked between messages).
 /// Not part of the 1996 API, but the natural Rust helper for tests and
 /// blocking adapters: "pump the scheduler until my reply arrived".
+// `#[inline]`: the predicate is a closure of the caller's, checked twice
+// per turn; left to codegen-unit partitioning, whether this loop ends up
+// inside its caller changes with unrelated code (see EXPERIMENTS.md,
+// "tSM for the price of its parts", on `exchange_inproc`).
+#[inline]
 pub fn schedule_until<F: FnMut() -> bool>(pe: &Pe, mut pred: F) -> u64 {
     let mut processed = 0u64;
     let mut idle_since: Option<Instant> = None;

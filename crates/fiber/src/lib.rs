@@ -21,9 +21,15 @@
 //!
 //! * x86-64 System-V only (compile error elsewhere); the switch is ~20
 //!   instructions of `global_asm!`.
-//! * A fiber's closure runs on its own heap-allocated stack. Panics
+//! * A fiber's entry runs on its own heap-allocated stack. Panics
 //!   inside the fiber are caught at the fiber boundary and re-thrown
 //!   from [`Fiber::resume`] on the resumer's stack.
+//! * A [`Fiber`] is an execution context that outlives what runs on it:
+//!   once its entry has returned (or panicked) [`Fiber::arm`] starts the
+//!   next run from the top of the same stack. Only a finished context
+//!   can be armed — every frame on its stack is dead then — and `arm`
+//!   checks that; a thread runtime pools whole contexts this way and a
+//!   thread's creation allocates no stack.
 //! * **Dropping a suspended fiber leaks whatever is live on its stack**
 //!   (destructors do not run), exactly like discarding a `setjmp`
 //!   context in 1996. Run fibers to completion when that matters.
@@ -60,17 +66,17 @@ std::arch::global_asm!(
     "pop rbx",
     "pop rbp",
     "ret",
-    // Bootstrap: first entry into a fresh fiber. The creation code put
-    // the fiber context pointer in the r12 slot; hand it to fiber_main.
-    // At this point rsp is 16-byte aligned (see stack layout in `new`),
-    // so the call leaves the callee with standard SysV alignment.
+    // Bootstrap: first entry into a freshly armed fiber. `arm` put the
+    // fiber context pointer in the r12 slot and the address of the
+    // context's `fiber_main` instance in the r13 slot. At this point rsp
+    // is 16-byte aligned (see the stack layout in `arm`), so the call
+    // leaves the callee with standard SysV alignment.
     ".global converse_fiber_trampoline",
     ".hidden converse_fiber_trampoline",
     "converse_fiber_trampoline:",
     "mov rdi, r12",
-    "call {main}",
+    "call r13",
     "ud2",
-    main = sym fiber_main,
 );
 
 unsafe extern "C" {
@@ -84,50 +90,67 @@ unsafe extern "C" {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum State {
-    /// Created or suspended at a yield: resumable.
+    /// Armed or suspended at a yield: resumable.
     Suspended,
     /// Currently on its own stack.
     Running,
-    /// The closure returned (or panicked).
+    /// Nothing to run: never armed, or the entry returned (or panicked).
     Done,
 }
 
-/// A fiber's entry closure, boxed until first resume.
-type Entry = Box<dyn FnOnce(&FiberHandle)>;
-
-struct FiberInner {
-    /// The fiber's stack (kept alive for the fiber's lifetime; `None`
-    /// only after [`Fiber::take_stack`] reclaimed it).
-    stack: Option<Box<[u8]>>,
+/// What a context switch reads and writes.
+struct Switch {
     /// Saved rsp of the fiber while it is suspended.
     fiber_rsp: UnsafeCell<*mut u8>,
     /// Saved rsp of the resumer while the fiber runs.
     caller_rsp: UnsafeCell<*mut u8>,
     state: Cell<State>,
-    entry: UnsafeCell<Option<Entry>>,
+}
+
+/// An entry closure, boxed: the argument of a [`Fiber::new`] fiber.
+pub type BoxedEntry = Box<dyn FnOnce(&FiberHandle)>;
+
+struct FiberInner<A> {
+    switch: Switch,
+    /// The fiber's stack, kept for the context's lifetime.
+    stack: Box<[u8]>,
+    /// What every arming of this context runs.
+    entry: fn(&FiberHandle, A),
+    /// The armed argument, until the first resume takes it.
+    arg: UnsafeCell<Option<A>>,
     panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
 }
 
-/// Handed to the fiber's closure; the only way to yield.
+/// Handed to the fiber's entry; the only way to yield.
 pub struct FiberHandle {
-    inner: *const FiberInner,
+    switch: *const Switch,
 }
 
 impl FiberHandle {
     /// Suspend this fiber and return control to [`Fiber::resume`]'s
     /// caller. Execution continues here at the next `resume`.
     pub fn yield_now(&self) {
-        let inner = unsafe { &*self.inner };
-        inner.state.set(State::Suspended);
+        // SAFETY: a handle exists only on its fiber's own stack while
+        // the fiber runs (`fiber_main` makes it and lends it to the
+        // entry), and the context outlives every frame on that stack.
+        let switch = unsafe { &*self.switch };
+        switch.state.set(State::Suspended);
+        // SAFETY: the fiber is running, so `caller_rsp` is the context
+        // `resume` saved when it switched in, parked inside
+        // `converse_fiber_switch`.
         unsafe {
-            converse_fiber_switch(inner.fiber_rsp.get(), *inner.caller_rsp.get());
+            converse_fiber_switch(switch.fiber_rsp.get(), *switch.caller_rsp.get());
         }
-        inner.state.set(State::Running);
+        switch.state.set(State::Running);
     }
 }
 
-/// A stackful fiber: create with a closure, drive with
+/// A stackful fiber: an execution context — a stack and the saved
+/// registers of whatever is suspended on it — that runs one entry
+/// function, once per [`arm`](Fiber::arm)ing, driven with
 /// [`Fiber::resume`].
+///
+/// [`Fiber::new`] is the one-shot form: a context armed with a closure.
 ///
 /// ```
 /// use converse_fiber::Fiber;
@@ -148,60 +171,121 @@ impl FiberHandle {
 /// assert_eq!(switches, 3);
 /// assert_eq!(sum, 3);
 /// ```
-pub struct Fiber {
-    inner: Box<FiberInner>,
+///
+/// A finished context can be armed again: the next run starts on the
+/// same stack, and nothing is allocated.
+///
+/// ```
+/// use converse_fiber::{Fiber, FiberHandle};
+/// use std::{cell::Cell, rc::Rc};
+///
+/// fn add(h: &FiberHandle, (to, n): (Rc<Cell<u64>>, u64)) {
+///     h.yield_now();
+///     to.set(to.get() + n);
+/// }
+/// let total = Rc::new(Cell::new(0));
+/// let mut f = Fiber::with_entry(64 * 1024, add);
+/// for n in 1..=3 {
+///     f.arm((total.clone(), n));
+///     assert!(f.resume());
+///     assert!(!f.resume());
+/// }
+/// assert_eq!(total.get(), 6);
+/// ```
+pub struct Fiber<A = BoxedEntry> {
+    inner: Box<FiberInner<A>>,
 }
 
-extern "C" fn fiber_main(ctx: *mut FiberInner) -> ! {
+/// First frame of every run of a context (the trampoline's callee).
+extern "C" fn fiber_main<A>(ctx: *mut FiberInner<A>) -> ! {
+    // SAFETY: `arm` stored the address of the boxed `FiberInner` that
+    // owns this stack; it is not moved or freed while a frame is live
+    // on its stack, short of the documented drop-while-suspended leak.
     let inner = unsafe { &*ctx };
-    inner.state.set(State::Running);
-    let entry = unsafe {
-        (*inner.entry.get())
-            .take()
-            .expect("entry set before first resume")
+    inner.switch.state.set(State::Running);
+    // SAFETY: only `arm` (fiber not running) and this line (fiber
+    // running) touch `arg`, never both at once.
+    let arg = unsafe { (*inner.arg.get()).take() }.expect("armed before its first resume");
+    let handle = FiberHandle {
+        switch: &inner.switch,
     };
-    let handle = FiberHandle { inner: ctx };
-    let result = catch_unwind(AssertUnwindSafe(|| entry(&handle)));
+    let entry = inner.entry;
+    let result = catch_unwind(AssertUnwindSafe(|| entry(&handle, arg)));
     if let Err(p) = result {
+        // SAFETY: `resume` reads `panic` only after this fiber has
+        // switched out below.
         unsafe {
             *inner.panic.get() = Some(p);
         }
     }
-    inner.state.set(State::Done);
-    // Hand control back; a finished fiber is never switched into again
-    // (resume() checks the state), so this switch never returns.
+    inner.switch.state.set(State::Done);
+    // Hand control back for good: a finished fiber is never switched
+    // into at this point again (`resume` checks the state, `arm` starts
+    // the next run from the top of the stack), and nothing that needs
+    // dropping is live in this frame.
+    // SAFETY: as in `yield_now`.
     unsafe {
-        converse_fiber_switch(inner.fiber_rsp.get(), *inner.caller_rsp.get());
+        converse_fiber_switch(inner.switch.fiber_rsp.get(), *inner.switch.caller_rsp.get());
     }
     unreachable!("finished fiber resumed");
 }
 
-impl Fiber {
+fn call_boxed(h: &FiberHandle, f: BoxedEntry) {
+    f(h)
+}
+
+impl Fiber<BoxedEntry> {
     /// Create a fiber with a dedicated stack of `stack_size` bytes
-    /// (rounded up to 16-byte alignment; 64 KiB is plenty for most
-    /// uses). The closure does not run until the first [`Fiber::resume`].
+    /// (at least 4 KiB; 64 KiB is plenty for most uses) that runs `f`.
+    /// The closure does not run until the first [`Fiber::resume`].
     pub fn new<F>(stack_size: usize, f: F) -> Fiber
     where
         F: FnOnce(&FiberHandle) + 'static,
     {
-        let stack_size = stack_size.max(4096);
-        Fiber::with_stack(vec![0u8; stack_size].into_boxed_slice(), f)
+        let mut fiber = Fiber::with_entry(stack_size, call_boxed);
+        fiber.arm(Box::new(f));
+        fiber
+    }
+}
+
+impl<A> Fiber<A> {
+    /// Create an execution context with a dedicated stack of
+    /// `stack_size` bytes (at least 4 KiB) whose every run is
+    /// `entry(handle, arg)`. It starts out finished:
+    /// [`arm`](Fiber::arm) it with an argument, then
+    /// [`resume`](Fiber::resume).
+    pub fn with_entry(stack_size: usize, entry: fn(&FiberHandle, A)) -> Fiber<A> {
+        Fiber {
+            inner: Box::new(FiberInner {
+                switch: Switch {
+                    fiber_rsp: UnsafeCell::new(std::ptr::null_mut()),
+                    caller_rsp: UnsafeCell::new(std::ptr::null_mut()),
+                    state: Cell::new(State::Done),
+                },
+                stack: vec![0u8; stack_size.max(4096)].into_boxed_slice(),
+                entry,
+                arg: UnsafeCell::new(None),
+                panic: UnsafeCell::new(None),
+            }),
+        }
     }
 
-    /// Create a fiber on a caller-provided stack — the pooling entry
-    /// point: a stack reclaimed from a finished fiber via
-    /// [`Fiber::take_stack`] can be handed straight back in, skipping
-    /// the allocation (and zeroing) [`Fiber::new`] pays per fiber.
-    /// Panics if the stack is smaller than 4 KiB.
-    pub fn with_stack<F>(mut stack: Box<[u8]>, f: F) -> Fiber
-    where
-        F: FnOnce(&FiberHandle) + 'static,
-    {
-        let stack_size = stack.len();
-        assert!(stack_size >= 4096, "fiber stack must be at least 4 KiB");
+    /// Arm a finished (or never armed) context for one more run of its
+    /// entry with `arg`, on the stack it has: the pooling entry point —
+    /// a context that ran a thread to completion runs the next one
+    /// without an allocation. Nothing runs until the next
+    /// [`Fiber::resume`]. Panics if the previous run has not finished.
+    pub fn arm(&mut self, arg: A) {
+        assert_eq!(
+            self.inner.switch.state.get(),
+            State::Done,
+            "fiber armed before its last run finished"
+        );
+        let inner = &mut *self.inner;
+        let ctx: *mut FiberInner<A> = inner;
         // Highest 16-aligned address within the stack.
         let top = {
-            let end = stack.as_mut_ptr() as usize + stack_size;
+            let end = inner.stack.as_mut_ptr() as usize + inner.stack.len();
             (end & !15) as *mut u8
         };
         // Layout below `top` (downward):
@@ -212,6 +296,13 @@ impl Fiber {
         // address leaving rsp = top ≡ 0 (mod 16) inside the trampoline;
         // its `call` pushes a return address, so fiber_main starts with
         // the standard SysV entry alignment (rsp ≡ 8 mod 16).
+        //
+        // SAFETY: the 56 bytes written lie inside `stack` (at least
+        // 4 KiB). The state is `Done`, so no frame on this stack will
+        // run again: a context that was never armed has none, and the
+        // last run's `fiber_main` sits in its final switch, which is
+        // never returned to, holding nothing that needs dropping — the
+        // writes clobber dead memory only.
         unsafe {
             let ret_slot = top.sub(8) as *mut usize;
             *ret_slot = fiber_trampoline as *const () as usize;
@@ -219,60 +310,53 @@ impl Fiber {
             for i in 0..6 {
                 *regs_base.add(i) = 0;
             }
-            let inner = Box::new(FiberInner {
-                stack: Some(stack),
-                fiber_rsp: UnsafeCell::new(regs_base as *mut u8),
-                caller_rsp: UnsafeCell::new(std::ptr::null_mut()),
-                state: Cell::new(State::Suspended),
-                entry: UnsafeCell::new(Some(Box::new(f))),
-                panic: UnsafeCell::new(None),
-            });
-            // r12 slot (pop order: r15 r14 r13 r12 → index 3) carries the
-            // context pointer for the trampoline.
-            *regs_base.add(3) = &*inner as *const FiberInner as usize;
-            Fiber { inner }
+            // Pop order r15 r14 r13 r12: index 2 is r13, the trampoline's
+            // callee; index 3 is r12, its argument.
+            *regs_base.add(2) = fiber_main::<A> as extern "C" fn(*mut FiberInner<A>) -> ! as usize;
+            *regs_base.add(3) = ctx as usize;
+            *inner.switch.fiber_rsp.get() = regs_base as *mut u8;
         }
+        *inner.arg.get_mut() = Some(arg);
+        inner.switch.state.set(State::Suspended);
     }
 
     /// Run the fiber until it yields or finishes. Returns true while the
-    /// fiber can be resumed again; false once its closure has returned.
-    /// Re-raises a panic that occurred inside the fiber.
+    /// fiber can be resumed again; false once its entry has returned (or
+    /// it was never armed). Re-raises a panic that occurred inside the
+    /// fiber; the context is finished then, and can be armed again.
     pub fn resume(&mut self) -> bool {
-        if self.inner.state.get() == State::Done {
+        let switch = &self.inner.switch;
+        if switch.state.get() == State::Done {
             return false;
         }
         assert_ne!(
-            self.inner.state.get(),
+            switch.state.get(),
             State::Running,
             "fiber resumed reentrantly"
         );
+        // SAFETY: the state is `Suspended`, so `fiber_rsp` is either the
+        // initial frame `arm` built or the context `yield_now` saved,
+        // both on the stack this context owns.
         unsafe {
-            converse_fiber_switch(self.inner.caller_rsp.get(), *self.inner.fiber_rsp.get());
+            converse_fiber_switch(switch.caller_rsp.get(), *switch.fiber_rsp.get());
         }
         // Back from the fiber: it either yielded or finished.
+        // SAFETY: the fiber is not running; see `fiber_main`.
         if let Some(p) = unsafe { (*self.inner.panic.get()).take() } {
             resume_unwind(p);
         }
-        self.inner.state.get() != State::Done
+        switch.state.get() != State::Done
     }
 
-    /// True once the fiber's closure has returned.
+    /// True when there is nothing to resume: the entry has returned, or
+    /// the context was never armed.
     pub fn is_done(&self) -> bool {
-        self.inner.state.get() == State::Done
+        self.inner.switch.state.get() == State::Done
     }
 
-    /// Reclaim the stack of a **finished** fiber for reuse (feed it back
-    /// to [`Fiber::with_stack`]). Returns `None` for a fiber that has
-    /// not run to completion: a suspended fiber's stack still holds live
-    /// frames, and taking it out from under them would be unsound — the
-    /// caller must either resume the fiber to completion first or accept
-    /// the documented dropped-while-suspended leak.
-    pub fn take_stack(mut self) -> Option<Box<[u8]>> {
-        if self.inner.state.get() == State::Done {
-            self.inner.stack.take()
-        } else {
-            None
-        }
+    /// Size of this context's stack in bytes.
+    pub fn stack_size(&self) -> usize {
+        self.inner.stack.len()
     }
 }
 
@@ -392,37 +476,130 @@ mod tests {
         assert_eq!(resumes, 1000);
     }
 
-    #[test]
-    fn finished_fiber_stack_is_reusable() {
-        let mut f = Fiber::new(32 * 1024, |h| h.yield_now());
-        assert!(f.resume());
-        assert!(!f.resume());
-        let stack = f.take_stack().expect("finished fiber yields its stack");
-        assert_eq!(stack.len(), 32 * 1024);
-        // The reclaimed (dirty, un-zeroed) stack must host a new fiber
-        // correctly: nothing in the mechanism depends on fresh zeroes.
-        let out = Rc::new(Cell::new(0u64));
-        let o2 = out.clone();
-        let mut g = Fiber::with_stack(stack, move |h| {
-            let mut acc = [1u64; 16];
-            h.yield_now();
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a += i as u64;
+    /// The entry of the re-arm tests: what one run is asked to do.
+    enum Run {
+        /// Yield once, fill a stack array, report its sum.
+        Sum(Rc<Cell<u64>>),
+        /// Yield, then unwind out of the work to a landing pad inside
+        /// the entry — how a thread runtime implements exit and poison.
+        UnwindInside(Rc<Cell<u64>>),
+        /// Yield, then panic out of the entry.
+        Panic,
+    }
+
+    struct Unwound;
+
+    fn run(h: &FiberHandle, what: Run) {
+        match what {
+            Run::Sum(out) => {
+                let mut acc = [1u64; 16];
+                h.yield_now();
+                for (i, a) in acc.iter_mut().enumerate() {
+                    *a += i as u64;
+                }
+                out.set(acc.iter().sum());
             }
-            o2.set(acc.iter().sum());
-        });
-        while g.resume() {}
+            Run::UnwindInside(dropped) => {
+                struct OnStack(Rc<Cell<u64>>);
+                impl Drop for OnStack {
+                    fn drop(&mut self) {
+                        self.0.set(self.0.get() + 1);
+                    }
+                }
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    let _live = OnStack(dropped);
+                    h.yield_now();
+                    resume_unwind(Box::new(Unwound));
+                }));
+                assert!(caught.unwrap_err().is::<Unwound>());
+            }
+            Run::Panic => {
+                h.yield_now();
+                resume_unwind(Box::new("fiber boom"));
+            }
+        }
+    }
+
+    /// One `Run::Sum` on `f`, checked: the (dirty, un-zeroed) stack of
+    /// whatever ran before must host it correctly.
+    fn sum_runs_on(f: &mut Fiber<Run>) {
+        let out = Rc::new(Cell::new(0u64));
+        f.arm(Run::Sum(out.clone()));
+        assert!(!f.is_done());
+        assert!(f.resume(), "suspended at the yield");
+        assert!(!f.resume());
         assert_eq!(out.get(), 16 + (15 * 16 / 2));
+        assert!(f.is_done());
     }
 
     #[test]
-    fn suspended_fiber_refuses_to_give_up_its_stack() {
-        let mut f = Fiber::new(32 * 1024, |h| h.yield_now());
+    fn a_context_is_idle_until_armed() {
+        let mut f = Fiber::with_entry(32 * 1024, run);
+        assert!(f.is_done());
+        assert!(!f.resume(), "nothing armed, nothing runs");
+        assert_eq!(f.stack_size(), 32 * 1024);
+        sum_runs_on(&mut f);
+    }
+
+    #[test]
+    fn rearm_after_return_reuses_the_stack() {
+        let mut f = Fiber::with_entry(32 * 1024, run);
+        for _ in 0..1000 {
+            sum_runs_on(&mut f);
+        }
+    }
+
+    #[test]
+    fn rearm_after_an_unwind_caught_inside_the_entry() {
+        // Exit and poison in the thread runtime: the entry's own landing
+        // pad catches the unwind, the entry returns normally.
+        let mut f = Fiber::with_entry(32 * 1024, run);
+        let dropped = Rc::new(Cell::new(0));
+        for round in 1..=3 {
+            f.arm(Run::UnwindInside(dropped.clone()));
+            assert!(f.resume());
+            assert!(!f.resume());
+            assert_eq!(
+                dropped.get(),
+                round,
+                "the unwind ran the stack's destructors"
+            );
+            sum_runs_on(&mut f);
+        }
+    }
+
+    #[test]
+    fn a_panicking_entry_never_poisons_the_recycled_context() {
+        let mut f = Fiber::with_entry(32 * 1024, run);
+        for _ in 0..3 {
+            f.arm(Run::Panic);
+            assert!(f.resume());
+            let err = catch_unwind(AssertUnwindSafe(|| f.resume())).expect_err("re-thrown");
+            assert_eq!(err.downcast_ref::<&str>().copied(), Some("fiber boom"));
+            assert!(f.is_done());
+            assert!(!f.resume(), "the panic was delivered once");
+            sum_runs_on(&mut f);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "armed before its last run finished")]
+    fn a_suspended_fiber_refuses_to_be_rearmed() {
+        // Its stack still holds live frames.
+        let mut f = Fiber::with_entry(32 * 1024, run);
+        f.arm(Run::Sum(Rc::default()));
         assert!(f.resume(), "suspended at the yield");
-        assert!(
-            f.take_stack().is_none(),
-            "a suspended fiber's stack holds live frames and must not be reclaimed"
-        );
+        f.arm(Run::Sum(Rc::default()));
+    }
+
+    #[test]
+    fn an_armed_argument_that_never_runs_is_dropped_with_the_context() {
+        let held = Rc::new(Cell::new(0u64));
+        let mut f = Fiber::with_entry(32 * 1024, run);
+        f.arm(Run::Sum(held.clone()));
+        assert_eq!(Rc::strong_count(&held), 2);
+        drop(f);
+        assert_eq!(Rc::strong_count(&held), 1);
     }
 
     #[test]

@@ -8,23 +8,41 @@
 //! Converse can be customized to either one or two tags … Retrieval or
 //! probes are allowed to 'wildcard' the tag field."
 //!
-//! Two implementations share one behaviour:
-//! * [`MsgManager`] — the straightforward list with linear matching,
-//!   matching the 1996 code's simplicity; fine for the handful of
-//!   outstanding messages an SPM module typically has.
-//! * [`IndexedMsgManager`] — hash-indexed by exact tag tuple for O(1)
-//!   exact retrieval, falling back to an in-order scan for wildcard
-//!   patterns. The `msgmgr_retrieval` bench quantifies the difference
-//!   (an ablation of the "need-based cost" principle: pay for indexing
-//!   only if your retrieval pattern needs it).
+//! [`MsgManager<T>`] is that container, generic over what it holds:
+//! `CmmPut` stores the caller's *pointer*, so a runtime keeps the
+//! arriving message itself (`MsgManager<Message>`) and nothing is copied
+//! on the way in or out.
 //!
-//! Matching always returns the **earliest inserted** matching message,
-//! so a tag used by several senders behaves like a FIFO channel.
+//! # Index
+//!
+//! Entries are indexed by their **first** tag, one FIFO per tag: a
+//! retrieval that names its first tag — `(tag, src)` as much as
+//! `(tag, WILDCARD)`, the pattern every tagged-receive library has — is
+//! one multiplicative-hash lookup plus a walk of that tag's queue. A
+//! retrieval that wildcards the first tag walks every queue and takes
+//! the match with the smallest insertion stamp. Either way the result is
+//! the **earliest inserted** match, so a tag used by several senders
+//! behaves like a FIFO channel. An emptied queue leaves the index and is
+//! kept for the next new tag: a program that uses a fresh tag per task
+//! holds as many queues as it ever had tags live at once.
+//!
+//! # Receivers in the mailbox
+//!
+//! A message and the receiver waiting for it meet in the same place, so
+//! a layer with blocking receives keeps both here (tSM does; paper
+//! §3.2.2). [`MsgManager::post`] stores an item under a *pattern*, and a
+//! wildcard matches from either side: a posted `(7, WILDCARD)` is found
+//! by a lookup of `(7, 3)`. The `_where` forms take a predicate over the
+//! stored item, which is how such a layer tells a receiver from a
+//! message. [`MsgManager::put`] still refuses the wildcard — a message
+//! has marks, not a pattern.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry as Slot;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// The wildcard tag value (`CmmWildcard`): matches any stored tag in
-/// that position.
+/// The wildcard tag value (`CmmWildcard`): matches any tag in that
+/// position.
 pub const WILDCARD: i32 = i32::MIN;
 
 /// The one or two identification marks of a stored message or of a
@@ -72,181 +90,254 @@ impl PartialEq<Vec<i32>> for Tags {
     }
 }
 
-/// One stored message: its tags (1 or 2 of them) and payload.
+/// One stored entry: its tags (1 or 2 of them) and the item.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Stored {
-    /// The identification marks (length 1 or 2).
+pub struct Stored<T> {
+    /// The identification marks (length 1 or 2); a pattern for an entry
+    /// that was [`post`](MsgManager::post)ed.
     pub tags: Tags,
-    /// The message bytes.
-    pub data: Vec<u8>,
+    /// What was stored.
+    pub item: T,
 }
 
-/// The tags a message is stored under: one or two, none the wildcard.
-fn stored_tags(tags: &[i32]) -> Tags {
-    let tags = Tags::new(tags);
-    assert!(
-        !tags.contains(&WILDCARD),
-        "stored tags cannot be the wildcard value"
-    );
-    tags
+/// Same arity, and every position equal or wildcarded on either side.
+fn matches(a: &[i32], b: &[i32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(a, b)| a == b || *a == WILDCARD || *b == WILDCARD)
 }
 
-fn matches(stored: &[i32], pattern: &[i32]) -> bool {
-    stored.len() == pattern.len()
-        && stored
-            .iter()
-            .zip(pattern)
-            .all(|(s, p)| *p == WILDCARD || s == p)
-}
+/// Multiplicative hasher for a first tag: tags are small integers a
+/// program chose (task serials, message types), and a table of them is
+/// read on every receive.
+#[derive(Debug, Default)]
+struct TagHasher(u64);
 
-/// Common interface of the two message-manager implementations.
-pub trait TagMailbox {
-    /// Store a message under its tags (`CmmPut` / `CmmPut2`).
-    fn put(&mut self, tags: &[i32], data: Vec<u8>);
-
-    /// Size and actual tags of the earliest matching message, without
-    /// removing it (`CmmProbe`). `None` if nothing matches.
-    fn probe(&self, pattern: &[i32]) -> Option<(usize, Tags)>;
-
-    /// Remove and return the earliest matching message (`CmmGetPtr`).
-    fn get(&mut self, pattern: &[i32]) -> Option<Stored>;
-
-    /// Number of stored messages.
-    fn len(&self) -> usize;
-
-    /// True when nothing is stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+impl Hasher for TagHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    /// Copy at most `buf.len()` bytes of the earliest matching message
-    /// into `buf` (`CmmGet`), removing it. Returns the message's full
-    /// length and its tags.
-    fn get_into(&mut self, pattern: &[i32], buf: &mut [u8]) -> Option<(usize, Tags)>
-    where
-        Self: Sized,
-    {
-        let s = self.get(pattern)?;
-        let n = s.data.len().min(buf.len());
-        buf[..n].copy_from_slice(&s.data[..n]);
-        Some((s.data.len(), s.tags))
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("tags hash via write_i32")
+    }
+
+    #[inline]
+    fn write_i32(&mut self, v: i32) {
+        self.0 = (v as u32 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
-/// Linear-scan message manager (`CmmNew`).
+#[derive(Debug)]
+struct Entry<T> {
+    /// Global insertion order: what "earliest" means across queues.
+    stamp: u64,
+    stored: Stored<T>,
+}
+
+impl<T> Entry<T> {
+    /// Matches `pattern` and satisfies `want`.
+    fn is(&self, pattern: &[i32], want: &mut impl FnMut(&T) -> bool) -> bool {
+        matches(&self.stored.tags, pattern) && want(&self.stored.item)
+    }
+}
+
+type Queue<T> = VecDeque<Entry<T>>;
+
+/// The message manager (`CmmNew`): see the [crate docs](self).
 ///
 /// ```
-/// use converse_msgmgr::{MsgManager, TagMailbox, WILDCARD};
+/// use converse_msgmgr::{MsgManager, WILDCARD};
 ///
 /// let mut mm = MsgManager::new();
 /// mm.put(&[17, 3], b"from pe 3".to_vec());
-/// assert_eq!(mm.probe(&[17, WILDCARD]).unwrap().0, 9);
+/// assert_eq!(mm.probe(&[17, WILDCARD]).unwrap().item.len(), 9);
 /// let got = mm.get(&[WILDCARD, 3]).unwrap();
 /// assert_eq!(got.tags, vec![17, 3]);
-/// assert_eq!(got.data, b"from pe 3");
+/// assert_eq!(got.item, b"from pe 3");
 /// assert!(mm.is_empty());
 /// ```
-#[derive(Debug, Default)]
-pub struct MsgManager {
-    entries: VecDeque<Stored>,
+#[derive(Debug)]
+pub struct MsgManager<T> {
+    /// First tag → that tag's entries, oldest first; never an empty
+    /// queue. Patterns posted with a wildcard first tag queue under
+    /// [`WILDCARD`] itself.
+    queues: HashMap<i32, Queue<T>, BuildHasherDefault<TagHasher>>,
+    /// Emptied queues, kept (with their capacity) for the next new tag.
+    spare: Vec<Queue<T>>,
+    len: usize,
+    /// Entries queued under [`WILDCARD`]: while there are none, a lookup
+    /// that names its first tag has one queue to look at.
+    any_first: usize,
+    next_stamp: u64,
 }
 
-impl MsgManager {
-    /// New empty manager.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TagMailbox for MsgManager {
-    fn put(&mut self, tags: &[i32], data: Vec<u8>) {
-        let tags = stored_tags(tags);
-        self.entries.push_back(Stored { tags, data });
-    }
-
-    fn probe(&self, pattern: &[i32]) -> Option<(usize, Tags)> {
-        self.entries
-            .iter()
-            .find(|e| matches(&e.tags, pattern))
-            .map(|e| (e.data.len(), e.tags))
-    }
-
-    fn get(&mut self, pattern: &[i32]) -> Option<Stored> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| matches(&e.tags, pattern))?;
-        self.entries.remove(idx)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
+impl<T> Default for MsgManager<T> {
+    fn default() -> Self {
+        MsgManager {
+            queues: HashMap::default(),
+            spare: Vec::new(),
+            len: 0,
+            any_first: 0,
+            next_stamp: 0,
+        }
     }
 }
 
-/// Hash-indexed message manager: O(1) exact-tag retrieval, ordered scan
-/// for wildcards.
-#[derive(Debug, Default)]
-pub struct IndexedMsgManager {
-    /// seq → entry, ordered by insertion.
-    store: BTreeMap<u64, Stored>,
-    /// exact tag tuple → queue of seqs (may contain stale entries).
-    index: HashMap<Tags, VecDeque<u64>>,
-    next_seq: u64,
-}
-
-impl IndexedMsgManager {
+impl<T> MsgManager<T> {
     /// New empty manager.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn find_seq(&self, pattern: &[i32]) -> Option<u64> {
-        if pattern.contains(&WILDCARD) {
-            self.store
+    /// Store a message under its tags (`CmmPut` / `CmmPut2`): one or
+    /// two, none the wildcard.
+    pub fn put(&mut self, tags: &[i32], item: T) {
+        assert!(
+            !tags.contains(&WILDCARD),
+            "stored tags cannot be the wildcard value"
+        );
+        self.post(tags, item);
+    }
+
+    /// Store `item` under a *pattern* — a receiver waiting for whatever
+    /// the pattern matches. Lookups find it from the other side: by any
+    /// tags the pattern matches.
+    pub fn post(&mut self, pattern: &[i32], item: T) {
+        let tags = Tags::new(pattern);
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.len += 1;
+        self.any_first += (tags[0] == WILDCARD) as usize;
+        let entry = Entry {
+            stamp,
+            stored: Stored { tags, item },
+        };
+        match self.queues.entry(tags[0]) {
+            Slot::Occupied(q) => q.into_mut().push_back(entry),
+            Slot::Vacant(v) => v
+                .insert(self.spare.pop().unwrap_or_default())
+                .push_back(entry),
+        }
+    }
+
+    /// The first tag whose queue holds the earliest entry that matches
+    /// `pattern` and satisfies `want`. Only walks queues when it has to:
+    /// a concrete first tag, with no wildcard-first pattern posted,
+    /// names its queue itself.
+    fn queue_of(&self, pattern: &[i32], want: &mut impl FnMut(&T) -> bool) -> Option<i32> {
+        let first = *pattern.first()?;
+        if first != WILDCARD && self.any_first == 0 {
+            return Some(first);
+        }
+        let mut earliest = |key: i32, q: &Queue<T>| {
+            q.iter()
+                .find(|e| e.is(pattern, want))
+                .map(|e| (e.stamp, key))
+        };
+        let found = if first == WILDCARD {
+            self.queues
                 .iter()
-                .find(|(_, e)| matches(&e.tags, pattern))
-                .map(|(seq, _)| *seq)
-        } else if !(1..=2).contains(&pattern.len()) {
-            None // no message is stored under such a tuple
+                .filter_map(|(k, q)| earliest(*k, q))
+                .min()
         } else {
-            let q = self.index.get(&Tags::new(pattern))?;
-            q.iter().find(|seq| self.store.contains_key(seq)).copied()
+            [first, WILDCARD]
+                .into_iter()
+                .filter_map(|k| earliest(k, self.queues.get(&k)?))
+                .min()
+        };
+        found.map(|(_, key)| key)
+    }
+
+    /// The earliest entry that matches `pattern` and satisfies `want`,
+    /// left in place.
+    pub fn probe_where(
+        &self,
+        pattern: &[i32],
+        mut want: impl FnMut(&T) -> bool,
+    ) -> Option<&Stored<T>> {
+        let key = self.queue_of(pattern, &mut want)?;
+        let q = self.queues.get(&key)?;
+        q.iter()
+            .find(|e| e.is(pattern, &mut want))
+            .map(|e| &e.stored)
+    }
+
+    /// [`MsgManager::probe_where`], the entry borrowed mutably: a layer
+    /// that keeps receivers here hands a message to one in place.
+    pub fn probe_mut_where(
+        &mut self,
+        pattern: &[i32],
+        mut want: impl FnMut(&T) -> bool,
+    ) -> Option<&mut Stored<T>> {
+        let key = self.queue_of(pattern, &mut want)?;
+        let q = self.queues.get_mut(&key)?;
+        q.iter_mut()
+            .find(|e| e.is(pattern, &mut want))
+            .map(|e| &mut e.stored)
+    }
+
+    /// Remove and return the earliest entry that matches `pattern` and
+    /// satisfies `want`.
+    pub fn get_where(
+        &mut self,
+        pattern: &[i32],
+        mut want: impl FnMut(&T) -> bool,
+    ) -> Option<Stored<T>> {
+        let key = self.queue_of(pattern, &mut want)?;
+        let Slot::Occupied(mut slot) = self.queues.entry(key) else {
+            return None;
+        };
+        let q = slot.get_mut();
+        let at = q.iter().position(|e| e.is(pattern, &mut want))?;
+        let entry = q.remove(at).expect("position is in range");
+        if q.is_empty() {
+            self.spare.push(slot.remove());
         }
+        self.len -= 1;
+        self.any_first -= (key == WILDCARD) as usize;
+        Some(entry.stored)
+    }
+
+    /// The earliest matching entry, without removing it (`CmmProbe`).
+    /// `None` if nothing matches.
+    pub fn probe(&self, pattern: &[i32]) -> Option<&Stored<T>> {
+        self.probe_where(pattern, |_| true)
+    }
+
+    /// Remove and return the earliest matching entry (`CmmGetPtr`).
+    pub fn get(&mut self, pattern: &[i32]) -> Option<Stored<T>> {
+        self.get_where(pattern, |_| true)
+    }
+
+    /// Number of stored entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Distinct first tags that have an entry stored.
+    pub fn tags_in_use(&self) -> usize {
+        self.queues.len()
     }
 }
 
-impl TagMailbox for IndexedMsgManager {
-    fn put(&mut self, tags: &[i32], data: Vec<u8>) {
-        let tags = stored_tags(tags);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.index.entry(tags).or_default().push_back(seq);
-        self.store.insert(seq, Stored { tags, data });
-    }
-
-    fn probe(&self, pattern: &[i32]) -> Option<(usize, Tags)> {
-        let seq = self.find_seq(pattern)?;
-        let e = &self.store[&seq];
-        Some((e.data.len(), e.tags))
-    }
-
-    fn get(&mut self, pattern: &[i32]) -> Option<Stored> {
-        let seq = self.find_seq(pattern)?;
-        let e = self.store.remove(&seq).expect("found seq is present");
-        if let Some(q) = self.index.get_mut(&e.tags) {
-            if let Some(pos) = q.iter().position(|s| *s == seq) {
-                q.remove(pos);
-            }
-            if q.is_empty() {
-                self.index.remove(&e.tags);
-            }
-        }
-        Some(e)
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
+impl<T: AsRef<[u8]>> MsgManager<T> {
+    /// Copy at most `buf.len()` bytes of the earliest matching message
+    /// into `buf` (`CmmGet`), removing it. Returns the message's full
+    /// length and its tags.
+    pub fn get_into(&mut self, pattern: &[i32], buf: &mut [u8]) -> Option<(usize, Tags)> {
+        let s = self.get(pattern)?;
+        let data = s.item.as_ref();
+        let n = data.len().min(buf.len());
+        buf[..n].copy_from_slice(&data[..n]);
+        Some((data.len(), s.tags))
     }
 }
 
@@ -254,152 +345,167 @@ impl TagMailbox for IndexedMsgManager {
 mod tests {
     use super::*;
 
-    fn both() -> Vec<Box<dyn TagMailbox>> {
-        vec![
-            Box::new(MsgManager::new()),
-            Box::new(IndexedMsgManager::new()),
-        ]
+    fn mm() -> MsgManager<Vec<u8>> {
+        MsgManager::new()
     }
 
     #[test]
     fn put_get_single_tag() {
-        for mut mm in both() {
-            mm.put(&[7], b"seven".to_vec());
-            assert_eq!(mm.len(), 1);
-            let s = mm.get(&[7]).unwrap();
-            assert_eq!(s.tags, vec![7]);
-            assert_eq!(s.data, b"seven");
-            assert!(mm.is_empty());
-            assert!(mm.get(&[7]).is_none());
-        }
+        let mut mm = mm();
+        mm.put(&[7], b"seven".to_vec());
+        assert_eq!(mm.len(), 1);
+        let s = mm.get(&[7]).unwrap();
+        assert_eq!(s.tags, vec![7]);
+        assert_eq!(s.item, b"seven");
+        assert!(mm.is_empty());
+        assert!(mm.get(&[7]).is_none());
     }
 
     #[test]
     fn two_tags_must_match_both() {
-        for mut mm in both() {
-            mm.put(&[1, 2], b"a".to_vec());
-            assert!(mm.get(&[1, 3]).is_none());
-            assert!(mm.get(&[2, 2]).is_none());
-            assert!(mm.get(&[1, 2]).is_some());
-        }
+        let mut mm = mm();
+        mm.put(&[1, 2], b"a".to_vec());
+        assert!(mm.get(&[1, 3]).is_none());
+        assert!(mm.get(&[2, 2]).is_none());
+        assert!(mm.get(&[1, 2]).is_some());
     }
 
     #[test]
     fn wildcard_matches_any_tag() {
-        for mut mm in both() {
-            mm.put(&[5, 10], b"x".to_vec());
-            let (len, tags) = mm.probe(&[WILDCARD, 10]).unwrap();
-            assert_eq!((len, &tags[..]), (1, &[5, 10][..]));
-            let s = mm.get(&[5, WILDCARD]).unwrap();
-            assert_eq!(s.tags, vec![5, 10]);
-        }
+        let mut mm = mm();
+        mm.put(&[5, 10], b"x".to_vec());
+        let s = mm.probe(&[WILDCARD, 10]).unwrap();
+        assert_eq!((s.item.len(), &s.tags[..]), (1, &[5, 10][..]));
+        let s = mm.get(&[5, WILDCARD]).unwrap();
+        assert_eq!(s.tags, vec![5, 10]);
     }
 
     #[test]
     fn full_wildcard_returns_earliest() {
-        for mut mm in both() {
-            mm.put(&[1], b"first".to_vec());
-            mm.put(&[2], b"second".to_vec());
-            let s = mm.get(&[WILDCARD]).unwrap();
-            assert_eq!(s.data, b"first");
-            let s = mm.get(&[WILDCARD]).unwrap();
-            assert_eq!(s.data, b"second");
-        }
+        let mut mm = mm();
+        mm.put(&[1], b"first".to_vec());
+        mm.put(&[2], b"second".to_vec());
+        assert_eq!(mm.get(&[WILDCARD]).unwrap().item, b"first");
+        assert_eq!(mm.get(&[WILDCARD]).unwrap().item, b"second");
     }
 
     #[test]
     fn fifo_within_same_tag() {
-        for mut mm in both() {
-            for i in 0..5u8 {
-                mm.put(&[9], vec![i]);
-            }
-            for i in 0..5u8 {
-                assert_eq!(mm.get(&[9]).unwrap().data, vec![i]);
-            }
+        let mut mm = mm();
+        for i in 0..5u8 {
+            mm.put(&[9], vec![i]);
         }
+        for i in 0..5u8 {
+            assert_eq!(mm.get(&[9]).unwrap().item, vec![i]);
+        }
+    }
+
+    #[test]
+    fn a_tag_shared_by_several_sources_is_fifo_under_a_source_wildcard() {
+        let mut mm = mm();
+        for (i, src) in [3, 1, 2, 1].into_iter().enumerate() {
+            mm.put(&[9, src], vec![i as u8]);
+        }
+        assert_eq!(mm.get(&[9, 1]).unwrap().item, vec![1]);
+        let order: Vec<u8> = std::iter::from_fn(|| mm.get(&[9, WILDCARD]))
+            .map(|s| s.item[0])
+            .collect();
+        assert_eq!(order, vec![0, 2, 3]);
     }
 
     #[test]
     fn probe_does_not_remove() {
-        for mut mm in both() {
-            mm.put(&[3], b"abc".to_vec());
-            assert_eq!(mm.probe(&[3]).unwrap().0, 3);
-            assert_eq!(mm.probe(&[3]).unwrap().0, 3);
-            assert_eq!(mm.len(), 1);
-        }
+        let mut mm = mm();
+        mm.put(&[3], b"abc".to_vec());
+        assert_eq!(mm.probe(&[3]).unwrap().item.len(), 3);
+        assert_eq!(mm.probe(&[3]).unwrap().item.len(), 3);
+        assert_eq!(mm.len(), 1);
     }
 
     #[test]
     fn probe_returns_none_on_miss() {
-        for mm in both() {
-            assert!(mm.probe(&[1]).is_none());
-        }
+        assert!(mm().probe(&[1]).is_none());
+        assert!(mm().probe(&[]).is_none());
+        assert!(mm().probe(&[1, 2, 3]).is_none());
     }
 
     #[test]
     fn get_into_truncates_and_reports_full_len() {
-        for mut mm in both() {
-            mm.put(&[4], b"0123456789".to_vec());
-            let mut buf = [0u8; 4];
-            // Call through the concrete types to exercise the default impl.
-            let (full, tags) = match mm.get(&[4]) {
-                Some(s) => {
-                    let n = s.data.len().min(buf.len());
-                    buf[..n].copy_from_slice(&s.data[..n]);
-                    (s.data.len(), s.tags)
-                }
-                None => unreachable!(),
-            };
-            assert_eq!(full, 10);
-            assert_eq!(tags, vec![4]);
-            assert_eq!(&buf, b"0123");
-        }
-    }
-
-    #[test]
-    fn get_into_on_concrete_type() {
-        let mut mm = MsgManager::new();
+        let mut mm = mm();
+        mm.put(&[4], b"0123456789".to_vec());
         mm.put(&[1], b"hello".to_vec());
+        let mut buf = [0u8; 4];
+        let (full, tags) = mm.get_into(&[4], &mut buf).unwrap();
+        assert_eq!((full, tags), (10, Tags::new(&[4])));
+        assert_eq!(&buf, b"0123");
         let mut buf = [0u8; 16];
         let (full, tags) = mm.get_into(&[WILDCARD], &mut buf).unwrap();
-        assert_eq!(full, 5);
-        assert_eq!(tags, vec![1]);
+        assert_eq!((full, tags), (5, Tags::new(&[1])));
         assert_eq!(&buf[..5], b"hello");
         assert!(mm.is_empty());
     }
 
     #[test]
     fn tag_arity_must_match_pattern() {
-        for mut mm in both() {
-            mm.put(&[1], b"one-tag".to_vec());
-            mm.put(&[1, 2], b"two-tag".to_vec());
-            assert_eq!(mm.get(&[1, 2]).unwrap().data, b"two-tag");
-            assert_eq!(mm.get(&[1]).unwrap().data, b"one-tag");
-        }
+        let mut mm = mm();
+        mm.put(&[1], b"one-tag".to_vec());
+        mm.put(&[1, 2], b"two-tag".to_vec());
+        assert_eq!(mm.get(&[1, 2]).unwrap().item, b"two-tag");
+        assert_eq!(mm.get(&[1]).unwrap().item, b"one-tag");
     }
 
     #[test]
     #[should_panic(expected = "one or two tags")]
     fn put_rejects_zero_tags() {
-        MsgManager::new().put(&[], b"".to_vec());
+        mm().put(&[], b"".to_vec());
     }
 
     #[test]
     #[should_panic(expected = "wildcard")]
     fn put_rejects_wildcard_tag() {
-        IndexedMsgManager::new().put(&[WILDCARD], b"".to_vec());
+        mm().put(&[WILDCARD], b"".to_vec());
     }
 
     #[test]
     fn interleaved_wildcard_and_exact_gets() {
-        for mut mm in both() {
-            mm.put(&[1], vec![1]);
-            mm.put(&[2], vec![2]);
-            mm.put(&[1], vec![11]);
-            assert_eq!(mm.get(&[2]).unwrap().data, vec![2]);
-            assert_eq!(mm.get(&[WILDCARD]).unwrap().data, vec![1]);
-            assert_eq!(mm.get(&[1]).unwrap().data, vec![11]);
-            assert!(mm.is_empty());
-        }
+        let mut mm = mm();
+        mm.put(&[1], vec![1]);
+        mm.put(&[2], vec![2]);
+        mm.put(&[1], vec![11]);
+        assert_eq!(mm.get(&[2]).unwrap().item, vec![2]);
+        assert_eq!(mm.get(&[WILDCARD]).unwrap().item, vec![1]);
+        assert_eq!(mm.get(&[1]).unwrap().item, vec![11]);
+        assert!(mm.is_empty());
+        assert_eq!(mm.tags_in_use(), 0);
+    }
+
+    #[test]
+    fn it_stores_the_pointer_not_a_copy() {
+        let mut mm = MsgManager::new();
+        let msg: std::rc::Rc<[u8]> = std::rc::Rc::from(&b"held"[..]);
+        mm.put(&[1], msg.clone());
+        assert!(std::rc::Rc::ptr_eq(&mm.get(&[1]).unwrap().item, &msg));
+    }
+
+    /// A posted pattern is found by the tags it matches, in insertion
+    /// order with everything else, and a predicate picks among kinds.
+    #[test]
+    fn posted_patterns_match_from_the_other_side() {
+        let mut mm = MsgManager::new();
+        mm.post(&[7, WILDCARD], "waits for 7 from anyone");
+        mm.post(&[WILDCARD, 3], "waits for anything from 3");
+        mm.put(&[7, 3], "a message");
+        assert_eq!(mm.probe(&[7, 3]).unwrap().item, "waits for 7 from anyone");
+        assert_eq!(mm.probe(&[8, 3]).unwrap().item, "waits for anything from 3");
+        assert!(mm.probe(&[8, 4]).is_none());
+        let is_message = |s: &&str| s.starts_with("a ");
+        assert_eq!(
+            mm.get_where(&[7, WILDCARD], is_message).unwrap().item,
+            "a message"
+        );
+        mm.probe_mut_where(&[7, 5], |_| true).unwrap().item = "served";
+        assert_eq!(mm.get(&[7, 5]).unwrap().item, "served");
+        assert_eq!(mm.get(&[1, 3]).unwrap().tags, vec![WILDCARD, 3]);
+        assert!(mm.is_empty());
     }
 }

@@ -12,8 +12,10 @@
 //! layer: "tSMCreate(): Create a new thread, and schedule it for
 //! execution via the converse scheduler. tSMReceive(): block the thread
 //! waiting for a particular (tagged) message." A tSM receive that finds
-//! no matching message registers the calling thread as a waiter and
-//! suspends it; the SM data handler awakens it when a match arrives.
+//! no matching message posts the calling thread in the message manager,
+//! under the pattern it waits for, and suspends it; the SM data handler
+//! hands a matching arrival to it there and awakens it — the message is
+//! never stored and looked up again.
 //!
 //! The [`pvm`] and [`nx`] modules are thin veneers with the flavour of
 //! the original libraries' calls (`pvm_send`/`pvm_recv`, `csend`/
@@ -24,16 +26,75 @@
 
 pub mod mpi;
 
-use converse_machine::{HandlerId, Message, Pe};
+use converse_machine::{HandlerId, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
-use converse_msgmgr::{IndexedMsgManager, TagMailbox, WILDCARD};
+use converse_msgmgr::{MsgManager, WILDCARD};
 use converse_threads::{cth_awaken, cth_self, cth_suspend, CthRuntime, Thread};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Wildcard for tag or source patterns in receives (PVM's `-1`).
 pub const ANY: i32 = WILDCARD;
+
+/// The data of a received message: a view of the bytes inside the
+/// message that carried them, which it keeps alive. Reads as a `[u8]`
+/// slice; `to_vec()` makes an owned copy.
+#[derive(Clone)]
+pub struct MsgData {
+    msg: Message,
+    /// Where the data lies in the message's payload.
+    at: std::ops::Range<usize>,
+}
+
+impl MsgData {
+    /// Take `msg` apart: the header `head` reads off the front of its
+    /// payload, then one length-prefixed byte string — the data, left
+    /// where it is.
+    fn unpack<H>(msg: Message, head: impl FnOnce(&mut Unpacker<'_>) -> H) -> (H, MsgData) {
+        let payload = msg.payload();
+        let mut u = Unpacker::new(payload);
+        let head = head(&mut u);
+        let len = u.bytes().expect("data after the header").len();
+        let end = payload.len() - u.remaining();
+        let at = end - len..end;
+        (head, MsgData { msg, at })
+    }
+}
+
+impl std::ops::Deref for MsgData {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.msg.payload()[self.at.clone()]
+    }
+}
+
+impl AsRef<[u8]> for MsgData {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
+impl std::fmt::Debug for MsgData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl Eq for MsgData {}
+
+impl<T: AsRef<[u8]> + ?Sized> PartialEq<T> for MsgData {
+    fn eq(&self, other: &T) -> bool {
+        **self == *other.as_ref()
+    }
+}
+
+impl<const N: usize> TryFrom<MsgData> for [u8; N] {
+    type Error = std::array::TryFromSliceError;
+    fn try_from(data: MsgData) -> Result<[u8; N], Self::Error> {
+        <[u8; N]>::try_from(&*data)
+    }
+}
 
 /// A received SM message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,22 +103,60 @@ pub struct SmMsg {
     pub tag: i32,
     /// Sending PE.
     pub src: usize,
-    /// Payload bytes.
-    pub data: Vec<u8>,
+    /// Payload bytes, inside the message that brought them.
+    pub data: MsgData,
 }
 
-struct Waiter {
-    tag: i32,
-    src: i32,
-    thread: Thread,
+impl SmMsg {
+    /// An arrived SM data message, kept as it came.
+    fn decode(msg: Message) -> SmMsg {
+        let ((tag, src), data) = MsgData::unpack(msg, |u| {
+            (u.i32().expect("sm: tag"), u.usize().expect("sm: src"))
+        });
+        SmMsg { tag, src, data }
+    }
+
+    fn matches(&self, tag: i32, src: i32) -> bool {
+        (tag == ANY || tag == self.tag) && (src == ANY || src == self.src as i32)
+    }
 }
 
-/// Per-PE SM runtime: one data handler, a two-tag message manager
-/// indexed by (tag, source), and the tSM waiter list.
+/// What the mailbox holds under a tag.
+enum Held {
+    /// A message nobody has asked for yet.
+    Msg(SmMsg),
+    /// A tSM thread that asked first, posted under its pattern; `got`
+    /// is the message an arrival handed it, until it runs and leaves.
+    Receiver { thread: Thread, got: Option<SmMsg> },
+}
+
+/// The message manager and how many of its entries are receivers.
+#[derive(Default)]
+struct Mailbox {
+    held: MsgManager<Held>,
+    receivers: usize,
+}
+
+impl Mailbox {
+    fn take_msg(&mut self, tag: i32, src: i32) -> Option<SmMsg> {
+        let is_msg = |h: &Held| matches!(h, Held::Msg(_));
+        match self.held.get_where(&[tag, src], is_msg)?.item {
+            Held::Msg(m) => Some(m),
+            Held::Receiver { .. } => unreachable!("asked for a message"),
+        }
+    }
+}
+
+/// Per-PE SM runtime: one data handler and a two-tag message manager
+/// indexed by (tag, source) that holds the arrived messages themselves
+/// and, beside them under the same tag, the tSM threads waiting for one.
 pub struct Sm {
     data_h: HandlerId,
-    mailbox: Mutex<IndexedMsgManager>,
-    waiters: Mutex<Vec<Waiter>>,
+    /// Only this PE's contexts send it messages or receive: owner-only.
+    mailbox: OwnerCell<Mailbox>,
+    /// For [`Sm::probe`] and [`Sm::buffered`], which are not handed the
+    /// PE whose token opens the mailbox.
+    home: Weak<Pe>,
 }
 
 impl Sm {
@@ -65,9 +164,9 @@ impl Sm {
     /// Idempotent per PE.
     pub fn install(pe: &Pe) -> Arc<Sm> {
         pe.local(|| Sm {
-            data_h: pe.register_handler(|pe, msg| Sm::get(pe).ingest(pe, &msg)),
-            mailbox: Mutex::new(IndexedMsgManager::new()),
-            waiters: Mutex::new(Vec::new()),
+            data_h: pe.register_handler(|pe, msg| Sm::get(pe).ingest(pe, SmMsg::decode(msg))),
+            mailbox: OwnerCell::new(pe.owner(), Mailbox::default()),
+            home: Arc::downgrade(&pe.arc()),
         })
     }
 
@@ -99,31 +198,33 @@ impl Sm {
         pe.sync_send_and_free(dst, Message::gather(self.data_h, &Priority::None, all));
     }
 
-    /// Store an arriving data message and wake the first matching tSM
-    /// waiter, if any.
-    fn ingest(&self, pe: &Pe, msg: &Message) {
-        let (tag, src, data) = decode(msg);
-        self.mailbox.lock().put(&[tag, src as i32], data.to_vec());
-        let woken = {
-            let mut ws = self.waiters.lock();
-            ws.iter()
-                .position(|w| {
-                    (w.tag == ANY || w.tag == tag) && (w.src == ANY || w.src == src as i32)
-                })
-                .map(|i| ws.remove(i).thread)
-        };
-        if let Some(t) = woken {
-            cth_awaken(pe, &t);
-        }
+    /// Open the mailbox. `f` must not call out of this module.
+    fn mailbox<R>(&self, pe: &Pe, f: impl FnOnce(&mut Mailbox) -> R) -> R {
+        self.mailbox.with(pe.owner(), f)
     }
 
-    fn take_match(&self, tag: i32, src: i32) -> Option<SmMsg> {
-        let stored = self.mailbox.lock().get(&[tag, src])?;
-        Some(SmMsg {
-            tag: stored.tags[0],
-            src: stored.tags[1] as usize,
-            data: stored.data,
-        })
+    /// An arrival meets its receiver here, once: the earliest-posted
+    /// tSM thread whose pattern matches is handed the message and
+    /// awakened; with none waiting the message is stored.
+    fn ingest(&self, pe: &Pe, m: SmMsg) {
+        let tags = [m.tag, m.src as i32];
+        let waiting = |h: &Held| matches!(h, Held::Receiver { got: None, .. });
+        let receiver = self.mailbox(pe, |mb| {
+            if mb.receivers > 0 {
+                if let Some(entry) = mb.held.probe_mut_where(&tags, waiting) {
+                    let Held::Receiver { thread, got } = &mut entry.item else {
+                        unreachable!("asked for a receiver")
+                    };
+                    *got = Some(m);
+                    return Some(thread.clone());
+                }
+            }
+            mb.held.put(&tags, Held::Msg(m));
+            None
+        });
+        if let Some(thread) = receiver {
+            cth_awaken(pe, &thread);
+        }
     }
 
     /// Blocking SPM receive (`SMRecv`): waits for a message matching
@@ -133,19 +234,14 @@ impl Sm {
     /// messages that do not match are retained in the message manager.
     pub fn recv(&self, pe: &Pe, tag: i32, src: i32) -> SmMsg {
         loop {
-            if let Some(m) = self.take_match(tag, src) {
+            if let Some(m) = self.mailbox(pe, |mb| mb.take_msg(tag, src)) {
                 return m;
             }
-            let msg = pe.get_specific_msg(self.data_h);
-            let (got_tag, got_src, data) = decode(&msg);
-            if (tag == ANY || tag == got_tag) && (src == ANY || src == got_src as i32) {
-                return SmMsg {
-                    tag: got_tag,
-                    src: got_src,
-                    data: data.to_vec(),
-                };
+            let m = SmMsg::decode(pe.get_specific_msg(self.data_h));
+            if m.matches(tag, src) {
+                return m;
             }
-            self.ingest(pe, &msg);
+            self.ingest(pe, m);
         }
     }
 
@@ -155,22 +251,37 @@ impl Sm {
     /// regime: "when a thread in one module blocks, code from another
     /// module can be executed during that otherwise idle time").
     pub fn trecv(&self, pe: &Pe, tag: i32, src: i32) -> SmMsg {
+        if let Some(m) = self.mailbox(pe, |mb| mb.take_msg(tag, src)) {
+            return m;
+        }
+        let thread = cth_self(pe).unwrap_or_else(|| {
+            panic!(
+                "PE {}: tSM receive outside a thread — use Sm::recv in SPM code",
+                pe.my_pe()
+            )
+        });
+        let me = thread.id();
+        self.mailbox(pe, |mb| {
+            mb.held
+                .post(&[tag, src], Held::Receiver { thread, got: None });
+            mb.receivers += 1;
+        });
+        // Posted once, and it stays posted until an arrival has served
+        // it: whoever else awakens this thread finds it waiting still.
+        let served =
+            |h: &Held| matches!(h, Held::Receiver { thread, got: Some(_) } if thread.id() == me);
         loop {
-            if let Some(m) = self.take_match(tag, src) {
-                return m;
-            }
-            let me = cth_self(pe).unwrap_or_else(|| {
-                panic!(
-                    "PE {}: tSM receive outside a thread — use Sm::recv in SPM code",
-                    pe.my_pe()
-                )
-            });
-            self.waiters.lock().push(Waiter {
-                tag,
-                src,
-                thread: me,
-            });
             cth_suspend(pe);
+            let got = self.mailbox(pe, |mb| {
+                let entry = mb.held.get_where(&[tag, src], served)?;
+                mb.receivers -= 1;
+                Some(entry.item)
+            });
+            match got {
+                Some(Held::Receiver { got: Some(m), .. }) => return m,
+                Some(_) => unreachable!("asked for this thread's served receiver"),
+                None => {}
+            }
         }
     }
 
@@ -184,15 +295,29 @@ impl Sm {
         }
     }
 
+    /// The PE this runtime is installed on, for the readers that are
+    /// not handed one.
+    fn home(&self) -> Arc<Pe> {
+        self.home
+            .upgrade()
+            .expect("the SM runtime lives in its PE's local storage")
+    }
+
     /// Size of the earliest matching buffered message (`SMProbe`),
     /// without consuming it. Does not wait.
     pub fn probe(&self, tag: i32, src: i32) -> Option<usize> {
-        self.mailbox.lock().probe(&[tag, src]).map(|(len, _)| len)
+        self.mailbox(&self.home(), |mb| {
+            let is_msg = |h: &Held| matches!(h, Held::Msg(_));
+            match &mb.held.probe_where(&[tag, src], is_msg)?.item {
+                Held::Msg(m) => Some(m.data.len()),
+                Held::Receiver { .. } => unreachable!("asked for a message"),
+            }
+        })
     }
 
     /// Buffered (received but unconsumed) SM messages.
     pub fn buffered(&self) -> usize {
-        self.mailbox.lock().len()
+        self.mailbox(&self.home(), |mb| mb.held.len() - mb.receivers)
     }
 
     /// Spawn a tSM thread scheduled through the Converse scheduler
@@ -203,15 +328,6 @@ impl Sm {
     {
         CthRuntime::get(pe).spawn_scheduled(pe, f)
     }
-}
-
-/// Tag, source PE and data of an SM data message, the data borrowed:
-/// whoever keeps it makes the one owned copy an [`SmMsg`] hands out.
-fn decode(msg: &Message) -> (i32, usize, &[u8]) {
-    let mut u = Unpacker::new(msg.payload());
-    let tag = u.i32().expect("sm: tag");
-    let src = u.usize().expect("sm: src");
-    (tag, src, u.bytes().expect("sm: data"))
 }
 
 /// PVM-flavoured facade: tag-matched sends and receives with `-1`

@@ -15,10 +15,11 @@
 //! and only programs that link this module pay for the counters and the
 //! resequencing buffer (need-based cost, §3).
 
+use crate::MsgData;
 use converse_machine::{HandlerId, Message, Pe};
-use converse_msg::pack::{StackPacker, Unpacker};
+use converse_msg::pack::StackPacker;
 use converse_msg::Priority;
-use converse_msgmgr::{IndexedMsgManager, TagMailbox, WILDCARD};
+use converse_msgmgr::{MsgManager, WILDCARD};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,12 +35,12 @@ pub struct MpiMsg {
     pub tag: i32,
     /// Source rank (PE).
     pub src: usize,
-    /// Payload bytes.
-    pub data: Vec<u8>,
+    /// Payload bytes, inside the message that brought them.
+    pub data: MsgData,
 }
 
 /// Parked out-of-order arrivals: (src, seq) → (tag, data).
-type HeldMap = HashMap<(usize, u64), (i32, Vec<u8>)>;
+type HeldMap = HashMap<(usize, u64), (i32, MsgData)>;
 
 /// Per-PE MPI-layer state.
 pub struct Mpi {
@@ -51,7 +52,7 @@ pub struct Mpi {
     /// Out-of-order arrivals held until their predecessors admit them.
     held: Mutex<HeldMap>,
     /// Admitted (in-order) messages awaiting a matching `recv`.
-    mailbox: Mutex<IndexedMsgManager>,
+    mailbox: Mutex<MsgManager<MsgData>>,
 }
 
 impl Mpi {
@@ -59,11 +60,11 @@ impl Mpi {
     /// machine-wide). Idempotent per PE.
     pub fn install(pe: &Pe) -> Arc<Mpi> {
         pe.local(|| Mpi {
-            data_h: pe.register_handler(|pe, msg| Mpi::get(pe).ingest(&msg)),
+            data_h: pe.register_handler(|pe, msg| Mpi::get(pe).ingest(msg)),
             send_seq: Mutex::new(HashMap::new()),
             recv_seq: Mutex::new(HashMap::new()),
             held: Mutex::new(HashMap::new()),
-            mailbox: Mutex::new(IndexedMsgManager::new()),
+            mailbox: Mutex::default(),
         })
     }
 
@@ -97,37 +98,33 @@ impl Mpi {
 
     /// Admit an arrival: in-order messages (and any held successors they
     /// release) go to the mailbox; early ones are parked.
-    fn ingest(&self, msg: &Message) {
-        let mut u = Unpacker::new(msg.payload());
-        let src = u.usize().expect("mpi: src");
-        let seq = u.u64().expect("mpi: seq");
-        let tag = u.i32().expect("mpi: tag");
-        let data = u.bytes().expect("mpi: data").to_vec();
+    fn ingest(&self, msg: Message) {
+        let ((src, seq, tag), data) = MsgData::unpack(msg, |u| {
+            (
+                u.usize().expect("mpi: src"),
+                u.u64().expect("mpi: seq"),
+                u.i32().expect("mpi: tag"),
+            )
+        });
 
-        let mut admitted: Vec<(i32, usize, Vec<u8>)> = Vec::new();
-        {
-            let mut next = self.recv_seq.lock();
-            let want = next.entry(src).or_insert(0);
-            if seq == *want {
-                admitted.push((tag, src, data));
-                *want += 1;
-                // Release any consecutive held successors.
-                let mut held = self.held.lock();
-                while let Some((t, d)) = held.remove(&(src, *want)) {
-                    admitted.push((t, src, d));
-                    *want += 1;
-                }
-            } else {
-                debug_assert!(
-                    seq > *want,
-                    "duplicate or replayed sequence {seq} from {src}"
-                );
-                self.held.lock().insert((src, seq), (tag, data));
-            }
+        let mut next = self.recv_seq.lock();
+        let want = next.entry(src).or_insert(0);
+        if seq != *want {
+            debug_assert!(
+                seq > *want,
+                "duplicate or replayed sequence {seq} from {src}"
+            );
+            self.held.lock().insert((src, seq), (tag, data));
+            return;
         }
         let mut mb = self.mailbox.lock();
-        for (tag, src, data) in admitted {
+        mb.put(&[tag, src as i32], data);
+        *want += 1;
+        // Release any consecutive held successors.
+        let mut held = self.held.lock();
+        while let Some((tag, data)) = held.remove(&(src, *want)) {
             mb.put(&[tag, src as i32], data);
+            *want += 1;
         }
     }
 
@@ -136,7 +133,7 @@ impl Mpi {
         Some(MpiMsg {
             tag: stored.tags[0],
             src: stored.tags[1] as usize,
-            data: stored.data,
+            data: stored.item,
         })
     }
 
@@ -150,14 +147,15 @@ impl Mpi {
                 return m;
             }
             let msg = pe.get_specific_msg(self.data_h);
-            self.ingest(&msg);
+            self.ingest(msg);
         }
     }
 
     /// Non-consuming test (`MPI_Probe` with immediate return): size of
     /// the earliest matching admitted message.
     pub fn probe(&self, tag: i32, src: i32) -> Option<usize> {
-        self.mailbox.lock().probe(&[tag, src]).map(|(len, _)| len)
+        let mb = self.mailbox.lock();
+        mb.probe(&[tag, src]).map(|s| s.item.len())
     }
 
     /// Combined send-then-receive (`MPI_Sendrecv`): ships `data` to

@@ -257,3 +257,66 @@ fn parts_arrive_joined() {
         pe.barrier();
     });
 }
+
+/// A tSM receiver stays posted once however it is woken: something else
+/// awakening it must not leave a second, stale registration behind for a
+/// later message to trip over after the thread has gone.
+#[test]
+fn spurious_wakeup_leaves_no_stale_receiver() {
+    run_on_each_backend(1, |pe| {
+        let sm = Sm::install(pe);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = got.clone();
+        let t = sm.tspawn(pe, move |pe| {
+            let m = converse_sm::tsm::receive(pe, 5);
+            g.lock().push(m.data.to_vec());
+        });
+        csd_scheduler_until_idle(pe); // blocks in its receive
+        converse_threads::cth_awaken(pe, &t); // not by its message
+        csd_scheduler_until_idle(pe); // looks, finds nothing, blocks again
+        assert!(got.lock().is_empty() && !t.is_exited());
+        sm.send(pe, 0, 5, b"first");
+        csd_scheduler_until_idle(pe);
+        assert_eq!(*got.lock(), vec![b"first".to_vec()]);
+        assert!(t.is_exited());
+        // Nobody waits for tag 5 any more: the next one is buffered.
+        sm.send(pe, 0, 5, b"second");
+        csd_scheduler_until_idle(pe);
+        assert_eq!(sm.buffered(), 1);
+        assert_eq!(sm.probe(5, ANY), Some(6));
+    });
+}
+
+/// Receivers and messages under one tag: a receiver is served by the
+/// earliest arrival its pattern matches, wildcards on either side, and
+/// what nobody waits for is buffered in arrival order.
+#[test]
+fn receivers_are_served_in_posting_order_by_what_they_match() {
+    run_on_each_backend(1, |pe| {
+        let sm = Sm::install(pe);
+        let log = Arc::new(Mutex::new(Vec::<(&str, i32, Vec<u8>)>::new()));
+        for (who, tag, src) in [("any", ANY, ANY), ("nine-from-0", 9, 0), ("nine", 9, ANY)] {
+            let (sm2, l) = (sm.clone(), log.clone());
+            sm.tspawn(pe, move |pe| {
+                let m = sm2.trecv(pe, tag, src);
+                l.lock().push((who, m.tag, m.data.to_vec()));
+            });
+        }
+        csd_scheduler_until_idle(pe); // all three posted, in that order
+        assert_eq!(sm.buffered(), 0);
+        for (tag, data) in [(9, b"a"), (9, b"b"), (4, b"c"), (9, b"d")] {
+            sm.send(pe, 0, tag, data);
+        }
+        csd_scheduler_until_idle(pe);
+        assert_eq!(
+            *log.lock(),
+            vec![
+                ("any", 9, b"a".to_vec()),
+                ("nine-from-0", 9, b"b".to_vec()),
+                ("nine", 9, b"d".to_vec())
+            ]
+        );
+        assert_eq!(sm.buffered(), 1);
+        assert_eq!(sm.recv(pe, ANY, ANY).data, b"c");
+    });
+}

@@ -46,15 +46,16 @@ fn live_bytes() -> i64 {
     ALLOCATED.load(Ordering::Relaxed) as i64 - FREED.load(Ordering::Relaxed) as i64
 }
 
-/// Fill this PE's message pool and stack pool to their caps. A free
-/// chunk joins the list of whichever PE freed it, and the stack pool
-/// holds as many stacks as its PE ever had threads alive at once: both
-/// are bounded, but where they stand after a run depends on the
-/// schedule, and between them that is megabytes. Holding as much as a
-/// pool can retain and letting it all go leaves the pool exactly full,
-/// so two samples of `live_bytes` taken after this differ by what the
-/// runs in between left behind — growth *inside* a pool, past its
-/// documented cap, included.
+/// Fill this PE's message pool to its cap and its thread-context pool
+/// to `threads` contexts. A free chunk joins the list of whichever PE
+/// freed it, and the context pool holds as many contexts as its PE ever
+/// had threads alive at once: both are bounded (the second by the
+/// program: no run here has more than `threads` alive), but where they
+/// stand after a run depends on the schedule, and between them that is
+/// megabytes. Holding as much as a pool can retain and letting it all
+/// go leaves the pool exactly full, so two samples of `live_bytes`
+/// taken after this differ by what the runs in between left behind —
+/// growth *inside* a pool, past its documented bound, included.
 fn fill_pools(pe: &Pe, threads: usize) {
     // A class retains 64 KiB of messages, or 64 chunks if that is more
     // (`converse_msg::pool`).
@@ -65,7 +66,7 @@ fn fill_pools(pe: &Pe, threads: usize) {
         drop(held);
         size *= 2;
     }
-    // Every thread takes its stack at its first resume and gives it
+    // Every thread takes its context at its first resume and gives it
     // back when it returns at its second.
     let parked: Vec<_> = (0..threads).map(|_| cth_create(pe, cth_suspend)).collect();
     for _ in 0..2 {
@@ -82,14 +83,16 @@ const PES: usize = 2;
 /// task; what is left is a run's flat arrays and its collectives (0.3
 /// and 0.35 calls per task on these graphs).
 const RAW_AND_CHARM_CALLS_PER_TASK: f64 = 4.0;
-/// tSM pays per task for a thread object (handle, boxed entry, boxed
-/// strategy), per edge for the owned `SmMsg` and the message manager's
-/// index entry: 18 calls per task measured, 9 allocations and their
-/// frees.
-const TSM_FIBER_CALLS_PER_TASK: f64 = 24.0;
-/// On the hand-off backend every task is an OS thread as well (30
-/// measured).
-const TSM_HANDOFF_CALLS_PER_TASK: f64 = 40.0;
+/// tSM pays per task for a thread object — its handle and its boxed
+/// entry function, two allocations and their frees — and per edge
+/// nothing: the mailbox holds the arriving message and the receiver
+/// waiting for it. 5.3 calls per task measured on these small graphs,
+/// 1.3 of them the run's own set-up (it was 18).
+const TSM_FIBER_CALLS_PER_TASK: f64 = 6.0;
+/// On the hand-off backend every task is an OS thread as well, and a
+/// chunk freed on one OS thread is not in the pool of another: 21.9
+/// measured (it was 30), bounded 20 % above.
+const TSM_HANDOFF_CALLS_PER_TASK: f64 = 27.0;
 
 #[derive(Clone, Copy, Debug)]
 enum Engine {

@@ -25,9 +25,12 @@
 //! * **`fiber`** (the default where supported: x86-64 System-V) — each
 //!   thread object is a stackful [`converse_fiber::Fiber`]: a context
 //!   switch saves/restores the callee-saved register set in ~20 ns, the
-//!   same constant class the paper paid. Thread stacks come from a
-//!   per-PE size-classed **stack pool** (create-run-exit reuses a hot
-//!   stack instead of allocating; see [`CthRuntime::stack_pool_stats`]),
+//!   same constant class the paper paid. A thread runs on a whole
+//!   execution context — stack, saved registers, the fiber's own
+//!   bookkeeping — taken from a per-PE size-classed **context pool** and
+//!   re-armed (create-run-exit reuses a hot context and allocates
+//!   nothing; the pool keeps as many as the PE ever had threads alive at
+//!   once; see [`CthRuntime::stack_pool_stats`]),
 //!   and [`cth_suspend`] with a ready successor switches **directly** to
 //!   it without bouncing through the Csd queue (the direct-handoff fast
 //!   path; per-thread strategies are consulted as always).
@@ -64,16 +67,18 @@
 //!
 //! Thread objects are PE-local: exactly one context of a PE runs at a
 //! time, the one holding the PE's run token ([`Pe::owner`]). Everything
-//! the switch path touches — who is running, the ready pool, the
-//! Csd-scheduled threads, each thread's strategy, the fiber table and
-//! stack pool — lives in [`OwnerCell`]s of that token (the fiber state
+//! the switch path touches — who is running, the ready pool, the live
+//! threads, each thread's strategy and entry function, the fiber table
+//! and context pool — lives in [`OwnerCell`]s of that token (the fiber state
 //! in a [`PinnedCell`]: fibers stay on their OS thread): no lock, and a
 //! thread API call from an OS thread that does not hold the token
 //! panics instead of racing. On the fiber backend the token never
 //! leaves the PE's thread. On the hand-off backend it follows control:
 //! the context giving up control releases it before waking its
 //! successor, which adopts it once woken (`wake` / `wait_for_token`;
-//! the state mutex and condvar of the woken thread order the two).
+//! the gate mutex and condvar of the woken thread order the two). A
+//! thread's state itself is one atomic byte, written by the running
+//! context: the fiber backend takes no lock anywhere on a switch.
 
 use converse_core::csd;
 use converse_machine::{HandlerId, IdMap, Message, OwnerCell, Pe, PinnedCell, ThreadBackend};
@@ -82,7 +87,7 @@ use converse_queue::QueueingMode;
 use converse_trace::Event;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Payload used to unwind a poisoned (machine-teardown) thread without
@@ -102,9 +107,12 @@ pub type AwakenFn = Box<dyn FnMut(&Pe, Thread) + Send>;
 /// suspfn); `None` = the PE's scheduler/main context.
 pub type SuspendFn = Box<dyn FnMut(&Pe) -> Option<Thread> + Send>;
 
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
 enum State {
-    /// Created, no execution context yet; holds the entry function.
-    NotStarted(Option<Entry>),
+    /// Created, no execution context yet; the entry function waits in
+    /// [`Owned::entry`].
+    NotStarted,
     /// Suspended: fiber parked in the runtime map, or OS thread blocked
     /// on the hand-off condvar.
     Parked,
@@ -116,14 +124,51 @@ enum State {
     Poisoned,
 }
 
+/// A thread's [`State`]: written by the PE's running context only,
+/// readable from anywhere ([`Thread::is_exited`] is not handed a PE).
+/// The fiber backend, where every context of a PE runs on one OS
+/// thread, needs no more than this; the hand-off backend makes the
+/// writes a parked OS thread waits for under [`Inner::gate`].
+struct StateCell(AtomicU8);
+
+impl StateCell {
+    const ALL: [State; 5] = [
+        State::NotStarted,
+        State::Parked,
+        State::Running,
+        State::Exited,
+        State::Poisoned,
+    ];
+
+    #[inline]
+    fn get(&self) -> State {
+        Self::ALL[self.0.load(Ordering::Acquire) as usize]
+    }
+
+    #[inline]
+    fn set(&self, to: State) {
+        self.0.store(to as u8, Ordering::Release);
+    }
+}
+
+/// What only the PE's running context touches of a thread object.
+struct Owned {
+    /// `None` only while a [`Strategy::Custom`] is out of the cell being
+    /// called (it reads as [`Strategy::Default`] then).
+    strategy: Option<Strategy>,
+    /// The entry function, until the first resume (or teardown) takes
+    /// it.
+    entry: Option<Entry>,
+}
+
 struct Inner {
     id: u64,
-    state: Mutex<State>,
-    /// Hand-off backend only: the condvar the owning OS thread parks on.
+    state: StateCell,
+    /// Hand-off backend only: the lock and condvar the owning OS thread
+    /// parks on, waiting for `state` to leave `Parked`.
+    gate: Mutex<()>,
     cv: Condvar,
-    /// `None` = the default ready-pool strategy (the common case pays no
-    /// boxed-closure indirection on the switch path).
-    strategy: OwnerCell<Option<Strategy>>,
+    owned: OwnerCell<Owned>,
     stack_size: usize,
     /// Fiber backend only: the running fiber's yield handle
     /// (`*const FiberHandle` as usize; 0 while not on a fiber stack).
@@ -133,14 +178,44 @@ struct Inner {
 }
 
 /// How a thread is awakened and what runs when it suspends
-/// (`CthSetStrategy`).
-pub struct Strategy {
-    /// Called by [`cth_awaken`]: store the thread where the suspend side
-    /// will find it.
-    pub awaken: AwakenFn,
-    /// Called by [`cth_suspend`] on this thread: pick the next context
-    /// (`None` = the PE's scheduler/main context).
-    pub suspend: SuspendFn,
+/// (`CthSetStrategy`). The two strategies the runtime itself provides
+/// are plain variants — no closure is boxed or called for them;
+/// [`Strategy::Custom`] carries a module's own pair.
+#[derive(Default)]
+pub enum Strategy {
+    /// Awaken appends the thread to the PE's ready pool; suspend
+    /// switches to the pool's oldest thread, else to the PE's
+    /// scheduler/main context.
+    #[default]
+    Default,
+    /// The Csd strategy: awaken enqueues a generalized message of this
+    /// priority whose handler resumes the thread; suspend returns to the
+    /// scheduler context.
+    Csd(Priority),
+    /// A module's own order of selection.
+    Custom {
+        /// Called by [`cth_awaken`]: store the thread where the suspend
+        /// side will find it.
+        awaken: AwakenFn,
+        /// Called by [`cth_suspend`] on this thread: pick the next
+        /// context (`None` = the PE's scheduler/main context).
+        suspend: SuspendFn,
+    },
+}
+
+/// What a strategy asks of [`cth_awaken`], read with the strategy's
+/// cell open and carried out with it closed.
+enum Awaken {
+    Ready,
+    Enqueue(Message, QueueingMode),
+    Call(Strategy),
+}
+
+/// What a strategy says about who runs next, likewise.
+enum Successor {
+    Ready,
+    Scheduler,
+    Ask(Strategy),
 }
 
 /// A handle to a Converse thread object (`THREAD *`). Clone freely; all
@@ -152,32 +227,104 @@ pub struct Strategy {
 pub struct Thread(Arc<Inner>);
 
 impl Thread {
-    fn new(pe: &Pe, id: u64, state: State, stack_size: usize) -> Thread {
+    /// A thread object that will run `entry` (`None`: the PE's main
+    /// context, running already).
+    fn new(
+        pe: &Pe,
+        id: u64,
+        entry: Option<Entry>,
+        stack_size: usize,
+        strategy: Strategy,
+    ) -> Thread {
+        let state = match entry {
+            Some(_) => State::NotStarted,
+            None => State::Running,
+        };
+        let owned = Owned {
+            strategy: Some(strategy),
+            entry,
+        };
         Thread(Arc::new(Inner {
             id,
-            state: Mutex::new(state),
+            state: StateCell(AtomicU8::new(state as u8)),
+            gate: Mutex::new(()),
             cv: Condvar::new(),
-            // None = the default ready-pool strategy: awaken appends to
-            // the PE's ready pool, suspend pops its oldest entry.
-            strategy: OwnerCell::new(pe.owner(), None),
+            owned: OwnerCell::new(pe.owner(), owned),
             stack_size,
             handle: AtomicU64::new(0),
         }))
     }
 
-    /// Take this thread's strategy out of its cell, so it is called
-    /// with the cell closed: a strategy may call back into the thread
-    /// API, this thread's included. Pair with
+    /// What awakening this thread takes. A custom strategy leaves its
+    /// cell, so it is called with the cell closed: it may call back into
+    /// the thread API, this thread's included. Pair with
     /// [`Thread::restore_strategy`].
-    fn take_strategy(&self, pe: &Pe) -> Option<Strategy> {
-        self.0.strategy.with(pe.owner(), Option::take)
+    fn awaken_plan(&self, pe: &Pe, rt: &CthRuntime) -> Awaken {
+        self.0.owned.with(pe.owner(), |o| match &mut o.strategy {
+            None | Some(Strategy::Default) => Awaken::Ready,
+            Some(Strategy::Csd(prio)) => {
+                let mode = if *prio == Priority::None {
+                    QueueingMode::Fifo
+                } else {
+                    QueueingMode::PrioFifo
+                };
+                // Same wire format as `Packer::u64`, no Vec allocation.
+                let tid = self.0.id.to_le_bytes();
+                Awaken::Enqueue(Message::with_priority(rt.resume_handler, prio, &tid), mode)
+            }
+            slot @ Some(Strategy::Custom { .. }) => {
+                Awaken::Call(slot.take().expect("matched Some"))
+            }
+        })
+    }
+
+    /// Who runs when this thread gives up control; see
+    /// [`Thread::awaken_plan`].
+    fn successor_plan(&self, pe: &Pe) -> Successor {
+        self.0.owned.with(pe.owner(), |o| match &mut o.strategy {
+            None | Some(Strategy::Default) => Successor::Ready,
+            Some(Strategy::Csd(_)) => Successor::Scheduler,
+            slot @ Some(Strategy::Custom { .. }) => {
+                Successor::Ask(slot.take().expect("matched Some"))
+            }
+        })
     }
 
     /// Put a taken strategy back — unless the call installed another.
     fn restore_strategy(&self, pe: &Pe, taken: Strategy) {
-        self.0.strategy.with(pe.owner(), |slot| {
-            slot.get_or_insert(taken);
+        self.0.owned.with(pe.owner(), |o| {
+            o.strategy.get_or_insert(taken);
         });
+    }
+
+    /// Take the entry function out: for the first start, or for
+    /// teardown to drop.
+    fn take_entry(&self, pe: &Pe) -> Option<Entry> {
+        self.0.owned.with(pe.owner(), |o| o.entry.take())
+    }
+
+    /// Teardown's visit to one thread: a thread that never ran loses its
+    /// entry function (it has no stack); a suspended one is marked
+    /// `Poisoned` and `true` is returned: its next wakeup unwinds its
+    /// stack.
+    fn poison_if_suspended(&self, pe: &Pe) -> bool {
+        match self.0.state.get() {
+            State::NotStarted => {
+                drop(self.take_entry(pe));
+                self.0.state.set(State::Exited);
+                false
+            }
+            State::Parked => {
+                self.0.state.set(State::Poisoned);
+                true
+            }
+            State::Running => unreachable!(
+                "PE {}: teardown while thread {} runs — the main context holds the token",
+                pe.my_pe(),
+                self.id()
+            ),
+            State::Exited | State::Poisoned => false,
+        }
     }
 
     /// Runtime-unique thread id (0 names the PE's main context).
@@ -187,7 +334,7 @@ impl Thread {
 
     /// True once the thread function has returned.
     pub fn is_exited(&self) -> bool {
-        matches!(*self.0.state.lock(), State::Exited)
+        self.0.state.get() == State::Exited
     }
 
     fn same(&self, other: &Thread) -> bool {
@@ -290,13 +437,14 @@ impl CthBackend {
 /// message-buffer pool's `PoolStats`. All zero on the hand-off backend.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StackPoolStats {
-    /// Stack requests served from the free list (no allocation).
+    /// Thread starts served from the free list (no allocation).
     pub hits: u64,
-    /// Stack requests that went to the system allocator.
+    /// Thread starts that went to the system allocator for a stack.
     pub misses: u64,
-    /// Finished-thread stacks retained for reuse.
+    /// Finished threads' execution contexts (stack included) retained
+    /// for reuse.
     pub recycled: u64,
-    /// Finished-thread stacks dropped (class full or unpoolable size).
+    /// Finished threads' contexts dropped: stacks of an unpoolable size.
     pub discarded: u64,
 }
 
@@ -309,8 +457,9 @@ struct Sched {
     current: Option<Thread>,
     /// Default ready pool used by the default suspend/awaken strategy.
     ready: VecDeque<Thread>,
-    /// Threads awaiting their Csd resume message, by id.
-    scheduled: IdMap<Thread>,
+    /// Every thread created on this PE and not yet exited, by id: where
+    /// a Csd resume message finds its thread, and what teardown walks.
+    live: IdMap<Thread>,
     next_id: u64,
     /// Context switches performed (both backends) — the sampling key for
     /// [`Event::ThreadSwitch`].
@@ -320,12 +469,13 @@ struct Sched {
     direct: u64,
 }
 
-/// The thread registry — off the switch path.
+/// What the hand-off backend keeps beside its OS threads — off the
+/// switch path.
 #[derive(Default)]
 struct Registry {
-    /// Every thread created on this PE, with its OS join handle once
-    /// started (hand-off backend); consumed at teardown.
-    live: Vec<(Thread, Option<std::thread::JoinHandle<()>>)>,
+    /// The OS thread of every started thread object, joined once the
+    /// thread object has exited.
+    os_threads: Vec<(Thread, std::thread::JoinHandle<()>)>,
     /// A panic raised inside a hand-off thread, carried to the main
     /// context (fiber panics propagate synchronously instead).
     pending_panic: Option<Box<dyn std::any::Any + Send>>,
@@ -378,7 +528,7 @@ impl CthRuntime {
                 let tid = u.u64().expect("cth resume: tid");
                 let rt = CthRuntime::get(pe);
                 let t = rt
-                    .sched(pe, |s| s.scheduled.remove(&tid))
+                    .sched(pe, |s| s.live.get(&tid).cloned())
                     .unwrap_or_else(|| {
                         panic!("PE {}: resume message for unknown thread {tid}", pe.my_pe())
                     });
@@ -388,14 +538,14 @@ impl CthRuntime {
             CthRuntime {
                 backend: CthBackend::resolve(pe),
                 home: Arc::downgrade(&pe.arc()),
-                main: Thread::new(pe, 0, State::Running, 0),
+                main: Thread::new(pe, 0, None, 0, Strategy::Default),
                 resume_handler,
                 sched: OwnerCell::new(
                     pe.owner(),
                     Sched {
                         current: None,
                         ready: VecDeque::new(),
-                        scheduled: IdMap::default(),
+                        live: IdMap::default(),
                         next_id: 1,
                         switches: 0,
                         direct: 0,
@@ -470,9 +620,9 @@ impl CthRuntime {
     where
         F: FnOnce(&Pe) + Send + 'static,
     {
-        let t = cth_create(pe, f);
-        set_csd_strategy(pe, &t, prio);
-        cth_awaken(pe, &t);
+        let t = create(pe, Box::new(f), DEFAULT_STACK_SIZE, Strategy::Csd(prio));
+        // Not `cth_awaken`: a thread made this instant has not exited.
+        awaken(pe, self, &t);
         t
     }
 
@@ -483,9 +633,7 @@ impl CthRuntime {
 
     /// Number of live (created, not yet exited) threads.
     pub fn live_len(&self) -> usize {
-        self.registry.with(self.home().owner(), |r| {
-            r.live.iter().filter(|(t, _)| !t.is_exited()).count()
-        })
+        self.sched(&self.home(), |s| s.live.len())
     }
 
     /// Context switches performed so far on this PE (both backends).
@@ -534,45 +682,36 @@ impl CthRuntime {
     /// each holding the run token while its stack unwinds (destructors
     /// on it may use the PE).
     fn teardown(&self, pe: &Pe) {
-        let entries = self
-            .registry
-            .with(pe.owner(), |r| std::mem::take(&mut r.live));
+        let mut live: Vec<Thread> = self.sched(pe, |s| s.live.drain().map(|(_, t)| t).collect());
+        live.sort_unstable_by_key(Thread::id);
         match self.backend {
-            CthBackend::Fiber => fb::teardown(pe, self, entries),
+            CthBackend::Fiber => fb::teardown(pe, self, live),
             CthBackend::Handoff => {
-                for (t, handle) in entries {
-                    let poisoned = {
-                        let mut s = t.0.state.lock();
-                        match &mut *s {
-                            State::NotStarted(entry) => {
-                                entry.take();
-                                *s = State::Exited;
-                                false
-                            }
-                            State::Parked => {
-                                pe.owner().release();
-                                *s = State::Poisoned;
-                                t.0.cv.notify_all();
-                                true
-                            }
-                            State::Running => unreachable!(
-                                "PE {}: teardown while thread {} runs — the main context holds the token",
-                                pe.my_pe(),
-                                t.id()
-                            ),
-                            State::Exited | State::Poisoned => false,
+                let mut os_threads = self
+                    .registry
+                    .with(pe.owner(), |r| std::mem::take(&mut r.os_threads));
+                for t in live {
+                    {
+                        let _gate = t.0.gate.lock();
+                        if !t.poison_if_suspended(pe) {
+                            continue;
                         }
-                    };
-                    if let Some(h) = handle {
-                        let _ = h.join();
+                        // Under `t`'s gate, which `t` holds to see
+                        // `Poisoned`: the release happens-before its adopt.
+                        pe.owner().release();
+                        t.0.cv.notify_all();
                     }
-                    if poisoned {
-                        // SAFETY: the token was released to `t` alone,
-                        // which releases it in `finish_thread` before
-                        // its OS thread ends; the join above orders that
-                        // before this call.
-                        unsafe { pe.owner().adopt() };
-                    }
+                    let at = os_threads.iter().position(|(o, _)| o.same(&t));
+                    let (_, os_thread) =
+                        os_threads.swap_remove(at.expect("a parked thread runs on an OS thread"));
+                    let _ = os_thread.join();
+                    // SAFETY: the token was released to `t` alone, which
+                    // releases it in `finish_thread` before its OS thread
+                    // ends; the join above orders that before this call.
+                    unsafe { pe.owner().adopt() };
+                }
+                for (_, os_thread) in os_threads {
+                    let _ = os_thread.join();
                 }
             }
         }
@@ -611,32 +750,21 @@ pub fn cth_create_of_size<F>(pe: &Pe, f: F, stack_size: usize) -> Thread
 where
     F: FnOnce(&Pe) + Send + 'static,
 {
-    let rt = CthRuntime::get(pe);
-    let id = rt.sched(pe, |s| {
+    create(pe, Box::new(f), stack_size, Strategy::Default)
+}
+
+/// A thread object costs two allocations: its handle and its boxed
+/// entry function. Its execution context comes from the pool at its
+/// first resume.
+fn create(pe: &Pe, entry: Entry, stack_size: usize, strategy: Strategy) -> Thread {
+    let t = CthRuntime::get(pe).sched(pe, |s| {
         let id = s.next_id;
         s.next_id += 1;
-        id
+        let t = Thread::new(pe, id, Some(entry), stack_size, strategy);
+        s.live.insert(id, t.clone());
+        t
     });
-    let t = Thread::new(pe, id, State::NotStarted(Some(Box::new(f))), stack_size);
-    rt.registry.with(pe.owner(), |r| {
-        // Before the list would grow, drop the threads that have exited
-        // (joining a hand-off thread's OS thread, which is past its last
-        // use of the runtime): a PE that creates a thread per task holds
-        // as many entries as it ever had threads alive at once.
-        if r.live.len() == r.live.capacity() {
-            r.live.retain_mut(|(thread, os_thread)| {
-                let exited = thread.is_exited();
-                if exited {
-                    if let Some(h) = os_thread.take() {
-                        let _ = h.join();
-                    }
-                }
-                !exited
-            });
-        }
-        r.live.push((t.clone(), None));
-    });
-    pe.trace_event(Event::ThreadCreate { tid: id });
+    pe.trace_event(Event::ThreadCreate { tid: t.id() });
     t
 }
 
@@ -644,34 +772,14 @@ where
 /// [`cth_awaken`] stores the thread, and which thread [`cth_suspend`]
 /// picks when *this* thread gives up control.
 pub fn cth_set_strategy(pe: &Pe, t: &Thread, s: Strategy) {
-    t.0.strategy.with(pe.owner(), |slot| *slot = Some(s));
+    t.0.owned.with(pe.owner(), |o| o.strategy = Some(s));
 }
 
 /// Give `t` the Csd strategy: awakening enqueues a generalized message
 /// (optionally prioritized) whose handler resumes the thread; suspension
 /// returns control to the scheduler context.
 pub fn set_csd_strategy(pe: &Pe, t: &Thread, prio: Priority) {
-    let tid = t.id();
-    cth_set_strategy(
-        pe,
-        t,
-        Strategy {
-            awaken: Box::new(move |pe, t| {
-                let rt = CthRuntime::get(pe);
-                rt.sched(pe, |s| s.scheduled.insert(tid, t));
-                // Same wire format as `Packer::u64`, no Vec allocation.
-                let payload = tid.to_le_bytes();
-                let msg = Message::with_priority(rt.resume_handler, &prio, &payload);
-                let mode = if prio == Priority::None {
-                    QueueingMode::Fifo
-                } else {
-                    QueueingMode::PrioFifo
-                };
-                csd::csd_enqueue_general(pe, msg, mode);
-            }),
-            suspend: Box::new(|_pe| None),
-        },
-    );
+    cth_set_strategy(pe, t, Strategy::Csd(prio));
 }
 
 /// The currently executing thread (`CthSelf`); `None` in the PE's main
@@ -710,32 +818,40 @@ pub fn cth_suspend(pe: &Pe) {
     suspend_current(pe, CthRuntime::get(pe), "cth_suspend");
 }
 
-/// Who runs next by `strategy` (`None` = the PE's main context).
-fn pick_successor(pe: &Pe, rt: &CthRuntime, strategy: Option<&mut Strategy>) -> Option<Thread> {
-    match strategy {
-        Some(s) => (s.suspend)(pe),
-        None => rt.sched(pe, |s| s.ready.pop_front()),
+/// Who runs next by `plan` (`None` = the PE's main context). A custom
+/// strategy is called here, every cell closed, and handed to `restore`.
+fn pick_successor(
+    pe: &Pe,
+    rt: &CthRuntime,
+    plan: Successor,
+    restore: impl FnOnce(Strategy),
+) -> Option<Thread> {
+    match plan {
+        Successor::Ready => rt.sched(pe, |s| s.ready.pop_front()),
+        Successor::Scheduler => None,
+        Successor::Ask(mut custom) => {
+            let Strategy::Custom { suspend, .. } = &mut custom else {
+                unreachable!("only a custom strategy is asked")
+            };
+            let next = suspend(pe);
+            restore(custom);
+            next
+        }
     }
 }
 
 /// Who runs next when `t` gives up control for good (exit).
 fn successor_of(pe: &Pe, rt: &CthRuntime, t: &Thread) -> Option<Thread> {
-    let mut strategy = t.take_strategy(pe);
-    let next = pick_successor(pe, rt, strategy.as_mut());
-    if let Some(s) = strategy {
-        t.restore_strategy(pe, s);
-    }
-    next
+    pick_successor(pe, rt, t.successor_plan(pe), |s| t.restore_strategy(pe, s))
 }
 
 fn suspend_current(pe: &Pe, rt: &CthRuntime, what: &str) {
     // The running thread is reached by borrow; its strategy runs with
     // every cell closed.
-    let (me, mut strategy) = rt.with_current(pe, what, |me| (me.id(), me.take_strategy(pe)));
-    let next = pick_successor(pe, rt, strategy.as_mut());
-    if let Some(s) = strategy {
-        rt.with_current(pe, what, |me| me.restore_strategy(pe, s));
-    }
+    let (me, plan) = rt.with_current(pe, what, |me| (me.id(), me.successor_plan(pe)));
+    let next = pick_successor(pe, rt, plan, |s| {
+        rt.with_current(pe, what, |me| me.restore_strategy(pe, s))
+    });
     // A strategy may hand back the suspending thread itself (a solo
     // thread yielding); control simply stays put.
     if next.as_ref().is_some_and(|n| n.id() == me) {
@@ -757,18 +873,25 @@ fn suspend_current(pe: &Pe, rt: &CthRuntime, what: &str) {
 /// the thread is genuinely ready to continue.
 pub fn cth_awaken(pe: &Pe, t: &Thread) {
     assert!(
-        !matches!(*t.0.state.lock(), State::Exited | State::Poisoned),
+        !matches!(t.0.state.get(), State::Exited | State::Poisoned),
         "PE {}: awaken of exited thread {}",
         pe.my_pe(),
         t.id()
     );
-    let mut strategy = t.take_strategy(pe);
-    match &mut strategy {
-        Some(s) => (s.awaken)(pe, t.clone()),
-        None => CthRuntime::get(pe).sched(pe, |s| s.ready.push_back(t.clone())),
-    }
-    if let Some(s) = strategy {
-        t.restore_strategy(pe, s);
+    awaken(pe, CthRuntime::get(pe), t);
+}
+
+fn awaken(pe: &Pe, rt: &CthRuntime, t: &Thread) {
+    match t.awaken_plan(pe, rt) {
+        Awaken::Ready => rt.sched(pe, |s| s.ready.push_back(t.clone())),
+        Awaken::Enqueue(msg, mode) => csd::csd_enqueue_general(pe, msg, mode),
+        Awaken::Call(mut custom) => {
+            let Strategy::Custom { awaken, .. } = &mut custom else {
+                unreachable!("only a custom strategy is called")
+            };
+            awaken(pe, t.clone());
+            t.restore_strategy(pe, custom);
+        }
     }
 }
 
@@ -802,11 +925,8 @@ fn transfer(pe: &Pe, rt: &CthRuntime, from: &Thread, to: &Thread, direct: bool) 
     pe.trace_event(Event::ThreadResume { tid: to.id() });
     // Park self BEFORE waking the target so the target can immediately
     // re-resume us without a lost wakeup.
-    {
-        let mut s = from.0.state.lock();
-        debug_assert!(matches!(*s, State::Running));
-        *s = State::Parked;
-    }
+    debug_assert_eq!(from.0.state.get(), State::Running);
+    from.0.state.set(State::Parked);
     wake(pe, rt, to);
     wait_for_token(pe, rt, from);
 }
@@ -814,26 +934,24 @@ fn transfer(pe: &Pe, rt: &CthRuntime, from: &Thread, to: &Thread, direct: bool) 
 /// Hand the run token to `to` and let it run. The caller holds the
 /// token on entry and has given it up on return.
 fn wake(pe: &Pe, rt: &CthRuntime, to: &Thread) {
-    let mut s = to.0.state.lock();
-    if let State::NotStarted(entry) = &mut *s {
+    if to.0.state.get() == State::NotStarted {
         // First start: give the thread its OS thread, parked like any
         // other until the token is passed below.
-        let entry = entry.take().expect("entry present before first start");
-        *s = State::Parked;
-        drop(s);
+        let entry = to.take_entry(pe).expect("entry present before first start");
+        to.0.state.set(State::Parked);
         spawn_os_thread(pe, rt, to, entry);
-        s = to.0.state.lock();
     }
-    match *s {
+    let _gate = to.0.gate.lock();
+    match to.0.state.get() {
         State::Parked => {
-            // Released under `to`'s state lock, which `to` takes to see
+            // Released under `to`'s gate, which `to` holds to see
             // `Running`: the release happens-before its adopt.
             pe.owner().release();
-            *s = State::Running;
+            to.0.state.set(State::Running);
             to.0.cv.notify_all();
         }
         State::Running => panic!("PE {}: resume of running thread {}", pe.my_pe(), to.id()),
-        State::NotStarted(_) => unreachable!("started above"),
+        State::NotStarted => unreachable!("started above"),
         State::Exited | State::Poisoned => {
             panic!("PE {}: resume of exited thread {}", pe.my_pe(), to.id())
         }
@@ -844,10 +962,10 @@ fn wake(pe: &Pe, rt: &CthRuntime, to: &Thread) {
 /// poisoned by teardown, which hands it the token to unwind with).
 fn wait_for_token(pe: &Pe, rt: &CthRuntime, me: &Thread) {
     let poisoned = {
-        let mut s = me.0.state.lock();
+        let mut gate = me.0.gate.lock();
         loop {
-            match *s {
-                State::Parked => me.0.cv.wait(&mut s),
+            match me.0.state.get() {
+                State::Parked => me.0.cv.wait(&mut gate),
                 State::Running => break false,
                 State::Poisoned => break true,
                 _ => unreachable!("parked context can only become Running or Poisoned"),
@@ -855,9 +973,9 @@ fn wait_for_token(pe: &Pe, rt: &CthRuntime, me: &Thread) {
         }
     };
     // SAFETY: whoever set this context `Running` (`wake`) or `Poisoned`
-    // (`teardown`) released the token first, under this thread's state
-    // lock, and named no other successor; taking that lock above orders
-    // this call after the release.
+    // (`teardown`) released the token first, under this thread's gate,
+    // and named no other successor; holding the gate above orders this
+    // call after the release.
     unsafe { pe.owner().adopt() };
     if poisoned {
         std::panic::resume_unwind(Box::new(ThreadPoison));
@@ -896,11 +1014,20 @@ fn spawn_os_thread(pe: &Pe, rt: &CthRuntime, t: &Thread, entry: Entry) {
         .expect("spawn thread-object OS thread");
     // Record the join handle for teardown.
     rt.registry.with(pe.owner(), |r| {
-        if let Some(slot) = r.live.iter_mut().find(|(lt, _)| lt.same(t)) {
-            slot.1 = Some(handle);
-        } else {
-            r.live.push((t.clone(), Some(handle)));
+        // Before the list would grow, join the OS threads of the thread
+        // objects that have exited (they are past their last use of the
+        // runtime): a PE that creates a thread per task holds as many
+        // entries as it ever had threads alive at once.
+        if r.os_threads.len() == r.os_threads.capacity() {
+            let (exited, alive) = std::mem::take(&mut r.os_threads)
+                .into_iter()
+                .partition(|(thread, _)| thread.is_exited());
+            r.os_threads = alive;
+            for (_, os_thread) in exited {
+                let _ = os_thread.join();
+            }
         }
+        r.os_threads.push((t.clone(), handle));
     });
 }
 
@@ -912,10 +1039,10 @@ fn finish_thread(
     me: &Thread,
     user_panic: Option<Box<dyn std::any::Any + Send>>,
 ) {
-    if matches!(*me.0.state.lock(), State::Poisoned) {
+    if me.0.state.get() == State::Poisoned {
         // Teardown owns the machine and is joining this thread: mark
         // exited and give the token back.
-        *me.0.state.lock() = State::Exited;
+        me.0.state.set(State::Exited);
         pe.owner().release();
         return;
     }
@@ -924,18 +1051,22 @@ fn finish_thread(
         // other PEs unblock instead of deadlocking.
         rt.registry.with(pe.owner(), |r| r.pending_panic = Some(p));
         pe.abort_machine();
-        *me.0.state.lock() = State::Exited;
-        rt.sched(pe, |s| s.current = None);
-        let mut s = rt.main.0.state.lock();
-        if matches!(*s, State::Parked) {
+        me.0.state.set(State::Exited);
+        rt.sched(pe, |s| {
+            s.live.remove(&me.id());
+            s.current = None;
+        });
+        let _gate = rt.main.0.gate.lock();
+        if rt.main.0.state.get() == State::Parked {
             pe.owner().release();
-            *s = State::Running;
+            rt.main.0.state.set(State::Running);
             rt.main.0.cv.notify_all();
         }
         return;
     }
     let target = successor_of(pe, rt, me).unwrap_or_else(|| rt.main.clone());
-    *me.0.state.lock() = State::Exited;
+    me.0.state.set(State::Exited);
+    rt.sched(pe, |s| s.live.remove(&me.id()));
     rt.switch_to(pe, rt.as_current(&target), false);
     pe.trace_event(Event::ThreadResume { tid: target.id() });
     wake(pe, rt, &target);
@@ -960,22 +1091,39 @@ mod fb {
         Transfer { to: Thread, direct: bool },
     }
 
+    /// A pooled execution context: a stack and a fiber that runs
+    /// [`thread_main`] on it, once per thread object it hosts.
+    type Context = Fiber<(Arc<Pe>, Entry)>;
+
     /// Smallest pooled stack class.
     const MIN_CLASS: usize = 16 * 1024;
     /// Largest pooled stack class; bigger stacks are allocated exactly
     /// and never retained.
     const MAX_CLASS: usize = 1024 * 1024;
-    /// Free stacks retained per class.
-    const PER_CLASS_CAP: usize = 32;
     /// Number of power-of-two classes in `MIN_CLASS..=MAX_CLASS`.
     const NUM_CLASSES: usize = (MAX_CLASS / MIN_CLASS).trailing_zeros() as usize + 1;
 
-    /// Per-PE size-classed free list of fiber stacks — the thread-stack
-    /// analogue of the message-buffer pool: create-run-exit cycles reuse
-    /// a hot stack instead of paying an allocation (and zeroing) per
-    /// thread.
+    /// Per-PE size-classed free list of execution contexts — the
+    /// thread-stack analogue of the message-buffer pool: a thread that
+    /// starts takes a finished thread's whole context (stack, saved
+    /// registers, bookkeeping) and arms it, paying neither an allocation
+    /// nor the zeroing of a fresh stack.
+    ///
+    /// # Retention
+    ///
+    /// A context of a pooled class is never dropped, so a class holds as
+    /// many contexts as its PE ever had threads of that class **started
+    /// and not yet exited at one time** — a context is only made when
+    /// every existing one is in use. What is retained is what the
+    /// program itself once kept alive: at worst that peak thread count ×
+    /// the class size (256 KiB for [`DEFAULT_STACK_SIZE`]) of address
+    /// space per PE, of which only the pages the threads touched are
+    /// resident. No count picked in advance bounds it: a bound below a
+    /// program's concurrency turns every start beyond it into a fresh
+    /// zeroed stack (a 33rd blocked thread cost 48 µs against 1.3 µs
+    /// when the class kept 32).
     pub(super) struct StackPool {
-        free: [Vec<Box<[u8]>>; NUM_CLASSES],
+        free: [Vec<Context>; NUM_CLASSES],
         pub stats: StackPoolStats,
     }
 
@@ -989,40 +1137,35 @@ mod fb {
 
         /// Class index for a pooled stack of exactly `len` bytes.
         fn class_of(len: usize) -> Option<usize> {
-            if len.is_power_of_two() && (MIN_CLASS..=MAX_CLASS).contains(&len) {
-                Some((len / MIN_CLASS).trailing_zeros() as usize)
-            } else {
-                None
-            }
+            (len.is_power_of_two() && (MIN_CLASS..=MAX_CLASS).contains(&len))
+                .then(|| (len / MIN_CLASS).trailing_zeros() as usize)
         }
 
-        /// A stack of at least `want` bytes: pooled (rounded up to its
-        /// size class) when `want` fits a class, else an exact one-off
-        /// allocation that will not be retained.
-        fn take(&mut self, want: usize) -> Box<[u8]> {
+        /// A finished context with a stack of at least `want` bytes:
+        /// pooled (rounded up to its size class) when `want` fits a
+        /// class, else an exact one-off allocation that will not be
+        /// retained.
+        fn take(&mut self, want: usize) -> Context {
             let rounded = want.max(MIN_CLASS).next_power_of_two();
-            if rounded <= MAX_CLASS {
-                let class = (rounded / MIN_CLASS).trailing_zeros() as usize;
-                if let Some(stack) = self.free[class].pop() {
-                    self.stats.hits += 1;
-                    return stack;
-                }
-                self.stats.misses += 1;
-                vec![0u8; rounded].into_boxed_slice()
-            } else {
-                self.stats.misses += 1;
-                vec![0u8; want].into_boxed_slice()
+            let pooled = Self::class_of(rounded).and_then(|class| self.free[class].pop());
+            if let Some(context) = pooled {
+                self.stats.hits += 1;
+                return context;
             }
+            self.stats.misses += 1;
+            let size = if rounded <= MAX_CLASS { rounded } else { want };
+            Fiber::with_entry(size, thread_main)
         }
 
-        /// Return a finished fiber's stack for reuse.
-        fn give(&mut self, stack: Box<[u8]>) {
-            match Self::class_of(stack.len()) {
-                Some(class) if self.free[class].len() < PER_CLASS_CAP => {
+        /// Keep a finished thread's context for the next one.
+        fn give(&mut self, context: Context) {
+            debug_assert!(context.is_done());
+            match Self::class_of(context.stack_size()) {
+                Some(class) => {
                     self.stats.recycled += 1;
-                    self.free[class].push(stack);
+                    self.free[class].push(context);
                 }
-                _ => self.stats.discarded += 1,
+                None => self.stats.discarded += 1,
             }
         }
     }
@@ -1030,7 +1173,7 @@ mod fb {
     pub(super) struct FiberState {
         /// Parked fibers by thread id; the running fiber (at most one)
         /// is owned by the drive loop's stack frame.
-        fibers: IdMap<Fiber>,
+        fibers: IdMap<Context>,
         /// Set by the fiber that is about to yield; consumed by the
         /// drive loop to pick the next context.
         directive: Option<Directive>,
@@ -1055,17 +1198,6 @@ mod fb {
     #[inline(always)]
     fn fibers<R>(pe: &Pe, rt: &CthRuntime, f: impl FnOnce(&mut FiberState) -> R) -> R {
         rt.fiber.with(pe.owner(), f)
-    }
-
-    /// Drop guard clearing the thread's yield-handle pointer
-    /// (`Inner::handle`) even when the fiber finishes by unwind (poison,
-    /// exit, user panic).
-    struct HandleGuard<'a>(&'a Thread);
-
-    impl Drop for HandleGuard<'_> {
-        fn drop(&mut self) {
-            self.0 .0.handle.store(0, Ordering::Relaxed);
-        }
     }
 
     pub(super) fn pool_stats(pe: &Pe, rt: &CthRuntime) -> StackPoolStats {
@@ -1119,7 +1251,7 @@ mod fb {
         // teardown poisons, so the thread's state is asked only then.
         let poisoned = fibers(pe, rt, |fs| fs.poisoning)
             && rt.with_current(pe, "a fiber switch", |me| {
-                matches!(*me.0.state.lock(), State::Poisoned)
+                me.0.state.get() == State::Poisoned
             });
         if poisoned {
             std::panic::resume_unwind(Box::new(ThreadPoison));
@@ -1127,28 +1259,24 @@ mod fb {
     }
 
     /// Materialize or retrieve the execution context for `t`, marking it
-    /// running. A `NotStarted` thread gets a fiber on a pooled stack
-    /// here — creation is lazy, so a never-resumed thread costs no
-    /// stack at all.
-    fn take_fiber(pe: &Pe, rt: &CthRuntime, t: &Thread) -> Fiber {
-        let mut s = t.0.state.lock();
-        match &mut *s {
-            State::NotStarted(entry) => {
-                let entry = entry.take().expect("entry present before first start");
-                *s = State::Running;
-                drop(s);
-                let stack = fibers(pe, rt, |fs| fs.pool.take(t.0.stack_size));
-                let pe_arc = pe.arc();
-                let t2 = t.clone();
-                Fiber::with_stack(stack, move |h| fiber_entry(&pe_arc, &t2, entry, h))
+    /// running. A `NotStarted` thread's entry function moves into a
+    /// pooled context here — creation is lazy, so a never-resumed thread
+    /// costs no stack at all.
+    fn take_fiber(pe: &Pe, rt: &CthRuntime, t: &Thread) -> Context {
+        match t.0.state.get() {
+            State::NotStarted => {
+                let entry = t.take_entry(pe).expect("entry present before first start");
+                t.0.state.set(State::Running);
+                let mut context = fibers(pe, rt, |fs| fs.pool.take(t.0.stack_size));
+                context.arm((pe.arc(), entry));
+                context
             }
-            State::Parked | State::Poisoned => {
+            state @ (State::Parked | State::Poisoned) => {
                 // Poison is left set: the wakeup check in
                 // `yield_to_main` turns it into an unwind.
-                if matches!(*s, State::Parked) {
-                    *s = State::Running;
+                if state == State::Parked {
+                    t.0.state.set(State::Running);
                 }
-                drop(s);
                 fibers(pe, rt, |fs| fs.fibers.remove(&t.0.id)).unwrap_or_else(|| {
                     panic!("PE {}: parked thread {} has no fiber", pe.my_pe(), t.id())
                 })
@@ -1160,15 +1288,21 @@ mod fb {
         }
     }
 
-    /// First code on a fresh fiber: register the yield handle, run the
-    /// entry, swallow the control-flow unwinds (exit, poison) so the
-    /// fiber finishes cleanly; genuine user panics are re-raised and
-    /// surface from `Fiber::resume` in the drive loop.
-    fn fiber_entry(pe: &Pe, t: &Thread, entry: Entry, h: &FiberHandle) {
-        t.0.handle
-            .store(h as *const FiberHandle as u64, Ordering::Relaxed);
-        let _guard = HandleGuard(t);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry(pe)));
+    /// What every pooled context runs, once per thread object it hosts
+    /// (the drive loop has made that thread current): register the yield
+    /// handle, run the entry, swallow the control-flow unwinds (exit,
+    /// poison) so the fiber finishes cleanly; genuine user panics are
+    /// re-raised and surface from `Fiber::resume` in the drive loop.
+    fn thread_main(h: &FiberHandle, (pe, entry): (Arc<Pe>, Entry)) {
+        let rt = CthRuntime::get(&pe);
+        let set_handle = |to: *const FiberHandle| {
+            rt.with_current(&pe, "a fiber", |me| {
+                me.0.handle.store(to as u64, Ordering::Relaxed)
+            })
+        };
+        set_handle(h);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry(&pe)));
+        set_handle(std::ptr::null());
         if let Err(p) = result {
             if !(p.is::<ExitRequested>() || p.is::<ThreadPoison>()) {
                 std::panic::resume_unwind(p);
@@ -1206,32 +1340,29 @@ mod fb {
                     // (its stack already unwound inside the fiber
                     // boundary); restore bookkeeping, then let the
                     // panic propagate out of the PE entry.
-                    *t.0.state.lock() = State::Exited;
+                    t.0.state.set(State::Exited);
+                    rt.sched(pe, |s| s.live.remove(&tid));
                     fibers(pe, rt, |fs| {
                         fs.directive = None;
-                        if let Some(stack) = fiber.take_stack() {
-                            fs.pool.give(stack);
-                        }
+                        fs.pool.give(fiber);
                     });
                     pe.abort_machine();
                     std::panic::resume_unwind(p);
                 }
             };
-            if alive {
-                let mut s = t.0.state.lock();
-                if matches!(*s, State::Running) {
-                    *s = State::Parked;
-                }
-            } else {
-                *t.0.state.lock() = State::Exited;
+            if !alive {
+                t.0.state.set(State::Exited);
+                rt.sched(pe, |s| s.live.remove(&tid));
+            } else if t.0.state.get() == State::Running {
+                t.0.state.set(State::Parked);
             }
-            // Park the fiber (or reclaim its stack) and read what it
-            // asked for, in one visit.
+            // Park the fiber (or keep its context for the next thread)
+            // and read what it asked for, in one visit.
             let (directive, poisoning) = fibers(pe, rt, |fs| {
                 if alive {
                     fs.fibers.insert(tid, fiber);
-                } else if let Some(stack) = fiber.take_stack() {
-                    fs.pool.give(stack);
+                } else {
+                    fs.pool.give(fiber);
                 }
                 (fs.directive.take(), fs.poisoning)
             });
@@ -1265,35 +1396,10 @@ mod fb {
     /// is poisoned and driven through its unwind on the spot, so
     /// destructors run and its stack returns to the pool — no fiber is
     /// ever dropped suspended (which would leak; see `converse-fiber`).
-    pub(super) fn teardown(
-        pe: &Pe,
-        rt: &CthRuntime,
-        entries: Vec<(Thread, Option<std::thread::JoinHandle<()>>)>,
-    ) {
+    pub(super) fn teardown(pe: &Pe, rt: &CthRuntime, live: Vec<Thread>) {
         fibers(pe, rt, |fs| fs.poisoning = true);
-        for (t, _) in entries {
-            let poisoned = {
-                let mut s = t.0.state.lock();
-                match &mut *s {
-                    State::NotStarted(entry) => {
-                        // Never ran: no stack exists; drop the entry.
-                        entry.take();
-                        *s = State::Exited;
-                        false
-                    }
-                    State::Parked => {
-                        *s = State::Poisoned;
-                        true
-                    }
-                    State::Running => unreachable!(
-                        "PE {}: teardown while thread {} runs — the main context holds the token",
-                        pe.my_pe(),
-                        t.id()
-                    ),
-                    State::Exited | State::Poisoned => false,
-                }
-            };
-            if poisoned {
+        for t in live {
+            if t.poison_if_suspended(pe) {
                 drive(pe, rt, t, false);
             }
         }
@@ -1326,11 +1432,7 @@ mod fb {
         unreachable!("fiber backend on unsupported target")
     }
 
-    pub(super) fn teardown(
-        _pe: &Pe,
-        _rt: &CthRuntime,
-        _entries: Vec<(Thread, Option<std::thread::JoinHandle<()>>)>,
-    ) {
+    pub(super) fn teardown(_pe: &Pe, _rt: &CthRuntime, _live: Vec<Thread>) {
         unreachable!("fiber backend on unsupported target")
     }
 }

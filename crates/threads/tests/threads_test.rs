@@ -143,7 +143,7 @@ fn custom_strategy_lifo_scheduling() {
             cth_set_strategy(
                 pe,
                 t,
-                Strategy {
+                Strategy::Custom {
                     awaken: Box::new(move |_pe, t| st.lock().push(t)),
                     suspend: Box::new(move |_pe| st2.lock().pop()),
                 },
@@ -158,7 +158,7 @@ fn custom_strategy_lifo_scheduling() {
         cth_set_strategy(
             pe,
             &driver,
-            Strategy {
+            Strategy::Custom {
                 awaken: Box::new(|_pe, _t| unreachable!("driver is resumed directly")),
                 suspend: Box::new(move |_pe| st3.lock().pop()),
             },

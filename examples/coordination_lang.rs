@@ -21,7 +21,7 @@
 /// coordination language.
 mod mdt {
     use converse::machine::{HandlerId, Message, Pe};
-    use converse::msgmgr::{MsgManager, TagMailbox, WILDCARD};
+    use converse::msgmgr::{MsgManager, WILDCARD};
     use converse::threads::{cth_awaken, cth_self, cth_suspend, CthRuntime, Thread};
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -37,7 +37,7 @@ mod mdt {
     /// Per-PE language runtime: a mailbox and the blocked threads.
     pub struct Mdt {
         data_h: HandlerId,
-        mailbox: Mutex<MsgManager>,
+        mailbox: Mutex<MsgManager<Vec<u8>>>,
         waiters: Mutex<Vec<Waiter>>,
     }
 
@@ -93,7 +93,7 @@ mod mdt {
         pub fn recv(&self, pe: &Pe, tag: i32) -> Vec<u8> {
             loop {
                 if let Some(s) = self.mailbox.lock().get(&[tag]) {
-                    return s.data;
+                    return s.item;
                 }
                 let me = cth_self(pe).expect("mdt::recv runs inside a thread");
                 self.waiters.lock().push(Waiter { tag, thread: me });
