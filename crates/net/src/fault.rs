@@ -12,8 +12,9 @@
 //! replayable adversarial schedule.
 //!
 //! The plan also configures the reliability sublayer that masks the
-//! faults (see the crate docs): base retransmit timeout, backoff cap,
-//! and the pump tick that drives delayed release and retransmission.
+//! faults ([`crate::link`], the only caller of the draws below): base
+//! retransmit timeout, backoff cap, and the pump tick that drives
+//! delayed release and retransmission.
 
 use std::time::Duration;
 
@@ -261,7 +262,14 @@ fn mix64(mut x: u64) -> u64 {
 /// so links (0,1) and (1,0) get distinct streams), then keyed by the
 /// packet's sequence number, transmission attempt, and a salt naming
 /// the decision being made.
-pub fn link_draw(seed: u64, src: usize, dst: usize, seq: u64, attempt: u32, salt: u64) -> u64 {
+pub(crate) fn link_draw(
+    seed: u64,
+    src: usize,
+    dst: usize,
+    seq: u64,
+    attempt: u32,
+    salt: u64,
+) -> u64 {
     let link = (src as u64).wrapping_mul(0x9E3779B97F4A7C15)
         ^ (dst as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
     let x = (seed ^ link).wrapping_mul(LCG_MUL).wrapping_add(LCG_ADD);
@@ -273,16 +281,16 @@ pub fn link_draw(seed: u64, src: usize, dst: usize, seq: u64, attempt: u32, salt
 }
 
 /// Map a draw onto the unit interval.
-pub fn unit(draw: u64) -> f64 {
+pub(crate) fn unit(draw: u64) -> f64 {
     (draw >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Decision salts (one per kind of question asked about a packet).
-pub const SALT_DROP: u64 = 1;
-pub const SALT_DUP: u64 = 2;
-pub const SALT_DELAY: u64 = 3;
-pub const SALT_DELAY_SLOTS: u64 = 4;
-pub const SALT_REORDER: u64 = 5;
+pub(crate) const SALT_DROP: u64 = 1;
+pub(crate) const SALT_DUP: u64 = 2;
+pub(crate) const SALT_DELAY: u64 = 3;
+pub(crate) const SALT_DELAY_SLOTS: u64 = 4;
+pub(crate) const SALT_REORDER: u64 = 5;
 
 #[cfg(test)]
 mod tests {

@@ -15,14 +15,16 @@
 //!   on it.
 //! * [`FaultPlan`] — a deterministic adversarial wire: seeded per-link
 //!   drop/duplication/delay plus scripted PE stall and crash windows.
-//!   When a plan is installed, a **reliability sublayer** masks it:
-//!   every packet carries a per-link sequence number, the receive side
-//!   deduplicates and reorders back into sequence, and a background pump
-//!   retransmits unacknowledged packets with capped exponential backoff
-//!   — so the machine layer above keeps its exactly-once in-order
-//!   contract even over a lossy net. Every fault decision is a pure
-//!   function of `(seed, link, seq, attempt)`, so one seed replays one
-//!   adversarial schedule regardless of thread interleaving.
+//!   When a plan is installed, a **reliability sublayer** masks it —
+//!   the [`link`] protocol: every packet carries a per-link sequence
+//!   number, the receive side deduplicates and reorders back into
+//!   sequence, and a background pump retransmits unacknowledged packets
+//!   with capped exponential backoff — so the machine layer above keeps
+//!   its exactly-once in-order contract even over a lossy net. Every
+//!   fault decision is a pure function of `(seed, link, seq, attempt)`,
+//!   so one seed replays one adversarial schedule regardless of thread
+//!   interleaving. `Interconnect` only drives that protocol: it holds
+//!   the lock, reads the clock and owns the pump thread.
 //! * [`NetModel`] — an analytic wire-time model: `α` per-message latency,
 //!   `β` per-byte cost, per-packet cost, and an optional packetization
 //!   copy threshold (the T3D's 16 KB copy jump, §5.1). Benchmarks combine
@@ -30,6 +32,7 @@
 //!   model's wire time, reproducing the figures' shape.
 
 pub mod fault;
+pub mod link;
 pub mod model;
 pub mod qos;
 pub mod transport;
@@ -41,9 +44,9 @@ pub use transport::CmiTransport;
 
 use converse_msg::MsgBlock;
 use converse_trace::{Event, FaultKind, TraceSink};
-use fault::{link_draw, unit, SALT_DELAY, SALT_DELAY_SLOTS, SALT_DROP, SALT_DUP, SALT_REORDER};
+use link::{reorder_draw, FaultCounters, Receiver, Sender, WireCopy};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -309,122 +312,20 @@ fn bump(counter: &AtomicU64, by: u64) {
     counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
 }
 
-/// Aggregate fault-plane counters, atomically updated.
-#[derive(Default)]
-struct FaultCell {
-    transmissions: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-    retransmitted: AtomicU64,
-    dedup_dropped: AtomicU64,
-    superseded: AtomicU64,
-}
-
-/// A transmitted-but-unacknowledged packet held for retransmission.
-struct InFlight {
-    block: MsgBlock,
-    attempt: u32,
-    due: Instant,
-}
-
-/// A fault-delayed copy waiting in limbo for its release slot.
-struct Limbo {
-    seq: u64,
-    block: MsgBlock,
-    due: Instant,
-}
-
-/// Sublayer state of one *channel* of a directed link. Every channel
-/// of a link is an independent sequenced stream (numbering from 1; see
-/// [`Packet::seq`]); what the state is used for depends on the
-/// channel's [`Delivery`] policy:
-///
-/// * `ExactlyOnce` — the full PR-3 pipeline: `unacked` retransmit
-///   buffer, `ooo` reassembly window, `expected` in-order cursor.
-/// * `AtMostOnce` — `next_seq`/`expected` only (monotonic dedup
-///   floor); `unacked` stays empty, nothing is ever retransmitted.
-/// * `LatestValueWins` — at most one entry ever sits in `unacked`
-///   (a newer value supersedes the older one); `expected` is the
-///   monotonic floor.
-struct ChanState {
-    /// The channel this state serves (the id keys the map; the
-    /// delivery policy is needed again at pump time).
-    channel: Channel,
-    /// Sender side: next sequence number to stamp.
-    next_seq: u64,
-    /// Sender side: transmitted, not yet acknowledged, keyed by seq.
-    unacked: BTreeMap<u64, InFlight>,
-    /// Fault plane: delayed copies awaiting release.
-    limbo: Vec<Limbo>,
-    /// Receiver side: next sequence number to hand to the mailbox
-    /// (exactly-once), or the monotonic delivery floor (at-most-once /
-    /// latest-value-wins).
-    expected: u64,
-    /// Receiver side: arrived out of order, awaiting `expected`
-    /// (exactly-once only).
-    ooo: BTreeMap<u64, MsgBlock>,
-}
-
-impl ChanState {
-    fn new(channel: Channel) -> Self {
-        ChanState {
-            channel,
-            // Sequenced streams number from 1; 0 is the reserved
-            // unsequenced-fast-path marker.
-            next_seq: 1,
-            unacked: BTreeMap::new(),
-            limbo: Vec::new(),
-            expected: 1,
-            ooo: BTreeMap::new(),
-        }
-    }
-}
-
-/// Reliability state of one directed link, split per channel. Both
-/// endpoints live in the same process, so the sender's retransmit
-/// buffer and the receiver's reassembly window share one mutex;
-/// acknowledgment is a direct state update (advancing `expected`
-/// releases everything below it), not a wire message.
-///
-/// Channel 0 (the default) is inline so the legacy hot path never
-/// touches the map; other channels materialize lazily on first use.
+/// One directed link: both halves of the [`link`] protocol. Both
+/// endpoints live in the same process, so one mutex covers the sender's
+/// retransmit slots and the receiver's reassembly window; a copy "on
+/// the wire" is a call to `rx` and its acknowledgment a call back into
+/// `tx` under the same lock, not a message.
 ///
 /// Lock order: a link mutex may be held while taking a mailbox mutex,
 /// never the reverse.
-struct LinkState {
-    /// Channel 0 — [`Channel::DEFAULT`], always present.
-    chan0: ChanState,
-    /// Lazily-created non-default channels, keyed by channel id.
-    extra: HashMap<u32, ChanState>,
-    /// Receiver side: count of mailbox deliveries on this link (all
-    /// channels) — the deterministic per-link key for reorder-mode
-    /// position draws.
+struct Link {
+    tx: Sender,
+    rx: Receiver,
+    /// Count of mailbox deliveries on this link (all channels) — the
+    /// deterministic per-link key for reorder-mode position draws.
     arrivals: u64,
-}
-
-impl Default for LinkState {
-    fn default() -> Self {
-        LinkState {
-            chan0: ChanState::new(Channel::DEFAULT),
-            extra: HashMap::new(),
-            arrivals: 0,
-        }
-    }
-}
-
-impl LinkState {
-    /// The sublayer state for `channel`, created on first use.
-    #[inline]
-    fn chan(&mut self, channel: Channel) -> &mut ChanState {
-        if channel.id == 0 {
-            &mut self.chan0
-        } else {
-            self.extra
-                .entry(channel.id)
-                .or_insert_with(|| ChanState::new(channel))
-        }
-    }
 }
 
 /// The simulated machine: `n` processors connected all-to-all.
@@ -442,8 +343,8 @@ pub struct Interconnect {
     /// Per-directed-link reliability state, indexed `src * n + dst`.
     /// Only touched when a plan is installed or reorder mode needs its
     /// per-link arrival counter.
-    links: Vec<Mutex<LinkState>>,
-    fstats: FaultCell,
+    links: Vec<Mutex<Link>>,
+    fstats: FaultCounters,
     trace: Option<Arc<dyn TraceSink>>,
     /// Stall windows: scripted ones from the plan plus any armed at
     /// runtime via [`Interconnect::stall_for`].
@@ -494,9 +395,15 @@ impl Interconnect {
             loads: (0..n).map(|_| LoadCell::default()).collect(),
             mode,
             links: (0..n * n)
-                .map(|_| Mutex::new(LinkState::default()))
+                .map(|li| {
+                    Mutex::new(Link {
+                        tx: Sender::new(li / n, li % n, plan.as_ref()),
+                        rx: Receiver::default(),
+                        arrivals: 0,
+                    })
+                })
                 .collect(),
-            fstats: FaultCell::default(),
+            fstats: FaultCounters::default(),
             trace: trace.filter(|t| t.enabled()),
             stalls: Mutex::new(stalls),
             has_stalls: AtomicBool::new(has_stalls),
@@ -509,16 +416,20 @@ impl Interconnect {
             let weak: Weak<Interconnect> = Arc::downgrade(&net);
             std::thread::Builder::new()
                 .name("net-fault-pump".into())
-                .spawn(move || loop {
-                    std::thread::sleep(tick);
-                    let Some(net) = weak.upgrade() else { return };
-                    net.pump_tick();
-                    if net.is_closed() {
-                        // One more sweep with `closed` observed: flushes
-                        // every remaining limbo copy so late receivers
-                        // can still drain their mailboxes.
-                        net.pump_tick();
-                        return;
+                .spawn(move || {
+                    let mut wire = Vec::new();
+                    loop {
+                        std::thread::sleep(tick);
+                        let Some(net) = weak.upgrade() else { return };
+                        net.pump_tick(&mut wire);
+                        if net.is_closed() {
+                            // One more sweep with `closed` observed:
+                            // flushes every remaining limbo copy so late
+                            // receivers can still drain their mailboxes.
+                            // After it nothing is retransmitted either.
+                            net.pump_tick(&mut wire);
+                            return;
+                        }
                     }
                 })
                 .expect("spawn net-fault-pump");
@@ -545,15 +456,7 @@ impl Interconnect {
 
     /// Aggregate fault-plane and reliability counters.
     pub fn fault_stats(&self) -> FaultStats {
-        FaultStats {
-            transmissions: self.fstats.transmissions.load(Ordering::Relaxed),
-            dropped: self.fstats.dropped.load(Ordering::Relaxed),
-            duplicated: self.fstats.duplicated.load(Ordering::Relaxed),
-            delayed: self.fstats.delayed.load(Ordering::Relaxed),
-            retransmitted: self.fstats.retransmitted.load(Ordering::Relaxed),
-            dedup_dropped: self.fstats.dedup_dropped.load(Ordering::Relaxed),
-            superseded: self.fstats.superseded.load(Ordering::Relaxed),
-        }
+        self.fstats.snapshot()
     }
 
     #[inline]
@@ -623,7 +526,7 @@ impl Interconnect {
                     // of the queue (the inbox); anything already staged
                     // on the receiver's side is out of reach.
                     let w = window.min(q.len());
-                    let draw = link_draw(seed, src, dst, arrival, 0, SALT_REORDER);
+                    let draw = reorder_draw(seed, src, dst, arrival);
                     let pos = q.len() - (draw as usize % (w + 1));
                     q.insert(
                         pos,
@@ -672,7 +575,7 @@ impl Interconnect {
     /// rings `dst` itself; the fault plane's deliveries always ring.
     #[inline]
     fn transmit(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock, ring: bool) {
-        let Some(plan) = &self.plan else {
+        if self.plan.is_none() {
             let lvw = channel.delivery == Delivery::LatestValueWins;
             match self.mode {
                 DeliveryMode::Fifo if !lvw => self.mailbox_insert(src, dst, channel, 0, block, 0),
@@ -685,14 +588,7 @@ impl Interconnect {
                     let mut link = self.links[self.li(src, dst)].lock();
                     let arrival = link.arrivals;
                     link.arrivals += 1;
-                    let seq = if lvw {
-                        let chan = link.chan(channel);
-                        let s = chan.next_seq;
-                        chan.next_seq += 1;
-                        s
-                    } else {
-                        0
-                    };
+                    let seq = if lvw { link.tx.stamp(channel) } else { 0 };
                     self.mailbox_insert(src, dst, channel, seq, block, arrival);
                 }
             }
@@ -700,240 +596,86 @@ impl Interconnect {
                 self.boxes[dst].ring();
             }
             return;
-        };
-        let seq;
-        {
-            let mut link = self.links[self.li(src, dst)].lock();
-            let chan = link.chan(channel);
-            seq = chan.next_seq;
-            chan.next_seq += 1;
-            match channel.delivery {
-                Delivery::ExactlyOnce => {
-                    chan.unacked.insert(
-                        seq,
-                        InFlight {
-                            block: block.share(),
-                            attempt: 1,
-                            due: Instant::now() + plan.rto,
-                        },
-                    );
-                }
-                Delivery::AtMostOnce => {
-                    // One wire attempt is all this channel gets: no
-                    // retransmit buffer, no acks, no sender state.
-                }
-                Delivery::LatestValueWins => {
-                    // Supersede everything older still in the sender's
-                    // hands: the retransmit slot and fault-plane limbo.
-                    // At most one value per channel is ever in flight.
-                    let purged = (chan.unacked.len() + chan.limbo.len()) as u64;
-                    chan.unacked.clear();
-                    chan.limbo.clear();
-                    if purged > 0 {
-                        self.fstats.superseded.fetch_add(purged, Ordering::Relaxed);
-                        self.trace_fault(src, FaultKind::Supersede, src, dst, seq);
-                    }
-                    chan.unacked.insert(
-                        seq,
-                        InFlight {
-                            block: block.share(),
-                            attempt: 1,
-                            due: Instant::now() + plan.rto,
-                        },
-                    );
-                }
-            }
         }
-        self.wire_transmit(src, dst, channel, seq, 1, block);
+        self.transmit_faulty(src, dst, channel, block);
     }
 
-    /// One attempt to push `seq` of link `src → dst` across the faulty
-    /// wire: may be dropped, duplicated, or (per copy) delayed into
-    /// limbo; surviving immediate copies reach [`Self::deliver_link`].
-    /// Only called with a plan installed. Fault draws are salted by
-    /// channel id so every channel sees an independent decision stream
-    /// (channel 0's stream is the legacy one).
-    fn wire_transmit(
+    /// The driver side of a send under a plan: lock the link, read the
+    /// clock, let the sender half stamp, buffer and draw, and carry each
+    /// copy it puts on the wire to the receiver half.
+    fn transmit_faulty(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock) {
+        let mut link = self.links[self.li(src, dst)].lock();
+        let sent = link.tx.send(
+            Instant::now(),
+            self.is_closed(),
+            channel,
+            &block,
+            &self.fstats,
+            |kind, seq| self.trace_fault(src, kind, src, dst, seq),
+        );
+        for _ in 0..sent.copies {
+            self.arrive(&mut link, src, dst, channel, sent.seq, block.share());
+        }
+    }
+
+    /// One copy of `seq` reaches the far end of link `src → dst`: the
+    /// receiver half dedups and reassembles, in-order blocks go into
+    /// `dst`'s mailbox (the mailbox lock nests inside the held link
+    /// lock, keeping the seq→mailbox order atomic per link), the ack
+    /// goes straight back into the sender half, and `dst` is rung if
+    /// anything was delivered.
+    fn arrive(
         &self,
+        link: &mut Link,
         src: usize,
         dst: usize,
         channel: Channel,
         seq: u64,
-        attempt: u32,
         block: MsgBlock,
     ) {
-        let plan = self.plan.as_ref().expect("wire_transmit requires a plan");
-        self.fstats.transmissions.fetch_add(1, Ordering::Relaxed);
-        let f = plan.faults_for(src, dst);
-        // Per-channel salt offset: disjoint decision streams per
-        // channel, byte-identical to the pre-QoS draws for channel 0.
-        let co = channel.id as u64 * 4096;
-        if f.drop > 0.0
-            && unit(link_draw(plan.seed, src, dst, seq, attempt, SALT_DROP + co)) < f.drop
-        {
-            self.fstats.dropped.fetch_add(1, Ordering::Relaxed);
-            self.trace_fault(src, FaultKind::Drop, src, dst, seq);
-            return;
+        let Link { tx, rx, arrivals } = link;
+        let mut delivered = false;
+        let ack = rx.on_data(
+            channel,
+            seq,
+            block,
+            &self.fstats,
+            |kind, seq| self.trace_fault(dst, kind, src, dst, seq),
+            |seq, block| {
+                let arrival = *arrivals;
+                *arrivals += 1;
+                self.mailbox_insert(src, dst, channel, seq, block, arrival);
+                delivered = true;
+            },
+        );
+        if let Some(ack) = ack {
+            tx.on_ack(channel.id, ack);
         }
-        let copies: u64 = if f.dup > 0.0
-            && unit(link_draw(plan.seed, src, dst, seq, attempt, SALT_DUP + co)) < f.dup
-        {
-            self.fstats.transmissions.fetch_add(1, Ordering::Relaxed);
-            self.fstats.duplicated.fetch_add(1, Ordering::Relaxed);
-            self.trace_fault(src, FaultKind::Duplicate, src, dst, seq);
-            2
-        } else {
-            1
-        };
-        let closed = self.is_closed();
-        for copy in 0..copies {
-            let b = block.share();
-            // Distinct decision streams per copy: shift the salt space.
-            let delay_salt = SALT_DELAY + co + copy * 16;
-            let slots_salt = SALT_DELAY_SLOTS + co + copy * 16;
-            let delayed = !closed
-                && f.delay > 0.0
-                && f.max_delay_slots > 0
-                && unit(link_draw(plan.seed, src, dst, seq, attempt, delay_salt)) < f.delay;
-            if delayed {
-                let slots = 1
-                    + (link_draw(plan.seed, src, dst, seq, attempt, slots_salt) as usize
-                        % f.max_delay_slots);
-                self.fstats.delayed.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault(src, FaultKind::Delay, src, dst, seq);
-                let due = Instant::now() + plan.tick * slots as u32;
-                self.links[self.li(src, dst)]
-                    .lock()
-                    .chan(channel)
-                    .limbo
-                    .push(Limbo { seq, block: b, due });
-            } else {
-                self.deliver_link(src, dst, channel, seq, b);
-            }
-        }
-    }
-
-    /// Receive side of the QoS layer, dispatching on the channel's
-    /// guarantee. Exactly-once: dedup, reassemble into sequence, hand
-    /// in-order packets to the mailbox, and acknowledge (drop the
-    /// sender's retransmit buffer below the watermark). At-most-once /
-    /// latest-value-wins: a monotonic floor — only strictly newer seqs
-    /// are delivered, so nothing ever surfaces twice and a stale value
-    /// never overtakes a newer one.
-    fn deliver_link(&self, src: usize, dst: usize, channel: Channel, seq: u64, block: MsgBlock) {
-        let mut link = self.links[self.li(src, dst)].lock();
-        let mut ready: Vec<(u64, MsgBlock)> = Vec::new();
-        {
-            let chan = link.chan(channel);
-            match channel.delivery {
-                Delivery::ExactlyOnce => {
-                    if seq < chan.expected || chan.ooo.contains_key(&seq) {
-                        self.fstats.dedup_dropped.fetch_add(1, Ordering::Relaxed);
-                        self.trace_fault(dst, FaultKind::DedupDrop, src, dst, seq);
-                        return;
-                    }
-                    // Selective acknowledgement: the copy is on the
-                    // receiver now, so stop retransmitting this seq even
-                    // if it sits out-of-order behind a gap. Without
-                    // this, one dropped packet makes every later
-                    // in-flight seq on the link look lost, and the
-                    // spurious retransmits blow the wire-overhead
-                    // budget.
-                    chan.unacked.remove(&seq);
-                    chan.ooo.insert(seq, block);
-                    loop {
-                        let next = chan.expected;
-                        let Some(block) = chan.ooo.remove(&next) else {
-                            break;
-                        };
-                        chan.expected += 1;
-                        ready.push((next, block));
-                    }
-                    let watermark = chan.expected;
-                    chan.unacked.retain(|s, _| *s >= watermark);
-                }
-                Delivery::AtMostOnce | Delivery::LatestValueWins => {
-                    if seq < chan.expected {
-                        self.fstats.dedup_dropped.fetch_add(1, Ordering::Relaxed);
-                        self.trace_fault(dst, FaultKind::DedupDrop, src, dst, seq);
-                        return;
-                    }
-                    chan.expected = seq + 1;
-                    // LVW acknowledgment: this value (and anything
-                    // older it superseded) is settled; stop
-                    // retransmitting at or below it. AtMostOnce keeps
-                    // no sender state, so the retain is a no-op there.
-                    chan.unacked.retain(|s, _| *s > seq);
-                    ready.push((seq, block));
-                }
-            }
-        }
-        let deliverable = !ready.is_empty();
-        for (s, b) in ready {
-            let arrival = link.arrivals;
-            link.arrivals += 1;
-            // Mailbox lock nests inside the link lock (never reversed),
-            // keeping the seq→mailbox order atomic per link.
-            self.mailbox_insert(src, dst, channel, s, b, arrival);
-        }
-        if deliverable {
+        if delivered {
             self.boxes[dst].ring();
         }
     }
 
-    /// One pump pass: per channel of every link, release due (or, once
-    /// closed, all) limbo copies in sequence order, then retransmit
-    /// overdue unacknowledged packets with capped exponential backoff.
-    /// At-most-once channels never have unacked entries, so they only
-    /// ever see the limbo-release half.
-    fn pump_tick(&self) {
-        let Some(plan) = &self.plan else { return };
+    /// One pump pass over every link: the sender half releases what is
+    /// due (everything once closed) and retransmits what is overdue;
+    /// each copy it puts on the wire is carried to the receiver half.
+    /// `wire` is the pump thread's scratch buffer.
+    fn pump_tick(&self, wire: &mut Vec<WireCopy>) {
         let now = Instant::now();
         let closed = self.is_closed();
         let n = self.boxes.len();
         for li in 0..self.links.len() {
             let (src, dst) = (li / n, li % n);
-            let mut releases: Vec<(Channel, Limbo)> = Vec::new();
-            let mut retx: Vec<(Channel, u64, u32, MsgBlock)> = Vec::new();
-            {
-                let mut link = self.links[li].lock();
-                let mut pump_chan = |chan: &mut ChanState| {
-                    if chan.limbo.is_empty() && chan.unacked.is_empty() {
-                        return;
-                    }
-                    let channel = chan.channel;
-                    let mut i = 0;
-                    while i < chan.limbo.len() {
-                        if closed || chan.limbo[i].due <= now {
-                            releases.push((channel, chan.limbo.swap_remove(i)));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if !closed {
-                        for (seq, inf) in chan.unacked.iter_mut() {
-                            if inf.due <= now {
-                                inf.attempt += 1;
-                                let backoff = plan.rto * (1u32 << (inf.attempt - 1).min(10));
-                                inf.due = now + backoff.min(plan.rto_cap);
-                                retx.push((channel, *seq, inf.attempt, inf.block.share()));
-                            }
-                        }
-                    }
-                };
-                pump_chan(&mut link.chan0);
-                for chan in link.extra.values_mut() {
-                    pump_chan(chan);
-                }
-            }
-            releases.sort_by_key(|(c, l)| (c.id, l.seq));
-            for (channel, l) in releases {
-                self.deliver_link(src, dst, channel, l.seq, l.block);
-            }
-            for (channel, seq, attempt, block) in retx {
-                self.fstats.retransmitted.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault(src, FaultKind::Retransmit, src, dst, seq);
-                self.wire_transmit(src, dst, channel, seq, attempt, block);
+            let mut link = self.links[li].lock();
+            link.tx.tick(
+                now,
+                closed,
+                &self.fstats,
+                |kind, seq| self.trace_fault(src, kind, src, dst, seq),
+                wire,
+            );
+            for c in wire.drain(..) {
+                self.arrive(&mut link, src, dst, c.channel, c.seq, c.block);
             }
         }
     }
@@ -1867,6 +1609,85 @@ mod tests {
         };
         assert_eq!(run(42), run(42), "same seed must replay the same schedule");
         assert_ne!(run(42), run(43), "different seeds must diverge");
+    }
+
+    #[test]
+    fn decision_streams_are_pinned() {
+        // Recorded on the commit before the link protocol was extracted
+        // (two copies of the sublayer, this one in `Interconnect`): with
+        // timers of an hour nothing is retransmitted or released, so the
+        // counters and the delivered seqs are the seed's draws and the
+        // per-guarantee buffering rules, nothing else. One number moved
+        // with a rule the two copies disagreed on: an acked seq now
+        // leaves limbo (the wire's rule), so the 92 delayed twins of
+        // already-delivered latest-value-wins values are retired by
+        // their ack and no longer count as superseded (2879 before).
+        // (channel, transmissions, dropped, duplicated, delayed,
+        //  dedup_dropped, superseded, delivered, fnv-1a of the seq list)
+        let pinned = [
+            (
+                Channel::DEFAULT,
+                10468,
+                975,
+                468,
+                933,
+                390,
+                0,
+                1,
+                0x89cd31291d2aefa4,
+            ),
+            (AMO, 10460, 924, 460, 943, 372, 0, 8221, 0xba549e3a36eadb91),
+            (
+                LVW,
+                10479,
+                927,
+                479,
+                1025,
+                381,
+                2787,
+                8146,
+                0x81159299533388ae,
+            ),
+        ];
+        let hour = Duration::from_secs(3600);
+        for (channel, tx, dropped, duplicated, delayed, dedup, superseded, count, hash) in pinned {
+            let plan = FaultPlan::lossy(1996, 0.10, 0.05, 0.10, 2)
+                .retransmit(hour, hour)
+                .tick(hour);
+            let net = chaos_net(plan, 2);
+            let mut seqs: Vec<u64> = Vec::new();
+            let mut out = Vec::new();
+            for i in 0..10_000u32 {
+                let mut b = [0u8; 16];
+                b[..4].copy_from_slice(&i.to_le_bytes());
+                net.send_on(0, 1, b.to_vec(), channel);
+                // Drained per send, so the inbox supersede never hides
+                // a latest-value-wins delivery.
+                net.drain_into(1, &mut out);
+                seqs.extend(out.drain(..).map(|p| p.seq));
+            }
+            let fnv = seqs
+                .iter()
+                .flat_map(|s| s.to_le_bytes())
+                .fold(0xcbf29ce484222325u64, |h, b| {
+                    (h ^ b as u64).wrapping_mul(0x100000001b3)
+                });
+            assert_eq!(
+                net.fault_stats(),
+                FaultStats {
+                    transmissions: tx,
+                    dropped,
+                    duplicated,
+                    delayed,
+                    retransmitted: 0,
+                    dedup_dropped: dedup,
+                    superseded,
+                },
+                "channel {channel:?}"
+            );
+            assert_eq!((seqs.len(), fnv), (count, hash), "channel {channel:?}");
+            net.close();
+        }
     }
 
     #[test]

@@ -74,10 +74,6 @@ pub trait CmiTransport: Send + Sync {
     /// other address spaces receive copies.
     fn broadcast_zero_copy(&self) -> bool;
 
-    /// Non-blocking receive of the next packet for `pe` in delivery
-    /// order; `None` when nothing is queued or `pe` is stalled.
-    fn try_recv(&self, pe: usize) -> Option<Packet>;
-
     /// Batched receive: move up to `max` queued packets for `pe` into
     /// `out` (preserving delivery order), returning how many moved.
     fn drain_bounded(&self, pe: usize, out: &mut VecDeque<Packet>, max: usize) -> usize;
@@ -85,10 +81,6 @@ pub trait CmiTransport: Send + Sync {
     /// Blocking receive with timeout; `None` on timeout or once the
     /// machine has closed and the mailbox drained.
     fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet>;
-
-    /// Park until `pe`'s mailbox is non-empty, the machine closes, or
-    /// the timeout expires.
-    fn wait_nonempty(&self, pe: usize, timeout: Duration);
 
     /// Spin-then-park idle wait; returns spin iterations consumed
     /// (== `spin` when the call parked).
@@ -135,22 +127,6 @@ pub trait CmiTransport: Send + Sync {
         let _ = (pe, run_queue, occupancy_pm);
     }
 
-    /// Depth of `pe`'s staged (receiver-private, stealable) list.
-    /// Distributed transports answer only for their local PE.
-    fn staged_pending(&self, pe: usize) -> usize {
-        let _ = pe;
-        0
-    }
-
-    /// Last load sample `pe` published via
-    /// [`CmiTransport::publish_load`]: `(run_queue, occupancy_pm)`.
-    /// `(0, 0)` until first publish, or for ranks this transport cannot
-    /// observe.
-    fn published_load(&self, pe: usize) -> (usize, u32) {
-        let _ = pe;
-        (0, 0)
-    }
-
     /// True when [`CmiTransport::load_of`] of a *remote* PE reflects its
     /// real state. Shared-memory transports see everything; distributed
     /// transports degrade remote reads to zeros, so balancers there must
@@ -179,39 +155,17 @@ pub trait CmiTransport: Send + Sync {
         0
     }
 
-    /// Live load view of one PE. Distributed transports degrade for
-    /// remote ranks: counters and depth read zero, stalled reads false.
-    fn load_of(&self, pe: usize) -> PeLoad {
-        let (run_queue, occupancy_pm) = self.published_load(pe);
-        PeLoad {
-            pe,
-            traffic: self.traffic(pe),
-            queued: self.pending(pe),
-            staged: self.staged_pending(pe),
-            run_queue,
-            occupancy_pm,
-            stalled: self.stalled(pe),
-        }
-    }
+    /// Live load view of one PE: traffic counters, mailbox depth, the
+    /// staged (stealable) share of it, the sample `pe` last published
+    /// via [`CmiTransport::publish_load`], and its stall state.
+    /// Distributed transports degrade for remote ranks: counters and
+    /// depth read zero, stalled reads false.
+    fn load_of(&self, pe: usize) -> PeLoad;
 
     /// Snapshot of every PE's load, in PE order (same degrade note as
     /// [`CmiTransport::load_of`]).
     fn load_snapshot(&self) -> Vec<PeLoad> {
         (0..self.num_pes()).map(|pe| self.load_of(pe)).collect()
-    }
-
-    /// Aggregate traffic over all PEs this transport can observe.
-    fn total_traffic(&self) -> PeTraffic {
-        let mut out = PeTraffic::default();
-        for pe in 0..self.num_pes() {
-            let t = self.traffic(pe);
-            out.msgs_sent += t.msgs_sent;
-            out.bytes_sent += t.bytes_sent;
-            out.msgs_recv += t.msgs_recv;
-            out.msgs_injected += t.msgs_injected;
-            out.bytes_injected += t.bytes_injected;
-        }
-        out
     }
 }
 
@@ -256,11 +210,6 @@ impl CmiTransport for crate::Interconnect {
     }
 
     #[inline]
-    fn try_recv(&self, pe: usize) -> Option<Packet> {
-        Self::try_recv(self, pe)
-    }
-
-    #[inline]
     fn drain_bounded(&self, pe: usize, out: &mut VecDeque<Packet>, max: usize) -> usize {
         self.drain_into_bounded(pe, out, max)
     }
@@ -268,11 +217,6 @@ impl CmiTransport for crate::Interconnect {
     #[inline]
     fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
         Self::recv_timeout(self, pe, timeout)
-    }
-
-    #[inline]
-    fn wait_nonempty(&self, pe: usize, timeout: Duration) {
-        Self::wait_nonempty(self, pe, timeout)
     }
 
     #[inline]
@@ -324,17 +268,6 @@ impl CmiTransport for crate::Interconnect {
         Self::publish_load(self, pe, run_queue, occupancy_pm)
     }
 
-    #[inline]
-    fn staged_pending(&self, pe: usize) -> usize {
-        self.staged_of(pe)
-    }
-
-    #[inline]
-    fn published_load(&self, pe: usize) -> (usize, u32) {
-        let l = Self::load_of(self, pe);
-        (l.run_queue, l.occupancy_pm)
-    }
-
     fn remote_load_visible(&self) -> bool {
         true
     }
@@ -356,10 +289,6 @@ impl CmiTransport for crate::Interconnect {
     fn load_snapshot(&self) -> Vec<PeLoad> {
         Self::load_snapshot(self)
     }
-
-    fn total_traffic(&self) -> PeTraffic {
-        Self::total_traffic(self)
-    }
 }
 
 #[cfg(test)]
@@ -376,20 +305,22 @@ mod tests {
         assert_eq!(t.transport_name(), "inproc");
         assert!(t.broadcast_zero_copy());
         t.send_block(0, 1, MsgBlock::copy_from(b"via trait"));
-        let p = t.try_recv(1).expect("delivered");
+        let p = t.recv_timeout(1, Duration::ZERO).expect("delivered");
         assert_eq!(p.src, 0);
         assert_eq!(p.bytes(), b"via trait");
         assert_eq!(p.channel, Channel::DEFAULT);
         let qos = Channel::new(3, crate::Delivery::AtMostOnce);
         t.send_block_on(0, 1, MsgBlock::copy_from(b"qos"), qos);
-        let p = t.try_recv(1).expect("qos channel delivered");
+        let p = t
+            .recv_timeout(1, Duration::ZERO)
+            .expect("qos channel delivered");
         assert_eq!(p.channel, qos);
         t.broadcast_all_block(0, MsgBlock::copy_from(b"b"));
         let mut out = VecDeque::new();
         assert_eq!(t.drain_bounded(0, &mut out, 8), 1);
         assert_eq!(t.drain_bounded(1, &mut out, 8), 1);
         assert_eq!(t.load_snapshot().len(), 2);
-        assert_eq!(t.total_traffic().msgs_sent, 4);
+        assert_eq!(t.traffic(0).msgs_sent, 4);
         t.close();
         assert!(t.is_closed());
     }

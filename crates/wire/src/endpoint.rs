@@ -12,28 +12,28 @@
 //! in-process transport already proved out. Loopback sends (rank to
 //! itself) never touch the socket at all.
 //!
-//! Reliability over the wire mirrors `Interconnect`'s modeled link
-//! state split across processes: the **sender** keeps per-destination
-//! `next_seq` + retransmit buffer + delayed-copy limbo, injecting
-//! deterministic drop/dup/delay decisions from the same
-//! [`converse_net::fault::link_draw`] streams *before* writing to the
-//! socket; the **receiver** keeps per-source `expected` + out-of-order
-//! stash, dedups, and acknowledges every DATA arrival with a selective
-//! seq plus a cumulative watermark. A pump thread drives retransmission
-//! with the plan's capped exponential backoff. ACKs and control frames
-//! ride the socket un-faulted — the plan models the data channel, the
-//! TCP/Unix stream is the (reliable) physical layer under it.
+//! Reliability over the wire is the same [`converse_net::link`]
+//! protocol `Interconnect` drives, split across processes: this rank
+//! keeps the [`Sender`] half of each outgoing link and the [`Receiver`]
+//! half of each incoming one. The sender's fault-plane decisions are
+//! made *before* the socket (a dropped copy is never written, a delayed
+//! one waits in the sender), "the wire" is a DATA frame and an ack an
+//! ACK frame carrying the selective seq plus the cumulative watermark.
+//! A pump thread sleeps one tick and calls [`Sender::tick`]. ACKs and
+//! control frames ride the socket un-faulted — the plan models the data
+//! channel, the TCP/Unix stream is the (reliable) physical layer under
+//! it.
 
 use crate::{connect, kind, PushOutcome, ShmPlane, WireOptions, WireStream};
 use converse_msg::{write_frame, FrameHeader, MsgBlock};
-use converse_net::fault::{link_draw, unit, SALT_DELAY, SALT_DELAY_SLOTS, SALT_DROP, SALT_DUP};
+use converse_net::link::{Ack, FaultCounters, Receiver, Sender, Sent};
 use converse_net::{
     Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect, Packet,
-    PeTraffic,
+    PeLoad, PeTraffic,
 };
 use converse_trace::{Event, FaultKind, StealPhase, TraceSink};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,136 +41,6 @@ use std::time::{Duration, Instant};
 
 /// Record one trace event per this many wire frames.
 const FRAME_SAMPLE: u64 = 32;
-
-/// A transmitted-but-unacknowledged packet (sender side).
-struct InFlight {
-    block: MsgBlock,
-    attempt: u32,
-    due: Instant,
-}
-
-/// A fault-delayed copy waiting for its release slot (sender side —
-/// the delay happens before the socket, so the wire stays truthful).
-struct Limbo {
-    seq: u64,
-    block: MsgBlock,
-    due: Instant,
-}
-
-/// Sender half of one *channel* of a directed link (this rank → dst).
-/// Sequenced streams number from 1; `seq == 0` is the reserved
-/// unsequenced fast path (no fault plan), matching the in-process
-/// convention documented on `converse_net::Packet::seq`.
-struct SendChan {
-    channel: Channel,
-    next_seq: u64,
-    unacked: BTreeMap<u64, InFlight>,
-    limbo: Vec<Limbo>,
-}
-
-impl SendChan {
-    fn new(channel: Channel) -> SendChan {
-        SendChan {
-            channel,
-            next_seq: 1,
-            unacked: BTreeMap::new(),
-            limbo: Vec::new(),
-        }
-    }
-}
-
-/// Sender half of one directed link, split per channel (channel 0
-/// inline, others lazily created — same shape as the in-process
-/// `LinkState`).
-struct SendLink {
-    chan0: SendChan,
-    extra: HashMap<u32, SendChan>,
-}
-
-impl Default for SendLink {
-    fn default() -> Self {
-        SendLink {
-            chan0: SendChan::new(Channel::DEFAULT),
-            extra: HashMap::new(),
-        }
-    }
-}
-
-impl SendLink {
-    fn default_vec(n: usize) -> Vec<Mutex<SendLink>> {
-        (0..n).map(|_| Mutex::new(SendLink::default())).collect()
-    }
-
-    fn chan(&mut self, channel: Channel) -> &mut SendChan {
-        if channel.id == 0 {
-            &mut self.chan0
-        } else {
-            self.extra
-                .entry(channel.id)
-                .or_insert_with(|| SendChan::new(channel))
-        }
-    }
-
-    /// Existing channel state by id (acks never materialize state).
-    fn chan_by_id(&mut self, id: u32) -> Option<&mut SendChan> {
-        if id == 0 {
-            Some(&mut self.chan0)
-        } else {
-            self.extra.get_mut(&id)
-        }
-    }
-}
-
-/// Receiver half of one *channel* of a directed link (src → this rank).
-struct RecvChan {
-    expected: u64,
-    ooo: BTreeMap<u64, MsgBlock>,
-}
-
-impl RecvChan {
-    fn new() -> RecvChan {
-        RecvChan {
-            expected: 1,
-            ooo: BTreeMap::new(),
-        }
-    }
-}
-
-/// Receiver half of one directed link, split per channel.
-struct RecvLink {
-    chan0: RecvChan,
-    extra: HashMap<u32, RecvChan>,
-}
-
-impl Default for RecvLink {
-    fn default() -> Self {
-        RecvLink {
-            chan0: RecvChan::new(),
-            extra: HashMap::new(),
-        }
-    }
-}
-
-impl RecvLink {
-    fn chan(&mut self, id: u32) -> &mut RecvChan {
-        if id == 0 {
-            &mut self.chan0
-        } else {
-            self.extra.entry(id).or_insert_with(RecvChan::new)
-        }
-    }
-}
-
-#[derive(Default)]
-struct FaultCells {
-    transmissions: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-    retransmitted: AtomicU64,
-    dedup_dropped: AtomicU64,
-    superseded: AtomicU64,
-}
 
 /// One rank's end of the socket machine. See the module docs.
 /// Callback invoked (once) when the endpoint aborts — the machine
@@ -189,14 +59,17 @@ pub struct WireEndpoint {
     /// large for a ring.
     shm: Option<ShmPlane>,
     plan: Option<FaultPlan>,
-    send_links: Vec<Mutex<SendLink>>,
-    recv_links: Vec<Mutex<RecvLink>>,
+    /// Sender half of link `rank → dst`, indexed by `dst`.
+    send_links: Vec<Mutex<Sender>>,
+    /// Receiver half of link `src → rank`, indexed by `src`.
+    recv_links: Vec<Mutex<Receiver>>,
     wire_msgs: AtomicU64,
     wire_bytes: AtomicU64,
-    fstats: FaultCells,
+    fstats: FaultCounters,
     /// Counts every frame written or read — the trace sampling key.
     frames: AtomicU64,
-    /// Set while the teardown flush runs: limbo releases immediately.
+    /// Set while the teardown flush runs: limbo releases immediately,
+    /// and the pump keeps retransmitting until everything is confirmed.
     finishing: AtomicBool,
     /// Set once no further wire activity is expected (FIN, abort, or
     /// hub loss); reader/pump threads exit and write errors go quiet.
@@ -265,12 +138,14 @@ impl WireEndpoint {
             inner: Interconnect::with_mode(n, delivery),
             writer: Mutex::new(stream),
             shm,
-            send_links: SendLink::default_vec(n),
-            recv_links: (0..n).map(|_| Mutex::new(RecvLink::default())).collect(),
+            send_links: (0..n)
+                .map(|dst| Mutex::new(Sender::new(rank, dst, plan.as_ref())))
+                .collect(),
+            recv_links: (0..n).map(|_| Mutex::new(Receiver::default())).collect(),
             plan,
             wire_msgs: AtomicU64::new(0),
             wire_bytes: AtomicU64::new(0),
-            fstats: FaultCells::default(),
+            fstats: FaultCounters::default(),
             frames: AtomicU64::new(0),
             finishing: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -415,131 +290,38 @@ impl WireEndpoint {
             .on_channel(channel.id, channel.delivery.as_u8())
     }
 
-    /// One attempt to push `seq` of `(rank → dst, channel)` across the
-    /// wire, applying the fault plane *before* the socket — the mirror
-    /// of the in-process `wire_transmit`, with "deliver" replaced by
-    /// "write". Fault draws are salted per channel (same offset scheme
-    /// as in-process), so channel 0 draws exactly as the pre-QoS wire.
-    fn wire_attempt(&self, dst: usize, channel: Channel, seq: u64, attempt: u32, block: MsgBlock) {
-        let Some(plan) = &self.plan else {
-            self.emit(self.data_header(dst, channel, seq), block.as_slice(), true);
-            return;
-        };
-        let src = self.rank;
-        let co = channel.id as u64 * 4096;
-        self.fstats.transmissions.fetch_add(1, Ordering::Relaxed);
-        let f = plan.faults_for(src, dst);
-        if f.drop > 0.0
-            && unit(link_draw(plan.seed, src, dst, seq, attempt, SALT_DROP + co)) < f.drop
-        {
-            self.fstats.dropped.fetch_add(1, Ordering::Relaxed);
-            self.trace_fault(FaultKind::Drop, src, dst, seq);
-            return;
-        }
-        let copies: u64 = if f.dup > 0.0
-            && unit(link_draw(plan.seed, src, dst, seq, attempt, SALT_DUP + co)) < f.dup
-        {
-            self.fstats.transmissions.fetch_add(1, Ordering::Relaxed);
-            self.fstats.duplicated.fetch_add(1, Ordering::Relaxed);
-            self.trace_fault(FaultKind::Duplicate, src, dst, seq);
-            2
-        } else {
-            1
-        };
-        let finishing = self.finishing.load(Ordering::Acquire);
-        for copy in 0..copies {
-            let delay_salt = SALT_DELAY + co + copy * 16;
-            let slots_salt = SALT_DELAY_SLOTS + co + copy * 16;
-            let delayed = !finishing
-                && f.delay > 0.0
-                && f.max_delay_slots > 0
-                && unit(link_draw(plan.seed, src, dst, seq, attempt, delay_salt)) < f.delay;
-            if delayed {
-                let slots = 1
-                    + (link_draw(plan.seed, src, dst, seq, attempt, slots_salt) as usize
-                        % f.max_delay_slots);
-                self.fstats.delayed.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault(FaultKind::Delay, src, dst, seq);
-                let due = Instant::now() + plan.tick * slots as u32;
-                self.send_links[dst].lock().chan(channel).limbo.push(Limbo {
-                    seq,
-                    block: block.share(),
-                    due,
-                });
-            } else {
-                self.emit(self.data_header(dst, channel, seq), block.as_slice(), true);
-            }
-        }
-    }
-
-    /// Sequence, buffer and attempt one remote send according to the
-    /// channel's delivery guarantee (the sender half of the QoS layer;
-    /// the receive half is `on_data`):
+    /// One remote send: the sender half of link `rank → dst` stamps the
+    /// block, buffers it as the channel's guarantee asks and decides how
+    /// many copies cross now; each is one DATA frame. On a clean wire
+    /// only latest-value-wins channels have anything to stamp, so every
+    /// other send skips the half (and its lock) and goes out as seq 0.
     ///
-    /// * exactly-once — buffer for retransmit until acked;
-    /// * at-most-once — one wire attempt, no sender state, no acks;
-    /// * latest-value-wins — at most one unacked value per channel; a
-    ///   newer value purges older in-flight state (counted
-    ///   `superseded`).
+    /// The frames are written after the link lock is dropped: a full
+    /// ring blocks here, and the thread that would drain it may be
+    /// waiting to deliver an ACK into this same half.
     fn wire_send(&self, dst: usize, channel: Channel, block: MsgBlock) {
         self.wire_msgs.fetch_add(1, Ordering::Relaxed);
         self.wire_bytes
             .fetch_add(block.len() as u64, Ordering::Relaxed);
-        let Some(plan) = &self.plan else {
-            if channel.delivery == Delivery::LatestValueWins {
-                // Even on a clean wire a LVW value needs a real seq so
-                // the receiving mailbox can supersede queued values.
-                let seq = {
-                    let mut link = self.send_links[dst].lock();
-                    let chan = link.chan(channel);
-                    let s = chan.next_seq;
-                    chan.next_seq += 1;
-                    s
-                };
-                self.emit(self.data_header(dst, channel, seq), block.as_slice(), true);
-            } else {
-                self.emit(self.data_header(dst, channel, 0), block.as_slice(), true);
-            }
-            return;
+        let sent = if self.plan.is_none() && channel.delivery != Delivery::LatestValueWins {
+            Sent { seq: 0, copies: 1 }
+        } else {
+            self.send_links[dst].lock().send(
+                Instant::now(),
+                self.finishing.load(Ordering::Acquire),
+                channel,
+                &block,
+                &self.fstats,
+                |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
+            )
         };
-        let seq;
-        {
-            let mut link = self.send_links[dst].lock();
-            let chan = link.chan(channel);
-            seq = chan.next_seq;
-            chan.next_seq += 1;
-            match channel.delivery {
-                Delivery::AtMostOnce => {}
-                Delivery::ExactlyOnce => {
-                    chan.unacked.insert(
-                        seq,
-                        InFlight {
-                            block: block.share(),
-                            attempt: 1,
-                            due: Instant::now() + plan.rto,
-                        },
-                    );
-                }
-                Delivery::LatestValueWins => {
-                    let purged = (chan.unacked.len() + chan.limbo.len()) as u64;
-                    chan.unacked.clear();
-                    chan.limbo.clear();
-                    if purged > 0 {
-                        self.fstats.superseded.fetch_add(purged, Ordering::Relaxed);
-                        self.trace_fault(FaultKind::Supersede, self.rank, dst, seq);
-                    }
-                    chan.unacked.insert(
-                        seq,
-                        InFlight {
-                            block: block.share(),
-                            attempt: 1,
-                            due: Instant::now() + plan.rto,
-                        },
-                    );
-                }
-            }
+        for _ in 0..sent.copies {
+            self.emit(
+                self.data_header(dst, channel, sent.seq),
+                block.as_slice(),
+                true,
+            );
         }
-        self.wire_attempt(dst, channel, seq, 1, block);
     }
 
     // ---- frame input ----------------------------------------------------
@@ -590,6 +372,22 @@ impl WireEndpoint {
     /// PE's doorbell — the hub reader after each frame, the shm poller
     /// once per sweep of its rings.
     fn on_frame(&self, h: FrameHeader, payload: MsgBlock) {
+        // The header is another process's bytes and `src` indexes the
+        // link tables below: a frame that names a rank outside the
+        // machine, or is not for this rank, fails the machine.
+        if h.src as usize >= self.n || h.dst as usize != self.rank {
+            let msg = format!(
+                "wire: {} frame from rank {} of {} addressed to rank {}, received by rank {}",
+                kind::name(h.kind).to_uppercase(),
+                h.src,
+                self.n,
+                h.dst,
+                self.rank
+            );
+            self.abort_local(&msg);
+            self.send_abort(&msg);
+            return;
+        }
         match h.kind {
             kind::DATA => self.on_data(h, payload),
             kind::ACK => self.on_ack(h, payload.as_slice()),
@@ -634,89 +432,37 @@ impl WireEndpoint {
         }
     }
 
-    /// Receive side of the QoS layer — the mirror of the in-process
-    /// `deliver_link`, plus an explicit ACK frame (shared memory let
-    /// the modeled link acknowledge by direct state update). The frame
-    /// header is self-describing: channel id + guarantee tag travel
-    /// with every DATA frame, so no receiver-side registry is needed.
-    ///
-    /// Delivery into the local mailbox goes through `send_on` so the
-    /// packet carries its channel tag upward — and so a
-    /// latest-value-wins arrival supersedes older values still queued
-    /// in the inbox, exactly as in-process.
+    /// A DATA frame: the receiver half of link `src → rank` dedups and
+    /// reassembles, in-order blocks enter the local mailbox (which
+    /// carries no plan — what survived the wire's sublayer is final —
+    /// but still supersedes queued latest-value-wins values), and the
+    /// half's ack goes back as an ACK frame. The frame header is
+    /// self-describing: channel id + guarantee tag travel with every
+    /// DATA frame, so no receiver-side registry is needed.
     fn on_data(&self, h: FrameHeader, block: MsgBlock) {
         let src = h.src as usize;
-        let seq = h.seq;
         let channel = Channel::new(h.channel, Delivery::from_u8(h.guarantee));
         if self.plan.is_none() {
             self.inner.send_on_quiet(src, self.rank, block, channel);
             return;
         }
-        let mut link = self.recv_links[src].lock();
-        let chan = link.chan(channel.id);
-        match channel.delivery {
-            Delivery::ExactlyOnce => {
-                if seq < chan.expected || chan.ooo.contains_key(&seq) {
-                    self.fstats.dedup_dropped.fetch_add(1, Ordering::Relaxed);
-                    self.trace_fault(FaultKind::DedupDrop, src, self.rank, seq);
-                } else {
-                    chan.ooo.insert(seq, block);
-                    loop {
-                        let next = chan.expected;
-                        let Some(b) = chan.ooo.remove(&next) else {
-                            break;
-                        };
-                        chan.expected += 1;
-                        // The local mailbox link carries no plan, so
-                        // the packet enters on the unsequenced fast
-                        // path — same as an in-order arrival on a
-                        // clean in-process link.
-                        self.inner.send_on_quiet(src, self.rank, b, channel);
-                    }
-                }
-                // Acknowledge even duplicates: the retransmit that
-                // produced them is still waiting for confirmation.
-                let cum = chan.expected;
-                // Never block on a full ring here: this may run on the
-                // shm poller thread (see `emit`).
-                self.emit(
-                    FrameHeader::new(kind::ACK, self.rank as u32, src as u32, seq)
-                        .on_channel(channel.id, channel.delivery.as_u8()),
-                    &cum.to_le_bytes(),
-                    false,
-                );
-            }
-            Delivery::AtMostOnce => {
-                // Monotonic floor, no reassembly, no ACK: the sender
-                // keeps no state to retire.
-                if seq < chan.expected {
-                    self.fstats.dedup_dropped.fetch_add(1, Ordering::Relaxed);
-                    self.trace_fault(FaultKind::DedupDrop, src, self.rank, seq);
-                } else {
-                    chan.expected = seq + 1;
-                    self.inner.send_on_quiet(src, self.rank, block, channel);
-                }
-            }
-            Delivery::LatestValueWins => {
-                // Monotonic floor plus an ACK so the sender stops
-                // retransmitting its (single) in-flight value.
-                if seq < chan.expected {
-                    self.fstats.dedup_dropped.fetch_add(1, Ordering::Relaxed);
-                    self.trace_fault(FaultKind::DedupDrop, src, self.rank, seq);
-                } else {
-                    chan.expected = seq + 1;
-                    self.inner.send_on_quiet(src, self.rank, block, channel);
-                }
-                let cum = chan.expected;
-                // Never block on a full ring here: this may run on the
-                // shm poller thread (see `emit`).
-                self.emit(
-                    FrameHeader::new(kind::ACK, self.rank as u32, src as u32, seq)
-                        .on_channel(channel.id, channel.delivery.as_u8()),
-                    &cum.to_le_bytes(),
-                    false,
-                );
-            }
+        let ack = self.recv_links[src].lock().on_data(
+            channel,
+            h.seq,
+            block,
+            &self.fstats,
+            |kind, seq| self.trace_fault(kind, src, self.rank, seq),
+            |_, block| self.inner.send_on_quiet(src, self.rank, block, channel),
+        );
+        if let Some(ack) = ack {
+            // Never block on a full ring here: this may run on the shm
+            // poller thread (see `emit`).
+            self.emit(
+                FrameHeader::new(kind::ACK, self.rank as u32, src as u32, ack.selective)
+                    .on_channel(channel.id, channel.delivery.as_u8()),
+                &ack.cumulative.to_le_bytes(),
+                false,
+            );
         }
     }
 
@@ -761,23 +507,17 @@ impl WireEndpoint {
         }
     }
 
-    /// Sender side of an ACK from the peer: drop the selective seq and
-    /// everything below the cumulative watermark from the retransmit
-    /// buffer (and limbo — a delivered seq no longer needs its delayed
-    /// copies). The ACK frame echoes the channel tag of the DATA frame
-    /// it confirms; an ack for a channel with no sender state (e.g.
-    /// at-most-once, which never acks, or an already-superseded value)
-    /// is a no-op rather than materializing state.
+    /// An ACK frame from the peer, for the sender half of link
+    /// `rank → acker`. It echoes the channel id of the DATA frame it
+    /// confirms.
     fn on_ack(&self, h: FrameHeader, payload: &[u8]) {
-        let acker = h.src as usize;
-        let selective = h.seq;
-        let cum = u64_le(payload);
-        let mut link = self.send_links[acker].lock();
-        if let Some(chan) = link.chan_by_id(h.channel) {
-            chan.unacked.remove(&selective);
-            chan.unacked.retain(|s, _| *s >= cum);
-            chan.limbo.retain(|l| l.seq >= cum && l.seq != selective);
-        }
+        self.send_links[h.src as usize].lock().on_ack(
+            h.channel,
+            Ack {
+                selective: h.seq,
+                cumulative: u64_le(payload),
+            },
+        );
     }
 
     /// Record an abort, run the machine layer's hook, and wake anything
@@ -798,56 +538,31 @@ impl WireEndpoint {
 
     // ---- retransmit pump ------------------------------------------------
 
+    /// Sleep a tick, let every outgoing link's sender half release and
+    /// retransmit, write what it puts on the wire (after the link lock
+    /// is dropped, as in `wire_send`). Runs until shutdown, so a
+    /// finishing endpoint keeps retransmitting until its peers confirm.
     fn pump_loop(self: Arc<Self>) {
         let plan = self.plan.as_ref().expect("pump requires a plan");
+        let mut wire = Vec::new();
         while !self.shutdown.load(Ordering::Acquire) {
             std::thread::sleep(plan.tick);
             let now = Instant::now();
             let finishing = self.finishing.load(Ordering::Acquire);
-            for dst in 0..self.n {
-                if dst == self.rank {
-                    continue;
-                }
-                let mut releases: Vec<(Channel, Limbo)> = Vec::new();
-                let mut retx: Vec<(Channel, u64, u32, MsgBlock)> = Vec::new();
-                {
-                    let mut link = self.send_links[dst].lock();
-                    let mut pump_chan = |chan: &mut SendChan| {
-                        let channel = chan.channel;
-                        let mut i = 0;
-                        while i < chan.limbo.len() {
-                            if finishing || chan.limbo[i].due <= now {
-                                releases.push((channel, chan.limbo.swap_remove(i)));
-                            } else {
-                                i += 1;
-                            }
-                        }
-                        for (seq, inf) in chan.unacked.iter_mut() {
-                            if inf.due <= now {
-                                inf.attempt += 1;
-                                let backoff = plan.rto * (1u32 << (inf.attempt - 1).min(10));
-                                inf.due = now + backoff.min(plan.rto_cap);
-                                retx.push((channel, *seq, inf.attempt, inf.block.share()));
-                            }
-                        }
-                    };
-                    pump_chan(&mut link.chan0);
-                    for chan in link.extra.values_mut() {
-                        pump_chan(chan);
-                    }
-                }
-                releases.sort_by_key(|(c, l)| (c.id, l.seq));
-                for (channel, l) in releases {
+            for dst in (0..self.n).filter(|&dst| dst != self.rank) {
+                self.send_links[dst].lock().tick(
+                    now,
+                    finishing,
+                    &self.fstats,
+                    |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
+                    &mut wire,
+                );
+                for c in wire.drain(..) {
                     self.emit(
-                        self.data_header(dst, channel, l.seq),
-                        l.block.as_slice(),
+                        self.data_header(dst, c.channel, c.seq),
+                        c.block.as_slice(),
                         true,
                     );
-                }
-                for (channel, seq, attempt, block) in retx {
-                    self.fstats.retransmitted.fetch_add(1, Ordering::Relaxed);
-                    self.trace_fault(FaultKind::Retransmit, self.rank, dst, seq);
-                    self.wire_attempt(dst, channel, seq, attempt, block);
                 }
             }
         }
@@ -864,12 +579,7 @@ impl WireEndpoint {
         }
         self.finishing.store(true, Ordering::Release);
         loop {
-            let clean = self.send_links.iter().all(|l| {
-                let l = l.lock();
-                let chan_clean = |c: &SendChan| c.unacked.is_empty() && c.limbo.is_empty();
-                chan_clean(&l.chan0) && l.extra.values().all(chan_clean)
-            });
-            if clean {
+            if self.send_links.iter().all(|l| l.lock().is_idle()) {
                 return true;
             }
             if Instant::now() >= deadline || self.shutdown.load(Ordering::Acquire) {
@@ -987,20 +697,12 @@ impl CmiTransport for WireEndpoint {
         false
     }
 
-    fn try_recv(&self, pe: usize) -> Option<Packet> {
-        self.inner.try_recv(pe)
-    }
-
     fn drain_bounded(&self, pe: usize, out: &mut VecDeque<Packet>, max: usize) -> usize {
         self.inner.drain_into_bounded(pe, out, max)
     }
 
     fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
         self.inner.recv_timeout(pe, timeout)
-    }
-
-    fn wait_nonempty(&self, pe: usize, timeout: Duration) {
-        self.inner.wait_nonempty(pe, timeout)
     }
 
     fn wait_nonempty_spin(&self, pe: usize, timeout: Duration, spin: u32) -> u32 {
@@ -1044,15 +746,7 @@ impl CmiTransport for WireEndpoint {
     }
 
     fn fault_stats(&self) -> FaultStats {
-        FaultStats {
-            transmissions: self.fstats.transmissions.load(Ordering::Relaxed),
-            dropped: self.fstats.dropped.load(Ordering::Relaxed),
-            duplicated: self.fstats.duplicated.load(Ordering::Relaxed),
-            delayed: self.fstats.delayed.load(Ordering::Relaxed),
-            retransmitted: self.fstats.retransmitted.load(Ordering::Relaxed),
-            dedup_dropped: self.fstats.dedup_dropped.load(Ordering::Relaxed),
-            superseded: self.fstats.superseded.load(Ordering::Relaxed),
-        }
+        self.fstats.snapshot()
     }
 
     fn transport_name(&self) -> &'static str {
@@ -1069,20 +763,14 @@ impl CmiTransport for WireEndpoint {
         }
     }
 
-    fn staged_pending(&self, pe: usize) -> usize {
-        if pe == self.rank {
-            self.inner.staged_of(pe)
-        } else {
-            0
-        }
-    }
-
-    fn published_load(&self, pe: usize) -> (usize, u32) {
-        if pe == self.rank {
-            let l = self.inner.load_of(pe);
-            (l.run_queue, l.occupancy_pm)
-        } else {
-            (0, 0)
+    /// The local mailbox's view with the wire send counters merged in
+    /// for this rank. A remote rank's mailbox here is never sent to,
+    /// published to or stalled, so everything but its traffic already
+    /// reads zero.
+    fn load_of(&self, pe: usize) -> PeLoad {
+        PeLoad {
+            traffic: self.traffic(pe),
+            ..self.inner.load_of(pe)
         }
     }
 

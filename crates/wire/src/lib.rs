@@ -16,13 +16,14 @@
 //! * Frames are the length-prefixed encoding in `converse_msg::frame` —
 //!   the payload is the generalized message verbatim, so everything
 //!   above the transport is bit-identical across wires.
-//! * When a [`converse_net::FaultPlan`] is installed, the PR-3
+//! * When a [`converse_net::FaultPlan`] is installed, the
 //!   seq/ack/retransmit reliability sublayer runs **over the real
-//!   socket**: the sender injects deterministic drops/duplicates/delays
-//!   (same [`converse_net::fault::link_draw`] streams as the modeled
-//!   link, so a seed reproduces the same adversity in both transports)
-//!   and masks them with retransmission, per-link sequencing and
-//!   receiver dedup — exactly-once, in-order delivery on a wire that is
+//!   socket**. It is the one [`converse_net::link`] protocol the
+//!   in-process machine drives too — same decision streams, so a seed
+//!   reproduces the same adversity on every transport: the sender half
+//!   injects deterministic drops/duplicates/delays before the socket
+//!   and masks them with retransmission, the receiver half sequences
+//!   and dedups — exactly-once, in-order delivery on a wire that is
 //!   genuinely asynchronous. Control frames (ACK/bootstrap/teardown)
 //!   ride the socket un-faulted: the plan models the data channel.
 //!

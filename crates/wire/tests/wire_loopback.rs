@@ -275,3 +275,126 @@ fn unix_domain_sockets_carry_the_machine() {
         j.join().expect("worker thread");
     }
 }
+
+/// Rank 0 is a real endpoint, rank 1 a raw socket that says HELLO and
+/// then whatever `peer` writes; `shm` gives rank 0 a ring data plane.
+/// Returns rank 0's abort message once it has one, and what the hub
+/// made of the run.
+fn run_against_raw_peer(
+    shm: Option<converse_wire::ShmPlane>,
+    peer: impl FnOnce(&mut std::net::TcpStream) + Send + 'static,
+) -> (String, converse_wire::HubFailure) {
+    use converse_msg::{write_frame, FrameHeader};
+    use converse_wire::kind;
+    let o = opts();
+    let hub = WireHub::bind(2, WireKind::Tcp).expect("bind hub");
+    let addr = hub.addr().to_string();
+    let raw_addr = addr.strip_prefix("tcp:").expect("tcp hub").to_string();
+    // The peer writes only once rank 0 has its abort hook installed.
+    let (hooked_tx, hooked_rx) = std::sync::mpsc::channel::<()>();
+    let raw = std::thread::spawn(move || {
+        let mut s = std::net::TcpStream::connect(raw_addr).expect("raw connect");
+        write_frame(&mut s, FrameHeader::new(kind::HELLO, 1, 0, 0), b"").expect("hello");
+        let go = converse_msg::read_frame(&mut s).expect("read GO");
+        assert_eq!(go.expect("GO frame").0.kind, kind::GO);
+        hooked_rx.recv().expect("rank 0 connected");
+        peer(&mut s);
+        // Hold the connection until the hub tears it down, so the only
+        // failure it can report is the one rank 0 raises.
+        while let Ok(Some(_)) = converse_msg::read_frame(&mut s) {}
+    });
+    let o2 = o.clone();
+    let real = std::thread::spawn(move || {
+        let ep = WireEndpoint::connect(
+            0,
+            2,
+            &addr,
+            DeliveryMode::Fifo,
+            Some(FaultPlan::new(1)),
+            &o2,
+            Arc::new(NullSink),
+            shm,
+        )
+        .expect("connect");
+        let hooked = Arc::new(std::sync::Mutex::new(None));
+        let h = hooked.clone();
+        ep.set_abort_hook(Box::new(move |m| *h.lock().unwrap() = Some(m.to_string())));
+        hooked_tx.send(()).expect("raw peer is waiting");
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while ep.aborted().is_none() {
+            assert!(Instant::now() < deadline, "no abort within 2 s");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(ep.is_closed(), "a failed machine closes the mailbox");
+        let msg = ep.aborted().unwrap();
+        assert_eq!(hooked.lock().unwrap().as_deref(), Some(msg.as_str()));
+        msg
+    });
+    let failure = hub.run(&o, || None).expect_err("the run failed");
+    let msg = real
+        .join()
+        .expect("no thread of the endpoint's owner panicked");
+    raw.join().expect("raw peer");
+    (msg, failure)
+}
+
+#[test]
+fn a_frame_from_a_rank_outside_the_machine_fails_the_run_not_the_reader() {
+    use converse_msg::{write_frame, FrameHeader};
+    use converse_wire::kind;
+    let (msg, failure) = run_against_raw_peer(None, |s| {
+        // `src` indexes the endpoint's link tables; 7 is not a rank of
+        // a 2-PE machine. A valid frame follows it.
+        write_frame(s, FrameHeader::new(kind::DATA, 7, 0, 1), b"bad").expect("bad frame");
+        write_frame(s, FrameHeader::new(kind::DATA, 1, 0, 1), b"good").expect("good frame");
+    });
+    assert!(msg.contains("DATA frame from rank 7 of 2"), "{msg}");
+    match failure {
+        converse_wire::HubFailure::Panicked { rank: 0, msg } => {
+            assert!(msg.contains("DATA frame from rank 7 of 2"), "{msg}")
+        }
+        other => panic!("the launcher must hear what failed, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_ack_from_no_rank_fails_the_run_too() {
+    use converse_msg::{write_frame, FrameHeader};
+    use converse_wire::kind;
+    // The hub routes by `dst`, so a misaddressed frame can only reach a
+    // rank over a ring; over the socket the bad field is `src` again.
+    let (msg, _) = run_against_raw_peer(None, |s| {
+        write_frame(
+            s,
+            FrameHeader::new(kind::ACK, u32::MAX, 0, 1),
+            &1u64.to_le_bytes(),
+        )
+        .expect("bad ack");
+    });
+    assert!(msg.contains("ACK frame from rank 4294967295 of 2"), "{msg}");
+}
+
+#[test]
+fn a_ring_record_is_checked_like_a_socket_frame() {
+    use converse_msg::FrameHeader;
+    use converse_wire::{kind, PushOutcome, ShmPlane, ShmRegion};
+    if !converse_wire::SHM_SUPPORTED {
+        return;
+    }
+    let region = Arc::new(ShmRegion::create(2, 1 << 16).expect("shm region"));
+    let peer_plane = ShmPlane::new(region.clone(), 1, 0);
+    let (msg, _) = run_against_raw_peer(Some(ShmPlane::new(region, 0, 0)), move |_| {
+        // The ring hands the record's header to the endpoint verbatim:
+        // pushed into ring 1 → 0, but addressed to (and from) nobody.
+        let never = std::sync::atomic::AtomicBool::new(false);
+        let h = FrameHeader::new(kind::DATA, 9, 5, 1);
+        assert_eq!(
+            peer_plane.push(0, h, b"x", false, &never),
+            PushOutcome::Sent
+        );
+    });
+    assert!(
+        msg.contains("DATA frame from rank 9 of 2 addressed to rank 5"),
+        "{msg}"
+    );
+}
