@@ -2,8 +2,9 @@
 //! the schedule correct.
 //!
 //! Three adapters share one bookkeeping core ([`RunState`]: flat
-//! arrays sized from the graph, one payload arena per run), differing
-//! only in which Converse layer carries the dependency edges:
+//! arrays sized from the graph, an arriving payload digested straight
+//! out of its message), differing only in which Converse layer carries
+//! the dependency edges:
 //!
 //! * [`run_graph_raw`] — one machine handler; every edge is one
 //!   generalized message (self-edges included), optionally on a named
@@ -30,7 +31,7 @@
 //! first time each is used — and must therefore be called in the same
 //! order on every PE of the machine.
 
-use crate::{chain_output, fill_payload, TaskGraph, TaskId};
+use crate::{chain_output, fill_payload, payload_digest, TaskGraph, TaskId};
 use converse_charm::{Charm, GroupChare, GroupId, GroupKind};
 use converse_core::{csd_scheduler_until_idle, schedule_until};
 use converse_ldb::LdbPolicy;
@@ -50,7 +51,7 @@ pub struct RunOpts {
     /// overhead measurement.
     pub grain_ns: u64,
     /// Transmitted payload bytes per dependency edge (the message-size
-    /// axis). Every byte is hashed by the consumer, so the size is
+    /// axis). Every byte is digested by the consumer, so the size is
     /// semantically load-bearing, not padding.
     pub payload_bytes: usize,
     /// Named delivery channel for dependency messages (raw engine
@@ -64,7 +65,8 @@ pub struct RunOpts {
     pub give_up: Option<Duration>,
     /// Relocatable-execution mode (raw engine only): a ready task is
     /// not executed inline by its owner but packaged — serial id plus
-    /// received dependency payloads — into a *stealable* self-addressed
+    /// the digests of the received dependency payloads, 8 bytes an edge
+    /// whatever the payload size — into a *stealable* self-addressed
     /// READY message, so an idle PE's work stealing
     /// (`MachineConfig::steal`) can relocate the execution. The thief
     /// fans the successor edges out itself and returns a non-stealable
@@ -134,10 +136,15 @@ impl PeSummary {
     /// generator's serial oracle; `payload_bytes` must match the
     /// [`RunOpts`] of the run. Returns the first violation.
     pub fn validate(&self, graph: &TaskGraph, payload_bytes: usize) -> Result<(), String> {
+        self.validate_against(graph, &graph.expected_outputs(payload_bytes))
+    }
+
+    /// [`PeSummary::validate`] against outputs the caller already has
+    /// from the oracle.
+    fn validate_against(&self, graph: &TaskGraph, expected: &[u64]) -> Result<(), String> {
         if let Some(v) = self.violations.first() {
             return Err(format!("protocol violation: {v}"));
         }
-        let expected = graph.expected_outputs(payload_bytes);
         for (i, &serial) in self.local.iter().enumerate() {
             let id = graph.task_of_serial(serial);
             if self.execs[i] != 1 {
@@ -188,7 +195,8 @@ struct FoldOp(CombinerId);
 /// placement bug the local check cannot see) still fails. Collective:
 /// every PE of the machine must call it.
 pub fn assert_machine_valid(pe: &Pe, graph: &TaskGraph, summary: &PeSummary, payload_bytes: usize) {
-    if let Err(e) = summary.validate(graph, payload_bytes) {
+    let expected = graph.expected_outputs(payload_bytes);
+    if let Err(e) = summary.validate_against(graph, &expected) {
         panic!("PE {}: taskbench validation failed: {e}", pe.my_pe());
     }
     let op = pe
@@ -210,7 +218,7 @@ pub fn assert_machine_valid(pe: &Pe, graph: &TaskGraph, summary: &PeSummary, pay
     );
     assert_eq!(
         folded,
-        graph.expected_fold(payload_bytes),
+        expected.iter().fold(0u64, |a, b| a ^ b),
         "machine-wide output-hash fold diverged from the generator's oracle"
     );
 }
@@ -256,6 +264,13 @@ enum Carrier {
 /// Most dependencies a task may have: arrivals are one bit each.
 const MAX_DEPS: usize = u32::BITS as usize;
 
+/// Bytes of one dependency slot: a little-endian payload digest.
+const SLOT: usize = std::mem::size_of::<u64>();
+
+/// The payload of the task being fanned out: one buffer per PE, kept
+/// from run to run, so nothing a run allocates is sized by its payload.
+struct Scratch(Mutex<Vec<u8>>);
+
 /// What a run has seen so far. Indexed by task serial; only this PE's
 /// tasks' entries are used.
 struct Progress {
@@ -266,13 +281,12 @@ struct Progress {
     execs: Vec<u32>,
     /// Output hash per executed task.
     outputs: Vec<Option<u64>>,
-    /// The run's payload arena: one `payload_bytes` slot per dependency
-    /// of every local task, a task's slots adjacent and in dependency
-    /// order ([`RunState::slot_base`]). An arriving edge is copied into
-    /// its slot; a complete task is hashed straight out of its slots.
-    arena: Vec<u8>,
-    /// The payload of the task being fanned out.
-    scratch: Vec<u8>,
+    /// One [`SLOT`] per dependency of every local task, a task's slots
+    /// adjacent and in dependency order ([`RunState::slot_base`]): the
+    /// digest of the payload that arrived on that edge, as a READY
+    /// message carries it. A complete task's output is chained out of
+    /// its slots.
+    digests: Vec<u8>,
     /// Runtime protocol violations (validated later, not panicked on —
     /// the chaos matrix *wants* to observe failures).
     violations: Vec<String>,
@@ -284,9 +298,11 @@ struct RunState {
     carrier: Carrier,
     grain_ns: u64,
     payload_bytes: usize,
-    /// Index of each task's first arena slot, by serial, with the total
+    /// Index of each task's first digest slot, by serial, with the total
     /// one past the end; a task of another PE has no slots.
     slot_base: Vec<u32>,
+    /// This PE's fan-out buffer.
+    scratch: Arc<Scratch>,
     /// Touched only by this PE's execution contexts, one at a time.
     progress: Mutex<Progress>,
     /// Local tasks still to execute.
@@ -329,8 +345,7 @@ impl RunState {
                 arrived: vec![0; n],
                 execs: vec![0; n],
                 outputs: vec![None; n],
-                arena: vec![0; slots as usize * opts.payload_bytes],
-                scratch: vec![0; opts.payload_bytes],
+                digests: vec![0; slots as usize * SLOT],
                 violations: Vec::new(),
             }),
             remaining: AtomicUsize::new(local),
@@ -339,6 +354,7 @@ impl RunState {
             grain_ns: opts.grain_ns,
             payload_bytes: opts.payload_bytes,
             slot_base,
+            scratch: pe.local(|| Scratch(Mutex::new(Vec::new()))),
             steal: opts.steal,
             steal_to0_pct: opts.steal_to0_pct,
             sleep_grain: opts.sleep_grain,
@@ -358,30 +374,48 @@ impl RunState {
         }
     }
 
-    /// The byte range of `serial`'s arena slots.
+    /// The byte range of `serial`'s digest slots.
     fn slots_of(&self, serial: u32) -> std::ops::Range<usize> {
         let s = serial as usize;
-        self.slot_base[s] as usize * self.payload_bytes
-            ..self.slot_base[s + 1] as usize * self.payload_bytes
+        self.slot_base[s] as usize * SLOT..self.slot_base[s + 1] as usize * SLOT
     }
 
-    /// A task's output hash over its dependencies' payloads, read from
-    /// `slots` — the task's arena slots, or a READY message's copy.
+    /// A task's output hash over its dependencies' payload digests, read
+    /// from `slots` — the task's own, or a READY message's copy.
     fn output_of(&self, id: TaskId, serial: u32, slots: &[u8]) -> u64 {
-        let pb = self.payload_bytes;
-        let preds = self.graph.deps(id).iter().enumerate();
-        chain_output(
-            self.graph.spec.seed,
-            serial,
-            preds.map(|(k, d)| (self.graph.serial(*d), &slots[k * pb..(k + 1) * pb])),
-        )
+        let digests = slots
+            .chunks_exact(SLOT)
+            .map(|d| u64::from_le_bytes(d.try_into().expect("a whole slot")));
+        let preds = self.graph.deps(id).iter().map(|d| self.graph.serial(*d));
+        chain_output(self.graph.spec.seed, serial, preds.zip(digests))
     }
 
-    /// Record one dependency arrival for local task `dst`: copy the
-    /// payload into the dependency's slot and, when the set completes,
-    /// execute and fan out.
+    /// Record a message no correct run sends: validated later, not
+    /// panicked on.
+    fn violation(&self, what: String) {
+        self.progress.lock().violations.push(what);
+    }
+
+    /// A dependency edge as the carriers frame it: the consumer's
+    /// serial unless the carrier's tag gave it (`tagged`), the
+    /// producer's, then the length-prefixed payload.
+    fn on_edge(&self, pe: &Pe, tagged: Option<u32>, mut body: Unpacker<'_>) {
+        let dst = tagged.map_or_else(|| body.u32(), Ok);
+        match (dst, body.u32(), body.bytes()) {
+            (Ok(dst), Ok(src), Ok(payload)) => self.on_dep(pe, dst, src, payload),
+            _ => self.violation("a dependency message is cut short".into()),
+        }
+    }
+
+    /// Record one dependency arrival for local task `dst`: digest the
+    /// payload, where it lies in the message, into the dependency's
+    /// slot and, when the set completes, execute and fan out.
     fn on_dep(&self, pe: &Pe, dst: u32, src: u32, payload: &[u8]) {
-        let id = self.graph.task_of_serial(dst);
+        let Some(id) = self.graph.try_task_of_serial(dst) else {
+            return self.violation(format!(
+                "dependency {src}→{dst} names a task the graph does not have"
+            ));
+        };
         let deps = self.graph.deps(id);
         let mut progress = self.progress.lock();
         let p = &mut *progress;
@@ -407,8 +441,8 @@ impl RunState {
             });
         }
         p.arrived[dst as usize] |= 1 << k;
-        let at = self.slots_of(dst).start + k * self.payload_bytes;
-        p.arena[at..at + self.payload_bytes].copy_from_slice(payload);
+        let at = self.slots_of(dst).start + k * SLOT;
+        p.digests[at..at + SLOT].copy_from_slice(&payload_digest(payload).to_le_bytes());
         if p.arrived[dst as usize].count_ones() as usize == deps.len() {
             self.make_ready(pe, p, dst);
         }
@@ -418,7 +452,7 @@ impl RunState {
     /// package it for whoever gets to it first.
     fn make_ready(&self, pe: &Pe, p: &mut Progress, serial: u32) {
         if self.steal {
-            self.emit_ready(pe, serial, &p.arena[self.slots_of(serial)]);
+            self.emit_ready(pe, serial, &p.digests[self.slots_of(serial)]);
         } else {
             self.execute(pe, p, serial);
         }
@@ -429,24 +463,26 @@ impl RunState {
     fn execute(&self, pe: &Pe, p: &mut Progress, serial: u32) {
         self.grain_wait();
         let id = self.graph.task_of_serial(serial);
-        let out = self.output_of(id, serial, &p.arena[self.slots_of(serial)]);
+        let out = self.output_of(id, serial, &p.digests[self.slots_of(serial)]);
         p.execs[serial as usize] += 1;
         p.outputs[serial as usize] = Some(out);
         self.remaining.fetch_sub(1, Ordering::AcqRel);
-        self.fan_out(pe, &mut p.scratch, id, serial, out);
+        self.fan_out(pe, id, serial, out);
     }
 
     /// Send `serial`'s output to every successor, expanded once into
-    /// `scratch`.
-    fn fan_out(&self, pe: &Pe, scratch: &mut [u8], id: TaskId, serial: u32, out: u64) {
+    /// this PE's scratch.
+    fn fan_out(&self, pe: &Pe, id: TaskId, serial: u32, out: u64) {
         let succs = self.graph.successors(id);
         if succs.is_empty() {
             return;
         }
-        fill_payload(out, scratch);
+        let mut payload = self.scratch.0.lock();
+        payload.resize(self.payload_bytes, 0);
+        fill_payload(out, &mut payload);
         for s in succs {
             let dst_pe = self.graph.owner(*s, pe.num_pes());
-            self.emit(pe, dst_pe, self.graph.serial(*s), serial, scratch);
+            self.emit(pe, dst_pe, self.graph.serial(*s), serial, &payload);
         }
     }
 
@@ -557,8 +593,8 @@ impl RunState {
     }
 
     /// Package a ready task as a stealable READY message: serial id
-    /// plus its arena slots — with the graph, everything an arbitrary PE
-    /// needs to execute it. Routed to PE 0 for `steal_to0_pct`% of
+    /// plus its digest slots — with the graph, everything an arbitrary
+    /// PE needs to execute it. Routed to PE 0 for `steal_to0_pct`% of
     /// serials (a deterministic draw), otherwise back to this PE.
     fn emit_ready(&self, pe: &Pe, serial: u32, slots: &[u8]) {
         let mut msg = self.raw_msg(|h| h.ready, &[&serial.to_le_bytes(), slots]);
@@ -573,17 +609,16 @@ impl RunState {
     /// directly, and returns the result to the owner as a non-stealable
     /// CREDIT; no local accounting happens here.
     fn on_ready(&self, pe: &Pe, mut body: Unpacker<'_>) {
-        let serial = body.u32().expect("taskbench ready: serial");
-        let slots = body.rest();
-        let id = self.graph.task_of_serial(serial);
-        assert_eq!(
-            slots.len(),
-            self.graph.deps(id).len() * self.payload_bytes,
-            "taskbench ready: dependency payloads"
-        );
+        let task = body.u32().ok().and_then(|serial| {
+            let id = self.graph.try_task_of_serial(serial)?;
+            (body.remaining() == self.graph.deps(id).len() * SLOT).then_some((serial, id))
+        });
+        let Some((serial, id)) = task else {
+            return self.violation("a READY names no task with its dependency digests".into());
+        };
         self.grain_wait();
-        let out = self.output_of(id, serial, slots);
-        self.fan_out(pe, &mut self.progress.lock().scratch, id, serial, out);
+        let out = self.output_of(id, serial, body.rest());
+        self.fan_out(pe, id, serial, out);
         let owner = self.graph.owner(id, pe.num_pes());
         let credit = self.raw_msg(|h| h.credit, &[&serial.to_le_bytes(), &out.to_le_bytes()]);
         pe.sync_send_and_free(owner, credit);
@@ -592,8 +627,13 @@ impl RunState {
     /// Owner-side accounting for one executed task. The last credit
     /// reports this PE's completion to PE 0.
     fn on_credit(&self, pe: &Pe, mut body: Unpacker<'_>) {
-        let serial = body.u32().expect("taskbench credit: serial");
-        let out = body.u64().expect("taskbench credit: output");
+        let (Ok(serial), Ok(out)) = (body.u32(), body.u64()) else {
+            return self.violation("a CREDIT is cut short".into());
+        };
+        let owned = self.graph.try_task_of_serial(serial);
+        if owned.is_none_or(|id| self.graph.owner(id, pe.num_pes()) != pe.my_pe()) {
+            return self.violation(format!("a CREDIT names {serial}, no task of this PE"));
+        }
         {
             let mut p = self.progress.lock();
             p.execs[serial as usize] += 1;
@@ -651,26 +691,24 @@ impl RawEngine {
         fn handler(pe: &Pe, serve: fn(&RunState, &Pe, Unpacker<'_>)) -> HandlerId {
             pe.register_handler(move |pe, msg| {
                 let mut body = Unpacker::new(msg.payload());
-                let epoch = body.u32().expect("taskbench raw: epoch");
                 let engine = pe.local_ref::<RawEngine>().expect("registered by it");
                 // Held across the call: sends never dispatch, so nothing
                 // below asks for it again.
                 let current = engine.current.lock();
-                if let Some(run) = current.as_ref() {
-                    if matches!(run.carrier, Carrier::Raw { epoch: e, .. } if e == epoch) {
-                        serve(run, pe, body);
+                let Some(run) = current.as_ref() else { return };
+                match body.u32() {
+                    Ok(epoch) if matches!(run.carrier, Carrier::Raw { epoch: e, .. } if e == epoch) => {
+                        serve(run, pe, body)
                     }
+                    // Left over from a run that gave up.
+                    Ok(_) => {}
+                    Err(_) => run.violation("a raw message carries no epoch".into()),
                 }
             })
         }
         RawEngine {
             handlers: RawHandlers {
-                dep: handler(pe, |run, pe, mut body| {
-                    let dst = body.u32().expect("taskbench dep: dst");
-                    let src = body.u32().expect("taskbench dep: src");
-                    let payload = body.bytes().expect("taskbench dep: payload");
-                    run.on_dep(pe, dst, src, payload);
-                }),
+                dep: handler(pe, |run, pe, body| run.on_edge(pe, None, body)),
                 ready: handler(pe, RunState::on_ready),
                 credit: handler(pe, RunState::on_credit),
                 done: handler(pe, |run, pe, _| run.on_done(pe)),
@@ -754,11 +792,7 @@ impl GroupChare for TaskBranch {
 
     fn entry(&mut self, pe: &Pe, _gid: GroupId, ep: u32, payload: &[u8]) {
         assert_eq!(ep, EP_DEP, "unknown taskbench group entry {ep}");
-        let mut u = Unpacker::new(payload);
-        let dst = u.u32().expect("taskbench charm dep: dst");
-        let src = u.u32().expect("taskbench charm dep: src");
-        let bytes = u.bytes().expect("taskbench charm dep: payload");
-        self.state.on_dep(pe, dst, src, bytes);
+        self.state.on_edge(pe, None, Unpacker::new(payload));
     }
 }
 
@@ -840,10 +874,7 @@ pub fn run_graph_tsm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
             }
             for _ in 0..need {
                 let m = converse_sm::tsm::receive(pe, serial as i32);
-                let mut u = Unpacker::new(&m.data);
-                let src = u.u32().expect("taskbench tsm dep: src");
-                let payload = u.bytes().expect("taskbench tsm dep: payload");
-                st.on_dep(pe, serial, src, payload);
+                st.on_edge(pe, Some(serial), Unpacker::new(&m.data));
             }
         });
     }

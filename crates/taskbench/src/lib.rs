@@ -18,13 +18,14 @@
 //!   ([`TaskGraph::encode`]), on every PE of every transport, including
 //!   inside re-executed socket worker processes.
 //! * **Self-validation.** Every task's output is a hash chained over
-//!   its predecessors' *transmitted payload bytes*
-//!   ([`finish_output`]). A wrong schedule — a task run before a
-//!   dependency, a lost or duplicated dependency message, a payload
-//!   truncated in flight — produces the wrong hash and fails loudly at
-//!   validation, not just slowly. The generator computes the expected
-//!   outputs serially ([`TaskGraph::expected_outputs`]); the execution
-//!   engine ([`exec`]) must reproduce them from real message traffic.
+//!   the digests of its predecessors' *transmitted payload bytes*
+//!   ([`finish_output`], [`payload_digest`]). A wrong schedule — a task
+//!   run before a dependency, a lost or duplicated dependency message,
+//!   a payload truncated in flight — produces the wrong hash and fails
+//!   loudly at validation, not just slowly. The generator computes the
+//!   expected outputs serially ([`TaskGraph::expected_outputs`]); the
+//!   execution engine ([`exec`]) must reproduce them from real message
+//!   traffic.
 
 pub mod exec;
 
@@ -131,8 +132,8 @@ pub struct TaskGraph {
     succs: Vec<Vec<TaskId>>,
 }
 
-/// 64-bit FNV-1a, the crate's one hash primitive — both the stateless
-/// structural draws and the output chain use it.
+/// 64-bit FNV-1a, the hash of the stateless structural draws and of the
+/// output chain's header: a multiply per byte, for a few bytes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.write(bytes);
@@ -177,43 +178,98 @@ pub fn expand_payload(output: u64, n: usize) -> Vec<u8> {
     out
 }
 
-/// [`expand_payload`] into a buffer the caller already has.
-pub(crate) fn fill_payload(output: u64, out: &mut [u8]) {
-    let b = output.to_le_bytes();
-    for (k, byte) in out.iter_mut().enumerate() {
-        *byte = b[k % 8] ^ (k as u8).wrapping_mul(0x9d) ^ (k >> 8) as u8;
+/// Byte `i` of word `j` is `((8j + i) as u8).wrapping_mul(0x9d)`: the
+/// position term of [`fill_payload`], which repeats every 256 bytes.
+const POSITION: [u64; 32] = {
+    let mut words = [0u64; 32];
+    let mut k = 0;
+    while k < 256 {
+        words[k / 8] |= ((k as u8).wrapping_mul(0x9d) as u64) << (8 * (k % 8));
+        k += 1;
     }
+    words
+};
+
+/// [`expand_payload`] into a buffer the caller already has: byte `k` is
+/// `output.to_le_bytes()[k % 8] ^ (k as u8).wrapping_mul(0x9d) ^ (k >> 8) as u8`,
+/// written a word at a time.
+pub(crate) fn fill_payload(output: u64, out: &mut [u8]) {
+    for (hi, block) in out.chunks_mut(256).enumerate() {
+        let base = output ^ (hi as u8 as u64).wrapping_mul(0x0101_0101_0101_0101);
+        let mut words = block.chunks_exact_mut(8);
+        let mut position = POSITION.iter();
+        for (word, p) in (&mut words).zip(&mut position) {
+            word.copy_from_slice(&(base ^ p).to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if let Some(p) = position.next() {
+            tail.copy_from_slice(&(base ^ p).to_le_bytes()[..tail.len()]);
+        }
+    }
+}
+
+/// One step of the word hash. For a fixed `h` it is a bijection of `w`
+/// (and the other way round): a change confined to one step's input
+/// always changes the result, whatever follows. The rotation brings a
+/// word's high bits under the multiplier's carries at the next step.
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).rotate_left(29).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The digest of one transmitted payload: every byte, its position and
+/// the length feed it, so a payload that lost, gained, moved or changed
+/// a byte in flight has another digest. It reads the payload once as
+/// little-endian words, in four independent multiply chains — a 16 KiB
+/// edge costs its bytes, not a dependent multiply per byte — that are
+/// folded in lane order; a payload under one 32-byte block, and what is
+/// left after the last whole block, is a single chain, with the last
+/// partial word zero-padded.
+pub fn payload_digest(bytes: &[u8]) -> u64 {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk"));
+    let mut h = mix(Fnv::new().0, bytes.len() as u64);
+    let mut blocks = bytes.chunks_exact(32);
+    if bytes.len() >= 32 {
+        let mut lanes = [1u64, 2, 3, 4].map(|lane| mix(h, lane));
+        for block in &mut blocks {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = mix(*lane, word(w));
+            }
+        }
+        h = lanes.into_iter().fold(h, mix);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    h = (&mut words).fold(h, |h, w| mix(h, word(w)));
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix(h, u64::from_le_bytes(last))
 }
 
 /// A task's output hash, chained over its predecessors' transmitted
-/// payloads: `H(seed, serial, [(pred_serial, pred_payload)…])` with the
-/// predecessor list sorted by serial id (arrival order must not
-/// matter — dependencies are unordered, schedules are not).
+/// payloads: `H(seed, serial, [(pred_serial, digest(pred_payload))…])`
+/// with the predecessor list sorted by serial id (arrival order must not
+/// matter — dependencies are unordered, schedules are not) and `digest`
+/// = [`payload_digest`].
 ///
 /// The generator calls this with payloads it expands itself
-/// ([`TaskGraph::expected_outputs`]); the execution engine hashes the
-/// bytes that actually came off the wire. Equality of the two is the
-/// exactly-once, dependency-order, payload-integrity check in one
-/// number.
+/// ([`TaskGraph::expected_outputs`]); the execution engine digests the
+/// bytes that actually came off the wire, as they arrive. Equality of
+/// the two is the exactly-once, dependency-order, payload-integrity
+/// check in one number.
 pub fn finish_output(seed: u64, serial: u32, preds: &mut [(u32, Vec<u8>)]) -> u64 {
     preds.sort_by_key(|(s, _)| *s);
-    chain_output(seed, serial, preds.iter().map(|(s, p)| (*s, &p[..])))
+    chain_output(
+        seed,
+        serial,
+        preds.iter().map(|(s, p)| (*s, payload_digest(p))),
+    )
 }
 
-/// [`finish_output`] over borrowed payloads already in serial order.
-pub(crate) fn chain_output<'a>(
-    seed: u64,
-    serial: u32,
-    preds: impl Iterator<Item = (u32, &'a [u8])>,
-) -> u64 {
+/// [`finish_output`] over payload digests already in serial order.
+pub(crate) fn chain_output(seed: u64, serial: u32, preds: impl Iterator<Item = (u32, u64)>) -> u64 {
     let mut h = Fnv::new();
     h.write(&seed.to_le_bytes());
     h.write(&serial.to_le_bytes());
-    for (s, payload) in preds {
-        h.write(&s.to_le_bytes());
-        h.write(payload);
-    }
-    h.0
+    preds.fold(h.0, |h, (s, digest)| mix(mix(h, s as u64), digest))
 }
 
 impl TaskGraph {
@@ -299,19 +355,27 @@ impl TaskGraph {
         self.offsets[id.step as usize] + id.index
     }
 
-    /// Inverse of [`TaskGraph::serial`].
+    /// Inverse of [`TaskGraph::serial`]. Panics on a serial the graph
+    /// does not have.
     pub fn task_of_serial(&self, serial: u32) -> TaskId {
+        self.try_task_of_serial(serial)
+            .expect("taskbench: serial out of range")
+    }
+
+    /// [`TaskGraph::task_of_serial`] for a serial read from a message:
+    /// `None` when the graph has no such task.
+    pub fn try_task_of_serial(&self, serial: u32) -> Option<TaskId> {
+        if serial as usize >= self.num_tasks() {
+            return None;
+        }
         let step = match self.offsets.binary_search(&serial) {
-            // `offsets` ends with the total count, so a hit on the last
-            // entry would be out of range; any valid serial hits a
-            // proper level start or falls inside one.
             Ok(t) => t,
             Err(t) => t - 1,
         };
-        TaskId {
+        Some(TaskId {
             step: step as u32,
             index: serial - self.offsets[step],
-        }
+        })
     }
 
     /// The dependency list of a task (tasks of the previous level).
@@ -385,16 +449,12 @@ impl TaskGraph {
         for (t, level) in self.levels.iter().enumerate() {
             for (i, deps) in level.iter().enumerate() {
                 let serial = self.offsets[t] + i as u32;
-                let mut h = Fnv::new();
-                h.write(&self.spec.seed.to_le_bytes());
-                h.write(&serial.to_le_bytes());
-                for d in deps {
+                let preds = deps.iter().map(|d| {
                     let s = self.serial(*d);
                     fill_payload(out[s as usize], &mut payload);
-                    h.write(&s.to_le_bytes());
-                    h.write(&payload);
-                }
-                out[serial as usize] = h.0;
+                    (s, payload_digest(&payload))
+                });
+                out[serial as usize] = chain_output(self.spec.seed, serial, preds);
             }
         }
         out

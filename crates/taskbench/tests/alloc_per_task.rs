@@ -142,8 +142,45 @@ fn calls_per_task(pe: &Pe, engine: Engine, graphs: &[Arc<TaskGraph>], runs: u64)
     calls as f64 / (runs * tasks as u64) as f64
 }
 
+/// Bytes one run of `g` asks the allocator for on a 1-PE machine whose
+/// message pool is full — every edge a pool hit — after a run at each
+/// payload size, the large one first, has sized the PE's fan-out
+/// scratch: the run's own state and its collectives.
+fn bytes_per_run(pe: &Pe, engine: Engine, g: &Arc<TaskGraph>, payload_bytes: usize) -> u64 {
+    let opts = RunOpts {
+        payload_bytes,
+        ..RunOpts::default()
+    };
+    fill_pools(pe, 0);
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    let summary = engine.run(pe, g, &opts);
+    let bytes = ALLOCATED.load(Ordering::Relaxed) - before;
+    assert_machine_valid(pe, g, &summary, payload_bytes);
+    bytes
+}
+
 #[test]
 fn a_task_makes_few_allocator_calls_and_a_run_leaves_nothing() {
+    // What a run allocates does not depend on its payload size: an edge
+    // is digested where it arrives, 8 bytes a dependency kept. (With a
+    // payload arena the benchmark's large stencil asked for 704 KiB more
+    // at 16 KiB than at 16 B.)
+    let stencil = graph(Pattern::Stencil1D, 8, 3);
+    converse_machine::run(1, move |pe| {
+        for engine in [Engine::Raw, Engine::Layer(Layer::Charm)] {
+            for warm_up in [16 * 1024, 16] {
+                bytes_per_run(pe, engine, &stencil, warm_up);
+            }
+            let small = bytes_per_run(pe, engine, &stencil, 16);
+            let large = bytes_per_run(pe, engine, &stencil, 16 * 1024);
+            println!("{engine:?}: a run allocates {small} B at 16 B, {large} B at 16 KiB");
+            assert_eq!(
+                large, small,
+                "{engine:?}: bytes per run depend on the payload"
+            );
+        }
+    });
+
     let graphs = [
         graph(Pattern::Stencil1D, 64, 8),
         graph(Pattern::Random, 64, 8),
