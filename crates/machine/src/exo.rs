@@ -137,7 +137,7 @@ pub struct MachineHandle {
 impl MachineHandle {
     /// Number of PEs in the running machine.
     pub fn num_pes(&self) -> usize {
-        self.net.num_pes()
+        self.net.local().num_pes()
     }
 
     /// True once any PE has panicked.
@@ -147,12 +147,12 @@ impl MachineHandle {
 
     /// True once the interconnect has been closed (machine over).
     pub fn closed(&self) -> bool {
-        self.net.is_closed()
+        self.net.local().is_closed()
     }
 
     /// Live per-PE load (traffic counters + mailbox depth), PE order.
     pub fn load_snapshot(&self) -> Vec<PeLoad> {
-        self.net.load_snapshot()
+        self.net.local().load_snapshot()
     }
 
     /// Wrap an external request in the gateway envelope and deliver it
@@ -171,7 +171,7 @@ impl MachineHandle {
             dst < self.num_pes(),
             "inject_request: PE {dst} out of range"
         );
-        if self.net.is_closed() {
+        if self.closed() {
             return false;
         }
         let body = Packer::with_capacity(24 + payload.len())
@@ -181,7 +181,7 @@ impl MachineHandle {
             .bytes(payload)
             .finish();
         self.net
-            .inject_block(dst, Message::new(self.exo_req, &body).into_block());
+            .inject(dst, Message::new(self.exo_req, &body).into_block());
         true
     }
 

@@ -13,6 +13,7 @@
 
 use crate::pe::Pe;
 use converse_msg::{HandlerId, Message};
+use converse_net::Channel;
 use converse_trace::Event;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -61,33 +62,30 @@ impl Pe {
     /// of the caller's block, so this costs a refcount bump, not a
     /// payload copy (later in-place edits by the caller copy-on-write).
     pub fn sync_send(&self, dst: usize, msg: &Message) {
-        self.trace_send(dst, msg);
-        self.net()
-            .send_block(self.my_pe(), dst, msg.block().share());
+        self.sync_send_on(dst, Channel::DEFAULT, msg);
     }
 
     /// Send `msg` to `dst`, consuming it (`CmiSyncSendAndFree`). The
     /// block moves to the wire outright — no copy, no refcount traffic.
     pub fn sync_send_and_free(&self, dst: usize, msg: Message) {
-        self.trace_send(dst, &msg);
-        self.net().send_block(self.my_pe(), dst, msg.into_block());
+        self.sync_send_and_free_on(dst, Channel::DEFAULT, msg);
     }
 
     /// [`Pe::sync_send`] on an explicit delivery channel: the channel's
     /// guarantee (exactly-once, at-most-once, latest-value-wins)
     /// governs how the wire treats loss, duplication and supersession.
     /// Resolve named channels with [`Pe::channel`].
-    pub fn sync_send_on(&self, dst: usize, channel: converse_net::Channel, msg: &Message) {
+    pub fn sync_send_on(&self, dst: usize, channel: Channel, msg: &Message) {
         self.trace_send(dst, msg);
         self.net()
-            .send_block_on(self.my_pe(), dst, msg.block().share(), channel);
+            .send_on(self.my_pe(), dst, msg.block().share(), channel);
     }
 
     /// [`Pe::sync_send_and_free`] on an explicit delivery channel.
-    pub fn sync_send_and_free_on(&self, dst: usize, channel: converse_net::Channel, msg: Message) {
+    pub fn sync_send_and_free_on(&self, dst: usize, channel: Channel, msg: Message) {
         self.trace_send(dst, &msg);
         self.net()
-            .send_block_on(self.my_pe(), dst, msg.into_block(), channel);
+            .send_on(self.my_pe(), dst, msg.into_block(), channel);
     }
 
     /// Begin an asynchronous send (`CmiAsyncSend`). On this machine the
@@ -124,8 +122,7 @@ impl Pe {
     /// gather is received via a scatter call").
     pub fn vector_send(&self, dst: usize, handler: HandlerId, pieces: &[&[u8]]) -> CommHandle {
         let msg = Message::gather(handler, &converse_msg::Priority::None, pieces);
-        self.trace_send(dst, &msg);
-        self.net().send_block(self.my_pe(), dst, msg.into_block());
+        self.sync_send_and_free(dst, msg);
         self.comm_create(true)
     }
 
@@ -141,7 +138,7 @@ impl Pe {
             }
         }
         self.net()
-            .broadcast_excl_block(self.my_pe(), msg.block().share());
+            .broadcast(self.my_pe(), msg.block().share(), false);
     }
 
     /// Send to every PE including self (`CmiSyncBroadcastAll`). One
@@ -151,7 +148,7 @@ impl Pe {
             self.trace_send(dst, msg);
         }
         self.net()
-            .broadcast_all_block(self.my_pe(), msg.block().share());
+            .broadcast(self.my_pe(), msg.block().share(), true);
     }
 
     /// Broadcast to all and consume the message

@@ -26,12 +26,12 @@ use crate::owner::{Owner, OwnerCell};
 use crate::pgrp::PgrpState;
 use crate::scatter::ScatterState;
 use converse_msg::{HandlerId, Message};
-use converse_net::{Channel, CmiTransport, Packet};
+use converse_net::{Channel, CmiTransport, Interconnect, Packet};
 use converse_queue::{CsdQueue, FifoQueue, LifoQueue, QueueingMode, SchedulingQueue};
 use converse_trace::{Event, StealPhase, TraceSink};
 use std::any::TypeId;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -198,6 +198,9 @@ pub(crate) struct MachineShared {
     /// Set when any PE's entry function panicked; blocked PEs observe it
     /// and abort instead of hanging.
     pub panicked: AtomicBool,
+    /// PEs of this process whose thread has not finished; the last one
+    /// out closes the machine's local half and the console input.
+    pub live_pes: AtomicUsize,
     /// Watchdog limit for machine-level blocking calls.
     pub block_timeout: Duration,
     /// Idle-policy spin budget: how many lock-free mailbox-depth probes
@@ -222,7 +225,7 @@ pub(crate) struct MachineShared {
 /// retrieval or a scheduler step opens one cell once.
 pub(crate) struct PeCore {
     /// Local intake batch: packets pulled off the net by a bulk
-    /// [`CmiTransport::drain_bounded`] and not yet retrieved. Every
+    /// [`Interconnect::drain_into_bounded`] and not yet retrieved. Every
     /// retrieval path pops here before touching the network, so a batch
     /// never lets a later wire arrival overtake an earlier one — the
     /// per-link FIFO contract survives recursive retrieval (a handler
@@ -253,6 +256,13 @@ pub(crate) struct PeCore {
     req_counter: u64,
 }
 
+/// What a PE unwinds with when it leaves *because* the machine was
+/// already marked failed ([`Pe::check_abort`]): a bystander, not the
+/// cause. Raised with `resume_unwind`, which does not run the panic
+/// hook, so only the root cause prints; the run harness re-raises a
+/// marker only when no PE reported anything else.
+pub(crate) struct PeerAbort;
+
 /// Remove and return the oldest buffered message satisfying `want`.
 fn take_first(q: &mut VecDeque<Message>, want: impl Fn(&Message) -> bool) -> Option<Message> {
     let idx = q.iter().position(want)?;
@@ -275,7 +285,11 @@ fn take_first(q: &mut VecDeque<Message>, want: impl Fn(&Message) -> bool) -> Opt
 /// (`local*`), `channel`, the load snapshot, `trace_event`.
 pub struct Pe {
     id: usize,
+    /// What crosses to another rank: sends, injects, stalls, steals.
     net: Arc<dyn CmiTransport>,
+    /// `net`'s local half, held concretely: receiving, parking, clock,
+    /// close and load board are direct calls, the same on every wire.
+    mailbox: Arc<Interconnect>,
     handlers: AppendTable<Handler>,
     /// The run token: which OS thread may open this PE's cells.
     owner: Owner,
@@ -342,6 +356,7 @@ impl Pe {
         };
         Arc::new_cyclic(|self_ref| Pe {
             id,
+            mailbox: net.local().arc(),
             net,
             handlers: table,
             core: OwnerCell::new(&owner, core),
@@ -421,7 +436,7 @@ impl Pe {
     /// Callable from any thread.
     pub fn abort_machine(&self) {
         self.shared.panicked.store(true, Ordering::Release);
-        self.net.close();
+        self.mailbox.close();
     }
 
     /// Logical processor id, `0..num_pes` (`CmiMyPe`).
@@ -433,13 +448,13 @@ impl Pe {
     /// Total processors in this machine (`CmiNumPe`).
     #[inline]
     pub fn num_pes(&self) -> usize {
-        self.net.num_pes()
+        self.mailbox.num_pes()
     }
 
     /// Short name of the transport carrying this PE's messages
-    /// (`"inproc"` or `"socket"`).
+    /// (`"inproc"`, `"socket"` or `"shmring"`).
     pub fn transport_name(&self) -> &'static str {
-        self.net.transport_name()
+        self.net.name()
     }
 
     /// Resolve a delivery channel declared with
@@ -463,10 +478,10 @@ impl Pe {
     /// broadcast allocation contract through this, never a hard-coded
     /// count.
     pub fn broadcast_zero_copy(&self) -> bool {
-        self.net.broadcast_zero_copy()
+        self.net.shared_memory()
     }
 
-    /// The interconnect this PE is attached to.
+    /// The transport this PE sends through.
     #[inline]
     pub(crate) fn net(&self) -> &Arc<dyn CmiTransport> {
         &self.net
@@ -483,7 +498,7 @@ impl Pe {
 
     /// True while `target` sits inside a stall window.
     pub fn pe_stalled(&self, target: usize) -> bool {
-        self.net.stalled(target)
+        self.mailbox.stalled(target)
     }
 
     /// Aggregate fault-plane and reliability counters of the machine's
@@ -495,18 +510,18 @@ impl Pe {
     /// Seconds since machine boot with sub-microsecond resolution
     /// (`CmiTimer`).
     pub fn timer(&self) -> f64 {
-        self.net.uptime().as_secs_f64()
+        self.mailbox.uptime().as_secs_f64()
     }
 
     /// Nanoseconds since machine boot.
     pub fn now_ns(&self) -> u64 {
-        self.net.uptime().as_nanos() as u64
+        self.mailbox.uptime().as_nanos() as u64
     }
 
     /// Whole milliseconds since machine boot — the coarse variant of the
     /// paper's "timers with different resolutions".
     pub fn timer_coarse_ms(&self) -> u64 {
-        self.net.uptime().as_millis() as u64
+        self.mailbox.uptime().as_millis() as u64
     }
 
     /// Fresh machine-unique-enough request id for internal protocols.
@@ -566,7 +581,7 @@ impl Pe {
             // moment stolen work was spliced into this PE's stream; the
             // next handler dispatch here closes the interval.
             if self.shared.steal.is_some() {
-                let mark = self.net.take_steal_mark(self.id);
+                let mark = self.mailbox.take_steal_mark(self.id);
                 if mark != 0 {
                     let now = self.now_ns();
                     self.trace.record(
@@ -696,15 +711,16 @@ impl Pe {
         self.core(|c| c.pending.len())
     }
 
-    /// Panic (unwinding this PE) if the machine has been torn down or
-    /// another PE panicked. Called inside every potentially-blocking
-    /// loop so one failing PE cannot hang the rest of the test suite.
+    /// Unwind this PE (with the silent `PeerAbort` marker) if the
+    /// machine was marked failed, and panic if it has shut down under a
+    /// blocked receive. Called inside every potentially-blocking loop so
+    /// one failing PE cannot hang the rest of the test suite.
     pub fn check_abort(&self) {
         if self.shared.panicked.load(Ordering::Acquire) {
-            panic!("PE {}: aborting — another PE panicked", self.id);
+            std::panic::resume_unwind(Box::new(PeerAbort));
         }
-        if self.net.is_closed()
-            && self.net.pending(self.id) == 0
+        if self.mailbox.is_closed()
+            && self.mailbox.pending(self.id) == 0
             && self.core(|c| c.intake.is_empty() && c.pending.is_empty())
         {
             panic!(
@@ -805,7 +821,7 @@ impl Pe {
     /// batch-drained packets sitting in the intake buffer, plus anything
     /// buffered by `get_specific_msg`.
     pub fn inbound_pending(&self) -> usize {
-        self.net.pending(self.id) + self.core(|c| c.intake.len() + c.pending.len())
+        self.mailbox.pending(self.id) + self.core(|c| c.intake.len() + c.pending.len())
     }
 
     /// The next inbound packet in delivery order, refilling the intake
@@ -821,9 +837,7 @@ impl Pe {
         if let Some(p) = c.intake.pop_front() {
             return Some(p);
         }
-        let n = self
-            .net
-            .drain_bounded(self.id, &mut c.intake, budget.max(1));
+        let n = self.refill(&mut c.intake, budget.max(1));
         if n > 0 {
             // Sampled `Event::SchedBatch`: every 32nd intake batch (the
             // first included) records its size and the spin count of
@@ -844,6 +858,15 @@ impl Pe {
             }
         }
         c.intake.pop_front()
+    }
+
+    /// The once-per-batch half of [`Pe::pop_inbound`], kept out of line:
+    /// with the drain's body inlined, `pop_inbound` is too big to inline
+    /// into its callers and the once-per-message intake pop pays a call
+    /// (`core_1pe` `op_us` +2 %; EXPERIMENTS.md, ISSUE 21).
+    #[inline(never)]
+    fn refill(&self, intake: &mut VecDeque<Packet>, budget: usize) -> usize {
+        self.mailbox.drain_into_bounded(self.id, intake, budget)
     }
 
     /// Turn a wire packet into the message it carries, with its sender.
@@ -883,7 +906,7 @@ impl Pe {
     /// consumed (== the budget when the call actually parked).
     pub fn idle_wait(&self, timeout: Duration) -> u32 {
         let spun = self
-            .net
+            .mailbox
             .wait_nonempty_spin(self.id, timeout, self.shared.idle_spin);
         self.core(|c| c.last_spin = spun);
         spun
@@ -897,18 +920,18 @@ impl Pe {
     // ---- load sampling & work stealing -----------------------------------
 
     /// Live load snapshot of every PE (see
-    /// [`converse_net::CmiTransport::load_snapshot`]). On distributed
-    /// transports remote entries degrade to zeros — check
-    /// [`Pe::remote_load_visible`] before trusting them.
+    /// [`Interconnect::load_snapshot`]). On distributed transports
+    /// remote entries read zero — check [`Pe::remote_load_visible`]
+    /// before trusting them.
     pub fn load_snapshot(&self) -> Vec<converse_net::PeLoad> {
-        self.net.load_snapshot()
+        self.mailbox.load_snapshot()
     }
 
     /// True when load snapshots of *remote* PEs reflect their real
     /// state (shared-memory transports). False on distributed
     /// transports, where balancers must rely on gossiped samples.
     pub fn remote_load_visible(&self) -> bool {
-        self.net.remote_load_visible()
+        self.net.shared_memory()
     }
 
     /// Fold one scheduler-iteration sample (`busy` = the iteration did
@@ -927,7 +950,7 @@ impl Pe {
                 .then(|| (c.queue.len(), c.occupancy_pm))
         });
         if let Some((run_queue, ema)) = publish {
-            self.net.publish_load(self.id, run_queue, ema);
+            self.mailbox.publish_load(self.id, run_queue, ema);
         }
     }
 
@@ -946,9 +969,9 @@ impl Pe {
         if n_pes < 2 || cfg.batch == 0 {
             return 0;
         }
-        if self.net.remote_load_visible() {
+        if self.net.shared_memory() {
             let mut best: Option<(usize, usize)> = None; // (backlog, pe)
-            for l in self.net.load_snapshot() {
+            for l in self.mailbox.load_snapshot() {
                 if l.pe == self.id || l.staged == 0 {
                     continue;
                 }

@@ -9,17 +9,17 @@
 //!
 //! A panic on any PE marks the whole machine panicked and closes the
 //! interconnect so PEs blocked in machine-level loops abort promptly
-//! instead of hanging; the first panic is re-raised to the caller.
+//! instead of hanging; the panic that caused it is re-raised to the caller.
 
 use crate::exo::{MachineHandle, MachineService};
-use crate::pe::{MachineShared, Pe};
+use crate::pe::{MachineShared, Pe, PeerAbort};
 pub use crate::pe::{QueueKind, StealConfig, ThreadBackend};
 use converse_net::{
-    Channel, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect, PeTraffic,
+    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect, PeTraffic,
 };
 use converse_trace::{NullSink, TraceSink};
 pub use converse_wire::{WireKind, WireOptions};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -365,17 +365,12 @@ where
 {
     match cfg.transport {
         Transport::InProcess => Ok(run_in_process(cfg, entry)),
-        Transport::Socket => crate::wire_run::run_socket(cfg, entry),
-        Transport::ShmRing => {
-            if !converse_wire::SHM_SUPPORTED {
-                return Err(RunError::Bootstrap(
-                    "Transport::ShmRing requires Linux on x86-64/aarch64 \
-                     (memfd_create + futex); use Transport::Socket here"
-                        .into(),
-                ));
-            }
-            crate::wire_run::run_socket(cfg, entry)
-        }
+        Transport::ShmRing if !converse_wire::SHM_SUPPORTED => Err(RunError::Bootstrap(
+            "Transport::ShmRing requires Linux on x86-64/aarch64 \
+             (memfd_create + futex); use Transport::Socket here"
+                .into(),
+        )),
+        Transport::Socket | Transport::ShmRing => crate::wire_run::run_socket(cfg, entry),
     }
 }
 
@@ -403,16 +398,78 @@ where
     }
 }
 
-/// Assign declared channels their machine-wide ids: 1..N in
-/// declaration order (0 is the default exactly-once channel). Both
-/// transports resolve from the same declaration list, so a name means
-/// the same `(id, guarantee)` on every rank of either wire.
-pub(crate) fn resolve_channels(declared: &[(String, Delivery)]) -> Vec<(String, Channel)> {
-    declared
-        .iter()
-        .enumerate()
-        .map(|(i, (name, d))| (name.clone(), Channel::new(i as u32 + 1, *d)))
-        .collect()
+impl MachineShared {
+    /// The machine-wide state of one run, for a process that hosts
+    /// `hosted` of its PEs (all of them in-process, one in a worker).
+    /// Declared channels get their machine-wide ids here: 1..N in
+    /// declaration order (0 is the default exactly-once channel). Every
+    /// transport resolves from the same declaration list, so a name
+    /// means the same `(id, guarantee)` on every rank of every wire.
+    pub(crate) fn new(cfg: &MachineConfig, hosted: usize) -> Arc<MachineShared> {
+        Arc::new(MachineShared {
+            console: crate::io::Console::new(cfg.capture_output, cfg.stdin_lines.clone()),
+            panicked: AtomicBool::new(false),
+            live_pes: AtomicUsize::new(hosted),
+            block_timeout: cfg.block_timeout,
+            idle_spin: cfg.idle_spin,
+            exo: crate::exo::ExoState::default(),
+            thread_backend: cfg.thread_backend,
+            channels: (cfg.channels.iter().zip(1..))
+                .map(|((name, d), id)| (name.clone(), Channel::new(id, *d)))
+                .collect(),
+            steal: cfg.steal,
+        })
+    }
+}
+
+/// Give PE `id` its OS thread and live its life there, the same on
+/// every transport: boot, the entry function, the exit hooks, the pool
+/// trace. A panic in the entry *or* in a hook marks the machine failed
+/// and closes it — blocked peers unwind through [`Pe::check_abort`]
+/// instead of hanging — and is what the thread returns (the entry's, if
+/// both panicked).
+pub(crate) fn spawn_pe<F>(
+    id: usize,
+    net: Arc<dyn CmiTransport>,
+    cfg: &MachineConfig,
+    shared: &Arc<MachineShared>,
+    entry: &Arc<F>,
+) -> std::thread::JoinHandle<std::thread::Result<()>>
+where
+    F: Fn(&Pe) + Send + Sync + 'static,
+{
+    let (queue, trace, shared, entry) =
+        (cfg.queue, cfg.trace.clone(), shared.clone(), entry.clone());
+    let pe_main = move || {
+        let pe = Pe::new(id, net, queue, shared, trace);
+        let guarded = |f: &dyn Fn(&Pe)| {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&pe)));
+            if r.is_err() {
+                pe.abort_machine();
+            }
+            r
+        };
+        let entered = guarded(&*entry);
+        // Exit hooks run on success AND failure: they release resources
+        // (e.g. still-suspended thread objects) that would otherwise
+        // leak OS threads.
+        let hooks = guarded(&Pe::run_exit_hooks);
+        // Final buffer-pool snapshot so traces carry the hit/miss
+        // balance of this PE's whole lifetime.
+        pe.trace_msg_pool();
+        if pe.shared.live_pes.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Last PE of this process out shuts its half of the machine
+            // down, waking anything still blocked (e.g. a scanf on
+            // exhausted input).
+            pe.net().local().close();
+            pe.shared.console.close_input();
+        }
+        entered.and(hooks)
+    };
+    std::thread::Builder::new()
+        .name(format!("pe{id}"))
+        .spawn(pe_main)
+        .expect("spawn PE thread")
 }
 
 /// The in-process machine: one thread per PE over one [`Interconnect`].
@@ -429,16 +486,7 @@ where
         cfg.faults.take(),
         Some(cfg.trace.clone()),
     );
-    let shared = Arc::new(MachineShared {
-        console: crate::io::Console::new(cfg.capture_output, cfg.stdin_lines.clone()),
-        panicked: std::sync::atomic::AtomicBool::new(false),
-        block_timeout: cfg.block_timeout,
-        idle_spin: cfg.idle_spin,
-        exo: crate::exo::ExoState::default(),
-        thread_backend: cfg.thread_backend,
-        channels: resolve_channels(&cfg.channels),
-        steal: cfg.steal,
-    });
+    let shared = MachineShared::new(&cfg, cfg.num_pes);
     let mut services = std::mem::take(&mut cfg.services);
     shared.exo.services.store(services.len(), Ordering::Release);
     let handle = MachineHandle {
@@ -458,74 +506,40 @@ where
         }
     }
     let entry = Arc::new(entry);
-    let remaining = Arc::new(AtomicUsize::new(cfg.num_pes));
     let started = std::time::Instant::now();
+    let joins: Vec<_> = (0..cfg.num_pes)
+        .map(|id| spawn_pe(id, net.clone(), &cfg, &shared, &entry))
+        .collect();
 
-    let mut joins = Vec::with_capacity(cfg.num_pes);
-    for id in 0..cfg.num_pes {
-        let net = net.clone();
-        let shared = shared.clone();
-        let entry = entry.clone();
-        let remaining = remaining.clone();
-        let trace = cfg.trace.clone();
-        let queue = cfg.queue;
-        let h = std::thread::Builder::new()
-            .name(format!("pe{id}"))
-            .spawn(move || {
-                let pe = Pe::new(id, net.clone(), queue, shared.clone(), trace);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    entry(&pe);
-                }));
-                if result.is_err() {
-                    shared.panicked.store(true, Ordering::Release);
-                    net.close();
-                }
-                // Exit hooks run on success AND failure: they release
-                // resources (e.g. still-suspended thread objects) that
-                // would otherwise leak OS threads.
-                let hooks = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    pe.run_exit_hooks();
-                }));
-                // Final buffer-pool snapshot so traces carry the hit/miss
-                // balance of this PE's whole lifetime.
-                pe.trace_msg_pool();
-                let result = result.and(hooks);
-                if result.is_err() {
-                    shared.panicked.store(true, Ordering::Release);
-                    net.close();
-                }
-                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Last PE out shuts the machine down, waking anything
-                    // still blocked (e.g. a scanf on exhausted input).
-                    net.close();
-                    shared.console.close_input();
-                }
-                result
-            })
-            .expect("spawn PE thread");
-        joins.push(h);
-    }
-
-    let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
+    // What the caller gets is a root cause: it replaces a bystander's
+    // `PeerAbort` marker whatever the rank order; otherwise the first
+    // failure in rank order stays.
+    let mut failure: Option<Box<dyn std::any::Any + Send>> = None;
+    let mut keep = |p: Box<dyn std::any::Any + Send>| {
+        if failure
+            .as_ref()
+            .is_none_or(|f| f.is::<PeerAbort>() && !p.is::<PeerAbort>())
+        {
+            failure = Some(p);
+        }
+    };
     for h in joins {
-        match h.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(p)) => {
-                first_panic.get_or_insert(p);
-            }
-            Err(p) => {
-                first_panic.get_or_insert(p);
-            }
+        if let Err(p) = h.join().and_then(|returned| returned) {
+            keep(p);
         }
     }
     // Every PE has joined. Stop attached services BEFORE re-raising any
     // panic: listener threads and ports must not outlive the machine,
     // least of all on the failure path.
     if let Some(p) = stop_services(&mut services) {
-        first_panic.get_or_insert(p);
+        keep(p);
     }
-    if let Some(p) = first_panic {
-        std::panic::resume_unwind(p);
+    match failure {
+        // Only bystanders reported: `abort_machine` was called by
+        // something that is not a PE's own context.
+        Some(p) if p.is::<PeerAbort>() => panic!("the machine was aborted; no PE panicked"),
+        Some(p) => std::panic::resume_unwind(p),
+        None => {}
     }
 
     RunReport {

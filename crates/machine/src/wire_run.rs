@@ -30,12 +30,12 @@
 //! recoverable — socket-transport tests need the default threaded
 //! harness.
 
-use crate::pe::{MachineShared, Pe};
-use crate::run::{MachineConfig, RunError, RunReport, Transport};
-use converse_net::{CmiTransport, FaultStats};
+use crate::pe::{MachineShared, Pe, PeerAbort};
+use crate::run::{run_in_process, spawn_pe, MachineConfig, RunError, RunReport, Transport};
+use converse_net::CmiTransport;
 use converse_wire::{HubFailure, ShmPlane, ShmRegion, WireEndpoint, WireHub, WorkerReport};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -135,7 +135,7 @@ where
             // An earlier socket run replayed inside a worker process:
             // run it in-process — complete and semantically identical,
             // without recursive process fan-out.
-            Ok(crate::run::run_in_process(cfg, entry))
+            Ok(run_in_process(cfg, entry))
         }
         Some(w) if call == w.call => run_worker(cfg, entry, w),
         Some(w) => panic!(
@@ -305,27 +305,12 @@ fn run_launcher(cfg: MachineConfig, call: usize) -> Result<RunReport, RunError> 
     match outcome {
         Ok(out) => {
             reap_children(&mut children, cfg.wire.grace);
-            let mut fault_stats = FaultStats::default();
-            let mut output: Vec<String> = Vec::new();
-            let mut traffic = Vec::with_capacity(n);
-            for r in &out.reports {
-                let f = &r.faults;
-                fault_stats.transmissions += f.transmissions;
-                fault_stats.dropped += f.dropped;
-                fault_stats.duplicated += f.duplicated;
-                fault_stats.delayed += f.delayed;
-                fault_stats.retransmitted += f.retransmitted;
-                fault_stats.dedup_dropped += f.dedup_dropped;
-                fault_stats.superseded += f.superseded;
+            Ok(RunReport {
+                traffic: out.reports.iter().map(|r| r.traffic).collect(),
+                fault_stats: out.reports.iter().map(|r| r.faults).sum(),
                 // Cross-process capture interleaves by rank, not by
                 // time: each worker's lines arrive as one block.
-                output.extend(r.output.iter().cloned());
-                traffic.push(r.traffic);
-            }
-            Ok(RunReport {
-                traffic,
-                fault_stats,
-                output,
+                output: out.reports.into_iter().flat_map(|r| r.output).collect(),
                 elapsed: started.elapsed(),
             })
         }
@@ -383,6 +368,8 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {
         s.clone()
+    } else if p.is::<PeerAbort>() {
+        "the machine was aborted; no PE panicked".to_string()
     } else {
         "non-string panic payload".to_string()
     }
@@ -442,16 +429,7 @@ where
             std::process::exit(EXIT_CONNECT_FAILED);
         }
     };
-    let shared = Arc::new(MachineShared {
-        console: crate::io::Console::new(cfg.capture_output, cfg.stdin_lines.clone()),
-        panicked: AtomicBool::new(false),
-        block_timeout: cfg.block_timeout,
-        idle_spin: cfg.idle_spin,
-        exo: crate::exo::ExoState::default(),
-        thread_backend: cfg.thread_backend,
-        channels: crate::run::resolve_channels(&cfg.channels),
-        steal: cfg.steal,
-    });
+    let shared = MachineShared::new(&cfg, 1);
     {
         // A peer failure (panic elsewhere, hub loss) unwinds this
         // worker's blocked contexts through the same `check_abort`
@@ -464,40 +442,14 @@ where
 
     let rank = w.rank;
     let net: Arc<dyn CmiTransport> = endpoint.clone();
-    let entry_shared = shared.clone();
-    let trace = cfg.trace.clone();
-    let queue = cfg.queue;
-    let pe_thread = std::thread::Builder::new()
-        .name(format!("pe{rank}"))
-        .spawn(move || {
-            let pe = Pe::new(rank, net.clone(), queue, entry_shared.clone(), trace);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                entry(&pe);
-            }));
-            if result.is_err() {
-                entry_shared.panicked.store(true, Ordering::Release);
-                net.close();
-            }
-            let hooks = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pe.run_exit_hooks();
-            }));
-            pe.trace_msg_pool();
-            result.and(hooks)
-        })
-        .expect("spawn worker PE thread");
-
-    let result = pe_thread.join();
-    let failed = match result {
-        Ok(Ok(())) => None,
-        Ok(Err(p)) | Err(p) => Some(panic_message(p.as_ref())),
-    };
-    if let Some(msg) = failed {
+    let joined = spawn_pe(rank, net, &cfg, &shared, &Arc::new(entry)).join();
+    if let Err(p) = joined.and_then(|returned| returned) {
         if endpoint.aborted().is_some() {
             // This worker unwound *because* a peer already failed; the
             // hub has the authoritative first failure.
             std::process::exit(0);
         }
-        endpoint.send_abort(&msg);
+        endpoint.send_abort(&panic_message(p.as_ref()));
         std::process::exit(101);
     }
 
@@ -512,10 +464,9 @@ where
         ));
         std::process::exit(EXIT_FLUSH_TIMEOUT);
     }
-    shared.console.close_input();
     let report = WorkerReport {
         rank,
-        traffic: endpoint.local_traffic(),
+        traffic: endpoint.local().traffic(rank),
         faults: endpoint.fault_stats(),
         output: shared.console.captured(),
     };

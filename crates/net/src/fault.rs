@@ -240,6 +240,39 @@ impl FaultStats {
     }
 }
 
+/// Counters of separate processes add up to the machine's: how a
+/// launcher folds its workers' reports.
+impl std::ops::AddAssign for FaultStats {
+    fn add_assign(&mut self, o: FaultStats) {
+        // Destructured so a new counter cannot be left out of the sum.
+        let FaultStats {
+            transmissions,
+            dropped,
+            duplicated,
+            delayed,
+            retransmitted,
+            dedup_dropped,
+            superseded,
+        } = o;
+        self.transmissions += transmissions;
+        self.dropped += dropped;
+        self.duplicated += duplicated;
+        self.delayed += delayed;
+        self.retransmitted += retransmitted;
+        self.dedup_dropped += dedup_dropped;
+        self.superseded += superseded;
+    }
+}
+
+impl std::iter::Sum for FaultStats {
+    fn sum<I: Iterator<Item = FaultStats>>(iter: I) -> FaultStats {
+        iter.fold(FaultStats::default(), |mut acc, s| {
+            acc += s;
+            acc
+        })
+    }
+}
+
 // ---- deterministic per-link decision streams ---------------------------
 
 /// The interconnect's LCG step (Numerical Recipes constants) — the same

@@ -358,6 +358,9 @@ pub struct Interconnect {
     epoch: Instant,
     /// Set once at shutdown so blocked receivers wake and observe it.
     closed: AtomicBool,
+    /// Every `Interconnect` lives in the `Arc` its constructor returned;
+    /// this is that `Arc`, for [`Interconnect::arc`].
+    me: Weak<Interconnect>,
 }
 
 impl Interconnect {
@@ -389,7 +392,8 @@ impl Interconnect {
         }
         let stalls: Vec<StallWindow> = plan.as_ref().map(|p| p.stalls.clone()).unwrap_or_default();
         let has_stalls = !stalls.is_empty();
-        let net = Arc::new(Interconnect {
+        let net = Arc::new_cyclic(|me| Interconnect {
+            me: me.clone(),
             boxes: (0..n).map(|_| Mailbox::new()).collect(),
             traffic: (0..n).map(|_| TrafficCell::default()).collect(),
             loads: (0..n).map(|_| LoadCell::default()).collect(),
@@ -413,7 +417,7 @@ impl Interconnect {
             plan,
         });
         if let Some(tick) = net.plan.as_ref().map(|p| p.tick) {
-            let weak: Weak<Interconnect> = Arc::downgrade(&net);
+            let weak = net.me.clone();
             std::thread::Builder::new()
                 .name("net-fault-pump".into())
                 .spawn(move || {
@@ -449,9 +453,13 @@ impl Interconnect {
         self.epoch.elapsed()
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
+    /// A counted handle to this machine: how a holder of a
+    /// `&Interconnect` (a [`CmiTransport`]'s local half) keeps it
+    /// without going through the transport again.
+    pub fn arc(&self) -> Arc<Interconnect> {
+        self.me
+            .upgrade()
+            .expect("an Interconnect is alive while it is borrowed")
     }
 
     /// Aggregate fault-plane and reliability counters.
@@ -697,27 +705,32 @@ impl Interconnect {
     /// channels of one link may interleave arbitrarily.
     #[inline]
     pub fn send_on(&self, src: usize, dst: usize, block: impl Into<MsgBlock>, channel: Channel) {
-        self.send_counted(src, dst, block.into(), channel, true);
+        let block = block.into();
+        self.count_send(src, block.len());
+        self.transmit(src, dst, channel, block, true);
     }
 
-    /// Count a native send against `src` and transmit it.
+    /// Count one send of `bytes` payload bytes against `src`. Public for
+    /// a transport that carries `src`'s remote sends on a wire of its own
+    /// and keeps this `Interconnect` as its local half: one set of send
+    /// counters per rank, whichever wire a message left on.
     #[inline]
-    fn send_counted(&self, src: usize, dst: usize, block: MsgBlock, channel: Channel, ring: bool) {
+    pub fn count_send(&self, src: usize, bytes: usize) {
         let t = &self.traffic[src];
         bump(&t.msgs_sent, 1);
-        bump(&t.bytes_sent, block.len() as u64);
-        self.transmit(src, dst, channel, block, ring);
+        bump(&t.bytes_sent, bytes as u64);
     }
 
-    /// [`Interconnect::send_on`] for a caller that delivers a *batch*
-    /// into `dst` and wakes it once: this call may leave `dst`'s
-    /// doorbell unrung, and the caller owes `dst` one
-    /// [`Interconnect::ring_doorbell`] after the last send of its
-    /// batch. Used by the multi-process transports' receive threads,
-    /// which drain a whole sweep of frames off the wire at a time —
-    /// waking a parked PE for the first frame of a sweep only has it
-    /// run, find one message, and park again while the rest is still
-    /// being copied in.
+    /// Deliver a block that `src` sent from **another address space**
+    /// into `dst`'s mailbox, for a caller that delivers a *batch* and
+    /// wakes `dst` once: this call may leave `dst`'s doorbell unrung,
+    /// and the caller owes `dst` one [`Interconnect::ring_doorbell`]
+    /// after the last delivery of its batch. Used by the multi-process
+    /// transports' receive threads, which drain a whole sweep of frames
+    /// off the wire at a time — waking a parked PE for the first frame
+    /// of a sweep only has it run, find one message, and park again
+    /// while the rest is still being copied in. Not counted as a send:
+    /// `src`'s own process did that when the block left.
     #[inline]
     pub fn send_on_quiet(
         &self,
@@ -726,7 +739,7 @@ impl Interconnect {
         block: impl Into<MsgBlock>,
         channel: Channel,
     ) {
-        self.send_counted(src, dst, block.into(), channel, false);
+        self.transmit(src, dst, channel, block.into(), false);
     }
 
     /// Wake `dst`'s receiver if it is parked — the second half of
@@ -890,45 +903,21 @@ impl Interconnect {
     }
 
     /// Blocking receive with timeout. Returns `None` on timeout or once
-    /// the machine has been closed and the mailbox drained. While `pe`
-    /// is stalled the call sleeps in short slices — it never pops a
-    /// packet inside a stall window.
+    /// the machine has been closed and the mailbox drained. Waits in
+    /// [`Interconnect::wait_nonempty`], so while `pe` is stalled the call
+    /// sleeps in short slices — it never pops a packet inside a stall
+    /// window.
     pub fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
-        let mbox = &self.boxes[pe];
         let deadline = Instant::now() + timeout;
         loop {
-            let now = Instant::now();
-            if self.stalled(pe) {
-                if now >= deadline {
-                    return None;
-                }
-                std::thread::sleep(STALL_SLICE.min(deadline.saturating_duration_since(now)));
-                continue;
-            }
-            if let Some(p) = self.mailbox_pop(pe) {
-                bump(&self.traffic[pe].msgs_recv, 1);
+            if let Some(p) = self.try_recv(pe) {
                 return Some(p);
             }
-            // Nothing staged and the inbox was empty at the pop: park on
-            // the inbox condvar. The re-check under the lock closes the
-            // race with a sender that pushed between the pop and here.
-            let mut q = mbox.inbox.lock();
-            if !q.is_empty() {
-                continue;
-            }
-            if self.closed.load(Ordering::Acquire) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || (self.is_closed() && self.pending(pe) == 0) {
                 return None;
             }
-            // With stall windows armed, wait only a slice at a time so a
-            // window opening mid-wait is observed before any pop.
-            let wake = if self.has_stalls.load(Ordering::Acquire) {
-                (now + STALL_SLICE).min(deadline)
-            } else {
-                deadline
-            };
-            if mbox.park(&mut q, wake) && Instant::now() >= deadline {
-                return None;
-            }
+            self.wait_nonempty(pe, left);
         }
     }
 
@@ -1036,7 +1025,7 @@ impl Interconnect {
             pe,
             traffic: self.traffic(pe),
             queued: self.pending(pe),
-            staged: self.staged_of(pe),
+            staged: self.boxes[pe].staged_len.load(Ordering::Acquire),
             run_queue: cell.run_queue.load(Ordering::Relaxed),
             occupancy_pm: cell.occupancy_pm.load(Ordering::Relaxed),
             stalled: self.stalled(pe),
@@ -1051,13 +1040,6 @@ impl Interconnect {
         cell.run_queue.store(run_queue, Ordering::Relaxed);
         cell.occupancy_pm
             .store(occupancy_pm.min(1000), Ordering::Relaxed);
-    }
-
-    /// Depth of `pe`'s staged (receiver-private) list — the stealable
-    /// share of [`Interconnect::pending`]. Lock-free read.
-    #[inline]
-    pub fn staged_of(&self, pe: usize) -> usize {
-        self.boxes[pe].staged_len.load(Ordering::Acquire)
     }
 
     /// Extract up to `max` *stealable* packets from `victim`'s staged
@@ -1117,21 +1099,28 @@ impl Interconnect {
         }
         if n > 0 {
             self.boxes[thief].ring();
-            // Mark the splice instant (keeping the oldest pending one)
-            // so the thief's scheduler can time splice→first-run.
-            let now = self.uptime().as_nanos() as u64;
-            let _ = self.steal_marks[thief].compare_exchange(
-                0,
-                now.max(1),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
+            self.mark_steal_splice(thief);
         }
         n
     }
 
-    /// Take-and-clear `pe`'s steal splice mark (see
-    /// [`CmiTransport::take_steal_mark`]).
+    /// Stamp the instant a donated batch was spliced into `thief`'s
+    /// mailbox (keeping the oldest pending mark), so its scheduler can
+    /// time splice→first-run. Public for the transports whose donations
+    /// arrive over a wire of their own.
+    pub fn mark_steal_splice(&self, thief: usize) {
+        let now = self.uptime().as_nanos() as u64;
+        let _ = self.steal_marks[thief].compare_exchange(
+            0,
+            now.max(1),
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+        );
+    }
+
+    /// Take-and-clear `pe`'s steal splice mark: the uptime nanosecond
+    /// at which the oldest not-yet-measured donated batch entered
+    /// `pe`'s mailbox, or 0 when none is pending.
     pub fn take_steal_mark(&self, pe: usize) -> u64 {
         if self.steal_marks[pe].load(Ordering::Relaxed) == 0 {
             return 0;
@@ -1144,20 +1133,6 @@ impl Interconnect {
     /// is fine for the monitoring/balancing uses this serves.
     pub fn load_snapshot(&self) -> Vec<PeLoad> {
         (0..self.num_pes()).map(|pe| self.load_of(pe)).collect()
-    }
-
-    /// Aggregate traffic over all PEs.
-    pub fn total_traffic(&self) -> PeTraffic {
-        let mut out = PeTraffic::default();
-        for pe in 0..self.num_pes() {
-            let t = self.traffic(pe);
-            out.msgs_sent += t.msgs_sent;
-            out.bytes_sent += t.bytes_sent;
-            out.msgs_recv += t.msgs_recv;
-            out.msgs_injected += t.msgs_injected;
-            out.bytes_injected += t.bytes_injected;
-        }
-        out
     }
 }
 
@@ -1297,8 +1272,7 @@ mod tests {
         assert_eq!(t0.msgs_sent, 2);
         assert_eq!(t0.bytes_sent, 150);
         assert_eq!(net.traffic(1).msgs_recv, 1);
-        let total = net.total_traffic();
-        assert_eq!(total.msgs_sent, 2);
+        assert_eq!(net.traffic(1).msgs_sent, 0);
     }
 
     #[test]
@@ -1334,9 +1308,9 @@ mod tests {
         assert_eq!(snap[2].traffic.bytes_sent, 0);
         assert_eq!(snap[2].traffic.msgs_injected, 1);
         assert_eq!(snap[2].traffic.bytes_injected, 3);
-        let total = net.total_traffic();
-        assert_eq!(total.msgs_sent, 1);
-        assert_eq!(total.msgs_injected, 1);
+        let sum = |f: fn(&PeLoad) -> u64| snap.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|l| l.traffic.msgs_sent), 1);
+        assert_eq!(sum(|l| l.traffic.msgs_injected), 1);
         // The injected packet still reads as coming from the destination
         // itself (there is no external PE id).
         assert_eq!(net.try_recv(2).unwrap().src, 2);
@@ -1987,7 +1961,7 @@ mod tests {
         // Bounded drain of one packet swaps the rest into staged.
         let mut out = Vec::new();
         assert_eq!(net.drain_into_bounded(1, &mut out, 1), 1);
-        assert_eq!(net.staged_of(1), 5);
+        assert_eq!(net.load_of(1).staged, 5);
 
         assert_eq!(net.steal_from(1, 0, 8), 3);
         // Thief sees the stolen packets in their original arrival order,
@@ -1998,7 +1972,7 @@ mod tests {
             assert_eq!(tag_of(&p), want);
         }
         // Victim keeps the unflagged packets, still in order.
-        assert_eq!(net.staged_of(1), 2);
+        assert_eq!(net.load_of(1).staged, 2);
         for want in [2, 4] {
             assert_eq!(tag_of(&net.try_recv(1).expect("survivor")), want);
         }
@@ -2034,7 +2008,7 @@ mod tests {
             net.send(0, 1, flagged(tag, true));
         }
         // Nothing drained yet: everything is still in the inbox.
-        assert_eq!(net.staged_of(1), 0);
+        assert_eq!(net.load_of(1).staged, 0);
         assert_eq!(net.steal_from(1, 0, 8), 0);
         assert_eq!(net.pending(1), 4);
         assert_eq!(net.steal_from(1, 1, 8), 0); // self-steal is a no-op

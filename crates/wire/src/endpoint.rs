@@ -28,12 +28,10 @@ use crate::{connect, kind, PushOutcome, ShmPlane, WireOptions, WireStream};
 use converse_msg::{write_frame, FrameHeader, MsgBlock};
 use converse_net::link::{Ack, FaultCounters, Receiver, Sender, Sent};
 use converse_net::{
-    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect, Packet,
-    PeLoad, PeTraffic,
+    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect,
 };
 use converse_trace::{Event, FaultKind, StealPhase, TraceSink};
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,6 +48,9 @@ pub type AbortHook = Box<dyn Fn(&str) + Send + Sync>;
 pub struct WireEndpoint {
     rank: usize,
     n: usize,
+    /// The local half: this rank's mailbox, clock, stall windows, load
+    /// cell and counters — wire sends and DONATE splices are recorded
+    /// here too, so the PE reads one set of each.
     inner: Arc<Interconnect>,
     writer: Mutex<WireStream>,
     /// Shared-memory ring data plane, when this endpoint runs the
@@ -63,8 +64,6 @@ pub struct WireEndpoint {
     send_links: Vec<Mutex<Sender>>,
     /// Receiver half of link `src → rank`, indexed by `src`.
     recv_links: Vec<Mutex<Receiver>>,
-    wire_msgs: AtomicU64,
-    wire_bytes: AtomicU64,
     fstats: FaultCounters,
     /// Counts every frame written or read — the trace sampling key.
     frames: AtomicU64,
@@ -82,10 +81,6 @@ pub struct WireEndpoint {
     /// (0 = none); closed out by the first DONATE arrival to time the
     /// request→donate steal leg.
     steal_req_at: AtomicU64,
-    /// Uptime-ns when the oldest unmeasured DONATE batch entered the
-    /// local mailbox (0 = none); consumed by the scheduler via
-    /// `take_steal_mark` to time splice→first-run.
-    steal_mark: AtomicU64,
     trace: Arc<dyn TraceSink>,
 }
 
@@ -143,8 +138,6 @@ impl WireEndpoint {
                 .collect(),
             recv_links: (0..n).map(|_| Mutex::new(Receiver::default())).collect(),
             plan,
-            wire_msgs: AtomicU64::new(0),
-            wire_bytes: AtomicU64::new(0),
             fstats: FaultCounters::default(),
             frames: AtomicU64::new(0),
             finishing: AtomicBool::new(false),
@@ -154,7 +147,6 @@ impl WireEndpoint {
             aborted: Mutex::new(None),
             on_abort: Mutex::new(None),
             steal_req_at: AtomicU64::new(0),
-            steal_mark: AtomicU64::new(0),
             trace,
         });
 
@@ -188,11 +180,6 @@ impl WireEndpoint {
                 .expect("spawn shm poller");
         }
         Ok(ep)
-    }
-
-    /// This endpoint's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
     }
 
     /// Install the machine layer's abort reaction (e.g. marking the
@@ -300,9 +287,7 @@ impl WireEndpoint {
     /// ring blocks here, and the thread that would drain it may be
     /// waiting to deliver an ACK into this same half.
     fn wire_send(&self, dst: usize, channel: Channel, block: MsgBlock) {
-        self.wire_msgs.fetch_add(1, Ordering::Relaxed);
-        self.wire_bytes
-            .fetch_add(block.len() as u64, Ordering::Relaxed);
+        self.inner.count_send(self.rank, block.len());
         let sent = if self.plan.is_none() && channel.delivery != Delivery::LatestValueWins {
             Sent { seq: 0, copies: 1 }
         } else {
@@ -412,14 +397,7 @@ impl WireEndpoint {
                         },
                     );
                 }
-                // Mark the splice so the scheduler can time
-                // splice→first-run (keep the oldest pending mark).
-                let _ = self.steal_mark.compare_exchange(
-                    0,
-                    now.max(1),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                );
+                self.inner.mark_steal_splice(self.rank);
                 // A donated message already cleared the reliability
                 // sublayer at the victim and the wire carried it
                 // exactly once, so it enters the local mailbox on the
@@ -620,15 +598,6 @@ impl WireEndpoint {
         }
         true
     }
-
-    /// This rank's authoritative traffic view: local mailbox counters
-    /// merged with the wire send counters.
-    pub fn local_traffic(&self) -> PeTraffic {
-        let mut t = self.inner.traffic(self.rank);
-        t.msgs_sent += self.wire_msgs.load(Ordering::Relaxed);
-        t.bytes_sent += self.wire_bytes.load(Ordering::Relaxed);
-        t
-    }
 }
 
 fn u64_le(bytes: &[u8]) -> u64 {
@@ -639,24 +608,11 @@ fn u64_le(bytes: &[u8]) -> u64 {
 }
 
 impl CmiTransport for WireEndpoint {
-    fn num_pes(&self) -> usize {
-        self.n
+    fn local(&self) -> &Interconnect {
+        &self.inner
     }
 
-    fn uptime(&self) -> Duration {
-        self.inner.uptime()
-    }
-
-    fn send_block(&self, src: usize, dst: usize, block: MsgBlock) {
-        debug_assert_eq!(src, self.rank, "a wire endpoint sends only as its own rank");
-        if dst == self.rank {
-            self.inner.send(src, dst, block);
-        } else {
-            self.wire_send(dst, Channel::DEFAULT, block);
-        }
-    }
-
-    fn send_block_on(&self, src: usize, dst: usize, block: MsgBlock, channel: Channel) {
+    fn send_on(&self, src: usize, dst: usize, block: MsgBlock, channel: Channel) {
         debug_assert_eq!(src, self.rank, "a wire endpoint sends only as its own rank");
         if dst == self.rank {
             self.inner.send_on(src, dst, block, channel);
@@ -665,7 +621,7 @@ impl CmiTransport for WireEndpoint {
         }
     }
 
-    fn inject_block(&self, dst: usize, block: MsgBlock) {
+    fn inject(&self, dst: usize, block: MsgBlock) {
         if dst == self.rank {
             self.inner.inject(dst, block);
         } else {
@@ -675,46 +631,6 @@ impl CmiTransport for WireEndpoint {
                 true,
             );
         }
-    }
-
-    fn broadcast_excl_block(&self, src: usize, block: MsgBlock) {
-        for dst in 0..self.n {
-            if dst != src {
-                self.send_block(src, dst, block.share());
-            }
-        }
-    }
-
-    fn broadcast_all_block(&self, src: usize, block: MsgBlock) {
-        for dst in 0..self.n {
-            self.send_block(src, dst, block.share());
-        }
-    }
-
-    /// Destinations live in other address spaces: every remote PE
-    /// receives its own copy off the wire.
-    fn broadcast_zero_copy(&self) -> bool {
-        false
-    }
-
-    fn drain_bounded(&self, pe: usize, out: &mut VecDeque<Packet>, max: usize) -> usize {
-        self.inner.drain_into_bounded(pe, out, max)
-    }
-
-    fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
-        self.inner.recv_timeout(pe, timeout)
-    }
-
-    fn wait_nonempty_spin(&self, pe: usize, timeout: Duration, spin: u32) -> u32 {
-        self.inner.wait_nonempty_spin(pe, timeout, spin)
-    }
-
-    fn pending(&self, pe: usize) -> usize {
-        self.inner.pending(pe)
-    }
-
-    fn stalled(&self, pe: usize) -> bool {
-        self.inner.stalled(pe)
     }
 
     fn stall_for(&self, pe: usize, dur: Duration) {
@@ -727,58 +643,6 @@ impl CmiTransport for WireEndpoint {
                 true,
             );
         }
-    }
-
-    fn close(&self) {
-        self.inner.close()
-    }
-
-    fn is_closed(&self) -> bool {
-        self.inner.is_closed()
-    }
-
-    fn traffic(&self, pe: usize) -> PeTraffic {
-        if pe == self.rank {
-            self.local_traffic()
-        } else {
-            PeTraffic::default()
-        }
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.fstats.snapshot()
-    }
-
-    fn transport_name(&self) -> &'static str {
-        if self.shm.is_some() {
-            "shmring"
-        } else {
-            "socket"
-        }
-    }
-
-    fn publish_load(&self, pe: usize, run_queue: usize, occupancy_pm: u32) {
-        if pe == self.rank {
-            self.inner.publish_load(pe, run_queue, occupancy_pm);
-        }
-    }
-
-    /// The local mailbox's view with the wire send counters merged in
-    /// for this rank. A remote rank's mailbox here is never sent to,
-    /// published to or stalled, so everything but its traffic already
-    /// reads zero.
-    fn load_of(&self, pe: usize) -> PeLoad {
-        PeLoad {
-            traffic: self.traffic(pe),
-            ..self.inner.load_of(pe)
-        }
-    }
-
-    /// Remote ranks live in other processes; their load reads degrade
-    /// to zeros, so balancers must use gossiped samples and thieves a
-    /// rotating victim.
-    fn remote_load_visible(&self) -> bool {
-        false
     }
 
     /// Distributed steal: fire an asynchronous STEAL_REQ at the victim
@@ -806,10 +670,22 @@ impl CmiTransport for WireEndpoint {
         0
     }
 
-    fn take_steal_mark(&self, pe: usize) -> u64 {
-        if pe != self.rank || self.steal_mark.load(Ordering::Relaxed) == 0 {
-            return 0;
+    /// Every other rank is another process: it receives its own copy
+    /// off the wire, and its row of the local half's load board is
+    /// never written.
+    fn shared_memory(&self) -> bool {
+        false
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        self.fstats.snapshot()
+    }
+
+    fn name(&self) -> &'static str {
+        if self.shm.is_some() {
+            "shmring"
+        } else {
+            "socket"
         }
-        self.steal_mark.swap(0, Ordering::AcqRel)
     }
 }

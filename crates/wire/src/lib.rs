@@ -11,8 +11,10 @@
 //!   star topology: worker → hub → worker. One listener address is the
 //!   whole machine's bootstrap configuration.
 //! * Each worker holds a [`WireEndpoint`]: its end of the hub
-//!   connection plus a private single-rank mailbox (an `Interconnect`
-//!   reused purely as the local delivery/condvar/stall machinery).
+//!   connection plus a private `Interconnect` as the transport's *local
+//!   half* — the rank's mailbox, clock, stall windows, load cell and
+//!   counters, which the PE calls directly; the endpoint implements
+//!   only what crosses the wire.
 //! * Frames are the length-prefixed encoding in `converse_msg::frame` —
 //!   the payload is the generalized message verbatim, so everything
 //!   above the transport is bit-identical across wires.

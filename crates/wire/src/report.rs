@@ -15,7 +15,8 @@ use converse_net::{FaultStats, PeTraffic};
 pub struct WorkerReport {
     /// The worker's PE rank.
     pub rank: usize,
-    /// The rank's traffic counters (wire sends merged with local ones).
+    /// The rank's traffic counters, as its endpoint's local half keeps
+    /// them (sends that left over the wire are counted there too).
     pub traffic: PeTraffic,
     /// The worker's fault-plane and reliability counters.
     pub faults: FaultStats,
@@ -68,7 +69,10 @@ impl WorkerReport {
             superseded: u.u64()?,
         };
         let n = u.u32()? as usize;
-        let mut output = Vec::with_capacity(n);
+        // `n` is the peer's word: reserve only what the bytes that
+        // actually arrived can hold (a line is at least its 4-byte
+        // length prefix), not 24 bytes × whatever it claims.
+        let mut output = Vec::with_capacity(n.min(u.remaining() / 4));
         for _ in 0..n {
             output.push(u.str()?);
         }
@@ -108,6 +112,31 @@ mod tests {
             output: vec!["PE 3 done".into(), "".into()],
         };
         assert_eq!(WorkerReport::decode(&r.encode()).unwrap(), r);
+    }
+
+    #[test]
+    fn truncated_or_overcounted_reports_are_errors_not_reservations() {
+        let r = WorkerReport {
+            output: vec!["a line".into(), "".into(), "another".into()],
+            ..WorkerReport::default()
+        };
+        let bytes = r.encode();
+        for len in 0..bytes.len() {
+            assert!(
+                WorkerReport::decode(&bytes[..len]).is_err(),
+                "a report cut at {len} of {} bytes decoded",
+                bytes.len()
+            );
+        }
+        // Four bytes of count from the worker must not size a
+        // reservation: `u32::MAX` lines would be ~100 GB of `String`
+        // headers, an allocation failure (abort) before the first line
+        // is read.
+        let count_at = bytes.len() - r.output.iter().map(|l| 4 + l.len()).sum::<usize>() - 4;
+        assert_eq!(bytes[count_at..count_at + 4], 3u32.to_le_bytes());
+        let mut lying = bytes.clone();
+        lying[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(WorkerReport::decode(&lying).is_err());
     }
 
     #[test]

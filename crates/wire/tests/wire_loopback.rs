@@ -4,7 +4,7 @@
 //! protocol itself — bootstrap barrier, routing, reliability over the
 //! wire, teardown — without the exec machinery.
 
-use converse_net::{CmiTransport, DeliveryMode, FaultPlan, LinkFaults};
+use converse_net::{Channel, CmiTransport, DeliveryMode, FaultPlan, LinkFaults};
 use converse_trace::NullSink;
 use converse_wire::{WireEndpoint, WireHub, WireKind, WireOptions, WorkerReport};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ fn worker_exit(ep: &Arc<WireEndpoint>, rank: usize) {
     );
     let report = WorkerReport {
         rank,
-        traffic: ep.local_traffic(),
+        traffic: ep.local().traffic(rank),
         faults: ep.fault_stats(),
         output: Vec::new(),
     };
@@ -76,8 +76,14 @@ fn run_machine(
 fn two_ranks_exchange_messages_and_exit_cleanly() {
     let reports = run_machine(2, None, |ep, rank| {
         let peer = 1 - rank;
-        ep.send_block(rank, peer, format!("hi from {rank}").into_bytes().into());
+        ep.send_on(
+            rank,
+            peer,
+            format!("hi from {rank}").into_bytes().into(),
+            Channel::DEFAULT,
+        );
         let p = ep
+            .local()
             .recv_timeout(rank, Duration::from_secs(10))
             .expect("peer message");
         assert_eq!(p.src, peer);
@@ -110,7 +116,7 @@ fn lossy_wire_delivers_exactly_once_in_order() {
             for i in 0..per_link {
                 let mut payload = vec![rank as u8];
                 payload.extend_from_slice(&i.to_le_bytes());
-                ep.send_block(rank, dst, payload.into());
+                ep.send_on(rank, dst, payload.into(), Channel::DEFAULT);
             }
         }
         // Expect exactly per_link messages from each peer, in order.
@@ -119,7 +125,7 @@ fn lossy_wire_delivers_exactly_once_in_order() {
         let mut remaining = per_link * (n as u64 - 1);
         while remaining > 0 {
             assert!(Instant::now() < deadline, "rank {rank}: timed out");
-            let Some(p) = ep.recv_timeout(rank, Duration::from_millis(200)) else {
+            let Some(p) = ep.local().recv_timeout(rank, Duration::from_millis(200)) else {
                 continue;
             };
             let src = p.bytes()[0] as usize;
@@ -148,12 +154,13 @@ fn lossy_wire_delivers_exactly_once_in_order() {
 #[test]
 fn broadcast_reaches_every_rank_as_copies() {
     let reports = run_machine(3, None, |ep, rank| {
-        assert!(!ep.broadcast_zero_copy());
-        assert_eq!(ep.transport_name(), "socket");
+        assert!(!ep.shared_memory());
+        assert_eq!(ep.name(), "socket");
         if rank == 0 {
-            ep.broadcast_excl_block(0, b"fanout".as_slice().into());
+            ep.broadcast(0, b"fanout".as_slice().into(), false);
         } else {
             let p = ep
+                .local()
                 .recv_timeout(rank, Duration::from_secs(10))
                 .expect("broadcast arrival");
             assert_eq!(p.src, 0);
@@ -168,13 +175,14 @@ fn remote_stall_routes_over_the_wire() {
     run_machine(2, None, |ep, rank| {
         if rank == 0 {
             ep.stall_for(1, Duration::from_millis(300));
-            ep.send_block(0, 1, b"after stall".as_slice().into());
+            ep.send_on(0, 1, b"after stall".as_slice().into(), Channel::DEFAULT);
         } else {
             // Give the STALL frame time to arrive and arm.
             std::thread::sleep(Duration::from_millis(100));
-            let armed = ep.stalled(1);
+            let armed = ep.local().stalled(1);
             let t0 = Instant::now();
             let p = ep
+                .local()
                 .recv_timeout(1, Duration::from_secs(10))
                 .expect("message after stall");
             assert_eq!(p.bytes(), b"after stall");
@@ -215,9 +223,9 @@ fn worker_abort_fans_out_to_peers() {
                 false
             } else {
                 // The peer must be woken out of a blocking receive.
-                let p = ep.recv_timeout(rank, Duration::from_secs(20));
+                let p = ep.local().recv_timeout(rank, Duration::from_secs(20));
                 assert!(p.is_none(), "no message was ever sent");
-                assert!(ep.is_closed(), "abort must close the mailbox");
+                assert!(ep.local().is_closed(), "abort must close the mailbox");
                 ep.aborted().is_some()
             }
         }));
@@ -262,8 +270,9 @@ fn unix_domain_sockets_carry_the_machine() {
             )
             .expect("connect over unix socket");
             let peer = 1 - rank;
-            ep.send_block(rank, peer, b"ud".as_slice().into());
+            ep.send_on(rank, peer, b"ud".as_slice().into(), Channel::DEFAULT);
             let p = ep
+                .local()
                 .recv_timeout(rank, Duration::from_secs(10))
                 .expect("peer message");
             assert_eq!(p.src, peer);
@@ -325,7 +334,10 @@ fn run_against_raw_peer(
             assert!(Instant::now() < deadline, "no abort within 2 s");
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(ep.is_closed(), "a failed machine closes the mailbox");
+        assert!(
+            ep.local().is_closed(),
+            "a failed machine closes the mailbox"
+        );
         let msg = ep.aborted().unwrap();
         assert_eq!(hooked.lock().unwrap().as_deref(), Some(msg.as_str()));
         msg
