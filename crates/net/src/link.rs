@@ -13,11 +13,12 @@
 //! * **Input** — [`Sender::send`] (a block to carry), [`Receiver::on_data`]
 //!   (a copy came off the wire), [`Sender::on_ack`] (the receiver's
 //!   answer), [`Sender::tick`] (time passed).
-//! * **Output** — copies to put on the wire now ([`Sent::copies`],
-//!   [`WireCopy`]), blocks to hand upward in order (the `deliver`
-//!   callback), an [`Ack`] to convey back, fault events to trace (the
-//!   `trace` callback). Copies the fault plane delays stay inside the
-//!   sender until a tick finds them due.
+//! * **Output** — copies to put on the wire now ([`Sent::copies`], the
+//!   [`WireCopy`]s of `tick` and `on_ack`), blocks to hand upward in
+//!   order (the `deliver` callback), an [`Ack`] to convey back, the
+//!   earliest deadline still pending (`tick`'s return value), fault
+//!   events to trace (the `trace` callback). Copies the fault plane
+//!   delays stay inside the sender until a tick finds them due.
 //! * **Side effects** — the caller's [`FaultCounters`] advance; nothing
 //!   else outside the half changes.
 //! * **Job** — mask a [`FaultPlan`]'s drops, duplicates and delays
@@ -32,8 +33,9 @@
 //! `converse_wire::WireEndpoint` keeps the sender halves of its
 //! outgoing links and the receiver halves of its incoming ones: the
 //! wire is a DATA frame, an ack an ACK frame. Each runs a pump thread
-//! that sleeps one [`FaultPlan::tick`] and calls [`Sender::tick`];
-//! whether a closing machine keeps ticking is the driver's decision.
+//! that calls [`Sender::tick`] and sleeps until the deadline it
+//! returned, one [`FaultPlan::tick`] at most ([`pump_sleep`]); whether
+//! a closing machine keeps ticking is the driver's decision.
 
 use crate::fault::{
     link_draw, unit, FaultPlan, FaultStats, LinkFaults, SALT_DELAY, SALT_DELAY_SLOTS, SALT_DROP,
@@ -101,8 +103,8 @@ pub struct Sent {
     pub copies: u32,
 }
 
-/// One copy [`Sender::tick`] wants on the wire now: a limbo release or
-/// a retransmission.
+/// One copy [`Sender::tick`] or [`Sender::on_ack`] wants on the wire
+/// now: a limbo release or a retransmission.
 pub struct WireCopy {
     /// The channel (id + guarantee) the copy travels on.
     pub channel: Channel,
@@ -164,11 +166,25 @@ impl<T> Chans<T> {
     }
 }
 
+/// Acks for later-sent seqs after which an unacknowledged seq is
+/// presumed lost and resent without waiting for its timer (the classic
+/// fast-retransmit threshold: fewer would resend on mere reordering).
+pub const FAST_RETRANSMIT_ACKS: u32 = 3;
+
 /// A transmitted-but-unacknowledged block held for retransmission.
 struct InFlight {
     block: MsgBlock,
     attempt: u32,
     due: Instant,
+    /// The channel's `next_seq` when a copy of this seq last went on the
+    /// wire (first attempt, retransmission or limbo release): an ack
+    /// whose `selective` is at least this answers a seq first sent after
+    /// it, acks already in flight at that moment are all below.
+    mark: u64,
+    /// Acks at or above `mark` seen since that transmission.
+    later_acks: u32,
+    /// Copies of this seq waiting in the channel's limbo.
+    in_limbo: u32,
 }
 
 /// A fault-delayed copy waiting for its release slot.
@@ -274,6 +290,60 @@ impl Wire {
         }
         now_copies
     }
+
+    /// Resend `seq` through the fault plane: the attempt count and the
+    /// backed-off timer advance, the ack count re-arms from the
+    /// channel's `next_seq`, and the copies that cross now go to `out`.
+    #[allow(clippy::too_many_arguments)] // `attempt`'s, plus the slot
+    fn retransmit(
+        &self,
+        channel: Channel,
+        seq: u64,
+        inf: &mut InFlight,
+        next_seq: u64,
+        now: Instant,
+        flush: bool,
+        limbo: &mut Vec<Limbo>,
+        stats: &FaultCounters,
+        trace: &mut impl FnMut(FaultKind, u64),
+        out: &mut Vec<WireCopy>,
+    ) {
+        inf.attempt += 1;
+        let backoff = self.rto * (1u32 << (inf.attempt - 1).min(10));
+        inf.due = now + backoff.min(self.rto_cap);
+        inf.mark = next_seq;
+        inf.later_acks = 0;
+        count(&stats.retransmitted, 1);
+        trace(FaultKind::Retransmit, seq);
+        let held = limbo.len();
+        let copies = self.attempt(
+            channel.id,
+            seq,
+            inf.attempt,
+            now,
+            flush,
+            &inf.block,
+            limbo,
+            stats,
+            trace,
+        );
+        inf.in_limbo += (limbo.len() - held) as u32;
+        for _ in 0..copies {
+            out.push(WireCopy {
+                channel,
+                seq,
+                block: inf.block.share(),
+            });
+        }
+    }
+}
+
+/// How long a pump sleeps after a [`Sender::tick`] that returned `due`:
+/// until that deadline, one `tick` at most. Every deadline is created
+/// at least one `tick` ahead of its insertion, so a pump that never
+/// sleeps longer finds it in time without being signalled.
+pub fn pump_sleep(tick: Duration, due: Option<Instant>, now: Instant) -> Duration {
+    due.map_or(tick, |d| d.saturating_duration_since(now).min(tick))
 }
 
 /// The sending half of one directed link.
@@ -343,18 +413,7 @@ impl Sender {
                 trace(FaultKind::Supersede, seq);
             }
         }
-        // At-most-once gets this one attempt and nothing else: no
-        // retransmit slot, no acks, no sender state.
-        if channel.delivery != Delivery::AtMostOnce {
-            chan.unacked.insert(
-                seq,
-                InFlight {
-                    block: block.share(),
-                    attempt: 1,
-                    due: now + wire.rto,
-                },
-            );
-        }
+        let held = chan.limbo.len();
         let copies = wire.attempt(
             channel.id,
             seq,
@@ -366,25 +425,74 @@ impl Sender {
             stats,
             &mut trace,
         );
+        // At-most-once gets this one attempt and nothing else: no
+        // retransmit slot, no acks, no sender state.
+        if channel.delivery != Delivery::AtMostOnce {
+            chan.unacked.insert(
+                seq,
+                InFlight {
+                    block: block.share(),
+                    attempt: 1,
+                    due: now + wire.rto,
+                    mark: chan.next_seq,
+                    later_acks: 0,
+                    in_limbo: (chan.limbo.len() - held) as u32,
+                },
+            );
+        }
         Sent { seq, copies }
     }
 
     /// The receiver's answer came back: `selective` and everything
     /// below `cumulative` leave the retransmit slots — and limbo, a
-    /// delivered seq has no use for its delayed copies. An ack for a
-    /// channel with no sender state is a no-op.
-    pub fn on_ack(&mut self, channel: u32, ack: Ack) {
-        if let Some(chan) = self.chans.get_mut(channel) {
-            chan.unacked.remove(&ack.selective);
-            while chan
-                .unacked
-                .first_key_value()
-                .is_some_and(|(s, _)| *s < ack.cumulative)
-            {
-                chan.unacked.pop_first();
+    /// delivered seq has no use for its delayed copies. Then the gap
+    /// below `selective` is looked at: the ack answers a seq that
+    /// arrived *behind* whatever is still unacknowledged there, and a
+    /// seq passed by [`FAST_RETRANSMIT_ACKS`] such acks — each for a
+    /// seq first sent after its own latest transmission — is presumed
+    /// lost and resent now, through the fault plane, into `out`. A seq
+    /// with a copy still in limbo is only late, not lost, and is left
+    /// to its release. An ack for a channel with no sender state is a
+    /// no-op.
+    #[allow(clippy::too_many_arguments)] // `tick`'s, plus the ack
+    pub fn on_ack(
+        &mut self,
+        now: Instant,
+        flush: bool,
+        channel: u32,
+        ack: Ack,
+        stats: &FaultCounters,
+        mut trace: impl FnMut(FaultKind, u64),
+        out: &mut Vec<WireCopy>,
+    ) {
+        let Some(chan) = self.chans.get_mut(channel) else {
+            return;
+        };
+        let TxChan {
+            channel,
+            next_seq,
+            unacked,
+            limbo,
+        } = chan;
+        unacked.remove(&ack.selective);
+        while unacked
+            .first_key_value()
+            .is_some_and(|(s, _)| *s < ack.cumulative)
+        {
+            unacked.pop_first();
+        }
+        limbo.retain(|l| l.seq >= ack.cumulative && l.seq != ack.selective);
+        let Some(wire) = &self.wire else { return };
+        for (&seq, inf) in unacked.range_mut(..ack.selective) {
+            if ack.selective < inf.mark || inf.in_limbo > 0 {
+                continue;
             }
-            chan.limbo
-                .retain(|l| l.seq >= ack.cumulative && l.seq != ack.selective);
+            inf.later_acks += 1;
+            if inf.later_acks >= FAST_RETRANSMIT_ACKS {
+                wire.retransmit(
+                    *channel, seq, inf, *next_seq, now, flush, limbo, stats, &mut trace, out,
+                );
+            }
         }
     }
 
@@ -392,7 +500,9 @@ impl Sender {
     /// (all of them under `flush`) in sequence order, then retransmit
     /// every unacknowledged block whose timer ran out, with capped
     /// exponential backoff, through the fault plane again. What goes on
-    /// the wire now is appended to `out`.
+    /// the wire now is appended to `out`; the return value is the
+    /// earliest deadline still pending — a limbo release or a timer —
+    /// and `None` when there is nothing to wait for.
     pub fn tick(
         &mut self,
         now: Instant,
@@ -400,20 +510,33 @@ impl Sender {
         stats: &FaultCounters,
         mut trace: impl FnMut(FaultKind, u64),
         out: &mut Vec<WireCopy>,
-    ) {
-        let Some(wire) = &self.wire else { return };
+    ) -> Option<Instant> {
+        let wire = self.wire.as_ref()?;
+        let mut next_due: Option<Instant> = None;
         for chan in self.chans.iter_mut() {
             if chan.limbo.is_empty() && chan.unacked.is_empty() {
                 continue;
             }
-            let channel = chan.channel;
+            let TxChan {
+                channel,
+                next_seq,
+                unacked,
+                limbo,
+            } = chan;
             let released = out.len();
             let mut i = 0;
-            while i < chan.limbo.len() {
-                if flush || chan.limbo[i].due <= now {
-                    let l = chan.limbo.swap_remove(i);
+            while i < limbo.len() {
+                if flush || limbo[i].due <= now {
+                    let l = limbo.swap_remove(i);
+                    // A release is a transmission: acks under way for
+                    // seqs sent before it say nothing about this copy.
+                    if let Some(inf) = unacked.get_mut(&l.seq) {
+                        inf.in_limbo -= 1;
+                        inf.mark = *next_seq;
+                        inf.later_acks = 0;
+                    }
                     out.push(WireCopy {
-                        channel,
+                        channel: *channel,
                         seq: l.seq,
                         block: l.block,
                     });
@@ -422,35 +545,18 @@ impl Sender {
                 }
             }
             out[released..].sort_by_key(|c| c.seq);
-            for (&seq, inf) in chan.unacked.iter_mut() {
-                if inf.due > now {
-                    continue;
-                }
-                inf.attempt += 1;
-                let backoff = wire.rto * (1u32 << (inf.attempt - 1).min(10));
-                inf.due = now + backoff.min(wire.rto_cap);
-                count(&stats.retransmitted, 1);
-                trace(FaultKind::Retransmit, seq);
-                let copies = wire.attempt(
-                    channel.id,
-                    seq,
-                    inf.attempt,
-                    now,
-                    flush,
-                    &inf.block,
-                    &mut chan.limbo,
-                    stats,
-                    &mut trace,
-                );
-                for _ in 0..copies {
-                    out.push(WireCopy {
-                        channel,
-                        seq,
-                        block: inf.block.share(),
-                    });
+            for (&seq, inf) in unacked.iter_mut() {
+                if inf.due <= now {
+                    wire.retransmit(
+                        *channel, seq, inf, *next_seq, now, flush, limbo, stats, &mut trace, out,
+                    );
                 }
             }
+            let pending = unacked.values().map(|inf| inf.due);
+            let pending = pending.chain(limbo.iter().map(|l| l.due));
+            next_due = next_due.into_iter().chain(pending).min();
         }
+        next_due
     }
 
     /// True when nothing is buffered: every send is acknowledged (or
@@ -462,9 +568,15 @@ impl Sender {
     }
 }
 
+/// How far ahead of the next expected seq an exactly-once channel parks
+/// an arrival: at most this many blocks per channel are ever held out
+/// of order, whatever the peer sends.
+pub const OOO_WINDOW: u64 = 1 << 16;
+
 /// Receiver state of one channel: `expected` is the next seq to hand
 /// upward (exactly-once) or the monotonic floor (at-most-once,
-/// latest-value-wins); `ooo` holds what arrived ahead of it.
+/// latest-value-wins); `ooo` holds what arrived ahead of it, within
+/// [`OOO_WINDOW`].
 struct RxChan {
     expected: u64,
     ooo: BTreeMap<u64, MsgBlock>,
@@ -504,7 +616,11 @@ impl Receiver {
     ///
     /// `seq` is wire input. A sequenced stream numbers from 1 and the
     /// floor above a seq must be representable, so 0 and `u64::MAX`
-    /// are malformed: counted as `dedup_dropped`, not acked.
+    /// are malformed: counted as `dedup_dropped`, not acked. So is an
+    /// exactly-once seq [`OOO_WINDOW`] or more ahead of the next
+    /// expected one: it is refused — not parked, not acked, so the
+    /// sender's timer offers it again once the gap has closed — and a
+    /// peer cannot make this half hold unbounded memory.
     pub fn on_data(
         &mut self,
         channel: Channel,
@@ -514,9 +630,10 @@ impl Receiver {
         mut trace: impl FnMut(FaultKind, u64),
         mut deliver: impl FnMut(u64, MsgBlock),
     ) -> Option<Ack> {
-        let above = seq.checked_add(1).filter(|_| seq != 0);
         let chan = self.chans.entry(channel.id, RxChan::new);
         let exactly_once = channel.delivery == Delivery::ExactlyOnce;
+        let too_far = exactly_once && seq.saturating_sub(chan.expected) >= OOO_WINDOW;
+        let above = seq.checked_add(1).filter(|_| seq != 0 && !too_far);
         let seen = seq < chan.expected || (exactly_once && chan.ooo.contains_key(&seq));
         match above {
             Some(above) if !seen => {
@@ -540,6 +657,11 @@ impl Receiver {
             selective: seq,
             cumulative: chan.expected,
         })
+    }
+
+    /// Blocks held out of order, over all channels.
+    pub fn parked(&self) -> usize {
+        self.chans.iter().map(|c| c.ooo.len()).sum()
     }
 }
 
@@ -565,6 +687,24 @@ mod tests {
         let mut got = Vec::new();
         let ack = rx.on_data(channel, seq, block(0), stats, |_, _| {}, |s, _| got.push(s));
         (got, ack)
+    }
+
+    /// Feed one ack on channel id `chan`, return the seqs it resent.
+    fn ack(
+        tx: &mut Sender,
+        now: Instant,
+        chan: u32,
+        selective: u64,
+        cumulative: u64,
+        stats: &FaultCounters,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        let ack = Ack {
+            selective,
+            cumulative,
+        };
+        tx.on_ack(now, false, chan, ack, stats, |_, _| {}, &mut out);
+        out.iter().map(|c| c.seq).collect()
     }
 
     #[test]
@@ -625,25 +765,14 @@ mod tests {
         let sent = tx.send(now, false, EO, &block(1), &stats, |_, _| {});
         assert_eq!(sent, Sent { seq: 1, copies: 0 });
         assert!(!tx.is_idle());
-        tx.on_ack(
-            0,
-            Ack {
-                selective: 1,
-                cumulative: 1,
-            },
-        );
+        assert_eq!(ack(&mut tx, now, 0, 1, 1, &stats), []);
         assert!(tx.is_idle());
         let mut out = Vec::new();
-        tx.tick(now + plan.rto_cap, false, &stats, |_, _| {}, &mut out);
+        let due = tx.tick(now + plan.rto_cap, false, &stats, |_, _| {}, &mut out);
         assert!(out.is_empty(), "nothing left to release or retransmit");
+        assert_eq!(due, None, "and nothing to wait for");
         // An ack for a channel that never sent materializes nothing.
-        tx.on_ack(
-            99,
-            Ack {
-                selective: 1,
-                cumulative: 2,
-            },
-        );
+        assert_eq!(ack(&mut tx, now, 99, 1, 2, &stats), []);
         assert!(tx.is_idle());
     }
 
@@ -660,7 +789,9 @@ mod tests {
             last = arrive(&mut rx, EO, sent.seq, &stats).1;
         }
         // Only the third ack gets through.
-        tx.on_ack(0, last.unwrap());
+        let last = last.unwrap();
+        let resent = ack(&mut tx, now, 0, last.selective, last.cumulative, &stats);
+        assert_eq!(resent, [], "what a cumulative ack covers is not a gap");
         assert!(tx.is_idle());
     }
 
@@ -686,5 +817,205 @@ mod tests {
         }
         assert_eq!(gaps, [1, 2, 4, 5, 5]);
         assert_eq!(stats.snapshot().retransmitted, 5);
+    }
+
+    // ---- ack-clocked recovery, on the fake clock ------------------------
+
+    const DROP: f64 = 0.3;
+
+    /// Whether a plan of seed `seed` dropping [`DROP`] of link 0 → 1's
+    /// default-channel traffic drops attempt `attempt` of `seq`.
+    fn drops(seed: u64, seq: u64, attempt: u32) -> bool {
+        unit(link_draw(seed, 0, 1, seq, attempt, SALT_DROP)) < DROP
+    }
+
+    /// A drop-only sender whose seed makes the plan drop exactly the
+    /// listed `(seq, attempt)`s among attempts 1–3 of seqs 1–8.
+    fn sender_dropping(lost: &[(u64, u32)]) -> (Sender, FaultPlan) {
+        let fits = |seed: &u64| {
+            (1..=8).all(|seq| (1..=3).all(|a| drops(*seed, seq, a) == lost.contains(&(seq, a))))
+        };
+        let seed = (0..u64::MAX).find(fits).expect("a seed with these draws");
+        let plan = FaultPlan::lossy(seed, DROP, 0.0, 0.0, 0);
+        (Sender::new(0, 1, Some(&plan)), plan)
+    }
+
+    /// Send seqs `from..=to`; every copy that crosses arrives at once
+    /// (in order) and its ack is returned, not yet fed to the sender.
+    fn send_range(
+        tx: &mut Sender,
+        rx: &mut Receiver,
+        now: Instant,
+        seqs: std::ops::RangeInclusive<u64>,
+        stats: &FaultCounters,
+    ) -> Vec<Ack> {
+        let mut acks = Vec::new();
+        for seq in seqs {
+            let sent = tx.send(now, false, EO, &block(seq as u8), stats, |_, _| {});
+            assert_eq!(sent.seq, seq);
+            for _ in 0..sent.copies {
+                acks.extend(arrive(rx, EO, seq, stats).1);
+            }
+        }
+        acks
+    }
+
+    fn feed(tx: &mut Sender, now: Instant, a: Ack, stats: &FaultCounters) -> Vec<u64> {
+        ack(tx, now, 0, a.selective, a.cumulative, stats)
+    }
+
+    #[test]
+    fn a_dropped_seq_is_resent_on_the_third_later_ack_not_the_second() {
+        let (mut tx, _) = sender_dropping(&[(1, 1)]);
+        let (mut rx, stats) = (Receiver::default(), FaultCounters::default());
+        let now = Instant::now();
+        let acks = send_range(&mut tx, &mut rx, now, 1..=4, &stats);
+        assert_eq!(acks.len(), 3, "seq 1 never crossed");
+        assert_eq!(feed(&mut tx, now, acks[0], &stats), []);
+        assert_eq!(feed(&mut tx, now, acks[1], &stats), []);
+        assert_eq!(stats.snapshot().retransmitted, 0);
+        assert_eq!(feed(&mut tx, now, acks[2], &stats), [1]);
+        assert_eq!(stats.snapshot().retransmitted, 1);
+        // The resent copy closes the gap and its ack retires everything.
+        let (got, a) = arrive(&mut rx, EO, 1, &stats);
+        assert_eq!(got, [1, 2, 3, 4]);
+        assert_eq!(feed(&mut tx, now, a.unwrap(), &stats), []);
+        assert!(tx.is_idle());
+    }
+
+    #[test]
+    fn a_resend_dropped_again_is_re_armed_by_later_sends_only() {
+        let (mut tx, _) = sender_dropping(&[(1, 1), (1, 2)]);
+        let (mut rx, stats) = (Receiver::default(), FaultCounters::default());
+        let now = Instant::now();
+        let old = send_range(&mut tx, &mut rx, now, 1..=4, &stats);
+        for a in &old {
+            // The third resends seq 1; the plan drops that copy too.
+            assert_eq!(feed(&mut tx, now, *a, &stats), []);
+        }
+        assert_eq!(stats.snapshot().retransmitted, 1);
+        // Acks for seqs sent before the resend — replayed, or still on
+        // their way when it left — do not count against it.
+        for a in old.iter().chain(&old) {
+            assert_eq!(feed(&mut tx, now, *a, &stats), []);
+        }
+        assert_eq!(stats.snapshot().retransmitted, 1);
+        let new = send_range(&mut tx, &mut rx, now, 5..=7, &stats);
+        assert_eq!(feed(&mut tx, now, new[0], &stats), []);
+        assert_eq!(feed(&mut tx, now, new[1], &stats), []);
+        assert_eq!(feed(&mut tx, now, new[2], &stats), [1]);
+        assert_eq!(stats.snapshot().retransmitted, 2);
+    }
+
+    #[test]
+    fn tail_loss_waits_for_its_timer() {
+        let (mut tx, plan) = sender_dropping(&[(1, 1)]);
+        let (mut rx, stats) = (Receiver::default(), FaultCounters::default());
+        let t0 = Instant::now();
+        for a in send_range(&mut tx, &mut rx, t0, 1..=3, &stats) {
+            assert_eq!(feed(&mut tx, t0, a, &stats), [], "two later acks only");
+        }
+        let mut out = Vec::new();
+        let early = t0 + plan.rto - Duration::from_micros(1);
+        let due = tx.tick(early, false, &stats, |_, _| {}, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(due, Some(t0 + plan.rto));
+        tx.tick(t0 + plan.rto, false, &stats, |_, _| {}, &mut out);
+        assert_eq!(out.iter().map(|c| c.seq).collect::<Vec<_>>(), [1]);
+    }
+
+    #[test]
+    fn a_seq_with_a_copy_in_limbo_is_late_not_lost() {
+        // Seq 1's only copy is delayed, seqs 2–7 cross at once.
+        let delayed = |seed: u64, seq: u64| unit(link_draw(seed, 0, 1, seq, 1, SALT_DELAY)) < DROP;
+        let seed = (0..u64::MAX)
+            .find(|&s| (1..=7).all(|seq| delayed(s, seq) == (seq == 1)))
+            .unwrap();
+        let plan = FaultPlan::lossy(seed, 0.0, 0.0, DROP, 1);
+        let (mut tx, mut rx) = (Sender::new(0, 1, Some(&plan)), Receiver::default());
+        let stats = FaultCounters::default();
+        let t0 = Instant::now();
+        let acks = send_range(&mut tx, &mut rx, t0, 1..=6, &stats);
+        assert_eq!(acks.len(), 5);
+        for a in &acks {
+            assert_eq!(feed(&mut tx, t0, *a, &stats), []);
+        }
+        // The release is seq 1's latest transmission: acks for seqs sent
+        // before it (all of the above) still do not count, …
+        let mut out = Vec::new();
+        let due = tx.tick(t0 + plan.tick, false, &stats, |_, _| {}, &mut out);
+        assert_eq!(out.iter().map(|c| c.seq).collect::<Vec<_>>(), [1]);
+        assert_eq!(
+            due,
+            Some(t0 + plan.rto),
+            "limbo is empty, the timer is left"
+        );
+        for a in &acks {
+            assert_eq!(feed(&mut tx, t0 + plan.tick, *a, &stats), []);
+        }
+        assert_eq!(stats.snapshot().retransmitted, 0);
+        // … and once it arrives nothing is left to recover.
+        let a = arrive(&mut rx, EO, 1, &stats).1.unwrap();
+        assert_eq!(feed(&mut tx, t0 + plan.tick, a, &stats), []);
+        assert!(tx.is_idle());
+    }
+
+    #[test]
+    fn tick_returns_the_earliest_deadline_and_the_pump_sleeps_until_it() {
+        // Every copy is delayed one or two slots.
+        let plan = FaultPlan::lossy(5, 0.0, 0.0, 1.0, 2);
+        let stats = FaultCounters::default();
+        let mut tx = Sender::new(0, 1, Some(&plan));
+        let t0 = Instant::now();
+        let mut out = Vec::new();
+        assert_eq!(tx.tick(t0, false, &stats, |_, _| {}, &mut out), None);
+        tx.send(t0, false, EO, &block(1), &stats, |_, _| {});
+        let slots = 1 + link_draw(5, 0, 1, 1, 1, SALT_DELAY_SLOTS) % 2;
+        let release = t0 + plan.tick * slots as u32;
+        assert!(release < t0 + plan.rto, "the limbo copy is due first");
+        assert_eq!(
+            tx.tick(t0, false, &stats, |_, _| {}, &mut out),
+            Some(release)
+        );
+        assert!(out.is_empty());
+        let due = tx.tick(release, false, &stats, |_, _| {}, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(due, Some(t0 + plan.rto));
+        assert_eq!(ack(&mut tx, release, 0, 1, 2, &stats), []);
+        assert_eq!(tx.tick(release, false, &stats, |_, _| {}, &mut out), None);
+
+        let tick = plan.tick;
+        assert_eq!(pump_sleep(tick, None, t0), tick);
+        assert_eq!(pump_sleep(tick, Some(t0 + tick * 2), t0), tick);
+        assert_eq!(pump_sleep(tick, Some(t0 + tick / 3), t0), tick / 3);
+        assert_eq!(pump_sleep(tick, Some(t0), t0 + tick), Duration::ZERO);
+    }
+
+    #[test]
+    fn a_far_ahead_seq_is_refused_until_the_gap_closes() {
+        let stats = FaultCounters::default();
+        let mut rx = Receiver::default();
+        let ack = |s, c| {
+            Some(Ack {
+                selective: s,
+                cumulative: c,
+            })
+        };
+        let far = OOO_WINDOW + 1;
+        assert_eq!(arrive(&mut rx, EO, far, &stats), (vec![], None));
+        assert_eq!((rx.parked(), stats.snapshot().dedup_dropped), (0, 1));
+        assert_eq!(
+            arrive(&mut rx, EO, far - 1, &stats),
+            (vec![], ack(far - 1, 1))
+        );
+        assert_eq!(rx.parked(), 1);
+        // One step forward and the refused seq fits.
+        assert_eq!(arrive(&mut rx, EO, 1, &stats), (vec![1], ack(1, 2)));
+        assert_eq!(arrive(&mut rx, EO, far, &stats), (vec![], ack(far, 2)));
+        assert_eq!(rx.parked(), 2);
+        // A floor holds no memory: the other guarantees take any jump.
+        assert_eq!(arrive(&mut rx, AMO, 1 << 40, &stats).0, vec![1 << 40]);
+        assert_eq!(arrive(&mut rx, LVW, 1 << 40, &stats).0, vec![1 << 40]);
+        assert_eq!(rx.parked(), 2);
     }
 }

@@ -10,7 +10,7 @@
 //! other input.
 
 use converse_msg::MsgBlock;
-use converse_net::link::{Ack, FaultCounters, Receiver, Sender};
+use converse_net::link::{Ack, FaultCounters, Receiver, Sender, WireCopy, OOO_WINDOW};
 use converse_net::{Channel, Delivery, FaultPlan, LinkFaults};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -131,6 +131,19 @@ impl World {
         let mut out = Vec::new();
         self.tx
             .tick(self.now, false, &self.stats, |_, _| {}, &mut out);
+        self.put_on_wire(out);
+    }
+
+    /// An ack reaches the sender; what it resends joins the wire pool.
+    fn ack(&mut self, c: usize, ack: Ack) {
+        let mut out = Vec::new();
+        let id = self.channels[c].id;
+        self.tx
+            .on_ack(self.now, false, id, ack, &self.stats, |_, _| {}, &mut out);
+        self.put_on_wire(out);
+    }
+
+    fn put_on_wire(&mut self, out: Vec<WireCopy>) {
         for copy in out {
             let c = self.index_of(copy.channel);
             if copy.channel.delivery == Delivery::LatestValueWins {
@@ -208,7 +221,7 @@ impl World {
                     _ => self.acks[c].swap_remove(i),
                 };
                 if !matches!(op, Op::LoseAck(..)) {
-                    self.tx.on_ack(self.channels[c].id, ack);
+                    self.ack(c, ack);
                 }
             }
         }
@@ -218,6 +231,23 @@ impl World {
             if let [.., (a, _), (b, payload)] = got[..] {
                 assert!(a < b, "seq {b} delivered after {a}");
                 assert_eq!(payload as u64, b - 1);
+            }
+        }
+    }
+
+    /// A FIFO wire that loses nothing, on a clock that stands still:
+    /// channel `c`'s copies arrive and its acks return in the order
+    /// they were produced, until nothing is in transit.
+    fn drain_fifo(&mut self, c: usize) {
+        loop {
+            if !self.wire[c].is_empty() {
+                let (seq, block) = self.wire[c].remove(0);
+                self.arrive(c, seq, block);
+            } else if !self.acks[c].is_empty() {
+                let ack = self.acks[c].remove(0);
+                self.ack(c, ack);
+            } else {
+                return;
             }
         }
     }
@@ -232,7 +262,7 @@ impl World {
                     self.arrive(c, seq, block);
                 }
                 for ack in std::mem::take(&mut self.acks[c]) {
-                    self.tx.on_ack(self.channels[c].id, ack);
+                    self.ack(c, ack);
                 }
             }
             if self.tx.is_idle() {
@@ -316,13 +346,53 @@ proptest! {
         }
     }
 
+    /// Ack-clocked recovery on an honest wire (FIFO, nothing lost beyond
+    /// the plan's own draws) and a clock that never moves: every resend
+    /// answers a drop — none is spurious, a copy the plan merely delayed
+    /// is left to its release — and while traffic keeps flowing the
+    /// acks alone bring the sender to idle, one resend per drop.
+    #[test]
+    fn acks_repair_the_plans_drops_without_the_clock(
+        seed in any::<u64>(),
+        sends in 1usize..80,
+        delays in any::<bool>(),
+    ) {
+        let faults = if delays { LOSSY } else { LinkFaults { delay: 0.0, ..LOSSY } };
+        let mut w = World::new(&plan(seed, faults), &[EO]);
+        let t0 = w.now;
+        for _ in 0..sends {
+            w.step(&Op::Send(0));
+            w.drain_fifo(0);
+        }
+        let s = w.stats.snapshot();
+        prop_assert!(s.retransmitted <= s.dropped, "a spurious resend: {:?}", s);
+        if !delays {
+            // Only a loss in the tail is still open, and only for want
+            // of later acks: a little more traffic closes it.
+            let mut extra = 0;
+            while !w.tx.is_idle() {
+                prop_assert!(extra < 200, "the acks never repaired the stream");
+                w.step(&Op::Send(0));
+                w.drain_fifo(0);
+                extra += 1;
+            }
+            let s = w.stats.snapshot();
+            prop_assert_eq!(s.retransmitted, s.dropped);
+        }
+        prop_assert_eq!(w.now, t0);
+        prop_assert!(w.settle(), "sender never went idle");
+        let want: Vec<(u64, u32)> = (0..w.sent[0]).map(|i| (i as u64 + 1, i)).collect();
+        prop_assert_eq!(&w.delivered[0], &want);
+    }
+
     /// The receiver half is fed another process's bytes: arbitrary seqs
-    /// (the edges of `u64` included) under arbitrary guarantee bytes
+    /// (the edges of `u64` and of the out-of-order window included)
+    /// under arbitrary guarantee bytes
     /// never panic it and never surface one seq of a channel twice; the
     /// sender half takes arbitrary acks without panicking.
     #[test]
     fn wire_input_never_panics_or_delivers_twice(
-        frames in proptest::collection::vec((0u32..3, any::<u8>(), any::<u64>(), 0u8..4), 0..200)
+        frames in proptest::collection::vec((0u32..3, any::<u8>(), any::<u64>(), 0u8..5), 0..200)
     ) {
         let stats = FaultCounters::default();
         let mut rx = Receiver::default();
@@ -335,6 +405,7 @@ proptest! {
                 0 => raw % 16,
                 1 => u64::MAX - raw % 4,
                 2 => raw,
+                3 => OOO_WINDOW - 2 + raw % 6,
                 _ => raw % 4,
             };
             let channel = Channel::new(id, Delivery::from_u8(guarantee));
@@ -343,7 +414,86 @@ proptest! {
                 assert!(fresh.insert(s), "channel {id}: seq {s} delivered twice");
             });
             tx.send(now, false, channel, &MsgBlock::copy_from(&[1]), &stats, |_, _| {});
-            tx.on_ack(id, ack.unwrap_or(Ack { selective: seq, cumulative: raw }));
+            let ack = ack.unwrap_or(Ack { selective: seq, cumulative: raw });
+            tx.on_ack(now, false, id, ack, &stats, |_, _| {}, &mut Vec::new());
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The out-of-order window is bounded: whatever order near and
+    /// far-ahead seqs arrive in, a seq `OOO_WINDOW` or more ahead of the
+    /// next expected one is refused (nothing parked, nothing acked — the
+    /// sender keeps it), what is parked is what a reference set holds,
+    /// and once the gap has closed and the sender offers everything
+    /// again, every seq has surfaced exactly once, in order.
+    #[test]
+    fn far_ahead_seqs_are_refused_then_delivered_once_the_gap_closes(
+        arrivals in proptest::collection::vec((any::<bool>(), 1u64..48), 0..64)
+    ) {
+        let stats = FaultCounters::default();
+        let mut rx = Receiver::default();
+        let mut got: Vec<u64> = Vec::new();
+        let mut parked: HashSet<u64> = HashSet::new();
+        let top = OOO_WINDOW + 48;
+        let offers = arrivals
+            .into_iter()
+            .map(|(far, k)| if far { OOO_WINDOW + k } else { k })
+            .chain(1..=top);
+        for seq in offers {
+            let expected = got.len() as u64 + 1;
+            let before = got.len();
+            let ack = rx.on_data(EO, seq, MsgBlock::copy_from(&[0]), &stats, |_, _| {}, |s, _| {
+                got.push(s)
+            });
+            if seq >= expected + OOO_WINDOW {
+                prop_assert_eq!(ack, None, "seq {} refused at expected {}", seq, expected);
+                prop_assert_eq!(got.len(), before);
+            } else {
+                let cumulative = got.len() as u64 + 1;
+                prop_assert_eq!(ack, Some(Ack { selective: seq, cumulative }));
+                if seq > expected {
+                    parked.insert(seq);
+                }
+            }
+            parked.retain(|s| *s > got.len() as u64);
+            prop_assert_eq!(rx.parked(), parked.len());
+            prop_assert!(rx.parked() as u64 <= OOO_WINDOW);
+        }
+        prop_assert_eq!(got, (1..=top).collect::<Vec<_>>());
+    }
+}
+
+/// The bound is reached and held: with seq 1 missing, exactly the
+/// `OOO_WINDOW − 1` seqs inside the window are parked and the ones
+/// beyond are refused however many are offered.
+#[test]
+fn the_out_of_order_window_fills_and_holds() {
+    let stats = FaultCounters::default();
+    let mut rx = Receiver::default();
+    let mut delivered = 0u64;
+    for seq in 2..=OOO_WINDOW + 100 {
+        rx.on_data(
+            EO,
+            seq,
+            MsgBlock::copy_from(&[0]),
+            &stats,
+            |_, _| {},
+            |_, _| delivered += 1,
+        );
+    }
+    assert_eq!(delivered, 0);
+    assert_eq!(rx.parked() as u64, OOO_WINDOW - 1);
+    assert_eq!(stats.snapshot().dedup_dropped, 100);
+    rx.on_data(
+        EO,
+        1,
+        MsgBlock::copy_from(&[0]),
+        &stats,
+        |_, _| {},
+        |_, _| delivered += 1,
+    );
+    assert_eq!((delivered, rx.parked()), (OOO_WINDOW, 0));
 }

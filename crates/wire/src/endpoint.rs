@@ -26,7 +26,7 @@
 
 use crate::{connect, kind, PushOutcome, ShmPlane, WireOptions, WireStream};
 use converse_msg::{write_frame, FrameHeader, MsgBlock};
-use converse_net::link::{Ack, FaultCounters, Receiver, Sender, Sent};
+use converse_net::link::{pump_sleep, Ack, FaultCounters, Receiver, Sender, Sent};
 use converse_net::{
     Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect,
 };
@@ -487,15 +487,32 @@ impl WireEndpoint {
 
     /// An ACK frame from the peer, for the sender half of link
     /// `rank → acker`. It echoes the channel id of the DATA frame it
-    /// confirms.
+    /// confirms. What the ack makes the half resend is written after
+    /// the link lock is dropped, as in `wire_send`, and without waiting
+    /// on a full ring: this may run on the shm poller thread (see
+    /// `emit`).
     fn on_ack(&self, h: FrameHeader, payload: &[u8]) {
-        self.send_links[h.src as usize].lock().on_ack(
+        let dst = h.src as usize;
+        let mut wire = Vec::new();
+        self.send_links[dst].lock().on_ack(
+            Instant::now(),
+            self.finishing.load(Ordering::Acquire),
             h.channel,
             Ack {
                 selective: h.seq,
                 cumulative: u64_le(payload),
             },
+            &self.fstats,
+            |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
+            &mut wire,
         );
+        for c in wire {
+            self.emit(
+                self.data_header(dst, c.channel, c.seq),
+                c.block.as_slice(),
+                false,
+            );
+        }
     }
 
     /// Record an abort, run the machine layer's hook, and wake anything
@@ -516,25 +533,29 @@ impl WireEndpoint {
 
     // ---- retransmit pump ------------------------------------------------
 
-    /// Sleep a tick, let every outgoing link's sender half release and
+    /// Sleep until the earliest deadline of the last pass (a tick at
+    /// most), let every outgoing link's sender half release and
     /// retransmit, write what it puts on the wire (after the link lock
     /// is dropped, as in `wire_send`). Runs until shutdown, so a
     /// finishing endpoint keeps retransmitting until its peers confirm.
     fn pump_loop(self: Arc<Self>) {
         let plan = self.plan.as_ref().expect("pump requires a plan");
         let mut wire = Vec::new();
+        let mut due = None;
         while !self.shutdown.load(Ordering::Acquire) {
-            std::thread::sleep(plan.tick);
+            std::thread::sleep(pump_sleep(plan.tick, due, Instant::now()));
             let now = Instant::now();
             let finishing = self.finishing.load(Ordering::Acquire);
+            due = None;
             for dst in (0..self.n).filter(|&dst| dst != self.rank) {
-                self.send_links[dst].lock().tick(
+                let link_due = self.send_links[dst].lock().tick(
                     now,
                     finishing,
                     &self.fstats,
                     |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
                     &mut wire,
                 );
+                due = [due, link_due].into_iter().flatten().min();
                 for c in wire.drain(..) {
                     self.emit(
                         self.data_header(dst, c.channel, c.seq),
