@@ -52,7 +52,9 @@ pub use converse_net::{
 };
 pub use exo::{ExoReply, ExoToken, MachineHandle, MachineService, ReplySink};
 pub use idmap::{IdHasher, IdMap};
-pub use owner::{Owner, OwnerCell, PinnedCell};
+#[cfg(debug_assertions)]
+pub use owner::cell_census;
+pub use owner::{Owner, OwnerCell, Pinned};
 pub use pe::{Handler, Pe};
 pub use run::{
     default_idle_spin, run, run_on_each_transport, run_with, try_run_with, MachineConfig,

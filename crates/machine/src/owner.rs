@@ -1,6 +1,6 @@
 //! Single ownership as a type: the PE's **run token** ([`Owner`]) and
-//! the cell that only its holder may open ([`OwnerCell`]; [`PinnedCell`]
-//! for content that must also stay on one OS thread).
+//! the cell that only its holder may open ([`OwnerCell`]; [`Pinned`]
+//! wraps content that must also stay on one OS thread).
 //!
 //! A Converse processor is one scheduler loop (paper §3.1.2, Fig. 3).
 //! Its intake buffer, its scheduler queue, its thread runtime's ready
@@ -39,10 +39,15 @@
 //! *no* thread passes the check.
 //!
 //! Content that is not `Send` (a parked fiber is a stack that must stay
-//! on its thread) goes in a [`PinnedCell`], an `OwnerCell` with one more
-//! word and one more compare: it opens only on the thread that created
-//! it, and is leaked — with a line on stderr — rather than dropped
-//! anywhere else.
+//! on its thread) goes into a cell wrapped in a [`Pinned`]: one more
+//! word and one more compare where it is used. It is reached only on
+//! the thread that wrapped it, and is leaked — with a line on stderr —
+//! rather than dropped anywhere else.
+//!
+//! In builds with `debug_assertions` every opening of a cell is counted
+//! in a thread-local, read with [`cell_census`] — the twin of the
+//! `parking_lot` shim's `lock_census`: tests pin the openings an
+//! operation costs with it. Release builds contain none of it.
 
 use std::cell::{Cell, UnsafeCell};
 use std::mem::ManuallyDrop;
@@ -52,6 +57,18 @@ thread_local! {
     /// This thread's key, 0 until first asked for. Const-initialized
     /// and without a destructor, so reading it is one load.
     static THREAD_KEY: Cell<u64> = const { Cell::new(0) };
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static OPENINGS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many [`OwnerCell`] openings the calling thread has made so far.
+/// Exists in builds with `debug_assertions` only.
+#[cfg(debug_assertions)]
+pub fn cell_census() -> u64 {
+    OPENINGS.with(Cell::get)
 }
 
 /// Source of thread keys and owner ids; 0 is never handed out, and a
@@ -203,6 +220,8 @@ impl<T> OwnerCell<T> {
         }
         self.borrowed.set(true);
         let _open = Borrow(&self.borrowed);
+        #[cfg(debug_assertions)]
+        OPENINGS.with(|n| n.set(n.get() + 1));
         // SAFETY: the calling thread holds the token of this cell's
         // owner (checked above; see the `Sync` impl for why that makes
         // it the only thread here), and `borrowed` was clear, so no
@@ -227,52 +246,49 @@ impl<T> OwnerCell<T> {
     }
 }
 
-/// Content that never leaves the thread a [`PinnedCell`] was made on.
-struct Pinned<T>(ManuallyDrop<T>);
+/// A value that never leaves the OS thread it was wrapped on (it need
+/// not be `Send`), inside state that may: [`Pinned::get_mut`] is the
+/// only way to it and panics on any other thread, and a drop on another
+/// thread leaks the value instead of running its destructor there.
+pub struct Pinned<T> {
+    /// Key of the only thread that may reach or drop the value.
+    thread: u64,
+    value: ManuallyDrop<T>,
+}
 
-// SAFETY: a `Pinned` is private to `PinnedCell`, which reaches the `T`
-// in two places — `with` and `drop` — and in both only after finding
-// itself on the thread that wrapped the value. Sending the wrapper
+// SAFETY: the `T` is reached in two places — `get_mut` and `drop` — and
+// in both only after the wrapper found itself on the thread that wrapped
+// the value; a shared reference reaches nothing. Sending the wrapper
 // moves no access to the `T` across threads.
 unsafe impl<T> Send for Pinned<T> {}
 
-/// An [`OwnerCell`] whose content must stay on the thread that made the
-/// cell (it need not be `Send`): opening it takes the token *and* that
-/// thread, and a drop on any other thread leaks the content instead of
-/// running its destructor there.
-pub struct PinnedCell<T> {
-    /// Key of the only thread that may open the cell or drop its content.
-    thread: u64,
-    cell: OwnerCell<Pinned<T>>,
-}
-
-impl<T> PinnedCell<T> {
-    /// A cell of `owner`'s PE, pinned to the calling thread.
-    pub fn new(owner: &Owner, value: T) -> PinnedCell<T> {
-        PinnedCell {
+impl<T> Pinned<T> {
+    /// `value`, pinned to the calling thread.
+    pub fn new(value: T) -> Pinned<T> {
+        Pinned {
             thread: thread_key(),
-            cell: OwnerCell::new(owner, Pinned(ManuallyDrop::new(value))),
+            value: ManuallyDrop::new(value),
         }
     }
 
-    /// [`OwnerCell::with`], which panics as well when called on any
-    /// thread but the one the cell is pinned to.
+    /// The value. Panics when called on any thread but the one it is
+    /// pinned to.
     #[inline(always)]
-    pub fn with<R>(&self, owner: &Owner, f: impl FnOnce(&mut T) -> R) -> R {
+    pub fn get_mut(&mut self) -> &mut T {
         assert!(
             self.thread == thread_key(),
             "owner-only state pinned to one OS thread opened on another"
         );
-        self.cell.with(owner, |pinned| f(&mut pinned.0))
+        &mut self.value
     }
 }
 
-impl<T> Drop for PinnedCell<T> {
+impl<T> Drop for Pinned<T> {
     fn drop(&mut self) {
         if self.thread == thread_key() {
-            // SAFETY: `&mut self` is exclusive, the content is not used
+            // SAFETY: `&mut self` is exclusive, the value is not used
             // after this, and we are on the thread it is pinned to.
-            unsafe { ManuallyDrop::drop(&mut self.cell.value.get_mut().0) };
+            unsafe { ManuallyDrop::drop(&mut self.value) };
         } else {
             // Running a non-`Send` destructor here would be the unsound
             // alternative; say what the leak is so it can be found.
@@ -316,6 +332,27 @@ mod tests {
     }
 
     #[test]
+    fn pinned_content_opens_on_its_own_thread_only() {
+        let mut pinned = Pinned::new(std::rc::Rc::new(7));
+        assert_eq!(**pinned.get_mut(), 7);
+        let refused = std::thread::spawn(move || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| **pinned.get_mut())).is_err()
+        });
+        assert!(refused.join().expect("the panic was caught"));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn census_counts_this_threads_openings() {
+        let owner = Owner::new();
+        let (a, b) = (OwnerCell::new(&owner, 0u32), OwnerCell::new(&owner, 0u32));
+        let before = cell_census();
+        a.with(&owner, |x| b.with(&owner, |y| *x += *y));
+        a.with(&owner, |x| *x += 1);
+        assert_eq!(cell_census() - before, 3);
+    }
+
+    #[test]
     fn pinned_content_is_leaked_not_dropped_on_a_foreign_thread() {
         struct NoteDrop(std::sync::Arc<std::sync::atomic::AtomicBool>);
         impl Drop for NoteDrop {
@@ -324,13 +361,12 @@ mod tests {
             }
         }
         let dropped = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let owner = Owner::new();
-        let cell = PinnedCell::new(&owner, NoteDrop(dropped.clone()));
-        std::thread::spawn(move || drop(cell))
+        let pinned = Pinned::new(NoteDrop(dropped.clone()));
+        std::thread::spawn(move || drop(pinned))
             .join()
             .expect("dropping elsewhere does not panic");
         assert!(!dropped.load(Ordering::SeqCst));
-        let here = PinnedCell::new(&owner, NoteDrop(dropped.clone()));
+        let here = Pinned::new(NoteDrop(dropped.clone()));
         drop(here);
         assert!(dropped.load(Ordering::SeqCst));
     }

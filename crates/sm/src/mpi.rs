@@ -16,13 +16,12 @@
 //! resequencing buffer (need-based cost, §3).
 
 use crate::MsgData;
-use converse_machine::{HandlerId, Message, Pe};
+use converse_machine::{HandlerId, Message, OwnerCell, Pe};
 use converse_msg::pack::StackPacker;
 use converse_msg::Priority;
 use converse_msgmgr::{MsgManager, WILDCARD};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Wildcard for `recv`'s tag or source (MPI's `MPI_ANY_TAG` /
 /// `MPI_ANY_SOURCE`).
@@ -39,20 +38,28 @@ pub struct MpiMsg {
     pub data: MsgData,
 }
 
-/// Parked out-of-order arrivals: (src, seq) → (tag, data).
-type HeldMap = HashMap<(usize, u64), (i32, MsgData)>;
+/// What the layer keeps per PE. Only the PE's running context touches
+/// it, so it is one owner-only cell like [`crate::Sm`]'s mailbox.
+#[derive(Default)]
+struct State {
+    /// Next sequence number to assign, per destination.
+    send_seq: HashMap<usize, u64>,
+    /// Next sequence number to admit, per source.
+    recv_seq: HashMap<usize, u64>,
+    /// Out-of-order arrivals held until their predecessors admit them:
+    /// (src, seq) → (tag, data).
+    held: HashMap<(usize, u64), (i32, MsgData)>,
+    /// Admitted (in-order) messages awaiting a matching `recv`.
+    mailbox: MsgManager<MsgData>,
+}
 
 /// Per-PE MPI-layer state.
 pub struct Mpi {
     data_h: HandlerId,
-    /// Next sequence number to assign, per destination.
-    send_seq: Mutex<HashMap<usize, u64>>,
-    /// Next sequence number to admit, per source.
-    recv_seq: Mutex<HashMap<usize, u64>>,
-    /// Out-of-order arrivals held until their predecessors admit them.
-    held: Mutex<HeldMap>,
-    /// Admitted (in-order) messages awaiting a matching `recv`.
-    mailbox: Mutex<MsgManager<MsgData>>,
+    state: OwnerCell<State>,
+    /// PE whose token opens the state, for the readers that are not
+    /// handed one.
+    home: Weak<Pe>,
 }
 
 impl Mpi {
@@ -60,12 +67,23 @@ impl Mpi {
     /// machine-wide). Idempotent per PE.
     pub fn install(pe: &Pe) -> Arc<Mpi> {
         pe.local(|| Mpi {
-            data_h: pe.register_handler(|pe, msg| Mpi::get(pe).ingest(msg)),
-            send_seq: Mutex::new(HashMap::new()),
-            recv_seq: Mutex::new(HashMap::new()),
-            held: Mutex::new(HashMap::new()),
-            mailbox: Mutex::default(),
+            data_h: pe.register_handler(|pe, msg| Mpi::get(pe).ingest(pe, msg)),
+            state: OwnerCell::new(pe.owner(), State::default()),
+            home: Arc::downgrade(&pe.arc()),
         })
+    }
+
+    /// Open the state. `f` must not call out of this module.
+    fn state<R>(&self, pe: &Pe, f: impl FnOnce(&mut State) -> R) -> R {
+        self.state.with(pe.owner(), f)
+    }
+
+    /// [`Mpi::state`] for the readers without a `pe`: owner-only like
+    /// the state itself.
+    fn read<R>(&self, f: impl FnOnce(&mut State) -> R) -> R {
+        let home = self.home.upgrade();
+        let home = home.expect("the MPI layer lives in its PE's local storage");
+        self.state(&home, f)
     }
 
     /// The layer previously installed on this PE, borrowed from its
@@ -80,13 +98,11 @@ impl Mpi {
     /// buffered, never blocks here).
     pub fn send(&self, pe: &Pe, dst: usize, tag: i32, data: &[u8]) {
         assert_ne!(tag, ANY, "cannot send with the wildcard tag");
-        let seq = {
-            let mut s = self.send_seq.lock();
-            let e = s.entry(dst).or_insert(0);
-            let v = *e;
+        let seq = self.state(pe, |s| {
+            let e = s.send_seq.entry(dst).or_insert(0);
             *e += 1;
-            v
-        };
+            *e - 1
+        });
         let head = StackPacker::<24>::new()
             .usize(pe.my_pe())
             .u64(seq)
@@ -98,7 +114,7 @@ impl Mpi {
 
     /// Admit an arrival: in-order messages (and any held successors they
     /// release) go to the mailbox; early ones are parked.
-    fn ingest(&self, msg: Message) {
+    fn ingest(&self, pe: &Pe, msg: Message) {
         let ((src, seq, tag), data) = MsgData::unpack(msg, |u| {
             (
                 u.usize().expect("mpi: src"),
@@ -106,30 +122,28 @@ impl Mpi {
                 u.i32().expect("mpi: tag"),
             )
         });
-
-        let mut next = self.recv_seq.lock();
-        let want = next.entry(src).or_insert(0);
-        if seq != *want {
-            debug_assert!(
-                seq > *want,
-                "duplicate or replayed sequence {seq} from {src}"
-            );
-            self.held.lock().insert((src, seq), (tag, data));
-            return;
-        }
-        let mut mb = self.mailbox.lock();
-        mb.put(&[tag, src as i32], data);
-        *want += 1;
-        // Release any consecutive held successors.
-        let mut held = self.held.lock();
-        while let Some((tag, data)) = held.remove(&(src, *want)) {
-            mb.put(&[tag, src as i32], data);
+        self.state(pe, |s| {
+            let want = s.recv_seq.entry(src).or_insert(0);
+            if seq != *want {
+                debug_assert!(
+                    seq > *want,
+                    "duplicate or replayed sequence {seq} from {src}"
+                );
+                s.held.insert((src, seq), (tag, data));
+                return;
+            }
+            s.mailbox.put(&[tag, src as i32], data);
             *want += 1;
-        }
+            // Release any consecutive held successors.
+            while let Some((tag, data)) = s.held.remove(&(src, *want)) {
+                s.mailbox.put(&[tag, src as i32], data);
+                *want += 1;
+            }
+        });
     }
 
-    fn take(&self, tag: i32, src: i32) -> Option<MpiMsg> {
-        let stored = self.mailbox.lock().get(&[tag, src])?;
+    fn take(&self, pe: &Pe, tag: i32, src: i32) -> Option<MpiMsg> {
+        let stored = self.state(pe, |s| s.mailbox.get(&[tag, src]))?;
         Some(MpiMsg {
             tag: stored.tags[0],
             src: stored.tags[1] as usize,
@@ -143,19 +157,18 @@ impl Mpi {
     /// regardless of network delivery order.
     pub fn recv(&self, pe: &Pe, tag: i32, src: i32) -> MpiMsg {
         loop {
-            if let Some(m) = self.take(tag, src) {
+            if let Some(m) = self.take(pe, tag, src) {
                 return m;
             }
             let msg = pe.get_specific_msg(self.data_h);
-            self.ingest(msg);
+            self.ingest(pe, msg);
         }
     }
 
     /// Non-consuming test (`MPI_Probe` with immediate return): size of
     /// the earliest matching admitted message.
     pub fn probe(&self, tag: i32, src: i32) -> Option<usize> {
-        let mb = self.mailbox.lock();
-        mb.probe(&[tag, src]).map(|s| s.item.len())
+        self.read(|s| s.mailbox.probe(&[tag, src]).map(|m| m.item.len()))
     }
 
     /// Combined send-then-receive (`MPI_Sendrecv`): ships `data` to
@@ -176,11 +189,11 @@ impl Mpi {
 
     /// Messages admitted but not yet received.
     pub fn pending(&self) -> usize {
-        self.mailbox.lock().len()
+        self.read(|s| s.mailbox.len())
     }
 
     /// Out-of-order arrivals currently parked in the resequencer.
     pub fn held(&self) -> usize {
-        self.held.lock().len()
+        self.read(|s| s.held.len())
     }
 }

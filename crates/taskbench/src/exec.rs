@@ -36,10 +36,9 @@ use converse_charm::{Charm, GroupChare, GroupId, GroupKind};
 use converse_core::{csd_scheduler_until_idle, schedule_until};
 use converse_ldb::LdbPolicy;
 use converse_machine::coll::CombinerId;
-use converse_machine::{Channel, Message, Pe};
+use converse_machine::{Channel, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::{HandlerId, Priority};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -269,7 +268,7 @@ const SLOT: usize = std::mem::size_of::<u64>();
 
 /// The payload of the task being fanned out: one buffer per PE, kept
 /// from run to run, so nothing a run allocates is sized by its payload.
-struct Scratch(Mutex<Vec<u8>>);
+struct Scratch(OwnerCell<Vec<u8>>);
 
 /// What a run has seen so far. Indexed by task serial; only this PE's
 /// tasks' entries are used.
@@ -303,8 +302,9 @@ struct RunState {
     slot_base: Vec<u32>,
     /// This PE's fan-out buffer.
     scratch: Arc<Scratch>,
-    /// Touched only by this PE's execution contexts, one at a time.
-    progress: Mutex<Progress>,
+    /// Touched only by this PE's execution contexts, one at a time: an
+    /// arrival opens it once, for `on_dep` → `make_ready` → `fan_out`.
+    progress: OwnerCell<Progress>,
     /// Local tasks still to execute.
     remaining: AtomicUsize,
     /// Relocatable-execution mode (see [`RunOpts::steal`]).
@@ -341,20 +341,23 @@ impl RunState {
         }
         slot_base.push(slots);
         Arc::new(RunState {
-            progress: Mutex::new(Progress {
-                arrived: vec![0; n],
-                execs: vec![0; n],
-                outputs: vec![None; n],
-                digests: vec![0; slots as usize * SLOT],
-                violations: Vec::new(),
-            }),
+            progress: OwnerCell::new(
+                pe.owner(),
+                Progress {
+                    arrived: vec![0; n],
+                    execs: vec![0; n],
+                    outputs: vec![None; n],
+                    digests: vec![0; slots as usize * SLOT],
+                    violations: Vec::new(),
+                },
+            ),
             remaining: AtomicUsize::new(local),
             graph,
             carrier,
             grain_ns: opts.grain_ns,
             payload_bytes: opts.payload_bytes,
             slot_base,
-            scratch: pe.local(|| Scratch(Mutex::new(Vec::new()))),
+            scratch: pe.local(|| Scratch(OwnerCell::new(pe.owner(), Vec::new()))),
             steal: opts.steal,
             steal_to0_pct: opts.steal_to0_pct,
             sleep_grain: opts.sleep_grain,
@@ -392,8 +395,14 @@ impl RunState {
 
     /// Record a message no correct run sends: validated later, not
     /// panicked on.
-    fn violation(&self, what: String) {
-        self.progress.lock().violations.push(what);
+    fn violation(&self, pe: &Pe, what: String) {
+        self.progress(pe, |p| p.violations.push(what));
+    }
+
+    /// Open the run's bookkeeping. `f` may send, but must not come back
+    /// here: a re-entrant opening panics.
+    fn progress<R>(&self, pe: &Pe, f: impl FnOnce(&mut Progress) -> R) -> R {
+        self.progress.with(pe.owner(), f)
     }
 
     /// A dependency edge as the carriers frame it: the consumer's
@@ -403,7 +412,7 @@ impl RunState {
         let dst = tagged.map_or_else(|| body.u32(), Ok);
         match (dst, body.u32(), body.bytes()) {
             (Ok(dst), Ok(src), Ok(payload)) => self.on_dep(pe, dst, src, payload),
-            _ => self.violation("a dependency message is cut short".into()),
+            _ => self.violation(pe, "a dependency message is cut short".into()),
         }
     }
 
@@ -412,40 +421,41 @@ impl RunState {
     /// slot and, when the set completes, execute and fan out.
     fn on_dep(&self, pe: &Pe, dst: u32, src: u32, payload: &[u8]) {
         let Some(id) = self.graph.try_task_of_serial(dst) else {
-            return self.violation(format!(
-                "dependency {src}→{dst} names a task the graph does not have"
-            ));
+            return self.violation(
+                pe,
+                format!("dependency {src}→{dst} names a task the graph does not have"),
+            );
         };
         let deps = self.graph.deps(id);
-        let mut progress = self.progress.lock();
-        let p = &mut *progress;
-        let mut violation = |what: &str| {
-            p.violations.push(format!(
-                "dependency {src}→{dst} of task ({},{}) {what}",
-                id.step, id.index
-            ))
-        };
-        let slot = deps.iter().position(|d| self.graph.serial(*d) == src);
-        let Some(k) = slot.filter(|_| self.graph.owner(id, pe.num_pes()) == pe.my_pe()) else {
-            return violation("is not an edge into a task of this PE");
-        };
-        if payload.len() != self.payload_bytes {
-            return violation(&format!("carries {} bytes", payload.len()));
-        }
-        // One bit per edge catches both ways an edge arrives twice.
-        if p.arrived[dst as usize] & (1 << k) != 0 {
-            return violation(if p.execs[dst as usize] > 0 {
-                "arrived after the task already executed"
-            } else {
-                "arrived twice — duplicates on the wire"
-            });
-        }
-        p.arrived[dst as usize] |= 1 << k;
-        let at = self.slots_of(dst).start + k * SLOT;
-        p.digests[at..at + SLOT].copy_from_slice(&payload_digest(payload).to_le_bytes());
-        if p.arrived[dst as usize].count_ones() as usize == deps.len() {
-            self.make_ready(pe, p, dst);
-        }
+        self.progress(pe, |p| {
+            let mut violation = |what: &str| {
+                p.violations.push(format!(
+                    "dependency {src}→{dst} of task ({},{}) {what}",
+                    id.step, id.index
+                ))
+            };
+            let slot = deps.iter().position(|d| self.graph.serial(*d) == src);
+            let Some(k) = slot.filter(|_| self.graph.owner(id, pe.num_pes()) == pe.my_pe()) else {
+                return violation("is not an edge into a task of this PE");
+            };
+            if payload.len() != self.payload_bytes {
+                return violation(&format!("carries {} bytes", payload.len()));
+            }
+            // One bit per edge catches both ways an edge arrives twice.
+            if p.arrived[dst as usize] & (1 << k) != 0 {
+                return violation(if p.execs[dst as usize] > 0 {
+                    "arrived after the task already executed"
+                } else {
+                    "arrived twice — duplicates on the wire"
+                });
+            }
+            p.arrived[dst as usize] |= 1 << k;
+            let at = self.slots_of(dst).start + k * SLOT;
+            p.digests[at..at + SLOT].copy_from_slice(&payload_digest(payload).to_le_bytes());
+            if p.arrived[dst as usize].count_ones() as usize == deps.len() {
+                self.make_ready(pe, p, dst);
+            }
+        })
     }
 
     /// `serial`'s dependencies are all here: run it, or in steal mode
@@ -477,13 +487,14 @@ impl RunState {
         if succs.is_empty() {
             return;
         }
-        let mut payload = self.scratch.0.lock();
-        payload.resize(self.payload_bytes, 0);
-        fill_payload(out, &mut payload);
-        for s in succs {
-            let dst_pe = self.graph.owner(*s, pe.num_pes());
-            self.emit(pe, dst_pe, self.graph.serial(*s), serial, &payload);
-        }
+        self.scratch.0.with(pe.owner(), |payload| {
+            payload.resize(self.payload_bytes, 0);
+            fill_payload(out, payload);
+            for s in succs {
+                let dst_pe = self.graph.owner(*s, pe.num_pes());
+                self.emit(pe, dst_pe, self.graph.serial(*s), serial, payload);
+            }
+        })
     }
 
     /// Carry one dependency edge `src → dst` to `dst`'s owner. Header
@@ -526,16 +537,17 @@ impl RunState {
     /// Start this PE's dependency-free tasks (the level-0 sources — and
     /// under `Pattern::Trivial`, everything).
     fn run_sources(&self, pe: &Pe) {
-        let mut p = self.progress.lock();
-        for serial in self.graph.local_tasks(pe.my_pe(), pe.num_pes()) {
-            if self
-                .graph
-                .deps(self.graph.task_of_serial(serial))
-                .is_empty()
-            {
-                self.make_ready(pe, &mut p, serial);
+        self.progress(pe, |p| {
+            for serial in self.graph.local_tasks(pe.my_pe(), pe.num_pes()) {
+                if self
+                    .graph
+                    .deps(self.graph.task_of_serial(serial))
+                    .is_empty()
+                {
+                    self.make_ready(pe, p, serial);
+                }
             }
-        }
+        })
     }
 
     /// Pump the scheduler until `done`, or (in bounded mode) until the
@@ -567,14 +579,13 @@ impl RunState {
 
     fn summarize(&self, pe: &Pe, gave_up: bool) -> PeSummary {
         let local = self.graph.local_serials(pe.my_pe(), pe.num_pes());
-        let mut p = self.progress.lock();
-        PeSummary {
+        self.progress(pe, |p| PeSummary {
             execs: local.iter().map(|&s| p.execs[s as usize]).collect(),
             outputs: local.iter().map(|&s| p.outputs[s as usize]).collect(),
             local,
             violations: std::mem::take(&mut p.violations),
             gave_up,
-        }
+        })
     }
 
     // ---- relocatable-execution (steal) protocol, raw engine only ----
@@ -614,7 +625,10 @@ impl RunState {
             (body.remaining() == self.graph.deps(id).len() * SLOT).then_some((serial, id))
         });
         let Some((serial, id)) = task else {
-            return self.violation("a READY names no task with its dependency digests".into());
+            return self.violation(
+                pe,
+                "a READY names no task with its dependency digests".into(),
+            );
         };
         self.grain_wait();
         let out = self.output_of(id, serial, body.rest());
@@ -628,17 +642,16 @@ impl RunState {
     /// reports this PE's completion to PE 0.
     fn on_credit(&self, pe: &Pe, mut body: Unpacker<'_>) {
         let (Ok(serial), Ok(out)) = (body.u32(), body.u64()) else {
-            return self.violation("a CREDIT is cut short".into());
+            return self.violation(pe, "a CREDIT is cut short".into());
         };
         let owned = self.graph.try_task_of_serial(serial);
         if owned.is_none_or(|id| self.graph.owner(id, pe.num_pes()) != pe.my_pe()) {
-            return self.violation(format!("a CREDIT names {serial}, no task of this PE"));
+            return self.violation(pe, format!("a CREDIT names {serial}, no task of this PE"));
         }
-        {
-            let mut p = self.progress.lock();
+        self.progress(pe, |p| {
             p.execs[serial as usize] += 1;
             p.outputs[serial as usize] = Some(out);
-        }
+        });
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.send_done(pe);
         }
@@ -681,7 +694,7 @@ impl RunState {
 struct RawEngine {
     handlers: RawHandlers,
     epoch: AtomicU32,
-    current: Mutex<Option<Arc<RunState>>>,
+    current: OwnerCell<Option<Arc<RunState>>>,
 }
 
 impl RawEngine {
@@ -692,18 +705,19 @@ impl RawEngine {
             pe.register_handler(move |pe, msg| {
                 let mut body = Unpacker::new(msg.payload());
                 let engine = pe.local_ref::<RawEngine>().expect("registered by it");
-                // Held across the call: sends never dispatch, so nothing
+                // Open across the call: sends never dispatch, so nothing
                 // below asks for it again.
-                let current = engine.current.lock();
-                let Some(run) = current.as_ref() else { return };
-                match body.u32() {
-                    Ok(epoch) if matches!(run.carrier, Carrier::Raw { epoch: e, .. } if e == epoch) => {
-                        serve(run, pe, body)
+                engine.current.with(pe.owner(), |current| {
+                    let Some(run) = current.as_ref() else { return };
+                    match body.u32() {
+                        Ok(epoch) if matches!(run.carrier, Carrier::Raw { epoch: e, .. } if e == epoch) => {
+                            serve(run, pe, body)
+                        }
+                        // Left over from a run that gave up.
+                        Ok(_) => {}
+                        Err(_) => run.violation(pe, "a raw message carries no epoch".into()),
                     }
-                    // Left over from a run that gave up.
-                    Ok(_) => {}
-                    Err(_) => run.violation("a raw message carries no epoch".into()),
-                }
+                })
             })
         }
         RawEngine {
@@ -715,7 +729,7 @@ impl RawEngine {
                 all_done: handler(pe, |run, _, _| run.all_done.store(true, Ordering::Release)),
             },
             epoch: AtomicU32::new(0),
-            current: Mutex::new(None),
+            current: OwnerCell::new(pe.owner(), None),
         }
     }
 }
@@ -736,7 +750,9 @@ pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
         channel: opts.channel.as_deref().map(|n| pe.channel(n)),
     };
     let state = RunState::new(graph.clone(), opts, pe, carrier);
-    *engine.current.lock() = Some(state.clone());
+    engine
+        .current
+        .with(pe.owner(), |c| *c = Some(state.clone()));
     pe.barrier();
     state.run_sources(pe);
     let gave_up = if opts.steal {
@@ -750,7 +766,7 @@ pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
         state.await_completion(pe, opts.give_up)
     };
     pe.barrier();
-    *engine.current.lock() = None;
+    engine.current.with(pe.owner(), |c| *c = None);
     state.summarize(pe, gave_up)
 }
 
@@ -764,7 +780,7 @@ const EP_DEP: u32 = 0;
 /// asynchronously, so the state cannot ride the constructor payload).
 struct CharmEngine {
     kind: GroupKind,
-    current: Mutex<Option<(GroupId, Arc<RunState>)>>,
+    current: OwnerCell<Option<(GroupId, Arc<RunState>)>>,
 }
 
 /// The per-PE branch: receives dependency invocations and runs ready
@@ -780,12 +796,10 @@ impl GroupChare for TaskBranch {
         let engine = pe
             .local_ref::<CharmEngine>()
             .expect("taskbench charm engine missing");
-        let state = engine
-            .current
-            .lock()
-            .as_ref()
+        let current = engine.current.with(pe.owner(), |c| c.clone());
+        let state = current
             .filter(|(g, _)| *g == gid)
-            .map(|(_, s)| s.clone())
+            .map(|(_, s)| s)
             .expect("taskbench branch created for a run that is not current");
         TaskBranch { state }
     }
@@ -810,7 +824,7 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
     let charm = Charm::install(pe, LdbPolicy::Direct);
     let engine = pe.local(|| CharmEngine {
         kind: charm.register_group::<TaskBranch>(),
-        current: Mutex::new(None),
+        current: OwnerCell::new(pe.owner(), None),
     });
     pe.barrier();
     // PE 0 creates the group; the id reaches everyone synchronously via
@@ -827,12 +841,14 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
         gid_bytes.as_slice().try_into().expect("8-byte group id"),
     ));
     let state = RunState::new(graph.clone(), opts, pe, Carrier::Charm(gid));
-    *engine.current.lock() = Some((gid, state.clone()));
+    engine
+        .current
+        .with(pe.owner(), |c| *c = Some((gid, state.clone())));
     pe.barrier();
     state.run_sources(pe);
     let gave_up = state.await_completion(pe, opts.give_up);
     pe.barrier();
-    *engine.current.lock() = None;
+    engine.current.with(pe.owner(), |c| *c = None);
     // A run that gave up may still have edges in flight: its branch
     // stays, so they land in its own state and not in a later run's.
     if !gave_up {
@@ -870,7 +886,7 @@ pub fn run_graph_tsm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
         converse_sm::tsm::create(pe, move |pe| {
             let need = st.graph.deps(st.graph.task_of_serial(serial)).len();
             if need == 0 {
-                st.execute(pe, &mut st.progress.lock(), serial);
+                st.progress(pe, |p| st.execute(pe, p, serial));
             }
             for _ in 0..need {
                 let m = converse_sm::tsm::receive(pe, serial as i32);

@@ -83,12 +83,13 @@ const PES: usize = 2;
 /// task; what is left is a run's flat arrays and its collectives (0.3
 /// and 0.35 calls per task on these graphs).
 const RAW_AND_CHARM_CALLS_PER_TASK: f64 = 4.0;
-/// tSM pays per task for a thread object — its handle and its boxed
-/// entry function, two allocations and their frees — and per edge
-/// nothing: the mailbox holds the arriving message and the receiver
-/// waiting for it. 5.3 calls per task measured on these small graphs,
-/// 1.3 of them the run's own set-up (it was 18).
-const TSM_FIBER_CALLS_PER_TASK: f64 = 6.0;
+/// tSM pays per task for a thread object — its boxed entry function,
+/// one allocation and its free; the handle is the one the slot's last
+/// thread left — and per edge nothing: the mailbox holds the arriving
+/// message and the receiver waiting for it. 3.1 calls per task measured
+/// on these small graphs, 1.1 of them the run's own set-up (it was 5.3
+/// with a handle allocated per thread, 18 before ISSUE 18).
+const TSM_FIBER_CALLS_PER_TASK: f64 = 4.0;
 /// On the hand-off backend every task is an OS thread as well, and a
 /// chunk freed on one OS thread is not in the pool of another: 21.9
 /// measured (it was 30), bounded 20 % above.

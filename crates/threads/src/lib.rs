@@ -25,15 +25,11 @@
 //! * **`fiber`** (the default where supported: x86-64 System-V) — each
 //!   thread object is a stackful [`converse_fiber::Fiber`]: a context
 //!   switch saves/restores the callee-saved register set in ~20 ns, the
-//!   same constant class the paper paid. A thread runs on a whole
-//!   execution context — stack, saved registers, the fiber's own
-//!   bookkeeping — taken from a per-PE size-classed **context pool** and
-//!   re-armed (create-run-exit reuses a hot context and allocates
-//!   nothing; the pool keeps as many as the PE ever had threads alive at
-//!   once; see [`CthRuntime::stack_pool_stats`]),
-//!   and [`cth_suspend`] with a ready successor switches **directly** to
-//!   it without bouncing through the Csd queue (the direct-handoff fast
-//!   path; per-thread strategies are consulted as always).
+//!   constant class the paper paid. A thread runs on a whole execution
+//!   context taken from a per-PE size-classed **context pool** and
+//!   re-armed ([`CthRuntime::stack_pool_stats`]), and [`cth_suspend`]
+//!   with a ready successor switches **directly** to it without bouncing
+//!   through the Csd queue (the direct-handoff fast path).
 //! * **`handoff`** (portable fallback) — a thread object owns a real OS
 //!   thread gated by a hand-off token: exactly one context per PE runs
 //!   at any instant. Every semantic property is identical; only the
@@ -42,17 +38,8 @@
 //! Selection: [`converse_machine::MachineConfig::thread_backend`] pins a
 //! backend per machine; under the default `Auto`, the `CTH_BACKEND`
 //! environment variable (`"fiber"` / `"handoff"`) overrides, else the
-//! fiber backend is chosen where supported. Requesting `fiber` on an
-//! unsupported target silently falls back to `handoff`, so portable code
-//! never breaks.
-//!
-//! One caveat is inherited from the mechanism itself (and pinned by a
-//! test in `converse-fiber`): a fiber-backed thread that is **dropped
-//! while suspended leaks whatever is live on its stack** — destructors
-//! do not run, exactly like discarding a `setjmp` context in 1996. The
-//! runtime never does this on its own: machine teardown *poisons*
-//! still-suspended threads, which unwinds their stacks and reclaims
-//! them into the pool.
+//! fiber backend is chosen where supported (an unsupported target falls
+//! back to `handoff`, so portable code never breaks).
 //!
 //! # Scheduler integration
 //!
@@ -60,38 +47,44 @@
 //! awakening it enqueues a generalized message whose handler resumes the
 //! thread — the unification of threads and messages the paper's design
 //! rests on (§3.1.1: a generalized message can be "a scheduler entry for
-//! a ready thread"). This holds on both backends: the generalized
-//! message format and the Csd queue are backend-independent.
+//! a ready thread"), on both backends.
 //!
-//! # Single ownership, checked
+//! # One slot table, single ownership checked
 //!
 //! Thread objects are PE-local: exactly one context of a PE runs at a
 //! time, the one holding the PE's run token ([`Pe::owner`]). Everything
-//! the switch path touches — who is running, the ready pool, the live
-//! threads, each thread's strategy and entry function, the fiber table
-//! and context pool — lives in [`OwnerCell`]s of that token (the fiber state
-//! in a [`PinnedCell`]: fibers stay on their OS thread): no lock, and a
-//! thread API call from an OS thread that does not hold the token
-//! panics instead of racing. On the fiber backend the token never
-//! leaves the PE's thread. On the hand-off backend it follows control:
-//! the context giving up control releases it before waking its
-//! successor, which adopts it once woken (`wake` / `wait_for_token`;
-//! the gate mutex and condvar of the woken thread order the two). A
-//! thread's state itself is one atomic byte, written by the running
-//! context: the fiber backend takes no lock anywhere on a switch.
+//! the switch path touches lives in **one** [`OwnerCell`] of that token:
+//! who runs (a slot index), the ready pool (thread ids), the context
+//! pool, and the PE's [`table::SlotTable`] — one slot per live thread
+//! object: its strategy, its entry function until the first start, its
+//! parked context, its yield handle. A thread id names its slot by index
+//! and generation: the Csd resume message finds it without a hash, and an
+//! id or handle kept past its thread's exit finds nothing. A wake opens
+//! the cell four times (awaken, the resume handler, the thread's side of
+//! the suspend, the drive loop after the yield): no lock, no handle
+//! cloned, and a call from an OS thread that does not hold the token
+//! panics instead of racing. Contexts are [`Pinned`]: fibers stay on
+//! their OS thread, which the token never leaves on the fiber backend; on
+//! the hand-off backend it follows control (`wake` / `wait_for_token`)
+//! and slots hold no context. A thread's state is one atomic byte in its
+//! handle. A finished thread's slot is re-used, its handle too unless the
+//! user still holds one: creating a thread object allocates its boxed
+//! entry function and nothing else.
+
+pub mod table;
 
 use converse_core::csd;
-use converse_machine::{HandlerId, IdMap, Message, OwnerCell, Pe, PinnedCell, ThreadBackend};
+use converse_machine::{HandlerId, Message, OwnerCell, Pe, Pinned, ThreadBackend};
 use converse_msg::{pack::Unpacker, Priority};
 use converse_queue::QueueingMode;
 use converse_trace::Event;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
+use table::{index_of, SlotTable};
 
-/// Payload used to unwind a poisoned (machine-teardown) thread without
-/// tripping the global panic hook.
+/// Payload that unwinds a poisoned (machine-teardown) thread, silently.
 struct ThreadPoison;
 
 /// Payload used by [`cth_exit`] to unwind to the thread's landing pad.
@@ -110,11 +103,10 @@ pub type SuspendFn = Box<dyn FnMut(&Pe) -> Option<Thread> + Send>;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 enum State {
-    /// Created, no execution context yet; the entry function waits in
-    /// [`Owned::entry`].
+    /// Created, no execution context yet; [`Tcb::entry`] waits.
     NotStarted,
-    /// Suspended: fiber parked in the runtime map, or OS thread blocked
-    /// on the hand-off condvar.
+    /// Suspended: fiber parked in its slot, or OS thread blocked on the
+    /// hand-off condvar.
     Parked,
     /// This context currently holds the PE's run token.
     Running,
@@ -126,19 +118,15 @@ enum State {
 
 /// A thread's [`State`]: written by the PE's running context only,
 /// readable from anywhere ([`Thread::is_exited`] is not handed a PE).
-/// The fiber backend, where every context of a PE runs on one OS
-/// thread, needs no more than this; the hand-off backend makes the
-/// writes a parked OS thread waits for under [`Inner::gate`].
+/// The hand-off backend makes the writes a parked OS thread waits for
+/// under [`Inner::gate`]; the fiber backend needs no more than this.
 struct StateCell(AtomicU8);
 
 impl StateCell {
-    const ALL: [State; 5] = [
-        State::NotStarted,
-        State::Parked,
-        State::Running,
-        State::Exited,
-        State::Poisoned,
-    ];
+    const ALL: [State; 5] = {
+        use State::*;
+        [NotStarted, Parked, Running, Exited, Poisoned]
+    };
 
     #[inline]
     fn get(&self) -> State {
@@ -151,30 +139,15 @@ impl StateCell {
     }
 }
 
-/// What only the PE's running context touches of a thread object.
-struct Owned {
-    /// `None` only while a [`Strategy::Custom`] is out of the cell being
-    /// called (it reads as [`Strategy::Default`] then).
-    strategy: Option<Strategy>,
-    /// The entry function, until the first resume (or teardown) takes
-    /// it.
-    entry: Option<Entry>,
-}
-
+/// What of a thread object is read without the PE's token.
 struct Inner {
+    /// `generation << 32 | slot index` in the home PE's table.
     id: u64,
     state: StateCell,
     /// Hand-off backend only: the lock and condvar the owning OS thread
     /// parks on, waiting for `state` to leave `Parked`.
     gate: Mutex<()>,
     cv: Condvar,
-    owned: OwnerCell<Owned>,
-    stack_size: usize,
-    /// Fiber backend only: the running fiber's yield handle
-    /// (`*const FiberHandle` as usize; 0 while not on a fiber stack).
-    /// Only dereferenced from the fiber itself, where it is valid by
-    /// construction.
-    handle: AtomicU64,
 }
 
 /// How a thread is awakened and what runs when it suspends
@@ -203,128 +176,21 @@ pub enum Strategy {
     },
 }
 
-/// What a strategy asks of [`cth_awaken`], read with the strategy's
-/// cell open and carried out with it closed.
-enum Awaken {
-    Ready,
-    Enqueue(Message, QueueingMode),
-    Call(Strategy),
-}
-
-/// What a strategy says about who runs next, likewise.
-enum Successor {
-    Ready,
-    Scheduler,
-    Ask(Strategy),
-}
-
-/// A handle to a Converse thread object (`THREAD *`). Clone freely; all
-/// clones denote the same thread. Thread objects are PE-local: create,
-/// awaken and resume them only from a context of their home PE — any
-/// other OS thread that tries panics (the handle itself may be stored
-/// and dropped anywhere).
+/// A handle to a Converse thread object (`THREAD *`); all clones denote
+/// the same thread. Thread objects are PE-local: create, awaken and
+/// resume them only from a context of their home PE — any other OS
+/// thread that tries panics (the handle may be kept and dropped anywhere).
 #[derive(Clone)]
 pub struct Thread(Arc<Inner>);
 
 impl Thread {
-    /// A thread object that will run `entry` (`None`: the PE's main
-    /// context, running already).
-    fn new(
-        pe: &Pe,
-        id: u64,
-        entry: Option<Entry>,
-        stack_size: usize,
-        strategy: Strategy,
-    ) -> Thread {
-        let state = match entry {
-            Some(_) => State::NotStarted,
-            None => State::Running,
-        };
-        let owned = Owned {
-            strategy: Some(strategy),
-            entry,
-        };
+    fn new(id: u64, state: State) -> Thread {
         Thread(Arc::new(Inner {
             id,
             state: StateCell(AtomicU8::new(state as u8)),
             gate: Mutex::new(()),
             cv: Condvar::new(),
-            owned: OwnerCell::new(pe.owner(), owned),
-            stack_size,
-            handle: AtomicU64::new(0),
         }))
-    }
-
-    /// What awakening this thread takes. A custom strategy leaves its
-    /// cell, so it is called with the cell closed: it may call back into
-    /// the thread API, this thread's included. Pair with
-    /// [`Thread::restore_strategy`].
-    fn awaken_plan(&self, pe: &Pe, rt: &CthRuntime) -> Awaken {
-        self.0.owned.with(pe.owner(), |o| match &mut o.strategy {
-            None | Some(Strategy::Default) => Awaken::Ready,
-            Some(Strategy::Csd(prio)) => {
-                let mode = if *prio == Priority::None {
-                    QueueingMode::Fifo
-                } else {
-                    QueueingMode::PrioFifo
-                };
-                // Same wire format as `Packer::u64`, no Vec allocation.
-                let tid = self.0.id.to_le_bytes();
-                Awaken::Enqueue(Message::with_priority(rt.resume_handler, prio, &tid), mode)
-            }
-            slot @ Some(Strategy::Custom { .. }) => {
-                Awaken::Call(slot.take().expect("matched Some"))
-            }
-        })
-    }
-
-    /// Who runs when this thread gives up control; see
-    /// [`Thread::awaken_plan`].
-    fn successor_plan(&self, pe: &Pe) -> Successor {
-        self.0.owned.with(pe.owner(), |o| match &mut o.strategy {
-            None | Some(Strategy::Default) => Successor::Ready,
-            Some(Strategy::Csd(_)) => Successor::Scheduler,
-            slot @ Some(Strategy::Custom { .. }) => {
-                Successor::Ask(slot.take().expect("matched Some"))
-            }
-        })
-    }
-
-    /// Put a taken strategy back — unless the call installed another.
-    fn restore_strategy(&self, pe: &Pe, taken: Strategy) {
-        self.0.owned.with(pe.owner(), |o| {
-            o.strategy.get_or_insert(taken);
-        });
-    }
-
-    /// Take the entry function out: for the first start, or for
-    /// teardown to drop.
-    fn take_entry(&self, pe: &Pe) -> Option<Entry> {
-        self.0.owned.with(pe.owner(), |o| o.entry.take())
-    }
-
-    /// Teardown's visit to one thread: a thread that never ran loses its
-    /// entry function (it has no stack); a suspended one is marked
-    /// `Poisoned` and `true` is returned: its next wakeup unwinds its
-    /// stack.
-    fn poison_if_suspended(&self, pe: &Pe) -> bool {
-        match self.0.state.get() {
-            State::NotStarted => {
-                drop(self.take_entry(pe));
-                self.0.state.set(State::Exited);
-                false
-            }
-            State::Parked => {
-                self.0.state.set(State::Poisoned);
-                true
-            }
-            State::Running => unreachable!(
-                "PE {}: teardown while thread {} runs — the main context holds the token",
-                pe.my_pe(),
-                self.id()
-            ),
-            State::Exited | State::Poisoned => false,
-        }
     }
 
     /// Runtime-unique thread id (0 names the PE's main context).
@@ -336,10 +202,6 @@ impl Thread {
     pub fn is_exited(&self) -> bool {
         self.0.state.get() == State::Exited
     }
-
-    fn same(&self, other: &Thread) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
 impl std::fmt::Debug for Thread {
@@ -350,7 +212,7 @@ impl std::fmt::Debug for Thread {
 
 impl PartialEq for Thread {
     fn eq(&self, other: &Self) -> bool {
-        self.same(other)
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -393,11 +255,7 @@ impl CthBackend {
     /// The backends usable on this target, fastest first. Test suites
     /// iterate this to prove API equivalence on every backend.
     pub fn available() -> &'static [CthBackend] {
-        if Self::fiber_supported() {
-            &[CthBackend::Fiber, CthBackend::Handoff]
-        } else {
-            &[CthBackend::Handoff]
-        }
+        &[CthBackend::Fiber, CthBackend::Handoff][!Self::fiber_supported() as usize..]
     }
 
     /// The machine-config request pinning this backend.
@@ -448,62 +306,231 @@ pub struct StackPoolStats {
     pub discarded: u64,
 }
 
+/// One slot of the PE's thread table: everything the switch path reads
+/// of one thread object. A vacated slot keeps its handle for the next
+/// thread created.
+struct Tcb {
+    /// Its id and state, and the hand-off gate.
+    handle: Thread,
+    /// `None` only while a [`Strategy::Custom`] is out of the slot being
+    /// called (it reads as [`Strategy::Default`] then), and once vacated.
+    strategy: Option<Strategy>,
+    /// The entry function, until the first resume (or teardown) takes it.
+    entry: Option<Entry>,
+    stack_size: usize,
+    /// Creation order, which teardown walks in.
+    born: u64,
+    /// Fiber backend: the execution context while the thread is parked
+    /// (while it runs, the drive loop's frame holds it).
+    context: Option<Parked>,
+    /// Fiber backend: the fiber's yield handle (`*const FiberHandle` as
+    /// usize), stored by the fiber at its start and dereferenced only
+    /// from the fiber itself, where it is valid by construction.
+    yield_handle: usize,
+}
+
+impl Default for Tcb {
+    fn default() -> Tcb {
+        Tcb {
+            handle: Thread::new(0, State::Exited),
+            strategy: None,
+            entry: None,
+            stack_size: 0,
+            born: 0,
+            context: None,
+            yield_handle: 0,
+        }
+    }
+}
+
+/// What a finished thread leaves in its slot that may run user code
+/// when dropped: dropped by whoever vacated the slot, the cell closed.
+type Litter = (Option<Strategy>, Option<Entry>);
+
+/// An execution context in a slot, in the pool or in the drive loop.
+type Parked = Pinned<fb::Context>;
+
+/// The slot of the thread object `t`; `None` once it exited, whoever
+/// holds the slot now, and for a handle of another PE.
+fn slot_of<'a>(threads: &'a mut SlotTable<Tcb>, t: &Thread) -> Option<&'a mut Tcb> {
+    threads.get(t.id()).filter(|tcb| tcb.handle == *t)
+}
+
+/// Put back a strategy that was out being called — unless the call
+/// installed another or the thread is gone: then it is handed back, to
+/// be dropped with the cell closed.
+fn restore(slot: Option<&mut Tcb>, taken: Strategy) -> Option<Strategy> {
+    match slot.map(|tcb| &mut tcb.strategy) {
+        Some(empty @ None) => empty.replace(taken),
+        _ => Some(taken),
+    }
+}
+
+/// What a visit that moves control leaves its caller to do, cell closed.
+enum Next {
+    /// Control stays put: the target is the running context already.
+    Done,
+    /// Fiber backend, inside a thread: the drive loop has its directive;
+    /// yield to it through this handle ([`fb::yield_to_main`]).
+    Yield(usize),
+    /// Fiber backend, in the main context: this thread is current; run
+    /// its context (`true`: trace the switch).
+    Run(u64, Parked, bool),
+    /// Hand-off backend: the second thread is current; park the first
+    /// and pass it the token (`true`: trace the switch; a direct one).
+    Handoff(Thread, Thread, bool, bool),
+    /// Ask this custom strategy, out of its slot so that it may call back
+    /// into the thread API, who runs next.
+    Ask(Strategy),
+}
+
 /// What the switch path reads and writes; one cell, opened briefly and
 /// never across a call into user code.
+#[derive(Default)]
 struct Sched {
-    /// The thread object holding the run token; `None` in the PE's main
-    /// (scheduler) context. The running thread's handle is *moved* in
-    /// and out by the fiber drive loop — no refcount traffic per switch.
-    current: Option<Thread>,
+    /// Every thread object created on this PE and not yet exited. Slot
+    /// 0 is the PE's main context (id 0), never released.
+    threads: SlotTable<Tcb>,
+    /// Slot index of the context holding the run token (0: main).
+    current: u32,
     /// Default ready pool used by the default suspend/awaken strategy.
-    ready: VecDeque<Thread>,
-    /// Every thread created on this PE and not yet exited, by id: where
-    /// a Csd resume message finds its thread, and what teardown walks.
-    live: IdMap<Thread>,
-    next_id: u64,
-    /// Context switches performed (both backends) — the sampling key for
-    /// [`Event::ThreadSwitch`].
+    ready: VecDeque<u64>,
+    /// Thread objects created so far.
+    created: u64,
+    /// Context switches performed: [`Event::ThreadSwitch`]'s sampling key.
     switches: u64,
     /// Switches that took the direct-handoff fast path: suspend went
     /// straight to the next ready thread, no Csd queue bounce.
     direct: u64,
+    /// Fiber backend: what the fiber about to yield asks of the drive
+    /// loop — switch to this thread (0: return to the main context);
+    /// `true` marks the suspend fast path.
+    directive: Option<(u64, bool)>,
+    /// Fiber backend: finished threads' execution contexts.
+    pool: fb::StackPool,
+    /// Hand-off backend: the OS thread of every started thread object,
+    /// joined once the thread object has exited.
+    os_threads: Vec<(Thread, std::thread::JoinHandle<()>)>,
+    /// Hand-off backend: a panic raised inside a thread, on its way to
+    /// the main context (fiber panics propagate synchronously).
+    pending_panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-/// What the hand-off backend keeps beside its OS threads — off the
-/// switch path.
-#[derive(Default)]
-struct Registry {
-    /// The OS thread of every started thread object, joined once the
-    /// thread object has exited.
-    os_threads: Vec<(Thread, std::thread::JoinHandle<()>)>,
-    /// A panic raised inside a hand-off thread, carried to the main
-    /// context (fiber panics propagate synchronously instead).
-    pending_panic: Option<Box<dyn std::any::Any + Send>>,
+impl Sched {
+    /// The running thread object's slot. Panics in the main context,
+    /// which `what` names.
+    fn running(&mut self, pe: &Pe, what: &str) -> &mut Tcb {
+        if self.current == 0 {
+            panic!(
+                "PE {}: {what} called from the main context — only thread objects suspend",
+                pe.my_pe()
+            );
+        }
+        self.threads.at(self.current)
+    }
+
+    /// Make slot `index` the running context and count the control
+    /// transfer; true when it is one to trace.
+    fn switch_to(&mut self, index: u32, direct: bool) -> bool {
+        self.current = index;
+        self.direct += direct as u64;
+        self.switches += 1;
+        (self.switches - 1).is_multiple_of(SWITCH_SAMPLE)
+    }
+
+    /// Transfer control to thread `to` (0: the main context), whose
+    /// handle `handle` must be when the caller has one; `None` if it
+    /// names no live thread of this PE — it exited.
+    #[inline(always)]
+    fn enter(
+        &mut self,
+        pe: &Pe,
+        rt: &CthRuntime,
+        to: u64,
+        handle: Option<&Thread>,
+        direct: bool,
+    ) -> Option<Next> {
+        let found = self.threads.get(to);
+        let tcb = found.filter(|tcb| handle.is_none_or(|h| tcb.handle == *h))?;
+        if index_of(to) == self.current {
+            return Some(Next::Done);
+        }
+        if rt.backend == CthBackend::Handoff {
+            let to_handle = tcb.handle.clone();
+            let from = self.threads.at(self.current).handle.clone();
+            let sampled = self.switch_to(index_of(to), direct);
+            return Some(Next::Handoff(from, to_handle, sampled, direct));
+        }
+        if self.current != 0 {
+            self.directive = Some((to, direct));
+            return Some(Next::Yield(self.threads.at(self.current).yield_handle));
+        }
+        let (context, sampled) = fb::enter(self, pe, to, direct);
+        Some(Next::Run(to, context, sampled))
+    }
+
+    /// Who runs when the thread in slot `index` gives up control (`None`
+    /// = the main context), or its custom strategy to ask.
+    fn successor(&mut self, index: u32) -> Result<Option<u64>, Strategy> {
+        match &mut self.threads.at(index).strategy {
+            None | Some(Strategy::Default) => Ok(self.ready.pop_front()),
+            Some(Strategy::Csd(_)) => Ok(None),
+            slot @ Some(Strategy::Custom { .. }) => Err(slot.take().expect("matched Some")),
+        }
+    }
+
+    /// The one visit of a suspension: who suspends (its id is returned),
+    /// who is next — by its strategy, or as its custom strategy `said` —
+    /// and the transfer. A strategy may hand back the suspending thread
+    /// itself (a solo thread yielding): control stays put.
+    #[inline(always)]
+    fn suspend(
+        &mut self,
+        pe: &Pe,
+        rt: &CthRuntime,
+        what: &str,
+        said: Option<Option<u64>>,
+    ) -> (u64, Next) {
+        let me = self.running(pe, what).handle.id();
+        let next = match said.map_or_else(|| self.successor(self.current), Ok) {
+            Ok(next) => next,
+            Err(custom) => return (me, Next::Ask(custom)),
+        };
+        let to = next.unwrap_or(0);
+        match self.enter(pe, rt, to, None, next.is_some()) {
+            Some(next) => (me, next),
+            None => panic!("PE {}: resume of exited thread {to}", pe.my_pe()),
+        }
+    }
+
+    /// The thread in slot `index` is done (or never ran): mark its
+    /// handle, retire its id, free the slot.
+    fn vacate(&mut self, index: u32) -> Litter {
+        let tcb = self.threads.at(index);
+        tcb.handle.0.state.set(State::Exited);
+        tcb.yield_handle = 0;
+        let (id, litter) = (tcb.handle.id(), (tcb.strategy.take(), tcb.entry.take()));
+        self.threads.release(id);
+        litter
+    }
 }
 
 /// Per-PE thread runtime (`CthInit` creates it implicitly on first use).
 pub struct CthRuntime {
     /// Which mechanism backs this PE's thread objects.
     backend: CthBackend,
-    /// The PE this runtime lives on. Only the diagnostic readers use it
-    /// (`ready_len`, `live_len`, `switches`, `direct_handoffs`,
-    /// `stack_pool_stats`): their `&self` signatures predate the cells
-    /// and are kept for their callers, so they find the token here.
-    /// Everything on a switch's path is handed `pe`.
+    /// The PE this runtime lives on, for the diagnostic readers only
+    /// (`ready_len` … `stack_pool_stats`): their `&self` signatures
+    /// predate the cell. A switch's path is handed `pe`.
     home: Weak<Pe>,
-    /// The PE's original context: the scheduler/entry stack.
-    main: Thread,
     /// Handler resuming a thread from a generalized message (the Csd
     /// integration).
     resume_handler: HandlerId,
     sched: OwnerCell<Sched>,
-    registry: OwnerCell<Registry>,
-    /// Fiber-backend state (parked fibers, pending directive, stack
-    /// pool); inert in hand-off mode. Fibers are not `Send`, so the
-    /// cell is pinned to the PE's own OS thread, where the runtime is
-    /// always created (the first `cth_*` call comes from the main
-    /// context).
-    fiber: PinnedCell<fb::FiberState>,
+    /// Machine teardown in progress: a thread that wakes up asks whether
+    /// it was poisoned, and finished threads stop selecting successors.
+    /// Touched by the PE's running context only.
+    poisoning: AtomicBool,
 }
 
 impl CthRuntime {
@@ -527,32 +554,20 @@ impl CthRuntime {
                 let mut u = Unpacker::new(msg.payload());
                 let tid = u.u64().expect("cth resume: tid");
                 let rt = CthRuntime::get(pe);
-                let t = rt
-                    .sched(pe, |s| s.live.get(&tid).cloned())
-                    .unwrap_or_else(|| {
-                        panic!("PE {}: resume message for unknown thread {tid}", pe.my_pe())
-                    });
-                resume(pe, rt, t);
+                fb::yield_to_main(pe, rt, resume(pe, rt, tid, None));
             });
             pe.on_exit(|pe| CthRuntime::get(pe).teardown(pe));
+            // The PE's original context, the scheduler/entry stack.
+            let mut sched = Sched::default();
+            let (id, main) = sched.threads.claim(Tcb::default);
+            assert_eq!(id, 0, "the main context is slot 0 of a new table");
+            main.handle = Thread::new(0, State::Running);
             CthRuntime {
                 backend: CthBackend::resolve(pe),
                 home: Arc::downgrade(&pe.arc()),
-                main: Thread::new(pe, 0, None, 0, Strategy::Default),
                 resume_handler,
-                sched: OwnerCell::new(
-                    pe.owner(),
-                    Sched {
-                        current: None,
-                        ready: VecDeque::new(),
-                        live: IdMap::default(),
-                        next_id: 1,
-                        switches: 0,
-                        direct: 0,
-                    },
-                ),
-                registry: OwnerCell::new(pe.owner(), Registry::default()),
-                fiber: PinnedCell::new(pe.owner(), fb::FiberState::new()),
+                sched: OwnerCell::new(pe.owner(), sched),
+                poisoning: AtomicBool::new(false),
             }
         });
         pe.local_ref().expect("just installed")
@@ -564,35 +579,7 @@ impl CthRuntime {
         self.sched.with(pe.owner(), f)
     }
 
-    /// Borrow the running thread object for a short look (its id, its
-    /// strategy cell, its yield handle): no handle is cloned. Panics in
-    /// the main context, which `what` names.
-    #[inline]
-    fn with_current<R>(&self, pe: &Pe, what: &str, f: impl FnOnce(&Thread) -> R) -> R {
-        self.sched(pe, |s| match &s.current {
-            Some(me) => f(me),
-            None => panic!(
-                "PE {}: {what} called from the main context — only thread objects suspend",
-                pe.my_pe()
-            ),
-        })
-    }
-
-    /// A handle to the running context (the main context's included).
-    fn current_thread(&self, pe: &Pe) -> Thread {
-        self.sched(pe, |s| s.current.clone())
-            .unwrap_or_else(|| self.main.clone())
-    }
-
-    /// `t`, or `None` when it is the main context — the form
-    /// `Sched::current` keeps.
-    fn as_current(&self, t: &Thread) -> Option<Thread> {
-        (!t.same(&self.main)).then(|| t.clone())
-    }
-
-    /// The PE this runtime belongs to, for the readers that are not
-    /// handed one. They are owner-only like the state they read: off the
-    /// PE's contexts the cell they open panics.
+    /// The PE, for the readers not handed one (owner-only all the same).
     fn home(&self) -> Arc<Pe> {
         self.home
             .upgrade()
@@ -605,8 +592,7 @@ impl CthRuntime {
     }
 
     /// Spawn a thread under the **Csd strategy** and awaken it, so it
-    /// starts running when the scheduler reaches its ready-entry
-    /// (`tSMCreate`-style). Returns its handle.
+    /// starts when the scheduler reaches its ready-entry (`tSMCreate`).
     pub fn spawn_scheduled<F>(&self, pe: &Pe, f: F) -> Thread
     where
         F: FnOnce(&Pe) + Send + 'static,
@@ -633,7 +619,7 @@ impl CthRuntime {
 
     /// Number of live (created, not yet exited) threads.
     pub fn live_len(&self) -> usize {
-        self.sched(&self.home(), |s| s.live.len())
+        self.sched(&self.home(), |s| s.threads.iter().count() - 1)
     }
 
     /// Context switches performed so far on this PE (both backends).
@@ -651,78 +637,79 @@ impl CthRuntime {
     /// the hand-off backend, which uses OS thread stacks).
     pub fn stack_pool_stats(&self) -> StackPoolStats {
         if self.backend == CthBackend::Fiber {
-            fb::pool_stats(&self.home(), self)
+            self.sched(&self.home(), |s| s.pool.stats)
         } else {
             StackPoolStats::default()
         }
     }
 
-    /// Make `next` (`None` = the main context) the running context,
-    /// count the control transfer and emit the sampled
-    /// [`Event::ThreadSwitch`] record.
-    fn switch_to(&self, pe: &Pe, next: Option<Thread>, direct: bool) {
-        let sampled = self.sched(pe, |s| {
-            s.current = next;
-            s.direct += direct as u64;
-            let n = s.switches;
-            s.switches += 1;
-            n.is_multiple_of(SWITCH_SAMPLE)
-        });
+    /// Emit the trace records of a control transfer to thread `to`: the
+    /// sampled [`Event::ThreadSwitch`], then the resume.
+    fn trace_switch(&self, pe: &Pe, sampled: bool, direct: bool, to: u64) {
         if sampled && pe.trace_enabled() {
             pe.trace_event(Event::ThreadSwitch {
                 backend: self.backend.label(),
                 direct_handoff: direct,
             });
         }
+        pe.trace_event(Event::ThreadResume { tid: to });
     }
 
-    /// Poison every still-suspended thread: fibers are driven through a
-    /// poison unwind on the spot (stacks reclaimed into the pool);
-    /// hand-off OS threads are woken poisoned and joined, one at a time,
-    /// each holding the run token while its stack unwinds (destructors
-    /// on it may use the PE).
+    /// Poison every still-suspended thread, in creation order; one that
+    /// never ran just loses its entry function and its slot. Fibers are
+    /// driven through the poison unwind on the spot — a fiber dropped
+    /// suspended would leak what is live on its stack (`converse-fiber`)
+    /// — and their stacks return to the pool; hand-off OS threads are
+    /// woken poisoned and joined, one at a time, each holding the run
+    /// token while its stack unwinds (destructors on it may use the PE).
     fn teardown(&self, pe: &Pe) {
-        let mut live: Vec<Thread> = self.sched(pe, |s| s.live.drain().map(|(_, t)| t).collect());
-        live.sort_unstable_by_key(Thread::id);
-        match self.backend {
-            CthBackend::Fiber => fb::teardown(pe, self, live),
-            CthBackend::Handoff => {
-                let mut os_threads = self
-                    .registry
-                    .with(pe.owner(), |r| std::mem::take(&mut r.os_threads));
-                for t in live {
-                    {
-                        let _gate = t.0.gate.lock();
-                        if !t.poison_if_suspended(pe) {
-                            continue;
-                        }
-                        // Under `t`'s gate, which `t` holds to see
-                        // `Poisoned`: the release happens-before its adopt.
-                        pe.owner().release();
-                        t.0.cv.notify_all();
-                    }
-                    let at = os_threads.iter().position(|(o, _)| o.same(&t));
-                    let (_, os_thread) =
-                        os_threads.swap_remove(at.expect("a parked thread runs on an OS thread"));
-                    let _ = os_thread.join();
-                    // SAFETY: the token was released to `t` alone, which
-                    // releases it in `finish_thread` before its OS thread
-                    // ends; the join above orders that before this call.
-                    unsafe { pe.owner().adopt() };
-                }
-                for (_, os_thread) in os_threads {
-                    let _ = os_thread.join();
-                }
+        let mut live: Vec<(u64, Thread)> = self.sched(pe, |s| {
+            let threads = s.threads.iter().filter(|(id, _)| *id != 0);
+            threads.map(|(_, t)| (t.born, t.handle.clone())).collect()
+        });
+        live.sort_unstable_by_key(|(born, _)| *born);
+        self.poisoning.store(true, Ordering::Relaxed);
+        let mut os_threads = self.sched(pe, |s| std::mem::take(&mut s.os_threads));
+        for (_, t) in live {
+            let gate = (self.backend == CthBackend::Handoff).then(|| t.0.gate.lock());
+            match t.0.state.get() {
+                State::NotStarted => drop(self.sched(pe, |s| s.vacate(index_of(t.id())))),
+                // Its next wakeup unwinds its stack.
+                State::Parked => t.0.state.set(State::Poisoned),
+                State::Running => unreachable!("PE {}: teardown inside {t:?}", pe.my_pe()),
+                State::Exited | State::Poisoned => {}
             }
+            if t.0.state.get() != State::Poisoned {
+                continue;
+            }
+            let Some(gate) = gate else {
+                resume(pe, self, t.id(), Some(&t));
+                continue;
+            };
+            // Under `t`'s gate, which `t` holds to see `Poisoned`: the
+            // release happens-before its adopt.
+            pe.owner().release();
+            t.0.cv.notify_all();
+            drop(gate);
+            let at = os_threads.iter().position(|(o, _)| *o == t);
+            let (_, os_thread) =
+                os_threads.swap_remove(at.expect("a parked thread runs on an OS thread"));
+            let _ = os_thread.join();
+            // SAFETY: the token was released to `t` alone, which
+            // releases it in `finish_thread` before its OS thread
+            // ends; the join above orders that before this call.
+            unsafe { pe.owner().adopt() };
+        }
+        for (_, os_thread) in os_threads {
+            let _ = os_thread.join();
         }
     }
 }
 
 /// Run `entry` once per backend available on this target (see
-/// [`CthBackend::available`]), each time on a fresh machine of
-/// `num_pes` PEs with that backend pinned. The workhorse of the
-/// backend-parity test suites: code that passes here is proven
-/// API-equivalent on every backend.
+/// [`CthBackend::available`]), each time on a fresh machine of `num_pes`
+/// PEs with that backend pinned. The workhorse of the backend-parity
+/// test suites: code that passes here is API-equivalent on every backend.
 pub fn run_on_each_backend<F>(num_pes: usize, entry: F)
 where
     F: Fn(&Pe) + Send + Sync + 'static,
@@ -753,16 +740,23 @@ where
     create(pe, Box::new(f), stack_size, Strategy::Default)
 }
 
-/// A thread object costs two allocations: its handle and its boxed
-/// entry function. Its execution context comes from the pool at its
-/// first resume.
+/// A thread object costs one allocation, its boxed entry function: it
+/// takes a vacant slot and — unless the user kept one — the handle of the
+/// slot's last occupant. Its context comes from the pool at first resume.
 fn create(pe: &Pe, entry: Entry, stack_size: usize, strategy: Strategy) -> Thread {
     let t = CthRuntime::get(pe).sched(pe, |s| {
-        let id = s.next_id;
-        s.next_id += 1;
-        let t = Thread::new(pe, id, Some(entry), stack_size, strategy);
-        s.live.insert(id, t.clone());
-        t
+        s.created += 1;
+        let (id, tcb) = s.threads.claim(Tcb::default);
+        match Arc::get_mut(&mut tcb.handle.0) {
+            Some(inner) => {
+                inner.id = id;
+                inner.state.set(State::NotStarted);
+            }
+            None => tcb.handle = Thread::new(id, State::NotStarted),
+        }
+        (tcb.strategy, tcb.entry) = (Some(strategy), Some(entry));
+        (tcb.stack_size, tcb.born) = (stack_size, s.created);
+        tcb.handle.clone()
     });
     pe.trace_event(Event::ThreadCreate { tid: t.id() });
     t
@@ -772,12 +766,15 @@ fn create(pe: &Pe, entry: Entry, stack_size: usize, strategy: Strategy) -> Threa
 /// [`cth_awaken`] stores the thread, and which thread [`cth_suspend`]
 /// picks when *this* thread gives up control.
 pub fn cth_set_strategy(pe: &Pe, t: &Thread, s: Strategy) {
-    t.0.owned.with(pe.owner(), |o| o.strategy = Some(s));
+    // The strategy replaced is dropped with the cell closed.
+    let _old = CthRuntime::get(pe).sched(pe, |sc| match slot_of(&mut sc.threads, t) {
+        Some(tcb) => tcb.strategy.replace(s),
+        None => Some(s),
+    });
 }
 
 /// Give `t` the Csd strategy: awakening enqueues a generalized message
-/// (optionally prioritized) whose handler resumes the thread; suspension
-/// returns control to the scheduler context.
+/// of `prio` whose handler resumes it; suspension returns to the scheduler.
 pub fn set_csd_strategy(pe: &Pe, t: &Thread, prio: Priority) {
     cth_set_strategy(pe, t, Strategy::Csd(prio));
 }
@@ -785,28 +782,52 @@ pub fn set_csd_strategy(pe: &Pe, t: &Thread, prio: Priority) {
 /// The currently executing thread (`CthSelf`); `None` in the PE's main
 /// (scheduler) context.
 pub fn cth_self(pe: &Pe) -> Option<Thread> {
-    CthRuntime::get(pe).sched(pe, |s| s.current.clone())
+    CthRuntime::get(pe).sched(pe, |s| {
+        (s.current != 0).then(|| s.threads.at(s.current).handle.clone())
+    })
 }
 
 /// Transfer control to `t` immediately (`CthResume`). The calling
 /// context is parked un-awakened: someone must `cth_resume` or
 /// `cth_awaken` it later, exactly as in the C API.
+#[inline]
 pub fn cth_resume(pe: &Pe, t: &Thread) {
-    resume(pe, CthRuntime::get(pe), t.clone());
+    let rt = CthRuntime::get(pe);
+    fb::yield_to_main(pe, rt, resume(pe, rt, t.id(), Some(t)));
 }
 
-/// [`cth_resume`] of a handle the caller gives away (the Csd resume
-/// handler's case: no refcount traffic on the fiber backend).
-fn resume(pe: &Pe, rt: &CthRuntime, t: Thread) {
-    // Thread ids are per PE (0 = the main context), as threads are.
-    let me = rt.sched(pe, |s| s.current.as_ref().map_or(0, Thread::id));
-    if me == t.id() {
-        return;
+/// Transfer control to the thread `to` names, from wherever the caller
+/// runs. `Some`: the fiber-backend yield of [`Next::Yield`], left for
+/// the caller to make in its own frame.
+fn resume(pe: &Pe, rt: &CthRuntime, to: u64, handle: Option<&Thread>) -> Option<usize> {
+    match rt.sched(pe, |s| s.enter(pe, rt, to, handle, false)) {
+        Some(next) => follow(pe, rt, next),
+        None if handle.is_some() => panic!("PE {}: resume of exited thread {to}", pe.my_pe()),
+        None => panic!("PE {}: resume message for unknown thread {to}", pe.my_pe()),
     }
-    match rt.backend {
-        CthBackend::Handoff => transfer(pe, rt, &rt.current_thread(pe), &t, false),
-        CthBackend::Fiber => fb::resume(pe, rt, me == 0, t),
+}
+
+/// Carry out what a visit decided, but for [`Next::Yield`], which is
+/// handed on.
+#[inline(always)]
+fn follow(pe: &Pe, rt: &CthRuntime, next: Next) -> Option<usize> {
+    match next {
+        Next::Done => {}
+        Next::Yield(yield_handle) => return Some(yield_handle),
+        Next::Run(tid, context, sampled) => fb::drive(pe, rt, tid, context, sampled),
+        Next::Handoff(from, to, sampled, direct) => {
+            // The core hand-off: park self BEFORE waking the target, so
+            // that it can re-resume us at once without a lost wakeup,
+            // then wait until someone hands the token back.
+            rt.trace_switch(pe, sampled, direct, to.id());
+            debug_assert_eq!(from.0.state.get(), State::Running);
+            from.0.state.set(State::Parked);
+            wake(pe, rt, &to);
+            wait_for_token(pe, rt, &from);
+        }
+        Next::Ask(_) => unreachable!("asked by the visit's caller"),
     }
+    None
 }
 
 /// Suspend the current thread and transfer control according to its
@@ -814,58 +835,38 @@ fn resume(pe: &Pe, rt: &CthRuntime, t: Thread) {
 /// pool, else the PE's main context. On the fiber backend a `Some`
 /// successor is switched to **directly** — one ~20 ns context switch, no
 /// Csd queue bounce (the direct-handoff fast path).
+#[inline]
 pub fn cth_suspend(pe: &Pe) {
-    suspend_current(pe, CthRuntime::get(pe), "cth_suspend");
+    let rt = CthRuntime::get(pe);
+    fb::yield_to_main(pe, rt, suspend_current(pe, rt, "cth_suspend"));
 }
 
-/// Who runs next by `plan` (`None` = the PE's main context). A custom
-/// strategy is called here, every cell closed, and handed to `restore`.
-fn pick_successor(
-    pe: &Pe,
-    rt: &CthRuntime,
-    plan: Successor,
-    restore: impl FnOnce(Strategy),
-) -> Option<Thread> {
-    match plan {
-        Successor::Ready => rt.sched(pe, |s| s.ready.pop_front()),
-        Successor::Scheduler => None,
-        Successor::Ask(mut custom) => {
-            let Strategy::Custom { suspend, .. } = &mut custom else {
-                unreachable!("only a custom strategy is asked")
-            };
-            let next = suspend(pe);
-            restore(custom);
-            next
-        }
-    }
+/// Ask a custom strategy who runs next, every cell closed.
+fn ask(pe: &Pe, custom: &mut Strategy) -> Option<u64> {
+    let Strategy::Custom { suspend, .. } = custom else {
+        unreachable!("only a custom strategy is asked")
+    };
+    suspend(pe).map(|t| t.id())
 }
 
-/// Who runs next when `t` gives up control for good (exit).
-fn successor_of(pe: &Pe, rt: &CthRuntime, t: &Thread) -> Option<Thread> {
-    pick_successor(pe, rt, t.successor_plan(pe), |s| t.restore_strategy(pe, s))
-}
-
-fn suspend_current(pe: &Pe, rt: &CthRuntime, what: &str) {
-    // The running thread is reached by borrow; its strategy runs with
-    // every cell closed.
-    let (me, plan) = rt.with_current(pe, what, |me| (me.id(), me.successor_plan(pe)));
-    let next = pick_successor(pe, rt, plan, |s| {
-        rt.with_current(pe, what, |me| me.restore_strategy(pe, s))
-    });
-    // A strategy may hand back the suspending thread itself (a solo
-    // thread yielding); control simply stays put.
-    if next.as_ref().is_some_and(|n| n.id() == me) {
-        return;
+/// Everything of a suspension but the fiber backend's switch, which is
+/// returned for the caller to make.
+fn suspend_current(pe: &Pe, rt: &CthRuntime, what: &str) -> Option<usize> {
+    let (me, mut next) = rt.sched(pe, |s| s.suspend(pe, rt, what, None));
+    // Only a custom strategy takes a second visit, having been asked
+    // with the cell closed.
+    if let Next::Ask(mut custom) = next {
+        let said = ask(pe, &mut custom);
+        let (_unrestored, after) = rt.sched(pe, |s| {
+            let unrestored = restore(Some(s.running(pe, what)), custom);
+            (unrestored, s.suspend(pe, rt, what, Some(said)).1)
+        });
+        next = after;
     }
-    pe.trace_event(Event::ThreadSuspend { tid: me });
-    match rt.backend {
-        CthBackend::Handoff => {
-            let direct = next.is_some();
-            let target = next.unwrap_or_else(|| rt.main.clone());
-            transfer(pe, rt, &rt.current_thread(pe), &target, direct);
-        }
-        CthBackend::Fiber => fb::suspend(pe, rt, next),
+    if !matches!(next, Next::Done) {
+        pe.trace_event(Event::ThreadSuspend { tid: me });
     }
+    follow(pe, rt, next)
 }
 
 /// Add `t` to its scheduler's ready pool (`CthAwaken`): permission for a
@@ -882,26 +883,49 @@ pub fn cth_awaken(pe: &Pe, t: &Thread) {
 }
 
 fn awaken(pe: &Pe, rt: &CthRuntime, t: &Thread) {
-    match t.awaken_plan(pe, rt) {
-        Awaken::Ready => rt.sched(pe, |s| s.ready.push_back(t.clone())),
-        Awaken::Enqueue(msg, mode) => csd::csd_enqueue_general(pe, msg, mode),
-        Awaken::Call(mut custom) => {
+    // Read with the cell open, carried out with it closed: a ready-entry
+    // for the Csd queue, or a custom strategy to call.
+    let plan = rt.sched(pe, |s| {
+        let tcb = slot_of(&mut s.threads, t)
+            .unwrap_or_else(|| panic!("PE {}: {t:?} is no live thread of this PE", pe.my_pe()));
+        match &mut tcb.strategy {
+            None | Some(Strategy::Default) => s.ready.push_back(t.id()),
+            Some(Strategy::Csd(prio)) => {
+                let mode = match prio {
+                    Priority::None => QueueingMode::Fifo,
+                    _ => QueueingMode::PrioFifo,
+                };
+                // Same wire format as `Packer::u64`, no Vec allocation.
+                let tid = t.id().to_le_bytes();
+                let msg = Message::with_priority(rt.resume_handler, prio, &tid);
+                return Ok(Some((msg, mode)));
+            }
+            slot @ Some(Strategy::Custom { .. }) => return Err(slot.take().expect("matched")),
+        }
+        Ok(None)
+    });
+    match plan {
+        Ok(None) => {}
+        Ok(Some((msg, mode))) => csd::csd_enqueue_general(pe, msg, mode),
+        // It may call back into the thread API, this thread's included.
+        Err(mut custom) => {
             let Strategy::Custom { awaken, .. } = &mut custom else {
                 unreachable!("only a custom strategy is called")
             };
             awaken(pe, t.clone());
-            t.restore_strategy(pe, custom);
+            let _unrestored = rt.sched(pe, |s| restore(slot_of(&mut s.threads, t), custom));
         }
     }
 }
 
 /// Awaken the current thread then suspend (`CthYield`): control will
 /// eventually return here.
+#[inline]
 pub fn cth_yield(pe: &Pe) {
     let rt = CthRuntime::get(pe);
-    let me = rt.with_current(pe, "cth_yield", Thread::clone);
+    let me = rt.sched(pe, |s| s.running(pe, "cth_yield").handle.clone());
     cth_awaken(pe, &me);
-    suspend_current(pe, rt, "cth_yield");
+    fb::yield_to_main(pe, rt, suspend_current(pe, rt, "cth_yield"));
 }
 
 /// Terminate the current thread (`CthExit`): control transfers per the
@@ -909,7 +933,7 @@ pub fn cth_yield(pe: &Pe) {
 /// Returning from the thread function calls this implicitly. Unwinds, so
 /// destructors on the thread's stack run.
 pub fn cth_exit(pe: &Pe) -> ! {
-    CthRuntime::get(pe).with_current(pe, "cth_exit", |_| ());
+    let _me = CthRuntime::get(pe).sched(pe, |s| s.running(pe, "cth_exit").born);
     std::panic::resume_unwind(Box::new(ExitRequested));
 }
 
@@ -917,29 +941,19 @@ pub fn cth_exit(pe: &Pe) -> ! {
 // Hand-off backend: one OS thread per thread object, gated by a token.
 // ---------------------------------------------------------------------
 
-/// The core hand-off: mark `from` parked, start/wake `to` (passing it
-/// the run token), wait until someone hands the token back to `from`.
-fn transfer(pe: &Pe, rt: &CthRuntime, from: &Thread, to: &Thread, direct: bool) {
-    debug_assert!(!from.same(to));
-    rt.switch_to(pe, rt.as_current(to), direct && !to.same(&rt.main));
-    pe.trace_event(Event::ThreadResume { tid: to.id() });
-    // Park self BEFORE waking the target so the target can immediately
-    // re-resume us without a lost wakeup.
-    debug_assert_eq!(from.0.state.get(), State::Running);
-    from.0.state.set(State::Parked);
-    wake(pe, rt, to);
-    wait_for_token(pe, rt, from);
-}
-
 /// Hand the run token to `to` and let it run. The caller holds the
 /// token on entry and has given it up on return.
 fn wake(pe: &Pe, rt: &CthRuntime, to: &Thread) {
     if to.0.state.get() == State::NotStarted {
         // First start: give the thread its OS thread, parked like any
         // other until the token is passed below.
-        let entry = to.take_entry(pe).expect("entry present before first start");
+        let (entry, stack_size) = rt.sched(pe, |s| {
+            let tcb = slot_of(&mut s.threads, to).expect("a thread that never ran is live");
+            (tcb.entry.take(), tcb.stack_size)
+        });
         to.0.state.set(State::Parked);
-        spawn_os_thread(pe, rt, to, entry);
+        let entry = entry.expect("entry present before first start");
+        spawn_os_thread(pe, rt, to, entry, stack_size);
     }
     let _gate = to.0.gate.lock();
     match to.0.state.get() {
@@ -951,10 +965,7 @@ fn wake(pe: &Pe, rt: &CthRuntime, to: &Thread) {
             to.0.cv.notify_all();
         }
         State::Running => panic!("PE {}: resume of running thread {}", pe.my_pe(), to.id()),
-        State::NotStarted => unreachable!("started above"),
-        State::Exited | State::Poisoned => {
-            panic!("PE {}: resume of exited thread {}", pe.my_pe(), to.id())
-        }
+        _ => panic!("PE {}: resume of exited thread {}", pe.my_pe(), to.id()),
     }
 }
 
@@ -982,8 +993,8 @@ fn wait_for_token(pe: &Pe, rt: &CthRuntime, me: &Thread) {
     }
     // Back in control. If a thread carried a panic to the main context,
     // re-raise it here so it propagates out of the PE entry.
-    if me.same(&rt.main) {
-        if let Some(p) = rt.registry.with(pe.owner(), |r| r.pending_panic.take()) {
+    if me.id() == 0 {
+        if let Some(p) = rt.sched(pe, |s| s.pending_panic.take()) {
             std::panic::resume_unwind(p);
         }
     }
@@ -991,12 +1002,12 @@ fn wait_for_token(pe: &Pe, rt: &CthRuntime, me: &Thread) {
 
 /// Give `t` an OS thread that waits for the run token, then runs
 /// `entry`. Called by the token holder, which records the join handle.
-fn spawn_os_thread(pe: &Pe, rt: &CthRuntime, t: &Thread, entry: Entry) {
+fn spawn_os_thread(pe: &Pe, rt: &CthRuntime, t: &Thread, entry: Entry, stack_size: usize) {
     let pe_arc = pe.arc();
     let t2 = t.clone();
     let handle = std::thread::Builder::new()
         .name(format!("pe{}-cth{}", pe.my_pe(), t.id()))
-        .stack_size(t.0.stack_size.max(16 * 1024))
+        .stack_size(stack_size.max(16 * 1024))
         .spawn(move || {
             let pe = pe_arc;
             let rt = CthRuntime::get(&pe);
@@ -1012,8 +1023,7 @@ fn spawn_os_thread(pe: &Pe, rt: &CthRuntime, t: &Thread, entry: Entry) {
             finish_thread(&pe, rt, &t2, user_panic);
         })
         .expect("spawn thread-object OS thread");
-    // Record the join handle for teardown.
-    rt.registry.with(pe.owner(), |r| {
+    rt.sched(pe, |r| {
         // Before the list would grow, join the OS threads of the thread
         // objects that have exited (they are past their last use of the
         // runtime): a PE that creates a thread per task holds as many
@@ -1031,7 +1041,7 @@ fn spawn_os_thread(pe: &Pe, rt: &CthRuntime, t: &Thread, entry: Entry) {
     });
 }
 
-/// Common tail of a hand-off thread's life: mark exited and hand the
+/// Common tail of a hand-off thread's life: vacate its slot and hand the
 /// token to the next context (per strategy, else ready pool, else main).
 fn finish_thread(
     pe: &Pe,
@@ -1039,36 +1049,35 @@ fn finish_thread(
     me: &Thread,
     user_panic: Option<Box<dyn std::any::Any + Send>>,
 ) {
+    let index = index_of(me.id());
     if me.0.state.get() == State::Poisoned {
         // Teardown owns the machine and is joining this thread: mark
         // exited and give the token back.
-        me.0.state.set(State::Exited);
+        drop(rt.sched(pe, |s| s.vacate(index)));
         pe.owner().release();
         return;
     }
-    if let Some(p) = user_panic {
+    let next = if let Some(p) = user_panic {
         // Carry the panic to the main context and abort the machine so
         // other PEs unblock instead of deadlocking.
-        rt.registry.with(pe.owner(), |r| r.pending_panic = Some(p));
+        rt.sched(pe, |s| s.pending_panic = Some(p));
         pe.abort_machine();
-        me.0.state.set(State::Exited);
-        rt.sched(pe, |s| {
-            s.live.remove(&me.id());
-            s.current = None;
-        });
-        let _gate = rt.main.0.gate.lock();
-        if rt.main.0.state.get() == State::Parked {
-            pe.owner().release();
-            rt.main.0.state.set(State::Running);
-            rt.main.0.cv.notify_all();
-        }
-        return;
-    }
-    let target = successor_of(pe, rt, me).unwrap_or_else(|| rt.main.clone());
-    me.0.state.set(State::Exited);
-    rt.sched(pe, |s| s.live.remove(&me.id()));
-    rt.switch_to(pe, rt.as_current(&target), false);
-    pe.trace_event(Event::ThreadResume { tid: target.id() });
+        None
+    } else {
+        // Its strategy is asked while it is still the running thread.
+        rt.sched(pe, |s| s.successor(index))
+            .unwrap_or_else(|mut custom| ask(pe, &mut custom))
+    };
+    let to = next.unwrap_or(0);
+    let (litter, target, sampled) = rt.sched(pe, |s| {
+        let litter = s.vacate(index);
+        let Some(target) = s.threads.get(to).map(|tcb| tcb.handle.clone()) else {
+            panic!("PE {}: resume of exited thread {to}", pe.my_pe());
+        };
+        (litter, target, s.switch_to(index_of(to), false))
+    });
+    drop(litter); // the user's code: while this thread still holds the token
+    rt.trace_switch(pe, sampled, false, to);
     wake(pe, rt, &target);
 }
 
@@ -1077,23 +1086,42 @@ fn finish_thread(
 // context, with pooled stacks and the direct-handoff fast path.
 // ---------------------------------------------------------------------
 
-#[cfg(all(target_arch = "x86_64", unix))]
 mod fb {
     use super::*;
+    #[cfg(all(target_arch = "x86_64", unix))]
     use converse_fiber::{Fiber, FiberHandle};
+    #[cfg(not(all(target_arch = "x86_64", unix)))]
+    use unsupported::{Fiber, FiberHandle};
 
-    /// What the fiber that just yielded wants the drive loop to do.
-    pub(super) enum Directive {
-        /// Return control to the main/scheduler context.
-        Suspend,
-        /// Switch straight to this thread; `direct` marks the suspend
-        /// fast path (no Csd queue bounce) for the switch statistics.
-        Transfer { to: Thread, direct: bool },
+    /// Stand-ins where `converse-fiber` is empty: `CthBackend::resolve`
+    /// never selects the fiber backend there, so no context is made.
+    #[cfg(not(all(target_arch = "x86_64", unix)))]
+    mod unsupported {
+        pub struct FiberHandle;
+
+        impl FiberHandle {
+            pub fn yield_now(&self) {}
+        }
+
+        pub struct Fiber<A>(std::marker::PhantomData<A>);
+
+        impl<A> Fiber<A> {
+            pub fn with_entry(_stack_size: usize, _entry: fn(&FiberHandle, A)) -> Fiber<A> {
+                unreachable!("fiber backend on unsupported target")
+            }
+            pub fn arm(&mut self, _arg: A) {}
+            pub fn resume(&mut self) -> bool {
+                false
+            }
+            pub fn stack_size(&self) -> usize {
+                0
+            }
+        }
     }
 
     /// A pooled execution context: a stack and a fiber that runs
     /// [`thread_main`] on it, once per thread object it hosts.
-    type Context = Fiber<(Arc<Pe>, Entry)>;
+    pub(super) type Context = Fiber<(Arc<Pe>, Entry)>;
 
     /// Smallest pooled stack class.
     const MIN_CLASS: usize = 16 * 1024;
@@ -1105,36 +1133,26 @@ mod fb {
 
     /// Per-PE size-classed free list of execution contexts — the
     /// thread-stack analogue of the message-buffer pool: a thread that
-    /// starts takes a finished thread's whole context (stack, saved
-    /// registers, bookkeeping) and arms it, paying neither an allocation
-    /// nor the zeroing of a fresh stack.
+    /// starts takes a finished thread's whole context and arms it, paying
+    /// neither an allocation nor the zeroing of a fresh stack.
     ///
     /// # Retention
     ///
     /// A context of a pooled class is never dropped, so a class holds as
     /// many contexts as its PE ever had threads of that class **started
-    /// and not yet exited at one time** — a context is only made when
-    /// every existing one is in use. What is retained is what the
-    /// program itself once kept alive: at worst that peak thread count ×
-    /// the class size (256 KiB for [`DEFAULT_STACK_SIZE`]) of address
-    /// space per PE, of which only the pages the threads touched are
-    /// resident. No count picked in advance bounds it: a bound below a
-    /// program's concurrency turns every start beyond it into a fresh
-    /// zeroed stack (a 33rd blocked thread cost 48 µs against 1.3 µs
-    /// when the class kept 32).
+    /// and not yet exited at one time**: at worst that peak × the class
+    /// size (256 KiB for [`DEFAULT_STACK_SIZE`]) of address space, of
+    /// which only the pages the threads touched are resident. No count
+    /// picked in advance bounds it: a bound below a program's concurrency
+    /// turns every start beyond it into a fresh zeroed stack (a 33rd
+    /// blocked thread cost 48 µs against 1.3 µs when the class kept 32).
+    #[derive(Default)]
     pub(super) struct StackPool {
-        free: [Vec<Context>; NUM_CLASSES],
-        pub stats: StackPoolStats,
+        free: [Vec<Parked>; NUM_CLASSES],
+        pub(super) stats: StackPoolStats,
     }
 
     impl StackPool {
-        fn new() -> StackPool {
-            StackPool {
-                free: Default::default(),
-                stats: StackPoolStats::default(),
-            }
-        }
-
         /// Class index for a pooled stack of exactly `len` bytes.
         fn class_of(len: usize) -> Option<usize> {
             (len.is_power_of_two() && (MIN_CLASS..=MAX_CLASS).contains(&len))
@@ -1145,7 +1163,7 @@ mod fb {
         /// pooled (rounded up to its size class) when `want` fits a
         /// class, else an exact one-off allocation that will not be
         /// retained.
-        fn take(&mut self, want: usize) -> Context {
+        fn take(&mut self, want: usize) -> Parked {
             let rounded = want.max(MIN_CLASS).next_power_of_two();
             let pooled = Self::class_of(rounded).and_then(|class| self.free[class].pop());
             if let Some(context) = pooled {
@@ -1154,13 +1172,12 @@ mod fb {
             }
             self.stats.misses += 1;
             let size = if rounded <= MAX_CLASS { rounded } else { want };
-            Fiber::with_entry(size, thread_main)
+            Pinned::new(Fiber::with_entry(size, thread_main))
         }
 
         /// Keep a finished thread's context for the next one.
-        fn give(&mut self, context: Context) {
-            debug_assert!(context.is_done());
-            match Self::class_of(context.stack_size()) {
+        fn give(&mut self, mut context: Parked) {
+            match Self::class_of(context.get_mut().stack_size()) {
                 Some(class) => {
                     self.stats.recycled += 1;
                     self.free[class].push(context);
@@ -1170,139 +1187,79 @@ mod fb {
         }
     }
 
-    pub(super) struct FiberState {
-        /// Parked fibers by thread id; the running fiber (at most one)
-        /// is owned by the drive loop's stack frame.
-        fibers: IdMap<Context>,
-        /// Set by the fiber that is about to yield; consumed by the
-        /// drive loop to pick the next context.
-        directive: Option<Directive>,
-        /// Machine teardown in progress: finished fibers stop selecting
-        /// successors.
-        poisoning: bool,
-        pool: StackPool,
-    }
-
-    impl FiberState {
-        pub fn new() -> FiberState {
-            FiberState {
-                fibers: IdMap::default(),
-                directive: None,
-                poisoning: false,
-                pool: StackPool::new(),
-            }
-        }
-    }
-
-    /// Open the fiber state: on the PE's own OS thread, with its token.
+    /// Suspend the running fiber through its yield handle, if handed
+    /// one ([`Next::Yield`]), returning control to the drive loop, which
+    /// follows the directive left in the table. On wakeup, re-raise
+    /// teardown poison so the stack unwinds. Inlined down to the switch,
+    /// so that the switch is made in the frame of the `cth_*` caller:
+    /// every frame between it and the loop the thread runs in is a return
+    /// the processor mispredicts when the thread wakes, and one more when
+    /// the main context is back (≈ 5 ns each, ten of them before ISSUE 23).
     #[inline(always)]
-    fn fibers<R>(pe: &Pe, rt: &CthRuntime, f: impl FnOnce(&mut FiberState) -> R) -> R {
-        rt.fiber.with(pe.owner(), f)
-    }
-
-    pub(super) fn pool_stats(pe: &Pe, rt: &CthRuntime) -> StackPoolStats {
-        fibers(pe, rt, |fs| fs.pool.stats)
-    }
-
-    /// `cth_resume` on the fiber backend: from the main context, enter
-    /// the drive loop; from inside a fiber, hand the drive loop a
-    /// transfer directive and park.
-    pub(super) fn resume(pe: &Pe, rt: &CthRuntime, from_main: bool, t: Thread) {
-        if from_main {
-            drive(pe, rt, t, false);
-        } else {
-            fibers(pe, rt, |fs| {
-                fs.directive = Some(Directive::Transfer {
-                    to: t,
-                    direct: false,
-                })
-            });
-            yield_to_main(pe, rt);
-        }
-    }
-
-    /// `cth_suspend` on the fiber backend: `Some` successor = direct
-    /// handoff (the fast path), `None` = back to the scheduler.
-    pub(super) fn suspend(pe: &Pe, rt: &CthRuntime, next: Option<Thread>) {
-        fibers(pe, rt, |fs| {
-            fs.directive = Some(match next {
-                Some(to) => Directive::Transfer { to, direct: true },
-                None => Directive::Suspend,
-            })
-        });
-        yield_to_main(pe, rt);
-    }
-
-    /// Suspend the running fiber, returning control to the drive loop.
-    /// On wakeup, re-raise teardown poison so the stack unwinds.
-    fn yield_to_main(pe: &Pe, rt: &CthRuntime) {
-        let h = rt.with_current(pe, "a fiber switch", |me| {
-            me.0.handle.load(Ordering::Relaxed)
-        }) as *const FiberHandle;
-        debug_assert!(
-            !h.is_null(),
-            "suspending fiber has a registered yield handle"
-        );
+    pub(super) fn yield_to_main(pe: &Pe, rt: &CthRuntime, yield_handle: Option<usize>) {
+        let Some(yield_handle) = yield_handle else {
+            return;
+        };
+        let h = yield_handle as *const FiberHandle;
+        debug_assert!(!h.is_null(), "a started fiber stored its yield handle");
         // SAFETY: `h` points at the FiberHandle on this very fiber's
-        // stack (we are the fiber suspending; `fiber_entry` stored it),
-        // live until completion.
+        // stack (we are the fiber suspending; `thread_main` stored it in
+        // the running thread's slot), live until completion.
         unsafe { (*h).yield_now() };
         // Resumed: the drive loop made this thread current again. Only
         // teardown poisons, so the thread's state is asked only then.
-        let poisoned = fibers(pe, rt, |fs| fs.poisoning)
-            && rt.with_current(pe, "a fiber switch", |me| {
-                me.0.state.get() == State::Poisoned
-            });
-        if poisoned {
+        if rt.poisoning.load(Ordering::Relaxed) {
+            unwind_if_poisoned(pe, rt);
+        }
+    }
+
+    #[cold]
+    fn unwind_if_poisoned(pe: &Pe, rt: &CthRuntime) {
+        let me = rt.sched(pe, |s| s.running(pe, "a fiber switch").handle.0.state.get());
+        if me == State::Poisoned {
             std::panic::resume_unwind(Box::new(ThreadPoison));
         }
     }
 
-    /// Materialize or retrieve the execution context for `t`, marking it
-    /// running. A `NotStarted` thread's entry function moves into a
+    /// Retrieve or materialize the execution context of thread `to`, a
+    /// live one, and make it the running thread (`true`: trace the
+    /// switch). A `NotStarted` thread's entry function moves into a
     /// pooled context here — creation is lazy, so a never-resumed thread
     /// costs no stack at all.
-    fn take_fiber(pe: &Pe, rt: &CthRuntime, t: &Thread) -> Context {
-        match t.0.state.get() {
+    #[inline(always)]
+    pub(super) fn enter(s: &mut Sched, pe: &Pe, to: u64, direct: bool) -> (Parked, bool) {
+        let tcb = s.threads.at(index_of(to));
+        let state = tcb.handle.0.state.get();
+        let context = match state {
             State::NotStarted => {
-                let entry = t.take_entry(pe).expect("entry present before first start");
-                t.0.state.set(State::Running);
-                let mut context = fibers(pe, rt, |fs| fs.pool.take(t.0.stack_size));
-                context.arm((pe.arc(), entry));
+                let entry = tcb.entry.take().expect("entry present before first start");
+                let mut context = s.pool.take(tcb.stack_size);
+                context.get_mut().arm((pe.arc(), entry));
                 context
             }
-            state @ (State::Parked | State::Poisoned) => {
-                // Poison is left set: the wakeup check in
-                // `yield_to_main` turns it into an unwind.
-                if state == State::Parked {
-                    t.0.state.set(State::Running);
-                }
-                fibers(pe, rt, |fs| fs.fibers.remove(&t.0.id)).unwrap_or_else(|| {
-                    panic!("PE {}: parked thread {} has no fiber", pe.my_pe(), t.id())
-                })
-            }
-            State::Running => panic!("PE {}: resume of running thread {}", pe.my_pe(), t.id()),
-            State::Exited => {
-                panic!("PE {}: resume of exited thread {}", pe.my_pe(), t.id())
-            }
+            State::Parked | State::Poisoned => tcb
+                .context
+                .take()
+                .unwrap_or_else(|| panic!("PE {}: parked thread {to} has no fiber", pe.my_pe())),
+            State::Running => panic!("PE {}: resume of running thread {to}", pe.my_pe()),
+            State::Exited => unreachable!("a live slot's thread has not exited"),
+        };
+        // Poison is left set: the wakeup check in `yield_to_main` turns
+        // it into an unwind.
+        if state != State::Poisoned {
+            tcb.handle.0.state.set(State::Running);
         }
+        (context, s.switch_to(index_of(to), direct))
     }
 
     /// What every pooled context runs, once per thread object it hosts
-    /// (the drive loop has made that thread current): register the yield
-    /// handle, run the entry, swallow the control-flow unwinds (exit,
-    /// poison) so the fiber finishes cleanly; genuine user panics are
-    /// re-raised and surface from `Fiber::resume` in the drive loop.
+    /// (current by then): store the yield handle, run the entry, swallow
+    /// the control-flow unwinds (exit, poison) so the fiber finishes
+    /// cleanly; user panics surface from `Fiber::resume` in the drive loop.
     fn thread_main(h: &FiberHandle, (pe, entry): (Arc<Pe>, Entry)) {
-        let rt = CthRuntime::get(&pe);
-        let set_handle = |to: *const FiberHandle| {
-            rt.with_current(&pe, "a fiber", |me| {
-                me.0.handle.store(to as u64, Ordering::Relaxed)
-            })
-        };
-        set_handle(h);
+        let at = h as *const FiberHandle as usize;
+        CthRuntime::get(&pe).sched(&pe, |s| s.running(&pe, "a fiber").yield_handle = at);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry(&pe)));
-        set_handle(std::ptr::null());
         if let Err(p) = result {
             if !(p.is::<ExitRequested>() || p.is::<ThreadPoison>()) {
                 std::panic::resume_unwind(p);
@@ -1311,128 +1268,69 @@ mod fb {
     }
 
     /// The fiber scheduler: runs on the main context, switching into
-    /// `first` and then following the directives fibers leave behind —
-    /// `Transfer` chains stay inside this loop (one ~20 ns switch per
-    /// hop, never touching the Csd queue), `Suspend` returns to the
-    /// caller (the Csd scheduler or the PE entry).
-    fn drive(pe: &Pe, rt: &CthRuntime, first: Thread, mut direct: bool) {
-        debug_assert!(
-            rt.sched(pe, |s| s.current.is_none()),
-            "PE {}: fiber drive entered outside the main context",
-            pe.my_pe()
-        );
-        let mut t = first;
+    /// thread `tid` — current already, `context` its own — and then
+    /// following the directives fibers leave behind: a transfer stays
+    /// inside this loop (one ~20 ns switch per hop, never touching the
+    /// Csd queue), a suspend returns to the caller. Each hop visits the
+    /// table twice: [`enter`], and once the fiber is back, to park or
+    /// retire it and read what it asked for.
+    pub(super) fn drive(
+        pe: &Pe,
+        rt: &CthRuntime,
+        mut tid: u64,
+        mut context: Parked,
+        mut sampled: bool,
+    ) {
+        let mut direct = false;
         loop {
-            let mut fiber = take_fiber(pe, rt, &t);
-            let tid = t.id();
-            // The handle moves into `current` while the fiber runs and
-            // back out when it yields: no refcount traffic per switch.
-            rt.switch_to(pe, Some(t), direct);
-            pe.trace_event(Event::ThreadResume { tid });
+            rt.trace_switch(pe, sampled, direct, tid);
+            let fiber = context.get_mut();
             let resumed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fiber.resume()));
-            t = rt
-                .sched(pe, |s| s.current.take())
-                .expect("the fiber that yielded is the running thread");
-            let alive = match resumed {
-                Ok(alive) => alive,
-                Err(p) => {
-                    // A user panic inside the fiber: the fiber is done
-                    // (its stack already unwound inside the fiber
-                    // boundary); restore bookkeeping, then let the
-                    // panic propagate out of the PE entry.
-                    t.0.state.set(State::Exited);
-                    rt.sched(pe, |s| s.live.remove(&tid));
-                    fibers(pe, rt, |fs| {
-                        fs.directive = None;
-                        fs.pool.give(fiber);
-                    });
-                    pe.abort_machine();
-                    std::panic::resume_unwind(p);
-                }
-            };
-            if !alive {
-                t.0.state.set(State::Exited);
-                rt.sched(pe, |s| s.live.remove(&tid));
-            } else if t.0.state.get() == State::Running {
-                t.0.state.set(State::Parked);
-            }
-            // Park the fiber (or keep its context for the next thread)
-            // and read what it asked for, in one visit.
-            let (directive, poisoning) = fibers(pe, rt, |fs| {
+            let alive = *resumed.as_ref().unwrap_or(&false);
+            let poisoning = rt.poisoning.load(Ordering::Relaxed);
+            let (next, litter) = rt.sched(pe, |s| {
+                let index = std::mem::take(&mut s.current);
                 if alive {
-                    fs.fibers.insert(tid, fiber);
-                } else {
-                    fs.pool.give(fiber);
+                    let tcb = s.threads.at(index);
+                    if tcb.handle.0.state.get() == State::Running {
+                        tcb.handle.0.state.set(State::Parked);
+                    }
+                    tcb.context = Some(context);
+                    return (Ok(s.directive.take()), None);
                 }
-                (fs.directive.take(), fs.poisoning)
+                // The fiber finished (exit, return or panic) without
+                // choosing: consult its suspend strategy, exactly like
+                // the hand-off backend's finish path — unless teardown
+                // or a panic ends the walk here.
+                s.pool.give(context);
+                let next = match poisoning || resumed.is_err() {
+                    true => Ok(None),
+                    false => s.successor(index).map(|next| next.map(|to| (to, false))),
+                };
+                (next, Some(s.vacate(index)))
             });
-            match directive {
-                Some(Directive::Transfer { to, direct: d }) => {
-                    t = to;
-                    direct = d;
-                }
-                Some(Directive::Suspend) => return,
-                None => {
-                    // The fiber finished (exit or return) without
-                    // choosing: consult its suspend strategy, exactly
-                    // like the hand-off backend's finish path.
-                    debug_assert!(!alive);
-                    if poisoning {
-                        return;
-                    }
-                    match successor_of(pe, rt, &t) {
-                        Some(n) if !n.same(&t) => {
-                            t = n;
-                            direct = false;
-                        }
-                        _ => return,
-                    }
-                }
+            // Asked, and what the thread left dropped, with the cell
+            // closed: both are the user's code.
+            let next = next.unwrap_or_else(|mut custom| ask(pe, &mut custom).map(|to| (to, false)));
+            drop(litter);
+            if let Err(p) = resumed {
+                // A user panic inside the fiber: the fiber is done (its
+                // stack already unwound inside the fiber boundary) and
+                // its slot vacated; let the panic propagate out of the
+                // PE entry.
+                pe.abort_machine();
+                std::panic::resume_unwind(p);
             }
-        }
-    }
-
-    /// Machine teardown on the fiber backend: every still-parked fiber
-    /// is poisoned and driven through its unwind on the spot, so
-    /// destructors run and its stack returns to the pool — no fiber is
-    /// ever dropped suspended (which would leak; see `converse-fiber`).
-    pub(super) fn teardown(pe: &Pe, rt: &CthRuntime, live: Vec<Thread>) {
-        fibers(pe, rt, |fs| fs.poisoning = true);
-        for t in live {
-            if t.poison_if_suspended(pe) {
-                drive(pe, rt, t, false);
+            match next {
+                // 0: back to the scheduler. A finished thread may find
+                // itself in the ready pool: nothing is left to run.
+                Some((to, d)) if to != 0 && (alive || to != tid) => (tid, direct) = (to, d),
+                _ => return,
             }
+            (context, sampled) = rt.sched(pe, |s| match s.threads.get(tid) {
+                Some(_) => enter(s, pe, tid, direct),
+                None => panic!("PE {}: resume of exited thread {tid}", pe.my_pe()),
+            });
         }
-    }
-}
-
-#[cfg(not(all(target_arch = "x86_64", unix)))]
-mod fb {
-    //! Stub for targets without fiber support: `CthBackend::resolve`
-    //! never selects the fiber backend there, so none of these run.
-    use super::*;
-
-    pub(super) struct FiberState;
-
-    impl FiberState {
-        pub fn new() -> FiberState {
-            FiberState
-        }
-    }
-
-    pub(super) fn pool_stats(_pe: &Pe, _rt: &CthRuntime) -> StackPoolStats {
-        unreachable!("fiber backend on unsupported target")
-    }
-
-    pub(super) fn resume(_pe: &Pe, _rt: &CthRuntime, _from_main: bool, _t: Thread) {
-        unreachable!("fiber backend on unsupported target")
-    }
-
-    pub(super) fn suspend(_pe: &Pe, _rt: &CthRuntime, _next: Option<Thread>) {
-        unreachable!("fiber backend on unsupported target")
-    }
-
-    pub(super) fn teardown(_pe: &Pe, _rt: &CthRuntime, _live: Vec<Thread>) {
-        unreachable!("fiber backend on unsupported target")
     }
 }

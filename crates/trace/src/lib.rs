@@ -20,6 +20,7 @@
 //!   trace, the kind of digest a Projections-style tool would display.
 
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -300,7 +301,9 @@ impl TraceSink for NullSink {
 /// In-memory bounded trace, queryable after the run. Keeps at most
 /// `capacity` records per PE (oldest dropped), counting drops.
 pub struct MemorySink {
-    per_pe: Vec<Mutex<Vec<Record>>>,
+    /// One ring per PE: at capacity the oldest record leaves from the
+    /// front in O(1).
+    per_pe: Vec<Mutex<VecDeque<Record>>>,
     capacity: usize,
     dropped: AtomicU64,
 }
@@ -310,7 +313,7 @@ impl MemorySink {
     /// per PE.
     pub fn new(num_pes: usize, capacity: usize) -> Arc<Self> {
         Arc::new(MemorySink {
-            per_pe: (0..num_pes).map(|_| Mutex::new(Vec::new())).collect(),
+            per_pe: (0..num_pes).map(|_| Mutex::default()).collect(),
             capacity,
             dropped: AtomicU64::new(0),
         })
@@ -318,7 +321,7 @@ impl MemorySink {
 
     /// All records of one PE, in emission order.
     pub fn records(&self, pe: usize) -> Vec<Record> {
-        self.per_pe[pe].lock().clone()
+        self.per_pe[pe].lock().iter().cloned().collect()
     }
 
     /// All records of all PEs, ordered by timestamp.
@@ -346,10 +349,10 @@ impl TraceSink for MemorySink {
     fn record(&self, pe: usize, t_ns: u64, event: Event) {
         let mut v = self.per_pe[pe].lock();
         if v.len() >= self.capacity {
-            v.remove(0);
+            v.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        v.push(Record { pe, t_ns, event });
+        v.push_back(Record { pe, t_ns, event });
     }
 }
 
@@ -727,6 +730,28 @@ mod tests {
         assert_eq!(s.dropped(), 7);
         // Oldest dropped: remaining timestamps are the last three.
         assert_eq!(s.records(0)[0].t_ns, 7);
+    }
+
+    #[test]
+    fn memory_sink_drops_oldest_first_at_every_fill() {
+        // The ring wraps several times; what is kept is always the
+        // newest `capacity` records, in emission order, per PE.
+        const CAP: u64 = 5;
+        let s = MemorySink::new(2, CAP as usize);
+        for i in 0..23u64 {
+            s.record(0, i, Event::User { id: 0, data: i });
+            if i % 3 == 0 {
+                s.record(1, i, Event::User { id: 1, data: i });
+            }
+            let kept: Vec<u64> = s.records(0).iter().map(|r| r.t_ns).collect();
+            let expect: Vec<u64> = (i.saturating_sub(CAP - 1)..=i).collect();
+            assert_eq!(kept, expect, "after record {i}");
+        }
+        let other: Vec<u64> = s.records(1).iter().map(|r| r.t_ns).collect();
+        assert_eq!(other, [9, 12, 15, 18, 21]);
+        assert_eq!(s.dropped(), (23 - CAP) + (8 - CAP));
+        let all = s.all_records();
+        assert!(all.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     }
 
     #[test]
