@@ -70,7 +70,7 @@ fn pctl(sorted: &[u64], p: f64) -> f64 {
     sorted[idx] as f64
 }
 
-/// 2-PE ping-pong; PE 0 reports "RTT_NS <p50> <p99>" through the
+/// 2-PE ping-pong; PE 0 reports `RTT_NS <p50> <p99>` through the
 /// captured console.
 fn rtt_entry(pe: &converse_machine::Pe) {
     let pong = pe.register_handler(|_, _| {});

@@ -28,7 +28,7 @@
 
 use converse_core::{csd_exit_scheduler, csd_scheduler, Quiescence};
 use converse_ldb::{Ldb, LdbPolicy};
-use converse_machine::{run_with, HandlerId, MachineConfig, Message, StealConfig};
+use converse_machine::{run_with, HandlerId, MachineConfig, Message};
 use converse_msg::Priority;
 use converse_taskbench::exec::{assert_machine_valid, run_graph_raw, RunOpts};
 use converse_taskbench::{GraphSpec, Pattern, TaskGraph};
@@ -66,7 +66,7 @@ fn taskbench_cell(pes: usize, steal: bool, reps: usize) -> Row {
     let g = graph.clone();
     let mut cfg = MachineConfig::new(pes).capture_output();
     if steal {
-        cfg = cfg.steal(StealConfig::default());
+        cfg = cfg.steal(true);
     }
     let report = run_with(cfg, move |pe| {
         let opts = RunOpts {
@@ -142,7 +142,7 @@ fn bnb_cell(pes: usize, policy: LdbPolicy, ldb: &'static str, steal: bool) -> Ro
     let b2 = best.clone();
     let mut cfg = MachineConfig::new(pes).capture_output();
     if steal {
-        cfg = cfg.steal(StealConfig::default());
+        cfg = cfg.steal(true);
     }
     let report = run_with(cfg, move |pe| {
         let qd = Quiescence::install(pe);

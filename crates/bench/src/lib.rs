@@ -41,7 +41,7 @@ pub fn standard_sizes() -> Vec<usize> {
 }
 
 /// Run `f` on a one-PE machine and return the duration it reports.
-pub fn run_timed<F>(num_pes: usize, f: F) -> Duration
+fn run_timed<F>(num_pes: usize, f: F) -> Duration
 where
     F: Fn(&Pe) -> Option<Duration> + Send + Sync + 'static,
 {
@@ -56,7 +56,7 @@ where
     d
 }
 
-/// [`run_timed`] with an explicit machine configuration (thread backend,
+/// `run_timed` with an explicit machine configuration (thread backend,
 /// queue kind, …).
 pub fn run_timed_with<F>(cfg: MachineConfig, f: F) -> Duration
 where
@@ -284,7 +284,7 @@ const SHAPE_TOL_US: f64 = 0.25;
 
 /// Shape checks the reproduced series must satisfy (the paper's claims);
 /// returns human-readable violations, empty when all hold. Differences
-/// within [`SHAPE_TOL_US`] of measurement noise are accepted.
+/// within `SHAPE_TOL_US` (0.25 µs) of measurement noise are accepted.
 pub fn shape_check(model: &NetModel, rows: &[FigureRow]) -> Vec<String> {
     let mut bad = Vec::new();
     for w in rows.windows(2) {

@@ -182,21 +182,10 @@ impl CcsClient {
         self.wait_ok(t)
     }
 
-    /// Destination-less submit: the server routes to whichever PE is
-    /// least loaded when the request is admitted.
-    pub fn submit_any(&mut self, name: &str, payload: &[u8]) -> Result<CcsTicket, CcsError> {
-        self.submit(name, crate::protocol::ANY_PE, payload)
-    }
-
-    /// Destination-less synchronous call; see [`CcsClient::submit_any`].
+    /// Destination-less synchronous call: the server routes to whichever
+    /// PE is least loaded when the request is admitted.
     pub fn call_any(&mut self, name: &str, payload: &[u8]) -> Result<Vec<u8>, CcsError> {
-        let t = self.submit_any(name, payload)?;
-        self.wait_ok(t)
-    }
-
-    /// Replies received early and not yet claimed by a `wait`.
-    pub fn stashed(&self) -> usize {
-        self.stash.len()
+        self.call(name, crate::protocol::ANY_PE, payload)
     }
 
     /// Consume a reply *stream* for `ticket`: invoke `on_frame` with

@@ -33,7 +33,7 @@
 
 pub mod charm_bridge;
 pub mod client;
-pub mod protocol;
+mod protocol;
 pub mod pubsub;
 pub mod registry;
 pub mod server;
@@ -41,9 +41,8 @@ pub mod server;
 pub use charm_bridge::{entry_request, export_chare_entry};
 pub use client::{CcsClient, CcsError, CcsTicket};
 pub use converse_machine::exo::status;
-pub use protocol::{Reply, Request, ANY_PE};
+pub use protocol::Reply;
 pub use registry::CcsRegistry;
-pub use server::pick_least_loaded;
 pub use server::{CcsServer, CcsServerConfig, CcsServerHandle};
 
 use converse_machine::Pe;

@@ -20,17 +20,17 @@ use std::io::{self, Read, Write};
 
 /// Upper bound on a frame body; a length prefix beyond this is treated
 /// as a corrupt stream rather than an allocation request.
-pub const MAX_FRAME: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Sentinel destination meaning "any PE": the server picks the least
 /// loaded processor at admission time. Encodes on the wire as
 /// `u32::MAX`, which no real machine reaches, so existing clients and
 /// servers are unaffected.
-pub const ANY_PE: usize = u32::MAX as usize;
+pub(crate) const ANY_PE: usize = u32::MAX as usize;
 
 /// One client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Client-chosen sequence number, echoed in the reply.
     pub seq: u64,
     /// Destination PE, or [`ANY_PE`] to let the server route by load.
@@ -60,7 +60,7 @@ impl Reply {
 }
 
 /// Encode a request frame body.
-pub fn encode_request(r: &Request) -> Vec<u8> {
+pub(crate) fn encode_request(r: &Request) -> Vec<u8> {
     Packer::with_capacity(16 + r.name.len() + r.payload.len())
         .u64(r.seq)
         .u32(r.dest_pe as u32)
@@ -70,7 +70,7 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
 }
 
 /// Decode a request frame body.
-pub fn decode_request(body: &[u8]) -> Option<Request> {
+pub(crate) fn decode_request(body: &[u8]) -> Option<Request> {
     let mut u = Unpacker::new(body);
     Some(Request {
         seq: u.u64().ok()?,
@@ -82,12 +82,12 @@ pub fn decode_request(body: &[u8]) -> Option<Request> {
 
 /// Best-effort extraction of just the sequence number from a request
 /// body, so a malformed request can still be answered.
-pub fn peek_seq(body: &[u8]) -> Option<u64> {
+pub(crate) fn peek_seq(body: &[u8]) -> Option<u64> {
     Unpacker::new(body).u64().ok()
 }
 
 /// Encode a reply frame body.
-pub fn encode_reply(r: &Reply) -> Vec<u8> {
+pub(crate) fn encode_reply(r: &Reply) -> Vec<u8> {
     Packer::with_capacity(13 + r.payload.len())
         .u64(r.seq)
         .u8(r.status)
@@ -96,7 +96,7 @@ pub fn encode_reply(r: &Reply) -> Vec<u8> {
 }
 
 /// Decode a reply frame body.
-pub fn decode_reply(body: &[u8]) -> Option<Reply> {
+pub(crate) fn decode_reply(body: &[u8]) -> Option<Reply> {
     let mut u = Unpacker::new(body);
     Some(Reply {
         seq: u.u64().ok()?,
@@ -106,7 +106,7 @@ pub fn decode_reply(body: &[u8]) -> Option<Reply> {
 }
 
 /// Write one frame (length prefix + body).
-pub fn write_frame(w: &mut dyn Write, body: &[u8]) -> io::Result<()> {
+pub(crate) fn write_frame(w: &mut dyn Write, body: &[u8]) -> io::Result<()> {
     assert!(body.len() <= MAX_FRAME, "frame body exceeds MAX_FRAME");
     // One write for prefix + body: a split write puts a tiny segment on
     // the wire first, and Nagle + delayed ACK then stall the rest for
@@ -120,7 +120,7 @@ pub fn write_frame(w: &mut dyn Write, body: &[u8]) -> io::Result<()> {
 
 /// Read one frame body. `Ok(None)` on a clean EOF at a frame boundary
 /// (peer closed); errors on mid-frame EOF or an oversized prefix.
-pub fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
+pub(crate) fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}

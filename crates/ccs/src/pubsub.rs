@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 /// A subscriber callback: runs on the subscribing PE, inside message
 /// delivery, with the published value.
-pub type SubscriberFn = Arc<dyn Fn(&Pe, &[u8]) + Send + Sync>;
+type SubscriberFn = Arc<dyn Fn(&Pe, &[u8]) + Send + Sync>;
 
 /// One asserted topic on this PE.
 struct TopicState {
@@ -71,7 +71,7 @@ struct PubSubState {
 /// truncated to 31 bits, with the high bit set so topic channels and
 /// `MachineConfig::channel` ids (1..N) can never collide. Stable
 /// across PEs and processes — no registry round trip needed.
-pub fn topic_channel_id(name: &str) -> u32 {
+fn topic_channel_id(name: &str) -> u32 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.as_bytes() {
         h ^= *b as u64;

@@ -367,7 +367,7 @@ impl Drop for CcsServer {
 /// because it is the live signal — a PE stuck inside a long handler
 /// accumulates undelivered and staged-but-undispatched packets, while
 /// cumulative counters only say who was busy in the past.
-pub fn pick_least_loaded(loads: &[PeLoad]) -> usize {
+pub(crate) fn pick_least_loaded(loads: &[PeLoad]) -> usize {
     assert!(!loads.is_empty(), "a machine has at least one PE");
     loads
         .iter()

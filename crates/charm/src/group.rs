@@ -12,9 +12,10 @@
 //! Invocations go through the scheduler queue with their priority, the
 //! same two-handler idiom the point-to-point chare path uses.
 
+use crate::idmap::IdMap;
 use crate::Charm;
 use converse_core::csd;
-use converse_machine::{HandlerId, IdMap, Message, Pe};
+use converse_machine::{HandlerId, Message, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
 use parking_lot::Mutex;
@@ -50,7 +51,7 @@ pub trait GroupChare: Send + 'static {
 type GroupCtor = Arc<dyn Fn(&Pe, GroupId, &[u8]) -> Box<dyn GroupChare> + Send + Sync>;
 
 /// Per-PE group runtime state (owned by [`Charm`]).
-pub struct GroupState {
+pub(crate) struct GroupState {
     create_h: HandlerId,
     invoke_h: HandlerId,
     exec_h: HandlerId,
@@ -152,7 +153,7 @@ impl GroupState {
     }
 
     /// Number of live branches on this PE.
-    pub fn local_branches(&self) -> usize {
+    pub(crate) fn local_branches(&self) -> usize {
         self.branches.lock().len()
     }
 }

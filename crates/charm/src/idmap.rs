@@ -1,8 +1,8 @@
 //! Tables keyed by runtime-assigned ids.
 //!
-//! Thread ids, chare slots and group ids are small integers a runtime
-//! handed out itself, so a table of them needs neither SipHash's
-//! protection against chosen keys nor its cost on a per-message lookup.
+//! Chare slots and group ids are small integers the runtime handed out
+//! itself, so a table of them needs neither SipHash's protection against
+//! chosen keys nor its cost on a per-message lookup.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -11,7 +11,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// spread over both the bucket index (low bits) and the control byte
 /// (high bits) of the standard table.
 #[derive(Default)]
-pub struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     #[inline]
@@ -30,7 +30,7 @@ impl Hasher for IdHasher {
 }
 
 /// A `HashMap` from runtime-assigned `u64` ids.
-pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -26,11 +26,13 @@
 //!   computation has drained.
 
 pub mod group;
+mod idmap;
 pub mod rebalance;
 
+use crate::idmap::IdMap;
 use converse_core::{csd, Quiescence};
 use converse_ldb::{Ldb, LdbPolicy};
-use converse_machine::{HandlerId, IdMap, Message, Pe};
+use converse_machine::{HandlerId, Message, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
 use parking_lot::Mutex;

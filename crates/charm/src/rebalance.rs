@@ -30,7 +30,7 @@ pub struct RebalanceReport {
 /// The deterministic greedy plan: source PEs above the ceiling hand
 /// excess to destination PEs below the floor, in PE order. Pure so it
 /// can be property-tested; every PE computes it identically.
-pub fn plan_moves(counts: &[usize]) -> Vec<(usize, usize, usize)> {
+fn plan_moves(counts: &[usize]) -> Vec<(usize, usize, usize)> {
     // (from, to, how_many)
     let n = counts.len();
     let total: usize = counts.iter().sum();
@@ -75,7 +75,7 @@ pub fn plan_moves(counts: &[usize]) -> Vec<(usize, usize, usize)> {
 /// from the same `(counts, backlogs)` view. Unlike [`plan_moves`],
 /// which equalizes object *counts*, this equalizes observed *load*:
 /// a PE whose few objects are expensive still donates.
-pub fn plan_moves_measured(counts: &[usize], backlogs: &[u64]) -> Vec<(usize, usize, usize)> {
+fn plan_moves_measured(counts: &[usize], backlogs: &[u64]) -> Vec<(usize, usize, usize)> {
     let n = counts.len().min(backlogs.len());
     if n < 2 {
         return Vec::new();
@@ -230,7 +230,7 @@ impl Charm {
     /// phase-boundary sibling): like [`Charm::rebalance`] but the plan
     /// is driven by each PE's live backlog — mailbox depth plus
     /// run-queue depth — rather than by object counts alone, via
-    /// [`plan_moves_measured`]. Loosely synchronous; every PE must call
+    /// `plan_moves_measured`. Loosely synchronous; every PE must call
     /// it at the same phase boundary.
     pub fn rebalance_measured(&self, pe: &Pe) -> RebalanceReport {
         // 1. Global (count, backlog) picture via a concat allgather.
@@ -294,16 +294,6 @@ impl Charm {
             moved_out,
             expected_in,
         }
-    }
-
-    /// [`Charm::rebalance_measured`] followed by a wait until this PE's
-    /// live migratable population matches the plan. Collective.
-    pub fn rebalance_sync_measured(&self, pe: &Pe) -> RebalanceReport {
-        let report = self.rebalance_measured(pe);
-        let want = report.before - report.moved_out.len() + report.expected_in;
-        converse_core::schedule_until(pe, || self.local_migratable() == want);
-        pe.barrier();
-        report
     }
 }
 

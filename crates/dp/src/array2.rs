@@ -1,7 +1,7 @@
 //! Two-dimensional block-row distributed arrays.
 //!
 //! The natural layout for stencil codes: rows are block-distributed over
-//! PEs ([`crate::block_range`] on the row index); each PE's block lives
+//! PEs (`block_range` on the row index); each PE's block lives
 //! in one EMI global-pointer region, so the halo exchange of a 2-D
 //! Jacobi/heat solver is two remote sub-range gets (the boundary rows of
 //! the neighbouring blocks) per iteration — exactly the communication

@@ -243,7 +243,7 @@ impl Dp {
 
 /// Block layout of `global_len` elements over `num_pes` PEs: PE `p` owns
 /// `[lo, hi)`. The first `global_len % num_pes` PEs hold one extra.
-pub fn block_range(global_len: usize, num_pes: usize, pe: usize) -> (usize, usize) {
+pub(crate) fn block_range(global_len: usize, num_pes: usize, pe: usize) -> (usize, usize) {
     let base = global_len / num_pes;
     let extra = global_len % num_pes;
     let lo = pe * base + pe.min(extra);
@@ -252,7 +252,7 @@ pub fn block_range(global_len: usize, num_pes: usize, pe: usize) -> (usize, usiz
 }
 
 /// Owning PE of global index `i` under [`block_range`].
-pub fn block_owner(global_len: usize, num_pes: usize, i: usize) -> usize {
+pub(crate) fn block_owner(global_len: usize, num_pes: usize, i: usize) -> usize {
     assert!(i < global_len);
     // Invert the block map by search (num_pes is small).
     for p in 0..num_pes {

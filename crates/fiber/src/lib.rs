@@ -353,12 +353,6 @@ impl<A> Fiber<A> {
         switch.state.get() != State::Done
     }
 
-    /// True when there is nothing to resume: the entry has returned, or
-    /// the context was never armed.
-    pub fn is_done(&self) -> bool {
-        self.inner.switch.state.get() == State::Done
-    }
-
     /// Size of this context's stack in bytes.
     pub fn stack_size(&self) -> usize {
         self.inner.stack.len()
@@ -378,9 +372,7 @@ mod tests {
         let mut f = Fiber::new(32 * 1024, move |_h| {
             h2.set(41);
         });
-        assert!(!f.is_done());
         assert!(!f.resume(), "no yields: finished on first resume");
-        assert!(f.is_done());
         assert_eq!(hit.get(), 41);
         assert!(!f.resume(), "finished fiber stays finished");
     }
@@ -463,8 +455,7 @@ mod tests {
         assert!(f.resume(), "first resume reaches the yield");
         let err = catch_unwind(AssertUnwindSafe(|| f.resume())).expect_err("panic re-thrown");
         assert_eq!(err.downcast_ref::<&str>().copied(), Some("fiber boom"));
-        assert!(f.is_done());
-        assert!(!f.resume());
+        assert!(!f.resume(), "a panicked fiber is finished");
     }
 
     #[test]
@@ -530,17 +521,14 @@ mod tests {
     fn sum_runs_on(f: &mut Fiber<Run>) {
         let out = Rc::new(Cell::new(0u64));
         f.arm(Run::Sum(out.clone()));
-        assert!(!f.is_done());
         assert!(f.resume(), "suspended at the yield");
         assert!(!f.resume());
         assert_eq!(out.get(), 16 + (15 * 16 / 2));
-        assert!(f.is_done());
     }
 
     #[test]
     fn a_context_is_idle_until_armed() {
         let mut f = Fiber::with_entry(32 * 1024, run);
-        assert!(f.is_done());
         assert!(!f.resume(), "nothing armed, nothing runs");
         assert_eq!(f.stack_size(), 32 * 1024);
         sum_runs_on(&mut f);
@@ -581,7 +569,6 @@ mod tests {
             assert!(f.resume());
             let err = catch_unwind(AssertUnwindSafe(|| f.resume())).expect_err("re-thrown");
             assert_eq!(err.downcast_ref::<&str>().copied(), Some("fiber boom"));
-            assert!(f.is_done());
             assert!(!f.resume(), "the panic was delivered once");
             sum_runs_on(&mut f);
         }

@@ -80,8 +80,8 @@ pub enum LdbPolicy {
     /// depth, [`converse_machine::PeLoad::backlog`]). On shared-memory
     /// transports the snapshot is read directly; on distributed
     /// transports, where remote loads are not observable, the balancer
-    /// falls back to gossiped load reports (broadcast every
-    /// [`LOAD_REPORT_PERIOD`] balancer events, like
+    /// falls back to gossiped load reports (broadcast every 4th
+    /// balancer event, `LOAD_REPORT_PERIOD`, like
     /// [`LdbPolicy::TwoChoices`]). Seeds are marked stealable, so
     /// placement mistakes remain correctable by idle-PE work stealing
     /// mid-run.

@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// A registered reduction combiner: `f(acc, contribution) -> acc`.
 /// Must be associative; contributions combine in tree order (own value,
 /// then children ascending by PE id).
-pub type Combiner = Arc<dyn Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync>;
+pub(crate) type Combiner = Arc<dyn Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync>;
 
 /// Index of a registered combiner. Registration must occur in the same
 /// order on every PE.
@@ -60,7 +60,7 @@ impl Default for CollState {
 }
 
 /// Children of `pe` in the machine-wide spanning tree.
-pub fn tree_children(pe: usize, num_pes: usize) -> Vec<usize> {
+fn tree_children(pe: usize, num_pes: usize) -> Vec<usize> {
     [2 * pe + 1, 2 * pe + 2]
         .into_iter()
         .filter(|&c| c < num_pes)
@@ -68,7 +68,7 @@ pub fn tree_children(pe: usize, num_pes: usize) -> Vec<usize> {
 }
 
 /// Parent of `pe` in the machine-wide spanning tree (`None` for PE 0).
-pub fn tree_parent(pe: usize) -> Option<usize> {
+fn tree_parent(pe: usize) -> Option<usize> {
     if pe == 0 {
         None
     } else {

@@ -36,7 +36,7 @@
 use crate::pe::{MachineShared, Pe};
 use converse_msg::pack::{PackError, Packer, Unpacker};
 use converse_msg::{HandlerId, Message};
-use converse_net::{CmiTransport, PeLoad};
+use converse_net::{Interconnect, PeLoad};
 use converse_queue::QueueingMode;
 use converse_trace::Event;
 use parking_lot::{Mutex, RwLock};
@@ -92,7 +92,7 @@ pub struct ExoReply {
 }
 
 /// Where `exo_reply` forwards envelopes; installed by the front-end.
-pub type ReplySink = Arc<dyn Fn(ExoReply) + Send + Sync>;
+pub(crate) type ReplySink = Arc<dyn Fn(ExoReply) + Send + Sync>;
 
 /// Gateway state shared machine-wide (lives in `MachineShared`).
 #[derive(Default)]
@@ -126,10 +126,12 @@ pub trait MachineService: Send {
 
 /// Capability handle a [`MachineService`] uses to talk to the machine
 /// without being a PE: inject requests, install the reply sink, read
-/// live load. Cloneable; safe to hold in service threads.
+/// live load. Cloneable; safe to hold in service threads. Only the
+/// in-process machine has one (the multi-process launcher refuses
+/// services), so it holds the machine's `Interconnect` itself.
 #[derive(Clone)]
 pub struct MachineHandle {
-    pub(crate) net: Arc<dyn CmiTransport>,
+    pub(crate) net: Arc<Interconnect>,
     pub(crate) shared: Arc<MachineShared>,
     pub(crate) exo_req: HandlerId,
 }
@@ -137,7 +139,7 @@ pub struct MachineHandle {
 impl MachineHandle {
     /// Number of PEs in the running machine.
     pub fn num_pes(&self) -> usize {
-        self.net.local().num_pes()
+        self.net.num_pes()
     }
 
     /// True once any PE has panicked.
@@ -147,12 +149,12 @@ impl MachineHandle {
 
     /// True once the interconnect has been closed (machine over).
     pub fn closed(&self) -> bool {
-        self.net.local().is_closed()
+        self.net.is_closed()
     }
 
     /// Live per-PE load (traffic counters + mailbox depth), PE order.
     pub fn load_snapshot(&self) -> Vec<PeLoad> {
-        self.net.local().load_snapshot()
+        self.net.load_snapshot()
     }
 
     /// Wrap an external request in the gateway envelope and deliver it
@@ -187,7 +189,7 @@ impl MachineHandle {
 
     /// Install the sink that `exo_reply` handlers forward envelopes to.
     /// One front-end at a time; installing replaces the previous sink.
-    pub fn install_reply_sink(&self, sink: ReplySink) {
+    pub fn install_reply_sink(&self, sink: Arc<dyn Fn(ExoReply) + Send + Sync>) {
         *self.shared.exo.sink.write() = Some(sink);
     }
 

@@ -49,9 +49,6 @@ impl GlobalPtr {
             size: u.usize().ok()?,
         })
     }
-
-    /// Encoded size in bytes.
-    pub const ENCODED_LEN: usize = 24;
 }
 
 /// Completion handle for an asynchronous get.

@@ -34,7 +34,6 @@ mod append;
 pub mod coll;
 pub mod exo;
 pub mod gptr;
-mod idmap;
 pub mod io;
 mod locals;
 pub mod mmi;
@@ -50,14 +49,13 @@ pub use converse_net::{
     Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, LinkFaults, NetModel,
     PeLoad, StallWindow,
 };
-pub use exo::{ExoReply, ExoToken, MachineHandle, MachineService, ReplySink};
-pub use idmap::{IdHasher, IdMap};
+pub use exo::{ExoReply, ExoToken, MachineHandle, MachineService};
 #[cfg(debug_assertions)]
 pub use owner::cell_census;
 pub use owner::{Owner, OwnerCell, Pinned};
 pub use pe::{Handler, Pe};
 pub use run::{
-    default_idle_spin, run, run_on_each_transport, run_with, try_run_with, MachineConfig,
-    QueueKind, RunError, RunReport, StealConfig, ThreadBackend, Transport, WireKind, WireOptions,
+    run, run_on_each_transport, run_with, try_run_with, MachineConfig, QueueKind, RunError,
+    RunReport, ThreadBackend, Transport,
 };
 pub use wire_run::in_socket_worker;

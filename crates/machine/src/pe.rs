@@ -90,6 +90,13 @@ pub(crate) const INTERNAL_BUDGET: usize = 32;
 /// [`Pe::publish_load`] calls (scheduler iterations).
 const LOAD_PUBLISH_PERIOD: u64 = 16;
 
+/// Most messages one steal moves ([`Pe::try_steal`]).
+const STEAL_BATCH: usize = 8;
+
+/// Least victim backlog (mailbox depth + published run queue) a steal
+/// is worth its interruption for, where remote loads are visible.
+const STEAL_MIN_BACKLOG: usize = 2;
+
 /// Which scheduler queue implementation a machine uses — the "plug in
 /// different queuing strategies" hook at machine-configuration level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -170,28 +177,6 @@ pub enum ThreadBackend {
     Handoff,
 }
 
-/// Idle-PE work-stealing knobs (`MachineConfig::steal`). When enabled,
-/// a PE whose drain loop comes up empty asks the most-loaded peer to
-/// donate a batch of *stealable* staged messages before parking — see
-/// the stealable-message contract on `converse_msg::FLAG_STEALABLE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealConfig {
-    /// Most messages moved per steal.
-    pub batch: usize,
-    /// Minimum victim backlog (mailbox depth + published run queue)
-    /// before a steal is worth its interruption.
-    pub min_backlog: usize,
-}
-
-impl Default for StealConfig {
-    fn default() -> Self {
-        StealConfig {
-            batch: 8,
-            min_backlog: 2,
-        }
-    }
-}
-
 /// Machine-wide state shared by all PEs of one [`crate::run`] invocation.
 pub(crate) struct MachineShared {
     pub console: Console,
@@ -216,8 +201,8 @@ pub(crate) struct MachineShared {
     /// ids assigned 1..N in declaration order (0 is the default
     /// exactly-once channel). Resolved by [`Pe::channel`].
     pub channels: Vec<(String, Channel)>,
-    /// Idle-PE work stealing (`MachineConfig::steal`); `None` = off.
-    pub steal: Option<StealConfig>,
+    /// Idle-PE work stealing (`MachineConfig::steal`).
+    pub steal: bool,
 }
 
 /// What only the PE's running context touches on the message path —
@@ -573,14 +558,14 @@ impl Pe {
     /// Invoke `msg`'s handler immediately on this PE, recording trace
     /// events. `src` is the sending PE for trace purposes (self for
     /// locally generated entries).
-    pub fn call_handler_from(&self, src: usize, msg: Message) {
+    pub(crate) fn call_handler_from(&self, src: usize, msg: Message) {
         let id = msg.handler();
         let f = self.handler_fn(id);
         if self.trace_on {
             // Splice→first-run steal latency: the transport stamps the
             // moment stolen work was spliced into this PE's stream; the
             // next handler dispatch here closes the interval.
-            if self.shared.steal.is_some() {
+            if self.shared.steal {
                 let mark = self.mailbox.take_steal_mark(self.id);
                 if mark != 0 {
                     let now = self.now_ns();
@@ -771,7 +756,7 @@ impl Pe {
 
     /// True when `h` is one of the machine layer's reserved protocol
     /// handlers (global pointers, collectives, group forwarding).
-    pub fn is_internal_handler(&self, h: HandlerId) -> bool {
+    pub(crate) fn is_internal_handler(&self, h: HandlerId) -> bool {
         h.index() < self.internal_count
     }
 
@@ -783,7 +768,7 @@ impl Pe {
     /// SPM receive is waiting for — the paper's no-concurrency promise:
     /// "no other actions should take place within the same process"
     /// while an SPM module blocks.
-    pub fn deliver_internal_until<F: FnMut() -> bool>(&self, mut done: F) {
+    pub(crate) fn deliver_internal_until<F: FnMut() -> bool>(&self, mut done: F) {
         let deadline = self.blocking_deadline();
         loop {
             if done() {
@@ -935,10 +920,10 @@ impl Pe {
     }
 
     /// Fold one scheduler-iteration sample (`busy` = the iteration did
-    /// work) into this PE's EMA occupancy, and every
-    /// [`LOAD_PUBLISH_PERIOD`]th call publish `(run_queue, occupancy)`
-    /// to the transport's load board for peers, balancers, and the CCS
-    /// monitor. Called from the Csd loop by the PE's running context.
+    /// work) into this PE's EMA occupancy, and every 16th call
+    /// (`LOAD_PUBLISH_PERIOD`) publish `(run_queue, occupancy)` to the
+    /// transport's load board for peers, balancers, and the CCS monitor.
+    /// Called from the Csd loop by the PE's running context.
     pub fn publish_load(&self, busy: bool) {
         let publish = self.core(|c| {
             let sample: u32 = if busy { 1000 } else { 0 };
@@ -955,18 +940,16 @@ impl Pe {
     }
 
     /// Idle-PE steal attempt: pick the most-backlogged peer and ask it
-    /// to donate a batch of stealable staged messages. Returns how many
-    /// arrived synchronously — always 0 on distributed transports,
-    /// where the request is asynchronous (donations land later as
-    /// ordinary deliveries) and the victim rotates round-robin because
-    /// remote loads are not observable. A no-op unless the machine was
-    /// configured with `MachineConfig::steal`.
+    /// to donate up to `STEAL_BATCH` stealable staged messages (see the
+    /// stealable-message contract on `converse_msg::FLAG_STEALABLE`).
+    /// Returns how many arrived synchronously — always 0 on distributed
+    /// transports, where the request is asynchronous (donations land
+    /// later as ordinary deliveries) and the victim rotates round-robin
+    /// because remote loads are not observable. A no-op unless the
+    /// machine was configured with `MachineConfig::steal`.
     pub fn try_steal(&self) -> usize {
-        let Some(cfg) = self.shared.steal else {
-            return 0;
-        };
         let n_pes = self.num_pes();
-        if n_pes < 2 || cfg.batch == 0 {
+        if !self.shared.steal || n_pes < 2 {
             return 0;
         }
         if self.net.shared_memory() {
@@ -976,7 +959,7 @@ impl Pe {
                     continue;
                 }
                 let b = l.backlog();
-                if b >= cfg.min_backlog && best.is_none_or(|(bb, _)| b > bb) {
+                if b >= STEAL_MIN_BACKLOG && best.is_none_or(|(bb, _)| b > bb) {
                     best = Some((b, l.pe));
                 }
             }
@@ -984,7 +967,7 @@ impl Pe {
                 return 0;
             };
             let t0 = self.now_ns();
-            let n = self.net.steal_from(victim, self.id, cfg.batch);
+            let n = self.net.steal_from(victim, self.id, STEAL_BATCH);
             if n > 0 && self.trace_on {
                 let now = self.now_ns();
                 // Synchronous steal: the request→donate leg is simply
@@ -1017,7 +1000,7 @@ impl Pe {
                 k
             }) as usize;
             let victim = (self.id + 1 + k % (n_pes - 1)) % n_pes;
-            self.net.steal_from(victim, self.id, cfg.batch)
+            self.net.steal_from(victim, self.id, STEAL_BATCH)
         }
     }
 
@@ -1044,9 +1027,8 @@ impl Pe {
     }
 
     /// Emit a [`Event::MsgPool`] snapshot of this PE's buffer-pool
-    /// counters into the trace. Called at PE teardown by the runner;
-    /// user code may also call it mid-run to bracket a phase.
-    pub fn trace_msg_pool(&self) {
+    /// counters into the trace. Called at PE teardown by the runner.
+    pub(crate) fn trace_msg_pool(&self) {
         if self.trace_on {
             let s = self.msg_pool_stats();
             self.trace_event(Event::MsgPool {

@@ -97,7 +97,7 @@ impl Pgrp {
     }
 
     /// All members, root first, in breadth-first tree order.
-    pub fn members(&self) -> Vec<usize> {
+    fn members(&self) -> Vec<usize> {
         let mut out = vec![self.root];
         let mut i = 0;
         while i < out.len() {

@@ -13,12 +13,11 @@
 
 use crate::exo::{MachineHandle, MachineService};
 use crate::pe::{MachineShared, Pe, PeerAbort};
-pub use crate::pe::{QueueKind, StealConfig, ThreadBackend};
+pub use crate::pe::{QueueKind, ThreadBackend};
 use converse_net::{
     Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect, PeTraffic,
 };
 use converse_trace::{NullSink, TraceSink};
-pub use converse_wire::{WireKind, WireOptions};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,8 +31,7 @@ pub enum Transport {
     #[default]
     InProcess,
     /// Every PE is a separate OS process connected to a launcher-side
-    /// hub over a real socket (TCP loopback or Unix-domain); see
-    /// `converse-wire`. The current process becomes the launcher: it
+    /// hub over a real socket (TCP loopback); see `converse-wire`. The current process becomes the launcher: it
     /// re-executes itself once per rank with the `CONVERSE_WORKER`
     /// role, routes frames, and aggregates the [`RunReport`].
     Socket,
@@ -146,24 +144,21 @@ pub struct MachineConfig {
     /// Which transport carries messages: threads sharing one address
     /// space (default) or one OS process per PE over a real socket.
     pub transport: Transport,
-    /// Socket-transport tunables (family, bootstrap timeouts, failure
-    /// grace); ignored under [`Transport::InProcess`].
-    pub wire: WireOptions,
     /// Named delivery channels (see [`MachineConfig::channel`]). Ids
     /// are assigned 1..N in declaration order; id 0 is always the
     /// default exactly-once channel.
     pub channels: Vec<(String, Delivery)>,
     /// Idle-PE work stealing: before parking, an idle PE asks the
     /// most-loaded peer to donate a batch of stealable staged messages.
-    /// `None` (default) = off.
-    pub steal: Option<StealConfig>,
+    /// Off by default.
+    pub steal: bool,
 }
 
 /// Host-appropriate idle-spin default: 160 depth probes when real
 /// parallelism is available, `0` (park immediately) when the host has a
 /// single hardware thread — there, every spin iteration delays the
 /// sender whose message would end the wait.
-pub fn default_idle_spin() -> u32 {
+fn default_idle_spin() -> u32 {
     match std::thread::available_parallelism() {
         Ok(n) if n.get() > 1 => 160,
         _ => 0,
@@ -173,7 +168,8 @@ pub fn default_idle_spin() -> u32 {
 impl MachineConfig {
     /// Defaults: FIFO delivery, the full Csd queue, no tracing, captured
     /// output off, 30-second block watchdog, and an idle spin budget
-    /// picked for the host (see [`default_idle_spin`]).
+    /// picked for the host (160 probes, or 0 on a single hardware
+    /// thread).
     pub fn new(num_pes: usize) -> Self {
         MachineConfig {
             num_pes,
@@ -188,16 +184,14 @@ impl MachineConfig {
             services: Vec::new(),
             thread_backend: ThreadBackend::Auto,
             transport: Transport::default(),
-            wire: WireOptions::default(),
             channels: Vec::new(),
-            steal: None,
+            steal: false,
         }
     }
 
-    /// Enable idle-PE work stealing with explicit knobs
-    /// ([`StealConfig::default`] for the stock tuning).
-    pub fn steal(mut self, cfg: StealConfig) -> Self {
-        self.steal = Some(cfg);
+    /// Turn idle-PE work stealing on or off.
+    pub fn steal(mut self, on: bool) -> Self {
+        self.steal = on;
         self
     }
 
@@ -218,13 +212,6 @@ impl MachineConfig {
     /// Select the transport (threads in-process vs one process per PE).
     pub fn transport(mut self, t: Transport) -> Self {
         self.transport = t;
-        self
-    }
-
-    /// Tune the socket transport (only meaningful with
-    /// [`Transport::Socket`]).
-    pub fn wire(mut self, w: WireOptions) -> Self {
-        self.wire = w;
         self
     }
 

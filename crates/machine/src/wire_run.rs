@@ -32,8 +32,10 @@
 
 use crate::pe::{MachineShared, Pe, PeerAbort};
 use crate::run::{run_in_process, spawn_pe, MachineConfig, RunError, RunReport, Transport};
-use converse_net::CmiTransport;
-use converse_wire::{HubFailure, ShmPlane, ShmRegion, WireEndpoint, WireHub, WorkerReport};
+use converse_net::{CmiTransport, Interconnect};
+use converse_wire::{
+    HubFailure, ShmPlane, ShmRegion, WireEndpoint, WireHub, WorkerReport, GRACE, RING_BYTES,
+};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -203,18 +205,16 @@ fn exit_signal(status: &std::process::ExitStatus) -> Option<i32> {
     }
 }
 
-/// Reap every child: poll for `grace`, then kill and wait the rest.
-/// Returns each child's exit status (always present — kill + wait
-/// cannot fail to produce one short of host trouble).
-fn reap_children(
-    children: &mut [(usize, Child)],
-    grace: Duration,
-) -> Vec<Option<std::process::ExitStatus>> {
+/// Reap every child (indexed by rank): poll for `grace`, then kill and
+/// wait the rest. Returns each child's exit status, indexed by rank
+/// (always present — kill + wait cannot fail to produce one short of
+/// host trouble).
+fn reap_children(children: &mut [Child], grace: Duration) -> Vec<Option<std::process::ExitStatus>> {
     let deadline = Instant::now() + grace;
     let mut statuses: Vec<Option<std::process::ExitStatus>> = vec![None; children.len()];
     loop {
         let mut all = true;
-        for (i, (_rank, child)) in children.iter_mut().enumerate() {
+        for (i, child) in children.iter_mut().enumerate() {
             if statuses[i].is_none() {
                 match child.try_wait() {
                     Ok(Some(st)) => statuses[i] = Some(st),
@@ -227,7 +227,7 @@ fn reap_children(
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    for (i, (_rank, child)) in children.iter_mut().enumerate() {
+    for (i, child) in children.iter_mut().enumerate() {
         if statuses[i].is_none() {
             let _ = child.kill();
             statuses[i] = child.wait().ok();
@@ -250,8 +250,8 @@ fn run_launcher(cfg: MachineConfig, call: usize) -> Result<RunReport, RunError> 
     }
     let n = cfg.num_pes;
     let started = Instant::now();
-    let hub = WireHub::bind(n, cfg.wire.kind)
-        .map_err(|e| RunError::Bootstrap(format!("bind hub listener: {e}")))?;
+    let hub =
+        WireHub::bind(n).map_err(|e| RunError::Bootstrap(format!("bind hub listener: {e}")))?;
     let addr = hub.addr().to_string();
     let args = worker_args();
 
@@ -260,7 +260,7 @@ fn run_launcher(cfg: MachineConfig, call: usize) -> Result<RunReport, RunError> 
     // layout assumes n >= 2 — fall back to pure hub routing there.
     let shm_region = if cfg.transport == Transport::ShmRing && n >= 2 {
         Some(
-            ShmRegion::create(n, cfg.wire.ring_bytes)
+            ShmRegion::create(n, RING_BYTES)
                 .map_err(|e| RunError::Bootstrap(format!("create shm ring region: {e}")))?,
         )
     } else {
@@ -268,10 +268,11 @@ fn run_launcher(cfg: MachineConfig, call: usize) -> Result<RunReport, RunError> 
     };
     let shm_fd = shm_region.as_ref().and_then(|r| r.fd());
 
-    let mut children: Vec<(usize, Child)> = Vec::with_capacity(n);
+    // Indexed by rank.
+    let mut children: Vec<Child> = Vec::with_capacity(n);
     for rank in 0..n {
         match spawn_worker(rank, n, &addr, call, &args, shm_fd) {
-            Ok(c) => children.push((rank, c)),
+            Ok(c) => children.push(c),
             Err(e) => {
                 reap_children(&mut children, Duration::ZERO);
                 return Err(RunError::Bootstrap(format!(
@@ -289,11 +290,11 @@ fn run_launcher(cfg: MachineConfig, call: usize) -> Result<RunReport, RunError> 
         // While waiting for HELLOs, notice a child that died before
         // connecting so the bootstrap fails fast instead of timing out.
         let kids = &mut children;
-        hub.run(&cfg.wire, || {
-            for (rank, child) in kids.iter_mut() {
+        hub.run(|| {
+            for (rank, child) in kids.iter_mut().enumerate() {
                 if let Ok(Some(st)) = child.try_wait() {
                     return Some((
-                        Some(*rank),
+                        Some(rank),
                         format!("worker for PE {rank} exited during bootstrap: {st}"),
                     ));
                 }
@@ -303,29 +304,25 @@ fn run_launcher(cfg: MachineConfig, call: usize) -> Result<RunReport, RunError> 
     };
 
     match outcome {
-        Ok(out) => {
-            reap_children(&mut children, cfg.wire.grace);
+        Ok(reports) => {
+            reap_children(&mut children, GRACE);
             Ok(RunReport {
-                traffic: out.reports.iter().map(|r| r.traffic).collect(),
-                fault_stats: out.reports.iter().map(|r| r.faults).sum(),
+                traffic: reports.iter().map(|r| r.traffic).collect(),
+                fault_stats: reports.iter().map(|r| r.faults).sum(),
                 // Cross-process capture interleaves by rank, not by
                 // time: each worker's lines arrive as one block.
-                output: out.reports.into_iter().flat_map(|r| r.output).collect(),
+                output: reports.into_iter().flat_map(|r| r.output).collect(),
                 elapsed: started.elapsed(),
             })
         }
         Err(HubFailure::Panicked { rank, msg }) => {
-            reap_children(&mut children, cfg.wire.grace);
+            reap_children(&mut children, GRACE);
             // A PE panic propagates as a panic, matching the
             // in-process transport.
             panic!("PE {rank} (worker process) panicked: {msg}");
         }
         Err(HubFailure::Crashed { rank }) => {
-            let statuses = reap_children(&mut children, cfg.wire.grace);
-            let status = children
-                .iter()
-                .position(|(r, _)| *r == rank)
-                .and_then(|i| statuses[i]);
+            let status = reap_children(&mut children, GRACE)[rank];
             Err(RunError::WorkerCrashed {
                 rank,
                 code: status.and_then(|s| s.code()),
@@ -336,13 +333,9 @@ fn run_launcher(cfg: MachineConfig, call: usize) -> Result<RunReport, RunError> 
             })
         }
         Err(HubFailure::Bootstrap { rank, detail }) => {
-            let statuses = reap_children(&mut children, cfg.wire.grace.min(Duration::from_secs(1)));
+            let statuses = reap_children(&mut children, Duration::from_secs(1));
             if let Some(rank) = rank {
-                let status = children
-                    .iter()
-                    .position(|(r, _)| *r == rank)
-                    .and_then(|i| statuses[i]);
-                if let Some(st) = status {
+                if let Some(st) = statuses[rank] {
                     if !st.success() {
                         return Err(RunError::WorkerCrashed {
                             rank,
@@ -415,11 +408,9 @@ where
     };
     let endpoint = match WireEndpoint::connect(
         w.rank,
-        w.npes,
         &w.addr,
-        cfg.delivery,
+        Interconnect::with_mode(w.npes, cfg.delivery),
         cfg.faults.take(),
-        &cfg.wire,
         cfg.trace.clone(),
         shm_plane,
     ) {

@@ -262,6 +262,34 @@ fn async_send_handle_lifecycle() {
 }
 
 #[test]
+fn async_broadcasts_get_msg_and_handler_lookup() {
+    // `CmiAsyncBroadcast` skips the sender, `CmiAsyncBroadcastAll` and
+    // `CmiSyncBroadcastAllAndFree` do not; every PE pulls its messages
+    // with `CmiGetMsg` and runs them through `CmiGetHandlerFunction`.
+    run(3, |pe| {
+        let (id, count) = counting_handler(pe);
+        pe.barrier();
+        if pe.my_pe() == 0 {
+            let h = pe.async_broadcast(&Message::new(id, b"others"));
+            assert!(pe.async_msg_sent(h) && pe.release_comm_handle(h));
+            let h = pe.async_broadcast_all(&Message::new(id, b"all"));
+            assert!(pe.async_msg_sent(h) && pe.release_comm_handle(h));
+            pe.sync_broadcast_all_and_free(Message::new(id, b"all, freed"));
+        }
+        let want = if pe.my_pe() == 0 { 2 } else { 3 };
+        while count.load(Ordering::Relaxed) < want {
+            // Barrier traffic may come this way too; its handlers run.
+            match pe.get_msg() {
+                Some(m) => pe.handler_fn(m.handler())(pe, m),
+                None => std::thread::yield_now(),
+            }
+        }
+        pe.barrier();
+        assert_eq!(count.load(Ordering::Relaxed), want);
+    });
+}
+
+#[test]
 fn vector_send_concatenates_pieces() {
     run(2, |pe| {
         let id = pe.register_handler(|_, _| {});
@@ -447,6 +475,38 @@ fn gptr_async_get_poll() {
 }
 
 #[test]
+fn gptr_async_put_polls_then_waits() {
+    run(2, |pe| {
+        let reg = pe.local(|| parking_lot::Mutex::new(None::<converse_machine::gptr::GlobalPtr>));
+        let announce = pe.register_handler({
+            let reg = reg.clone();
+            move |_pe, msg| {
+                *reg.lock() = converse_machine::gptr::GlobalPtr::decode(msg.payload());
+            }
+        });
+        pe.barrier();
+        if pe.my_pe() == 0 {
+            let g = pe.gptr_create(vec![0u8; 4]);
+            pe.sync_send_and_free(1, Message::new(announce, &g.encode()));
+            pe.barrier();
+            assert_eq!(pe.gptr_deref(&g).unwrap(), vec![7, 7, 8, 0]);
+        } else {
+            pe.deliver_until(|| reg.lock().is_some());
+            let g = reg.lock().unwrap();
+            // `CmiPut` polled to completion, then one waited on.
+            let h = pe.put_async(&g, 0, &[7, 7]);
+            pe.deliver_until(|| pe.put_done(h));
+            pe.put_wait(h);
+            pe.put_wait(pe.put_async(&g, 2, &[8]));
+            let h = pe.get_async(&g, 0, 4);
+            pe.deliver_until(|| pe.get_done(h));
+            assert_eq!(pe.get_wait(h), vec![7, 7, 8, 0]);
+            pe.barrier();
+        }
+    });
+}
+
+#[test]
 fn pgrp_multicast_reaches_members_only() {
     run(6, |pe| {
         let (id, count) = counting_handler(pe);
@@ -455,6 +515,7 @@ fn pgrp_multicast_reaches_members_only() {
         let mut g = converse_machine::pgrp::Pgrp::create(1);
         g.add_children(1, &[3, 5]);
         g.add_children(5, &[4]);
+        assert_eq!([1, 5, 4].map(|p| g.num_children(p)), [2, 1, 0]);
         if pe.my_pe() == 0 {
             // Caller outside the group: every member receives.
             let h = pe.async_multicast(&g, &Message::new(id, b"m"));

@@ -36,7 +36,7 @@ pub const FRAME_HEADER_BYTES: usize = 22;
 /// Upper bound on one frame's body. A length prefix above this is
 /// treated as stream corruption rather than honored with a giant
 /// allocation.
-pub const MAX_FRAME_BODY: usize = 64 << 20;
+pub(crate) const MAX_FRAME_BODY: usize = 64 << 20;
 
 /// The fixed part of a frame (everything but the payload).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

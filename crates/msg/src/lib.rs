@@ -60,9 +60,7 @@ pub mod prio;
 
 use block::BlockWriter;
 pub use block::MsgBlock;
-pub use frame::{
-    encode_frame, read_frame, write_frame, FrameHeader, FRAME_HEADER_BYTES, MAX_FRAME_BODY,
-};
+pub use frame::{encode_frame, read_frame, write_frame, FrameHeader, FRAME_HEADER_BYTES};
 pub use pool::PoolStats;
 pub use prio::{BitVecPrio, BitWords, PrioWords, Priority};
 
@@ -94,7 +92,7 @@ pub struct HandlerId(pub u32);
 impl HandlerId {
     /// Handler id stored in a freshly allocated message before
     /// `set_handler` is called. Dispatching it is an error.
-    pub const INVALID: HandlerId = HandlerId(u32::MAX);
+    const INVALID: HandlerId = HandlerId(u32::MAX);
 
     /// Raw table index.
     #[inline]
@@ -382,12 +380,6 @@ impl Message {
         self.set_flags(f);
     }
 
-    /// True when the message carries the [`FLAG_STEALABLE`] tag.
-    #[inline]
-    pub fn is_stealable(&self) -> bool {
-        self.flags() & FLAG_STEALABLE != 0
-    }
-
     #[inline]
     fn kind(&self) -> u8 {
         self.as_bytes()[4]
@@ -645,15 +637,13 @@ mod tests {
     #[test]
     fn stealable_flag_and_peek() {
         let mut m = Message::new(HandlerId(3), b"seed");
-        assert!(!m.is_stealable());
         assert!(!peek_stealable(m.as_bytes()));
         m.mark_stealable();
-        assert!(m.is_stealable());
         assert!(peek_stealable(m.as_bytes()));
         // Other flag bits survive the mark, and the tag rides the wire
         // bytes (the transport peeks without decoding).
         m.set_flags(m.flags() | 0x0100);
-        assert!(m.is_stealable());
+        assert!(peek_stealable(m.as_bytes()));
         let wire = m.clone().into_bytes();
         assert!(peek_stealable(&wire));
         assert_eq!(Message::from_bytes(wire).unwrap().flags(), m.flags());

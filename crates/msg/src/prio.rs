@@ -9,7 +9,7 @@
 //!   are more urgent (run first), matching Converse/Charm convention.
 //! * **Bit-vector priorities** — arbitrary-length bit strings used by
 //!   state-space search to obtain "consistent and monotonic speedups"
-//!   (paper ref [22]). Ordering is lexicographic with `0 < 1`, and when
+//!   (paper ref \[22\]). Ordering is lexicographic with `0 < 1`, and when
 //!   one vector is a prefix of the other the *shorter* one is more
 //!   urgent. This makes the priority of a search node's child strictly
 //!   less urgent than its parent while preserving sibling order.

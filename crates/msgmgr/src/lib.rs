@@ -328,19 +328,6 @@ impl<T> MsgManager<T> {
     }
 }
 
-impl<T: AsRef<[u8]>> MsgManager<T> {
-    /// Copy at most `buf.len()` bytes of the earliest matching message
-    /// into `buf` (`CmmGet`), removing it. Returns the message's full
-    /// length and its tags.
-    pub fn get_into(&mut self, pattern: &[i32], buf: &mut [u8]) -> Option<(usize, Tags)> {
-        let s = self.get(pattern)?;
-        let data = s.item.as_ref();
-        let n = data.len().min(buf.len());
-        buf[..n].copy_from_slice(&data[..n]);
-        Some((data.len(), s.tags))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,22 +414,6 @@ mod tests {
         assert!(mm().probe(&[1]).is_none());
         assert!(mm().probe(&[]).is_none());
         assert!(mm().probe(&[1, 2, 3]).is_none());
-    }
-
-    #[test]
-    fn get_into_truncates_and_reports_full_len() {
-        let mut mm = mm();
-        mm.put(&[4], b"0123456789".to_vec());
-        mm.put(&[1], b"hello".to_vec());
-        let mut buf = [0u8; 4];
-        let (full, tags) = mm.get_into(&[4], &mut buf).unwrap();
-        assert_eq!((full, tags), (10, Tags::new(&[4])));
-        assert_eq!(&buf, b"0123");
-        let mut buf = [0u8; 16];
-        let (full, tags) = mm.get_into(&[WILDCARD], &mut buf).unwrap();
-        assert_eq!((full, tags), (5, Tags::new(&[1])));
-        assert_eq!(&buf[..5], b"hello");
-        assert!(mm.is_empty());
     }
 
     #[test]

@@ -1,16 +1,33 @@
 //! One tag per task, each used once — the tSM case: the message
 //! manager's memory is flat over any number of fresh tags.
 //!
-//! This binary installs a counting `#[global_allocator]` and holds one
-//! test, so nothing else in the process allocates while it counts.
+//! This binary installs a counting `#[global_allocator]`; allocator
+//! calls count only on the test's own thread (the harness's thread
+//! allocates while a test runs).
 
 use converse_msgmgr::MsgManager;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Counting;
 
 static CALLS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on the threads whose allocator calls count: the test's own,
+    /// never the harness thread, which allocates on its own schedule.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// One allocator call, if this thread's calls count. The flag is a
+/// `const` thread-local without a destructor: reading it allocates
+/// nothing and works during thread teardown.
+fn count_call() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: every request is forwarded unchanged to `System`; the counter
 // touches no memory the allocator hands out. `realloc` and
@@ -18,13 +35,13 @@ static CALLS: AtomicU64 = AtomicU64::new(0);
 // `dealloc` here.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         // SAFETY: the caller's contract is `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         // SAFETY: the caller's contract is `System::dealloc`'s.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -35,6 +52,7 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn fresh_tags_leave_nothing_behind() {
+    COUNTED.set(true);
     let mut mm = MsgManager::new();
     // Three messages to a tag (a stencil task's edges), sixteen tags in
     // flight at once.

@@ -37,17 +37,12 @@ pub struct LinkFaults {
 
 impl LinkFaults {
     /// A perfectly reliable link (the default).
-    pub const NONE: LinkFaults = LinkFaults {
+    const NONE: LinkFaults = LinkFaults {
         drop: 0.0,
         dup: 0.0,
         delay: 0.0,
         max_delay_slots: 0,
     };
-
-    /// True when every probability is zero.
-    pub fn is_clean(&self) -> bool {
-        self.drop == 0.0 && self.dup == 0.0 && (self.delay == 0.0 || self.max_delay_slots == 0)
-    }
 }
 
 impl Default for LinkFaults {
@@ -130,16 +125,6 @@ impl FaultPlan {
         self
     }
 
-    /// Script a stall window for `pe` over `[from, to)` of uptime.
-    pub fn stall(mut self, pe: usize, from: Duration, to: Duration) -> FaultPlan {
-        self.stalls.push(StallWindow {
-            pe,
-            from,
-            to: Some(to),
-        });
-        self
-    }
-
     /// Script a crash: `pe` stops retrieving at `from` and never
     /// recovers (until the machine closes).
     pub fn crash(mut self, pe: usize, from: Duration) -> FaultPlan {
@@ -161,7 +146,7 @@ impl FaultPlan {
     }
 
     /// The effective faults of link `src → dst`.
-    pub fn faults_for(&self, src: usize, dst: usize) -> LinkFaults {
+    pub(crate) fn faults_for(&self, src: usize, dst: usize) -> LinkFaults {
         self.links
             .iter()
             .rev()
@@ -388,9 +373,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_stall_rejected() {
-        FaultPlan::new(1)
-            .stall(9, Duration::ZERO, Duration::from_secs(1))
-            .validate(2);
+        FaultPlan::new(1).crash(9, Duration::ZERO).validate(2);
     }
 
     #[test]

@@ -242,8 +242,8 @@ pub struct PeTraffic {
 
 /// Point-in-time load view of one PE: cumulative traffic plus the
 /// instantaneous mailbox depth and the load sample the PE itself
-/// publishes ([`Interconnect::publish_load`]). Returned by
-/// [`Interconnect::load_of`] and [`Interconnect::load_snapshot`].
+/// publishes ([`Interconnect::publish_load`]). One row of
+/// [`Interconnect::load_snapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeLoad {
     /// The PE this snapshot describes.
@@ -792,7 +792,7 @@ impl Interconnect {
     /// itself (there is no external PE id) so per-(src,dst) FIFO stays
     /// well-defined, but the traffic is counted under the separate
     /// `msgs_injected`/`bytes_injected` counters, never as sends — so
-    /// [`Interconnect::load_of`] is not skewed by external volume. It is
+    /// [`Interconnect::load_snapshot`] is not skewed by external volume. It is
     /// subject to the same [`DeliveryMode`] scrambling — and the same
     /// fault plane — as native sends.
     pub fn inject(&self, dst: usize, block: impl Into<MsgBlock>) {
@@ -804,22 +804,13 @@ impl Interconnect {
         self.transmit(dst, dst, Channel::DEFAULT, block, true);
     }
 
-    /// Broadcast to every PE except `src` (`CmiSyncBroadcast` semantics:
-    /// the paper notes the broadcast is *not* a barrier — only the
-    /// sender calls it). One block, P−1 refcount bumps: every
-    /// destination's packet aliases the same allocation.
-    pub fn broadcast_excl(&self, src: usize, block: impl Into<MsgBlock>) {
-        self.broadcast_to(src, block.into(), false);
-    }
-
-    /// Broadcast to every PE including `src` (one block, P bumps).
-    pub fn broadcast_all(&self, src: usize, block: impl Into<MsgBlock>) {
-        self.broadcast_to(src, block.into(), true);
-    }
-
-    /// Shared broadcast body: **pre-stage** all per-destination shares
-    /// before touching any link or mailbox lock, then run the append
-    /// loop. The refcount traffic (P bumps on one allocation, nothing
+    /// The in-process broadcast ([`CmiTransport::broadcast`]), to every
+    /// PE or every PE but `src` (`CmiSyncBroadcast` semantics: the paper
+    /// notes the broadcast is *not* a barrier — only the sender calls
+    /// it). One block, P−1 or P refcount bumps: every destination's
+    /// packet aliases the same allocation. It **pre-stages** all
+    /// per-destination shares before touching any link or mailbox lock,
+    /// then runs the append loop. The refcount traffic (P bumps on one allocation, nothing
     /// else) completes up front, so no destination's inbox lock is ever
     /// held while another share is being minted — the append loop holds
     /// exactly one short lock at a time. The original handle is dropped
@@ -1052,10 +1043,8 @@ impl Interconnect {
     }
 
     /// Live load snapshot for one PE: cumulative traffic counters plus
-    /// the current mailbox depth and stall state. This is the public
-    /// read side used by the CCS bench and load balancers; it takes the
-    /// mailbox lock only long enough to read the queue length.
-    pub fn load_of(&self, pe: usize) -> PeLoad {
+    /// the current mailbox depth and stall state.
+    fn load_of(&self, pe: usize) -> PeLoad {
         let cell = &self.loads[pe];
         PeLoad {
             pe,
@@ -1207,7 +1196,7 @@ mod tests {
     #[test]
     fn broadcast_excl_skips_sender() {
         let net = Interconnect::new(4);
-        net.broadcast_excl(1, vec![7u8]);
+        net.broadcast_to(1, vec![7u8].into(), false);
         assert!(net.try_recv(1).is_none());
         for pe in [0, 2, 3] {
             assert_eq!(net.try_recv(pe).unwrap().bytes(), vec![7]);
@@ -1217,7 +1206,7 @@ mod tests {
     #[test]
     fn broadcast_all_includes_sender() {
         let net = Interconnect::new(3);
-        net.broadcast_all(0, vec![8u8]);
+        net.broadcast_to(0, vec![8u8].into(), true);
         for pe in 0..3 {
             assert_eq!(net.try_recv(pe).unwrap().bytes(), vec![8]);
         }
@@ -1359,7 +1348,7 @@ mod tests {
         let block = MsgBlock::copy_from(&[9u8; 777]);
         let src_ptr = block.as_ptr();
         let takes = converse_msg::pool::stats().takes();
-        net.broadcast_all(0, block);
+        net.broadcast_to(0, block, true);
         assert_eq!(
             converse_msg::pool::stats().takes(),
             takes,
@@ -2142,7 +2131,7 @@ mod tests {
         // two-list mailbox rework.
         let p_count = 6;
         let net = Interconnect::new(p_count);
-        net.broadcast_all(0, MsgBlock::copy_from(&[3u8; 64]));
+        net.broadcast_to(0, MsgBlock::copy_from(&[3u8; 64]), true);
         let packets: Vec<Packet> = (0..p_count).map(|pe| net.try_recv(pe).unwrap()).collect();
         for p in &packets {
             assert_eq!(p.block.ref_count(), p_count);

@@ -169,7 +169,7 @@ impl<T> Chans<T> {
 /// Acks for later-sent seqs after which an unacknowledged seq is
 /// presumed lost and resent without waiting for its timer (the classic
 /// fast-retransmit threshold: fewer would resend on mere reordering).
-pub const FAST_RETRANSMIT_ACKS: u32 = 3;
+const FAST_RETRANSMIT_ACKS: u32 = 3;
 
 /// A transmitted-but-unacknowledged block held for retransmission.
 struct InFlight {
@@ -448,7 +448,7 @@ impl Sender {
     /// delivered seq has no use for its delayed copies. Then the gap
     /// below `selective` is looked at: the ack answers a seq that
     /// arrived *behind* whatever is still unacknowledged there, and a
-    /// seq passed by [`FAST_RETRANSMIT_ACKS`] such acks — each for a
+    /// seq passed by three (`FAST_RETRANSMIT_ACKS`) such acks — each for a
     /// seq first sent after its own latest transmission — is presumed
     /// lost and resent now, through the fault plane, into `out`. A seq
     /// with a copy still in limbo is only late, not lost, and is left

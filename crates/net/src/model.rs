@@ -61,16 +61,6 @@ impl NetModel {
         t
     }
 
-    /// Modeled round-trip wire time (two one-way trips), microseconds.
-    pub fn round_trip_us(&self, n: usize) -> f64 {
-        2.0 * self.one_way_us(n)
-    }
-
-    /// Asymptotic bandwidth implied by β, in MB/s.
-    pub fn bandwidth_mb_s(&self) -> f64 {
-        1.0 / self.beta_us_per_byte
-    }
-
     /// Figure 4: network of HP workstations connected by an ATM switch.
     /// ATM OC-3 (155 Mbit/s) through a mid-90s host stack: high start-up
     /// latency, ~13 MB/s effective.
@@ -150,23 +140,6 @@ impl NetModel {
         }
     }
 
-    /// IBM SP-2 (listed among the paper's §5 implementation targets):
-    /// the SP-1's successor — similar start-up latency class, ~4× the
-    /// bandwidth. Not one of the plotted figures; provided for the
-    /// "ported to all the machines" inventory.
-    pub fn sp2() -> Self {
-        NetModel {
-            name: "IBM SP-2",
-            alpha_us: 45.0,
-            beta_us_per_byte: 0.029, // ~35 MB/s
-            included_bytes: 0,
-            packet_bytes: 4096,
-            per_packet_us: 5.0,
-            copy_threshold: None,
-            copy_us_per_byte: 0.0,
-        }
-    }
-
     /// All five figure machines in paper order (Figs 4–8).
     pub fn all_figures() -> Vec<NetModel> {
         vec![
@@ -176,13 +149,6 @@ impl NetModel {
             Self::sp1(),
             Self::paragon(),
         ]
-    }
-
-    /// Every modeled machine, the figure set plus the SP-2.
-    pub fn all_machines() -> Vec<NetModel> {
-        let mut v = Self::all_figures();
-        v.push(Self::sp2());
-        v
     }
 }
 
@@ -231,12 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_twice_one_way() {
-        let m = NetModel::sp1();
-        assert_eq!(m.round_trip_us(1000), 2.0 * m.one_way_us(1000));
-    }
-
-    #[test]
     fn packet_cost_kicks_in() {
         let m = NetModel::sp1();
         let one_packet = m.one_way_us(4096);
@@ -245,22 +205,12 @@ mod tests {
     }
 
     #[test]
-    fn sp2_sits_between_sp1_and_paragon() {
-        let sp1 = NetModel::sp1();
-        let sp2 = NetModel::sp2();
-        let paragon = NetModel::paragon();
-        assert!(sp2.bandwidth_mb_s() > sp1.bandwidth_mb_s());
-        assert!(sp2.bandwidth_mb_s() < paragon.bandwidth_mb_s());
-        assert!(sp2.one_way_us(1024) < sp1.one_way_us(1024));
-        assert_eq!(NetModel::all_machines().len(), 6);
-    }
-
-    #[test]
     fn bandwidths_are_sane() {
-        // Paragon fastest, SP-1 slowest of the modeled set.
+        // Paragon fastest, SP-1 slowest of the modeled set (the
+        // asymptotic bandwidth, MB/s, is 1/β).
         let bw: Vec<(f64, &str)> = NetModel::all_figures()
             .iter()
-            .map(|m| (m.bandwidth_mb_s(), m.name))
+            .map(|m| (1.0 / m.beta_us_per_byte, m.name))
             .collect();
         let paragon = bw.iter().find(|b| b.1.contains("Paragon")).unwrap().0;
         let sp1 = bw.iter().find(|b| b.1.contains("SP-1")).unwrap().0;

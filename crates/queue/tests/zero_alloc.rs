@@ -1,12 +1,15 @@
 //! The steady-state message path makes no allocator call, and leaks
 //! nothing.
 //!
-//! This binary installs a counting `#[global_allocator]` and holds one
-//! test, so nothing else in the process allocates while it counts.
+//! This binary installs a counting `#[global_allocator]`. Allocator
+//! calls count only on the test's own thread (the harness's thread
+//! allocates while a test runs); bytes count on every thread, for the
+//! leak check across threads.
 
 use converse_msg::{BitVecPrio, HandlerId, Message, Priority};
 use converse_queue::{CsdQueue, QueueingMode, SchedulingQueue};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
@@ -16,19 +19,34 @@ static CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 static FREED: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the threads whose allocator calls count: the test's own,
+    /// never the harness thread, which allocates on its own schedule.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// One allocator call, if this thread's calls count. The flag is a
+/// `const` thread-local without a destructor: reading it allocates
+/// nothing and works during thread teardown.
+fn count_call() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every request is forwarded unchanged to `System`; the counters
 // touch no memory the allocator hands out. `realloc` and `alloc_zeroed`
 // keep their defaults, which go through `alloc` and `dealloc` here.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's contract is `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         FREED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's contract is `System::dealloc`'s.
         unsafe { System.dealloc(ptr, layout) }
@@ -90,6 +108,7 @@ fn churn(kinds: &[(Priority, QueueingMode)]) -> Vec<Message> {
 
 #[test]
 fn message_path_is_allocation_free_and_leak_free() {
+    COUNTED.set(true);
     let n = if cfg!(miri) { 200 } else { 10_000 };
     let kinds = kinds();
 

@@ -287,7 +287,7 @@ impl Sm {
 
     /// Receive choosing the right blocking style for the calling
     /// context: threaded inside a thread object, SPM otherwise.
-    pub fn recv_auto(&self, pe: &Pe, tag: i32, src: i32) -> SmMsg {
+    pub(crate) fn recv_auto(&self, pe: &Pe, tag: i32, src: i32) -> SmMsg {
         if cth_self(pe).is_some() {
             self.trecv(pe, tag, src)
         } else {

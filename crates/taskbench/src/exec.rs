@@ -1,7 +1,7 @@
 //! Execution engines: run a [`TaskGraph`] over a live machine and prove
 //! the schedule correct.
 //!
-//! Three adapters share one bookkeeping core ([`RunState`]: flat
+//! Three adapters share one bookkeeping core (`RunState`: flat
 //! arrays sized from the graph, an arriving payload digested straight
 //! out of its message), differing only in which Converse layer carries
 //! the dependency edges:
@@ -102,7 +102,7 @@ impl Default for RunOpts {
 /// Spin for `ns` nanoseconds of busy-work — the task "computation".
 /// Deliberately clock-bounded rather than iteration-bounded so the
 /// grain axis means the same thing on every host.
-pub fn busy_spin(ns: u64) {
+fn busy_spin(ns: u64) {
     if ns == 0 {
         return;
     }

@@ -364,7 +364,7 @@ impl TaskGraph {
 
     /// [`TaskGraph::task_of_serial`] for a serial read from a message:
     /// `None` when the graph has no such task.
-    pub fn try_task_of_serial(&self, serial: u32) -> Option<TaskId> {
+    pub(crate) fn try_task_of_serial(&self, serial: u32) -> Option<TaskId> {
         if serial as usize >= self.num_tasks() {
             return None;
         }

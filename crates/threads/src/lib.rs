@@ -94,11 +94,11 @@ struct ExitRequested;
 type Entry = Box<dyn FnOnce(&Pe) + Send>;
 
 /// How a thread is awakened (`CthSetStrategy` awakefn).
-pub type AwakenFn = Box<dyn FnMut(&Pe, Thread) + Send>;
+type AwakenFn = Box<dyn FnMut(&Pe, Thread) + Send>;
 
 /// How a suspending thread picks its successor (`CthSetStrategy`
 /// suspfn); `None` = the PE's scheduler/main context.
-pub type SuspendFn = Box<dyn FnMut(&Pe) -> Option<Thread> + Send>;
+type SuspendFn = Box<dyn FnMut(&Pe) -> Option<Thread> + Send>;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
@@ -219,7 +219,7 @@ impl PartialEq for Thread {
 impl Eq for Thread {}
 
 /// Default stack size for thread objects (`STACKSIZE`).
-pub const DEFAULT_STACK_SIZE: usize = 256 * 1024;
+const DEFAULT_STACK_SIZE: usize = 256 * 1024;
 
 /// How often a [`Event::ThreadSwitch`] record is emitted: one per this
 /// many context switches. A fiber switch is ~20 ns; recording each one
@@ -1141,7 +1141,7 @@ mod fb {
     /// A context of a pooled class is never dropped, so a class holds as
     /// many contexts as its PE ever had threads of that class **started
     /// and not yet exited at one time**: at worst that peak × the class
-    /// size (256 KiB for [`DEFAULT_STACK_SIZE`]) of address space, of
+    /// size (256 KiB for `DEFAULT_STACK_SIZE`) of address space, of
     /// which only the pages the threads touched are resident. No count
     /// picked in advance bounds it: a bound below a program's concurrency
     /// turns every start beyond it into a fresh zeroed stack (a 33rd

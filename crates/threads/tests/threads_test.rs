@@ -10,7 +10,7 @@ use converse_core::{
 };
 use converse_msg::Priority;
 use converse_threads::{
-    cth_awaken, cth_create, cth_create_of_size, cth_resume, cth_self, cth_set_strategy,
+    cth_awaken, cth_create, cth_create_of_size, cth_exit, cth_resume, cth_self, cth_set_strategy,
     cth_suspend, cth_yield, run_on_each_backend, CthBackend, CthRuntime, Strategy, Thread,
 };
 use parking_lot::Mutex;
@@ -117,6 +117,42 @@ fn exit_transfers_to_next_ready_thread() {
         cth_resume(pe, &t1); // t1 runs, exits → pool pops t2 → t2 runs, exits → main
         assert_eq!(*log.lock(), vec![1, 2]);
         assert!(t1.is_exited() && t2.is_exited());
+    });
+}
+
+#[test]
+fn explicit_exit_unwinds_the_thread_and_transfers_control() {
+    // `CthExit` mid-function: the rest of the body never runs, the
+    // stack's destructors do, and control moves on as on a return.
+    run_on_each_backend(1, |pe| {
+        struct Dropped(Arc<AtomicU64>);
+        impl Drop for Dropped {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let (drops, after) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let (d2, a2) = (drops.clone(), after.clone());
+        let t1 = cth_create(pe, move |pe| {
+            let _guard = Dropped(d2);
+            cth_exit(pe);
+        });
+        let t2 = cth_create(pe, move |_pe| {
+            a2.fetch_add(1, Ordering::SeqCst);
+        });
+        cth_awaken(pe, &t2);
+        cth_resume(pe, &t1);
+        assert!(t1.is_exited() && t2.is_exited());
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            1,
+            "the exit unwound t1's stack"
+        );
+        assert_eq!(
+            after.load(Ordering::SeqCst),
+            1,
+            "the ready pool ran t2 next"
+        );
     });
 }
 

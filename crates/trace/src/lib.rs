@@ -375,14 +375,6 @@ impl TextSink {
     pub fn text(&self) -> String {
         self.buf.lock().clone()
     }
-
-    /// Write the accumulated log to `w` and clear the buffer.
-    pub fn flush_to(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let mut b = self.buf.lock();
-        w.write_all(b.as_bytes())?;
-        b.clear();
-        Ok(())
-    }
 }
 
 impl TraceSink for TextSink {
@@ -787,16 +779,6 @@ mod tests {
         let text = s.text();
         assert!(text.contains("2 99 THCREATE tid=5"));
         assert!(text.contains("2 100 USER id=1 data=42"));
-    }
-
-    #[test]
-    fn text_sink_flush_clears() {
-        let s = TextSink::new();
-        s.record(0, 1, Event::Enqueue { handler: 7 });
-        let mut out = Vec::new();
-        s.flush_to(&mut out).unwrap();
-        assert!(!out.is_empty());
-        assert!(s.text().is_empty());
     }
 
     #[test]

@@ -21,18 +21,16 @@
 //! ACK frame carrying the selective seq plus the cumulative watermark.
 //! A pump thread sleeps one tick and calls [`Sender::tick`]. ACKs and
 //! control frames ride the socket un-faulted — the plan models the data
-//! channel, the TCP/Unix stream is the (reliable) physical layer under
-//! it.
+//! channel, the TCP stream is the (reliable) physical layer under it.
 
-use crate::{connect, kind, PushOutcome, ShmPlane, WireOptions, WireStream};
+use crate::{connect, kind, PushOutcome, ShmPlane, ACCEPT_TIMEOUT, CONNECT_TIMEOUT};
 use converse_msg::{write_frame, FrameHeader, MsgBlock};
 use converse_net::link::{pump_sleep, Ack, FaultCounters, Receiver, Sender, Sent};
-use converse_net::{
-    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect,
-};
+use converse_net::{Channel, CmiTransport, Delivery, FaultPlan, FaultStats, Interconnect};
 use converse_trace::{Event, FaultKind, StealPhase, TraceSink};
 use parking_lot::{Condvar, Mutex};
 use std::io;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,11 +38,11 @@ use std::time::{Duration, Instant};
 /// Record one trace event per this many wire frames.
 const FRAME_SAMPLE: u64 = 32;
 
-/// One rank's end of the socket machine. See the module docs.
 /// Callback invoked (once) when the endpoint aborts — the machine
 /// layer uses it to flip its shared panicked flag.
-pub type AbortHook = Box<dyn Fn(&str) + Send + Sync>;
+type AbortHook = Box<dyn Fn(&str) + Send + Sync>;
 
+/// One rank's end of the socket machine. See the module docs.
 pub struct WireEndpoint {
     rank: usize,
     n: usize,
@@ -52,7 +50,7 @@ pub struct WireEndpoint {
     /// cell and counters — wire sends and DONATE splices are recorded
     /// here too, so the PE reads one set of each.
     inner: Arc<Interconnect>,
-    writer: Mutex<WireStream>,
+    writer: Mutex<TcpStream>,
     /// Shared-memory ring data plane, when this endpoint runs the
     /// `shmring` transport. Peer-addressed frames go through the rings
     /// and the hub socket is demoted to control plane (bootstrap,
@@ -85,38 +83,39 @@ pub struct WireEndpoint {
 }
 
 impl WireEndpoint {
-    /// Connect rank `rank` of an `n`-PE machine to the hub at `addr`,
-    /// speak HELLO, and block until the hub's GO (the startup barrier).
-    /// Returns with the reader (and, under a plan, the retransmit pump)
-    /// running. With `shm` installed the endpoint runs the `shmring`
-    /// transport: a dedicated poller thread consumes this rank's
-    /// inbound rings and the hub socket carries control traffic only.
-    #[allow(clippy::too_many_arguments)] // one arg per transport concern
+    /// Connect rank `rank` to the hub at `addr`, speak HELLO, and block
+    /// until the hub's GO (the startup barrier). `local` is the local
+    /// half — built for the whole machine (its size is the machine's)
+    /// and with no fault plan (`Interconnect::with_mode`): what survived
+    /// `plan` on the wire is final. Returns with the reader (and, under a
+    /// plan, the retransmit pump) running. With `shm` installed the
+    /// endpoint runs the `shmring` transport: a dedicated poller thread
+    /// consumes this rank's inbound rings and the hub socket carries
+    /// control traffic only.
     pub fn connect(
         rank: usize,
-        n: usize,
         addr: &str,
-        delivery: DeliveryMode,
+        local: Arc<Interconnect>,
         plan: Option<FaultPlan>,
-        opts: &WireOptions,
         trace: Arc<dyn TraceSink>,
         shm: Option<ShmPlane>,
     ) -> io::Result<Arc<WireEndpoint>> {
+        let n = local.num_pes();
         assert!(rank < n, "rank {rank} out of range for {n} PEs");
         if let Some(p) = &plan {
             p.validate(n);
         }
-        let stream = connect(addr, opts.connect_timeout)?;
+        let stream = connect(addr)?;
         write_frame(
-            &mut stream.try_clone()?,
+            &mut &stream,
             FrameHeader::new(kind::HELLO, rank as u32, 0, 0),
             b"",
         )?;
-        let mut reader = stream.try_clone()?;
+        let reader = stream.try_clone()?;
         // The GO may lag while slower siblings exec and connect; give
         // it the whole bootstrap window.
-        stream.set_read_timeout(Some(opts.accept_timeout + opts.connect_timeout))?;
-        match converse_msg::read_frame(&mut reader)? {
+        stream.set_read_timeout(Some(ACCEPT_TIMEOUT + CONNECT_TIMEOUT))?;
+        match converse_msg::read_frame(&mut &reader)? {
             Some((h, _)) if h.kind == kind::GO => {}
             other => {
                 return Err(io::Error::new(
@@ -130,7 +129,7 @@ impl WireEndpoint {
         let ep = Arc::new(WireEndpoint {
             rank,
             n,
-            inner: Interconnect::with_mode(n, delivery),
+            inner: local,
             writer: Mutex::new(stream),
             shm,
             send_links: (0..n)
@@ -175,6 +174,7 @@ impl WireEndpoint {
                             po.on_frame(h, payload);
                         },
                         || po.inner.ring_doorbell(po.rank),
+                        |msg| po.fail(msg),
                     );
                 })
                 .expect("spawn shm poller");
@@ -311,7 +311,7 @@ impl WireEndpoint {
 
     // ---- frame input ----------------------------------------------------
 
-    fn reader_loop(self: Arc<Self>, mut stream: WireStream) {
+    fn reader_loop(self: Arc<Self>, mut stream: TcpStream) {
         loop {
             match converse_msg::read_frame(&mut stream) {
                 Ok(Some((h, payload))) => {
@@ -369,8 +369,7 @@ impl WireEndpoint {
                 h.dst,
                 self.rank
             );
-            self.abort_local(&msg);
-            self.send_abort(&msg);
+            self.fail(&msg);
             return;
         }
         match h.kind {
@@ -513,6 +512,14 @@ impl WireEndpoint {
                 false,
             );
         }
+    }
+
+    /// Fail the machine over bytes another process sent (a bad frame
+    /// header or ring record): abort here, and tell the hub so it fans
+    /// the failure out.
+    fn fail(&self, msg: &str) {
+        self.abort_local(msg);
+        self.send_abort(msg);
     }
 
     /// Record an abort, run the machine layer's hook, and wake anything

@@ -67,7 +67,7 @@ extern "C" {
 /// processes — inheriting the open fd *is* the bootstrap handoff. The
 /// kernel frees the segment when the last fd and mapping are gone, so
 /// there is nothing on any filesystem to unlink.
-pub fn memfd_create(name: &str) -> io::Result<i32> {
+pub(crate) fn memfd_create(name: &str) -> io::Result<i32> {
     let mut cname = Vec::with_capacity(name.len() + 1);
     cname.extend_from_slice(name.as_bytes());
     cname.push(0);
@@ -79,7 +79,7 @@ pub fn memfd_create(name: &str) -> io::Result<i32> {
 }
 
 /// Size the segment (`ftruncate`).
-pub fn set_len(fd: i32, len: usize) -> io::Result<()> {
+pub(crate) fn set_len(fd: i32, len: usize) -> io::Result<()> {
     if unsafe { ftruncate(fd, len as i64) } != 0 {
         return Err(io::Error::last_os_error());
     }
@@ -87,7 +87,7 @@ pub fn set_len(fd: i32, len: usize) -> io::Result<()> {
 }
 
 /// Map `len` bytes of the segment read-write, shared.
-pub fn map_shared(fd: i32, len: usize) -> io::Result<*mut u8> {
+pub(crate) fn map_shared(fd: i32, len: usize) -> io::Result<*mut u8> {
     let p = unsafe {
         mmap(
             std::ptr::null_mut(),
@@ -105,14 +105,14 @@ pub fn map_shared(fd: i32, len: usize) -> io::Result<*mut u8> {
 }
 
 /// Unmap a region mapped with [`map_shared`].
-pub fn unmap(addr: *mut u8, len: usize) {
+pub(crate) fn unmap(addr: *mut u8, len: usize) {
     unsafe {
         munmap(addr, len);
     }
 }
 
 /// Close a descriptor (the mapping, if any, survives).
-pub fn close_fd(fd: i32) {
+pub(crate) fn close_fd(fd: i32) {
     unsafe {
         close(fd);
     }
@@ -122,7 +122,7 @@ pub fn close_fd(fd: i32) {
 /// kernel re-checks the word under its own lock, so a producer that
 /// bumps the word *before* this call turns it into an immediate
 /// `EAGAIN` return — no lost-wakeup window.
-pub fn futex_wait(word: &AtomicU32, expect: u32, timeout: Duration) {
+pub(crate) fn futex_wait(word: &AtomicU32, expect: u32, timeout: Duration) {
     let ts = Timespec {
         tv_sec: timeout.as_secs() as i64,
         tv_nsec: timeout.subsec_nanos() as i64,
@@ -139,7 +139,7 @@ pub fn futex_wait(word: &AtomicU32, expect: u32, timeout: Duration) {
 }
 
 /// Wake every sleeper on `word`.
-pub fn futex_wake_all(word: &AtomicU32) {
+pub(crate) fn futex_wake_all(word: &AtomicU32) {
     unsafe {
         syscall(SYS_FUTEX, word.as_ptr(), FUTEX_WAKE, i32::MAX as c_uint);
     }

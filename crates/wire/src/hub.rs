@@ -14,35 +14,14 @@
 //! children and report.
 
 use crate::report::WorkerReport;
-use crate::{kind, WireKind, WireOptions, WireStream};
+use crate::{kind, ACCEPT_TIMEOUT};
 use converse_msg::{read_frame, write_frame, FrameHeader};
 use parking_lot::{Condvar, Mutex};
 use std::io;
-use std::net::TcpListener;
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Names Unix-socket paths uniquely across hubs within one process.
-static HUB_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, PathBuf),
-}
-
-impl Drop for Listener {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
 
 /// Why a hub run did not produce `n` clean exits.
 #[derive(Debug)]
@@ -71,17 +50,10 @@ pub enum HubFailure {
     },
 }
 
-/// What a clean hub run produced: one report per rank.
-#[derive(Debug)]
-pub struct HubOutcome {
-    /// Worker reports indexed by rank.
-    pub reports: Vec<WorkerReport>,
-}
-
 struct HubState {
     n: usize,
     /// Per-rank write halves; a forwarded frame takes exactly one lock.
-    writers: Vec<Mutex<WireStream>>,
+    writers: Vec<Mutex<TcpStream>>,
     reports: Mutex<Vec<Option<WorkerReport>>>,
     /// How many ranks have sent EXIT.
     exited: AtomicUsize,
@@ -139,90 +111,54 @@ impl HubState {
 /// module docs.
 pub struct WireHub {
     n: usize,
-    listener: Listener,
+    listener: TcpListener,
     addr: String,
 }
 
 impl WireHub {
-    /// Bind the machine's listener for `n` workers. Returns the hub;
-    /// [`WireHub::addr`] is the bootstrap address workers connect to.
-    pub fn bind(n: usize, kind_sel: WireKind) -> io::Result<WireHub> {
+    /// Bind the machine's loopback listener for `n` workers. Returns the
+    /// hub; [`WireHub::addr`] is the bootstrap address workers connect
+    /// to.
+    pub fn bind(n: usize) -> io::Result<WireHub> {
         assert!(n > 0, "a machine needs at least one PE");
-        match kind_sel {
-            WireKind::Tcp => {
-                let l = TcpListener::bind("127.0.0.1:0")?;
-                let addr = format!("tcp:{}", l.local_addr()?);
-                l.set_nonblocking(true)?;
-                Ok(WireHub {
-                    n,
-                    listener: Listener::Tcp(l),
-                    addr,
-                })
-            }
-            #[cfg(unix)]
-            WireKind::Unix => {
-                let path = std::env::temp_dir().join(format!(
-                    "converse-wire-{}-{}.sock",
-                    std::process::id(),
-                    HUB_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                let _ = std::fs::remove_file(&path);
-                let l = UnixListener::bind(&path)?;
-                let addr = format!("unix:{}", path.display());
-                l.set_nonblocking(true)?;
-                Ok(WireHub {
-                    n,
-                    listener: Listener::Unix(l, path),
-                    addr,
-                })
-            }
-        }
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?.to_string();
+        listener.set_nonblocking(true)?;
+        Ok(WireHub { n, listener, addr })
     }
 
-    /// The bootstrap address (`tcp:host:port` or `unix:/path`).
+    /// The bootstrap address (`host:port`).
     pub fn addr(&self) -> &str {
         &self.addr
     }
 
-    fn accept_one(&self) -> io::Result<Option<WireStream>> {
-        match &self.listener {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
-                    s.set_nodelay(true)?;
-                    Ok(Some(WireStream::Tcp(s)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-            #[cfg(unix)]
-            Listener::Unix(l, _) => match l.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
-                    Ok(Some(WireStream::Unix(s)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
+    fn accept_one(&self) -> io::Result<Option<TcpStream>> {
+        match self.listener.accept() {
+            Ok((s, _)) => {
+                s.set_nonblocking(false)?;
+                s.set_nodelay(true)?;
+                Ok(Some(s))
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
     /// Assemble the machine and route until it finishes: accept `n`
     /// connections, pair each with its HELLO rank, broadcast GO, then
     /// forward frames until every rank EXITs (broadcast FIN, return the
-    /// reports) or a failure settles the outcome first.
+    /// reports, indexed by rank) or a failure settles the outcome first.
     ///
     /// `early_fail` is polled while waiting for connections; returning
     /// `Some((rank, detail))` (e.g. a child process already dead) fails
     /// the bootstrap immediately instead of waiting out the timeout.
     pub fn run(
         self,
-        opts: &WireOptions,
         mut early_fail: impl FnMut() -> Option<(Option<usize>, String)>,
-    ) -> Result<HubOutcome, HubFailure> {
+    ) -> Result<Vec<WorkerReport>, HubFailure> {
         let n = self.n;
-        let deadline = Instant::now() + opts.accept_timeout;
-        let mut conns: Vec<Option<WireStream>> = (0..n).map(|_| None).collect();
+        let deadline = Instant::now() + ACCEPT_TIMEOUT;
+        let mut conns: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
         let mut connected = 0usize;
         while connected < n {
             if let Some((rank, detail)) = early_fail() {
@@ -232,8 +168,7 @@ impl WireHub {
                 return Err(HubFailure::Bootstrap {
                     rank: None,
                     detail: format!(
-                        "only {connected}/{n} workers connected within {:?}",
-                        opts.accept_timeout
+                        "only {connected}/{n} workers connected within {ACCEPT_TIMEOUT:?}"
                     ),
                 });
             }
@@ -337,29 +272,26 @@ impl WireHub {
         // Shut every connection down so reader threads (ours and the
         // workers') unblock; FIN is already queued ahead of the TCP FIN.
         for w in state.writers.iter() {
-            w.lock().shutdown();
+            let _ = w.lock().shutdown(Shutdown::Both);
         }
         for r in readers {
             let _ = r.join();
         }
         match failed {
             Some(f) => Err(f),
-            None => {
-                let reports = state
-                    .reports
-                    .lock()
-                    .iter_mut()
-                    .map(|r| r.take().expect("every rank exited"))
-                    .collect();
-                Ok(HubOutcome { reports })
-            }
+            None => Ok(state
+                .reports
+                .lock()
+                .iter_mut()
+                .map(|r| r.take().expect("every rank exited"))
+                .collect()),
         }
     }
 }
 
 /// One worker's reader loop: route frames until EXIT-then-EOF, ABORT,
 /// or an unexpected EOF (a crash).
-fn hub_reader(rank: usize, mut stream: WireStream, st: Arc<HubState>) {
+fn hub_reader(rank: usize, mut stream: TcpStream, st: Arc<HubState>) {
     let mut exited = false;
     loop {
         match read_frame(&mut stream) {

@@ -39,9 +39,9 @@ fn page_up(x: usize) -> usize {
 /// One PE's wakeup word pair. `counter` is the futex word: bumped once
 /// per published record targeting this PE, slept on while unchanged.
 /// `waiters` lets producers skip the wake syscall on the hot path.
-pub struct Doorbell<'a> {
-    pub counter: &'a AtomicU32,
-    pub waiters: &'a AtomicU32,
+pub(crate) struct Doorbell<'a> {
+    pub(crate) counter: &'a AtomicU32,
+    pub(crate) waiters: &'a AtomicU32,
 }
 
 /// The mapped segment. `Send + Sync`: every mutation goes through the
@@ -69,7 +69,7 @@ impl ShmRegion {
     }
 
     /// Total segment size for an `n`-PE machine.
-    pub fn byte_len(n: usize, ring_cap: usize) -> usize {
+    fn byte_len(n: usize, ring_cap: usize) -> usize {
         Self::rings_off(n) + n * n * Self::slot_bytes(ring_cap)
     }
 
@@ -158,22 +158,9 @@ impl ShmRegion {
         self.fd
     }
 
-    /// Close the creator's descriptor once every worker has spawned
-    /// (each inherited its own copy); the launcher's mapping stays.
-    pub fn close_fd(&mut self) {
-        if let Some(fd) = self.fd.take() {
-            futex::close_fd(fd);
-        }
-    }
-
     /// Machine size this region was built for.
-    pub fn num_pes(&self) -> usize {
+    pub(crate) fn num_pes(&self) -> usize {
         self.n
-    }
-
-    /// Data bytes per directed ring.
-    pub fn ring_cap(&self) -> usize {
-        self.ring_cap
     }
 
     fn hdr_u64(&self, off: usize) -> &AtomicU64 {
@@ -187,7 +174,7 @@ impl ShmRegion {
     }
 
     /// PE `pe`'s doorbell words.
-    pub fn doorbell(&self, pe: usize) -> Doorbell<'_> {
+    pub(crate) fn doorbell(&self, pe: usize) -> Doorbell<'_> {
         debug_assert!(pe < self.n);
         let off = HDR_BYTES + pe * DOORBELL_STRIDE;
         unsafe {
@@ -199,7 +186,7 @@ impl ShmRegion {
     }
 
     /// Control words + data pointer of ring `src → dst`.
-    pub fn ring(&self, src: usize, dst: usize) -> RingPtrs<'_> {
+    pub(crate) fn ring(&self, src: usize, dst: usize) -> RingPtrs<'_> {
         debug_assert!(src < self.n && dst < self.n);
         let off = Self::rings_off(self.n) + (src * self.n + dst) * Self::slot_bytes(self.ring_cap);
         unsafe {
@@ -215,7 +202,9 @@ impl ShmRegion {
 
 impl Drop for ShmRegion {
     fn drop(&mut self) {
-        self.close_fd();
+        if let Some(fd) = self.fd {
+            futex::close_fd(fd);
+        }
         futex::unmap(self.base, self.len);
     }
 }
@@ -224,11 +213,11 @@ impl Drop for ShmRegion {
 /// process (Release on publish), `tail` only in the consumer (Release
 /// on consume); both are monotonic byte counts, masked into `data` by
 /// `cap - 1`.
-pub struct RingPtrs<'a> {
-    pub head: &'a AtomicU64,
-    pub tail: &'a AtomicU64,
-    pub data: *mut u8,
-    pub cap: usize,
+pub(crate) struct RingPtrs<'a> {
+    pub(crate) head: &'a AtomicU64,
+    pub(crate) tail: &'a AtomicU64,
+    data: *mut u8,
+    pub(crate) cap: usize,
 }
 
 impl RingPtrs<'_> {
@@ -237,7 +226,7 @@ impl RingPtrs<'_> {
     /// # Safety
     /// Caller must hold the producer role for this ring and have
     /// verified `src.len()` bytes of free space at `pos`.
-    pub unsafe fn write_at(&self, pos: u64, src: &[u8]) {
+    pub(crate) unsafe fn write_at(&self, pos: u64, src: &[u8]) {
         let mask = self.cap - 1;
         let off = (pos as usize) & mask;
         let first = src.len().min(self.cap - off);
@@ -253,7 +242,7 @@ impl RingPtrs<'_> {
     /// # Safety
     /// Caller must hold the consumer role for this ring and have
     /// verified `dst.len()` published bytes at `pos`.
-    pub unsafe fn read_at(&self, pos: u64, dst: &mut [u8]) {
+    pub(crate) unsafe fn read_at(&self, pos: u64, dst: &mut [u8]) {
         let mask = self.cap - 1;
         let off = (pos as usize) & mask;
         let first = dst.len().min(self.cap - off);

@@ -13,7 +13,11 @@
 //! *after* the byte copies; the consumer observes it with one
 //! `Acquire` load. Records publish whole (head never advances into a
 //! half-written record), so a consumer that sees ≥ 4 available bytes
-//! always sees the complete record they prefix. Each side caches the
+//! always sees the complete record they prefix. Both indices and the
+//! length prefix are another process's bytes, so the consumer checks
+//! that contract before it copies: a record that cannot hold a frame
+//! header or runs past the published bytes fails the machine, like a
+//! bad frame header, and the ring is not read again. Each side caches the
 //! peer's index and re-reads it only when the cached value says the
 //! ring is full (producer) or empty (consumer) — the one atomic load
 //! amortizes over a whole batch of records.
@@ -32,9 +36,9 @@
 //! consumer: the endpoint queues them for its PE thread. Waking that
 //! thread is left to a separate `wake` callback, called once per sweep
 //! over the rings rather than once per record
-//! ([`ShmPlane::poll_sweeps`]) — a PE woken for the first 16-byte
-//! record of a sweep runs, finds one message and parks again while the
-//! poller is still copying out the rest.
+//! (`ShmPlane::poll_sweeps`) — a PE woken for the first 16-byte record
+//! of a sweep runs, finds one message and parks again while the poller
+//! is still copying out the rest.
 
 use crate::region::ShmRegion;
 use converse_msg::{FrameHeader, MsgBlock, FRAME_HEADER_BYTES};
@@ -46,7 +50,7 @@ use std::time::Duration;
 /// Per-ring length-prefix bytes (mirrors the socket framing).
 const LEN_PREFIX: usize = 4;
 
-/// Payload bytes [`ShmPlane::poll_sweeps`] hands to `on_frame` before it
+/// Payload bytes `ShmPlane::poll_sweeps` hands to `on_frame` before it
 /// calls `wake` without waiting for the sweep to end. Small records are
 /// cheap to copy out and the consumer of a sweep of them is better
 /// woken once, for all of them; a 16 KiB record takes about as long to
@@ -102,12 +106,6 @@ impl ShmPlane {
                 .map(|_| Mutex::new(SendSide { cached_tail: 0 }))
                 .collect(),
         }
-    }
-
-    /// Largest record (length prefix + header + payload) one ring can
-    /// ever hold.
-    pub fn max_record(&self) -> usize {
-        self.region.ring_cap()
     }
 
     /// Publish one frame into the `rank → dst` ring.
@@ -195,26 +193,40 @@ impl ShmPlane {
 
     /// Consume one record off the `src → rank` ring, if any.
     /// `cached_head` is the consumer's amortization state for this
-    /// ring (starts at 0).
-    fn pop(&self, src: usize, cached_head: &mut u64) -> Option<(FrameHeader, MsgBlock)> {
+    /// ring (starts at 0). A record that breaks the publication
+    /// contract (see the module docs) is an error naming the ring, and
+    /// nothing is copied.
+    fn pop(
+        &self,
+        src: usize,
+        cached_head: &mut u64,
+    ) -> Result<Option<(FrameHeader, MsgBlock)>, String> {
         let ring = self.region.ring(src, self.rank);
         // Consumer owns tail: relaxed reads our own last store.
         let tail = ring.tail.load(Ordering::Relaxed);
         if *cached_head == tail {
             *cached_head = ring.head.load(Ordering::Acquire);
             if *cached_head == tail {
-                return None;
+                return Ok(None);
             }
         }
-        // Whole-record publication: ≥ 4 available bytes ⇒ the full
-        // record is published.
+        let corrupt = |what: String| Err(format!("wire: shm ring {src} → {}: {what}", self.rank));
+        // Whole-record publication: what lies between tail and head is
+        // whole records, each at least a prefix long.
+        let published = cached_head.wrapping_sub(tail);
         let mut prefix = [0u8; LEN_PREFIX + FRAME_HEADER_BYTES];
+        if published < prefix.len() as u64 || published > ring.cap as u64 {
+            return corrupt(format!("{published} bytes published at offset {tail}"));
+        }
+        // SAFETY: this plane is the ring's only consumer, and at least
+        // `prefix.len()` bytes are published at `tail` (checked above).
         unsafe { ring.read_at(tail, &mut prefix) };
         let body = u32::from_le_bytes(prefix[..4].try_into().unwrap()) as usize;
-        debug_assert!(
-            (FRAME_HEADER_BYTES..=ring.cap).contains(&body),
-            "shm ring corrupt: body {body}"
-        );
+        if body < FRAME_HEADER_BYTES || (LEN_PREFIX + body) as u64 > published {
+            return corrupt(format!(
+                "record body of {body} bytes at offset {tail}, {published} bytes published"
+            ));
+        }
         let header = FrameHeader {
             kind: prefix[4],
             src: u32::from_le_bytes(prefix[5..9].try_into().unwrap()),
@@ -226,18 +238,38 @@ impl ShmPlane {
         let payload_len = body - FRAME_HEADER_BYTES;
         let mut block = MsgBlock::alloc(payload_len);
         if payload_len > 0 {
+            // SAFETY: the only consumer, reading the record's payload:
+            // `LEN_PREFIX + body` bytes are published at `tail`.
             unsafe { ring.read_at(tail + prefix.len() as u64, block.make_mut()) };
         }
         ring.tail
             .store(tail + (LEN_PREFIX + body) as u64, Ordering::Release);
-        Some((header, block))
+        Ok(Some((header, block)))
+    }
+
+    /// The next record of ring `src → rank`, unless the ring was given
+    /// up on (`head` is `None`). A corrupt record gives the ring up and
+    /// goes to `on_corrupt`.
+    fn next(
+        &self,
+        src: usize,
+        head: &mut Option<u64>,
+        on_corrupt: &mut impl FnMut(&str),
+    ) -> Option<(FrameHeader, MsgBlock)> {
+        let cached = head.as_mut()?;
+        self.pop(src, cached).unwrap_or_else(|msg| {
+            *head = None;
+            on_corrupt(&msg);
+            None
+        })
     }
 
     /// Drain inbound rings until `shutdown`, handing each record to
-    /// `on_frame`: [`ShmPlane::poll_sweeps`] for a consumer that needs
-    /// no separate wake-up.
+    /// `on_frame`: `ShmPlane::poll_sweeps` for a consumer that needs no
+    /// separate wake-up. A corrupt ring panics: there is no machine to
+    /// fail.
     pub fn poll_loop(&self, shutdown: &AtomicBool, on_frame: impl FnMut(FrameHeader, MsgBlock)) {
-        self.poll_sweeps(shutdown, on_frame, || {});
+        self.poll_sweeps(shutdown, on_frame, || {}, |msg| panic!("{msg}"));
     }
 
     /// Drain inbound rings until `shutdown`, handing each record to
@@ -245,14 +277,17 @@ impl ShmPlane {
     /// end of each sweep over the rings that found records, and inside
     /// a long sweep every [`WAKE_EVERY_BYTES`] of payload. `on_frame`
     /// can therefore queue records for another thread without waking
-    /// it and leave the one wake per batch to `wake`. Runs on the
-    /// endpoint's dedicated poller thread (the single consumer of
-    /// every `* → rank` ring).
-    pub fn poll_sweeps(
+    /// it and leave the one wake per batch to `wake`. A ring whose
+    /// record breaks the publication contract is reported to
+    /// `on_corrupt` once and not read again. Runs on the endpoint's
+    /// dedicated poller thread (the single consumer of every
+    /// `* → rank` ring).
+    pub(crate) fn poll_sweeps(
         &self,
         shutdown: &AtomicBool,
         mut on_frame: impl FnMut(FrameHeader, MsgBlock),
         mut wake: impl FnMut(),
+        mut on_corrupt: impl FnMut(&str),
     ) {
         // After the pure spins run out, cede the core between sweeps
         // for a while before parking: during an active exchange the
@@ -261,7 +296,11 @@ impl ShmPlane {
         // futex-wake round trip (producer syscall + consumer wakeup).
         // An idle machine pays ~256 cheap yields per 50 ms park.
         const YIELD_SWEEPS: u32 = 256;
-        let mut cached = vec![0u64; self.n];
+        // Each inbound ring's cached head; `None` for this rank's own
+        // slot and for a ring given up on.
+        let mut rings: Vec<Option<u64>> = (0..self.n)
+            .map(|src| (src != self.rank).then_some(0))
+            .collect();
         let db = self.region.doorbell(self.rank);
         let mut spins = 0u32;
         let mut yields = 0u32;
@@ -271,11 +310,8 @@ impl ShmPlane {
             // whether any record was (payloads may be empty).
             let mut unwoken = 0usize;
             let mut owed = false;
-            for (src, head) in cached.iter_mut().enumerate() {
-                if src == self.rank {
-                    continue;
-                }
-                while let Some((h, b)) = self.pop(src, head) {
+            for (src, head) in rings.iter_mut().enumerate() {
+                while let Some((h, b)) = self.next(src, head, &mut on_corrupt) {
                     unwoken += b.len();
                     on_frame(h, b);
                     got = true;
@@ -312,11 +348,8 @@ impl ShmPlane {
             // has no lost-wakeup window.
             let v = db.counter.load(Ordering::SeqCst);
             let mut again = false;
-            for (src, head) in cached.iter_mut().enumerate() {
-                if src == self.rank {
-                    continue;
-                }
-                if let Some((h, b)) = self.pop(src, head) {
+            for (src, head) in rings.iter_mut().enumerate() {
+                if let Some((h, b)) = self.next(src, head, &mut on_corrupt) {
                     on_frame(h, b);
                     again = true;
                 }
@@ -340,6 +373,7 @@ impl ShmPlane {
 mod tests {
     use super::*;
     use crate::kind;
+    use std::cell::RefCell;
 
     /// Push `count` records of `len` bytes from rank 0, then poll them
     /// at rank 1; returns the order of frame (`F`) and wake (`W`) calls.
@@ -356,7 +390,7 @@ mod tests {
             );
         }
         let stop = AtomicBool::new(false);
-        let trace = std::cell::RefCell::new(String::new());
+        let trace = RefCell::new(String::new());
         rx.poll_sweeps(
             &stop,
             |_, b| {
@@ -367,6 +401,7 @@ mod tests {
                 }
             },
             || trace.borrow_mut().push('W'),
+            |msg| panic!("{msg}"),
         );
         trace.into_inner()
     }
@@ -376,6 +411,51 @@ mod tests {
         assert_eq!(poll_trace(64, 16), "F".repeat(64) + "W");
         // Empty payloads still owe their wake.
         assert_eq!(poll_trace(3, 0), "FFFW");
+    }
+
+    #[test]
+    fn a_corrupt_ring_is_reported_once_and_the_others_still_drain() {
+        let region = Arc::new(ShmRegion::create(3, 1 << 16).expect("shm region"));
+        let never = AtomicBool::new(false);
+        let data = |src| FrameHeader::new(kind::DATA, src, 2, 0);
+        // One whole record on ring 0 → 2, then a head that ends inside
+        // the next one, as a rogue producer could publish.
+        let rogue = ShmPlane::new(region.clone(), 0, 0);
+        assert_eq!(
+            rogue.push(2, data(0), b"", false, &never),
+            PushOutcome::Sent
+        );
+        region.ring(0, 2).head.fetch_add(10, Ordering::Release);
+        let healthy = ShmPlane::new(region.clone(), 1, 0);
+        let rx = ShmPlane::new(region, 2, 0);
+        let stop = AtomicBool::new(false);
+        let (frames, reports) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
+        std::thread::scope(|s| {
+            // Arrives after the poller has swept the bad ring many times.
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                assert_eq!(
+                    healthy.push(2, data(1), b"", true, &never),
+                    PushOutcome::Sent
+                );
+            });
+            rx.poll_sweeps(
+                &stop,
+                |h, _| {
+                    frames.borrow_mut().push(h.src);
+                    stop.store(h.src == 1, Ordering::Release);
+                },
+                || {},
+                |msg| reports.borrow_mut().push(msg.to_string()),
+            );
+        });
+        assert_eq!(frames.into_inner(), [0, 1]);
+        let reports = reports.into_inner();
+        assert_eq!(reports.len(), 1, "reported {} times", reports.len());
+        assert_eq!(
+            reports[0],
+            "wire: shm ring 0 → 2: 10 bytes published at offset 26"
+        );
     }
 
     #[test]

@@ -24,21 +24,7 @@ impl ShmRegion {
         Err(io::Error::new(io::ErrorKind::Unsupported, UNSUPPORTED))
     }
 
-    pub fn byte_len(_n: usize, _ring_cap: usize) -> usize {
-        0
-    }
-
     pub fn fd(&self) -> Option<i32> {
-        unreachable!("{UNSUPPORTED}")
-    }
-
-    pub fn close_fd(&mut self) {}
-
-    pub fn num_pes(&self) -> usize {
-        unreachable!("{UNSUPPORTED}")
-    }
-
-    pub fn ring_cap(&self) -> usize {
         unreachable!("{UNSUPPORTED}")
     }
 }
@@ -62,10 +48,6 @@ impl ShmPlane {
         unreachable!("{UNSUPPORTED}")
     }
 
-    pub fn max_record(&self) -> usize {
-        unreachable!("{UNSUPPORTED}")
-    }
-
     pub fn push(
         &self,
         _dst: usize,
@@ -81,11 +63,12 @@ impl ShmPlane {
         unreachable!("{UNSUPPORTED}")
     }
 
-    pub fn poll_sweeps(
+    pub(crate) fn poll_sweeps(
         &self,
         _shutdown: &AtomicBool,
         _on_frame: impl FnMut(FrameHeader, MsgBlock),
         _wake: impl FnMut(),
+        _on_corrupt: impl FnMut(&str),
     ) {
         unreachable!("{UNSUPPORTED}")
     }

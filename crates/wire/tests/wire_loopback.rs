@@ -4,19 +4,11 @@
 //! protocol itself — bootstrap barrier, routing, reliability over the
 //! wire, teardown — without the exec machinery.
 
-use converse_net::{Channel, CmiTransport, DeliveryMode, FaultPlan, LinkFaults};
+use converse_net::{Channel, CmiTransport, DeliveryMode, FaultPlan, Interconnect, LinkFaults};
 use converse_trace::NullSink;
-use converse_wire::{WireEndpoint, WireHub, WireKind, WireOptions, WorkerReport};
+use converse_wire::{WireEndpoint, WireHub, WorkerReport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn opts() -> WireOptions {
-    WireOptions {
-        accept_timeout: Duration::from_secs(20),
-        connect_timeout: Duration::from_secs(10),
-        ..WireOptions::default()
-    }
-}
 
 fn worker_exit(ep: &Arc<WireEndpoint>, rank: usize) {
     assert!(
@@ -39,24 +31,20 @@ fn run_machine(
     plan: Option<FaultPlan>,
     body: impl Fn(Arc<WireEndpoint>, usize) + Send + Sync + 'static,
 ) -> Vec<WorkerReport> {
-    let o = opts();
-    let hub = WireHub::bind(n, WireKind::Tcp).expect("bind hub");
+    let hub = WireHub::bind(n).expect("bind hub");
     let addr = hub.addr().to_string();
     let body = Arc::new(body);
     let mut joins = Vec::new();
     for rank in 0..n {
         let addr = addr.clone();
         let plan = plan.clone();
-        let o = o.clone();
         let body = body.clone();
         joins.push(std::thread::spawn(move || {
             let ep = WireEndpoint::connect(
                 rank,
-                n,
                 &addr,
-                DeliveryMode::Fifo,
+                Interconnect::with_mode(n, DeliveryMode::Fifo),
                 plan,
-                &o,
                 Arc::new(NullSink),
                 None,
             )
@@ -65,11 +53,11 @@ fn run_machine(
             worker_exit(&ep, rank);
         }));
     }
-    let outcome = hub.run(&o, || None).expect("hub run");
+    let reports = hub.run(|| None).expect("hub run");
     for j in joins {
         j.join().expect("worker thread");
     }
-    outcome.reports
+    reports
 }
 
 #[test]
@@ -199,21 +187,17 @@ fn remote_stall_routes_over_the_wire() {
 #[test]
 fn worker_abort_fans_out_to_peers() {
     let n = 2;
-    let o = opts();
-    let hub = WireHub::bind(n, WireKind::Tcp).expect("bind hub");
+    let hub = WireHub::bind(n).expect("bind hub");
     let addr = hub.addr().to_string();
     let mut joins = Vec::new();
     for rank in 0..n {
         let addr = addr.clone();
-        let o = o.clone();
         joins.push(std::thread::spawn(move || {
             let ep = WireEndpoint::connect(
                 rank,
-                n,
                 &addr,
-                DeliveryMode::Fifo,
+                Interconnect::with_mode(n, DeliveryMode::Fifo),
                 None,
-                &o,
                 Arc::new(NullSink),
                 None,
             )
@@ -230,7 +214,7 @@ fn worker_abort_fans_out_to_peers() {
             }
         }));
     }
-    let err = hub.run(&o, || None).expect_err("hub must report the panic");
+    let err = hub.run(|| None).expect_err("hub must report the panic");
     match err {
         converse_wire::HubFailure::Panicked { rank, msg } => {
             assert_eq!(rank, 0);
@@ -240,49 +224,6 @@ fn worker_abort_fans_out_to_peers() {
     }
     let saw: Vec<bool> = joins.into_iter().map(|j| j.join().unwrap()).collect();
     assert!(saw[1], "rank 1 never observed the abort");
-}
-
-#[cfg(unix)]
-#[test]
-fn unix_domain_sockets_carry_the_machine() {
-    let n = 2;
-    let o = WireOptions {
-        kind: WireKind::Unix,
-        ..opts()
-    };
-    let hub = WireHub::bind(n, WireKind::Unix).expect("bind unix hub");
-    let addr = hub.addr().to_string();
-    assert!(addr.starts_with("unix:"), "unexpected addr {addr}");
-    let mut joins = Vec::new();
-    for rank in 0..n {
-        let addr = addr.clone();
-        let o = o.clone();
-        joins.push(std::thread::spawn(move || {
-            let ep = WireEndpoint::connect(
-                rank,
-                n,
-                &addr,
-                DeliveryMode::Fifo,
-                None,
-                &o,
-                Arc::new(NullSink),
-                None,
-            )
-            .expect("connect over unix socket");
-            let peer = 1 - rank;
-            ep.send_on(rank, peer, b"ud".as_slice().into(), Channel::DEFAULT);
-            let p = ep
-                .local()
-                .recv_timeout(rank, Duration::from_secs(10))
-                .expect("peer message");
-            assert_eq!(p.src, peer);
-            worker_exit(&ep, rank);
-        }));
-    }
-    hub.run(&o, || None).expect("hub run over unix socket");
-    for j in joins {
-        j.join().expect("worker thread");
-    }
 }
 
 /// Rank 0 is a real endpoint, rank 1 a raw socket that says HELLO and
@@ -295,10 +236,9 @@ fn run_against_raw_peer(
 ) -> (String, converse_wire::HubFailure) {
     use converse_msg::{write_frame, FrameHeader};
     use converse_wire::kind;
-    let o = opts();
-    let hub = WireHub::bind(2, WireKind::Tcp).expect("bind hub");
+    let hub = WireHub::bind(2).expect("bind hub");
     let addr = hub.addr().to_string();
-    let raw_addr = addr.strip_prefix("tcp:").expect("tcp hub").to_string();
+    let raw_addr = addr.clone();
     // The peer writes only once rank 0 has its abort hook installed.
     let (hooked_tx, hooked_rx) = std::sync::mpsc::channel::<()>();
     let raw = std::thread::spawn(move || {
@@ -312,15 +252,12 @@ fn run_against_raw_peer(
         // failure it can report is the one rank 0 raises.
         while let Ok(Some(_)) = converse_msg::read_frame(&mut s) {}
     });
-    let o2 = o.clone();
     let real = std::thread::spawn(move || {
         let ep = WireEndpoint::connect(
             0,
-            2,
             &addr,
-            DeliveryMode::Fifo,
+            Interconnect::with_mode(2, DeliveryMode::Fifo),
             Some(FaultPlan::new(1)),
-            &o2,
             Arc::new(NullSink),
             shm,
         )
@@ -342,7 +279,7 @@ fn run_against_raw_peer(
         assert_eq!(hooked.lock().unwrap().as_deref(), Some(msg.as_str()));
         msg
     });
-    let failure = hub.run(&o, || None).expect_err("the run failed");
+    let failure = hub.run(|| None).expect_err("the run failed");
     let msg = real
         .join()
         .expect("no thread of the endpoint's owner panicked");
@@ -409,4 +346,62 @@ fn a_ring_record_is_checked_like_a_socket_frame() {
         msg.contains("DATA frame from rank 9 of 2 addressed to rank 5"),
         "{msg}"
     );
+}
+
+/// Write `record` at the start of ring `1 → 0` of a 2-PE region and
+/// publish `published` bytes of it, as another process can: through the
+/// shared file, at the offsets of the layout documented in `region.rs`
+/// (a 4 KiB header and two 64 B doorbells rounded up to a page, then one
+/// slot per ordered pair — a 64 B `head` line, a 64 B `tail` line and
+/// `cap` data bytes).
+#[cfg(target_os = "linux")]
+fn publish_raw(region: &converse_wire::ShmRegion, cap: u64, record: &[u8], published: u64) {
+    use std::os::unix::fs::FileExt;
+    let fd = region.fd().expect("the creator holds the descriptor");
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(format!("/proc/self/fd/{fd}"))
+        .expect("open the region's memfd");
+    let slot = 8192 + 2 * (128 + cap);
+    file.write_all_at(record, slot + 128)
+        .expect("write the record");
+    file.write_all_at(&published.to_le_bytes(), slot)
+        .expect("publish it");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_ring_record_whose_length_lies_fails_the_run() {
+    use converse_wire::{kind, ShmPlane, ShmRegion};
+    if !converse_wire::SHM_SUPPORTED {
+        return;
+    }
+    const CAP: u64 = 1 << 16;
+    // The length prefix counts the 22-byte frame header and the payload;
+    // each record below publishes its prefix and header, nothing more.
+    for (body, lie) in [
+        (0, "no header"),
+        (21, "a short header"),
+        (CAP as u32 + 1, "more than the ring holds"),
+        (22 + 100, "more than was published"),
+    ] {
+        let region = Arc::new(ShmRegion::create(2, CAP as usize).expect("shm region"));
+        let raw = region.clone();
+        let (msg, failure) = run_against_raw_peer(Some(ShmPlane::new(region, 0, 0)), move |_| {
+            let mut record = u32::to_le_bytes(body).to_vec();
+            record.push(kind::DATA);
+            record.extend_from_slice(&1u32.to_le_bytes());
+            record.extend_from_slice(&0u32.to_le_bytes());
+            record.extend_from_slice(&[0; 13]);
+            publish_raw(&raw, CAP, &record, record.len() as u64);
+        });
+        let want = format!("shm ring 1 → 0: record body of {body} bytes");
+        assert!(msg.contains(&want), "{lie}: {msg}");
+        match failure {
+            converse_wire::HubFailure::Panicked { rank: 0, msg } => {
+                assert!(msg.contains(&want), "{lie}: {msg}")
+            }
+            other => panic!("{lie}: the launcher must hear what failed, got {other:?}"),
+        }
+    }
 }

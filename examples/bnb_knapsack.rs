@@ -23,7 +23,7 @@
 
 use converse::charm::{Charm, GroupChare, GroupId};
 use converse::ldb::{Ldb, LdbPolicy};
-use converse::machine::{MachineConfig, StealConfig};
+use converse::machine::MachineConfig;
 use converse::prelude::*;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,7 +114,7 @@ fn main() {
 
     let mut cfg = MachineConfig::new(pes);
     if steal {
-        cfg = cfg.steal(StealConfig::default());
+        cfg = cfg.steal(true);
     }
     converse::core::run_with(cfg, move |pe| {
         let charm = Charm::install(pe, policy);

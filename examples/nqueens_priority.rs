@@ -69,7 +69,7 @@ fn main() {
         .trace(sink.clone())
         .capture_output();
     if steal {
-        cfg = cfg.steal(converse::machine::StealConfig::default());
+        cfg = cfg.steal(true);
     }
 
     let report = run_with(cfg, move |pe| {

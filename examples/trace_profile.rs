@@ -167,9 +167,7 @@ fn main() {
         steps: 8,
     }));
     converse::core::run_with(
-        MachineConfig::new(4)
-            .steal(converse::machine::StealConfig::default())
-            .trace(steal_sink.clone()),
+        MachineConfig::new(4).steal(true).trace(steal_sink.clone()),
         move |pe| {
             let opts = RunOpts {
                 payload_bytes: 64,

@@ -1,8 +1,9 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build environment has no crates.io access, so the property-test
-//! surface the workspace uses is re-implemented here: the [`Strategy`]
-//! trait with `prop_map`, range / tuple / `any` / [`Just`] /
+//! surface the workspace uses is re-implemented here: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`, range / tuple
+//! / `any` / [`Just`](strategy::Just) /
 //! `collection::vec` strategies, weighted [`prop_oneof!`], and the
 //! [`proptest!`] test macro with `prop_assert*` assertions and
 //! `ProptestConfig::with_cases`.

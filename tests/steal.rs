@@ -15,7 +15,7 @@
 //!   with PEs as threads and as separate OS processes over the wire
 //!   (STEAL_REQ/DONATE frames).
 
-use converse::machine::{run_with, FaultPlan, LinkFaults, MachineConfig, StealConfig, Transport};
+use converse::machine::{run_with, FaultPlan, LinkFaults, MachineConfig, Transport};
 use converse::taskbench::exec::{assert_machine_valid, run_graph_raw, RunOpts};
 use converse::taskbench::{GraphSpec, Pattern, TaskGraph};
 use converse::trace::MemorySink;
@@ -69,9 +69,7 @@ fn stealing_relocates_work_and_stays_exactly_once() {
     let g = graph(Pattern::Random, 42, 64, 8);
     let g2 = g.clone();
     run_with(
-        MachineConfig::new(PES)
-            .steal(StealConfig::default())
-            .trace(sink.clone()),
+        MachineConfig::new(PES).steal(true).trace(sink.clone()),
         move |pe| {
             let opts = steal_opts(50_000);
             let summary = run_graph_raw(pe, &g2, &opts);
@@ -114,9 +112,7 @@ fn stealing_preserves_exactly_once_under_drops() {
     for seed in [1u64, 7, 1996] {
         let g = graph(Pattern::Butterfly, seed, 8, 5);
         let report = run_with(
-            MachineConfig::new(PES)
-                .steal(StealConfig::default())
-                .faults(lossy_plan(seed)),
+            MachineConfig::new(PES).steal(true).faults(lossy_plan(seed)),
             move |pe| {
                 let opts = RunOpts {
                     payload_bytes: 128,
@@ -145,9 +141,7 @@ fn steal_mode_validates_on_each_transport() {
     for &transport in Transport::each() {
         let g = graph(Pattern::Random, 7, 16, 6);
         run_with(
-            MachineConfig::new(PES)
-                .transport(transport)
-                .steal(StealConfig::default()),
+            MachineConfig::new(PES).transport(transport).steal(true),
             move |pe| {
                 let opts = steal_opts(20_000);
                 let summary = run_graph_raw(pe, &g, &opts);
