@@ -15,10 +15,10 @@
 //! * `pingpong_2pe` — cross-thread round-trip latency: legacy mailbox
 //!   with park-only idling (before) vs two-list mailbox with the
 //!   spin-then-park policy (after). On a single-hardware-thread host the
-//!   spin budget resolves to 0 — matching
-//!   `converse_machine::default_idle_spin` — because spinning there only
-//!   steals the echo thread's timeslice; the rows then compare the two
-//!   mailboxes under identical park-only idling.
+//!   spin budget resolves to 0 — matching the idle-spin default of
+//!   `MachineConfig::new` — because spinning there only steals the echo
+//!   thread's timeslice; the rows then compare the two mailboxes under
+//!   identical park-only idling.
 //! * `fanin` — 1→N small-message delivery throughput: P−1 sender
 //!   threads pre-fill PE 0's mailbox concurrently (untimed), then the
 //!   timed section moves every message into receiver-local storage —
@@ -58,10 +58,10 @@ const DRAIN_BOUND: usize = 1024;
 const SAMPLES: usize = 300;
 const BATCH: u64 = 64;
 
-/// Spin budget for the "after" idle policy, host-adjusted the same way
-/// `converse_machine::default_idle_spin` is: 0 on a single-hardware-
-/// thread host (spinning would starve the peer thread of the core it
-/// needs to produce the awaited message), generous otherwise.
+/// Spin budget for the "after" idle policy: 0 on a single-hardware-
+/// thread host, like `MachineConfig::new`'s idle-spin default (160, or
+/// 0 there), since spinning would starve the peer thread of the core it
+/// needs to produce the awaited message; generous otherwise.
 fn auto_spin() -> u32 {
     match std::thread::available_parallelism() {
         Ok(n) if n.get() > 1 => 20_000,

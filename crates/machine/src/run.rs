@@ -31,9 +31,10 @@ pub enum Transport {
     #[default]
     InProcess,
     /// Every PE is a separate OS process connected to a launcher-side
-    /// hub over a real socket (TCP loopback); see `converse-wire`. The current process becomes the launcher: it
-    /// re-executes itself once per rank with the `CONVERSE_WORKER`
-    /// role, routes frames, and aggregates the [`RunReport`].
+    /// hub over a real socket (TCP loopback); see `converse-wire`. The
+    /// current process becomes the launcher: it re-executes itself once
+    /// per rank with the `CONVERSE_WORKER` role, routes frames, and
+    /// aggregates the [`RunReport`].
     Socket,
     /// Like [`Transport::Socket`], but the *data plane* is a
     /// shared-memory region of lock-free SPSC byte rings (one per

@@ -32,7 +32,7 @@
 
 use crate::pe::{MachineShared, Pe, PeerAbort};
 use crate::run::{run_in_process, spawn_pe, MachineConfig, RunError, RunReport, Transport};
-use converse_net::{CmiTransport, Interconnect};
+use converse_net::CmiTransport;
 use converse_wire::{
     HubFailure, ShmPlane, ShmRegion, WireEndpoint, WireHub, WorkerReport, GRACE, RING_BYTES,
 };
@@ -408,8 +408,9 @@ where
     };
     let endpoint = match WireEndpoint::connect(
         w.rank,
+        w.npes,
         &w.addr,
-        Interconnect::with_mode(w.npes, cfg.delivery),
+        cfg.delivery,
         cfg.faults.take(),
         cfg.trace.clone(),
         shm_plane,

@@ -26,7 +26,9 @@
 use crate::{connect, kind, PushOutcome, ShmPlane, ACCEPT_TIMEOUT, CONNECT_TIMEOUT};
 use converse_msg::{write_frame, FrameHeader, MsgBlock};
 use converse_net::link::{pump_sleep, Ack, FaultCounters, Receiver, Sender, Sent};
-use converse_net::{Channel, CmiTransport, Delivery, FaultPlan, FaultStats, Interconnect};
+use converse_net::{
+    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect,
+};
 use converse_trace::{Event, FaultKind, StealPhase, TraceSink};
 use parking_lot::{Condvar, Mutex};
 use std::io;
@@ -84,23 +86,22 @@ pub struct WireEndpoint {
 
 impl WireEndpoint {
     /// Connect rank `rank` to the hub at `addr`, speak HELLO, and block
-    /// until the hub's GO (the startup barrier). `local` is the local
-    /// half — built for the whole machine (its size is the machine's)
-    /// and with no fault plan (`Interconnect::with_mode`): what survived
-    /// `plan` on the wire is final. Returns with the reader (and, under a
-    /// plan, the retransmit pump) running. With `shm` installed the
-    /// endpoint runs the `shmring` transport: a dedicated poller thread
-    /// consumes this rank's inbound rings and the hub socket carries
-    /// control traffic only.
+    /// until the hub's GO (the startup barrier). The local half orders
+    /// arrivals by `delivery` and has no fault plan: what survived `plan`
+    /// on the wire is final. Returns with the reader (and, under a plan,
+    /// the retransmit pump) running. With `shm` installed the endpoint
+    /// runs the `shmring` transport: a dedicated poller thread consumes
+    /// this rank's inbound rings and the hub socket carries control
+    /// traffic only.
     pub fn connect(
         rank: usize,
+        n: usize,
         addr: &str,
-        local: Arc<Interconnect>,
+        delivery: DeliveryMode,
         plan: Option<FaultPlan>,
         trace: Arc<dyn TraceSink>,
         shm: Option<ShmPlane>,
     ) -> io::Result<Arc<WireEndpoint>> {
-        let n = local.num_pes();
         assert!(rank < n, "rank {rank} out of range for {n} PEs");
         if let Some(p) = &plan {
             p.validate(n);
@@ -129,7 +130,7 @@ impl WireEndpoint {
         let ep = Arc::new(WireEndpoint {
             rank,
             n,
-            inner: local,
+            inner: Interconnect::with_mode(n, delivery),
             writer: Mutex::new(stream),
             shm,
             send_links: (0..n)

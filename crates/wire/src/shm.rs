@@ -459,6 +459,99 @@ mod tests {
     }
 
     #[test]
+    fn a_record_whose_length_lies_is_refused_before_any_copy() {
+        const CAP: usize = 1 << 16;
+        let prefix = LEN_PREFIX + FRAME_HEADER_BYTES;
+        // The prefix counts the frame header and the payload; each lying
+        // record has a prefix and a header, nothing more.
+        for (body, lie) in [
+            (0, "no header"),
+            (21, "a short header"),
+            (CAP as u32 + 1, "more than the ring holds"),
+            (prefix as u32 + 100, "more than was published"),
+        ] {
+            let region = Arc::new(ShmRegion::create(2, CAP).expect("shm region"));
+            // The lying record rides as the payload of a whole one; the
+            // consumer is then made to stand past the carrier's prefix.
+            let mut record = body.to_le_bytes().to_vec();
+            record.resize(prefix, 0);
+            let carrier = FrameHeader::new(kind::DATA, 0, 1, 0);
+            let never = AtomicBool::new(false);
+            let tx = ShmPlane::new(region.clone(), 0, 0);
+            assert_eq!(
+                tx.push(1, carrier, &record, false, &never),
+                PushOutcome::Sent
+            );
+            let ring = region.ring(0, 1);
+            ring.tail.store(prefix as u64, Ordering::Release);
+            let mut head = ring.head.load(Ordering::Acquire);
+            let rx = ShmPlane::new(region.clone(), 1, 0);
+            assert_eq!(
+                rx.pop(0, &mut head).map(|r| r.is_some()),
+                Err(format!(
+                    "wire: shm ring 0 → 1: record body of {body} bytes at offset {prefix}, \
+                     {prefix} bytes published"
+                )),
+                "{lie}"
+            );
+            assert_eq!(ring.tail.load(Ordering::Acquire), prefix as u64, "{lie}");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_ring_fails_the_machine_end_to_end() {
+        use crate::{HubFailure, WireEndpoint, WireHub};
+        use converse_msg::{read_frame, write_frame};
+        use converse_net::CmiTransport;
+        let hub = WireHub::bind(2).expect("bind hub");
+        let addr = hub.addr().to_string();
+        let region = Arc::new(ShmRegion::create(2, 1 << 16).expect("shm region"));
+        // Rank 1 is a bare socket: HELLO, then hold on until torn down.
+        let raw_addr = addr.clone();
+        let raw = std::thread::spawn(move || {
+            let mut s = std::net::TcpStream::connect(raw_addr).expect("raw connect");
+            write_frame(&mut s, FrameHeader::new(kind::HELLO, 1, 0, 0), b"").expect("hello");
+            while let Ok(Some(_)) = read_frame(&mut s) {}
+        });
+        let plane = ShmPlane::new(region.clone(), 0, 0);
+        let real = std::thread::spawn(move || {
+            let ep = WireEndpoint::connect(
+                0,
+                2,
+                &addr,
+                converse_net::DeliveryMode::Fifo,
+                None,
+                Arc::new(converse_trace::NullSink),
+                Some(plane),
+            )
+            .expect("connect");
+            // Rank 1 → 0 publishes less than a record's prefix.
+            region.ring(1, 0).head.store(10, Ordering::Release);
+            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            while ep.aborted().is_none() {
+                if std::time::Instant::now() >= deadline {
+                    // End the hub's run, which would otherwise wait on.
+                    ep.send_abort("no abort within 2 s");
+                    return None;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert!(
+                ep.local().is_closed(),
+                "a failed machine closes the mailbox"
+            );
+            ep.aborted()
+        });
+        let want = "wire: shm ring 1 → 0: 10 bytes published at offset 0";
+        match hub.run(|| None) {
+            Err(HubFailure::Panicked { rank: 0, msg }) => assert_eq!(msg, want),
+            other => panic!("the launcher must hear what failed, got {other:?}"),
+        }
+        assert_eq!(real.join().expect("endpoint thread").as_deref(), Some(want));
+        raw.join().expect("raw peer");
+    }
+
+    #[test]
     fn large_records_wake_as_they_land() {
         assert_eq!(poll_trace(4, 16 * 1024), "FWFWFWFW");
         // 1 KiB records: every fourth crosses the byte budget.

@@ -4,7 +4,7 @@
 //! protocol itself — bootstrap barrier, routing, reliability over the
 //! wire, teardown — without the exec machinery.
 
-use converse_net::{Channel, CmiTransport, DeliveryMode, FaultPlan, Interconnect, LinkFaults};
+use converse_net::{Channel, CmiTransport, DeliveryMode, FaultPlan, LinkFaults};
 use converse_trace::NullSink;
 use converse_wire::{WireEndpoint, WireHub, WorkerReport};
 use std::sync::Arc;
@@ -42,8 +42,9 @@ fn run_machine(
         joins.push(std::thread::spawn(move || {
             let ep = WireEndpoint::connect(
                 rank,
+                n,
                 &addr,
-                Interconnect::with_mode(n, DeliveryMode::Fifo),
+                DeliveryMode::Fifo,
                 plan,
                 Arc::new(NullSink),
                 None,
@@ -195,8 +196,9 @@ fn worker_abort_fans_out_to_peers() {
         joins.push(std::thread::spawn(move || {
             let ep = WireEndpoint::connect(
                 rank,
+                n,
                 &addr,
-                Interconnect::with_mode(n, DeliveryMode::Fifo),
+                DeliveryMode::Fifo,
                 None,
                 Arc::new(NullSink),
                 None,
@@ -255,8 +257,9 @@ fn run_against_raw_peer(
     let real = std::thread::spawn(move || {
         let ep = WireEndpoint::connect(
             0,
+            2,
             &addr,
-            Interconnect::with_mode(2, DeliveryMode::Fifo),
+            DeliveryMode::Fifo,
             Some(FaultPlan::new(1)),
             Arc::new(NullSink),
             shm,
@@ -346,62 +349,4 @@ fn a_ring_record_is_checked_like_a_socket_frame() {
         msg.contains("DATA frame from rank 9 of 2 addressed to rank 5"),
         "{msg}"
     );
-}
-
-/// Write `record` at the start of ring `1 → 0` of a 2-PE region and
-/// publish `published` bytes of it, as another process can: through the
-/// shared file, at the offsets of the layout documented in `region.rs`
-/// (a 4 KiB header and two 64 B doorbells rounded up to a page, then one
-/// slot per ordered pair — a 64 B `head` line, a 64 B `tail` line and
-/// `cap` data bytes).
-#[cfg(target_os = "linux")]
-fn publish_raw(region: &converse_wire::ShmRegion, cap: u64, record: &[u8], published: u64) {
-    use std::os::unix::fs::FileExt;
-    let fd = region.fd().expect("the creator holds the descriptor");
-    let file = std::fs::OpenOptions::new()
-        .write(true)
-        .open(format!("/proc/self/fd/{fd}"))
-        .expect("open the region's memfd");
-    let slot = 8192 + 2 * (128 + cap);
-    file.write_all_at(record, slot + 128)
-        .expect("write the record");
-    file.write_all_at(&published.to_le_bytes(), slot)
-        .expect("publish it");
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn a_ring_record_whose_length_lies_fails_the_run() {
-    use converse_wire::{kind, ShmPlane, ShmRegion};
-    if !converse_wire::SHM_SUPPORTED {
-        return;
-    }
-    const CAP: u64 = 1 << 16;
-    // The length prefix counts the 22-byte frame header and the payload;
-    // each record below publishes its prefix and header, nothing more.
-    for (body, lie) in [
-        (0, "no header"),
-        (21, "a short header"),
-        (CAP as u32 + 1, "more than the ring holds"),
-        (22 + 100, "more than was published"),
-    ] {
-        let region = Arc::new(ShmRegion::create(2, CAP as usize).expect("shm region"));
-        let raw = region.clone();
-        let (msg, failure) = run_against_raw_peer(Some(ShmPlane::new(region, 0, 0)), move |_| {
-            let mut record = u32::to_le_bytes(body).to_vec();
-            record.push(kind::DATA);
-            record.extend_from_slice(&1u32.to_le_bytes());
-            record.extend_from_slice(&0u32.to_le_bytes());
-            record.extend_from_slice(&[0; 13]);
-            publish_raw(&raw, CAP, &record, record.len() as u64);
-        });
-        let want = format!("shm ring 1 → 0: record body of {body} bytes");
-        assert!(msg.contains(&want), "{lie}: {msg}");
-        match failure {
-            converse_wire::HubFailure::Panicked { rank: 0, msg } => {
-                assert!(msg.contains(&want), "{lie}: {msg}")
-            }
-            other => panic!("{lie}: the launcher must hear what failed, got {other:?}"),
-        }
-    }
 }
