@@ -23,7 +23,7 @@
 //! ```
 
 use converse_msg::MsgBlock;
-use converse_net::{Channel, Delivery, FaultPlan, Interconnect, LinkFaults};
+use converse_net::{Channel, CmiTransport, Delivery, FaultPlan, Interconnect, LinkFaults};
 use std::time::{Duration, Instant};
 
 /// Messages fanned to each receiver, per guarantee.

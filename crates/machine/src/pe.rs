@@ -848,9 +848,13 @@ impl Pe {
     /// The once-per-batch half of [`Pe::pop_inbound`], kept out of line:
     /// with the drain's body inlined, `pop_inbound` is too big to inline
     /// into its callers and the once-per-message intake pop pays a call
-    /// (`core_1pe` `op_us` +2 %; EXPERIMENTS.md, ISSUE 21).
+    /// (`core_1pe` `op_us` +2 %; EXPERIMENTS.md, ISSUE 21). With a polled
+    /// source the PE pulls its rings itself, after its mailbox.
     #[inline(never)]
     fn refill(&self, intake: &mut VecDeque<Packet>, budget: usize) -> usize {
+        if self.mailbox.polled(self.id) {
+            return self.mailbox.drain_polled(self.id, intake, budget);
+        }
         self.mailbox.drain_into_bounded(self.id, intake, budget)
     }
 

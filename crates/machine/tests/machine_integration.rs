@@ -1,12 +1,16 @@
 //! End-to-end tests of the machine layer: boots real multi-PE machines
 //! (one OS thread per PE) and exercises MMI and EMI calls across them.
 
-use converse_machine::{run, run_with, HandlerId, MachineConfig, Message, Pe};
+use converse_machine::{
+    run, run_on_each_transport, run_with, FaultPlan, HandlerId, MachineConfig, Message, Pe,
+    Transport,
+};
 use converse_msg::pack::{Packer, Unpacker};
 use converse_net::DeliveryMode;
+use converse_wire::RING_BYTES;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Handlers are registered per-PE inside the entry; ids agree because
 /// registration order is identical. This helper registers a counting
@@ -779,4 +783,159 @@ fn unregistered_handler_id_still_panics_with_the_registration_order_hint() {
             && msg.contains("handlers must be registered in the same order on every PE"),
         "unexpected panic: {msg}"
     );
+}
+
+// ---- the shm rings' consumer is the PE ------------------------------------
+
+/// A message larger than a shm ring travels over the hub; the messages
+/// its sender sends after it must not overtake it there. Twenty rounds
+/// of one 2 MiB message followed by eight 16 B ones, tagged in send
+/// order.
+#[test]
+fn a_message_larger_than_a_ring_keeps_its_place() {
+    const ROUNDS: u32 = 20;
+    run_on_each_transport(2, |pe| {
+        let tagged = pe.register_handler(|_, _| unreachable!("retrieved, never dispatched"));
+        pe.barrier();
+        if pe.my_pe() == 0 {
+            let mut big = vec![0u8; 2 * RING_BYTES];
+            for tag in 0..ROUNDS * 9 {
+                let small = tag.to_le_bytes();
+                let payload = if tag % 9 == 0 {
+                    big[..4].copy_from_slice(&small);
+                    &big[..]
+                } else {
+                    &small[..]
+                };
+                pe.sync_send_and_free(1, Message::new(tagged, payload));
+            }
+        } else {
+            for want in 0..ROUNDS * 9 {
+                let m = pe.get_specific_msg(tagged);
+                let got = u32::from_le_bytes(m.payload()[..4].try_into().unwrap());
+                assert_eq!(got, want, "PE 1 got tag {got}, expected {want}");
+            }
+        }
+        pe.barrier();
+    });
+}
+
+/// Both PEs send four rings' worth of 64 KiB messages to each other
+/// before either receives: a PE waiting for room in its full outbound
+/// ring must drain its own inbound rings meanwhile, or each waits on
+/// the other for good.
+#[test]
+fn mutual_full_rings_drain_each_other() {
+    const MSG: usize = 64 * 1024;
+    let count = 4 * RING_BYTES / MSG;
+    run_on_each_transport(2, move |pe| {
+        let (id, got) = counting_handler(pe);
+        pe.barrier();
+        let t0 = Instant::now();
+        let payload = vec![7u8; MSG];
+        for _ in 0..count {
+            pe.sync_send_and_free(1 - pe.my_pe(), Message::new(id, &payload));
+        }
+        pe.deliver_until(|| got.load(Ordering::Relaxed) == count as u64);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(10), "took {took:?}");
+        pe.barrier();
+    });
+}
+
+/// A shm-ring worker runs its PE thread and its hub reader, plus the
+/// retransmit pump under a fault plan — and no thread of its own for
+/// the rings.
+#[test]
+fn a_shmring_worker_runs_no_ring_thread() {
+    if !converse_wire::SHM_SUPPORTED {
+        return;
+    }
+    for plan in [None, Some(FaultPlan::new(7))] {
+        let pumped = plan.is_some();
+        let mut cfg = MachineConfig::new(2).transport(Transport::ShmRing);
+        if let Some(plan) = plan {
+            cfg = cfg.faults(plan);
+        }
+        run_with(cfg, move |pe| {
+            // A worker replays earlier runs in-process on its way here.
+            if pe.transport_name() != "shmring" {
+                return;
+            }
+            let list = || -> Vec<String> {
+                std::fs::read_dir("/proc/self/task")
+                    .expect("list threads")
+                    // A thread that exits between the listing and the read
+                    // has no name to check.
+                    .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                    .map(|comm| comm.trim().to_string())
+                    .collect()
+            };
+            // A thread just spawned shows its spawner's name (here the
+            // test thread's, cut to 15 bytes) until it sets its own.
+            let spawner = &"a_shmring_worker_runs_no_ring_thread"[..15];
+            let t0 = Instant::now();
+            let names = loop {
+                let names = list();
+                let unnamed = names.iter().filter(|n| *n == spawner).count();
+                if unnamed <= 1 || t0.elapsed() > Duration::from_secs(5) {
+                    break names;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            let rank = pe.my_pe();
+            let has = |name: String| names.contains(&name);
+            assert!(has(format!("pe{rank}")), "{names:?}");
+            assert!(has(format!("wire-ep{rank}")), "{names:?}");
+            assert!(
+                !names.iter().any(|n| n.starts_with("wire-shm")),
+                "{names:?}"
+            );
+            assert_eq!(has(format!("wire-pump{rank}")), pumped, "{names:?}");
+        });
+    }
+}
+
+/// A stall holds up a PE's handlers, not its producers: while PE 1 is
+/// stalled its inbound rings are still drained, so PE 0's sends of two
+/// rings' worth return before the stall ends, and each message is
+/// handled exactly once after it.
+#[test]
+fn a_stalled_pe_keeps_its_producers_moving() {
+    const MSG: usize = 64 * 1024;
+    let count = 2 * RING_BYTES / MSG;
+    // Wall-clock milliseconds: the two PEs may be two processes.
+    let now_ms = || {
+        let t = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH);
+        t.unwrap().as_millis() as u64
+    };
+    run_on_each_transport(2, move |pe| {
+        let seen = Arc::new(Mutex::new(vec![0u32; count]));
+        let s2 = seen.clone();
+        let data = pe.register_handler(move |_, m| {
+            s2.lock().unwrap()
+                [u32::from_le_bytes(m.payload()[..4].try_into().unwrap()) as usize] += 1;
+        });
+        let go = pe.register_handler(|_, _| unreachable!("retrieved, never dispatched"));
+        pe.barrier();
+        if pe.my_pe() == 1 {
+            let until = now_ms() + 300;
+            pe.stall_pe(1, Duration::from_millis(300));
+            pe.sync_send_and_free(0, Message::new(go, &until.to_le_bytes()));
+            pe.deliver_until(|| seen.lock().unwrap().iter().sum::<u32>() == count as u32);
+            assert!(now_ms() >= until, "handled inside the stall");
+            assert!(seen.lock().unwrap().iter().all(|&n| n == 1));
+        } else {
+            let until = pe.get_specific_msg(go);
+            let until = u64::from_le_bytes(until.payload().try_into().unwrap());
+            let mut payload = vec![0u8; MSG];
+            for i in 0..count as u32 {
+                payload[..4].copy_from_slice(&i.to_le_bytes());
+                pe.sync_send_and_free(1, Message::new(data, &payload));
+            }
+            let left = until.saturating_sub(now_ms());
+            assert!(left > 0, "PE 0's sends waited for PE 1's stall to end");
+        }
+        pe.barrier();
+    });
 }

@@ -40,7 +40,7 @@ pub mod transport;
 pub use fault::{FaultPlan, FaultStats, LinkFaults, StallWindow};
 pub use model::NetModel;
 pub use qos::{Channel, Delivery};
-pub use transport::CmiTransport;
+pub use transport::{CmiTransport, PolledSource};
 
 use converse_msg::MsgBlock;
 use converse_trace::{Event, FaultKind, TraceSink};
@@ -48,7 +48,7 @@ use link::{pump_sleep, reorder_draw, FaultCounters, Receiver, Sender, WireCopy};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// How long a stalled PE naps between checks of its stall window, and
@@ -132,7 +132,8 @@ pub enum DeliveryMode {
 /// on `cv` is woken, and then by exactly one sender per park: the
 /// sender that flips `parked` back to false owns the wake (one locked
 /// swap plus one futex wake), every other sender of that window sees
-/// `false` and returns.
+/// `false` and returns. A receiver with a [`PolledSource`] parks on the
+/// source's doorbell instead, and that wake rings the doorbell.
 ///
 /// Layout is pinned (`repr(C, align(64))`) so what a send to an awake
 /// receiver touches — `inbox_len`, the `inbox` mutex word + its inline
@@ -174,7 +175,9 @@ struct Mailbox {
     /// Paired with the `inbox` mutex: the receiver parks here.
     cv: Condvar,
     staged: Mutex<VecDeque<Packet>>,
-    /// `notify_one` calls made by [`Mailbox::ring`].
+    /// The receiver's polled source, if its transport gave it one.
+    source: OnceLock<Weak<dyn PolledSource>>,
+    /// Wakes made by [`Mailbox::ring`].
     #[cfg(test)]
     wakes: AtomicU64,
 }
@@ -188,6 +191,7 @@ impl Mailbox {
             parked: AtomicBool::new(false),
             cv: Condvar::new(),
             staged: Mutex::new(VecDeque::new()),
+            source: OnceLock::new(),
             #[cfg(test)]
             wakes: AtomicU64::new(0),
         }
@@ -199,13 +203,29 @@ impl Mailbox {
         self.inbox_len.load(Ordering::Acquire) + self.staged_len.load(Ordering::Acquire)
     }
 
-    /// Receiver side of the doorbell: block on `cv` until rung, closed
-    /// or `until`; true when the wait timed out. `inbox` is the held
-    /// inbox guard, and the caller has just seen nothing to receive
-    /// under it.
-    fn park(&self, inbox: &mut MutexGuard<'_, VecDeque<Packet>>, until: Instant) -> bool {
+    fn source(&self) -> Option<Arc<dyn PolledSource>> {
+        self.source.get().and_then(Weak::upgrade)
+    }
+
+    /// Receiver side of the doorbell: block until rung, closed or `until`;
+    /// true when the wait timed out. `inbox` is the guard under which the
+    /// caller just saw nothing to receive; a receiver with a polled source
+    /// drops it and parks on the source's doorbell at its sweep's epoch.
+    fn park(
+        &self,
+        mut inbox: MutexGuard<'_, VecDeque<Packet>>,
+        until: Instant,
+        source: Option<(&dyn PolledSource, u32)>,
+    ) -> bool {
         self.parked.store(true, Ordering::Release);
-        let timed_out = self.cv.wait_until(inbox, until).timed_out();
+        let timed_out = match source {
+            None => self.cv.wait_until(&mut inbox, until).timed_out(),
+            Some((s, epoch)) => {
+                drop(inbox);
+                s.park(epoch, until);
+                Instant::now() >= until
+            }
+        };
         self.parked.store(false, Ordering::Release);
         timed_out
     }
@@ -216,9 +236,17 @@ impl Mailbox {
     #[inline]
     fn ring(&self) {
         if self.parked.load(Ordering::Acquire) && self.parked.swap(false, Ordering::AcqRel) {
-            #[cfg(test)]
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            self.cv.notify_one();
+            self.wake();
+        }
+    }
+
+    #[cold]
+    fn wake(&self) {
+        #[cfg(test)]
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        match self.source() {
+            Some(s) => s.wake(),
+            None => self.cv.notify_one(),
         }
     }
 }
@@ -372,11 +400,6 @@ impl Interconnect {
         Self::with_config(n, DeliveryMode::Fifo, None, None)
     }
 
-    /// Build a machine with an explicit delivery mode.
-    pub fn with_mode(n: usize, mode: DeliveryMode) -> Arc<Self> {
-        Self::with_config(n, mode, None, None)
-    }
-
     /// Build a machine with an explicit delivery mode, an optional
     /// fault plan, and an optional trace sink for `Event::Fault`
     /// records. Installing a plan spawns the background pump thread
@@ -465,11 +488,6 @@ impl Interconnect {
         self.me
             .upgrade()
             .expect("an Interconnect is alive while it is borrowed")
-    }
-
-    /// Aggregate fault-plane and reliability counters.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.fstats.snapshot()
     }
 
     #[inline]
@@ -583,11 +601,10 @@ impl Interconnect {
     /// reliable-wire fast path when no plan is installed (seq 0,
     /// except LatestValueWins which always sequences — its supersede
     /// scan keys on `seq`), otherwise sequence + policy-dependent
-    /// buffering + one wire attempt through the fault plane. `ring` is
-    /// false only for [`Interconnect::send_on_quiet`], whose caller
-    /// rings `dst` itself; the fault plane's deliveries always ring.
+    /// buffering + one wire attempt through the fault plane. `dst` is
+    /// rung once its packet is in.
     #[inline]
-    fn transmit(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock, ring: bool) {
+    fn transmit(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock) {
         if self.plan.is_none() {
             let lvw = channel.delivery == Delivery::LatestValueWins;
             match self.mode {
@@ -605,9 +622,7 @@ impl Interconnect {
                     self.mailbox_insert(src, dst, channel, seq, block, arrival);
                 }
             }
-            if ring {
-                self.boxes[dst].ring();
-            }
+            self.boxes[dst].ring();
             return;
         }
         self.transmit_faulty(src, dst, channel, block);
@@ -743,7 +758,7 @@ impl Interconnect {
     pub fn send_on(&self, src: usize, dst: usize, block: impl Into<MsgBlock>, channel: Channel) {
         let block = block.into();
         self.count_send(src, block.len());
-        self.transmit(src, dst, channel, block, true);
+        self.transmit(src, dst, channel, block);
     }
 
     /// Count one send of `bytes` payload bytes against `src`. Public for
@@ -758,32 +773,13 @@ impl Interconnect {
     }
 
     /// Deliver a block that `src` sent from **another address space**
-    /// into `dst`'s mailbox, for a caller that delivers a *batch* and
-    /// wakes `dst` once: this call may leave `dst`'s doorbell unrung,
-    /// and the caller owes `dst` one [`Interconnect::ring_doorbell`]
-    /// after the last delivery of its batch. Used by the multi-process
-    /// transports' receive threads, which drain a whole sweep of frames
-    /// off the wire at a time — waking a parked PE for the first frame
-    /// of a sweep only has it run, find one message, and park again
-    /// while the rest is still being copied in. Not counted as a send:
-    /// `src`'s own process did that when the block left.
+    /// into `dst`'s mailbox, waking `dst` if it is parked: how a
+    /// multi-process transport hands on what came off its wire. Not
+    /// counted as a send: `src`'s own process did that when the block
+    /// left.
     #[inline]
-    pub fn send_on_quiet(
-        &self,
-        src: usize,
-        dst: usize,
-        block: impl Into<MsgBlock>,
-        channel: Channel,
-    ) {
-        self.transmit(src, dst, channel, block.into(), false);
-    }
-
-    /// Wake `dst`'s receiver if it is parked — the second half of
-    /// [`Interconnect::send_on_quiet`]. One plain load when the receiver
-    /// is awake; harmless when nothing was sent.
-    #[inline]
-    pub fn ring_doorbell(&self, dst: usize) {
-        self.boxes[dst].ring();
+    pub fn deliver(&self, src: usize, dst: usize, block: impl Into<MsgBlock>, channel: Channel) {
+        self.transmit(src, dst, channel, block.into());
     }
 
     /// Deliver a block into `dst`'s mailbox from *outside* the machine —
@@ -801,7 +797,7 @@ impl Interconnect {
         t.msgs_injected.fetch_add(1, Ordering::Relaxed);
         t.bytes_injected
             .fetch_add(block.len() as u64, Ordering::Relaxed);
-        self.transmit(dst, dst, Channel::DEFAULT, block, true);
+        self.transmit(dst, dst, Channel::DEFAULT, block);
     }
 
     /// The in-process broadcast ([`CmiTransport::broadcast`]), to every
@@ -954,17 +950,21 @@ impl Interconnect {
     /// mailbox it is forbidden to read is not a wake condition).
     pub fn wait_nonempty(&self, pe: usize, timeout: Duration) {
         let mbox = &self.boxes[pe];
+        let source = mbox.source();
         let deadline = Instant::now() + timeout;
         loop {
             let now = Instant::now();
             if now >= deadline {
                 return;
             }
+            // A polled source is swept before every look at the mailbox,
+            // inside a stall too: a stall holds up handlers, not producers.
+            let swept = source.as_deref().map(|s| (s, s.sweep()));
             if self.stalled(pe) {
                 std::thread::sleep(STALL_SLICE.min(deadline.saturating_duration_since(now)));
                 continue;
             }
-            let mut q = mbox.inbox.lock();
+            let q = mbox.inbox.lock();
             // Depth covers staged packets too: a receiver that left
             // mail staged must not park on it.
             if !q.is_empty()
@@ -973,12 +973,18 @@ impl Interconnect {
             {
                 return;
             }
+            let bell = match swept {
+                // It moved something (seen above) or another thread sweeps.
+                Some((_, None)) => continue,
+                Some((s, Some(epoch))) => Some((s, epoch)),
+                None => None,
+            };
             let wake = if self.has_stalls.load(Ordering::Acquire) {
                 (now + STALL_SLICE).min(deadline)
             } else {
                 deadline
             };
-            if mbox.park(&mut q, wake) && wake == deadline {
+            if mbox.park(q, wake, bell) && wake == deadline {
                 return;
             }
         }
@@ -991,11 +997,16 @@ impl Interconnect {
     /// spin iterations consumed (`spin` means the budget ran out and
     /// the call parked). With stall windows armed it parks immediately —
     /// a stalled PE must not burn a core polling mail it cannot read.
+    /// Each spin of a PE with a polled source is a sweep of it.
     pub fn wait_nonempty_spin(&self, pe: usize, timeout: Duration, spin: u32) -> u32 {
         if spin > 0 && !self.has_stalls.load(Ordering::Acquire) {
             let mbox = &self.boxes[pe];
+            let source = mbox.source();
             for i in 0..spin {
-                if mbox.depth() > 0 || self.closed.load(Ordering::Acquire) {
+                if mbox.depth() > 0
+                    || self.closed.load(Ordering::Acquire)
+                    || source.as_ref().is_some_and(|s| s.sweep().is_none())
+                {
                     return i;
                 }
                 std::hint::spin_loop();
@@ -1022,7 +1033,34 @@ impl Interconnect {
             // cannot miss the notification.
             let _q = b.inbox.lock();
             b.cv.notify_all();
+            if let Some(s) = b.source() {
+                s.wake();
+            }
         }
+    }
+
+    /// Give `pe` a polled source (see [`PolledSource`]); once per PE.
+    pub fn set_source(&self, pe: usize, source: Weak<dyn PolledSource>) {
+        if self.boxes[pe].source.set(source).is_err() {
+            panic!("PE {pe} already has a polled source");
+        }
+    }
+
+    /// True if `pe` has a polled source: drain it with [`Interconnect::drain_polled`].
+    #[inline]
+    pub fn polled(&self, pe: usize) -> bool {
+        self.boxes[pe].source.get().is_some()
+    }
+
+    /// [`Interconnect::drain_into_bounded`], and if that leaves the batch
+    /// short, a sweep of `pe`'s polled source and a second drain.
+    #[inline(never)]
+    pub fn drain_polled(&self, pe: usize, out: &mut VecDeque<Packet>, max: usize) -> usize {
+        let n = self.drain_into_bounded(pe, out, max);
+        if n < max && self.boxes[pe].source().is_some_and(|s| s.sweep().is_none()) {
+            return n + self.drain_into_bounded(pe, out, max - n);
+        }
+        n
     }
 
     /// True once [`Interconnect::close`] has run.
@@ -1257,7 +1295,8 @@ mod tests {
 
     #[test]
     fn reorder_mode_delivers_everything() {
-        let net = Interconnect::with_mode(2, DeliveryMode::Reorder { seed: 7, window: 8 });
+        let net =
+            Interconnect::with_config(2, DeliveryMode::Reorder { seed: 7, window: 8 }, None, None);
         let n = 100u8;
         for i in 0..n {
             net.send(0, 1, vec![i]);
@@ -1275,7 +1314,8 @@ mod tests {
     #[test]
     fn reorder_is_deterministic_per_seed() {
         let run = |seed| {
-            let net = Interconnect::with_mode(2, DeliveryMode::Reorder { seed, window: 4 });
+            let net =
+                Interconnect::with_config(2, DeliveryMode::Reorder { seed, window: 4 }, None, None);
             for i in 0..20u8 {
                 net.send(0, 1, vec![i]);
             }
@@ -1434,20 +1474,112 @@ mod tests {
         assert_eq!(wakes(&net, 1), 1);
     }
 
-    #[test]
-    fn quiet_sends_leave_the_wake_to_one_ring() {
-        let net = Interconnect::new(2);
-        let net2 = net.clone();
-        let h = std::thread::spawn(move || net2.wait_nonempty(1, Duration::from_secs(30)));
-        await_parked(&net, 1);
-        for i in 0..8u8 {
-            net.send_on_quiet(0, 1, vec![i], Channel::DEFAULT);
+    /// A polled source whose arrivals wait in a list for PE 1; it parks
+    /// by yielding until its doorbell moves.
+    struct ListSource {
+        net: Weak<Interconnect>,
+        arrivals: Mutex<Vec<u8>>,
+        bell: AtomicU32,
+    }
+
+    impl PolledSource for ListSource {
+        fn sweep(&self) -> Option<u32> {
+            let epoch = self.bell.load(Ordering::SeqCst);
+            let got = std::mem::take(&mut *self.arrivals.lock());
+            let net = self.net.upgrade().unwrap();
+            for &b in &got {
+                net.deliver(0, 1, vec![b], Channel::DEFAULT);
+            }
+            got.is_empty().then_some(epoch)
         }
-        assert_eq!(net.pending(1), 8);
-        assert_eq!(wakes(&net, 1), 0, "the batch's sender has not rung yet");
-        net.ring_doorbell(1);
-        h.join().unwrap();
+        fn park(&self, epoch: u32, until: Instant) {
+            while self.bell.load(Ordering::SeqCst) == epoch && Instant::now() < until {
+                std::thread::yield_now();
+            }
+        }
+        fn wake(&self) {
+            self.bell.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn with_source(net: &Arc<Interconnect>) -> Arc<ListSource> {
+        let source = Arc::new(ListSource {
+            net: Arc::downgrade(net),
+            arrivals: Mutex::new(Vec::new()),
+            bell: AtomicU32::new(0),
+        });
+        net.set_source(1, Arc::downgrade(&source) as Weak<dyn PolledSource>);
+        source
+    }
+
+    #[test]
+    fn a_receiver_with_a_source_parks_on_its_doorbell() {
+        let net = Interconnect::new(2);
+        let source = with_source(&net);
+        // An arrival on the source: the producer rings the doorbell.
+        let net2 = net.clone();
+        let h = std::thread::spawn(move || net2.recv_timeout(1, Duration::from_secs(30)));
+        await_parked(&net, 1);
+        source.arrivals.lock().push(7);
+        source.wake();
+        assert_eq!(h.join().unwrap().expect("swept").bytes(), vec![7]);
+        // A mailbox delivery: the mailbox's wake rings the doorbell.
+        let net2 = net.clone();
+        let h = std::thread::spawn(move || net2.recv_timeout(1, Duration::from_secs(30)));
+        await_parked(&net, 1);
+        let bell = source.bell.load(Ordering::SeqCst);
+        net.send(0, 1, vec![8]);
+        assert_eq!(h.join().unwrap().expect("woken").bytes(), vec![8]);
         assert_eq!(wakes(&net, 1), 1);
+        assert_eq!(source.bell.load(Ordering::SeqCst), bell + 1);
+        // Closing the machine rings it too.
+        let net2 = net.clone();
+        let h = std::thread::spawn(move || net2.recv_timeout(1, Duration::from_secs(30)));
+        await_parked(&net, 1);
+        net.close();
+        assert!(h.join().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_stalled_receiver_still_sweeps_its_source() {
+        let net = Interconnect::new(2);
+        let source = with_source(&net);
+        net.stall_for(1, Duration::from_secs(60));
+        source.arrivals.lock().extend([1, 2, 3]);
+        net.wait_nonempty(1, Duration::from_millis(10));
+        assert!(
+            source.arrivals.lock().is_empty(),
+            "the stall held up the source"
+        );
+        assert_eq!(net.pending(1), 3);
+        assert!(net.try_recv(1).is_none(), "but not the stall");
+    }
+
+    /// A source with one more arrival at every sweep.
+    struct Endless(Weak<Interconnect>);
+
+    impl PolledSource for Endless {
+        fn sweep(&self) -> Option<u32> {
+            let net = self.0.upgrade().unwrap();
+            net.deliver(0, 1, vec![0], Channel::DEFAULT);
+            None
+        }
+        fn park(&self, _: u32, until: Instant) {
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
+        }
+        fn wake(&self) {}
+    }
+
+    #[test]
+    fn a_source_that_never_runs_dry_does_not_hold_up_its_receiver() {
+        let net = Interconnect::new(2);
+        let source = Arc::new(Endless(Arc::downgrade(&net)));
+        net.set_source(1, Arc::downgrade(&source) as Weak<dyn PolledSource>);
+        let t0 = Instant::now();
+        net.wait_nonempty(1, Duration::from_secs(5));
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "swept for {took:?}");
+        assert!(net.pending(1) > 0);
     }
 
     #[test]

@@ -28,7 +28,24 @@
 
 use crate::{Channel, FaultStats, Interconnect};
 use converse_msg::MsgBlock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Arrivals the local PE pulls off a wire with no receive thread, as the
+/// paper's scheduler pulls from the network (`CmiDeliverMsgs`). Installed
+/// with [`Interconnect::set_source`]; the PE sweeps it when a drain leaves
+/// its batch short ([`Interconnect::drain_polled`]) and before each look
+/// while it waits, and parks on the source's doorbell, not the condvar.
+pub trait PolledSource: Send + Sync {
+    /// Move everything that has arrived into the local mailbox. `None`
+    /// if anything moved (or another thread is sweeping right now);
+    /// otherwise the doorbell's value read before the sweep, to park on:
+    /// whatever lands after that read moves the doorbell on.
+    fn sweep(&self) -> Option<u32>;
+    /// Sleep while the doorbell reads `epoch`, until `until` at the latest.
+    fn park(&self, epoch: u32, until: Instant);
+    /// Move the doorbell on and wake a parked PE.
+    fn wake(&self);
+}
 
 /// The machine-interface transport contract: what a new wire implements.
 ///
@@ -133,7 +150,7 @@ impl CmiTransport for Interconnect {
     }
 
     fn fault_stats(&self) -> FaultStats {
-        Self::fault_stats(self)
+        self.fstats.snapshot()
     }
 
     fn name(&self) -> &'static str {

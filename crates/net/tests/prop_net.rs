@@ -98,7 +98,7 @@ proptest! {
     /// Reorder mode delivers the same multiset, whatever the seed.
     #[test]
     fn reorder_preserves_multiset(seed in any::<u64>(), window in 1usize..16, count in 0usize..120) {
-        let net = Interconnect::with_mode(2, DeliveryMode::Reorder { seed, window });
+        let net = Interconnect::with_config(2, DeliveryMode::Reorder { seed, window }, None, None);
         for i in 0..count {
             net.send(0, 1, (i as u64).to_le_bytes().to_vec());
         }
@@ -141,7 +141,7 @@ proptest! {
         noise in 0usize..8,
     ) {
         let n = 5;
-        let net = Interconnect::with_mode(n, DeliveryMode::Reorder { seed, window });
+        let net = Interconnect::with_config(n, DeliveryMode::Reorder { seed, window }, None, None);
         let mut kept: Vec<converse_msg::MsgBlock> = Vec::new();
         for r in 0..rounds {
             // Distinctive payload per round; tail encodes the round.

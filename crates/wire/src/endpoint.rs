@@ -22,15 +22,22 @@
 //! A pump thread sleeps one tick and calls [`Sender::tick`]. ACKs and
 //! control frames ride the socket un-faulted — the plan models the data
 //! channel, the TCP stream is the (reliable) physical layer under it.
+//!
+//! On `socket` the hub reader thread dispatches each frame. On `shmring`
+//! there is no receive thread: the endpoint is its local half's
+//! [`PolledSource`], swept by the PE (and by any thread waiting for room
+//! in a full ring), which dispatches the rings' records and what the hub
+//! reader queued for it.
 
 use crate::{connect, kind, PushOutcome, ShmPlane, ACCEPT_TIMEOUT, CONNECT_TIMEOUT};
 use converse_msg::{write_frame, FrameHeader, MsgBlock};
 use converse_net::link::{pump_sleep, Ack, FaultCounters, Receiver, Sender, Sent};
 use converse_net::{
     Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect,
+    PolledSource,
 };
 use converse_trace::{Event, FaultKind, StealPhase, TraceSink};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,8 +69,11 @@ pub struct WireEndpoint {
     plan: Option<FaultPlan>,
     /// Sender half of link `rank → dst`, indexed by `dst`.
     send_links: Vec<Mutex<Sender>>,
-    /// Receiver half of link `src → rank`, indexed by `src`.
-    recv_links: Vec<Mutex<Receiver>>,
+    /// The receive side: the hub reader's on `socket`; on `shmring`
+    /// whoever sweeps takes it with `try_lock`, and nobody waits for it.
+    consumer: Mutex<Consumer>,
+    /// `shmring`: frames off the hub socket, for a sweep to dispatch.
+    from_hub: Mutex<Vec<(FrameHeader, MsgBlock)>>,
     fstats: FaultCounters,
     /// Counts every frame written or read — the trace sampling key.
     frames: AtomicU64,
@@ -73,8 +83,7 @@ pub struct WireEndpoint {
     /// Set once no further wire activity is expected (FIN, abort, or
     /// hub loss); reader/pump threads exit and write errors go quiet.
     shutdown: AtomicBool,
-    fin: Mutex<bool>,
-    fin_cv: Condvar,
+    fin: AtomicBool,
     aborted: Mutex<Option<String>>,
     on_abort: Mutex<Option<AbortHook>>,
     /// Uptime-ns when the oldest unanswered STEAL_REQ left this rank
@@ -84,15 +93,22 @@ pub struct WireEndpoint {
     trace: Arc<dyn TraceSink>,
 }
 
+/// What the consumer of this rank's wire keeps.
+struct Consumer {
+    /// Receiver half of link `src → rank`, indexed by `src`.
+    links: Vec<Receiver>,
+    /// Each inbound ring's cached head (`ShmPlane::heads`).
+    heads: Vec<Option<u64>>,
+}
+
 impl WireEndpoint {
     /// Connect rank `rank` to the hub at `addr`, speak HELLO, and block
     /// until the hub's GO (the startup barrier). The local half orders
     /// arrivals by `delivery` and has no fault plan: what survived `plan`
     /// on the wire is final. Returns with the reader (and, under a plan,
     /// the retransmit pump) running. With `shm` installed the endpoint
-    /// runs the `shmring` transport: a dedicated poller thread consumes
-    /// this rank's inbound rings and the hub socket carries control
-    /// traffic only.
+    /// runs the `shmring` transport and is its local half's polled
+    /// source; the hub socket carries control frames and overflow.
     pub fn connect(
         rank: usize,
         n: usize,
@@ -130,25 +146,32 @@ impl WireEndpoint {
         let ep = Arc::new(WireEndpoint {
             rank,
             n,
-            inner: Interconnect::with_mode(n, delivery),
+            inner: Interconnect::with_config(n, delivery, None, None),
             writer: Mutex::new(stream),
+            consumer: Mutex::new(Consumer {
+                links: (0..n).map(|_| Receiver::default()).collect(),
+                heads: shm.as_ref().map(ShmPlane::heads).unwrap_or_default(),
+            }),
+            from_hub: Mutex::new(Vec::new()),
             shm,
             send_links: (0..n)
                 .map(|dst| Mutex::new(Sender::new(rank, dst, plan.as_ref())))
                 .collect(),
-            recv_links: (0..n).map(|_| Mutex::new(Receiver::default())).collect(),
             plan,
             fstats: FaultCounters::default(),
             frames: AtomicU64::new(0),
             finishing: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            fin: Mutex::new(false),
-            fin_cv: Condvar::new(),
+            fin: AtomicBool::new(false),
             aborted: Mutex::new(None),
             on_abort: Mutex::new(None),
             steal_req_at: AtomicU64::new(0),
             trace,
         });
+        if ep.shm.is_some() {
+            let weak = Arc::downgrade(&ep);
+            ep.inner.set_source(rank, weak);
+        }
 
         let rd = ep.clone();
         std::thread::Builder::new()
@@ -161,24 +184,6 @@ impl WireEndpoint {
                 .name(format!("wire-pump{rank}"))
                 .spawn(move || pump.pump_loop())
                 .expect("spawn wire pump");
-        }
-        if ep.shm.is_some() {
-            let po = ep.clone();
-            std::thread::Builder::new()
-                .name(format!("wire-shm{rank}"))
-                .spawn(move || {
-                    let plane = po.shm.as_ref().expect("shm plane");
-                    plane.poll_sweeps(
-                        &po.shutdown,
-                        |h, payload| {
-                            po.trace_frame(h.kind, h.src as usize, payload.len(), false);
-                            po.on_frame(h, payload);
-                        },
-                        || po.inner.ring_doorbell(po.rank),
-                        |msg| po.fail(msg),
-                    );
-                })
-                .expect("spawn shm poller");
         }
         Ok(ep)
     }
@@ -247,30 +252,44 @@ impl WireEndpoint {
     /// ring to `header.dst` when this is an shmring endpoint, the hub
     /// socket otherwise.
     ///
-    /// `may_block` is the full-ring policy. App, pump and reader
-    /// threads wait for the consumer to drain (the remote poller is
-    /// always draining, so waiting is forward progress — the mirror of
-    /// blocking in a full socket buffer). The shm **poller** thread
-    /// must never wait: it is the drain for the opposite direction,
-    /// and two pollers parked on each other's full rings would
-    /// deadlock — so its frames (ACKs, donations) try the ring and
-    /// spill to the hub socket, which still forwards every data kind.
-    /// Oversized frames (> one ring) always take the hub path.
+    /// `may_block` is the full-ring policy. A sender that may block waits
+    /// for the consumer to drain, sweeping this rank's own rings
+    /// meanwhile: that consumer may be waiting for room in one of them.
+    /// What a sweep writes (ACKs, donations, the resends an ACK asks for)
+    /// must never wait, or a sweep would wait inside a sweep: it tries
+    /// the ring and spills to the hub socket. A frame too big for a ring
+    /// takes the hub path, after a `HELD` record if it `holds_place`.
     fn emit(&self, header: FrameHeader, payload: &[u8], may_block: bool) {
         if let Some(shm) = &self.shm {
             let dst = header.dst as usize;
             if dst != self.rank && dst < self.n {
-                match shm.push(dst, header, payload, may_block, &self.shutdown) {
-                    PushOutcome::Sent => {
+                let held = self.holds_place(header, payload.len());
+                let kind = if held { kind::HELD } else { header.kind };
+                let p = if held { &[][..] } else { payload };
+                let h = FrameHeader { kind, ..header };
+                match shm.push_or_wait(dst, h, p, may_block, &self.shutdown, || {
+                    self.sweep();
+                }) {
+                    PushOutcome::Sent if !held => {
                         self.trace_frame(header.kind, dst, payload.len(), true);
                         return;
                     }
                     PushOutcome::Shutdown => return,
-                    PushOutcome::TooBig | PushOutcome::Full => {}
+                    _ => {}
                 }
             }
         }
         self.write(header, payload);
+    }
+
+    /// True for a frame too big for a ring whose order no seq restores
+    /// (DATA or INJECT with no plan): it leaves a `kind::HELD` record in
+    /// its place. Both ends apply this test. No sweep writes such a
+    /// frame, so the record may wait.
+    fn holds_place(&self, h: FrameHeader, len: usize) -> bool {
+        self.plan.is_none()
+            && matches!(h.kind, kind::DATA | kind::INJECT)
+            && self.shm.as_ref().is_some_and(|s| !s.fits(len))
     }
 
     fn data_header(&self, dst: usize, channel: Channel, seq: u64) -> FrameHeader {
@@ -326,15 +345,15 @@ impl WireEndpoint {
                         }
                         kind::FIN => {
                             self.shutdown.store(true, Ordering::Release);
-                            let mut f = self.fin.lock();
-                            *f = true;
-                            self.fin_cv.notify_all();
+                            self.fin.store(true, Ordering::Release);
                             return;
                         }
-                        _ => {
-                            self.on_frame(h, payload);
-                            self.inner.ring_doorbell(self.rank);
+                        // A sweep dispatches the rest, steal requests aside (`steal_from`).
+                        _ if self.shm.is_some() && h.kind != kind::STEAL_REQ => {
+                            self.from_hub.lock().push((h, payload));
+                            self.wake();
                         }
+                        _ => self.on_frame(h, payload, &mut self.consumer.lock().links),
                     }
                 }
                 Ok(None) | Err(_) => {
@@ -347,17 +366,12 @@ impl WireEndpoint {
         }
     }
 
-    /// Dispatch one data-plane frame. Shared by the hub reader thread
-    /// (socket transport, plus the shmring fallback path) and the shm
-    /// poller thread — the sublayers above cannot tell which wire
-    /// carried the frame. ABORT/FIN are control plane and stay in
-    /// `reader_loop`.
-    ///
-    /// Messages for the local PE are queued with
-    /// [`Interconnect::send_on_quiet`]; the calling thread rings the
-    /// PE's doorbell — the hub reader after each frame, the shm poller
-    /// once per sweep of its rings.
-    fn on_frame(&self, h: FrameHeader, payload: MsgBlock) {
+    /// Dispatch one data-plane frame: on `socket` from the hub reader,
+    /// on `shmring` from a sweep, whichever wire carried it — the
+    /// sublayers above cannot tell. ABORT/FIN are control plane and stay
+    /// in `reader_loop`. Messages for the local PE go in with
+    /// [`Interconnect::deliver`], which wakes it if it is parked.
+    fn on_frame(&self, h: FrameHeader, payload: MsgBlock, links: &mut [Receiver]) {
         // The header is another process's bytes and `src` indexes the
         // link tables below: a frame that names a rank outside the
         // machine, or is not for this rank, fails the machine.
@@ -374,7 +388,7 @@ impl WireEndpoint {
             return;
         }
         match h.kind {
-            kind::DATA => self.on_data(h, payload),
+            kind::DATA => self.on_data(h, payload, links),
             kind::ACK => self.on_ack(h, payload.as_slice()),
             kind::INJECT => self.inner.inject(self.rank, payload),
             kind::STALL => {
@@ -404,7 +418,7 @@ impl WireEndpoint {
                 // unsequenced path. Only default-channel packets are
                 // stealable.
                 self.inner
-                    .send_on_quiet(h.src as usize, self.rank, payload, Channel::DEFAULT);
+                    .deliver(h.src as usize, self.rank, payload, Channel::DEFAULT);
             }
             _ => {}
         }
@@ -417,24 +431,24 @@ impl WireEndpoint {
     /// half's ack goes back as an ACK frame. The frame header is
     /// self-describing: channel id + guarantee tag travel with every
     /// DATA frame, so no receiver-side registry is needed.
-    fn on_data(&self, h: FrameHeader, block: MsgBlock) {
+    fn on_data(&self, h: FrameHeader, block: MsgBlock, links: &mut [Receiver]) {
         let src = h.src as usize;
         let channel = Channel::new(h.channel, Delivery::from_u8(h.guarantee));
         if self.plan.is_none() {
-            self.inner.send_on_quiet(src, self.rank, block, channel);
+            self.inner.deliver(src, self.rank, block, channel);
             return;
         }
-        let ack = self.recv_links[src].lock().on_data(
+        let ack = links[src].on_data(
             channel,
             h.seq,
             block,
             &self.fstats,
             |kind, seq| self.trace_fault(kind, src, self.rank, seq),
-            |_, block| self.inner.send_on_quiet(src, self.rank, block, channel),
+            |_, block| self.inner.deliver(src, self.rank, block, channel),
         );
         if let Some(ack) = ack {
-            // Never block on a full ring here: this may run on the shm
-            // poller thread (see `emit`).
+            // Never block on a full ring here: this may run in a sweep
+            // (see `emit`).
             self.emit(
                 FrameHeader::new(kind::ACK, self.rank as u32, src as u32, ack.selective)
                     .on_channel(channel.id, channel.delivery.as_u8()),
@@ -464,8 +478,8 @@ impl WireEndpoint {
         }
         let batch = stolen.len();
         for p in stolen {
-            // Non-blocking for the same reason as ACKs: the victim
-            // side runs on reader/poller threads.
+            // Non-blocking for the same reason as ACKs: this runs on
+            // the reader thread or in a sweep.
             self.emit(
                 FrameHeader::new(kind::DONATE, p.src as u32, thief as u32, 0),
                 p.block.as_slice(),
@@ -489,8 +503,7 @@ impl WireEndpoint {
     /// `rank → acker`. It echoes the channel id of the DATA frame it
     /// confirms. What the ack makes the half resend is written after
     /// the link lock is dropped, as in `wire_send`, and without waiting
-    /// on a full ring: this may run on the shm poller thread (see
-    /// `emit`).
+    /// on a full ring: this may run in a sweep (see `emit`).
     fn on_ack(&self, h: FrameHeader, payload: &[u8]) {
         let dst = h.src as usize;
         let mut wire = Vec::new();
@@ -592,7 +605,17 @@ impl WireEndpoint {
             if Instant::now() >= deadline || self.shutdown.load(Ordering::Acquire) {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            self.settle(Duration::from_millis(1));
+        }
+    }
+
+    /// Teardown's wait of up to `d`: with the PE gone, the rings are
+    /// swept here, for peers that still need ACKs or room to finish.
+    fn settle(&self, d: Duration) {
+        if self.shm.is_none() {
+            std::thread::sleep(d);
+        } else if let Some(epoch) = self.sweep() {
+            self.park(epoch, Instant::now() + d);
         }
     }
 
@@ -614,18 +637,66 @@ impl WireEndpoint {
     /// timeout or if the run aborted instead.
     pub fn wait_fin(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut f = self.fin.lock();
-        while !*f {
-            if self.aborted.lock().is_some() {
+        while !self.fin.load(Ordering::Acquire) {
+            if self.aborted.lock().is_some() || Instant::now() >= deadline {
                 return false;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.fin_cv.wait_for(&mut f, deadline - now);
+            self.settle(Duration::from_millis(1));
         }
         true
+    }
+}
+
+impl PolledSource for WireEndpoint {
+    /// Dispatch the frames the hub reader queued, then every ring
+    /// record. A frame whose place a `HELD` record keeps stays queued
+    /// until the sweep reaches that record, and the ring waits there
+    /// until the frame is in.
+    fn sweep(&self) -> Option<u32> {
+        let shm = self.shm.as_ref().expect("only a ring endpoint is polled");
+        // Whoever holds the consumer role is sweeping right now.
+        let mut c = self.consumer.try_lock()?;
+        let Consumer { links, heads } = &mut *c;
+        let epoch = shm.epoch();
+        let held = |(h, b): &(FrameHeader, MsgBlock)| self.holds_place(*h, b.len());
+        let ready: Vec<_> = self.from_hub.lock().extract_if(.., |f| !held(f)).collect();
+        let mut got = !ready.is_empty();
+        for (h, b) in ready {
+            self.on_frame(h, b, links);
+        }
+        let held_from = |src| {
+            self.from_hub
+                .lock()
+                .iter()
+                .position(|f| f.0.src == src && held(f))
+        };
+        got |= shm.sweep(
+            heads,
+            |h| h.kind != kind::HELD || held_from(h.src).is_some(),
+            |h, b| {
+                let (h, b) = if h.kind == kind::HELD {
+                    // The queue only grows behind the sweep's back.
+                    let at = held_from(h.src).expect("admitted");
+                    self.from_hub.lock().remove(at)
+                } else {
+                    self.trace_frame(h.kind, h.src as usize, b.len(), false);
+                    (h, b)
+                };
+                self.on_frame(h, b, links);
+            },
+            |msg| self.fail(msg),
+        );
+        (!got).then_some(epoch)
+    }
+
+    fn park(&self, epoch: u32, until: Instant) {
+        let shm = self.shm.as_ref().expect("only a ring endpoint parks");
+        shm.park(epoch, until);
+    }
+
+    fn wake(&self) {
+        let shm = self.shm.as_ref().expect("only a ring endpoint is woken");
+        shm.ring(self.rank);
     }
 }
 
@@ -691,10 +762,11 @@ impl CmiTransport for WireEndpoint {
         let _ =
             self.steal_req_at
                 .compare_exchange(0, now.max(1), Ordering::AcqRel, Ordering::Relaxed);
-        self.emit(
+        // Over the hub on either wire, for the victim's reader to serve at
+        // once: at its next refill its staged list, all it donates, is empty.
+        self.write(
             FrameHeader::new(kind::STEAL_REQ, self.rank as u32, victim as u32, 0),
             &(max as u64).to_le_bytes(),
-            true,
         );
         0
     }

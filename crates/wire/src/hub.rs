@@ -158,6 +158,7 @@ impl WireHub {
     ) -> Result<Vec<WorkerReport>, HubFailure> {
         let n = self.n;
         let deadline = Instant::now() + ACCEPT_TIMEOUT;
+        let boot = |detail: String| HubFailure::Bootstrap { rank: None, detail };
         let mut conns: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
         let mut connected = 0usize;
         while connected < n {
@@ -165,52 +166,25 @@ impl WireHub {
                 return Err(HubFailure::Bootstrap { rank, detail });
             }
             if Instant::now() >= deadline {
-                return Err(HubFailure::Bootstrap {
-                    rank: None,
-                    detail: format!(
-                        "only {connected}/{n} workers connected within {ACCEPT_TIMEOUT:?}"
-                    ),
-                });
+                let waited = format!("{connected}/{n} workers connected within {ACCEPT_TIMEOUT:?}");
+                return Err(boot(format!("only {waited}")));
             }
-            let stream = match self.accept_one() {
-                Ok(Some(s)) => s,
-                Ok(None) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-                Err(e) => {
-                    return Err(HubFailure::Bootstrap {
-                        rank: None,
-                        detail: format!("accept failed: {e}"),
-                    })
-                }
+            let accepted = self.accept_one();
+            let Some(stream) = accepted.map_err(|e| boot(format!("accept failed: {e}")))? else {
+                std::thread::sleep(Duration::from_millis(5));
+                continue;
             };
             // The HELLO must arrive promptly; bound the read so a rogue
             // connection cannot stall the whole bootstrap.
             let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-            let mut reader = match stream.try_clone() {
-                Ok(r) => r,
-                Err(e) => {
-                    return Err(HubFailure::Bootstrap {
-                        rank: None,
-                        detail: format!("clone worker stream: {e}"),
-                    })
-                }
-            };
+            let clone = stream.try_clone();
+            let mut reader = clone.map_err(|e| boot(format!("clone worker stream: {e}")))?;
             let rank = match read_frame(&mut reader) {
                 Ok(Some((h, _))) if h.kind == kind::HELLO => h.src as usize,
-                other => {
-                    return Err(HubFailure::Bootstrap {
-                        rank: None,
-                        detail: format!("expected HELLO, got {other:?}"),
-                    })
-                }
+                other => return Err(boot(format!("expected HELLO, got {other:?}"))),
             };
             if rank >= n || conns[rank].is_some() {
-                return Err(HubFailure::Bootstrap {
-                    rank: None,
-                    detail: format!("bad or duplicate HELLO rank {rank}"),
-                });
+                return Err(boot(format!("bad or duplicate HELLO rank {rank}")));
             }
             let _ = stream.set_read_timeout(None);
             conns[rank] = Some(stream);
@@ -336,15 +310,9 @@ fn hub_reader(rank: usize, mut stream: TcpStream, st: Arc<HubState>) {
                 }
                 _ => {}
             },
-            Ok(None) => {
+            Ok(None) | Err(_) => {
                 // EOF. Expected once the worker exited or the outcome
                 // is settled; otherwise the process died mid-run.
-                if !exited && !st.settled.load(Ordering::Acquire) {
-                    st.fail(HubFailure::Crashed { rank });
-                }
-                return;
-            }
-            Err(_) => {
                 if !exited && !st.settled.load(Ordering::Acquire) {
                     st.fail(HubFailure::Crashed { rank });
                 }

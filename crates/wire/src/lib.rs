@@ -46,50 +46,30 @@
 //! the idle path ([`ShmPlane`]). Bootstrap, teardown, crash detection,
 //! and oversized or overflow frames stay on the hub socket, so the
 //! protocol above is unchanged and the two wires differ only in who
-//! carries `DATA`.
+//! carries `DATA`. The rings have no receive thread: each PE sweeps its
+//! own inbound rings, as the paper's scheduler pulls from the network.
 
 mod endpoint;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+// Elsewhere every shared-memory syscall fails, so no region (and no
+// ring) ever exists.
+#[cfg_attr(
+    not(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    )),
+    path = "futex_unsupported.rs"
+)]
 mod futex;
 mod hub;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 mod region;
 mod report;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 mod shm;
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod shm_stub;
 
 pub use endpoint::WireEndpoint;
 pub use hub::{HubFailure, WireHub};
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 pub use region::ShmRegion;
 pub use report::WorkerReport;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 pub use shm::{PushOutcome, ShmPlane};
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-pub use shm_stub::{PushOutcome, ShmPlane, ShmRegion};
 
 use std::io;
 use std::net::TcpStream;
@@ -150,6 +130,10 @@ pub mod kind {
     /// donation already cleared the reliability sublayer at the victim,
     /// and TCP carries it exactly once).
     pub(crate) const DONATE: u8 = 11;
+    /// Ring only: holds the place of `src`'s next frame that is too big
+    /// for a ring and goes over the hub; the consumer reads nothing
+    /// behind this record until that frame has come in.
+    pub(crate) const HELD: u8 = 12;
 
     /// Human-readable frame-kind label for traces and errors.
     pub(crate) fn name(k: u8) -> &'static str {
@@ -165,6 +149,7 @@ pub mod kind {
             FIN => "fin",
             STEAL_REQ => "steal_req",
             DONATE => "donate",
+            HELD => "held",
             _ => "unknown",
         }
     }

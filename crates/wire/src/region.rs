@@ -83,17 +83,8 @@ impl ShmRegion {
         );
         let len = Self::byte_len(n, ring_cap);
         let fd = futex::memfd_create("converse-ring")?;
-        if let Err(e) = futex::set_len(fd, len) {
-            futex::close_fd(fd);
-            return Err(e);
-        }
-        let base = match futex::map_shared(fd, len) {
-            Ok(p) => p,
-            Err(e) => {
-                futex::close_fd(fd);
-                return Err(e);
-            }
-        };
+        let mapped = futex::set_len(fd, len).and_then(|()| futex::map_shared(fd, len));
+        let base = mapped.inspect_err(|_| futex::close_fd(fd))?;
         let r = ShmRegion {
             base,
             len,
@@ -111,10 +102,15 @@ impl ShmRegion {
     }
 
     /// Map an inherited descriptor (worker-side) and validate it
-    /// against the advertised geometry. Closes `fd` once mapped.
+    /// against the advertised geometry. Closes `fd` either way: the
+    /// mapping alone keeps the region alive.
     pub fn adopt(fd: i32, expect_n: usize) -> io::Result<ShmRegion> {
+        let bad = |what: String| {
+            futex::close_fd(fd);
+            Err(io::Error::new(io::ErrorKind::InvalidData, what))
+        };
         // Map just the header first to learn the geometry.
-        let hdr = futex::map_shared(fd, HDR_BYTES)?;
+        let hdr = futex::map_shared(fd, HDR_BYTES).inspect_err(|_| futex::close_fd(fd))?;
         let magic = unsafe { &*(hdr as *const AtomicU64) }.load(Ordering::Relaxed);
         let version = unsafe { &*(hdr.add(8) as *const AtomicU32) }.load(Ordering::Relaxed);
         let n = unsafe { &*(hdr.add(12) as *const AtomicU32) }.load(Ordering::Relaxed) as usize;
@@ -122,30 +118,20 @@ impl ShmRegion {
             unsafe { &*(hdr.add(16) as *const AtomicU64) }.load(Ordering::Relaxed) as usize;
         futex::unmap(hdr, HDR_BYTES);
         if magic != MAGIC || version != VERSION {
-            futex::close_fd(fd);
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("shm: bad region header (magic {magic:#x}, version {version})"),
+            return bad(format!(
+                "shm: bad region header (magic {magic:#x}, version {version})"
             ));
         }
         if n != expect_n || !ring_cap.is_power_of_two() || ring_cap < 4096 {
-            futex::close_fd(fd);
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("shm: region geometry mismatch (n {n}, ring_cap {ring_cap})"),
+            return bad(format!(
+                "shm: region geometry mismatch (n {n}, ring_cap {ring_cap})"
             ));
         }
         let len = Self::byte_len(n, ring_cap);
-        let base = match futex::map_shared(fd, len) {
-            Ok(p) => p,
-            Err(e) => {
-                futex::close_fd(fd);
-                return Err(e);
-            }
-        };
+        let base = futex::map_shared(fd, len);
         futex::close_fd(fd);
         Ok(ShmRegion {
-            base,
+            base: base?,
             len,
             n,
             ring_cap,

@@ -22,41 +22,26 @@
 //! ring is full (producer) or empty (consumer) — the one atomic load
 //! amortizes over a whole batch of records.
 //!
-//! **Idle policy.** The consumer spins `idle_spin` sweeps (the same
-//! knob the scheduler's idle loop uses — zero on single-core hosts),
-//! then re-checks under the doorbell protocol and parks in
-//! `futex_wait`. Producers bump the doorbell counter after every
-//! publish and issue the wake syscall only when the waiter flag is up,
-//! so a draining consumer costs the producer one shared-memory
-//! increment per record and no syscalls. The flag/counter pair closes
-//! the sleep race: the consumer re-checks the counter after raising
-//! the flag, and the kernel re-checks it once more inside `futex_wait`.
-//!
-//! **Handing records on.** The poller is rarely the records' final
-//! consumer: the endpoint queues them for its PE thread. Waking that
-//! thread is left to a separate `wake` callback, called once per sweep
-//! over the rings rather than once per record
-//! (`ShmPlane::poll_sweeps`) — a PE woken for the first 16-byte record
-//! of a sweep runs, finds one message and parks again while the poller
-//! is still copying out the rest.
+//! **Consumer and idle policy.** The rings have no thread of their own:
+//! the PE they are addressed to sweeps them after draining its mailbox
+//! and before it parks in `futex_wait` on its doorbell, and a producer
+//! waiting for room sweeps its own (`ShmPlane::push_or_wait`). Producers
+//! bump the doorbell counter after every publish and issue the wake
+//! syscall only when the waiter flag is up, so a draining consumer costs
+//! the producer one shared-memory increment per record and no syscalls.
+//! The flag/counter pair closes the sleep race: the consumer reads the
+//! counter before its last sweep, re-checks it after raising the flag,
+//! and the kernel re-checks it once more inside `futex_wait`.
 
 use crate::region::ShmRegion;
 use converse_msg::{FrameHeader, MsgBlock, FRAME_HEADER_BYTES};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-ring length-prefix bytes (mirrors the socket framing).
 const LEN_PREFIX: usize = 4;
-
-/// Payload bytes `ShmPlane::poll_sweeps` hands to `on_frame` before it
-/// calls `wake` without waiting for the sweep to end. Small records are
-/// cheap to copy out and the consumer of a sweep of them is better
-/// woken once, for all of them; a 16 KiB record takes about as long to
-/// copy out as to consume, so its consumer should start on it while
-/// the next one is being copied.
-const WAKE_EVERY_BYTES: usize = 4096;
 
 /// How a ring push ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,25 +57,21 @@ pub enum PushOutcome {
     Shutdown,
 }
 
-/// Producer-side cache for one outbound ring.
-struct SendSide {
-    /// Last observed consumer index; refreshed only when the cached
-    /// value implies the ring is full.
-    cached_tail: u64,
-}
-
 /// One rank's handle on the shared ring plane: producer role on every
 /// `rank → dst` ring, consumer role on every `src → rank` ring.
 pub struct ShmPlane {
     region: Arc<ShmRegion>,
     rank: usize,
     n: usize,
+    /// Empty sweeps `ShmPlane::poll_loop` spins before it parks.
     idle_spin: u32,
     /// The cross-process structure is SPSC, but several local threads
-    /// produce (app sends, retransmit pump, ACKs off the poller) — a
+    /// produce (app sends, retransmit pump, ACKs off a sweep) — a
     /// short per-destination mutex serializes them onto the single
     /// producer role. Finer than the socket's one global writer lock.
-    send: Vec<Mutex<SendSide>>,
+    /// It holds the producer's cache of the ring's `tail`, refreshed
+    /// only when the cached value says the ring is full.
+    send: Vec<Mutex<u64>>,
 }
 
 impl ShmPlane {
@@ -102,20 +83,15 @@ impl ShmPlane {
             rank,
             n,
             idle_spin,
-            send: (0..n)
-                .map(|_| Mutex::new(SendSide { cached_tail: 0 }))
-                .collect(),
+            send: (0..n).map(|_| Mutex::new(0)).collect(),
         }
     }
 
     /// Publish one frame into the `rank → dst` ring.
     ///
-    /// `block` selects the producer's full-ring policy: app/pump
-    /// threads wait for the consumer to drain (spin → yield → short
-    /// sleep, bailing on shutdown); the poller thread must never wait —
-    /// it *is* the drain for the opposite direction, and two pollers
-    /// blocked on each other's full rings would deadlock — so it uses
-    /// `block = false` and lets the caller fall back to the hub socket.
+    /// `block` selects the full-ring policy: wait for the consumer to
+    /// drain (spin → yield → short sleep, bailing on shutdown), or report
+    /// `Full` and let the caller fall back to the hub socket.
     pub fn push(
         &self,
         dst: usize,
@@ -124,29 +100,43 @@ impl ShmPlane {
         block: bool,
         shutdown: &AtomicBool,
     ) -> PushOutcome {
+        self.push_or_wait(dst, header, payload, block, shutdown, || {})
+    }
+
+    /// [`ShmPlane::push`], calling `wait` each time a blocking push
+    /// finds the ring still full.
+    pub(crate) fn push_or_wait(
+        &self,
+        dst: usize,
+        header: FrameHeader,
+        payload: &[u8],
+        block: bool,
+        shutdown: &AtomicBool,
+        mut wait: impl FnMut(),
+    ) -> PushOutcome {
         debug_assert_ne!(dst, self.rank, "loopback never touches the rings");
         let total = LEN_PREFIX + FRAME_HEADER_BYTES + payload.len();
         let ring = self.region.ring(self.rank, dst);
-        if total > ring.cap {
+        if !self.fits(payload.len()) {
             return PushOutcome::TooBig;
         }
-        let mut side = if block {
+        let mut cached_tail = if block {
             self.send[dst].lock()
         } else {
             match self.send[dst].try_lock() {
                 Some(g) => g,
                 // A blocked producer holds the lock; don't pile up
-                // behind it from the poller thread.
+                // behind it from a sweep.
                 None => return PushOutcome::Full,
             }
         };
         // Producer owns head: a relaxed load reads our own last store.
         let head = ring.head.load(Ordering::Relaxed);
-        if head + total as u64 - side.cached_tail > ring.cap as u64 {
+        if head + total as u64 - *cached_tail > ring.cap as u64 {
             let mut spins = 0u32;
             loop {
-                side.cached_tail = ring.tail.load(Ordering::Acquire);
-                if head + total as u64 - side.cached_tail <= ring.cap as u64 {
+                *cached_tail = ring.tail.load(Ordering::Acquire);
+                if head + total as u64 - *cached_tail <= ring.cap as u64 {
                     break;
                 }
                 if !block {
@@ -155,15 +145,16 @@ impl ShmPlane {
                 if shutdown.load(Ordering::Acquire) {
                     return PushOutcome::Shutdown;
                 }
+                wait();
                 spins += 1;
                 if spins < 64 {
                     std::hint::spin_loop();
                 } else if spins < 256 {
                     std::thread::yield_now();
                 } else {
-                    // The consumer is a live poller unless its process
-                    // died — in which case shutdown arrives via the
-                    // control plane and the check above fires.
+                    // The consumer drains unless its process died — in
+                    // which case shutdown arrives via the control plane
+                    // and the check above fires.
                     std::thread::sleep(Duration::from_micros(50));
                 }
             }
@@ -182,16 +173,48 @@ impl ShmPlane {
             ring.write_at(head + prefix.len() as u64, payload);
         }
         ring.head.store(head + total as u64, Ordering::Release);
-        drop(side);
-        let db = self.region.doorbell(dst);
+        drop(cached_tail);
+        self.ring(dst);
+        PushOutcome::Sent
+    }
+
+    /// True when a record of `len` payload bytes fits a ring (every ring
+    /// has the same capacity).
+    pub(crate) fn fits(&self, len: usize) -> bool {
+        LEN_PREFIX + FRAME_HEADER_BYTES + len <= self.region.ring(0, 0).cap
+    }
+
+    /// Bump `pe`'s doorbell, and wake it if it is parked there.
+    pub(crate) fn ring(&self, pe: usize) {
+        let db = self.region.doorbell(pe);
         db.counter.fetch_add(1, Ordering::SeqCst);
         if db.waiters.load(Ordering::SeqCst) != 0 {
             crate::futex::futex_wake_all(db.counter);
         }
-        PushOutcome::Sent
     }
 
-    /// Consume one record off the `src → rank` ring, if any.
+    /// This rank's doorbell counter, read before a sweep that may be
+    /// followed by a [`ShmPlane::park`].
+    pub(crate) fn epoch(&self) -> u32 {
+        let db = self.region.doorbell(self.rank);
+        db.counter.load(Ordering::SeqCst)
+    }
+
+    /// Sleep on this rank's doorbell while it reads `epoch`, until
+    /// `until` at the latest. One waiter at a time: this rank's PE, or
+    /// its endpoint's teardown once the PE has exited.
+    pub(crate) fn park(&self, epoch: u32, until: Instant) {
+        let db = self.region.doorbell(self.rank);
+        db.waiters.store(1, Ordering::SeqCst);
+        let left = until.saturating_duration_since(Instant::now());
+        if db.counter.load(Ordering::SeqCst) == epoch && !left.is_zero() {
+            crate::futex::futex_wait(db.counter, epoch, left);
+        }
+        db.waiters.store(0, Ordering::SeqCst);
+    }
+
+    /// Consume one record off the `src → rank` ring, if any and if
+    /// `admit` takes its header (a refused record stays where it is).
     /// `cached_head` is the consumer's amortization state for this
     /// ring (starts at 0). A record that breaks the publication
     /// contract (see the module docs) is an error naming the ring, and
@@ -200,6 +223,7 @@ impl ShmPlane {
         &self,
         src: usize,
         cached_head: &mut u64,
+        admit: impl FnOnce(&FrameHeader) -> bool,
     ) -> Result<Option<(FrameHeader, MsgBlock)>, String> {
         let ring = self.region.ring(src, self.rank);
         // Consumer owns tail: relaxed reads our own last store.
@@ -235,6 +259,9 @@ impl ShmPlane {
             channel: u32::from_le_bytes(prefix[21..25].try_into().unwrap()),
             guarantee: prefix[25],
         };
+        if !admit(&header) {
+            return Ok(None);
+        }
         let payload_len = body - FRAME_HEADER_BYTES;
         let mut block = MsgBlock::alloc(payload_len);
         if payload_len > 0 {
@@ -247,124 +274,69 @@ impl ShmPlane {
         Ok(Some((header, block)))
     }
 
-    /// The next record of ring `src → rank`, unless the ring was given
-    /// up on (`head` is `None`). A corrupt record gives the ring up and
-    /// goes to `on_corrupt`.
-    fn next(
-        &self,
-        src: usize,
-        head: &mut Option<u64>,
-        on_corrupt: &mut impl FnMut(&str),
-    ) -> Option<(FrameHeader, MsgBlock)> {
-        let cached = head.as_mut()?;
-        self.pop(src, cached).unwrap_or_else(|msg| {
-            *head = None;
-            on_corrupt(&msg);
-            None
-        })
-    }
-
-    /// Drain inbound rings until `shutdown`, handing each record to
-    /// `on_frame`: `ShmPlane::poll_sweeps` for a consumer that needs no
-    /// separate wake-up. A corrupt ring panics: there is no machine to
-    /// fail.
-    pub fn poll_loop(&self, shutdown: &AtomicBool, on_frame: impl FnMut(FrameHeader, MsgBlock)) {
-        self.poll_sweeps(shutdown, on_frame, || {}, |msg| panic!("{msg}"));
-    }
-
-    /// Drain inbound rings until `shutdown`, handing each record to
-    /// `on_frame` and calling `wake` after every batch of them: at the
-    /// end of each sweep over the rings that found records, and inside
-    /// a long sweep every [`WAKE_EVERY_BYTES`] of payload. `on_frame`
-    /// can therefore queue records for another thread without waking
-    /// it and leave the one wake per batch to `wake`. A ring whose
-    /// record breaks the publication contract is reported to
-    /// `on_corrupt` once and not read again. Runs on the endpoint's
-    /// dedicated poller thread (the single consumer of every
-    /// `* → rank` ring).
-    pub(crate) fn poll_sweeps(
-        &self,
-        shutdown: &AtomicBool,
-        mut on_frame: impl FnMut(FrameHeader, MsgBlock),
-        mut wake: impl FnMut(),
-        mut on_corrupt: impl FnMut(&str),
-    ) {
-        // After the pure spins run out, cede the core between sweeps
-        // for a while before parking: during an active exchange the
-        // next record arrives within a few scheduling quanta, and
-        // catching it on a yield-return sweep skips the whole
-        // futex-wake round trip (producer syscall + consumer wakeup).
-        // An idle machine pays ~256 cheap yields per 50 ms park.
-        const YIELD_SWEEPS: u32 = 256;
-        // Each inbound ring's cached head; `None` for this rank's own
-        // slot and for a ring given up on.
-        let mut rings: Vec<Option<u64>> = (0..self.n)
+    /// Each inbound ring's cursor for [`ShmPlane::sweep`]: a cached head
+    /// of 0 for every peer's ring, `None` for this rank's own slot.
+    pub(crate) fn heads(&self) -> Vec<Option<u64>> {
+        (0..self.n)
             .map(|src| (src != self.rank).then_some(0))
-            .collect();
-        let db = self.region.doorbell(self.rank);
-        let mut spins = 0u32;
-        let mut yields = 0u32;
-        while !shutdown.load(Ordering::Acquire) {
-            let mut got = false;
-            // Payload bytes handed over since the last `wake`, and
-            // whether any record was (payloads may be empty).
-            let mut unwoken = 0usize;
-            let mut owed = false;
-            for (src, head) in rings.iter_mut().enumerate() {
-                while let Some((h, b)) = self.next(src, head, &mut on_corrupt) {
-                    unwoken += b.len();
-                    on_frame(h, b);
-                    got = true;
-                    owed = true;
-                    if unwoken >= WAKE_EVERY_BYTES {
-                        wake();
-                        unwoken = 0;
-                        owed = false;
+            .collect()
+    }
+
+    /// One pass over the inbound rings: hand every record to
+    /// `on_frame`, ring by ring, and leave a ring at a record `admit`
+    /// refuses (the next sweep reads it again). True if any record was
+    /// handed on. A ring whose record breaks the publication contract is
+    /// reported to `on_corrupt` once and not read again: its head in
+    /// `heads` becomes `None`.
+    pub(crate) fn sweep(
+        &self,
+        heads: &mut [Option<u64>],
+        mut admit: impl FnMut(&FrameHeader) -> bool,
+        mut on_frame: impl FnMut(FrameHeader, MsgBlock),
+        mut on_corrupt: impl FnMut(&str),
+    ) -> bool {
+        let mut got = false;
+        for (src, head) in heads.iter_mut().enumerate() {
+            while let Some(cached) = head.as_mut() {
+                match self.pop(src, cached, &mut admit) {
+                    Ok(Some((h, b))) => {
+                        on_frame(h, b);
+                        got = true;
+                    }
+                    Ok(None) => break,
+                    Err(msg) => {
+                        *head = None;
+                        on_corrupt(&msg);
                     }
                 }
             }
-            if owed {
-                wake();
-            }
-            if got {
-                spins = 0;
-                yields = 0;
-                continue;
-            }
-            if spins < self.idle_spin {
-                spins += 1;
+        }
+        got
+    }
+
+    /// Drain inbound rings until `shutdown`, handing each record to
+    /// `on_frame`: the PE's sweep in a loop, with `idle_spin` empty
+    /// sweeps before each park. A corrupt ring panics: there is no
+    /// machine to fail.
+    pub fn poll_loop(
+        &self,
+        shutdown: &AtomicBool,
+        mut on_frame: impl FnMut(FrameHeader, MsgBlock),
+    ) {
+        let mut heads = self.heads();
+        let mut idle = 0u32;
+        while !shutdown.load(Ordering::Acquire) {
+            let epoch = self.epoch();
+            if self.sweep(&mut heads, |_| true, &mut on_frame, |msg| panic!("{msg}")) {
+                idle = 0;
+            } else if idle < self.idle_spin {
+                idle += 1;
                 std::hint::spin_loop();
-                continue;
+            } else {
+                // Bounded: shutdown is a process-local flag no doorbell
+                // rings for.
+                self.park(epoch, Instant::now() + Duration::from_millis(50));
             }
-            if yields < YIELD_SWEEPS {
-                yields += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            spins = 0;
-            yields = 0;
-            // Doorbell protocol: snapshot, re-sweep, raise the waiter
-            // flag, re-check, park. See the module docs for why this
-            // has no lost-wakeup window.
-            let v = db.counter.load(Ordering::SeqCst);
-            let mut again = false;
-            for (src, head) in rings.iter_mut().enumerate() {
-                if let Some((h, b)) = self.next(src, head, &mut on_corrupt) {
-                    on_frame(h, b);
-                    again = true;
-                }
-            }
-            if again {
-                wake();
-                continue;
-            }
-            db.waiters.store(1, Ordering::SeqCst);
-            if db.counter.load(Ordering::SeqCst) == v && !shutdown.load(Ordering::Acquire) {
-                // Bounded park: shutdown is a process-local flag no
-                // doorbell rings for.
-                crate::futex::futex_wait(db.counter, v, Duration::from_millis(50));
-            }
-            db.waiters.store(0, Ordering::SeqCst);
         }
     }
 }
@@ -373,44 +345,31 @@ impl ShmPlane {
 mod tests {
     use super::*;
     use crate::kind;
-    use std::cell::RefCell;
 
-    /// Push `count` records of `len` bytes from rank 0, then poll them
-    /// at rank 1; returns the order of frame (`F`) and wake (`W`) calls.
-    fn poll_trace(count: usize, len: usize) -> String {
-        let region = Arc::new(ShmRegion::create(2, 1 << 20).expect("shm region"));
+    #[test]
+    fn a_sweep_leaves_a_ring_at_a_record_it_refuses() {
+        let region = Arc::new(ShmRegion::create(2, 1 << 16).expect("shm region"));
         let tx = ShmPlane::new(region.clone(), 0, 0);
         let rx = ShmPlane::new(region, 1, 0);
         let never = AtomicBool::new(false);
-        for i in 0..count as u64 {
-            let h = FrameHeader::new(kind::DATA, 0, 1, i);
-            assert_eq!(
-                tx.push(1, h, &vec![7u8; len], false, &never),
-                PushOutcome::Sent
-            );
+        for k in [kind::DATA, kind::HELD, kind::DATA] {
+            let h = FrameHeader::new(k, 0, 1, 0);
+            assert_eq!(tx.push(1, h, b"x", false, &never), PushOutcome::Sent);
         }
-        let stop = AtomicBool::new(false);
-        let trace = RefCell::new(String::new());
-        rx.poll_sweeps(
-            &stop,
-            |_, b| {
-                assert_eq!(b.len(), len);
-                trace.borrow_mut().push('F');
-                if trace.borrow().matches('F').count() == count {
-                    stop.store(true, Ordering::Release);
-                }
-            },
-            || trace.borrow_mut().push('W'),
-            |msg| panic!("{msg}"),
-        );
-        trace.into_inner()
-    }
-
-    #[test]
-    fn a_sweep_of_small_records_is_one_wake() {
-        assert_eq!(poll_trace(64, 16), "F".repeat(64) + "W");
-        // Empty payloads still owe their wake.
-        assert_eq!(poll_trace(3, 0), "FFFW");
+        let mut heads = rx.heads();
+        let mut got = Vec::new();
+        let mut sweep = |open: bool| {
+            rx.sweep(
+                &mut heads,
+                |h| open || h.kind != kind::HELD,
+                |h, _| got.push(h.kind),
+                |msg| panic!("{msg}"),
+            )
+        };
+        assert!(sweep(false));
+        assert!(!sweep(false), "the refused record is still there");
+        assert!(sweep(true));
+        assert_eq!(got, [kind::DATA, kind::HELD, kind::DATA]);
     }
 
     #[test]
@@ -428,10 +387,10 @@ mod tests {
         region.ring(0, 2).head.fetch_add(10, Ordering::Release);
         let healthy = ShmPlane::new(region.clone(), 1, 0);
         let rx = ShmPlane::new(region, 2, 0);
-        let stop = AtomicBool::new(false);
-        let (frames, reports) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
+        let (mut frames, mut reports) = (Vec::new(), Vec::new());
+        let mut heads = rx.heads();
         std::thread::scope(|s| {
-            // Arrives after the poller has swept the bad ring many times.
+            // Arrives after the consumer has swept the bad ring many times.
             s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(20));
                 assert_eq!(
@@ -439,18 +398,16 @@ mod tests {
                     PushOutcome::Sent
                 );
             });
-            rx.poll_sweeps(
-                &stop,
-                |h, _| {
-                    frames.borrow_mut().push(h.src);
-                    stop.store(h.src == 1, Ordering::Release);
-                },
-                || {},
-                |msg| reports.borrow_mut().push(msg.to_string()),
-            );
+            while !frames.contains(&1) {
+                rx.sweep(
+                    &mut heads,
+                    |_| true,
+                    |h, _| frames.push(h.src),
+                    |msg| reports.push(msg.to_string()),
+                );
+            }
         });
-        assert_eq!(frames.into_inner(), [0, 1]);
-        let reports = reports.into_inner();
+        assert_eq!(frames, [0, 1]);
         assert_eq!(reports.len(), 1, "reported {} times", reports.len());
         assert_eq!(
             reports[0],
@@ -487,7 +444,7 @@ mod tests {
             let mut head = ring.head.load(Ordering::Acquire);
             let rx = ShmPlane::new(region.clone(), 1, 0);
             assert_eq!(
-                rx.pop(0, &mut head).map(|r| r.is_some()),
+                rx.pop(0, &mut head, |_| true).map(|r| r.is_some()),
                 Err(format!(
                     "wire: shm ring 0 → 1: record body of {body} bytes at offset {prefix}, \
                      {prefix} bytes published"
@@ -534,7 +491,8 @@ mod tests {
                     ep.send_abort("no abort within 2 s");
                     return None;
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                // Waiting on the mailbox sweeps the rings, as a PE does.
+                ep.local().recv_timeout(0, Duration::from_millis(5));
             }
             assert!(
                 ep.local().is_closed(),
@@ -549,12 +507,5 @@ mod tests {
         }
         assert_eq!(real.join().expect("endpoint thread").as_deref(), Some(want));
         raw.join().expect("raw peer");
-    }
-
-    #[test]
-    fn large_records_wake_as_they_land() {
-        assert_eq!(poll_trace(4, 16 * 1024), "FWFWFWFW");
-        // 1 KiB records: every fourth crosses the byte budget.
-        assert_eq!(poll_trace(6, 1024), "FFFFWFFW");
     }
 }

@@ -272,7 +272,8 @@ fn run_against_raw_peer(
         let deadline = Instant::now() + Duration::from_secs(2);
         while ep.aborted().is_none() {
             assert!(Instant::now() < deadline, "no abort within 2 s");
-            std::thread::sleep(Duration::from_millis(5));
+            // Waiting on the mailbox sweeps the rings, as a PE does.
+            ep.local().recv_timeout(0, Duration::from_millis(5));
         }
         assert!(
             ep.local().is_closed(),
