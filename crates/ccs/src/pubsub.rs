@@ -36,10 +36,9 @@
 //! order) before asserting topics.
 
 use crate::registry::CcsRegistry;
-use converse_machine::{HandlerId, Message, Pe};
+use converse_machine::{HandlerId, Message, OwnerCell, Pe};
 use converse_msg::pack::{Packer, Unpacker};
 use converse_net::{Channel, Delivery};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -54,17 +53,23 @@ struct TopicState {
     subscribers: Vec<SubscriberFn>,
 }
 
-/// Per-PE pub-sub state (held in the PE's typed local storage).
-#[derive(Default)]
-struct PubSubState {
+/// Per-PE pub-sub runtime (held in the PE's typed local storage).
+struct PubSub {
     /// Handler receiving published values on this PE.
-    deliver: Mutex<Option<HandlerId>>,
+    deliver: HandlerId,
     /// Handler receiving subscription announcements.
-    announce: Mutex<Option<HandlerId>>,
+    announce: HandlerId,
+    /// Owner-only: touched by the PE's running context alone, never
+    /// while a subscriber runs.
+    state: OwnerCell<Topics>,
+}
+
+#[derive(Default)]
+struct Topics {
     /// Asserted topics by name.
-    topics: Mutex<HashMap<String, TopicState>>,
+    topics: HashMap<String, TopicState>,
     /// Machine-wide interest: channel id → PEs with subscribers.
-    remote_subs: Mutex<HashMap<u32, HashSet<usize>>>,
+    remote_subs: HashMap<u32, HashSet<usize>>,
 }
 
 /// Map a topic name to its delivery-channel id: FNV-1a of the name,
@@ -80,8 +85,14 @@ fn topic_channel_id(name: &str) -> u32 {
     0x8000_0000 | (h as u32 & 0x7FFF_FFFF)
 }
 
-fn state(pe: &Pe) -> Arc<PubSubState> {
-    pe.local(PubSubState::default)
+/// The runtime [`init`] installed on `pe`.
+fn pubsub(pe: &Pe) -> &PubSub {
+    pe.local_ref().expect("pubsub::init not called")
+}
+
+/// Open `pe`'s topic tables. `f` must not call out of this module.
+fn topics<R>(pe: &Pe, f: impl FnOnce(&mut Topics) -> R) -> R {
+    pubsub(pe).state.with(pe.owner(), f)
 }
 
 /// Register the pub-sub handlers on `pe` and, when a registry is
@@ -90,11 +101,11 @@ fn state(pe: &Pe) -> Arc<PubSubState> {
 /// registration order (the machine-wide handler-table invariant), with
 /// a registry on all PEs or none.
 pub fn init(pe: &Pe, registry: Option<&Arc<CcsRegistry>>) {
-    let st = state(pe);
-    let deliver = pe.register_handler(handle_deliver);
-    let announce = pe.register_handler(handle_announce);
-    *st.deliver.lock() = Some(deliver);
-    *st.announce.lock() = Some(announce);
+    pe.local(|| PubSub {
+        deliver: pe.register_handler(handle_deliver),
+        announce: pe.register_handler(handle_announce),
+        state: OwnerCell::new(pe.owner(), Topics::default()),
+    });
 
     if let Some(reg) = registry {
         reg.register(pe, "pubsub.subscribe", |pe, msg| {
@@ -102,7 +113,7 @@ pub fn init(pe: &Pe, registry: Option<&Arc<CcsRegistry>>) {
                 return; // not dispatched through the gateway
             };
             let topic = String::from_utf8_lossy(msg.payload()).into_owned();
-            if !state(pe).topics.lock().contains_key(&topic) {
+            if !topics(pe, |t| t.topics.contains_key(&topic)) {
                 pe.exo_reply(
                     token,
                     crate::status::UNKNOWN_HANDLER,
@@ -130,7 +141,7 @@ pub fn init(pe: &Pe, registry: Option<&Arc<CcsRegistry>>) {
                 Ok::<_, converse_msg::pack::PackError>((topic, value))
             })();
             match parsed {
-                Ok((topic, value)) if state(pe).topics.lock().contains_key(&topic) => {
+                Ok((topic, value)) if topics(pe, |t| t.topics.contains_key(&topic)) => {
                     publish(pe, &topic, &value);
                     pe.exo_reply(token, crate::status::OK, b"");
                 }
@@ -154,28 +165,21 @@ pub fn init(pe: &Pe, registry: Option<&Arc<CcsRegistry>>) {
 /// with a different guarantee panics (two guarantees for one channel
 /// would diverge between PEs). Returns the topic's channel.
 pub fn assert_topic(pe: &Pe, name: &str, delivery: Delivery) -> Channel {
-    let st = state(pe);
-    let channel = Channel::new(topic_channel_id(name), delivery);
-    let mut topics = st.topics.lock();
-    match topics.get(name) {
-        Some(t) if t.channel.delivery != delivery => panic!(
-            "PE {}: topic {name:?} asserted as {} but already {}",
-            pe.my_pe(),
-            delivery.label(),
-            t.channel.delivery.label()
-        ),
-        Some(t) => t.channel,
-        None => {
-            topics.insert(
-                name.to_string(),
-                TopicState {
-                    channel,
-                    subscribers: Vec::new(),
-                },
-            );
-            channel
-        }
-    }
+    let channel = topics(pe, |t| {
+        let topic = t.topics.entry(name.to_string()).or_insert(TopicState {
+            channel: Channel::new(topic_channel_id(name), delivery),
+            subscribers: Vec::new(),
+        });
+        topic.channel
+    });
+    assert!(
+        channel.delivery == delivery,
+        "PE {}: topic {name:?} asserted as {} but already {}",
+        pe.my_pe(),
+        delivery.label(),
+        channel.delivery.label()
+    );
+    channel
 }
 
 /// Subscribe a local callback to an asserted topic. Announces interest
@@ -190,25 +194,21 @@ where
 }
 
 fn subscribe_fn(pe: &Pe, topic: &str, f: SubscriberFn) {
-    let st = state(pe);
-    let channel = {
-        let mut topics = st.topics.lock();
-        let t = topics
-            .get_mut(topic)
-            .unwrap_or_else(|| panic!("PE {}: topic {topic:?} not asserted", pe.my_pe()));
-        t.subscribers.push(f);
-        t.channel
-    };
-    // Record interest locally (a PE subscribed to itself publishes to
-    // itself) and announce to the peers.
-    st.remote_subs
-        .lock()
-        .entry(channel.id)
-        .or_default()
-        .insert(pe.my_pe());
-    let announce = st.announce.lock().expect("pubsub::init not called");
+    let channel = topics(pe, |t| {
+        let state = t.topics.get_mut(topic)?;
+        state.subscribers.push(f);
+        // Record interest locally (a PE subscribed to itself publishes
+        // to itself); the peers learn it from the announcement.
+        let channel = state.channel;
+        t.remote_subs
+            .entry(channel.id)
+            .or_default()
+            .insert(pe.my_pe());
+        Some(channel)
+    })
+    .unwrap_or_else(|| panic!("PE {}: topic {topic:?} not asserted", pe.my_pe()));
     let body = Packer::new().usize(pe.my_pe()).u32(channel.id).finish();
-    let msg = Message::new(announce, &body);
+    let msg = Message::new(pubsub(pe).announce, &body);
     for dst in 0..pe.num_pes() {
         if dst != pe.my_pe() {
             pe.sync_send(dst, &msg);
@@ -222,25 +222,18 @@ fn subscribe_fn(pe: &Pe, topic: &str, f: SubscriberFn) {
 /// remote subscribers see the same semantics. Panics on an unasserted
 /// topic; a topic with no subscribers anywhere is a no-op.
 pub fn publish(pe: &Pe, topic: &str, value: &[u8]) {
-    let st = state(pe);
-    let (channel, deliver) = {
-        let topics = st.topics.lock();
-        let t = topics
-            .get(topic)
-            .unwrap_or_else(|| panic!("PE {}: topic {topic:?} not asserted", pe.my_pe()));
-        (
-            t.channel,
-            st.deliver.lock().expect("pubsub::init not called"),
-        )
-    };
+    let (channel, targets) = topics(pe, |t| {
+        let channel = t.topics.get(topic)?.channel;
+        let targets: Vec<usize> = t
+            .remote_subs
+            .get(&channel.id)
+            .map(|s| s.iter().copied().collect())
+            .unwrap_or_default();
+        Some((channel, targets))
+    })
+    .unwrap_or_else(|| panic!("PE {}: topic {topic:?} not asserted", pe.my_pe()));
     let body = Packer::new().u32(channel.id).bytes(value).finish();
-    let msg = Message::new(deliver, &body);
-    let targets: Vec<usize> = st
-        .remote_subs
-        .lock()
-        .get(&channel.id)
-        .map(|s| s.iter().copied().collect())
-        .unwrap_or_default();
+    let msg = Message::new(pubsub(pe).deliver, &body);
     for dst in targets {
         pe.sync_send_on(dst, channel, &msg);
     }
@@ -249,12 +242,8 @@ pub fn publish(pe: &Pe, topic: &str, value: &[u8]) {
 /// Number of PEs currently known (to this PE) to hold subscribers for
 /// `topic`. Useful for tests waiting on announcement propagation.
 pub fn known_subscriber_pes(pe: &Pe, topic: &str) -> usize {
-    state(pe)
-        .remote_subs
-        .lock()
-        .get(&topic_channel_id(topic))
-        .map(|s| s.len())
-        .unwrap_or(0)
+    let id = topic_channel_id(topic);
+    topics(pe, |t| t.remote_subs.get(&id).map_or(0, HashSet::len))
 }
 
 /// Delivery handler: a published value arriving on this PE. Looks the
@@ -263,14 +252,11 @@ fn handle_deliver(pe: &Pe, msg: Message) {
     let mut u = Unpacker::new(msg.payload());
     let Ok(channel_id) = u.u32() else { return };
     let Ok(value) = u.bytes() else { return };
-    let st = state(pe);
-    let subs: Vec<SubscriberFn> = {
-        let topics = st.topics.lock();
-        match topics.values().find(|t| t.channel.id == channel_id) {
-            Some(t) => t.subscribers.clone(),
-            None => return, // value for a topic this PE never asserted
-        }
-    };
+    // A value for a topic this PE never asserted finds no subscriber.
+    let subs: Vec<SubscriberFn> = topics(pe, |t| {
+        let topic = t.topics.values().find(|t| t.channel.id == channel_id);
+        topic.map(|t| t.subscribers.clone()).unwrap_or_default()
+    });
     for f in subs {
         f(pe, value);
     }
@@ -282,12 +268,9 @@ fn handle_announce(pe: &Pe, msg: Message) {
     let mut u = Unpacker::new(msg.payload());
     let Ok(sub_pe) = u.usize() else { return };
     let Ok(channel_id) = u.u32() else { return };
-    state(pe)
-        .remote_subs
-        .lock()
-        .entry(channel_id)
-        .or_default()
-        .insert(sub_pe);
+    topics(pe, |t| {
+        t.remote_subs.entry(channel_id).or_default().insert(sub_pe)
+    });
 }
 
 #[cfg(test)]

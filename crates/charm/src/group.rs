@@ -18,8 +18,6 @@ use converse_core::csd;
 use converse_machine::{HandlerId, Message, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Index of a registered group-chare type.
@@ -50,122 +48,108 @@ pub trait GroupChare: Send + 'static {
 
 type GroupCtor = Arc<dyn Fn(&Pe, GroupId, &[u8]) -> Box<dyn GroupChare> + Send + Sync>;
 
-/// Per-PE group runtime state (owned by [`Charm`]).
-pub(crate) struct GroupState {
+/// Per-PE group tables, part of the [`Charm`] runtime's owner-only state.
+#[derive(Default)]
+pub(crate) struct Groups {
+    ctors: Vec<GroupCtor>,
+    /// This PE's branch of every live group (taken out while one of its
+    /// entry methods runs).
+    branches: IdMap<Option<Box<dyn GroupChare>>>,
+    /// Invocations that raced ahead of their group's create broadcast
+    /// (possible for third-party senders); replayed at construction.
+    early: IdMap<Vec<Message>>,
+    /// Last creation sequence number this PE handed out.
+    last_seq: u64,
+}
+
+/// The group handlers (registered from `Charm::install`, fixed order).
+pub(crate) struct Handlers {
     create_h: HandlerId,
     invoke_h: HandlerId,
     exec_h: HandlerId,
-    ctors: Mutex<Vec<GroupCtor>>,
-    /// This PE's branch of every live group (taken out while one of its
-    /// entry methods runs).
-    branches: Mutex<IdMap<Option<Box<dyn GroupChare>>>>,
-    /// Invocations that raced ahead of their group's create broadcast
-    /// (possible for third-party senders); replayed at construction.
-    early: Mutex<IdMap<Vec<Message>>>,
-    next_seq: AtomicU64,
 }
 
-impl GroupState {
-    /// Register the group handlers (called from `Charm::install`, fixed
-    /// order).
-    pub(crate) fn install_handlers(pe: &Pe) -> GroupState {
+impl Handlers {
+    pub(crate) fn install(pe: &Pe) -> Handlers {
         let create_h = pe.register_handler(|pe, msg| {
             let mut u = Unpacker::new(msg.payload());
             let gid = GroupId(u.u64().expect("group create: gid"));
             let kind = u.u32().expect("group create: kind");
             let payload = u.bytes().expect("group create: payload");
-            let charm = Charm::get(pe);
-            charm
-                .groups
-                .construct(pe, charm, gid, GroupKind(kind), payload);
+            Charm::get(pe).construct_group(pe, gid, GroupKind(kind), payload);
         });
-        let exec_h = pe.register_handler(|pe, msg| {
-            let charm = Charm::get(pe);
-            charm.groups.execute(pe, charm, msg);
-        });
+        let exec_h = pe.register_handler(|pe, msg| Charm::get(pe).execute_group(pe, msg));
         let invoke_h = pe.register_handler(|pe, mut msg| {
-            msg.set_handler(Charm::get(pe).groups.exec_h);
+            msg.set_handler(Charm::get(pe).group_h.exec_h);
             csd::csd_enqueue_prio(pe, msg);
         });
-        GroupState {
+        Handlers {
             create_h,
             invoke_h,
             exec_h,
-            ctors: Mutex::new(Vec::new()),
-            branches: Mutex::new(IdMap::default()),
-            early: Mutex::new(IdMap::default()),
-            next_seq: AtomicU64::new(1),
         }
     }
+}
 
-    fn construct(&self, pe: &Pe, charm: &Charm, gid: GroupId, kind: GroupKind, payload: &[u8]) {
-        let ctor = self
-            .ctors
-            .lock()
-            .get(kind.0 as usize)
-            .cloned()
-            .unwrap_or_else(|| panic!("PE {}: unregistered group kind {kind:?}", pe.my_pe()));
+impl Charm {
+    fn construct_group(&self, pe: &Pe, gid: GroupId, kind: GroupKind, payload: &[u8]) {
+        let ctor = self.state(pe, |s| s.groups.ctors.get(kind.0 as usize).cloned());
+        let ctor =
+            ctor.unwrap_or_else(|| panic!("PE {}: unregistered group kind {kind:?}", pe.my_pe()));
         pe.trace_event(converse_trace::Event::ObjectCreate {
             kind: kind.0 | 0x8000_0000,
         });
-        let branch = ctor(pe, gid, payload);
-        let prev = self.branches.lock().insert(gid.0, Some(branch));
+        let branch = Some(ctor(pe, gid, payload));
+        let (prev, early) = self.state(pe, |s| {
+            let g = &mut s.groups;
+            (g.branches.insert(gid.0, branch), g.early.remove(&gid.0))
+        });
         assert!(
             prev.is_none(),
             "PE {}: group {gid:?} created twice",
             pe.my_pe()
         );
-        charm.quiescence().msg_processed(1);
+        self.qd.msg_processed(1);
         // Replay any invocations that arrived before the create.
-        let early = self.early.lock().remove(&gid.0);
-        if let Some(msgs) = early {
-            for m in msgs {
-                csd::csd_enqueue_prio(pe, m);
-            }
+        for m in early.into_iter().flatten() {
+            csd::csd_enqueue_prio(pe, m);
         }
     }
 
-    fn execute(&self, pe: &Pe, charm: &Charm, msg: Message) {
+    fn execute_group(&self, pe: &Pe, msg: Message) {
         let mut u = Unpacker::new(msg.payload());
         let gid = u.u64().expect("group exec: gid");
         let ep = u.u32().expect("group exec: ep");
         let payload = u.bytes().expect("group exec: payload");
         // Take the branch out for the duration of the entry method, as
-        // for a chare: the method may send (even to this group) without
-        // holding the table lock.
-        let taken = self.branches.lock().get_mut(&gid).map(|b| b.take());
+        // for a chare: the method may send (even to this group) with the
+        // state closed.
+        let taken = self.state(pe, |s| s.groups.branches.get_mut(&gid).map(Option::take));
         let mut branch = match taken {
             Some(Some(branch)) => branch,
             Some(None) => panic!("PE {}: reentrant group entry on {gid}", pe.my_pe()),
-            None => {
-                // A third-party send raced ahead of the create
-                // broadcast: hold it until the branch exists.
-                self.early.lock().entry(gid).or_default().push(msg);
-                return;
-            }
+            // A third-party send raced ahead of the create broadcast:
+            // hold it until the branch exists.
+            None => return self.state(pe, |s| s.groups.early.entry(gid).or_default().push(msg)),
         };
         branch.entry(pe, GroupId(gid), ep, payload);
-        // Put it back unless the entry destroyed the group.
-        if let Some(b) = self.branches.lock().get_mut(&gid) {
-            *b = Some(branch);
-        }
-        charm.quiescence().msg_processed(1);
+        // Put it back unless the entry destroyed the group; then it is
+        // dropped here, with the state closed.
+        let _destroyed = self.state(pe, |s| match s.groups.branches.get_mut(&gid) {
+            Some(b) => b.replace(branch),
+            None => Some(branch),
+        });
+        self.qd.msg_processed(1);
     }
 
-    /// Number of live branches on this PE.
-    pub(crate) fn local_branches(&self) -> usize {
-        self.branches.lock().len()
-    }
-}
-
-impl Charm {
     /// Register group-chare type `T` (same order on every PE!).
     pub fn register_group<T: GroupChare>(&self) -> GroupKind {
-        let mut c = self.groups.ctors.lock();
-        c.push(Arc::new(|pe, gid, payload| {
-            Box::new(T::new(pe, gid, payload)) as Box<dyn GroupChare>
-        }));
-        GroupKind((c.len() - 1) as u32)
+        let ctor: GroupCtor =
+            Arc::new(|pe, gid, payload| Box::new(T::new(pe, gid, payload)) as Box<dyn GroupChare>);
+        self.read(|s| {
+            s.groups.ctors.push(ctor);
+            GroupKind((s.groups.ctors.len() - 1) as u32)
+        })
     }
 
     /// Create a group: every PE (including this one) constructs a branch
@@ -173,7 +157,10 @@ impl Charm {
     /// per-(src,dst) FIFO delivery guarantees the create precedes them
     /// at every PE.
     pub fn create_group(&self, pe: &Pe, kind: GroupKind, payload: &[u8]) -> GroupId {
-        let seq = self.groups.next_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.state(pe, |s| {
+            s.groups.last_seq += 1;
+            s.groups.last_seq
+        });
         let gid = GroupId::new(pe.my_pe(), seq);
         self.quiescence().msg_created(pe.num_pes() as u64);
         let head = StackPacker::<16>::new()
@@ -182,7 +169,7 @@ impl Charm {
             .len_prefix(payload.len());
         let parts = [head.as_slice(), payload];
         pe.sync_broadcast_all(&Message::gather(
-            self.groups.create_h,
+            self.group_h.create_h,
             &Priority::None,
             parts,
         ));
@@ -195,8 +182,12 @@ impl Charm {
     /// whether a branch lived here. An invocation arriving later is held
     /// like one that raced ahead of a create.
     pub fn destroy_group(&self, gid: GroupId) -> bool {
-        self.groups.early.lock().remove(&gid.0);
-        self.groups.branches.lock().remove(&gid.0).is_some()
+        // What is removed is dropped here, with the state closed.
+        let (_early, branch) = self.read(|s| {
+            let g = &mut s.groups;
+            (g.early.remove(&gid.0), g.branches.remove(&gid.0))
+        });
+        branch.is_some()
     }
 
     /// The invoke message for entry `ep` of group `gid`: the group
@@ -205,7 +196,7 @@ impl Charm {
         let len = parts.iter().map(|p| p.len()).sum();
         let head = StackPacker::<16>::new().u64(gid.0).u32(ep).len_prefix(len);
         let all = std::iter::once(head.as_slice()).chain(parts.iter().copied());
-        Message::gather(self.groups.invoke_h, prio, all)
+        Message::gather(self.group_h.invoke_h, prio, all)
     }
 
     /// Invoke entry `ep` on the branch of `gid` living on `target_pe`.
@@ -245,6 +236,6 @@ impl Charm {
 
     /// Number of live group branches on this PE.
     pub fn local_group_branches(&self) -> usize {
-        self.groups.local_branches()
+        self.read(|s| s.groups.branches.len())
     }
 }

@@ -32,13 +32,12 @@ pub mod rebalance;
 use crate::idmap::IdMap;
 use converse_core::{csd, Quiescence};
 use converse_ldb::{Ldb, LdbPolicy};
-use converse_machine::{HandlerId, Message, Pe};
+use converse_machine::{HandlerId, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 pub use group::{GroupChare, GroupId, GroupKind};
 pub use rebalance::RebalanceReport;
@@ -131,30 +130,48 @@ pub(crate) enum Slot {
     Forwarded { to: ChareId },
 }
 
+/// What the runtime keeps per PE. Only the context holding the PE's run
+/// token touches it, so it is one owner-only cell — never open while
+/// user code (a constructor, an entry method, a packer) runs.
+#[derive(Default)]
+struct State {
+    ctors: Vec<Ctor>,
+    /// Per-kind (unpacker, packer) for migratable kinds.
+    migrators: HashMap<u32, (MigCtor, Packer2)>,
+    objects: IdMap<Slot>,
+    readonlies: HashMap<u32, Vec<u8>>,
+    /// Last object-table slot handed out.
+    last_slot: u64,
+    groups: group::Groups,
+}
+
+impl State {
+    fn next_slot(&mut self) -> u64 {
+        self.last_slot += 1;
+        self.last_slot
+    }
+}
+
 /// Per-PE Charm runtime.
 pub struct Charm {
     create_h: HandlerId,
     exec_h: HandlerId,
     invoke_h: HandlerId,
     exit_h: HandlerId,
-    ctors: Mutex<Vec<Ctor>>,
-    /// Per-kind (unpacker, packer) for migratable kinds.
-    pub(crate) migrators: Mutex<HashMap<u32, (MigCtor, Packer2)>>,
-    pub(crate) objects: Mutex<IdMap<Slot>>,
     /// Byte-concatenation combiner for allgather-style exchanges
     /// (rebalancing load reports).
-    pub(crate) concat_combiner: converse_machine::coll::CombinerId,
+    concat_combiner: converse_machine::coll::CombinerId,
     migrate_install_h: HandlerId,
     migrate_ack_h: HandlerId,
-    next_slot: AtomicU64,
     qd: Arc<Quiescence>,
-    pub(crate) groups: group::GroupState,
+    group_h: group::Handlers,
     readonly_h: HandlerId,
-    readonlies: Mutex<HashMap<u32, Vec<u8>>>,
-    /// Chares constructed on this PE.
+    state: OwnerCell<State>,
+    /// PE whose token opens the state, for the calls not handed one.
+    home: Weak<Pe>,
+    /// Chares constructed on this PE. Only the PE's running context
+    /// writes it (a plain load and store); any thread may read it.
     pub chares_created: AtomicU64,
-    /// Entry-method invocations executed on this PE.
-    pub entries_run: AtomicU64,
 }
 
 impl Charm {
@@ -188,7 +205,7 @@ impl Charm {
             csd::csd_enqueue_prio(pe, msg);
         });
         let exit_h = pe.register_handler(|pe, _| csd::csd_exit_scheduler(pe));
-        let groups = group::GroupState::install_handlers(pe);
+        let group_h = group::Handlers::install(pe);
         // Readonly globals: published once (broadcast), read anywhere —
         // Charm's "readonly" variables.
         let readonly_h = pe.register_handler(|pe, msg| {
@@ -196,7 +213,7 @@ impl Charm {
             let mut u = Unpacker::new(msg.payload());
             let key = u.u32().expect("readonly: key");
             let data = u.bytes().expect("readonly: data").to_vec();
-            let prev = charm.readonlies.lock().insert(key, data);
+            let prev = charm.state(pe, |s| s.readonlies.insert(key, data));
             assert!(
                 prev.is_none(),
                 "PE {}: readonly {key} published twice",
@@ -221,20 +238,31 @@ impl Charm {
             exec_h,
             invoke_h,
             exit_h,
-            ctors: Mutex::new(Vec::new()),
-            migrators: Mutex::new(HashMap::new()),
-            objects: Mutex::new(IdMap::default()),
             concat_combiner,
             migrate_install_h,
             migrate_ack_h,
-            next_slot: AtomicU64::new(1),
             qd,
-            groups,
+            group_h,
             readonly_h,
-            readonlies: Mutex::new(HashMap::new()),
+            state: OwnerCell::new(pe.owner(), State::default()),
+            home: Arc::downgrade(&pe.arc()),
             chares_created: AtomicU64::new(0),
-            entries_run: AtomicU64::new(0),
         }
+    }
+
+    /// Open the state. `f` must not call out of this crate.
+    fn state<R>(&self, pe: &Pe, f: impl FnOnce(&mut State) -> R) -> R {
+        self.state.with(pe.owner(), f)
+    }
+
+    /// [`Charm::state`] for the calls without a `pe`: owner-only like
+    /// the state itself.
+    fn read<R>(&self, f: impl FnOnce(&mut State) -> R) -> R {
+        let home = self
+            .home
+            .upgrade()
+            .expect("the runtime lives in its PE's local storage");
+        self.state(&home, f)
     }
 
     /// The runtime previously installed on this PE, borrowed from its
@@ -253,11 +281,12 @@ impl Charm {
 
     /// Register chare type `T` (same order on every PE!).
     pub fn register<T: Chare>(&self) -> ChareKind {
-        let mut c = self.ctors.lock();
-        c.push(Arc::new(|pe, id, payload| {
-            Box::new(T::new(pe, id, payload)) as Box<dyn Chare>
-        }));
-        ChareKind((c.len() - 1) as u32)
+        let ctor: Ctor =
+            Arc::new(|pe, id, payload| Box::new(T::new(pe, id, payload)) as Box<dyn Chare>);
+        self.read(|s| {
+            s.ctors.push(ctor);
+            ChareKind((s.ctors.len() - 1) as u32)
+        })
     }
 
     /// Register a *migratable* chare type: like [`Charm::register`] but
@@ -274,7 +303,7 @@ impl Charm {
                 .expect("kind table guarantees the concrete type")
                 .pack()
         });
-        self.migrators.lock().insert(kind.0, (unpack, pack));
+        self.read(|s| s.migrators.insert(kind.0, (unpack, pack)));
         kind
     }
 
@@ -317,17 +346,14 @@ impl Charm {
 
     /// Read this PE's copy of a readonly global, if it has arrived.
     pub fn readonly(&self, key: u32) -> Option<Vec<u8>> {
-        self.readonlies.lock().get(&key).cloned()
+        self.read(|s| s.readonlies.get(&key).cloned())
     }
 
     /// Read a readonly global, pumping the scheduler until it arrives.
     pub fn readonly_wait(&self, pe: &Pe, key: u32) -> Vec<u8> {
-        converse_core::schedule_until(pe, || self.readonlies.lock().contains_key(&key));
-        self.readonlies
-            .lock()
-            .get(&key)
-            .cloned()
-            .expect("present by schedule_until")
+        converse_core::schedule_until(pe, || self.state(pe, |s| s.readonlies.contains_key(&key)));
+        let data = self.state(pe, |s| s.readonlies.get(&key).cloned());
+        data.expect("present by schedule_until")
     }
 
     /// Stop the scheduler on every PE (the `CkExit` analogue): broadcast
@@ -338,11 +364,8 @@ impl Charm {
 
     /// Number of live chares on this PE (forwarding stubs excluded).
     pub fn local_chares(&self) -> usize {
-        self.objects
-            .lock()
-            .values()
-            .filter(|s| matches!(s, Slot::Live { .. }))
-            .count()
+        let live = |o: &&Slot| matches!(o, Slot::Live { .. });
+        self.read(|s| s.objects.values().filter(live).count())
     }
 
     /// Destroy a local chare, freeing its slot. Returns false if `id` is
@@ -351,14 +374,12 @@ impl Charm {
         if id.pe != pe.my_pe() {
             return false;
         }
-        let mut t = self.objects.lock();
-        match t.get(&id.slot) {
-            Some(Slot::Live { .. }) => {
-                t.remove(&id.slot);
-                true
-            }
-            _ => false,
-        }
+        // The object is dropped here, with the state closed.
+        let removed = self.state(pe, |s| match s.objects.get(&id.slot) {
+            Some(Slot::Live { .. }) => s.objects.remove(&id.slot),
+            _ => None,
+        });
+        removed.is_some()
     }
 
     /// Move a **local, migratable** chare to `dst`. Asynchronous: the
@@ -373,39 +394,25 @@ impl Charm {
         if dst == pe.my_pe() {
             return true; // self-migration is a no-op
         }
-        let (kind, obj) = {
-            let mut t = self.objects.lock();
-            match t.get_mut(&id.slot) {
-                Some(Slot::Live { kind, obj }) => {
-                    let kind = *kind;
-                    match obj.take() {
-                        Some(o) => {
-                            let k = kind;
-                            t.insert(id.slot, Slot::Migrating { held: Vec::new() });
-                            (k, o)
-                        }
-                        None => panic!(
-                            "PE {}: migrate from within the chare's own entry method",
-                            pe.my_pe()
-                        ),
-                    }
-                }
-                _ => return false,
-            }
-        };
-        let packer = match self.migrators.lock().get(&kind) {
-            Some((_, p)) => p.clone(),
-            None => {
-                // Not migratable: put it back untouched.
-                self.objects.lock().insert(
-                    id.slot,
-                    Slot::Live {
-                        kind,
-                        obj: Some(obj),
-                    },
-                );
-                return false;
-            }
+        let taken = self.state(pe, |s| {
+            let Some(Slot::Live { kind, obj }) = s.objects.get_mut(&id.slot) else {
+                return None;
+            };
+            let kind = *kind;
+            assert!(
+                obj.is_some(),
+                "PE {}: migrate from within the chare's own entry method",
+                pe.my_pe()
+            );
+            // Not migratable: left untouched.
+            let packer = s.migrators.get(&kind)?.1.clone();
+            let obj = obj.take().expect("checked above");
+            s.objects
+                .insert(id.slot, Slot::Migrating { held: Vec::new() });
+            Some((kind, obj, packer))
+        });
+        let Some((kind, obj, packer)) = taken else {
+            return false;
         };
         let data = packer(obj.as_ref());
         drop(obj);
@@ -431,12 +438,13 @@ impl Charm {
     /// Where invocations of `id` currently land from this PE's point of
     /// view: follows a local forwarding entry one hop.
     pub fn current_home(&self, pe: &Pe, id: ChareId) -> ChareId {
-        if id.pe == pe.my_pe() {
-            if let Some(Slot::Forwarded { to }) = self.objects.lock().get(&id.slot) {
-                return *to;
-            }
+        if id.pe != pe.my_pe() {
+            return id;
         }
-        id
+        self.state(pe, |s| match s.objects.get(&id.slot) {
+            Some(Slot::Forwarded { to }) => *to,
+            _ => id,
+        })
     }
 
     fn migrate_install(&self, pe: &Pe, msg: &Message) {
@@ -445,26 +453,19 @@ impl Charm {
         let origin_pe = u.usize().expect("migrate install: origin pe");
         let origin_slot = u.u64().expect("migrate install: origin slot");
         let data = u.bytes().expect("migrate install: data");
-        let unpack = self
-            .migrators
-            .lock()
-            .get(&kind)
-            .map(|(u, _)| u.clone())
-            .unwrap_or_else(|| panic!("PE {}: kind {kind} not migratable here", pe.my_pe()));
-        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
+        let (unpack, slot) = self.state(pe, |s| {
+            let unpack = s.migrators.get(&kind).map(|(u, _)| u.clone());
+            (unpack, s.next_slot())
+        });
+        let unpack =
+            unpack.unwrap_or_else(|| panic!("PE {}: kind {kind} not migratable here", pe.my_pe()));
         let new_id = ChareId {
             pe: pe.my_pe(),
             slot,
         };
         pe.trace_event(converse_trace::Event::ObjectCreate { kind });
         let obj = unpack(pe, new_id, data);
-        self.objects.lock().insert(
-            slot,
-            Slot::Live {
-                kind,
-                obj: Some(obj),
-            },
-        );
+        self.insert_live(pe, slot, kind, obj);
         self.qd.msg_processed(1);
         // Tell the origin where the object lives now.
         self.qd.msg_created(1);
@@ -478,21 +479,21 @@ impl Charm {
         let mut u = Unpacker::new(msg.payload());
         let origin_slot = u.u64().expect("migrate ack: slot");
         let new_id = ChareId::decode(u.raw(16).expect("migrate ack: id")).expect("id decodes");
-        let held = {
-            let mut t = self.objects.lock();
-            match t.insert(origin_slot, Slot::Forwarded { to: new_id }) {
-                Some(Slot::Migrating { held }) => held,
-                other => panic!(
-                    "PE {}: migrate ack for slot {origin_slot} in unexpected state {}",
-                    pe.my_pe(),
-                    match other {
-                        None => "absent",
-                        Some(Slot::Live { .. }) => "live",
-                        Some(Slot::Forwarded { .. }) => "already forwarded",
-                        Some(Slot::Migrating { .. }) => unreachable!(),
-                    }
-                ),
-            }
+        let held = match self.state(pe, |s| {
+            s.objects
+                .insert(origin_slot, Slot::Forwarded { to: new_id })
+        }) {
+            Some(Slot::Migrating { held }) => held,
+            other => panic!(
+                "PE {}: migrate ack for slot {origin_slot} in unexpected state {}",
+                pe.my_pe(),
+                match other {
+                    None => "absent",
+                    Some(Slot::Live { .. }) => "live",
+                    Some(Slot::Forwarded { .. }) => "already forwarded",
+                    Some(Slot::Migrating { .. }) => unreachable!(),
+                }
+            ),
         };
         self.qd.msg_processed(1);
         for m in held {
@@ -511,28 +512,27 @@ impl Charm {
         pe.sync_send_and_free(to.pe, msg);
     }
 
+    /// Put a freshly built object into the table under `slot`.
+    fn insert_live(&self, pe: &Pe, slot: u64, kind: u32, obj: Box<dyn Chare>) {
+        let obj = Some(obj);
+        self.state(pe, |s| s.objects.insert(slot, Slot::Live { kind, obj }));
+    }
+
     fn construct(&self, pe: &Pe, kind: ChareKind, payload: &[u8]) {
-        let ctor = self
-            .ctors
-            .lock()
-            .get(kind.0 as usize)
-            .cloned()
-            .unwrap_or_else(|| panic!("PE {}: unregistered chare kind {kind:?}", pe.my_pe()));
-        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
+        let (ctor, slot) = self.state(pe, |s| {
+            (s.ctors.get(kind.0 as usize).cloned(), s.next_slot())
+        });
+        let ctor =
+            ctor.unwrap_or_else(|| panic!("PE {}: unregistered chare kind {kind:?}", pe.my_pe()));
         let id = ChareId {
             pe: pe.my_pe(),
             slot,
         };
         pe.trace_event(converse_trace::Event::ObjectCreate { kind: kind.0 });
         let obj = ctor(pe, id, payload);
-        self.objects.lock().insert(
-            slot,
-            Slot::Live {
-                kind: kind.0,
-                obj: Some(obj),
-            },
-        );
-        self.chares_created.fetch_add(1, Ordering::Relaxed);
+        self.insert_live(pe, slot, kind.0, obj);
+        let created = &self.chares_created;
+        created.store(created.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         self.qd.msg_processed(1);
     }
 
@@ -543,28 +543,28 @@ impl Charm {
         let payload = u.bytes().expect("charm exec: payload");
         // Take the object out for the duration of the entry method: the
         // method may create chares or send messages (even to itself)
-        // without holding the table lock.
-        let mut obj = {
-            let mut t = self.objects.lock();
-            match t.get_mut(&slot) {
-                Some(Slot::Live { obj, .. }) => obj.take().unwrap_or_else(|| {
-                    panic!("PE {}: reentrant entry on chare {slot}", pe.my_pe())
-                }),
-                Some(Slot::Migrating { held }) => {
-                    // In flight: hold until the new address is known.
-                    held.push(msg);
-                    return;
-                }
-                Some(Slot::Forwarded { to }) => {
-                    let to = *to;
-                    drop(t);
-                    self.forward(pe, to, msg);
-                    return;
-                }
-                None => panic!(
-                    "PE {}: invocation for dead or foreign chare slot {slot}",
-                    pe.my_pe()
-                ),
+        // with the state closed.
+        let found = self.state(pe, |s| match s.objects.get_mut(&slot) {
+            Some(Slot::Live { obj, .. }) => Ok(obj
+                .take()
+                .unwrap_or_else(|| panic!("PE {}: reentrant entry on chare {slot}", pe.my_pe()))),
+            Some(Slot::Forwarded { to }) => Err(Some(*to)),
+            Some(Slot::Migrating { .. }) => Err(None),
+            None => panic!(
+                "PE {}: invocation for dead or foreign chare slot {slot}",
+                pe.my_pe()
+            ),
+        });
+        let mut obj = match found {
+            Ok(obj) => obj,
+            Err(Some(to)) => return self.forward(pe, to, msg),
+            // In flight: hold until the new address is known.
+            Err(None) => {
+                return self.state(pe, |s| {
+                    if let Some(Slot::Migrating { held }) = s.objects.get_mut(&slot) {
+                        held.push(msg);
+                    }
+                })
             }
         };
         let id = ChareId {
@@ -572,11 +572,12 @@ impl Charm {
             slot,
         };
         obj.entry(pe, id, ep, payload);
-        self.entries_run.fetch_add(1, Ordering::Relaxed);
-        // Put it back unless the entry destroyed it.
-        if let Some(Slot::Live { obj: o, .. }) = self.objects.lock().get_mut(&slot) {
-            *o = Some(obj);
-        }
+        // Put it back unless the entry destroyed it; then it is dropped
+        // here, with the state closed.
+        let _destroyed = self.state(pe, |s| match s.objects.get_mut(&slot) {
+            Some(Slot::Live { obj: o, .. }) => o.replace(obj),
+            _ => Some(obj),
+        });
         self.qd.msg_processed(1);
     }
 }

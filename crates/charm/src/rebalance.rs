@@ -13,7 +13,7 @@
 //! underloaded targets. Message forwarding (the migration machinery)
 //! keeps in-flight traffic correct throughout.
 
-use crate::{ChareId, Charm, Slot};
+use crate::{ChareId, Charm, Slot, State};
 use converse_machine::Pe;
 
 /// What a rebalance pass did on this PE.
@@ -31,7 +31,6 @@ pub struct RebalanceReport {
 /// excess to destination PEs below the floor, in PE order. Pure so it
 /// can be property-tested; every PE computes it identically.
 fn plan_moves(counts: &[usize]) -> Vec<(usize, usize, usize)> {
-    // (from, to, how_many)
     let n = counts.len();
     let total: usize = counts.iter().sum();
     let base = total / n;
@@ -49,22 +48,7 @@ fn plan_moves(counts: &[usize]) -> Vec<(usize, usize, usize)> {
             std::cmp::Ordering::Equal => {}
         }
     }
-    let mut moves = Vec::new();
-    let mut di = 0;
-    for (from, mut s) in surplus {
-        while s > 0 && di < deficit.len() {
-            let (to, d) = deficit[di];
-            let k = s.min(d);
-            moves.push((from, to, k));
-            s -= k;
-            if d == k {
-                di += 1;
-            } else {
-                deficit[di] = (to, d - k);
-            }
-        }
-    }
-    moves
+    match_greedy(surplus, deficit)
 }
 
 /// The measurement-driven plan: donors are PEs whose live *backlog*
@@ -114,18 +98,25 @@ fn plan_moves_measured(counts: &[usize], backlogs: &[u64]) -> Vec<(usize, usize,
         d.1 += 1;
         leftover -= 1;
     }
-    // Same greedy matching as `plan_moves`, in PE order.
+    match_greedy(surplus, deficit)
+}
+
+/// Both plans' matcher: each `(pe, surplus)` in PE order fills the
+/// `(pe, deficit)` entries in PE order, as `(from, to, how_many)` moves;
+/// a zero deficit is skipped.
+fn match_greedy(
+    surplus: Vec<(usize, usize)>,
+    mut deficit: Vec<(usize, usize)>,
+) -> Vec<(usize, usize, usize)> {
     let mut moves = Vec::new();
     let mut di = 0;
     for (from, mut s) in surplus {
         while s > 0 && di < deficit.len() {
             let (to, d) = deficit[di];
-            if d == 0 {
-                di += 1;
-                continue;
-            }
             let k = s.min(d);
-            moves.push((from, to, k));
+            if k > 0 {
+                moves.push((from, to, k));
+            }
             s -= k;
             if d == k {
                 di += 1;
@@ -137,15 +128,19 @@ fn plan_moves_measured(counts: &[usize], backlogs: &[u64]) -> Vec<(usize, usize,
     moves
 }
 
+/// Slots of the live migratable objects in `s`.
+fn migratable(s: &State) -> impl Iterator<Item = u64> + '_ {
+    let movable = |o: &Slot| matches!(o, Slot::Live { kind, .. } if s.migrators.contains_key(kind));
+    s.objects
+        .iter()
+        .filter(move |(_, o)| movable(o))
+        .map(|(slot, _)| *slot)
+}
+
 impl Charm {
     /// Count the live migratable objects on this PE.
     pub fn local_migratable(&self) -> usize {
-        let migrators = self.migrators.lock();
-        self.objects
-            .lock()
-            .values()
-            .filter(|s| matches!(s, Slot::Live { kind, .. } if migrators.contains_key(kind)))
-            .count()
+        self.read(|s| migratable(s).count())
     }
 
     /// Loosely synchronous rebalancing pass: **every PE must call this
@@ -155,64 +150,7 @@ impl Charm {
     /// asynchronously (pump the scheduler or use the follow-up barrier
     /// of your phase structure before relying on the new distribution).
     pub fn rebalance(&self, pe: &Pe) -> RebalanceReport {
-        // 1. Global load picture via a concat allgather.
-        let mut contrib = Vec::with_capacity(16);
-        contrib.extend_from_slice(&(pe.my_pe() as u64).to_le_bytes());
-        contrib.extend_from_slice(&(self.local_migratable() as u64).to_le_bytes());
-        let all = pe.allreduce_bytes(contrib, self.concat_combiner);
-        let mut counts = vec![0usize; pe.num_pes()];
-        for chunk in all.chunks(16) {
-            let idx = u64::from_le_bytes(chunk[..8].try_into().expect("idx")) as usize;
-            counts[idx] = u64::from_le_bytes(chunk[8..16].try_into().expect("count")) as usize;
-        }
-        let before = counts[pe.my_pe()];
-
-        // 2. The shared plan.
-        let moves = plan_moves(&counts);
-        let expected_in = moves
-            .iter()
-            .filter(|(_, to, _)| *to == pe.my_pe())
-            .map(|(_, _, k)| k)
-            .sum();
-
-        // 3. Execute this PE's outgoing moves: pick the highest-slot
-        //    migratable objects (deterministic, stable under concurrent
-        //    arrivals which get fresh higher slots).
-        let mut moved_out = Vec::new();
-        for (from, to, k) in moves {
-            if from != pe.my_pe() {
-                continue;
-            }
-            let victims: Vec<u64> = {
-                let migrators = self.migrators.lock();
-                let t = self.objects.lock();
-                let mut slots: Vec<u64> = t
-                    .iter()
-                    .filter(|(_, s)| {
-                        matches!(s, Slot::Live { kind, .. } if migrators.contains_key(kind))
-                    })
-                    .map(|(slot, _)| *slot)
-                    .collect();
-                slots.sort_unstable_by(|a, b| b.cmp(a));
-                slots.truncate(k);
-                slots
-            };
-            assert_eq!(victims.len(), k, "plan derived from our own reported count");
-            for slot in victims {
-                let id = ChareId {
-                    pe: pe.my_pe(),
-                    slot,
-                };
-                let ok = self.migrate(pe, id, to);
-                assert!(ok, "victim was live and migratable");
-                moved_out.push((id, to));
-            }
-        }
-        RebalanceReport {
-            before,
-            moved_out,
-            expected_in,
-        }
+        self.rebalance_by(pe, None)
     }
 
     /// [`Charm::rebalance`] followed by a wait until this PE's live
@@ -221,7 +159,7 @@ impl Charm {
     pub fn rebalance_sync(&self, pe: &Pe) -> RebalanceReport {
         let report = self.rebalance(pe);
         let want = report.before - report.moved_out.len() + report.expected_in;
-        converse_core::schedule_until(pe, || self.local_migratable() == want);
+        converse_core::schedule_until(pe, || self.state(pe, |s| migratable(s).count()) == want);
         pe.barrier();
         report
     }
@@ -233,64 +171,60 @@ impl Charm {
     /// `plan_moves_measured`. Loosely synchronous; every PE must call
     /// it at the same phase boundary.
     pub fn rebalance_measured(&self, pe: &Pe) -> RebalanceReport {
-        // 1. Global (count, backlog) picture via a concat allgather.
         let backlog = (pe.queue_len() + pe.inbound_pending()) as u64;
-        let mut contrib = Vec::with_capacity(24);
-        contrib.extend_from_slice(&(pe.my_pe() as u64).to_le_bytes());
-        contrib.extend_from_slice(&(self.local_migratable() as u64).to_le_bytes());
-        contrib.extend_from_slice(&backlog.to_le_bytes());
-        let all = pe.allreduce_bytes(contrib, self.concat_combiner);
+        self.rebalance_by(pe, Some(backlog))
+    }
+
+    /// The pass both plans share: allgather every PE's row — its id, its
+    /// migratable count and, for the measured plan, its `backlog` —
+    /// derive the plan, and migrate what this PE owes.
+    fn rebalance_by(&self, pe: &Pe, backlog: Option<u64>) -> RebalanceReport {
+        let me = pe.my_pe();
+        let count = self.state(pe, |s| migratable(s).count()) as u64;
+        let row = [me as u64, count].into_iter().chain(backlog);
+        let width = 16 + 8 * usize::from(backlog.is_some());
+        let all = pe.allreduce_bytes(
+            row.flat_map(u64::to_le_bytes).collect(),
+            self.concat_combiner,
+        );
         let mut counts = vec![0usize; pe.num_pes()];
         let mut backlogs = vec![0u64; pe.num_pes()];
-        for chunk in all.chunks(24) {
-            let idx = u64::from_le_bytes(chunk[..8].try_into().expect("idx")) as usize;
-            counts[idx] = u64::from_le_bytes(chunk[8..16].try_into().expect("count")) as usize;
-            backlogs[idx] = u64::from_le_bytes(chunk[16..24].try_into().expect("backlog"));
+        for chunk in all.chunks(width) {
+            let word =
+                |i: usize| u64::from_le_bytes(chunk[8 * i..8 * i + 8].try_into().expect("u64"));
+            let idx = word(0) as usize;
+            counts[idx] = word(1) as usize;
+            if backlog.is_some() {
+                backlogs[idx] = word(2);
+            }
         }
-        let before = counts[pe.my_pe()];
-
-        // 2. The shared measurement-driven plan.
-        let moves = plan_moves_measured(&counts, &backlogs);
+        let moves = match backlog {
+            None => plan_moves(&counts),
+            Some(_) => plan_moves_measured(&counts, &backlogs),
+        };
         let expected_in = moves
             .iter()
-            .filter(|(_, to, _)| *to == pe.my_pe())
+            .filter(|(_, to, _)| *to == me)
             .map(|(_, _, k)| k)
             .sum();
 
-        // 3. Execute this PE's outgoing moves exactly as `rebalance`
-        //    does: highest-slot migratable victims first.
+        // This PE's outgoing moves: the highest-slot migratable objects
+        // first (deterministic, stable under concurrent arrivals, which
+        // get fresh higher slots).
         let mut moved_out = Vec::new();
-        for (from, to, k) in moves {
-            if from != pe.my_pe() {
-                continue;
-            }
-            let victims: Vec<u64> = {
-                let migrators = self.migrators.lock();
-                let t = self.objects.lock();
-                let mut slots: Vec<u64> = t
-                    .iter()
-                    .filter(|(_, s)| {
-                        matches!(s, Slot::Live { kind, .. } if migrators.contains_key(kind))
-                    })
-                    .map(|(slot, _)| *slot)
-                    .collect();
-                slots.sort_unstable_by(|a, b| b.cmp(a));
-                slots.truncate(k);
-                slots
-            };
+        for (_, to, k) in moves.into_iter().filter(|(from, _, _)| *from == me) {
+            let mut victims: Vec<u64> = self.state(pe, |s| migratable(s).collect());
+            victims.sort_unstable_by(|a, b| b.cmp(a));
+            victims.truncate(k);
             assert_eq!(victims.len(), k, "plan sheds at most our reported count");
             for slot in victims {
-                let id = ChareId {
-                    pe: pe.my_pe(),
-                    slot,
-                };
-                let ok = self.migrate(pe, id, to);
-                assert!(ok, "victim was live and migratable");
+                let id = ChareId { pe: me, slot };
+                assert!(self.migrate(pe, id, to), "victim was live and migratable");
                 moved_out.push((id, to));
             }
         }
         RebalanceReport {
-            before,
+            before: counts[me],
             moved_out,
             expected_in,
         }

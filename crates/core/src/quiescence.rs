@@ -16,12 +16,13 @@
 //! that is enqueued on PE 0's scheduler queue at quiescence.
 
 use crate::csd;
-use converse_machine::{HandlerId, Message, Pe};
+use converse_machine::{HandlerId, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
+/// PE 0's side of a detection (idle elsewhere).
+#[derive(Default)]
 struct RootWave {
     active: bool,
     wave: u64,
@@ -40,7 +41,10 @@ pub struct Quiescence {
     wave_h: HandlerId,
     reply_h: HandlerId,
     next_wave_h: HandlerId,
-    root: Mutex<RootWave>,
+    /// Owner-only: touched by the PE's running context alone.
+    state: OwnerCell<RootWave>,
+    /// PE whose token opens the state, for [`Quiescence::is_active`].
+    home: Weak<Pe>,
 }
 
 impl Quiescence {
@@ -76,7 +80,7 @@ impl Quiescence {
         // drain — the same use of priorities §2.3 motivates.
         let next_wave_h = pe.register_handler(|pe, _msg| {
             let qd = Quiescence::get(pe);
-            if qd.root.lock().active {
+            if qd.state(pe, |r| r.active) {
                 qd.send_wave(pe);
             }
         });
@@ -86,16 +90,14 @@ impl Quiescence {
             wave_h,
             reply_h,
             next_wave_h,
-            root: Mutex::new(RootWave {
-                active: false,
-                wave: 0,
-                replies: 0,
-                sum_created: 0,
-                sum_processed: 0,
-                prev: None,
-                callback: None,
-            }),
+            state: OwnerCell::new(pe.owner(), RootWave::default()),
+            home: Arc::downgrade(&pe.arc()),
         }
+    }
+
+    /// Open the detector's state. `f` must not call out of this module.
+    fn state<R>(&self, pe: &Pe, f: impl FnOnce(&mut RootWave) -> R) -> R {
+        self.state.with(pe.owner(), f)
     }
 
     /// The runtime previously installed on this PE, borrowed from its
@@ -132,66 +134,63 @@ impl Quiescence {
     /// twice concurrently or called off PE 0.
     pub fn start(&self, pe: &Pe, callback: Message) {
         assert_eq!(pe.my_pe(), 0, "quiescence detection starts on PE 0");
-        {
-            let mut r = self.root.lock();
+        self.state(pe, |r| {
             assert!(!r.active, "quiescence detection already active");
-            r.active = true;
-            r.wave += 1;
-            r.replies = 0;
-            r.sum_created = 0;
-            r.sum_processed = 0;
-            r.prev = None;
-            r.callback = Some(callback);
-        }
+            *r = RootWave {
+                active: true,
+                wave: r.wave + 1,
+                callback: Some(callback),
+                ..RootWave::default()
+            };
+        });
         self.send_wave(pe);
     }
 
     /// True while a detection is armed and waves are circulating.
     pub fn is_active(&self) -> bool {
-        self.root.lock().active
+        let home = self.home.upgrade().expect("its PE is running");
+        self.state(&home, |r| r.active)
     }
 
     fn send_wave(&self, pe: &Pe) {
-        let wave = self.root.lock().wave;
+        let wave = self.state(pe, |r| r.wave);
         pe.sync_broadcast_all(&Message::new(self.wave_h, &wave.to_le_bytes()));
     }
 
     fn on_reply(&self, pe: &Pe, wave: u64, created: u64, processed: u64) {
-        let ready = {
-            let mut r = self.root.lock();
+        // `None` until every PE of the current wave has replied; then
+        // `Some(callback)` if the machine is quiet, `Some(None)` if
+        // another wave is due.
+        let done = self.state(pe, |r| {
             if !r.active || wave != r.wave {
-                return; // stale reply from a previous wave
+                return None; // stale reply from a previous wave
             }
             r.replies += 1;
             r.sum_created += created;
             r.sum_processed += processed;
-            r.replies == pe.num_pes()
-        };
-        if !ready {
-            return;
-        }
-        let mut r = self.root.lock();
-        let totals = (r.sum_created, r.sum_processed);
-        let quiet = totals.0 == totals.1 && r.prev == Some(totals);
-        if quiet {
-            r.active = false;
-            let cb = r.callback.take().expect("armed detector has a callback");
-            drop(r);
-            csd::csd_enqueue(pe, cb);
-        } else {
+            if r.replies < pe.num_pes() {
+                return None;
+            }
+            let totals = (r.sum_created, r.sum_processed);
+            let quiet = totals.0 == totals.1 && r.prev == Some(totals);
+            r.active = !quiet;
             r.prev = Some(totals);
             r.wave += 1;
-            r.replies = 0;
-            r.sum_created = 0;
-            r.sum_processed = 0;
-            drop(r);
+            (r.replies, r.sum_created, r.sum_processed) = (0, 0, 0);
+            Some(quiet.then(|| r.callback.take().expect("armed detector has a callback")))
+        });
+        match done {
+            None => {}
+            Some(Some(callback)) => csd::csd_enqueue(pe, callback),
             // Defer the next wave behind all queued work (see install).
-            let msg = Message::with_priority(
-                self.next_wave_h,
-                &converse_msg::Priority::Int(i32::MAX),
-                b"",
-            );
-            pe.queue_enqueue(msg, converse_queue::QueueingMode::PrioFifo);
+            Some(None) => pe.queue_enqueue(
+                Message::with_priority(
+                    self.next_wave_h,
+                    &converse_msg::Priority::Int(i32::MAX),
+                    b"",
+                ),
+                converse_queue::QueueingMode::PrioFifo,
+            ),
         }
     }
 }

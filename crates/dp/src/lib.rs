@@ -26,7 +26,6 @@ pub use array2::DistArray2;
 use converse_machine::coll::CombinerId;
 use converse_machine::gptr::GlobalPtr;
 use converse_machine::Pe;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -89,9 +88,10 @@ pub enum Op {
     Prod,
 }
 
-/// Per-PE data-parallel runtime: the registered combiner table.
+/// Per-PE data-parallel runtime: the registered combiner table, fixed
+/// at install.
 pub struct Dp {
-    combiners: Mutex<HashMap<(std::any::TypeId, Op), CombinerId>>,
+    combiners: HashMap<(std::any::TypeId, Op), CombinerId>,
     concat: CombinerId,
 }
 
@@ -153,7 +153,7 @@ impl Dp {
             out
         });
         Dp {
-            combiners: Mutex::new(map),
+            combiners: map,
             concat,
         }
     }
@@ -169,7 +169,6 @@ impl Dp {
     fn combiner<T: DpScalar>(&self, op: Op) -> CombinerId {
         *self
             .combiners
-            .lock()
             .get(&(std::any::TypeId::of::<T>(), op))
             .unwrap_or_else(|| panic!("no combiner for {op:?} over this scalar type"))
     }

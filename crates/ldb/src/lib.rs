@@ -33,10 +33,9 @@
 //! backlog view.
 
 use converse_core::csd;
-use converse_machine::{HandlerId, Message, Pe};
+use converse_machine::{HandlerId, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -88,7 +87,9 @@ pub enum LdbPolicy {
     Measured,
 }
 
-/// Counters describing what the balancer did on this PE.
+/// Counters describing what the balancer did on this PE. Only the PE's
+/// running context writes them, with a plain load and store; any thread
+/// may read them.
 #[derive(Debug, Default)]
 pub struct LdbStats {
     /// Seeds handed to [`Ldb::deposit`] on this PE.
@@ -110,6 +111,23 @@ impl LdbStats {
     }
 }
 
+/// Add one to a counter only the PE's running context writes.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
+/// What the balancer keeps per PE; only the PE's running context
+/// touches it.
+struct State {
+    /// Latest gossiped load reports (Spray, TwoChoices, Measured).
+    neighbor_loads: HashMap<usize, usize>,
+    /// Manager's view of per-PE load (Central; meaningful on PE 0).
+    central_loads: Vec<usize>,
+    rng: SmallRng,
+    /// Balancer events so far: paces load reports, rotates ties.
+    events: u64,
+}
+
 /// Per-PE load balancer runtime. Install once per PE (same registration
 /// order machine-wide), then [`Ldb::deposit`] seeds from anywhere on
 /// that PE.
@@ -118,12 +136,7 @@ pub struct Ldb {
     seed_h: HandlerId,
     load_h: HandlerId,
     assign_h: HandlerId,
-    /// Latest load reports from ring neighbours (Spray).
-    neighbor_loads: Mutex<HashMap<usize, usize>>,
-    /// Manager's view of per-PE load (Central; meaningful on PE 0).
-    central_loads: Mutex<Vec<usize>>,
-    rng: Mutex<SmallRng>,
-    events: AtomicU64,
+    state: OwnerCell<State>,
     /// Public counters.
     pub stats: LdbStats,
 }
@@ -160,17 +173,16 @@ impl Ldb {
             let mut u = Unpacker::new(msg.payload());
             let from = u.usize().expect("ldb load: from");
             let load = u.usize().expect("ldb load: load");
-            match ldb.policy {
+            ldb.state(pe, |s| match ldb.policy {
                 LdbPolicy::Central => {
-                    let mut cl = ldb.central_loads.lock();
-                    if from < cl.len() {
-                        cl[from] = load;
+                    if let Some(l) = s.central_loads.get_mut(from) {
+                        *l = load;
                     }
                 }
                 _ => {
-                    ldb.neighbor_loads.lock().insert(from, load);
+                    s.neighbor_loads.insert(from, load);
                 }
-            }
+            });
         });
         let assign_h = pe.register_handler(|pe, msg| {
             // Manager (PE 0): choose the least-loaded PE and forward.
@@ -178,8 +190,8 @@ impl Ldb {
             debug_assert_eq!(pe.my_pe(), 0, "assign handler runs on the manager");
             let mut u = Unpacker::new(msg.payload());
             let inner = u.bytes().expect("ldb assign: inner");
-            let dst = {
-                let mut cl = ldb.central_loads.lock();
+            let dst = ldb.state(pe, |s| {
+                let cl = &mut s.central_loads;
                 let (dst, _) = cl
                     .iter()
                     .enumerate()
@@ -187,33 +199,37 @@ impl Ldb {
                     .expect("machine has PEs");
                 cl[dst] += 1; // account for the assignment immediately
                 dst
-            };
+            });
             let inner = Message::from_bytes(inner).expect("ldb assign: inner decodes");
-            if dst == pe.my_pe() {
-                ldb.root(pe, inner);
-            } else {
-                ldb.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                ldb.send_seed(pe, dst, &inner, 1);
-            }
+            ldb.place(pe, dst, inner);
         });
+        let rng = SmallRng::seed_from_u64(
+            0x51ED_BA5E
+                ^ ((pe.my_pe() as u64) << 17)
+                ^ match policy {
+                    LdbPolicy::Random { seed } | LdbPolicy::TwoChoices { seed } => seed,
+                    _ => 0,
+                },
+        );
+        let state = State {
+            neighbor_loads: HashMap::new(),
+            central_loads: vec![0; pe.num_pes()],
+            rng,
+            events: 0,
+        };
         Ldb {
             policy,
             seed_h,
             load_h,
             assign_h,
-            neighbor_loads: Mutex::new(HashMap::new()),
-            central_loads: Mutex::new(vec![0; pe.num_pes()]),
-            rng: Mutex::new(SmallRng::seed_from_u64(
-                0x51ED_BA5E
-                    ^ ((pe.my_pe() as u64) << 17)
-                    ^ match policy {
-                        LdbPolicy::Random { seed } | LdbPolicy::TwoChoices { seed } => seed,
-                        _ => 0,
-                    },
-            )),
-            events: AtomicU64::new(0),
+            state: OwnerCell::new(pe.owner(), state),
             stats: LdbStats::default(),
         }
+    }
+
+    /// Open the balancer's state. `f` must not call out of this module.
+    fn state<R>(&self, pe: &Pe, f: impl FnOnce(&mut State) -> R) -> R {
+        self.state.with(pe.owner(), f)
     }
 
     /// The balancer previously installed on this PE, borrowed from its
@@ -228,57 +244,42 @@ impl Ldb {
     /// The seed's handler will eventually run on *some* PE, chosen by
     /// the policy; its priority is honoured by the destination queue.
     pub fn deposit(&self, pe: &Pe, seed: Message) {
-        self.stats.deposited.fetch_add(1, Ordering::Relaxed);
         self.tick(pe);
-        match self.policy {
-            LdbPolicy::Direct => self.root(pe, seed),
-            LdbPolicy::Random { .. } => {
-                let dst = self.rng.lock().random_range(0..pe.num_pes());
-                if dst == pe.my_pe() {
-                    self.root(pe, seed);
+        bump(&self.stats.deposited);
+        let n = pe.num_pes();
+        let dst = match self.policy {
+            LdbPolicy::Direct => pe.my_pe(),
+            LdbPolicy::Random { .. } => self.state(pe, |s| s.rng.random_range(0..n)),
+            LdbPolicy::Spray { .. } => return self.arrive(pe, seed, 0),
+            LdbPolicy::TwoChoices { .. } => self.state(pe, |s| {
+                let (a, b) = (s.rng.random_range(0..n), s.rng.random_range(0..n));
+                let load = |p| s.neighbor_loads.get(&p).copied().unwrap_or(0);
+                if load(a) <= load(b) {
+                    a
                 } else {
-                    self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.send_seed(pe, dst, &seed, 1);
+                    b
                 }
-            }
-            LdbPolicy::Spray { .. } => self.arrive(pe, seed, 0),
-            LdbPolicy::TwoChoices { .. } => {
-                let n = pe.num_pes();
-                let (a, b) = {
-                    let mut rng = self.rng.lock();
-                    (rng.random_range(0..n), rng.random_range(0..n))
-                };
-                let loads = self.neighbor_loads.lock();
-                let la = loads.get(&a).copied().unwrap_or(0);
-                let lb = loads.get(&b).copied().unwrap_or(0);
-                drop(loads);
-                let dst = if la <= lb { a } else { b };
-                if dst == pe.my_pe() {
-                    self.root(pe, seed);
-                } else {
-                    self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.send_seed(pe, dst, &seed, 1);
-                }
-            }
+            }),
+            LdbPolicy::Central if n == 1 => pe.my_pe(),
             LdbPolicy::Central => {
-                if pe.num_pes() == 1 {
-                    self.root(pe, seed);
-                    return;
-                }
                 let head = StackPacker::<4>::new().len_prefix(seed.len());
-                self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                bump(&self.stats.forwarded);
                 let parts = [head.as_slice(), seed.as_bytes()];
                 pe.sync_send_and_free(0, Message::gather(self.assign_h, &Priority::None, parts));
+                return;
             }
-            LdbPolicy::Measured => {
-                let dst = self.pick_measured(pe);
-                if dst == pe.my_pe() {
-                    self.root(pe, seed);
-                } else {
-                    self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.send_seed(pe, dst, &seed, 1);
-                }
-            }
+            LdbPolicy::Measured => self.pick_measured(pe),
+        };
+        self.place(pe, dst, seed);
+    }
+
+    /// Root `seed` here when `dst` is this PE, else send it there.
+    fn place(&self, pe: &Pe, dst: usize, seed: Message) {
+        if dst == pe.my_pe() {
+            self.root(pe, seed);
+        } else {
+            bump(&self.stats.forwarded);
+            self.send_seed(pe, dst, &seed, 1);
         }
     }
 
@@ -291,7 +292,7 @@ impl Ldb {
     fn pick_measured(&self, pe: &Pe) -> usize {
         let n = pe.num_pes();
         let me = pe.my_pe();
-        let rot = self.events.load(Ordering::Relaxed) as usize;
+        let rot = self.state(pe, |s| s.events) as usize;
         let key = |p: usize, backlog: usize| (backlog, (p + n - rot % n) % n);
         if pe.remote_load_visible() {
             pe.load_snapshot()
@@ -308,19 +309,21 @@ impl Ldb {
                 .map(|(_, p)| p)
                 .unwrap_or(me)
         } else {
-            let reports = self.neighbor_loads.lock();
-            (0..n)
-                .map(|p| {
-                    let b = if p == me {
-                        pe.queue_len()
-                    } else {
-                        reports.get(&p).copied().unwrap_or(0)
-                    };
-                    (key(p, b), p)
-                })
-                .min()
-                .map(|(_, p)| p)
-                .expect("machine has PEs")
+            let mine = pe.queue_len();
+            self.state(pe, |s| {
+                (0..n)
+                    .map(|p| {
+                        let b = if p == me {
+                            mine
+                        } else {
+                            s.neighbor_loads.get(&p).copied().unwrap_or(0)
+                        };
+                        (key(p, b), p)
+                    })
+                    .min()
+                    .map(|(_, p)| p)
+                    .expect("machine has PEs")
+            })
         }
     }
 
@@ -342,15 +345,15 @@ impl Ldb {
                 let n = pe.num_pes();
                 let left = (pe.my_pe() + n - 1) % n;
                 let right = (pe.my_pe() + 1) % n;
-                let nl = self.neighbor_loads.lock();
-                let ll = nl.get(&left).copied().unwrap_or(0);
-                let rl = nl.get(&right).copied().unwrap_or(0);
-                drop(nl);
+                let (ll, rl) = self.state(pe, |s| {
+                    let load = |p| s.neighbor_loads.get(&p).copied().unwrap_or(0);
+                    (load(left), load(right))
+                });
                 let (dst, dload) = if ll <= rl { (left, ll) } else { (right, rl) };
                 if dst == pe.my_pe() || dload >= local {
                     self.root(pe, seed);
                 } else {
-                    self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.stats.forwarded);
                     self.send_seed(pe, dst, &seed, hops + 1);
                 }
             }
@@ -371,13 +374,16 @@ impl Ldb {
     }
 
     fn root(&self, pe: &Pe, seed: Message) {
-        self.stats.rooted.fetch_add(1, Ordering::Relaxed);
+        bump(&self.stats.rooted);
         csd::csd_enqueue_prio(pe, seed);
     }
 
     /// Periodic load publication, driven by balancer activity.
     fn tick(&self, pe: &Pe) {
-        let ev = self.events.fetch_add(1, Ordering::Relaxed);
+        let ev = self.state(pe, |s| {
+            s.events += 1;
+            s.events - 1
+        });
         if !ev.is_multiple_of(LOAD_REPORT_PERIOD) {
             return;
         }

@@ -34,12 +34,13 @@
 //! be on.
 
 use crate::pe::{MachineShared, Pe};
+use crate::OwnerCell;
 use converse_msg::pack::{PackError, Packer, Unpacker};
 use converse_msg::{HandlerId, Message};
 use converse_net::{Interconnect, PeLoad};
 use converse_queue::QueueingMode;
 use converse_trace::Event;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -105,8 +106,7 @@ pub(crate) struct ExoState {
 }
 
 /// PE-local cell holding the token of the request currently dispatching.
-#[derive(Default)]
-struct TokenCell(Mutex<Option<ExoToken>>);
+struct TokenCell(OwnerCell<Option<ExoToken>>);
 
 /// A background service whose lifetime is bounded by one machine run.
 ///
@@ -282,10 +282,10 @@ pub(crate) fn handle_dispatch(pe: &Pe, msg: Message) {
         return;
     }
     let inner = Message::new(target, payload);
-    let cell = pe.local(TokenCell::default);
-    *cell.0.lock() = Some(token);
+    let cell = pe.local(|| TokenCell(OwnerCell::new(pe.owner(), None)));
+    pe.open(&cell.0, |t| *t = Some(token));
     pe.call_handler(inner);
-    *cell.0.lock() = None;
+    pe.open(&cell.0, |t| *t = None);
 }
 
 /// `exo_reply`: a reply envelope arrived at the gateway PE; hand it to
@@ -313,7 +313,8 @@ impl Pe {
     /// PE, if any. A handler that will answer later captures this while
     /// it runs; the token stays valid after the handler returns.
     pub fn exo_current_token(&self) -> Option<ExoToken> {
-        self.try_local::<TokenCell>().and_then(|c| *c.0.lock())
+        self.try_local::<TokenCell>()
+            .and_then(|c| self.open(&c.0, |t| *t))
     }
 
     /// Send a reply for `token`. Callable from any PE, any context, any

@@ -262,7 +262,7 @@ fn take_first(q: &mut VecDeque<Message>, want: impl Fn(&Message) -> bool) -> Opt
 /// `inbound_pending`, `pending_len`), `publish_load`, `try_steal`,
 /// `idle_wait`, `check_abort`, the scatter / global-pointer / collective
 /// / processor-group calls, the `CommHandle` calls and the `async_*`
-/// sends that issue one, and `on_exit`.
+/// sends that issue one, `on_exit` and `exo_current_token`.
 ///
 /// **Callable from any thread** holding an `Arc<Pe>`: `abort_machine`,
 /// `stall_pe` / `pe_stalled`, `fault_stats`, the synchronous sends and

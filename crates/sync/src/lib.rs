@@ -10,20 +10,21 @@
 //! (ready pool or Csd scheduler).
 //!
 //! These primitives synchronize the cooperative threads of **one PE** —
-//! Converse threads never migrate — so there is never true contention;
-//! the internal `parking_lot` mutexes only guard against the PE's
-//! multiple (but strictly alternating) OS-thread contexts.
+//! Converse threads never migrate — so there is never true contention:
+//! a primitive's queue is owner-only state of the PE it was made on (an
+//! `OwnerCell` of that PE's run token), opened by whichever of the PE's
+//! contexts runs, never held across a suspend or an awaken. Using a
+//! primitive from another PE panics.
 
-use converse_machine::Pe;
+use converse_machine::{OwnerCell, Pe};
 use converse_threads::{cth_awaken, cth_self, cth_suspend, Thread};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Identity of a lock-owning context: a thread id, or 0 for the PE's
 /// main context (which may hold uncontended locks but cannot block).
-fn current_ctx(pe: &Pe) -> u64 {
-    cth_self(pe).map(|t| t.id()).unwrap_or(0)
+fn ctx_id(me: &Option<Thread>) -> u64 {
+    me.as_ref().map_or(0, Thread::id)
 }
 
 fn main_context_cannot_block(pe: &Pe) -> ! {
@@ -32,6 +33,15 @@ fn main_context_cannot_block(pe: &Pe) -> ! {
          thread objects may wait (create one with cth_create)",
         pe.my_pe()
     )
+}
+
+/// Open `cell` from the PE `home` names, for the readers not handed a
+/// `pe`: owner-only like the cell itself.
+fn read<T, R>(home: &Weak<Pe>, cell: &OwnerCell<T>, f: impl FnOnce(&mut T) -> R) -> R {
+    let pe = home
+        .upgrade()
+        .expect("a Cts primitive is read while its PE runs");
+    cell.with(pe.owner(), f)
 }
 
 /// Error returned by [`CtsLock::unlock`] when the caller is not the
@@ -51,81 +61,73 @@ struct LockInner {
 
 /// A queued mutual-exclusion lock (`LOCK`, `CtsNewLock`).
 pub struct CtsLock {
-    inner: Mutex<LockInner>,
+    inner: OwnerCell<LockInner>,
+    home: Weak<Pe>,
 }
 
 impl CtsLock {
-    /// Allocate a new lock (`CtsNewLock`).
-    pub fn new() -> Arc<CtsLock> {
+    /// Allocate a new lock of `pe`'s threads (`CtsNewLock`).
+    pub fn new(pe: &Pe) -> Arc<CtsLock> {
+        let inner = LockInner {
+            owner: None,
+            waiters: VecDeque::new(),
+        };
         Arc::new(CtsLock {
-            inner: Mutex::new(LockInner {
-                owner: None,
-                waiters: VecDeque::new(),
-            }),
+            inner: OwnerCell::new(pe.owner(), inner),
+            home: Arc::downgrade(&pe.arc()),
         })
     }
 
     /// Non-blocking acquisition attempt (`CtsTryLock`): true on success.
     pub fn try_lock(&self, pe: &Pe) -> bool {
-        let mut l = self.inner.lock();
-        if l.owner.is_none() {
-            l.owner = Some(current_ctx(pe));
-            true
-        } else {
-            false
-        }
+        let me = ctx_id(&cth_self(pe));
+        self.inner.with(pe.owner(), |l| {
+            let free = l.owner.is_none();
+            if free {
+                l.owner = Some(me);
+            }
+            free
+        })
     }
 
     /// Acquire the lock (`CtsLock`), suspending the calling thread if it
     /// is taken. Waiters receive the lock strictly in arrival order.
     pub fn lock(&self, pe: &Pe) {
-        let me = current_ctx(pe);
-        loop {
-            {
-                let mut l = self.inner.lock();
-                if l.owner.is_none() {
-                    l.owner = Some(me);
-                    return;
-                }
-                assert_ne!(l.owner, Some(me), "PE {}: recursive Cts lock", pe.my_pe());
-                match cth_self(pe) {
-                    Some(t) => l.waiters.push_back(t),
-                    None => main_context_cannot_block(pe),
-                }
+        let caller = cth_self(pe);
+        let me = ctx_id(&caller);
+        let queued = self.inner.with(pe.owner(), |l| {
+            if l.owner.is_none() {
+                l.owner = Some(me);
+                return false;
             }
+            assert_ne!(l.owner, Some(me), "PE {}: recursive Cts lock", pe.my_pe());
+            l.waiters
+                .push_back(caller.unwrap_or_else(|| main_context_cannot_block(pe)));
+            true
+        });
+        // Queued once: `unlock` hands ownership over and awakens us. A
+        // custom strategy may resume us early; we are still queued then,
+        // so we only suspend again.
+        while queued && self.inner.with(pe.owner(), |l| l.owner) != Some(me) {
             cth_suspend(pe);
-            // Awakened as the designated next owner (ownership was
-            // transferred by unlock); confirm and return. A custom
-            // strategy could resume us early — then we queue up again.
-            if self.inner.lock().owner == Some(me) {
-                return;
-            }
         }
     }
 
     /// Release the lock (`CtsUnLock`): ownership shifts to the first
     /// queued waiter, which is awakened.
     pub fn unlock(&self, pe: &Pe) -> Result<(), NotOwner> {
-        let me = current_ctx(pe);
-        let next = {
-            let mut l = self.inner.lock();
+        let me = ctx_id(&cth_self(pe));
+        let next = self.inner.with(pe.owner(), |l| {
             if l.owner != Some(me) {
                 return Err(NotOwner {
                     caller: me,
                     owner: l.owner,
                 });
             }
-            match l.waiters.pop_front() {
-                Some(t) => {
-                    l.owner = Some(t.id());
-                    Some(t)
-                }
-                None => {
-                    l.owner = None;
-                    None
-                }
-            }
-        };
+            let next = l.waiters.pop_front();
+            l.owner = next.as_ref().map(Thread::id);
+            Ok(next)
+        })?;
         if let Some(t) = next {
             cth_awaken(pe, &t);
         }
@@ -134,26 +136,29 @@ impl CtsLock {
 
     /// The owning context id, if locked.
     pub fn owner(&self) -> Option<u64> {
-        self.inner.lock().owner
+        read(&self.home, &self.inner, |l| l.owner)
     }
 
     /// Number of threads queued on the lock.
     pub fn waiters(&self) -> usize {
-        self.inner.lock().waiters.len()
+        read(&self.home, &self.inner, |l| l.waiters.len())
     }
 }
 
 /// A condition variable (`CONDN`): threads [`CtsCondn::wait`];
 /// [`CtsCondn::signal`] releases one, [`CtsCondn::broadcast`] all.
 pub struct CtsCondn {
-    waiters: Mutex<VecDeque<Thread>>,
+    waiters: OwnerCell<VecDeque<Thread>>,
+    home: Weak<Pe>,
 }
 
 impl CtsCondn {
-    /// Allocate a new condition variable (`CtsNewCondn`).
-    pub fn new() -> Arc<CtsCondn> {
+    /// Allocate a new condition variable of `pe`'s threads
+    /// (`CtsNewCondn`).
+    pub fn new(pe: &Pe) -> Arc<CtsCondn> {
         Arc::new(CtsCondn {
-            waiters: Mutex::new(VecDeque::new()),
+            waiters: OwnerCell::new(pe.owner(), VecDeque::new()),
+            home: Arc::downgrade(&pe.arc()),
         })
     }
 
@@ -164,40 +169,34 @@ impl CtsCondn {
 
     /// Suspend the calling thread until signalled (`CtsCondnWait`).
     pub fn wait(&self, pe: &Pe) {
-        match cth_self(pe) {
-            Some(t) => self.waiters.lock().push_back(t),
-            None => main_context_cannot_block(pe),
-        }
+        let me = cth_self(pe).unwrap_or_else(|| main_context_cannot_block(pe));
+        self.waiters.with(pe.owner(), |w| w.push_back(me));
         cth_suspend(pe);
     }
 
     /// Awaken one waiting thread, in arrival order (`CtsCondnSignal`).
     /// Returns true if a thread was released.
     pub fn signal(&self, pe: &Pe) -> bool {
-        let t = self.waiters.lock().pop_front();
-        match t {
-            Some(t) => {
-                cth_awaken(pe, &t);
-                true
-            }
-            None => false,
+        let t = self.waiters.with(pe.owner(), VecDeque::pop_front);
+        if let Some(t) = &t {
+            cth_awaken(pe, t);
         }
+        t.is_some()
     }
 
     /// Awaken every waiting thread (`CtsCondnBroadcast`). Returns the
     /// number released.
     pub fn broadcast(&self, pe: &Pe) -> usize {
-        let ts: Vec<Thread> = self.waiters.lock().drain(..).collect();
-        let n = ts.len();
-        for t in ts {
-            cth_awaken(pe, &t);
+        let ts = self.waiters.with(pe.owner(), std::mem::take);
+        for t in &ts {
+            cth_awaken(pe, t);
         }
-        n
+        ts.len()
     }
 
     /// Number of threads currently waiting.
     pub fn waiters(&self) -> usize {
-        self.waiters.lock().len()
+        read(&self.home, &self.waiters, |w| w.len())
     }
 }
 
@@ -210,20 +209,23 @@ struct BarrierInner {
 /// A thread barrier (`BARRIER`): "a condition variable whose k-th wait
 /// is a broadcast" — the k-th arrival releases everyone.
 pub struct CtsBarrier {
-    inner: Mutex<BarrierInner>,
+    inner: OwnerCell<BarrierInner>,
+    home: Weak<Pe>,
 }
 
 impl CtsBarrier {
-    /// Allocate a barrier awaiting `num` threads (`CtsNewBarrier` +
-    /// `CtsBarrierReinit`).
-    pub fn new(num: usize) -> Arc<CtsBarrier> {
+    /// Allocate a barrier of `pe`'s threads awaiting `num` of them
+    /// (`CtsNewBarrier` + `CtsBarrierReinit`).
+    pub fn new(pe: &Pe, num: usize) -> Arc<CtsBarrier> {
         assert!(num > 0, "a barrier needs at least one participant");
+        let inner = BarrierInner {
+            needed: num,
+            arrived: 0,
+            waiters: VecDeque::new(),
+        };
         Arc::new(CtsBarrier {
-            inner: Mutex::new(BarrierInner {
-                needed: num,
-                arrived: 0,
-                waiters: VecDeque::new(),
-            }),
+            inner: OwnerCell::new(pe.owner(), inner),
+            home: Arc::downgrade(&pe.arc()),
         })
     }
 
@@ -231,38 +233,34 @@ impl CtsBarrier {
     /// waiting, then await the arrival of `num` threads.
     pub fn reinit(&self, pe: &Pe, num: usize) {
         assert!(num > 0, "a barrier needs at least one participant");
-        let ts: Vec<Thread> = {
-            let mut b = self.inner.lock();
+        let ts = self.inner.with(pe.owner(), |b| {
             b.needed = num;
             b.arrived = 0;
-            b.waiters.drain(..).collect()
-        };
-        for t in ts {
-            cth_awaken(pe, &t);
+            std::mem::take(&mut b.waiters)
+        });
+        for t in &ts {
+            cth_awaken(pe, t);
         }
     }
 
     /// Arrive at the barrier (`CtsAtBarrier`): blocks all but the last of
     /// the `num` participating threads, whose arrival awakens them all.
     pub fn at_barrier(&self, pe: &Pe) {
-        let release = {
-            let mut b = self.inner.lock();
+        let me = cth_self(pe);
+        let release = self.inner.with(pe.owner(), |b| {
             b.arrived += 1;
             if b.arrived >= b.needed {
                 b.arrived = 0;
-                Some(b.waiters.drain(..).collect::<Vec<_>>())
-            } else {
-                match cth_self(pe) {
-                    Some(t) => b.waiters.push_back(t),
-                    None => main_context_cannot_block(pe),
-                }
-                None
+                return Some(std::mem::take(&mut b.waiters));
             }
-        };
+            b.waiters
+                .push_back(me.unwrap_or_else(|| main_context_cannot_block(pe)));
+            None
+        });
         match release {
             Some(ts) => {
-                for t in ts {
-                    cth_awaken(pe, &t);
+                for t in &ts {
+                    cth_awaken(pe, t);
                 }
             }
             None => cth_suspend(pe),
@@ -271,6 +269,6 @@ impl CtsBarrier {
 
     /// Threads currently blocked at the barrier.
     pub fn waiting(&self) -> usize {
-        self.inner.lock().waiters.len()
+        read(&self.home, &self.inner, |b| b.waiters.len())
     }
 }

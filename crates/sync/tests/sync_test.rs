@@ -6,14 +6,16 @@
 
 use converse_core::{csd_scheduler_until_idle, run};
 use converse_sync::{CtsBarrier, CtsCondn, CtsLock};
-use converse_threads::{cth_awaken, cth_create, cth_resume, run_on_each_backend, CthRuntime};
+use converse_threads::{
+    cth_awaken, cth_create, cth_resume, cth_suspend, run_on_each_backend, CthRuntime,
+};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 #[test]
 fn trylock_and_unlock_from_main_context() {
     run_on_each_backend(1, |pe| {
-        let lock = CtsLock::new();
+        let lock = CtsLock::new(pe);
         assert!(lock.try_lock(pe));
         assert_eq!(lock.owner(), Some(0), "main context is owner 0");
         assert!(!lock.try_lock(pe), "already held");
@@ -25,7 +27,7 @@ fn trylock_and_unlock_from_main_context() {
 #[test]
 fn unlock_by_non_owner_is_error() {
     run_on_each_backend(1, |pe| {
-        let lock = CtsLock::new();
+        let lock = CtsLock::new(pe);
         let err = lock.unlock(pe).unwrap_err();
         assert_eq!(err.owner, None);
         lock.try_lock(pe);
@@ -44,7 +46,7 @@ fn unlock_by_non_owner_is_error() {
 fn contended_lock_hands_off_in_arrival_order() {
     run_on_each_backend(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let lock = CtsLock::new();
+        let lock = CtsLock::new(pe);
         let log = Arc::new(Mutex::new(Vec::<u32>::new()));
         // A holder thread takes the lock, then three threads queue up.
         let l0 = lock.clone();
@@ -79,7 +81,7 @@ fn lock_critical_section_is_exclusive() {
     // the critical section; the lock must serialize them.
     run_on_each_backend(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let lock = CtsLock::new();
+        let lock = CtsLock::new(pe);
         let counter = Arc::new(Mutex::new(0u64));
         for _ in 0..8 {
             let l = lock.clone();
@@ -103,7 +105,7 @@ fn lock_critical_section_is_exclusive() {
 fn condn_signal_releases_in_order() {
     run_on_each_backend(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let cv = CtsCondn::new();
+        let cv = CtsCondn::new(pe);
         let log = Arc::new(Mutex::new(Vec::<u32>::new()));
         for i in 0..3u32 {
             let cv2 = cv.clone();
@@ -131,7 +133,7 @@ fn condn_signal_releases_in_order() {
 fn condn_reinit_awakens_everyone() {
     run_on_each_backend(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let cv = CtsCondn::new();
+        let cv = CtsCondn::new(pe);
         let released = Arc::new(Mutex::new(0u32));
         for _ in 0..4 {
             let cv2 = cv.clone();
@@ -152,7 +154,7 @@ fn condn_reinit_awakens_everyone() {
 fn barrier_kth_wait_broadcasts() {
     run_on_each_backend(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let bar = CtsBarrier::new(4);
+        let bar = CtsBarrier::new(pe, 4);
         let log = Arc::new(Mutex::new(Vec::<(u32, &'static str)>::new()));
         for i in 0..4u32 {
             let b = bar.clone();
@@ -181,7 +183,7 @@ fn barrier_kth_wait_broadcasts() {
 fn barrier_is_reusable_across_phases() {
     run_on_each_backend(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let bar = CtsBarrier::new(3);
+        let bar = CtsBarrier::new(pe, 3);
         let phase_log = Arc::new(Mutex::new(Vec::<(u32, u32)>::new()));
         for i in 0..3u32 {
             let b = bar.clone();
@@ -211,7 +213,7 @@ fn barrier_is_reusable_across_phases() {
 fn barrier_reinit_frees_waiters() {
     run_on_each_backend(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let bar = CtsBarrier::new(10); // more than will ever arrive
+        let bar = CtsBarrier::new(pe, 10); // more than will ever arrive
         let freed = Arc::new(Mutex::new(0u32));
         for _ in 0..2 {
             let b = bar.clone();
@@ -234,7 +236,7 @@ fn barrier_reinit_frees_waiters() {
 fn main_context_blocking_panics_with_guidance() {
     let result = std::panic::catch_unwind(|| {
         run(1, |pe| {
-            let cv = CtsCondn::new();
+            let cv = CtsCondn::new(pe);
             cv.wait(pe); // main context cannot block
         });
     });
@@ -248,9 +250,9 @@ fn producer_consumer_with_lock_and_condn() {
     // The classic pattern: bounded buffer with a lock + two condvars.
     run_on_each_backend(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let lock = CtsLock::new();
-        let not_empty = CtsCondn::new();
-        let not_full = CtsCondn::new();
+        let lock = CtsLock::new(pe);
+        let not_empty = CtsCondn::new(pe);
+        let not_full = CtsCondn::new(pe);
         let buf: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
         let consumed: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
         const CAP: usize = 4;
@@ -308,7 +310,7 @@ fn lock_waiter_awakened_through_ready_pool_strategy() {
     // Default-strategy threads (manual resume, ready pool) also work
     // with the lock's hand-off.
     run_on_each_backend(1, |pe| {
-        let lock = CtsLock::new();
+        let lock = CtsLock::new(pe);
         let log = Arc::new(Mutex::new(Vec::<u8>::new()));
         let (la, ga) = (lock.clone(), log.clone());
         let ta = cth_create(pe, move |pe| {
@@ -329,5 +331,37 @@ fn lock_waiter_awakened_through_ready_pool_strategy() {
         // a takes the lock and yields; b queues on the lock; a unlocks
         // (handing ownership to b), logs 'A' and exits; b then runs.
         assert_eq!(*log.lock(), vec![b'a', b'A', b'b']);
+    });
+}
+
+#[test]
+fn a_waiter_resumed_early_stays_queued_once() {
+    // A custom strategy (here: the main context) may resume a lock
+    // waiter before its turn. It must wait again without queueing a
+    // second time: a stale second entry would hand the lock, on the
+    // waiter's own unlock, to a thread about to exit.
+    run_on_each_backend(1, |pe| {
+        let lock = CtsLock::new(pe);
+        let la = lock.clone();
+        let a = cth_create(pe, move |pe| {
+            la.lock(pe);
+            cth_suspend(pe);
+            la.unlock(pe).unwrap();
+        });
+        let lb = lock.clone();
+        let b = cth_create(pe, move |pe| {
+            lb.lock(pe);
+            lb.unlock(pe).unwrap();
+        });
+        cth_resume(pe, &a); // a takes the lock and suspends
+        cth_resume(pe, &b); // b queues
+        assert_eq!(lock.waiters(), 1);
+        cth_resume(pe, &b); // early: b is not the owner yet
+        assert_eq!(lock.waiters(), 1, "an early resume queued the waiter again");
+        // a unlocks (handing over to b) and exits; b runs, unlocks, exits.
+        cth_resume(pe, &a);
+        assert!(a.is_exited() && b.is_exited());
+        assert_eq!((lock.owner(), lock.waiters()), (None, 0));
+        assert!(lock.try_lock(pe), "the lock is free again");
     });
 }

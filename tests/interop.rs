@@ -171,7 +171,7 @@ fn fma_style_three_paradigm_pipeline() {
 fn mixed_thread_strategies_one_scheduler() {
     converse::core::run(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let bar = CtsBarrier::new(3);
+        let bar = CtsBarrier::new(pe, 3);
         let log = pe.local(|| Mutex::new(Vec::<String>::new()));
         for i in 0..3 {
             let b = bar.clone();

@@ -145,7 +145,7 @@ fn deep_chare_tree_under_reorder() {
 fn five_hundred_threads_on_one_pe() {
     converse::core::run(1, |pe| {
         let rt = CthRuntime::get(pe);
-        let lock = CtsLock::new();
+        let lock = CtsLock::new(pe);
         let counter = Arc::new(parking_lot::Mutex::new(0u64));
         for _ in 0..500 {
             let l = lock.clone();
