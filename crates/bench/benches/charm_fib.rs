@@ -86,7 +86,7 @@ fn fib_run(n: u64, policy: LdbPolicy) -> (Duration, u64) {
     let (e2, c2) = (elapsed.clone(), chares.clone());
     converse_core::run(4, move |pe| {
         let charm = Charm::install(pe, policy);
-        let kind = charm.register::<Fib>();
+        let kind = charm.register::<Fib>(pe);
         let report = pe.register_handler(move |pe, msg| {
             let v = u64::from_le_bytes(msg.payload().try_into().expect("result"));
             std::hint::black_box(v);
@@ -107,10 +107,7 @@ fn fib_run(n: u64, policy: LdbPolicy) -> (Duration, u64) {
         if pe.my_pe() == 0 {
             e2.store(t0.elapsed().as_nanos() as u64, Ordering::SeqCst);
         }
-        c2.fetch_add(
-            charm.chares_created.load(Ordering::Relaxed),
-            Ordering::SeqCst,
-        );
+        c2.fetch_add(charm.chares_created(pe), Ordering::SeqCst);
         pe.barrier();
     });
     (

@@ -33,14 +33,14 @@ fn drain_seeds(policy: LdbPolicy) -> (Duration, Vec<u64>) {
             }
             std::hint::black_box(acc);
             c[pe.my_pe()].fetch_add(1, Ordering::Relaxed);
-            qd2.msg_processed(1);
+            qd2.msg_processed(pe, 1);
         });
         let stop = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
         if pe.my_pe() == 0 {
             let t0 = Instant::now();
             for i in 0..SEEDS {
-                qd.msg_created(1);
+                qd.msg_created(pe, 1);
                 ldb.deposit(pe, Message::new(work, &[(i % 16) as u8]));
             }
             qd.start(pe, Message::new(stop, b""));

@@ -177,11 +177,11 @@ fn bnb_cell(pes: usize, policy: LdbPolicy, ldb: &'static str, steal: bool) -> Ro
                     payload.extend_from_slice(&w.to_le_bytes());
                     // Best-first: more promising bound = more urgent.
                     let prio = Priority::Int(-(bound(v, w, next + 1) as i32));
-                    qd2.msg_created(1);
+                    qd2.msg_created(pe, 1);
                     ldb.deposit(pe, Message::with_priority(h, &prio, &payload));
                 }
             }
-            qd2.msg_processed(1);
+            qd2.msg_processed(pe, 1);
         });
         let done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         *slot.lock() = Some(expand);
@@ -191,7 +191,7 @@ fn bnb_cell(pes: usize, policy: LdbPolicy, ldb: &'static str, steal: bool) -> Ro
             let mut payload = vec![0u8];
             payload.extend_from_slice(&0i64.to_le_bytes());
             payload.extend_from_slice(&0i64.to_le_bytes());
-            qd.msg_created(1);
+            qd.msg_created(pe, 1);
             ldb.deposit(pe, Message::new(expand, &payload));
             qd.start(pe, Message::new(done, b""));
             csd_scheduler(pe, -1);

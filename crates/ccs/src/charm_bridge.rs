@@ -34,7 +34,7 @@ pub fn export_chare_entry(pe: &Pe, registry: &CcsRegistry, name: &str, readonly_
             .expect("CCS bridge handler invoked outside a gateway dispatch");
         let charm = Charm::get(pe);
         let id = charm
-            .readonly(readonly_key)
+            .readonly(pe, readonly_key)
             .and_then(|b| ChareId::decode(&b));
         let Some(id) = id else {
             pe.exo_reply(

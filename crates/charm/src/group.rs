@@ -109,7 +109,7 @@ impl Charm {
             "PE {}: group {gid:?} created twice",
             pe.my_pe()
         );
-        self.qd.msg_processed(1);
+        self.qd.msg_processed(pe, 1);
         // Replay any invocations that arrived before the create.
         for m in early.into_iter().flatten() {
             csd::csd_enqueue_prio(pe, m);
@@ -139,14 +139,14 @@ impl Charm {
             Some(b) => b.replace(branch),
             None => Some(branch),
         });
-        self.qd.msg_processed(1);
+        self.qd.msg_processed(pe, 1);
     }
 
     /// Register group-chare type `T` (same order on every PE!).
-    pub fn register_group<T: GroupChare>(&self) -> GroupKind {
+    pub fn register_group<T: GroupChare>(&self, pe: &Pe) -> GroupKind {
         let ctor: GroupCtor =
             Arc::new(|pe, gid, payload| Box::new(T::new(pe, gid, payload)) as Box<dyn GroupChare>);
-        self.read(|s| {
+        self.state(pe, |s| {
             s.groups.ctors.push(ctor);
             GroupKind((s.groups.ctors.len() - 1) as u32)
         })
@@ -162,7 +162,7 @@ impl Charm {
             s.groups.last_seq
         });
         let gid = GroupId::new(pe.my_pe(), seq);
-        self.quiescence().msg_created(pe.num_pes() as u64);
+        self.quiescence().msg_created(pe, pe.num_pes() as u64);
         let head = StackPacker::<16>::new()
             .u64(gid.0)
             .u32(kind.0)
@@ -181,9 +181,9 @@ impl Charm {
     /// the group is in flight (a finished phase, a barrier). Returns
     /// whether a branch lived here. An invocation arriving later is held
     /// like one that raced ahead of a create.
-    pub fn destroy_group(&self, gid: GroupId) -> bool {
+    pub fn destroy_group(&self, pe: &Pe, gid: GroupId) -> bool {
         // What is removed is dropped here, with the state closed.
-        let (_early, branch) = self.read(|s| {
+        let (_early, branch) = self.state(pe, |s| {
             let g = &mut s.groups;
             (g.early.remove(&gid.0), g.branches.remove(&gid.0))
         });
@@ -224,18 +224,18 @@ impl Charm {
         parts: &[&[u8]],
         prio: Priority,
     ) {
-        self.quiescence().msg_created(1);
+        self.quiescence().msg_created(pe, 1);
         pe.sync_send_and_free(target_pe, self.group_invoke(gid, ep, parts, &prio));
     }
 
     /// Invoke entry `ep` on **every** branch of `gid` (self included).
     pub fn broadcast_group(&self, pe: &Pe, gid: GroupId, ep: u32, payload: &[u8], prio: Priority) {
-        self.quiescence().msg_created(pe.num_pes() as u64);
+        self.quiescence().msg_created(pe, pe.num_pes() as u64);
         pe.sync_broadcast_all(&self.group_invoke(gid, ep, &[payload], &prio));
     }
 
     /// Number of live group branches on this PE.
-    pub fn local_group_branches(&self) -> usize {
-        self.read(|s| s.groups.branches.len())
+    pub fn local_group_branches(&self, pe: &Pe) -> usize {
+        self.state(pe, |s| s.groups.branches.len())
     }
 }

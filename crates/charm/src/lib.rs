@@ -36,8 +36,7 @@ use converse_machine::{HandlerId, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 pub use group::{GroupChare, GroupId, GroupKind};
 pub use rebalance::RebalanceReport;
@@ -142,6 +141,8 @@ struct State {
     readonlies: HashMap<u32, Vec<u8>>,
     /// Last object-table slot handed out.
     last_slot: u64,
+    /// Chares constructed on this PE.
+    chares_created: u64,
     groups: group::Groups,
 }
 
@@ -167,11 +168,6 @@ pub struct Charm {
     group_h: group::Handlers,
     readonly_h: HandlerId,
     state: OwnerCell<State>,
-    /// PE whose token opens the state, for the calls not handed one.
-    home: Weak<Pe>,
-    /// Chares constructed on this PE. Only the PE's running context
-    /// writes it (a plain load and store); any thread may read it.
-    pub chares_created: AtomicU64,
 }
 
 impl Charm {
@@ -219,7 +215,7 @@ impl Charm {
                 "PE {}: readonly {key} published twice",
                 pe.my_pe()
             );
-            charm.qd.msg_processed(1);
+            charm.qd.msg_processed(pe, 1);
         });
 
         // Migration protocol: install on the new home, ack to the old.
@@ -245,24 +241,12 @@ impl Charm {
             group_h,
             readonly_h,
             state: OwnerCell::new(pe.owner(), State::default()),
-            home: Arc::downgrade(&pe.arc()),
-            chares_created: AtomicU64::new(0),
         }
     }
 
     /// Open the state. `f` must not call out of this crate.
     fn state<R>(&self, pe: &Pe, f: impl FnOnce(&mut State) -> R) -> R {
         self.state.with(pe.owner(), f)
-    }
-
-    /// [`Charm::state`] for the calls without a `pe`: owner-only like
-    /// the state itself.
-    fn read<R>(&self, f: impl FnOnce(&mut State) -> R) -> R {
-        let home = self
-            .home
-            .upgrade()
-            .expect("the runtime lives in its PE's local storage");
-        self.state(&home, f)
     }
 
     /// The runtime previously installed on this PE, borrowed from its
@@ -280,10 +264,10 @@ impl Charm {
     }
 
     /// Register chare type `T` (same order on every PE!).
-    pub fn register<T: Chare>(&self) -> ChareKind {
+    pub fn register<T: Chare>(&self, pe: &Pe) -> ChareKind {
         let ctor: Ctor =
             Arc::new(|pe, id, payload| Box::new(T::new(pe, id, payload)) as Box<dyn Chare>);
-        self.read(|s| {
+        self.state(pe, |s| {
             s.ctors.push(ctor);
             ChareKind((s.ctors.len() - 1) as u32)
         })
@@ -291,8 +275,8 @@ impl Charm {
 
     /// Register a *migratable* chare type: like [`Charm::register`] but
     /// the kind can later move between PEs with [`Charm::migrate`].
-    pub fn register_migratable<T: MigratableChare>(&self) -> ChareKind {
-        let kind = self.register::<T>();
+    pub fn register_migratable<T: MigratableChare>(&self, pe: &Pe) -> ChareKind {
+        let kind = self.register::<T>(pe);
         let unpack: MigCtor =
             Arc::new(|pe, id, data| Box::new(T::unpack(pe, id, data)) as Box<dyn Chare>);
         let pack: Packer2 = Arc::new(|obj| {
@@ -303,7 +287,7 @@ impl Charm {
                 .expect("kind table guarantees the concrete type")
                 .pack()
         });
-        self.read(|s| s.migrators.insert(kind.0, (unpack, pack)));
+        self.state(pe, |s| s.migrators.insert(kind.0, (unpack, pack)));
         kind
     }
 
@@ -312,7 +296,7 @@ impl Charm {
     /// `payload`; `prio` orders the creation against other scheduler
     /// work.
     pub fn create(&self, pe: &Pe, kind: ChareKind, payload: &[u8], prio: Priority) {
-        self.qd.msg_created(1);
+        self.qd.msg_created(pe, 1);
         let head = StackPacker::<8>::new()
             .u32(kind.0)
             .len_prefix(payload.len());
@@ -323,7 +307,7 @@ impl Charm {
     /// Asynchronously invoke entry method `ep` of chare `id` with
     /// `payload` — the caller does not wait (§2.1).
     pub fn send(&self, pe: &Pe, id: ChareId, ep: u32, payload: &[u8], prio: Priority) {
-        self.qd.msg_created(1);
+        self.qd.msg_created(pe, 1);
         let head = StackPacker::<16>::new()
             .u64(id.slot)
             .u32(ep)
@@ -338,15 +322,20 @@ impl Charm {
     /// start-up, before the computation proper — exactly how Charm uses
     /// readonly variables.
     pub fn publish_readonly(&self, pe: &Pe, key: u32, data: &[u8]) {
-        self.qd.msg_created(pe.num_pes() as u64);
+        self.qd.msg_created(pe, pe.num_pes() as u64);
         let head = StackPacker::<8>::new().u32(key).len_prefix(data.len());
         let parts = [head.as_slice(), data];
         pe.sync_broadcast_all(&Message::gather(self.readonly_h, &Priority::None, parts));
     }
 
     /// Read this PE's copy of a readonly global, if it has arrived.
-    pub fn readonly(&self, key: u32) -> Option<Vec<u8>> {
-        self.read(|s| s.readonlies.get(&key).cloned())
+    pub fn readonly(&self, pe: &Pe, key: u32) -> Option<Vec<u8>> {
+        self.state(pe, |s| s.readonlies.get(&key).cloned())
+    }
+
+    /// Chares constructed on this PE so far.
+    pub fn chares_created(&self, pe: &Pe) -> u64 {
+        self.state(pe, |s| s.chares_created)
     }
 
     /// Read a readonly global, pumping the scheduler until it arrives.
@@ -363,9 +352,9 @@ impl Charm {
     }
 
     /// Number of live chares on this PE (forwarding stubs excluded).
-    pub fn local_chares(&self) -> usize {
+    pub fn local_chares(&self, pe: &Pe) -> usize {
         let live = |o: &&Slot| matches!(o, Slot::Live { .. });
-        self.read(|s| s.objects.values().filter(live).count())
+        self.state(pe, |s| s.objects.values().filter(live).count())
     }
 
     /// Destroy a local chare, freeing its slot. Returns false if `id` is
@@ -416,7 +405,7 @@ impl Charm {
         };
         let data = packer(obj.as_ref());
         drop(obj);
-        self.qd.msg_created(1);
+        self.qd.msg_created(pe, 1);
         let head = StackPacker::<24>::new()
             .u32(kind)
             .usize(id.pe)
@@ -464,11 +453,11 @@ impl Charm {
             slot,
         };
         pe.trace_event(converse_trace::Event::ObjectCreate { kind });
-        let obj = unpack(pe, new_id, data);
-        self.insert_live(pe, slot, kind, obj);
-        self.qd.msg_processed(1);
+        let obj = Some(unpack(pe, new_id, data));
+        self.state(pe, |s| s.objects.insert(slot, Slot::Live { kind, obj }));
+        self.qd.msg_processed(pe, 1);
         // Tell the origin where the object lives now.
-        self.qd.msg_created(1);
+        self.qd.msg_created(pe, 1);
         let ack = StackPacker::<24>::new()
             .u64(origin_slot)
             .raw(&new_id.encode());
@@ -495,7 +484,7 @@ impl Charm {
                 }
             ),
         };
-        self.qd.msg_processed(1);
+        self.qd.msg_processed(pe, 1);
         for m in held {
             self.forward(pe, new_id, m);
         }
@@ -512,12 +501,6 @@ impl Charm {
         pe.sync_send_and_free(to.pe, msg);
     }
 
-    /// Put a freshly built object into the table under `slot`.
-    fn insert_live(&self, pe: &Pe, slot: u64, kind: u32, obj: Box<dyn Chare>) {
-        let obj = Some(obj);
-        self.state(pe, |s| s.objects.insert(slot, Slot::Live { kind, obj }));
-    }
-
     fn construct(&self, pe: &Pe, kind: ChareKind, payload: &[u8]) {
         let (ctor, slot) = self.state(pe, |s| {
             (s.ctors.get(kind.0 as usize).cloned(), s.next_slot())
@@ -529,11 +512,13 @@ impl Charm {
             slot,
         };
         pe.trace_event(converse_trace::Event::ObjectCreate { kind: kind.0 });
-        let obj = ctor(pe, id, payload);
-        self.insert_live(pe, slot, kind.0, obj);
-        let created = &self.chares_created;
-        created.store(created.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        self.qd.msg_processed(1);
+        let (kind, obj) = (kind.0, Some(ctor(pe, id, payload)));
+        // A fresh slot: `insert` replaces nothing.
+        self.state(pe, |s| {
+            s.objects.insert(slot, Slot::Live { kind, obj });
+            s.chares_created += 1;
+        });
+        self.qd.msg_processed(pe, 1);
     }
 
     fn execute(&self, pe: &Pe, msg: Message) {
@@ -578,6 +563,6 @@ impl Charm {
             Some(Slot::Live { obj: o, .. }) => o.replace(obj),
             _ => Some(obj),
         });
-        self.qd.msg_processed(1);
+        self.qd.msg_processed(pe, 1);
     }
 }

@@ -139,8 +139,8 @@ fn migratable(s: &State) -> impl Iterator<Item = u64> + '_ {
 
 impl Charm {
     /// Count the live migratable objects on this PE.
-    pub fn local_migratable(&self) -> usize {
-        self.read(|s| migratable(s).count())
+    pub fn local_migratable(&self, pe: &Pe) -> usize {
+        self.state(pe, |s| migratable(s).count())
     }
 
     /// Loosely synchronous rebalancing pass: **every PE must call this

@@ -61,7 +61,7 @@ impl Chare for Accumulator {
 fn create_invoke_and_report_roundtrip() {
     converse_core::run(4, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Random { seed: 11 });
-        let kind = charm.register::<Accumulator>();
+        let kind = charm.register::<Accumulator>(pe);
         let id_slot = pe.local(|| parking_lot::Mutex::new(None::<ChareId>));
         let result = pe.local(|| parking_lot::Mutex::new(None::<i64>));
         let id2 = id_slot.clone();
@@ -185,7 +185,7 @@ impl Fib {
 fn fibonacci_tree_of_chares_across_pes() {
     converse_core::run(4, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Random { seed: 5 });
-        let kind = charm.register::<Fib>();
+        let kind = charm.register::<Fib>(pe);
         let result = pe.local(|| parking_lot::Mutex::new(None::<u64>));
         let r2 = result.clone();
         let report = pe.register_handler(move |pe, msg| {
@@ -208,7 +208,7 @@ fn fibonacci_tree_of_chares_across_pes() {
             assert_eq!(result.lock().unwrap(), 55, "fib(10)");
         }
         // The tree was spread over the machine, not just PE 0.
-        let created = charm.chares_created.load(Ordering::Relaxed);
+        let created = charm.chares_created(pe);
         pe.cmi_printf(format!("PE {} created {} chares", pe.my_pe(), created));
     });
 }
@@ -240,7 +240,7 @@ fn priorities_order_entry_execution() {
             .clone();
         log.lock().clear();
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register::<Recorder>();
+        let kind = charm.register::<Recorder>(pe);
         charm.create(pe, kind, b"", Priority::None);
         csd_scheduler(pe, 1); // construct it (slot 1 on this PE)
         let id = ChareId { pe: 0, slot: 1 };
@@ -265,14 +265,14 @@ fn destroy_frees_slot() {
             fn entry(&mut self, _pe: &Pe, _id: ChareId, _ep: u32, _p: &[u8]) {}
         }
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register::<Noop>();
+        let kind = charm.register::<Noop>(pe);
         charm.create(pe, kind, b"", Priority::None);
         csd_scheduler(pe, 1);
-        assert_eq!(charm.local_chares(), 1);
+        assert_eq!(charm.local_chares(pe), 1);
         let id = ChareId { pe: 0, slot: 1 };
         assert!(charm.destroy(pe, id));
         assert!(!charm.destroy(pe, id));
-        assert_eq!(charm.local_chares(), 0);
+        assert_eq!(charm.local_chares(pe), 0);
     });
 }
 
@@ -282,7 +282,7 @@ fn quiescence_fires_after_fib_completes() {
     let f2 = fired.clone();
     converse_core::run(2, move |pe| {
         let charm = Charm::install(pe, LdbPolicy::Random { seed: 3 });
-        let kind = charm.register::<Fib>();
+        let kind = charm.register::<Fib>(pe);
         let result = pe.local(|| parking_lot::Mutex::new(None::<u64>));
         let r2 = result.clone();
         let report = pe.register_handler(move |_pe, msg| {

@@ -46,7 +46,7 @@ fn create_constructs_branch_on_every_pe() {
     run(4, move |pe| {
         let hits = h2.clone();
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_group::<Counter>();
+        let kind = charm.register_group::<Counter>(pe);
         pe.barrier();
         if pe.my_pe() == 0 {
             let gid = charm.create_group(pe, kind, b"");
@@ -55,7 +55,7 @@ fn create_constructs_branch_on_every_pe() {
         pe.barrier();
         csd_scheduler_until_idle(pe);
         pe.barrier();
-        assert_eq!(charm.local_group_branches(), 1, "one branch per PE");
+        assert_eq!(charm.local_group_branches(pe), 1, "one branch per PE");
         hits.fetch_add(local_hits(pe).0.load(Ordering::SeqCst), Ordering::SeqCst);
     });
     assert_eq!(hits.load(Ordering::SeqCst), 4, "broadcast hit every branch");
@@ -65,7 +65,7 @@ fn create_constructs_branch_on_every_pe() {
 fn send_group_targets_one_pe() {
     run(3, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_group::<Counter>();
+        let kind = charm.register_group::<Counter>(pe);
         let got = pe.local(|| parking_lot::Mutex::new(Vec::<u64>::new()));
         let g2 = got.clone();
         let reply = pe.register_handler(move |_pe, msg| {
@@ -101,14 +101,14 @@ fn third_party_send_before_create_is_buffered() {
     run(3, move |pe| {
         let hits = h2.clone();
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_group::<Counter>();
+        let kind = charm.register_group::<Counter>(pe);
         let gid_slot = pe.local(|| parking_lot::Mutex::new(None::<GroupId>));
         let s2 = gid_slot.clone();
         let announce = pe.register_handler(move |pe, msg| {
             *s2.lock() = Some(GroupId(u64::from_le_bytes(
                 msg.payload().try_into().unwrap(),
             )));
-            Charm::get(pe).quiescence().msg_processed(1);
+            Charm::get(pe).quiescence().msg_processed(pe, 1);
         });
         let done = pe.register_handler(|pe, _| Charm::get(pe).exit_all(pe));
         pe.barrier();
@@ -116,7 +116,7 @@ fn third_party_send_before_create_is_buffered() {
             let gid = charm.create_group(pe, kind, b"");
             // Tell PE 1 the id through a separate channel (QD-counted so
             // detection waits for the whole causal chain).
-            charm.quiescence().msg_created(1);
+            charm.quiescence().msg_created(pe, 1);
             pe.sync_send_and_free(1, Message::new(announce, &gid.0.to_le_bytes()));
             charm.quiescence().start(pe, Message::new(done, b""));
             csd_scheduler(pe, -1);
@@ -146,7 +146,7 @@ fn quiescence_covers_group_traffic() {
     run(2, move |pe| {
         let hits = h2.clone();
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_group::<Counter>();
+        let kind = charm.register_group::<Counter>(pe);
         let done = pe.register_handler(|pe, _| converse_core::csd_exit_scheduler(pe));
         pe.barrier();
         if pe.my_pe() == 0 {
@@ -197,7 +197,7 @@ impl GroupChare for Recorder {
 fn parts_are_gathered_and_a_destroyed_group_leaves_no_branch() {
     run(2, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_group::<Recorder>();
+        let kind = charm.register_group::<Recorder>(pe);
         pe.barrier();
         let gid_bytes = pe.bcast_bytes(
             0,
@@ -222,10 +222,10 @@ fn parts_are_gathered_and_a_destroyed_group_leaves_no_branch() {
                 .clone();
             assert_eq!(seen, [&b"head-body"[..], b"head-body", b""]);
         }
-        assert_eq!(charm.local_group_branches(), 1);
-        assert!(charm.destroy_group(gid));
-        assert_eq!(charm.local_group_branches(), 0);
-        assert!(!charm.destroy_group(gid), "already gone");
+        assert_eq!(charm.local_group_branches(pe), 1);
+        assert!(charm.destroy_group(pe, gid));
+        assert_eq!(charm.local_group_branches(pe), 0);
+        assert!(!charm.destroy_group(pe, gid), "already gone");
         pe.barrier();
     });
 }

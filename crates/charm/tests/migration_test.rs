@@ -67,7 +67,7 @@ fn state_survives_migration_and_messages_forward() {
     let s2 = seen_on.clone();
     run(3, move |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_migratable::<Roamer>();
+        let kind = charm.register_migratable::<Roamer>(pe);
         let result = pe.local(|| parking_lot::Mutex::new(None::<i64>));
         let r2 = result.clone();
         let report = pe.register_handler(move |pe, msg| {
@@ -80,7 +80,7 @@ fn state_survives_migration_and_messages_forward() {
             // Construct locally (Direct policy). A peer's barrier
             // traffic can race into the mailbox, so wait for the object
             // itself rather than counting scheduler steps.
-            converse_core::schedule_until(pe, || charm.local_chares() == 1);
+            converse_core::schedule_until(pe, || charm.local_chares(pe) == 1);
             let id = ChareId { pe: 0, slot: 1 };
             charm.send(pe, id, 0, &10i64.to_le_bytes(), Priority::None);
             converse_core::csd_scheduler_until_idle(pe);
@@ -95,13 +95,13 @@ fn state_survives_migration_and_messages_forward() {
             csd_scheduler(pe, -1);
             assert_eq!(result.lock().unwrap(), 60, "10 local + 20 + 30 forwarded");
             // The old slot is now a forwarding stub, not a live chare.
-            assert_eq!(charm.local_chares(), 0);
+            assert_eq!(charm.local_chares(pe), 0);
             let home = charm.current_home(pe, id);
             assert_eq!(home.pe, 2, "forwarding entry points at the new home");
         } else {
             csd_scheduler(pe, -1);
             if pe.my_pe() == 2 {
-                assert_eq!(charm.local_chares(), 1, "the roamer lives here now");
+                assert_eq!(charm.local_chares(pe), 1, "the roamer lives here now");
             }
         }
         if let Some(trail) = pe.try_local::<PeTrail>() {
@@ -132,14 +132,14 @@ fn migrate_nonmigratable_kind_is_refused() {
     }
     run(2, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register::<Plain>();
+        let kind = charm.register::<Plain>(pe);
         pe.barrier();
         if pe.my_pe() == 0 {
             charm.create(pe, kind, b"", Priority::None);
-            converse_core::schedule_until(pe, || charm.local_chares() == 1);
+            converse_core::schedule_until(pe, || charm.local_chares(pe) == 1);
             let id = ChareId { pe: 0, slot: 1 };
             assert!(!charm.migrate(pe, id, 1), "plain kinds cannot migrate");
-            assert_eq!(charm.local_chares(), 1, "object untouched after refusal");
+            assert_eq!(charm.local_chares(pe), 1, "object untouched after refusal");
         }
         pe.barrier();
     });
@@ -149,7 +149,7 @@ fn migrate_nonmigratable_kind_is_refused() {
 fn migrate_remote_or_missing_is_refused() {
     run(2, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let _ = charm.register_migratable::<Roamer>();
+        let _ = charm.register_migratable::<Roamer>(pe);
         pe.barrier();
         if pe.my_pe() == 0 {
             // Remote id.
@@ -169,7 +169,7 @@ fn chained_migration_forwards_through_hops() {
     // object through two forwarding stubs.
     run(3, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_migratable::<Roamer>();
+        let kind = charm.register_migratable::<Roamer>(pe);
         let result = pe.local(|| parking_lot::Mutex::new(None::<i64>));
         let r2 = result.clone();
         let report = pe.register_handler(move |pe, msg| {
@@ -179,7 +179,7 @@ fn chained_migration_forwards_through_hops() {
         pe.barrier();
         if pe.my_pe() == 0 {
             charm.create(pe, kind, &report.0.to_le_bytes(), Priority::None);
-            converse_core::schedule_until(pe, || charm.local_chares() == 1);
+            converse_core::schedule_until(pe, || charm.local_chares(pe) == 1);
             let id = ChareId { pe: 0, slot: 1 };
             charm.send(pe, id, 0, &1i64.to_le_bytes(), Priority::None);
             converse_core::csd_scheduler_until_idle(pe);
@@ -198,7 +198,7 @@ fn chained_migration_forwards_through_hops() {
             converse_core::schedule_until(pe, || {
                 // Probe: ask PE1-side home... we can't see PE1's tables;
                 // poll a readonly PE1 publishes after its migrate.
-                charm.readonly(2).is_some()
+                charm.readonly(pe, 2).is_some()
             });
             charm.send(pe, id, 0, &4i64.to_le_bytes(), Priority::None);
             charm.send(pe, id, 1, b"", Priority::None);
@@ -209,7 +209,7 @@ fn chained_migration_forwards_through_hops() {
             let id_here = ChareId::decode(&raw).unwrap();
             // The object may still be in flight toward us; wait until it
             // is live locally, then push it to PE 2.
-            converse_core::schedule_until(pe, || charm.local_chares() == 1);
+            converse_core::schedule_until(pe, || charm.local_chares(pe) == 1);
             assert!(charm.migrate(pe, id_here, 2));
             converse_core::schedule_until(pe, || charm.current_home(pe, id_here).pe == 2);
             charm.publish_readonly(pe, 2, b"moved");

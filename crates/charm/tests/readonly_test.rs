@@ -18,10 +18,10 @@ fn published_readonly_visible_everywhere() {
         assert_eq!(charm.readonly_wait(pe, 1), b"configuration blob");
         assert_eq!(charm.readonly_wait(pe, 2), 42u64.to_le_bytes());
         assert_eq!(
-            charm.readonly(1).as_deref(),
+            charm.readonly(pe, 1).as_deref(),
             Some(&b"configuration blob"[..])
         );
-        assert!(charm.readonly(99).is_none());
+        assert!(charm.readonly(pe, 99).is_none());
         pe.barrier();
         let _ = done;
     });
@@ -38,12 +38,12 @@ fn readonly_counts_toward_quiescence() {
             charm.quiescence().start(pe, Message::new(done, b""));
             csd_scheduler(pe, -1);
             // Quiescence fired only after both PEs absorbed the readonly.
-            assert!(charm.readonly(7).is_some());
+            assert!(charm.readonly(pe, 7).is_some());
             charm.exit_all(pe);
             csd_scheduler(pe, -1);
         } else {
             csd_scheduler(pe, -1);
-            assert!(charm.readonly(7).is_some());
+            assert!(charm.readonly(pe, 7).is_some());
         }
         pe.barrier();
     });

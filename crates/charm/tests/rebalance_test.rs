@@ -45,7 +45,7 @@ impl MigratableChare for Cell {
 fn rebalance_evens_out_a_skewed_population() {
     run(4, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_migratable::<Cell>();
+        let kind = charm.register_migratable::<Cell>(pe);
         pe.barrier();
         // All 12 cells are born on PE 0 (Direct policy).
         if pe.my_pe() == 0 {
@@ -55,7 +55,7 @@ fn rebalance_evens_out_a_skewed_population() {
         }
         csd_scheduler_until_idle(pe);
         pe.barrier();
-        let before = charm.local_migratable();
+        let before = charm.local_migratable(pe);
         if pe.my_pe() == 0 {
             assert_eq!(before, 12);
         } else {
@@ -63,7 +63,7 @@ fn rebalance_evens_out_a_skewed_population() {
         }
         // Phase boundary: everyone rebalances.
         let report = charm.rebalance_sync(pe);
-        assert_eq!(charm.local_migratable(), 3, "PE {} balanced", pe.my_pe());
+        assert_eq!(charm.local_migratable(pe), 3, "PE {} balanced", pe.my_pe());
         if pe.my_pe() == 0 {
             assert_eq!(report.moved_out.len(), 9);
             assert_eq!(report.expected_in, 0);
@@ -79,7 +79,7 @@ fn rebalance_evens_out_a_skewed_population() {
 fn state_and_reachability_survive_rebalancing() {
     run(3, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_migratable::<Cell>();
+        let kind = charm.register_migratable::<Cell>(pe);
         let result = pe.local(|| parking_lot::Mutex::new(Vec::<i64>::new()));
         let r2 = result.clone();
         let report = pe.register_handler(move |_pe, msg| {
@@ -127,7 +127,7 @@ fn state_and_reachability_survive_rebalancing() {
 fn rebalance_on_balanced_machine_is_noop() {
     run(2, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_migratable::<Cell>();
+        let kind = charm.register_migratable::<Cell>(pe);
         pe.barrier();
         // Each PE creates two of its own.
         for v in 0..2i64 {
@@ -138,7 +138,7 @@ fn rebalance_on_balanced_machine_is_noop() {
         let report = charm.rebalance_sync(pe);
         assert!(report.moved_out.is_empty());
         assert_eq!(report.expected_in, 0);
-        assert_eq!(charm.local_migratable(), 2);
+        assert_eq!(charm.local_migratable(pe), 2);
         pe.barrier();
     });
 }

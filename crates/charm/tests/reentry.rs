@@ -1,6 +1,7 @@
 //! The runtimes' PE-local state is owner-only cells, and none is held
 //! while user code runs. This file calls every Charm, group, Ldb,
-//! quiescence and Cts operation from inside each kind of user code — a
+//! quiescence and Cts operation — and every reader of a runtime, each
+//! handed the caller's `pe` — from inside each kind of user code — a
 //! chare constructor, a chare entry, a group entry, a Cth thread — on
 //! both thread backends: a cell left open across the call would panic
 //! ("opened re-entrantly"), a lost message would hang the quiescence
@@ -12,8 +13,9 @@ use converse_charm::{
 use converse_core::{csd_scheduler, schedule_until, HandlerId, Message, Pe, Quiescence};
 use converse_ldb::{Ldb, LdbPolicy};
 use converse_msg::Priority;
-use converse_sync::CtsLock;
-use converse_threads::{cth_create, cth_resume, run_on_each_backend};
+use converse_sm::{mpi::Mpi, Sm};
+use converse_sync::{CtsBarrier, CtsCondn, CtsLock};
+use converse_threads::{cth_create, cth_resume, run_on_each_backend, CthRuntime};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -57,21 +59,49 @@ fn exercise(pe: &Pe, round: u32) {
     charm.send(pe, moved, EP_NOOP, b"", Priority::None);
     assert!(charm.migrate(pe, moved, 1), "a live migratable chare moves");
     assert!(charm.destroy(pe, doomed), "a live chare is destroyed");
-    let _live = charm.local_chares();
+    let _live = charm.local_chares(pe);
     charm.publish_readonly(pe, round, &round.to_le_bytes());
-    let _maybe_not_yet = charm.readonly(round);
+    let _maybe_not_yet = charm.readonly(pe, round);
     // Groups: create one and invoke it; tear down a finished one.
     let gid = charm.create_group(pe, rig.branch, &[]);
     charm.send_group(pe, gid, 1, EP_NOOP, b"", Priority::None);
     charm.broadcast_group(pe, gid, EP_NOOP, b"", Priority::None);
     let finished = rig.doomed.lock().take().expect("a finished group");
-    assert!(charm.destroy_group(finished));
+    assert!(charm.destroy_group(pe, finished));
     // A bare seed, the detector that ends the round, a Cts lock.
     Ldb::get(pe).deposit(pe, Message::new(rig.noop_h, b""));
     Quiescence::get(pe).start(pe, Message::new(rig.done_h, b""));
     let lock = CtsLock::new(pe);
     lock.lock(pe);
+    assert!(lock.owner(pe).is_some());
     lock.unlock(pe).expect("the locker unlocks");
+    read_everything(pe);
+}
+
+/// Every reader a runtime has, each handed the caller's `pe`.
+fn read_everything(pe: &Pe) {
+    let charm = Charm::get(pe);
+    let qd = Quiescence::get(pe);
+    assert!(qd.is_active(pe), "armed by this round, not yet quiet");
+    assert!(qd.created(pe) > 0 && qd.processed(pe) > 0);
+    assert!(Ldb::get(pe).stats(pe).deposited > 0);
+    assert!(charm.chares_created(pe) >= 2, "the victims were built here");
+    let _ = (charm.local_chares(pe), charm.readonly(pe, 0));
+    let _ = (charm.local_group_branches(pe), charm.local_migratable(pe));
+    let lock = CtsLock::new(pe);
+    assert_eq!((lock.owner(pe), lock.waiters(pe)), (None, 0));
+    assert_eq!(CtsCondn::new(pe).waiters(pe), 0);
+    assert_eq!(CtsBarrier::new(pe, 2).waiting(pe), 0);
+    assert_eq!(Sm::get(pe).buffered(pe), 0);
+    assert_eq!(Sm::get(pe).probe(pe, 0, 0), None);
+    let mpi = Mpi::get(pe);
+    assert_eq!(
+        (mpi.pending(pe), mpi.held(pe), mpi.probe(pe, 0, 0)),
+        (0, 0, None)
+    );
+    let rt = CthRuntime::get(pe);
+    let _ = (rt.live_len(pe), rt.ready_len(pe), rt.stack_pool_stats(pe));
+    assert!(rt.switches(pe) >= rt.direct_handoffs(pe));
 }
 
 /// Runs `exercise` in its constructor (payload `[1]`) or in its
@@ -147,10 +177,12 @@ fn prepare_round(pe: &Pe, charm: &Charm, rig: &Rig) {
 fn no_cell_is_held_across_user_code() {
     run_on_each_backend(2, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
+        Sm::install(pe);
+        Mpi::install(pe);
         pe.local(|| Rig {
-            probe: charm.register::<Probe>(),
-            victim: charm.register_migratable::<Victim>(),
-            branch: charm.register_group::<Branch>(),
+            probe: charm.register::<Probe>(pe),
+            victim: charm.register_migratable::<Victim>(pe),
+            branch: charm.register_group::<Branch>(pe),
             noop_h: pe.register_handler(|_, _| {}),
             done_h: pe.register_handler(|pe, _| {
                 rig(pe).rounds_done.fetch_add(1, Ordering::SeqCst);
@@ -220,4 +252,30 @@ fn a_cts_lock_used_on_another_pe_panics() {
         .or_else(|| err.downcast_ref::<String>().cloned())
         .unwrap_or_default();
     assert!(msg.contains("owner-only state"), "got: {msg}");
+}
+
+#[test]
+fn a_quiescence_read_with_another_pes_token_panics() {
+    let shared: Arc<OnceLock<Arc<Quiescence>>> = Arc::new(OnceLock::new());
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        converse_core::run(2, move |pe| {
+            let qd = Quiescence::install(pe);
+            if pe.my_pe() == 0 {
+                assert!(shared.set(qd).is_ok());
+            }
+            pe.barrier();
+            if pe.my_pe() == 1 {
+                shared.get().expect("made on PE 0").created(pe);
+            }
+            pe.barrier();
+        });
+    }));
+    let err = result.expect_err("PE 1 may not open PE 0's detector");
+    let msg = (err.downcast_ref::<&str>().copied().map(str::to_owned))
+        .or_else(|| err.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(
+        msg.contains("owner-only state opened with another PE's run token"),
+        "got: {msg}"
+    );
 }

@@ -18,8 +18,7 @@
 use crate::csd;
 use converse_machine::{HandlerId, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// PE 0's side of a detection (idle elsewhere).
 #[derive(Default)]
@@ -33,18 +32,22 @@ struct RootWave {
     callback: Option<Message>,
 }
 
+/// What the detector keeps per PE: this PE's counters and PE 0's wave.
+#[derive(Default)]
+struct State {
+    created: u64,
+    processed: u64,
+    root: RootWave,
+}
+
 /// Per-PE quiescence runtime, kept in PE-local storage. Install with
 /// [`Quiescence::install`]; handlers resolve it with [`Quiescence::get`].
 pub struct Quiescence {
-    created: AtomicU64,
-    processed: AtomicU64,
     wave_h: HandlerId,
     reply_h: HandlerId,
     next_wave_h: HandlerId,
     /// Owner-only: touched by the PE's running context alone.
-    state: OwnerCell<RootWave>,
-    /// PE whose token opens the state, for [`Quiescence::is_active`].
-    home: Weak<Pe>,
+    state: OwnerCell<State>,
 }
 
 impl Quiescence {
@@ -60,10 +63,11 @@ impl Quiescence {
             let qd = Quiescence::get(pe);
             let mut u = Unpacker::new(msg.payload());
             let wave = u.u64().expect("qd wave: wave");
+            let (created, processed) = qd.state(pe, |s| (s.created, s.processed));
             let reply = StackPacker::<24>::new()
                 .u64(wave)
-                .u64(qd.created.load(Ordering::SeqCst))
-                .u64(qd.processed.load(Ordering::SeqCst));
+                .u64(created)
+                .u64(processed);
             pe.sync_send_and_free(0, Message::new(qd.reply_h, reply.as_slice()));
         });
         let reply_h = pe.register_handler(|pe, msg| {
@@ -80,23 +84,20 @@ impl Quiescence {
         // drain — the same use of priorities §2.3 motivates.
         let next_wave_h = pe.register_handler(|pe, _msg| {
             let qd = Quiescence::get(pe);
-            if qd.state(pe, |r| r.active) {
+            if qd.is_active(pe) {
                 qd.send_wave(pe);
             }
         });
         Quiescence {
-            created: AtomicU64::new(0),
-            processed: AtomicU64::new(0),
             wave_h,
             reply_h,
             next_wave_h,
-            state: OwnerCell::new(pe.owner(), RootWave::default()),
-            home: Arc::downgrade(&pe.arc()),
+            state: OwnerCell::new(pe.owner(), State::default()),
         }
     }
 
     /// Open the detector's state. `f` must not call out of this module.
-    fn state<R>(&self, pe: &Pe, f: impl FnOnce(&mut RootWave) -> R) -> R {
+    fn state<R>(&self, pe: &Pe, f: impl FnOnce(&mut State) -> R) -> R {
         self.state.with(pe.owner(), f)
     }
 
@@ -109,24 +110,24 @@ impl Quiescence {
     }
 
     /// Count `n` messages as created (sent). Call at every counted send.
-    pub fn msg_created(&self, n: u64) {
-        self.created.fetch_add(n, Ordering::SeqCst);
+    pub fn msg_created(&self, pe: &Pe, n: u64) {
+        self.state(pe, |s| s.created += n);
     }
 
     /// Count `n` messages as processed. Call when a counted message's
     /// handler completes.
-    pub fn msg_processed(&self, n: u64) {
-        self.processed.fetch_add(n, Ordering::SeqCst);
+    pub fn msg_processed(&self, pe: &Pe, n: u64) {
+        self.state(pe, |s| s.processed += n);
     }
 
     /// Local created-counter value.
-    pub fn created(&self) -> u64 {
-        self.created.load(Ordering::SeqCst)
+    pub fn created(&self, pe: &Pe) -> u64 {
+        self.state(pe, |s| s.created)
     }
 
     /// Local processed-counter value.
-    pub fn processed(&self) -> u64 {
-        self.processed.load(Ordering::SeqCst)
+    pub fn processed(&self, pe: &Pe) -> u64 {
+        self.state(pe, |s| s.processed)
     }
 
     /// Arm the detector (PE 0 only): when the machine quiesces,
@@ -134,7 +135,8 @@ impl Quiescence {
     /// twice concurrently or called off PE 0.
     pub fn start(&self, pe: &Pe, callback: Message) {
         assert_eq!(pe.my_pe(), 0, "quiescence detection starts on PE 0");
-        self.state(pe, |r| {
+        self.state(pe, |s| {
+            let r = &mut s.root;
             assert!(!r.active, "quiescence detection already active");
             *r = RootWave {
                 active: true,
@@ -147,13 +149,12 @@ impl Quiescence {
     }
 
     /// True while a detection is armed and waves are circulating.
-    pub fn is_active(&self) -> bool {
-        let home = self.home.upgrade().expect("its PE is running");
-        self.state(&home, |r| r.active)
+    pub fn is_active(&self, pe: &Pe) -> bool {
+        self.state(pe, |s| s.root.active)
     }
 
     fn send_wave(&self, pe: &Pe) {
-        let wave = self.state(pe, |r| r.wave);
+        let wave = self.state(pe, |s| s.root.wave);
         pe.sync_broadcast_all(&Message::new(self.wave_h, &wave.to_le_bytes()));
     }
 
@@ -161,7 +162,8 @@ impl Quiescence {
         // `None` until every PE of the current wave has replied; then
         // `Some(callback)` if the machine is quiet, `Some(None)` if
         // another wave is due.
-        let done = self.state(pe, |r| {
+        let done = self.state(pe, |s| {
+            let r = &mut s.root;
             if !r.active || wave != r.wave {
                 return None; // stale reply from a previous wave
             }

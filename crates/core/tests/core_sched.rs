@@ -223,18 +223,18 @@ fn quiescence_detects_end_of_cascade() {
                 let id = slot2.lock().unwrap();
                 // Deterministic pseudo-fanout: spawn to two neighbours.
                 for k in 1..=2usize {
-                    qd2.msg_created(1);
+                    qd2.msg_created(pe, 1);
                     let dst = (pe.my_pe() + k * usize::from(depth)) % pe.num_pes();
                     pe.sync_send_and_free(dst, Message::new(id, &[depth - 1]));
                 }
             }
-            qd2.msg_processed(1);
+            qd2.msg_processed(pe, 1);
         });
         *slot.lock() = Some(work);
         let done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
         if pe.my_pe() == 0 {
-            qd.msg_created(1);
+            qd.msg_created(pe, 1);
             pe.sync_send_and_free(1, Message::new(work, &[5]));
             qd.start(pe, Message::new(done, b""));
             csd_scheduler(pe, -1);
@@ -259,7 +259,7 @@ fn quiescence_on_empty_machine_fires_immediately() {
         if pe.my_pe() == 0 {
             qd.start(pe, Message::new(done, b""));
             csd_scheduler(pe, -1);
-            assert!(!qd.is_active());
+            assert!(!qd.is_active(pe));
             pe.sync_broadcast(&Message::new(done, b""));
         } else {
             csd_scheduler(pe, -1);
@@ -277,15 +277,15 @@ fn quiescence_not_fooled_by_in_flight_messages() {
         let seen = pe.local(|| AtomicU64::new(0));
         let s2 = seen.clone();
         let qd2 = qd.clone();
-        let sink = pe.register_handler(move |_pe, _| {
+        let sink = pe.register_handler(move |pe, _| {
             s2.fetch_add(1, Ordering::SeqCst);
-            qd2.msg_processed(1);
+            qd2.msg_processed(pe, 1);
         });
         let done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
         if pe.my_pe() == 0 {
             // Create one counted message but send it late — after arming.
-            qd.msg_created(1);
+            qd.msg_created(pe, 1);
             qd.start(pe, Message::new(done, b""));
             std::thread::sleep(std::time::Duration::from_millis(30));
             pe.sync_send_and_free(1, Message::new(sink, b""));

@@ -73,7 +73,7 @@ fn double_arm_quiescence_panics() {
     run(1, |pe| {
         let qd = Quiescence::install(pe);
         let done = pe.register_handler(|_, _| {});
-        qd.msg_created(1); // keep it from firing instantly
+        qd.msg_created(pe, 1); // keep it from firing instantly
         qd.start(pe, Message::new(done, b""));
         qd.start(pe, Message::new(done, b""));
     });

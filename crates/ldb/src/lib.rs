@@ -39,7 +39,6 @@ use converse_msg::Priority;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which strategy an [`Ldb`] instance uses. Every PE of a machine must
@@ -87,33 +86,15 @@ pub enum LdbPolicy {
     Measured,
 }
 
-/// Counters describing what the balancer did on this PE. Only the PE's
-/// running context writes them, with a plain load and store; any thread
-/// may read them.
-#[derive(Debug, Default)]
+/// What the balancer did on this PE, read with [`Ldb::stats`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LdbStats {
     /// Seeds handed to [`Ldb::deposit`] on this PE.
-    pub deposited: AtomicU64,
+    pub deposited: u64,
     /// Seeds that took root (were enqueued) on this PE.
-    pub rooted: AtomicU64,
+    pub rooted: u64,
     /// Seeds this PE forwarded onward.
-    pub forwarded: AtomicU64,
-}
-
-impl LdbStats {
-    /// Snapshot as plain numbers (deposited, rooted, forwarded).
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.deposited.load(Ordering::Relaxed),
-            self.rooted.load(Ordering::Relaxed),
-            self.forwarded.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Add one to a counter only the PE's running context writes.
-fn bump(counter: &AtomicU64) {
-    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    pub forwarded: u64,
 }
 
 /// What the balancer keeps per PE; only the PE's running context
@@ -126,6 +107,7 @@ struct State {
     rng: SmallRng,
     /// Balancer events so far: paces load reports, rotates ties.
     events: u64,
+    stats: LdbStats,
 }
 
 /// Per-PE load balancer runtime. Install once per PE (same registration
@@ -137,8 +119,6 @@ pub struct Ldb {
     load_h: HandlerId,
     assign_h: HandlerId,
     state: OwnerCell<State>,
-    /// Public counters.
-    pub stats: LdbStats,
 }
 
 /// How often (in balancer events) a PE publishes its load.
@@ -216,6 +196,7 @@ impl Ldb {
             central_loads: vec![0; pe.num_pes()],
             rng,
             events: 0,
+            stats: LdbStats::default(),
         };
         Ldb {
             policy,
@@ -223,13 +204,17 @@ impl Ldb {
             load_h,
             assign_h,
             state: OwnerCell::new(pe.owner(), state),
-            stats: LdbStats::default(),
         }
     }
 
     /// Open the balancer's state. `f` must not call out of this module.
     fn state<R>(&self, pe: &Pe, f: impl FnOnce(&mut State) -> R) -> R {
         self.state.with(pe.owner(), f)
+    }
+
+    /// What the balancer did on this PE so far.
+    pub fn stats(&self, pe: &Pe) -> LdbStats {
+        self.state(pe, |s| s.stats)
     }
 
     /// The balancer previously installed on this PE, borrowed from its
@@ -245,7 +230,7 @@ impl Ldb {
     /// the policy; its priority is honoured by the destination queue.
     pub fn deposit(&self, pe: &Pe, seed: Message) {
         self.tick(pe);
-        bump(&self.stats.deposited);
+        self.state(pe, |s| s.stats.deposited += 1);
         let n = pe.num_pes();
         let dst = match self.policy {
             LdbPolicy::Direct => pe.my_pe(),
@@ -263,7 +248,7 @@ impl Ldb {
             LdbPolicy::Central if n == 1 => pe.my_pe(),
             LdbPolicy::Central => {
                 let head = StackPacker::<4>::new().len_prefix(seed.len());
-                bump(&self.stats.forwarded);
+                self.state(pe, |s| s.stats.forwarded += 1);
                 let parts = [head.as_slice(), seed.as_bytes()];
                 pe.sync_send_and_free(0, Message::gather(self.assign_h, &Priority::None, parts));
                 return;
@@ -278,7 +263,7 @@ impl Ldb {
         if dst == pe.my_pe() {
             self.root(pe, seed);
         } else {
-            bump(&self.stats.forwarded);
+            self.state(pe, |s| s.stats.forwarded += 1);
             self.send_seed(pe, dst, &seed, 1);
         }
     }
@@ -353,7 +338,7 @@ impl Ldb {
                 if dst == pe.my_pe() || dload >= local {
                     self.root(pe, seed);
                 } else {
-                    bump(&self.stats.forwarded);
+                    self.state(pe, |s| s.stats.forwarded += 1);
                     self.send_seed(pe, dst, &seed, hops + 1);
                 }
             }
@@ -374,7 +359,7 @@ impl Ldb {
     }
 
     fn root(&self, pe: &Pe, seed: Message) {
-        bump(&self.stats.rooted);
+        self.state(pe, |s| s.stats.rooted += 1);
         csd::csd_enqueue_prio(pe, seed);
     }
 

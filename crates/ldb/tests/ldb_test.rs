@@ -18,13 +18,13 @@ fn placement(num_pes: usize, policy: LdbPolicy, num_seeds: usize) -> Vec<u64> {
         let qd2 = qd.clone();
         let work = pe.register_handler(move |pe, _msg| {
             c[pe.my_pe()].fetch_add(1, Ordering::SeqCst);
-            qd2.msg_processed(1);
+            qd2.msg_processed(pe, 1);
         });
         let stop = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
         if pe.my_pe() == 0 {
             for _ in 0..num_seeds {
-                qd.msg_created(1);
+                qd.msg_created(pe, 1);
                 ldb.deposit(pe, Message::new(work, b"seed"));
             }
             qd.start(pe, Message::new(stop, b""));
@@ -145,20 +145,24 @@ fn stats_account_for_every_seed() {
         let qd = Quiescence::install(pe);
         let ldb = Ldb::install(pe, LdbPolicy::Random { seed: 9 });
         let qd2 = qd.clone();
-        let work = pe.register_handler(move |_pe, _| qd2.msg_processed(1));
+        let work = pe.register_handler(move |pe, _| qd2.msg_processed(pe, 1));
         let stop = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
         if pe.my_pe() == 0 {
             for _ in 0..20 {
-                qd.msg_created(1);
+                qd.msg_created(pe, 1);
                 ldb.deposit(pe, Message::new(work, b""));
             }
             qd.start(pe, Message::new(stop, b""));
             csd_scheduler(pe, -1);
             pe.sync_broadcast(&Message::new(stop, b""));
-            let (dep, rooted, fwd) = ldb.stats.snapshot();
-            assert_eq!(dep, 20);
-            assert_eq!(rooted + fwd, 20, "every deposited seed rooted here or left");
+            let stats = ldb.stats(pe);
+            assert_eq!(stats.deposited, 20);
+            assert_eq!(
+                stats.rooted + stats.forwarded,
+                20,
+                "every deposited seed rooted here or left"
+            );
         } else {
             csd_scheduler(pe, -1);
         }

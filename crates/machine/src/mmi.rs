@@ -16,7 +16,6 @@ use converse_msg::{HandlerId, Message};
 use converse_net::Channel;
 use converse_trace::Event;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// Handle identifying an asynchronous communication in progress
 /// (`CommHandle` in the appendix). Query with [`Pe::async_msg_sent`],
@@ -224,13 +223,14 @@ impl Pe {
     /// message" — buffered messages are *not* delivered, just retained
     /// for later retrieval.
     pub fn get_specific_msg(&self, handler: HandlerId) -> Message {
-        let deadline = self.blocking_deadline();
+        let mut deadline = None;
         loop {
             if let Some(m) = self.pending_take_matching(handler) {
                 return m;
             }
             match self.get_packet(crate::pe::INTERNAL_BUDGET) {
                 Some((src, m)) => {
+                    deadline = None;
                     if m.handler() == handler {
                         return m;
                     }
@@ -244,11 +244,7 @@ impl Pe {
                         self.pending_push(m);
                     }
                 }
-                None => {
-                    self.check_abort();
-                    self.check_deadline(deadline, "get_specific_msg");
-                    self.idle_wait(Duration::from_millis(20));
-                }
+                None => self.idle_step(&mut deadline, "get_specific_msg"),
             }
         }
     }

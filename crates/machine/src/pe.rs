@@ -27,7 +27,7 @@ use crate::pgrp::PgrpState;
 use crate::scatter::ScatterState;
 use converse_msg::{HandlerId, Message};
 use converse_net::{Channel, CmiTransport, Interconnect, Packet};
-use converse_queue::{CsdQueue, FifoQueue, LifoQueue, QueueingMode, SchedulingQueue};
+use converse_queue::{CsdQueue, FifoQueue, QueueingMode, SchedulingQueue};
 use converse_trace::{Event, StealPhase, TraceSink};
 use std::any::TypeId;
 use std::collections::VecDeque;
@@ -107,8 +107,6 @@ pub enum QueueKind {
     /// Plain FIFO — the cheapest strategy, for languages that never
     /// prioritize.
     Fifo,
-    /// Plain LIFO.
-    Lifo,
 }
 
 /// The scheduler's queue: one variant per [`QueueKind`], so the
@@ -116,7 +114,6 @@ pub enum QueueKind {
 pub(crate) enum SchedQueue {
     Csd(CsdQueue),
     Fifo(FifoQueue),
-    Lifo(LifoQueue),
 }
 
 impl SchedQueue {
@@ -124,7 +121,6 @@ impl SchedQueue {
         match kind {
             QueueKind::Csd => SchedQueue::Csd(CsdQueue::new()),
             QueueKind::Fifo => SchedQueue::Fifo(FifoQueue::new()),
-            QueueKind::Lifo => SchedQueue::Lifo(LifoQueue::new()),
         }
     }
 
@@ -133,7 +129,6 @@ impl SchedQueue {
         match self {
             SchedQueue::Csd(q) => q.enqueue(msg, mode),
             SchedQueue::Fifo(q) => q.enqueue(msg, mode),
-            SchedQueue::Lifo(q) => q.enqueue(msg, mode),
         }
     }
 
@@ -142,7 +137,6 @@ impl SchedQueue {
         match self {
             SchedQueue::Csd(q) => q.dequeue(),
             SchedQueue::Fifo(q) => q.dequeue(),
-            SchedQueue::Lifo(q) => q.dequeue(),
         }
     }
 
@@ -151,7 +145,6 @@ impl SchedQueue {
         match self {
             SchedQueue::Csd(q) => q.len(),
             SchedQueue::Fifo(q) => q.len(),
-            SchedQueue::Lifo(q) => q.len(),
         }
     }
 }
@@ -291,7 +284,8 @@ pub struct Pe {
     /// `trace.enabled()`, sampled once at boot: the message path asks
     /// several times per message and both sinks answer a constant.
     trace_on: bool,
-    self_ref: std::sync::Weak<Pe>,
+    /// The `Arc` this PE lives in, for [`Pe::arc`].
+    self_ref: std::sync::Weak<Self>,
     /// Number of reserved machine-internal handlers (table prefix).
     internal_count: usize,
     /// Finalizers run (in reverse registration order) after the entry
@@ -733,23 +727,28 @@ impl Pe {
         }
     }
 
+    /// The idle turn of the machine's blocking waits: unwind if the
+    /// machine failed, panic once `what` has taken nothing off the wire
+    /// for the block timeout, then park briefly. `deadline` is `None`
+    /// while the loop's last turn took a message.
+    pub(crate) fn idle_step(&self, deadline: &mut Option<std::time::Instant>, what: &str) {
+        self.check_abort();
+        let due = *deadline.get_or_insert_with(|| self.blocking_deadline());
+        self.check_deadline(due, what);
+        self.idle_wait(Duration::from_millis(20));
+    }
+
     /// Drive message delivery until `done()` holds: repeatedly drains the
     /// network (dispatching each message straight to its handler, like
     /// `CmiDeliverMsgs`), parking briefly when idle. This is a
     /// user-level blocking helper; it never touches the scheduler queue.
     pub fn deliver_until<F: FnMut() -> bool>(&self, mut done: F) {
-        let deadline = self.blocking_deadline();
-        loop {
-            if done() {
-                return;
-            }
-            if self.deliver_msgs(None) == 0 {
-                if done() {
-                    return;
-                }
-                self.check_abort();
-                self.check_deadline(deadline, "deliver_until");
-                self.idle_wait(Duration::from_millis(20));
+        let mut deadline = None;
+        while !done() {
+            if self.deliver_msgs(None) > 0 {
+                deadline = None;
+            } else if !done() {
+                self.idle_step(&mut deadline, "deliver_until");
             }
         }
     }
@@ -769,11 +768,8 @@ impl Pe {
     /// "no other actions should take place within the same process"
     /// while an SPM module blocks.
     pub(crate) fn deliver_internal_until<F: FnMut() -> bool>(&self, mut done: F) {
-        let deadline = self.blocking_deadline();
-        loop {
-            if done() {
-                return;
-            }
+        let mut deadline = None;
+        while !done() {
             let mut progressed = false;
             // Internal messages stranded in the pending buffer first
             // (defensive: the retrieval paths dispatch them eagerly).
@@ -782,6 +778,7 @@ impl Pe {
                 progressed = true;
             }
             while let Some((src, m)) = self.get_packet(INTERNAL_BUDGET) {
+                deadline = None;
                 if self.is_internal_handler(m.handler()) {
                     self.call_handler_from(src, m);
                     progressed = true;
@@ -791,13 +788,8 @@ impl Pe {
                 }
                 self.pending_push(m);
             }
-            if !progressed {
-                if done() {
-                    return;
-                }
-                self.check_abort();
-                self.check_deadline(deadline, "deliver_internal_until");
-                self.idle_wait(Duration::from_millis(20));
+            if !progressed && !done() {
+                self.idle_step(&mut deadline, "deliver_internal_until");
             }
         }
     }

@@ -673,6 +673,45 @@ fn block_watchdog_fires_on_deadlock() {
 }
 
 #[test]
+fn block_watchdog_measures_idle_time_not_wait_time() {
+    // PE 1 sends 20 messages 30 ms apart, 600 ms in all, while PE 0 sits
+    // in each of the machine's three blocking waits in turn. No gap
+    // between two arrivals comes near the 200 ms limit.
+    let cfg = MachineConfig::new(2).block_timeout(Duration::from_millis(200));
+    run_with(cfg, |pe| {
+        let (counted, count) = counting_handler(pe);
+        let wanted = pe.register_handler(|_, _| {});
+        let trickle = |h| {
+            for _ in 0..20 {
+                std::thread::sleep(Duration::from_millis(30));
+                pe.sync_send_and_free(0, Message::new(h, b""));
+            }
+        };
+        pe.barrier();
+        // deliver_until: every arrival is progress.
+        match pe.my_pe() {
+            0 => pe.deliver_until(|| count.load(Ordering::Relaxed) >= 20),
+            _ => trickle(counted),
+        }
+        pe.barrier();
+        // get_specific_msg: arrivals for another handler are buffered.
+        match pe.my_pe() {
+            0 => drop(pe.get_specific_msg(wanted)),
+            _ => {
+                trickle(counted);
+                pe.sync_send_and_free(0, Message::new(wanted, b""));
+            }
+        }
+        // deliver_internal_until (a barrier): user arrivals are buffered.
+        if pe.my_pe() == 1 {
+            trickle(counted);
+        }
+        pe.barrier();
+        pe.deliver_until(|| pe.my_pe() == 1 || count.load(Ordering::Relaxed) == 60);
+    });
+}
+
+#[test]
 fn traffic_accounting_in_report() {
     let report = run(2, |pe| {
         let id = pe.register_handler(|_, _| {});

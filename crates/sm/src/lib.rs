@@ -31,7 +31,7 @@ use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::Priority;
 use converse_msgmgr::{MsgManager, WILDCARD};
 use converse_threads::{cth_awaken, cth_self, cth_suspend, CthRuntime, Thread};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Wildcard for tag or source patterns in receives (PVM's `-1`).
 pub const ANY: i32 = WILDCARD;
@@ -154,9 +154,6 @@ pub struct Sm {
     data_h: HandlerId,
     /// Only this PE's contexts send it messages or receive: owner-only.
     mailbox: OwnerCell<Mailbox>,
-    /// For [`Sm::probe`] and [`Sm::buffered`], which are not handed the
-    /// PE whose token opens the mailbox.
-    home: Weak<Pe>,
 }
 
 impl Sm {
@@ -166,7 +163,6 @@ impl Sm {
         pe.local(|| Sm {
             data_h: pe.register_handler(|pe, msg| Sm::get(pe).ingest(pe, SmMsg::decode(msg))),
             mailbox: OwnerCell::new(pe.owner(), Mailbox::default()),
-            home: Arc::downgrade(&pe.arc()),
         })
     }
 
@@ -295,18 +291,10 @@ impl Sm {
         }
     }
 
-    /// The PE this runtime is installed on, for the readers that are
-    /// not handed one.
-    fn home(&self) -> Arc<Pe> {
-        self.home
-            .upgrade()
-            .expect("the SM runtime lives in its PE's local storage")
-    }
-
     /// Size of the earliest matching buffered message (`SMProbe`),
     /// without consuming it. Does not wait.
-    pub fn probe(&self, tag: i32, src: i32) -> Option<usize> {
-        self.mailbox(&self.home(), |mb| {
+    pub fn probe(&self, pe: &Pe, tag: i32, src: i32) -> Option<usize> {
+        self.mailbox(pe, |mb| {
             let is_msg = |h: &Held| matches!(h, Held::Msg(_));
             match &mb.held.probe_where(&[tag, src], is_msg)?.item {
                 Held::Msg(m) => Some(m.data.len()),
@@ -316,8 +304,8 @@ impl Sm {
     }
 
     /// Buffered (received but unconsumed) SM messages.
-    pub fn buffered(&self) -> usize {
-        self.mailbox(&self.home(), |mb| mb.held.len() - mb.receivers)
+    pub fn buffered(&self, pe: &Pe) -> usize {
+        self.mailbox(pe, |mb| mb.held.len() - mb.receivers)
     }
 
     /// Spawn a tSM thread scheduled through the Converse scheduler
@@ -357,7 +345,7 @@ pub mod pvm {
 
     /// `pvm_probe`: size of a buffered matching message, if any.
     pub fn probe(pe: &Pe, tag: i32, src: i32) -> Option<usize> {
-        Sm::get(pe).probe(tr(tag), tr(src))
+        Sm::get(pe).probe(pe, tr(tag), tr(src))
     }
 }
 
@@ -417,6 +405,6 @@ pub mod nx {
     /// `cprobe`: non-consuming test for a buffered message of the type.
     pub fn cprobe(pe: &Pe, typesel: i32) -> bool {
         let t = if typesel < 0 { ANY } else { typesel };
-        Sm::get(pe).probe(t, ANY).is_some()
+        Sm::get(pe).probe(pe, t, ANY).is_some()
     }
 }

@@ -21,7 +21,7 @@ use converse_msg::pack::StackPacker;
 use converse_msg::Priority;
 use converse_msgmgr::{MsgManager, WILDCARD};
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Wildcard for `recv`'s tag or source (MPI's `MPI_ANY_TAG` /
 /// `MPI_ANY_SOURCE`).
@@ -57,9 +57,6 @@ struct State {
 pub struct Mpi {
     data_h: HandlerId,
     state: OwnerCell<State>,
-    /// PE whose token opens the state, for the readers that are not
-    /// handed one.
-    home: Weak<Pe>,
 }
 
 impl Mpi {
@@ -69,21 +66,12 @@ impl Mpi {
         pe.local(|| Mpi {
             data_h: pe.register_handler(|pe, msg| Mpi::get(pe).ingest(pe, msg)),
             state: OwnerCell::new(pe.owner(), State::default()),
-            home: Arc::downgrade(&pe.arc()),
         })
     }
 
     /// Open the state. `f` must not call out of this module.
     fn state<R>(&self, pe: &Pe, f: impl FnOnce(&mut State) -> R) -> R {
         self.state.with(pe.owner(), f)
-    }
-
-    /// [`Mpi::state`] for the readers without a `pe`: owner-only like
-    /// the state itself.
-    fn read<R>(&self, f: impl FnOnce(&mut State) -> R) -> R {
-        let home = self.home.upgrade();
-        let home = home.expect("the MPI layer lives in its PE's local storage");
-        self.state(&home, f)
     }
 
     /// The layer previously installed on this PE, borrowed from its
@@ -167,8 +155,8 @@ impl Mpi {
 
     /// Non-consuming test (`MPI_Probe` with immediate return): size of
     /// the earliest matching admitted message.
-    pub fn probe(&self, tag: i32, src: i32) -> Option<usize> {
-        self.read(|s| s.mailbox.probe(&[tag, src]).map(|m| m.item.len()))
+    pub fn probe(&self, pe: &Pe, tag: i32, src: i32) -> Option<usize> {
+        self.state(pe, |s| s.mailbox.probe(&[tag, src]).map(|m| m.item.len()))
     }
 
     /// Combined send-then-receive (`MPI_Sendrecv`): ships `data` to
@@ -188,12 +176,12 @@ impl Mpi {
     }
 
     /// Messages admitted but not yet received.
-    pub fn pending(&self) -> usize {
-        self.read(|s| s.mailbox.len())
+    pub fn pending(&self, pe: &Pe) -> usize {
+        self.state(pe, |s| s.mailbox.len())
     }
 
     /// Out-of-order arrivals currently parked in the resequencer.
-    pub fn held(&self) -> usize {
-        self.read(|s| s.held.len())
+    pub fn held(&self, pe: &Pe) -> usize {
+        self.state(pe, |s| s.held.len())
     }
 }

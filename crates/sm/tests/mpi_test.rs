@@ -30,8 +30,8 @@ fn pairwise_fifo_under_reordered_delivery() {
                     "MPI ordering violated"
                 );
             }
-            assert_eq!(mpi.held(), 0, "resequencer drained");
-            assert_eq!(mpi.pending(), 0);
+            assert_eq!(mpi.held(pe), 0, "resequencer drained");
+            assert_eq!(mpi.pending(pe), 0);
         }
         pe.barrier();
     });
@@ -114,7 +114,7 @@ fn probe_sees_admitted_only() {
         let mpi = Mpi::install(pe);
         pe.barrier();
         if pe.my_pe() == 0 {
-            assert!(mpi.probe(3, ANY).is_none());
+            assert!(mpi.probe(pe, 3, ANY).is_none());
             let m = mpi.recv(pe, 3, ANY);
             assert_eq!(m.data, b"x");
         } else {

@@ -47,12 +47,12 @@ fn recv_by_specific_tag_buffers_others() {
             // Ask for tag 3 first: 1 and 2 must be buffered, not lost.
             let m3 = sm.recv(pe, 3, ANY);
             assert_eq!(m3.data, vec![3]);
-            assert_eq!(sm.buffered(), 2);
-            assert_eq!(sm.probe(1, ANY), Some(1));
+            assert_eq!(sm.buffered(pe), 2);
+            assert_eq!(sm.probe(pe, 1, ANY), Some(1));
             let m1 = sm.recv(pe, 1, ANY);
             let m2 = sm.recv(pe, 2, ANY);
             assert_eq!((m1.data[0], m2.data[0]), (1, 2));
-            assert_eq!(sm.buffered(), 0);
+            assert_eq!(sm.buffered(pe), 0);
         }
         pe.barrier();
     });
@@ -136,7 +136,7 @@ fn trecv_finds_already_buffered_message() {
         sm.send(pe, 0, 7, b"early");
         // Deliver it into the mailbox via the scheduler.
         csd_scheduler_until_idle(pe);
-        assert_eq!(sm.buffered(), 1);
+        assert_eq!(sm.buffered(pe), 1);
         let sm2 = sm.clone();
         let got = Arc::new(AtomicU64::new(0));
         let g2 = got.clone();
@@ -172,7 +172,7 @@ fn many_threads_tagged_pipeline() {
         csd_scheduler_until_idle(pe);
         assert_eq!(done.load(Ordering::SeqCst), (n - 1) as u64);
         // The final send (tag n) remains buffered, unclaimed.
-        assert_eq!(sm.buffered(), 1);
+        assert_eq!(sm.buffered(pe), 1);
     });
 }
 
@@ -282,8 +282,8 @@ fn spurious_wakeup_leaves_no_stale_receiver() {
         // Nobody waits for tag 5 any more: the next one is buffered.
         sm.send(pe, 0, 5, b"second");
         csd_scheduler_until_idle(pe);
-        assert_eq!(sm.buffered(), 1);
-        assert_eq!(sm.probe(5, ANY), Some(6));
+        assert_eq!(sm.buffered(pe), 1);
+        assert_eq!(sm.probe(pe, 5, ANY), Some(6));
     });
 }
 
@@ -303,7 +303,7 @@ fn receivers_are_served_in_posting_order_by_what_they_match() {
             });
         }
         csd_scheduler_until_idle(pe); // all three posted, in that order
-        assert_eq!(sm.buffered(), 0);
+        assert_eq!(sm.buffered(pe), 0);
         for (tag, data) in [(9, b"a"), (9, b"b"), (4, b"c"), (9, b"d")] {
             sm.send(pe, 0, tag, data);
         }
@@ -316,7 +316,7 @@ fn receivers_are_served_in_posting_order_by_what_they_match() {
                 ("nine", 9, b"d".to_vec())
             ]
         );
-        assert_eq!(sm.buffered(), 1);
+        assert_eq!(sm.buffered(pe), 1);
         assert_eq!(sm.recv(pe, ANY, ANY).data, b"c");
     });
 }

@@ -19,7 +19,7 @@
 use converse_machine::{OwnerCell, Pe};
 use converse_threads::{cth_awaken, cth_self, cth_suspend, Thread};
 use std::collections::VecDeque;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Identity of a lock-owning context: a thread id, or 0 for the PE's
 /// main context (which may hold uncontended locks but cannot block).
@@ -33,15 +33,6 @@ fn main_context_cannot_block(pe: &Pe) -> ! {
          thread objects may wait (create one with cth_create)",
         pe.my_pe()
     )
-}
-
-/// Open `cell` from the PE `home` names, for the readers not handed a
-/// `pe`: owner-only like the cell itself.
-fn read<T, R>(home: &Weak<Pe>, cell: &OwnerCell<T>, f: impl FnOnce(&mut T) -> R) -> R {
-    let pe = home
-        .upgrade()
-        .expect("a Cts primitive is read while its PE runs");
-    cell.with(pe.owner(), f)
 }
 
 /// Error returned by [`CtsLock::unlock`] when the caller is not the
@@ -62,7 +53,6 @@ struct LockInner {
 /// A queued mutual-exclusion lock (`LOCK`, `CtsNewLock`).
 pub struct CtsLock {
     inner: OwnerCell<LockInner>,
-    home: Weak<Pe>,
 }
 
 impl CtsLock {
@@ -74,7 +64,6 @@ impl CtsLock {
         };
         Arc::new(CtsLock {
             inner: OwnerCell::new(pe.owner(), inner),
-            home: Arc::downgrade(&pe.arc()),
         })
     }
 
@@ -135,13 +124,13 @@ impl CtsLock {
     }
 
     /// The owning context id, if locked.
-    pub fn owner(&self) -> Option<u64> {
-        read(&self.home, &self.inner, |l| l.owner)
+    pub fn owner(&self, pe: &Pe) -> Option<u64> {
+        self.inner.with(pe.owner(), |l| l.owner)
     }
 
     /// Number of threads queued on the lock.
-    pub fn waiters(&self) -> usize {
-        read(&self.home, &self.inner, |l| l.waiters.len())
+    pub fn waiters(&self, pe: &Pe) -> usize {
+        self.inner.with(pe.owner(), |l| l.waiters.len())
     }
 }
 
@@ -149,7 +138,6 @@ impl CtsLock {
 /// [`CtsCondn::signal`] releases one, [`CtsCondn::broadcast`] all.
 pub struct CtsCondn {
     waiters: OwnerCell<VecDeque<Thread>>,
-    home: Weak<Pe>,
 }
 
 impl CtsCondn {
@@ -158,7 +146,6 @@ impl CtsCondn {
     pub fn new(pe: &Pe) -> Arc<CtsCondn> {
         Arc::new(CtsCondn {
             waiters: OwnerCell::new(pe.owner(), VecDeque::new()),
-            home: Arc::downgrade(&pe.arc()),
         })
     }
 
@@ -195,8 +182,8 @@ impl CtsCondn {
     }
 
     /// Number of threads currently waiting.
-    pub fn waiters(&self) -> usize {
-        read(&self.home, &self.waiters, |w| w.len())
+    pub fn waiters(&self, pe: &Pe) -> usize {
+        self.waiters.with(pe.owner(), |w| w.len())
     }
 }
 
@@ -210,7 +197,6 @@ struct BarrierInner {
 /// is a broadcast" — the k-th arrival releases everyone.
 pub struct CtsBarrier {
     inner: OwnerCell<BarrierInner>,
-    home: Weak<Pe>,
 }
 
 impl CtsBarrier {
@@ -225,7 +211,6 @@ impl CtsBarrier {
         };
         Arc::new(CtsBarrier {
             inner: OwnerCell::new(pe.owner(), inner),
-            home: Arc::downgrade(&pe.arc()),
         })
     }
 
@@ -268,7 +253,7 @@ impl CtsBarrier {
     }
 
     /// Threads currently blocked at the barrier.
-    pub fn waiting(&self) -> usize {
-        read(&self.home, &self.inner, |b| b.waiters.len())
+    pub fn waiting(&self, pe: &Pe) -> usize {
+        self.inner.with(pe.owner(), |b| b.waiters.len())
     }
 }

@@ -17,10 +17,10 @@ fn trylock_and_unlock_from_main_context() {
     run_on_each_backend(1, |pe| {
         let lock = CtsLock::new(pe);
         assert!(lock.try_lock(pe));
-        assert_eq!(lock.owner(), Some(0), "main context is owner 0");
+        assert_eq!(lock.owner(pe), Some(0), "main context is owner 0");
         assert!(!lock.try_lock(pe), "already held");
         lock.unlock(pe).unwrap();
-        assert_eq!(lock.owner(), None);
+        assert_eq!(lock.owner(pe), None);
     });
 }
 
@@ -70,8 +70,8 @@ fn contended_lock_hands_off_in_arrival_order() {
         }
         csd_scheduler_until_idle(pe);
         assert_eq!(*log.lock(), vec![100, 101, 0, 1, 2]);
-        assert_eq!(lock.owner(), None);
-        assert_eq!(lock.waiters(), 0);
+        assert_eq!(lock.owner(pe), None);
+        assert_eq!(lock.waiters(pe), 0);
     });
 }
 
@@ -117,7 +117,7 @@ fn condn_signal_releases_in_order() {
         }
         // Run the threads up to their wait.
         csd_scheduler_until_idle(pe);
-        assert_eq!(cv.waiters(), 3);
+        assert_eq!(cv.waiters(pe), 3);
         assert!(log.lock().is_empty());
         assert!(cv.signal(pe));
         csd_scheduler_until_idle(pe);
@@ -175,7 +175,7 @@ fn barrier_kth_wait_broadcasts() {
             .count();
         assert_eq!(befores, 4, "every before precedes every after");
         assert_eq!(log.len(), 8);
-        assert_eq!(bar.waiting(), 0);
+        assert_eq!(bar.waiting(pe), 0);
     });
 }
 
@@ -224,11 +224,11 @@ fn barrier_reinit_frees_waiters() {
             });
         }
         csd_scheduler_until_idle(pe);
-        assert_eq!(bar.waiting(), 2);
+        assert_eq!(bar.waiting(pe), 2);
         bar.reinit(pe, 3);
         csd_scheduler_until_idle(pe);
         assert_eq!(*freed.lock(), 2);
-        assert_eq!(bar.waiting(), 0);
+        assert_eq!(bar.waiting(pe), 0);
     });
 }
 
@@ -355,13 +355,17 @@ fn a_waiter_resumed_early_stays_queued_once() {
         });
         cth_resume(pe, &a); // a takes the lock and suspends
         cth_resume(pe, &b); // b queues
-        assert_eq!(lock.waiters(), 1);
+        assert_eq!(lock.waiters(pe), 1);
         cth_resume(pe, &b); // early: b is not the owner yet
-        assert_eq!(lock.waiters(), 1, "an early resume queued the waiter again");
+        assert_eq!(
+            lock.waiters(pe),
+            1,
+            "an early resume queued the waiter again"
+        );
         // a unlocks (handing over to b) and exits; b runs, unlocks, exits.
         cth_resume(pe, &a);
         assert!(a.is_exited() && b.is_exited());
-        assert_eq!((lock.owner(), lock.waiters()), (None, 0));
+        assert_eq!((lock.owner(pe), lock.waiters(pe)), (None, 0));
         assert!(lock.try_lock(pe), "the lock is free again");
     });
 }

@@ -823,7 +823,7 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
     );
     let charm = Charm::install(pe, LdbPolicy::Direct);
     let engine = pe.local(|| CharmEngine {
-        kind: charm.register_group::<TaskBranch>(),
+        kind: charm.register_group::<TaskBranch>(pe),
         current: OwnerCell::new(pe.owner(), None),
     });
     pe.barrier();
@@ -852,7 +852,7 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
     // A run that gave up may still have edges in flight: its branch
     // stays, so they land in its own state and not in a later run's.
     if !gave_up {
-        charm.destroy_group(gid);
+        charm.destroy_group(pe, gid);
     }
     state.summarize(pe, gave_up)
 }

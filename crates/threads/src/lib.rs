@@ -81,7 +81,7 @@ use converse_trace::Event;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use table::{index_of, SlotTable};
 
 /// Payload that unwinds a poisoned (machine-teardown) thread, silently.
@@ -519,10 +519,6 @@ impl Sched {
 pub struct CthRuntime {
     /// Which mechanism backs this PE's thread objects.
     backend: CthBackend,
-    /// The PE this runtime lives on, for the diagnostic readers only
-    /// (`ready_len` … `stack_pool_stats`): their `&self` signatures
-    /// predate the cell. A switch's path is handed `pe`.
-    home: Weak<Pe>,
     /// Handler resuming a thread from a generalized message (the Csd
     /// integration).
     resume_handler: HandlerId,
@@ -564,7 +560,6 @@ impl CthRuntime {
             main.handle = Thread::new(0, State::Running);
             CthRuntime {
                 backend: CthBackend::resolve(pe),
-                home: Arc::downgrade(&pe.arc()),
                 resume_handler,
                 sched: OwnerCell::new(pe.owner(), sched),
                 poisoning: AtomicBool::new(false),
@@ -577,13 +572,6 @@ impl CthRuntime {
     #[inline(always)]
     fn sched<R>(&self, pe: &Pe, f: impl FnOnce(&mut Sched) -> R) -> R {
         self.sched.with(pe.owner(), f)
-    }
-
-    /// The PE, for the readers not handed one (owner-only all the same).
-    fn home(&self) -> Arc<Pe> {
-        self.home
-            .upgrade()
-            .expect("the thread runtime lives in its PE's local storage")
     }
 
     /// The backend this PE's thread objects run on.
@@ -613,31 +601,31 @@ impl CthRuntime {
     }
 
     /// Number of threads in the default ready pool.
-    pub fn ready_len(&self) -> usize {
-        self.sched(&self.home(), |s| s.ready.len())
+    pub fn ready_len(&self, pe: &Pe) -> usize {
+        self.sched(pe, |s| s.ready.len())
     }
 
     /// Number of live (created, not yet exited) threads.
-    pub fn live_len(&self) -> usize {
-        self.sched(&self.home(), |s| s.threads.iter().count() - 1)
+    pub fn live_len(&self, pe: &Pe) -> usize {
+        self.sched(pe, |s| s.threads.iter().count() - 1)
     }
 
     /// Context switches performed so far on this PE (both backends).
-    pub fn switches(&self) -> u64 {
-        self.sched(&self.home(), |s| s.switches)
+    pub fn switches(&self, pe: &Pe) -> u64 {
+        self.sched(pe, |s| s.switches)
     }
 
     /// Switches that took the direct-handoff fast path (suspend handed
     /// control straight to the next ready thread).
-    pub fn direct_handoffs(&self) -> u64 {
-        self.sched(&self.home(), |s| s.direct)
+    pub fn direct_handoffs(&self, pe: &Pe) -> u64 {
+        self.sched(pe, |s| s.direct)
     }
 
     /// Snapshot of the fiber backend's stack-pool counters (all zero on
     /// the hand-off backend, which uses OS thread stacks).
-    pub fn stack_pool_stats(&self) -> StackPoolStats {
+    pub fn stack_pool_stats(&self, pe: &Pe) -> StackPoolStats {
         if self.backend == CthBackend::Fiber {
-            self.sched(&self.home(), |s| s.pool.stats)
+            self.sched(pe, |s| s.pool.stats)
         } else {
             StackPoolStats::default()
         }

@@ -92,7 +92,7 @@ fn the_thread_api_panics_on_a_foreign_os_thread() {
                     Box::new(|| cth_resume(&pe_arc, &t)),
                     Box::new(|| drop(cth_self(&pe_arc))),
                     Box::new(|| {
-                        let _ = CthRuntime::get(&pe_arc).stack_pool_stats();
+                        let _ = CthRuntime::get(&pe_arc).stack_pool_stats(pe);
                     }),
                 ];
                 tries.map(|f| catch_unwind(AssertUnwindSafe(f)).is_err())
@@ -106,6 +106,6 @@ fn the_thread_api_panics_on_a_foreign_os_thread() {
             let stats_are_owner_only = CthRuntime::get(pe).backend() == CthBackend::Fiber;
             assert_eq!(panicked, [true, true, true, stats_are_owner_only]);
         });
-        assert_eq!(CthRuntime::get(pe).ready_len(), 0);
+        assert_eq!(CthRuntime::get(pe).ready_len(pe), 0);
     });
 }

@@ -19,12 +19,12 @@ fn many_blocked_threads_recycle_their_contexts() {
             for t in &threads {
                 cth_resume(pe, t); // starts, blocks
             }
-            assert_eq!(rt.live_len(), LIVE as usize);
+            assert_eq!(rt.live_len(pe), LIVE as usize);
             for t in &threads {
                 cth_resume(pe, t); // woken, exits
             }
-            assert_eq!(rt.live_len(), 0);
-            let stats = rt.stack_pool_stats();
+            assert_eq!(rt.live_len(pe), 0);
+            let stats = rt.stack_pool_stats(pe);
             assert_eq!(stats.misses, LIVE, "round {round}: {stats:?}");
             assert_eq!(stats.hits, round * LIVE, "round {round}: {stats:?}");
             assert_eq!(stats.recycled, (round + 1) * LIVE);

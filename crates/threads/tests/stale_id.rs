@@ -52,8 +52,8 @@ fn an_exited_thread_and_its_slots_next_occupant(pe: &Pe) -> (Thread, Thread, Arc
 fn assert_untouched(pe: &Pe, new: &Thread, runs: &AtomicU64) {
     assert!(!new.is_exited());
     assert_eq!(runs.load(Ordering::Relaxed), 0);
-    assert_eq!(CthRuntime::get(pe).ready_len(), 0);
-    assert_eq!(CthRuntime::get(pe).live_len(), 1);
+    assert_eq!(CthRuntime::get(pe).ready_len(pe), 0);
+    assert_eq!(CthRuntime::get(pe).live_len(pe), 1);
     cth_resume(pe, new);
     assert!(new.is_exited());
     assert_eq!(runs.load(Ordering::Relaxed), 1);

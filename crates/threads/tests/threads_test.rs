@@ -336,7 +336,7 @@ fn unfinished_threads_are_reaped_at_machine_exit() {
         });
         cth_resume(pe, &t);
         let rt = CthRuntime::get(pe);
-        assert_eq!(rt.live_len(), 1, "thread still suspended at exit");
+        assert_eq!(rt.live_len(pe), 1, "thread still suspended at exit");
         // Entry returns now; the exit hook poisons and joins the thread.
     });
 }
@@ -443,12 +443,12 @@ fn yield_cycles_count_direct_handoffs() {
         cth_resume(pe, &ta);
         let rt = CthRuntime::get(pe);
         assert!(
-            rt.direct_handoffs() >= 20,
+            rt.direct_handoffs(pe) >= 20,
             "[{}] rotating yields must take the fast path (got {})",
             rt.backend().label(),
-            rt.direct_handoffs()
+            rt.direct_handoffs(pe)
         );
-        assert!(rt.switches() > rt.direct_handoffs());
+        assert!(rt.switches(pe) > rt.direct_handoffs(pe));
     });
 }
 
@@ -472,7 +472,7 @@ fn stack_pool_reuses_stacks_across_many_threads() {
             cth_resume(pe, &t);
         }
         assert_eq!(count.load(Ordering::Relaxed), N);
-        let stats = CthRuntime::get(pe).stack_pool_stats();
+        let stats = CthRuntime::get(pe).stack_pool_stats(pe);
         assert_eq!(stats.hits + stats.misses, N, "{stats:?}");
         assert!(
             stats.misses <= 1,
@@ -496,7 +496,7 @@ fn distinct_stack_sizes_pool_in_separate_classes() {
                 cth_resume(pe, &t);
             }
         }
-        let stats = CthRuntime::get(pe).stack_pool_stats();
+        let stats = CthRuntime::get(pe).stack_pool_stats(pe);
         // One miss per class on the first round, hits thereafter.
         assert_eq!(stats.misses, 3, "{stats:?}");
         assert_eq!(stats.hits, 12, "{stats:?}");

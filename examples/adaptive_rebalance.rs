@@ -54,7 +54,7 @@ fn main() {
         std::env::args().skip(1).any(|a| a == "--ldb") && std::env::args().any(|a| a == "measured");
     converse::core::run(4, move |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_migratable::<Worker>();
+        let kind = charm.register_migratable::<Worker>(pe);
         let done = pe.local(|| AtomicU64::new(0));
         let d2 = done.clone();
         // PE 0 collects acks; the WORKERS-th stops its scheduler.
@@ -139,7 +139,7 @@ fn main() {
             report.before,
             report.moved_out.len(),
             report.expected_in,
-            charm.local_migratable()
+            charm.local_migratable(pe)
         ));
 
         if pe.my_pe() == 0 {

@@ -118,7 +118,7 @@ fn main() {
     }
     converse::core::run_with(cfg, move |pe| {
         let charm = Charm::install(pe, policy);
-        let gkind = charm.register_group::<Incumbent>();
+        let gkind = charm.register_group::<Incumbent>(pe);
         let qd = charm.quiescence();
         let best = pe.local(|| Best(AtomicI64::new(0)));
         let expd = e2.clone();
@@ -159,11 +159,11 @@ fn main() {
                     // Best-first: the more promising the optimistic
                     // bound, the more urgent (negated for min-order).
                     let prio = Priority::Int(-(bound(v, w, next + 1) as i32));
-                    qd.msg_created(1);
+                    qd.msg_created(pe, 1);
                     ldb.deposit(pe, Message::with_priority(h, &prio, &payload));
                 }
             }
-            qd.msg_processed(1);
+            qd.msg_processed(pe, 1);
         });
         let done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
@@ -188,7 +188,7 @@ fn main() {
             let mut payload = vec![0u8];
             payload.extend_from_slice(&0i64.to_le_bytes());
             payload.extend_from_slice(&0i64.to_le_bytes());
-            qd.msg_created(1);
+            qd.msg_created(pe, 1);
             Ldb::get(pe).deposit(pe, Message::new(expand, &payload));
             qd.start(pe, Message::new(done, b""));
             csd_scheduler(pe, -1);

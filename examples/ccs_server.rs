@@ -107,7 +107,7 @@ fn main() {
     let report =
         converse::core::run_with(MachineConfig::new(4).attach(Box::new(server)), move |pe| {
             let charm = Charm::install(pe, LdbPolicy::Direct);
-            let kind = charm.register::<KvStore>();
+            let kind = charm.register::<KvStore>(pe);
 
             // CCS names — registered in the SAME order on every PE, the
             // usual Converse handler-table discipline.

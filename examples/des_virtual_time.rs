@@ -80,7 +80,7 @@ fn run_des(num_pes: usize) -> (u64, Vec<u64>, bool) {
                 payload.extend_from_slice(&(job as u16).to_le_bytes());
                 payload.extend_from_slice(&depart.to_le_bytes());
                 let (event_h, recv_h) = sl2.lock().unwrap();
-                qd2.msg_created(1);
+                qd2.msg_created(pe, 1);
                 if dst == pe.my_pe() {
                     // Local event: straight into the event list (queue).
                     let m = Message::with_priority(event_h, &Priority::Int(depart), &payload);
@@ -92,7 +92,7 @@ fn run_des(num_pes: usize) -> (u64, Vec<u64>, bool) {
                     pe.sync_send_and_free(dst, m);
                 }
             }
-            qd2.msg_processed(1);
+            qd2.msg_processed(pe, 1);
         });
         // Remote events land here first and join the local event list by
         // timestamp (the §3.3 two-handler idiom).
@@ -117,7 +117,7 @@ fn run_des(num_pes: usize) -> (u64, Vec<u64>, bool) {
                 payload.extend_from_slice(&(node as u16).to_le_bytes());
                 payload.extend_from_slice(&(job as u16).to_le_bytes());
                 payload.extend_from_slice(&0i32.to_le_bytes());
-                qd.msg_created(1);
+                qd.msg_created(pe, 1);
                 pe.sync_send_and_free(
                     dst,
                     Message::with_priority(recv, &Priority::Int(0), &payload),

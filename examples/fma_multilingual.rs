@@ -77,7 +77,7 @@ fn main() {
         );
         let sm = Sm::install(pe);
         let dp = Dp::install(pe);
-        let kind = charm.register::<Cell>();
+        let kind = charm.register::<Cell>(pe);
 
         let cells = pe.local(|| Mutex::new(vec![None::<ChareId>; CELLS]));
         let c2 = cells.clone();

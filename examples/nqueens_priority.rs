@@ -24,7 +24,7 @@
 //! cargo run --example nqueens_priority -- --steal --transport shmring
 //! ```
 
-use converse::ldb::{Ldb, LdbPolicy};
+use converse::ldb::{Ldb, LdbPolicy, LdbStats};
 use converse::machine::Transport;
 use converse::prelude::*;
 use converse_trace::MemorySink;
@@ -111,7 +111,7 @@ fn main() {
                         let mut child = rows.clone();
                         child.push(col);
                         let cprio = prio.child_n(col as u32, LEVEL_BITS);
-                        qd2.msg_created(1);
+                        qd2.msg_created(pe, 1);
                         ldb.deposit(
                             pe,
                             Message::with_priority(h, &Priority::BitVec(cprio), &child),
@@ -119,14 +119,14 @@ fn main() {
                     }
                 }
             }
-            qd2.msg_processed(1);
+            qd2.msg_processed(pe, 1);
         });
         *slot.lock() = Some(expand);
         let done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
 
         if pe.my_pe() == 0 {
-            qd.msg_created(1);
+            qd.msg_created(pe, 1);
             ldb.deposit(
                 pe,
                 Message::with_priority(expand, &Priority::BitVec(BitVecPrio::root()), &[]),
@@ -139,7 +139,11 @@ fn main() {
         }
         pe.barrier();
         let me = pe.my_pe();
-        let (dep, rooted, fwd) = ldb.stats.snapshot();
+        let LdbStats {
+            deposited: dep,
+            rooted,
+            forwarded: fwd,
+        } = ldb.stats(pe);
         let sum = entry_sink.summary();
         let (steals, stolen) = sum
             .pes

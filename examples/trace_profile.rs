@@ -55,7 +55,7 @@ fn main() {
                 max_hops: 3,
             },
         );
-        let kind = charm.register::<Worker>();
+        let kind = charm.register::<Worker>(pe);
         let rt = CthRuntime::get(pe);
         let done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();

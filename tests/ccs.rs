@@ -50,7 +50,7 @@ impl Chare for Counter {
 /// every PE, as the handler-table discipline requires.
 fn serve(pe: &Pe, registry: &CcsRegistry) {
     let charm = Charm::install(pe, LdbPolicy::Direct);
-    let kind = charm.register::<Counter>();
+    let kind = charm.register::<Counter>(pe);
 
     // "echo": immediate reply from the handler itself, tagged with the
     // PE it ran on so tests can assert dest-PE routing.

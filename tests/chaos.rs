@@ -144,7 +144,7 @@ fn migration_under_lossy_plan_loses_nothing() {
         MachineConfig::new(4).faults(lossy_plan(chaos_seed())),
         move |pe| {
             let charm = Charm::install(pe, LdbPolicy::Direct);
-            let kind = charm.register_migratable::<Sponge>();
+            let kind = charm.register_migratable::<Sponge>(pe);
             let f3 = f2.clone();
             let report = pe.register_handler(move |pe, msg| {
                 f3.0.store(
@@ -160,7 +160,7 @@ fn migration_under_lossy_plan_loses_nothing() {
             pe.barrier();
             if pe.my_pe() == 0 {
                 charm.create(pe, kind, b"", Priority::None);
-                converse_core::schedule_until(pe, || charm.local_chares() == 1);
+                converse_core::schedule_until(pe, || charm.local_chares(pe) == 1);
                 let id = ChareId { pe: 0, slot: 1 };
                 let mut value = 1u64;
                 for round in 0..ROUNDS {

@@ -91,7 +91,7 @@ fn fma_style_three_paradigm_pipeline() {
                 sm.send(pe, 0, 77, payload);
             }
         }
-        let kind = charm.register::<Cell>();
+        let kind = charm.register::<Cell>(pe);
         let ids = pe.local(|| Mutex::new(Vec::<ChareId>::new()));
         let i2 = ids.clone();
         let announce = pe.register_handler(move |_pe, msg| {
@@ -119,7 +119,7 @@ fn fma_style_three_paradigm_pipeline() {
                 Sm::get(pe).send(pe, 0, 77, payload);
             }
         }
-        let akind = charm.register::<Announcer>();
+        let akind = charm.register::<Announcer>(pe);
         let _ = kind;
         if pe.my_pe() == 0 {
             for _ in 0..4 {
@@ -211,7 +211,7 @@ fn unified_queue_orders_across_modules() {
         }
         let shared = LOG.get_or_init(|| Arc::new(Mutex::new(Vec::new()))).clone();
         shared.lock().clear();
-        let kind = charm.register::<P>();
+        let kind = charm.register::<P>(pe);
         charm.create(pe, kind, b"", Priority::None);
         csd_scheduler(pe, 1);
         let id = ChareId { pe: 0, slot: 1 };
@@ -251,7 +251,7 @@ fn trace_captures_mixed_paradigm_run() {
             }
             fn entry(&mut self, _pe: &Pe, _id: ChareId, _ep: u32, _p: &[u8]) {}
         }
-        let kind = charm.register::<Noop>();
+        let kind = charm.register::<Noop>(pe);
         let rt = CthRuntime::get(pe);
         pe.barrier();
         if pe.my_pe() == 0 {
@@ -295,7 +295,7 @@ fn pvm_module_feeds_charm_module() {
             }
         }
         let out = OUT.get_or_init(|| Arc::new(AtomicU64::new(0))).clone();
-        let kind = charm.register::<Doubler>();
+        let kind = charm.register::<Doubler>(pe);
         pe.barrier();
         if pe.my_pe() == 1 {
             // The "PVM program" sends a value to PE 0.
@@ -305,7 +305,7 @@ fn pvm_module_feeds_charm_module() {
             // a chare for message-driven processing.
             let m = pvm::recv(pe, 5, -1);
             charm.create(pe, kind, b"", Priority::None);
-            schedule_until(pe, || Charm::get(pe).local_chares() == 1); // construct
+            schedule_until(pe, || Charm::get(pe).local_chares(pe) == 1); // construct
             let id = ChareId { pe: 0, slot: 1 };
             charm.send(pe, id, 0, &m.data, Priority::None);
             csd_scheduler(pe, -1);

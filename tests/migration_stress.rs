@@ -56,7 +56,7 @@ fn repeated_migration_with_concurrent_sends_loses_nothing() {
     let f2 = finals.clone();
     converse::core::run(4, move |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_migratable::<Sponge>();
+        let kind = charm.register_migratable::<Sponge>(pe);
         let f3 = f2.clone();
         let report = pe.register_handler(move |pe, msg| {
             f3.0.store(
@@ -72,7 +72,7 @@ fn repeated_migration_with_concurrent_sends_loses_nothing() {
         pe.barrier();
         if pe.my_pe() == 0 {
             charm.create(pe, kind, b"", Priority::None);
-            converse_core::schedule_until(pe, || charm.local_chares() == 1);
+            converse_core::schedule_until(pe, || charm.local_chares(pe) == 1);
             let id = ChareId { pe: 0, slot: 1 };
             let mut value = 1u64;
             for round in 0..ROUNDS {
@@ -122,12 +122,12 @@ fn ping_pong_migration_between_two_pes() {
     // The object bounces 0→1→… while each hop's host confirms liveness.
     converse::core::run(2, |pe| {
         let charm = Charm::install(pe, LdbPolicy::Direct);
-        let kind = charm.register_migratable::<Sponge>();
+        let kind = charm.register_migratable::<Sponge>(pe);
         let _done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
         if pe.my_pe() == 0 {
             charm.create(pe, kind, b"", Priority::None);
-            converse_core::schedule_until(pe, || charm.local_chares() == 1);
+            converse_core::schedule_until(pe, || charm.local_chares(pe) == 1);
             let id = ChareId { pe: 0, slot: 1 };
             // Hop away and back, twice, waiting for each hop to land.
             let mut current = id;

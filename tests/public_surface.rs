@@ -24,7 +24,7 @@ use std::path::Path;
 
 /// The most `pub` item declarations `crates/*/src` may hold. Lower it
 /// when the surface shrinks; raising it needs a reason in the change.
-const MAX_PUB_ITEMS: usize = 752;
+const MAX_PUB_ITEMS: usize = 745;
 
 /// Declarations no other file names, each with why it stays `pub`:
 /// `(file, item, reason)`.
@@ -43,11 +43,6 @@ const ALLOWED_UNUSED: &[(&str, &str, &str)] = &[
         "crates/fiber/src/lib.rs",
         "BoxedEntry",
         "the default entry type of Fiber, named by writing Fiber alone",
-    ),
-    (
-        "crates/ldb/src/lib.rs",
-        "LdbStats",
-        "the type of the public Ldb::stats counters",
     ),
     (
         "crates/machine/src/gptr.rs",

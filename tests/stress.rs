@@ -116,7 +116,7 @@ fn deep_chare_tree_under_reorder() {
     });
     converse::core::run_with(cfg, move |pe| {
         let charm = Charm::install(pe, LdbPolicy::Random { seed: 8 });
-        let kind = charm.register::<F>();
+        let kind = charm.register::<F>(pe);
         let r3 = r2.clone();
         let report = pe.register_handler(move |pe, msg| {
             r3.store(
@@ -222,19 +222,19 @@ fn rapid_fire_quiescence_cycles() {
         let qd = Quiescence::install(pe);
         let work = {
             let qd = qd.clone();
-            pe.register_handler(move |_pe, _| qd.msg_processed(1))
+            pe.register_handler(move |pe, _| qd.msg_processed(pe, 1))
         };
         let done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
         pe.barrier();
         for round in 0..10 {
             if pe.my_pe() == 0 {
                 for dst in 0..pe.num_pes() {
-                    qd.msg_created(1);
+                    qd.msg_created(pe, 1);
                     pe.sync_send_and_free(dst, Message::new(work, &[round]));
                 }
                 qd.start(pe, Message::new(done, b""));
                 csd_scheduler(pe, -1);
-                assert!(!qd.is_active(), "round {round}");
+                assert!(!qd.is_active(pe), "round {round}");
                 pe.sync_broadcast(&Message::new(done, b""));
             } else {
                 csd_scheduler(pe, -1);
