@@ -26,8 +26,8 @@ pub mod csd;
 pub mod quiescence;
 
 pub use converse_machine::{
-    run, run_with, try_run_with, HandlerId, MachineConfig, Message, Pe, QueueKind, RunError,
-    RunReport, ThreadBackend, Transport,
+    run, run_with, try_run_with, HandlerId, MachineConfig, Message, Pe, RunError, RunReport,
+    ThreadBackend, Transport,
 };
 pub use converse_queue::QueueingMode;
 pub use csd::{

@@ -2,7 +2,7 @@
 
 use converse_core::{
     csd_enqueue, csd_enqueue_general, csd_exit_scheduler, csd_scheduler, csd_scheduler_until_idle,
-    run, run_with, schedule_until, MachineConfig, Message, QueueingMode, Quiescence,
+    run, schedule_until, Message, QueueingMode, Quiescence,
 };
 use converse_msg::Priority;
 use parking_lot::Mutex;
@@ -298,26 +298,5 @@ fn quiescence_not_fooled_by_in_flight_messages() {
             assert_eq!(seen.load(Ordering::SeqCst), 1);
         }
         pe.barrier();
-    });
-}
-
-#[test]
-fn queue_kind_fifo_machine_ignores_priorities() {
-    let cfg = MachineConfig::new(1).queue(converse_core::QueueKind::Fifo);
-    run_with(cfg, |pe| {
-        let order = pe.local(|| Mutex::new(Vec::<i32>::new()));
-        let o2 = order.clone();
-        let h = pe.register_handler(move |_pe, msg| {
-            o2.lock()
-                .push(i32::from_le_bytes(msg.payload().try_into().unwrap()));
-        });
-        for v in [5, -9, 2] {
-            let m = Message::with_priority(h, &Priority::Int(v), &v.to_le_bytes());
-            csd_enqueue_general(pe, m, QueueingMode::PrioFifo);
-        }
-        csd_scheduler(pe, 3);
-        // FIFO queue: insertion order, priorities ignored — the
-        // "need-based cost" configuration.
-        assert_eq!(*order.lock(), vec![5, -9, 2]);
     });
 }

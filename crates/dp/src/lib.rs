@@ -14,7 +14,8 @@
 //!   local section lives in an EMI **global-pointer region**, so any PE
 //!   can read or write any element with get/put, and halo exchange is a
 //!   pair of neighbour sub-range gets (§3.1.3's "asynchronous get and
-//!   put calls, and global pointers").
+//!   put calls, and global pointers"), and [`DistArray2`], the same
+//!   storage blocked by rows.
 //!
 //! All calls marked *collective* must be executed by every PE in the
 //! same order, the usual data-parallel contract.
@@ -88,6 +89,31 @@ pub enum Op {
     Prod,
 }
 
+impl Op {
+    /// `a` combined with `b` — the one fold every reduction of this
+    /// layer runs.
+    fn fold<T: DpScalar>(self, a: T, b: T) -> T {
+        match self {
+            Op::Sum => a.add(b),
+            Op::Prod => a.mul(b),
+            Op::Min => {
+                if b < a {
+                    b
+                } else {
+                    a
+                }
+            }
+            Op::Max => {
+                if b > a {
+                    b
+                } else {
+                    a
+                }
+            }
+        }
+    }
+}
+
 /// Per-PE data-parallel runtime: the registered combiner table, fixed
 /// at install.
 pub struct Dp {
@@ -97,28 +123,8 @@ pub struct Dp {
 
 fn combine_scalar<T: DpScalar>(op: Op) -> impl Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync {
     move |a, b| {
-        let x = T::load(a);
-        let y = T::load(b);
-        let r = match op {
-            Op::Sum => x.add(y),
-            Op::Prod => x.mul(y),
-            Op::Min => {
-                if y < x {
-                    y
-                } else {
-                    x
-                }
-            }
-            Op::Max => {
-                if y > x {
-                    y
-                } else {
-                    x
-                }
-            }
-        };
         let mut out = vec![0u8; T::BYTES];
-        r.store(&mut out);
+        op.fold(T::load(a), T::load(b)).store(&mut out);
         out
     }
 }
@@ -242,7 +248,7 @@ impl Dp {
 
 /// Block layout of `global_len` elements over `num_pes` PEs: PE `p` owns
 /// `[lo, hi)`. The first `global_len % num_pes` PEs hold one extra.
-pub(crate) fn block_range(global_len: usize, num_pes: usize, pe: usize) -> (usize, usize) {
+fn block_range(global_len: usize, num_pes: usize, pe: usize) -> (usize, usize) {
     let base = global_len / num_pes;
     let extra = global_len % num_pes;
     let lo = pe * base + pe.min(extra);
@@ -251,7 +257,7 @@ pub(crate) fn block_range(global_len: usize, num_pes: usize, pe: usize) -> (usiz
 }
 
 /// Owning PE of global index `i` under [`block_range`].
-pub(crate) fn block_owner(global_len: usize, num_pes: usize, i: usize) -> usize {
+fn block_owner(global_len: usize, num_pes: usize, i: usize) -> usize {
     assert!(i < global_len);
     // Invert the block map by search (num_pes is small).
     for p in 0..num_pes {
@@ -263,34 +269,40 @@ pub(crate) fn block_owner(global_len: usize, num_pes: usize, i: usize) -> usize 
     unreachable!("index {i} not covered by any block");
 }
 
-/// A block-distributed 1-D array of `T`. Collective to create; element
-/// access crosses PEs through global pointers.
-pub struct DistArray<T: DpScalar> {
-    global_len: usize,
+/// The storage both array types are: `units` units of `width` elements
+/// each — a [`DistArray`]'s elements, a [`DistArray2`]'s rows —
+/// block-distributed by unit ([`block_range`]), every PE's block in one
+/// global-pointer region. Elements are indexed flat: unit `u` holds
+/// `u * width .. (u + 1) * width`.
+struct Blocks<T: DpScalar> {
+    units: usize,
+    width: usize,
+    /// This PE's unit range `[lo, hi)`.
     lo: usize,
     hi: usize,
-    /// Global pointers of every PE's local section, indexed by PE.
+    /// Global pointers of every PE's block, indexed by PE.
     sections: Vec<GlobalPtr>,
     _t: std::marker::PhantomData<T>,
 }
 
-impl<T: DpScalar> DistArray<T> {
-    /// Collective: create the array, initializing element `i` to
-    /// `init(i)` on its owning PE.
-    pub fn new<F: Fn(usize) -> T>(pe: &Pe, dp: &Dp, global_len: usize, init: F) -> DistArray<T> {
-        let (lo, hi) = block_range(global_len, pe.num_pes(), pe.my_pe());
-        let mut bytes = vec![0u8; (hi - lo) * T::BYTES];
-        for i in lo..hi {
-            init(i).store(&mut bytes[(i - lo) * T::BYTES..(i - lo + 1) * T::BYTES]);
+impl<T: DpScalar> Blocks<T> {
+    /// Collective: create the storage, element `i` set to `init(i)` on
+    /// its owning PE.
+    fn new(pe: &Pe, dp: &Dp, units: usize, width: usize, init: impl Fn(usize) -> T) -> Self {
+        let (lo, hi) = block_range(units, pe.num_pes(), pe.my_pe());
+        let mut bytes = vec![0u8; (hi - lo) * width * T::BYTES];
+        for (k, out) in bytes.chunks_exact_mut(T::BYTES).enumerate() {
+            init(lo * width + k).store(out);
         }
         let g = pe.gptr_create(bytes);
-        let encoded = dp.allgather_bytes(pe, g.encode().to_vec());
-        let sections = encoded
+        let sections = dp
+            .allgather_bytes(pe, g.encode())
             .iter()
             .map(|e| GlobalPtr::decode(e).expect("section gptr decodes"))
             .collect();
-        DistArray {
-            global_len,
+        Blocks {
+            units,
+            width,
             lo,
             hi,
             sections,
@@ -298,165 +310,145 @@ impl<T: DpScalar> DistArray<T> {
         }
     }
 
+    fn local_bytes(&self, pe: &Pe) -> Vec<u8> {
+        pe.gptr_deref(&self.sections[pe.my_pe()])
+            .expect("own block is local")
+    }
+
+    fn local(&self, pe: &Pe) -> Vec<T> {
+        self.local_bytes(pe).chunks(T::BYTES).map(T::load).collect()
+    }
+
+    fn update_local<F: FnOnce(&mut [T])>(&self, pe: &Pe, f: F) {
+        let mut vals = self.local(pe);
+        f(&mut vals);
+        let ok = pe.gptr_update_local(&self.sections[pe.my_pe()], |bytes| {
+            for (v, out) in vals.iter().zip(bytes.chunks_exact_mut(T::BYTES)) {
+                v.store(out);
+            }
+        });
+        assert!(ok, "own block is local and alive");
+    }
+
+    /// The PE holding element `i` and the element's byte offset there.
+    fn locate(&self, i: usize) -> (usize, usize) {
+        let owner = block_owner(self.units, self.sections.len(), i / self.width);
+        let (olo, _) = block_range(self.units, self.sections.len(), owner);
+        (owner, (i - olo * self.width) * T::BYTES)
+    }
+
+    /// The `n` elements from `i` on, all in one unit, wherever they live.
+    fn get(&self, pe: &Pe, i: usize, n: usize) -> Vec<T> {
+        let (owner, off) = self.locate(i);
+        pe.get_bytes(&self.sections[owner], off, n * T::BYTES)
+            .chunks(T::BYTES)
+            .map(T::load)
+            .collect()
+    }
+
+    fn put(&self, pe: &Pe, i: usize, v: T) {
+        let (owner, off) = self.locate(i);
+        let mut b = vec![0u8; T::BYTES];
+        v.store(&mut b);
+        pe.put_bytes(&self.sections[owner], off, &b);
+    }
+
+    fn reduce_all(&self, pe: &Pe, dp: &Dp, op: Op) -> T {
+        assert!(self.units * self.width > 0, "reduce of empty array");
+        let folded = self.local(pe).into_iter().reduce(|a, b| op.fold(a, b));
+        // There is no generic identity for an empty block: every PE
+        // shares whether it holds data and its fold, and each combines
+        // the present ones.
+        let flags = dp.allgather(pe, i64::from(folded.is_some()));
+        let vals = dp.allgather(pe, folded.unwrap_or_else(|| T::load(&vec![0u8; T::BYTES])));
+        flags
+            .into_iter()
+            .zip(vals)
+            .filter_map(|(flag, v)| (flag == 1).then_some(v))
+            .reduce(|a, b| op.fold(a, b))
+            .expect("a non-empty array has an owner")
+    }
+
+    fn gather_all(&self, pe: &Pe, dp: &Dp) -> Vec<T> {
+        dp.allgather_bytes(pe, self.local_bytes(pe))
+            .iter()
+            .flat_map(|part| part.chunks(T::BYTES).map(T::load))
+            .collect()
+    }
+}
+
+/// A block-distributed 1-D array of `T`. Collective to create; element
+/// access crosses PEs through global pointers.
+pub struct DistArray<T: DpScalar>(Blocks<T>);
+
+impl<T: DpScalar> DistArray<T> {
+    /// Collective: create the array, initializing element `i` to
+    /// `init(i)` on its owning PE.
+    pub fn new<F: Fn(usize) -> T>(pe: &Pe, dp: &Dp, global_len: usize, init: F) -> DistArray<T> {
+        DistArray(Blocks::new(pe, dp, global_len, 1, init))
+    }
+
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        self.global_len
+        self.0.units
     }
 
     /// True for a zero-length array.
     pub fn is_empty(&self) -> bool {
-        self.global_len == 0
+        self.0.units == 0
     }
 
     /// This PE's owned global index range `[lo, hi)`.
     pub fn local_range(&self) -> (usize, usize) {
-        (self.lo, self.hi)
+        (self.0.lo, self.0.hi)
     }
 
     /// Copy of this PE's local section.
     pub fn local(&self, pe: &Pe) -> Vec<T> {
-        let bytes = pe
-            .gptr_deref(&self.sections[pe.my_pe()])
-            .expect("own section is local");
-        bytes.chunks(T::BYTES).map(T::load).collect()
+        self.0.local(pe)
     }
 
     /// Mutate this PE's local section in place. `f` receives the decoded
     /// elements; they are written back when it returns.
     pub fn update_local<F: FnOnce(&mut [T])>(&self, pe: &Pe, f: F) {
-        let g = &self.sections[pe.my_pe()];
-        let mut vals = self.local(pe);
-        f(&mut vals);
-        let ok = pe.gptr_update_local(g, |bytes| {
-            for (i, v) in vals.iter().enumerate() {
-                v.store(&mut bytes[i * T::BYTES..(i + 1) * T::BYTES]);
-            }
-        });
-        assert!(ok, "own section is local and alive");
+        self.0.update_local(pe, f)
+    }
+
+    fn index(&self, i: usize) -> usize {
+        assert!(i < self.len(), "index {i} out of bounds {}", self.len());
+        i
     }
 
     /// Read element `i`, wherever it lives (remote get when not local).
     pub fn get(&self, pe: &Pe, i: usize) -> T {
-        assert!(
-            i < self.global_len,
-            "index {i} out of bounds {}",
-            self.global_len
-        );
-        let owner = block_owner(self.global_len, pe.num_pes(), i);
-        let (olo, _) = block_range(self.global_len, pe.num_pes(), owner);
-        let bytes = pe.get_bytes(&self.sections[owner], (i - olo) * T::BYTES, T::BYTES);
-        T::load(&bytes)
+        self.0.get(pe, self.index(i), 1)[0]
     }
 
     /// Write element `i`, wherever it lives (remote put when not local).
     pub fn put(&self, pe: &Pe, i: usize, v: T) {
-        assert!(
-            i < self.global_len,
-            "index {i} out of bounds {}",
-            self.global_len
-        );
-        let owner = block_owner(self.global_len, pe.num_pes(), i);
-        let (olo, _) = block_range(self.global_len, pe.num_pes(), owner);
-        let mut b = vec![0u8; T::BYTES];
-        v.store(&mut b);
-        pe.put_bytes(&self.sections[owner], (i - olo) * T::BYTES, &b);
+        self.0.put(pe, self.index(i), v)
     }
 
     /// The halo values bracketing this PE's block: the element just
     /// before `lo` and just after `hi-1`, when they exist. One remote
     /// sub-range get each — the data-parallel halo exchange.
     pub fn halo(&self, pe: &Pe) -> (Option<T>, Option<T>) {
-        let left = if self.lo > 0 {
-            Some(self.get(pe, self.lo - 1))
-        } else {
-            None
-        };
-        let right = if self.hi < self.global_len {
-            Some(self.get(pe, self.hi))
-        } else {
-            None
-        };
+        let (lo, hi) = self.local_range();
+        let left = (lo > 0).then(|| self.get(pe, lo - 1));
+        let right = (hi < self.len()).then(|| self.get(pe, hi));
         (left, right)
     }
 
     /// Collective: reduce over all elements with `op`; every PE gets the
-    /// result. Empty local sections contribute the first local element
-    /// of some PE (global length must be ≥ 1).
+    /// result (global length must be ≥ 1).
     pub fn reduce_all(&self, pe: &Pe, dp: &Dp, op: Op) -> T {
-        assert!(self.global_len > 0, "reduce of empty array");
-        let local = self.local(pe);
-        // Fold locally; PEs with empty sections contribute the identity
-        // by sending... there is no generic identity, so encode presence:
-        // gather (count, value) pairs via two allreduces.
-        let folded = local.iter().copied().reduce(|a, b| match op {
-            Op::Sum => a.add(b),
-            Op::Prod => a.mul(b),
-            Op::Min => {
-                if b < a {
-                    b
-                } else {
-                    a
-                }
-            }
-            Op::Max => {
-                if b > a {
-                    b
-                } else {
-                    a
-                }
-            }
-        });
-        // Exchange all folded values; each PE combines the present ones.
-        let have = folded.is_some();
-        let flags = dp.allgather(pe, if have { 1i64 } else { 0i64 });
-        let vals = dp.allgather(pe, folded.unwrap_or_else(|| T::load(&vec![0u8; T::BYTES])));
-        let mut acc: Option<T> = None;
-        for (p, flag) in flags.iter().enumerate() {
-            if *flag == 1 {
-                let v = vals[p];
-                acc = Some(match acc {
-                    None => v,
-                    Some(a) => match op {
-                        Op::Sum => a.add(v),
-                        Op::Prod => a.mul(v),
-                        Op::Min => {
-                            if v < a {
-                                v
-                            } else {
-                                a
-                            }
-                        }
-                        Op::Max => {
-                            if v > a {
-                                v
-                            } else {
-                                a
-                            }
-                        }
-                    },
-                });
-            }
-        }
-        acc.expect("global length ≥ 1 means someone holds data")
+        self.0.reduce_all(pe, dp, op)
     }
 
     /// Collective: gather the whole array on every PE (small arrays /
     /// debugging).
     pub fn gather_all(&self, pe: &Pe, dp: &Dp) -> Vec<T> {
-        let local_bytes: Vec<u8> = {
-            let vals = self.local(pe);
-            let mut b = vec![0u8; vals.len() * T::BYTES];
-            for (i, v) in vals.iter().enumerate() {
-                v.store(&mut b[i * T::BYTES..(i + 1) * T::BYTES]);
-            }
-            b
-        };
-        let parts = dp.allgather_bytes(pe, local_bytes);
-        let mut out = Vec::with_capacity(self.global_len);
-        for part in parts {
-            out.extend(part.chunks(T::BYTES).map(T::load));
-        }
-        out
+        self.0.gather_all(pe, dp)
     }
 }
 

@@ -370,8 +370,8 @@ mod tests {
             status: status::OK,
             payload: vec![5, 6],
         };
-        let msg = encode_reply(HandlerId(10), &r);
-        assert_eq!(msg.handler(), HandlerId(10));
+        let msg = encode_reply(crate::pe::INTERNAL_LAYOUT.exo_reply, &r);
+        assert_eq!(msg.handler(), crate::pe::INTERNAL_LAYOUT.exo_reply);
         assert_eq!(decode_reply(msg.payload()).unwrap(), r);
     }
 

@@ -11,9 +11,13 @@
 //! [`Pe::get_async`]/[`Pe::put_async`] return handles whose completion is
 //! polled or awaited. Remote transfers ride an internal request/reply
 //! protocol over ordinary generalized messages; local transfers
-//! short-circuit to a memcpy. Offset/length sub-range access is
-//! supported — it is what the data-parallel layer's halo exchange uses.
+//! short-circuit to a memcpy. Either way the reply — the data of a get,
+//! an empty acknowledgement of a put — lands in the PE's arrival table
+//! ([`crate::coll`]) under the request id, where the handle's poll and
+//! wait look for it. Offset/length sub-range access is supported — it
+//! is what the data-parallel layer's halo exchange uses.
 
+use crate::coll::Await;
 use crate::pe::Pe;
 use converse_msg::pack::{Packer, Unpacker};
 use converse_msg::Message;
@@ -59,12 +63,10 @@ pub struct GetHandle(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PutHandle(u64);
 
-/// Per-PE global-pointer state: owned regions plus in-flight requests.
+/// Per-PE global-pointer state: the owned regions.
 #[derive(Default)]
 pub(crate) struct GptrState {
     regions: HashMap<u64, Vec<u8>>,
-    get_replies: HashMap<u64, Option<Vec<u8>>>,
-    put_acks: HashMap<u64, bool>,
     next_key: u64,
 }
 
@@ -139,19 +141,18 @@ impl Pe {
         let req_id = self.next_req_id();
         if g.pe == self.my_pe() {
             // Local fast path: resolve immediately.
-            self.open(&self.gptr, |s| {
-                let data = s
-                    .regions
-                    .get(&g.key)
-                    .map(|r| r[offset..offset + len].to_vec())
-                    .unwrap_or_else(|| {
-                        panic!("PE {}: get on destroyed region {}", self.my_pe(), g.key)
-                    });
-                s.get_replies.insert(req_id, Some(data));
-            });
+            let data = self
+                .open(&self.gptr, |s| {
+                    s.regions
+                        .get(&g.key)
+                        .map(|r| r[offset..offset + len].to_vec())
+                })
+                .unwrap_or_else(|| {
+                    panic!("PE {}: get on destroyed region {}", self.my_pe(), g.key)
+                });
+            self.deposit(Await::Reply(req_id), g.pe, data);
             return GetHandle(req_id);
         }
-        self.open(&self.gptr, |s| s.get_replies.insert(req_id, None));
         let payload = Packer::new()
             .u64(g.key)
             .usize(offset)
@@ -166,17 +167,12 @@ impl Pe {
 
     /// True once the asynchronous get completed (data arrived).
     pub fn get_done(&self, h: GetHandle) -> bool {
-        self.open(&self.gptr, |s| {
-            matches!(s.get_replies.get(&h.0), Some(Some(_)))
-        })
+        self.arrived(Await::Reply(h.0)) > 0
     }
 
     /// Block until the get completes and take its data.
     pub fn get_wait(&self, h: GetHandle) -> Vec<u8> {
-        self.deliver_internal_until(|| self.get_done(h));
-        self.open(&self.gptr, |s| s.get_replies.remove(&h.0))
-            .flatten()
-            .expect("get_wait: reply present by deliver_until postcondition")
+        self.await_one(Await::Reply(h.0))
     }
 
     // ---- put ---------------------------------------------------------------
@@ -204,11 +200,10 @@ impl Pe {
                     panic!("PE {}: put on destroyed region {}", self.my_pe(), g.key)
                 });
                 r[offset..offset + data.len()].copy_from_slice(data);
-                s.put_acks.insert(req_id, true);
             });
+            self.deposit(Await::Reply(req_id), g.pe, Vec::new());
             return PutHandle(req_id);
         }
-        self.open(&self.gptr, |s| s.put_acks.insert(req_id, false));
         let payload = Packer::new()
             .u64(g.key)
             .usize(offset)
@@ -223,14 +218,12 @@ impl Pe {
 
     /// True once the put was acknowledged by the owner.
     pub fn put_done(&self, h: PutHandle) -> bool {
-        self.open(&self.gptr, |s| s.put_acks.get(&h.0).copied())
-            .unwrap_or(false)
+        self.arrived(Await::Reply(h.0)) > 0
     }
 
     /// Block until the put is acknowledged.
     pub fn put_wait(&self, h: PutHandle) {
-        self.deliver_internal_until(|| self.put_done(h));
-        self.open(&self.gptr, |s| s.put_acks.remove(&h.0));
+        self.await_one(Await::Reply(h.0));
     }
 }
 
@@ -250,15 +243,7 @@ pub(crate) fn handle_get_req(pe: &Pe, msg: Message) {
                 .map(|r| r[offset..offset + len].to_vec())
         })
         .unwrap_or_else(|| panic!("PE {}: remote get on destroyed region {key}", pe.my_pe()));
-    let payload = Packer::new().u64(req_id).bytes(&data).finish();
-    pe.sync_send_and_free(reply_pe, Message::new(pe.ids.gptr_get_reply, &payload));
-}
-
-pub(crate) fn handle_get_reply(pe: &Pe, msg: Message) {
-    let mut u = Unpacker::new(msg.payload());
-    let req_id = u.u64().expect("gptr get_reply: req_id");
-    let data = u.bytes().expect("gptr get_reply: data").to_vec();
-    pe.open(&pe.gptr, |s| s.get_replies.insert(req_id, Some(data)));
+    pe.send_arrival(reply_pe, Await::Reply(req_id), &data);
 }
 
 pub(crate) fn handle_put_req(pe: &Pe, msg: Message) {
@@ -275,12 +260,6 @@ pub(crate) fn handle_put_req(pe: &Pe, msg: Message) {
             .unwrap_or_else(|| panic!("PE {}: remote put on destroyed region {key}", pe.my_pe()));
         r[offset..offset + data.len()].copy_from_slice(data);
     });
-    let payload = Packer::new().u64(req_id).finish();
-    pe.sync_send_and_free(reply_pe, Message::new(pe.ids.gptr_put_ack, &payload));
-}
-
-pub(crate) fn handle_put_ack(pe: &Pe, msg: Message) {
-    let mut u = Unpacker::new(msg.payload());
-    let req_id = u.u64().expect("gptr put_ack: req_id");
-    pe.open(&pe.gptr, |s| s.put_acks.insert(req_id, true));
+    // A put's acknowledgement is a reply with no bytes.
+    pe.send_arrival(reply_pe, Await::Reply(req_id), &[]);
 }

@@ -55,7 +55,7 @@ pub use owner::cell_census;
 pub use owner::{Owner, OwnerCell, Pinned};
 pub use pe::{Handler, Pe};
 pub use run::{
-    run, run_on_each_transport, run_with, try_run_with, MachineConfig, QueueKind, RunError,
-    RunReport, ThreadBackend, Transport,
+    run, run_on_each_transport, run_with, try_run_with, MachineConfig, RunError, RunReport,
+    ThreadBackend, Transport,
 };
 pub use wire_run::in_socket_worker;

@@ -17,17 +17,16 @@
 //! list both kinds.
 
 use crate::append::AppendTable;
-use crate::coll::CollState;
+use crate::coll::{Arrivals, CollState};
 use crate::gptr::GptrState;
 use crate::io::Console;
 use crate::locals::Locals;
 use crate::mmi::CommHandles;
 use crate::owner::{Owner, OwnerCell};
-use crate::pgrp::PgrpState;
 use crate::scatter::ScatterState;
 use converse_msg::{HandlerId, Message};
 use converse_net::{Channel, CmiTransport, Interconnect, Packet};
-use converse_queue::{CsdQueue, FifoQueue, QueueingMode, SchedulingQueue};
+use converse_queue::{CsdQueue, QueueingMode, SchedulingQueue};
 use converse_trace::{Event, StealPhase, TraceSink};
 use std::any::TypeId;
 use std::collections::VecDeque;
@@ -45,19 +44,17 @@ pub type Handler = Arc<dyn Fn(&Pe, Message) + Send + Sync>;
 type ExitHook = Box<dyn FnOnce(&Pe) + Send>;
 
 /// Handler ids reserved for the machine layer's internal protocols
-/// (global pointers, collectives, group multicast). User registration
+/// (global-pointer requests, the arrival table, the down-wave, group
+/// multicast, the external-request gateway). User registration
 /// starts after these; since every PE registers them identically in
 /// `Pe::new`, indices agree machine-wide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct InternalIds {
     pub gptr_get_req: HandlerId,
-    pub gptr_get_reply: HandlerId,
     pub gptr_put_req: HandlerId,
-    pub gptr_put_ack: HandlerId,
-    pub coll_up: HandlerId,
+    pub arrive: HandlerId,
     pub coll_down: HandlerId,
     pub pgrp_fwd: HandlerId,
-    pub pgrp_up: HandlerId,
     pub exo_req: HandlerId,
     pub exo_dispatch: HandlerId,
     pub exo_reply: HandlerId,
@@ -68,16 +65,13 @@ pub(crate) struct InternalIds {
 /// boot). `Pe::new` asserts its sequentially assigned ids match this.
 pub(crate) const INTERNAL_LAYOUT: InternalIds = InternalIds {
     gptr_get_req: HandlerId(0),
-    gptr_get_reply: HandlerId(1),
-    gptr_put_req: HandlerId(2),
-    gptr_put_ack: HandlerId(3),
-    coll_up: HandlerId(4),
-    coll_down: HandlerId(5),
-    pgrp_fwd: HandlerId(6),
-    pgrp_up: HandlerId(7),
-    exo_req: HandlerId(8),
-    exo_dispatch: HandlerId(9),
-    exo_reply: HandlerId(10),
+    gptr_put_req: HandlerId(1),
+    arrive: HandlerId(2),
+    coll_down: HandlerId(3),
+    pgrp_fwd: HandlerId(4),
+    exo_req: HandlerId(5),
+    exo_dispatch: HandlerId(6),
+    exo_reply: HandlerId(7),
 };
 
 /// Intake-refill batch size for blocking retrieval paths
@@ -96,58 +90,6 @@ const STEAL_BATCH: usize = 8;
 /// Least victim backlog (mailbox depth + published run queue) a steal
 /// is worth its interruption for, where remote loads are visible.
 const STEAL_MIN_BACKLOG: usize = 2;
-
-/// Which scheduler queue implementation a machine uses — the "plug in
-/// different queuing strategies" hook at machine-configuration level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Full prioritized Converse queue (two-lane `Cqs`).
-    #[default]
-    Csd,
-    /// Plain FIFO — the cheapest strategy, for languages that never
-    /// prioritize.
-    Fifo,
-}
-
-/// The scheduler's queue: one variant per [`QueueKind`], so the
-/// per-message enqueue and dequeue are direct (inlinable) calls.
-pub(crate) enum SchedQueue {
-    Csd(CsdQueue),
-    Fifo(FifoQueue),
-}
-
-impl SchedQueue {
-    fn new(kind: QueueKind) -> SchedQueue {
-        match kind {
-            QueueKind::Csd => SchedQueue::Csd(CsdQueue::new()),
-            QueueKind::Fifo => SchedQueue::Fifo(FifoQueue::new()),
-        }
-    }
-
-    #[inline]
-    fn enqueue(&mut self, msg: Message, mode: QueueingMode) {
-        match self {
-            SchedQueue::Csd(q) => q.enqueue(msg, mode),
-            SchedQueue::Fifo(q) => q.enqueue(msg, mode),
-        }
-    }
-
-    #[inline]
-    fn dequeue(&mut self) -> Option<Message> {
-        match self {
-            SchedQueue::Csd(q) => q.dequeue(),
-            SchedQueue::Fifo(q) => q.dequeue(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            SchedQueue::Csd(q) => q.len(),
-            SchedQueue::Fifo(q) => q.len(),
-        }
-    }
-}
 
 /// Which mechanism backs the thread objects (`cth_*`) of a machine.
 ///
@@ -214,7 +156,7 @@ pub(crate) struct PeCore {
     /// handlers; consumed before the network on retrieval. Empty unless
     /// an SPM-style receive has buffered something.
     pending: VecDeque<Message>,
-    queue: SchedQueue,
+    queue: CsdQueue,
     /// Advance receives ([`crate::scatter`]): every received message is
     /// offered to them first.
     pub(crate) scatter: ScatterState,
@@ -277,7 +219,8 @@ pub struct Pe {
     pub(crate) comm: OwnerCell<CommHandles>,
     pub(crate) gptr: OwnerCell<GptrState>,
     pub(crate) coll: OwnerCell<CollState>,
-    pub(crate) pgrp: OwnerCell<PgrpState>,
+    /// What the blocked EMI calls wait for ([`crate::coll`]).
+    pub(crate) arrivals: OwnerCell<Arrivals>,
     pub(crate) ids: InternalIds,
     pub(crate) shared: Arc<MachineShared>,
     trace: Arc<dyn TraceSink>,
@@ -297,7 +240,6 @@ impl Pe {
     pub(crate) fn new(
         id: usize,
         net: Arc<dyn CmiTransport>,
-        queue: QueueKind,
         shared: Arc<MachineShared>,
         trace: Arc<dyn TraceSink>,
     ) -> Arc<Pe> {
@@ -305,13 +247,10 @@ impl Pe {
         let push = |h: Handler| HandlerId(table.push(h) as u32);
         let ids = InternalIds {
             gptr_get_req: push(Arc::new(crate::gptr::handle_get_req)),
-            gptr_get_reply: push(Arc::new(crate::gptr::handle_get_reply)),
             gptr_put_req: push(Arc::new(crate::gptr::handle_put_req)),
-            gptr_put_ack: push(Arc::new(crate::gptr::handle_put_ack)),
-            coll_up: push(Arc::new(crate::coll::handle_up)),
+            arrive: push(Arc::new(crate::coll::handle_arrive)),
             coll_down: push(Arc::new(crate::coll::handle_down)),
             pgrp_fwd: push(Arc::new(crate::pgrp::handle_fwd)),
-            pgrp_up: push(Arc::new(crate::pgrp::handle_up)),
             exo_req: push(Arc::new(crate::exo::handle_req)),
             exo_dispatch: push(Arc::new(crate::exo::handle_dispatch)),
             exo_reply: push(Arc::new(crate::exo::handle_reply)),
@@ -324,7 +263,7 @@ impl Pe {
         let core = PeCore {
             intake: VecDeque::new(),
             pending: VecDeque::new(),
-            queue: SchedQueue::new(queue),
+            queue: CsdQueue::new(),
             scatter: ScatterState::default(),
             last_spin: 0,
             sched_batches: 0,
@@ -344,7 +283,7 @@ impl Pe {
             comm: OwnerCell::new(&owner, CommHandles::default()),
             gptr: OwnerCell::new(&owner, GptrState::default()),
             coll: OwnerCell::new(&owner, CollState::default()),
-            pgrp: OwnerCell::new(&owner, PgrpState::default()),
+            arrivals: OwnerCell::new(&owner, Arrivals::default()),
             ids,
             shared,
             trace_on: trace.enabled(),

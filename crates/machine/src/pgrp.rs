@@ -8,14 +8,20 @@
 //! [`Pe::async_multicast`] (`CmiAsyncMulticast`) delivers a message to
 //! every member except the caller by forwarding along the tree — each
 //! hop sends only to its own children, so no PE sends more than its
-//! fan-out.
+//! fan-out. [`Pe::pgrp_reduce`] runs the machine-wide reduction's
+//! up-wave ([`crate::coll`]) over the group's tree, its partial results
+//! waiting in the PE's arrival table under the members' tag.
+//!
+//! A group travels inside every multicast, so [`Pgrp::decode`] reads
+//! bytes from another process: it reserves no more than the bytes can
+//! hold and rejects anything that is not a tree rooted at its root.
 
-use crate::coll::CombinerId;
+use crate::coll::{Await, CombinerId};
 use crate::mmi::CommHandle;
 use crate::pe::Pe;
 use converse_msg::pack::{PackError, Packer, Unpacker};
 use converse_msg::Message;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A processor group: a spanning tree over member PEs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,13 +104,32 @@ impl Pgrp {
 
     /// All members, root first, in breadth-first tree order.
     fn members(&self) -> Vec<usize> {
+        self.tree_order()
+            .expect("a group built with add_children is a tree")
+    }
+
+    /// The members in breadth-first order from the root, or `None` when
+    /// the parent and child links are not one tree rooted at `root`: a
+    /// child whose parent is another member, a member reached twice
+    /// (a cycle) or never.
+    fn tree_order(&self) -> Option<Vec<usize>> {
+        if self.parent.get(&self.root) != Some(&self.root) {
+            return None;
+        }
         let mut out = vec![self.root];
+        let mut seen = HashSet::from([self.root]);
         let mut i = 0;
         while i < out.len() {
-            out.extend_from_slice(self.children(out[i]));
+            let m = out[i];
+            for &k in self.children(m) {
+                if self.parent.get(&k) != Some(&m) || !seen.insert(k) {
+                    return None;
+                }
+                out.push(k);
+            }
             i += 1;
         }
-        out
+        (out.len() == self.parent.len()).then_some(out)
     }
 
     /// Serialize for embedding in forwarding messages.
@@ -122,40 +147,43 @@ impl Pgrp {
         p.finish()
     }
 
-    /// Inverse of [`Pgrp::encode`].
+    /// Inverse of [`Pgrp::encode`]. Bytes that run short, list a member
+    /// twice or do not describe a tree rooted at the encoded root are an
+    /// error.
     pub fn decode(bytes: &[u8]) -> Result<Pgrp, PackError> {
         let mut u = Unpacker::new(bytes);
         let root = u.usize()?;
         let n = u.usize()?;
-        let mut parent = HashMap::with_capacity(n);
-        let mut children = HashMap::with_capacity(n);
+        // The counts are the sender's word: reserve only what the bytes
+        // that arrived can hold (a member is at least three words, a
+        // child one).
+        let mut parent = HashMap::with_capacity(n.min(u.remaining() / 24));
+        let mut children = HashMap::with_capacity(n.min(u.remaining() / 24));
+        let malformed = PackError {
+            needed: 0,
+            remaining: bytes.len(),
+        };
         for _ in 0..n {
             let m = u.usize()?;
             let par = u.usize()?;
             let nk = u.usize()?;
-            let mut kids = Vec::with_capacity(nk);
+            let mut kids = Vec::with_capacity(nk.min(u.remaining() / 8));
             for _ in 0..nk {
                 kids.push(u.usize()?);
             }
-            parent.insert(m, par);
+            if parent.insert(m, par).is_some() {
+                return Err(malformed);
+            }
             children.insert(m, kids);
         }
-        Ok(Pgrp {
+        let g = Pgrp {
             root,
             parent,
             children,
-        })
+        };
+        g.tree_order().ok_or(malformed)?;
+        Ok(g)
     }
-}
-
-/// Per-PE state for in-flight group reductions: (tag) → contributions
-/// received from in-group children.
-/// (tag) → contributions received from in-group children.
-type GroupInbox = HashMap<u64, Vec<(usize, Vec<u8>)>>;
-
-#[derive(Default)]
-pub(crate) struct PgrpState {
-    inbox: GroupInbox,
 }
 
 impl Pe {
@@ -174,38 +202,18 @@ impl Pe {
         contribution: Vec<u8>,
         op: CombinerId,
     ) -> Option<Vec<u8>> {
-        assert!(
-            group.is_member(self.my_pe()),
-            "PE {}: pgrp_reduce by a non-member",
-            self.my_pe()
-        );
         let me = self.my_pe();
-        let kids = group.children(me).to_vec();
-        let acc = if kids.is_empty() {
-            contribution
-        } else {
-            self.deliver_internal_until(|| {
-                self.open(&self.pgrp, |g| g.inbox.get(&tag).map_or(0, Vec::len)) == kids.len()
-            });
-            let mut got = self
-                .open(&self.pgrp, |g| g.inbox.remove(&tag))
-                .expect("children arrived");
-            got.sort_by_key(|(pe, _)| *pe);
-            let f = self.combiner_fn(op);
-            let mut acc = contribution;
-            for (_, bytes) in got {
-                acc = f(&acc, &bytes);
-            }
-            acc
-        };
-        if me == group.root() {
-            Some(acc)
-        } else {
-            let parent = group.parent(me).expect("non-root member has a parent");
-            let payload = Packer::new().u64(tag).usize(me).bytes(&acc).finish();
-            self.sync_send_and_free(parent, Message::new(self.ids.pgrp_up, &payload));
-            None
-        }
+        let parent = group
+            .parent(me)
+            .unwrap_or_else(|| panic!("PE {me}: pgrp_reduce by a non-member"));
+        let parent = (me != group.root()).then_some(parent);
+        self.reduce_along(
+            Await::Group(tag),
+            parent,
+            group.num_children(me),
+            contribution,
+            op,
+        )
     }
 
     /// Multicast `msg` to every member of `group` except this PE
@@ -221,16 +229,6 @@ impl Pe {
         self.sync_send_and_free(group.root(), fwd);
         self.comm_create(true)
     }
-}
-
-pub(crate) fn handle_up(pe: &Pe, msg: Message) {
-    let mut u = Unpacker::new(msg.payload());
-    let tag = u.u64().expect("pgrp up: tag");
-    let child = u.usize().expect("pgrp up: child");
-    let bytes = u.bytes().expect("pgrp up: bytes").to_vec();
-    pe.open(&pe.pgrp, |g| {
-        g.inbox.entry(tag).or_default().push((child, bytes))
-    });
 }
 
 pub(crate) fn handle_fwd(pe: &Pe, msg: Message) {
@@ -302,6 +300,66 @@ mod tests {
         let mut g = Pgrp::create(0);
         g.add_children(0, &[1]);
         g.add_children(1, &[1]);
+    }
+
+    #[test]
+    fn forged_member_count_is_an_error() {
+        let bytes = Packer::new().usize(0).usize(1 << 40).finish();
+        assert!(Pgrp::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn forged_child_count_is_an_error() {
+        // Root 0, one member, claiming 2^40 children.
+        let bytes = Packer::new()
+            .usize(0)
+            .usize(1)
+            .usize(0)
+            .usize(0)
+            .usize(1 << 40)
+            .finish();
+        assert_eq!(bytes.len(), 40);
+        assert!(Pgrp::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn links_that_are_not_a_tree_are_an_error() {
+        let encode = |members: &[(usize, usize, &[usize])]| {
+            let mut p = Packer::new().usize(0).usize(members.len());
+            for &(m, par, kids) in members {
+                p = p.usize(m).usize(par).usize(kids.len());
+                for &k in kids {
+                    p = p.usize(k);
+                }
+            }
+            p.finish()
+        };
+        // A cycle 1 → 2 → 1 beside the root: consistent links, unreachable.
+        let cycle = encode(&[(0, 0, &[]), (1, 2, &[2]), (2, 1, &[1])]);
+        // The root as its own child.
+        let self_loop = encode(&[(0, 0, &[0])]);
+        // A child whose parent link names another member.
+        let disagree = encode(&[(0, 0, &[1]), (1, 2, &[]), (2, 0, &[])]);
+        // A member listed twice.
+        let twice = encode(&[(0, 0, &[1]), (1, 0, &[]), (1, 0, &[])]);
+        // A child listed twice under its parent.
+        let repeated = encode(&[(0, 0, &[1, 1]), (1, 0, &[])]);
+        // A root whose parent is not itself.
+        let rootless = encode(&[(0, 1, &[1]), (1, 0, &[])]);
+        for bytes in [cycle, self_loop, disagree, twice, repeated, rootless] {
+            assert!(Pgrp::decode(&bytes).is_err());
+        }
+    }
+
+    proptest::proptest! {
+        /// Any byte string decodes to a group or an error without
+        /// panicking, and a group it yields round-trips.
+        #[test]
+        fn decode_never_panics(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=256)) {
+            if let Ok(g) = Pgrp::decode(&bytes) {
+                proptest::prop_assert_eq!(Pgrp::decode(&g.encode()), Ok(g));
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! instead of hanging; the panic that caused it is re-raised to the caller.
 
 use crate::exo::{MachineHandle, MachineService};
+pub use crate::pe::ThreadBackend;
 use crate::pe::{MachineShared, Pe, PeerAbort};
-pub use crate::pe::{QueueKind, ThreadBackend};
 use converse_net::{
     Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect, PeTraffic,
 };
@@ -113,8 +113,6 @@ pub struct MachineConfig {
     /// delay and scripted stalls, masked by the net's reliability
     /// sublayer. `None` = perfectly reliable wire, zero overhead.
     pub faults: Option<FaultPlan>,
-    /// Scheduler-queue implementation each PE uses.
-    pub queue: QueueKind,
     /// Trace sink shared by all PEs (default: the zero-cost null sink).
     pub trace: Arc<dyn TraceSink>,
     /// Lines pre-loaded into the machine's shared standard input.
@@ -167,16 +165,14 @@ fn default_idle_spin() -> u32 {
 }
 
 impl MachineConfig {
-    /// Defaults: FIFO delivery, the full Csd queue, no tracing, captured
-    /// output off, 30-second block watchdog, and an idle spin budget
-    /// picked for the host (160 probes, or 0 on a single hardware
-    /// thread).
+    /// Defaults: FIFO delivery, no tracing, captured output off,
+    /// 30-second block watchdog, and an idle spin budget picked for the
+    /// host (160 probes, or 0 on a single hardware thread).
     pub fn new(num_pes: usize) -> Self {
         MachineConfig {
             num_pes,
             delivery: DeliveryMode::Fifo,
             faults: None,
-            queue: QueueKind::Csd,
             trace: Arc::new(NullSink),
             stdin_lines: Vec::new(),
             capture_output: false,
@@ -225,12 +221,6 @@ impl MachineConfig {
     /// Install a deterministic fault plan (see [`FaultPlan`]).
     pub fn faults(mut self, p: FaultPlan) -> Self {
         self.faults = Some(p);
-        self
-    }
-
-    /// Set the scheduler-queue kind.
-    pub fn queue(mut self, q: QueueKind) -> Self {
-        self.queue = q;
         self
     }
 
@@ -426,10 +416,9 @@ pub(crate) fn spawn_pe<F>(
 where
     F: Fn(&Pe) + Send + Sync + 'static,
 {
-    let (queue, trace, shared, entry) =
-        (cfg.queue, cfg.trace.clone(), shared.clone(), entry.clone());
+    let (trace, shared, entry) = (cfg.trace.clone(), shared.clone(), entry.clone());
     let pe_main = move || {
-        let pe = Pe::new(id, net, queue, shared, trace);
+        let pe = Pe::new(id, net, shared, trace);
         let guarded = |f: &dyn Fn(&Pe)| {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&pe)));
             if r.is_err() {

@@ -63,6 +63,32 @@ fn concurrent_group_reductions_by_tag() {
 }
 
 #[test]
+fn group_tag_equal_to_a_machine_sequence_number_stays_apart() {
+    run(6, |pe| {
+        let sum = sum_combiner(pe);
+        let g = sample_group();
+        // The barrier takes machine sequence numbers 0 and 1, so the
+        // allreduce below runs its up-wave as number 2 — the group's tag.
+        pe.barrier();
+        let me = pe.my_pe() as i64;
+        // Members reduce first, then everyone joins the allreduce: PE 1
+        // waits for children 3 and 4 in both trees, and their machine
+        // contributions can arrive while it still waits for their group
+        // ones.
+        if g.is_member(pe.my_pe()) {
+            let out = pe.pgrp_reduce(&g, 2, (1000 * (me + 1)).to_le_bytes().to_vec(), sum);
+            if pe.my_pe() == 1 {
+                // Members 1, 3, 4, 0.
+                assert_eq!(i64::from_le_bytes(out.unwrap().try_into().unwrap()), 12_000);
+            }
+        }
+        let all = pe.allreduce_bytes((me + 1).to_le_bytes().to_vec(), sum);
+        assert_eq!(i64::from_le_bytes(all.try_into().unwrap()), 21);
+        pe.barrier();
+    });
+}
+
+#[test]
 fn singleton_group_reduce() {
     run(2, |pe| {
         let sum = sum_combiner(pe);

@@ -24,6 +24,9 @@ fn main() {
         let mut iters = 0u64;
         loop {
             let (left, right) = u.halo(pe);
+            // No PE updates its block before every neighbour has read
+            // this iteration's halo from it.
+            dp.barrier(pe);
             let old = u.local(pe);
             let (lo, hi) = u.local_range();
             let mut maxdiff = 0.0f64;

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use converse_core::{
         csd_enqueue, csd_enqueue_general, csd_exit_scheduler, csd_scheduler,
         csd_scheduler_until_idle, run, run_with, schedule_until, HandlerId, MachineConfig, Message,
-        Pe, QueueKind, Quiescence, RunReport,
+        Pe, Quiescence, RunReport,
     };
     pub use converse_msg::{pack::Packer, pack::Unpacker, BitVecPrio, Priority};
     pub use converse_queue::QueueingMode;

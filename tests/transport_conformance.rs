@@ -81,7 +81,8 @@ fn ring_token_carries_exact_values_on_each_transport() {
 }
 
 /// Collectives: tree allreduce, root broadcast, and barriers agree on
-/// both transports, several rounds deep.
+/// both transports, several rounds deep — and so do a processor
+/// group's multicast and reduction along its own tree.
 #[test]
 fn collectives_agree_on_each_transport() {
     const PES: usize = 4;
@@ -92,6 +93,18 @@ fn collectives_agree_on_each_transport() {
             let y = u64::from_le_bytes(b.try_into().unwrap());
             (x + y).to_le_bytes().to_vec()
         });
+        // The last multicast round this PE received, plus one.
+        let seen = pe.local(|| AtomicU64::new(0));
+        let s2 = seen.clone();
+        let multicast = pe.register_handler(move |_pe, msg| {
+            let round = u64::from_le_bytes(msg.payload().try_into().unwrap());
+            s2.store(round + 1, Ordering::SeqCst);
+        });
+        // Root 2, children 0 and 3; 3 has child 1: neither the machine
+        // tree's root nor its shape.
+        let mut group = converse::machine::pgrp::Pgrp::create(2);
+        group.add_children(2, &[0, 3]);
+        group.add_children(3, &[1]);
         pe.barrier();
         for round in 0..ROUNDS {
             let mine = (pe.my_pe() as u64 + 1) * (round + 1);
@@ -101,6 +114,24 @@ fn collectives_agree_on_each_transport() {
             let payload = (pe.my_pe() == 0).then(|| round.to_le_bytes().to_vec());
             let got = pe.bcast_bytes(0, payload);
             assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), round);
+            // Every member but the caller gets the multicast.
+            let caller = round as usize % PES;
+            if pe.my_pe() == caller {
+                let msg = Message::new(multicast, &round.to_le_bytes());
+                let h = pe.async_multicast(&group, &msg);
+                pe.release_comm_handle(h);
+            } else {
+                pe.deliver_until(|| seen.load(Ordering::SeqCst) == round + 1);
+            }
+            let reduced = pe.pgrp_reduce(&group, round, mine.to_le_bytes().to_vec(), sum);
+            if pe.my_pe() == group.root() {
+                assert_eq!(
+                    u64::from_le_bytes(reduced.unwrap().try_into().unwrap()),
+                    expect
+                );
+            } else {
+                assert!(reduced.is_none());
+            }
             pe.barrier();
         }
     });
