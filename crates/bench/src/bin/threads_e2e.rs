@@ -2,8 +2,8 @@
 //!
 //! The fiber backend's claim is that the paper's ~100 ns-class context
 //! switch survives **integration**: not just the raw register switch
-//! (see the `threads_switch` bench) but the full paths a threaded
-//! runtime actually exercises — Csd-scheduled wakeups, tSM blocking
+//! (the `benchmark/` crate's `fiber.switch_ns` row) but the full paths
+//! a threaded runtime actually exercises — Csd-scheduled wakeups, tSM blocking
 //! produce/consume round-trips, and N-thread ping rings. Each workload
 //! runs on both backends and emits `BENCH_threads.json` rows in the
 //! hand-off-vs-fiber (before/after) shape:

@@ -1,12 +1,10 @@
 //! Load generation against the CCS front-end: boots a machine with an
 //! echo handler exported over CCS, then drives it with real TCP clients.
-//! Shared by the `ccs_throughput` binary and the `ccs_roundtrip`
-//! criterion bench.
+//! Driven by the `ccs_throughput` binary.
 
 use converse_ccs::{self as ccs, CcsClient, CcsRegistry, CcsServer, CcsServerConfig};
 use converse_core::{csd_exit_scheduler, csd_scheduler, run_with, MachineConfig, Message, Pe};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One benchmark configuration.
@@ -168,17 +166,4 @@ pub fn run_config(cfg: &CcsBenchConfig) -> CcsBenchResult {
         p99_us,
         throughput_reqs: total,
     }
-}
-
-/// Time `iters` closed-loop echo round trips on a fresh machine — the
-/// criterion `iter_custom` building block.
-pub fn echo_round_trips(pes: usize, payload: usize, iters: u64) -> Duration {
-    let body = Arc::new(vec![0x5au8; payload]);
-    with_echo_machine(pes, CcsServerConfig::default(), move |_addr, c| {
-        let t0 = Instant::now();
-        for i in 0..iters {
-            c.call("echo", (i as usize) % pes, &body).expect("echo");
-        }
-        t0.elapsed()
-    })
 }

@@ -194,20 +194,15 @@ pub struct SwCost {
     pub sched_ns: f64,
 }
 
-/// Scale an iteration budget down for large messages so total bytes
-/// copied stays bounded.
-pub fn scaled_iters(base: u64, size: usize) -> u64 {
-    ((base as u128 * 1024 / (size as u128 + 1024)) as u64)
-        .max(base / 20)
-        .max(500)
-}
-
-/// Measure the software path for each size (`iters` scaled per size).
+/// Measure the software path for each size. `iters` is scaled down for
+/// large messages so the total bytes copied stays bounded.
 pub fn measure_sw(sizes: &[usize], iters: u64) -> Vec<SwCost> {
     sizes
         .iter()
         .map(|&size| {
-            let it = scaled_iters(iters, size);
+            let it = ((iters as u128 * 1024 / (size as u128 + 1024)) as u64)
+                .max(iters / 20)
+                .max(500);
             SwCost {
                 size,
                 raw_ns: raw_loopback_ns(size, it),

@@ -19,8 +19,9 @@ use converse_msg::pack::{Packer, Unpacker};
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame body; a length prefix beyond this is treated
-/// as a corrupt stream rather than an allocation request.
-pub(crate) const MAX_FRAME: usize = 16 * 1024 * 1024;
+/// as a corrupt stream rather than an allocation request. The largest
+/// frame the repo's own load generator sends carries a 64 KiB payload.
+pub(crate) const MAX_FRAME: usize = 1024 * 1024;
 
 /// Sentinel destination meaning "any PE": the server picks the least
 /// loaded processor at admission time. Encodes on the wire as
@@ -69,15 +70,17 @@ pub(crate) fn encode_request(r: &Request) -> Vec<u8> {
         .finish()
 }
 
-/// Decode a request frame body.
+/// Decode a request frame body. A body is exactly one request: a name
+/// that is not UTF-8 or bytes past the payload make it malformed.
 pub(crate) fn decode_request(body: &[u8]) -> Option<Request> {
     let mut u = Unpacker::new(body);
-    Some(Request {
+    let r = Request {
         seq: u.u64().ok()?,
         dest_pe: u.u32().ok()? as usize,
-        name: u.str().ok()?,
+        name: String::from_utf8(u.bytes().ok()?.to_vec()).ok()?,
         payload: u.bytes().ok()?.to_vec(),
-    })
+    };
+    (u.remaining() == 0).then_some(r)
 }
 
 /// Best-effort extraction of just the sequence number from a request
@@ -95,14 +98,15 @@ pub(crate) fn encode_reply(r: &Reply) -> Vec<u8> {
         .finish()
 }
 
-/// Decode a reply frame body.
+/// Decode a reply frame body; bytes past the payload make it malformed.
 pub(crate) fn decode_reply(body: &[u8]) -> Option<Reply> {
     let mut u = Unpacker::new(body);
-    Some(Reply {
+    let r = Reply {
         seq: u.u64().ok()?,
         status: u.u8().ok()?,
         payload: u.bytes().ok()?.to_vec(),
-    })
+    };
+    (u.remaining() == 0).then_some(r)
 }
 
 /// Write one frame (length prefix + body).
@@ -120,6 +124,10 @@ pub(crate) fn write_frame(w: &mut dyn Write, body: &[u8]) -> io::Result<()> {
 
 /// Read one frame body. `Ok(None)` on a clean EOF at a frame boundary
 /// (peer closed); errors on mid-frame EOF or an oversized prefix.
+///
+/// The prefix is a claim, not a reservation: the body buffer grows only
+/// with bytes actually received, so a peer that sends a prefix and then
+/// nothing pins no memory on its connection's reader.
 pub(crate) fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
@@ -134,48 +142,85 @@ pub(crate) fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {n} bytes exceeds MAX_FRAME"),
         ));
     }
-    let mut body = vec![0u8; n];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    r.take(n as u64).read_to_end(&mut body)?;
+    if body.len() < n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame ended after {} of {n} bytes", body.len()),
+        ));
+    }
     Ok(Some(body))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn request_roundtrip() {
-        let r = Request {
-            seq: 7,
-            dest_pe: 3,
-            name: "echo".into(),
-            payload: vec![1, 2],
-        };
-        assert_eq!(decode_request(&encode_request(&r)).unwrap(), r);
-        assert_eq!(peek_seq(&encode_request(&r)), Some(7));
+    /// Cut the tail of `body`, change one byte or append one.
+    fn edit(mut body: Vec<u8>, (how, at, x): (u8, usize, u8)) -> Vec<u8> {
+        match how {
+            0 => body.truncate(at % body.len()),
+            1 => {
+                let i = at % body.len();
+                body[i] ^= x;
+            }
+            _ => body.push(x),
+        }
+        body
     }
 
-    #[test]
-    fn any_pe_roundtrips_on_the_wire() {
-        let r = Request {
-            seq: 1,
-            dest_pe: ANY_PE,
-            name: "whoami".into(),
-            payload: Vec::new(),
-        };
-        let back = decode_request(&encode_request(&r)).unwrap();
-        assert_eq!(back.dest_pe, ANY_PE);
+    fn bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        collection::vec(any::<u8>(), 0..=max)
     }
 
-    #[test]
-    fn reply_roundtrip() {
-        let r = Reply {
-            seq: 9,
-            status: 0,
-            payload: b"hi".to_vec(),
-        };
-        assert_eq!(decode_reply(&encode_reply(&r)).unwrap(), r);
-        assert!(r.is_ok());
+    proptest! {
+        /// A request round-trips, `ANY_PE` included. Its encoding
+        /// edited, or any 256 bytes, decode to a request or to nothing
+        /// without panicking; a request they yield re-encodes to the
+        /// same bytes, and `peek_seq` sees its sequence number.
+        #[test]
+        fn request_decoding_is_total_and_exact(
+            fields in (any::<u64>(), prop_oneof![Just(ANY_PE as u32), any::<u32>()], bytes(16), bytes(64)),
+            how in (0u8..3, any::<usize>(), any::<u8>()),
+            noise in bytes(256),
+        ) {
+            let (seq, dest_pe, name, payload) = fields;
+            let name = String::from_utf8_lossy(&name).into_owned();
+            let dest_pe = dest_pe as usize;
+            let r = Request { seq, dest_pe, name, payload };
+            let body = encode_request(&r);
+            prop_assert_eq!(decode_request(&body), Some(r));
+            for bytes in [edit(body, how), noise] {
+                let seq = peek_seq(&bytes);
+                prop_assert_eq!(seq.is_some(), bytes.len() >= 8);
+                if let Some(d) = decode_request(&bytes) {
+                    prop_assert_eq!(seq, Some(d.seq));
+                    prop_assert_eq!(encode_request(&d), bytes);
+                }
+            }
+        }
+
+        /// A reply round-trips. Its encoding edited, or any 256 bytes,
+        /// decode to a reply or to nothing without panicking; a reply
+        /// they yield re-encodes to the same bytes.
+        #[test]
+        fn reply_decoding_is_total_and_exact(
+            fields in (any::<u64>(), any::<u8>(), bytes(64)),
+            how in (0u8..3, any::<usize>(), any::<u8>()),
+            noise in bytes(256),
+        ) {
+            let (seq, status, payload) = fields;
+            let r = Reply { seq, status, payload };
+            let body = encode_reply(&r);
+            prop_assert_eq!(decode_reply(&body), Some(r));
+            for bytes in [edit(body, how), noise] {
+                if let Some(d) = decode_reply(&bytes) {
+                    prop_assert_eq!(encode_reply(&d), bytes);
+                }
+            }
+        }
     }
 
     #[test]

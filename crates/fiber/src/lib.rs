@@ -13,9 +13,10 @@
 //! `converse-threads`; the hand-off OS-thread backend remains as the
 //! portable fallback on targets this crate does not support.
 //!
-//! The `threads_switch` bench reports this constant next to the
-//! hand-off fallback's, closing the loop on the substitution note in
-//! DESIGN.md.
+//! The `benchmark/` crate reports this constant as its
+//! `fiber.switch_ns` row, and `converse-bench`'s `threads_e2e` bin sets
+//! the two backends side by side, closing the loop on the substitution
+//! note in DESIGN.md.
 //!
 //! # Safety model
 //!

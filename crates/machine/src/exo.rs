@@ -176,12 +176,7 @@ impl MachineHandle {
         if self.closed() {
             return false;
         }
-        let body = Packer::with_capacity(24 + payload.len())
-            .u64(token_conn)
-            .u64(seq)
-            .u32(target.0)
-            .bytes(payload)
-            .finish();
+        let body = encode_request(token_conn, seq, target, payload);
         self.net
             .inject(dst, Message::new(self.exo_req, &body).into_block());
         true
@@ -209,19 +204,42 @@ fn encode_reply(exo_reply: HandlerId, r: &ExoReply) -> Message {
     Message::new(exo_reply, &body)
 }
 
+fn encode_request(conn: u64, seq: u64, target: HandlerId, payload: &[u8]) -> Vec<u8> {
+    Packer::with_capacity(24 + payload.len())
+        .u64(conn)
+        .u64(seq)
+        .u32(target.0)
+        .bytes(payload)
+        .finish()
+}
+
+/// `Ok(v)` when `u` consumed the whole envelope: an envelope is exactly
+/// what its encoder wrote, so bytes past the payload make it malformed.
+fn whole<T>(u: &Unpacker, v: T) -> Result<T, PackError> {
+    match u.remaining() {
+        0 => Ok(v),
+        remaining => Err(PackError {
+            needed: 0,
+            remaining,
+        }),
+    }
+}
+
 fn decode_request(payload: &[u8]) -> Result<(u64, u64, HandlerId, &[u8]), PackError> {
     let mut u = Unpacker::new(payload);
-    Ok((u.u64()?, u.u64()?, HandlerId(u.u32()?), u.bytes()?))
+    let parts = (u.u64()?, u.u64()?, HandlerId(u.u32()?), u.bytes()?);
+    whole(&u, parts)
 }
 
 fn decode_reply(payload: &[u8]) -> Result<ExoReply, PackError> {
     let mut u = Unpacker::new(payload);
-    Ok(ExoReply {
+    let r = ExoReply {
         conn: u.u64()?,
         seq: u.u64()?,
         status: u.u8()?,
         payload: u.bytes()?.to_vec(),
-    })
+    };
+    whole(&u, r)
 }
 
 /// `exo_req`: an injected request just came off the wire. Retarget it
@@ -351,33 +369,71 @@ impl Pe {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn request_envelope_roundtrip() {
-        let body = Packer::new().u64(3).u64(9).u32(17).bytes(b"hi").finish();
-        let (conn, seq, target, payload) = decode_request(&body).unwrap();
-        assert_eq!(
-            (conn, seq, target, payload),
-            (3, 9, HandlerId(17), &b"hi"[..])
-        );
-    }
-
-    #[test]
-    fn reply_envelope_roundtrip() {
-        let r = ExoReply {
-            conn: 1,
-            seq: 2,
-            status: status::OK,
-            payload: vec![5, 6],
-        };
-        let msg = encode_reply(crate::pe::INTERNAL_LAYOUT.exo_reply, &r);
-        assert_eq!(msg.handler(), crate::pe::INTERNAL_LAYOUT.exo_reply);
-        assert_eq!(decode_reply(msg.payload()).unwrap(), r);
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn truncated_envelope_is_error() {
         assert!(decode_request(&[1, 2, 3]).is_err());
         assert!(decode_reply(&[]).is_err());
+    }
+
+    /// Cut the tail of `body`, change one byte or append one.
+    fn edit(mut body: Vec<u8>, (how, at, x): (u8, usize, u8)) -> Vec<u8> {
+        match how {
+            0 => body.truncate(at % body.len()),
+            1 => {
+                let i = at % body.len();
+                body[i] ^= x;
+            }
+            _ => body.push(x),
+        }
+        body
+    }
+
+    fn bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        collection::vec(any::<u8>(), 0..=max)
+    }
+
+    proptest! {
+        /// A request envelope round-trips. Its encoding edited, or any
+        /// 256 bytes, decode to a request or an error without panicking;
+        /// a request they yield re-encodes to the same bytes.
+        #[test]
+        fn request_decoding_is_total_and_exact(
+            fields in (any::<u64>(), any::<u64>(), any::<u32>(), bytes(64)),
+            how in (0u8..3, any::<usize>(), any::<u8>()),
+            noise in bytes(256),
+        ) {
+            let (conn, seq, h, payload) = fields;
+            let body = encode_request(conn, seq, HandlerId(h), &payload);
+            prop_assert_eq!(decode_request(&body), Ok((conn, seq, HandlerId(h), &payload[..])));
+            for bytes in [edit(body, how), noise] {
+                if let Ok((conn, seq, target, payload)) = decode_request(&bytes) {
+                    prop_assert_eq!(encode_request(conn, seq, target, payload), bytes);
+                }
+            }
+        }
+
+        /// A reply envelope round-trips. Its encoding edited, or any 256
+        /// bytes, decode to a reply or an error without panicking; a
+        /// reply they yield re-encodes to the same bytes.
+        #[test]
+        fn reply_decoding_is_total_and_exact(
+            fields in (any::<u64>(), any::<u64>(), any::<u8>(), bytes(64)),
+            how in (0u8..3, any::<usize>(), any::<u8>()),
+            noise in bytes(256),
+        ) {
+            let (conn, seq, status, payload) = fields;
+            let r = ExoReply { conn, seq, status, payload };
+            let msg = encode_reply(crate::pe::INTERNAL_LAYOUT.exo_reply, &r);
+            prop_assert_eq!(msg.handler(), crate::pe::INTERNAL_LAYOUT.exo_reply);
+            prop_assert_eq!(decode_reply(msg.payload()), Ok(r));
+            for bytes in [edit(msg.payload().to_vec(), how), noise] {
+                if let Ok(d) = decode_reply(&bytes) {
+                    let again = encode_reply(HandlerId(0), &d);
+                    prop_assert_eq!(again.payload(), &bytes[..]);
+                }
+            }
+        }
     }
 }

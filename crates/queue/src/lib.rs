@@ -5,15 +5,14 @@
 //! module. It provides:
 //!
 //! * [`SchedulingQueue`] — the interface the scheduler programs against;
-//! * [`FifoQueue`] / [`LifoQueue`] — trivial strategies with no priority
-//!   machinery at all, honouring the paper's *need-based cost* guideline
-//!   (§3, guideline 2): a language that never prioritizes pays for a
-//!   `VecDeque`, nothing more;
-//! * [`CsdQueue`] — the full prioritized queue with the same structure as
+//! * [`CsdQueue`] — its one implementation, with the same structure as
 //!   Converse's `Cqs`: an O(1) "zero" lane for unprioritized entries and
 //!   a priority lane ordering integer and bit-vector priorities in one
 //!   unified total order (integers are embedded as 32-bit offset-binary
-//!   vectors, exactly how Converse unifies the two domains).
+//!   vectors, exactly how Converse unifies the two domains). A language
+//!   that never prioritizes touches only the zero lane, a `VecDeque`,
+//!   which honours the paper's *need-based cost* guideline (§3,
+//!   guideline 2).
 //!
 //! Queueing modes mirror `CQS_QUEUEING_{FIFO,LIFO,IFIFO,ILIFO,BFIFO,BLIFO}`:
 //! [`QueueingMode::Fifo`]/[`QueueingMode::Lifo`] ignore the message's
@@ -50,83 +49,6 @@ pub trait SchedulingQueue: Send {
     /// True when no messages are queued.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-    /// Move up to `max` messages into `out` in dequeue order; returns
-    /// how many moved. A bulk companion to [`SchedulingQueue::dequeue`]
-    /// for consumers that drain whole batches (benches, drainers); the
-    /// scheduler's own loop intentionally stays per-entry so work
-    /// enqueued mid-batch at a more urgent priority still preempts.
-    fn dequeue_into(&mut self, out: &mut Vec<Message>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.dequeue() {
-                Some(m) => {
-                    out.push(m);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-}
-
-/// Plain FIFO queue: the cheapest strategy. `Prio*` modes degrade to
-/// their unprioritized counterparts (insertion order only).
-#[derive(Default, Debug)]
-pub struct FifoQueue {
-    q: VecDeque<Message>,
-}
-
-impl FifoQueue {
-    /// New empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SchedulingQueue for FifoQueue {
-    fn enqueue(&mut self, msg: Message, mode: QueueingMode) {
-        match mode {
-            QueueingMode::Lifo | QueueingMode::PrioLifo => self.q.push_front(msg),
-            QueueingMode::Fifo | QueueingMode::PrioFifo => self.q.push_back(msg),
-        }
-    }
-
-    fn dequeue(&mut self) -> Option<Message> {
-        self.q.pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-}
-
-/// Plain LIFO (stack) queue. Useful for depth-first traversal of task
-/// trees when memory footprint, not priority, is the concern.
-#[derive(Default, Debug)]
-pub struct LifoQueue {
-    q: Vec<Message>,
-}
-
-impl LifoQueue {
-    /// New empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SchedulingQueue for LifoQueue {
-    fn enqueue(&mut self, msg: Message, _mode: QueueingMode) {
-        self.q.push(msg);
-    }
-
-    fn dequeue(&mut self) -> Option<Message> {
-        self.q.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
     }
 }
 
@@ -375,33 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_order() {
-        let mut q = FifoQueue::new();
-        for t in 0..5 {
-            q.enqueue(msg(t), QueueingMode::Fifo);
-        }
-        assert_eq!(drain(&mut q), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn fifo_queue_lifo_mode_prepends() {
-        let mut q = FifoQueue::new();
-        q.enqueue(msg(1), QueueingMode::Fifo);
-        q.enqueue(msg(2), QueueingMode::Lifo);
-        q.enqueue(msg(3), QueueingMode::Fifo);
-        assert_eq!(drain(&mut q), vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn lifo_order() {
-        let mut q = LifoQueue::new();
-        for t in 0..4 {
-            q.enqueue(msg(t), QueueingMode::Fifo);
-        }
-        assert_eq!(drain(&mut q), vec![3, 2, 1, 0]);
-    }
-
-    #[test]
     fn csd_zero_lane_fifo() {
         let mut q = CsdQueue::new();
         for t in 0..4 {
@@ -498,26 +393,6 @@ mod tests {
     #[test]
     fn empty_dequeue_is_none() {
         assert!(CsdQueue::new().dequeue().is_none());
-        assert!(FifoQueue::new().dequeue().is_none());
-        assert!(LifoQueue::new().dequeue().is_none());
-    }
-
-    #[test]
-    fn dequeue_into_respects_order_and_bound() {
-        let mut q = CsdQueue::new();
-        q.enqueue(msg(1), QueueingMode::Fifo);
-        q.enqueue(pmsg(2, Priority::Int(-1)), QueueingMode::PrioFifo);
-        q.enqueue(msg(3), QueueingMode::Fifo);
-        q.enqueue(pmsg(4, Priority::Int(9)), QueueingMode::PrioFifo);
-        let mut out = Vec::new();
-        assert_eq!(q.dequeue_into(&mut out, 2), 2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.dequeue_into(&mut out, usize::MAX), 2);
-        let tags: Vec<u8> = out.iter().map(|m| m.payload()[0]).collect();
-        // Same total order dequeue() would produce: urgent, zero lane,
-        // then the rest of the priority lane.
-        assert_eq!(tags, vec![2, 1, 3, 4]);
-        assert_eq!(q.dequeue_into(&mut out, 5), 0);
     }
 
     #[test]

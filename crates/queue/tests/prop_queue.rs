@@ -1,7 +1,7 @@
 //! Property tests: `CsdQueue` against a brute-force reference model.
 
 use converse_msg::{BitVecPrio, HandlerId, Message, Priority};
-use converse_queue::{CsdQueue, FifoQueue, QueueingMode, SchedulingQueue};
+use converse_queue::{CsdQueue, QueueingMode, SchedulingQueue};
 use proptest::prelude::*;
 
 /// Reference model entry: (class, key, seq) where class orders the zero
@@ -146,20 +146,5 @@ proptest! {
             prop_assert_eq!(got, want);
             if got.is_none() { break; }
         }
-    }
-
-    /// FifoQueue preserves exact insertion order regardless of priorities.
-    #[test]
-    fn fifo_ignores_priorities(prios in proptest::collection::vec(any::<i32>(), 0..64)) {
-        let mut q = FifoQueue::new();
-        for (i, p) in prios.iter().enumerate() {
-            let m = Message::with_priority(HandlerId(0), &Priority::Int(*p), &(i as u32).to_le_bytes());
-            q.enqueue(m, QueueingMode::Fifo);
-        }
-        for i in 0..prios.len() {
-            let m = q.dequeue().unwrap();
-            prop_assert_eq!(u32::from_le_bytes(m.payload().try_into().unwrap()), i as u32);
-        }
-        prop_assert!(q.dequeue().is_none());
     }
 }

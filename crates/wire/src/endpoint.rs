@@ -392,8 +392,9 @@ impl WireEndpoint {
             kind::ACK => self.on_ack(h, payload.as_slice()),
             kind::INJECT => self.inner.inject(self.rank, payload),
             kind::STALL => {
-                let ns = u64_le(payload.as_slice());
-                self.inner.stall_for(self.rank, Duration::from_nanos(ns));
+                if let Some(ns) = self.control_u64(&h, payload.as_slice()) {
+                    self.inner.stall_for(self.rank, Duration::from_nanos(ns));
+                }
             }
             kind::STEAL_REQ => self.on_steal_req(h, payload.as_slice()),
             kind::DONATE => {
@@ -468,7 +469,10 @@ impl WireEndpoint {
     /// asynchronous and only the victim knows the batch size.
     fn on_steal_req(&self, h: FrameHeader, payload: &[u8]) {
         let thief = h.src as usize;
-        let max = u64_le(payload) as usize;
+        let Some(max) = self.control_u64(&h, payload) else {
+            return;
+        };
+        let max = max as usize;
         if thief == self.rank || max == 0 {
             return;
         }
@@ -506,6 +510,9 @@ impl WireEndpoint {
     /// on a full ring: this may run in a sweep (see `emit`).
     fn on_ack(&self, h: FrameHeader, payload: &[u8]) {
         let dst = h.src as usize;
+        let Some(cumulative) = self.control_u64(&h, payload) else {
+            return;
+        };
         let mut wire = Vec::new();
         self.send_links[dst].lock().on_ack(
             Instant::now(),
@@ -513,7 +520,7 @@ impl WireEndpoint {
             h.channel,
             Ack {
                 selective: h.seq,
-                cumulative: u64_le(payload),
+                cumulative,
             },
             &self.fstats,
             |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
@@ -525,6 +532,24 @@ impl WireEndpoint {
                 c.block.as_slice(),
                 false,
             );
+        }
+    }
+
+    /// The `u64` a control frame (ACK, STALL, STEAL_REQ) carries. Its
+    /// payload is another process's bytes: anything but exactly eight of
+    /// them fails the machine, as a misaddressed header does.
+    fn control_u64(&self, h: &FrameHeader, payload: &[u8]) -> Option<u64> {
+        match payload.try_into() {
+            Ok(word) => Some(u64::from_le_bytes(word)),
+            Err(_) => {
+                self.fail(&format!(
+                    "wire: {} frame from rank {} carries {} payload bytes, not 8",
+                    kind::name(h.kind).to_uppercase(),
+                    h.src,
+                    payload.len()
+                ));
+                None
+            }
         }
     }
 
@@ -698,13 +723,6 @@ impl PolledSource for WireEndpoint {
         let shm = self.shm.as_ref().expect("only a ring endpoint is woken");
         shm.ring(self.rank);
     }
-}
-
-fn u64_le(bytes: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    let n = bytes.len().min(8);
-    buf[..n].copy_from_slice(&bytes[..n]);
-    u64::from_le_bytes(buf)
 }
 
 impl CmiTransport for WireEndpoint {

@@ -271,7 +271,12 @@ fn run_against_raw_peer(
         hooked_tx.send(()).expect("raw peer is waiting");
         let deadline = Instant::now() + Duration::from_secs(2);
         while ep.aborted().is_none() {
-            assert!(Instant::now() < deadline, "no abort within 2 s");
+            if Instant::now() >= deadline {
+                // Fail the run at the hub too, so a missing abort fails
+                // the test instead of leaving the hub waiting forever.
+                ep.send_abort("no abort within 2 s");
+                panic!("no abort within 2 s");
+            }
             // Waiting on the mailbox sweeps the rings, as a PE does.
             ep.local().recv_timeout(0, Duration::from_millis(5));
         }
@@ -311,20 +316,30 @@ fn a_frame_from_a_rank_outside_the_machine_fails_the_run_not_the_reader() {
 }
 
 #[test]
-fn an_ack_from_no_rank_fails_the_run_too() {
+fn a_misaddressed_or_short_ack_fails_the_run_too() {
     use converse_msg::{write_frame, FrameHeader};
     use converse_wire::kind;
     // The hub routes by `dst`, so a misaddressed frame can only reach a
     // rank over a ring; over the socket the bad field is `src` again.
-    let (msg, _) = run_against_raw_peer(None, |s| {
-        write_frame(
-            s,
-            FrameHeader::new(kind::ACK, u32::MAX, 0, 1),
-            &1u64.to_le_bytes(),
-        )
-        .expect("bad ack");
-    });
-    assert!(msg.contains("ACK frame from rank 4294967295 of 2"), "{msg}");
+    // A well-addressed ACK must carry its 8-byte cumulative watermark.
+    let cases: [(u32, &'static [u8], &str); 2] = [
+        (
+            u32::MAX,
+            &[1, 0, 0, 0, 0, 0, 0, 0],
+            "ACK frame from rank 4294967295 of 2",
+        ),
+        (
+            1,
+            &[1, 2, 3],
+            "ACK frame from rank 1 carries 3 payload bytes, not 8",
+        ),
+    ];
+    for (src, payload, named) in cases {
+        let (msg, _) = run_against_raw_peer(None, move |s| {
+            write_frame(s, FrameHeader::new(kind::ACK, src, 0, 1), payload).expect("bad ack");
+        });
+        assert!(msg.contains(named), "{msg}");
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //!
 //! A *user* is a whole-identifier match of the item's name in a
 //! non-comment part of a line of another `.rs` file under
-//! `crates/` (other crates, their `tests/`, `benches/` and examples),
+//! `crates/` (other crates, their `tests/` and examples),
 //! the root `src/`, `tests/` and `examples/`, and the benchmark crate's
 //! `src/` and `tests/`. A name is only a name, so a common one (`new`,
 //! `len`) always has users; the census is a floor on what is unused,
@@ -24,7 +24,7 @@ use std::path::Path;
 
 /// The most `pub` item declarations `crates/*/src` may hold. Lower it
 /// when the surface shrinks; raising it needs a reason in the change.
-const MAX_PUB_ITEMS: usize = 743;
+const MAX_PUB_ITEMS: usize = 737;
 
 /// Declarations no other file names, each with why it stays `pub`:
 /// `(file, item, reason)`.
