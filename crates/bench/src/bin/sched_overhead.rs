@@ -286,7 +286,7 @@ fn pingpong_2pe_pair(payload: usize) -> (u64, u64) {
         let net = net.clone();
         let stop = stop.clone();
         std::thread::spawn(move || loop {
-            net.wait_nonempty_spin(1, Duration::from_millis(5), spin);
+            net.wait_nonempty(1, Duration::from_millis(5), spin);
             if stop.load(Ordering::Relaxed) {
                 return;
             }
@@ -313,7 +313,7 @@ fn pingpong_2pe_pair(payload: usize) -> (u64, u64) {
                 std::hint::black_box(p.bytes().len());
                 break;
             }
-            net.wait_nonempty_spin(0, Duration::from_millis(5), spin);
+            net.wait_nonempty(0, Duration::from_millis(5), spin);
         }
     };
     for _ in 0..BATCH * 4 {

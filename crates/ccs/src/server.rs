@@ -476,7 +476,6 @@ mod tests {
             queued,
             staged: 0,
             run_queue: 0,
-            occupancy_pm: 0,
             stalled: false,
             traffic: PeTraffic {
                 msgs_recv: recv,

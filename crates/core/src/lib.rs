@@ -4,9 +4,10 @@
 //! "There are two kinds of messages in the system waiting to be
 //! scheduled — messages that have come from the network, and those that
 //! are locally generated. The scheduler's job is to repeatedly deliver
-//! these messages to their respective handlers." The loop implemented in
-//! [`csd::csd_scheduler`] is the pseudo-code of the paper's Figure 3:
-//! drain the network first (handlers run immediately; they may re-enqueue
+//! these messages to their respective handlers." The loop behind
+//! [`csd::csd_scheduler`] — the machine's `Pe::schedule`, beside the
+//! state it touches — is the pseudo-code of the paper's Figure 3: drain
+//! the network first (handlers run immediately; they may re-enqueue
 //! with a priority), then deliver one entry from the scheduler's queue,
 //! and repeat until [`csd::csd_exit_scheduler`] is called.
 //!

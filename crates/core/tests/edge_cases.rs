@@ -1,10 +1,13 @@
 //! Edge cases of the scheduler and quiescence detector.
 
 use converse_core::{
-    csd_enqueue, csd_exit_scheduler, csd_scheduler, csd_scheduler_until_idle, run, Message,
-    Quiescence,
+    csd_enqueue, csd_exit_scheduler, csd_scheduler, csd_scheduler_until_idle, run, run_with,
+    schedule_until, HandlerId, MachineConfig, Message, Quiescence,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
+use converse_machine::{MachineHandle, MachineService};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn schedule_zero_messages_returns_immediately() {
@@ -124,5 +127,95 @@ fn nested_scheduler_donation_from_handler() {
         );
         assert_eq!(inner_runs.load(Ordering::Relaxed), 2);
         assert_eq!(csd_scheduler_until_idle(pe), 0, "nothing left over");
+    });
+}
+
+#[test]
+fn scheduler_watchdog_measures_idle_time_not_wait_time() {
+    // PE 1 sends 20 messages 30 ms apart, 600 ms in all, while PE 0
+    // sits in `schedule_until` and then in `csd_scheduler`. No gap
+    // between two arrivals comes near the 200 ms limit.
+    let cfg = MachineConfig::new(2).block_timeout(Duration::from_millis(200));
+    run_with(cfg, |pe| {
+        let count = pe.local(|| AtomicU64::new(0));
+        let c2 = count.clone();
+        let counted = pe.register_handler(move |_, _| {
+            c2.fetch_add(1, Ordering::Relaxed);
+        });
+        let stop = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
+        let trickle = || {
+            for _ in 0..20 {
+                std::thread::sleep(Duration::from_millis(30));
+                pe.sync_send_and_free(0, Message::new(counted, b""));
+            }
+        };
+        pe.barrier();
+        match pe.my_pe() {
+            0 => drop(schedule_until(pe, || count.load(Ordering::Relaxed) >= 20)),
+            _ => trickle(),
+        }
+        pe.barrier();
+        match pe.my_pe() {
+            0 => drop(csd_scheduler(pe, -1)),
+            _ => {
+                trickle();
+                pe.sync_send_and_free(0, Message::new(stop, b""));
+            }
+        }
+        pe.barrier();
+        if pe.my_pe() == 0 {
+            assert_eq!(count.load(Ordering::Relaxed), 40);
+        }
+    });
+}
+
+/// A front-end whose one request arrives `delay` after the machine
+/// starts, for the handler PE 0 publishes in `target`.
+struct LateRequest {
+    delay: Duration,
+    target: Arc<AtomicU32>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl MachineService for LateRequest {
+    fn name(&self) -> &str {
+        "late-request"
+    }
+
+    fn start(&mut self, machine: &MachineHandle) {
+        let (machine, delay, target) = (machine.clone(), self.delay, self.target.clone());
+        self.thread = Some(std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            let h = HandlerId(target.load(Ordering::Acquire));
+            assert!(machine.inject_request(0, 1, 1, h, b""), "machine still up");
+        }));
+    }
+
+    fn stop(&mut self) {
+        if let Some(t) = self.thread.take() {
+            t.join().expect("request thread");
+        }
+    }
+}
+
+#[test]
+fn an_attached_service_stands_the_watchdog_down_in_schedule_until() {
+    // Waiting for outside traffic is not a deadlock, in whichever loop
+    // the PE waits: the request comes 3 × the block timeout after start.
+    let limit = Duration::from_millis(200);
+    let target = Arc::new(AtomicU32::new(0));
+    let cfg = MachineConfig::new(1)
+        .block_timeout(limit)
+        .attach(Box::new(LateRequest {
+            delay: 3 * limit,
+            target: target.clone(),
+            thread: None,
+        }));
+    run_with(cfg, move |pe| {
+        let ran = pe.local(|| AtomicBool::new(false));
+        let r2 = ran.clone();
+        let h = pe.register_handler(move |_, _| r2.store(true, Ordering::Release));
+        target.store(h.0, Ordering::Release);
+        schedule_until(pe, || ran.load(Ordering::Acquire));
     });
 }

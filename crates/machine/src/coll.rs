@@ -254,7 +254,7 @@ impl Pe {
     /// Block — dispatching only machine-internal messages — until `count`
     /// arrivals under `key` are in, then take them, ordered by sender.
     fn await_arrivals(&self, key: Await, count: usize) -> Vec<(usize, Vec<u8>)> {
-        self.deliver_internal_until(|| self.arrived(key) >= count);
+        self.retrieval_wait(None, || self.arrived(key) >= count);
         let mut got: Vec<_> = self.open(&self.arrivals, |a| {
             a.extract_if(.., |e| e.0 == key)
                 .map(|(_, from, bytes)| (from, bytes))

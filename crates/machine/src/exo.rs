@@ -100,8 +100,8 @@ pub(crate) type ReplySink = Arc<dyn Fn(ExoReply) + Send + Sync>;
 pub(crate) struct ExoState {
     pub(crate) sink: RwLock<Option<ReplySink>>,
     /// Number of attached external services. Non-zero suspends the
-    /// scheduler's idle-deadlock watchdog: a server PE legitimately
-    /// idles while waiting for outside traffic.
+    /// watchdog of every blocking wait (`Pe::watchdog`): a server PE
+    /// legitimately idles while waiting for outside traffic.
     pub(crate) services: std::sync::atomic::AtomicUsize,
 }
 
@@ -359,9 +359,9 @@ impl Pe {
     }
 
     /// True while external services are attached to this machine; the
-    /// scheduler's idle watchdog stands down because waiting for outside
-    /// traffic is not a deadlock.
-    pub fn services_attached(&self) -> bool {
+    /// watchdog of every blocking wait stands down because waiting for
+    /// outside traffic is not a deadlock.
+    pub(crate) fn services_attached(&self) -> bool {
         self.shared.exo.services.load(Ordering::Acquire) > 0
     }
 }

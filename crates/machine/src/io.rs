@@ -77,7 +77,7 @@ impl Console {
     }
 
     fn read_line(&self, pe: &Pe) -> Option<String> {
-        let deadline = pe.blocking_deadline();
+        let since = std::time::Instant::now();
         let mut q = self.input.lock();
         loop {
             if let Some(l) = q.pop_front() {
@@ -86,7 +86,7 @@ impl Console {
             if *self.input_closed.lock() {
                 return None;
             }
-            pe.check_deadline(deadline, "cmi_scanf_line");
+            pe.watchdog(since);
             self.input_cv.wait_for(&mut q, Duration::from_millis(20));
         }
     }

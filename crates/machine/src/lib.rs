@@ -8,6 +8,7 @@
 //! * **MMI** ([`mmi`], methods on [`Pe`]): process creation/coordination
 //!   ([`run`]), synchronous and asynchronous sends, broadcast variants,
 //!   message retrieval (`get_msg`, `deliver_msgs`, `get_specific_msg`),
+//!   the scheduler loop ([`Pe::schedule`]),
 //!   timers, processor ids, and atomic console I/O.
 //! * **EMI** ([`gptr`], [`coll`], [`pgrp`], vector send): gather-style
 //!   vector sends, global pointers with synchronous and asynchronous
@@ -50,6 +51,7 @@ pub use converse_net::{
     PeLoad, StallWindow,
 };
 pub use exo::{ExoReply, ExoToken, MachineHandle, MachineService};
+pub use mmi::Stop;
 #[cfg(debug_assertions)]
 pub use owner::cell_census;
 pub use owner::{Owner, OwnerCell, Pinned};

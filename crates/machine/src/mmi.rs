@@ -9,7 +9,13 @@
 //! (`CmiDeliverMsgs`), and `get_specific_msg` (`CmiGetSpecificMsg`) which
 //! blocks for one handler while buffering messages destined for others —
 //! the call that lets *no-concurrency* (SPM) languages block without any
-//! scheduler at all.
+//! scheduler at all. Beside them, the scheduler loop itself
+//! ([`Pe::schedule`]), which `converse-core`'s Csd calls stop in
+//! different places.
+//!
+//! Every loop here that waits — the scheduler loop, `deliver_until` and
+//! the retrieval wait under `get_specific_msg` and the EMI — idles
+//! through one `Pe::idle_turn`: abort check, watchdog, one park.
 
 use crate::pe::Pe;
 use converse_msg::{HandlerId, Message};
@@ -216,6 +222,59 @@ impl Pe {
         n
     }
 
+    /// The scheduler loop (paper §3.1.2, Figure 3) — the one loop under
+    /// `CsdScheduler`, `CsdScheduleUntilIdle` and `schedule_until`. A
+    /// turn drains the network (handlers run at once and may enqueue),
+    /// publishes the load sample, then runs one scheduler-queue entry.
+    /// A turn that found nothing steals a batch from a loaded peer (a
+    /// no-op unless the machine enables stealing) and, failing that,
+    /// takes the idle turn. `until` is asked before each drain and again
+    /// after it; `stop` says what else ends the loop. Returns how many
+    /// messages ran.
+    ///
+    /// The queue phase stays one entry a turn on purpose: a handler that
+    /// enqueues urgent prioritized work mid-batch still sees it preempt
+    /// at the next dequeue.
+    // `#[inline]`: each Csd wrapper monomorphizes this into its caller,
+    // and the predicate, a closure of the caller's, is asked twice a
+    // turn. Left to codegen-unit partitioning, whether the loop ends up
+    // inside its caller changes with unrelated code (EXPERIMENTS.md,
+    // "tSM for the price of its parts", on `exchange_inproc`).
+    #[inline]
+    pub fn schedule(&self, stop: Stop, mut until: impl FnMut() -> bool) -> u64 {
+        let limit = match stop {
+            Stop::After(n) => n,
+            Stop::Idle | Stop::Predicate => u64::MAX,
+        };
+        let exits = stop != Stop::Predicate;
+        let mut done = |ran: u64| ran >= limit || until() || (exits && self.take_exit());
+        let mut ran = 0u64;
+        let mut idle_since = None;
+        while !done(ran) {
+            let cap = usize::try_from(limit - ran).unwrap_or(usize::MAX);
+            let delivered = self.deliver_msgs(Some(cap)) as u64;
+            ran += delivered;
+            if done(ran) {
+                break;
+            }
+            self.publish_load();
+            if let Some(m) = self.queue_dequeue() {
+                self.call_handler(m);
+                ran += 1;
+            } else if delivered == 0 {
+                if stop == Stop::Idle {
+                    break;
+                }
+                if self.try_steal() == 0 {
+                    self.idle_turn(&mut idle_since);
+                    continue;
+                }
+            }
+            idle_since = None;
+        }
+        ran
+    }
+
     /// Block until a message for `handler` arrives, buffering any
     /// messages meant for other handlers (`CmiGetSpecificMsg`). This is
     /// the SPM blocking receive: "no other activity takes place in user
@@ -223,29 +282,58 @@ impl Pe {
     /// message" — buffered messages are *not* delivered, just retained
     /// for later retrieval.
     pub fn get_specific_msg(&self, handler: HandlerId) -> Message {
-        let mut deadline = None;
-        loop {
-            if let Some(m) = self.pending_take_matching(handler) {
-                return m;
+        self.retrieval_wait(Some(handler), || false)
+            .expect("a wait with no done rule ends only on its message")
+    }
+
+    /// The machine's retrieval wait, under [`Pe::get_specific_msg`] and
+    /// every blocking EMI call: dispatch the machine's internal protocol
+    /// messages (collective waves, global-pointer replies — below the
+    /// "no user-space activity" line, they progress while the user layer
+    /// blocks), buffer user messages for later retrieval, and return the
+    /// first message for `want`, or `None` once `done()` holds. Blocking
+    /// in a collective so never consumes a user message an SPM receive
+    /// waits for — the paper's no-concurrency promise.
+    pub(crate) fn retrieval_wait(
+        &self,
+        want: Option<HandlerId>,
+        mut done: impl FnMut() -> bool,
+    ) -> Option<Message> {
+        // Only messages for other handlers are buffered below, so the
+        // buffer can hold a match only on entry.
+        if let Some(m) = want.and_then(|h| self.pending_take_matching(h)) {
+            return Some(m);
+        }
+        let mut idle_since = None;
+        while !done() {
+            let Some((src, m)) = self.get_packet(crate::pe::INTERNAL_BUDGET) else {
+                self.idle_turn(&mut idle_since);
+                continue;
+            };
+            idle_since = None;
+            if Some(m.handler()) == want {
+                return Some(m);
             }
-            match self.get_packet(crate::pe::INTERNAL_BUDGET) {
-                Some((src, m)) => {
-                    deadline = None;
-                    if m.handler() == handler {
-                        return m;
-                    }
-                    if self.is_internal_handler(m.handler()) {
-                        // Machine-internal protocol traffic (collective
-                        // waves, global-pointer replies) progresses even
-                        // while the user layer blocks — it is below the
-                        // "no user-space activity" line.
-                        self.call_handler_from(src, m);
-                    } else {
-                        self.pending_push(m);
-                    }
-                }
-                None => self.idle_step(&mut deadline, "get_specific_msg"),
+            if self.is_internal_handler(m.handler()) {
+                self.call_handler_from(src, m);
+            } else {
+                self.pending_push(m);
             }
         }
+        None
     }
+}
+
+/// What ends a scheduler loop ([`Pe::schedule`]) besides its predicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// After this many messages (`CsdScheduler(n)`; `u64::MAX` for no
+    /// count), or at an exit request ([`Pe::exit_scheduler`]).
+    After(u64),
+    /// At the first turn that finds nothing to do, before it steals or
+    /// parks (`CsdScheduleUntilIdle`), or at an exit request.
+    Idle,
+    /// Only when the predicate holds. An exit request stays pending for
+    /// the `After` or `Idle` loop this one runs inside.
+    Predicate,
 }

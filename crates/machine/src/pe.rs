@@ -32,7 +32,7 @@ use std::any::TypeId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A registered message handler: the function named by a generalized
 /// message's first word. Handlers must be `Send + Sync` because any
@@ -74,15 +74,19 @@ pub(crate) const INTERNAL_LAYOUT: InternalIds = InternalIds {
     exo_reply: HandlerId(7),
 };
 
-/// Intake-refill batch size for blocking retrieval paths
-/// (`get_specific_msg`, `deliver_internal_until`): big enough to
-/// amortize the mailbox lock, small enough that a blocked context never
-/// hoards the whole mailbox in its intake while deciding one message.
+/// Intake-refill batch size for the retrieval wait
+/// (`Pe::retrieval_wait`): big enough to amortize the mailbox lock,
+/// small enough that a blocked context never hoards the whole mailbox
+/// in its intake while deciding one message.
 pub(crate) const INTERNAL_BUDGET: usize = 32;
 
-/// Publish the PE's load sample to the transport every this many
-/// [`Pe::publish_load`] calls (scheduler iterations).
+/// Publish the PE's run-queue depth to the transport every this many
+/// `Pe::publish_load` calls (scheduler turns).
 const LOAD_PUBLISH_PERIOD: u64 = 16;
+
+/// The longest one idle turn parks (`Pe::idle_turn`): how often an idle
+/// PE looks at its watchdog when nothing arrives to wake it.
+const IDLE_SLICE: Duration = Duration::from_millis(5);
 
 /// Most messages one steal moves ([`Pe::try_steal`]).
 const STEAL_BATCH: usize = 8;
@@ -165,11 +169,8 @@ pub(crate) struct PeCore {
     /// Intake batches drained so far — the sampling key for
     /// `Event::SchedBatch`.
     sched_batches: u64,
-    /// Calls to [`Pe::publish_load`] so far — its throttle key.
+    /// Calls to `Pe::publish_load` so far — its throttle key.
     load_ticks: u64,
-    /// EMA busy fraction in per-mille, folded on every
-    /// [`Pe::publish_load`] call.
-    occupancy_pm: u32,
     /// Round-robin cursor for victim selection when remote loads are
     /// not observable (distributed transports).
     steal_rr: u64,
@@ -192,17 +193,18 @@ fn take_first(q: &mut VecDeque<Message>, want: impl Fn(&Message) -> bool) -> Opt
 /// One logical processor of the simulated machine.
 ///
 /// **Owner-only** (panic when the calling thread does not hold the run
-/// token, [`Pe::owner`]): the scheduler queue (`queue_*`), every
-/// retrieval call (`get_msg`, `deliver_*`, `get_specific_msg`,
-/// `inbound_pending`, `pending_len`), `publish_load`, `try_steal`,
-/// `idle_wait`, `check_abort`, the scatter / global-pointer / collective
-/// / processor-group calls, the `CommHandle` calls and the `async_*`
-/// sends that issue one, `on_exit` and `exo_current_token`.
+/// token, [`Pe::owner`]): the scheduler queue (`queue_*`), the
+/// scheduler loop (`schedule`), every retrieval call (`get_msg`,
+/// `deliver_*`, `get_specific_msg`, `inbound_pending`, `pending_len`),
+/// the scatter / global-pointer / collective / processor-group calls,
+/// the `CommHandle` calls and the `async_*` sends that issue one,
+/// `on_exit` and `exo_current_token`.
 ///
 /// **Callable from any thread** holding an `Arc<Pe>`: `abort_machine`,
-/// `stall_pe` / `pe_stalled`, `fault_stats`, the synchronous sends and
-/// broadcasts, ids and timers, the handler table, PE-local storage
-/// (`local*`), `channel`, the load snapshot, `trace_event`.
+/// `exit_scheduler`, `stall_pe` / `pe_stalled`, `fault_stats`, the
+/// synchronous sends and broadcasts, ids and timers, the handler table,
+/// PE-local storage (`local*`), `channel`, the load snapshot,
+/// `trace_event`.
 pub struct Pe {
     id: usize,
     /// What crosses to another rank: sends, injects, stalls, steals.
@@ -268,7 +270,6 @@ impl Pe {
             last_spin: 0,
             sched_batches: 0,
             load_ticks: 0,
-            occupancy_pm: 0,
             steal_rr: 0,
             req_counter: 1,
         };
@@ -562,10 +563,20 @@ impl Pe {
         self.core(|c| c.queue.len())
     }
 
-    /// Scheduler exit flag (`CsdExitScheduler` sets it; the scheduler
-    /// loop clears it when it honours the request).
-    pub fn sched_exit_flag(&self) -> &AtomicBool {
-        &self.sched_exit
+    /// Ask the running scheduler loop to stop once control returns to
+    /// it (`CsdExitScheduler`). A `Stop::After` or `Stop::Idle` loop
+    /// honours the request and clears it; a `Stop::Predicate` loop
+    /// leaves it pending for the loop it runs inside ([`crate::mmi::Stop`]).
+    pub fn exit_scheduler(&self) {
+        self.sched_exit.store(true, Ordering::Release);
+    }
+
+    /// Consume a pending exit request. The flag is almost never set and
+    /// the loop asks twice a turn, so it is read first and the locked
+    /// swap is paid only to clear a request that is there.
+    #[inline]
+    pub(crate) fn take_exit(&self) -> bool {
+        self.sched_exit.load(Ordering::Acquire) && self.sched_exit.swap(false, Ordering::AcqRel)
     }
 
     // ---- PE-local storage (the Cpv analogue) -----------------------------
@@ -618,11 +629,6 @@ impl Pe {
         self.core(|c| take_first(&mut c.pending, |m| m.handler() == h))
     }
 
-    pub(crate) fn pending_take_internal(&self) -> Option<Message> {
-        let internal = self.internal_count;
-        self.core(|c| take_first(&mut c.pending, |m| m.handler().index() < internal))
-    }
-
     /// Number of retrieved-but-unprocessed messages buffered by
     /// `get_specific_msg`.
     pub fn pending_len(&self) -> usize {
@@ -631,9 +637,9 @@ impl Pe {
 
     /// Unwind this PE (with the silent `PeerAbort` marker) if the
     /// machine was marked failed, and panic if it has shut down under a
-    /// blocked receive. Called inside every potentially-blocking loop so
-    /// one failing PE cannot hang the rest of the test suite.
-    pub fn check_abort(&self) {
+    /// blocked receive. The idle turn calls it, so one failing PE cannot
+    /// hang the rest of the test suite.
+    pub(crate) fn check_abort(&self) {
         if self.shared.panicked.load(Ordering::Acquire) {
             std::panic::resume_unwind(Box::new(PeerAbort));
         }
@@ -648,46 +654,45 @@ impl Pe {
         }
     }
 
-    /// Deadline for a machine-level blocking call starting now; loops
-    /// that exceed it without completing panic, turning a distributed
-    /// deadlock into a diagnosable test failure.
-    pub(crate) fn blocking_deadline(&self) -> std::time::Instant {
-        std::time::Instant::now() + self.shared.block_timeout
-    }
-
-    /// Panic if the watchdog `deadline` for a blocking call has passed.
-    pub(crate) fn check_deadline(&self, deadline: std::time::Instant, what: &str) {
-        if std::time::Instant::now() >= deadline {
+    /// The watchdog of every blocking wait: panic once the wait has
+    /// taken nothing since `since` for the machine's block timeout,
+    /// turning a distributed deadlock into a diagnosable failure. It
+    /// stands down while an external service is attached: waiting for
+    /// outside traffic is not a deadlock.
+    pub(crate) fn watchdog(&self, since: Instant) {
+        let limit = self.shared.block_timeout;
+        if since.elapsed() > limit && !self.services_attached() {
             panic!(
-                "PE {}: {} made no progress for {:?} — likely deadlock \
+                "PE {}: a blocking wait made no progress for {limit:?} — likely deadlock \
                  (raise MachineConfig::block_timeout if intentional)",
-                self.id, what, self.shared.block_timeout
+                self.id
             );
         }
     }
 
-    /// The idle turn of the machine's blocking waits: unwind if the
-    /// machine failed, panic once `what` has taken nothing off the wire
-    /// for the block timeout, then park briefly. `deadline` is `None`
-    /// while the loop's last turn took a message.
-    pub(crate) fn idle_step(&self, deadline: &mut Option<std::time::Instant>, what: &str) {
+    /// The one idle turn of every loop that waits for messages — the
+    /// scheduler loop, `deliver_until` and the retrieval wait: unwind if
+    /// the machine failed, apply the watchdog, then park for at most one
+    /// slice. `idle_since` is when the loop last took a message, `None`
+    /// while its last turn took one (the loop resets it then).
+    #[inline(never)]
+    pub(crate) fn idle_turn(&self, idle_since: &mut Option<Instant>) {
         self.check_abort();
-        let due = *deadline.get_or_insert_with(|| self.blocking_deadline());
-        self.check_deadline(due, what);
-        self.idle_wait(Duration::from_millis(20));
+        self.watchdog(*idle_since.get_or_insert_with(Instant::now));
+        self.idle_wait(IDLE_SLICE);
     }
 
     /// Drive message delivery until `done()` holds: repeatedly drains the
     /// network (dispatching each message straight to its handler, like
-    /// `CmiDeliverMsgs`), parking briefly when idle. This is a
-    /// user-level blocking helper; it never touches the scheduler queue.
+    /// `CmiDeliverMsgs`), taking the idle turn when nothing came. This is
+    /// a user-level blocking helper; it never touches the scheduler queue.
     pub fn deliver_until<F: FnMut() -> bool>(&self, mut done: F) {
-        let mut deadline = None;
+        let mut idle_since = None;
         while !done() {
             if self.deliver_msgs(None) > 0 {
-                deadline = None;
+                idle_since = None;
             } else if !done() {
-                self.idle_step(&mut deadline, "deliver_until");
+                self.idle_turn(&mut idle_since);
             }
         }
     }
@@ -696,41 +701,6 @@ impl Pe {
     /// handlers (global pointers, collectives, group forwarding).
     pub(crate) fn is_internal_handler(&self, h: HandlerId) -> bool {
         h.index() < self.internal_count
-    }
-
-    /// Machine-internal blocking wait: dispatches **only** the machine's
-    /// internal protocol messages, buffering user messages for later
-    /// retrieval (like `CmiGetSpecificMsg` does). This is what the EMI's
-    /// synchronous calls (collectives, global-pointer waits) block on,
-    /// so blocking in a collective never consumes a user message that an
-    /// SPM receive is waiting for — the paper's no-concurrency promise:
-    /// "no other actions should take place within the same process"
-    /// while an SPM module blocks.
-    pub(crate) fn deliver_internal_until<F: FnMut() -> bool>(&self, mut done: F) {
-        let mut deadline = None;
-        while !done() {
-            let mut progressed = false;
-            // Internal messages stranded in the pending buffer first
-            // (defensive: the retrieval paths dispatch them eagerly).
-            while let Some(m) = self.pending_take_internal() {
-                self.call_handler(m);
-                progressed = true;
-            }
-            while let Some((src, m)) = self.get_packet(INTERNAL_BUDGET) {
-                deadline = None;
-                if self.is_internal_handler(m.handler()) {
-                    self.call_handler_from(src, m);
-                    progressed = true;
-                    // Re-check promptly: the protocol message we just ran
-                    // may have satisfied the wait.
-                    break;
-                }
-                self.pending_push(m);
-            }
-            if !progressed && !done() {
-                self.idle_step(&mut deadline, "deliver_internal_until");
-            }
-        }
     }
 
     /// Messages waiting to be retrieved: undelivered network packets,
@@ -819,22 +789,16 @@ impl Pe {
     }
 
     /// Spin-then-park until a message arrives, the machine closes, or
-    /// `timeout` expires — the scheduler's idle wait. Spins up to the
+    /// `timeout` expires — the park of the idle turn. Spins up to the
     /// machine's configured `idle_spin` budget on the lock-free mailbox
     /// depth before parking on the condvar, so short-message latency
-    /// does not pay a full condvar wakeup. Returns the spin iterations
-    /// consumed (== the budget when the call actually parked).
-    pub fn idle_wait(&self, timeout: Duration) -> u32 {
+    /// does not pay a full condvar wakeup; records the spins for
+    /// `Event::SchedBatch`.
+    pub(crate) fn idle_wait(&self, timeout: Duration) {
         let spun = self
             .mailbox
-            .wait_nonempty_spin(self.id, timeout, self.shared.idle_spin);
+            .wait_nonempty(self.id, timeout, self.shared.idle_spin);
         self.core(|c| c.last_spin = spun);
-        spun
-    }
-
-    /// The configured watchdog limit for blocking calls.
-    pub fn block_timeout(&self) -> Duration {
-        self.shared.block_timeout
     }
 
     // ---- load sampling & work stealing -----------------------------------
@@ -854,23 +818,17 @@ impl Pe {
         self.net.shared_memory()
     }
 
-    /// Fold one scheduler-iteration sample (`busy` = the iteration did
-    /// work) into this PE's EMA occupancy, and every 16th call
-    /// (`LOAD_PUBLISH_PERIOD`) publish `(run_queue, occupancy)` to the
-    /// transport's load board for peers, balancers, and the CCS monitor.
-    /// Called from the Csd loop by the PE's running context.
-    pub fn publish_load(&self, busy: bool) {
+    /// Every 16th call (`LOAD_PUBLISH_PERIOD`, once a scheduler turn),
+    /// publish the scheduler queue's depth to the transport's load board,
+    /// where stealing peers and CCS routing read it as part of a backlog.
+    pub(crate) fn publish_load(&self) {
         let publish = self.core(|c| {
-            let sample: u32 = if busy { 1000 } else { 0 };
-            // EMA with 1/8 gain: prev * 7/8 + sample / 8.
-            c.occupancy_pm = c.occupancy_pm - c.occupancy_pm / 8 + sample / 8;
             let t = c.load_ticks;
             c.load_ticks += 1;
-            t.is_multiple_of(LOAD_PUBLISH_PERIOD)
-                .then(|| (c.queue.len(), c.occupancy_pm))
+            t.is_multiple_of(LOAD_PUBLISH_PERIOD).then(|| c.queue.len())
         });
-        if let Some((run_queue, ema)) = publish {
-            self.mailbox.publish_load(self.id, run_queue, ema);
+        if let Some(run_queue) = publish {
+            self.mailbox.publish_load(self.id, run_queue);
         }
     }
 
@@ -882,7 +840,7 @@ impl Pe {
     /// later as ordinary deliveries) and the victim rotates round-robin
     /// because remote loads are not observable. A no-op unless the
     /// machine was configured with `MachineConfig::steal`.
-    pub fn try_steal(&self) -> usize {
+    pub(crate) fn try_steal(&self) -> usize {
         let n_pes = self.num_pes();
         if !self.shared.steal || n_pes < 2 {
             return 0;

@@ -119,9 +119,10 @@ pub struct MachineConfig {
     pub stdin_lines: Vec<String>,
     /// Capture `cmi_printf` output into the report instead of stdout.
     pub capture_output: bool,
-    /// How long a machine-level blocking call (specific receive, global
-    /// pointer wait, collective) may wait without progress before the PE
-    /// panics. A deadlock detector for tests, not a semantic timeout.
+    /// How long a blocking wait (the scheduler loop, a specific
+    /// receive, a global-pointer wait, a collective) may go without
+    /// taking a message before the PE panics. A deadlock detector for
+    /// tests, not a semantic timeout.
     pub block_timeout: Duration,
     /// Idle-policy spin budget: an idle PE probes its (lock-free)
     /// mailbox depth this many times before parking on the condvar, so
@@ -263,8 +264,8 @@ impl MachineConfig {
     }
 
     /// Attach a background service to this machine's lifetime. While at
-    /// least one service is attached, the scheduler's idle watchdog is
-    /// suspended (an externally-driven PE legitimately idles).
+    /// least one service is attached, the watchdog of every blocking
+    /// wait is suspended (an externally-driven PE legitimately idles).
     pub fn attach(mut self, svc: Box<dyn MachineService>) -> Self {
         self.services.push(svc);
         self

@@ -1,7 +1,7 @@
 //! Lock pairs per message, pinned the way `zero_alloc.rs` pins
-//! allocations. The `core_1pe` shape — send to self, `deliver_msgs`,
-//! the handler re-enqueues by priority, `queue_dequeue`, second handler
-//! — takes three: the mailbox's `inbox` on the send and on the drain,
+//! allocations. The `core_1pe` shape — send to self, the scheduler loop
+//! drains it, the handler re-enqueues by priority, the loop dequeues it
+//! and runs the second handler — takes three: the mailbox's `inbox` on the send and on the drain,
 //! and `staged` once. The intake buffer, the scheduler queue, the
 //! pending buffer and the scatter table are owner-only cells and take
 //! none (they took four of the seven before).
@@ -9,7 +9,7 @@
 //! The census lives in the `parking_lot` shim under `debug_assertions`.
 #![cfg(debug_assertions)]
 
-use converse_machine::{run, Message};
+use converse_machine::{run, Message, Stop};
 use converse_msg::Priority;
 use converse_queue::QueueingMode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,12 +30,9 @@ fn a_loopback_message_takes_at_most_three_lock_pairs() {
         let op = |i: u64| {
             let prio = Priority::Int((i % 7) as i32 - 3);
             pe.sync_send_and_free(0, Message::with_priority(first, &prio, &i.to_le_bytes()));
-            // What `csd_scheduler(pe, 2)` does: a drain that comes back for
-            // a second look, the load sample, one queue entry.
-            assert_eq!(pe.deliver_msgs(Some(2)), 1);
-            pe.publish_load(true);
-            let m = pe.queue_dequeue().expect("the first handler re-enqueued");
-            pe.call_handler(m);
+            // `csd_scheduler(pe, 2)`: a drain that comes back for a second
+            // look, the load sample, one queue entry.
+            assert_eq!(pe.schedule(Stop::After(2), || false), 2);
         };
         (0..100).for_each(op);
         const OPS: u64 = 1_000;

@@ -47,7 +47,7 @@ use converse_trace::{Event, FaultKind, TraceSink};
 use link::{pump_sleep, reorder_draw, FaultCounters, Receiver, Sender, WireCopy};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -269,7 +269,7 @@ pub struct PeTraffic {
 }
 
 /// Point-in-time load view of one PE: cumulative traffic plus the
-/// instantaneous mailbox depth and the load sample the PE itself
+/// instantaneous mailbox depth and the run-queue depth the PE itself
 /// publishes ([`Interconnect::publish_load`]). One row of
 /// [`Interconnect::load_snapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -288,9 +288,6 @@ pub struct PeLoad {
     /// Scheduler run-queue depth as last published by the PE itself
     /// ([`Interconnect::publish_load`]); zero until first publish.
     pub run_queue: usize,
-    /// Exponential-moving-average busy fraction in per-mille (0..=1000)
-    /// as last published by the PE; zero until first publish.
-    pub occupancy_pm: u32,
     /// True while the PE is inside a [`StallWindow`] (scripted by the
     /// fault plan or armed at runtime): it is not retrieving messages,
     /// so routing new work to it only deepens its queue.
@@ -306,15 +303,6 @@ impl PeLoad {
     pub fn backlog(&self) -> usize {
         self.queued + self.run_queue
     }
-}
-
-/// Per-PE load sample published by the PE's own scheduler loop
-/// ([`Interconnect::publish_load`]). Single-writer (the owning PE),
-/// read lock-free by everyone else.
-#[derive(Default)]
-struct LoadCell {
-    run_queue: AtomicUsize,
-    occupancy_pm: AtomicU32,
 }
 
 #[derive(Default)]
@@ -365,8 +353,10 @@ struct Link {
 pub struct Interconnect {
     boxes: Vec<Mailbox>,
     traffic: Vec<TrafficCell>,
-    /// Self-published scheduler load samples, one per PE.
-    loads: Vec<LoadCell>,
+    /// Run-queue depths the PEs publish themselves
+    /// ([`Interconnect::publish_load`]), one per PE. Single-writer (the
+    /// owning PE), read lock-free by everyone else.
+    run_queues: Vec<AtomicUsize>,
     mode: DeliveryMode,
     /// Installed adversarial schedule, if any. `None` = reliable wire,
     /// zero-overhead fast path.
@@ -422,7 +412,7 @@ impl Interconnect {
             me: me.clone(),
             boxes: (0..n).map(|_| Mailbox::new()).collect(),
             traffic: (0..n).map(|_| TrafficCell::default()).collect(),
-            loads: (0..n).map(|_| LoadCell::default()).collect(),
+            run_queues: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             mode,
             links: (0..n * n)
                 .map(|li| {
@@ -927,9 +917,9 @@ impl Interconnect {
 
     /// Blocking receive with timeout. Returns `None` on timeout or once
     /// the machine has been closed and the mailbox drained. Waits in
-    /// [`Interconnect::wait_nonempty`], so while `pe` is stalled the call
-    /// sleeps in short slices — it never pops a packet inside a stall
-    /// window.
+    /// [`Interconnect::wait_nonempty`] (no spin), so while `pe` is
+    /// stalled the call sleeps in short slices — it never pops a packet
+    /// inside a stall window.
     pub fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -940,22 +930,39 @@ impl Interconnect {
             if left.is_zero() || (self.is_closed() && self.pending(pe) == 0) {
                 return None;
             }
-            self.wait_nonempty(pe, left);
+            self.wait_nonempty(pe, left, 0);
         }
     }
 
-    /// Park until `pe`'s mailbox is non-empty, the machine closes, or the
-    /// timeout expires. Used by the scheduler's idle loop so an idle PE
-    /// does not spin. A stalled PE parks for the duration (a non-empty
-    /// mailbox it is forbidden to read is not a wake condition).
-    pub fn wait_nonempty(&self, pe: usize, timeout: Duration) {
+    /// Wait until `pe`'s mailbox is non-empty, the machine closes, or
+    /// `timeout` expires: first spin up to `spin` iterations on the
+    /// lock-free mailbox depth (so a message landing within the budget is
+    /// noticed without paying a condvar wakeup), then park. Returns the
+    /// spin iterations consumed (`spin` when the call parked). Only the
+    /// PE's idle turn waits here, and `recv_timeout`. Each spin of a PE
+    /// with a polled source is a sweep of it. With stall windows armed
+    /// it parks at once — a stalled PE must not burn a core polling mail
+    /// it cannot read — and a stalled PE parks for the duration (a
+    /// non-empty mailbox it is forbidden to read is not a wake condition).
+    pub fn wait_nonempty(&self, pe: usize, timeout: Duration, spin: u32) -> u32 {
         let mbox = &self.boxes[pe];
         let source = mbox.source();
+        if spin > 0 && !self.has_stalls.load(Ordering::Acquire) {
+            for i in 0..spin {
+                if mbox.depth() > 0
+                    || self.closed.load(Ordering::Acquire)
+                    || source.as_ref().is_some_and(|s| s.sweep().is_none())
+                {
+                    return i;
+                }
+                std::hint::spin_loop();
+            }
+        }
         let deadline = Instant::now() + timeout;
         loop {
             let now = Instant::now();
             if now >= deadline {
-                return;
+                return spin;
             }
             // A polled source is swept before every look at the mailbox,
             // inside a stall too: a stall holds up handlers, not producers.
@@ -971,7 +978,7 @@ impl Interconnect {
                 || mbox.staged_len.load(Ordering::Acquire) > 0
                 || self.closed.load(Ordering::Acquire)
             {
-                return;
+                return spin;
             }
             let bell = match swept {
                 // It moved something (seen above) or another thread sweeps.
@@ -985,35 +992,9 @@ impl Interconnect {
                 deadline
             };
             if mbox.park(q, wake, bell) && wake == deadline {
-                return;
+                return spin;
             }
         }
-    }
-
-    /// Spin-then-park idle wait: spin up to `spin` iterations on the
-    /// lock-free mailbox depth (so a message landing within the spin
-    /// budget is noticed without paying a condvar wakeup), then fall
-    /// back to [`Interconnect::wait_nonempty`]. Returns the number of
-    /// spin iterations consumed (`spin` means the budget ran out and
-    /// the call parked). With stall windows armed it parks immediately —
-    /// a stalled PE must not burn a core polling mail it cannot read.
-    /// Each spin of a PE with a polled source is a sweep of it.
-    pub fn wait_nonempty_spin(&self, pe: usize, timeout: Duration, spin: u32) -> u32 {
-        if spin > 0 && !self.has_stalls.load(Ordering::Acquire) {
-            let mbox = &self.boxes[pe];
-            let source = mbox.source();
-            for i in 0..spin {
-                if mbox.depth() > 0
-                    || self.closed.load(Ordering::Acquire)
-                    || source.as_ref().is_some_and(|s| s.sweep().is_none())
-                {
-                    return i;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        self.wait_nonempty(pe, timeout);
-        spin
     }
 
     /// Queued (undelivered) packet count for `pe` — two atomic reads,
@@ -1083,26 +1064,21 @@ impl Interconnect {
     /// Live load snapshot for one PE: cumulative traffic counters plus
     /// the current mailbox depth and stall state.
     fn load_of(&self, pe: usize) -> PeLoad {
-        let cell = &self.loads[pe];
         PeLoad {
             pe,
             traffic: self.traffic(pe),
             queued: self.pending(pe),
             staged: self.boxes[pe].staged_len.load(Ordering::Acquire),
-            run_queue: cell.run_queue.load(Ordering::Relaxed),
-            occupancy_pm: cell.occupancy_pm.load(Ordering::Relaxed),
+            run_queue: self.run_queues[pe].load(Ordering::Relaxed),
             stalled: self.stalled(pe),
         }
     }
 
-    /// Publish `pe`'s own scheduler sample: run-queue depth and EMA
-    /// busy fraction in per-mille. Called (throttled) from the Csd loop;
-    /// single-writer per cell, so plain stores suffice.
-    pub fn publish_load(&self, pe: usize, run_queue: usize, occupancy_pm: u32) {
-        let cell = &self.loads[pe];
-        cell.run_queue.store(run_queue, Ordering::Relaxed);
-        cell.occupancy_pm
-            .store(occupancy_pm.min(1000), Ordering::Relaxed);
+    /// Publish `pe`'s own scheduler sample, its run-queue depth. Called
+    /// (throttled) from the scheduler loop; single-writer per PE, so a
+    /// plain store suffices.
+    pub fn publish_load(&self, pe: usize, run_queue: usize) {
+        self.run_queues[pe].store(run_queue, Ordering::Relaxed);
     }
 
     /// Extract up to `max` *stealable* packets from `victim`'s staged
@@ -1202,6 +1178,7 @@ impl Interconnect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
 
     #[test]
     fn send_then_recv() {
@@ -1419,7 +1396,7 @@ mod tests {
         let net = Interconnect::new(2);
         let net2 = net.clone();
         let h = std::thread::spawn(move || {
-            net2.wait_nonempty(1, Duration::from_secs(5));
+            net2.wait_nonempty(1, Duration::from_secs(5), 0);
             net2.pending(1)
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -1461,7 +1438,7 @@ mod tests {
     fn a_window_of_sends_to_a_parked_receiver_wakes_it_once() {
         let net = Interconnect::new(2);
         let net2 = net.clone();
-        let h = std::thread::spawn(move || net2.wait_nonempty(1, Duration::from_secs(30)));
+        let h = std::thread::spawn(move || net2.wait_nonempty(1, Duration::from_secs(30), 0));
         await_parked(&net, 1);
         for i in 0..64u8 {
             net.send(0, 1, vec![i]);
@@ -1546,7 +1523,7 @@ mod tests {
         let source = with_source(&net);
         net.stall_for(1, Duration::from_secs(60));
         source.arrivals.lock().extend([1, 2, 3]);
-        net.wait_nonempty(1, Duration::from_millis(10));
+        net.wait_nonempty(1, Duration::from_millis(10), 0);
         assert!(
             source.arrivals.lock().is_empty(),
             "the stall held up the source"
@@ -1576,7 +1553,7 @@ mod tests {
         let source = Arc::new(Endless(Arc::downgrade(&net)));
         net.set_source(1, Arc::downgrade(&source) as Weak<dyn PolledSource>);
         let t0 = Instant::now();
-        net.wait_nonempty(1, Duration::from_secs(5));
+        net.wait_nonempty(1, Duration::from_secs(5), 0);
         let took = t0.elapsed();
         assert!(took < Duration::from_secs(1), "swept for {took:?}");
         assert!(net.pending(1) > 0);
@@ -2207,17 +2184,13 @@ mod tests {
     fn publish_load_roundtrip_and_backlog() {
         let net = Interconnect::new(2);
         let l0 = net.load_of(0);
-        assert_eq!((l0.run_queue, l0.occupancy_pm, l0.staged), (0, 0, 0));
-        net.publish_load(0, 7, 512);
+        assert_eq!((l0.run_queue, l0.staged), (0, 0));
+        net.publish_load(0, 7);
         net.send(1, 0, vec![0u8; 9]);
         let l = net.load_of(0);
         assert_eq!(l.run_queue, 7);
-        assert_eq!(l.occupancy_pm, 512);
         assert_eq!(l.queued, 1);
         assert_eq!(l.backlog(), 8);
-        // Occupancy is clamped to per-mille range.
-        net.publish_load(0, 0, 5000);
-        assert_eq!(net.load_of(0).occupancy_pm, 1000);
     }
 
     #[test]
@@ -2276,12 +2249,12 @@ mod tests {
         let net = Interconnect::new(1);
         net.send(0, 0, vec![1]);
         // Mail already queued: the spin loop returns on its first probe.
-        assert_eq!(net.wait_nonempty_spin(0, Duration::from_secs(1), 1000), 0);
+        assert_eq!(net.wait_nonempty(0, Duration::from_secs(1), 1000), 0);
         net.try_recv(0);
         // Empty mailbox: the budget burns out, then the park path runs
         // (bounded here by the timeout) and the call reports `spin`.
         let t0 = Instant::now();
-        assert_eq!(net.wait_nonempty_spin(0, Duration::from_millis(20), 64), 64);
+        assert_eq!(net.wait_nonempty(0, Duration::from_millis(20), 64), 64);
         assert!(t0.elapsed() >= Duration::from_millis(15));
     }
 }

@@ -57,14 +57,15 @@ impl Delivery {
         }
     }
 
-    /// Decode a wire byte; unknown values fall back to the safe
-    /// default (`ExactlyOnce` keeps every legacy behavior).
+    /// Decode a wire byte; `None` for a byte no guarantee encodes to —
+    /// a frame that names none is malformed, not exactly-once.
     #[inline]
-    pub fn from_u8(v: u8) -> Delivery {
+    pub fn from_u8(v: u8) -> Option<Delivery> {
         match v {
-            1 => Delivery::AtMostOnce,
-            2 => Delivery::LatestValueWins,
-            _ => Delivery::ExactlyOnce,
+            0 => Some(Delivery::ExactlyOnce),
+            1 => Some(Delivery::AtMostOnce),
+            2 => Some(Delivery::LatestValueWins),
+            _ => None,
         }
     }
 
@@ -139,10 +140,12 @@ mod tests {
             Delivery::AtMostOnce,
             Delivery::LatestValueWins,
         ] {
-            assert_eq!(Delivery::from_u8(d.as_u8()), d);
+            assert_eq!(Delivery::from_u8(d.as_u8()), Some(d));
         }
-        // Unknown bytes decode to the safe default.
-        assert_eq!(Delivery::from_u8(0xFF), Delivery::ExactlyOnce);
+        // A byte no guarantee encodes to decodes to none of them.
+        for v in 3..=u8::MAX {
+            assert_eq!(Delivery::from_u8(v), None);
+        }
     }
 
     #[test]

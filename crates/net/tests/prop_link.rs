@@ -387,12 +387,12 @@ proptest! {
 
     /// The receiver half is fed another process's bytes: arbitrary seqs
     /// (the edges of `u64` and of the out-of-order window included)
-    /// under arbitrary guarantee bytes
+    /// under every guarantee a frame can name
     /// never panic it and never surface one seq of a channel twice; the
     /// sender half takes arbitrary acks without panicking.
     #[test]
     fn wire_input_never_panics_or_delivers_twice(
-        frames in proptest::collection::vec((0u32..3, any::<u8>(), any::<u64>(), 0u8..5), 0..200)
+        frames in proptest::collection::vec((0u32..3, 0u8..4, any::<u64>(), 0u8..5), 0..200)
     ) {
         let stats = FaultCounters::default();
         let mut rx = Receiver::default();
@@ -408,7 +408,12 @@ proptest! {
                 3 => OOO_WINDOW - 2 + raw % 6,
                 _ => raw % 4,
             };
-            let channel = Channel::new(id, Delivery::from_u8(guarantee));
+            // A byte that names no guarantee never reaches a link: the
+            // wire endpoint fails the machine on it.
+            let Some(delivery) = Delivery::from_u8(guarantee) else {
+                continue;
+            };
+            let channel = Channel::new(id, delivery);
             let fresh = seen.entry(id).or_default();
             let ack = rx.on_data(channel, seq, MsgBlock::copy_from(&[0]), &stats, |_, _| {}, |s, _| {
                 assert!(fresh.insert(s), "channel {id}: seq {s} delivered twice");

@@ -287,7 +287,7 @@ proptest! {
                 "batched drain lost a message: {}/{}", got.len(), total
             );
             if net.drain_into_bounded(2, &mut got, bound) == 0 {
-                net.wait_nonempty(2, Duration::from_millis(2));
+                net.wait_nonempty(2, Duration::from_millis(2), 0);
             }
         }
         for src in [0usize, 1] {

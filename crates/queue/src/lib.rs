@@ -171,17 +171,6 @@ impl PartialOrd for PrioEntry {
     }
 }
 
-/// Occupancy statistics, mainly for the load balancer and benches.
-#[derive(Default, Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Total messages ever enqueued.
-    pub enqueued: u64,
-    /// Total messages ever dequeued.
-    pub dequeued: u64,
-    /// Peak simultaneous occupancy.
-    pub peak_len: usize,
-}
-
 /// The full Converse scheduler queue (`Cqs`).
 ///
 /// Two lanes:
@@ -212,7 +201,6 @@ pub struct CsdQueue {
     zero: VecDeque<Message>,
     prio: BinaryHeap<PrioEntry>,
     seq: i64,
-    stats: QueueStats,
 }
 
 impl CsdQueue {
@@ -220,16 +208,10 @@ impl CsdQueue {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Occupancy statistics snapshot.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
-    }
 }
 
 impl SchedulingQueue for CsdQueue {
     fn enqueue(&mut self, msg: Message, mode: QueueingMode) {
-        self.stats.enqueued += 1;
         match mode {
             QueueingMode::Fifo => self.zero.push_back(msg),
             QueueingMode::Lifo => self.zero.push_front(msg),
@@ -243,10 +225,6 @@ impl SchedulingQueue for CsdQueue {
                 self.prio.push(PrioEntry::new(msg, seq));
             }
         }
-        let len = self.len();
-        if len > self.stats.peak_len {
-            self.stats.peak_len = len;
-        }
     }
 
     fn dequeue(&mut self) -> Option<Message> {
@@ -258,15 +236,11 @@ impl SchedulingQueue for CsdQueue {
                 top.beats_zero_lane() || self.zero.is_empty()
             }
         };
-        let out = if take_prio {
+        if take_prio {
             self.prio.pop().map(|e| e.msg)
         } else {
             self.zero.pop_front()
-        };
-        if out.is_some() {
-            self.stats.dequeued += 1;
         }
-        out
     }
 
     fn len(&self) -> usize {
@@ -376,18 +350,6 @@ mod tests {
         q.enqueue(msg(2), QueueingMode::Lifo);
         q.enqueue(msg(3), QueueingMode::Lifo);
         assert_eq!(drain(&mut q), vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn csd_stats() {
-        let mut q = CsdQueue::new();
-        q.enqueue(msg(1), QueueingMode::Fifo);
-        q.enqueue(pmsg(2, Priority::Int(1)), QueueingMode::PrioFifo);
-        assert_eq!(q.stats().enqueued, 2);
-        assert_eq!(q.stats().peak_len, 2);
-        q.dequeue();
-        assert_eq!(q.stats().dequeued, 1);
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

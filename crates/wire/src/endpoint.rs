@@ -434,7 +434,17 @@ impl WireEndpoint {
     /// DATA frame, so no receiver-side registry is needed.
     fn on_data(&self, h: FrameHeader, block: MsgBlock, links: &mut [Receiver]) {
         let src = h.src as usize;
-        let channel = Channel::new(h.channel, Delivery::from_u8(h.guarantee));
+        // Another process's byte: a guarantee the frame does not name
+        // fails the machine, as a misaddressed header does.
+        let Some(delivery) = Delivery::from_u8(h.guarantee) else {
+            self.fail(&format!(
+                "wire: {} frame from rank {src} carries guarantee byte {}, which names no guarantee",
+                kind::name(h.kind).to_uppercase(),
+                h.guarantee
+            ));
+            return;
+        };
+        let channel = Channel::new(h.channel, delivery);
         if self.plan.is_none() {
             self.inner.deliver(src, self.rank, block, channel);
             return;

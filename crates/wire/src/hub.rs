@@ -283,12 +283,23 @@ fn hub_reader(rank: usize, mut stream: TcpStream, st: Arc<HubState>) {
                         continue;
                     }
                     exited = true;
-                    match WorkerReport::decode(payload.as_slice()) {
+                    // A report is filed under the connection's rank, so
+                    // it must name that rank itself.
+                    let report = WorkerReport::decode(payload.as_slice())
+                        .map_err(|e| format!("{e:?}"))
+                        .and_then(|rep| {
+                            if rep.rank == rank {
+                                Ok(rep)
+                            } else {
+                                Err(format!("it names rank {}", rep.rank))
+                            }
+                        });
+                    match report {
                         Ok(rep) => st.reports.lock()[rank] = Some(rep),
                         Err(e) => {
                             st.fail(HubFailure::Bootstrap {
                                 rank: Some(rank),
-                                detail: format!("rank {rank}: malformed EXIT report: {e:?}"),
+                                detail: format!("rank {rank}: malformed EXIT report: {e}"),
                             });
                             return;
                         }

@@ -48,7 +48,9 @@ impl WorkerReport {
         p.finish()
     }
 
-    /// Parse an `EXIT` frame payload.
+    /// Parse an `EXIT` frame payload: exactly what [`Self::encode`]
+    /// writes. Bytes past the last line, or a line that is not UTF-8,
+    /// are a `PackError` whose `needed` is 0.
     pub fn decode(bytes: &[u8]) -> Result<WorkerReport, PackError> {
         let mut u = Unpacker::new(bytes);
         let rank = u.usize()?;
@@ -73,8 +75,16 @@ impl WorkerReport {
         // actually arrived can hold (a line is at least its 4-byte
         // length prefix), not 24 bytes × whatever it claims.
         let mut output = Vec::with_capacity(n.min(u.remaining() / 4));
+        let malformed = |u: &Unpacker| PackError {
+            needed: 0,
+            remaining: u.remaining(),
+        };
         for _ in 0..n {
-            output.push(u.str()?);
+            let line = u.bytes()?.to_vec();
+            output.push(String::from_utf8(line).map_err(|_| malformed(&u))?);
+        }
+        if u.remaining() > 0 {
+            return Err(malformed(&u));
         }
         Ok(WorkerReport {
             rank,
@@ -88,6 +98,7 @@ impl WorkerReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn report_round_trips() {
@@ -143,5 +154,80 @@ mod tests {
     fn empty_report_round_trips() {
         let r = WorkerReport::default();
         assert_eq!(WorkerReport::decode(&r.encode()).unwrap(), r);
+    }
+
+    #[test]
+    fn trailing_bytes_and_non_utf8_lines_are_errors() {
+        let r = WorkerReport {
+            output: vec!["ok".into()],
+            ..WorkerReport::default()
+        };
+        let mut long = r.encode();
+        long.push(0);
+        assert!(WorkerReport::decode(&long).is_err());
+        let mut bad = r.encode();
+        *bad.last_mut().unwrap() = 0xFF;
+        assert!(WorkerReport::decode(&bad).is_err());
+    }
+
+    /// Cut the tail of `body`, change one byte or append one.
+    fn edit(mut body: Vec<u8>, (how, at, x): (u8, usize, u8)) -> Vec<u8> {
+        match how {
+            0 => body.truncate(at % body.len()),
+            1 => {
+                let i = at % body.len();
+                body[i] ^= x;
+            }
+            _ => body.push(x),
+        }
+        body
+    }
+
+    fn report() -> impl Strategy<Value = WorkerReport> {
+        let words = collection::vec(any::<u64>(), 12);
+        let lines = collection::vec(collection::vec(any::<u8>(), 0..8), 0..4);
+        (any::<u32>(), words, lines).prop_map(|(rank, w, lines)| WorkerReport {
+            rank: rank as usize,
+            traffic: PeTraffic {
+                msgs_sent: w[0],
+                bytes_sent: w[1],
+                msgs_recv: w[2],
+                msgs_injected: w[3],
+                bytes_injected: w[4],
+            },
+            faults: FaultStats {
+                transmissions: w[5],
+                dropped: w[6],
+                duplicated: w[7],
+                delayed: w[8],
+                retransmitted: w[9],
+                dedup_dropped: w[10],
+                superseded: w[11],
+            },
+            output: lines
+                .iter()
+                .map(|l| String::from_utf8_lossy(l).into_owned())
+                .collect(),
+        })
+    }
+
+    proptest! {
+        /// A report round-trips. Its encoding edited, or any 256 bytes,
+        /// decode to a report or an error without panicking; a report
+        /// they yield re-encodes to the same bytes.
+        #[test]
+        fn report_decoding_is_total_and_exact(
+            r in report(),
+            how in (0u8..3, any::<usize>(), any::<u8>()),
+            noise in collection::vec(any::<u8>(), 0..=256),
+        ) {
+            let body = r.encode();
+            prop_assert_eq!(WorkerReport::decode(&body), Ok(r));
+            for bytes in [edit(body, how), noise] {
+                if let Ok(d) = WorkerReport::decode(&bytes) {
+                    prop_assert_eq!(d.encode(), bytes);
+                }
+            }
+        }
     }
 }

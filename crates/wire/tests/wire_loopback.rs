@@ -321,22 +321,29 @@ fn a_misaddressed_or_short_ack_fails_the_run_too() {
     use converse_wire::kind;
     // The hub routes by `dst`, so a misaddressed frame can only reach a
     // rank over a ring; over the socket the bad field is `src` again.
-    // A well-addressed ACK must carry its 8-byte cumulative watermark.
-    let cases: [(u32, &'static [u8], &str); 2] = [
+    // A well-addressed ACK must carry its 8-byte cumulative watermark,
+    // and a DATA frame must name a delivery guarantee (0, 1 or 2).
+    let ack = |src| FrameHeader::new(kind::ACK, src, 0, 1);
+    let cases: [(FrameHeader, &'static [u8], &str); 3] = [
         (
-            u32::MAX,
+            ack(u32::MAX),
             &[1, 0, 0, 0, 0, 0, 0, 0],
             "ACK frame from rank 4294967295 of 2",
         ),
         (
-            1,
+            ack(1),
             &[1, 2, 3],
             "ACK frame from rank 1 carries 3 payload bytes, not 8",
         ),
+        (
+            FrameHeader::new(kind::DATA, 1, 0, 1).on_channel(0, 3),
+            b"x",
+            "DATA frame from rank 1 carries guarantee byte 3",
+        ),
     ];
-    for (src, payload, named) in cases {
+    for (header, payload, named) in cases {
         let (msg, _) = run_against_raw_peer(None, move |s| {
-            write_frame(s, FrameHeader::new(kind::ACK, src, 0, 1), payload).expect("bad ack");
+            write_frame(s, header, payload).expect("bad frame");
         });
         assert!(msg.contains(named), "{msg}");
     }
@@ -365,4 +372,44 @@ fn a_ring_record_is_checked_like_a_socket_frame() {
         msg.contains("DATA frame from rank 9 of 2 addressed to rank 5"),
         "{msg}"
     );
+}
+
+#[test]
+fn an_exit_report_naming_another_rank_fails_the_run() {
+    let hub = WireHub::bind(2).expect("bind hub");
+    let addr = hub.addr().to_string();
+    let workers: Vec<_> = (0..2)
+        .map(|rank| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let ep = WireEndpoint::connect(
+                    rank,
+                    2,
+                    &addr,
+                    DeliveryMode::Fifo,
+                    None,
+                    Arc::new(NullSink),
+                    None,
+                )
+                .expect("connect");
+                // Both reports say rank 0: rank 1's is filed under a
+                // rank it does not name.
+                ep.send_exit(&WorkerReport::default().encode());
+                ep.wait_fin(Duration::from_secs(5));
+            })
+        })
+        .collect();
+    match hub.run(|| None) {
+        Err(converse_wire::HubFailure::Bootstrap {
+            rank: Some(1),
+            detail,
+        }) => assert!(
+            detail.contains("malformed EXIT report: it names rank 0"),
+            "{detail}"
+        ),
+        other => panic!("a misfiled report must fail the run, got {other:?}"),
+    }
+    for w in workers {
+        w.join().expect("worker thread");
+    }
 }

@@ -24,7 +24,7 @@ use std::path::Path;
 
 /// The most `pub` item declarations `crates/*/src` may hold. Lower it
 /// when the surface shrinks; raising it needs a reason in the change.
-const MAX_PUB_ITEMS: usize = 737;
+const MAX_PUB_ITEMS: usize = 730;
 
 /// Declarations no other file names, each with why it stays `pub`:
 /// `(file, item, reason)`.
@@ -73,11 +73,6 @@ const ALLOWED_UNUSED: &[(&str, &str, &str)] = &[
         "crates/msgmgr/src/lib.rs",
         "Tags",
         "the tags field of Stored; callers read it as a slice",
-    ),
-    (
-        "crates/queue/src/lib.rs",
-        "QueueStats",
-        "returned by CsdQueue::stats; callers read its fields",
     ),
     (
         "crates/sm/src/lib.rs",
