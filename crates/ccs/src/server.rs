@@ -360,13 +360,14 @@ impl Drop for CcsServer {
 
 /// Choose the target for an [`ANY_PE`] request: any non-stalled PE
 /// before any stalled one (a stalled PE is not retrieving messages, so
-/// routing to it guarantees a timeout), then the shallowest *backlog* —
-/// inbox plus staged mailbox plus published run-queue depth — breaking
-/// ties by lightest lifetime inbound volume (native + injected), then
-/// by lowest PE id for determinism. Backlog leads among live PEs
-/// because it is the live signal — a PE stuck inside a long handler
-/// accumulates undelivered and staged-but-undispatched packets, while
-/// cumulative counters only say who was busy in the past.
+/// routing to it guarantees a timeout), then the shallowest *backlog*
+/// ([`PeLoad::backlog`]: undrained mailbox depth plus published
+/// run-queue depth) — breaking ties by lightest lifetime inbound volume
+/// (native + injected), then by lowest PE id for determinism. Backlog
+/// leads among live PEs because it is the live signal — a PE stuck
+/// inside a long handler accumulates undrained packets and undispatched
+/// queue entries, while cumulative counters only say who was busy in
+/// the past.
 pub(crate) fn pick_least_loaded(loads: &[PeLoad]) -> usize {
     assert!(!loads.is_empty(), "a machine has at least one PE");
     loads
@@ -374,7 +375,7 @@ pub(crate) fn pick_least_loaded(loads: &[PeLoad]) -> usize {
         .min_by_key(|l| {
             (
                 l.stalled,
-                l.backlog() + l.staged,
+                l.backlog(),
                 l.traffic.msgs_recv + l.traffic.msgs_injected,
                 l.pe,
             )
@@ -474,7 +475,6 @@ mod tests {
         PeLoad {
             pe,
             queued,
-            staged: 0,
             run_queue: 0,
             stalled: false,
             traffic: PeTraffic {
@@ -500,17 +500,16 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_counts_staged_and_run_queue_depth() {
-        // PE 0's inbox is shallow but its staged mailbox is deep; PE 1
-        // carries run-queue depth; PE 2's total backlog is smallest and
-        // must win even though its raw `queued` is the largest.
-        let mut loads = [load(0, 1, 0, 0), load(1, 1, 0, 0), load(2, 3, 0, 0)];
-        loads[0].staged = 9;
+    fn least_loaded_counts_mailbox_and_run_queue_depth() {
+        // PE 0's mailbox is deep; PE 1 carries run-queue depth; PE 2's
+        // total backlog is smallest and must win even though PE 1's
+        // mailbox is shallower.
+        let mut loads = [load(0, 10, 0, 0), load(1, 1, 0, 0), load(2, 3, 0, 0)];
         loads[1].run_queue = 7;
         assert_eq!(pick_least_loaded(&loads), 2);
-        // Staged depth alone breaks an inbox tie.
+        // Run-queue depth alone breaks a mailbox tie.
         let mut tie = [load(0, 2, 0, 0), load(1, 2, 0, 0)];
-        tie[0].staged = 1;
+        tie[0].run_queue = 1;
         assert_eq!(pick_least_loaded(&tie), 1);
     }
 

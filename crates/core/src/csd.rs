@@ -21,16 +21,16 @@
 //! **Hot-path shape.** `DeliverMsgs` is batched underneath: the machine
 //! layer moves up to a batch of the PE's mailbox into a local intake
 //! buffer in one lock acquisition and dispatches from there (see
-//! `Interconnect::drain_into_bounded`). Per-link FIFO order is preserved —
+//! `Interconnect::refill`). Per-link FIFO order is preserved —
 //! intake drains strictly before the wire. Dispatch borrows the handler
 //! from the PE's append-only table (no lock, no refcount). The intake
 //! buffer, the `get_specific_msg` buffer, the scatter table, the
 //! scheduler queue and the load-publish tick are owner-only state of the
 //! PE's running context (`converse_machine::OwnerCell`): each step of
 //! the loop opens it once, with a few plain loads and stores and no
-//! lock. What is left per message is the mailbox — three uncontended
-//! lock pairs (`inbox` on the send and on the drain, `staged` once), the
-//! one structure another thread really shares — and the exit flag,
+//! lock. What is left per message is the mailbox — two uncontended
+//! lock pairs (`inbox` on the send and on the drain), the one structure
+//! another thread really shares — and the exit flag,
 //! which is loaded and swapped only when set. When a turn finds nothing
 //! the PE takes its one idle turn: abort check, the block watchdog
 //! (counted from the last message taken, and off while an external

@@ -196,20 +196,19 @@ impl Pe {
     /// Deliver received messages straight to their handlers
     /// (`CmiDeliverMsgs`): up to `max` of them (all if `None`). Returns
     /// how many were delivered. Buffered (pending) messages go first.
-    /// Network intake is batched: the whole mailbox is swapped into the
-    /// PE's intake buffer in one lock acquisition and dispatched from
-    /// there, so the per-message cost no longer includes a contended
-    /// lock op.
+    /// Network intake is batched: up to a batch of the mailbox moves
+    /// into the PE's intake buffer in one lock acquisition and is
+    /// dispatched from there, so the per-message cost no longer includes
+    /// a contended lock op.
     pub fn deliver_msgs(&self, max: Option<usize>) -> usize {
         let mut n = 0;
         let limit = max.unwrap_or(usize::MAX);
         while n < limit {
-            // Refill in bounded batches rather than swapping the whole
+            // Refill in bounded batches rather than taking the whole
             // mailbox at once: packets in the PE-private intake are
             // invisible to load probes and to work stealing, so a
             // bounded refill keeps any real backlog observable (and
-            // stealable) in the staged list while still amortizing the
-            // mailbox lock.
+            // stealable) in the mailbox while still amortizing its lock.
             let budget = (limit - n).min(crate::pe::INTERNAL_BUDGET);
             let Some((src, m, scatter_armed)) = self.next_message(budget) else {
                 break;

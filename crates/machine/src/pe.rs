@@ -149,7 +149,7 @@ pub(crate) struct MachineShared {
 /// retrieval or a scheduler step opens one cell once.
 pub(crate) struct PeCore {
     /// Local intake batch: packets pulled off the net by a bulk
-    /// [`Interconnect::drain_into_bounded`] and not yet retrieved. Every
+    /// [`Interconnect::refill`] and not yet retrieved. Every
     /// retrieval path pops here before touching the network, so a batch
     /// never lets a later wire arrival overtake an earlier one — the
     /// per-link FIFO contract survives recursive retrieval (a handler
@@ -753,10 +753,7 @@ impl Pe {
     /// source the PE pulls its rings itself, after its mailbox.
     #[inline(never)]
     fn refill(&self, intake: &mut VecDeque<Packet>, budget: usize) -> usize {
-        if self.mailbox.polled(self.id) {
-            return self.mailbox.drain_polled(self.id, intake, budget);
-        }
-        self.mailbox.drain_into_bounded(self.id, intake, budget)
+        self.mailbox.refill(self.id, intake, budget)
     }
 
     /// Turn a wire packet into the message it carries, with its sender.
@@ -833,7 +830,7 @@ impl Pe {
     }
 
     /// Idle-PE steal attempt: pick the most-backlogged peer and ask it
-    /// to donate up to `STEAL_BATCH` stealable staged messages (see the
+    /// to donate up to `STEAL_BATCH` stealable undrained messages (see the
     /// stealable-message contract on `converse_msg::FLAG_STEALABLE`).
     /// Returns how many arrived synchronously — always 0 on distributed
     /// transports, where the request is asynchronous (donations land
@@ -848,7 +845,7 @@ impl Pe {
         if self.net.shared_memory() {
             let mut best: Option<(usize, usize)> = None; // (backlog, pe)
             for l in self.mailbox.load_snapshot() {
-                if l.pe == self.id || l.staged == 0 {
+                if l.pe == self.id || l.queued == 0 {
                     continue;
                 }
                 let b = l.backlog();

@@ -149,7 +149,8 @@ pub struct MachineConfig {
     /// default exactly-once channel.
     pub channels: Vec<(String, Delivery)>,
     /// Idle-PE work stealing: before parking, an idle PE asks the
-    /// most-loaded peer to donate a batch of stealable staged messages.
+    /// most-loaded peer to donate a batch of stealable messages it has
+    /// not drained yet.
     /// Off by default.
     pub steal: bool,
 }

@@ -1,8 +1,8 @@
 //! Lock pairs per message, pinned the way `zero_alloc.rs` pins
 //! allocations. The `core_1pe` shape — send to self, the scheduler loop
 //! drains it, the handler re-enqueues by priority, the loop dequeues it
-//! and runs the second handler — takes three: the mailbox's `inbox` on the send and on the drain,
-//! and `staged` once. The intake buffer, the scheduler queue, the
+//! and runs the second handler — takes two: the mailbox's `inbox` on the
+//! send and on the drain. The intake buffer, the scheduler queue, the
 //! pending buffer and the scatter table are owner-only cells and take
 //! none (they took four of the seven before).
 //!
@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[test]
-fn a_loopback_message_takes_at_most_three_lock_pairs() {
+fn a_loopback_message_takes_at_most_two_lock_pairs() {
     run(1, |pe| {
         let consumed = Arc::new(AtomicU64::new(0));
         let c = consumed.clone();
@@ -45,8 +45,8 @@ fn a_loopback_message_takes_at_most_three_lock_pairs() {
             locks as f64 / OPS as f64
         );
         assert!(
-            locks <= 3 * OPS,
-            "{locks} lock acquisitions for {OPS} ops: more than 3 per op"
+            locks <= 2 * OPS,
+            "{locks} lock acquisitions for {OPS} ops: more than 2 per op"
         );
     });
 }

@@ -72,9 +72,9 @@ pub const HEADER_BYTES: usize = 8;
 /// Flag bit (in the runtime-private flag word at offset 6..8) marking a
 /// message as **relocatable**: its handler's semantics do not depend on
 /// which PE executes it, so an idle PE may steal it out of a loaded
-/// PE's staged mailbox. Only the runtime layer that builds a message
-/// can know this, which is why the bit lives in the message header and
-/// travels byte-identically across every transport.
+/// PE's mailbox before that PE drains it. Only the runtime layer that
+/// builds a message can know this, which is why the bit lives in the
+/// message header and travels byte-identically across every transport.
 pub const FLAG_STEALABLE: u16 = 0x0001;
 
 const KIND_NONE: u8 = 0;

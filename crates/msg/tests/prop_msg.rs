@@ -1,7 +1,7 @@
 //! Property tests for the generalized-message codec and bit-vector
 //! priority ordering invariants.
 
-use converse_msg::{BitVecPrio, HandlerId, Message, Priority};
+use converse_msg::{pool, BitVecPrio, HandlerId, Message, MsgBlock, Priority};
 use proptest::prelude::*;
 
 fn arb_priority() -> impl Strategy<Value = Priority> {
@@ -98,6 +98,38 @@ proptest! {
             again.set_flags(m.flags());
             prop_assert_eq!(again.as_bytes(), &bytes[..]);
             prop_assert_eq!(m.has_priority(), m.priority() != Priority::None);
+        }
+    }
+
+    /// `from_block` over any ≤ 256-byte block gives a message or an
+    /// error, never a panic, and never allocates: a message keeps the
+    /// block it was given, and the bytes of one it accepts are what
+    /// `with_priority` writes for its fields.
+    #[test]
+    fn from_block_is_total_and_keeps_its_block(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=256),
+        kind in 0u8..4, words in 0u8..12,
+    ) {
+        // Steer a share of the inputs past the header checks, bit-vector
+        // priorities with a whole number of words included.
+        let mut bytes = bytes;
+        if bytes.len() >= 8 && kind < 3 {
+            bytes[4] = kind;
+            bytes[5] = words;
+            if kind == 2 && words > 0 && bytes.len() >= 12 {
+                bytes[8..12].copy_from_slice(&(32 * (words as u32 - 1)).to_le_bytes());
+            }
+        }
+        let block = MsgBlock::copy_from(&bytes);
+        let at = block.as_ptr();
+        let takes = pool::stats().takes();
+        let decoded = Message::from_block(block);
+        prop_assert_eq!(pool::stats().takes(), takes);
+        if let Ok(m) = decoded {
+            let mut again = Message::with_priority(m.handler(), &m.priority(), m.payload());
+            again.set_flags(m.flags());
+            prop_assert_eq!(again.as_bytes(), &bytes[..]);
+            prop_assert_eq!(m.into_block().as_ptr(), at);
         }
     }
 

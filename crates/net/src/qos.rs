@@ -15,8 +15,8 @@
 //!   lost; a duplicated or stale packet is discarded by a monotonic
 //!   sequence floor, so nothing is ever delivered twice.
 //! * [`Delivery::LatestValueWins`] — a newer value on the same channel
-//!   supersedes an older one still queued, staged, or awaiting
-//!   retransmission. The sender keeps at most one packet in flight per
+//!   supersedes an older one still queued (not yet drained by the
+//!   receiver) or awaiting retransmission. The sender keeps at most one packet in flight per
 //!   channel; the receiver applies the same monotonic floor. The last
 //!   value sent is retransmitted until acknowledged, so the stream
 //!   converges on the final value even over a lossy wire.
@@ -41,7 +41,7 @@ pub enum Delivery {
     AtMostOnce,
     /// A newer value supersedes an older undelivered one on the same
     /// channel — in the sender's retransmit slot, in fault-plane
-    /// limbo, and in the destination's not-yet-staged inbox. The final
+    /// limbo, and in the destination's not-yet-drained mailbox. The final
     /// value sent is reliable (retransmitted until acked).
     LatestValueWins,
 }

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 /// Arrivals the local PE pulls off a wire with no receive thread, as the
 /// paper's scheduler pulls from the network (`CmiDeliverMsgs`). Installed
 /// with [`Interconnect::set_source`]; the PE sweeps it when a drain leaves
-/// its batch short ([`Interconnect::drain_polled`]) and before each look
+/// its batch short ([`Interconnect::refill`]) and before each look
 /// while it waits, and parks on the source's doorbell, not the condvar.
 pub trait PolledSource: Send + Sync {
     /// Move everything that has arrived into the local mailbox. `None`
@@ -90,7 +90,7 @@ pub trait CmiTransport: Send + Sync {
     /// arming).
     fn stall_for(&self, pe: usize, dur: Duration);
 
-    /// Move up to `max` stealable packets from `victim`'s staged list
+    /// Move up to `max` stealable packets `victim` has not drained yet
     /// into `thief`'s mailbox, returning how many moved *synchronously*.
     /// Shared-memory transports steal in place; distributed transports
     /// send an asynchronous steal request over the wire and return 0 —
@@ -208,7 +208,7 @@ mod tests {
         assert_eq!((traffic(2).msgs_sent, traffic(2).msgs_injected), (0, 1));
         assert!(t.fault_stats().duplicated > 0, "the plan's counters show");
 
-        // A steal moves flagged staged packets and stamps the splice.
+        // A steal moves flagged undrained packets and stamps the splice.
         let mut work = converse_msg::Message::new(converse_msg::HandlerId(1), b"w");
         work.mark_stealable();
         t.send_on(0, 1, MsgBlock::copy_from(b"drained"), Channel::DEFAULT);

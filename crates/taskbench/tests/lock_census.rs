@@ -1,29 +1,29 @@
 //! Lock pairs per task, counted by the `parking_lot` shim's census like
 //! `crates/machine/tests/lock_census.rs` counts them per message. On a
 //! 1-PE machine every dependency edge is a loopback message: one pair
-//! of the mailbox's `inbox` to send it, and its share of the two or
-//! three its drain takes — 1.07 a message on this graph, whose levels
-//! are drained in batches. The schedule has no timing in it, so the
+//! of the mailbox's `inbox` to send it, and its share of the one pair
+//! a drain takes — 1.03 a message on this graph, whose levels are
+//! drained in batches. The schedule has no timing in it, so the
 //! counts repeat exactly.
 //!
 //! The engines' own state — a run's `Progress`, the PE's fan-out
 //! scratch, the run an engine currently serves — is owner-only cells:
 //! **taskbench adds no lock to what its carrier takes**. The raw
 //! engine's carrier is the machine layer alone, so its count pins that:
-//! 2.69 pairs a task at 2.52 edges a task (8.62 before ISSUE 23: a
-//! `Progress` and a `current` lock per arrival, a `Scratch` lock per
-//! fan-out — and a re-entrant opening deadlocked where it now panics).
+//! 2.60 pairs a task at 2.52 edges a task (8.62 with a `Progress` and a
+//! `current` lock per arrival and a `Scratch` lock per fan-out — and a
+//! re-entrant opening deadlocked where it now panics).
 //!
 //! Charm, its groups, `ldb` and quiescence keep their PE-local state in
 //! owner-only cells too, so every pair the Charm engine takes is the
-//! mailbox's: the same 2.52 sends a task as raw, and 1.53 drain pairs
-//! where raw takes 0.17 — each invocation is a trip through the
+//! mailbox's: the same 2.52 sends a task as raw, and 0.77 drain pairs
+//! where raw takes 0.08 — each invocation is a trip through the
 //! scheduler queue (the §3.3 idiom), and the scheduler drains the
 //! network before every queue entry, so its drains find a task's few
-//! messages where raw's find a level's: 4.05 a task. (It read 9.12
-//! while each field had its mutex; the 5.07 pairs that went were nearly
-//! all `branches`, locked twice per group entry.) tSM reads 4.27 for the
-//! same reason. Both are bounded at what they read.
+//! messages where raw's find a level's: 3.29 a task. (It read 9.12
+//! while each field had its mutex; the pairs that went were nearly all
+//! `branches`, locked twice per group entry.) tSM reads 3.39 for the
+//! same reason. Both are bounded just above what they read.
 #![cfg(debug_assertions)]
 
 use converse_machine::{MachineConfig, Pe};
@@ -72,9 +72,9 @@ fn taskbench_adds_no_lock_to_its_carriers() {
         println!("raw: {raw:.2} lock pairs per task at {edges:.2} edges per task");
         assert!(
             raw <= 1.1 * edges,
-            "raw: {raw:.2} lock pairs per task, its {edges:.2} messages take 1.07 each"
+            "raw: {raw:.2} lock pairs per task, its {edges:.2} messages take 1.03 each"
         );
-        for (layer, bound) in [(Layer::Charm, 4.06), (Layer::Tsm, 4.27)] {
+        for (layer, bound) in [(Layer::Charm, 3.35), (Layer::Tsm, 3.45)] {
             let (pairs, _) = pairs_per_task(pe, &g, 20, |pe, g, opts| layer.run(pe, g, opts));
             println!("{}: {pairs:.2} lock pairs per task", layer.label());
             assert!(

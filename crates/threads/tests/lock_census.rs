@@ -3,8 +3,8 @@
 //!
 //! * **a wake** — a handler awakens a Csd-strategy thread, the scheduler
 //!   resumes it from its ready-entry, the thread consumes and suspends.
-//!   The message path underneath takes three pairs (`inbox` twice,
-//!   `staged` once);
+//!   The message path underneath takes two pairs (`inbox` on the send
+//!   and on the drain);
 //! * **a lifecycle** — `spawn_scheduled` of an empty closure, run to
 //!   exit by the scheduler; no message crosses the mailbox.
 //!
@@ -74,7 +74,7 @@ fn a_thread_wake_adds_no_lock_pair_on_the_fiber_backend() {
             },
         );
         assert_eq!(consumed.load(Ordering::Relaxed), 1_100);
-        assert!(pairs <= 3.0, "{pairs} lock pairs per wake: more than 3 + 0");
+        assert!(pairs <= 2.0, "{pairs} lock pairs per wake: more than 2 + 0");
     });
 }
 

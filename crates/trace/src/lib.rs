@@ -160,8 +160,8 @@ pub enum Event {
         /// True for an outbound frame, false for an arrival.
         sent: bool,
     },
-    /// An idle PE stole a batch of relocatable staged messages from a
-    /// loaded victim. Recorded on the PE that initiated the transfer:
+    /// An idle PE stole a batch of relocatable messages from a loaded
+    /// victim's mailbox, before the victim drained them. Recorded on the PE that initiated the transfer:
     /// the thief on shared-memory transports, the victim on distributed
     /// transports (where the donation is asynchronous).
     Steal {

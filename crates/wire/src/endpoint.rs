@@ -472,9 +472,10 @@ impl WireEndpoint {
     /// Serve an idle peer's steal request (runs on this rank's reader
     /// thread — the victim side of the distributed steal protocol).
     /// Extract up to the requested batch of stealable packets from the
-    /// local staged list and donate each as its own DONATE frame, `src`
-    /// rewritten to the donated message's original sender so the thief
-    /// delivers it with truthful provenance. On this transport the
+    /// local mailbox (what this rank's PE has not drained yet) and
+    /// donate each as its own DONATE frame, `src` rewritten to the
+    /// donated message's original sender so the thief delivers it with
+    /// truthful provenance. On this transport the
     /// `Event::Steal` record lands on the victim — the donation is
     /// asynchronous and only the victim knows the batch size.
     fn on_steal_req(&self, h: FrameHeader, payload: &[u8]) {
@@ -791,7 +792,8 @@ impl CmiTransport for WireEndpoint {
             self.steal_req_at
                 .compare_exchange(0, now.max(1), Ordering::AcqRel, Ordering::Relaxed);
         // Over the hub on either wire, for the victim's reader to serve at
-        // once: at its next refill its staged list, all it donates, is empty.
+        // once: served at its next refill, it would find the mailbox it
+        // donates from just drained.
         self.write(
             FrameHeader::new(kind::STEAL_REQ, self.rank as u32, victim as u32, 0),
             &(max as u64).to_le_bytes(),

@@ -122,7 +122,8 @@ pub mod kind {
     /// Hub → workers: every rank exited, tear down.
     pub(crate) const FIN: u8 = 9;
     /// Thief → victim: an idle PE asks the most-loaded rank to donate
-    /// stealable staged work; payload is a u32 LE batch cap.
+    /// stealable work it has not drained yet; payload is a u32 LE batch
+    /// cap.
     pub(crate) const STEAL_REQ: u8 = 10;
     /// Victim → thief: one donated message. `src` carries the donated
     /// message's *original* sender, payload is the message bytes; the

@@ -11,7 +11,7 @@
 //!
 //! Seeds forwarded by the balancer are board prefixes and carry the
 //! stealable flag, so with `--steal` an idle PE additionally pulls
-//! staged seeds from a backlogged peer (idle-PE work stealing rides on
+//! undrained seeds from a backlogged peer (idle-PE work stealing rides on
 //! top of the balancer's push policy); every PE prints its steal
 //! counters. `--transport` picks where the PEs live — threads, socket
 //! processes, or processes over shared-memory rings — and the solution

@@ -24,7 +24,7 @@ use std::path::Path;
 
 /// The most `pub` item declarations `crates/*/src` may hold. Lower it
 /// when the surface shrinks; raising it needs a reason in the change.
-const MAX_PUB_ITEMS: usize = 730;
+const MAX_PUB_ITEMS: usize = 729;
 
 /// Declarations no other file names, each with why it stays `pub`:
 /// `(file, item, reason)`.
