@@ -381,8 +381,8 @@ fn fanin_before(pes: usize) -> f64 {
 }
 
 /// 1→N fan-in, batched: same pre-fill, but the timed section delivers
-/// through `drain_into_bounded` — the whole inbox is swapped behind one
-/// lock and handed out `DRAIN_BOUND` packets at a time, the scheduler's
+/// through `drain_into_bounded` — each call moves up to `DRAIN_BOUND`
+/// packets off the front of the inbox under one lock, the scheduler's
 /// intake shape.
 fn fanin_after(pes: usize) -> f64 {
     let net = Interconnect::new(pes);
