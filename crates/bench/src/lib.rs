@@ -75,7 +75,9 @@ where
 
 /// Raw transport baseline: bytes through the interconnect mailbox with
 /// no Converse header, handler, or queue — the "native layer" software
-/// floor of this substrate.
+/// floor of this substrate. It still crosses the mailbox (its `inbox`
+/// lock on the send and on the receive), which the Converse loopback
+/// below no longer does.
 pub fn raw_loopback_ns(size: usize, iters: u64) -> f64 {
     let net = converse_net::Interconnect::new(1);
     // One block for the whole run; each send moves a share — the same
@@ -94,10 +96,14 @@ pub fn raw_loopback_ns(size: usize, iters: u64) -> f64 {
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Full Converse path: `CmiSyncSend` → mailbox → retrieve → decode →
-/// handler dispatch. With `scheduled`, the first handler re-enqueues on
-/// the Csd queue (FIFO) and a second handler runs from the queue — the
-/// Figure-6 "with scheduling" series.
+/// Full Converse path: `CmiSyncSend` → retrieve → decode → handler
+/// dispatch. With `scheduled`, the first handler re-enqueues on the Csd
+/// queue (FIFO) and a second handler runs from the queue — the Figure-6
+/// "with scheduling" series. The send is to self, so it takes the PE's
+/// local queue, not the mailbox that [`raw_loopback_ns`] times: the
+/// difference of the two is what Converse adds less the mailbox's two
+/// lock pairs, and can read below zero for small messages (the figure
+/// series clamp it at 0).
 pub fn converse_loopback_ns(size: usize, iters: u64, scheduled: bool) -> f64 {
     let per_iter = run_timed(1, move |pe| {
         let sink = pe.register_handler(|_pe, msg| {

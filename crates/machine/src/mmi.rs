@@ -82,15 +82,13 @@ impl Pe {
     /// Resolve named channels with [`Pe::channel`].
     pub fn sync_send_on(&self, dst: usize, channel: Channel, msg: &Message) {
         self.trace_send(dst, msg);
-        self.net()
-            .send_on(self.my_pe(), dst, msg.block().share(), channel);
+        self.send_block(dst, channel, msg.block().share());
     }
 
     /// [`Pe::sync_send_and_free`] on an explicit delivery channel.
     pub fn sync_send_and_free_on(&self, dst: usize, channel: Channel, msg: Message) {
         self.trace_send(dst, &msg);
-        self.net()
-            .send_on(self.my_pe(), dst, msg.into_block(), channel);
+        self.send_block(dst, channel, msg.into_block());
     }
 
     /// Begin an asynchronous send (`CmiAsyncSend`). On this machine the
@@ -147,13 +145,18 @@ impl Pe {
     }
 
     /// Send to every PE including self (`CmiSyncBroadcastAll`). One
-    /// block, P refcount bumps.
+    /// block, P refcount bumps. The self copy takes the local queue when
+    /// a self-send would ([`Pe::sync_send`]).
     pub fn sync_broadcast_all(&self, msg: &Message) {
         for dst in 0..self.num_pes() {
             self.trace_send(dst, msg);
         }
+        let local = self.self_lane_for(Channel::DEFAULT);
         self.net()
-            .broadcast(self.my_pe(), msg.block().share(), true);
+            .broadcast(self.my_pe(), msg.block().share(), !local);
+        if local {
+            self.push_local(Channel::DEFAULT, msg.block().share());
+        }
     }
 
     /// Broadcast to all and consume the message
@@ -209,6 +212,8 @@ impl Pe {
             // invisible to load probes and to work stealing, so a
             // bounded refill keeps any real backlog observable (and
             // stealable) in the mailbox while still amortizing its lock.
+            // The local queue is never visible to either: it holds only
+            // self-sends, and only on a machine without stealing.
             let budget = (limit - n).min(crate::pe::INTERNAL_BUDGET);
             let Some((src, m, scatter_armed)) = self.next_message(budget) else {
                 break;

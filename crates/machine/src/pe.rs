@@ -9,8 +9,9 @@
 //!
 //! Exactly one of those contexts runs at a time: the one holding the
 //! PE's run token ([`Pe::owner`]). The state only that context touches —
-//! intake buffer, scheduler queue, `get_specific_msg` buffer, scatter
-//! table, the EMI tables, the loop's counters — lives in
+//! intake buffer, local queue of sends to itself, scheduler queue,
+//! `get_specific_msg` buffer, scatter table, the EMI tables, the loop's
+//! counters — lives in
 //! [`OwnerCell`]s: no lock, and a call from any other thread panics
 //! instead of racing. What other threads may legitimately call goes
 //! through the interconnect or machine-shared state; [`Pe`]'s own docs
@@ -24,8 +25,8 @@ use crate::locals::Locals;
 use crate::mmi::CommHandles;
 use crate::owner::{Owner, OwnerCell};
 use crate::scatter::ScatterState;
-use converse_msg::{HandlerId, Message};
-use converse_net::{Channel, CmiTransport, Interconnect, Packet};
+use converse_msg::{HandlerId, Message, MsgBlock};
+use converse_net::{Channel, CmiTransport, Delivery, Interconnect, Packet};
 use converse_queue::{CsdQueue, QueueingMode, SchedulingQueue};
 use converse_trace::{Event, StealPhase, TraceSink};
 use std::any::TypeId;
@@ -142,19 +143,30 @@ pub(crate) struct MachineShared {
     pub channels: Vec<(String, Channel)>,
     /// Idle-PE work stealing (`MachineConfig::steal`).
     pub steal: bool,
+    /// A self-send of the run-token holder may take the PE's local queue
+    /// (`PeCore::local`): stealing is off, and the local half has FIFO
+    /// delivery and no fault plan. Fixed at boot (`MachineShared::new`).
+    pub self_lane: bool,
 }
 
 /// What only the PE's running context touches on the message path —
 /// the scheduler core. One [`OwnerCell`] holds all of it, so a
 /// retrieval or a scheduler step opens one cell once.
 pub(crate) struct PeCore {
-    /// Local intake batch: packets pulled off the net by a bulk
-    /// [`Interconnect::refill`] and not yet retrieved. Every
-    /// retrieval path pops here before touching the network, so a batch
-    /// never lets a later wire arrival overtake an earlier one — the
-    /// per-link FIFO contract survives recursive retrieval (a handler
-    /// calling `get_specific_msg` mid-batch included).
+    /// Local intake batch: packets a refill ([`Interconnect::refill`])
+    /// took off the mailbox, followed by the local queue it moved in
+    /// behind them, not yet retrieved. Every retrieval path pops here
+    /// before touching the network, so a batch never lets a later
+    /// arrival overtake an earlier one — the per-link FIFO contract
+    /// survives recursive retrieval (a handler calling
+    /// `get_specific_msg` mid-batch included).
     intake: VecDeque<Packet>,
+    /// The PE's sends to itself (`CmiLocalQueue`): what the run-token
+    /// holder sends to its own PE when the machine allows it
+    /// (`MachineShared::self_lane`, [`Pe::send_block`]), in send order.
+    /// Producer and consumer are the same context, so it needs no lock;
+    /// a refill moves it into the intake behind the mailbox batch.
+    local: VecDeque<Packet>,
     /// Messages taken off the wire by `get_specific_msg` (or a
     /// machine-internal blocking wait) that were meant for other
     /// handlers; consumed before the network on retrieval. Empty unless
@@ -202,7 +214,9 @@ fn take_first(q: &mut VecDeque<Message>, want: impl Fn(&Message) -> bool) -> Opt
 ///
 /// **Callable from any thread** holding an `Arc<Pe>`: `abort_machine`,
 /// `exit_scheduler`, `stall_pe` / `pe_stalled`, `fault_stats`, the
-/// synchronous sends and broadcasts, ids and timers, the handler table,
+/// synchronous sends and broadcasts (off the run token a send to this
+/// PE crosses the mailbox; only the token holder's takes the local
+/// queue), ids and timers, the handler table,
 /// PE-local storage (`local*`), `channel`, the load snapshot,
 /// `trace_event`.
 pub struct Pe {
@@ -264,6 +278,7 @@ impl Pe {
         let owner = Owner::new();
         let core = PeCore {
             intake: VecDeque::new(),
+            local: VecDeque::new(),
             pending: VecDeque::new(),
             queue: CsdQueue::new(),
             scatter: ScatterState::default(),
@@ -645,7 +660,7 @@ impl Pe {
         }
         if self.mailbox.is_closed()
             && self.mailbox.pending(self.id) == 0
-            && self.core(|c| c.intake.is_empty() && c.pending.is_empty())
+            && self.core(|c| c.intake.is_empty() && c.local.is_empty() && c.pending.is_empty())
         {
             panic!(
                 "PE {}: blocked on a message but the machine has shut down",
@@ -704,10 +719,11 @@ impl Pe {
     }
 
     /// Messages waiting to be retrieved: undelivered network packets,
-    /// batch-drained packets sitting in the intake buffer, plus anything
-    /// buffered by `get_specific_msg`.
+    /// self-sends in the local queue, batch-drained packets sitting in
+    /// the intake buffer, plus anything buffered by `get_specific_msg`.
     pub fn inbound_pending(&self) -> usize {
-        self.mailbox.pending(self.id) + self.core(|c| c.intake.len() + c.pending.len())
+        self.mailbox.pending(self.id)
+            + self.core(|c| c.local.len() + c.intake.len() + c.pending.len())
     }
 
     /// The next inbound packet in delivery order, refilling the intake
@@ -723,7 +739,7 @@ impl Pe {
         if let Some(p) = c.intake.pop_front() {
             return Some(p);
         }
-        let n = self.refill(&mut c.intake, budget.max(1));
+        let n = self.refill(c, budget.max(1));
         if n > 0 {
             // Sampled `Event::SchedBatch`: every 32nd intake batch (the
             // first included) records its size and the spin count of
@@ -750,10 +766,54 @@ impl Pe {
     /// with the drain's body inlined, `pop_inbound` is too big to inline
     /// into its callers and the once-per-message intake pop pays a call
     /// (`core_1pe` `op_us` +2 %; EXPERIMENTS.md, ISSUE 21). With a polled
-    /// source the PE pulls its rings itself, after its mailbox.
+    /// source the PE pulls its rings itself, after its mailbox; the local
+    /// queue goes in last, behind both.
     #[inline(never)]
-    fn refill(&self, intake: &mut VecDeque<Packet>, budget: usize) -> usize {
-        self.mailbox.refill(self.id, intake, budget)
+    fn refill(&self, c: &mut PeCore, budget: usize) -> usize {
+        self.mailbox
+            .refill(self.id, &mut c.intake, &mut c.local, budget)
+    }
+
+    /// Send `block` to `dst` on `channel`: the one way every `Pe`
+    /// point-to-point send leaves the PE. A self-send of the run-token
+    /// holder goes onto
+    /// the PE's local queue when `self_lane` allows it and the channel
+    /// does not supersede (a latest-value-wins scan needs the mailbox);
+    /// counted as a send like any other. Everything else — a peer, a
+    /// thread without the token, a stealing or faulty or reordering
+    /// machine — crosses the transport.
+    #[inline]
+    pub(crate) fn send_block(&self, dst: usize, channel: Channel, block: MsgBlock) {
+        if dst == self.id && self.self_lane_for(channel) {
+            self.push_local(channel, block);
+        } else {
+            self.net.send_on(self.id, dst, block, channel);
+        }
+    }
+
+    /// True when a self-send on `channel` from the calling thread may
+    /// take the local queue.
+    #[inline]
+    pub(crate) fn self_lane_for(&self, channel: Channel) -> bool {
+        self.shared.self_lane
+            && channel.delivery != Delivery::LatestValueWins
+            && self.owner.held_by_current_thread()
+    }
+
+    /// Queue a self-send on the local queue (callers check
+    /// [`Pe::self_lane_for`] first).
+    #[inline]
+    pub(crate) fn push_local(&self, channel: Channel, block: MsgBlock) {
+        self.mailbox.count_send(self.id, block.len());
+        let src = self.id;
+        self.core(|c| {
+            c.local.push_back(Packet {
+                src,
+                channel,
+                seq: 0,
+                block,
+            })
+        });
     }
 
     /// Turn a wire packet into the message it carries, with its sender.

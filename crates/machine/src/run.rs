@@ -385,6 +385,8 @@ impl MachineShared {
     /// declaration order (0 is the default exactly-once channel). Every
     /// transport resolves from the same declaration list, so a name
     /// means the same `(id, guarantee)` on every rank of every wire.
+    /// Called before the fault plan moves into the transport: whether a
+    /// PE's self-sends may skip the mailbox is decided from it here.
     pub(crate) fn new(cfg: &MachineConfig, hosted: usize) -> Arc<MachineShared> {
         Arc::new(MachineShared {
             console: crate::io::Console::new(cfg.capture_output, cfg.stdin_lines.clone()),
@@ -398,6 +400,7 @@ impl MachineShared {
                 .map(|((name, d), id)| (name.clone(), Channel::new(id, *d)))
                 .collect(),
             steal: cfg.steal,
+            self_lane: !cfg.steal && cfg.faults.is_none() && cfg.delivery == DeliveryMode::Fifo,
         })
     }
 }
@@ -459,13 +462,13 @@ where
     F: Fn(&Pe) + Send + Sync + 'static,
 {
     assert!(cfg.num_pes > 0, "a machine needs at least one PE");
+    let shared = MachineShared::new(&cfg, cfg.num_pes);
     let net = Interconnect::with_config(
         cfg.num_pes,
         cfg.delivery,
         cfg.faults.take(),
         Some(cfg.trace.clone()),
     );
-    let shared = MachineShared::new(&cfg, cfg.num_pes);
     let mut services = std::mem::take(&mut cfg.services);
     shared.exo.services.store(services.len(), Ordering::Release);
     let handle = MachineHandle {

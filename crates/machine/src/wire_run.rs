@@ -406,6 +406,7 @@ where
         }
         _ => None,
     };
+    let shared = MachineShared::new(&cfg, 1);
     let endpoint = match WireEndpoint::connect(
         w.rank,
         w.npes,
@@ -421,7 +422,6 @@ where
             std::process::exit(EXIT_CONNECT_FAILED);
         }
     };
-    let shared = MachineShared::new(&cfg, 1);
     {
         // A peer failure (panic elsewhere, hub loss) unwinds this
         // worker's blocked contexts through the same `check_abort`

@@ -745,12 +745,15 @@ impl Interconnect {
     /// Deliver a block into `dst`'s mailbox from *outside* the machine —
     /// the entry point used by front-ends such as CCS that inject
     /// external request traffic. The packet's `src` reads as `dst`
-    /// itself (there is no external PE id) so per-(src,dst) FIFO stays
-    /// well-defined, but the traffic is counted under the separate
-    /// `msgs_injected`/`bytes_injected` counters, never as sends — so
-    /// [`Interconnect::load_snapshot`] is not skewed by external volume. It is
-    /// subject to the same [`DeliveryMode`] scrambling — and the same
-    /// fault plane — as native sends.
+    /// itself (there is no external PE id), so injects keep FIFO order
+    /// among themselves, but they are **not** ordered against the PE's
+    /// own sends to itself, which its running context may put on a local
+    /// queue of its own that never enters this mailbox. The traffic is
+    /// counted under the separate `msgs_injected`/`bytes_injected`
+    /// counters, never as sends — so [`Interconnect::load_snapshot`] is
+    /// not skewed by external volume. It is subject to the same
+    /// [`DeliveryMode`] scrambling — and the same fault plane — as
+    /// native sends.
     pub fn inject(&self, dst: usize, block: impl Into<MsgBlock>) {
         let block = block.into();
         let t = &self.traffic[dst];
@@ -874,12 +877,31 @@ impl Interconnect {
     /// The PE's refill of its intake buffer: up to `max` packets off the
     /// front of `pe`'s inbox, appended to `intake` in delivery order,
     /// and if that leaves the batch short and `pe` has a polled source,
-    /// a sweep of it and a second drain.
+    /// a sweep of it and a second drain. Then all of `local`, the PE's
+    /// own queue of sends to itself, goes in *behind* that batch (counted
+    /// as received like the rest): a PE that keeps sending to itself
+    /// still reads its mailbox first. Nothing moves while `pe` is stalled.
     #[inline]
-    pub fn refill(&self, pe: usize, intake: &mut VecDeque<Packet>, max: usize) -> usize {
-        let n = self.drain_into_bounded(pe, intake, max);
+    pub fn refill(
+        &self,
+        pe: usize,
+        intake: &mut VecDeque<Packet>,
+        local: &mut VecDeque<Packet>,
+        max: usize,
+    ) -> usize {
+        let mut n = self.drain_into_bounded(pe, intake, max);
         if n < max && self.boxes[pe].source.get().is_some() {
-            return n + self.sweep_and_refill(pe, intake, max - n);
+            n += self.sweep_and_refill(pe, intake, max - n);
+        }
+        if !local.is_empty() && !self.stalled(pe) {
+            let m = local.len();
+            if intake.is_empty() {
+                std::mem::swap(intake, local);
+            } else {
+                intake.append(local);
+            }
+            bump(&self.traffic[pe].msgs_recv, m as u64);
+            n += m;
         }
         n
     }
@@ -2158,19 +2180,56 @@ mod tests {
             net.send(0, 1, vec![i]);
         }
         // An inbox that fits the batch moves whole.
-        let mut intake = VecDeque::new();
-        assert_eq!(net.refill(1, &mut intake, 8), 5);
+        let (mut intake, mut local) = (VecDeque::new(), VecDeque::new());
+        assert_eq!(net.refill(1, &mut intake, &mut local, 8), 5);
         assert_eq!(net.pending(1), 0);
         // Behind a non-empty intake, at most a batch moves; the rest waits.
         for i in 5..10u8 {
             net.send(0, 1, vec![i]);
         }
-        assert_eq!(net.refill(1, &mut intake, 3), 3);
+        assert_eq!(net.refill(1, &mut intake, &mut local, 3), 3);
         assert_eq!(net.pending(1), 2);
-        assert_eq!(net.refill(1, &mut intake, 3), 2);
+        assert_eq!(net.refill(1, &mut intake, &mut local, 3), 2);
         let got: Vec<u8> = intake.iter().map(|p| p.bytes()[0]).collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         assert_eq!(net.traffic(1).msgs_recv, 10);
+    }
+
+    fn local_packet(pe: usize, tag: u8) -> Packet {
+        Packet {
+            src: pe,
+            channel: Channel::DEFAULT,
+            seq: 0,
+            block: MsgBlock::copy_from(&[tag]),
+        }
+    }
+
+    #[test]
+    fn the_local_queue_goes_in_behind_the_mailbox_batch() {
+        let net = Interconnect::new(2);
+        let tags = |q: &VecDeque<Packet>| q.iter().map(|p| p.bytes()[0]).collect::<Vec<_>>();
+        let (mut intake, mut local) = (VecDeque::new(), VecDeque::new());
+        // Into an empty intake the local queue moves whole.
+        local.extend([local_packet(1, 1), local_packet(1, 2)]);
+        assert_eq!(net.refill(1, &mut intake, &mut local, 8), 2);
+        assert_eq!((tags(&intake), local.len()), (vec![1, 2], 0));
+        intake.clear();
+        // Behind a mailbox batch, never ahead of it, and all of it: the
+        // batch bounds the mailbox only.
+        for i in 3..6u8 {
+            net.send(0, 1, vec![i]);
+        }
+        local.extend([local_packet(1, 6), local_packet(1, 7)]);
+        assert_eq!(net.refill(1, &mut intake, &mut local, 2), 4);
+        assert_eq!(tags(&intake), [3, 4, 6, 7]);
+        assert_eq!((net.pending(1), local.len()), (1, 0));
+        assert_eq!(net.traffic(1).msgs_recv, 6, "every move is a receipt");
+        // A stalled PE moves nothing, its own sends included.
+        intake.clear();
+        local.extend([local_packet(1, 8)]);
+        net.stall_for(1, Duration::from_secs(60));
+        assert_eq!(net.refill(1, &mut intake, &mut local, 8), 0);
+        assert_eq!((intake.len(), local.len()), (0, 1));
     }
 
     #[test]
@@ -2179,14 +2238,14 @@ mod tests {
         let source = with_source(&net);
         net.send(0, 1, vec![1]);
         source.arrivals.lock().extend([2, 3]);
-        let mut intake = VecDeque::new();
-        assert_eq!(net.refill(1, &mut intake, 8), 3);
+        let (mut intake, mut local) = (VecDeque::new(), VecDeque::new());
+        assert_eq!(net.refill(1, &mut intake, &mut local, 8), 3);
         let got: Vec<u8> = intake.iter().map(|p| p.bytes()[0]).collect();
         assert_eq!(got, [1, 2, 3]);
         // A full batch leaves the source for the next refill.
         source.arrivals.lock().push(4);
         net.send(0, 1, vec![5]);
-        assert_eq!(net.refill(1, &mut intake, 1), 1);
+        assert_eq!(net.refill(1, &mut intake, &mut local, 1), 1);
         assert_eq!(source.arrivals.lock().len(), 1);
     }
 

@@ -1,29 +1,23 @@
 //! Lock pairs per task, counted by the `parking_lot` shim's census like
-//! `crates/machine/tests/lock_census.rs` counts them per message. On a
-//! 1-PE machine every dependency edge is a loopback message: one pair
-//! of the mailbox's `inbox` to send it, and its share of the one pair
-//! a drain takes — 1.03 a message on this graph, whose levels are
-//! drained in batches. The schedule has no timing in it, so the
-//! counts repeat exactly.
+//! `crates/machine/tests/lock_census.rs` counts them per message.
+//!
+//! On a 1-PE machine every dependency edge is a message the PE sends to
+//! itself. Such a send goes onto the PE's local queue and a drain moves
+//! it into the intake, neither of which locks, so **the 1-PE rows read
+//! 0.00 for raw, Charm and tSM alike**. The schedule has no timing in
+//! it, so the counts repeat exactly.
 //!
 //! The engines' own state — a run's `Progress`, the PE's fan-out
-//! scratch, the run an engine currently serves — is owner-only cells:
-//! **taskbench adds no lock to what its carrier takes**. The raw
-//! engine's carrier is the machine layer alone, so its count pins that:
-//! 2.60 pairs a task at 2.52 edges a task (8.62 with a `Progress` and a
-//! `current` lock per arrival and a `Scratch` lock per fan-out — and a
-//! re-entrant opening deadlocked where it now panics).
+//! scratch, the run an engine currently serves — is owner-only cells,
+//! and Charm, its groups, `ldb` and quiescence keep theirs in owner-only
+//! cells too: **taskbench adds no lock to what its carrier takes**.
 //!
-//! Charm, its groups, `ldb` and quiescence keep their PE-local state in
-//! owner-only cells too, so every pair the Charm engine takes is the
-//! mailbox's: the same 2.52 sends a task as raw, and 0.77 drain pairs
-//! where raw takes 0.08 — each invocation is a trip through the
-//! scheduler queue (the §3.3 idiom), and the scheduler drains the
-//! network before every queue entry, so its drains find a task's few
-//! messages where raw's find a level's: 3.29 a task. (It read 9.12
-//! while each field had its mutex; the pairs that went were nearly all
-//! `branches`, locked twice per group entry.) tSM reads 3.39 for the
-//! same reason. Both are bounded just above what they read.
+//! On 2 PEs the edges that cross to the other PE still pay the mailbox:
+//! a pair to send, a pair per drain that finds mail, and a pair per idle
+//! park. Per task and per PE that reads 0.95 raw, 1.00 Charm and 0.96
+//! tSM on a quiet 2-vCPU host. How often a PE parks, and how much mail a
+//! drain finds, depend on timing (the same run read up to 1.72 under
+//! parallel test load), so that row is bounded at 2.5, not pinned.
 #![cfg(debug_assertions)]
 
 use converse_machine::{MachineConfig, Pe};
@@ -55,8 +49,9 @@ fn pairs_per_task(
     (per_task(pairs / runs as f64), per_task(edges as f64))
 }
 
-#[test]
-fn taskbench_adds_no_lock_to_its_carriers() {
+/// Lock pairs per task of raw, Charm and tSM on the stencil graph on a
+/// machine of `num_pes` PEs (each PE's own), checked by `check`.
+fn per_layer(num_pes: usize, check: fn(&str, f64)) {
     if !CthBackend::fiber_supported() {
         return;
     }
@@ -66,22 +61,39 @@ fn taskbench_adds_no_lock_to_its_carriers() {
         width: 16,
         steps: 8,
     }));
-    let cfg = MachineConfig::new(1).thread_backend(CthBackend::Fiber.to_config());
+    let cfg = MachineConfig::new(num_pes).thread_backend(CthBackend::Fiber.to_config());
     converse_machine::run_with(cfg, move |pe| {
         let (raw, edges) = pairs_per_task(pe, &g, 20, run_graph_raw);
-        println!("raw: {raw:.2} lock pairs per task at {edges:.2} edges per task");
-        assert!(
-            raw <= 1.1 * edges,
-            "raw: {raw:.2} lock pairs per task, its {edges:.2} messages take 1.03 each"
+        println!(
+            "{num_pes} PE(s), PE {}: raw {raw:.2} lock pairs per task at {edges:.2} edges per task",
+            pe.my_pe()
         );
-        for (layer, bound) in [(Layer::Charm, 3.35), (Layer::Tsm, 3.45)] {
+        check("raw", raw);
+        for layer in [Layer::Charm, Layer::Tsm] {
             let (pairs, _) = pairs_per_task(pe, &g, 20, |pe, g, opts| layer.run(pe, g, opts));
-            println!("{}: {pairs:.2} lock pairs per task", layer.label());
-            assert!(
-                pairs <= bound,
-                "{}: {pairs:.2} lock pairs per task, more than {bound}",
+            println!(
+                "{num_pes} PE(s), PE {}: {} {pairs:.2} lock pairs per task",
+                pe.my_pe(),
                 layer.label()
             );
+            check(layer.label(), pairs);
         }
+    });
+}
+
+#[test]
+fn on_one_pe_no_layer_takes_a_lock_pair() {
+    per_layer(1, |layer, pairs| {
+        assert_eq!(pairs, 0.0, "{layer}: {pairs:.2} lock pairs per task");
+    });
+}
+
+#[test]
+fn on_two_pes_only_the_peer_edges_take_lock_pairs() {
+    per_layer(2, |layer, pairs| {
+        assert!(
+            pairs > 0.0 && pairs <= 2.5,
+            "{layer}: {pairs:.2} lock pairs per task, outside (0, 2.5]"
+        );
     });
 }

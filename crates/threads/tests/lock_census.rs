@@ -3,12 +3,13 @@
 //!
 //! * **a wake** — a handler awakens a Csd-strategy thread, the scheduler
 //!   resumes it from its ready-entry, the thread consumes and suspends.
-//!   The message path underneath takes two pairs (`inbox` on the send
-//!   and on the drain);
+//!   The message underneath is a send to self: it goes onto the PE's
+//!   local queue and the drain moves it into the intake, neither of
+//!   which locks;
 //! * **a lifecycle** — `spawn_scheduled` of an empty closure, run to
-//!   exit by the scheduler; no message crosses the mailbox.
+//!   exit by the scheduler; no message is sent at all.
 //!
-//! The thread layer adds none to either: who runs, the ready pool and
+//! Both take none, and the thread layer adds none to either: who runs, the ready pool and
 //! the slot table with each thread's strategy, entry and parked context
 //! are one owner-only cell, a thread's state is an atomic the running
 //! context writes, and the mutex the hand-off backend parks on is not
@@ -74,7 +75,7 @@ fn a_thread_wake_adds_no_lock_pair_on_the_fiber_backend() {
             },
         );
         assert_eq!(consumed.load(Ordering::Relaxed), 1_100);
-        assert!(pairs <= 2.0, "{pairs} lock pairs per wake: more than 2 + 0");
+        assert_eq!(pairs, 0.0, "lock pairs per wake");
     });
 }
 

@@ -109,3 +109,31 @@ fn the_thread_api_panics_on_a_foreign_os_thread() {
         assert_eq!(CthRuntime::get(pe).ready_len(pe), 0);
     });
 }
+
+/// A thread object holds the run token while it runs — on the hand-off
+/// backend on an OS thread of its own — so its sends to its own PE take
+/// the PE's local queue like the main context's, in one order with them.
+#[test]
+fn a_thread_objects_self_sends_take_the_local_queue_in_order() {
+    run_on_each_backend(1, |pe| {
+        let got: Arc<Mutex<Vec<u8>>> = Arc::default();
+        let g = got.clone();
+        let h = pe.register_handler(move |_, m| g.lock().unwrap().push(m.payload()[0]));
+        let t = cth_create(pe, move |pe| {
+            pe.sync_send_and_free(0, Message::new(h, &[1]));
+            pe.sync_send_and_free(0, Message::new(h, &[2]));
+        });
+        pe.sync_send_and_free(0, Message::new(h, &[0]));
+        cth_resume(pe, &t);
+        assert!(t.is_exited());
+        pe.sync_send_and_free(0, Message::new(h, &[3]));
+        assert_eq!(
+            pe.load_snapshot()[0].queued,
+            0,
+            "a self-send crossed the mailbox"
+        );
+        assert_eq!(pe.inbound_pending(), 4);
+        pe.deliver_until(|| got.lock().unwrap().len() == 4);
+        assert_eq!(*got.lock().unwrap(), [0, 1, 2, 3]);
+    });
+}
