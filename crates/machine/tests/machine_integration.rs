@@ -702,7 +702,7 @@ fn block_watchdog_measures_idle_time_not_wait_time() {
                 pe.sync_send_and_free(0, Message::new(wanted, b""));
             }
         }
-        // deliver_internal_until (a barrier): user arrivals are buffered.
+        // A collective's wait (a barrier): user arrivals are buffered.
         if pe.my_pe() == 1 {
             trickle(counted);
         }

@@ -250,9 +250,9 @@ proptest! {
     /// {1, 7, 1996} (the same matrix the chaos job runs) and any
     /// drop/dup/delay mix, pulling mail through `drain_into_bounded`
     /// with an arbitrary batch bound yields every payload **exactly
-    /// once, in per-link FIFO order** — the two-list mailbox swap must
-    /// not let the reliability sublayer's guarantees slip, whatever
-    /// boundary a batch happens to cut.
+    /// once, in per-link FIFO order** — taking a batch off the front of
+    /// the mailbox's one list must not let the reliability sublayer's
+    /// guarantees slip, whatever boundary a batch happens to cut.
     #[test]
     fn batched_drain_exactly_once_fifo_under_faults(
         seed in prop_oneof![Just(1u64), Just(7u64), Just(1996u64)],

@@ -26,6 +26,15 @@
 //! machine-wide collective check (task count + XOR hash fold). A cell
 //! of the workload matrix only reports a number after this passes.
 //!
+//! **Run protocol.** A run opens with one `pe.barrier()`; raw and Charm
+//! runs close with none. A PE whose tasks all executed consumed every
+//! edge addressed to it, each delivered once, so none is still on its
+//! way, and the next run's opening barrier keeps that run's edges from a
+//! PE still inside this one. The Charm group lives across runs, which
+//! swap the run its branch serves; after a bounded run
+//! ([`RunOpts::give_up`]) every PE retires it. The raw epoch or the group
+//! id keys a run: a message of another run is dropped at dispatch.
+//!
 //! **Lockstep requirement.** Like every Converse registration API, the
 //! adapters register handlers/combiners/group kinds — once per PE, the
 //! first time each is used — and must therefore be called in the same
@@ -39,7 +48,7 @@ use converse_machine::coll::CombinerId;
 use converse_machine::{Channel, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::{HandlerId, Priority};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -289,6 +298,14 @@ struct Progress {
     /// Runtime protocol violations (validated later, not panicked on —
     /// the chaos matrix *wants* to observe failures).
     violations: Vec<String>,
+    /// Local tasks still to execute.
+    remaining: usize,
+    /// This PE reported its local completion to PE 0 already.
+    done_sent: bool,
+    /// DONE reports seen (meaningful on PE 0 only).
+    dones: usize,
+    /// PE 0 declared the whole machine finished.
+    all_done: bool,
 }
 
 /// Shared bookkeeping for one graph run on one PE.
@@ -305,20 +322,12 @@ struct RunState {
     /// Touched only by this PE's execution contexts, one at a time: an
     /// arrival opens it once, for `on_dep` → `make_ready` → `fan_out`.
     progress: OwnerCell<Progress>,
-    /// Local tasks still to execute.
-    remaining: AtomicUsize,
     /// Relocatable-execution mode (see [`RunOpts::steal`]).
     steal: bool,
     /// READY-to-PE0 skew percentage ([`RunOpts::steal_to0_pct`]).
     steal_to0_pct: u8,
     /// Sleep the grain instead of spinning ([`RunOpts::sleep_grain`]).
     sleep_grain: bool,
-    /// This PE reported its local completion to PE 0 already.
-    done_sent: AtomicBool,
-    /// DONE reports seen (meaningful on PE 0 only).
-    dones: AtomicUsize,
-    /// PE 0 declared the whole machine finished.
-    all_done: AtomicBool,
 }
 
 impl RunState {
@@ -349,9 +358,12 @@ impl RunState {
                     outputs: vec![None; n],
                     digests: vec![0; slots as usize * SLOT],
                     violations: Vec::new(),
+                    remaining: local,
+                    done_sent: false,
+                    dones: 0,
+                    all_done: false,
                 },
             ),
-            remaining: AtomicUsize::new(local),
             graph,
             carrier,
             grain_ns: opts.grain_ns,
@@ -361,9 +373,6 @@ impl RunState {
             steal: opts.steal,
             steal_to0_pct: opts.steal_to0_pct,
             sleep_grain: opts.sleep_grain,
-            done_sent: AtomicBool::new(false),
-            dones: AtomicUsize::new(0),
-            all_done: AtomicBool::new(false),
         })
     }
 
@@ -476,7 +485,7 @@ impl RunState {
         let out = self.output_of(id, serial, &p.digests[self.slots_of(serial)]);
         p.execs[serial as usize] += 1;
         p.outputs[serial as usize] = Some(out);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
+        p.remaining -= 1;
         self.fan_out(pe, id, serial, out);
     }
 
@@ -550,9 +559,10 @@ impl RunState {
         })
     }
 
-    /// Pump the scheduler until `done`, or (in bounded mode) until the
-    /// give-up deadline. Returns whether it gave up.
-    fn pump_until(&self, pe: &Pe, give_up: Option<Duration>, done: impl Fn() -> bool) -> bool {
+    /// Pump the scheduler until `done` holds of the run's progress, or (in
+    /// bounded mode) until the give-up deadline. Returns whether it gave up.
+    fn pump_until(&self, pe: &Pe, give_up: Option<Duration>, done: fn(&Progress) -> bool) -> bool {
+        let done = || self.progress(pe, |p| done(p));
         match give_up {
             None => {
                 schedule_until(pe, done);
@@ -574,7 +584,7 @@ impl RunState {
 
     /// Pump until all local tasks ran.
     fn await_completion(&self, pe: &Pe, give_up: Option<Duration>) -> bool {
-        self.pump_until(pe, give_up, || self.remaining.load(Ordering::Acquire) == 0)
+        self.pump_until(pe, give_up, |p| p.remaining == 0)
     }
 
     fn summarize(&self, pe: &Pe, gave_up: bool) -> PeSummary {
@@ -651,36 +661,30 @@ impl RunState {
         self.progress(pe, |p| {
             p.execs[serial as usize] += 1;
             p.outputs[serial as usize] = Some(out);
-        });
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.send_done(pe);
-        }
+            p.remaining -= 1;
+            self.send_done(pe, p);
+        })
     }
 
-    /// Tell PE 0 this PE's local tasks all completed (at most once).
-    fn send_done(&self, pe: &Pe) {
-        if self.done_sent.swap(true, Ordering::AcqRel) {
-            return;
+    /// Tell PE 0 this PE's local tasks all completed, once they have
+    /// (at most once).
+    fn send_done(&self, pe: &Pe, p: &mut Progress) {
+        if p.remaining == 0 && !std::mem::replace(&mut p.done_sent, true) {
+            pe.sync_send_and_free(0, self.raw_msg(|h| h.done, &[]));
         }
-        pe.sync_send_and_free(0, self.raw_msg(|h| h.done, &[]));
     }
 
     /// PE 0: count completions; the machine-wide last one releases
     /// every PE from the termination pump.
     fn on_done(&self, pe: &Pe) {
-        if self.dones.fetch_add(1, Ordering::AcqRel) + 1 == pe.num_pes() {
-            for dst in 0..pe.num_pes() {
-                pe.sync_send_and_free(dst, self.raw_msg(|h| h.all_done, &[]));
+        self.progress(pe, |p| {
+            p.dones += 1;
+            if p.dones == pe.num_pes() {
+                for dst in 0..pe.num_pes() {
+                    pe.sync_send_and_free(dst, self.raw_msg(|h| h.all_done, &[]));
+                }
             }
-        }
-    }
-
-    /// Steal-mode completion pump: a PE keeps scheduling until PE 0
-    /// declares the whole machine done — its own `remaining` hitting
-    /// zero is not enough, because stolen or skewed READY messages for
-    /// *other* PEs' tasks may still land here and must be executed.
-    fn await_all_done(&self, pe: &Pe, give_up: Option<Duration>) -> bool {
-        self.pump_until(pe, give_up, || self.all_done.load(Ordering::Acquire))
+        })
     }
 }
 
@@ -726,7 +730,7 @@ impl RawEngine {
                 ready: handler(pe, RunState::on_ready),
                 credit: handler(pe, RunState::on_credit),
                 done: handler(pe, |run, pe, _| run.on_done(pe)),
-                all_done: handler(pe, |run, _, _| run.all_done.store(true, Ordering::Release)),
+                all_done: handler(pe, |run, pe, _| run.progress(pe, |p| p.all_done = true)),
             },
             epoch: AtomicU32::new(0),
             current: OwnerCell::new(pe.owner(), None),
@@ -756,16 +760,13 @@ pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
     pe.barrier();
     state.run_sources(pe);
     let gave_up = if opts.steal {
-        // A PE that owns nothing (or whose credits all landed already)
-        // must still report in for global termination.
-        if state.remaining.load(Ordering::Acquire) == 0 {
-            state.send_done(pe);
-        }
-        state.await_all_done(pe, opts.give_up)
+        // Every PE reports in, even one that owns nothing, and leaves when
+        // PE 0 declares the machine done: other PEs' READYs may land here.
+        state.progress(pe, |p| state.send_done(pe, p));
+        state.pump_until(pe, opts.give_up, |p| p.all_done)
     } else {
         state.await_completion(pe, opts.give_up)
     };
-    pe.barrier();
     engine.current.with(pe.owner(), |c| *c = None);
     state.summarize(pe, gave_up)
 }
@@ -775,38 +776,37 @@ pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
 /// Group entry points of the Charm adapter's per-PE branch.
 const EP_DEP: u32 = 0;
 
-/// The Charm adapter of one PE: its group kind, registered once, and the
-/// run a branch being constructed belongs to (group construction happens
-/// asynchronously, so the state cannot ride the constructor payload).
+/// The Charm adapter of one PE: its group kind, registered once, and its
+/// live group (`None` before the first run and once retired), whose id is
+/// the run's epoch, with the run its branch serves (`None` between runs).
 struct CharmEngine {
     kind: GroupKind,
-    current: OwnerCell<Option<(GroupId, Arc<RunState>)>>,
+    current: OwnerCell<Option<(GroupId, Option<Arc<RunState>>)>>,
 }
 
 /// The per-PE branch: receives dependency invocations and runs ready
 /// tasks; fan-out goes back through [`Charm::send_group_parts`], so
 /// every edge — self-edges included — is a scheduler-queued asynchronous
-/// method invocation, exactly the Charm discipline.
-struct TaskBranch {
-    state: Arc<RunState>,
-}
+/// method invocation, exactly the Charm discipline. Stateless: each
+/// invocation opens the engine's current run.
+struct TaskBranch;
 
 impl GroupChare for TaskBranch {
-    fn new(pe: &Pe, gid: GroupId, _payload: &[u8]) -> Self {
+    fn new(_pe: &Pe, _gid: GroupId, _payload: &[u8]) -> Self {
+        TaskBranch
+    }
+
+    fn entry(&mut self, pe: &Pe, gid: GroupId, ep: u32, payload: &[u8]) {
+        assert_eq!(ep, EP_DEP, "unknown taskbench group entry {ep}");
         let engine = pe
             .local_ref::<CharmEngine>()
             .expect("taskbench charm engine missing");
-        let current = engine.current.with(pe.owner(), |c| c.clone());
-        let state = current
-            .filter(|(g, _)| *g == gid)
-            .map(|(_, s)| s)
-            .expect("taskbench branch created for a run that is not current");
-        TaskBranch { state }
-    }
-
-    fn entry(&mut self, pe: &Pe, _gid: GroupId, ep: u32, payload: &[u8]) {
-        assert_eq!(ep, EP_DEP, "unknown taskbench group entry {ep}");
-        self.state.on_edge(pe, None, Unpacker::new(payload));
+        // Open across the call, as the raw handlers open theirs.
+        engine.current.with(pe.owner(), |current| match current {
+            Some((g, Some(run))) if *g == gid => run.on_edge(pe, None, Unpacker::new(payload)),
+            // Left over from a run that gave up.
+            _ => {}
+        })
     }
 }
 
@@ -826,34 +826,32 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
         kind: charm.register_group::<TaskBranch>(pe),
         current: OwnerCell::new(pe.owner(), None),
     });
-    pe.barrier();
-    // PE 0 creates the group; the id reaches everyone synchronously via
-    // the broadcast collective (which only processes machine-internal
-    // messages, so the asynchronous create cannot race past it).
-    let gid_bytes = pe.bcast_bytes(
-        0,
-        (pe.my_pe() == 0).then(|| {
-            let gid = charm.create_group(pe, engine.kind, &[]);
-            gid.0.to_le_bytes().to_vec()
-        }),
-    );
-    let gid = GroupId(u64::from_le_bytes(
-        gid_bytes.as_slice().try_into().expect("8-byte group id"),
-    ));
+    let live = engine
+        .current
+        .with(pe.owner(), |c| c.as_ref().map(|(g, _)| *g));
+    let gid = live.unwrap_or_else(|| {
+        // Every PE registered the kind before PE 0 creates the group; the
+        // broadcast only processes machine-internal messages, so the
+        // asynchronous create cannot race past it.
+        pe.barrier();
+        let created = (pe.my_pe() == 0).then(|| charm.create_group(pe, engine.kind, &[]));
+        let bytes = pe.bcast_bytes(0, created.map(|g| g.0.to_le_bytes().to_vec()));
+        GroupId(u64::from_le_bytes(
+            bytes.try_into().expect("8-byte group id"),
+        ))
+    });
     let state = RunState::new(graph.clone(), opts, pe, Carrier::Charm(gid));
     engine
         .current
-        .with(pe.owner(), |c| *c = Some((gid, state.clone())));
+        .with(pe.owner(), |c| *c = Some((gid, Some(state.clone()))));
     pe.barrier();
     state.run_sources(pe);
     let gave_up = state.await_completion(pe, opts.give_up);
-    pe.barrier();
-    engine.current.with(pe.owner(), |c| *c = None);
-    // A run that gave up may still have edges in flight: its branch
-    // stays, so they land in its own state and not in a later run's.
-    if !gave_up {
-        charm.destroy_group(pe, gid);
-    }
+    // The group serves the next run, unless this one was bounded: it may
+    // have given up on some PE with edges still in flight, so every PE
+    // retires the group and they are dropped.
+    let keep = opts.give_up.is_none().then_some((gid, None));
+    engine.current.with(pe.owner(), |c| *c = keep);
     state.summarize(pe, gave_up)
 }
 
@@ -895,6 +893,8 @@ pub fn run_graph_tsm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
         });
     }
     let gave_up = state.await_completion(pe, opts.give_up);
+    // Not needed for correctness: `thread_op_us` measured slower without
+    // it (EXPERIMENTS.md, "A Task Bench run synchronises once").
     pe.barrier();
     state.summarize(pe, gave_up)
 }

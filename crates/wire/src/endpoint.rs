@@ -7,7 +7,7 @@
 //!
 //! The local mailbox is an [`Interconnect`] built with **no plan**: a
 //! remote arrival that survived the wire's reliability layer is final,
-//! so it goes straight into the mailbox machinery (two-list queues,
+//! so it goes straight into the mailbox machinery (one list per PE,
 //! condvar wakeups, stall windows, delivery-mode scrambling) that the
 //! in-process transport already proved out. Loopback sends (rank to
 //! itself) never touch the socket at all.

@@ -1,4 +1,4 @@
-//! Idle-PE work stealing fences: relocating staged work must not
+//! Idle-PE work stealing fences: relocating undrained work must not
 //! weaken any guarantee the scheduler or the reliability sublayer
 //! gives.
 //!
@@ -9,7 +9,7 @@
 //!   bytes they were packaged with.
 //! * **Chaos**: the same property under a lossy fault plan (drop 0.2,
 //!   seeds 1/7/1996) — stealing composes with retransmission because it
-//!   only ever touches the staged list, *after* the reliability
+//!   only ever touches the victim's mailbox, *after* the reliability
 //!   sublayer has sequenced and deduplicated.
 //! * **Dual transport**: the steal-mode run completes and validates
 //!   with PEs as threads and as separate OS processes over the wire
@@ -104,7 +104,7 @@ fn no_stealing_without_the_machine_opting_in() {
 
 /// Chaos fence: stealing composes with the reliability sublayer. Under
 /// drop 0.2 every dependency edge may retransmit; the stolen READY
-/// messages come off the *staged* list — already sequenced and
+/// messages come off the victim's mailbox — already sequenced and
 /// deduplicated — so exactly-once execution and the dependency-order
 /// hashes must survive unchanged.
 #[test]

@@ -1,8 +1,8 @@
 //! A victim answers a steal request while it is busy with the work it
 //! would give away, on every transport. On the shm rings the PE is the
-//! only reader of its rings, and what it donates (its mailbox's staged
-//! list) is gone once it next refills; a request that waited for that
-//! refill was answered with nothing.
+//! only reader of its rings, and what it donates (the packets its
+//! mailbox holds undrained) is gone once it next refills its intake; a
+//! request that waited for that refill was answered with nothing.
 
 use converse::machine::Transport;
 use converse::prelude::*;
