@@ -18,8 +18,8 @@
 //!
 //! Measurement methodology: loopback on one PE (send → retrieve →
 //! dispatch on the same OS thread), which exercises the full header
-//! encode/decode, mailbox, handler-table and (optionally) priority-queue
-//! code without cross-thread wakeup noise; a two-PE ping-pong variant
+//! encode/decode, local-queue, handler-table and (optionally) scheduler
+//! queue code without cross-thread wakeup noise; a two-PE ping-pong variant
 //! with real hand-offs is also provided for the overhead bench.
 
 pub mod ccs_load;
@@ -27,7 +27,10 @@ pub mod ccs_load;
 use converse_core::{csd_scheduler, run, run_with, MachineConfig, Message, Pe};
 use converse_msg::HEADER_BYTES;
 pub use converse_net::NetModel;
+use converse_net::{Channel, Packet};
 use converse_queue::QueueingMode;
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,24 +43,8 @@ pub fn standard_sizes() -> Vec<usize> {
     ]
 }
 
-/// Run `f` on a one-PE machine and return the duration it reports.
-fn run_timed<F>(num_pes: usize, f: F) -> Duration
-where
-    F: Fn(&Pe) -> Option<Duration> + Send + Sync + 'static,
-{
-    let out = Arc::new(parking_lot::Mutex::new(Duration::ZERO));
-    let o2 = out.clone();
-    run(num_pes, move |pe| {
-        if let Some(d) = f(pe) {
-            *o2.lock() = d;
-        }
-    });
-    let d = *out.lock();
-    d
-}
-
-/// `run_timed` with an explicit machine configuration (thread backend,
-/// queue kind, …).
+/// Run `f` on a machine built from `cfg` and return the duration it
+/// reports.
 pub fn run_timed_with<F>(cfg: MachineConfig, f: F) -> Duration
 where
     F: Fn(&Pe) -> Option<Duration> + Send + Sync + 'static,
@@ -73,59 +60,73 @@ where
     d
 }
 
-/// Raw transport baseline: bytes through the interconnect mailbox with
-/// no Converse header, handler, or queue — the "native layer" software
-/// floor of this substrate. It still crosses the mailbox (its `inbox`
-/// lock on the send and on the receive), which the Converse loopback
-/// below no longer does.
+/// Raw transport baseline: a self-send on the path a Converse PE's own
+/// self-sends take — a packet pushed onto a FIFO of packets, as the PE's
+/// local queue is, and popped off again — with no Converse header,
+/// handler, scheduler or owner cell: the "native layer" software floor
+/// of this substrate.
 pub fn raw_loopback_ns(size: usize, iters: u64) -> f64 {
-    let net = converse_net::Interconnect::new(1);
-    // One block for the whole run; each send moves a share — the same
-    // zero-copy discipline real senders use.
-    let payload = converse_msg::MsgBlock::copy_from(&vec![7u8; size]);
+    let mut fifo = VecDeque::new();
+    // One block for the whole run, moved each time, as the Converse
+    // loopback below moves its message: nothing else holds it.
+    let mut block = Some(converse_msg::MsgBlock::copy_from(&vec![7u8; size]));
+    let mut round = || {
+        let fifo = std::hint::black_box(&mut fifo);
+        fifo.push_back(Packet {
+            src: 0,
+            channel: Channel::DEFAULT,
+            seq: 0,
+            block: block.take().expect("the last round put the block back"),
+        });
+        block = Some(std::hint::black_box(fifo.pop_front().expect("loopback")).block);
+    };
     // Warm up.
-    for _ in 0..100 {
-        net.send(0, 0, payload.share());
-        net.try_recv(0).expect("loopback");
-    }
+    (0..100).for_each(|_| round());
     let t0 = Instant::now();
-    for _ in 0..iters {
-        net.send(0, 0, payload.share());
-        std::hint::black_box(net.try_recv(0).expect("loopback"));
-    }
+    (0..iters).for_each(|_| round());
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Full Converse path: `CmiSyncSend` → retrieve → decode → handler
-/// dispatch. With `scheduled`, the first handler re-enqueues on the Csd
-/// queue (FIFO) and a second handler runs from the queue — the Figure-6
-/// "with scheduling" series. The send is to self, so it takes the PE's
-/// local queue, not the mailbox that [`raw_loopback_ns`] times: the
-/// difference of the two is what Converse adds less the mailbox's two
-/// lock pairs, and can read below zero for small messages (the figure
-/// series clamp it at 0).
+thread_local! {
+    /// The message the last handler of a Converse loopback hands back
+    /// for the next iteration to send.
+    static RETURNED: Cell<Option<Message>> = const { Cell::new(None) };
+}
+
+/// Full Converse path: `CmiSyncSendAndFree` → retrieve → decode →
+/// handler dispatch. With `scheduled`, the first handler re-enqueues on
+/// the Csd queue (FIFO) and a second handler runs from the queue — the
+/// Figure-6 "with scheduling" series.
+///
+/// The send takes the PE's local queue, the path [`raw_loopback_ns`]
+/// times, so the difference of the two is what Converse adds. Each
+/// iteration sends a message nobody else holds (the last handler hands
+/// it back), so the re-enqueue's `set_handler` never copies the payload.
 pub fn converse_loopback_ns(size: usize, iters: u64, scheduled: bool) -> f64 {
-    let per_iter = run_timed(1, move |pe| {
+    let per_iter = run_timed_with(MachineConfig::new(1), move |pe| {
         let sink = pe.register_handler(|_pe, msg| {
             std::hint::black_box(msg.payload().len());
+            RETURNED.set(Some(msg));
         });
         let requeue = pe.register_handler(move |pe, mut msg| {
             msg.set_handler(sink);
             pe.queue_enqueue(msg, QueueingMode::Fifo);
         });
         let handler = if scheduled { requeue } else { sink };
-        let msg = Message::new(handler, &vec![7u8; size]);
+        RETURNED.set(Some(Message::new(handler, &vec![7u8; size])));
         let per_msg_work = if scheduled { 2 } else { 1 };
+        let round = || {
+            let mut msg = RETURNED
+                .take()
+                .expect("the last handler hands the message back");
+            msg.set_handler(handler);
+            pe.sync_send_and_free(0, msg);
+            csd_scheduler(pe, per_msg_work);
+        };
         // Warm up.
-        for _ in 0..100 {
-            pe.sync_send(0, &msg);
-            csd_scheduler(pe, per_msg_work);
-        }
+        (0..100).for_each(|_| round());
         let t0 = Instant::now();
-        for _ in 0..iters {
-            pe.sync_send(0, &msg);
-            csd_scheduler(pe, per_msg_work);
-        }
+        (0..iters).for_each(|_| round());
         Some(t0.elapsed())
     });
     per_iter.as_nanos() as f64 / iters as f64

@@ -34,8 +34,13 @@
 //! outgoing links and the receiver halves of its incoming ones: the
 //! wire is a DATA frame, an ack an ACK frame. Each runs a pump thread
 //! that calls [`Sender::tick`] and sleeps until the deadline it
-//! returned, one [`FaultPlan::tick`] at most ([`pump_sleep`]); whether
-//! a closing machine keeps ticking is the driver's decision.
+//! returned, one [`FaultPlan::tick`] at most ([`pump_sleep`]). When to
+//! stop ticking is the driver's: `Interconnect`'s pump makes one last
+//! pass once the machine is closed, releasing what limbo still holds;
+//! the endpoint's pump reads the endpoint's one lifecycle phase, keeps
+//! ticking while the teardown flush runs (`finishing` is set, so limbo
+//! releases at once) and stops when the phase is final — FIN, or the
+//! run's first failure.
 
 use crate::fault::{
     link_draw, unit, FaultPlan, FaultStats, LinkFaults, SALT_DELAY, SALT_DELAY_SLOTS, SALT_DROP,

@@ -23,6 +23,13 @@
 //! control frames ride the socket un-faulted — the plan models the data
 //! channel, the TCP stream is the (reliable) physical layer under it.
 //!
+//! The endpoint's lifecycle is one [`Phase`]: Running from GO,
+//! Finishing once the teardown flush starts (EXIT follows), then Fin
+//! when the hub's FIN arrives or Aborted with the first failure — a
+//! peer's ABORT, a bad frame or ring record, or the hub gone. Only
+//! [`Phase::to`] moves it; the reader, the pump, a producer waiting on a
+//! full ring and the teardown waits read it.
+//!
 //! On `socket` the hub reader thread dispatches each frame. On `shmring`
 //! there is no receive thread: the endpoint is its local half's
 //! [`PolledSource`], swept by the PE (and by any thread waiting for room
@@ -40,7 +47,7 @@ use converse_trace::{Event, FaultKind, StealPhase, TraceSink};
 use parking_lot::Mutex;
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,20 +84,53 @@ pub struct WireEndpoint {
     fstats: FaultCounters,
     /// Counts every frame written or read — the trace sampling key.
     frames: AtomicU64,
-    /// Set while the teardown flush runs: limbo releases immediately,
-    /// and the pump keeps retransmitting until everything is confirmed.
-    finishing: AtomicBool,
-    /// Set once no further wire activity is expected (FIN, abort, or
-    /// hub loss); reader/pump threads exit and write errors go quiet.
-    shutdown: AtomicBool,
-    fin: AtomicBool,
-    aborted: Mutex<Option<String>>,
+    phase: Mutex<Phase>,
     on_abort: Mutex<Option<AbortHook>>,
     /// Uptime-ns when the oldest unanswered STEAL_REQ left this rank
     /// (0 = none); closed out by the first DONATE arrival to time the
     /// request→donate steal leg.
     steal_req_at: AtomicU64,
     trace: Arc<dyn TraceSink>,
+}
+
+/// Where this rank's run stands: the endpoint's whole lifecycle, moved
+/// only by [`Phase::to`].
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Phase {
+    /// From GO until the teardown flush.
+    Running,
+    /// Flushing, then EXIT sent and FIN awaited: limbo releases at once
+    /// and the pump keeps retransmitting until everything is confirmed.
+    Finishing,
+    /// The hub's FIN came: every rank exited.
+    Fin,
+    /// The run failed: a peer's ABORT, a bad frame, or the hub gone.
+    Aborted(String),
+}
+
+impl Phase {
+    /// Move to `next` where the lifecycle allows it; true when the
+    /// phase moved. Fin and Aborted are final, so the first failure
+    /// sticks and a FIN after it (or an abort after FIN) changes
+    /// nothing. A FIN that finds this rank still running comes from a
+    /// broken hub, and fails the run here.
+    pub(crate) fn to(&mut self, next: Phase) -> bool {
+        *self = match (&*self, next) {
+            (Phase::Running, Phase::Fin) => {
+                Phase::Aborted("wire: FIN before this rank exited".into())
+            }
+            (Phase::Running, next @ (Phase::Finishing | Phase::Aborted(_))) => next,
+            (Phase::Finishing, next @ (Phase::Fin | Phase::Aborted(_))) => next,
+            _ => return false,
+        };
+        true
+    }
+
+    /// No further wire activity is expected: the reader and the pump
+    /// stop, and write errors go quiet.
+    pub(crate) fn over(&self) -> bool {
+        matches!(self, Phase::Fin | Phase::Aborted(_))
+    }
 }
 
 /// What the consumer of this rank's wire keeps.
@@ -160,10 +200,7 @@ impl WireEndpoint {
             plan,
             fstats: FaultCounters::default(),
             frames: AtomicU64::new(0),
-            finishing: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            fin: AtomicBool::new(false),
-            aborted: Mutex::new(None),
+            phase: Mutex::new(Phase::Running),
             on_abort: Mutex::new(None),
             steal_req_at: AtomicU64::new(0),
             trace,
@@ -197,40 +234,50 @@ impl WireEndpoint {
 
     /// The abort message, if a peer failure reached this worker.
     pub fn aborted(&self) -> Option<String> {
-        self.aborted.lock().clone()
+        match &*self.phase.lock() {
+            Phase::Aborted(msg) => Some(msg.clone()),
+            _ => None,
+        }
+    }
+
+    fn finishing(&self) -> bool {
+        *self.phase.lock() != Phase::Running
+    }
+
+    fn over(&self) -> bool {
+        self.phase.lock().over()
     }
 
     // ---- frame output ---------------------------------------------------
 
-    fn trace_frame(&self, kind_byte: u8, peer: usize, bytes: usize, sent: bool) {
-        let count = self.frames.fetch_add(1, Ordering::Relaxed);
-        if count.is_multiple_of(FRAME_SAMPLE) && self.trace.enabled() {
-            self.trace.record(
-                self.rank,
-                self.inner.uptime().as_nanos() as u64,
-                Event::WireFrame {
-                    kind: kind::name(kind_byte),
-                    peer,
-                    bytes,
-                    sent,
-                },
-            );
+    /// Record `event` at this rank's uptime, when tracing is on.
+    fn record(&self, event: Event) {
+        if self.trace.enabled() {
+            let now = self.inner.uptime().as_nanos() as u64;
+            self.trace.record(self.rank, now, event);
         }
     }
 
-    fn trace_fault(&self, fk: FaultKind, src: usize, dst: usize, seq: u64) {
-        if self.trace.enabled() {
-            self.trace.record(
-                self.rank,
-                self.inner.uptime().as_nanos() as u64,
-                Event::Fault {
-                    kind: fk,
-                    src,
-                    dst,
-                    seq,
-                },
-            );
+    fn trace_frame(&self, kind_byte: u8, peer: usize, bytes: usize, sent: bool) {
+        let count = self.frames.fetch_add(1, Ordering::Relaxed);
+        if count.is_multiple_of(FRAME_SAMPLE) {
+            let kind = kind::name(kind_byte);
+            self.record(Event::WireFrame {
+                kind,
+                peer,
+                bytes,
+                sent,
+            });
         }
+    }
+
+    fn trace_fault(&self, kind: FaultKind, src: usize, dst: usize, seq: u64) {
+        self.record(Event::Fault {
+            kind,
+            src,
+            dst,
+            seq,
+        });
     }
 
     /// Write one frame to the hub. Errors are quiet once the endpoint
@@ -240,11 +287,7 @@ impl WireEndpoint {
         let r = write_frame(&mut *self.writer.lock(), header, payload);
         match r {
             Ok(()) => self.trace_frame(header.kind, header.dst as usize, payload.len(), true),
-            Err(_) => {
-                if !self.shutdown.load(Ordering::Acquire) {
-                    self.abort_local("wire: hub connection lost (write)");
-                }
-            }
+            Err(_) => self.step(Phase::Aborted("wire: hub connection lost (write)".into())),
         }
     }
 
@@ -267,9 +310,8 @@ impl WireEndpoint {
                 let kind = if held { kind::HELD } else { header.kind };
                 let p = if held { &[][..] } else { payload };
                 let h = FrameHeader { kind, ..header };
-                match shm.push_or_wait(dst, h, p, may_block, &self.shutdown, || {
-                    self.sweep();
-                }) {
+                let wait = || _ = self.sweep();
+                match shm.push_or_wait(dst, h, p, may_block, || self.over(), wait) {
                     PushOutcome::Sent if !held => {
                         self.trace_frame(header.kind, dst, payload.len(), true);
                         return;
@@ -292,9 +334,14 @@ impl WireEndpoint {
             && self.shm.as_ref().is_some_and(|s| !s.fits(len))
     }
 
+    /// A `kind` frame from this rank to `dst`.
+    fn header(&self, kind: u8, dst: usize, seq: u64) -> FrameHeader {
+        FrameHeader::new(kind, self.rank as u32, dst as u32, seq)
+    }
+
     fn data_header(&self, dst: usize, channel: Channel, seq: u64) -> FrameHeader {
-        FrameHeader::new(kind::DATA, self.rank as u32, dst as u32, seq)
-            .on_channel(channel.id, channel.delivery.as_u8())
+        let h = self.header(kind::DATA, dst, seq);
+        h.on_channel(channel.id, channel.delivery.as_u8())
     }
 
     /// One remote send: the sender half of link `rank → dst` stamps the
@@ -313,7 +360,7 @@ impl WireEndpoint {
         } else {
             self.send_links[dst].lock().send(
                 Instant::now(),
-                self.finishing.load(Ordering::Acquire),
+                self.finishing(),
                 channel,
                 &block,
                 &self.fstats,
@@ -338,16 +385,11 @@ impl WireEndpoint {
                     self.trace_frame(h.kind, h.src as usize, payload.len(), false);
                     match h.kind {
                         kind::ABORT => {
-                            let msg = String::from_utf8_lossy(payload.as_slice()).into_owned();
-                            self.shutdown.store(true, Ordering::Release);
-                            self.abort_local(&format!("wire: aborted by peer: {msg}"));
-                            return;
+                            let msg = String::from_utf8_lossy(payload.as_slice());
+                            return self
+                                .step(Phase::Aborted(format!("wire: aborted by peer: {msg}")));
                         }
-                        kind::FIN => {
-                            self.shutdown.store(true, Ordering::Release);
-                            self.fin.store(true, Ordering::Release);
-                            return;
-                        }
+                        kind::FIN => return self.step(Phase::Fin),
                         // A sweep dispatches the rest, steal requests aside (`steal_from`).
                         _ if self.shm.is_some() && h.kind != kind::STEAL_REQ => {
                             self.from_hub.lock().push((h, payload));
@@ -357,10 +399,7 @@ impl WireEndpoint {
                     }
                 }
                 Ok(None) | Err(_) => {
-                    if !self.shutdown.swap(true, Ordering::AcqRel) {
-                        self.abort_local("wire: hub connection lost");
-                    }
-                    return;
+                    return self.step(Phase::Aborted("wire: hub connection lost".into()))
                 }
             }
         }
@@ -398,19 +437,13 @@ impl WireEndpoint {
             }
             kind::STEAL_REQ => self.on_steal_req(h, payload.as_slice()),
             kind::DONATE => {
-                let now = self.inner.uptime().as_nanos() as u64;
                 // First donation since our last STEAL_REQ closes the
                 // request→donate latency leg (recorded thief-side).
                 let t0 = self.steal_req_at.swap(0, Ordering::AcqRel);
-                if t0 != 0 && self.trace.enabled() {
-                    self.trace.record(
-                        self.rank,
-                        now,
-                        Event::StealLatency {
-                            phase: StealPhase::ReqToDonate,
-                            ns: now.saturating_sub(t0),
-                        },
-                    );
+                if t0 != 0 {
+                    let ns = (self.inner.uptime().as_nanos() as u64).saturating_sub(t0);
+                    let phase = StealPhase::ReqToDonate;
+                    self.record(Event::StealLatency { phase, ns });
                 }
                 self.inner.mark_steal_splice(self.rank);
                 // A donated message already cleared the reliability
@@ -461,7 +494,7 @@ impl WireEndpoint {
             // Never block on a full ring here: this may run in a sweep
             // (see `emit`).
             self.emit(
-                FrameHeader::new(kind::ACK, self.rank as u32, src as u32, ack.selective)
+                self.header(kind::ACK, src, ack.selective)
                     .on_channel(channel.id, channel.delivery.as_u8()),
                 &ack.cumulative.to_le_bytes(),
                 false,
@@ -501,17 +534,12 @@ impl WireEndpoint {
                 false,
             );
         }
-        if self.trace.enabled() {
-            self.trace.record(
-                self.rank,
-                self.inner.uptime().as_nanos() as u64,
-                Event::Steal {
-                    victim: self.rank,
-                    thief,
-                    batch,
-                },
-            );
-        }
+        let victim = self.rank;
+        self.record(Event::Steal {
+            victim,
+            thief,
+            batch,
+        });
     }
 
     /// An ACK frame from the peer, for the sender half of link
@@ -527,7 +555,7 @@ impl WireEndpoint {
         let mut wire = Vec::new();
         self.send_links[dst].lock().on_ack(
             Instant::now(),
-            self.finishing.load(Ordering::Acquire),
+            self.finishing(),
             h.channel,
             Ack {
                 selective: h.seq,
@@ -568,22 +596,22 @@ impl WireEndpoint {
     /// header or ring record): abort here, and tell the hub so it fans
     /// the failure out.
     fn fail(&self, msg: &str) {
-        self.abort_local(msg);
+        self.step(Phase::Aborted(msg.into()));
         self.send_abort(msg);
     }
 
-    /// Record an abort, run the machine layer's hook, and wake anything
-    /// blocked on the mailbox.
-    fn abort_local(&self, msg: &str) {
-        {
-            let mut a = self.aborted.lock();
-            if a.is_some() {
-                return;
+    /// Move the phase. When it has just become `Aborted`, run the
+    /// machine layer's hook and wake anything blocked on the mailbox.
+    fn step(&self, next: Phase) {
+        let msg = {
+            let mut phase = self.phase.lock();
+            match (phase.to(next), &*phase) {
+                (true, Phase::Aborted(msg)) => msg.clone(),
+                _ => return,
             }
-            *a = Some(msg.to_string());
-        }
+        };
         if let Some(hook) = &*self.on_abort.lock() {
-            hook(msg);
+            hook(&msg);
         }
         self.inner.close();
     }
@@ -599,10 +627,10 @@ impl WireEndpoint {
         let plan = self.plan.as_ref().expect("pump requires a plan");
         let mut wire = Vec::new();
         let mut due = None;
-        while !self.shutdown.load(Ordering::Acquire) {
+        while !self.over() {
             std::thread::sleep(pump_sleep(plan.tick, due, Instant::now()));
             let now = Instant::now();
-            let finishing = self.finishing.load(Ordering::Acquire);
+            let finishing = self.finishing();
             due = None;
             for dst in (0..self.n).filter(|&dst| dst != self.rank) {
                 let link_due = self.send_links[dst].lock().tick(
@@ -630,15 +658,15 @@ impl WireEndpoint {
     /// delivered) before exiting; limbo copies release immediately.
     /// Returns false if `deadline` passed first.
     pub fn flush(&self, deadline: Instant) -> bool {
+        self.step(Phase::Finishing);
         if self.plan.is_none() {
             return true;
         }
-        self.finishing.store(true, Ordering::Release);
         loop {
             if self.send_links.iter().all(|l| l.lock().is_idle()) {
                 return true;
             }
-            if Instant::now() >= deadline || self.shutdown.load(Ordering::Acquire) {
+            if Instant::now() >= deadline || self.over() {
                 return false;
             }
             self.settle(Duration::from_millis(1));
@@ -658,28 +686,28 @@ impl WireEndpoint {
     /// Send the clean-completion EXIT frame carrying this worker's
     /// report bytes.
     pub fn send_exit(&self, report: &[u8]) {
-        self.write(FrameHeader::new(kind::EXIT, self.rank as u32, 0, 0), report);
+        self.step(Phase::Finishing);
+        self.write(self.header(kind::EXIT, 0, 0), report);
     }
 
     /// Send the panic ABORT frame (the hub fans it out to the peers).
     pub fn send_abort(&self, msg: &str) {
-        self.write(
-            FrameHeader::new(kind::ABORT, self.rank as u32, 0, 0),
-            msg.as_bytes(),
-        );
+        self.write(self.header(kind::ABORT, 0, 0), msg.as_bytes());
     }
 
     /// Wait for the hub's FIN (all ranks exited). Returns false on
     /// timeout or if the run aborted instead.
     pub fn wait_fin(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while !self.fin.load(Ordering::Acquire) {
-            if self.aborted.lock().is_some() || Instant::now() >= deadline {
-                return false;
+        loop {
+            match &*self.phase.lock() {
+                Phase::Fin => return true,
+                Phase::Aborted(_) => return false,
+                _ if Instant::now() >= deadline => return false,
+                _ => {}
             }
             self.settle(Duration::from_millis(1));
         }
-        true
     }
 }
 
@@ -754,11 +782,7 @@ impl CmiTransport for WireEndpoint {
         if dst == self.rank {
             self.inner.inject(dst, block);
         } else {
-            self.emit(
-                FrameHeader::new(kind::INJECT, self.rank as u32, dst as u32, 0),
-                block.as_slice(),
-                true,
-            );
+            self.emit(self.header(kind::INJECT, dst, 0), block.as_slice(), true);
         }
     }
 
@@ -766,11 +790,8 @@ impl CmiTransport for WireEndpoint {
         if pe == self.rank {
             self.inner.stall_for(pe, dur);
         } else {
-            self.emit(
-                FrameHeader::new(kind::STALL, self.rank as u32, pe as u32, 0),
-                &(dur.as_nanos() as u64).to_le_bytes(),
-                true,
-            );
+            let ns = (dur.as_nanos() as u64).to_le_bytes();
+            self.emit(self.header(kind::STALL, pe, 0), &ns, true);
         }
     }
 
@@ -794,10 +815,8 @@ impl CmiTransport for WireEndpoint {
         // Over the hub on either wire, for the victim's reader to serve at
         // once: served at its next refill, it would find the mailbox it
         // donates from just drained.
-        self.write(
-            FrameHeader::new(kind::STEAL_REQ, self.rank as u32, victim as u32, 0),
-            &(max as u64).to_le_bytes(),
-        );
+        let max = (max as u64).to_le_bytes();
+        self.write(self.header(kind::STEAL_REQ, victim, 0), &max);
         0
     }
 

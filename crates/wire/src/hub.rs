@@ -1,17 +1,46 @@
-//! The launcher-side frame router.
+//! The launcher-side frame router and the hub half of the wire control
+//! plane.
 //!
 //! The hub owns the machine's listener and, once every worker has said
 //! HELLO, becomes a star router: one reader thread per worker pulls
 //! frames off that worker's connection and forwards worker-addressed
-//! frames (`DATA`/`ACK`/`STALL`/`INJECT`) to the destination rank's
-//! connection, under a per-connection write lock so concurrent
-//! forwarders interleave at frame granularity.
+//! frames (`DATA`/`ACK`/`STALL`/`INJECT`/`STEAL_REQ`/`DONATE`) to the
+//! destination rank's connection, under a per-connection write lock so
+//! concurrent forwarders interleave at frame granularity. Forwarding
+//! takes no other lock.
 //!
-//! The hub is also the failure detector: a connection reaching EOF
-//! before its worker sent `EXIT` or `ABORT` means the process died
-//! (crash, kill -9). The first failure wins, is fanned out to the
-//! survivors as `ABORT`, and the hub returns so the launcher can reap
-//! children and report.
+//! Everything else is the control plane, and one sans-IO state machine
+//! decides it: `Protocol::on(rank, input)`. It owns no thread, lock or
+//! socket, so the same calls can be driven without sockets
+//! (`hub/explore.rs` checks every order of them exhaustively).
+//!
+//! * **Input** — `Input::Hello` (a connection's first frame named its
+//!   rank), `Input::Frame` (any frame a reader does not forward) or
+//!   `Input::Eof` (the connection ended).
+//! * **Output** — the control frame for every rank, if any: GO once all
+//!   ranks said HELLO, ABORT on the first failure, FIN on the n-th
+//!   valid EXIT. A reader stops at its connection's end or once there
+//!   is a verdict, so the verdict also says when reading ends.
+//! * **Side effects** — the protocol's own record of who said HELLO,
+//!   each rank's EXIT report, and the verdict.
+//! * **Job** — be the failure detector, with faults as the normal case.
+//!   A connection that ends before its worker sent `EXIT` (a crash,
+//!   kill -9), an `ABORT` (a panic), an `EXIT` whose report is malformed
+//!   or names another rank, and a frame addressed outside the machine
+//!   each fail the run, naming the sending rank. The first failure wins
+//!   (`Protocol::settle` is the only place a verdict is written); an EOF
+//!   after `EXIT` or after the verdict is expected, and a repeated
+//!   `EXIT` counts once.
+//!
+//! The threads only move bytes: the bootstrap loop reads each
+//! connection's HELLO, each reader thread feeds its rank's inputs to the
+//! protocol under one mutex and writes the frame it returns before the
+//! mutex drops, and [`WireHub::run`] waits on one condvar for the
+//! verdict, then shuts every connection down so the launcher can reap
+//! children and report. What fails before the machine exists — the
+//! accept deadline, a child that died before connecting, a first frame
+//! that is not a HELLO — ends `run` directly: no frame of an assembled
+//! machine was decided.
 
 use crate::report::WorkerReport;
 use crate::{kind, ACCEPT_TIMEOUT};
@@ -19,7 +48,6 @@ use converse_msg::{read_frame, write_frame, FrameHeader};
 use parking_lot::{Condvar, Mutex};
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,8 +55,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub enum HubFailure {
     /// The machine never fully assembled (a worker failed to connect or
-    /// speak HELLO in time). The detail may name a rank that died
-    /// before connecting.
+    /// speak HELLO in time), or a worker broke the protocol (a malformed
+    /// EXIT report, a frame addressed outside the machine). The detail
+    /// may name a rank that died before connecting.
     Bootstrap {
         /// Rank known to have failed, when identifiable.
         rank: Option<usize>,
@@ -50,60 +79,142 @@ pub enum HubFailure {
     },
 }
 
+/// What one worker's connection gave the hub.
+pub(crate) enum Input<'a> {
+    /// The connection's first frame: a HELLO naming this rank.
+    Hello,
+    /// A frame the reader did not forward.
+    Frame(FrameHeader, &'a [u8]),
+    /// The connection ended (EOF or a read error).
+    Eof,
+}
+
+/// The hub's control plane. See the module docs.
+pub(crate) struct Protocol {
+    /// Which ranks said HELLO.
+    connected: Vec<bool>,
+    /// Each rank's report, once it sent a valid EXIT.
+    reports: Vec<Option<WorkerReport>>,
+    /// How many valid EXITs came in.
+    exits: usize,
+    /// `Ok` once every rank exited, or the first failure.
+    verdict: Option<Result<(), HubFailure>>,
+}
+
+/// The payload of the ABORT the hub fans out.
+const ABORT_MSG: &[u8] = b"a worker process failed";
+
+/// True for the kinds one worker addresses to another: the readers
+/// forward them by `dst` without the protocol.
+fn routed(k: u8) -> bool {
+    matches!(
+        k,
+        kind::DATA | kind::ACK | kind::STALL | kind::INJECT | kind::STEAL_REQ | kind::DONATE
+    )
+}
+
+impl Protocol {
+    pub(crate) fn new(n: usize) -> Protocol {
+        Protocol {
+            connected: vec![false; n],
+            reports: vec![None; n],
+            exits: 0,
+            verdict: None,
+        }
+    }
+
+    /// Decide one input from the connection of `rank` (a rank of the
+    /// machine, except for the rank a HELLO claims). Returns the frame
+    /// every rank gets: GO, ABORT or FIN.
+    pub(crate) fn on(&mut self, rank: usize, input: Input) -> Option<u8> {
+        let n = self.connected.len();
+        let exited = rank < n && self.reports[rank].is_some();
+        let bad = |detail: String| {
+            let detail = format!("rank {rank}: {detail}");
+            Err(HubFailure::Bootstrap {
+                rank: Some(rank),
+                detail,
+            })
+        };
+        let verdict = match input {
+            Input::Hello if rank < n && !self.connected[rank] => {
+                self.connected[rank] = true;
+                return self.connected.iter().all(|&c| c).then_some(kind::GO);
+            }
+            Input::Hello => Err(HubFailure::Bootstrap {
+                rank: None,
+                detail: format!("bad or duplicate HELLO rank {rank}"),
+            }),
+            Input::Eof if !exited => Err(HubFailure::Crashed { rank }),
+            Input::Frame(h, _) if routed(h.kind) && h.dst as usize >= n => {
+                let name = kind::name(h.kind).to_uppercase();
+                bad(format!("{name} frame addressed to rank {} of {n}", h.dst))
+            }
+            // A report is filed under the connection's rank, so it must
+            // name that rank itself.
+            Input::Frame(h, payload) if h.kind == kind::EXIT && !exited => {
+                match WorkerReport::decode(payload) {
+                    Ok(rep) if rep.rank == rank => {
+                        self.reports[rank] = Some(rep);
+                        self.exits += 1;
+                        if self.exits < n {
+                            return None;
+                        }
+                        Ok(())
+                    }
+                    Ok(rep) => bad(format!("malformed EXIT report: it names rank {}", rep.rank)),
+                    Err(e) => bad(format!("malformed EXIT report: {e:?}")),
+                }
+            }
+            Input::Frame(h, payload) if h.kind == kind::ABORT => Err(HubFailure::Panicked {
+                rank,
+                msg: String::from_utf8_lossy(payload).into_owned(),
+            }),
+            // An EOF after EXIT, a frame the reader forwarded, a repeated
+            // EXIT, or a kind no worker sends: nothing to decide.
+            _ => return None,
+        };
+        self.settle(verdict)
+    }
+
+    /// Record `verdict` unless one stands — the first wins — and return
+    /// the frame that tells every rank.
+    fn settle(&mut self, verdict: Result<(), HubFailure>) -> Option<u8> {
+        if self.verdict.is_some() {
+            return None;
+        }
+        let frame = if verdict.is_ok() {
+            kind::FIN
+        } else {
+            kind::ABORT
+        };
+        self.verdict = Some(verdict);
+        Some(frame)
+    }
+
+    /// The settled verdict, with the reports (indexed by rank) of a
+    /// clean run.
+    fn outcome(self) -> Result<Vec<WorkerReport>, HubFailure> {
+        self.verdict.expect("the protocol settled")?;
+        Ok(self.reports.into_iter().flatten().collect())
+    }
+}
+
 struct HubState {
-    n: usize,
     /// Per-rank write halves; a forwarded frame takes exactly one lock.
     writers: Vec<Mutex<TcpStream>>,
-    reports: Mutex<Vec<Option<WorkerReport>>>,
-    /// How many ranks have sent EXIT.
-    exited: AtomicUsize,
-    failure: Mutex<Option<HubFailure>>,
-    /// Set once the outcome is decided; later EOFs are expected, not
-    /// crashes.
-    settled: AtomicBool,
-    done: Mutex<bool>,
-    cv: Condvar,
+    protocol: Mutex<Protocol>,
+    /// Signalled once the protocol has a verdict.
+    settled: Condvar,
 }
 
 impl HubState {
-    fn forward(&self, h: FrameHeader, payload: &[u8]) {
-        let dst = h.dst as usize;
-        if dst >= self.n {
-            return;
+    fn broadcast(&self, k: u8) {
+        let payload = if k == kind::ABORT { ABORT_MSG } else { b"" };
+        for (r, w) in self.writers.iter().enumerate() {
+            let h = FrameHeader::new(k, u32::MAX, r as u32, 0);
+            let _ = write_frame(&mut *w.lock(), h, payload);
         }
-        // A write error means the destination died; its own reader's
-        // EOF is the authoritative failure signal, so drop the frame.
-        let _ = write_frame(&mut *self.writers[dst].lock(), h, payload);
-    }
-
-    fn broadcast(&self, h: FrameHeader, payload: &[u8], except: Option<usize>) {
-        for r in 0..self.n {
-            if Some(r) == except {
-                continue;
-            }
-            let _ = write_frame(
-                &mut *self.writers[r].lock(),
-                FrameHeader { dst: r as u32, ..h },
-                payload,
-            );
-        }
-    }
-
-    fn fail(&self, f: HubFailure) {
-        if self.settled.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        *self.failure.lock() = Some(f);
-        // Wake the survivors out of blocking receives so they exit
-        // during the grace period instead of being killed.
-        self.broadcast(
-            FrameHeader::new(kind::ABORT, u32::MAX, 0, 0),
-            b"a worker process failed",
-            None,
-        );
-        let mut d = self.done.lock();
-        *d = true;
-        self.cv.notify_all();
     }
 }
 
@@ -159,13 +270,15 @@ impl WireHub {
         let n = self.n;
         let deadline = Instant::now() + ACCEPT_TIMEOUT;
         let boot = |detail: String| HubFailure::Bootstrap { rank: None, detail };
-        let mut conns: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut connected = 0usize;
-        while connected < n {
+        let mut protocol = Protocol::new(n);
+        // Each rank's stream and the clone its reader takes.
+        let mut conns: Vec<Option<(TcpStream, TcpStream)>> = (0..n).map(|_| None).collect();
+        loop {
             if let Some((rank, detail)) = early_fail() {
                 return Err(HubFailure::Bootstrap { rank, detail });
             }
             if Instant::now() >= deadline {
+                let connected = conns.iter().flatten().count();
                 let waited = format!("{connected}/{n} workers connected within {ACCEPT_TIMEOUT:?}");
                 return Err(boot(format!("only {waited}")));
             }
@@ -183,152 +296,170 @@ impl WireHub {
                 Ok(Some((h, _))) if h.kind == kind::HELLO => h.src as usize,
                 other => return Err(boot(format!("expected HELLO, got {other:?}"))),
             };
-            if rank >= n || conns[rank].is_some() {
-                return Err(boot(format!("bad or duplicate HELLO rank {rank}")));
+            let frame = protocol.on(rank, Input::Hello);
+            if frame == Some(kind::ABORT) {
+                return protocol.outcome();
             }
             let _ = stream.set_read_timeout(None);
-            conns[rank] = Some(stream);
-            connected += 1;
+            conns[rank] = Some((stream, reader));
+            if frame == Some(kind::GO) {
+                break;
+            }
         }
 
+        let (writers, readers): (Vec<_>, Vec<_>) = conns.into_iter().flatten().unzip();
         let state = Arc::new(HubState {
-            n,
-            writers: conns
-                .into_iter()
-                .map(|c| Mutex::new(c.expect("all ranks connected")))
-                .collect(),
-            reports: Mutex::new((0..n).map(|_| None).collect()),
-            exited: AtomicUsize::new(0),
-            failure: Mutex::new(None),
-            settled: AtomicBool::new(false),
-            done: Mutex::new(false),
-            cv: Condvar::new(),
+            writers: writers.into_iter().map(Mutex::new).collect(),
+            protocol: Mutex::new(protocol),
+            settled: Condvar::new(),
         });
-
         // The startup barrier: every rank is connected, release them.
-        state.broadcast(FrameHeader::new(kind::GO, u32::MAX, 0, 0), b"", None);
-
-        let mut readers = Vec::with_capacity(n);
-        for rank in 0..n {
-            let st = state.clone();
-            let stream = st.writers[rank].lock().try_clone();
-            let stream = match stream {
-                Ok(s) => s,
-                Err(e) => {
-                    state.fail(HubFailure::Bootstrap {
-                        rank: Some(rank),
-                        detail: format!("clone worker stream: {e}"),
-                    });
-                    break;
-                }
-            };
-            readers.push(
+        state.broadcast(kind::GO);
+        let readers: Vec<_> = readers
+            .into_iter()
+            .enumerate()
+            .map(|(rank, stream)| {
+                let st = state.clone();
                 std::thread::Builder::new()
                     .name(format!("wire-hub-r{rank}"))
                     .spawn(move || hub_reader(rank, stream, st))
-                    .expect("spawn hub reader"),
-            );
-        }
+                    .expect("spawn hub reader")
+            })
+            .collect();
 
-        // Wait for the outcome: all ranks exited, or a settled failure.
         {
-            let mut d = state.done.lock();
-            while !*d {
-                state.cv.wait(&mut d);
+            let mut p = state.protocol.lock();
+            while p.verdict.is_none() {
+                state.settled.wait(&mut p);
             }
         }
-
-        let failed = state.failure.lock().take();
-        if failed.is_none() {
-            // Clean completion: release the workers, then tear down.
-            state.broadcast(FrameHeader::new(kind::FIN, u32::MAX, 0, 0), b"", None);
-        }
         // Shut every connection down so reader threads (ours and the
-        // workers') unblock; FIN is already queued ahead of the TCP FIN.
+        // workers') unblock; the verdict's FIN or ABORT is already
+        // queued ahead of the TCP FIN.
         for w in state.writers.iter() {
             let _ = w.lock().shutdown(Shutdown::Both);
         }
         for r in readers {
             let _ = r.join();
         }
-        match failed {
-            Some(f) => Err(f),
-            None => Ok(state
-                .reports
-                .lock()
-                .iter_mut()
-                .map(|r| r.take().expect("every rank exited"))
-                .collect()),
+        let state = Arc::into_inner(state).expect("every reader joined");
+        state.protocol.into_inner().outcome()
+    }
+}
+
+/// One worker's reader: forward what is routed to a rank of the
+/// machine, hand everything else to the protocol, and stop at the
+/// connection's end or at the verdict.
+fn hub_reader(rank: usize, mut stream: TcpStream, st: Arc<HubState>) {
+    loop {
+        let frame = read_frame(&mut stream).ok().flatten();
+        let input = match &frame {
+            Some((h, payload)) if routed(h.kind) && (h.dst as usize) < st.writers.len() => {
+                // A write error means the destination died; its own
+                // reader's EOF is the authoritative failure signal, so
+                // drop the frame.
+                let _ = write_frame(
+                    &mut *st.writers[h.dst as usize].lock(),
+                    *h,
+                    payload.as_slice(),
+                );
+                continue;
+            }
+            Some((h, payload)) => Input::Frame(*h, payload.as_slice()),
+            None => Input::Eof,
+        };
+        // The frame the protocol returns is written before its lock
+        // drops, so `run` cannot shut the connections down ahead of a
+        // FIN or an ABORT.
+        let mut p = st.protocol.lock();
+        if let Some(k) = p.on(rank, input) {
+            st.broadcast(k);
+            st.settled.notify_all();
+        }
+        if frame.is_none() || p.verdict.is_some() {
+            return;
         }
     }
 }
 
-/// One worker's reader loop: route frames until EXIT-then-EOF, ABORT,
-/// or an unexpected EOF (a crash).
-fn hub_reader(rank: usize, mut stream: TcpStream, st: Arc<HubState>) {
-    let mut exited = false;
-    loop {
-        match read_frame(&mut stream) {
-            Ok(Some((h, payload))) => match h.kind {
-                kind::DATA
-                | kind::ACK
-                | kind::STALL
-                | kind::INJECT
-                | kind::STEAL_REQ
-                | kind::DONATE => {
-                    st.forward(h, payload.as_slice());
-                }
-                kind::EXIT => {
-                    if exited {
-                        continue;
-                    }
-                    exited = true;
-                    // A report is filed under the connection's rank, so
-                    // it must name that rank itself.
-                    let report = WorkerReport::decode(payload.as_slice())
-                        .map_err(|e| format!("{e:?}"))
-                        .and_then(|rep| {
-                            if rep.rank == rank {
-                                Ok(rep)
-                            } else {
-                                Err(format!("it names rank {}", rep.rank))
-                            }
-                        });
-                    match report {
-                        Ok(rep) => st.reports.lock()[rank] = Some(rep),
-                        Err(e) => {
-                            st.fail(HubFailure::Bootstrap {
-                                rank: Some(rank),
-                                detail: format!("rank {rank}: malformed EXIT report: {e}"),
-                            });
-                            return;
-                        }
-                    }
-                    if st.exited.fetch_add(1, Ordering::AcqRel) + 1 == st.n
-                        && !st.settled.swap(true, Ordering::AcqRel)
-                    {
-                        let mut d = st.done.lock();
-                        *d = true;
-                        st.cv.notify_all();
-                    }
-                    // Keep reading: this worker still ACKs late
-                    // arrivals from slower peers until FIN.
-                }
-                kind::ABORT => {
-                    let msg = String::from_utf8_lossy(payload.as_slice()).into_owned();
-                    st.fail(HubFailure::Panicked { rank, msg });
-                    return;
-                }
-                _ => {}
-            },
-            Ok(None) | Err(_) => {
-                // EOF. Expected once the worker exited or the outcome
-                // is settled; otherwise the process died mid-run.
-                if !exited && !st.settled.load(Ordering::Acquire) {
-                    st.fail(HubFailure::Crashed { rank });
-                }
-                return;
+#[cfg(test)]
+mod explore;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Whom a verdict names: the clean run names nobody.
+    fn named(verdict: &Option<Result<(), HubFailure>>) -> Option<Option<usize>> {
+        Some(match verdict.as_ref()? {
+            Ok(()) => None,
+            Err(HubFailure::Crashed { rank } | HubFailure::Panicked { rank, .. }) => Some(*rank),
+            Err(HubFailure::Bootstrap { rank, .. }) => *rank,
+        })
+    }
+
+    proptest! {
+        /// Any frame, of any kind byte, with random `src` / `dst` and up
+        /// to 256 payload bytes, from any rank of an assembled machine:
+        /// the protocol does not panic, and the verdict stays as it was
+        /// or becomes a failure that names the sending rank.
+        #[test]
+        fn any_frame_leaves_the_verdict_or_fails_naming_its_sender(
+            frames in collection::vec(
+                (
+                    0usize..3,
+                    prop_oneof![0u8..=13, any::<u8>()],
+                    any::<u32>(),
+                    prop_oneof![0u32..4, any::<u32>()],
+                    collection::vec(any::<u8>(), 0..=256),
+                ),
+                1..=12,
+            )
+        ) {
+            let mut p = Protocol::new(3);
+            for rank in 0..3 {
+                p.on(rank, Input::Hello);
             }
+            for (rank, k, src, dst, payload) in frames {
+                let before = format!("{:?}", p.verdict);
+                p.on(rank, Input::Frame(FrameHeader::new(k, src, dst, 0), &payload));
+                if p.verdict.is_some() && format!("{:?}", p.verdict) != before {
+                    prop_assert!(before == "None", "{before} became {:?}", p.verdict);
+                    prop_assert_eq!(named(&p.verdict), Some(Some(rank)), "{:?}", p.verdict);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_or_repeated_hello_fails_the_bootstrap() {
+        for hellos in [[0, 0], [0, 2]] {
+            let mut p = Protocol::new(2);
+            assert_eq!(p.on(hellos[0], Input::Hello), None);
+            assert_eq!(p.on(hellos[1], Input::Hello), Some(kind::ABORT));
+            match p.outcome() {
+                Err(HubFailure::Bootstrap { rank: None, detail }) => {
+                    assert_eq!(detail, format!("bad or duplicate HELLO rank {}", hellos[1]))
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_addressed_outside_the_machine_fails_the_run() {
+        let mut p = Protocol::new(2);
+        assert_eq!(p.on(0, Input::Hello), None);
+        assert_eq!(p.on(1, Input::Hello), Some(kind::GO));
+        let lost = FrameHeader::new(kind::STALL, 1, 2, 0);
+        assert_eq!(p.on(1, Input::Frame(lost, &[0; 8])), Some(kind::ABORT));
+        match p.outcome() {
+            Err(HubFailure::Bootstrap {
+                rank: Some(1),
+                detail,
+            }) => assert_eq!(detail, "rank 1: STALL frame addressed to rank 2 of 2"),
+            other => panic!("{other:?}"),
         }
     }
 }

@@ -38,6 +38,13 @@
 //! or `ABORT` (e.g. kill -9) is detected as an EOF on its hub
 //! connection and surfaces as [`HubFailure::Crashed`].
 //!
+//! That control plane is two small sans-IO state machines. The hub's
+//! protocol decides every verdict from (rank, HELLO / frame / EOF)
+//! inputs, the first failure winning; each endpoint's lifecycle is one
+//! phase (Running → Finishing → Fin | Aborted). The threads around them
+//! only move bytes, and a unit test drives both together over every
+//! interleaving of a small machine (`hub/explore.rs`).
+//!
 //! The **shared-memory ring data plane** (`Transport::ShmRing`, Linux
 //! x86-64/aarch64) reuses all of the above but demotes the hub socket
 //! to a control plane: data frames travel through lock-free SPSC byte
@@ -122,8 +129,8 @@ pub mod kind {
     /// Hub → workers: every rank exited, tear down.
     pub(crate) const FIN: u8 = 9;
     /// Thief → victim: an idle PE asks the most-loaded rank to donate
-    /// stealable work it has not drained yet; payload is a u32 LE batch
-    /// cap.
+    /// stealable work it has not drained yet; payload is the batch cap,
+    /// exactly 8 bytes (a u64 LE) — any other length fails the machine.
     pub(crate) const STEAL_REQ: u8 = 10;
     /// Victim → thief: one donated message. `src` carries the donated
     /// message's *original* sender, payload is the message bytes; the

@@ -100,18 +100,19 @@ impl ShmPlane {
         block: bool,
         shutdown: &AtomicBool,
     ) -> PushOutcome {
-        self.push_or_wait(dst, header, payload, block, shutdown, || {})
+        let stop = || shutdown.load(Ordering::Acquire);
+        self.push_or_wait(dst, header, payload, block, stop, || {})
     }
 
-    /// [`ShmPlane::push`], calling `wait` each time a blocking push
-    /// finds the ring still full.
+    /// [`ShmPlane::push`] with the shutdown test a closure, calling
+    /// `wait` each time a blocking push finds the ring still full.
     pub(crate) fn push_or_wait(
         &self,
         dst: usize,
         header: FrameHeader,
         payload: &[u8],
         block: bool,
-        shutdown: &AtomicBool,
+        shutdown: impl Fn() -> bool,
         mut wait: impl FnMut(),
     ) -> PushOutcome {
         debug_assert_ne!(dst, self.rank, "loopback never touches the rings");
@@ -142,7 +143,7 @@ impl ShmPlane {
                 if !block {
                     return PushOutcome::Full;
                 }
-                if shutdown.load(Ordering::Acquire) {
+                if shutdown() {
                     return PushOutcome::Shutdown;
                 }
                 wait();

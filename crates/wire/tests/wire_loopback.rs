@@ -413,3 +413,25 @@ fn an_exit_report_naming_another_rank_fails_the_run() {
         w.join().expect("worker thread");
     }
 }
+
+#[test]
+fn a_frame_addressed_outside_the_machine_fails_the_run_naming_its_sender() {
+    use converse_msg::{write_frame, FrameHeader};
+    use converse_wire::kind;
+    let (msg, failure) = run_against_raw_peer(None, |s| {
+        // The hub routes by `dst`, and 5 is not a rank of a 2-PE
+        // machine: no worker can ever receive this frame.
+        write_frame(s, FrameHeader::new(kind::DATA, 1, 5, 1), b"lost").expect("frame");
+    });
+    assert!(msg.contains("aborted by peer"), "{msg}");
+    match failure {
+        converse_wire::HubFailure::Bootstrap {
+            rank: Some(1),
+            detail,
+        } => assert!(
+            detail.contains("DATA frame addressed to rank 5 of 2"),
+            "{detail}"
+        ),
+        other => panic!("the hub must fail the run and name the sender, got {other:?}"),
+    }
+}
