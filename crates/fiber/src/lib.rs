@@ -22,9 +22,15 @@
 //!
 //! * x86-64 System-V only (compile error elsewhere); the switch is ~20
 //!   instructions of `global_asm!`.
-//! * A fiber's entry runs on its own heap-allocated stack. Panics
-//!   inside the fiber are caught at the fiber boundary and re-thrown
-//!   from [`Fiber::resume`] on the resumer's stack.
+//! * A fiber's entry runs on a stack of its own: an anonymous private
+//!   mapping, rounded up to whole pages, whose lowest page is mapped
+//!   `PROT_NONE` as a guard and which is unmapped when the context is
+//!   dropped. A context costs the pages its runs touch — a shallow one
+//!   keeps one page resident — and a run that outgrows its stack faults
+//!   at the guard (`SIGSEGV`), as on an OS thread's stack, instead of
+//!   writing over whatever lies below it.
+//! * Panics inside the fiber are caught at the fiber boundary and
+//!   re-thrown from [`Fiber::resume`] on the resumer's stack.
 //! * A [`Fiber`] is an execution context that outlives what runs on it:
 //!   once its entry has returned (or panicked) [`Fiber::arm`] starts the
 //!   next run from the top of the same stack. Only a finished context
@@ -89,6 +95,97 @@ unsafe extern "C" {
     fn fiber_trampoline();
 }
 
+// The three memory-mapping calls a stack needs, declared by hand: std
+// links libc already, so no bindings crate is pulled in for them.
+type CInt = i32;
+
+const PROT_NONE: CInt = 0;
+const PROT_READ: CInt = 1;
+const PROT_WRITE: CInt = 2;
+const MAP_PRIVATE: CInt = 0x02;
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const MAP_ANONYMOUS: CInt = 0x20;
+/// macOS and the BSDs.
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const MAP_ANONYMOUS: CInt = 0x1000;
+/// Linux keeps transparent huge pages off a stack mapping.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const MAP_STACK: CInt = 0x2_0000;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const MAP_STACK: CInt = 0;
+const MAP_FAILED: *mut u8 = !0usize as *mut u8;
+
+unsafe extern "C" {
+    fn mmap(addr: *mut u8, len: usize, prot: CInt, flags: CInt, fd: CInt, off: i64) -> *mut u8;
+    fn mprotect(addr: *mut u8, len: usize, prot: CInt) -> CInt;
+    fn munmap(addr: *mut u8, len: usize) -> CInt;
+}
+
+/// The base page of every x86-64 unix: the unit a stack is rounded up
+/// to, and the size of its guard.
+const PAGE: usize = 4096;
+
+/// A fiber's stack: `[guard page | usable pages]`, one anonymous
+/// private mapping owned by its context. Pages are resident only once
+/// touched, so a pool miss costs a mapping and a shallow run one page.
+struct Stack {
+    /// Lowest address of the mapping: the guard page.
+    base: *mut u8,
+    /// Length of the whole mapping, guard included.
+    len: usize,
+}
+
+impl Stack {
+    /// Map a stack of at least `usable` bytes (whole pages, one at
+    /// least) above a guard page. Aborts like a failed allocation if
+    /// the mapping cannot be made.
+    fn new(usable: usize) -> Stack {
+        let layout = usable
+            .max(1)
+            .checked_next_multiple_of(PAGE)
+            .and_then(|pages| pages.checked_add(PAGE))
+            .and_then(|len| std::alloc::Layout::from_size_align(len, PAGE).ok())
+            .expect("stack size within the address space");
+        let len = layout.size();
+        let (prot, flags) = (
+            PROT_READ | PROT_WRITE,
+            MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK,
+        );
+        // SAFETY: a fresh mapping at an address the kernel picks
+        // aliases nothing.
+        let base = unsafe { mmap(std::ptr::null_mut(), len, prot, flags, -1, 0) };
+        if base == MAP_FAILED {
+            std::alloc::handle_alloc_error(layout);
+        }
+        let stack = Stack { base, len };
+        // SAFETY: the first page of the mapping just made; nothing
+        // points into it.
+        if unsafe { mprotect(base, PAGE, PROT_NONE) } != 0 {
+            drop(stack);
+            std::alloc::handle_alloc_error(layout);
+        }
+        stack
+    }
+
+    /// One past the highest usable byte: page-aligned.
+    fn top(&self) -> *mut u8 {
+        self.base.wrapping_add(self.len)
+    }
+
+    /// Usable bytes, the guard excluded.
+    fn usable(&self) -> usize {
+        self.len - PAGE
+    }
+}
+
+impl Drop for Stack {
+    fn drop(&mut self) {
+        // SAFETY: the mapping is this value's alone, and the context
+        // that owns it is being dropped: nothing runs on it any more.
+        unsafe { munmap(self.base, self.len) };
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum State {
     /// Armed or suspended at a yield: resumable.
@@ -114,7 +211,7 @@ pub type BoxedEntry = Box<dyn FnOnce(&FiberHandle)>;
 struct FiberInner<A> {
     switch: Switch,
     /// The fiber's stack, kept for the context's lifetime.
-    stack: Box<[u8]>,
+    stack: Stack,
     /// What every arming of this context runs.
     entry: fn(&FiberHandle, A),
     /// The armed argument, until the first resume takes it.
@@ -242,7 +339,8 @@ fn call_boxed(h: &FiberHandle, f: BoxedEntry) {
 
 impl Fiber<BoxedEntry> {
     /// Create a fiber with a dedicated stack of `stack_size` bytes
-    /// (at least 4 KiB; 64 KiB is plenty for most uses) that runs `f`.
+    /// (rounded up to whole 4 KiB pages; 64 KiB is plenty for most
+    /// uses) that runs `f`.
     /// The closure does not run until the first [`Fiber::resume`].
     pub fn new<F>(stack_size: usize, f: F) -> Fiber
     where
@@ -256,9 +354,9 @@ impl Fiber<BoxedEntry> {
 
 impl<A> Fiber<A> {
     /// Create an execution context with a dedicated stack of
-    /// `stack_size` bytes (at least 4 KiB) whose every run is
-    /// `entry(handle, arg)`. It starts out finished:
-    /// [`arm`](Fiber::arm) it with an argument, then
+    /// `stack_size` bytes (rounded up to whole 4 KiB pages, above a
+    /// guard page) whose every run is `entry(handle, arg)`. It starts
+    /// out finished: [`arm`](Fiber::arm) it with an argument, then
     /// [`resume`](Fiber::resume).
     pub fn with_entry(stack_size: usize, entry: fn(&FiberHandle, A)) -> Fiber<A> {
         Fiber {
@@ -268,7 +366,7 @@ impl<A> Fiber<A> {
                     caller_rsp: UnsafeCell::new(std::ptr::null_mut()),
                     state: Cell::new(State::Done),
                 },
-                stack: vec![0u8; stack_size.max(4096)].into_boxed_slice(),
+                stack: Stack::new(stack_size),
                 entry,
                 arg: UnsafeCell::new(None),
                 panic: UnsafeCell::new(None),
@@ -289,11 +387,8 @@ impl<A> Fiber<A> {
         );
         let inner = &mut *self.inner;
         let ctx: *mut FiberInner<A> = inner;
-        // Highest 16-aligned address within the stack.
-        let top = {
-            let end = inner.stack.as_mut_ptr() as usize + inner.stack.len();
-            (end & !15) as *mut u8
-        };
+        // The top of the stack is page-aligned, so 16-aligned.
+        let top = inner.stack.top();
         // Layout below `top` (downward):
         //   [top-8]         : trampoline return address (ret target)
         //   [top-16..top-56): six callee-saved slots (r15 r14 r13 r12 rbx
@@ -303,9 +398,10 @@ impl<A> Fiber<A> {
         // its `call` pushes a return address, so fiber_main starts with
         // the standard SysV entry alignment (rsp ≡ 8 mod 16).
         //
-        // SAFETY: the 56 bytes written lie inside `stack` (at least
-        // 4 KiB). The state is `Done`, so no frame on this stack will
-        // run again: a context that was never armed has none, and the
+        // SAFETY: the 56 bytes written lie in the top page of `stack`,
+        // which is mapped readable and writable. The state is `Done`, so
+        // no frame on this stack will run again: a context that was
+        // never armed has none, and the
         // last run's `fiber_main` sits in its final switch, which is
         // never returned to, holding nothing that needs dropping — the
         // writes clobber dead memory only.
@@ -354,9 +450,10 @@ impl<A> Fiber<A> {
         switch.state.get() != State::Done
     }
 
-    /// Size of this context's stack in bytes.
+    /// Size of this context's stack in bytes: what was asked for,
+    /// rounded up to whole pages, its guard page not counted.
     pub fn stack_size(&self) -> usize {
-        self.inner.stack.len()
+        self.inner.stack.usable()
     }
 }
 
@@ -533,6 +630,9 @@ mod tests {
         assert!(!f.resume(), "nothing armed, nothing runs");
         assert_eq!(f.stack_size(), 32 * 1024);
         sum_runs_on(&mut f);
+        // A stack is whole pages: what was asked for, rounded up.
+        assert_eq!(Fiber::with_entry(5000, run).stack_size(), 8192);
+        assert_eq!(Fiber::with_entry(0, run).stack_size(), 4096);
     }
 
     #[test]

@@ -27,13 +27,15 @@
 //!   switch saves/restores the callee-saved register set in ~20 ns, the
 //!   constant class the paper paid. A thread runs on a whole execution
 //!   context taken from a per-PE size-classed **context pool** and
-//!   re-armed ([`CthRuntime::stack_pool_stats`]), and [`cth_suspend`]
-//!   with a ready successor switches **directly** to it without bouncing
-//!   through the Csd queue (the direct-handoff fast path).
+//!   re-armed ([`CthRuntime::stack_pool_stats`]) — its stack a mapping
+//!   of its own below a guard page, resident only where touched — and
+//!   [`cth_suspend`] with a ready successor switches **directly** to it
+//!   without bouncing through the Csd queue (the direct-handoff fast
+//!   path).
 //! * **`handoff`** (portable fallback) — a thread object owns a real OS
-//!   thread gated by a hand-off token: exactly one context per PE runs
-//!   at any instant. Every semantic property is identical; only the
-//!   constant differs (~10 µs per switch).
+//!   thread (whose stack std guards) gated by a hand-off token: exactly
+//!   one context per PE runs at any instant. Every semantic property is
+//!   identical; only the constant differs (~10 µs per switch).
 //!
 //! Selection: [`converse_machine::MachineConfig::thread_backend`] pins a
 //! backend per machine; under the default `Auto`, the `CTH_BACKEND`
@@ -297,7 +299,7 @@ impl CthBackend {
 pub struct StackPoolStats {
     /// Thread starts served from the free list (no allocation).
     pub hits: u64,
-    /// Thread starts that went to the system allocator for a stack.
+    /// Thread starts that mapped a fresh context's stack.
     pub misses: u64,
     /// Finished threads' execution contexts (stack included) retained
     /// for reuse.
@@ -1113,8 +1115,8 @@ mod fb {
 
     /// Smallest pooled stack class.
     const MIN_CLASS: usize = 16 * 1024;
-    /// Largest pooled stack class; bigger stacks are allocated exactly
-    /// and never retained.
+    /// Largest pooled stack class; bigger stacks are mapped exactly
+    /// (whole pages) and never retained.
     const MAX_CLASS: usize = 1024 * 1024;
     /// Number of power-of-two classes in `MIN_CLASS..=MAX_CLASS`.
     const NUM_CLASSES: usize = (MAX_CLASS / MIN_CLASS).trailing_zeros() as usize + 1;
@@ -1122,18 +1124,22 @@ mod fb {
     /// Per-PE size-classed free list of execution contexts — the
     /// thread-stack analogue of the message-buffer pool: a thread that
     /// starts takes a finished thread's whole context and arms it, paying
-    /// neither an allocation nor the zeroing of a fresh stack.
+    /// neither an allocation nor the mapping of a fresh stack.
     ///
     /// # Retention
     ///
     /// A context of a pooled class is never dropped, so a class holds as
     /// many contexts as its PE ever had threads of that class **started
     /// and not yet exited at one time**: at worst that peak × the class
-    /// size (256 KiB for `DEFAULT_STACK_SIZE`) of address space, of
-    /// which only the pages the threads touched are resident. No count
-    /// picked in advance bounds it: a bound below a program's concurrency
-    /// turns every start beyond it into a fresh zeroed stack (a 33rd
-    /// blocked thread cost 48 µs against 1.3 µs when the class kept 32).
+    /// size (256 KiB for `DEFAULT_STACK_SIZE`) of address space, in two
+    /// mappings each (stack and guard page), of which only the pages the
+    /// threads touched are resident — a page for a thread that blocks
+    /// early. No count picked in advance bounds it: a bound below a
+    /// program's concurrency turns every start beyond it into a miss,
+    /// which maps a fresh stack: on a 2-vCPU x86-64 host a miss in the
+    /// 256 KiB class (create, start and block) took 7.6–11.6 µs and
+    /// 4 KiB resident, against 0.3–0.6 µs for a start on a pooled
+    /// context.
     #[derive(Default)]
     pub(super) struct StackPool {
         free: [Vec<Parked>; NUM_CLASSES],
