@@ -141,7 +141,6 @@ impl LegacyNet {
         mbox.q.lock().push_back(Packet {
             src,
             channel: converse_net::Channel::DEFAULT,
-            seq: 0,
             block,
         });
         mbox.cv.notify_one();

@@ -75,7 +75,6 @@ pub fn raw_loopback_ns(size: usize, iters: u64) -> f64 {
         fifo.push_back(Packet {
             src: 0,
             channel: Channel::DEFAULT,
-            seq: 0,
             block: block.take().expect("the last round put the block back"),
         });
         block = Some(std::hint::black_box(fifo.pop_front().expect("loopback")).block);

@@ -810,7 +810,6 @@ impl Pe {
             c.local.push_back(Packet {
                 src,
                 channel,
-                seq: 0,
                 block,
             })
         });

@@ -10,13 +10,17 @@
 //! * **a peer ping** — PE 0 sends to PE 1 and drains PE 1's answer —
 //!   takes two on PE 0's thread: PE 1's `inbox` on the send and its own
 //!   on the drain. A message that crosses to another PE still pays the
-//!   mailbox; this row keeps that path counted.
+//!   mailbox; this row keeps that path counted. It reads two as well
+//!   when the ping travels on a latest-value-wins channel or the
+//!   machine reorders deliveries: with no fault plan there is no link
+//!   state to lock, and a reordering mailbox counts arrivals under its
+//!   own inbox lock.
 //!
 //! The census lives in the `parking_lot` shim under `debug_assertions`
 //! and counts the calling thread's acquisitions only.
 #![cfg(debug_assertions)]
 
-use converse_machine::{run, Message, Stop};
+use converse_machine::{run, run_with, Delivery, DeliveryMode, MachineConfig, Message, Stop};
 use converse_msg::Priority;
 use converse_queue::QueueingMode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +63,26 @@ fn a_loopback_message_takes_no_lock_pair() {
 
 #[test]
 fn a_peer_ping_takes_two_lock_pairs() {
-    run(2, |pe| {
+    peer_ping(MachineConfig::new(2), None, "2-PE ping");
+}
+
+#[test]
+fn a_latest_value_wins_ping_takes_two_lock_pairs() {
+    let cfg = MachineConfig::new(2).channel("latest", Delivery::LatestValueWins);
+    peer_ping(cfg, Some("latest"), "latest-value-wins ping");
+}
+
+#[test]
+fn a_reordering_ping_takes_two_lock_pairs() {
+    let cfg = MachineConfig::new(2).delivery(DeliveryMode::Reorder { seed: 7, window: 4 });
+    peer_ping(cfg, None, "reordering ping");
+}
+
+/// PE 0 pings PE 1 on `cfg`'s 2-PE machine — on the channel declared
+/// as `channel`, or the default one — and drains each answer; asserts
+/// two lock pairs per op on PE 0's thread.
+fn peer_ping(cfg: MachineConfig, channel: Option<&'static str>, what: &'static str) {
+    run_with(cfg, move |pe| {
         let (served, answers) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
         let a = answers.clone();
         let pong = pe.register_handler(move |_, _| {
@@ -75,8 +98,9 @@ fn a_peer_ping_takes_two_lock_pairs() {
             pe.deliver_until(|| served.load(Ordering::Relaxed) == WARM + OPS);
             return;
         }
+        let channel = channel.map_or(converse_machine::Channel::DEFAULT, |c| pe.channel(c));
         let op = |i: u64| {
-            pe.sync_send_and_free(1, Message::new(ping, &i.to_le_bytes()));
+            pe.sync_send_and_free_on(1, channel, Message::new(ping, &i.to_le_bytes()));
             // Wait without parking (a park locks the inbox), then drain
             // the one answer.
             while pe.inbound_pending() == 0 {
@@ -89,10 +113,11 @@ fn a_peer_ping_takes_two_lock_pairs() {
         (WARM..WARM + OPS).for_each(op);
         let locks = parking_lot::lock_census() - before;
         assert_eq!(answers.load(Ordering::Relaxed), WARM + OPS);
-        println!(
-            "lock pairs per 2-PE ping op: {:.3}",
-            locks as f64 / OPS as f64
+        println!("lock pairs per {what} op: {:.3}", locks as f64 / OPS as f64);
+        assert_eq!(
+            locks,
+            2 * OPS,
+            "{locks} lock acquisitions for {OPS} {what}s"
         );
-        assert_eq!(locks, 2 * OPS, "{locks} lock acquisitions for {OPS} pings");
     });
 }

@@ -12,10 +12,10 @@
 //! The payload is the [`MsgBlock`] bytes verbatim — the same encoding
 //! the in-process machine delivers (handler id at offset 0), so nothing
 //! above the transport can tell which wire carried it. `src`/`dst` are
-//! PE ranks; `seq` is the QoS-sublayer sequence number, per
-//! `(link, channel)` and numbering from 1 — `seq == 0` is the reserved
-//! unsequenced fast path used when no fault plan is installed,
-//! mirroring the in-process link convention. `channel` and `guarantee`
+//! PE ranks; `seq` is the link protocol's sequence number, per
+//! `(link, channel)` and numbering from 1. Only a frame sent under a
+//! fault plan carries one: without a plan it is 0, as a packet in a
+//! mailbox carries no seq at all. `channel` and `guarantee`
 //! carry the delivery channel id and its policy tag (`converse-net`'s
 //! `Delivery::as_u8`: 0 exactly-once, 1 at-most-once, 2
 //! latest-value-wins) so the receiving endpoint can apply per-channel
@@ -55,8 +55,8 @@ pub struct FrameHeader {
     pub src: u32,
     /// Destination PE rank (or receiver-defined for control frames).
     pub dst: u32,
-    /// QoS-sublayer sequence number, per `(link, channel)`, numbering
-    /// from 1; 0 marks the unsequenced fast path (no fault plan).
+    /// The link protocol's sequence number, per `(link, channel)`,
+    /// numbering from 1 under a fault plan; 0 without one.
     pub seq: u64,
     /// Delivery channel id (0 = the default exactly-once channel).
     pub channel: u32,

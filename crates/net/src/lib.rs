@@ -16,11 +16,12 @@
 //! * [`FaultPlan`] — a deterministic adversarial wire: seeded per-link
 //!   drop/duplication/delay plus scripted PE stall and crash windows.
 //!   When a plan is installed, a **reliability sublayer** masks it —
-//!   the [`link`] protocol: every packet carries a per-link sequence
-//!   number, the receive side deduplicates and reorders back into
-//!   sequence, and a background pump retransmits unacknowledged packets
-//!   with capped exponential backoff — so the machine layer above keeps
-//!   its exactly-once in-order contract even over a lossy net. Every
+//!   the [`link`] protocol: every copy on the faulty wire carries a
+//!   per-link sequence number, the receive side deduplicates and
+//!   reorders back into sequence, and a background pump retransmits
+//!   unacknowledged packets with capped exponential backoff — so the
+//!   machine layer above keeps its exactly-once in-order contract even
+//!   over a lossy net. Without a plan no sequence number exists. Every
 //!   fault decision is a pure function of `(seed, link, seq, attempt)`,
 //!   so one seed replays one adversarial schedule regardless of thread
 //!   interleaving. `Interconnect` only drives that protocol: it holds
@@ -67,17 +68,11 @@ pub struct Packet {
     /// The delivery channel this packet travelled on, including its
     /// guarantee tag. Legacy sends use [`Channel::DEFAULT`]
     /// (channel 0, exactly-once).
-    pub channel: Channel,
-    /// Per-(link, channel) sequence number stamped by the QoS layer.
     ///
-    /// **Convention (both transports):** sequenced streams number from
-    /// `1`; `seq == 0` marks the *unsequenced fast path* — no
-    /// [`FaultPlan`] installed and the channel needs no supersede
-    /// bookkeeping, so the reliable wire carries the packet with no
-    /// sublayer state at all. `LatestValueWins` channels are always
-    /// sequenced (the supersede scan keys on `seq`), even on a clean
-    /// wire.
-    pub seq: u64,
+    /// A packet carries no sequence number: those belong to the
+    /// [`link`] protocol, which runs only under a [`FaultPlan`] and
+    /// hands each `(src, channel)` stream to the mailbox in send order.
+    pub channel: Channel,
     /// The generalized-message block.
     pub block: MsgBlock,
 }
@@ -134,6 +129,13 @@ pub enum DeliveryMode {
 /// line (8+40+1 = 49 bytes on 64-bit Linux); `cv` lives further on,
 /// touched only to park or wake. The alignment also keeps neighbouring
 /// PEs' mailboxes from false-sharing a line.
+///
+/// **Supersede by arrival.** Each way in hands over a `(src, channel)`
+/// stream in send order (a clean send inserts under the inbox lock, the
+/// link protocol's latest-value-wins floor passes strictly increasing
+/// seqs, a wire's connections and rings are FIFO, steals, injects and
+/// broadcasts use channel 0), so a queued latest-value-wins packet with
+/// the arriving one's `(src, channel)` is older: no packet needs a seq.
 #[repr(C, align(64))]
 struct Mailbox {
     /// Length of `inbox`; written only under the `inbox` lock.
@@ -165,19 +167,24 @@ struct Mailbox {
     cv: Condvar,
     /// The receiver's polled source, if its transport gave it one.
     source: OnceLock<Weak<dyn PolledSource>>,
+    /// Reorder mode only: arrivals from each source PE so far, the key of
+    /// its next position draw; plain-stored under the `inbox` lock.
+    arrivals: Box<[AtomicU64]>,
     /// Wakes made by [`Mailbox::ring`].
     #[cfg(test)]
     wakes: AtomicU64,
 }
 
 impl Mailbox {
-    fn new() -> Self {
+    /// A mailbox that keeps arrival counts for `sources` source PEs.
+    fn new(sources: usize) -> Self {
         Mailbox {
             inbox_len: AtomicUsize::new(0),
             inbox: Mutex::new(VecDeque::new()),
             parked: AtomicBool::new(false),
             cv: Condvar::new(),
             source: OnceLock::new(),
+            arrivals: (0..sources).map(|_| AtomicU64::new(0)).collect(),
             #[cfg(test)]
             wakes: AtomicU64::new(0),
         }
@@ -311,20 +318,18 @@ fn bump(counter: &AtomicU64, by: u64) {
     counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
 }
 
-/// One directed link: both halves of the [`link`] protocol. Both
-/// endpoints live in the same process, so one mutex covers the sender's
-/// retransmit slots and the receiver's reassembly window; a copy "on
-/// the wire" is a call to `rx` and its acknowledgment a call back into
-/// `tx` under the same lock, not a message.
+/// One directed link under a plan: both halves of the [`link`]
+/// protocol. Both endpoints live in the same process, so one mutex
+/// covers the sender's retransmit slots and the receiver's reassembly
+/// window; a copy "on the wire" is a call to `rx` and its
+/// acknowledgment a call back into `tx` under the same lock, not a
+/// message.
 ///
 /// Lock order: a link mutex may be held while taking a mailbox mutex,
 /// never the reverse.
 struct Link {
     tx: Sender,
     rx: Receiver,
-    /// Count of mailbox deliveries on this link (all channels) — the
-    /// deterministic per-link key for reorder-mode position draws.
-    arrivals: u64,
     /// Copies `tx` wants resent in answer to an ack, on their way to
     /// `rx` (scratch of [`Interconnect::arrive`], empty between calls).
     resend: Vec<WireCopy>,
@@ -341,12 +346,9 @@ pub struct Interconnect {
     /// owning PE), read lock-free by everyone else.
     run_queues: Vec<AtomicUsize>,
     mode: DeliveryMode,
-    /// Installed adversarial schedule, if any. `None` = reliable wire,
-    /// zero-overhead fast path.
-    plan: Option<FaultPlan>,
-    /// Per-directed-link reliability state, indexed `src * n + dst`.
-    /// Only touched when a plan is installed or reorder mode needs its
-    /// per-link arrival counter.
+    /// Per-directed-link reliability state, indexed `src * n + dst`;
+    /// built only when a fault plan is installed: empty on a clean
+    /// wire, which takes the zero-overhead fast path.
     links: Vec<Mutex<Link>>,
     fstats: FaultCounters,
     trace: Option<Arc<dyn TraceSink>>,
@@ -391,22 +393,24 @@ impl Interconnect {
         }
         let stalls: Vec<StallWindow> = plan.as_ref().map(|p| p.stalls.clone()).unwrap_or_default();
         let has_stalls = !stalls.is_empty();
+        let reorder = matches!(mode, DeliveryMode::Reorder { .. });
+        let link = |p, li| Link {
+            tx: Sender::new(li / n, li % n, p),
+            rx: Receiver::default(),
+            resend: Vec::new(),
+        };
+        let links = (plan.iter())
+            .flat_map(|p| (0..n * n).map(move |li| Mutex::new(link(p, li))))
+            .collect();
         let net = Arc::new_cyclic(|me| Interconnect {
             me: me.clone(),
-            boxes: (0..n).map(|_| Mailbox::new()).collect(),
+            boxes: (0..n)
+                .map(|_| Mailbox::new(if reorder { n } else { 0 }))
+                .collect(),
             traffic: (0..n).map(|_| TrafficCell::default()).collect(),
             run_queues: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             mode,
-            links: (0..n * n)
-                .map(|li| {
-                    Mutex::new(Link {
-                        tx: Sender::new(li / n, li % n, plan.as_ref()),
-                        rx: Receiver::default(),
-                        arrivals: 0,
-                        resend: Vec::new(),
-                    })
-                })
-                .collect(),
+            links,
             fstats: FaultCounters::default(),
             trace: trace.filter(|t| t.enabled()),
             stalls: Mutex::new(stalls),
@@ -414,9 +418,8 @@ impl Interconnect {
             steal_marks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             epoch: Instant::now(),
             closed: AtomicBool::new(false),
-            plan,
         });
-        if let Some(tick) = net.plan.as_ref().map(|p| p.tick) {
+        if let Some(tick) = plan.map(|p| p.tick) {
             let weak = net.me.clone();
             std::thread::Builder::new()
                 .name("net-fault-pump".into())
@@ -463,11 +466,6 @@ impl Interconnect {
             .expect("an Interconnect is alive while it is borrowed")
     }
 
-    #[inline]
-    fn li(&self, src: usize, dst: usize) -> usize {
-        src * self.boxes.len() + dst
-    }
-
     fn trace_fault(&self, pe: usize, kind: FaultKind, src: usize, dst: usize, seq: u64) {
         if let Some(t) = &self.trace {
             t.record(
@@ -484,64 +482,62 @@ impl Interconnect {
     }
 
     /// Insert one packet into `dst`'s inbox, applying the delivery
-    /// mode and the channel's supersede policy. `arrival` is the
-    /// per-link arrival index keying the reorder-mode position draw
-    /// (ignored under FIFO). The inbox lock is held only for the push
-    /// itself. The doorbell is the caller's: one [`Mailbox::ring`] once
-    /// its insert — or its batch of inserts — is in and the lock has
-    /// dropped.
+    /// mode and the channel's supersede policy (by arrival: see
+    /// [`Mailbox`]). Under reorder mode the position draw is keyed by
+    /// the packet's arrival index on link `src → dst`, counted here; a
+    /// `stolen` packet is keyed 0 and not counted. The inbox lock is
+    /// held only for the push itself. The doorbell is the caller's: one
+    /// [`Mailbox::ring`] once its insert — or its batch of inserts — is
+    /// in and the lock has dropped.
     #[inline]
     fn mailbox_insert(
         &self,
         src: usize,
         dst: usize,
         channel: Channel,
-        seq: u64,
         block: MsgBlock,
-        arrival: u64,
+        stolen: bool,
     ) {
         let mbox = &self.boxes[dst];
-        {
-            let mut q = mbox.inbox.lock();
-            if channel.delivery == Delivery::LatestValueWins {
-                // A queued older value on the same (src, channel) is
-                // dead the moment a newer one lands: drop it in place.
-                // Every undrained packet is in reach; one the receiver
-                // already drained into its intake is past the horizon.
-                let before = q.len();
-                q.retain(|p| !(p.src == src && p.channel.id == channel.id && p.seq < seq));
-                let purged = (before - q.len()) as u64;
-                if purged > 0 {
-                    self.fstats.superseded.fetch_add(purged, Ordering::Relaxed);
-                    self.trace_fault(dst, FaultKind::Supersede, src, dst, seq);
-                }
+        let mut q = mbox.inbox.lock();
+        if channel.delivery == Delivery::LatestValueWins {
+            // A queued value on the same (src, channel) is older and dead
+            // the moment this one lands: drop it in place. Every
+            // undrained packet is in reach; one the receiver already
+            // drained into its intake is past the horizon.
+            let before = q.len();
+            q.retain(|p| !(p.src == src && p.channel.id == channel.id));
+            let purged = (before - q.len()) as u64;
+            if purged > 0 {
+                self.fstats.superseded.fetch_add(purged, Ordering::Relaxed);
+                self.trace_fault(dst, FaultKind::Supersede, src, dst, 0);
             }
-            match self.mode {
-                DeliveryMode::Fifo => q.push_back(Packet {
-                    src,
-                    channel,
-                    seq,
-                    block,
-                }),
-                DeliveryMode::Reorder { seed, window } => {
-                    // The scramble window covers every undrained packet;
-                    // one already in the receiver's intake is out of reach.
-                    let w = window.min(q.len());
-                    let draw = reorder_draw(seed, src, dst, arrival);
-                    let pos = q.len() - (draw as usize % (w + 1));
-                    q.insert(
-                        pos,
-                        Packet {
-                            src,
-                            channel,
-                            seq,
-                            block,
-                        },
-                    );
-                }
-            }
-            mbox.inbox_len.store(q.len(), Ordering::Release);
         }
+        let packet = Packet {
+            src,
+            channel,
+            block,
+        };
+        match self.mode {
+            DeliveryMode::Fifo => q.push_back(packet),
+            DeliveryMode::Reorder { seed, window } => {
+                let arrival = if stolen {
+                    0
+                } else {
+                    let count = &mbox.arrivals[src];
+                    let arrival = count.load(Ordering::Relaxed);
+                    count.store(arrival + 1, Ordering::Relaxed);
+                    arrival
+                };
+                // The scramble window covers every undrained packet;
+                // one already in the receiver's intake is out of reach.
+                let w = window.min(q.len());
+                let draw = reorder_draw(seed, src, dst, arrival);
+                let pos = q.len() - (draw as usize % (w + 1));
+                q.insert(pos, packet);
+            }
+        }
+        mbox.inbox_len.store(q.len(), Ordering::Release);
     }
 
     /// Pop one packet for `pe` in delivery order, without the stall
@@ -557,42 +553,24 @@ impl Interconnect {
         p
     }
 
-    /// Transmit a block over link `src → dst` on `channel`: the
-    /// reliable-wire fast path when no plan is installed (seq 0,
-    /// except LatestValueWins which always sequences — its supersede
-    /// scan keys on `seq`), otherwise sequence + policy-dependent
-    /// buffering + one wire attempt through the fault plane. `dst` is
-    /// rung once its packet is in.
+    /// Transmit a block over link `src → dst` on `channel`: with no
+    /// plan installed, one insert and one ring — a clean wire keeps no
+    /// per-link state; otherwise sequence + policy-dependent buffering
+    /// + one wire attempt through the fault plane.
     #[inline]
     fn transmit(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock) {
-        if self.plan.is_none() {
-            let lvw = channel.delivery == Delivery::LatestValueWins;
-            match self.mode {
-                DeliveryMode::Fifo if !lvw => self.mailbox_insert(src, dst, channel, 0, block, 0),
-                _ => {
-                    // The arrival index must be read and the insert done
-                    // under the link lock so the draw keyed by it lands
-                    // at the position it determines; LVW also stamps a
-                    // real per-channel seq here so supersede ordering is
-                    // well-defined even on the clean wire.
-                    let mut link = self.links[self.li(src, dst)].lock();
-                    let arrival = link.arrivals;
-                    link.arrivals += 1;
-                    let seq = if lvw { link.tx.stamp(channel) } else { 0 };
-                    self.mailbox_insert(src, dst, channel, seq, block, arrival);
-                }
-            }
-            self.boxes[dst].ring();
-            return;
+        if !self.links.is_empty() {
+            return self.transmit_faulty(src, dst, channel, block);
         }
-        self.transmit_faulty(src, dst, channel, block);
+        self.mailbox_insert(src, dst, channel, block, false);
+        self.boxes[dst].ring();
     }
 
     /// The driver side of a send under a plan: lock the link, read the
     /// clock, let the sender half stamp, buffer and draw, and carry each
     /// copy it puts on the wire to the receiver half.
     fn transmit_faulty(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock) {
-        let mut link = self.links[self.li(src, dst)].lock();
+        let mut link = self.links[src * self.num_pes() + dst].lock();
         let (now, closed) = (Instant::now(), self.is_closed());
         let sent = link
             .tx
@@ -626,12 +604,7 @@ impl Interconnect {
         closed: bool,
         copy: WireCopy,
     ) {
-        let Link {
-            tx,
-            rx,
-            arrivals,
-            resend,
-        } = link;
+        let Link { tx, rx, resend } = link;
         let mut delivered = false;
         let mut next = Some(copy);
         while let Some(WireCopy {
@@ -646,10 +619,8 @@ impl Interconnect {
                 block,
                 &self.fstats,
                 |kind, seq| self.trace_fault(dst, kind, src, dst, seq),
-                |seq, block| {
-                    let arrival = *arrivals;
-                    *arrivals += 1;
-                    self.mailbox_insert(src, dst, channel, seq, block, arrival);
+                |_, block| {
+                    self.mailbox_insert(src, dst, channel, block, false);
                     delivered = true;
                 },
             );
@@ -1102,11 +1073,10 @@ impl Interconnect {
     }
 
     /// Move up to `max` stealable packets from `victim`'s mailbox into
-    /// `thief`'s; returns how many moved. Donated packets re-enter
-    /// through the unsequenced (`seq == 0`) insert path — they already
-    /// cleared the reliability sublayer at the victim, so they carry no
-    /// per-link stream state. The two mailbox locks are never held at
-    /// once.
+    /// `thief`'s; returns how many moved. Donated packets go straight
+    /// into the thief's mailbox — they already cleared the reliability
+    /// sublayer at the victim, so they carry no per-link stream state.
+    /// The two mailbox locks are never held at once.
     pub fn steal_from(&self, victim: usize, thief: usize, max: usize) -> usize {
         if victim == thief {
             return 0;
@@ -1114,7 +1084,7 @@ impl Interconnect {
         let stolen = self.steal_take(victim, max);
         let n = stolen.len();
         for p in stolen {
-            self.mailbox_insert(p.src, thief, p.channel, 0, p.block, 0);
+            self.mailbox_insert(p.src, thief, p.channel, p.block, true);
         }
         if n > 0 {
             self.boxes[thief].ring();
@@ -1282,6 +1252,43 @@ mod tests {
         };
         assert_eq!(run(1), run(1));
         assert_ne!(run(1), run(2));
+        // Pinned: each draw is keyed by the packet's arrival index on its
+        // link, so counting arrivals any other way moves these.
+        let one = [
+            1, 5, 6, 4, 7, 3, 9, 2, 12, 11, 10, 15, 0, 16, 14, 8, 19, 17, 18, 13,
+        ];
+        let two = [
+            1, 4, 2, 3, 5, 9, 8, 11, 0, 10, 6, 7, 16, 17, 14, 15, 19, 18, 13, 12,
+        ];
+        assert_eq!((run(1), run(2)), (one.to_vec(), two.to_vec()));
+        // Three senders into PE 2 — PE 0, PE 1 and injects, which read as
+        // PE 2 itself — through the link protocol under a plan that
+        // injects no fault: each link keys its own draws.
+        let mixed = {
+            let mode = DeliveryMode::Reorder { seed: 5, window: 4 };
+            let net = Interconnect::with_config(3, mode, Some(FaultPlan::new(3)), None);
+            for i in 0..8u8 {
+                net.send(0, 2, vec![i]);
+                net.send(1, 2, vec![16 + i]);
+                net.inject(2, vec![32 + i]);
+            }
+            let got: Vec<u8> = (0..24)
+                .map(|_| net.try_recv(2).unwrap().bytes()[0])
+                .collect();
+            net.close();
+            got
+        };
+        let pinned = [
+            0, 32, 16, 1, 33, 17, 3, 19, 34, 18, 4, 5, 35, 2, 6, 36, 20, 7, 23, 37, 38, 22, 39, 21,
+        ];
+        assert_eq!(mixed, pinned);
+    }
+
+    #[test]
+    fn a_packet_is_src_channel_and_block() {
+        // Source, channel (id + guarantee) and block: no sequence number.
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(std::mem::size_of::<Packet>(), 24);
     }
 
     #[test]
@@ -1778,7 +1785,10 @@ mod tests {
                 // Drained per send, so the inbox supersede never hides
                 // a latest-value-wins delivery.
                 net.drain_into(1, &mut out);
-                seqs.extend(out.drain(..).map(|p| p.seq));
+                // A packet carries no seq: a delivered block's is its
+                // send index + 1, as each send stamps the next one.
+                let sent = |p: &Packet| u32::from_le_bytes(p.bytes()[..4].try_into().unwrap());
+                seqs.extend(out.drain(..).map(|p| sent(&p) as u64 + 1));
             }
             let fnv = seqs
                 .iter()
@@ -1980,17 +1990,21 @@ mod tests {
     #[test]
     fn lvw_supersedes_queued_values_on_clean_wire() {
         // No fault plan at all: supersede still applies to values
-        // queued in the destination inbox.
-        let net = Interconnect::new(2);
-        for i in 0..5u8 {
-            net.send_on(0, 1, vec![i], LVW);
+        // queued in the destination inbox, whatever the delivery mode.
+        for mode in [
+            DeliveryMode::Fifo,
+            DeliveryMode::Reorder { seed: 7, window: 4 },
+        ] {
+            let net = Interconnect::with_config(2, mode, None, None);
+            for i in 0..5u8 {
+                net.send_on(0, 1, vec![i], LVW);
+            }
+            assert_eq!(net.pending(1), 1, "older queued values must be dropped");
+            let p = net.try_recv(1).unwrap();
+            assert_eq!(p.bytes(), vec![4], "{mode:?}");
+            assert_eq!(p.channel, LVW);
+            assert_eq!(net.fault_stats().superseded, 4);
         }
-        assert_eq!(net.pending(1), 1, "older queued values must be dropped");
-        let p = net.try_recv(1).unwrap();
-        assert_eq!(p.bytes(), vec![4]);
-        assert_eq!(p.channel, LVW);
-        assert!(p.seq > 0, "LVW packets are always sequenced");
-        assert_eq!(net.fault_stats().superseded, 4);
     }
 
     #[test]
@@ -2199,7 +2213,6 @@ mod tests {
         Packet {
             src: pe,
             channel: Channel::DEFAULT,
-            seq: 0,
             block: MsgBlock::copy_from(&[tag]),
         }
     }

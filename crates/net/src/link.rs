@@ -27,6 +27,12 @@
 //!   attempt, a monotonic floor, no sender state) or latest-value-wins
 //!   (one unacked value, a newer one supersedes it).
 //!
+//! Sequence numbers are this protocol's alone, and it runs only when a
+//! plan is installed: a clean wire builds no half, a packet in a mailbox
+//! carries no seq, and a wire frame carries one only under a plan. A
+//! mailbox supersedes a latest-value-wins value by arrival instead,
+//! since each `(src, channel)` stream reaches it in send order.
+//!
 //! Two drivers exist. `Interconnect` keeps both halves of a link under
 //! one mutex: "the wire" is a call to the receiver half and "an ack" a
 //! call back into the sender half under the same lock.
@@ -101,8 +107,7 @@ pub(crate) fn reorder_draw(seed: u64, src: usize, dst: usize, arrival: u64) -> u
 /// fault plane dropped or delayed them all, 2 when it duplicated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sent {
-    /// Per-(link, channel) sequence number; 0 on the unsequenced clean
-    /// wire (see `Packet::seq`).
+    /// Per-(link, channel) sequence number, from 1.
     pub seq: u64,
     /// Copies to put on the wire now.
     pub copies: u32,
@@ -351,39 +356,28 @@ pub fn pump_sleep(tick: Duration, due: Option<Instant>, now: Instant) -> Duratio
     due.map_or(tick, |d| d.saturating_duration_since(now).min(tick))
 }
 
-/// The sending half of one directed link.
+/// The sending half of one directed link. It exists only under a
+/// plan: a clean wire has nothing to mask and keeps no sender state.
 pub struct Sender {
-    /// `None` on a clean wire: nothing to mask, only
-    /// latest-value-wins channels are stamped.
-    wire: Option<Wire>,
+    wire: Wire,
     chans: Chans<TxChan>,
 }
 
 impl Sender {
-    /// The sender of link `src → dst` under `plan` (`None`: clean wire).
-    pub fn new(src: usize, dst: usize, plan: Option<&FaultPlan>) -> Sender {
+    /// The sender of link `src → dst` under `plan`.
+    pub fn new(src: usize, dst: usize, plan: &FaultPlan) -> Sender {
         Sender {
-            wire: plan.map(|p| Wire {
-                seed: p.seed,
+            wire: Wire {
+                seed: plan.seed,
                 src,
                 dst,
-                faults: p.faults_for(src, dst),
-                rto: p.rto,
-                rto_cap: p.rto_cap,
-                tick: p.tick,
-            }),
+                faults: plan.faults_for(src, dst),
+                rto: plan.rto,
+                rto_cap: plan.rto_cap,
+                tick: plan.tick,
+            },
             chans: Chans::new(TxChan::new(Channel::DEFAULT)),
         }
-    }
-
-    /// Take the next sequence number of `channel` and nothing else —
-    /// all a clean wire does, and only for latest-value-wins channels,
-    /// whose supersede scan keys on the seq.
-    #[inline]
-    pub fn stamp(&mut self, channel: Channel) -> u64 {
-        self.chans
-            .entry(channel.id, || TxChan::new(channel))
-            .stamp()
     }
 
     /// Stamp `block`, buffer it as `channel`'s guarantee asks, and make
@@ -398,13 +392,7 @@ impl Sender {
         stats: &FaultCounters,
         mut trace: impl FnMut(FaultKind, u64),
     ) -> Sent {
-        let Some(wire) = &self.wire else {
-            let lvw = channel.delivery == Delivery::LatestValueWins;
-            return Sent {
-                seq: if lvw { self.stamp(channel) } else { 0 },
-                copies: 1,
-            };
-        };
+        let wire = &self.wire;
         let chan = self.chans.entry(channel.id, || TxChan::new(channel));
         let seq = chan.stamp();
         if channel.delivery == Delivery::LatestValueWins {
@@ -487,14 +475,13 @@ impl Sender {
             unacked.pop_first();
         }
         limbo.retain(|l| l.seq >= ack.cumulative && l.seq != ack.selective);
-        let Some(wire) = &self.wire else { return };
         for (&seq, inf) in unacked.range_mut(..ack.selective) {
             if ack.selective < inf.mark || inf.in_limbo > 0 {
                 continue;
             }
             inf.later_acks += 1;
             if inf.later_acks >= FAST_RETRANSMIT_ACKS {
-                wire.retransmit(
+                self.wire.retransmit(
                     *channel, seq, inf, *next_seq, now, flush, limbo, stats, &mut trace, out,
                 );
             }
@@ -516,7 +503,6 @@ impl Sender {
         mut trace: impl FnMut(FaultKind, u64),
         out: &mut Vec<WireCopy>,
     ) -> Option<Instant> {
-        let wire = self.wire.as_ref()?;
         let mut next_due: Option<Instant> = None;
         for chan in self.chans.iter_mut() {
             if chan.limbo.is_empty() && chan.unacked.is_empty() {
@@ -552,7 +538,7 @@ impl Sender {
             out[released..].sort_by_key(|c| c.seq);
             for (&seq, inf) in unacked.iter_mut() {
                 if inf.due <= now {
-                    wire.retransmit(
+                    self.wire.retransmit(
                         *channel, seq, inf, *next_seq, now, flush, limbo, stats, &mut trace, out,
                     );
                 }
@@ -746,26 +732,12 @@ mod tests {
     }
 
     #[test]
-    fn a_clean_wire_stamps_latest_value_wins_only() {
-        let stats = FaultCounters::default();
-        let mut tx = Sender::new(0, 1, None);
-        let now = Instant::now();
-        let mut send = |ch| tx.send(now, false, ch, &block(1), &stats, |_, _| {});
-        assert_eq!(send(EO), Sent { seq: 0, copies: 1 });
-        assert_eq!(send(AMO), Sent { seq: 0, copies: 1 });
-        assert_eq!(send(LVW), Sent { seq: 1, copies: 1 });
-        assert_eq!(send(LVW), Sent { seq: 2, copies: 1 });
-        assert!(tx.is_idle());
-        assert_eq!(stats.snapshot(), FaultStats::default());
-    }
-
-    #[test]
     fn acked_seqs_leave_the_retransmit_slot_and_limbo() {
         // Every copy delayed: the send parks one copy in limbo and one
         // block in the retransmit slot; the ack retires both.
         let plan = FaultPlan::lossy(3, 0.0, 0.0, 1.0, 4);
         let stats = FaultCounters::default();
-        let mut tx = Sender::new(0, 1, Some(&plan));
+        let mut tx = Sender::new(0, 1, &plan);
         let now = Instant::now();
         let sent = tx.send(now, false, EO, &block(1), &stats, |_, _| {});
         assert_eq!(sent, Sent { seq: 1, copies: 0 });
@@ -785,7 +757,7 @@ mod tests {
     fn a_cumulative_ack_covers_for_lost_ones() {
         let plan = FaultPlan::new(1);
         let stats = FaultCounters::default();
-        let (mut tx, mut rx) = (Sender::new(0, 1, Some(&plan)), Receiver::default());
+        let (mut tx, mut rx) = (Sender::new(0, 1, &plan), Receiver::default());
         let now = Instant::now();
         let mut last = None;
         for _ in 0..3 {
@@ -804,7 +776,7 @@ mod tests {
     fn backoff_doubles_up_to_the_cap() {
         let plan = FaultPlan::new(1).retransmit(Duration::from_millis(1), Duration::from_millis(5));
         let stats = FaultCounters::default();
-        let mut tx = Sender::new(0, 1, Some(&plan));
+        let mut tx = Sender::new(0, 1, &plan);
         let t0 = Instant::now();
         tx.send(t0, false, EO, &block(1), &stats, |_, _| {});
         let mut out = Vec::new();
@@ -842,7 +814,7 @@ mod tests {
         };
         let seed = (0..u64::MAX).find(fits).expect("a seed with these draws");
         let plan = FaultPlan::lossy(seed, DROP, 0.0, 0.0, 0);
-        (Sender::new(0, 1, Some(&plan)), plan)
+        (Sender::new(0, 1, &plan), plan)
     }
 
     /// Send seqs `from..=to`; every copy that crosses arrives at once
@@ -937,7 +909,7 @@ mod tests {
             .find(|&s| (1..=7).all(|seq| delayed(s, seq) == (seq == 1)))
             .unwrap();
         let plan = FaultPlan::lossy(seed, 0.0, 0.0, DROP, 1);
-        let (mut tx, mut rx) = (Sender::new(0, 1, Some(&plan)), Receiver::default());
+        let (mut tx, mut rx) = (Sender::new(0, 1, &plan), Receiver::default());
         let stats = FaultCounters::default();
         let t0 = Instant::now();
         let acks = send_range(&mut tx, &mut rx, t0, 1..=6, &stats);
@@ -970,7 +942,7 @@ mod tests {
         // Every copy is delayed one or two slots.
         let plan = FaultPlan::lossy(5, 0.0, 0.0, 1.0, 2);
         let stats = FaultCounters::default();
-        let mut tx = Sender::new(0, 1, Some(&plan));
+        let mut tx = Sender::new(0, 1, &plan);
         let t0 = Instant::now();
         let mut out = Vec::new();
         assert_eq!(tx.tick(t0, false, &stats, |_, _| {}, &mut out), None);

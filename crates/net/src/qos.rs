@@ -96,10 +96,9 @@ impl Delivery {
 /// into the high-bit id space so they never collide with configured
 /// channels.
 ///
-/// Sequence numbering is per `(link, channel)`: each channel of a link
-/// is an independent sequenced stream starting at seq 1 (seq 0 is the
-/// reserved "unsequenced fast path" marker used when no `FaultPlan` is
-/// installed — see `Packet::seq`).
+/// Under a `FaultPlan` each channel of a link is an independent
+/// sequenced stream starting at seq 1 (see [`crate::link`]); without
+/// one nothing is numbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Channel {
     /// Channel id, carried on every packet and wire frame.

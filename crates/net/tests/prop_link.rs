@@ -107,7 +107,7 @@ impl World {
         let k = channels.len();
         World {
             channels: channels.to_vec(),
-            tx: Sender::new(0, 1, Some(plan)),
+            tx: Sender::new(0, 1, plan),
             rx: Receiver::default(),
             stats: FaultCounters::default(),
             now: Instant::now(),
@@ -396,7 +396,7 @@ proptest! {
     ) {
         let stats = FaultCounters::default();
         let mut rx = Receiver::default();
-        let mut tx = Sender::new(0, 1, Some(&plan(1, LOSSY)));
+        let mut tx = Sender::new(0, 1, &plan(1, LOSSY));
         let now = Instant::now();
         let mut seen: HashMap<u32, HashSet<u64>> = HashMap::new();
         for (id, guarantee, raw, shape) in frames {

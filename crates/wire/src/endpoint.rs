@@ -13,15 +13,16 @@
 //! itself) never touch the socket at all.
 //!
 //! Reliability over the wire is the same [`converse_net::link`]
-//! protocol `Interconnect` drives, split across processes: this rank
-//! keeps the [`Sender`] half of each outgoing link and the [`Receiver`]
-//! half of each incoming one. The sender's fault-plane decisions are
-//! made *before* the socket (a dropped copy is never written, a delayed
-//! one waits in the sender), "the wire" is a DATA frame and an ack an
-//! ACK frame carrying the selective seq plus the cumulative watermark.
-//! A pump thread sleeps one tick and calls [`Sender::tick`]. ACKs and
-//! control frames ride the socket un-faulted — the plan models the data
-//! channel, the TCP stream is the (reliable) physical layer under it.
+//! protocol `Interconnect` drives, split across processes: under a plan
+//! this rank keeps the [`Sender`] half of each outgoing link and the
+//! [`Receiver`] half of each incoming one (a clean wire keeps neither).
+//! The sender's fault-plane decisions are made *before* the socket (a
+//! dropped copy is never written, a delayed one waits in the sender),
+//! "the wire" is a DATA frame and an ack an ACK frame carrying the
+//! selective seq plus the cumulative watermark. A pump thread sleeps
+//! one tick and calls [`Sender::tick`]. ACKs and control frames ride
+//! the socket un-faulted — the plan models the data channel, the TCP
+//! stream is the (reliable) physical layer under it.
 //!
 //! The endpoint's lifecycle is one [`Phase`]: Running from GO,
 //! Finishing once the teardown flush starts (EXIT follows), then Fin
@@ -38,7 +39,7 @@
 
 use crate::{connect, kind, PushOutcome, ShmPlane, ACCEPT_TIMEOUT, CONNECT_TIMEOUT};
 use converse_msg::{write_frame, FrameHeader, MsgBlock};
-use converse_net::link::{pump_sleep, Ack, FaultCounters, Receiver, Sender, Sent};
+use converse_net::link::{pump_sleep, Ack, FaultCounters, Receiver, Sender};
 use converse_net::{
     Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect,
     PolledSource,
@@ -74,7 +75,8 @@ pub struct WireEndpoint {
     /// large for a ring.
     shm: Option<ShmPlane>,
     plan: Option<FaultPlan>,
-    /// Sender half of link `rank → dst`, indexed by `dst`.
+    /// Sender half of link `rank → dst`, indexed by `dst`; empty on a
+    /// clean wire.
     send_links: Vec<Mutex<Sender>>,
     /// The receive side: the hub reader's on `socket`; on `shmring`
     /// whoever sweeps takes it with `try_lock`, and nobody waits for it.
@@ -135,7 +137,8 @@ impl Phase {
 
 /// What the consumer of this rank's wire keeps.
 struct Consumer {
-    /// Receiver half of link `src → rank`, indexed by `src`.
+    /// Receiver half of link `src → rank`, indexed by `src`; empty on a
+    /// clean wire.
     links: Vec<Receiver>,
     /// Each inbound ring's cached head (`ShmPlane::heads`).
     heads: Vec<Option<u64>>,
@@ -183,19 +186,20 @@ impl WireEndpoint {
         }
         stream.set_read_timeout(None)?;
 
+        let links = if plan.is_some() { n } else { 0 };
         let ep = Arc::new(WireEndpoint {
             rank,
             n,
             inner: Interconnect::with_config(n, delivery, None, None),
             writer: Mutex::new(stream),
             consumer: Mutex::new(Consumer {
-                links: (0..n).map(|_| Receiver::default()).collect(),
+                links: (0..links).map(|_| Receiver::default()).collect(),
                 heads: shm.as_ref().map(ShmPlane::heads).unwrap_or_default(),
             }),
             from_hub: Mutex::new(Vec::new()),
             shm,
-            send_links: (0..n)
-                .map(|dst| Mutex::new(Sender::new(rank, dst, plan.as_ref())))
+            send_links: (plan.iter())
+                .flat_map(|p| (0..n).map(move |dst| Mutex::new(Sender::new(rank, dst, p))))
                 .collect(),
             plan,
             fstats: FaultCounters::default(),
@@ -344,29 +348,28 @@ impl WireEndpoint {
         h.on_channel(channel.id, channel.delivery.as_u8())
     }
 
-    /// One remote send: the sender half of link `rank → dst` stamps the
+    /// One remote send. On a clean wire it is one DATA frame with seq 0.
+    /// Under a plan the sender half of link `rank → dst` stamps the
     /// block, buffers it as the channel's guarantee asks and decides how
-    /// many copies cross now; each is one DATA frame. On a clean wire
-    /// only latest-value-wins channels have anything to stamp, so every
-    /// other send skips the half (and its lock) and goes out as seq 0.
+    /// many copies cross now; each is one DATA frame.
     ///
     /// The frames are written after the link lock is dropped: a full
     /// ring blocks here, and the thread that would drain it may be
     /// waiting to deliver an ACK into this same half.
     fn wire_send(&self, dst: usize, channel: Channel, block: MsgBlock) {
         self.inner.count_send(self.rank, block.len());
-        let sent = if self.plan.is_none() && channel.delivery != Delivery::LatestValueWins {
-            Sent { seq: 0, copies: 1 }
-        } else {
-            self.send_links[dst].lock().send(
-                Instant::now(),
-                self.finishing(),
-                channel,
-                &block,
-                &self.fstats,
-                |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
-            )
+        let Some(link) = self.send_links.get(dst) else {
+            let header = self.data_header(dst, channel, 0);
+            return self.emit(header, block.as_slice(), true);
         };
+        let sent = link.lock().send(
+            Instant::now(),
+            self.finishing(),
+            channel,
+            &block,
+            &self.fstats,
+            |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
+        );
         for _ in 0..sent.copies {
             self.emit(
                 self.data_header(dst, channel, sent.seq),
@@ -448,9 +451,8 @@ impl WireEndpoint {
                 self.inner.mark_steal_splice(self.rank);
                 // A donated message already cleared the reliability
                 // sublayer at the victim and the wire carried it
-                // exactly once, so it enters the local mailbox on the
-                // unsequenced path. Only default-channel packets are
-                // stealable.
+                // exactly once, so it goes straight into the local
+                // mailbox. Only default-channel packets are stealable.
                 self.inner
                     .deliver(h.src as usize, self.rank, payload, Channel::DEFAULT);
             }
@@ -478,11 +480,10 @@ impl WireEndpoint {
             return;
         };
         let channel = Channel::new(h.channel, delivery);
-        if self.plan.is_none() {
-            self.inner.deliver(src, self.rank, block, channel);
-            return;
-        }
-        let ack = links[src].on_data(
+        let Some(rx) = links.get_mut(src) else {
+            return self.inner.deliver(src, self.rank, block, channel);
+        };
+        let ack = rx.on_data(
             channel,
             h.seq,
             block,
@@ -544,16 +545,19 @@ impl WireEndpoint {
 
     /// An ACK frame from the peer, for the sender half of link
     /// `rank → acker`. It echoes the channel id of the DATA frame it
-    /// confirms. What the ack makes the half resend is written after
-    /// the link lock is dropped, as in `wire_send`, and without waiting
-    /// on a full ring: this may run in a sweep (see `emit`).
+    /// confirms. A clean wire has no half to confirm anything to, so
+    /// there a well-formed ACK is ignored. What the ack makes the half
+    /// resend is written after the link lock is dropped, as in
+    /// `wire_send`, and without waiting on a full ring: this may run in
+    /// a sweep (see `emit`).
     fn on_ack(&self, h: FrameHeader, payload: &[u8]) {
         let dst = h.src as usize;
-        let Some(cumulative) = self.control_u64(&h, payload) else {
+        let cumulative = self.control_u64(&h, payload);
+        let (Some(cumulative), Some(link)) = (cumulative, self.send_links.get(dst)) else {
             return;
         };
         let mut wire = Vec::new();
-        self.send_links[dst].lock().on_ack(
+        link.lock().on_ack(
             Instant::now(),
             self.finishing(),
             h.channel,
@@ -659,9 +663,6 @@ impl WireEndpoint {
     /// Returns false if `deadline` passed first.
     pub fn flush(&self, deadline: Instant) -> bool {
         self.step(Phase::Finishing);
-        if self.plan.is_none() {
-            return true;
-        }
         loop {
             if self.send_links.iter().all(|l| l.lock().is_idle()) {
                 return true;

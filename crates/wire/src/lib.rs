@@ -134,7 +134,7 @@ pub mod kind {
     pub(crate) const STEAL_REQ: u8 = 10;
     /// Victim → thief: one donated message. `src` carries the donated
     /// message's *original* sender, payload is the message bytes; the
-    /// receiver delivers it through the unsequenced mailbox path (the
+    /// receiver delivers it straight into its mailbox (the
     /// donation already cleared the reliability sublayer at the victim,
     /// and TCP carries it exactly once).
     pub(crate) const DONATE: u8 = 11;

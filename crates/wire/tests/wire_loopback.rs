@@ -228,11 +228,12 @@ fn worker_abort_fans_out_to_peers() {
     assert!(saw[1], "rank 1 never observed the abort");
 }
 
-/// Rank 0 is a real endpoint, rank 1 a raw socket that says HELLO and
-/// then whatever `peer` writes; `shm` gives rank 0 a ring data plane.
-/// Returns rank 0's abort message once it has one, and what the hub
-/// made of the run.
+/// Rank 0 is a real endpoint under `plan`, rank 1 a raw socket that
+/// says HELLO and then whatever `peer` writes; `shm` gives rank 0 a ring
+/// data plane. Returns rank 0's abort message once it has one, and what
+/// the hub made of the run.
 fn run_against_raw_peer(
+    plan: Option<FaultPlan>,
     shm: Option<converse_wire::ShmPlane>,
     peer: impl FnOnce(&mut std::net::TcpStream) + Send + 'static,
 ) -> (String, converse_wire::HubFailure) {
@@ -260,7 +261,7 @@ fn run_against_raw_peer(
             2,
             &addr,
             DeliveryMode::Fifo,
-            Some(FaultPlan::new(1)),
+            plan,
             Arc::new(NullSink),
             shm,
         )
@@ -300,7 +301,7 @@ fn run_against_raw_peer(
 fn a_frame_from_a_rank_outside_the_machine_fails_the_run_not_the_reader() {
     use converse_msg::{write_frame, FrameHeader};
     use converse_wire::kind;
-    let (msg, failure) = run_against_raw_peer(None, |s| {
+    let (msg, failure) = run_against_raw_peer(Some(FaultPlan::new(1)), None, |s| {
         // `src` indexes the endpoint's link tables; 7 is not a rank of
         // a 2-PE machine. A valid frame follows it.
         write_frame(s, FrameHeader::new(kind::DATA, 7, 0, 1), b"bad").expect("bad frame");
@@ -322,30 +323,43 @@ fn a_misaddressed_or_short_ack_fails_the_run_too() {
     // The hub routes by `dst`, so a misaddressed frame can only reach a
     // rank over a ring; over the socket the bad field is `src` again.
     // A well-addressed ACK must carry its 8-byte cumulative watermark,
-    // and a DATA frame must name a delivery guarantee (0, 1 or 2).
+    // and a DATA frame must name a delivery guarantee (0, 1 or 2). A
+    // well-formed ACK for a seq rank 0 never sent fails nothing, on a
+    // clean wire (which has no sender half to index) too: only the bad
+    // frame behind it does.
     let ack = |src| FrameHeader::new(kind::ACK, src, 0, 1);
-    let cases: [(FrameHeader, &'static [u8], &str); 3] = [
+    type Frames = Vec<(FrameHeader, &'static [u8])>;
+    let cases: [(Frames, &str); 4] = [
         (
-            ack(u32::MAX),
-            &[1, 0, 0, 0, 0, 0, 0, 0],
+            vec![(ack(u32::MAX), &[1, 0, 0, 0, 0, 0, 0, 0])],
             "ACK frame from rank 4294967295 of 2",
         ),
         (
-            ack(1),
-            &[1, 2, 3],
+            vec![(ack(1), &[1, 2, 3])],
             "ACK frame from rank 1 carries 3 payload bytes, not 8",
         ),
         (
-            FrameHeader::new(kind::DATA, 1, 0, 1).on_channel(0, 3),
-            b"x",
+            vec![(FrameHeader::new(kind::DATA, 1, 0, 1).on_channel(0, 3), b"x")],
             "DATA frame from rank 1 carries guarantee byte 3",
         ),
+        (
+            vec![
+                (ack(1), &[2, 0, 0, 0, 0, 0, 0, 0]),
+                (FrameHeader::new(kind::DATA, 7, 0, 1), b"bad"),
+            ],
+            "DATA frame from rank 7 of 2",
+        ),
     ];
-    for (header, payload, named) in cases {
-        let (msg, _) = run_against_raw_peer(None, move |s| {
-            write_frame(s, header, payload).expect("bad frame");
-        });
-        assert!(msg.contains(named), "{msg}");
+    for plan in [Some(FaultPlan::new(1)), None] {
+        for (frames, named) in &cases {
+            let frames = frames.clone();
+            let (msg, _) = run_against_raw_peer(plan.clone(), None, move |s| {
+                for (header, payload) in frames {
+                    write_frame(s, header, payload).expect("frame");
+                }
+            });
+            assert!(msg.contains(named), "{msg}");
+        }
     }
 }
 
@@ -358,16 +372,20 @@ fn a_ring_record_is_checked_like_a_socket_frame() {
     }
     let region = Arc::new(ShmRegion::create(2, 1 << 16).expect("shm region"));
     let peer_plane = ShmPlane::new(region.clone(), 1, 0);
-    let (msg, _) = run_against_raw_peer(Some(ShmPlane::new(region, 0, 0)), move |_| {
-        // The ring hands the record's header to the endpoint verbatim:
-        // pushed into ring 1 → 0, but addressed to (and from) nobody.
-        let never = std::sync::atomic::AtomicBool::new(false);
-        let h = FrameHeader::new(kind::DATA, 9, 5, 1);
-        assert_eq!(
-            peer_plane.push(0, h, b"x", false, &never),
-            PushOutcome::Sent
-        );
-    });
+    let (msg, _) = run_against_raw_peer(
+        Some(FaultPlan::new(1)),
+        Some(ShmPlane::new(region, 0, 0)),
+        move |_| {
+            // The ring hands the record's header to the endpoint verbatim:
+            // pushed into ring 1 → 0, but addressed to (and from) nobody.
+            let never = std::sync::atomic::AtomicBool::new(false);
+            let h = FrameHeader::new(kind::DATA, 9, 5, 1);
+            assert_eq!(
+                peer_plane.push(0, h, b"x", false, &never),
+                PushOutcome::Sent
+            );
+        },
+    );
     assert!(
         msg.contains("DATA frame from rank 9 of 2 addressed to rank 5"),
         "{msg}"
@@ -418,7 +436,7 @@ fn an_exit_report_naming_another_rank_fails_the_run() {
 fn a_frame_addressed_outside_the_machine_fails_the_run_naming_its_sender() {
     use converse_msg::{write_frame, FrameHeader};
     use converse_wire::kind;
-    let (msg, failure) = run_against_raw_peer(None, |s| {
+    let (msg, failure) = run_against_raw_peer(Some(FaultPlan::new(1)), None, |s| {
         // The hub routes by `dst`, and 5 is not a rank of a 2-PE
         // machine: no worker can ever receive this frame.
         write_frame(s, FrameHeader::new(kind::DATA, 1, 5, 1), b"lost").expect("frame");
