@@ -38,7 +38,7 @@ pub enum Transport {
     Socket,
     /// Like [`Transport::Socket`], but the *data plane* is a
     /// shared-memory region of lock-free SPSC byte rings (one per
-    /// ordered PE pair, `memfd_create` + `mmap`): DATA/ACK/steal
+    /// ordered PE pair, `memfd_create` + `mmap`): DATA/INJECT/STALL/DONATE
     /// frames travel peer-to-peer through the rings while the hub
     /// socket is demoted to a control plane (HELLO/GO bootstrap,
     /// EXIT/FIN/ABORT teardown, crash detection) plus overflow path

@@ -882,9 +882,9 @@ fn mutual_full_rings_drain_each_other() {
     });
 }
 
-/// A shm-ring worker runs its PE thread and its hub reader, plus the
-/// retransmit pump under a fault plan — and no thread of its own for
-/// the rings.
+/// A shm-ring worker runs its PE thread and its hub reader, plus its
+/// local half's fault pump under a fault plan — and no thread of its own
+/// for the rings, and no pump of the wire's.
 #[test]
 fn a_shmring_worker_runs_no_ring_thread() {
     if !converse_wire::SHM_SUPPORTED {
@@ -930,7 +930,11 @@ fn a_shmring_worker_runs_no_ring_thread() {
                 !names.iter().any(|n| n.starts_with("wire-shm")),
                 "{names:?}"
             );
-            assert_eq!(has(format!("wire-pump{rank}")), pumped, "{names:?}");
+            assert!(
+                !names.iter().any(|n| n.starts_with("wire-pump")),
+                "{names:?}"
+            );
+            assert_eq!(has("net-fault-pump".into()), pumped, "{names:?}");
         });
     }
 }

@@ -12,16 +12,19 @@
 //! The payload is the [`MsgBlock`] bytes verbatim — the same encoding
 //! the in-process machine delivers (handler id at offset 0), so nothing
 //! above the transport can tell which wire carried it. `src`/`dst` are
-//! PE ranks; `seq` is the link protocol's sequence number, per
-//! `(link, channel)` and numbering from 1. Only a frame sent under a
-//! fault plan carries one: without a plan it is 0, as a packet in a
-//! mailbox carries no seq at all. `channel` and `guarantee`
+//! PE ranks; `seq` is reserved for a link protocol's sequence number.
+//! The runtime writes 0 on every frame: its wires are reliable, and a
+//! fault plan's link protocol runs inside the receiving process, where
+//! a message enters its PE. `channel` and `guarantee`
 //! carry the delivery channel id and its policy tag (`converse-net`'s
 //! `Delivery::as_u8`: 0 exactly-once, 1 at-most-once, 2
 //! latest-value-wins) so the receiving endpoint can apply per-channel
 //! semantics without any out-of-band registry. `kind` distinguishes
 //! data from the small control vocabulary the hub and endpoints speak
-//! (hello/go bootstrap, acks, stall routing, teardown).
+//! (hello/go bootstrap, stall routing, steal requests, teardown). The
+//! shared-memory rings carry the same length prefix and header
+//! ([`FrameHeader::to_bytes`] / [`FrameHeader::from_bytes`]), so a ring
+//! record and a socket frame decode alike.
 //!
 //! Reads hand back a pool-backed [`MsgBlock`] so a frame's payload joins
 //! the normal message circulation with no extra copy.
@@ -55,8 +58,8 @@ pub struct FrameHeader {
     pub src: u32,
     /// Destination PE rank (or receiver-defined for control frames).
     pub dst: u32,
-    /// The link protocol's sequence number, per `(link, channel)`,
-    /// numbering from 1 under a fault plan; 0 without one.
+    /// Reserved for a link protocol's sequence number; the runtime
+    /// writes 0 on every frame.
     pub seq: u64,
     /// Delivery channel id (0 = the default exactly-once channel).
     pub channel: u32,
@@ -85,16 +88,22 @@ impl FrameHeader {
         self
     }
 
-    fn write_into(&self, out: &mut Vec<u8>) {
-        out.push(self.kind);
-        out.extend_from_slice(&self.src.to_le_bytes());
-        out.extend_from_slice(&self.dst.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.channel.to_le_bytes());
-        out.push(self.guarantee);
+    /// The header's bytes as a frame (or a ring record) carries them
+    /// after its length prefix.
+    pub fn to_bytes(&self) -> [u8; FRAME_HEADER_BYTES] {
+        let mut b = [0u8; FRAME_HEADER_BYTES];
+        b[0] = self.kind;
+        b[1..5].copy_from_slice(&self.src.to_le_bytes());
+        b[5..9].copy_from_slice(&self.dst.to_le_bytes());
+        b[9..17].copy_from_slice(&self.seq.to_le_bytes());
+        b[17..21].copy_from_slice(&self.channel.to_le_bytes());
+        b[21] = self.guarantee;
+        b
     }
 
-    fn parse(bytes: &[u8; FRAME_HEADER_BYTES]) -> FrameHeader {
+    /// Decode what [`FrameHeader::to_bytes`] wrote. Any bytes decode:
+    /// what the fields name is for the receiver to check.
+    pub fn from_bytes(bytes: &[u8; FRAME_HEADER_BYTES]) -> FrameHeader {
         FrameHeader {
             kind: bytes[0],
             src: u32::from_le_bytes(bytes[1..5].try_into().unwrap()),
@@ -115,7 +124,7 @@ pub fn encode_frame(header: FrameHeader, payload: &[u8]) -> Vec<u8> {
     );
     let mut out = Vec::with_capacity(4 + body);
     out.extend_from_slice(&(body as u32).to_le_bytes());
-    header.write_into(&mut out);
+    out.extend_from_slice(&header.to_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -149,7 +158,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameHeader, MsgBlock
     }
     let mut header_buf = [0u8; FRAME_HEADER_BYTES];
     r.read_exact(&mut header_buf)?;
-    let header = FrameHeader::parse(&header_buf);
+    let header = FrameHeader::from_bytes(&header_buf);
     let block = read_payload(r, body - FRAME_HEADER_BYTES)?;
     Ok(Some((header, block)))
 }

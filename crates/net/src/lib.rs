@@ -24,8 +24,11 @@
 //!   over a lossy net. Without a plan no sequence number exists. Every
 //!   fault decision is a pure function of `(seed, link, seq, attempt)`,
 //!   so one seed replays one adversarial schedule regardless of thread
-//!   interleaving. `Interconnect` only drives that protocol: it holds
-//!   the lock, reads the clock and owns the pump thread.
+//!   interleaving. `Interconnect` is that protocol's one driver, on
+//!   every transport: it holds the lock, reads the clock and owns the
+//!   pump thread. A multi-process transport's local half is an
+//!   `Interconnect` too, whose [`Interconnect::deliver`] runs link
+//!   `src → dst` for each arrival under a plan.
 //! * [`NetModel`] — an analytic wire-time model: `α` per-message latency,
 //!   `β` per-byte cost, per-packet cost, and an optional packetization
 //!   copy threshold (the T3D's 16 KB copy jump, §5.1). Benchmarks combine
@@ -705,9 +708,12 @@ impl Interconnect {
 
     /// Deliver a block that `src` sent from **another address space**
     /// into `dst`'s mailbox, waking `dst` if it is parked: how a
-    /// multi-process transport hands on what came off its wire. Not
-    /// counted as a send: `src`'s own process did that when the block
-    /// left.
+    /// multi-process transport hands on what came off its wire. Under a
+    /// plan the block crosses link `src → dst`, both halves in this
+    /// process, so the plan acts where the message enters its PE; the
+    /// wire under it must be reliable and FIFO per `src`, since the link
+    /// numbers arrivals as they come. Not counted as a send: `src`'s own
+    /// process did that when the block left.
     #[inline]
     pub fn deliver(&self, src: usize, dst: usize, block: impl Into<MsgBlock>, channel: Channel) {
         self.transmit(src, dst, channel, block.into());

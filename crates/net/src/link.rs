@@ -29,24 +29,20 @@
 //!
 //! Sequence numbers are this protocol's alone, and it runs only when a
 //! plan is installed: a clean wire builds no half, a packet in a mailbox
-//! carries no seq, and a wire frame carries one only under a plan. A
-//! mailbox supersedes a latest-value-wins value by arrival instead,
-//! since each `(src, channel)` stream reaches it in send order.
+//! carries no seq, and no wire frame carries one. A mailbox supersedes a
+//! latest-value-wins value by arrival instead, since each
+//! `(src, channel)` stream reaches it in send order.
 //!
-//! Two drivers exist. `Interconnect` keeps both halves of a link under
-//! one mutex: "the wire" is a call to the receiver half and "an ack" a
-//! call back into the sender half under the same lock.
-//! `converse_wire::WireEndpoint` keeps the sender halves of its
-//! outgoing links and the receiver halves of its incoming ones: the
-//! wire is a DATA frame, an ack an ACK frame. Each runs a pump thread
-//! that calls [`Sender::tick`] and sleeps until the deadline it
-//! returned, one [`FaultPlan::tick`] at most ([`pump_sleep`]). When to
-//! stop ticking is the driver's: `Interconnect`'s pump makes one last
-//! pass once the machine is closed, releasing what limbo still holds;
-//! the endpoint's pump reads the endpoint's one lifecycle phase, keeps
-//! ticking while the teardown flush runs (`finishing` is set, so limbo
-//! releases at once) and stops when the phase is final — FIN, or the
-//! run's first failure.
+//! One driver exists: `Interconnect` keeps both halves of a link under
+//! one mutex, so "the wire" is a call to the receiver half and "an ack"
+//! a call back into the sender half under the same lock. A
+//! multi-process transport runs the same driver where a message enters
+//! its PE: a wire rank's local `Interconnect` carries the plan and runs
+//! link `src → rank` for every arrival, its wire being reliable and
+//! FIFO per pair of ranks. The driver's pump thread calls
+//! [`Sender::tick`] and sleeps until the deadline it returned, one
+//! [`FaultPlan::tick`] at most (`pump_sleep`), and makes one last pass
+//! once the machine is closed, releasing what limbo still holds.
 
 use crate::fault::{
     link_draw, unit, FaultPlan, FaultStats, LinkFaults, SALT_DELAY, SALT_DELAY_SLOTS, SALT_DROP,
@@ -352,7 +348,7 @@ impl Wire {
 /// until that deadline, one `tick` at most. Every deadline is created
 /// at least one `tick` ahead of its insertion, so a pump that never
 /// sleeps longer finds it in time without being signalled.
-pub fn pump_sleep(tick: Duration, due: Option<Instant>, now: Instant) -> Duration {
+pub(crate) fn pump_sleep(tick: Duration, due: Option<Instant>, now: Instant) -> Duration {
     due.map_or(tick, |d| d.saturating_duration_since(now).min(tick))
 }
 

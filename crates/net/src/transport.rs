@@ -17,7 +17,8 @@
 //! * `converse_wire::WireEndpoint`, twice — one PE per OS process,
 //!   frames over a real socket (`"socket"`) or through shared-memory
 //!   rings (`"shmring"`); its local half is a private `Interconnect`
-//!   whose only live mailbox is the endpoint's own rank.
+//!   whose only live mailbox is the endpoint's own rank, and which runs
+//!   a fault plan's links into that rank.
 //!
 //! The trait is object-safe on purpose: a `Pe` holds an
 //! `Arc<dyn CmiTransport>` for its sends and never knows which wire it

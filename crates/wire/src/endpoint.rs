@@ -1,35 +1,25 @@
 //! The worker-side transport endpoint.
 //!
 //! A [`WireEndpoint`] is one rank's view of the socket machine: the hub
-//! connection, a private single-rank mailbox, and (when a fault plan is
-//! installed) the sender/receiver halves of the reliability sublayer
-//! running over the real wire.
+//! connection and a private `Interconnect` as the transport's local
+//! half — this rank's mailbox, clock, stall windows, load cell and
+//! counters. Loopback sends (rank to itself) never touch the socket.
 //!
-//! The local mailbox is an [`Interconnect`] built with **no plan**: a
-//! remote arrival that survived the wire's reliability layer is final,
-//! so it goes straight into the mailbox machinery (one list per PE,
-//! condvar wakeups, stall windows, delivery-mode scrambling) that the
-//! in-process transport already proved out. Loopback sends (rank to
-//! itself) never touch the socket at all.
-//!
-//! Reliability over the wire is the same [`converse_net::link`]
-//! protocol `Interconnect` drives, split across processes: under a plan
-//! this rank keeps the [`Sender`] half of each outgoing link and the
-//! [`Receiver`] half of each incoming one (a clean wire keeps neither).
-//! The sender's fault-plane decisions are made *before* the socket (a
-//! dropped copy is never written, a delayed one waits in the sender),
-//! "the wire" is a DATA frame and an ack an ACK frame carrying the
-//! selective seq plus the cumulative watermark. A pump thread sleeps
-//! one tick and calls [`Sender::tick`]. ACKs and control frames ride
-//! the socket un-faulted — the plan models the data channel, the TCP
-//! stream is the (reliable) physical layer under it.
+//! Both wires are reliable and FIFO per ordered pair of ranks: TCP
+//! through the hub, and SPSC rings whose `HELD` records keep a frame too
+//! big for a ring in its place. So the wire is a plain pipe, and a fault
+//! plan acts where a message enters its PE. The local half carries the
+//! machine's [`FaultPlan`]: a DATA frame enters through
+//! [`Interconnect::deliver`], which under a plan runs link `src → rank`
+//! with both halves in this process — the same link-protocol driver,
+//! pump thread and decision streams as the in-process machine, and the
+//! same scripted stall and crash windows.
 //!
 //! The endpoint's lifecycle is one [`Phase`]: Running from GO,
-//! Finishing once the teardown flush starts (EXIT follows), then Fin
-//! when the hub's FIN arrives or Aborted with the first failure — a
-//! peer's ABORT, a bad frame or ring record, or the hub gone. Only
-//! [`Phase::to`] moves it; the reader, the pump, a producer waiting on a
-//! full ring and the teardown waits read it.
+//! Finishing once EXIT is sent, then Fin when the hub's FIN arrives or
+//! Aborted with the first failure — a peer's ABORT, a bad frame or ring
+//! record, or the hub gone. Only [`Phase::to`] moves it; the reader, a
+//! producer waiting on a full ring and the teardown wait read it.
 //!
 //! On `socket` the hub reader thread dispatches each frame. On `shmring`
 //! there is no receive thread: the endpoint is its local half's
@@ -39,12 +29,11 @@
 
 use crate::{connect, kind, PushOutcome, ShmPlane, ACCEPT_TIMEOUT, CONNECT_TIMEOUT};
 use converse_msg::{write_frame, FrameHeader, MsgBlock};
-use converse_net::link::{pump_sleep, Ack, FaultCounters, Receiver, Sender};
 use converse_net::{
     Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect,
     PolledSource,
 };
-use converse_trace::{Event, FaultKind, StealPhase, TraceSink};
+use converse_trace::{Event, StealPhase, TraceSink};
 use parking_lot::Mutex;
 use std::io;
 use std::net::TcpStream;
@@ -64,8 +53,9 @@ pub struct WireEndpoint {
     rank: usize,
     n: usize,
     /// The local half: this rank's mailbox, clock, stall windows, load
-    /// cell and counters — wire sends and DONATE splices are recorded
-    /// here too, so the PE reads one set of each.
+    /// cell, counters and, under a plan, the links into this rank — wire
+    /// sends and DONATE splices are recorded here too, so the PE reads
+    /// one set of each.
     inner: Arc<Interconnect>,
     writer: Mutex<TcpStream>,
     /// Shared-memory ring data plane, when this endpoint runs the
@@ -74,16 +64,11 @@ pub struct WireEndpoint {
     /// teardown, crash detection) plus a fallback path for frames too
     /// large for a ring.
     shm: Option<ShmPlane>,
-    plan: Option<FaultPlan>,
-    /// Sender half of link `rank → dst`, indexed by `dst`; empty on a
-    /// clean wire.
-    send_links: Vec<Mutex<Sender>>,
-    /// The receive side: the hub reader's on `socket`; on `shmring`
-    /// whoever sweeps takes it with `try_lock`, and nobody waits for it.
-    consumer: Mutex<Consumer>,
+    /// `shmring`: each inbound ring's cached head (`ShmPlane::heads`).
+    /// Whoever sweeps takes it with `try_lock`, and nobody waits for it.
+    heads: Mutex<Vec<Option<u64>>>,
     /// `shmring`: frames off the hub socket, for a sweep to dispatch.
     from_hub: Mutex<Vec<(FrameHeader, MsgBlock)>>,
-    fstats: FaultCounters,
     /// Counts every frame written or read — the trace sampling key.
     frames: AtomicU64,
     phase: Mutex<Phase>,
@@ -99,10 +84,9 @@ pub struct WireEndpoint {
 /// only by [`Phase::to`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum Phase {
-    /// From GO until the teardown flush.
+    /// From GO until EXIT.
     Running,
-    /// Flushing, then EXIT sent and FIN awaited: limbo releases at once
-    /// and the pump keeps retransmitting until everything is confirmed.
+    /// EXIT sent, FIN awaited.
     Finishing,
     /// The hub's FIN came: every rank exited.
     Fin,
@@ -128,30 +112,22 @@ impl Phase {
         true
     }
 
-    /// No further wire activity is expected: the reader and the pump
-    /// stop, and write errors go quiet.
+    /// No further wire activity is expected: the reader stops, and
+    /// write errors go quiet.
     pub(crate) fn over(&self) -> bool {
         matches!(self, Phase::Fin | Phase::Aborted(_))
     }
 }
 
-/// What the consumer of this rank's wire keeps.
-struct Consumer {
-    /// Receiver half of link `src → rank`, indexed by `src`; empty on a
-    /// clean wire.
-    links: Vec<Receiver>,
-    /// Each inbound ring's cached head (`ShmPlane::heads`).
-    heads: Vec<Option<u64>>,
-}
-
 impl WireEndpoint {
     /// Connect rank `rank` to the hub at `addr`, speak HELLO, and block
     /// until the hub's GO (the startup barrier). The local half orders
-    /// arrivals by `delivery` and has no fault plan: what survived `plan`
-    /// on the wire is final. Returns with the reader (and, under a plan,
-    /// the retransmit pump) running. With `shm` installed the endpoint
-    /// runs the `shmring` transport and is its local half's polled
-    /// source; the hub socket carries control frames and overflow.
+    /// arrivals by `delivery`, applies `plan` to every arrival (its
+    /// scripted stall and crash windows included) and records fault
+    /// events to `trace`. Returns with the reader running. With `shm`
+    /// installed the endpoint runs the `shmring` transport and is its
+    /// local half's polled source; the hub socket carries control frames
+    /// and overflow.
     pub fn connect(
         rank: usize,
         n: usize,
@@ -162,9 +138,6 @@ impl WireEndpoint {
         shm: Option<ShmPlane>,
     ) -> io::Result<Arc<WireEndpoint>> {
         assert!(rank < n, "rank {rank} out of range for {n} PEs");
-        if let Some(p) = &plan {
-            p.validate(n);
-        }
         let stream = connect(addr)?;
         write_frame(
             &mut &stream,
@@ -186,23 +159,14 @@ impl WireEndpoint {
         }
         stream.set_read_timeout(None)?;
 
-        let links = if plan.is_some() { n } else { 0 };
         let ep = Arc::new(WireEndpoint {
             rank,
             n,
-            inner: Interconnect::with_config(n, delivery, None, None),
+            inner: Interconnect::with_config(n, delivery, plan, Some(trace.clone())),
             writer: Mutex::new(stream),
-            consumer: Mutex::new(Consumer {
-                links: (0..links).map(|_| Receiver::default()).collect(),
-                heads: shm.as_ref().map(ShmPlane::heads).unwrap_or_default(),
-            }),
+            heads: Mutex::new(shm.as_ref().map(ShmPlane::heads).unwrap_or_default()),
             from_hub: Mutex::new(Vec::new()),
             shm,
-            send_links: (plan.iter())
-                .flat_map(|p| (0..n).map(move |dst| Mutex::new(Sender::new(rank, dst, p))))
-                .collect(),
-            plan,
-            fstats: FaultCounters::default(),
             frames: AtomicU64::new(0),
             phase: Mutex::new(Phase::Running),
             on_abort: Mutex::new(None),
@@ -219,13 +183,6 @@ impl WireEndpoint {
             .name(format!("wire-ep{rank}"))
             .spawn(move || rd.reader_loop(reader))
             .expect("spawn wire reader");
-        if ep.plan.is_some() {
-            let pump = ep.clone();
-            std::thread::Builder::new()
-                .name(format!("wire-pump{rank}"))
-                .spawn(move || pump.pump_loop())
-                .expect("spawn wire pump");
-        }
         Ok(ep)
     }
 
@@ -242,10 +199,6 @@ impl WireEndpoint {
             Phase::Aborted(msg) => Some(msg.clone()),
             _ => None,
         }
-    }
-
-    fn finishing(&self) -> bool {
-        *self.phase.lock() != Phase::Running
     }
 
     fn over(&self) -> bool {
@@ -275,15 +228,6 @@ impl WireEndpoint {
         }
     }
 
-    fn trace_fault(&self, kind: FaultKind, src: usize, dst: usize, seq: u64) {
-        self.record(Event::Fault {
-            kind,
-            src,
-            dst,
-            seq,
-        });
-    }
-
     /// Write one frame to the hub. Errors are quiet once the endpoint
     /// is shutting down; otherwise they mean the hub vanished and the
     /// run is over for this worker.
@@ -302,10 +246,10 @@ impl WireEndpoint {
     /// `may_block` is the full-ring policy. A sender that may block waits
     /// for the consumer to drain, sweeping this rank's own rings
     /// meanwhile: that consumer may be waiting for room in one of them.
-    /// What a sweep writes (ACKs, donations, the resends an ACK asks for)
-    /// must never wait, or a sweep would wait inside a sweep: it tries
-    /// the ring and spills to the hub socket. A frame too big for a ring
-    /// takes the hub path, after a `HELD` record if it `holds_place`.
+    /// What a sweep or the hub reader writes (donations) must never
+    /// wait, or a sweep would wait inside a sweep: it tries the ring and
+    /// spills to the hub socket. A frame too big for a ring takes the
+    /// hub path, after a `HELD` record if it `holds_place`.
     fn emit(&self, header: FrameHeader, payload: &[u8], may_block: bool) {
         if let Some(shm) = &self.shm {
             let dst = header.dst as usize;
@@ -328,55 +272,18 @@ impl WireEndpoint {
         self.write(header, payload);
     }
 
-    /// True for a frame too big for a ring whose order no seq restores
-    /// (DATA or INJECT with no plan): it leaves a `kind::HELD` record in
-    /// its place. Both ends apply this test. No sweep writes such a
+    /// True for a frame too big for a ring that must keep its place in
+    /// its pair's stream (DATA or INJECT): it leaves a `kind::HELD`
+    /// record there. Both ends apply this test. No sweep writes such a
     /// frame, so the record may wait.
     fn holds_place(&self, h: FrameHeader, len: usize) -> bool {
-        self.plan.is_none()
-            && matches!(h.kind, kind::DATA | kind::INJECT)
+        matches!(h.kind, kind::DATA | kind::INJECT)
             && self.shm.as_ref().is_some_and(|s| !s.fits(len))
     }
 
     /// A `kind` frame from this rank to `dst`.
-    fn header(&self, kind: u8, dst: usize, seq: u64) -> FrameHeader {
-        FrameHeader::new(kind, self.rank as u32, dst as u32, seq)
-    }
-
-    fn data_header(&self, dst: usize, channel: Channel, seq: u64) -> FrameHeader {
-        let h = self.header(kind::DATA, dst, seq);
-        h.on_channel(channel.id, channel.delivery.as_u8())
-    }
-
-    /// One remote send. On a clean wire it is one DATA frame with seq 0.
-    /// Under a plan the sender half of link `rank → dst` stamps the
-    /// block, buffers it as the channel's guarantee asks and decides how
-    /// many copies cross now; each is one DATA frame.
-    ///
-    /// The frames are written after the link lock is dropped: a full
-    /// ring blocks here, and the thread that would drain it may be
-    /// waiting to deliver an ACK into this same half.
-    fn wire_send(&self, dst: usize, channel: Channel, block: MsgBlock) {
-        self.inner.count_send(self.rank, block.len());
-        let Some(link) = self.send_links.get(dst) else {
-            let header = self.data_header(dst, channel, 0);
-            return self.emit(header, block.as_slice(), true);
-        };
-        let sent = link.lock().send(
-            Instant::now(),
-            self.finishing(),
-            channel,
-            &block,
-            &self.fstats,
-            |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
-        );
-        for _ in 0..sent.copies {
-            self.emit(
-                self.data_header(dst, channel, sent.seq),
-                block.as_slice(),
-                true,
-            );
-        }
+    fn header(&self, kind: u8, dst: usize) -> FrameHeader {
+        FrameHeader::new(kind, self.rank as u32, dst as u32, 0)
     }
 
     // ---- frame input ----------------------------------------------------
@@ -398,7 +305,7 @@ impl WireEndpoint {
                             self.from_hub.lock().push((h, payload));
                             self.wake();
                         }
-                        _ => self.on_frame(h, payload, &mut self.consumer.lock().links),
+                        _ => self.on_frame(h, payload),
                     }
                 }
                 Ok(None) | Err(_) => {
@@ -413,9 +320,9 @@ impl WireEndpoint {
     /// sublayers above cannot tell. ABORT/FIN are control plane and stay
     /// in `reader_loop`. Messages for the local PE go in with
     /// [`Interconnect::deliver`], which wakes it if it is parked.
-    fn on_frame(&self, h: FrameHeader, payload: MsgBlock, links: &mut [Receiver]) {
+    fn on_frame(&self, h: FrameHeader, payload: MsgBlock) {
         // The header is another process's bytes and `src` indexes the
-        // link tables below: a frame that names a rank outside the
+        // local half's links: a frame that names a rank outside the
         // machine, or is not for this rank, fails the machine.
         if h.src as usize >= self.n || h.dst as usize != self.rank {
             let msg = format!(
@@ -430,8 +337,7 @@ impl WireEndpoint {
             return;
         }
         match h.kind {
-            kind::DATA => self.on_data(h, payload, links),
-            kind::ACK => self.on_ack(h, payload.as_slice()),
+            kind::DATA => self.on_data(h, payload),
             kind::INJECT => self.inner.inject(self.rank, payload),
             kind::STALL => {
                 if let Some(ns) = self.control_u64(&h, payload.as_slice()) {
@@ -449,10 +355,9 @@ impl WireEndpoint {
                     self.record(Event::StealLatency { phase, ns });
                 }
                 self.inner.mark_steal_splice(self.rank);
-                // A donated message already cleared the reliability
-                // sublayer at the victim and the wire carried it
-                // exactly once, so it goes straight into the local
-                // mailbox. Only default-channel packets are stealable.
+                // A donation enters like any arrival: under a plan it
+                // crosses link `src → rank` of this rank's local half.
+                // Only default-channel packets are stealable.
                 self.inner
                     .deliver(h.src as usize, self.rank, payload, Channel::DEFAULT);
             }
@@ -460,14 +365,12 @@ impl WireEndpoint {
         }
     }
 
-    /// A DATA frame: the receiver half of link `src → rank` dedups and
-    /// reassembles, in-order blocks enter the local mailbox (which
-    /// carries no plan — what survived the wire's sublayer is final —
-    /// but still supersedes queued latest-value-wins values), and the
-    /// half's ack goes back as an ACK frame. The frame header is
-    /// self-describing: channel id + guarantee tag travel with every
-    /// DATA frame, so no receiver-side registry is needed.
-    fn on_data(&self, h: FrameHeader, block: MsgBlock, links: &mut [Receiver]) {
+    /// A DATA frame enters the local half on its channel: under a plan
+    /// through link `src → rank`, which the plan's faults act on and the
+    /// link protocol masks. The frame header is self-describing: channel
+    /// id + guarantee tag travel with every DATA frame, so no
+    /// receiver-side registry is needed.
+    fn on_data(&self, h: FrameHeader, block: MsgBlock) {
         let src = h.src as usize;
         // Another process's byte: a guarantee the frame does not name
         // fails the machine, as a misaddressed header does.
@@ -480,27 +383,7 @@ impl WireEndpoint {
             return;
         };
         let channel = Channel::new(h.channel, delivery);
-        let Some(rx) = links.get_mut(src) else {
-            return self.inner.deliver(src, self.rank, block, channel);
-        };
-        let ack = rx.on_data(
-            channel,
-            h.seq,
-            block,
-            &self.fstats,
-            |kind, seq| self.trace_fault(kind, src, self.rank, seq),
-            |_, block| self.inner.deliver(src, self.rank, block, channel),
-        );
-        if let Some(ack) = ack {
-            // Never block on a full ring here: this may run in a sweep
-            // (see `emit`).
-            self.emit(
-                self.header(kind::ACK, src, ack.selective)
-                    .on_channel(channel.id, channel.delivery.as_u8()),
-                &ack.cumulative.to_le_bytes(),
-                false,
-            );
-        }
+        self.inner.deliver(src, self.rank, block, channel);
     }
 
     /// Serve an idle peer's steal request (runs on this rank's reader
@@ -527,8 +410,8 @@ impl WireEndpoint {
         }
         let batch = stolen.len();
         for p in stolen {
-            // Non-blocking for the same reason as ACKs: this runs on
-            // the reader thread or in a sweep.
+            // Non-blocking: this runs on the reader thread or in a
+            // sweep (see `emit`).
             self.emit(
                 FrameHeader::new(kind::DONATE, p.src as u32, thief as u32, 0),
                 p.block.as_slice(),
@@ -543,42 +426,7 @@ impl WireEndpoint {
         });
     }
 
-    /// An ACK frame from the peer, for the sender half of link
-    /// `rank → acker`. It echoes the channel id of the DATA frame it
-    /// confirms. A clean wire has no half to confirm anything to, so
-    /// there a well-formed ACK is ignored. What the ack makes the half
-    /// resend is written after the link lock is dropped, as in
-    /// `wire_send`, and without waiting on a full ring: this may run in
-    /// a sweep (see `emit`).
-    fn on_ack(&self, h: FrameHeader, payload: &[u8]) {
-        let dst = h.src as usize;
-        let cumulative = self.control_u64(&h, payload);
-        let (Some(cumulative), Some(link)) = (cumulative, self.send_links.get(dst)) else {
-            return;
-        };
-        let mut wire = Vec::new();
-        link.lock().on_ack(
-            Instant::now(),
-            self.finishing(),
-            h.channel,
-            Ack {
-                selective: h.seq,
-                cumulative,
-            },
-            &self.fstats,
-            |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
-            &mut wire,
-        );
-        for c in wire {
-            self.emit(
-                self.data_header(dst, c.channel, c.seq),
-                c.block.as_slice(),
-                false,
-            );
-        }
-    }
-
-    /// The `u64` a control frame (ACK, STALL, STEAL_REQ) carries. Its
+    /// The `u64` a control frame (STALL, STEAL_REQ) carries. Its
     /// payload is another process's bytes: anything but exactly eight of
     /// them fails the machine, as a misaddressed header does.
     fn control_u64(&self, h: &FrameHeader, payload: &[u8]) -> Option<u64> {
@@ -620,62 +468,10 @@ impl WireEndpoint {
         self.inner.close();
     }
 
-    // ---- retransmit pump ------------------------------------------------
-
-    /// Sleep until the earliest deadline of the last pass (a tick at
-    /// most), let every outgoing link's sender half release and
-    /// retransmit, write what it puts on the wire (after the link lock
-    /// is dropped, as in `wire_send`). Runs until shutdown, so a
-    /// finishing endpoint keeps retransmitting until its peers confirm.
-    fn pump_loop(self: Arc<Self>) {
-        let plan = self.plan.as_ref().expect("pump requires a plan");
-        let mut wire = Vec::new();
-        let mut due = None;
-        while !self.over() {
-            std::thread::sleep(pump_sleep(plan.tick, due, Instant::now()));
-            let now = Instant::now();
-            let finishing = self.finishing();
-            due = None;
-            for dst in (0..self.n).filter(|&dst| dst != self.rank) {
-                let link_due = self.send_links[dst].lock().tick(
-                    now,
-                    finishing,
-                    &self.fstats,
-                    |kind, seq| self.trace_fault(kind, self.rank, dst, seq),
-                    &mut wire,
-                );
-                due = [due, link_due].into_iter().flatten().min();
-                for c in wire.drain(..) {
-                    self.emit(
-                        self.data_header(dst, c.channel, c.seq),
-                        c.block.as_slice(),
-                        true,
-                    );
-                }
-            }
-        }
-    }
-
     // ---- teardown protocol ----------------------------------------------
 
-    /// Drive the retransmit buffer empty (every remote send confirmed
-    /// delivered) before exiting; limbo copies release immediately.
-    /// Returns false if `deadline` passed first.
-    pub fn flush(&self, deadline: Instant) -> bool {
-        self.step(Phase::Finishing);
-        loop {
-            if self.send_links.iter().all(|l| l.lock().is_idle()) {
-                return true;
-            }
-            if Instant::now() >= deadline || self.over() {
-                return false;
-            }
-            self.settle(Duration::from_millis(1));
-        }
-    }
-
     /// Teardown's wait of up to `d`: with the PE gone, the rings are
-    /// swept here, for peers that still need ACKs or room to finish.
+    /// swept here, for peers that still need room to finish.
     fn settle(&self, d: Duration) {
         if self.shm.is_none() {
             std::thread::sleep(d);
@@ -688,12 +484,12 @@ impl WireEndpoint {
     /// report bytes.
     pub fn send_exit(&self, report: &[u8]) {
         self.step(Phase::Finishing);
-        self.write(self.header(kind::EXIT, 0, 0), report);
+        self.write(self.header(kind::EXIT, 0), report);
     }
 
     /// Send the panic ABORT frame (the hub fans it out to the peers).
     pub fn send_abort(&self, msg: &str) {
-        self.write(self.header(kind::ABORT, 0, 0), msg.as_bytes());
+        self.write(self.header(kind::ABORT, 0), msg.as_bytes());
     }
 
     /// Wait for the hub's FIN (all ranks exited). Returns false on
@@ -720,14 +516,13 @@ impl PolledSource for WireEndpoint {
     fn sweep(&self) -> Option<u32> {
         let shm = self.shm.as_ref().expect("only a ring endpoint is polled");
         // Whoever holds the consumer role is sweeping right now.
-        let mut c = self.consumer.try_lock()?;
-        let Consumer { links, heads } = &mut *c;
+        let mut heads = self.heads.try_lock()?;
         let epoch = shm.epoch();
         let held = |(h, b): &(FrameHeader, MsgBlock)| self.holds_place(*h, b.len());
         let ready: Vec<_> = self.from_hub.lock().extract_if(.., |f| !held(f)).collect();
         let mut got = !ready.is_empty();
         for (h, b) in ready {
-            self.on_frame(h, b, links);
+            self.on_frame(h, b);
         }
         let held_from = |src| {
             self.from_hub
@@ -736,7 +531,7 @@ impl PolledSource for WireEndpoint {
                 .position(|f| f.0.src == src && held(f))
         };
         got |= shm.sweep(
-            heads,
+            &mut heads,
             |h| h.kind != kind::HELD || held_from(h.src).is_some(),
             |h, b| {
                 let (h, b) = if h.kind == kind::HELD {
@@ -747,7 +542,7 @@ impl PolledSource for WireEndpoint {
                     self.trace_frame(h.kind, h.src as usize, b.len(), false);
                     (h, b)
                 };
-                self.on_frame(h, b, links);
+                self.on_frame(h, b);
             },
             |msg| self.fail(msg),
         );
@@ -775,7 +570,10 @@ impl CmiTransport for WireEndpoint {
         if dst == self.rank {
             self.inner.send_on(src, dst, block, channel);
         } else {
-            self.wire_send(dst, channel, block);
+            self.inner.count_send(self.rank, block.len());
+            let h = self.header(kind::DATA, dst);
+            let h = h.on_channel(channel.id, channel.delivery.as_u8());
+            self.emit(h, block.as_slice(), true);
         }
     }
 
@@ -783,7 +581,7 @@ impl CmiTransport for WireEndpoint {
         if dst == self.rank {
             self.inner.inject(dst, block);
         } else {
-            self.emit(self.header(kind::INJECT, dst, 0), block.as_slice(), true);
+            self.emit(self.header(kind::INJECT, dst), block.as_slice(), true);
         }
     }
 
@@ -792,7 +590,7 @@ impl CmiTransport for WireEndpoint {
             self.inner.stall_for(pe, dur);
         } else {
             let ns = (dur.as_nanos() as u64).to_le_bytes();
-            self.emit(self.header(kind::STALL, pe, 0), &ns, true);
+            self.emit(self.header(kind::STALL, pe), &ns, true);
         }
     }
 
@@ -817,7 +615,7 @@ impl CmiTransport for WireEndpoint {
         // once: served at its next refill, it would find the mailbox it
         // donates from just drained.
         let max = (max as u64).to_le_bytes();
-        self.write(self.header(kind::STEAL_REQ, victim, 0), &max);
+        self.write(self.header(kind::STEAL_REQ, victim), &max);
         0
     }
 
@@ -828,8 +626,9 @@ impl CmiTransport for WireEndpoint {
         false
     }
 
+    /// The local half's counters: the links into this rank.
     fn fault_stats(&self) -> FaultStats {
-        self.fstats.snapshot()
+        self.inner.fault_stats()
     }
 
     fn name(&self) -> &'static str {

@@ -4,7 +4,7 @@
 //! The hub owns the machine's listener and, once every worker has said
 //! HELLO, becomes a star router: one reader thread per worker pulls
 //! frames off that worker's connection and forwards worker-addressed
-//! frames (`DATA`/`ACK`/`STALL`/`INJECT`/`STEAL_REQ`/`DONATE`) to the
+//! frames (`DATA`/`STALL`/`INJECT`/`STEAL_REQ`/`DONATE`) to the
 //! destination rank's connection, under a per-connection write lock so
 //! concurrent forwarders interleave at frame granularity. Forwarding
 //! takes no other lock.
@@ -109,7 +109,7 @@ const ABORT_MSG: &[u8] = b"a worker process failed";
 fn routed(k: u8) -> bool {
     matches!(
         k,
-        kind::DATA | kind::ACK | kind::STALL | kind::INJECT | kind::STEAL_REQ | kind::DONATE
+        kind::DATA | kind::STALL | kind::INJECT | kind::STEAL_REQ | kind::DONATE
     )
 }
 

@@ -18,21 +18,19 @@
 //! * Frames are the length-prefixed encoding in `converse_msg::frame` —
 //!   the payload is the generalized message verbatim, so everything
 //!   above the transport is bit-identical across wires.
-//! * When a [`converse_net::FaultPlan`] is installed, the
-//!   seq/ack/retransmit reliability sublayer runs **over the real
-//!   socket**. It is the one [`converse_net::link`] protocol the
-//!   in-process machine drives too — same decision streams, so a seed
-//!   reproduces the same adversity on every transport: the sender half
-//!   injects deterministic drops/duplicates/delays before the socket
-//!   and masks them with retransmission, the receiver half sequences
-//!   and dedups — exactly-once, in-order delivery on a wire that is
-//!   genuinely asynchronous. Control frames (ACK/bootstrap/teardown)
-//!   ride the socket un-faulted: the plan models the data channel.
+//! * The wire is a plain reliable pipe, FIFO per ordered pair of
+//!   ranks, and carries no link protocol. A [`converse_net::FaultPlan`]
+//!   acts where a message enters its PE: the local half runs link
+//!   `src → rank` for every arrival, with the one link-protocol driver
+//!   the in-process machine uses — same decision streams, so a seed
+//!   reproduces the same adversity on every transport. Control frames
+//!   (bootstrap, teardown, stall arming, steal requests) are never
+//!   faulted: the plan models the data channel.
 //!
 //! Bootstrap handshake: worker connects, sends `HELLO(rank)`; once the
 //! hub has all `n` hellos it broadcasts `GO` — the collective startup
-//! barrier. Teardown: each worker flushes its retransmit buffer, sends
-//! `EXIT` carrying a [`WorkerReport`], and waits for the hub's `FIN`;
+//! barrier. Teardown: each worker sends `EXIT` carrying a
+//! [`WorkerReport`] once its PE is done, and waits for the hub's `FIN`;
 //! a panicking worker sends `ABORT` instead, which the hub fans out so
 //! surviving workers stop promptly. A worker that dies without `EXIT`
 //! or `ABORT` (e.g. kill -9) is detected as an EOF on its hub
@@ -114,9 +112,6 @@ pub mod kind {
     pub const GO: u8 = 2;
     /// A generalized message from PE `src` to PE `dst`.
     pub const DATA: u8 = 3;
-    /// Reliability acknowledgment: `seq` selectively acked, payload
-    /// carries the cumulative watermark (all lower seqs delivered).
-    pub const ACK: u8 = 4;
     /// Remote stall arming: payload is the window length in ns.
     pub(crate) const STALL: u8 = 5;
     /// External injection (CCS-style): like DATA but counted as
@@ -134,9 +129,7 @@ pub mod kind {
     pub(crate) const STEAL_REQ: u8 = 10;
     /// Victim → thief: one donated message. `src` carries the donated
     /// message's *original* sender, payload is the message bytes; the
-    /// receiver delivers it straight into its mailbox (the
-    /// donation already cleared the reliability sublayer at the victim,
-    /// and TCP carries it exactly once).
+    /// receiver delivers it as it does a DATA frame.
     pub(crate) const DONATE: u8 = 11;
     /// Ring only: holds the place of `src`'s next frame that is too big
     /// for a ring and goes over the hub; the consumer reads nothing
@@ -149,7 +142,6 @@ pub mod kind {
             HELLO => "hello",
             GO => "go",
             DATA => "data",
-            ACK => "ack",
             STALL => "stall",
             INJECT => "inject",
             EXIT => "exit",

@@ -2,10 +2,10 @@
 //!
 //! One directed byte ring per ordered PE pair. Records are the exact
 //! socket frame encoding — `[u32 body][kind·src·dst·seq·channel·
-//! guarantee][payload]` — copied in with wrap-around, so the
-//! seq/ack/retransmit sublayer, the QoS guarantees and the
-//! STEAL_REQ/DONATE protocol run bit-identically over rings and
-//! sockets.
+//! guarantee][payload]`, the header through `FrameHeader::to_bytes` /
+//! `from_bytes` as on the socket — copied in with wrap-around, so the
+//! QoS guarantees and the STEAL_REQ/DONATE protocol run bit-identically
+//! over rings and sockets.
 //!
 //! **Ordering contract.** `head` is written only by the producer
 //! process, `tail` only by the consumer; both are monotonic byte
@@ -66,7 +66,7 @@ pub struct ShmPlane {
     /// Empty sweeps `ShmPlane::poll_loop` spins before it parks.
     idle_spin: u32,
     /// The cross-process structure is SPSC, but several local threads
-    /// produce (app sends, retransmit pump, ACKs off a sweep) — a
+    /// produce (app sends, donations off the hub reader or a sweep) — a
     /// short per-destination mutex serializes them onto the single
     /// producer role. Finer than the socket's one global writer lock.
     /// It holds the producer's cache of the ring's `tail`, refreshed
@@ -162,13 +162,8 @@ impl ShmPlane {
         }
         let mut prefix = [0u8; LEN_PREFIX + FRAME_HEADER_BYTES];
         let body = (FRAME_HEADER_BYTES + payload.len()) as u32;
-        prefix[..4].copy_from_slice(&body.to_le_bytes());
-        prefix[4] = header.kind;
-        prefix[5..9].copy_from_slice(&header.src.to_le_bytes());
-        prefix[9..13].copy_from_slice(&header.dst.to_le_bytes());
-        prefix[13..21].copy_from_slice(&header.seq.to_le_bytes());
-        prefix[21..25].copy_from_slice(&header.channel.to_le_bytes());
-        prefix[25] = header.guarantee;
+        prefix[..LEN_PREFIX].copy_from_slice(&body.to_le_bytes());
+        prefix[LEN_PREFIX..].copy_from_slice(&header.to_bytes());
         unsafe {
             ring.write_at(head, &prefix);
             ring.write_at(head + prefix.len() as u64, payload);
@@ -246,20 +241,14 @@ impl ShmPlane {
         // SAFETY: this plane is the ring's only consumer, and at least
         // `prefix.len()` bytes are published at `tail` (checked above).
         unsafe { ring.read_at(tail, &mut prefix) };
-        let body = u32::from_le_bytes(prefix[..4].try_into().unwrap()) as usize;
+        let (len, header) = prefix.split_at(LEN_PREFIX);
+        let body = u32::from_le_bytes(len.try_into().unwrap()) as usize;
         if body < FRAME_HEADER_BYTES || (LEN_PREFIX + body) as u64 > published {
             return corrupt(format!(
                 "record body of {body} bytes at offset {tail}, {published} bytes published"
             ));
         }
-        let header = FrameHeader {
-            kind: prefix[4],
-            src: u32::from_le_bytes(prefix[5..9].try_into().unwrap()),
-            dst: u32::from_le_bytes(prefix[9..13].try_into().unwrap()),
-            seq: u64::from_le_bytes(prefix[13..21].try_into().unwrap()),
-            channel: u32::from_le_bytes(prefix[21..25].try_into().unwrap()),
-            guarantee: prefix[25],
-        };
+        let header = FrameHeader::from_bytes(header.try_into().unwrap());
         if !admit(&header) {
             return Ok(None);
         }
@@ -346,6 +335,48 @@ impl ShmPlane {
 mod tests {
     use super::*;
     use crate::kind;
+    use proptest::prelude::*;
+
+    /// Publish `bytes` raw on ring 0 → 1 of `region`, as a rogue
+    /// producer could, without a second copy of the ring layout: they
+    /// ride as the payload of a whole record, and the consumer is made
+    /// to stand past the carrier's prefix. Returns the ring's head.
+    fn publish_raw(region: &Arc<ShmRegion>, bytes: &[u8]) -> u64 {
+        let prefix = (LEN_PREFIX + FRAME_HEADER_BYTES) as u64;
+        let carrier = FrameHeader::new(kind::DATA, 0, 1, 0);
+        let never = AtomicBool::new(false);
+        let tx = ShmPlane::new(region.clone(), 0, 0);
+        assert_eq!(tx.push(1, carrier, bytes, false, &never), PushOutcome::Sent);
+        let ring = region.ring(0, 1);
+        ring.tail.store(prefix, Ordering::Release);
+        ring.head.load(Ordering::Acquire)
+    }
+
+    proptest! {
+        /// Whatever bytes a producer publishes, a ring decodes them as
+        /// the socket does: `pop` and `read_frame` over the same bytes
+        /// both refuse them, or both return the same header and payload.
+        #[test]
+        fn a_ring_record_decodes_like_a_socket_frame(
+            bytes in proptest::collection::vec(any::<u8>(), 0..=256),
+            // The length prefix's claim against the bytes that follow it:
+            // short of them, all of them, or past them.
+            past_end in prop_oneof![Just(None), (-40i64..=8).prop_map(Some)],
+        ) {
+            let mut bytes = bytes;
+            if let (Some(d), true) = (past_end, bytes.len() >= LEN_PREFIX) {
+                let claim = (bytes.len() - LEN_PREFIX) as i64 + d;
+                bytes[..LEN_PREFIX].copy_from_slice(&(claim.max(0) as u32).to_le_bytes());
+            }
+            let region = Arc::new(ShmRegion::create(2, 1 << 16).expect("shm region"));
+            let mut head = publish_raw(&region, &bytes);
+            let rx = ShmPlane::new(region, 1, 0);
+            let ring = rx.pop(0, &mut head, |_| true).ok().flatten();
+            let socket = converse_msg::read_frame(&mut &bytes[..]).ok().flatten();
+            let read = |f: Option<(FrameHeader, MsgBlock)>| f.map(|(h, b)| (h, b.as_slice().to_vec()));
+            prop_assert_eq!(read(ring), read(socket));
+        }
+    }
 
     #[test]
     fn a_sweep_leaves_a_ring_at_a_record_it_refuses() {
@@ -429,20 +460,10 @@ mod tests {
             (prefix as u32 + 100, "more than was published"),
         ] {
             let region = Arc::new(ShmRegion::create(2, CAP).expect("shm region"));
-            // The lying record rides as the payload of a whole one; the
-            // consumer is then made to stand past the carrier's prefix.
             let mut record = body.to_le_bytes().to_vec();
             record.resize(prefix, 0);
-            let carrier = FrameHeader::new(kind::DATA, 0, 1, 0);
-            let never = AtomicBool::new(false);
-            let tx = ShmPlane::new(region.clone(), 0, 0);
-            assert_eq!(
-                tx.push(1, carrier, &record, false, &never),
-                PushOutcome::Sent
-            );
+            let mut head = publish_raw(&region, &record);
             let ring = region.ring(0, 1);
-            ring.tail.store(prefix as u64, Ordering::Release);
-            let mut head = ring.head.load(Ordering::Acquire);
             let rx = ShmPlane::new(region.clone(), 1, 0);
             assert_eq!(
                 rx.pop(0, &mut head, |_| true).map(|r| r.is_some()),

@@ -24,7 +24,10 @@ use std::path::Path;
 
 /// The most `pub` item declarations `crates/*/src` may hold. Lower it
 /// when the surface shrinks; raising it needs a reason in the change.
-const MAX_PUB_ITEMS: usize = 728;
+/// Two of them are `FrameHeader::to_bytes` / `from_bytes`: the one
+/// header codec of socket frames and ring records, which `converse-wire`
+/// calls across the crate boundary.
+const MAX_PUB_ITEMS: usize = 727;
 
 /// Declarations no other file names, each with why it stays `pub`:
 /// `(file, item, reason)`.

@@ -265,6 +265,37 @@ fn chaos_ring_is_exactly_once_on_each_transport() {
     }
 }
 
+/// A fault plan's scripted stall window holds on every transport: PE 1
+/// takes nothing before its window ends, though PE 0's message is sent
+/// at boot. The window is a plan's, so on a wire it is applied where the
+/// message enters PE 1's process.
+#[test]
+fn a_scripted_stall_window_holds_on_each_transport() {
+    for &t in Transport::each() {
+        let mut plan = converse::machine::FaultPlan::new(1);
+        plan.stalls.push(converse::machine::StallWindow {
+            pe: 1,
+            from: Duration::ZERO,
+            to: Some(Duration::from_millis(300)),
+        });
+        run_with(MachineConfig::new(2).transport(t).faults(plan), |pe| {
+            let h = pe.register_handler(|_, _| {});
+            if pe.my_pe() == 0 {
+                pe.sync_send_and_free(1, Message::new(h, b"at boot"));
+                return;
+            }
+            let msg = pe.get_specific_msg(h);
+            assert_eq!(msg.payload(), b"at boot");
+            let took = pe.timer();
+            assert!(
+                took >= 0.3,
+                "PE 1 took a message {took:.3} s after boot on {}",
+                pe.transport_name()
+            );
+        });
+    }
+}
+
 /// The per-guarantee delivery matrix under the adversarial plan, on
 /// BOTH transports and across several seeds:
 ///
