@@ -54,7 +54,9 @@ std::arch::global_asm!(
     // stack, stores the resulting rsp through `save`, then installs
     // `load` as rsp and restores the state found there. Returning `ret`s
     // into whatever return address that stack holds — either a previous
-    // fiber_switch call site or the bootstrap trampoline.
+    // fiber_switch call site or the bootstrap trampoline. Its 27 bytes
+    // start a cache line, so a switch never straddles two.
+    ".p2align 6",
     ".global converse_fiber_switch",
     ".hidden converse_fiber_switch",
     "converse_fiber_switch:",
@@ -462,6 +464,12 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    #[test]
+    fn the_switch_starts_a_cache_line() {
+        let at = converse_fiber_switch as *const () as usize;
+        assert_eq!(at % 64, 0, "converse_fiber_switch at {at:#x}");
+    }
 
     #[test]
     fn runs_to_completion_without_yield() {

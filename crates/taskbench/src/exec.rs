@@ -26,14 +26,23 @@
 //! machine-wide collective check (task count + XOR hash fold). A cell
 //! of the workload matrix only reports a number after this passes.
 //!
-//! **Run protocol.** A run opens with one `pe.barrier()`; raw and Charm
-//! runs close with none. A PE whose tasks all executed consumed every
-//! edge addressed to it, each delivered once, so none is still on its
-//! way, and the next run's opening barrier keeps that run's edges from a
-//! PE still inside this one. The Charm group lives across runs, which
-//! swap the run its branch serves; after a bounded run
-//! ([`RunOpts::give_up`]) every PE retires it. The raw epoch or the group
-//! id keys a run: a message of another run is dropped at dispatch.
+//! **Run protocol.** Raw and Charm runs open and close with no
+//! collective. Every raw message and every Charm edge carries the number
+//! of its run, which each PE counts per engine (runs are collective, so
+//! every PE counts the same), and one rule decides what a PE does with
+//! it: an edge of the run it is in is served, an edge of a run it has not
+//! entered yet is *held* — its bytes copied into a list the engine owns,
+//! replayed when the PE enters that run, after its sources — and an edge
+//! of a run it has left is dropped. Only a bounded run
+//! ([`RunOpts::give_up`]) leaves edges behind: a PE whose tasks all
+//! executed consumed every edge addressed to it, each delivered once. A
+//! held edge counted as processed for quiescence when its handler held
+//! it; its replay sends only what serving it sends. Two collectives stay:
+//! a PE's first raw run opens with a barrier, so that no edge reaches a
+//! PE before it registered the raw handlers, and a Charm run with no
+//! live group creates one collectively. The Charm group lives across
+//! runs; after a bounded run every PE retires it. tSM runs, whose
+//! messages carry no run number, open and close with a barrier.
 //!
 //! **Lockstep requirement.** Like every Converse registration API, the
 //! adapters register handlers/combiners/group kinds — once per PE, the
@@ -48,7 +57,7 @@ use converse_machine::coll::CombinerId;
 use converse_machine::{Channel, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::{HandlerId, Priority};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -256,15 +265,16 @@ struct RawHandlers {
 
 /// What carries a run's dependency edges.
 enum Carrier {
-    /// One generalized message per edge, stamped with the run's `epoch`,
-    /// on `channel` (`None` = the default exactly-once channel).
+    /// One generalized message per edge, stamped with the number of its
+    /// `run`, on `channel` (`None` = the default exactly-once channel).
     Raw {
         handlers: RawHandlers,
-        epoch: u32,
+        run: u32,
         channel: Option<Channel>,
     },
-    /// An entry invocation on the run's group.
-    Charm(GroupId),
+    /// An entry invocation on group `gid`, stamped with the number of
+    /// its `run`.
+    Charm { gid: GroupId, run: u32 },
     /// A tSM message tagged with the consumer's serial.
     Tsm,
 }
@@ -513,11 +523,11 @@ impl RunState {
         match &self.carrier {
             Carrier::Raw {
                 handlers,
-                epoch,
+                run,
                 channel,
             } => {
                 let head = StackPacker::<16>::new()
-                    .u32(*epoch)
+                    .u32(*run)
                     .u32(dst)
                     .u32(src)
                     .len_prefix(payload.len());
@@ -528,8 +538,9 @@ impl RunState {
                     None => pe.sync_send_and_free(dst_pe, msg),
                 }
             }
-            Carrier::Charm(gid) => {
-                let head = StackPacker::<12>::new()
+            Carrier::Charm { gid, run } => {
+                let head = StackPacker::<16>::new()
+                    .u32(*run)
                     .u32(dst)
                     .u32(src)
                     .len_prefix(payload.len());
@@ -600,16 +611,13 @@ impl RunState {
 
     // ---- relocatable-execution (steal) protocol, raw engine only ----
 
-    /// A raw-engine control message: the run's epoch, then `body`.
+    /// A raw-engine control message: the run's number, then `body`.
     fn raw_msg(&self, pick: impl Fn(&RawHandlers) -> HandlerId, body: &[&[u8]]) -> Message {
-        let Carrier::Raw {
-            handlers, epoch, ..
-        } = &self.carrier
-        else {
+        let Carrier::Raw { handlers, run, .. } = &self.carrier else {
             unreachable!("the steal protocol runs on the raw engine only")
         };
-        let epoch = epoch.to_le_bytes();
-        let parts = std::iter::once(&epoch[..]).chain(body.iter().copied());
+        let run = run.to_le_bytes();
+        let parts = std::iter::once(&run[..]).chain(body.iter().copied());
         Message::gather(pick(handlers), &Priority::None, parts)
     }
 
@@ -688,40 +696,113 @@ impl RunState {
     }
 }
 
+// ---- runs of the raw and Charm engines ---------------------------------
+
+/// What serves one raw message or Charm edge of a run: its body behind
+/// the run number.
+type Serve = for<'a> fn(&RunState, &Pe, Unpacker<'a>);
+
+/// The runs of one engine on one PE: how many it has entered, the one it
+/// is in, and the edges of runs it has not entered yet.
+#[derive(Default)]
+struct Runs {
+    /// Runs entered so far: the number of the next one.
+    entered: u32,
+    /// The run this PE is in (`None` between runs), numbered
+    /// `entered - 1`.
+    current: Option<Arc<RunState>>,
+    /// Held edges in arrival order: run number, what serves the edge,
+    /// and where its body lies in `held_bytes`. Both lists keep their
+    /// capacity from run to run.
+    held: Vec<(u32, Serve, Range<usize>)>,
+    held_bytes: Vec<u8>,
+}
+
+impl Runs {
+    /// Enter the next run, built by `start` from its number.
+    fn enter(&mut self, start: impl FnOnce(u32) -> Arc<RunState>) -> Arc<RunState> {
+        let state = start(self.entered);
+        self.entered += 1;
+        self.current = Some(state.clone());
+        state
+    }
+
+    /// A raw message or Charm edge, its run's number and then what
+    /// `serve` reads: serve it if this PE is in that run, hold it if the
+    /// PE has not entered it yet, drop it if the PE left it.
+    fn admit(&mut self, pe: &Pe, msg: &[u8], serve: Serve) {
+        let mut body = Unpacker::new(msg);
+        let Ok(run) = body.u32() else {
+            if let Some(current) = &self.current {
+                current.violation(pe, "a message carries no run number".into())
+            }
+            return;
+        };
+        let body = body.rest();
+        if run >= self.entered {
+            let at = self.held_bytes.len();
+            self.held_bytes.extend_from_slice(body);
+            self.held.push((run, serve, at..self.held_bytes.len()));
+        } else if run + 1 == self.entered {
+            if let Some(current) = &self.current {
+                serve(current, pe, Unpacker::new(body));
+            }
+        }
+        // Otherwise left over from a run that gave up.
+    }
+
+    /// Serve the held edges of the run this PE just entered, drop those
+    /// of runs it left, and keep those of later runs.
+    fn replay(&mut self, pe: &Pe) {
+        let Runs {
+            entered,
+            current: Some(current),
+            held,
+            held_bytes,
+        } = self
+        else {
+            return;
+        };
+        let now = *entered - 1;
+        let (mut kept, mut end) = (0, 0);
+        for i in 0..held.len() {
+            let (run, serve, at) = held[i].clone();
+            if run == now {
+                serve(current, pe, Unpacker::new(&held_bytes[at]));
+            } else if run > now {
+                let len = at.len();
+                held_bytes.copy_within(at, end);
+                held[kept] = (run, serve, end..end + len);
+                (kept, end) = (kept + 1, end + len);
+            }
+        }
+        held.truncate(kept);
+        held_bytes.truncate(end);
+    }
+}
+
 // ---- raw machine-layer engine -------------------------------------------
 
-/// The raw engine of one PE: its handlers, registered once, and the run
-/// they currently serve. Every raw message starts with its run's epoch
-/// — the count of [`run_graph_raw`] calls, the same on every PE of a
-/// collective call — so a message left over from a run that gave up is
-/// dropped instead of being taken for the next run's.
+/// The raw engine of one PE: its handlers, registered once, and its runs.
+/// Every raw message starts with its run's number (its epoch), the count
+/// of earlier [`run_graph_raw`] calls.
 struct RawEngine {
     handlers: RawHandlers,
-    epoch: AtomicU32,
-    current: OwnerCell<Option<Arc<RunState>>>,
+    runs: OwnerCell<Runs>,
 }
 
 impl RawEngine {
     fn on_pe(pe: &Pe) -> RawEngine {
-        /// A handler that gives `serve` the message's run and the body
-        /// behind the epoch.
-        fn handler(pe: &Pe, serve: fn(&RunState, &Pe, Unpacker<'_>)) -> HandlerId {
+        /// A handler that gives `serve` the message's body behind its run
+        /// number, by the rule of [`Runs::admit`].
+        fn handler(pe: &Pe, serve: Serve) -> HandlerId {
             pe.register_handler(move |pe, msg| {
-                let mut body = Unpacker::new(msg.payload());
                 let engine = pe.local_ref::<RawEngine>().expect("registered by it");
                 // Open across the call: sends never dispatch, so nothing
                 // below asks for it again.
-                engine.current.with(pe.owner(), |current| {
-                    let Some(run) = current.as_ref() else { return };
-                    match body.u32() {
-                        Ok(epoch) if matches!(run.carrier, Carrier::Raw { epoch: e, .. } if e == epoch) => {
-                            serve(run, pe, body)
-                        }
-                        // Left over from a run that gave up.
-                        Ok(_) => {}
-                        Err(_) => run.violation(pe, "a raw message carries no epoch".into()),
-                    }
-                })
+                engine
+                    .runs
+                    .with(pe.owner(), |runs| runs.admit(pe, msg.payload(), serve))
             })
         }
         RawEngine {
@@ -732,8 +813,7 @@ impl RawEngine {
                 done: handler(pe, |run, pe, _| run.on_done(pe)),
                 all_done: handler(pe, |run, pe, _| run.progress(pe, |p| p.all_done = true)),
             },
-            epoch: AtomicU32::new(0),
-            current: OwnerCell::new(pe.owner(), None),
+            runs: OwnerCell::new(pe.owner(), Runs::default()),
         }
     }
 }
@@ -742,23 +822,36 @@ impl RawEngine {
 /// messages. Collective: every PE calls it (in lockstep with any other
 /// registration activity) and gets back its own [`PeSummary`].
 ///
+/// A run opens with no collective, except a PE's first, whose barrier
+/// keeps edges from PEs that have not registered the engine's handlers
+/// yet. A message of a run this PE has not entered is held and served
+/// when the PE enters that run, after its sources; one of a run it left
+/// (one that gave up) is dropped.
+///
 /// With [`RunOpts::steal`] set, execution rides relocatable READY
 /// messages (see the option's docs); the steal-protocol handlers are
 /// registered with the others, on a PE's first call, so the
 /// registration order is identical whether or not a given run opts in.
+/// A steal-mode run ends only at ALL_DONE, when every READY of it has
+/// executed, so a thief may hold a READY of a later run but never meets
+/// a live one of an earlier run.
 pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSummary {
     let engine = pe.local(|| RawEngine::on_pe(pe));
-    let carrier = Carrier::Raw {
-        handlers: engine.handlers,
-        epoch: engine.epoch.fetch_add(1, Ordering::Relaxed),
-        channel: opts.channel.as_deref().map(|n| pe.channel(n)),
-    };
-    let state = RunState::new(graph.clone(), opts, pe, carrier);
-    engine
-        .current
-        .with(pe.owner(), |c| *c = Some(state.clone()));
-    pe.barrier();
+    let state = engine.runs.with(pe.owner(), |runs| {
+        runs.enter(|run| {
+            let carrier = Carrier::Raw {
+                handlers: engine.handlers,
+                run,
+                channel: opts.channel.as_deref().map(|n| pe.channel(n)),
+            };
+            RunState::new(graph.clone(), opts, pe, carrier)
+        })
+    });
+    if matches!(state.carrier, Carrier::Raw { run: 0, .. }) {
+        pe.barrier();
+    }
     state.run_sources(pe);
+    engine.runs.with(pe.owner(), |runs| runs.replay(pe));
     let gave_up = if opts.steal {
         // Every PE reports in, even one that owns nothing, and leaves when
         // PE 0 declares the machine done: other PEs' READYs may land here.
@@ -767,7 +860,7 @@ pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
     } else {
         state.await_completion(pe, opts.give_up)
     };
-    engine.current.with(pe.owner(), |c| *c = None);
+    engine.runs.with(pe.owner(), |runs| runs.current = None);
     state.summarize(pe, gave_up)
 }
 
@@ -776,19 +869,19 @@ pub fn run_graph_raw(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
 /// Group entry points of the Charm adapter's per-PE branch.
 const EP_DEP: u32 = 0;
 
-/// The Charm adapter of one PE: its group kind, registered once, and its
-/// live group (`None` before the first run and once retired), whose id is
-/// the run's epoch, with the run its branch serves (`None` between runs).
+/// The Charm adapter of one PE: its group kind, registered once, its live
+/// group (`None` before the first run and once retired), and its runs.
 struct CharmEngine {
     kind: GroupKind,
-    current: OwnerCell<Option<(GroupId, Option<Arc<RunState>>)>>,
+    group: OwnerCell<Option<GroupId>>,
+    runs: OwnerCell<Runs>,
 }
 
 /// The per-PE branch: receives dependency invocations and runs ready
 /// tasks; fan-out goes back through [`Charm::send_group_parts`], so
 /// every edge — self-edges included — is a scheduler-queued asynchronous
 /// method invocation, exactly the Charm discipline. Stateless: each
-/// invocation opens the engine's current run.
+/// invocation is admitted by the engine's runs.
 struct TaskBranch;
 
 impl GroupChare for TaskBranch {
@@ -796,22 +889,26 @@ impl GroupChare for TaskBranch {
         TaskBranch
     }
 
-    fn entry(&mut self, pe: &Pe, gid: GroupId, ep: u32, payload: &[u8]) {
+    fn entry(&mut self, pe: &Pe, _gid: GroupId, ep: u32, payload: &[u8]) {
         assert_eq!(ep, EP_DEP, "unknown taskbench group entry {ep}");
         let engine = pe
             .local_ref::<CharmEngine>()
             .expect("taskbench charm engine missing");
-        // Open across the call, as the raw handlers open theirs.
-        engine.current.with(pe.owner(), |current| match current {
-            Some((g, Some(run))) if *g == gid => run.on_edge(pe, None, Unpacker::new(payload)),
-            // Left over from a run that gave up.
-            _ => {}
+        // Open across the call, as the raw handlers open theirs. An edge
+        // of a retired group is of a run this PE left.
+        engine.runs.with(pe.owner(), |runs| {
+            runs.admit(pe, payload, |run, pe, body| run.on_edge(pe, None, body))
         })
     }
 }
 
 /// Execute `graph` on the Charm layer: one group branch per PE, one
 /// asynchronous entry invocation per dependency edge. Collective.
+///
+/// A run opens with no collective while the group lives; with none
+/// live, the PEs create one collectively. An edge of a run this PE has
+/// not entered is held and served when the PE enters that run, after
+/// its sources; one of a run it left (one that gave up) is dropped.
 pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSummary {
     assert!(
         opts.channel.is_none(),
@@ -824,11 +921,10 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
     let charm = Charm::install(pe, LdbPolicy::Direct);
     let engine = pe.local(|| CharmEngine {
         kind: charm.register_group::<TaskBranch>(pe),
-        current: OwnerCell::new(pe.owner(), None),
+        group: OwnerCell::new(pe.owner(), None),
+        runs: OwnerCell::new(pe.owner(), Runs::default()),
     });
-    let live = engine
-        .current
-        .with(pe.owner(), |c| c.as_ref().map(|(g, _)| *g));
+    let live = engine.group.with(pe.owner(), |g| *g);
     let gid = live.unwrap_or_else(|| {
         // Every PE registered the kind before PE 0 creates the group; the
         // broadcast only processes machine-internal messages, so the
@@ -840,18 +936,18 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
             bytes.try_into().expect("8-byte group id"),
         ))
     });
-    let state = RunState::new(graph.clone(), opts, pe, Carrier::Charm(gid));
-    engine
-        .current
-        .with(pe.owner(), |c| *c = Some((gid, Some(state.clone()))));
-    pe.barrier();
+    let state = engine.runs.with(pe.owner(), |runs| {
+        runs.enter(|run| RunState::new(graph.clone(), opts, pe, Carrier::Charm { gid, run }))
+    });
     state.run_sources(pe);
+    engine.runs.with(pe.owner(), |runs| runs.replay(pe));
     let gave_up = state.await_completion(pe, opts.give_up);
+    engine.runs.with(pe.owner(), |runs| runs.current = None);
     // The group serves the next run, unless this one was bounded: it may
     // have given up on some PE with edges still in flight, so every PE
     // retires the group and they are dropped.
-    let keep = opts.give_up.is_none().then_some((gid, None));
-    engine.current.with(pe.owner(), |c| *c = keep);
+    let keep = opts.give_up.is_none().then_some(gid);
+    engine.group.with(pe.owner(), |g| *g = keep);
     state.summarize(pe, gave_up)
 }
 

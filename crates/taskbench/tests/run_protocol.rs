@@ -1,17 +1,22 @@
-//! The run protocol of the three engines: one opening barrier, a
-//! closing one only on tSM, and a Charm group that outlives its run.
+//! The run protocol of the three engines: raw and Charm runs with no
+//! barrier, tSM runs with an opening and a closing one, and a Charm
+//! group that outlives its run.
 //!
-//! **Census.** From a PE's second run of an engine on, a run sends its
-//! graph's dependency edges and 2(P − 1) messages per barrier (an up and
-//! a down wave over the spanning tree), nothing else. Each PE counts its
-//! own sends, which only it advances, between its calls; no collective
-//! runs inside the counted window.
+//! **Census.** From a PE's second run of an engine on, a raw or Charm run
+//! sends its graph's dependency edges and nothing else; a tSM run adds
+//! 2(P − 1) messages per barrier (an up and a down wave over the
+//! spanning tree). Each PE counts its own sends, which only it advances,
+//! between its calls; no collective runs inside the counted window.
 //!
 //! **Back to back.** Runs of different engines follow one another with
 //! no collective between them, on every transport and under an
 //! exactly-once fault plan, and every one of them validates afterwards.
 //! A Charm run that gave up retires its group: the edges it left in
 //! flight are dropped, and the clean runs after it validate.
+//!
+//! **Early edges.** With one PE slowed down, the others enter the next
+//! run while it is still in this one, and their edges reach it early: it
+//! holds them until it enters their run.
 
 use converse_machine::{run_with, FaultPlan, LinkFaults, MachineConfig, Pe, Transport};
 use converse_taskbench::exec::{
@@ -27,8 +32,8 @@ type Engine = fn(&Pe, &Arc<TaskGraph>, &RunOpts) -> PeSummary;
 /// Each engine with the barriers of a run after its first. tSM keeps a
 /// closing barrier, which correctness does not need, for its speed.
 const ENGINES: [(&str, Engine, u64); 3] = [
-    ("raw", run_graph_raw, 1),
-    ("charm", run_graph_charm, 1),
+    ("raw", run_graph_raw, 0),
+    ("charm", run_graph_charm, 0),
     ("tsm", run_graph_tsm, 2),
 ];
 
@@ -79,7 +84,7 @@ fn msgs_per_run(num_pes: usize, g: &Arc<TaskGraph>, engine: Engine) -> u64 {
 }
 
 #[test]
-fn a_run_sends_its_edges_and_its_barriers() {
+fn raw_and_charm_runs_send_their_edges_only_and_tsm_two_barriers_more() {
     for num_pes in [2, 4] {
         for pattern in [Pattern::Stencil1D, Pattern::Random] {
             let g = graph(pattern, 1996);
@@ -190,6 +195,90 @@ fn charm_runs_after_one_that_gave_up_validate() {
         assert!(
             gave_up.load(Ordering::Relaxed),
             "seed {seed}: the bounded run finished, so nothing was left in flight"
+        );
+    }
+}
+
+/// Busy-work per task on the slowed PE: long enough that the other PEs
+/// finish a run, enter the next and send its edges while it is still in
+/// this one.
+const SLOW_GRAIN_NS: u64 = 200_000;
+
+/// Charm, then raw, then Charm, three times over with no collective
+/// between them, PE 1 slowed by a grain on its own calls; each summary
+/// validated afterwards. A first raw and a first Charm run, with `first`,
+/// register the handlers and create the group, whose collectives would
+/// otherwise keep the PEs together; they validate unless bounded.
+/// Returns whether one of them gave up on this PE.
+fn early_edges(pe: &Pe, g: &Arc<TaskGraph>, first: &RunOpts) -> bool {
+    let opts = RunOpts {
+        payload_bytes: 64,
+        ..RunOpts::default()
+    };
+    let set_up = [run_graph_raw(pe, g, first), run_graph_charm(pe, g, first)];
+    if first.give_up.is_none() {
+        for summary in &set_up {
+            assert_machine_valid(pe, g, summary, first.payload_bytes);
+        }
+    }
+    let slowed = RunOpts {
+        grain_ns: if pe.my_pe() == 1 { SLOW_GRAIN_NS } else { 0 },
+        ..opts.clone()
+    };
+    let order: [Engine; 3] = [run_graph_charm, run_graph_raw, run_graph_charm];
+    let summaries: Vec<PeSummary> = (0..3)
+        .flat_map(|_| order.iter().map(|run| run(pe, g, &slowed)))
+        .collect();
+    for summary in &summaries {
+        assert_machine_valid(pe, g, summary, opts.payload_bytes);
+    }
+    set_up.iter().any(|s| s.gave_up)
+}
+
+#[test]
+fn a_slowed_pe_holds_the_edges_of_runs_it_has_not_entered() {
+    for pattern in [Pattern::Stencil1D, Pattern::Random] {
+        for num_pes in [2, 4] {
+            let g = graph(pattern, 1996);
+            // A dropped early edge leaves its run waiting for ever: the
+            // watchdog turns that into a failure.
+            let cfg = MachineConfig::new(num_pes).block_timeout(Duration::from_secs(5));
+            let clean = RunOpts {
+                payload_bytes: 64,
+                ..RunOpts::default()
+            };
+            run_with(cfg, move |pe| {
+                early_edges(pe, &g, &clean);
+            });
+        }
+    }
+}
+
+#[test]
+fn a_slowed_pe_holds_early_edges_after_a_run_that_gave_up() {
+    for seed in [1u64, 7, 1996] {
+        let g = graph(Pattern::Butterfly, seed);
+        let cfg = MachineConfig::new(4)
+            .faults(lossy_plan(seed))
+            .block_timeout(Duration::from_secs(5));
+        // The first raw and Charm runs give up after one pass of the
+        // scheduler: their edges are still on their way during the runs
+        // after them.
+        let bounded = RunOpts {
+            payload_bytes: 64,
+            give_up: Some(Duration::ZERO),
+            ..RunOpts::default()
+        };
+        let gave_up = Arc::new(AtomicBool::new(false));
+        let flag = gave_up.clone();
+        run_with(cfg, move |pe| {
+            if early_edges(pe, &g, &bounded) {
+                flag.store(true, Ordering::Relaxed);
+            }
+        });
+        assert!(
+            gave_up.load(Ordering::Relaxed),
+            "seed {seed}: the bounded runs finished, so nothing was left in flight"
         );
     }
 }
