@@ -47,8 +47,8 @@ mod wire_run;
 
 pub use converse_msg::{HandlerId, Message};
 pub use converse_net::{
-    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, LinkFaults, NetModel,
-    PeLoad, StallWindow,
+    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, LinkFaults, PeLoad,
+    StallWindow,
 };
 pub use exo::{ExoReply, ExoToken, MachineHandle, MachineService};
 pub use mmi::Stop;

@@ -3,7 +3,10 @@
 //! The paper evaluates Converse on five physical machines (networks of
 //! ATM-connected HPs, Cray T3D, Myrinet-connected Suns with the FM
 //! package, IBM SP-1, Intel Paragon running SUNMOS). None of those exist
-//! here, so this crate provides the substitute substrate:
+//! here. The native layers between processes are `converse-wire`'s hub
+//! socket and shared-memory rings, on which the root crate's
+//! `tests/paper_figures.rs` times the paper's figures. This crate
+//! provides the in-process substrate and what every transport shares:
 //!
 //! * [`Interconnect`] — an in-process machine with one mailbox per
 //!   logical processor (PE). Sends are byte-block deliveries into the
@@ -29,20 +32,13 @@
 //!   pump thread. A multi-process transport's local half is an
 //!   `Interconnect` too, whose [`Interconnect::deliver`] runs link
 //!   `src → dst` for each arrival under a plan.
-//! * [`NetModel`] — an analytic wire-time model: `α` per-message latency,
-//!   `β` per-byte cost, per-packet cost, and an optional packetization
-//!   copy threshold (the T3D's 16 KB copy jump, §5.1). Benchmarks combine
-//!   the *measured* software path time on the real Rust code with this
-//!   model's wire time, reproducing the figures' shape.
 
 pub mod fault;
 pub mod link;
-pub mod model;
 pub mod qos;
 pub mod transport;
 
 pub use fault::{FaultPlan, FaultStats, LinkFaults, StallWindow};
-pub use model::NetModel;
 pub use qos::{Channel, Delivery};
 pub use transport::{CmiTransport, PolledSource};
 

@@ -1,6 +1,6 @@
-//! Property tests for the simulated interconnect and the wire models.
+//! Property tests for the simulated interconnect and its link protocol.
 
-use converse_net::{CmiTransport, DeliveryMode, FaultPlan, Interconnect, LinkFaults, NetModel};
+use converse_net::{CmiTransport, DeliveryMode, FaultPlan, Interconnect, LinkFaults};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -170,20 +170,6 @@ proptest! {
                 seen[r] = true;
             }
             prop_assert!(seen.iter().all(|&s| s), "PE {} missed a broadcast", pe);
-        }
-    }
-
-    /// Wire models are monotone in message size and have positive,
-    /// finite times for all sizes — for any size pair, not just the
-    /// sampled grid.
-    #[test]
-    fn models_monotone(a in 0usize..100_000, b in 0usize..100_000) {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        for m in NetModel::all_figures() {
-            let tl = m.one_way_us(lo);
-            let th = m.one_way_us(hi);
-            prop_assert!(tl.is_finite() && tl > 0.0);
-            prop_assert!(th >= tl, "{}: t({lo})={tl} > t({hi})={th}", m.name);
         }
     }
 }

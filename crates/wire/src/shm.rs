@@ -212,7 +212,7 @@ impl ShmPlane {
     /// Consume one record off the `src → rank` ring, if any and if
     /// `admit` takes its header (a refused record stays where it is).
     /// `cached_head` is the consumer's amortization state for this
-    /// ring (starts at 0). A record that breaks the publication
+    /// ring (starts at the ring's tail). A record that breaks the publication
     /// contract (see the module docs) is an error naming the ring, and
     /// nothing is copied.
     fn pop(
@@ -264,11 +264,17 @@ impl ShmPlane {
         Ok(Some((header, block)))
     }
 
-    /// Each inbound ring's cursor for [`ShmPlane::sweep`]: a cached head
-    /// of 0 for every peer's ring, `None` for this rank's own slot.
+    /// Each inbound ring's cursor for [`ShmPlane::sweep`]: for every
+    /// peer's ring a cached head at the ring's tail, `None` for this
+    /// rank's own slot. This plane is the only writer of those tails, so
+    /// a relaxed load reads its own last store, and a cursor taken after
+    /// records were consumed starts where they ended.
     pub(crate) fn heads(&self) -> Vec<Option<u64>> {
         (0..self.n)
-            .map(|src| (src != self.rank).then_some(0))
+            .map(|src| {
+                let ring = self.region.ring(src, self.rank);
+                (src != self.rank).then(|| ring.tail.load(Ordering::Relaxed))
+            })
             .collect()
     }
 
@@ -402,6 +408,25 @@ mod tests {
         assert!(!sweep(false), "the refused record is still there");
         assert!(sweep(true));
         assert_eq!(got, [kind::DATA, kind::HELD, kind::DATA]);
+    }
+
+    #[test]
+    fn poll_loop_can_be_entered_again_after_it_consumed_records() {
+        let region = Arc::new(ShmRegion::create(2, 1 << 16).expect("shm region"));
+        let tx = ShmPlane::new(region.clone(), 0, 0);
+        let rx = ShmPlane::new(region, 1, 0);
+        let never = AtomicBool::new(false);
+        for seq in 0..2 {
+            let h = FrameHeader::new(kind::DATA, 0, 1, seq);
+            assert_eq!(tx.push(1, h, b"x", false, &never), PushOutcome::Sent);
+            let done = AtomicBool::new(false);
+            let mut got = Vec::new();
+            rx.poll_loop(&done, |h, b| {
+                got.push((h.seq, b.as_slice().to_vec()));
+                done.store(true, Ordering::Release);
+            });
+            assert_eq!(got, [(seq, b"x".to_vec())]);
+        }
     }
 
     #[test]

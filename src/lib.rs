@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`msg`] | generalized messages, priorities (§3.1.1) | `converse-msg` |
 //! | [`queue`] | pluggable queueing strategies (§2.3) | `converse-queue` |
-//! | [`net`] | the simulated machine + wire-time models (§5) | `converse-net` |
+//! | [`net`] | the in-process machine, fault plans, the link protocol (§5) | `converse-net` |
 //! | [`machine`] | MMI + EMI machine interface (§3.1.3) | `converse-machine` |
 //! | [`core`] | the unified Csd scheduler, quiescence (§3.1.2) | `converse-core` |
 //! | [`msgmgr`] | Cmm message manager (§3.2.1) | `converse-msgmgr` |
