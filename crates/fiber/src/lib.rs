@@ -14,9 +14,9 @@
 //! portable fallback on targets this crate does not support.
 //!
 //! The `benchmark/` crate reports this constant as its
-//! `fiber.switch_ns` row, and `converse-bench`'s `threads_e2e` bin sets
-//! the two backends side by side, closing the loop on the substitution
-//! note in DESIGN.md.
+//! `fiber.switch_ns` row, and a scheduler wake of a thread object as
+//! `threads.wake_ns`, closing the loop on the substitution note in
+//! DESIGN.md.
 //!
 //! # Safety model
 //!

@@ -2279,37 +2279,49 @@ mod tests {
 
     #[test]
     fn swap_drain_sees_concurrent_enqueues_exactly_once() {
-        // The satellite's race test: a sender pushes while the receiver
-        // swap-drains in a tight loop. Every payload must surface exactly
-        // once, in per-link FIFO order, regardless of where each swap
-        // cuts the stream.
-        let net = Interconnect::new(2);
+        // Senders push at once while the receiver swap-drains in a
+        // tight loop. Every payload must surface exactly once, in
+        // per-link FIFO order, regardless of where each swap cuts the
+        // streams.
+        const SENDERS: usize = 3;
+        let net = Interconnect::new(SENDERS + 1);
         let n: u32 = 20_000;
-        let sender = {
-            let net = net.clone();
-            std::thread::spawn(move || {
-                for i in 0..n {
-                    net.send(0, 1, i.to_le_bytes().to_vec());
-                }
+        let senders: Vec<_> = (1..=SENDERS)
+            .map(|src| {
+                let net = net.clone();
+                std::thread::spawn(move || {
+                    for i in 0..n {
+                        net.send(src, 0, i.to_le_bytes().to_vec());
+                    }
+                })
             })
-        };
-        let mut got: Vec<u32> = Vec::with_capacity(n as usize);
+            .collect();
+        let mut got: Vec<Vec<u32>> = vec![Vec::new(); SENDERS + 1];
         let mut batch = Vec::new();
-        while got.len() < n as usize {
-            if net.drain_into(1, &mut batch) == 0 {
+        let total = n as usize * SENDERS;
+        let mut seen = 0;
+        while seen < total {
+            if net.drain_into(0, &mut batch) == 0 {
                 std::hint::spin_loop();
                 continue;
             }
-            got.extend(
-                batch
-                    .drain(..)
-                    .map(|p| u32::from_le_bytes(p.bytes().try_into().unwrap())),
+            seen += batch.len();
+            for p in batch.drain(..) {
+                got[p.src].push(u32::from_le_bytes(p.bytes().try_into().unwrap()));
+            }
+        }
+        for s in senders {
+            s.join().unwrap();
+        }
+        for (src, lane) in got.iter().enumerate().skip(1) {
+            assert_eq!(
+                *lane,
+                (0..n).collect::<Vec<_>>(),
+                "link {src}: exactly once, in order"
             );
         }
-        sender.join().unwrap();
-        assert_eq!(got, (0..n).collect::<Vec<_>>(), "exactly once, in order");
-        assert_eq!(net.pending(1), 0);
-        assert_eq!(net.traffic(1).msgs_recv, n as u64);
+        assert_eq!(net.pending(0), 0);
+        assert_eq!(net.traffic(0).msgs_recv, total as u64);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub struct RunOpts {
     pub steal: bool,
     /// In steal mode, the percentage of READY messages routed to PE 0
     /// instead of the owner (deterministic per serial id) — the skew
-    /// knob that manufactures the hotspot `steal_bench` measures.
+    /// knob that manufactures the hotspot `tests/steal.rs` relocates.
     /// `0` = every READY stays on its owner.
     pub steal_to0_pct: u8,
     /// Spend the grain in `thread::sleep` instead of a busy spin. On

@@ -303,6 +303,92 @@ fn fiber_threads_token_rings_survive_lossy_plan() {
     );
 }
 
+/// The soak: 10k+ messages all-to-all on 4 PEs under the adversarial
+/// plan with delays of up to 4 slots. Every message is delivered exactly
+/// once, by count and by a checksum of globally unique tags, and the
+/// wire carries at most 3 transmissions per logical message.
+#[test]
+fn soak_is_exactly_once_within_three_transmissions_a_message() {
+    const PES: usize = 4;
+    // 4 × 3 × 834 = 10,008 tagged messages, plus the barriers'.
+    const PER_LINK: u64 = 834;
+    let seed = chaos_seed();
+    let plan = FaultPlan::new(seed)
+        .faults(LinkFaults {
+            drop: 0.2,
+            dup: 0.1,
+            delay: 0.3,
+            max_delay_slots: 4,
+        })
+        .retransmit(Duration::from_micros(600), Duration::from_millis(8))
+        .tick(Duration::from_micros(250));
+    let tag = |src: u64, dst: u64, k: u64| src * 1_000_000 + dst * 10_000 + k;
+    let delivered = Arc::new(AtomicU64::new(0));
+    let checksum = Arc::new(AtomicU64::new(0));
+    let (d2, c2) = (delivered.clone(), checksum.clone());
+    let expect_per_pe = PER_LINK * (PES as u64 - 1);
+    let started = Instant::now();
+    let report = converse::core::run_with(MachineConfig::new(PES).faults(plan), move |pe| {
+        let (d3, c3) = (d2.clone(), c2.clone());
+        let local = Arc::new(AtomicU64::new(0));
+        let h = pe.register_handler(move |pe, msg| {
+            c3.fetch_add(
+                u64::from_le_bytes(msg.payload().try_into().unwrap()),
+                Ordering::Relaxed,
+            );
+            d3.fetch_add(1, Ordering::Relaxed);
+            if local.fetch_add(1, Ordering::Relaxed) + 1 == expect_per_pe {
+                csd_exit_scheduler(pe);
+            }
+        });
+        pe.barrier();
+        let me = pe.my_pe() as u64;
+        for k in 0..PER_LINK {
+            for other in (0..PES as u64).filter(|&o| o != me) {
+                let t = tag(me, other, k);
+                pe.sync_send_and_free(other as usize, Message::new(h, &t.to_le_bytes()));
+            }
+        }
+        csd_scheduler(pe, -1);
+        pe.barrier();
+    });
+    let elapsed = started.elapsed();
+
+    let want = expect_per_pe * PES as u64;
+    assert_eq!(
+        delivered.load(Ordering::Relaxed),
+        want,
+        "seed {seed}: lost or duplicated deliveries"
+    );
+    let mut sum = 0u64;
+    for src in 0..PES as u64 {
+        for dst in (0..PES as u64).filter(|&d| d != src) {
+            sum += (0..PER_LINK).map(|k| tag(src, dst, k)).sum::<u64>();
+        }
+    }
+    assert_eq!(
+        checksum.load(Ordering::Relaxed),
+        sum,
+        "seed {seed}: payload checksum mismatch (duplicate or corruption)"
+    );
+    let logical = report.total_msgs();
+    let s = report.fault_stats;
+    let overhead = s.overhead_ratio(logical);
+    println!(
+        "soak seed {seed}: {logical} logical, {} on the wire, overhead {overhead:.3}, {} ms",
+        s.transmissions,
+        elapsed.as_millis()
+    );
+    assert!(
+        s.dropped > 0 && s.duplicated > 0 && s.delayed > 0 && s.retransmitted > 0,
+        "the plan was supposed to bite: {s:?}"
+    );
+    assert!(
+        overhead <= 3.0,
+        "seed {seed}: {overhead:.3} transmissions per logical message exceed the 3x budget: {s:?}"
+    );
+}
+
 // ---- CCS under chaos --------------------------------------------------
 
 /// Call with retry: early requests race PE-side registration.

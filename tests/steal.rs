@@ -14,11 +14,19 @@
 //! * **Dual transport**: the steal-mode run completes and validates
 //!   with PEs as threads and as separate OS processes over the wire
 //!   (STEAL_REQ/DONATE frames).
+//! * **Branch and bound**: a prioritized search whose nodes the load
+//!   balancer deposits finds its optimum with stealing off and on.
 
-use converse::machine::{run_with, FaultPlan, LinkFaults, MachineConfig, Transport};
+use converse::core::{csd_exit_scheduler, csd_scheduler, Quiescence};
+use converse::ldb::{Ldb, LdbPolicy};
+use converse::machine::{
+    run_with, FaultPlan, HandlerId, LinkFaults, MachineConfig, Message, Transport,
+};
+use converse::msg::Priority;
 use converse::taskbench::exec::{assert_machine_valid, run_graph_raw, RunOpts};
 use converse::taskbench::{GraphSpec, Pattern, TaskGraph};
 use converse::trace::MemorySink;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -149,4 +157,106 @@ fn steal_mode_validates_on_each_transport() {
             },
         );
     }
+}
+
+/// A prioritized branch-and-bound (a 12-item knapsack) whose nodes are
+/// deposited through the load balancer, which marks them relocatable,
+/// finds the optimum whichever PE expands a node: with stealing off, and
+/// with it on under the random and the measured policy.
+#[test]
+fn branch_and_bound_finds_the_optimum_with_stealing() {
+    for (policy, steal) in [
+        (LdbPolicy::Random { seed: 17 }, false),
+        (LdbPolicy::Random { seed: 17 }, true),
+        (LdbPolicy::Measured, true),
+    ] {
+        assert_eq!(
+            knapsack(policy, steal),
+            132,
+            "{policy:?} steal={steal}: B&B must find the optimum"
+        );
+    }
+}
+
+/// The knapsack's items, as values and weights.
+const VALUE: [i64; 12] = [30, 20, 25, 40, 50, 10, 12, 22, 35, 15, 45, 30];
+const WEIGHT: [i64; 12] = [10, 9, 12, 20, 25, 5, 6, 11, 18, 8, 24, 16];
+const CAPACITY: i64 = 60;
+
+/// The fractional-relaxation bound of a node that has decided the items
+/// before `next`.
+fn bound(taken_value: i64, weight: i64, next: usize) -> i64 {
+    let mut v = taken_value as f64;
+    let mut w = weight;
+    for (value, wt) in VALUE.iter().zip(&WEIGHT).skip(next) {
+        if w + wt <= CAPACITY {
+            w += wt;
+            v += *value as f64;
+        } else {
+            v += *value as f64 * (CAPACITY - w) as f64 / *wt as f64;
+            break;
+        }
+    }
+    v.ceil() as i64
+}
+
+/// Best-first B&B on a 4-PE machine; returns the best value found. One
+/// shared atomic is the incumbent: the test is about where nodes run,
+/// not about how the incumbent travels.
+fn knapsack(policy: LdbPolicy, steal: bool) -> i64 {
+    let best = Arc::new(AtomicI64::new(0));
+    let b2 = best.clone();
+    run_with(MachineConfig::new(PES).steal(steal), move |pe| {
+        let qd = Quiescence::install(pe);
+        let ldb = Ldb::install(pe, policy);
+        let slot = Arc::new(parking_lot::Mutex::new(None::<HandlerId>));
+        let (qd2, best2, s2) = (qd.clone(), b2.clone(), slot.clone());
+        // A node: [next item u8, value i64, weight i64].
+        let expand = pe.register_handler(move |pe, msg| {
+            let p = msg.payload();
+            let next = p[0] as usize;
+            let value = i64::from_le_bytes(p[1..9].try_into().unwrap());
+            let weight = i64::from_le_bytes(p[9..17].try_into().unwrap());
+            // A sleepy grain, so PEs overlap on a host with fewer cores
+            // than PEs.
+            std::thread::sleep(Duration::from_micros(100));
+            best2.fetch_max(value, Ordering::SeqCst);
+            let incumbent = best2.load(Ordering::SeqCst);
+            if next < VALUE.len() && bound(value, weight, next) > incumbent {
+                let h = s2.lock().unwrap();
+                for (v, w) in [
+                    (value + VALUE[next], weight + WEIGHT[next]),
+                    (value, weight),
+                ] {
+                    if w > CAPACITY {
+                        continue;
+                    }
+                    let mut payload = vec![(next + 1) as u8];
+                    payload.extend_from_slice(&v.to_le_bytes());
+                    payload.extend_from_slice(&w.to_le_bytes());
+                    let prio = Priority::Int(-(bound(v, w, next + 1) as i32));
+                    qd2.msg_created(pe, 1);
+                    Ldb::get(pe).deposit(pe, Message::with_priority(h, &prio, &payload));
+                }
+            }
+            qd2.msg_processed(pe, 1);
+        });
+        let done = pe.register_handler(|pe, _| csd_exit_scheduler(pe));
+        *slot.lock() = Some(expand);
+        pe.barrier();
+        if pe.my_pe() == 0 {
+            let mut root = vec![0u8];
+            root.extend_from_slice(&0i64.to_le_bytes());
+            root.extend_from_slice(&0i64.to_le_bytes());
+            qd.msg_created(pe, 1);
+            ldb.deposit(pe, Message::new(expand, &root));
+            qd.start(pe, Message::new(done, b""));
+            csd_scheduler(pe, -1);
+            pe.sync_broadcast(&Message::new(done, b""));
+        } else {
+            csd_scheduler(pe, -1);
+        }
+        pe.barrier();
+    });
+    best.load(Ordering::SeqCst)
 }

@@ -265,6 +265,43 @@ fn chaos_ring_is_exactly_once_on_each_transport() {
     }
 }
 
+/// Fan-in: every other PE sends a burst at PE 0 at once, and PE 0 gets
+/// every message once, each link's in the order it was sent.
+#[test]
+fn fan_in_delivers_every_message_on_each_transport() {
+    const PES: usize = 4;
+    const MSGS: u64 = 500;
+    run_on_each_transport(PES, |pe| {
+        let next = Arc::new((0..PES).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
+        let got = Arc::new(AtomicU64::new(0));
+        let (n2, g2) = (next.clone(), got.clone());
+        let total = MSGS * (PES as u64 - 1);
+        let sink = pe.register_handler(move |pe, msg| {
+            let v = u64::from_le_bytes(msg.payload().try_into().unwrap());
+            let (src, i) = ((v / 10_000) as usize, v % 10_000);
+            assert_eq!(
+                n2[src].fetch_add(1, Ordering::SeqCst),
+                i,
+                "link {src} → 0 lost, duplicated or reordered a message"
+            );
+            if g2.fetch_add(1, Ordering::SeqCst) + 1 == total {
+                csd_exit_scheduler(pe);
+            }
+        });
+        pe.barrier();
+        if pe.my_pe() == 0 {
+            csd_scheduler(pe, -1);
+            assert_eq!(got.load(Ordering::SeqCst), total);
+        } else {
+            for i in 0..MSGS {
+                let v = pe.my_pe() as u64 * 10_000 + i;
+                pe.sync_send_and_free(0, Message::new(sink, &v.to_le_bytes()));
+            }
+        }
+        pe.barrier();
+    });
+}
+
 /// A fault plan's scripted stall window holds on every transport: PE 1
 /// takes nothing before its window ends, though PE 0's message is sent
 /// at boot. The window is a plan's, so on a wire it is applied where the
