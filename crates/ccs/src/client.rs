@@ -148,7 +148,7 @@ impl CcsClient {
                 Some(b) => b,
                 None => return Err(CcsError::Disconnected),
             };
-            let reply = protocol::decode_reply(&body)
+            let reply = protocol::decode_reply(body.as_slice())
                 .ok_or_else(|| CcsError::Protocol("unparseable reply frame".to_string()))?;
             if reply.seq == ticket.0 {
                 return Ok(reply);
@@ -220,7 +220,7 @@ impl CcsClient {
                 Some(b) => b,
                 None => return Err(CcsError::Disconnected),
             };
-            let reply = protocol::decode_reply(&body)
+            let reply = protocol::decode_reply(body.as_slice())
                 .ok_or_else(|| CcsError::Protocol("unparseable reply frame".to_string()))?;
             if reply.seq != ticket.0 {
                 self.stash.insert(reply.seq, reply);

@@ -15,7 +15,9 @@
 //! will, whenever requests target different PEs). Status codes are the
 //! machine gateway's [`converse_machine::exo::status`] set.
 
+use converse_msg::frame::read_claimed;
 use converse_msg::pack::{Packer, Unpacker};
+use converse_msg::MsgBlock;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame body; a length prefix beyond this is treated
@@ -125,10 +127,11 @@ pub(crate) fn write_frame(w: &mut dyn Write, body: &[u8]) -> io::Result<()> {
 /// Read one frame body. `Ok(None)` on a clean EOF at a frame boundary
 /// (peer closed); errors on mid-frame EOF or an oversized prefix.
 ///
-/// The prefix is a claim, not a reservation: the body buffer grows only
-/// with bytes actually received, so a peer that sends a prefix and then
-/// nothing pins no memory on its connection's reader.
-pub(crate) fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
+/// The prefix is a claim, not a reservation: the body is read with
+/// [`read_claimed`], whose block grows only with bytes actually
+/// received, so a peer that sends a prefix and then nothing pins no
+/// memory on its connection's reader.
+pub(crate) fn read_frame(r: &mut dyn Read) -> io::Result<Option<MsgBlock>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}
@@ -142,15 +145,7 @@ pub(crate) fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {n} bytes exceeds MAX_FRAME"),
         ));
     }
-    let mut body = Vec::new();
-    r.take(n as u64).read_to_end(&mut body)?;
-    if body.len() < n {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("frame ended after {} of {n} bytes", body.len()),
-        ));
-    }
-    Ok(Some(body))
+    read_claimed(r, n).map(Some)
 }
 
 #[cfg(test)]
@@ -229,8 +224,8 @@ mod tests {
         write_frame(&mut buf, b"abc").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut r = io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"abc");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap().as_slice(), b"abc");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap().as_slice(), b"");
         assert!(read_frame(&mut r).unwrap().is_none());
     }
 

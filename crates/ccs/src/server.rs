@@ -32,16 +32,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Per-connection in-flight request bound: a connection's reader stops
+/// pulling frames off the socket while this many of its requests are
+/// unanswered (TCP then pushes back on the client).
+const MAX_INFLIGHT: usize = 32;
+
 /// Tuning knobs for a [`CcsServer`].
 #[derive(Debug, Clone)]
 pub struct CcsServerConfig {
     /// Bind address; port 0 picks a free port (read it back through
     /// [`CcsServerHandle::wait_addr`]).
     pub bind: String,
-    /// Per-connection in-flight request bound: a connection's reader
-    /// stops pulling frames off the socket while this many of its
-    /// requests are unanswered (TCP then pushes back on the client).
-    pub max_inflight: usize,
     /// Server-side deadline per request; expiry produces a
     /// [`status::TIMEOUT`] reply and drops the eventual real reply.
     pub request_timeout: Duration,
@@ -51,7 +52,6 @@ impl Default for CcsServerConfig {
     fn default() -> Self {
         CcsServerConfig {
             bind: "127.0.0.1:0".to_string(),
-            max_inflight: 32,
             request_timeout: Duration::from_secs(10),
         }
     }
@@ -400,14 +400,14 @@ fn reader_loop(
             Ok(None) | Err(_) => return, // client closed / socket torn down
         };
         if shutdown.load(Ordering::Acquire) {
-            let seq = protocol::peek_seq(&body).unwrap_or(0);
+            let seq = protocol::peek_seq(body.as_slice()).unwrap_or(0);
             let _ = conn.write_reply(seq, status::SHUTDOWN, b"server shutting down");
             return;
         }
-        let req = match protocol::decode_request(&body) {
+        let req = match protocol::decode_request(body.as_slice()) {
             Some(r) => r,
             None => {
-                let seq = protocol::peek_seq(&body).unwrap_or(0);
+                let seq = protocol::peek_seq(body.as_slice()).unwrap_or(0);
                 let _ = conn.write_reply(seq, status::MALFORMED, b"unparseable request frame");
                 continue;
             }
@@ -447,7 +447,7 @@ fn reader_loop(
         // the connection's in-flight window is full.
         {
             let mut inf = conn.inflight.lock();
-            while inf.len() >= cfg.max_inflight && !shutdown.load(Ordering::Acquire) {
+            while inf.len() >= MAX_INFLIGHT && !shutdown.load(Ordering::Acquire) {
                 conn.cv.wait_for(&mut inf, Duration::from_millis(50));
             }
             if shutdown.load(Ordering::Acquire) {

@@ -46,7 +46,7 @@ pub(crate) const MAX_FRAME_BODY: usize = 64 << 20;
 const FIRST_READ: usize = 256;
 
 /// How much a payload's block grows at a time once all of its bytes have
-/// arrived and more are claimed.
+/// arrived and more are claimed (see [`read_claimed`]).
 const GROWTH: usize = 8;
 
 /// The fixed part of a frame (everything but the payload).
@@ -140,7 +140,7 @@ pub fn write_frame(w: &mut impl Write, header: FrameHeader, payload: &[u8]) -> i
 /// boundary; mid-frame EOF and oversized length prefixes are errors.
 ///
 /// The length prefix is a claim, not a reservation: the payload's block
-/// grows only with bytes received (see `read_payload`), so a peer that
+/// grows only with bytes received (see [`read_claimed`]), so a peer that
 /// announces 64 MiB and then stops costs nothing near 64 MiB.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameHeader, MsgBlock)>> {
     let mut len_buf = [0u8; 4];
@@ -159,21 +159,35 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameHeader, MsgBlock
     let mut header_buf = [0u8; FRAME_HEADER_BYTES];
     r.read_exact(&mut header_buf)?;
     let header = FrameHeader::from_bytes(&header_buf);
-    let block = read_payload(r, body - FRAME_HEADER_BYTES)?;
+    let block = read_claimed(r, body - FRAME_HEADER_BYTES)?;
     Ok(Some((header, block)))
 }
 
-/// Read a payload the frame header says is `len` bytes long into a
-/// block of at most `FIRST_READ` bytes, so a payload that fits takes one
-/// allocation of exactly its size. A longer payload's block grows
-/// `GROWTH`-fold at a time, each step only after every byte of the last
-/// has arrived.
-fn read_payload(r: &mut impl Read, len: usize) -> io::Result<MsgBlock> {
+/// Read `len` bytes that a length prefix claims, into a block that grows
+/// only with what arrives: the one bounded reader of socket frames and
+/// of CCS frames. The first block is at most `FIRST_READ` (256) bytes,
+/// so a body that fits takes one allocation of exactly its size. Each
+/// further block comes only once every byte of the last has arrived,
+/// and holds the whole claim if that is at most `GROWTH + 1` (9) times
+/// the bytes received, else `GROWTH` (8) times them. So a body a few
+/// bytes past a step — a 16 KiB message with its 8-byte header — takes
+/// no extra block.
+///
+/// **Bound.** A block is at most 256 bytes or 9 × the bytes received
+/// before it, and the blocks before it add up to less than 8/7 × those
+/// bytes. So wherever the stream ends, the blocks of one read total at
+/// most `max(256, 11 × received)` bytes, whatever the claim.
+pub fn read_claimed(r: &mut (impl Read + ?Sized), len: usize) -> io::Result<MsgBlock> {
     let mut block = MsgBlock::alloc(len.min(FIRST_READ));
     r.read_exact(block.make_mut())?;
     while block.len() < len {
         let filled = block.len();
-        let mut grown = MsgBlock::alloc(len.min(filled * GROWTH));
+        let next = if len <= filled * (GROWTH + 1) {
+            len
+        } else {
+            filled * GROWTH
+        };
+        let mut grown = MsgBlock::alloc(next);
         let buf = grown.make_mut();
         buf[..filled].copy_from_slice(block.as_slice());
         r.read_exact(&mut buf[filled..])?;
@@ -257,6 +271,74 @@ mod tests {
         buf.extend_from_slice(&[0u8; 4]);
         let err = read_frame(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A stream of `left` bytes that records the blocks a reader fills
+    /// from it: a read that follows a filled buffer starts a new block,
+    /// of the bytes received so far plus the buffer it is handed.
+    struct Recorder {
+        left: usize,
+        received: usize,
+        filled: bool,
+        blocks: Vec<usize>,
+    }
+
+    impl Recorder {
+        fn new(left: usize) -> Recorder {
+            Recorder {
+                left,
+                received: 0,
+                filled: true,
+                blocks: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Recorder {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.filled {
+                self.blocks.push(self.received + buf.len());
+            }
+            let n = buf.len().min(self.left);
+            buf[..n].fill(0xab);
+            (self.left, self.received) = (self.left - n, self.received + n);
+            self.filled = n == buf.len();
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_payload_a_few_bytes_past_a_step_takes_no_extra_block() {
+        // A 16 KiB Converse message is a 16,392-byte frame payload: the
+        // message and its 8-byte header.
+        let blocks_of = |len: usize| {
+            let before = pool::stats().takes();
+            let mut r = Recorder::new(len);
+            let block = read_claimed(&mut r, len).unwrap();
+            assert_eq!(block.len(), len);
+            assert_eq!(pool::stats().takes() - before, r.blocks.len() as u64);
+            r.blocks
+        };
+        assert_eq!(blocks_of(16_384), [256, 2048, 16_384]);
+        assert_eq!(blocks_of(16_392), [256, 2048, 16_392]);
+        assert_eq!(blocks_of(2056), [256, 2056]);
+        assert_eq!(blocks_of(FIRST_READ), [FIRST_READ]);
+    }
+
+    #[test]
+    fn a_truncated_claim_allocates_within_the_bound() {
+        for received in [0, 1, 255, 256, 257, 2304, 2305, 16_392, 150_001, 1 << 20] {
+            let mut r = Recorder::new(received);
+            let err = read_claimed(&mut r, MAX_FRAME_BODY).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            assert_eq!(r.received, received);
+            let total: usize = r.blocks.iter().sum();
+            assert!(
+                total <= FIRST_READ.max(11 * received),
+                "{received} bytes of a {MAX_FRAME_BODY}-byte claim: blocks {:?}",
+                r.blocks
+            );
+        }
     }
 
     #[test]

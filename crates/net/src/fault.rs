@@ -11,10 +11,9 @@
 //! runs **regardless of thread interleaving**: one seed = one
 //! replayable adversarial schedule.
 //!
-//! The plan also configures the reliability sublayer that masks the
-//! faults ([`crate::link`], the only caller of the draws below): base
-//! retransmit timeout, backoff cap, and the pump tick that drives
-//! delayed release and retransmission.
+//! A plan says only what goes wrong. How the faults are masked, and on
+//! what timers, is the link protocol's own business ([`crate::link`],
+//! the only caller of the draws below).
 
 use std::time::Duration;
 
@@ -30,8 +29,9 @@ pub struct LinkFaults {
     /// Probability a surviving copy is delayed instead of delivered
     /// immediately.
     pub delay: f64,
-    /// Upper bound, in pump ticks ("slots"), on how long a delayed copy
-    /// is held. `0` disables delay regardless of `delay`.
+    /// Upper bound, in the link protocol's pump ticks ("slots"), on how
+    /// long a delayed copy is held. `0` disables delay regardless of
+    /// `delay`.
     pub max_delay_slots: usize,
 }
 
@@ -65,8 +65,8 @@ pub struct StallWindow {
     pub to: Option<Duration>,
 }
 
-/// A complete seeded adversarial schedule plus the reliability tuning
-/// that masks it. One plan + one seed = one reproducible run.
+/// A complete seeded adversarial schedule. One plan + one seed = one
+/// reproducible run.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Master seed; every per-link decision stream derives from it.
@@ -78,27 +78,17 @@ pub struct FaultPlan {
     pub links: Vec<(usize, usize, LinkFaults)>,
     /// Scripted stall/crash windows.
     pub stalls: Vec<StallWindow>,
-    /// Base retransmit timeout for the first retry.
-    pub rto: Duration,
-    /// Cap on the exponential retransmit backoff.
-    pub rto_cap: Duration,
-    /// Pump interval: one "slot" of delivery delay, and the cadence at
-    /// which retransmissions and delayed releases are driven.
-    pub tick: Duration,
 }
 
 impl FaultPlan {
-    /// A clean plan (no faults, no stalls) with default reliability
-    /// tuning; compose with the builder methods.
+    /// A clean plan (no faults, no stalls); compose with the builder
+    /// methods.
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
             faults: LinkFaults::NONE,
             links: Vec::new(),
             stalls: Vec::new(),
-            rto: Duration::from_micros(800),
-            rto_cap: Duration::from_millis(20),
-            tick: Duration::from_micros(300),
         }
     }
 
@@ -129,19 +119,6 @@ impl FaultPlan {
     /// recovers (until the machine closes).
     pub fn crash(mut self, pe: usize, from: Duration) -> FaultPlan {
         self.stalls.push(StallWindow { pe, from, to: None });
-        self
-    }
-
-    /// Set the retransmit timing (base timeout and backoff cap).
-    pub fn retransmit(mut self, rto: Duration, rto_cap: Duration) -> FaultPlan {
-        self.rto = rto;
-        self.rto_cap = rto_cap;
-        self
-    }
-
-    /// Set the pump tick (delay-slot width and retry cadence).
-    pub fn tick(mut self, tick: Duration) -> FaultPlan {
-        self.tick = tick;
         self
     }
 
@@ -184,8 +161,6 @@ impl FaultPlan {
                 w.pe
             );
         }
-        assert!(!self.tick.is_zero(), "FaultPlan: tick must be non-zero");
-        assert!(!self.rto.is_zero(), "FaultPlan: rto must be non-zero");
     }
 }
 

@@ -44,7 +44,7 @@ pub use transport::{CmiTransport, PolledSource};
 
 use converse_msg::MsgBlock;
 use converse_trace::{Event, FaultKind, TraceSink};
-use link::{pump_sleep, reorder_draw, FaultCounters, Receiver, Sender, WireCopy};
+use link::{pump_sleep, reorder_draw, FaultCounters, Receiver, Sender, WireCopy, TICK};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -361,6 +361,10 @@ pub struct Interconnect {
     /// splice→first-run.
     steal_marks: Vec<AtomicU64>,
     epoch: Instant,
+    /// Unit tests only: once set, the link protocol's clock stands still
+    /// at this instant, so no timer fires and no delayed copy comes due.
+    #[cfg(test)]
+    frozen: OnceLock<Instant>,
     /// Set once at shutdown so blocked receivers wake and observe it.
     closed: AtomicBool,
     /// Every `Interconnect` lives in the `Arc` its constructor returned;
@@ -416,19 +420,21 @@ impl Interconnect {
             has_stalls: AtomicBool::new(has_stalls),
             steal_marks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             epoch: Instant::now(),
+            #[cfg(test)]
+            frozen: OnceLock::new(),
             closed: AtomicBool::new(false),
         });
-        if let Some(tick) = plan.map(|p| p.tick) {
+        if plan.is_some() {
             let weak = net.me.clone();
             std::thread::Builder::new()
                 .name("net-fault-pump".into())
                 .spawn(move || {
                     let mut wire = Vec::new();
-                    let mut due = None;
+                    let mut nap = TICK;
                     loop {
-                        std::thread::sleep(pump_sleep(tick, due, Instant::now()));
+                        std::thread::sleep(nap);
                         let Some(net) = weak.upgrade() else { return };
-                        due = net.pump_tick(&mut wire);
+                        let due = net.pump_tick(&mut wire);
                         if net.is_closed() {
                             // One more sweep with `closed` observed:
                             // flushes every remaining limbo copy so late
@@ -437,6 +443,7 @@ impl Interconnect {
                             net.pump_tick(&mut wire);
                             return;
                         }
+                        nap = pump_sleep(due, net.now());
                     }
                 })
                 .expect("spawn net-fault-pump");
@@ -463,6 +470,17 @@ impl Interconnect {
         self.me
             .upgrade()
             .expect("an Interconnect is alive while it is borrowed")
+    }
+
+    /// The link protocol's clock: the time, unless a unit test has
+    /// stopped it.
+    #[inline]
+    fn now(&self) -> Instant {
+        #[cfg(test)]
+        if let Some(&at) = self.frozen.get() {
+            return at;
+        }
+        Instant::now()
     }
 
     fn trace_fault(&self, pe: usize, kind: FaultKind, src: usize, dst: usize, seq: u64) {
@@ -570,7 +588,7 @@ impl Interconnect {
     /// copy it puts on the wire to the receiver half.
     fn transmit_faulty(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock) {
         let mut link = self.links[src * self.num_pes() + dst].lock();
-        let (now, closed) = (Instant::now(), self.is_closed());
+        let (now, closed) = (self.now(), self.is_closed());
         let sent = link
             .tx
             .send(now, closed, channel, &block, &self.fstats, |kind, seq| {
@@ -647,7 +665,7 @@ impl Interconnect {
     /// `wire` is the pump thread's scratch buffer; the return value is
     /// the earliest deadline any link still waits for.
     fn pump_tick(&self, wire: &mut Vec<WireCopy>) -> Option<Instant> {
-        let now = Instant::now();
+        let now = self.now();
         let closed = self.is_closed();
         let n = self.boxes.len();
         let mut due: Option<Instant> = None;
@@ -1552,7 +1570,7 @@ mod tests {
     fn pump_thread_delivery_wakes_a_parked_receiver() {
         // Every copy is delayed into limbo, so the only thread that ever
         // inserts into PE 1's mailbox is the fault pump.
-        let plan = fast_plan(11).faults(LinkFaults {
+        let plan = FaultPlan::new(11).faults(LinkFaults {
             drop: 0.0,
             dup: 0.0,
             delay: 1.0,
@@ -1574,13 +1592,6 @@ mod tests {
 
     // ---- fault plane + reliability sublayer ---------------------------
 
-    /// A plan with timing tight enough for unit tests.
-    fn fast_plan(seed: u64) -> FaultPlan {
-        FaultPlan::new(seed)
-            .retransmit(Duration::from_micros(500), Duration::from_millis(5))
-            .tick(Duration::from_micros(200))
-    }
-
     fn chaos_net(plan: FaultPlan, n: usize) -> Arc<Interconnect> {
         Interconnect::with_config(n, DeliveryMode::Fifo, Some(plan), None)
     }
@@ -1598,7 +1609,7 @@ mod tests {
 
     #[test]
     fn lossy_link_still_delivers_exactly_once_in_order() {
-        let plan = fast_plan(0xBAD5EED).faults(LinkFaults {
+        let plan = FaultPlan::new(0xBAD5EED).faults(LinkFaults {
             drop: 0.5,
             dup: 0.3,
             delay: 0.5,
@@ -1635,7 +1646,7 @@ mod tests {
 
     #[test]
     fn clean_plan_is_invisible_but_counts_transmissions() {
-        let net = chaos_net(fast_plan(1), 2);
+        let net = chaos_net(FaultPlan::new(1), 2);
         for i in 0..50u8 {
             net.send(0, 1, vec![i]);
         }
@@ -1652,7 +1663,7 @@ mod tests {
     fn delayed_packets_surface_in_order_after_pump() {
         // Every packet delayed: nothing is immediately receivable, but
         // the pump releases limbo copies and order still holds.
-        let plan = fast_plan(3).faults(LinkFaults {
+        let plan = FaultPlan::new(3).faults(LinkFaults {
             drop: 0.0,
             dup: 0.0,
             delay: 1.0,
@@ -1680,7 +1691,7 @@ mod tests {
         // full per-PE sequence is deterministic.
         let run = |seed: u64| {
             let sink = converse_trace::MemorySink::new(2, 4096);
-            let plan = fast_plan(seed).faults(LinkFaults {
+            let plan = FaultPlan::new(seed).faults(LinkFaults {
                 drop: 0.0,
                 dup: 0.5,
                 delay: 0.0,
@@ -1711,14 +1722,15 @@ mod tests {
     #[test]
     fn decision_streams_are_pinned() {
         // Recorded on the commit before the link protocol was extracted
-        // (two copies of the sublayer, this one in `Interconnect`): with
-        // timers of an hour nothing is retransmitted or released, so the
-        // counters and the delivered seqs are the seed's draws and the
-        // per-guarantee buffering rules, nothing else. One number moved
-        // with a rule the two copies disagreed on: an acked seq now
-        // leaves limbo (the wire's rule), so the 92 delayed twins of
-        // already-delivered latest-value-wins values are retired by
-        // their ack and no longer count as superseded (2879 before).
+        // (two copies of the sublayer, this one in `Interconnect`): on a
+        // clock that stands still no timer fires and nothing is released
+        // from limbo, so the counters and the delivered seqs are the
+        // seed's draws and the per-guarantee buffering rules, nothing
+        // else. One number moved with a rule the two copies disagreed
+        // on: an acked seq now leaves limbo (the wire's rule), so the 92
+        // delayed twins of already-delivered latest-value-wins values
+        // are retired by their ack and no longer count as superseded
+        // (2879 before).
         //
         // The exactly-once row was re-pinned once more, with ack-clocked
         // recovery (PR 22): a dropped seq is resent on the third ack for
@@ -1726,7 +1738,7 @@ mod tests {
         // longer 0 and every resend is a further draw (10468 / 975 /
         // 468 / 933 / 390 before). What is delivered did not move: the
         // plan delays the only copy of seq 2, a copy in limbo is not
-        // presumed lost, and the hour-long tick never releases it. The
+        // presumed lost, and the stopped clock never releases it. The
         // other two rows are as recorded: at-most-once has no acks,
         // latest-value-wins nothing unacked below the seq an ack answers.
         // (channel, transmissions, dropped, duplicated, delayed,
@@ -1770,14 +1782,11 @@ mod tests {
                 0x81159299533388ae,
             ),
         ];
-        let hour = Duration::from_secs(3600);
         for (channel, tx, dropped, duplicated, delayed, resent, dedup, superseded, count, hash) in
             pinned
         {
-            let plan = FaultPlan::lossy(1996, 0.10, 0.05, 0.10, 2)
-                .retransmit(hour, hour)
-                .tick(hour);
-            let net = chaos_net(plan, 2);
+            let net = chaos_net(FaultPlan::lossy(1996, 0.10, 0.05, 0.10, 2), 2);
+            net.frozen.set(Instant::now()).unwrap();
             let mut seqs: Vec<u64> = Vec::new();
             let mut out = Vec::new();
             for i in 0..10_000u32 {
@@ -1846,7 +1855,7 @@ mod tests {
 
     #[test]
     fn crash_window_never_recovers_but_close_overrides() {
-        let plan = fast_plan(5).crash(0, Duration::ZERO);
+        let plan = FaultPlan::new(5).crash(0, Duration::ZERO);
         let net = chaos_net(plan, 1);
         net.send(0, 0, vec![1]);
         assert!(net.stalled(0));
@@ -1867,7 +1876,7 @@ mod tests {
         // Reliability reassembles per-link sequence; reorder mode then
         // scrambles mailbox order on purpose. Exactly-once must still
         // hold: every payload surfaces once.
-        let plan = fast_plan(9).faults(LinkFaults {
+        let plan = FaultPlan::new(9).faults(LinkFaults {
             drop: 0.3,
             dup: 0.2,
             delay: 0.3,
@@ -1910,7 +1919,7 @@ mod tests {
 
     #[test]
     fn at_most_once_never_duplicates_never_retransmits() {
-        let plan = fast_plan(0xA0).faults(LinkFaults {
+        let plan = FaultPlan::new(0xA0).faults(LinkFaults {
             drop: 0.3,
             dup: 0.5,
             delay: 0.3,
@@ -1950,7 +1959,7 @@ mod tests {
 
     #[test]
     fn latest_value_wins_converges_to_final_value() {
-        let plan = fast_plan(0x1A7E57).faults(LinkFaults {
+        let plan = FaultPlan::new(0x1A7E57).faults(LinkFaults {
             drop: 0.4,
             dup: 0.2,
             delay: 0.4,
@@ -2014,7 +2023,7 @@ mod tests {
         // A clean plan sequences every channel independently from 1 and
         // stays invisible; the default channel keeps its exact contract
         // next to AMO traffic on the same link.
-        let net = chaos_net(fast_plan(2), 2);
+        let net = chaos_net(FaultPlan::new(2), 2);
         for i in 0..10u8 {
             net.send(0, 1, vec![i]);
             net.send_on(0, 1, vec![100 + i], AMO);

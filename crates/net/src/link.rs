@@ -41,8 +41,12 @@
 //! link `src → rank` for every arrival, its wire being reliable and
 //! FIFO per pair of ranks. The driver's pump thread calls
 //! [`Sender::tick`] and sleeps until the deadline it returned, one
-//! [`FaultPlan::tick`] at most (`pump_sleep`), and makes one last pass
-//! once the machine is closed, releasing what limbo still holds.
+//! `TICK` at most (`pump_sleep`), and makes one last pass once the
+//! machine is closed, releasing what limbo still holds.
+//!
+//! The recovery timing (`RTO`, `RTO_CAP`, `TICK`) is the protocol's
+//! own and the same under every plan: a plan says what goes wrong, not
+//! how it is recovered from.
 
 use crate::fault::{
     link_draw, unit, FaultPlan, FaultStats, LinkFaults, SALT_DELAY, SALT_DELAY_SLOTS, SALT_DROP,
@@ -172,6 +176,15 @@ impl<T> Chans<T> {
     }
 }
 
+/// The first retransmit timeout of a seq.
+const RTO: Duration = Duration::from_micros(800);
+
+/// The cap on a seq's exponential retransmit backoff.
+const RTO_CAP: Duration = Duration::from_millis(20);
+
+/// One slot of fault-plane delay, and the longest a pump sleeps.
+pub(crate) const TICK: Duration = Duration::from_micros(300);
+
 /// Acks for later-sent seqs after which an unacknowledged seq is
 /// presumed lost and resent without waiting for its timer (the classic
 /// fast-retransmit threshold: fewer would resend on mere reordering).
@@ -227,16 +240,12 @@ impl TxChan {
     }
 }
 
-/// The faulty wire of one link and the timers that mask it, resolved
-/// from the plan once.
+/// The faulty wire of one link, resolved from the plan once.
 struct Wire {
     seed: u64,
     src: usize,
     dst: usize,
     faults: LinkFaults,
-    rto: Duration,
-    rto_cap: Duration,
-    tick: Duration,
 }
 
 impl Wire {
@@ -288,7 +297,7 @@ impl Wire {
                 limbo.push(Limbo {
                     seq,
                     block: block.share(),
-                    due: now + self.tick * slots as u32,
+                    due: now + TICK * slots as u32,
                 });
             } else {
                 now_copies += 1;
@@ -315,8 +324,8 @@ impl Wire {
         out: &mut Vec<WireCopy>,
     ) {
         inf.attempt += 1;
-        let backoff = self.rto * (1u32 << (inf.attempt - 1).min(10));
-        inf.due = now + backoff.min(self.rto_cap);
+        let backoff = RTO * (1u32 << (inf.attempt - 1).min(10));
+        inf.due = now + backoff.min(RTO_CAP);
         inf.mark = next_seq;
         inf.later_acks = 0;
         count(&stats.retransmitted, 1);
@@ -345,11 +354,11 @@ impl Wire {
 }
 
 /// How long a pump sleeps after a [`Sender::tick`] that returned `due`:
-/// until that deadline, one `tick` at most. Every deadline is created
-/// at least one `tick` ahead of its insertion, so a pump that never
+/// until that deadline, one `TICK` at most. Every deadline is created
+/// at least one `TICK` ahead of its insertion, so a pump that never
 /// sleeps longer finds it in time without being signalled.
-pub(crate) fn pump_sleep(tick: Duration, due: Option<Instant>, now: Instant) -> Duration {
-    due.map_or(tick, |d| d.saturating_duration_since(now).min(tick))
+pub(crate) fn pump_sleep(due: Option<Instant>, now: Instant) -> Duration {
+    due.map_or(TICK, |d| d.saturating_duration_since(now).min(TICK))
 }
 
 /// The sending half of one directed link. It exists only under a
@@ -368,9 +377,6 @@ impl Sender {
                 src,
                 dst,
                 faults: plan.faults_for(src, dst),
-                rto: plan.rto,
-                rto_cap: plan.rto_cap,
-                tick: plan.tick,
             },
             chans: Chans::new(TxChan::new(Channel::DEFAULT)),
         }
@@ -422,7 +428,7 @@ impl Sender {
                 InFlight {
                     block: block.share(),
                     attempt: 1,
-                    due: now + wire.rto,
+                    due: now + RTO,
                     mark: chan.next_seq,
                     later_acks: 0,
                     in_limbo: (chan.limbo.len() - held) as u32,
@@ -741,7 +747,7 @@ mod tests {
         assert_eq!(ack(&mut tx, now, 0, 1, 1, &stats), []);
         assert!(tx.is_idle());
         let mut out = Vec::new();
-        let due = tx.tick(now + plan.rto_cap, false, &stats, |_, _| {}, &mut out);
+        let due = tx.tick(now + RTO_CAP, false, &stats, |_, _| {}, &mut out);
         assert!(out.is_empty(), "nothing left to release or retransmit");
         assert_eq!(due, None, "and nothing to wait for");
         // An ack for a channel that never sent materializes nothing.
@@ -770,26 +776,30 @@ mod tests {
 
     #[test]
     fn backoff_doubles_up_to_the_cap() {
-        let plan = FaultPlan::new(1).retransmit(Duration::from_millis(1), Duration::from_millis(5));
+        // The cap binds from the sixth attempt on.
+        assert!(RTO * 16 < RTO_CAP && RTO_CAP < RTO * 32);
         let stats = FaultCounters::default();
-        let mut tx = Sender::new(0, 1, &plan);
+        let mut tx = Sender::new(0, 1, &FaultPlan::new(1));
         let t0 = Instant::now();
         tx.send(t0, false, EO, &block(1), &stats, |_, _| {});
         let mut out = Vec::new();
         let mut now = t0;
         let mut gaps = Vec::new();
-        for _ in 0..5 {
-            // Step in 1 ms slices until the next retransmission.
+        for _ in 0..7 {
+            // Step in 100 µs slices (both timers are whole multiples)
+            // until the next retransmission.
             let from = now;
             while out.is_empty() {
-                now += Duration::from_millis(1);
+                now += Duration::from_micros(100);
                 tx.tick(now, false, &stats, |_, _| {}, &mut out);
             }
             out.clear();
-            gaps.push((now - from).as_millis());
+            gaps.push(now - from);
         }
-        assert_eq!(gaps, [1, 2, 4, 5, 5]);
-        assert_eq!(stats.snapshot().retransmitted, 5);
+        let doubled = [1, 2, 4, 8, 16].map(|k| RTO * k);
+        assert_eq!(gaps[..5], doubled);
+        assert_eq!(gaps[5..], [RTO_CAP, RTO_CAP]);
+        assert_eq!(stats.snapshot().retransmitted, 7);
     }
 
     // ---- ack-clocked recovery, on the fake clock ------------------------
@@ -804,13 +814,12 @@ mod tests {
 
     /// A drop-only sender whose seed makes the plan drop exactly the
     /// listed `(seq, attempt)`s among attempts 1–3 of seqs 1–8.
-    fn sender_dropping(lost: &[(u64, u32)]) -> (Sender, FaultPlan) {
+    fn sender_dropping(lost: &[(u64, u32)]) -> Sender {
         let fits = |seed: &u64| {
             (1..=8).all(|seq| (1..=3).all(|a| drops(*seed, seq, a) == lost.contains(&(seq, a))))
         };
         let seed = (0..u64::MAX).find(fits).expect("a seed with these draws");
-        let plan = FaultPlan::lossy(seed, DROP, 0.0, 0.0, 0);
-        (Sender::new(0, 1, &plan), plan)
+        Sender::new(0, 1, &FaultPlan::lossy(seed, DROP, 0.0, 0.0, 0))
     }
 
     /// Send seqs `from..=to`; every copy that crosses arrives at once
@@ -839,7 +848,7 @@ mod tests {
 
     #[test]
     fn a_dropped_seq_is_resent_on_the_third_later_ack_not_the_second() {
-        let (mut tx, _) = sender_dropping(&[(1, 1)]);
+        let mut tx = sender_dropping(&[(1, 1)]);
         let (mut rx, stats) = (Receiver::default(), FaultCounters::default());
         let now = Instant::now();
         let acks = send_range(&mut tx, &mut rx, now, 1..=4, &stats);
@@ -858,7 +867,7 @@ mod tests {
 
     #[test]
     fn a_resend_dropped_again_is_re_armed_by_later_sends_only() {
-        let (mut tx, _) = sender_dropping(&[(1, 1), (1, 2)]);
+        let mut tx = sender_dropping(&[(1, 1), (1, 2)]);
         let (mut rx, stats) = (Receiver::default(), FaultCounters::default());
         let now = Instant::now();
         let old = send_range(&mut tx, &mut rx, now, 1..=4, &stats);
@@ -882,18 +891,18 @@ mod tests {
 
     #[test]
     fn tail_loss_waits_for_its_timer() {
-        let (mut tx, plan) = sender_dropping(&[(1, 1)]);
+        let mut tx = sender_dropping(&[(1, 1)]);
         let (mut rx, stats) = (Receiver::default(), FaultCounters::default());
         let t0 = Instant::now();
         for a in send_range(&mut tx, &mut rx, t0, 1..=3, &stats) {
             assert_eq!(feed(&mut tx, t0, a, &stats), [], "two later acks only");
         }
         let mut out = Vec::new();
-        let early = t0 + plan.rto - Duration::from_micros(1);
+        let early = t0 + RTO - Duration::from_micros(1);
         let due = tx.tick(early, false, &stats, |_, _| {}, &mut out);
         assert!(out.is_empty());
-        assert_eq!(due, Some(t0 + plan.rto));
-        tx.tick(t0 + plan.rto, false, &stats, |_, _| {}, &mut out);
+        assert_eq!(due, Some(t0 + RTO));
+        tx.tick(t0 + RTO, false, &stats, |_, _| {}, &mut out);
         assert_eq!(out.iter().map(|c| c.seq).collect::<Vec<_>>(), [1]);
     }
 
@@ -916,20 +925,16 @@ mod tests {
         // The release is seq 1's latest transmission: acks for seqs sent
         // before it (all of the above) still do not count, …
         let mut out = Vec::new();
-        let due = tx.tick(t0 + plan.tick, false, &stats, |_, _| {}, &mut out);
+        let due = tx.tick(t0 + TICK, false, &stats, |_, _| {}, &mut out);
         assert_eq!(out.iter().map(|c| c.seq).collect::<Vec<_>>(), [1]);
-        assert_eq!(
-            due,
-            Some(t0 + plan.rto),
-            "limbo is empty, the timer is left"
-        );
+        assert_eq!(due, Some(t0 + RTO), "limbo is empty, the timer is left");
         for a in &acks {
-            assert_eq!(feed(&mut tx, t0 + plan.tick, *a, &stats), []);
+            assert_eq!(feed(&mut tx, t0 + TICK, *a, &stats), []);
         }
         assert_eq!(stats.snapshot().retransmitted, 0);
         // … and once it arrives nothing is left to recover.
         let a = arrive(&mut rx, EO, 1, &stats).1.unwrap();
-        assert_eq!(feed(&mut tx, t0 + plan.tick, a, &stats), []);
+        assert_eq!(feed(&mut tx, t0 + TICK, a, &stats), []);
         assert!(tx.is_idle());
     }
 
@@ -944,8 +949,8 @@ mod tests {
         assert_eq!(tx.tick(t0, false, &stats, |_, _| {}, &mut out), None);
         tx.send(t0, false, EO, &block(1), &stats, |_, _| {});
         let slots = 1 + link_draw(5, 0, 1, 1, 1, SALT_DELAY_SLOTS) % 2;
-        let release = t0 + plan.tick * slots as u32;
-        assert!(release < t0 + plan.rto, "the limbo copy is due first");
+        let release = t0 + TICK * slots as u32;
+        assert!(release < t0 + RTO, "the limbo copy is due first");
         assert_eq!(
             tx.tick(t0, false, &stats, |_, _| {}, &mut out),
             Some(release)
@@ -953,15 +958,14 @@ mod tests {
         assert!(out.is_empty());
         let due = tx.tick(release, false, &stats, |_, _| {}, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(due, Some(t0 + plan.rto));
+        assert_eq!(due, Some(t0 + RTO));
         assert_eq!(ack(&mut tx, release, 0, 1, 2, &stats), []);
         assert_eq!(tx.tick(release, false, &stats, |_, _| {}, &mut out), None);
 
-        let tick = plan.tick;
-        assert_eq!(pump_sleep(tick, None, t0), tick);
-        assert_eq!(pump_sleep(tick, Some(t0 + tick * 2), t0), tick);
-        assert_eq!(pump_sleep(tick, Some(t0 + tick / 3), t0), tick / 3);
-        assert_eq!(pump_sleep(tick, Some(t0), t0 + tick), Duration::ZERO);
+        assert_eq!(pump_sleep(None, t0), TICK);
+        assert_eq!(pump_sleep(Some(t0 + TICK * 2), t0), TICK);
+        assert_eq!(pump_sleep(Some(t0 + TICK / 3), t0), TICK / 3);
+        assert_eq!(pump_sleep(Some(t0), t0 + TICK), Duration::ZERO);
     }
 
     #[test]

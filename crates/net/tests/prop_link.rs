@@ -69,11 +69,12 @@ fn arb_script() -> impl Strategy<Value = Vec<Op>> {
 }
 
 fn plan(seed: u64, faults: LinkFaults) -> FaultPlan {
-    FaultPlan::new(seed)
-        .faults(faults)
-        .retransmit(Duration::from_micros(500), Duration::from_millis(4))
-        .tick(Duration::from_micros(200))
+    FaultPlan::new(seed).faults(faults)
 }
+
+/// How far [`World::settle`] moves the clock per round: longer than any
+/// retransmit backoff, so every timer comes due each round.
+const SETTLE_ROUND: Duration = Duration::from_secs(1);
 
 const LOSSY: LinkFaults = LinkFaults {
     drop: 0.3,
@@ -89,7 +90,6 @@ struct World {
     rx: Receiver,
     stats: FaultCounters,
     now: Instant,
-    rto_cap: Duration,
     /// Per channel: copies on the wire, `(seq, block)`.
     wire: Vec<Vec<(u64, MsgBlock)>>,
     /// Per channel: acks on their way back.
@@ -111,7 +111,6 @@ impl World {
             rx: Receiver::default(),
             stats: FaultCounters::default(),
             now: Instant::now(),
-            rto_cap: plan.rto_cap,
             wire: vec![Vec::new(); k],
             acks: vec![Vec::new(); k],
             sent: vec![0; k],
@@ -253,7 +252,7 @@ impl World {
     }
 
     /// The adversary relents: everything on the wire and every ack gets
-    /// through, time passes a full backoff cap per round. True once the
+    /// through, time passes a [`SETTLE_ROUND`] per round. True once the
     /// sender is idle and nothing is in transit.
     fn settle(&mut self) -> bool {
         for _ in 0..400 {
@@ -268,7 +267,7 @@ impl World {
             if self.tx.is_idle() {
                 return true;
             }
-            self.now += self.rto_cap;
+            self.now += SETTLE_ROUND;
             self.tick();
         }
         false

@@ -1,6 +1,6 @@
 //! Property tests for the simulated interconnect and its link protocol.
 
-use converse_net::{CmiTransport, DeliveryMode, FaultPlan, Interconnect, LinkFaults};
+use converse_net::{CmiTransport, DeliveryMode, FaultPlan, Interconnect};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -195,15 +195,7 @@ proptest! {
         fwd in 0usize..40,
         rev in 0usize..40,
     ) {
-        let plan = FaultPlan::new(seed)
-            .faults(LinkFaults {
-                drop: drop_pct as f64 / 100.0,
-                dup: dup_pct as f64 / 100.0,
-                delay: delay_pct as f64 / 100.0,
-                max_delay_slots: slots,
-            })
-            .retransmit(Duration::from_micros(400), Duration::from_millis(4))
-            .tick(Duration::from_micros(150));
+        let plan = FaultPlan::lossy(seed, drop_pct as f64 / 100.0, dup_pct as f64 / 100.0, delay_pct as f64 / 100.0, slots);
         let net = Interconnect::with_config(2, DeliveryMode::Fifo, Some(plan), None);
         for i in 0..fwd {
             net.send(0, 1, (i as u64).to_le_bytes().to_vec());
@@ -249,15 +241,7 @@ proptest! {
         count in 1usize..50,
         bound in 1usize..17,
     ) {
-        let plan = FaultPlan::new(seed)
-            .faults(LinkFaults {
-                drop: drop_pct as f64 / 100.0,
-                dup: dup_pct as f64 / 100.0,
-                delay: delay_pct as f64 / 100.0,
-                max_delay_slots: slots,
-            })
-            .retransmit(Duration::from_micros(400), Duration::from_millis(4))
-            .tick(Duration::from_micros(150));
+        let plan = FaultPlan::lossy(seed, drop_pct as f64 / 100.0, dup_pct as f64 / 100.0, delay_pct as f64 / 100.0, slots);
         // Two senders fan into PE 2, so batches interleave two links.
         let net = Interconnect::with_config(3, DeliveryMode::Fifo, Some(plan), None);
         for i in 0..count {

@@ -1005,20 +1005,12 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Both layers, in canonical matrix order.
-    pub const ALL: [Layer; 2] = [Layer::Charm, Layer::Tsm];
-
     /// Stable label for tables and JSON.
     pub fn label(self) -> &'static str {
         match self {
             Layer::Charm => "charm",
             Layer::Tsm => "tsm",
         }
-    }
-
-    /// Parse a CLI spelling.
-    pub fn parse(s: &str) -> Option<Layer> {
-        Layer::ALL.iter().copied().find(|l| l.label() == s)
     }
 
     /// Run `graph` on this layer (see the layer's function docs).

@@ -64,7 +64,7 @@ impl Pattern {
         Pattern::Random,
     ];
 
-    /// Stable label used in CLI flags, bench tables and JSON.
+    /// Stable label used in bench tables and JSON.
     pub fn label(self) -> &'static str {
         match self {
             Pattern::Trivial => "trivial",
@@ -73,11 +73,6 @@ impl Pattern {
             Pattern::Butterfly => "butterfly",
             Pattern::Random => "random",
         }
-    }
-
-    /// Parse a CLI spelling of a pattern label.
-    pub fn parse(s: &str) -> Option<Pattern> {
-        Pattern::ALL.iter().copied().find(|p| p.label() == s)
     }
 
     fn tag(self) -> u8 {

@@ -3,7 +3,7 @@
 //! is current, so edges a wedged run left in flight must not be taken
 //! for the next run's.
 
-use converse_machine::{run_with, Delivery, FaultPlan, LinkFaults, MachineConfig};
+use converse_machine::{run_with, Delivery, FaultPlan, MachineConfig};
 use converse_taskbench::exec::{assert_machine_valid, run_graph_charm, run_graph_raw, RunOpts};
 use converse_taskbench::{GraphSpec, Pattern, TaskGraph};
 use std::sync::Arc;
@@ -20,15 +20,7 @@ fn a_run_after_one_that_gave_up_validates() {
             width: 8,
             steps: 5,
         }));
-        let plan = FaultPlan::new(seed)
-            .faults(LinkFaults {
-                drop: 0.2,
-                dup: 0.1,
-                delay: 0.3,
-                max_delay_slots: 3,
-            })
-            .retransmit(Duration::from_micros(600), Duration::from_millis(8))
-            .tick(Duration::from_micros(250));
+        let plan = FaultPlan::lossy(seed, 0.2, 0.1, 0.3, 3);
         let cfg = MachineConfig::new(PES)
             .channel("amo", Delivery::AtMostOnce)
             .faults(plan);

@@ -18,7 +18,7 @@
 //! run while it is still in this one, and their edges reach it early: it
 //! holds them until it enters their run.
 
-use converse_machine::{run_with, FaultPlan, LinkFaults, MachineConfig, Pe, Transport};
+use converse_machine::{run_with, FaultPlan, MachineConfig, Pe, Transport};
 use converse_taskbench::exec::{
     assert_machine_valid, run_graph_charm, run_graph_raw, run_graph_tsm, PeSummary, RunOpts,
 };
@@ -111,15 +111,7 @@ fn raw_and_charm_runs_send_their_edges_only_and_tsm_two_barriers_more() {
 /// The exactly-once fault mix of the chaos suite: drops, duplicates and
 /// delays, repaired by the reliability sublayer.
 fn lossy_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .faults(LinkFaults {
-            drop: 0.2,
-            dup: 0.1,
-            delay: 0.3,
-            max_delay_slots: 3,
-        })
-        .retransmit(Duration::from_micros(600), Duration::from_millis(8))
-        .tick(Duration::from_micros(250))
+    FaultPlan::lossy(seed, 0.2, 0.1, 0.3, 3)
 }
 
 /// raw → Charm → tSM → Charm → raw with no collective between the runs,

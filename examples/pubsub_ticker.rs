@@ -23,7 +23,7 @@
 //! [`STREAM`]: converse::ccs::status::STREAM
 
 use converse::ccs::{self, pubsub, CcsClient, CcsRegistry, CcsServer, CcsServerConfig};
-use converse::machine::{Delivery, FaultPlan, LinkFaults};
+use converse::machine::{Delivery, FaultPlan};
 use converse::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,15 +94,7 @@ fn main() {
     });
 
     // Lossy wire, so the chosen guarantee shows its character.
-    let plan = FaultPlan::new(7)
-        .faults(LinkFaults {
-            drop: 0.2,
-            dup: 0.0,
-            delay: 0.0,
-            max_delay_slots: 0,
-        })
-        .retransmit(Duration::from_micros(600), Duration::from_millis(8))
-        .tick(Duration::from_micros(250));
+    let plan = FaultPlan::lossy(7, 0.2, 0.0, 0.0, 0);
 
     let stop = Arc::new(AtomicBool::new(false));
     let report = converse::core::run_with(

@@ -10,7 +10,7 @@
 use converse::ccs::{self, CcsClient, CcsError, CcsRegistry, CcsServer, CcsServerConfig};
 use converse::charm::{Chare, ChareId, Charm, MigratableChare};
 use converse::ldb::LdbPolicy;
-use converse::machine::{DeliveryMode, FaultPlan, LinkFaults};
+use converse::machine::{DeliveryMode, FaultPlan};
 use converse::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,18 +25,9 @@ fn chaos_seed() -> u64 {
 }
 
 /// The canonical lossy mix: 20% drop, 10% duplication, 30% of copies
-/// delayed up to 3 slots — the acceptance-criteria plan, with timing
-/// tight enough for tests.
+/// delayed up to 3 slots — the acceptance-criteria plan.
 fn lossy_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .faults(LinkFaults {
-            drop: 0.2,
-            dup: 0.1,
-            delay: 0.3,
-            max_delay_slots: 3,
-        })
-        .retransmit(Duration::from_micros(600), Duration::from_millis(8))
-        .tick(Duration::from_micros(250))
+    FaultPlan::lossy(seed, 0.2, 0.1, 0.3, 3)
 }
 
 /// Collectives — reduce up-wave, broadcast down-wave, barriers — must
@@ -313,15 +304,7 @@ fn soak_is_exactly_once_within_three_transmissions_a_message() {
     // 4 × 3 × 834 = 10,008 tagged messages, plus the barriers'.
     const PER_LINK: u64 = 834;
     let seed = chaos_seed();
-    let plan = FaultPlan::new(seed)
-        .faults(LinkFaults {
-            drop: 0.2,
-            dup: 0.1,
-            delay: 0.3,
-            max_delay_slots: 4,
-        })
-        .retransmit(Duration::from_micros(600), Duration::from_millis(8))
-        .tick(Duration::from_micros(250));
+    let plan = FaultPlan::lossy(seed, 0.2, 0.1, 0.3, 4);
     let tag = |src: u64, dst: u64, k: u64| src * 1_000_000 + dst * 10_000 + k;
     let delivered = Arc::new(AtomicU64::new(0));
     let checksum = Arc::new(AtomicU64::new(0));

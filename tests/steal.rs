@@ -19,9 +19,7 @@
 
 use converse::core::{csd_exit_scheduler, csd_scheduler, Quiescence};
 use converse::ldb::{Ldb, LdbPolicy};
-use converse::machine::{
-    run_with, FaultPlan, HandlerId, LinkFaults, MachineConfig, Message, Transport,
-};
+use converse::machine::{run_with, FaultPlan, HandlerId, MachineConfig, Message, Transport};
 use converse::msg::Priority;
 use converse::taskbench::exec::{assert_machine_valid, run_graph_raw, RunOpts};
 use converse::taskbench::{GraphSpec, Pattern, TaskGraph};
@@ -57,15 +55,7 @@ fn steal_opts(grain_ns: u64) -> RunOpts {
 
 /// The chaos suite's canonical lossy mix.
 fn lossy_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .faults(LinkFaults {
-            drop: 0.2,
-            dup: 0.0,
-            delay: 0.3,
-            max_delay_slots: 3,
-        })
-        .retransmit(Duration::from_micros(600), Duration::from_millis(8))
-        .tick(Duration::from_micros(250))
+    FaultPlan::lossy(seed, 0.2, 0.0, 0.3, 3)
 }
 
 /// A steal-enabled machine must actually steal under a manufactured

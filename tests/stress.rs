@@ -339,11 +339,13 @@ fn scheduler_ping_pong_parks_every_trip() {
     });
 }
 
-/// And on every transport: the wire transports deliver into the same
-/// mailbox from their reader threads, so the doorbell is rung from
-/// outside the PE threads there. A tenth of the trips: each rank of a
-/// wire run is a re-execution of this binary that first replays the
-/// earlier iterations in-process.
+/// And on every transport. On `socket` a reader thread delivers into
+/// the same mailbox, so the doorbell is rung from outside the PE
+/// threads; on `shmring` no reader thread exists: the PE parks on its
+/// rings' doorbell and its own sweep moves what arrived into the
+/// mailbox. A tenth of the trips: each rank of a wire run is a
+/// re-execution of this binary that first replays the earlier
+/// iterations in-process.
 #[test]
 fn scheduler_ping_pong_parks_every_trip_on_each_transport() {
     for &t in converse::machine::Transport::each() {

@@ -9,7 +9,7 @@
 //!   *asserted to fail* validation — pinning that the guarantee
 //!   distinction is real, not a label.
 
-use converse::machine::{Delivery, FaultPlan, LinkFaults, MachineConfig};
+use converse::machine::{Delivery, FaultPlan, MachineConfig};
 use converse::prelude::*;
 use converse::taskbench::exec::{assert_machine_valid, run_graph_raw, RunOpts};
 use converse::taskbench::{GraphSpec, Pattern, TaskGraph};
@@ -19,15 +19,7 @@ use std::time::Duration;
 const PES: usize = 4;
 
 fn lossy_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .faults(LinkFaults {
-            drop: 0.2,
-            dup: 0.0,
-            delay: 0.3,
-            max_delay_slots: 3,
-        })
-        .retransmit(Duration::from_micros(600), Duration::from_millis(8))
-        .tick(Duration::from_micros(250))
+    FaultPlan::lossy(seed, 0.2, 0.0, 0.3, 3)
 }
 
 fn butterfly(seed: u64) -> Arc<TaskGraph> {

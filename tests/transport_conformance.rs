@@ -43,15 +43,7 @@ where
 /// The canonical lossy mix from the chaos suite, with retransmit
 /// timing tight enough for tests.
 fn lossy_plan(seed: u64) -> converse::machine::FaultPlan {
-    converse::machine::FaultPlan::new(seed)
-        .faults(converse::machine::LinkFaults {
-            drop: 0.2,
-            dup: 0.1,
-            delay: 0.3,
-            max_delay_slots: 3,
-        })
-        .retransmit(Duration::from_micros(600), Duration::from_millis(8))
-        .tick(Duration::from_micros(250))
+    converse::machine::FaultPlan::lossy(seed, 0.2, 0.1, 0.3, 3)
 }
 
 /// A message-driven token ring: each PE sends one exact value to its
