@@ -2,45 +2,17 @@
 //! announces a large body and then stops must not make the reader
 //! allocate what it announced.
 //!
-//! Its own test binary because it installs a counting global allocator.
-//! Only the test thread's allocations are counted, so the fake server's
-//! thread and the harness do not disturb the figure.
+//! Its own test binary because it installs the census's counting global
+//! allocator. Only the test thread's bytes are read, so the fake
+//! server's thread and the harness do not disturb the figure.
 
 use converse_ccs::{CcsClient, CcsError};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use parking_lot::census;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 
-struct Counting;
-
-thread_local! {
-    /// Bytes this thread has requested since counting began; `None`
-    /// while it is not counting.
-    static COUNTED: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-fn count(size: usize) {
-    // `try_with`: the allocator also runs while thread-locals are torn
-    // down, when there is nothing left to count.
-    let _ = COUNTED.try_with(|c| c.set(c.get().map(|n| n + size)));
-}
-
-/// Only `alloc` is overridden: the default `alloc_zeroed` and `realloc`
-/// go through it, so every byte requested is counted.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: census::Counting = census::Counting;
 
 /// The largest frame body the protocol admits (`protocol::MAX_FRAME`).
 const MAX_FRAME: u32 = 1024 * 1024;
@@ -65,9 +37,9 @@ fn a_truncated_frame_fails_without_allocating_its_claim() {
     // Everything is in the client's socket buffer before the count starts.
     server.join().unwrap();
 
-    COUNTED.with(|c| c.set(Some(0)));
+    let before = census::alloc_bytes();
     let res = c.wait(ticket);
-    let bytes = COUNTED.with(Cell::take).unwrap();
+    let bytes = census::alloc_bytes() - before;
 
     assert!(
         matches!(res, Err(CcsError::Io(_))),

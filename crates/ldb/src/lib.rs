@@ -9,7 +9,7 @@
 //!
 //! A *seed* is any [`Message`]: when it finally "takes root" the module
 //! enqueues it on that PE's scheduler queue (honouring its priority), so
-//! its handler runs there. Six strategies are provided behind one
+//! its handler runs there. Five strategies are provided behind one
 //! interface ([`LdbPolicy`]):
 //!
 //! * [`LdbPolicy::Direct`] — root where deposited; the zero-overhead
@@ -22,8 +22,6 @@
 //!   piggybacked on the seed traffic.
 //! * [`LdbPolicy::Central`] — a manager on PE 0 assigns every seed to
 //!   the least-loaded PE it knows of (load reports flow to the manager).
-//! * [`LdbPolicy::TwoChoices`] — power-of-two-choices over gossiped
-//!   loads.
 //! * [`LdbPolicy::Measured`] — measurement-based: every seed goes to
 //!   the PE with the smallest live backlog (mailbox + run queue).
 //!
@@ -65,24 +63,15 @@ pub enum LdbPolicy {
     /// All seeds go to the PE-0 manager, which assigns each to the
     /// least-loaded PE it knows of.
     Central,
-    /// Power-of-two-choices: probe two random PEs' last-known loads and
-    /// send the seed to the apparently lighter one. Loads are learned
-    /// from piggybacked reports, so the view is stale but cheap — the
-    /// classic randomized balancing trade-off.
-    TwoChoices {
-        /// Per-machine RNG seed.
-        seed: u64,
-    },
     /// Measurement-based placement: every seed goes to the PE with the
     /// smallest live *backlog* (mailbox depth + published run-queue
     /// depth, [`converse_machine::PeLoad::backlog`]). On shared-memory
     /// transports the snapshot is read directly; on distributed
     /// transports, where remote loads are not observable, the balancer
-    /// falls back to gossiped load reports (broadcast every 4th
-    /// balancer event, `LOAD_REPORT_PERIOD`, like
-    /// [`LdbPolicy::TwoChoices`]). Seeds are marked stealable, so
-    /// placement mistakes remain correctable by idle-PE work stealing
-    /// mid-run.
+    /// falls back to gossiped load reports, broadcast to every PE every
+    /// 4th balancer event (`LOAD_REPORT_PERIOD`). Seeds are marked
+    /// stealable, so placement mistakes remain correctable by idle-PE
+    /// work stealing mid-run.
     Measured,
 }
 
@@ -100,7 +89,7 @@ pub struct LdbStats {
 /// What the balancer keeps per PE; only the PE's running context
 /// touches it.
 struct State {
-    /// Latest gossiped load reports (Spray, TwoChoices, Measured).
+    /// Latest gossiped load reports (Spray, Measured).
     neighbor_loads: HashMap<usize, usize>,
     /// Manager's view of per-PE load (Central; meaningful on PE 0).
     central_loads: Vec<usize>,
@@ -187,7 +176,7 @@ impl Ldb {
             0x51ED_BA5E
                 ^ ((pe.my_pe() as u64) << 17)
                 ^ match policy {
-                    LdbPolicy::Random { seed } | LdbPolicy::TwoChoices { seed } => seed,
+                    LdbPolicy::Random { seed } => seed,
                     _ => 0,
                 },
         );
@@ -236,15 +225,6 @@ impl Ldb {
             LdbPolicy::Direct => pe.my_pe(),
             LdbPolicy::Random { .. } => self.state(pe, |s| s.rng.random_range(0..n)),
             LdbPolicy::Spray { .. } => return self.arrive(pe, seed, 0),
-            LdbPolicy::TwoChoices { .. } => self.state(pe, |s| {
-                let (a, b) = (s.rng.random_range(0..n), s.rng.random_range(0..n));
-                let load = |p| s.neighbor_loads.get(&p).copied().unwrap_or(0);
-                if load(a) <= load(b) {
-                    a
-                } else {
-                    b
-                }
-            }),
             LdbPolicy::Central if n == 1 => pe.my_pe(),
             LdbPolicy::Central => {
                 let head = StackPacker::<4>::new().len_prefix(seed.len());
@@ -389,11 +369,6 @@ impl Ldb {
             }
             LdbPolicy::Central if pe.my_pe() != 0 => {
                 pe.sync_send_and_free(0, Message::new(self.load_h, payload));
-            }
-            LdbPolicy::TwoChoices { .. } => {
-                // Cheap gossip: everyone learns everyone's load now and
-                // then; staleness is part of the strategy's bargain.
-                pe.sync_broadcast(&Message::new(self.load_h, payload));
             }
             // Measured needs gossip only where live snapshots of remote
             // PEs are unavailable (distributed transports).

@@ -103,14 +103,6 @@ fn central_single_pe_machine() {
 }
 
 #[test]
-fn two_choices_spreads_and_conserves() {
-    let got = placement(4, LdbPolicy::TwoChoices { seed: 3 }, 64);
-    assert_eq!(got.iter().sum::<u64>(), 64);
-    let nonzero = got.iter().filter(|c| **c > 0).count();
-    assert!(nonzero >= 2, "two-choices should spread: {got:?}");
-}
-
-#[test]
 fn random_is_deterministic_per_seed() {
     let a = placement(4, LdbPolicy::Random { seed: 123 }, 32);
     let b = placement(4, LdbPolicy::Random { seed: 123 }, 32);

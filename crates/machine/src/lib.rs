@@ -52,8 +52,6 @@ pub use converse_net::{
 };
 pub use exo::{ExoReply, ExoToken, MachineHandle, MachineService};
 pub use mmi::Stop;
-#[cfg(debug_assertions)]
-pub use owner::cell_census;
 pub use owner::{Owner, OwnerCell, Pinned};
 pub use pe::{Handler, Pe};
 pub use run::{

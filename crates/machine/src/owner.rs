@@ -45,8 +45,8 @@
 //! rather than dropped anywhere else.
 //!
 //! In builds with `debug_assertions` every opening of a cell is counted
-//! in a thread-local, read with [`cell_census`] — the twin of the
-//! `parking_lot` shim's `lock_census`: tests pin the openings an
+//! per thread in the `parking_lot` shim's `census`, beside its lock
+//! acquisitions (`census::openings`): tests pin the openings an
 //! operation costs with it. Release builds contain none of it.
 
 use std::cell::{Cell, UnsafeCell};
@@ -57,18 +57,6 @@ thread_local! {
     /// This thread's key, 0 until first asked for. Const-initialized
     /// and without a destructor, so reading it is one load.
     static THREAD_KEY: Cell<u64> = const { Cell::new(0) };
-}
-
-#[cfg(debug_assertions)]
-thread_local! {
-    static OPENINGS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// How many [`OwnerCell`] openings the calling thread has made so far.
-/// Exists in builds with `debug_assertions` only.
-#[cfg(debug_assertions)]
-pub fn cell_census() -> u64 {
-    OPENINGS.with(Cell::get)
 }
 
 /// Source of thread keys and owner ids; 0 is never handed out, and a
@@ -221,7 +209,7 @@ impl<T> OwnerCell<T> {
         self.borrowed.set(true);
         let _open = Borrow(&self.borrowed);
         #[cfg(debug_assertions)]
-        OPENINGS.with(|n| n.set(n.get() + 1));
+        parking_lot::census::note_opening();
         // SAFETY: the calling thread holds the token of this cell's
         // owner (checked above; see the `Sync` impl for why that makes
         // it the only thread here), and `borrowed` was clear, so no
@@ -346,10 +334,10 @@ mod tests {
     fn census_counts_this_threads_openings() {
         let owner = Owner::new();
         let (a, b) = (OwnerCell::new(&owner, 0u32), OwnerCell::new(&owner, 0u32));
-        let before = cell_census();
+        let before = parking_lot::census::openings();
         a.with(&owner, |x| b.with(&owner, |y| *x += *y));
         a.with(&owner, |x| *x += 1);
-        assert_eq!(cell_census() - before, 3);
+        assert_eq!(parking_lot::census::openings() - before, 3);
     }
 
     #[test]

@@ -396,7 +396,9 @@ where
             // Map the inherited memfd (validating the header) and close
             // the descriptor: the mapping alone keeps the region alive.
             match ShmRegion::adopt(fd, w.npes) {
-                Ok(region) => Some(ShmPlane::new(Arc::new(region), w.rank, cfg.idle_spin)),
+                // The plane's spin is `poll_loop`'s, which no PE runs: a
+                // PE spins in `Interconnect::wait_nonempty` alone.
+                Ok(region) => Some(ShmPlane::new(Arc::new(region), w.rank, 0)),
                 Err(e) => {
                     eprintln!("converse worker rank {}: map shm ring region: {e}", w.rank);
                     std::process::exit(EXIT_CONNECT_FAILED);

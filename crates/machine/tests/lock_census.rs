@@ -23,6 +23,7 @@
 use converse_machine::{run, run_with, Delivery, DeliveryMode, MachineConfig, Message, Stop};
 use converse_msg::Priority;
 use converse_queue::QueueingMode;
+use parking_lot::census;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,9 +50,9 @@ fn a_loopback_message_takes_no_lock_pair() {
             assert_eq!(pe.schedule(Stop::After(2), || false), 2);
         };
         (0..WARM).for_each(op);
-        let before = parking_lot::lock_census();
+        let before = census::locks();
         (WARM..WARM + OPS).for_each(op);
-        let locks = parking_lot::lock_census() - before;
+        let locks = census::locks() - before;
         assert_eq!(consumed.load(Ordering::Relaxed), WARM + OPS);
         println!(
             "lock pairs per loopback op: {:.3}",
@@ -109,9 +110,9 @@ fn peer_ping(cfg: MachineConfig, channel: Option<&'static str>, what: &'static s
             assert_eq!(pe.deliver_msgs(Some(1)), 1);
         };
         (0..WARM).for_each(op);
-        let before = parking_lot::lock_census();
+        let before = census::locks();
         (WARM..WARM + OPS).for_each(op);
-        let locks = parking_lot::lock_census() - before;
+        let locks = census::locks() - before;
         assert_eq!(answers.load(Ordering::Relaxed), WARM + OPS);
         println!("lock pairs per {what} op: {:.3}", locks as f64 / OPS as f64);
         assert_eq!(

@@ -1,65 +1,18 @@
 //! The steady-state message path makes no allocator call, and leaks
 //! nothing.
 //!
-//! This binary installs a counting `#[global_allocator]`. Allocator
-//! calls count only on the test's own thread (the harness's thread
-//! allocates while a test runs); bytes count on every thread, for the
-//! leak check across threads.
+//! This binary installs the census's counting `#[global_allocator]`.
+//! Allocator calls are read on the test's own thread (the harness's
+//! thread allocates while a test runs); live bytes over every thread,
+//! for the leak check across threads.
 
 use converse_msg::{BitVecPrio, HandlerId, Message, Priority};
 use converse_queue::{CsdQueue, QueueingMode, SchedulingQueue};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::census;
 use std::thread;
 
-struct Counting;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static FREED: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Set on the threads whose allocator calls count: the test's own,
-    /// never the harness thread, which allocates on its own schedule.
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// One allocator call, if this thread's calls count. The flag is a
-/// `const` thread-local without a destructor: reading it allocates
-/// nothing and works during thread teardown.
-fn count_call() {
-    if COUNTED.try_with(Cell::get).unwrap_or(false) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every request is forwarded unchanged to `System`; the counters
-// touch no memory the allocator hands out. `realloc` and `alloc_zeroed`
-// keep their defaults, which go through `alloc` and `dealloc` here.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract is `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count_call();
-        FREED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract is `System::dealloc`'s.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Bytes allocated and not yet freed.
-fn outstanding() -> i64 {
-    ALLOCATED.load(Ordering::Relaxed) as i64 - FREED.load(Ordering::Relaxed) as i64
-}
+static GLOBAL: census::Counting = census::Counting;
 
 /// `n` trips of one message: made, shared, retargeted (a copy-on-write
 /// into a second pooled chunk while the share lives), queued, dequeued,
@@ -108,7 +61,6 @@ fn churn(kinds: &[(Priority, QueueingMode)]) -> Vec<Message> {
 
 #[test]
 fn message_path_is_allocation_free_and_leak_free() {
-    COUNTED.set(true);
     let n = if cfg!(miri) { 200 } else { 10_000 };
     let kinds = kinds();
 
@@ -118,11 +70,11 @@ fn message_path_is_allocation_free_and_leak_free() {
     for (prio, mode) in &kinds {
         trips(&mut q, prio, *mode, 64);
     }
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = census::allocs();
     for (prio, mode) in &kinds {
         trips(&mut q, prio, *mode, n);
     }
-    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let calls = census::allocs() - before;
     assert_eq!(calls, 0, "{calls} allocator calls in {} trips", 3 * n);
 
     // Leaks: threads make messages, recycle them, pass some to another
@@ -130,7 +82,7 @@ fn message_path_is_allocation_free_and_leak_free() {
     // all are joined every byte they allocated is freed again. The first
     // round absorbs what the runtime allocates once per process.
     for round in 0..2 {
-        let base = outstanding();
+        let base = census::process_live_bytes();
         {
             let makers: Vec<_> = (0..4)
                 .map(|_| {
@@ -149,7 +101,7 @@ fn message_path_is_allocation_free_and_leak_free() {
         }
         if round == 1 {
             assert_eq!(
-                outstanding(),
+                census::process_live_bytes(),
                 base,
                 "bytes allocated by the threads and not freed"
             );

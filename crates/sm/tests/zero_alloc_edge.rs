@@ -7,58 +7,20 @@
 //! threads, each with a message pool of its own, and a chunk freed by
 //! one is not there for the other to take.)
 //!
-//! This binary installs a counting `#[global_allocator]`; allocator
-//! calls count only on the PE's thread, where the whole edge runs (the
-//! harness's thread allocates while a test runs).
+//! This binary installs the census's counting `#[global_allocator]`;
+//! allocator calls are read on the PE's thread, where the whole edge
+//! runs (the harness's thread allocates while a test runs).
 
 use converse_core::csd_scheduler;
 use converse_machine::MachineConfig;
 use converse_sm::{tsm, Sm};
 use converse_threads::CthBackend;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use parking_lot::census;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-struct Counting;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Set on the threads whose allocator calls count: the test's own,
-    /// never the harness thread, which allocates on its own schedule.
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// One allocator call, if this thread's calls count. The flag is a
-/// `const` thread-local without a destructor: reading it allocates
-/// nothing and works during thread teardown.
-fn count_call() {
-    if COUNTED.try_with(Cell::get).unwrap_or(false) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every request is forwarded unchanged to `System`; the counter
-// touches no memory the allocator hands out. `realloc` and
-// `alloc_zeroed` keep their defaults, which go through `alloc` and
-// `dealloc` here.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
-        // SAFETY: the caller's contract is `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count_call();
-        // SAFETY: the caller's contract is `System::dealloc`'s.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: census::Counting = census::Counting;
 
 #[test]
 fn a_tsm_edge_to_a_blocked_receiver_allocates_nothing() {
@@ -67,7 +29,6 @@ fn a_tsm_edge_to_a_blocked_receiver_allocates_nothing() {
     }
     let cfg = MachineConfig::new(1).thread_backend(CthBackend::Fiber.to_config());
     converse_machine::run_with(cfg, |pe| {
-        COUNTED.set(true);
         Sm::install(pe);
         let received = Arc::new(AtomicU64::new(0));
         let r = received.clone();
@@ -83,9 +44,9 @@ fn a_tsm_edge_to_a_blocked_receiver_allocates_nothing() {
         };
         (0..100).for_each(|_| edge());
         const EDGES: u64 = 1_000;
-        let before = CALLS.load(Ordering::Relaxed);
+        let before = census::allocs();
         (0..EDGES).for_each(|_| edge());
-        let calls = CALLS.load(Ordering::Relaxed) - before;
+        let calls = census::allocs() - before;
         assert_eq!(received.load(Ordering::Relaxed), (100 + EDGES) * 16);
         assert_eq!(calls, 0, "allocator calls over {EDGES} tSM edges");
     });

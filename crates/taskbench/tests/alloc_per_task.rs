@@ -1,8 +1,8 @@
 //! What a task costs the allocator above the message layer, and that a
 //! finished run leaves nothing behind.
 //!
-//! This binary installs a counting `#[global_allocator]` and counts on
-//! every thread: on the hand-off backend each tSM task runs on an OS
+//! This binary installs the census's counting `#[global_allocator]` and
+//! reads its process-wide counts: on the hand-off backend each tSM task runs on an OS
 //! thread of its own, and what that thread allocates is the task's cost.
 //! It has no libtest harness (`harness = false`), whose thread would
 //! allocate while the test counts; its `main` runs the one check.
@@ -12,42 +12,11 @@ use converse_msg::{pool, MsgBlock};
 use converse_taskbench::exec::{assert_machine_valid, run_graph_raw, Layer, PeSummary, RunOpts};
 use converse_taskbench::{GraphSpec, Pattern, TaskGraph};
 use converse_threads::{cth_create, cth_resume, cth_suspend, CthBackend, CthRuntime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::census;
 use std::sync::Arc;
 
-struct Counting;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static FREED: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every request is forwarded unchanged to `System`; the counters
-// touch no memory the allocator hands out. `realloc` and `alloc_zeroed`
-// keep their defaults, which go through `alloc` and `dealloc` here.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract is `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        FREED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract is `System::dealloc`'s.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Bytes allocated and not yet freed.
-fn live_bytes() -> i64 {
-    ALLOCATED.load(Ordering::Relaxed) as i64 - FREED.load(Ordering::Relaxed) as i64
-}
+static GLOBAL: census::Counting = census::Counting;
 
 /// Fill this PE's message pool to its cap and its thread-context pool
 /// to `threads` contexts. A free chunk joins the list of whichever PE
@@ -56,7 +25,7 @@ fn live_bytes() -> i64 {
 /// program: no run here has more than `threads` alive), but where they
 /// stand after a run depends on the schedule, and between them that is
 /// megabytes. Holding as much as a pool can retain and letting it all
-/// go leaves the pool exactly full, so two samples of `live_bytes`
+/// go leaves the pool exactly full, so two samples of the live bytes
 /// taken after this differ by what the runs in between left behind —
 /// growth *inside* a pool, past its documented bound, included.
 fn fill_pools(pe: &Pe, threads: usize) {
@@ -131,7 +100,7 @@ fn calls_per_task(pe: &Pe, engine: Engine, graphs: &[Arc<TaskGraph>], runs: u64)
         assert_machine_valid(pe, g, &summary, opts.payload_bytes);
     }
     pe.barrier();
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = census::process_allocs();
     pe.barrier();
     for _ in 0..runs {
         for g in graphs {
@@ -140,7 +109,7 @@ fn calls_per_task(pe: &Pe, engine: Engine, graphs: &[Arc<TaskGraph>], runs: u64)
         }
     }
     pe.barrier();
-    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let calls = census::process_allocs() - before;
     pe.barrier();
     let tasks: usize = graphs.iter().map(|g| g.num_tasks()).sum();
     calls as f64 / (runs * tasks as u64) as f64
@@ -156,9 +125,9 @@ fn bytes_per_run(pe: &Pe, engine: Engine, g: &Arc<TaskGraph>, payload_bytes: usi
         ..RunOpts::default()
     };
     fill_pools(pe, 0);
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = census::process_alloc_bytes();
     let summary = engine.run(pe, g, &opts);
-    let bytes = ALLOCATED.load(Ordering::Relaxed) - before;
+    let bytes = census::process_alloc_bytes() - before;
     assert_machine_valid(pe, g, &summary, payload_bytes);
     bytes
 }
@@ -240,7 +209,7 @@ fn a_task_makes_few_allocator_calls_and_a_run_leaves_nothing() {
             if run == 100 || run == 1000 {
                 fill_pools(pe, most_threads);
                 pe.barrier();
-                let now = (pe.num_handlers(), live_bytes());
+                let now = (pe.num_handlers(), census::process_live_bytes());
                 pe.barrier();
                 if run == 100 {
                     at_100 = now;

@@ -24,6 +24,7 @@ use converse_machine::{MachineConfig, Pe};
 use converse_taskbench::exec::{assert_machine_valid, run_graph_raw, Layer, PeSummary, RunOpts};
 use converse_taskbench::{GraphSpec, Pattern, TaskGraph};
 use converse_threads::CthBackend;
+use parking_lot::census;
 use std::sync::Arc;
 
 /// Lock pairs per task and dependency edges per task of `runs` runs of
@@ -37,12 +38,12 @@ fn pairs_per_task(
     let opts = RunOpts::default();
     let summary = run(pe, g, &opts);
     assert_machine_valid(pe, g, &summary, opts.payload_bytes);
-    let before = parking_lot::lock_census();
+    let before = census::locks();
     for _ in 0..runs {
         let summary = run(pe, g, &opts);
         assert!(summary.violations.is_empty() && !summary.gave_up);
     }
-    let pairs = (parking_lot::lock_census() - before) as f64;
+    let pairs = (census::locks() - before) as f64;
     let tasks = (0..g.num_tasks() as u32).map(|s| g.task_of_serial(s));
     let edges: usize = tasks.map(|id| g.deps(id).len()).sum();
     let per_task = |n: f64| n / g.num_tasks() as f64;

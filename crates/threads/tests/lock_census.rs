@@ -17,30 +17,31 @@
 //! took 6 and a lifecycle 5: a thread's `state` mutex on every visit, and
 //! once more when the registry was swept.)
 //!
-//! What it does cost is **openings of that cell**, counted the same way
-//! by `converse_machine::cell_census`: four a wake (awaken, the resume
+//! What it does cost is **openings of that cell**, counted by the same
+//! census (`parking_lot::census::openings`): four a wake (awaken, the resume
 //! handler, the thread's side of the suspend, the drive loop after the
 //! yield) and five a lifecycle.
 #![cfg(debug_assertions)]
 
 use converse_core::csd::{csd_enqueue, csd_scheduler};
-use converse_machine::{cell_census, MachineConfig, Message, Pe};
+use converse_machine::{MachineConfig, Message, Pe};
 use converse_msg::Priority;
 use converse_threads::{
     cth_awaken, cth_create, cth_suspend, set_csd_strategy, CthBackend, CthRuntime,
 };
+use parking_lot::census;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What `census` counts per `op` — lock pairs (`parking_lot::lock_census`)
-/// or owner-cell openings (`converse_machine::cell_census`) — over 1 000
-/// of them, after 100 to warm up.
-fn per_op(what: &str, census: fn() -> u64, op: impl Fn(u64)) -> f64 {
+/// What `count` counts per `op` — lock pairs (`census::locks`) or
+/// owner-cell openings (`census::openings`) — over 1 000 of them, after
+/// 100 to warm up.
+fn per_op(what: &str, count: fn() -> u64, op: impl Fn(u64)) -> f64 {
     (0..100).for_each(&op);
     const OPS: u64 = 1_000;
-    let before = census();
+    let before = count();
     (100..100 + OPS).for_each(&op);
-    let counted = (census() - before) as f64 / OPS as f64;
+    let counted = (count() - before) as f64 / OPS as f64;
     println!("{what}: {counted:.3}");
     counted
 }
@@ -65,15 +66,11 @@ fn a_thread_wake_adds_no_lock_pair_on_the_fiber_backend() {
         });
         set_csd_strategy(pe, &consumer, Priority::None);
         let awaken = pe.register_handler(move |pe, _| cth_awaken(pe, &consumer));
-        let pairs = per_op(
-            "lock pairs per thread-wake op",
-            parking_lot::lock_census,
-            |i| {
-                pe.sync_send_and_free(0, Message::new(awaken, &i.to_le_bytes()));
-                // The message to its handler, then the ready-entry it left.
-                assert_eq!(csd_scheduler(pe, 2), 2);
-            },
-        );
+        let pairs = per_op("lock pairs per thread-wake op", census::locks, |i| {
+            pe.sync_send_and_free(0, Message::new(awaken, &i.to_le_bytes()));
+            // The message to its handler, then the ready-entry it left.
+            assert_eq!(csd_scheduler(pe, 2), 2);
+        });
         assert_eq!(consumed.load(Ordering::Relaxed), 1_100);
         assert_eq!(pairs, 0.0, "lock pairs per wake");
     });
@@ -83,15 +80,11 @@ fn a_thread_wake_adds_no_lock_pair_on_the_fiber_backend() {
 fn a_thread_lifecycle_takes_no_lock_pair_on_the_fiber_backend() {
     on_the_fiber_backend(|pe| {
         let rt = CthRuntime::get(pe);
-        let pairs = per_op(
-            "lock pairs per thread lifecycle",
-            parking_lot::lock_census,
-            |_| {
-                let t = rt.spawn_scheduled(pe, |_pe| {});
-                assert_eq!(csd_scheduler(pe, 1), 1);
-                assert!(t.is_exited());
-            },
-        );
+        let pairs = per_op("lock pairs per thread lifecycle", census::locks, |_| {
+            let t = rt.spawn_scheduled(pe, |_pe| {});
+            assert_eq!(csd_scheduler(pe, 1), 1);
+            assert!(t.is_exited());
+        });
         assert!(pairs <= 0.0, "{pairs} lock pairs per thread lifecycle");
     });
 }
@@ -117,12 +110,12 @@ fn a_thread_wake_opens_the_table_four_times() {
         };
         let with = per_op(
             "cell openings per thread-wake op",
-            cell_census,
+            census::openings,
             two_messages(awaken),
         );
         let without = per_op(
             "cell openings per the same op without a thread",
-            cell_census,
+            census::openings,
             two_messages(enqueue),
         );
         assert_eq!(with - without, 4.0, "openings a wake adds");
@@ -134,14 +127,22 @@ fn a_thread_lifecycle_opens_the_table_five_times() {
     on_the_fiber_backend(|pe| {
         let rt = CthRuntime::get(pe);
         let noop = pe.register_handler(|_, _| {});
-        let with = per_op("cell openings per thread lifecycle", cell_census, |_| {
-            rt.spawn_scheduled(pe, |_pe| {});
-            assert_eq!(csd_scheduler(pe, 1), 1);
-        });
-        let without = per_op("cell openings per scheduled message", cell_census, |_| {
-            csd_enqueue(pe, Message::new(noop, b""));
-            assert_eq!(csd_scheduler(pe, 1), 1);
-        });
+        let with = per_op(
+            "cell openings per thread lifecycle",
+            census::openings,
+            |_| {
+                rt.spawn_scheduled(pe, |_pe| {});
+                assert_eq!(csd_scheduler(pe, 1), 1);
+            },
+        );
+        let without = per_op(
+            "cell openings per scheduled message",
+            census::openings,
+            |_| {
+                csd_enqueue(pe, Message::new(noop, b""));
+                assert_eq!(csd_scheduler(pe, 1), 1);
+            },
+        );
         // create, awaken, the resume handler, the fiber storing its yield
         // handle, the drive loop retiring it — and nothing per switch.
         assert_eq!(with - without, 5.0, "openings a lifecycle adds");

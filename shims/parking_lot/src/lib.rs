@@ -20,37 +20,24 @@
 //! Only the surface the workspace actually calls is provided; the locks
 //! and the parking itself are std's, not parking_lot's futex machinery.
 //!
-//! One addition parking_lot does not have: in builds with
-//! `debug_assertions`, every [`Mutex`] / [`RwLock`] acquisition is
-//! counted in a thread-local, read with [`lock_census`]. Tests pin the
-//! number of lock pairs a message costs with it, the way a counting
-//! allocator pins allocations. Release builds contain none of it.
+//! One addition parking_lot does not have: the [`census`] module, the
+//! one place where a count that a test pins is kept — in builds with
+//! `debug_assertions` every [`Mutex`] / [`RwLock`] acquisition and every
+//! owner-cell opening, per thread ([`census::locks`],
+//! [`census::openings`]), and, in a test binary that installs
+//! [`census::Counting`] as its global allocator, allocator calls and
+//! bytes per thread and per process. Tests pin the lock pairs a message
+//! costs, the openings a thread wake costs and the allocator calls an
+//! edge or a task costs with it. Release builds count no lock and no
+//! opening.
 
+pub mod census;
+
+use census::note_acquisition;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-#[cfg(debug_assertions)]
-thread_local! {
-    static ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Count one acquisition by the calling thread (debug builds only).
-#[inline(always)]
-fn note_acquisition() {
-    #[cfg(debug_assertions)]
-    ACQUISITIONS.with(|c| c.set(c.get() + 1));
-}
-
-/// Lock acquisitions ([`Mutex::lock`], a successful
-/// [`Mutex::try_lock`], [`RwLock::read`], [`RwLock::write`]) the calling
-/// thread has made so far. Exists in builds with `debug_assertions`
-/// only.
-#[cfg(debug_assertions)]
-pub fn lock_census() -> u64 {
-    ACQUISITIONS.with(|c| c.get())
-}
 
 /// A mutual-exclusion primitive (non-poisoning `std::sync::Mutex`).
 #[derive(Default)]
@@ -325,7 +312,7 @@ mod tests {
     fn census_counts_this_threads_acquisitions() {
         let m = Mutex::new(0);
         let l = RwLock::new(0);
-        let before = lock_census();
+        let before = census::locks();
         *m.lock() += 1;
         let held = m.lock();
         assert!(m.try_lock().is_none(), "contended try_lock is not counted");
@@ -337,7 +324,7 @@ mod tests {
             s.spawn(|| *m.lock() += 1);
         });
         assert_eq!(
-            lock_census() - before,
+            census::locks() - before,
             5,
             "another thread's lock is its own"
         );
