@@ -215,6 +215,7 @@ impl Charm {
     /// [`Charm::send_group`] with the concatenation of `parts` as the
     /// payload: a caller with its own header in front of its data hands
     /// both over and neither is copied before the message is built.
+    #[inline]
     pub fn send_group_parts(
         &self,
         pe: &Pe,

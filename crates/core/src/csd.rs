@@ -51,12 +51,14 @@ pub fn csd_enqueue(pe: &Pe, msg: Message) {
 
 /// Enqueue under an explicit queueing mode (`CsdEnqueueGeneral`); the
 /// `Prio*` modes order by the priority embedded in the message.
+#[inline]
 pub fn csd_enqueue_general(pe: &Pe, msg: Message, mode: QueueingMode) {
     pe.queue_enqueue(msg, mode);
 }
 
 /// Enqueue a message by priority (FIFO tie-break) — the common
 /// prioritized case. A convenience over [`csd_enqueue_general`].
+#[inline]
 pub fn csd_enqueue_prio(pe: &Pe, msg: Message) {
     let mode = if msg.has_priority() {
         QueueingMode::PrioFifo

@@ -110,12 +110,14 @@ impl Quiescence {
     }
 
     /// Count `n` messages as created (sent). Call at every counted send.
+    #[inline]
     pub fn msg_created(&self, pe: &Pe, n: u64) {
         self.state(pe, |s| s.created += n);
     }
 
     /// Count `n` messages as processed. Call when a counted message's
     /// handler completes.
+    #[inline]
     pub fn msg_processed(&self, pe: &Pe, n: u64) {
         self.state(pe, |s| s.processed += n);
     }

@@ -123,6 +123,15 @@ unsafe extern "C" {
     fn munmap(addr: *mut u8, len: usize) -> CInt;
 }
 
+// Under AddressSanitizer (built with `--cfg converse_asan` beside
+// `-Zsanitizer=address`) a stack a context runs again still carries the
+// shadow of frames its last run left without returning, since the
+// switch is not announced to ASan; `Fiber::arm` clears it.
+#[cfg(converse_asan)]
+unsafe extern "C" {
+    fn __asan_unpoison_memory_region(addr: *const u8, size: usize);
+}
+
 /// The base page of every x86-64 unix: the unit a stack is rounded up
 /// to, and the size of its guard.
 const PAGE: usize = 4096;
@@ -419,6 +428,13 @@ impl<A> Fiber<A> {
             *regs_base.add(2) = fiber_main::<A> as extern "C" fn(*mut FiberInner<A>) -> ! as usize;
             *regs_base.add(3) = ctx as usize;
             *inner.switch.fiber_rsp.get() = regs_base as *mut u8;
+        }
+        // SAFETY: the usable pages of this context's own stack, on which
+        // nothing runs (see above); only ASan's shadow of them changes.
+        #[cfg(converse_asan)]
+        unsafe {
+            let usable = inner.stack.usable();
+            __asan_unpoison_memory_region(top.sub(usable), usable);
         }
         *inner.arg.get_mut() = Some(arg);
         inner.switch.state.set(State::Suspended);

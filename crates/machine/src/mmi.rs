@@ -72,6 +72,7 @@ impl Pe {
 
     /// Send `msg` to `dst`, consuming it (`CmiSyncSendAndFree`). The
     /// block moves to the wire outright — no copy, no refcount traffic.
+    #[inline]
     pub fn sync_send_and_free(&self, dst: usize, msg: Message) {
         self.sync_send_and_free_on(dst, Channel::DEFAULT, msg);
     }

@@ -545,6 +545,7 @@ impl Pe {
     }
 
     /// Invoke `msg`'s handler immediately (local origin).
+    #[inline]
     pub fn call_handler(&self, msg: Message) {
         self.call_handler_from(self.id, msg);
     }

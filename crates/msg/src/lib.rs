@@ -188,11 +188,13 @@ pub struct Message {
 
 impl Message {
     /// Build a message for `handler` carrying `payload`, no priority.
+    #[inline]
     pub fn new(handler: HandlerId, payload: &[u8]) -> Self {
         Self::gather(handler, &Priority::None, [payload])
     }
 
     /// Build a message with an explicit scheduling priority.
+    #[inline]
     pub fn with_priority(handler: HandlerId, prio: &Priority, payload: &[u8]) -> Self {
         Self::gather(handler, prio, [payload])
     }

@@ -153,6 +153,7 @@ pub struct StackPacker<const N: usize> {
 }
 
 impl<const N: usize> Default for StackPacker<N> {
+    #[inline]
     fn default() -> Self {
         Self::new()
     }
@@ -160,6 +161,7 @@ impl<const N: usize> Default for StackPacker<N> {
 
 impl<const N: usize> StackPacker<N> {
     /// New empty header of at most `N` bytes.
+    #[inline]
     pub fn new() -> Self {
         StackPacker {
             buf: [0; N],
@@ -168,11 +170,13 @@ impl<const N: usize> StackPacker<N> {
     }
 
     /// The bytes written so far.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.buf[..self.len]
     }
 
     /// Append raw bytes.
+    #[inline]
     pub fn raw(mut self, v: &[u8]) -> Self {
         self.buf[self.len..self.len + v.len()].copy_from_slice(v);
         self.len += v.len();
@@ -180,27 +184,32 @@ impl<const N: usize> StackPacker<N> {
     }
 
     /// Append a `u32`.
+    #[inline]
     pub fn u32(self, v: u32) -> Self {
         self.raw(&v.to_le_bytes())
     }
 
     /// Append an `i32`.
+    #[inline]
     pub fn i32(self, v: i32) -> Self {
         self.raw(&v.to_le_bytes())
     }
 
     /// Append a `u64`.
+    #[inline]
     pub fn u64(self, v: u64) -> Self {
         self.raw(&v.to_le_bytes())
     }
 
     /// Append a `usize` as `u64`, like [`Packer::usize`].
+    #[inline]
     pub fn usize(self, v: usize) -> Self {
         self.u64(v as u64)
     }
 
     /// Append the length prefix [`Packer::bytes`] writes, for `n` bytes
     /// that follow the header as gather parts of their own.
+    #[inline]
     pub fn len_prefix(self, n: usize) -> Self {
         self.u32(u32::try_from(n).expect("length-prefixed bytes fit a u32"))
     }
@@ -213,15 +222,18 @@ pub struct Unpacker<'a> {
 
 impl<'a> Unpacker<'a> {
     /// Read from `payload` (typically `msg.payload()`).
+    #[inline]
     pub fn new(payload: &'a [u8]) -> Self {
         Unpacker { buf: payload }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len()
     }
 
+    #[inline]
     fn need(&self, n: usize) -> Result<(), PackError> {
         if self.buf.len() < n {
             Err(PackError {
@@ -234,6 +246,7 @@ impl<'a> Unpacker<'a> {
     }
 
     /// Consume the next `N` bytes as a fixed-size array.
+    #[inline]
     fn take<const N: usize>(&mut self) -> Result<[u8; N], PackError> {
         self.need(N)?;
         let (head, tail) = self.buf.split_at(N);
@@ -242,41 +255,49 @@ impl<'a> Unpacker<'a> {
     }
 
     /// Read a `u8`.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, PackError> {
         Ok(u8::from_le_bytes(self.take::<1>()?))
     }
 
     /// Read a `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, PackError> {
         Ok(u32::from_le_bytes(self.take::<4>()?))
     }
 
     /// Read an `i32`.
+    #[inline]
     pub fn i32(&mut self) -> Result<i32, PackError> {
         Ok(i32::from_le_bytes(self.take::<4>()?))
     }
 
     /// Read a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, PackError> {
         Ok(u64::from_le_bytes(self.take::<8>()?))
     }
 
     /// Read an `i64`.
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, PackError> {
         Ok(i64::from_le_bytes(self.take::<8>()?))
     }
 
     /// Read an `f64`.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, PackError> {
         Ok(f64::from_le_bytes(self.take::<8>()?))
     }
 
     /// Read a `usize` written with [`Packer::usize`].
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, PackError> {
         Ok(self.u64()? as usize)
     }
 
     /// Read a length-prefixed byte slice (borrowed, zero-copy).
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], PackError> {
         let n = self.u32()? as usize;
         self.need(n)?;
@@ -286,11 +307,13 @@ impl<'a> Unpacker<'a> {
     }
 
     /// Read a length-prefixed UTF-8 string (lossy on invalid UTF-8).
+    #[inline]
     pub fn str(&mut self) -> Result<String, PackError> {
         Ok(String::from_utf8_lossy(self.bytes()?).into_owned())
     }
 
     /// Read `n` raw bytes written with [`Packer::raw`].
+    #[inline]
     pub fn raw(&mut self, n: usize) -> Result<&'a [u8], PackError> {
         self.need(n)?;
         let (head, tail) = self.buf.split_at(n);
@@ -299,6 +322,7 @@ impl<'a> Unpacker<'a> {
     }
 
     /// Consume everything that remains.
+    #[inline]
     pub fn rest(&mut self) -> &'a [u8] {
         std::mem::take(&mut self.buf)
     }

@@ -73,6 +73,7 @@ impl Tags {
 
 impl std::ops::Deref for Tags {
     type Target = [i32];
+    #[inline]
     fn deref(&self) -> &[i32] {
         &self.marks[..self.len as usize]
     }
@@ -101,6 +102,7 @@ pub struct Stored<T> {
 }
 
 /// Same arity, and every position equal or wildcarded on either side.
+#[inline]
 fn matches(a: &[i32], b: &[i32]) -> bool {
     a.len() == b.len()
         && a.iter()

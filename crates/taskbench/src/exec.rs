@@ -58,7 +58,7 @@ use converse_machine::{Channel, Message, OwnerCell, Pe};
 use converse_msg::pack::{StackPacker, Unpacker};
 use converse_msg::{HandlerId, Priority};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How to run a graph: the non-structural axes of the matrix cell.
@@ -272,9 +272,13 @@ enum Carrier {
         run: u32,
         channel: Option<Channel>,
     },
-    /// An entry invocation on group `gid`, stamped with the number of
-    /// its `run`.
-    Charm { gid: GroupId, run: u32 },
+    /// An entry invocation on group `gid` of `charm`, stamped with the
+    /// number of its `run`.
+    Charm {
+        charm: Arc<Charm>,
+        gid: GroupId,
+        run: u32,
+    },
     /// A tSM message tagged with the consumer's serial.
     Tsm,
 }
@@ -285,12 +289,100 @@ const MAX_DEPS: usize = u32::BITS as usize;
 /// Bytes of one dependency slot: a little-endian payload digest.
 const SLOT: usize = std::mem::size_of::<u64>();
 
-/// The payload of the task being fanned out: one buffer per PE, kept
-/// from run to run, so nothing a run allocates is sized by its payload.
-struct Scratch(OwnerCell<Vec<u8>>);
+/// Where a graph's tasks run on a machine of one PE count, and where
+/// each keeps its digests: built by the first run on that many PEs and
+/// read by every later one ([`Layouts`]).
+#[derive(Debug)]
+pub(crate) struct Layout {
+    num_pes: usize,
+    /// Owner of each task, by serial ([`TaskGraph::owner`]).
+    owner: Vec<u32>,
+    /// Index of each task's first digest slot among its owner's, by
+    /// serial; a task's slots are adjacent, one per dependency.
+    slot_base: Vec<u32>,
+    /// Per PE, its tasks' digest slots and its tasks by serial.
+    pes: Vec<PeLayout>,
+}
+
+/// One PE's share of a [`Layout`].
+#[derive(Debug)]
+struct PeLayout {
+    /// Digest slots of all its tasks.
+    slots: usize,
+    /// Serials of its tasks, level-major ([`TaskGraph::local_serials`]).
+    local: Vec<u32>,
+    /// Serials of its tasks with no dependency: where a run starts.
+    sources: Vec<u32>,
+}
+
+impl Layout {
+    fn new(graph: &TaskGraph, num_pes: usize) -> Layout {
+        let n = graph.num_tasks();
+        let mut owner = Vec::with_capacity(n);
+        let mut slot_base = Vec::with_capacity(n);
+        let mut pes: Vec<PeLayout> = (0..num_pes)
+            .map(|_| PeLayout {
+                slots: 0,
+                local: Vec::new(),
+                sources: Vec::new(),
+            })
+            .collect();
+        for serial in 0..n as u32 {
+            let id = graph.task_of_serial(serial);
+            let pe = graph.owner(id, num_pes);
+            let deps = graph.deps(id).len();
+            assert!(
+                deps <= MAX_DEPS,
+                "taskbench: a task has {deps} dependencies"
+            );
+            let mine = &mut pes[pe];
+            owner.push(pe as u32);
+            slot_base.push(mine.slots as u32);
+            mine.slots += deps;
+            mine.local.push(serial);
+            if deps == 0 {
+                mine.sources.push(serial);
+            }
+        }
+        Layout {
+            num_pes,
+            owner,
+            slot_base,
+            pes,
+        }
+    }
+}
+
+/// The run layouts of one graph, one per PE count it ran on: a list that
+/// only grows, built node by node as runs ask and read without a lock.
+#[derive(Debug, Default)]
+pub(crate) struct Layouts(OnceLock<Box<(Arc<Layout>, Layouts)>>);
+
+impl Layouts {
+    /// The layout of `graph` on `num_pes` PEs, built if no run on that
+    /// many PEs asked before.
+    fn get(&self, graph: &TaskGraph, num_pes: usize) -> &Arc<Layout> {
+        let mut at = self;
+        loop {
+            let (layout, next) = &**at.0.get_or_init(|| {
+                Box::new((Arc::new(Layout::new(graph, num_pes)), Layouts::default()))
+            });
+            if layout.num_pes == num_pes {
+                return layout;
+            }
+            at = next;
+        }
+    }
+}
+
+/// What a PE keeps from run to run, so that a run allocates nothing
+/// sized by its payload or its graph: the buffers of the last run's
+/// [`Progress`].
+struct Spare(OwnerCell<Progress>);
 
 /// What a run has seen so far. Indexed by task serial; only this PE's
 /// tasks' entries are used.
+#[derive(Default)]
 struct Progress {
     /// Bit `k` is set once the task's `k`-th dependency (in the graph's
     /// order, which is serial order) arrived.
@@ -300,11 +392,14 @@ struct Progress {
     /// Output hash per executed task.
     outputs: Vec<Option<u64>>,
     /// One [`SLOT`] per dependency of every local task, a task's slots
-    /// adjacent and in dependency order ([`RunState::slot_base`]): the
+    /// adjacent and in dependency order (`Layout::slot_base`): the
     /// digest of the payload that arrived on that edge, as a READY
     /// message carries it. A complete task's output is chained out of
     /// its slots.
     digests: Vec<u8>,
+    /// The payload of the task being fanned out, expanded once for all
+    /// its successors.
+    payload: Vec<u8>,
     /// Runtime protocol violations (validated later, not panicked on —
     /// the chaos matrix *wants* to observe failures).
     violations: Vec<String>,
@@ -321,14 +416,13 @@ struct Progress {
 /// Shared bookkeeping for one graph run on one PE.
 struct RunState {
     graph: Arc<TaskGraph>,
+    /// The graph's layout on this machine.
+    layout: Arc<Layout>,
     carrier: Carrier,
     grain_ns: u64,
     payload_bytes: usize,
-    /// Index of each task's first digest slot, by serial, with the total
-    /// one past the end; a task of another PE has no slots.
-    slot_base: Vec<u32>,
-    /// This PE's fan-out buffer.
-    scratch: Arc<Scratch>,
+    /// Where this PE keeps the buffers between runs.
+    spare: Arc<Spare>,
     /// Touched only by this PE's execution contexts, one at a time: an
     /// arrival opens it once, for `on_dep` → `make_ready` → `fan_out`.
     progress: OwnerCell<Progress>,
@@ -342,44 +436,28 @@ struct RunState {
 
 impl RunState {
     fn new(graph: Arc<TaskGraph>, opts: &RunOpts, pe: &Pe, carrier: Carrier) -> Arc<RunState> {
+        let layout = graph.layouts.get(&graph, pe.num_pes()).clone();
+        let spare = pe.local(|| Spare(OwnerCell::new(pe.owner(), Progress::default())));
+        let mut p = spare.0.with(pe.owner(), std::mem::take);
         let n = graph.num_tasks();
-        let mut slot_base = Vec::with_capacity(n + 1);
-        let (mut slots, mut local) = (0u32, 0);
-        for serial in 0..n as u32 {
-            slot_base.push(slots);
-            let id = graph.task_of_serial(serial);
-            if graph.owner(id, pe.num_pes()) == pe.my_pe() {
-                let deps = graph.deps(id).len();
-                assert!(
-                    deps <= MAX_DEPS,
-                    "taskbench: a task has {deps} dependencies"
-                );
-                slots += deps as u32;
-                local += 1;
-            }
+        let mine = &layout.pes[pe.my_pe()];
+        for a in [&mut p.arrived, &mut p.execs] {
+            a.clear();
+            a.resize(n, 0);
         }
-        slot_base.push(slots);
+        p.outputs.clear();
+        p.outputs.resize(n, None);
+        p.digests.clear();
+        p.digests.resize(mine.slots * SLOT, 0);
+        p.remaining = mine.local.len();
         Arc::new(RunState {
-            progress: OwnerCell::new(
-                pe.owner(),
-                Progress {
-                    arrived: vec![0; n],
-                    execs: vec![0; n],
-                    outputs: vec![None; n],
-                    digests: vec![0; slots as usize * SLOT],
-                    violations: Vec::new(),
-                    remaining: local,
-                    done_sent: false,
-                    dones: 0,
-                    all_done: false,
-                },
-            ),
+            progress: OwnerCell::new(pe.owner(), p),
             graph,
+            layout,
             carrier,
             grain_ns: opts.grain_ns,
             payload_bytes: opts.payload_bytes,
-            slot_base,
-            scratch: pe.local(|| Scratch(OwnerCell::new(pe.owner(), Vec::new()))),
+            spare,
             steal: opts.steal,
             steal_to0_pct: opts.steal_to0_pct,
             sleep_grain: opts.sleep_grain,
@@ -396,20 +474,26 @@ impl RunState {
         }
     }
 
-    /// The byte range of `serial`'s digest slots.
-    fn slots_of(&self, serial: u32) -> std::ops::Range<usize> {
-        let s = serial as usize;
-        self.slot_base[s] as usize * SLOT..self.slot_base[s + 1] as usize * SLOT
+    /// The byte range of the digest slots of `serial`, a task of this PE
+    /// with `deps` dependencies.
+    fn slots_of(&self, serial: u32, deps: usize) -> Range<usize> {
+        let base = self.layout.slot_base[serial as usize] as usize * SLOT;
+        base..base + deps * SLOT
+    }
+
+    /// Whether this PE owns `serial`, a task of the graph.
+    fn is_mine(&self, pe: &Pe, serial: u32) -> bool {
+        self.layout.owner[serial as usize] as usize == pe.my_pe()
     }
 
     /// A task's output hash over its dependencies' payload digests, read
     /// from `slots` — the task's own, or a READY message's copy.
-    fn output_of(&self, id: TaskId, serial: u32, slots: &[u8]) -> u64 {
+    fn output_of(&self, deps: &[TaskId], serial: u32, slots: &[u8]) -> u64 {
         let digests = slots
             .chunks_exact(SLOT)
             .map(|d| u64::from_le_bytes(d.try_into().expect("a whole slot")));
-        let preds = self.graph.deps(id).iter().map(|d| self.graph.serial(*d));
-        chain_output(self.graph.spec.seed, serial, preds.zip(digests))
+        let preds = deps.iter().map(|d| self.graph.serial(*d));
+        chain_output(self.graph.head(serial), preds.zip(digests))
     }
 
     /// Record a message no correct run sends: validated later, not
@@ -454,7 +538,7 @@ impl RunState {
                 ))
             };
             let slot = deps.iter().position(|d| self.graph.serial(*d) == src);
-            let Some(k) = slot.filter(|_| self.graph.owner(id, pe.num_pes()) == pe.my_pe()) else {
+            let Some(k) = slot.filter(|_| self.is_mine(pe, dst)) else {
                 return violation("is not an edge into a task of this PE");
             };
             if payload.len() != self.payload_bytes {
@@ -469,51 +553,51 @@ impl RunState {
                 });
             }
             p.arrived[dst as usize] |= 1 << k;
-            let at = self.slots_of(dst).start + k * SLOT;
+            let at = self.slots_of(dst, deps.len()).start + k * SLOT;
             p.digests[at..at + SLOT].copy_from_slice(&payload_digest(payload).to_le_bytes());
             if p.arrived[dst as usize].count_ones() as usize == deps.len() {
-                self.make_ready(pe, p, dst);
+                self.make_ready(pe, p, id, dst);
             }
         })
     }
 
     /// `serial`'s dependencies are all here: run it, or in steal mode
     /// package it for whoever gets to it first.
-    fn make_ready(&self, pe: &Pe, p: &mut Progress, serial: u32) {
+    fn make_ready(&self, pe: &Pe, p: &mut Progress, id: TaskId, serial: u32) {
         if self.steal {
-            self.emit_ready(pe, serial, &p.digests[self.slots_of(serial)]);
+            let slots = self.slots_of(serial, self.graph.deps(id).len());
+            self.emit_ready(pe, serial, &p.digests[slots]);
         } else {
-            self.execute(pe, p, serial);
+            self.execute(pe, p, id, serial);
         }
     }
 
     /// Run one ready task: grain busy-work, chained output hash,
     /// exactly-once accounting, successor fan-out.
-    fn execute(&self, pe: &Pe, p: &mut Progress, serial: u32) {
+    fn execute(&self, pe: &Pe, p: &mut Progress, id: TaskId, serial: u32) {
         self.grain_wait();
-        let id = self.graph.task_of_serial(serial);
-        let out = self.output_of(id, serial, &p.digests[self.slots_of(serial)]);
+        let deps = self.graph.deps(id);
+        let out = self.output_of(deps, serial, &p.digests[self.slots_of(serial, deps.len())]);
         p.execs[serial as usize] += 1;
         p.outputs[serial as usize] = Some(out);
         p.remaining -= 1;
-        self.fan_out(pe, id, serial, out);
+        self.fan_out(pe, &mut p.payload, id, serial, out);
     }
 
     /// Send `serial`'s output to every successor, expanded once into
-    /// this PE's scratch.
-    fn fan_out(&self, pe: &Pe, id: TaskId, serial: u32, out: u64) {
+    /// `payload`.
+    fn fan_out(&self, pe: &Pe, payload: &mut Vec<u8>, id: TaskId, serial: u32, out: u64) {
         let succs = self.graph.successors(id);
         if succs.is_empty() {
             return;
         }
-        self.scratch.0.with(pe.owner(), |payload| {
-            payload.resize(self.payload_bytes, 0);
-            fill_payload(out, payload);
-            for s in succs {
-                let dst_pe = self.graph.owner(*s, pe.num_pes());
-                self.emit(pe, dst_pe, self.graph.serial(*s), serial, payload);
-            }
-        })
+        payload.resize(self.payload_bytes, 0);
+        fill_payload(out, payload);
+        for s in succs {
+            let dst = self.graph.serial(*s);
+            let dst_pe = self.layout.owner[dst as usize] as usize;
+            self.emit(pe, dst_pe, dst, serial, payload);
+        }
     }
 
     /// Carry one dependency edge `src → dst` to `dst`'s owner. Header
@@ -538,14 +622,14 @@ impl RunState {
                     None => pe.sync_send_and_free(dst_pe, msg),
                 }
             }
-            Carrier::Charm { gid, run } => {
+            Carrier::Charm { charm, gid, run } => {
                 let head = StackPacker::<16>::new()
                     .u32(*run)
                     .u32(dst)
                     .u32(src)
                     .len_prefix(payload.len());
                 let parts = [head.as_slice(), payload];
-                Charm::get(pe).send_group_parts(pe, *gid, dst_pe, EP_DEP, &parts, Priority::None);
+                charm.send_group_parts(pe, *gid, dst_pe, EP_DEP, &parts, Priority::None);
             }
             Carrier::Tsm => {
                 let head = StackPacker::<8>::new().u32(src).len_prefix(payload.len());
@@ -558,14 +642,8 @@ impl RunState {
     /// under `Pattern::Trivial`, everything).
     fn run_sources(&self, pe: &Pe) {
         self.progress(pe, |p| {
-            for serial in self.graph.local_tasks(pe.my_pe(), pe.num_pes()) {
-                if self
-                    .graph
-                    .deps(self.graph.task_of_serial(serial))
-                    .is_empty()
-                {
-                    self.make_ready(pe, p, serial);
-                }
+            for &serial in &self.layout.pes[pe.my_pe()].sources {
+                self.make_ready(pe, p, self.graph.task_of_serial(serial), serial);
             }
         })
     }
@@ -598,14 +676,30 @@ impl RunState {
         self.pump_until(pe, give_up, |p| p.remaining == 0)
     }
 
+    /// This PE's summary of the run. The run's arrays go back to the
+    /// PE's spares unless it gave up, when a task of it may still wake.
     fn summarize(&self, pe: &Pe, gave_up: bool) -> PeSummary {
-        let local = self.graph.local_serials(pe.my_pe(), pe.num_pes());
-        self.progress(pe, |p| PeSummary {
-            execs: local.iter().map(|&s| p.execs[s as usize]).collect(),
-            outputs: local.iter().map(|&s| p.outputs[s as usize]).collect(),
-            local,
-            violations: std::mem::take(&mut p.violations),
-            gave_up,
+        let local = &self.layout.pes[pe.my_pe()].local;
+        self.progress(pe, |p| {
+            let summary = PeSummary {
+                execs: local.iter().map(|&s| p.execs[s as usize]).collect(),
+                outputs: local.iter().map(|&s| p.outputs[s as usize]).collect(),
+                local: local.clone(),
+                violations: std::mem::take(&mut p.violations),
+                gave_up,
+            };
+            if !gave_up {
+                let arrays = Progress {
+                    arrived: std::mem::take(&mut p.arrived),
+                    execs: std::mem::take(&mut p.execs),
+                    outputs: std::mem::take(&mut p.outputs),
+                    digests: std::mem::take(&mut p.digests),
+                    payload: std::mem::take(&mut p.payload),
+                    ..Progress::default()
+                };
+                self.spare.0.with(pe.owner(), |spare| *spare = arrays);
+            }
+            summary
         })
     }
 
@@ -649,9 +743,9 @@ impl RunState {
             );
         };
         self.grain_wait();
-        let out = self.output_of(id, serial, body.rest());
-        self.fan_out(pe, id, serial, out);
-        let owner = self.graph.owner(id, pe.num_pes());
+        let out = self.output_of(self.graph.deps(id), serial, body.rest());
+        self.progress(pe, |p| self.fan_out(pe, &mut p.payload, id, serial, out));
+        let owner = self.layout.owner[serial as usize] as usize;
         let credit = self.raw_msg(|h| h.credit, &[&serial.to_le_bytes(), &out.to_le_bytes()]);
         pe.sync_send_and_free(owner, credit);
     }
@@ -663,7 +757,7 @@ impl RunState {
             return self.violation(pe, "a CREDIT is cut short".into());
         };
         let owned = self.graph.try_task_of_serial(serial);
-        if owned.is_none_or(|id| self.graph.owner(id, pe.num_pes()) != pe.my_pe()) {
+        if owned.is_none_or(|_| !self.is_mine(pe, serial)) {
             return self.violation(pe, format!("a CREDIT names {serial}, no task of this PE"));
         }
         self.progress(pe, |p| {
@@ -880,23 +974,24 @@ struct CharmEngine {
 /// The per-PE branch: receives dependency invocations and runs ready
 /// tasks; fan-out goes back through [`Charm::send_group_parts`], so
 /// every edge — self-edges included — is a scheduler-queued asynchronous
-/// method invocation, exactly the Charm discipline. Stateless: each
-/// invocation is admitted by the engine's runs.
-struct TaskBranch;
+/// method invocation, exactly the Charm discipline. It holds only its
+/// PE's engine: each invocation is admitted by the engine's runs.
+struct TaskBranch(Arc<CharmEngine>);
 
 impl GroupChare for TaskBranch {
-    fn new(_pe: &Pe, _gid: GroupId, _payload: &[u8]) -> Self {
-        TaskBranch
+    fn new(pe: &Pe, _gid: GroupId, _payload: &[u8]) -> Self {
+        // The engine registered the group kind, so it exists on this PE
+        // before any group of the kind does.
+        TaskBranch(
+            pe.local::<CharmEngine, _>(|| unreachable!("a taskbench group before its engine")),
+        )
     }
 
     fn entry(&mut self, pe: &Pe, _gid: GroupId, ep: u32, payload: &[u8]) {
         assert_eq!(ep, EP_DEP, "unknown taskbench group entry {ep}");
-        let engine = pe
-            .local_ref::<CharmEngine>()
-            .expect("taskbench charm engine missing");
         // Open across the call, as the raw handlers open theirs. An edge
         // of a retired group is of a run this PE left.
-        engine.runs.with(pe.owner(), |runs| {
+        self.0.runs.with(pe.owner(), |runs| {
             runs.admit(pe, payload, |run, pe, body| run.on_edge(pe, None, body))
         })
     }
@@ -937,7 +1032,14 @@ pub fn run_graph_charm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSum
         ))
     });
     let state = engine.runs.with(pe.owner(), |runs| {
-        runs.enter(|run| RunState::new(graph.clone(), opts, pe, Carrier::Charm { gid, run }))
+        runs.enter(|run| {
+            let carrier = Carrier::Charm {
+                charm: charm.clone(),
+                gid,
+                run,
+            };
+            RunState::new(graph.clone(), opts, pe, carrier)
+        })
     });
     state.run_sources(pe);
     engine.runs.with(pe.owner(), |runs| runs.replay(pe));
@@ -975,12 +1077,13 @@ pub fn run_graph_tsm(pe: &Pe, graph: &Arc<TaskGraph>, opts: &RunOpts) -> PeSumma
     converse_sm::Sm::install(pe);
     let state = RunState::new(graph.clone(), opts, pe, Carrier::Tsm);
     pe.barrier();
-    for serial in graph.local_tasks(pe.my_pe(), pe.num_pes()) {
+    for &serial in &state.layout.pes[pe.my_pe()].local {
         let st = state.clone();
         converse_sm::tsm::create(pe, move |pe| {
-            let need = st.graph.deps(st.graph.task_of_serial(serial)).len();
+            let id = st.graph.task_of_serial(serial);
+            let need = st.graph.deps(id).len();
             if need == 0 {
-                st.progress(pe, |p| st.execute(pe, p, serial));
+                st.progress(pe, |p| st.execute(pe, p, id, serial));
             }
             for _ in 0..need {
                 let m = converse_sm::tsm::receive(pe, serial as i32);

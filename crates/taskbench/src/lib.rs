@@ -114,7 +114,11 @@ pub struct TaskId {
 /// One generated dependency graph: leveled tasks, each with its
 /// dependency list (always into the previous level) and the derived
 /// successor lists the execution engine fans completions out over.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// What a run reads per edge is in tables built here once: the level of
+/// every serial, where every task's output chain starts, and — built by
+/// the first run on each PE count — which PE owns every task.
+#[derive(Debug)]
 pub struct TaskGraph {
     /// The spec this graph was generated from.
     pub spec: GraphSpec,
@@ -123,8 +127,15 @@ pub struct TaskGraph {
     /// Serial-id offset of each level (`offsets[t]` = serial of task
     /// `(t, 0)`); one past the end holds the total task count.
     offsets: Vec<u32>,
+    /// Level of each serial id: the inverse of `offsets`, one read.
+    level_of: Vec<u32>,
+    /// Head of each serial's output chain, `FNV(seed, serial)`
+    /// ([`chain_head`]).
+    heads: Vec<u64>,
     /// Successors by serial id (derived from the dependency lists).
     succs: Vec<Vec<TaskId>>,
+    /// The run layouts on the PE counts this graph ran on.
+    layouts: exec::Layouts,
 }
 
 /// 64-bit FNV-1a, the hash of the stateless structural draws and of the
@@ -253,18 +264,24 @@ pub fn payload_digest(bytes: &[u8]) -> u64 {
 pub fn finish_output(seed: u64, serial: u32, preds: &mut [(u32, Vec<u8>)]) -> u64 {
     preds.sort_by_key(|(s, _)| *s);
     chain_output(
-        seed,
-        serial,
+        chain_head(seed, serial),
         preds.iter().map(|(s, p)| (*s, payload_digest(p))),
     )
 }
 
-/// [`finish_output`] over payload digests already in serial order.
-pub(crate) fn chain_output(seed: u64, serial: u32, preds: impl Iterator<Item = (u32, u64)>) -> u64 {
+/// Where task `serial`'s output chain starts: `FNV(seed, serial)`. A
+/// graph keeps it for every serial ([`TaskGraph::head`]).
+fn chain_head(seed: u64, serial: u32) -> u64 {
     let mut h = Fnv::new();
     h.write(&seed.to_le_bytes());
     h.write(&serial.to_le_bytes());
-    preds.fold(h.0, |h, (s, digest)| mix(mix(h, s as u64), digest))
+    h.0
+}
+
+/// [`finish_output`] over payload digests already in serial order, from
+/// the task's [`chain_head`].
+pub(crate) fn chain_output(head: u64, preds: impl Iterator<Item = (u32, u64)>) -> u64 {
+    preds.fold(head, |h, (s, digest)| mix(mix(h, s as u64), digest))
 }
 
 impl TaskGraph {
@@ -299,12 +316,15 @@ impl TaskGraph {
             levels.push(level);
         }
         let mut offsets = Vec::with_capacity(levels.len() + 1);
+        let mut level_of = Vec::new();
         let mut acc = 0u32;
-        for l in &levels {
+        for (t, l) in levels.iter().enumerate() {
             offsets.push(acc);
             acc += l.len() as u32;
+            level_of.resize(acc as usize, t as u32);
         }
         offsets.push(acc);
+        let heads = (0..acc).map(|s| chain_head(spec.seed, s)).collect();
         let mut succs = vec![Vec::new(); acc as usize];
         for (t, level) in levels.iter().enumerate() {
             for (i, deps) in level.iter().enumerate() {
@@ -322,7 +342,10 @@ impl TaskGraph {
             spec,
             levels,
             offsets,
+            level_of,
+            heads,
             succs,
+            layouts: exec::Layouts::default(),
         }
     }
 
@@ -359,18 +382,19 @@ impl TaskGraph {
 
     /// [`TaskGraph::task_of_serial`] for a serial read from a message:
     /// `None` when the graph has no such task.
+    #[inline]
     pub(crate) fn try_task_of_serial(&self, serial: u32) -> Option<TaskId> {
-        if serial as usize >= self.num_tasks() {
-            return None;
-        }
-        let step = match self.offsets.binary_search(&serial) {
-            Ok(t) => t,
-            Err(t) => t - 1,
-        };
+        let step = *self.level_of.get(serial as usize)?;
         Some(TaskId {
-            step: step as u32,
-            index: serial - self.offsets[step],
+            step,
+            index: serial - self.offsets[step as usize],
         })
+    }
+
+    /// Head of `serial`'s output chain, `FNV(seed, serial)`, hashed at
+    /// generation.
+    pub(crate) fn head(&self, serial: u32) -> u64 {
+        self.heads[serial as usize]
     }
 
     /// The dependency list of a task (tasks of the previous level).
@@ -394,20 +418,9 @@ impl TaskGraph {
     /// Serial ids of the tasks `pe` owns, in execution-friendly
     /// (level-major) order.
     pub fn local_serials(&self, pe: usize, num_pes: usize) -> Vec<u32> {
-        self.local_tasks(pe, num_pes).collect()
-    }
-
-    /// [`TaskGraph::local_serials`] without the `Vec`.
-    pub(crate) fn local_tasks(&self, pe: usize, num_pes: usize) -> impl Iterator<Item = u32> + '_ {
-        self.levels.iter().enumerate().flat_map(move |(t, level)| {
-            (0..level.len() as u32)
-                .map(move |index| TaskId {
-                    step: t as u32,
-                    index,
-                })
-                .filter(move |id| self.owner(*id, num_pes) == pe)
-                .map(|id| self.serial(id))
-        })
+        (0..self.num_tasks() as u32)
+            .filter(|&s| self.owner(self.task_of_serial(s), num_pes) == pe)
+            .collect()
     }
 
     /// Canonical byte encoding of the whole structure. Two graphs are
@@ -449,7 +462,7 @@ impl TaskGraph {
                     fill_payload(out[s as usize], &mut payload);
                     (s, payload_digest(&payload))
                 });
-                out[serial as usize] = chain_output(self.spec.seed, serial, preds);
+                out[serial as usize] = chain_output(self.head(serial), preds);
             }
         }
         out
@@ -647,6 +660,66 @@ fn deps_of(spec: GraphSpec, t: u32, i: u32, prev_w: usize) -> Vec<TaskId> {
             }
             deps.sort();
             deps
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Graphs of every pattern at several shapes: Tree's levels shrink,
+    /// the other patterns' are all one width.
+    fn shapes() -> impl Iterator<Item = TaskGraph> {
+        Pattern::ALL.into_iter().flat_map(|pattern| {
+            [(1, 1), (2, 5), (5, 3), (8, 4), (13, 2), (16, 6)]
+                .into_iter()
+                .filter(move |(w, _)| pattern != Pattern::Butterfly || usize::is_power_of_two(*w))
+                .map(move |(width, steps)| {
+                    TaskGraph::generate(GraphSpec {
+                        pattern,
+                        seed: 0x5EED ^ width as u64,
+                        width,
+                        steps,
+                    })
+                })
+        })
+    }
+
+    #[test]
+    fn the_level_table_agrees_with_a_scan_of_the_levels() {
+        for g in shapes() {
+            let mut serial = 0u32;
+            for t in 0..g.num_levels() {
+                for i in 0..g.level_width(t) {
+                    let id = TaskId {
+                        step: t as u32,
+                        index: i as u32,
+                    };
+                    assert_eq!(g.try_task_of_serial(serial), Some(id), "{:?}", g.spec);
+                    serial += 1;
+                }
+            }
+            assert_eq!(serial as usize, g.num_tasks());
+            for past in [serial, serial + 1, u32::MAX] {
+                assert_eq!(g.try_task_of_serial(past), None, "{:?}", g.spec);
+            }
+        }
+    }
+
+    #[test]
+    fn a_chain_head_is_the_seed_and_serial_hashed_in_place() {
+        for g in shapes() {
+            for serial in 0..g.num_tasks() as u32 {
+                let mut bytes = g.spec.seed.to_le_bytes().to_vec();
+                bytes.extend_from_slice(&serial.to_le_bytes());
+                assert_eq!(
+                    g.head(serial),
+                    fnv1a(&bytes),
+                    "{:?} serial {serial}",
+                    g.spec
+                );
+            }
         }
     }
 }

@@ -52,18 +52,21 @@ const PES: usize = 2;
 
 /// Allocator calls (allocations and frees) per task a layer may make,
 /// per-run set-up amortized in. The raw engine and Charm make none per
-/// task; what is left is a run's flat arrays and its collectives (0.3
-/// and 0.35 calls per task on these graphs).
-const RAW_AND_CHARM_CALLS_PER_TASK: f64 = 4.0;
+/// task; what is left is a run's summary and state (0.04 calls per task
+/// on these graphs, debug and release, either backend). A run reuses
+/// its PE's arrays and its graph's layout, built by the first run on
+/// the machine's PE count (0.12 when every run built its own).
+const RAW_AND_CHARM_CALLS_PER_TASK: f64 = 1.0;
 /// tSM pays per task for a thread object — its boxed entry function,
 /// one allocation and its free; the handle is the one the slot's last
 /// thread left — and per edge nothing: the mailbox holds the arriving
-/// message and the receiver waiting for it. 3.1 calls per task measured
-/// on these small graphs, 1.1 of them the run's own set-up (it was 5.3
-/// with a handle allocated per thread, 18 before ISSUE 18).
+/// message and the receiver waiting for it. 2.7 calls per task measured
+/// on these small graphs, 0.7 of them the run's own set-up (it was 3.2
+/// before runs reused their arrays, 5.3 with a handle allocated per
+/// thread, 18 with a boxed strategy and a second boxed closure).
 const TSM_FIBER_CALLS_PER_TASK: f64 = 4.0;
 /// On the hand-off backend every task is an OS thread as well, and a
-/// chunk freed on one OS thread is not in the pool of another: 21.9
+/// chunk freed on one OS thread is not in the pool of another: 21.7
 /// measured (it was 30), bounded 20 % above.
 const TSM_HANDOFF_CALLS_PER_TASK: f64 = 27.0;
 
