@@ -117,7 +117,9 @@ impl CcsClient {
     }
 
     /// Pipelined submit: send the request frame and return its ticket
-    /// without waiting.
+    /// without waiting. A request whose frame would exceed the protocol's
+    /// 1 MiB bound is an `InvalidInput` [`CcsError::Io`], and nothing is
+    /// sent.
     pub fn submit(
         &mut self,
         name: &str,
@@ -144,8 +146,8 @@ impl CcsClient {
             return Ok(r);
         }
         loop {
-            let body = match protocol::read_frame(&mut self.stream)? {
-                Some(b) => b,
+            let body = match protocol::decoder().read(&mut self.stream)? {
+                Some((_, b)) => b,
                 None => return Err(CcsError::Disconnected),
             };
             let reply = protocol::decode_reply(body.as_slice())
@@ -216,8 +218,8 @@ impl CcsClient {
             }
         }
         loop {
-            let body = match protocol::read_frame(&mut self.stream)? {
-                Some(b) => b,
+            let body = match protocol::decoder().read(&mut self.stream)? {
+                Some((_, b)) => b,
                 None => return Err(CcsError::Disconnected),
             };
             let reply = protocol::decode_reply(body.as_slice())

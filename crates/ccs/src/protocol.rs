@@ -1,9 +1,13 @@
 //! The CCS wire protocol.
 //!
 //! Everything on the socket is a **length-prefixed frame**: a `u32`
-//! little-endian byte count followed by that many body bytes. Frame
-//! bodies are packed with the same [`Packer`]/[`Unpacker`] helpers the
-//! runtimes use for message payloads:
+//! little-endian byte count followed by that many body bytes, at most
+//! [`MAX_FRAME`]. Both ends read frames with the wire's decoder in its
+//! headerless framing (`converse_msg::frame::Decoder`), whose block grows
+//! only with bytes received, so a peer that sends a prefix and then
+//! nothing pins no memory on its connection's reader. Frame bodies are
+//! packed with the same [`Packer`]/[`Unpacker`] helpers the runtimes use
+//! for message payloads:
 //!
 //! ```text
 //! request  body: u64 seq · u32 dest-PE · str handler-name · bytes payload
@@ -15,10 +19,9 @@
 //! will, whenever requests target different PEs). Status codes are the
 //! machine gateway's [`converse_machine::exo::status`] set.
 
-use converse_msg::frame::read_claimed;
+use converse_msg::frame::Decoder;
 use converse_msg::pack::{Packer, Unpacker};
-use converse_msg::MsgBlock;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Upper bound on a frame body; a length prefix beyond this is treated
 /// as a corrupt stream rather than an allocation request. The largest
@@ -111,9 +114,20 @@ pub(crate) fn decode_reply(body: &[u8]) -> Option<Reply> {
     (u.remaining() == 0).then_some(r)
 }
 
-/// Write one frame (length prefix + body).
+/// A decoder of CCS frames.
+pub(crate) fn decoder() -> Decoder {
+    Decoder::headerless(MAX_FRAME)
+}
+
+/// Write one frame (length prefix + body). A body over [`MAX_FRAME`] is
+/// an `InvalidInput` error, and nothing is written.
 pub(crate) fn write_frame(w: &mut dyn Write, body: &[u8]) -> io::Result<()> {
-    assert!(body.len() <= MAX_FRAME, "frame body exceeds MAX_FRAME");
+    if body.len() > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame body of {} bytes exceeds MAX_FRAME", body.len()),
+        ));
+    }
     // One write for prefix + body: a split write puts a tiny segment on
     // the wire first, and Nagle + delayed ACK then stall the rest for
     // tens of milliseconds on small frames.
@@ -122,30 +136,6 @@ pub(crate) fn write_frame(w: &mut dyn Write, body: &[u8]) -> io::Result<()> {
     framed.extend_from_slice(body);
     w.write_all(&framed)?;
     w.flush()
-}
-
-/// Read one frame body. `Ok(None)` on a clean EOF at a frame boundary
-/// (peer closed); errors on mid-frame EOF or an oversized prefix.
-///
-/// The prefix is a claim, not a reservation: the body is read with
-/// [`read_claimed`], whose block grows only with bytes actually
-/// received, so a peer that sends a prefix and then nothing pins no
-/// memory on its connection's reader.
-pub(crate) fn read_frame(r: &mut dyn Read) -> io::Result<Option<MsgBlock>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let n = u32::from_le_bytes(len) as usize;
-    if n > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {n} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    read_claimed(r, n).map(Some)
 }
 
 #[cfg(test)]
@@ -218,21 +208,31 @@ mod tests {
         }
     }
 
+    /// One frame body read with a fresh decoder, as the client and the
+    /// server read them.
+    fn read_body(r: &mut impl io::Read) -> io::Result<Option<Vec<u8>>> {
+        Ok(decoder().read(r)?.map(|(_, body)| body.as_slice().to_vec()))
+    }
+
     #[test]
     fn frame_roundtrip_and_eof() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"abc").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut r = io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap().unwrap().as_slice(), b"abc");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap().as_slice(), b"");
-        assert!(read_frame(&mut r).unwrap().is_none());
+        assert_eq!(read_body(&mut r).unwrap().unwrap(), b"abc");
+        assert_eq!(read_body(&mut r).unwrap().unwrap(), b"");
+        assert!(read_body(&mut r).unwrap().is_none());
     }
 
     #[test]
     fn oversized_frame_rejected() {
         let mut r = io::Cursor::new(((MAX_FRAME + 1) as u32).to_le_bytes().to_vec());
-        assert!(read_frame(&mut r).is_err());
+        assert!(read_body(&mut r).is_err());
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, &vec![0; MAX_FRAME + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "an oversize body writes nothing");
     }
 
     #[test]
@@ -241,6 +241,6 @@ mod tests {
         write_frame(&mut buf, b"abcdef").unwrap();
         buf.truncate(6);
         let mut r = io::Cursor::new(buf);
-        assert!(read_frame(&mut r).is_err());
+        assert!(read_body(&mut r).is_err());
     }
 }

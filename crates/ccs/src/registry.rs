@@ -68,21 +68,4 @@ impl CcsRegistry {
     pub fn resolve(&self, name: &str) -> Option<HandlerId> {
         self.map.read().get(name).copied()
     }
-
-    /// All exported names, sorted — the server's directory listing.
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.map.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    /// Number of exported names.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// True when nothing is exported.
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
-    }
 }

@@ -125,14 +125,25 @@ impl Conn {
         }
     }
 
+    /// Write one reply. A reply too big for a frame is answered by a
+    /// short `MALFORMED` one under the same `seq`, so the client hears of
+    /// it and the PE whose reply sink writes it keeps running.
     fn write_reply(&self, seq: u64, status_code: u8, payload: &[u8]) -> io::Result<()> {
-        let body = protocol::encode_reply(&Reply {
-            seq,
-            status: status_code,
-            payload: payload.to_vec(),
-        });
+        let body = |status, payload: &[u8]| {
+            protocol::encode_reply(&Reply {
+                seq,
+                status,
+                payload: payload.to_vec(),
+            })
+        };
         let mut w = self.writer.lock();
-        protocol::write_frame(&mut *w, &body)
+        match protocol::write_frame(&mut *w, &body(status_code, payload)) {
+            Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+                let detail = format!("reply of {} bytes exceeds the frame bound", payload.len());
+                protocol::write_frame(&mut *w, &body(status::MALFORMED, detail.as_bytes()))
+            }
+            done => done,
+        }
     }
 }
 
@@ -394,9 +405,10 @@ fn reader_loop(
     cfg: &CcsServerConfig,
     shutdown: &AtomicBool,
 ) {
+    let mut frames = protocol::decoder();
     loop {
-        let body = match protocol::read_frame(&mut stream) {
-            Ok(Some(b)) => b,
+        let body = match frames.read(&mut stream) {
+            Ok(Some((_, b))) => b,
             Ok(None) | Err(_) => return, // client closed / socket torn down
         };
         if shutdown.load(Ordering::Acquire) {

@@ -55,7 +55,8 @@ pub mod status {
     pub const BAD_PE: u8 = 2;
     /// The request exceeded its server-side deadline before a reply.
     pub const TIMEOUT: u8 = 3;
-    /// The request frame could not be decoded.
+    /// The request frame could not be decoded, or the reply was too big
+    /// for a frame.
     pub const MALFORMED: u8 = 4;
     /// The server shut down with the request still in flight.
     pub const SHUTDOWN: u8 = 5;

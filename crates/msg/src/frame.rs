@@ -26,8 +26,12 @@
 //! ([`FrameHeader::to_bytes`] / [`FrameHeader::from_bytes`]), so a ring
 //! record and a socket frame decode alike.
 //!
-//! Reads hand back a pool-backed [`MsgBlock`] so a frame's payload joins
-//! the normal message circulation with no extra copy.
+//! One [`Decoder`] reads every length-prefixed frame: these, and the
+//! headerless frames of CCS. It is fed by its caller's reads, keeps its
+//! place across a non-blocking read that stops mid-frame, and hands back
+//! a pool-backed [`MsgBlock`] filled in place, so a frame's payload joins
+//! the normal message circulation with no extra copy. [`read_frame`] is
+//! the blocking loop over it.
 
 use crate::MsgBlock;
 use std::io::{self, Read, Write};
@@ -46,7 +50,7 @@ pub(crate) const MAX_FRAME_BODY: usize = 64 << 20;
 const FIRST_READ: usize = 256;
 
 /// How much a payload's block grows at a time once all of its bytes have
-/// arrived and more are claimed (see [`read_claimed`]).
+/// arrived and more are claimed (see [`Decoder`]).
 const GROWTH: usize = 8;
 
 /// The fixed part of a frame (everything but the payload).
@@ -140,60 +144,159 @@ pub fn write_frame(w: &mut impl Write, header: FrameHeader, payload: &[u8]) -> i
 /// boundary; mid-frame EOF and oversized length prefixes are errors.
 ///
 /// The length prefix is a claim, not a reservation: the payload's block
-/// grows only with bytes received (see [`read_claimed`]), so a peer that
+/// grows only with bytes received (see [`Decoder`]), so a peer that
 /// announces 64 MiB and then stops costs nothing near 64 MiB.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameHeader, MsgBlock)>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let body = u32::from_le_bytes(len_buf) as usize;
-    if !(FRAME_HEADER_BYTES..=MAX_FRAME_BODY).contains(&body) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame body length {body} out of range"),
-        ));
-    }
-    let mut header_buf = [0u8; FRAME_HEADER_BYTES];
-    r.read_exact(&mut header_buf)?;
-    let header = FrameHeader::from_bytes(&header_buf);
-    let block = read_claimed(r, body - FRAME_HEADER_BYTES)?;
-    Ok(Some((header, block)))
+    Decoder::default().read(r)
 }
 
-/// Read `len` bytes that a length prefix claims, into a block that grows
-/// only with what arrives: the one bounded reader of socket frames and
-/// of CCS frames. The first block is at most `FIRST_READ` (256) bytes,
-/// so a body that fits takes one allocation of exactly its size. Each
-/// further block comes only once every byte of the last has arrived,
-/// and holds the whole claim if that is at most `GROWTH + 1` (9) times
-/// the bytes received, else `GROWTH` (8) times them. So a body a few
-/// bytes past a step — a 16 KiB message with its 8-byte header — takes
-/// no extra block.
+/// The one decoder of length-prefixed frames: wire frames (a
+/// [`FrameHeader`] after the prefix, [`Decoder::default`]) and the
+/// headerless frames of CCS ([`Decoder::headerless`]).
 ///
-/// **Bound.** A block is at most 256 bytes or 9 × the bytes received
-/// before it, and the blocks before it add up to less than 8/7 × those
-/// bytes. So wherever the stream ends, the blocks of one read total at
-/// most `max(256, 11 × received)` bytes, whatever the claim.
-pub fn read_claimed(r: &mut (impl Read + ?Sized), len: usize) -> io::Result<MsgBlock> {
-    let mut block = MsgBlock::alloc(len.min(FIRST_READ));
-    r.read_exact(block.make_mut())?;
-    while block.len() < len {
-        let filled = block.len();
-        let next = if len <= filled * (GROWTH + 1) {
-            len
-        } else {
-            filled * GROWTH
-        };
-        let mut grown = MsgBlock::alloc(next);
-        let buf = grown.make_mut();
-        buf[..filled].copy_from_slice(block.as_slice());
-        r.read_exact(&mut buf[filled..])?;
-        block = grown;
+/// It does no I/O of its own. It hands out the unfilled part of what it
+/// reads next — the prefix and header, then the tail of the payload's
+/// block — and a caller's read fills it in place, so a payload byte is
+/// copied only when its block grows. It keeps its place between reads:
+/// a non-blocking reader that stops mid-frame (`WouldBlock`) resumes
+/// where it stopped, and it never reads past the frame it is in.
+///
+/// **Bound.** The payload's block grows only with what arrives. The
+/// first is at most `FIRST_READ` (256) bytes, so a body that fits takes
+/// one allocation of exactly its size. Each further block comes only
+/// once every byte of the last has arrived, and holds the whole claim
+/// if that is at most `GROWTH + 1` (9) times the bytes received, else
+/// `GROWTH` (8) times them. So a body a few bytes past a step — a
+/// 16 KiB message with its 8-byte header — takes no extra block, a
+/// block is at most max(256, 9 × the bytes received before it), and the
+/// blocks of one frame total at most `max(256, 11 × received)` bytes
+/// wherever the stream ends, whatever the claim.
+pub struct Decoder {
+    /// Bytes of header after the prefix: `FRAME_HEADER_BYTES`, or 0.
+    header: usize,
+    /// The largest body a prefix may claim.
+    max_body: usize,
+    /// The prefix and header, and how many of their bytes arrived.
+    head: [u8; 4 + FRAME_HEADER_BYTES],
+    got: usize,
+    /// The payload's block, once one is allocated, and how many of its
+    /// bytes arrived.
+    block: Option<MsgBlock>,
+    filled: usize,
+}
+
+impl Default for Decoder {
+    /// A decoder of wire frames: a body of 22 bytes to 64 MiB.
+    fn default() -> Decoder {
+        Decoder {
+            header: FRAME_HEADER_BYTES,
+            ..Decoder::headerless(MAX_FRAME_BODY)
+        }
     }
-    Ok(block)
+}
+
+impl Decoder {
+    /// A decoder of frames with no header: a body of at most `max_body`
+    /// bytes, handed back with a zeroed header.
+    pub fn headerless(max_body: usize) -> Decoder {
+        Decoder {
+            header: 0,
+            max_body,
+            head: [0; 4 + FRAME_HEADER_BYTES],
+            got: 0,
+            block: None,
+            filled: 0,
+        }
+    }
+
+    /// Read from `r` until a frame is whole: `Ok(None)` at a clean EOF
+    /// (between frames), an `UnexpectedEof` error inside one. An error
+    /// of `r` (`WouldBlock` from a non-blocking one) returns as it is,
+    /// and the next call goes on where this one stopped.
+    pub fn read(
+        &mut self,
+        r: &mut (impl Read + ?Sized),
+    ) -> io::Result<Option<(FrameHeader, MsgBlock)>> {
+        loop {
+            let between = self.got == 0;
+            match r.read(self.unfilled()) {
+                Ok(0) if between => return Ok(None),
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    if let Some(frame) = self.filled(n)? {
+                        return Ok(Some(frame));
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The prefix and header bytes a frame begins with.
+    fn head_len(&self) -> usize {
+        4 + self.header
+    }
+
+    /// The payload bytes the prefix claims (once it arrived).
+    fn claim(&self) -> usize {
+        u32::from_le_bytes(self.head[..4].try_into().unwrap()) as usize - self.header
+    }
+
+    /// Where the next bytes go. A wire frame's prefix and header are
+    /// read as one: every valid body holds the header.
+    fn unfilled(&mut self) -> &mut [u8] {
+        let head = self.head_len();
+        if self.got < head {
+            return &mut self.head[self.got..head];
+        }
+        let (claim, filled) = (self.claim(), self.filled);
+        let block = match self.block.take() {
+            None => MsgBlock::alloc(claim.min(FIRST_READ)),
+            Some(full) if full.len() == filled => {
+                let next = if claim <= filled * (GROWTH + 1) {
+                    claim
+                } else {
+                    filled * GROWTH
+                };
+                let mut grown = MsgBlock::alloc(next);
+                grown.make_mut()[..filled].copy_from_slice(full.as_slice());
+                grown
+            }
+            Some(block) => block,
+        };
+        &mut self.block.insert(block).make_mut()[filled..]
+    }
+
+    /// Take `n` bytes just read into [`Decoder::unfilled`]; the frame,
+    /// once it is whole.
+    fn filled(&mut self, n: usize) -> io::Result<Option<(FrameHeader, MsgBlock)>> {
+        let head = self.head_len();
+        if self.got < head {
+            self.got += n;
+            if self.got >= 4 {
+                let body = u32::from_le_bytes(self.head[..4].try_into().unwrap()) as usize;
+                if !(self.header..=self.max_body).contains(&body) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("frame body length {body} out of range"),
+                    ));
+                }
+            }
+            if self.got < head || self.claim() > 0 {
+                return Ok(None);
+            }
+        } else {
+            self.filled += n;
+            if self.filled < self.claim() {
+                return Ok(None);
+            }
+        }
+        let header = FrameHeader::from_bytes(self.head[4..].try_into().unwrap());
+        let block = self.block.take().unwrap_or_else(|| MsgBlock::alloc(0));
+        (self.got, self.filled) = (0, 0);
+        Ok(Some((header, block)))
+    }
 }
 
 #[cfg(test)]
@@ -307,6 +410,15 @@ mod tests {
         }
     }
 
+    /// A decoder whose prefix claimed `len` payload bytes: the payload's
+    /// reads are the only ones left.
+    fn claimed(len: usize) -> Decoder {
+        let mut d = Decoder::headerless(MAX_FRAME_BODY);
+        d.head[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        d.got = 4;
+        d
+    }
+
     #[test]
     fn a_payload_a_few_bytes_past_a_step_takes_no_extra_block() {
         // A 16 KiB Converse message is a 16,392-byte frame payload: the
@@ -314,7 +426,7 @@ mod tests {
         let blocks_of = |len: usize| {
             let before = pool::stats().takes();
             let mut r = Recorder::new(len);
-            let block = read_claimed(&mut r, len).unwrap();
+            let (_, block) = claimed(len).read(&mut r).unwrap().unwrap();
             assert_eq!(block.len(), len);
             assert_eq!(pool::stats().takes() - before, r.blocks.len() as u64);
             r.blocks
@@ -329,7 +441,7 @@ mod tests {
     fn a_truncated_claim_allocates_within_the_bound() {
         for received in [0, 1, 255, 256, 257, 2304, 2305, 16_392, 150_001, 1 << 20] {
             let mut r = Recorder::new(received);
-            let err = read_claimed(&mut r, MAX_FRAME_BODY).unwrap_err();
+            let err = claimed(MAX_FRAME_BODY).read(&mut r).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
             assert_eq!(r.received, received);
             let total: usize = r.blocks.iter().sum();
@@ -354,6 +466,128 @@ mod tests {
             let err = read_frame(&mut &cut[..]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         }
+    }
+
+    /// A stream of `pieces` with a `WouldBlock` between two of them, as
+    /// a non-blocking socket reads when bytes arrive in bursts.
+    struct Pieces<'a>(std::collections::VecDeque<&'a [u8]>);
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(piece) = self.0.front_mut() else {
+                return Ok(0);
+            };
+            if piece.is_empty() {
+                self.0.pop_front();
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(piece.len());
+            buf[..n].copy_from_slice(&piece[..n]);
+            *piece = &piece[n..];
+            Ok(n)
+        }
+    }
+
+    /// What `d` decodes from `bytes` cut at `cuts`: the frames, and the
+    /// error that ended the stream, if one did.
+    type Decoded = (Vec<(FrameHeader, Vec<u8>)>, Option<io::ErrorKind>);
+
+    fn decode(mut d: Decoder, bytes: &[u8], cuts: &[usize]) -> Decoded {
+        let mut pieces = Vec::new();
+        let mut at = 0;
+        for &cut in cuts.iter().chain([&bytes.len()]) {
+            let cut = cut.clamp(at, bytes.len());
+            pieces.push(&bytes[at..cut]);
+            at = cut;
+        }
+        let mut r = Pieces(pieces.into());
+        let mut frames = Vec::new();
+        loop {
+            match d.read(&mut r) {
+                Ok(Some((h, block))) => frames.push((h, block.as_slice().to_vec())),
+                Ok(None) => return (frames, None),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return (frames, Some(e.kind())),
+            }
+        }
+    }
+
+    /// The largest body of the headerless framing the properties use.
+    const SMALL_MAX: usize = 600;
+
+    /// A decoder of one framing, the bytes of `frames` in it, and the
+    /// frames they decode to (a headerless frame's header is zeroed).
+    fn framed(
+        wire: bool,
+        frames: &[(FrameHeader, Vec<u8>)],
+    ) -> (fn() -> Decoder, Vec<u8>, Decoded) {
+        let mut bytes = Vec::new();
+        let mut decoded = Vec::new();
+        for (h, payload) in frames {
+            if wire {
+                bytes.extend(encode_frame(*h, payload));
+                decoded.push((*h, payload.clone()));
+            } else {
+                bytes.extend((payload.len() as u32).to_le_bytes());
+                bytes.extend(payload);
+                let zero = FrameHeader::from_bytes(&[0; FRAME_HEADER_BYTES]);
+                decoded.push((zero, payload.clone()));
+            }
+        }
+        let d: fn() -> Decoder = if wire {
+            Decoder::default
+        } else {
+            || Decoder::headerless(SMALL_MAX)
+        };
+        (d, bytes, (decoded, None))
+    }
+
+    #[test]
+    fn a_split_at_every_byte_boundary_decodes_like_the_whole_buffer() {
+        let payloads: [&[u8]; 3] = [b"", b"x", &[7; 600]];
+        for wire in [true, false] {
+            let frames: Vec<_> = payloads
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (FrameHeader::new(3, i as u32, 1, 0), p.to_vec()))
+                .collect();
+            let (d, mut bytes, expected) = framed(wire, &frames);
+            assert_eq!(decode(d(), &bytes, &[]), expected);
+            // Cut short inside the last frame: the same frames, then the
+            // same error.
+            bytes.truncate(bytes.len() - 100);
+            let want = decode(d(), &bytes, &[]);
+            assert_eq!(want.1, Some(io::ErrorKind::UnexpectedEof));
+            for cut in 0..=bytes.len() {
+                assert_eq!(decode(d(), &bytes, &[cut]), want, "cut at {cut}");
+            }
+            let every: Vec<usize> = (1..bytes.len()).collect();
+            assert_eq!(decode(d(), &bytes, &every), want);
+        }
+    }
+
+    #[test]
+    fn bytes_fed_one_at_a_time_keep_the_allocation_bound() {
+        // Each payload byte arrives alone; every block the decoder holds
+        // is counted once, and the claim is never allocated.
+        let mut d = claimed(MAX_FRAME_BODY);
+        let (mut blocks, mut last) = (Vec::new(), None);
+        for received in 0..40_000usize {
+            let buf = d.unfilled();
+            buf[0] = 0xab;
+            let ptr = buf.as_ptr() as usize - received;
+            if last != Some(ptr) {
+                blocks.push(d.block.as_ref().unwrap().len());
+                last = Some(ptr);
+                let total: usize = blocks.iter().sum();
+                assert!(
+                    total <= FIRST_READ.max(11 * received),
+                    "{received} bytes of a {MAX_FRAME_BODY}-byte claim: blocks {blocks:?}"
+                );
+            }
+            assert!(d.filled(1).unwrap().is_none());
+        }
+        assert_eq!(blocks, [256, 2048, 16_384, 131_072]);
     }
 
     /// A frame header with every field drawn.
@@ -422,6 +656,35 @@ mod tests {
             let (got, block) = read_frame(&mut r).unwrap().unwrap();
             prop_assert_eq!((got, block.as_slice()), (next, &b"next"[..]));
             prop_assert!(read_frame(&mut r).unwrap().is_none());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any sequence of frames in either framing, with garbage or
+        /// nothing behind it, cut at random points or one byte at a
+        /// time, decodes to the frames and the error the whole buffer
+        /// decodes to.
+        #[test]
+        fn frames_cut_anywhere_decode_like_the_whole_buffer(
+            wire in any::<bool>(),
+            frames in collection::vec((arb_header(), collection::vec(any::<u8>(), 0..=SMALL_MAX)), 0..=4),
+            garbage in prop_oneof![Just(vec![]), collection::vec(any::<u8>(), 1..=64)],
+            cuts in collection::vec(0usize..3000, 0..=8),
+        ) {
+            let (d, mut bytes, sent) = framed(wire, &frames);
+            bytes.extend(&garbage);
+            let want = decode(d(), &bytes, &[]);
+            let mut cuts = cuts;
+            cuts.sort_unstable();
+            prop_assert_eq!(&decode(d(), &bytes, &cuts), &want);
+            let every: Vec<usize> = (1..bytes.len()).collect();
+            prop_assert_eq!(&decode(d(), &bytes, &every), &want);
+            prop_assert_eq!(&want.0[..frames.len()], &sent.0[..]);
+            if garbage.is_empty() {
+                prop_assert_eq!(want, sent);
+            }
         }
     }
 }

@@ -2,12 +2,9 @@
 //! plane.
 //!
 //! The hub owns the machine's listener and, once every worker has said
-//! HELLO, becomes a star router: one reader thread per worker pulls
-//! frames off that worker's connection and forwards worker-addressed
-//! frames (`DATA`/`STALL`/`INJECT`/`STEAL_REQ`/`DONATE`) to the
-//! destination rank's connection, under a per-connection write lock so
-//! concurrent forwarders interleave at frame granularity. Forwarding
-//! takes no other lock.
+//! HELLO, becomes a star router: it forwards worker-addressed frames
+//! (`DATA`/`STALL`/`INJECT`/`STEAL_REQ`/`DONATE`) from each worker's
+//! connection to the destination rank's, in the order it read them.
 //!
 //! Everything else is the control plane, and one sans-IO state machine
 //! decides it: `Protocol::on(rank, input)`. It owns no thread, lock or
@@ -15,12 +12,15 @@
 //! (`hub/explore.rs` checks every order of them exhaustively).
 //!
 //! * **Input** — `Input::Hello` (a connection's first frame named its
-//!   rank), `Input::Frame` (any frame a reader does not forward) or
-//!   `Input::Eof` (the connection ended).
-//! * **Output** — the control frame for every rank, if any: GO once all
-//!   ranks said HELLO, ABORT on the first failure, FIN on the n-th
-//!   valid EXIT. A reader stops at its connection's end or once there
-//!   is a verdict, so the verdict also says when reading ends.
+//!   rank), `Input::Frame` (any frame the hub does not forward),
+//!   `Input::Eof` (the connection ended) or `Input::Deadline` (the
+//!   machine cannot assemble: the bootstrap deadline passed, a child died
+//!   before connecting, accepting failed, or a connection's first frame
+//!   was not a HELLO; after GO it decides nothing).
+//! * **Output** — the control frame for every connection, if any: GO
+//!   once all ranks said HELLO, ABORT on the first failure, FIN on the
+//!   n-th valid EXIT. Once there is a verdict the hub reads no more, so
+//!   the verdict also says when reading ends.
 //! * **Side effects** — the protocol's own record of who said HELLO,
 //!   each rank's EXIT report, and the verdict.
 //! * **Job** — be the failure detector, with faults as the normal case.
@@ -32,23 +32,28 @@
 //!   after `EXIT` or after the verdict is expected, and a repeated
 //!   `EXIT` counts once.
 //!
-//! The threads only move bytes: the bootstrap loop reads each
-//! connection's HELLO, each reader thread feeds its rank's inputs to the
-//! protocol under one mutex and writes the frame it returns before the
-//! mutex drops, and [`WireHub::run`] waits on one condvar for the
-//! verdict, then shuts every connection down so the launcher can reap
-//! children and report. What fails before the machine exists — the
-//! accept deadline, a child that died before connecting, a first frame
-//! that is not a HELLO — ends `run` directly: no frame of an assembled
-//! machine was decided.
+//! The loop around it only moves bytes, all on the thread that calls
+//! [`WireHub::run`]: one `poll(2)` waits on the listener and every
+//! non-blocking connection, and each connection holds a frame decoder
+//! and the bytes queued for it. A connection is read only while no frame
+//! it forwarded still waits in another's queue, so the hub holds at most
+//! one forwarded frame per worker (plus control frames), and frames
+//! from one rank to another keep their order. Until GO the wait wakes
+//! every 5 ms to ask `early_fail` and check the deadline; after GO it
+//! sleeps until a socket is ready. A connection that never says HELLO
+//! holds nothing up, and is dropped at GO. Once there is a verdict the
+//! hub flushes what it queued, for at most [`crate::GRACE`], and shuts
+//! every connection down so the launcher can reap children and report.
 
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::report::WorkerReport;
-use crate::{kind, ACCEPT_TIMEOUT};
-use converse_msg::{read_frame, write_frame, FrameHeader};
-use parking_lot::{Condvar, Mutex};
-use std::io;
+use crate::{kind, ACCEPT_TIMEOUT, GRACE};
+use converse_msg::frame::Decoder;
+use converse_msg::{FrameHeader, FRAME_HEADER_BYTES};
+use std::collections::VecDeque;
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 /// Why a hub run did not produce `n` clean exits.
@@ -87,6 +92,8 @@ pub(crate) enum Input<'a> {
     Frame(FrameHeader, &'a [u8]),
     /// The connection ended (EOF or a read error).
     Eof,
+    /// The machine cannot assemble, for this reason. See the module docs.
+    Deadline(String),
 }
 
 /// The hub's control plane. See the module docs.
@@ -104,8 +111,15 @@ pub(crate) struct Protocol {
 /// The payload of the ABORT the hub fans out.
 const ABORT_MSG: &[u8] = b"a worker process failed";
 
-/// True for the kinds one worker addresses to another: the readers
-/// forward them by `dst` without the protocol.
+/// The rank of an input that names none (a [`Input::Deadline`] no rank
+/// caused).
+const NOBODY: usize = usize::MAX;
+
+/// How often the bootstrap asks `early_fail` and checks its deadline.
+const BOOT_TICK: Duration = Duration::from_millis(5);
+
+/// True for the kinds one worker addresses to another: the hub forwards
+/// them by `dst` without the protocol.
 fn routed(k: u8) -> bool {
     matches!(
         k,
@@ -123,9 +137,15 @@ impl Protocol {
         }
     }
 
+    /// Every rank said HELLO: the machine is assembled.
+    fn assembled(&self) -> bool {
+        self.connected.iter().all(|&c| c)
+    }
+
     /// Decide one input from the connection of `rank` (a rank of the
-    /// machine, except for the rank a HELLO claims). Returns the frame
-    /// every rank gets: GO, ABORT or FIN.
+    /// machine, except for the rank a HELLO claims and that of a
+    /// deadline, which is out of range when it names none). Returns the
+    /// frame every connection gets: GO, ABORT or FIN.
     pub(crate) fn on(&mut self, rank: usize, input: Input) -> Option<u8> {
         let n = self.connected.len();
         let exited = rank < n && self.reports[rank].is_some();
@@ -139,8 +159,12 @@ impl Protocol {
         let verdict = match input {
             Input::Hello if rank < n && !self.connected[rank] => {
                 self.connected[rank] = true;
-                return self.connected.iter().all(|&c| c).then_some(kind::GO);
+                return (self.assembled() && self.verdict.is_none()).then_some(kind::GO);
             }
+            Input::Deadline(detail) if !self.assembled() => Err(HubFailure::Bootstrap {
+                rank: (rank < n).then_some(rank),
+                detail,
+            }),
             Input::Hello => Err(HubFailure::Bootstrap {
                 rank: None,
                 detail: format!("bad or duplicate HELLO rank {rank}"),
@@ -170,8 +194,9 @@ impl Protocol {
                 rank,
                 msg: String::from_utf8_lossy(payload).into_owned(),
             }),
-            // An EOF after EXIT, a frame the reader forwarded, a repeated
-            // EXIT, or a kind no worker sends: nothing to decide.
+            // An EOF after EXIT, a frame the hub forwarded, a repeated
+            // EXIT, a kind no worker sends, or a deadline after GO:
+            // nothing to decide.
             _ => return None,
         };
         self.settle(verdict)
@@ -200,20 +225,157 @@ impl Protocol {
     }
 }
 
-struct HubState {
-    /// Per-rank write halves; a forwarded frame takes exactly one lock.
-    writers: Vec<Mutex<TcpStream>>,
-    protocol: Mutex<Protocol>,
-    /// Signalled once the protocol has a verdict.
-    settled: Condvar,
+/// One accepted connection: what the hub reads from it and what it
+/// queued for it.
+struct Conn {
+    stream: TcpStream,
+    frames: Decoder,
+    /// The rank its HELLO named, once it said one.
+    rank: Option<usize>,
+    /// False once it ended or failed a read.
+    reading: bool,
+    /// A frame it sent waits in another connection's `out`.
+    held: bool,
+    /// Bytes queued for it, and how many of them are written.
+    out: Vec<u8>,
+    sent: usize,
+    /// Where each forwarded frame in `out` ends, and the connection it
+    /// came from.
+    forwarded: VecDeque<(usize, usize)>,
 }
 
-impl HubState {
-    fn broadcast(&self, k: u8) {
+impl Conn {
+    /// Append one frame to `out`.
+    fn queue(&mut self, h: FrameHeader, payload: &[u8]) {
+        let body = (FRAME_HEADER_BYTES + payload.len()) as u32;
+        self.out.extend_from_slice(&body.to_le_bytes());
+        self.out.extend_from_slice(&h.to_bytes());
+        self.out.extend_from_slice(payload);
+    }
+}
+
+/// The loop's state: the protocol, and every connection it accepted.
+struct Router {
+    protocol: Protocol,
+    conns: Vec<Conn>,
+    /// The connection of each rank that said HELLO.
+    by_rank: Vec<usize>,
+}
+
+impl Router {
+    /// Write what connection `i` has queued until its socket would
+    /// block, and let each connection whose forwarded frame is now
+    /// written be read again. A write error means the destination died:
+    /// its own EOF is the failure signal, so what it was sent is dropped.
+    fn flush(&mut self, i: usize) {
+        let c = &mut self.conns[i];
+        while c.sent < c.out.len() {
+            match c.stream.write(&c.out[c.sent..]) {
+                Ok(n) if n > 0 => c.sent += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => c.sent = c.out.len(),
+            }
+        }
+        while let Some(&(end, src)) = self.conns[i].forwarded.front() {
+            if end > self.conns[i].sent {
+                break;
+            }
+            self.conns[i].forwarded.pop_front();
+            self.conns[src].held = false;
+        }
+        let c = &mut self.conns[i];
+        if c.sent == c.out.len() {
+            c.sent = 0;
+            c.out.clear();
+        }
+    }
+
+    /// Hand one input to the protocol, and queue the frame it returns
+    /// for every connection.
+    fn decide(&mut self, rank: usize, input: Input) {
+        let Some(k) = self.protocol.on(rank, input) else {
+            return;
+        };
         let payload = if k == kind::ABORT { ABORT_MSG } else { b"" };
-        for (r, w) in self.writers.iter().enumerate() {
-            let h = FrameHeader::new(k, u32::MAX, r as u32, 0);
-            let _ = write_frame(&mut *w.lock(), h, payload);
+        for i in 0..self.conns.len() {
+            let rank = self.conns[i].rank;
+            if k == kind::GO && rank.is_none() {
+                continue; // never said HELLO: dropped at GO
+            }
+            let dst = rank.map_or(u32::MAX, |r| r as u32);
+            self.conns[i].queue(FrameHeader::new(k, u32::MAX, dst, 0), payload);
+            self.flush(i);
+        }
+    }
+
+    /// True while connection `i` is read: before GO for its HELLO,
+    /// after GO for every frame, and never once it is held, has ended or
+    /// the run has a verdict.
+    fn reads(&self, i: usize) -> bool {
+        let c = &self.conns[i];
+        let p = &self.protocol;
+        c.reading && !c.held && p.verdict.is_none() && c.rank.is_some() == p.assembled()
+    }
+
+    /// Read connection `i` while it [`Router::reads`] and has a whole
+    /// frame: its HELLO, or after GO each frame, forwarded or decided.
+    fn read(&mut self, i: usize) {
+        let n = self.by_rank.len();
+        while self.reads(i) {
+            let c = &mut self.conns[i];
+            let frame = match c.frames.read(&mut c.stream) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Ok(frame) => frame,
+                Err(_) => None,
+            };
+            c.reading = frame.is_some();
+            match (c.rank, frame) {
+                (None, Some((h, _))) if h.kind == kind::HELLO => {
+                    let rank = h.src as usize;
+                    self.conns[i].rank = Some(rank);
+                    if rank < n {
+                        self.by_rank[rank] = i;
+                    }
+                    return self.decide(rank, Input::Hello);
+                }
+                (None, frame) => {
+                    self.conns[i].reading = false;
+                    let got =
+                        frame.map_or("the end of the stream".into(), |(h, _)| format!("{h:?}"));
+                    self.decide(
+                        NOBODY,
+                        Input::Deadline(format!("expected HELLO, got {got}")),
+                    );
+                }
+                (Some(_), Some((h, payload))) if routed(h.kind) && (h.dst as usize) < n => {
+                    let d = self.by_rank[h.dst as usize];
+                    let dst = &mut self.conns[d];
+                    dst.queue(h, payload.as_slice());
+                    dst.forwarded.push_back((dst.out.len(), i));
+                    self.conns[i].held = true;
+                    self.flush(d);
+                }
+                (Some(rank), Some((h, payload))) => {
+                    self.decide(rank, Input::Frame(h, payload.as_slice()))
+                }
+                (Some(rank), None) => self.decide(rank, Input::Eof),
+            }
+        }
+    }
+
+    /// What connection `i` waits for: to be read, written, both or
+    /// neither (0).
+    fn events(&self, i: usize) -> i16 {
+        let write = if self.conns[i].out.is_empty() {
+            0
+        } else {
+            POLLOUT
+        };
+        if self.reads(i) {
+            POLLIN | write
+        } else {
+            write
         }
     }
 }
@@ -243,15 +405,31 @@ impl WireHub {
         &self.addr
     }
 
-    fn accept_one(&self) -> io::Result<Option<TcpStream>> {
-        match self.listener.accept() {
-            Ok((s, _)) => {
-                s.set_nonblocking(false)?;
-                s.set_nodelay(true)?;
-                Ok(Some(s))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
+    /// Accept every connection that is waiting.
+    fn accept(&self, router: &mut Router) {
+        loop {
+            let accepted = self.listener.accept().and_then(|(stream, _)| {
+                stream.set_nonblocking(true)?;
+                stream.set_nodelay(true)?;
+                Ok(stream)
+            });
+            let stream = match accepted {
+                Ok(stream) => stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) => {
+                    return router.decide(NOBODY, Input::Deadline(format!("accept failed: {e}")))
+                }
+            };
+            router.conns.push(Conn {
+                stream,
+                frames: Decoder::default(),
+                rank: None,
+                reading: true,
+                held: false,
+                out: Vec::new(),
+                sent: 0,
+                forwarded: VecDeque::new(),
+            });
         }
     }
 
@@ -269,116 +447,69 @@ impl WireHub {
     ) -> Result<Vec<WorkerReport>, HubFailure> {
         let n = self.n;
         let deadline = Instant::now() + ACCEPT_TIMEOUT;
-        let boot = |detail: String| HubFailure::Bootstrap { rank: None, detail };
-        let mut protocol = Protocol::new(n);
-        // Each rank's stream and the clone its reader takes.
-        let mut conns: Vec<Option<(TcpStream, TcpStream)>> = (0..n).map(|_| None).collect();
-        loop {
-            if let Some((rank, detail)) = early_fail() {
-                return Err(HubFailure::Bootstrap { rank, detail });
-            }
-            if Instant::now() >= deadline {
-                let connected = conns.iter().flatten().count();
-                let waited = format!("{connected}/{n} workers connected within {ACCEPT_TIMEOUT:?}");
-                return Err(boot(format!("only {waited}")));
-            }
-            let accepted = self.accept_one();
-            let Some(stream) = accepted.map_err(|e| boot(format!("accept failed: {e}")))? else {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            };
-            // The HELLO must arrive promptly; bound the read so a rogue
-            // connection cannot stall the whole bootstrap.
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-            let clone = stream.try_clone();
-            let mut reader = clone.map_err(|e| boot(format!("clone worker stream: {e}")))?;
-            let rank = match read_frame(&mut reader) {
-                Ok(Some((h, _))) if h.kind == kind::HELLO => h.src as usize,
-                other => return Err(boot(format!("expected HELLO, got {other:?}"))),
-            };
-            let frame = protocol.on(rank, Input::Hello);
-            if frame == Some(kind::ABORT) {
-                return protocol.outcome();
-            }
-            let _ = stream.set_read_timeout(None);
-            conns[rank] = Some((stream, reader));
-            if frame == Some(kind::GO) {
-                break;
-            }
-        }
-
-        let (writers, readers): (Vec<_>, Vec<_>) = conns.into_iter().flatten().unzip();
-        let state = Arc::new(HubState {
-            writers: writers.into_iter().map(Mutex::new).collect(),
-            protocol: Mutex::new(protocol),
-            settled: Condvar::new(),
-        });
-        // The startup barrier: every rank is connected, release them.
-        state.broadcast(kind::GO);
-        let readers: Vec<_> = readers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, stream)| {
-                let st = state.clone();
-                std::thread::Builder::new()
-                    .name(format!("wire-hub-r{rank}"))
-                    .spawn(move || hub_reader(rank, stream, st))
-                    .expect("spawn hub reader")
-            })
-            .collect();
-
-        {
-            let mut p = state.protocol.lock();
-            while p.verdict.is_none() {
-                state.settled.wait(&mut p);
-            }
-        }
-        // Shut every connection down so reader threads (ours and the
-        // workers') unblock; the verdict's FIN or ABORT is already
-        // queued ahead of the TCP FIN.
-        for w in state.writers.iter() {
-            let _ = w.lock().shutdown(Shutdown::Both);
-        }
-        for r in readers {
-            let _ = r.join();
-        }
-        let state = Arc::into_inner(state).expect("every reader joined");
-        state.protocol.into_inner().outcome()
-    }
-}
-
-/// One worker's reader: forward what is routed to a rank of the
-/// machine, hand everything else to the protocol, and stop at the
-/// connection's end or at the verdict.
-fn hub_reader(rank: usize, mut stream: TcpStream, st: Arc<HubState>) {
-    loop {
-        let frame = read_frame(&mut stream).ok().flatten();
-        let input = match &frame {
-            Some((h, payload)) if routed(h.kind) && (h.dst as usize) < st.writers.len() => {
-                // A write error means the destination died; its own
-                // reader's EOF is the authoritative failure signal, so
-                // drop the frame.
-                let _ = write_frame(
-                    &mut *st.writers[h.dst as usize].lock(),
-                    *h,
-                    payload.as_slice(),
-                );
-                continue;
-            }
-            Some((h, payload)) => Input::Frame(*h, payload.as_slice()),
-            None => Input::Eof,
+        let mut hub = Router {
+            protocol: Protocol::new(n),
+            conns: Vec::new(),
+            by_rank: vec![usize::MAX; n],
         };
-        // The frame the protocol returns is written before its lock
-        // drops, so `run` cannot shut the connections down ahead of a
-        // FIN or an ABORT.
-        let mut p = st.protocol.lock();
-        if let Some(k) = p.on(rank, input) {
-            st.broadcast(k);
-            st.settled.notify_all();
+        // Set at the verdict: when the flush ends at the latest.
+        let mut flush_by = None;
+        let mut fds = Vec::new();
+        loop {
+            let now = Instant::now();
+            let assembled = hub.protocol.assembled();
+            let timeout = if hub.protocol.verdict.is_some() {
+                let by = *flush_by.get_or_insert(now + GRACE);
+                if now >= by || hub.conns.iter().all(|c| c.out.is_empty()) {
+                    break;
+                }
+                Some(by - now)
+            } else if !assembled {
+                let failure = early_fail().or_else(|| {
+                    let connected = hub.conns.iter().filter(|c| c.rank.is_some()).count();
+                    let waited =
+                        format!("{connected}/{n} workers connected within {ACCEPT_TIMEOUT:?}");
+                    (now >= deadline).then(|| (None, format!("only {waited}")))
+                });
+                if let Some((rank, detail)) = failure {
+                    hub.decide(rank.unwrap_or(NOBODY), Input::Deadline(detail));
+                    continue;
+                }
+                Some(BOOT_TICK.min(deadline - now))
+            } else {
+                None
+            };
+            let accepting = hub.protocol.verdict.is_none() && !assembled;
+            fds.clear();
+            fds.push(PollFd::new(
+                self.listener.as_raw_fd(),
+                if accepting { POLLIN } else { 0 },
+            ));
+            for (i, c) in hub.conns.iter().enumerate() {
+                fds.push(PollFd::new(c.stream.as_raw_fd(), hub.events(i)));
+            }
+            poll::wait(&mut fds, timeout).expect("poll the hub's sockets");
+            if fds[0].revents != 0 {
+                self.accept(&mut hub);
+            }
+            for (i, fd) in fds[1..].iter().enumerate() {
+                if fd.revents != 0 {
+                    hub.flush(i);
+                    hub.read(i);
+                }
+            }
+            if !assembled && hub.protocol.assembled() {
+                // GO: drop the connections that never said HELLO.
+                hub.conns.retain(|c| c.rank.is_some());
+                for (i, c) in hub.conns.iter().enumerate() {
+                    hub.by_rank[c.rank.expect("said HELLO")] = i;
+                }
+            }
         }
-        if frame.is_none() || p.verdict.is_some() {
-            return;
+        for c in &hub.conns {
+            let _ = c.stream.shutdown(Shutdown::Both);
         }
+        hub.protocol.outcome()
     }
 }
 

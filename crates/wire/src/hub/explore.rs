@@ -13,10 +13,14 @@
 //!   naming another rank, or send a data frame addressed outside the
 //!   machine;
 //! * a worker reads the next frame the hub sent it;
-//! * a hub reader reads the next frame of its connection: it hands it
-//!   to `Protocol::on`, fans out the frame that returns, and stops at
-//!   its connection's end or at the verdict, as `hub_reader` does (no
-//!   frame the model sends is forwarded);
+//! * the hub reads the next frame of a connection: it hands it to
+//!   `Protocol::on` and fans out the frame that returns (no frame the
+//!   model sends is forwarded). Before GO it reads only HELLOs. It stops
+//!   reading a connection at its end, and at the verdict, after at most
+//!   one more frame: a superset of the hub's loop, which reads nothing
+//!   once there is a verdict;
+//! * once, at any point before the teardown, the hub's deadline passes
+//!   (`early_fail` is the same input): `Input::Deadline`;
 //! * once there is a verdict, the hub tears every connection down.
 //!
 //! An oracle that shares no code with `Protocol` replays what the hub
@@ -27,6 +31,8 @@
 //!   `Ok` exactly when every rank sent a valid EXIT first — so a clean
 //!   run is never reported failed, and an EOF after EXIT or after the
 //!   verdict is not a crash;
+//! * a deadline before every HELLO was read is a bootstrap failure
+//!   (when it is the first failure), and one after GO has no effect;
 //! * FIN goes out only after `n` valid EXITs;
 //! * once the hub is torn down and a surviving worker has read what it
 //!   was sent, its phase is Fin (clean run) or Aborted by the hub's
@@ -37,9 +43,10 @@
 //! Test-only variants of the protocol, each wrapping the real one from
 //! here, show that the search finds a duplicate EXIT counted twice, an
 //! EOF after EXIT taken for a crash, a later failure replacing the
-//! first, and an ABORT fan-out that skips one rank.
+//! first, an ABORT fan-out that skips one rank, and a deadline after GO
+//! that fails the run.
 
-use super::{HubFailure, Input, Protocol};
+use super::{HubFailure, Input, Protocol, NOBODY};
 use crate::endpoint::Phase;
 use crate::{kind, WorkerReport};
 use converse_msg::FrameHeader;
@@ -117,17 +124,29 @@ struct Worker {
 /// code with `Protocol`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Oracle {
+    /// Ranks whose HELLO the hub read.
+    hello: Vec<bool>,
     /// Ranks whose valid EXIT the hub read.
     exited: Vec<bool>,
     verdict: Option<Verdict>,
 }
 
 impl Oracle {
+    /// The deadline passed: a bootstrap failure until every HELLO was
+    /// read, nothing after.
+    fn deadline(&mut self) {
+        if self.verdict.is_none() && !self.hello.iter().all(|&h| h) {
+            self.verdict = Some(Verdict::Broke(None));
+        }
+    }
+
     fn observe(&mut self, rank: usize, up: Up) {
         let n = self.exited.len();
         let exited = self.exited[rank];
-        if up == Up::Exit(Report::Valid) {
-            self.exited[rank] = true;
+        match up {
+            Up::Hello => self.hello[rank] = true,
+            Up::Exit(Report::Valid) => self.exited[rank] = true,
+            _ => {}
         }
         if self.verdict.is_some() {
             return;
@@ -158,6 +177,8 @@ enum Variant {
     LaterFailureWins,
     /// Fans ABORT out to every rank but the last.
     AbortSkipsOneRank,
+    /// Lets a deadline after GO fail the run.
+    DeadlineAfterGo,
 }
 
 impl Variant {
@@ -170,6 +191,12 @@ impl Variant {
                 let report = p.reports[rank].take();
                 let frame = p.on(rank, input);
                 p.reports[rank] = report;
+                return frame;
+            }
+            Variant::DeadlineAfterGo if matches!(input, Input::Deadline(_)) && p.assembled() => {
+                p.connected[0] = false;
+                let frame = p.on(rank, input);
+                p.connected[0] = true;
                 return frame;
             }
             Variant::LaterFailureWins if matches!(p.verdict, Some(Err(_))) => {
@@ -189,8 +216,10 @@ impl Variant {
 struct State {
     protocol: Protocol,
     workers: Vec<Worker>,
-    /// Which hub readers still read.
+    /// Which connections the hub still reads.
     reading: Vec<bool>,
+    /// The deadline passed.
+    deadline: bool,
     torn_down: bool,
     oracle: Oracle,
 }
@@ -210,8 +239,10 @@ impl State {
             protocol: Protocol::new(n),
             workers: vec![worker; n],
             reading: vec![true; n],
+            deadline: false,
             torn_down: false,
             oracle: Oracle {
+                hello: vec![false; n],
                 exited: vec![false; n],
                 verdict: None,
             },
@@ -224,7 +255,12 @@ impl State {
         let exited: Vec<bool> = p.reports.iter().map(Option::is_some).collect();
         let parts = (
             (&p.connected, exited, p.exits, Verdict::of(&p.verdict)),
-            (&self.workers, &self.reading, self.torn_down, &self.oracle),
+            (
+                &self.workers,
+                &self.reading,
+                (self.deadline, self.torn_down),
+                &self.oracle,
+            ),
         );
         let digest = |salt: u64| {
             let mut h = DefaultHasher::new();
@@ -259,6 +295,11 @@ impl State {
                 s.hub_reads(r, v)?;
                 next.push(s);
             }
+        }
+        if !self.torn_down && !self.deadline {
+            let mut s = self.clone();
+            s.deadline_passes(v)?;
+            next.push(s);
         }
         if !self.torn_down && self.protocol.verdict.is_some() {
             let mut s = self.clone();
@@ -340,9 +381,50 @@ impl State {
         !self.torn_down && self.reading[r] && front.is_some_and(|&up| go || up == Up::Hello)
     }
 
-    /// Hub reader `r` takes one frame, as `hub_reader` does.
-    fn hub_reads(&mut self, r: usize, v: Variant) -> Result<(), String> {
+    /// The hub's deadline passes (or `early_fail` names a dead child).
+    fn deadline_passes(&mut self, v: Variant) -> Result<(), String> {
+        self.deadline = true;
+        let frame = v.on(
+            &mut self.protocol,
+            NOBODY,
+            Input::Deadline("deadline".into()),
+        );
+        self.oracle.deadline();
+        self.fan_out(frame, v)?;
+        self.check_verdict("the deadline passed")
+    }
+
+    /// Send the frame the protocol returned to every live worker.
+    fn fan_out(&mut self, frame: Option<u8>, v: Variant) -> Result<(), String> {
         let n = self.n();
+        if let Some(k) = frame {
+            if k == kind::FIN && !self.oracle.exited.iter().all(|&e| e) {
+                return Err(format!("FIN after {:?} valid EXITs", self.oracle.exited));
+            }
+            for (rank, w) in self.workers.iter_mut().enumerate() {
+                let skipped = v == Variant::AbortSkipsOneRank && k == kind::ABORT && rank == n - 1;
+                if w.alive && !skipped {
+                    w.down.push_back(Down::Control(k));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The protocol's verdict is the oracle's, after `what`.
+    fn check_verdict(&self, what: &str) -> Result<(), String> {
+        let verdict = Verdict::of(&self.protocol.verdict);
+        if verdict != self.oracle.verdict {
+            return Err(format!(
+                "verdict {verdict:?} where the first failure in event order is {:?} ({what})",
+                self.oracle.verdict
+            ));
+        }
+        Ok(())
+    }
+
+    /// The hub reads one frame of connection `r`.
+    fn hub_reads(&mut self, r: usize, v: Variant) -> Result<(), String> {
         let up = self.workers[r].up.pop_front().expect("a frame to read");
         let frame =
             |k, dst: usize, payload| Some((FrameHeader::new(k, r as u32, dst as u32, 0), payload));
@@ -366,28 +448,11 @@ impl State {
         let eof = up == Up::Eof;
         let frame = v.on(&mut self.protocol, r, input);
         self.oracle.observe(r, up);
-        if let Some(k) = frame {
-            if k == kind::FIN && !self.oracle.exited.iter().all(|&e| e) {
-                return Err(format!("FIN after {:?} valid EXITs", self.oracle.exited));
-            }
-            for (rank, w) in self.workers.iter_mut().enumerate() {
-                let skipped = v == Variant::AbortSkipsOneRank && k == kind::ABORT && rank == n - 1;
-                if w.alive && !skipped {
-                    w.down.push_back(Down::Control(k));
-                }
-            }
-        }
+        self.fan_out(frame, v)?;
         if eof || self.protocol.verdict.is_some() {
             self.reading[r] = false;
         }
-        let verdict = Verdict::of(&self.protocol.verdict);
-        if verdict != self.oracle.verdict {
-            return Err(format!(
-                "verdict {verdict:?} where the first failure in event order is {:?} (rank {r} sent {up:?})",
-                self.oracle.verdict
-            ));
-        }
-        Ok(())
+        self.check_verdict(&format!("rank {r} sent {up:?}"))
     }
 
     /// Once the hub is torn down, a surviving worker that has read
@@ -442,6 +507,7 @@ impl Clone for State {
             },
             workers: self.workers.clone(),
             reading: self.reading.clone(),
+            deadline: self.deadline,
             torn_down: self.torn_down,
             oracle: self.oracle.clone(),
         }
@@ -540,6 +606,10 @@ fn the_search_finds_each_seeded_bug() {
         (
             Variant::AbortSkipsOneRank,
             "worker 1 ends Aborted(\"hub connection lost\")",
+        ),
+        (
+            Variant::DeadlineAfterGo,
+            "where the first failure in event order is None (the deadline passed)",
         ),
     ] {
         match explore(2, 1, variant) {

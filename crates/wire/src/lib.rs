@@ -8,8 +8,9 @@
 //!
 //! * A **hub** ([`WireHub`]) in the launcher process binds a loopback
 //!   TCP listener and routes frames between workers in a star topology:
-//!   worker → hub → worker. One listener address is the whole machine's
-//!   bootstrap configuration.
+//!   worker → hub → worker, all from the thread that runs it (one
+//!   `poll(2)` loop, no lock). One listener address is the whole
+//!   machine's bootstrap configuration.
 //! * Each worker holds a [`WireEndpoint`]: its end of the hub
 //!   connection plus a private `Interconnect` as the transport's *local
 //!   half* — the rank's mailbox, clock, stall windows, load cell and
@@ -17,7 +18,8 @@
 //!   only what crosses the wire.
 //! * Frames are the length-prefixed encoding in `converse_msg::frame` —
 //!   the payload is the generalized message verbatim, so everything
-//!   above the transport is bit-identical across wires.
+//!   above the transport is bit-identical across wires — and are read by
+//!   its one decoder, which a non-blocking reader resumes mid-frame.
 //! * The wire is a plain reliable pipe, FIFO per ordered pair of
 //!   ranks, and carries no link protocol. A [`converse_net::FaultPlan`]
 //!   acts where a message enters its PE: the local half runs link
@@ -39,9 +41,10 @@
 //! That control plane is two small sans-IO state machines. The hub's
 //! protocol decides every verdict from (rank, HELLO / frame / EOF)
 //! inputs, the first failure winning; each endpoint's lifecycle is one
-//! phase (Running → Finishing → Fin | Aborted). The threads around them
-//! only move bytes, and a unit test drives both together over every
-//! interleaving of a small machine (`hub/explore.rs`).
+//! phase (Running → Finishing → Fin | Aborted). The loops around them
+//! (the hub's poll loop, each endpoint's reader thread) only move bytes,
+//! and a unit test drives both together over every interleaving of a
+//! small machine (`hub/explore.rs`).
 //!
 //! The **shared-memory ring data plane** (`Transport::ShmRing`, Linux
 //! x86-64/aarch64) reuses all of the above but demotes the hub socket
@@ -66,6 +69,8 @@ mod endpoint;
 )]
 mod futex;
 mod hub;
+#[cfg(unix)]
+mod poll;
 mod region;
 mod report;
 mod shm;

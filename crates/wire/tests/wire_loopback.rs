@@ -449,3 +449,70 @@ fn a_frame_addressed_outside_the_machine_fails_the_run_naming_its_sender() {
         other => panic!("the hub must fail the run and name the sender, got {other:?}"),
     }
 }
+
+#[test]
+fn a_silent_connection_does_not_hold_the_bootstrap() {
+    use std::io::Read;
+    let hub = WireHub::bind(2).expect("bind hub");
+    let addr = hub.addr().to_string();
+    // Accepted ahead of both workers, and then says nothing.
+    let mut silent = std::net::TcpStream::connect(&addr).expect("connect");
+    let t0 = Instant::now();
+    let workers: Vec<_> = (0..2)
+        .map(|rank| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let ep = WireEndpoint::connect(
+                    rank,
+                    2,
+                    &addr,
+                    DeliveryMode::Fifo,
+                    None,
+                    Arc::new(NullSink),
+                    None,
+                )
+                .expect("connect");
+                worker_exit(&ep, rank);
+            })
+        })
+        .collect();
+    let reports = hub
+        .run(|| None)
+        .expect("the machine assembles around a silent connection");
+    assert_eq!(reports.len(), 2);
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "the silent connection held the bootstrap for {:?}",
+        t0.elapsed()
+    );
+    for w in workers {
+        w.join().expect("worker thread");
+    }
+    // Dropped at GO: the end of its stream, with nothing before it.
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut got = Vec::new();
+    silent.read_to_end(&mut got).expect("the hub closed it");
+    assert!(
+        got.is_empty(),
+        "a connection that said no HELLO got {got:?}"
+    );
+}
+
+#[test]
+fn a_stranger_whose_first_frame_is_not_a_hello_fails_the_bootstrap() {
+    use converse_msg::{write_frame, FrameHeader};
+    use converse_wire::kind;
+    let hub = WireHub::bind(2).expect("bind hub");
+    let mut stranger = std::net::TcpStream::connect(hub.addr()).expect("connect");
+    write_frame(&mut stranger, FrameHeader::new(kind::DATA, 0, 1, 0), b"hi").expect("frame");
+    let t0 = Instant::now();
+    match hub.run(|| None) {
+        Err(converse_wire::HubFailure::Bootstrap { rank: None, detail }) => {
+            assert!(detail.contains("expected HELLO"), "{detail}")
+        }
+        other => panic!("a stranger's frame must fail the bootstrap, got {other:?}"),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+}

@@ -467,3 +467,61 @@ fn pubsub_subscription_streams_to_external_client() {
     );
     client.join().expect("client thread");
 }
+
+/// A handler whose reply is too big for a frame: the client gets a
+/// non-OK reply under the request's sequence number, the gateway PE
+/// keeps running, and the connection keeps answering. A request too big
+/// for a frame fails on the client and sends nothing.
+#[test]
+fn an_oversize_reply_is_an_error_reply_not_a_pe_panic() {
+    let registry = CcsRegistry::new();
+    let server = CcsServer::new(registry.clone(), CcsServerConfig::default());
+    let handle = server.handle();
+
+    let outside = std::thread::spawn(move || {
+        let addr = handle
+            .wait_addr(Duration::from_secs(10))
+            .expect("server bound");
+        let mut c = CcsClient::connect(addr).expect("connect");
+        c.set_timeout(Some(Duration::from_secs(20))).unwrap();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            call_retry(&mut c, "echo", 0, b"up?");
+            // A 1 MiB payload plus the reply's 13 bytes of fields.
+            let t = c.submit("huge", 0, b"").expect("submit");
+            let Reply {
+                status, payload, ..
+            } = c.wait(t).expect("a reply under its seq");
+            assert_eq!(
+                status,
+                ccs::status::MALFORMED,
+                "{:?}",
+                String::from_utf8_lossy(&payload)
+            );
+            let r = call_retry(&mut c, "echo", 0, b"still-alive");
+            assert_eq!(&r[1..], b"still-alive");
+            match c.submit("echo", 0, &vec![0; 1 << 20]) {
+                Err(CcsError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+                other => panic!("an oversize request must fail on the client, got {other:?}"),
+            }
+            let r = call_retry(&mut c, "echo", 1, b"and-again");
+            assert_eq!(&r[1..], b"and-again");
+        }));
+        let _ = c.submit("exit", 0, b"");
+        if let Err(p) = result {
+            std::panic::resume_unwind(p);
+        }
+    });
+
+    let reg2 = registry.clone();
+    converse::core::run_with(MachineConfig::new(2).attach(Box::new(server)), move |pe| {
+        Charm::install(pe, LdbPolicy::Direct);
+        registry_basic(pe, &reg2);
+        reg2.register(pe, "huge", |pe, _msg| {
+            let token = ccs::current_token(pe).expect("gateway dispatch");
+            ccs::send_reply(pe, token, &vec![0x5a; 1 << 20]);
+        });
+        pe.barrier();
+        csd_scheduler(pe, -1);
+    });
+    outside.join().expect("client thread");
+}
